@@ -178,6 +178,40 @@ func TestAttachSpecParkCompress(t *testing.T) {
 	}
 }
 
+// TestAttachSpecBesideParkRecompiles attaches a second program to a pipe
+// that has already carried traffic: the pipe's match programs are rebuilt,
+// and on the next packet both programs' tables fire, interleaved in stage
+// order (the claim of each in stage 1, the stores behind them).
+func TestAttachSpecBesideParkRecompiles(t *testing.T) {
+	sw, park := testbed(t, defaultCfg(), -1)
+	if em := sw.Inject(mkPkt(512, 1), portGen); em == nil || em.Pkt.CR != nil {
+		t.Fatalf("parking-only split: %+v", em)
+	}
+	comp, err := sw.AttachSpec(compressSpec(), nil, nil)
+	if err != nil {
+		t.Fatalf("AttachSpec: %v", err)
+	}
+	orig := mkPkt(512, 2)
+	want := orig.Clone()
+	em := sw.Inject(orig, portGen)
+	if em == nil || em.Pkt.PP == nil || !em.Pkt.PP.Enabled || em.Pkt.CR == nil {
+		t.Fatalf("split after second attach: want parked and compressed, got %+v", em)
+	}
+	back, err := packet.ParseAt(toSink(em.Pkt).AppendSerialize(nil), sw.PPOffset(portNF))
+	if err != nil {
+		t.Fatalf("reparse: %v", err)
+	}
+	em2 := sw.Inject(back, portNF)
+	if em2 == nil || !bytes.Equal(em2.Pkt.AppendSerialize(nil), toSink(want).AppendSerialize(nil)) {
+		t.Error("round trip through both programs is not the identity")
+	}
+	if park.C.Splits.Value() != 2 || park.C.Merges.Value() != 1 ||
+		comp.CounterValue("compressions") != 1 || comp.CounterValue("restores") != 1 {
+		t.Errorf("splits=%d merges=%d compressions=%d restores=%d, want 2,1,1,1", park.C.Splits.Value(),
+			park.C.Merges.Value(), comp.CounterValue("compressions"), comp.CounterValue("restores"))
+	}
+}
+
 func TestAttachSpecErrors(t *testing.T) {
 	sw := NewSwitch("err")
 	if _, err := sw.AttachSpec(nil, nil, nil); err == nil {

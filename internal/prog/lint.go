@@ -19,8 +19,8 @@ package prog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 
 	"github.com/payloadpark/payloadpark/internal/rmt"
@@ -88,12 +88,6 @@ var (
 	actionRuntimeReads = map[string][]string{
 		"park_claim":     {RTMaxExpiry},
 		"compress_claim": {RTMaxExpiry},
-	}
-	// builtinCondFields are the non-prefixed rmt.Cond fields.
-	builtinCondFields = map[string]bool{
-		"in_port": true, "pass": true, "drop": true, "recirc": true, "l4": true,
-		"pp.valid": true, "pp.enabled": true, "pp.op": true, "pp.tag_valid": true,
-		"cr.valid": true, "cr.tag_valid": true,
 	}
 )
 
@@ -290,16 +284,12 @@ func (l *linter) lintEntryConds(e *EntrySpec, eobj string) []lintedCond {
 // lintCondField validates a condition field name against the rmt
 // vocabulary, filling lc.meta for metadata words.
 func (l *linter) lintCondField(field, eobj string, lc *lintedCond) bool {
-	if builtinCondFields[field] {
+	if slices.Contains(rmt.CondFields(), field) {
 		return true
 	}
 	if name, ok := strings.CutPrefix(field, "meta."); ok {
 		if idx, known := rmt.MetaIndex(name); known {
 			lc.meta = idx
-			return true
-		}
-		if n, err := strconv.Atoi(name); err == nil && n >= 0 && n < rmt.MetaWords {
-			lc.meta = n
 			return true
 		}
 		l.addf("unknown-field", eobj, "meta.%s names no metadata word (and is not an index below %d)", name, rmt.MetaWords)

@@ -142,7 +142,7 @@ func (in *Instance) PPPorts() []int {
 
 // Occupied counts occupied cells of the EXP/CLK register under role (cells
 // whose expiry half is non-zero) — the generic form of Program.Occupancy.
-// It reads snapshots and is not part of the dataplane.
+// It reads the cells in place, off the dataplane, without allocating.
 func (in *Instance) Occupied(role string) int {
 	reg := in.regs[role]
 	if reg == nil || reg.Width() < 8 {
@@ -150,7 +150,7 @@ func (in *Instance) Occupied(role string) int {
 	}
 	n := 0
 	for i := 0; i < reg.Cells(); i++ {
-		if exp, _ := rmt.ExpClk(reg.Snapshot(i)); exp != 0 {
+		if reg.Word(i, 0) != 0 { // the expiry half of an EXP/CLK cell
 			n++
 		}
 	}
@@ -297,6 +297,12 @@ func Load(spec *Spec, opts LoadOptions) (inst *Instance, err error) {
 		}
 		pipe.AddMAT(t.Stage, &rmt.MAT{Name: name, Reg: reg, Res: t.Resources.toRMT(), Rules: rules})
 	}
+	// Build the touched pipes' match programs now, so set-up pays for them
+	// and not the first packet.
+	opts.Pipe.Compile()
+	if opts.RecircPipe != nil {
+		opts.RecircPipe.Compile()
+	}
 	return inst, nil
 }
 
@@ -367,7 +373,7 @@ func compileEntry(e *EntrySpec, inst *Instance, params map[string]int64) (rmt.Ru
 		}
 		conds = append(conds, rmt.Cond{Field: c.Field, Op: c.Op, Value: v})
 	}
-	match, err := rmt.CompileMatch(conds, inst)
+	ops, err := rmt.CompileConds(conds, inst)
 	if err != nil {
 		return rmt.Rule{}, fmt.Errorf("entry %q: %w", e.Name, err)
 	}
@@ -394,5 +400,5 @@ func compileEntry(e *EntrySpec, inst *Instance, params map[string]int64) (rmt.Ru
 	if err != nil {
 		return rmt.Rule{}, fmt.Errorf("entry %q: %w", e.Name, err)
 	}
-	return rmt.Rule{Name: e.Name, Match: match, Action: action}, nil
+	return rmt.Rule{Name: e.Name, Conds: ops, Action: action}, nil
 }

@@ -1,0 +1,359 @@
+package prog
+
+import (
+	"bytes"
+	"encoding/json"
+	"math/rand"
+	"os"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"github.com/payloadpark/payloadpark/internal/packet"
+	"github.com/payloadpark/payloadpark/internal/rmt"
+)
+
+// The naive oracle: the table-program semantics with no compilation at all.
+// It walks every table of a pipe in stage order and every entry in order,
+// evaluates every condition by field name, and fires the first entry of each
+// table whose conditions all hold. It is the reference rmt's compiled match
+// programs (per-port, per-pass, fail-skip) are held against, and the first
+// brick of ROADMAP item 4(a)'s reference interpreter.
+
+// oracleEntry is one entry as the oracle sees it: resolved conditions and a
+// one-rule pipe that runs the entry's action against the twin's registers.
+type oracleEntry struct {
+	id    string // table/entry
+	conds []rmt.Cond
+	fire  *rmt.Pipeline
+}
+
+type oracle struct {
+	inst   *Instance
+	tables map[string][][]oracleEntry // pipe -> tables in stage order
+	fired  []string
+}
+
+func newOracle(t *testing.T, inst *Instance) *oracle {
+	o := &oracle{inst: inst, tables: map[string][][]oracleEntry{}}
+	for stage := 0; stage < rmt.StageCount; stage++ {
+		for ti := range inst.spec.Tables {
+			tbl := &inst.spec.Tables[ti]
+			if tbl.Stage != stage {
+				continue
+			}
+			var entries []oracleEntry
+			for ei := range tbl.Entries {
+				e := &tbl.Entries[ei]
+				rule, err := compileEntry(e, inst, inst.params)
+				if err != nil {
+					t.Fatalf("oracle: %s/%s: %v", tbl.Name, e.Name, err)
+				}
+				oe := oracleEntry{id: tbl.Name + "/" + e.Name, fire: rmt.NewPipeline("oracle/" + e.Name)}
+				for _, c := range e.Match {
+					v, _ := c.Value.resolve(inst.params)
+					oe.conds = append(oe.conds, rmt.Cond{Field: c.Field, Op: c.Op, Value: v})
+				}
+				// Only the action is borrowed: an unconditional rule bound to
+				// the twin's register, so firing goes through Ctx.RMW's checks.
+				oe.fire.AddMAT(stage, &rmt.MAT{Name: oe.id, Reg: inst.regs[tbl.Register],
+					Rules: []rmt.Rule{{Name: e.Name, Action: rule.Action}}})
+				entries = append(entries, oe)
+			}
+			o.tables[pipeName(tbl.Pipe)] = append(o.tables[pipeName(tbl.Pipe)], entries)
+		}
+	}
+	return o
+}
+
+// field reads a condition field by name.
+func (o *oracle) field(name string, p *rmt.PHV) int64 {
+	b := func(v bool) int64 {
+		if v {
+			return 1
+		}
+		return 0
+	}
+	switch name {
+	case "in_port":
+		return int64(p.InPort)
+	case "pass":
+		return int64(p.Pass)
+	case "drop":
+		return b(p.Drop)
+	case "recirc":
+		return b(p.Recirc)
+	case "l4":
+		switch {
+		case p.Pkt.UDP != nil:
+			return 17
+		case p.Pkt.TCP != nil:
+			return 6
+		}
+		return 0
+	case "pp.valid":
+		return b(p.Pkt.PP != nil)
+	case "pp.enabled":
+		return b(p.Pkt.PP != nil && p.Pkt.PP.Enabled)
+	case "pp.op":
+		if p.Pkt.PP == nil {
+			return -1
+		}
+		return int64(p.Pkt.PP.Op)
+	case "pp.tag_valid":
+		return b(p.Pkt.PP != nil && p.Pkt.PP.Tag.Valid())
+	case "cr.valid":
+		return b(p.Pkt.CR != nil)
+	case "cr.tag_valid":
+		return b(p.Pkt.CR != nil && p.Pkt.CR.Tag.Valid())
+	}
+	if word, ok := strings.CutPrefix(name, "meta."); ok {
+		idx, _ := rmt.MetaIndex(word)
+		return int64(p.Meta[idx])
+	}
+	v, _ := o.inst.Runtime(strings.TrimPrefix(name, "param."))
+	return int64(v)
+}
+
+// process is the oracle's Pipeline.Process for the named pipe.
+func (o *oracle) process(pipe string, p *rmt.PHV) {
+	o.fired = o.fired[:0]
+	for _, entries := range o.tables[pipe] {
+		for i := range entries {
+			e := &entries[i]
+			hit := true
+			for _, c := range e.conds {
+				if (o.field(c.Field, p) == c.Value) == (c.Op == "ne") {
+					hit = false
+					break
+				}
+			}
+			if hit {
+				o.fired = append(o.fired, e.id)
+				e.fire.Process(p)
+				break
+			}
+		}
+	}
+}
+
+// The compiled side reports what fired through shadow actions: "traced:X"
+// builds X and logs the entry id planted in its reasons before running it.
+const fireReason = "__fire"
+
+var compiledFired []string
+
+func init() {
+	for _, name := range rmt.ActionNames() {
+		rmt.RegisterAction("traced:"+name, func(env rmt.Env, a rmt.ActionArgs) (func(*rmt.Ctx), error) {
+			inner, err := rmt.BuildAction(name, env, a)
+			id := a.Reasons[fireReason]
+			return func(c *rmt.Ctx) {
+				compiledFired = append(compiledFired, id)
+				inner(c)
+			}, err
+		})
+	}
+}
+
+// traced returns a deep copy of spec whose every entry runs its traced
+// shadow action.
+func traced(t *testing.T, spec *Spec) *Spec {
+	blob, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := new(Spec)
+	if err := json.Unmarshal(blob, out); err != nil {
+		t.Fatal(err)
+	}
+	for ti := range out.Tables {
+		for ei := range out.Tables[ti].Entries {
+			e := &out.Tables[ti].Entries[ei]
+			e.Action = "traced:" + e.Action
+			if e.Reasons == nil {
+				e.Reasons = map[string]string{}
+			}
+			e.Reasons[fireReason] = out.Tables[ti].Name + "/" + e.Name
+		}
+	}
+	return out
+}
+
+const (
+	oracleSlots = 8 // small tables: claims collide, evict and go stale
+	oracleSplit = 1
+	oracleMerge = 2
+)
+
+// randPHV draws one PHV: any port, either pass, every header and flag state
+// a table can test. Two generators seeded alike yield twin PHVs that share
+// no memory. Indexes stay inside the tables and the 48 payload blocks are
+// always present, so no action can violate the hardware model — a panic is
+// not a match difference.
+func randPHV(r *rand.Rand) *rmt.PHV {
+	ft := packet.FiveTuple{
+		SrcIP: packet.IPv4Addr{10, 0, 0, 1}, DstIP: packet.IPv4Addr{10, 0, 0, 2},
+		SrcPort: uint16(r.Intn(4)), DstPort: 80, Protocol: packet.IPProtoUDP,
+	}
+	b := packet.NewBuilder(packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2})
+	b.SetPayloadSeed(r.Uint64())
+	var pkt *packet.Packet
+	switch r.Intn(6) {
+	case 0:
+		pkt = b.UDP(ft, 600, 1)
+		pkt.UDP = nil
+	case 1, 2:
+		ft.Protocol = packet.IPProtoTCP
+		pkt = b.TCP(ft, 600, 7, 1)
+	default:
+		pkt = b.UDP(ft, 600, 1)
+	}
+	tag := func() packet.Tag {
+		tag := packet.Tag{TableIndex: uint16(r.Intn(oracleSlots)), Clock: uint16(1 + r.Intn(3))}.Seal()
+		if r.Intn(6) == 0 {
+			tag.CRC++
+		}
+		return tag
+	}
+	switch r.Intn(5) {
+	case 0:
+		pkt.SetPP(packet.PPHeader{})
+	case 1, 2:
+		pkt.SetPP(packet.PPHeader{Enabled: true, Op: packet.PPOp(r.Intn(2)), Tag: tag()})
+	}
+	if r.Intn(2) == 0 {
+		pkt.SetCR(packet.CRHeader{Proto: packet.IPProtoUDP, Tag: tag()})
+	}
+	phv := &rmt.PHV{
+		Pkt:    pkt,
+		InPort: []rmt.PortID{oracleSplit, oracleSplit, oracleMerge, oracleMerge, 3, 40}[r.Intn(6)],
+		Pass:   r.Intn(4) / 3,
+		Drop:   r.Intn(6) == 0,
+		Recirc: r.Intn(8) == 0,
+	}
+	for i := range phv.Meta {
+		phv.Meta[i] = uint32(r.Intn(3))
+	}
+	phv.Meta[rmt.MetaTableIndex] = uint32(r.Intn(oracleSlots))
+	phv.Meta[rmt.MetaCompTableIndex] = uint32(r.Intn(oracleSlots))
+	if r.Intn(2) == 0 {
+		pkt.IP.Marshal(phv.HdrScratch[:packet.IPv4HeaderLen])
+	}
+	for i := 0; i < 48; i++ {
+		phv.Blocks = append(phv.Blocks, pkt.Payload[42+8*i:42+8*i+8])
+	}
+	return phv
+}
+
+func loadTwin(t *testing.T, spec *Spec) (*Instance, map[string]*rmt.Pipeline) {
+	t.Helper()
+	pipes := map[string]*rmt.Pipeline{"ingress": rmt.NewPipeline("ingress")}
+	opts := LoadOptions{Pipe: pipes["ingress"], Params: map[string]int64{"split_port": oracleSplit, "merge_port": oracleMerge}}
+	if spec.UsesRecircPipe() {
+		pipes["recirc"] = rmt.NewPipeline("recirc")
+		opts.RecircPipe = pipes["recirc"]
+	}
+	for _, name := range []string{"slots", "comp_slots"} {
+		if _, ok := spec.Params[name]; ok {
+			opts.Params[name] = oracleSlots
+		}
+	}
+	inst, err := Load(spec, opts)
+	if err != nil {
+		t.Fatalf("load %s: %v", spec.Name, err)
+	}
+	return inst, pipes
+}
+
+// TestCompiledMatchesOracle drives seeded random PHVs through the compiled
+// pipes and the oracle on twin instances and requires the same fired
+// (table, entry) sequence, the same final PHV, and byte-identical registers
+// and counters, with the runtime knobs flipped between packets.
+func TestCompiledMatchesOracle(t *testing.T) {
+	specs := BuiltinSpecs()
+	blob, err := os.ReadFile("../../examples/policies/compress-spec.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromJSON := new(Spec)
+	if err := json.Unmarshal(blob, fromJSON); err != nil {
+		t.Fatal(err)
+	}
+	fromJSON.Name += "(json)"
+	specs = append(specs, fromJSON)
+
+	n := 30_000 // x4 specs: 120k PHVs
+	if testing.Short() {
+		n = 3_000
+	}
+	for si, spec := range specs {
+		t.Run(spec.Name, func(t *testing.T) {
+			compiled, pipes := loadTwin(t, traced(t, spec))
+			twin, _ := loadTwin(t, spec)
+			o := newOracle(t, twin)
+			pipeNames := sortedKeys(pipes)
+
+			seed := int64(1000 + si)
+			driver, ra, rb := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(^seed)), rand.New(rand.NewSource(^seed))
+			sameState := func(i int) {
+				t.Helper()
+				if a, b := compiled.Counters(), twin.Counters(); !reflect.DeepEqual(a, b) {
+					t.Fatalf("packet %d: counters differ:\ncompiled %v\noracle   %v", i, a, b)
+				}
+				for role, reg := range compiled.regs {
+					for c := 0; c < reg.Cells(); c++ {
+						if a, b := reg.Snapshot(c), twin.regs[role].Snapshot(c); !bytes.Equal(a, b) {
+							t.Fatalf("packet %d: register %s cell %d: compiled %x, oracle %x", i, role, c, a, b)
+						}
+					}
+				}
+			}
+			reached := map[string]int{}
+			for i := 0; i < n; i++ {
+				if driver.Intn(40) == 0 {
+					se, me := uint32(driver.Intn(2)), uint32(1+driver.Intn(3))
+					for _, inst := range []*Instance{compiled, twin} {
+						inst.SetRuntime(RTSplitEnabled, se)
+						inst.SetRuntime(RTMaxExpiry, me)
+					}
+				}
+				pipe := pipeNames[driver.Intn(len(pipeNames))]
+				a, b := randPHV(ra), randPHV(rb)
+				compiledFired = compiledFired[:0]
+				pipes[pipe].Process(a)
+				o.process(pipe, b)
+				if !slices.Equal(compiledFired, o.fired) {
+					t.Fatalf("packet %d (%s port %d pass %d): compiled fired %v, oracle %v",
+						i, pipe, b.InPort, b.Pass, compiledFired, o.fired)
+				}
+				if !samePHV(a, b) {
+					t.Fatalf("packet %d (%s, fired %v): final PHVs differ:\ncompiled %+v\noracle   %+v", i, pipe, o.fired, a, b)
+				}
+				for _, id := range o.fired {
+					reached[id]++
+				}
+				if i%1000 == 0 {
+					sameState(i)
+				}
+			}
+			sameState(n)
+			for _, tbl := range spec.Tables {
+				for _, e := range tbl.Entries {
+					if reached[tbl.Name+"/"+e.Name] == 0 {
+						t.Errorf("%s/%s never fired: the generator does not reach it", tbl.Name, e.Name)
+					}
+				}
+			}
+		})
+	}
+}
+
+// samePHV compares everything a table program can read or write.
+func samePHV(a, b *rmt.PHV) bool {
+	return a.InPort == b.InPort && a.Egress == b.Egress && a.Pass == b.Pass &&
+		a.Drop == b.Drop && a.DropWhy == b.DropWhy && a.Recirc == b.Recirc &&
+		a.Meta == b.Meta && a.HdrScratch == b.HdrScratch &&
+		reflect.DeepEqual(a.Blocks, b.Blocks) && reflect.DeepEqual(a.Pkt, b.Pkt)
+}

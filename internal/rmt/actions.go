@@ -1,4 +1,4 @@
-// Named action vocabulary and declarative match compiler.
+// Named action vocabulary.
 //
 // Historically the PayloadPark program (internal/core) baked its dataplane
 // behavior into Go closures: every rule's match predicate and action body was
@@ -42,30 +42,6 @@ type Env interface {
 	BoundCounter(name string) (*stats.Counter, bool)
 }
 
-// Cond is one declarative match condition on a PHV field. Conditions in a
-// rule AND together (first-match-fires across rules supplies OR). Fields:
-//
-//	in_port        ingress port
-//	pass           recirculation pass count
-//	drop           1 when the packet is already marked for drop
-//	recirc         1 when a recirculation request is pending
-//	l4             IP protocol of the parsed transport (17 UDP, 6 TCP, 0 none)
-//	pp.valid       1 when a PayloadPark header is present
-//	pp.enabled     1 when a PP header is present with ENB set
-//	pp.op          PP opcode (0 split, 1 merge; -1 when no header)
-//	pp.tag_valid   1 when the PP tag's CRC seals its contents
-//	cr.valid       1 when a compression header is present
-//	cr.tag_valid   1 when the CR tag's CRC seals its contents
-//	meta.<name>    user metadata word, by well-known name or decimal index
-//	param.<name>   runtime parameter (loaded per packet)
-//
-// Op is "eq" (default when empty) or "ne".
-type Cond struct {
-	Field string
-	Op    string
-	Value int64
-}
-
 // metaIndexByName maps the well-known metadata word names (the constants
 // above) to their indexes for the "meta.<name>" condition fields.
 var metaIndexByName = map[string]int{
@@ -82,114 +58,15 @@ var metaIndexByName = map[string]int{
 	"comp_enabled":  MetaCompEnabled,
 }
 
-// MetaIndex resolves a well-known metadata word name to its index, for
-// tooling (prog's spec linter) that validates "meta.<name>" fields and
-// meta_out bindings without compiling them against a live pipe.
+// MetaIndex resolves the <name> of a "meta.<name>" condition field — a
+// well-known word name or a decimal index below MetaWords — to its index.
+// CompileConds and prog's spec linter share it.
 func MetaIndex(name string) (int, bool) {
-	idx, ok := metaIndexByName[name]
-	return idx, ok
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
+	if idx, ok := metaIndexByName[name]; ok {
+		return idx, true
 	}
-	return 0
-}
-
-// compileField resolves a condition field name to a PHV getter.
-func compileField(field string, env Env) (func(*PHV) int64, error) {
-	switch field {
-	case "in_port":
-		return func(p *PHV) int64 { return int64(p.InPort) }, nil
-	case "pass":
-		return func(p *PHV) int64 { return int64(p.Pass) }, nil
-	case "drop":
-		return func(p *PHV) int64 { return b2i(p.Drop) }, nil
-	case "recirc":
-		return func(p *PHV) int64 { return b2i(p.Recirc) }, nil
-	case "l4":
-		return func(p *PHV) int64 {
-			switch {
-			case p.Pkt.UDP != nil:
-				return int64(packet.IPProtoUDP)
-			case p.Pkt.TCP != nil:
-				return int64(packet.IPProtoTCP)
-			}
-			return 0
-		}, nil
-	case "pp.valid":
-		return func(p *PHV) int64 { return b2i(p.Pkt.PP != nil) }, nil
-	case "pp.enabled":
-		return func(p *PHV) int64 { return b2i(p.Pkt.PP != nil && p.Pkt.PP.Enabled) }, nil
-	case "pp.op":
-		return func(p *PHV) int64 {
-			if p.Pkt.PP == nil {
-				return -1
-			}
-			return int64(p.Pkt.PP.Op)
-		}, nil
-	case "pp.tag_valid":
-		return func(p *PHV) int64 { return b2i(p.Pkt.PP != nil && p.Pkt.PP.Tag.Valid()) }, nil
-	case "cr.valid":
-		return func(p *PHV) int64 { return b2i(p.Pkt.CR != nil) }, nil
-	case "cr.tag_valid":
-		return func(p *PHV) int64 { return b2i(p.Pkt.CR != nil && p.Pkt.CR.Tag.Valid()) }, nil
-	}
-	if name, ok := strings.CutPrefix(field, "meta."); ok {
-		idx, ok := metaIndexByName[name]
-		if !ok {
-			n, err := strconv.Atoi(name)
-			if err != nil || n < 0 || n >= MetaWords {
-				return nil, fmt.Errorf("rmt: unknown metadata word %q", name)
-			}
-			idx = n
-		}
-		return func(p *PHV) int64 { return int64(p.Meta[idx]) }, nil
-	}
-	if name, ok := strings.CutPrefix(field, "param."); ok {
-		cell, ok := env.RuntimeParam(name)
-		if !ok {
-			return nil, fmt.Errorf("rmt: unknown runtime parameter %q", name)
-		}
-		return func(*PHV) int64 { return int64(*cell) }, nil
-	}
-	return nil, fmt.Errorf("rmt: unknown condition field %q", field)
-}
-
-type condEval struct {
-	get func(*PHV) int64
-	val int64
-	ne  bool
-}
-
-// CompileMatch compiles a conjunction of conditions into a match predicate.
-// Evaluation short-circuits left to right, so cheap guards should come first.
-func CompileMatch(conds []Cond, env Env) (func(*PHV) bool, error) {
-	evals := make([]condEval, 0, len(conds))
-	for _, c := range conds {
-		get, err := compileField(c.Field, env)
-		if err != nil {
-			return nil, err
-		}
-		var ne bool
-		switch c.Op {
-		case "", "eq":
-		case "ne":
-			ne = true
-		default:
-			return nil, fmt.Errorf("rmt: unknown condition op %q (want eq or ne)", c.Op)
-		}
-		evals = append(evals, condEval{get: get, val: c.Value, ne: ne})
-	}
-	return func(p *PHV) bool {
-		for i := range evals {
-			if (evals[i].get(p) == evals[i].val) == evals[i].ne {
-				return false
-			}
-		}
-		return true
-	}, nil
+	n, err := strconv.Atoi(name)
+	return n, err == nil && n >= 0 && n < MetaWords
 }
 
 // ActionArgs carries an entry's compile-time bindings into an action
@@ -275,9 +152,9 @@ func ActionNames() []string {
 	return names
 }
 
-// ExpClk unpacks an 8-byte EXP/CLK register cell: the remaining-expiry
+// expClk unpacks an 8-byte EXP/CLK register cell: the remaining-expiry
 // count and the generation clock of the occupying packet (Alg. 1).
-func ExpClk(cell []byte) (exp, clk uint32) {
+func expClk(cell []byte) (exp, clk uint32) {
 	return binary.BigEndian.Uint32(cell[0:4]), binary.BigEndian.Uint32(cell[4:8])
 }
 
@@ -299,7 +176,7 @@ func runtimeParam(env Env, name string) (*uint32, error) {
 // slot when free. Both payload parking and header compression run it.
 func claimProbe(c *Ctx, idx int, maxExpiry *uint32, clkNow uint32, evict *stats.Counter) (claimed bool) {
 	c.RMW(idx, func(cell []byte) {
-		exp, oldClk := ExpClk(cell)
+		exp, oldClk := expClk(cell)
 		if exp >= 1 {
 			exp--
 			if exp == 0 {
@@ -320,7 +197,7 @@ func claimProbe(c *Ctx, idx int, maxExpiry *uint32, clkNow uint32, evict *stats.
 // occupied and the stored clock matches the tag's, free and zero the slot.
 func releaseProbe(c *Ctx, idx int, tagClk uint16) (matched bool) {
 	c.RMW(idx, func(cell []byte) {
-		exp, clk := ExpClk(cell)
+		exp, clk := expClk(cell)
 		if exp != 0 && clk == uint32(tagClk) {
 			matched = true
 			setExpClk(cell, 0, 0)
@@ -603,9 +480,7 @@ func init() {
 			phv := c.PHV
 			c.RMW(int(phv.GetMeta(MetaTableIndex)), func(cell []byte) {
 				copy(phv.Blocks[block], cell)
-				for i := range cell {
-					cell[i] = 0
-				}
+				clear(cell)
 			})
 		}, nil
 	})
@@ -743,9 +618,7 @@ func init() {
 			phv := c.PHV
 			c.RMW(int(phv.GetMeta(MetaCompTableIndex)), func(cell []byte) {
 				copy(phv.HdrScratch[off:off+length], cell[:length])
-				for i := range cell {
-					cell[i] = 0
-				}
+				clear(cell)
 			})
 		}, nil
 	})

@@ -2,6 +2,7 @@ package rmt
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Tofino-like per-pipe hardware budgets. The paper withholds exact figures
@@ -35,8 +36,11 @@ const (
 	// RecircLatencyNs is the added latency of one recirculation ("on the
 	// order of 10s of ns", §6.2.5).
 	RecircLatencyNs = 50
-	// maxPasses guards against recirculation loops in buggy programs.
-	maxPasses = 4
+	// maxPasses is how many passes a packet can make: core.Switch
+	// recirculates at most once, so a pipe sees pass 0 on its own ports and
+	// pass 1 as another pipe's recirculation target. Match programs are
+	// compiled for exactly these passes; Process rejects any other.
+	maxPasses = 2
 )
 
 // Stage is one match-action stage of a pipe.
@@ -61,10 +65,14 @@ type Pipeline struct {
 	phvBits   int
 	processed uint64
 
-	// flat is the precompiled MAT execution list: stages × mats flattened
-	// in stage order, rebuilt on AddMAT, so Process skips the nested
-	// iteration over (mostly empty) stages.
-	flat []*MAT
+	// progs are the compiled match programs (match.go), indexed by
+	// pass*(len(ports)+1)+class: class i+1 serves ports[i], the sorted ports
+	// that in_port conditions name, and class 0 every other port. AddMAT
+	// marks them dirty; Compile rebuilds them.
+	progs [][]step
+	ports []PortID
+	rules int // rules placed, to size a program
+	dirty bool
 
 	// phvFree is the pipe-local PHV free-list backing AcquirePHV.
 	phvFree []*PHV
@@ -72,7 +80,7 @@ type Pipeline struct {
 
 // NewPipeline returns an empty pipe with the given diagnostic name.
 func NewPipeline(name string) *Pipeline {
-	p := &Pipeline{name: name, parser: NewParser()}
+	p := &Pipeline{name: name, parser: NewParser(), dirty: true}
 	for i := range p.stages {
 		p.stages[i] = &Stage{index: i}
 	}
@@ -147,15 +155,8 @@ func (p *Pipeline) AddMAT(stage int, m *MAT) {
 		panic(fmt.Sprintf("rmt: stage %d TCAM overflow: %d B, %d budget", stage, got, budget))
 	}
 	s.mats = append(s.mats, m)
-	p.rebuildFlat()
-}
-
-// rebuildFlat recompiles the flat MAT execution list in stage order.
-func (p *Pipeline) rebuildFlat() {
-	p.flat = p.flat[:0]
-	for _, s := range p.stages {
-		p.flat = append(p.flat, s.mats...)
-	}
+	p.rules += len(m.Rules)
+	p.dirty = true
 }
 
 func (p *Pipeline) stage(i int) *Stage {
@@ -165,13 +166,44 @@ func (p *Pipeline) stage(i int) *Stage {
 	return p.stages[i]
 }
 
-// Process runs one pass of the PHV through all stages. The caller (switch
-// wrapper) handles parsing, recirculation, and deparsing.
+// Process runs one pass of the PHV through all stages: the match program
+// compiled for the PHV's pass and ingress port. The caller (switch wrapper)
+// handles parsing, recirculation, and deparsing. A pass the hardware cannot
+// produce panics, like every other violation of the hardware model.
+//
+//pp:zeroalloc
 func (p *Pipeline) Process(phv *PHV) {
-	p.processed++
-	for _, m := range p.flat {
-		m.run(phv)
+	if p.dirty {
+		p.Compile()
 	}
+	if uint(phv.Pass) >= maxPasses {
+		p.badPass(phv.Pass)
+	}
+	p.processed++
+	class := slices.Index(p.ports, phv.InPort) + 1
+	steps := p.progs[phv.Pass*(len(p.ports)+1)+class]
+	// The PHV's context scratch is reused for every hit: a stack Ctx would
+	// escape through the indirect Action call and allocate per MAT hit.
+	ctx := &phv.ctx
+	ctx.PHV = phv
+	for i := 0; i < len(steps); {
+		s := &steps[i]
+		if !matches(s.guard, phv) {
+			i = int(s.onMiss)
+			continue
+		}
+		ctx.reg, ctx.accessed = s.mat.Reg, false
+		s.rule.Action(ctx)
+		i = int(s.onHit)
+	}
+}
+
+// badPass stays out of line so Process carries none of the message's
+// formatting.
+//
+//go:noinline
+func (p *Pipeline) badPass(pass int) {
+	panic(fmt.Sprintf("rmt: pipe %q asked to run pass %d; match programs exist for passes [0,%d)", p.name, pass, maxPasses))
 }
 
 // AcquirePHV returns a reset PHV from the pipe-local free-list, or a new

@@ -7,7 +7,7 @@ import (
 
 // buildPoolPipe returns a pipe with a register-backed MAT in stage 0 that
 // copies block 0 into its register (exercising the Ctx scratch) and a
-// plain MAT in a later stage (exercising the flat execution list).
+// plain MAT in a later stage (exercising the compiled program's stage order).
 func buildPoolPipe(t *testing.T) (*Pipeline, *Register) {
 	t.Helper()
 	p := NewPipeline("pool")
@@ -18,7 +18,7 @@ func buildPoolPipe(t *testing.T) (*Pipeline, *Register) {
 		Reg:  reg,
 		Rules: []Rule{{
 			Name:  "store",
-			Match: func(phv *PHV) bool { return phv.GetMeta(MetaPayloadOK) == 1 },
+			Conds: conds(t, Cond{Field: "meta.payload_ok", Value: 1}),
 			Action: func(c *Ctx) {
 				c.RMW(0, func(cell []byte) { copy(cell, c.PHV.Blocks[0]) })
 			},
@@ -28,7 +28,6 @@ func buildPoolPipe(t *testing.T) (*Pipeline, *Register) {
 		Name: "mark",
 		Rules: []Rule{{
 			Name:   "mark",
-			Match:  func(phv *PHV) bool { return true },
 			Action: func(c *Ctx) { c.PHV.SetMeta(7, c.PHV.GetMeta(7)+1) },
 		}},
 	})
@@ -75,18 +74,17 @@ func TestFillPHVMatchesToPHV(t *testing.T) {
 	}
 }
 
-func TestFlatListFollowsStageOrder(t *testing.T) {
+func TestProgramFollowsStageOrder(t *testing.T) {
 	p := NewPipeline("order")
 	var got []string
 	mk := func(name string) *MAT {
 		return &MAT{Name: name, Rules: []Rule{{
 			Name:   "hit",
-			Match:  func(*PHV) bool { return true },
 			Action: func(*Ctx) { got = append(got, name) },
 		}}}
 	}
-	// Insert out of stage order: the flat list must still execute stages
-	// in order (and MATs within a stage in insertion order).
+	// Insert out of stage order: the compiled program must still execute
+	// stages in order (and MATs within a stage in insertion order).
 	p.AddMAT(5, mk("s5a"))
 	p.AddMAT(1, mk("s1"))
 	p.AddMAT(5, mk("s5b"))

@@ -24,6 +24,7 @@
 package rmt
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"github.com/payloadpark/payloadpark/internal/packet"
@@ -203,6 +204,13 @@ func (r *Register) Snapshot(i int) []byte {
 	return append([]byte(nil), r.cell(i)...)
 }
 
+// Word reads the big-endian 32-bit word at byte offset off of cell i in
+// place: the allocation-free counterpart of Snapshot for scans that run off
+// the dataplane (occupancy gauges and reports).
+func (r *Register) Word(i, off int) uint32 {
+	return binary.BigEndian.Uint32(r.cell(i)[off:])
+}
+
 // Ctx is the action execution context handed to a MAT's action. It
 // enforces the one-stateful-access-per-MAT-per-packet restriction.
 type Ctx struct {
@@ -230,13 +238,13 @@ func (c *Ctx) RMW(idx int, f func(cell []byte)) {
 	f(c.reg.cell(idx))
 }
 
-// Rule is one match-action entry of a MAT: Match inspects the PHV (headers
-// and metadata only), Action runs when Match returns true. Rules are
-// evaluated in order; the first hit fires; at most one rule fires per MAT
-// per pass, as in hardware.
+// Rule is one match-action entry of a MAT: Conds (from CompileConds) inspect
+// the PHV's headers and metadata only, and nil Conds match every packet;
+// Action runs when every condition holds. Rules are evaluated in order; the
+// first hit fires; at most one rule fires per MAT per pass, as in hardware.
 type Rule struct {
 	Name   string
-	Match  func(*PHV) bool
+	Conds  []CondOp
 	Action func(*Ctx)
 }
 
@@ -258,19 +266,4 @@ type MAT struct {
 	Rules []Rule
 	Reg   *Register
 	Res   Resources
-}
-
-func (m *MAT) run(phv *PHV) {
-	for i := range m.Rules {
-		if m.Rules[i].Match(phv) {
-			// Reuse the PHV's context scratch: a stack Ctx would escape
-			// through the indirect Action call and allocate per MAT hit.
-			ctx := &phv.ctx
-			ctx.PHV = phv
-			ctx.reg = m.Reg
-			ctx.accessed = false
-			m.Rules[i].Action(ctx)
-			return
-		}
-	}
 }

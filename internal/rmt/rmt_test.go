@@ -23,6 +23,16 @@ func testPkt(t testing.TB, size int) *packet.Packet {
 	return packet.NewBuilder(mac1, mac2).UDP(ft, size, 1)
 }
 
+// conds compiles declarative conditions that name no runtime parameter.
+func conds(t testing.TB, cs ...Cond) []CondOp {
+	t.Helper()
+	ops, err := CompileConds(cs, nil)
+	if err != nil {
+		t.Fatalf("CompileConds(%v): %v", cs, err)
+	}
+	return ops
+}
+
 func mustPanic(t *testing.T, want string, f func()) {
 	t.Helper()
 	defer func() {
@@ -44,8 +54,7 @@ func TestRegisterRMWSemantics(t *testing.T) {
 		Name: "inc",
 		Reg:  reg,
 		Rules: []Rule{{
-			Name:  "always",
-			Match: func(*PHV) bool { return true },
+			Name: "always",
 			Action: func(c *Ctx) {
 				c.RMW(2, func(cell []byte) {
 					v := binary.BigEndian.Uint64(cell)
@@ -77,7 +86,6 @@ func TestDoubleRegisterAccessPanics(t *testing.T) {
 		Name: "double",
 		Reg:  reg,
 		Rules: []Rule{{
-			Match: func(*PHV) bool { return true },
 			Action: func(c *Ctx) {
 				c.RMW(0, func([]byte) {})
 				c.RMW(1, func([]byte) {}) // illegal second access
@@ -94,7 +102,6 @@ func TestRegisterAccessWithoutBindingPanics(t *testing.T) {
 	p.AddMAT(0, &MAT{
 		Name: "nobind",
 		Rules: []Rule{{
-			Match:  func(*PHV) bool { return true },
 			Action: func(c *Ctx) { c.RMW(0, func([]byte) {}) },
 		}},
 	})
@@ -110,7 +117,6 @@ func TestRegisterIndexOutOfRangePanics(t *testing.T) {
 		Name: "oob",
 		Reg:  reg,
 		Rules: []Rule{{
-			Match:  func(*PHV) bool { return true },
 			Action: func(c *Ctx) { c.RMW(2, func([]byte) {}) },
 		}},
 	})
@@ -133,10 +139,9 @@ func TestFirstMatchingRuleFires(t *testing.T) {
 	p.AddMAT(0, &MAT{
 		Name: "ordered",
 		Rules: []Rule{
-			{Name: "a", Match: func(phv *PHV) bool { return phv.InPort == 1 },
+			{Name: "a", Conds: conds(t, Cond{Field: "in_port", Value: 1}),
 				Action: func(*Ctx) { fired = append(fired, "a") }},
-			{Name: "b", Match: func(phv *PHV) bool { return true },
-				Action: func(*Ctx) { fired = append(fired, "b") }},
+			{Name: "b", Action: func(*Ctx) { fired = append(fired, "b") }},
 		},
 	})
 	p.Process(&PHV{Pkt: testPkt(t, 64), InPort: 1})
