@@ -284,15 +284,18 @@ func benchInjectLoop(b *testing.B, cfg core.Config, size int, attach bool) {
 	}
 	builder := packet.NewBuilder(sim.MACGen, sim.MACNF)
 	proto := builder.UDP(flow, size, 1)
+	bp := make([]core.BatchPacket, 1)
+	res := make([]core.BatchResult, 1)
 	b.ReportAllocs()
 	b.SetBytes(int64(size))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pkt := proto.Clone()
-		em := sw.Inject(pkt, 0)
-		if em != nil && em.Pkt.PP != nil && em.Pkt.PP.Enabled {
-			em.Pkt.Eth.Dst = sim.MACSink
-			sw.Inject(em.Pkt, 1)
+		bp[0] = core.BatchPacket{Pkt: proto.Clone(), In: 0}
+		sw.InjectBatch(bp, res)
+		if out := res[0].Em.Pkt; out != nil && out.PP != nil && out.PP.Enabled {
+			out.Eth.Dst = sim.MACSink
+			bp[0] = core.BatchPacket{Pkt: out, In: 1}
+			sw.InjectBatch(bp, res)
 		}
 	}
 }
@@ -300,9 +303,10 @@ func benchInjectLoop(b *testing.B, cfg core.Config, size int, attach bool) {
 // ---- Zero-allocation hot-path benchmarks ----
 //
 // These assert the steady-state allocation contract of the pooled/batched
-// dataplane: ToPHV (pooled form), Pipeline.Process, the frame path, and
+// dataplane: ToPHV (pooled form), Pipeline.Process, FrameBurst, and
 // InjectBatch run at 0 allocs/op once warm. CI runs them with
-// -benchtime=1x; the numbers land in BENCH_baseline.json.
+// -benchtime=1x as a does-it-still-run check; the measured ledger is
+// bench/ (bash bench/run.sh).
 
 // benchPipe builds a configured pipe + packet for the rmt-level benchmarks.
 func benchPipe(b *testing.B) (*core.Switch, *packet.Packet) {
@@ -344,48 +348,31 @@ func BenchmarkPipelineProcess(b *testing.B) {
 	}
 }
 
-func BenchmarkSwitchInjectFrame(b *testing.B) {
+func BenchmarkFrameBurst(b *testing.B) {
+	// The frame path: split + merge round trip through a one-slot burst,
+	// entirely in reused scratch (0 allocs/op in steady state).
 	sw, pkt := benchPipe(b)
 	frame := pkt.Serialize()
-	var sink [6]byte
-	copy(sink[:], sim.MACSink[:])
-	b.ReportAllocs()
-	b.SetBytes(int64(len(frame)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, _, err := sw.InjectFrame(frame, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		copy(out[0:6], sink[:])
-		if _, _, err := sw.InjectFrame(out, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSwitchInjectFrameAppend(b *testing.B) {
-	// The allocation-free frame path: split + merge round trip entirely in
-	// reused scratch (0 allocs/op in steady state).
-	sw, pkt := benchPipe(b)
-	frame := pkt.Serialize()
-	var sink [6]byte
-	copy(sink[:], sim.MACSink[:])
+	fb := sw.NewFrameBurst(1)
 	var splitOut, mergeOut []byte
+	hop := func(in []byte, port PortID, out []byte) []byte {
+		fb.Reset()
+		if err := fb.Add(in, port); err != nil {
+			b.Fatal(err)
+		}
+		r := &fb.Run()[0]
+		if !r.OK {
+			b.Fatal(r.Reason)
+		}
+		return r.Em.Pkt.AppendSerialize(out[:0])
+	}
 	b.ReportAllocs()
 	b.SetBytes(int64(len(frame)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		splitOut, _, err = sw.InjectFrameAppend(frame, 0, splitOut[:0])
-		if err != nil {
-			b.Fatal(err)
-		}
-		copy(splitOut[0:6], sink[:])
-		mergeOut, _, err = sw.InjectFrameAppend(splitOut, 1, mergeOut[:0])
-		if err != nil {
-			b.Fatal(err)
-		}
+		splitOut = hop(frame, 0, splitOut)
+		copy(splitOut[0:6], sim.MACSink[:])
+		mergeOut = hop(splitOut, 1, mergeOut)
 	}
 }
 
@@ -429,16 +416,6 @@ func BenchmarkInjectBatch(b *testing.B) {
 			merges[j].Pkt.Eth.Dst = sim.MACNF
 		}
 	}
-}
-
-func BenchmarkInjectBatchParallel(b *testing.B) {
-	// The same round-trip workload spread over all four pipes through the
-	// multi-pipe driver (one worker per pipe).
-	res := sim.RunDataplane(sim.DataplaneConfig{
-		Packets: 256, Rounds: b.N, Batch: 256, Parallel: true, Seed: 1,
-	})
-	b.ReportMetric(res.NsPerPacket, "ns/pkt")
-	b.ReportMetric(res.Mpps, "Mpps")
 }
 
 func BenchmarkDataplaneSplitMerge(b *testing.B) {

@@ -11,8 +11,6 @@
 //	ppbench -exp fig7 [-quick] [-seed N] [-json out.json]
 //	ppbench -exp live [-quick] [-json BENCH_live.json]
 //	ppbench -exp all  [-quick] [-json out.json]
-//	ppbench -exp scale -partitions 1,2,4,8 [-quick] [-json BENCH_scale.json]
-//	ppbench -parallel [-quick] [-seed N]
 //	ppbench -cores 1,2,4,8 [-quick] [-seed N] [-json out.json]
 //	ppbench -topology 4x2 [-json BENCH_fabric.json] [-quick] [-seed N]
 //	ppbench -scenario file.json [-json report.json] [-quick] [-seed N]
@@ -23,17 +21,12 @@
 // text tables render) as a machine-readable artifact; it works for
 // every experiment, not just the fabric family.
 //
-// -partitions sets the partition-count series the scale experiment
-// sweeps; a single value also applies to a -scenario run whose file
+// -partitions applies to a -trace run and to a -scenario run whose file
 // leaves opts.partitions unset (results are byte-identical either way —
 // partitioning only changes wall-clock time).
 //
 // -cpuprofile and -memprofile write pprof CPU and heap profiles of the
 // run (flushed on exit, including failure exits).
-//
-// -parallel skips the discrete-event harness and drives the raw dataplane
-// across all four pipes, sequentially and then with one worker per pipe,
-// reporting the throughput of each (the multi-pipe scaling headroom).
 //
 // -cores sweeps the NF server's core count through the RSS-sharded server
 // model, reporting the saturation knee and the Fig. 14-class eviction
@@ -41,8 +34,7 @@
 // core list).
 //
 // -topology runs the leaf-spine fabric experiment family (parking-mode
-// comparison, link-failure reroute, per-switch parallel drivers) on the
-// given LxS geometry.
+// comparison, link-failure reroute) on the given LxS geometry.
 //
 // -scenario loads a serialized Scenario (the JSON form payloadpark.Run
 // accepts, with the topology as a {"kind","config"} envelope), runs it,
@@ -89,14 +81,13 @@ func main() {
 		exp      = flag.String("exp", "", "experiment id (e.g. fig7, table1) or 'all'")
 		quick    = flag.Bool("quick", false, "shorter windows and sparser sweeps")
 		seed     = flag.Int64("seed", 1, "random seed")
-		parallel = flag.Bool("parallel", false, "drive the raw dataplane sequentially vs one worker per pipe")
 		cores    = flag.String("cores", "", "comma-separated NF-server core counts to sweep (e.g. 1,2,4,8)")
 		topology = flag.String("topology", "", "leaf-spine geometry LxS (e.g. 4x2): run the fabric experiment family")
 		scnFile  = flag.String("scenario", "", "run a serialized Scenario from this JSON file and print its Report")
 		progFile = flag.String("program", "", "run a serialized table-program spec (prog.Spec JSON) on the canonical testbed and print its Report")
 		jsonOut  = flag.String("json", "", "write the structured experiment result to this file")
 		traceOut = flag.String("trace", "", "record the packet-lifecycle flight recorder and write Chrome trace-event JSON to this file (with -scenario, or alone on the canonical 4x2 leaf-spine parking run)")
-		parts    = flag.String("partitions", "", "comma-separated partition counts for the scale experiment (e.g. 1,2,4,8); a single value applies to -scenario runs")
+		parts    = flag.Int("partitions", 0, "partition count for -trace runs and for -scenario runs whose file leaves it unset")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	)
@@ -107,40 +98,26 @@ func main() {
 	}
 	defer flushProfiles()
 
-	partitions, err := parseCounts(*parts, "partition count")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ppbench: %v\n", err)
-		os.Exit(2)
-	}
-
-	if *parallel {
-		// Wall-clock dataplane drive: no simulation context to cancel, so
-		// leave the default SIGINT behavior (kill) in place.
-		runParallel(*quick, *seed)
-		return
-	}
-
 	// Ctrl-C cancels mid-simulation through the Scenario API. The first
 	// interrupt cancels the context; stop() then restores the default
-	// handler, so a second Ctrl-C force-kills (covers the wall-clock
-	// fabric dataplane drive, which has no context to poll).
+	// handler, so a second Ctrl-C force-kills.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	go func() {
 		<-ctx.Done()
 		stop()
 	}()
-	opts := harness.Options{Quick: *quick, Seed: *seed, Ctx: ctx, Partitions: partitions}
+	opts := harness.Options{Quick: *quick, Seed: *seed, Ctx: ctx}
 
 	if *scnFile != "" {
-		if err := runScenarioFile(ctx, *scnFile, *jsonOut, *traceOut, *quick, *seed, partitions); err != nil {
+		if err := runScenarioFile(ctx, *scnFile, *jsonOut, *traceOut, *quick, *seed, *parts); err != nil {
 			fail(err)
 		}
 		return
 	}
 
 	if *traceOut != "" {
-		if err := runTraceOnly(ctx, *traceOut, *jsonOut, *quick, *seed, partitions); err != nil {
+		if err := runTraceOnly(ctx, *traceOut, *jsonOut, *quick, *seed, *parts); err != nil {
 			fail(err)
 		}
 		return
@@ -267,7 +244,7 @@ func writeJSON(path string, v any) {
 }
 
 // parseCounts parses a comma-separated list of small positive integers
-// (the -cores and -partitions flags). An empty string is no list.
+// (the -cores flag). An empty string is no list.
 func parseCounts(s, what string) ([]int, error) {
 	if s == "" {
 		return nil, nil
@@ -338,9 +315,9 @@ func flushProfiles() {
 // unified entrypoint, and prints the Report (headline summary plus the
 // full JSON; -json additionally writes the Report to a file, -trace
 // turns on the flight recorder and exports the Chrome trace). The
-// -quick, -seed, and single-valued -partitions flags act as fallbacks:
+// -quick, -seed, and -partitions flags act as fallbacks:
 // they apply only when the file's own opts leave them unset.
-func runScenarioFile(ctx context.Context, path, jsonPath, tracePath string, quick bool, seed int64, partitions []int) error {
+func runScenarioFile(ctx context.Context, path, jsonPath, tracePath string, quick bool, seed int64, partitions int) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -355,8 +332,8 @@ func runScenarioFile(ctx context.Context, path, jsonPath, tracePath string, quic
 	if quick && !s.Opts.Quick && s.Opts.WarmupNs == 0 && s.Opts.MeasureNs == 0 {
 		s.Opts.Quick = true
 	}
-	if len(partitions) == 1 && s.Opts.Partitions == 0 {
-		s.Opts.Partitions = partitions[0]
+	if s.Opts.Partitions == 0 {
+		s.Opts.Partitions = partitions
 	}
 	if tracePath != "" {
 		s.Observe.Trace = true
@@ -493,7 +470,7 @@ func writeTrace(path string, rep *scenario.Report) error {
 // topology where the full packet lifecycle (inject, split, transit,
 // merge, sink) plus an adaptive controller all appear — and exports the
 // flight recording.
-func runTraceOnly(ctx context.Context, tracePath, jsonPath string, quick bool, seed int64, partitions []int) error {
+func runTraceOnly(ctx context.Context, tracePath, jsonPath string, quick bool, seed int64, partitions int) error {
 	s := scenario.Scenario{
 		Name:     "trace",
 		Topology: scenario.LeafSpine{Leaves: 4, Spines: 2},
@@ -501,10 +478,7 @@ func runTraceOnly(ctx context.Context, tracePath, jsonPath string, quick bool, s
 		Traffic:  scenario.Traffic{SendBps: 6e9},
 		Control:  scenario.Control{Adaptive: true},
 		Observe:  scenario.Observe{Trace: true, Metrics: true},
-		Opts:     scenario.RunOptions{Seed: seed, Quick: quick},
-	}
-	if len(partitions) == 1 {
-		s.Opts.Partitions = partitions[0]
+		Opts:     scenario.RunOptions{Seed: seed, Quick: quick, Partitions: partitions},
 	}
 	fmt.Printf("== trace: canonical 4x2 leaf-spine parking run\n")
 	start := time.Now()
@@ -519,24 +493,4 @@ func runTraceOnly(ctx context.Context, tracePath, jsonPath string, quick bool, s
 	fmt.Printf("   (%.1fs)\n", time.Since(start).Seconds())
 	writeJSON(jsonPath, rep)
 	return nil
-}
-
-// runParallel compares the sequential and multi-pipe dataplane drivers on
-// identical traffic.
-func runParallel(quick bool, seed int64) {
-	cfg := sim.DataplaneConfig{Seed: seed}
-	if quick {
-		cfg.Packets = 256
-		cfg.Rounds = 16
-	}
-	fmt.Println("== dataplane: 4-pipe split+merge round trips, batched injection")
-	cfg.Parallel = false
-	seqRes := sim.RunDataplane(cfg)
-	fmt.Printf("   sequential: %s\n", seqRes)
-	cfg.Parallel = true
-	parRes := sim.RunDataplane(cfg)
-	fmt.Printf("   parallel:   %s\n", parRes)
-	if parRes.Mpps > 0 && seqRes.Mpps > 0 {
-		fmt.Printf("   speedup: %.2fx across %d pipe workers\n", parRes.Mpps/seqRes.Mpps, parRes.Workers)
-	}
 }

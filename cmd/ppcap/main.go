@@ -1,24 +1,26 @@
 // Command ppcap materializes and inspects workload captures: it writes
 // the paper's Fig. 6 enterprise-datacenter packet mix as a standard pcap
 // file, prints size statistics for any Ethernet capture, and replays a
-// capture through the batched dataplane at scale.
+// capture through the in-process testbed.
 //
 //	ppcap -gen 100000 -out workload.pcap     # write the Fig. 6 workload
 //	ppcap -stats workload.pcap               # packet-size CDF of a capture
-//	ppcap -drive workload.pcap [-parallel]   # replay through InjectBatch
+//	ppcap -drive workload.pcap               # replay through switch -> NF -> switch
 //
-// -drive pre-builds per-pipe batches from the capture (replayed packets
-// are pooled and recycled, so steady state allocates nothing) and
-// round-trips them through the four-pipe PayloadPark dataplane —
-// sequential batched injection, or one worker per pipe with -parallel.
+// -drive round-trips the capture's packets (pooled and recycled, so steady
+// state allocates nothing) through the in-process testbed — one
+// PayloadPark switch and a MAC-swap NF server, no clock, no sockets — and
+// reports packets, splits, merges and ns/packet.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"time"
 
 	"github.com/payloadpark/payloadpark/internal/core"
+	"github.com/payloadpark/payloadpark/internal/nf"
 	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/pcap"
 	"github.com/payloadpark/payloadpark/internal/sim"
@@ -33,9 +35,8 @@ func main() {
 		size     = flag.Int("size", 0, "fixed packet size for -gen (0 = datacenter mix)")
 		seed     = flag.Int64("seed", 1, "random seed for -gen")
 		stat     = flag.String("stats", "", "print size statistics of a capture file")
-		driveCap = flag.String("drive", "", "replay a capture through the batched dataplane")
-		rounds   = flag.Int("rounds", 32, "split+merge round trips per replayed packet for -drive")
-		parallel = flag.Bool("parallel", false, "with -drive: one worker per pipe")
+		driveCap = flag.String("drive", "", "replay a capture through the in-process testbed")
+		rounds   = flag.Int("rounds", 32, "passes over the capture for -drive")
 	)
 	flag.Parse()
 
@@ -51,7 +52,7 @@ func main() {
 			os.Exit(1)
 		}
 	case *driveCap != "":
-		if err := drive(*driveCap, *rounds, *parallel, *seed); err != nil {
+		if err := drive(*driveCap, *rounds); err != nil {
 			fmt.Fprintf(os.Stderr, "ppcap: %v\n", err)
 			os.Exit(1)
 		}
@@ -61,9 +62,9 @@ func main() {
 	}
 }
 
-// drive replays a capture through the batched (optionally per-pipe
-// parallel) dataplane and reports throughput.
-func drive(path string, rounds int, parallel bool, seed int64) error {
+// drive replays a capture through the in-process testbed and reports
+// throughput.
+func drive(path string, rounds int) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -73,24 +74,29 @@ func drive(path string, rounds int, parallel bool, seed int64) error {
 	if err != nil {
 		return err
 	}
-	cfg := sim.DataplaneConfig{
-		Pipes: core.NumPipes, Rounds: rounds, Parallel: parallel, Seed: seed,
-		Source: func(pipe int, gc trafficgen.Config) trafficgen.Source {
-			rp, err := trafficgen.NewReplay(recs, gc.SrcMAC, gc.DstMAC)
-			if err != nil {
-				panic(fmt.Sprintf("ppcap: %v", err))
-			}
-			// Offset each pipe's start so the pipes do not replay in
-			// lockstep.
-			for i := 0; i < pipe*rp.Len()/4; i++ {
-				rp.Recycle(rp.Next())
-			}
-			return rp
-		},
+	rp, err := trafficgen.NewReplay(recs, sim.MACGen, sim.MACNF)
+	if err != nil {
+		return err
 	}
-	res := sim.RunDataplane(cfg)
-	fmt.Printf("ppcap: replayed %d packets (%d rounds, %d pipes): %s\n",
-		len(recs), rounds, cfg.Pipes, res)
+	srv := nf.NewServer(nf.ServerConfig{Chain: nf.NewChain(nf.MACSwap{})})
+	tb, err := sim.NewInProcess(&core.Config{Slots: 8192, MaxExpiry: 1}, srv)
+	if err != nil {
+		return err
+	}
+	n := rounds * rp.Len()
+	delivered := 0
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		pkt := rp.Next()
+		if out := tb.Process(pkt); out != nil {
+			delivered++
+		}
+		rp.Recycle(pkt)
+	}
+	elapsed := time.Since(start)
+	fmt.Printf("ppcap: replayed %d packets (%d rounds): packets=%d delivered=%d splits=%d merges=%d elapsed=%s ns/pkt=%.0f\n",
+		rp.Len(), rounds, n, delivered, tb.Prog.C.Splits.Value(), tb.Prog.C.Merges.Value(),
+		elapsed.Round(time.Millisecond), float64(elapsed.Nanoseconds())/float64(n))
 	return nil
 }
 

@@ -85,7 +85,7 @@ func main() {
 	got := gen.WaitReceived(n, 5*time.Second)
 	intact := 0
 	for _, frame := range gen.Drain() {
-		pkt, err := packet.Parse(frame, false)
+		pkt, err := packet.ParseAt(frame, -1)
 		if err != nil {
 			continue
 		}

@@ -21,7 +21,7 @@ func TestBoundarySplitLeavesPrefixVisible(t *testing.T) {
 	orig := mkPkt(600, 1)
 	want := orig.Clone()
 
-	em := sw.Inject(orig, portGen)
+	em := inject(sw, orig, portGen)
 	if em == nil || em.Pkt.PP == nil || !em.Pkt.PP.Enabled {
 		t.Fatal("boundary split failed")
 	}
@@ -57,11 +57,11 @@ func TestBoundaryRoundTripIdentity(t *testing.T) {
 		size := 42 + int(extra)%1459
 		orig := mkPkt(size, id)
 		want := orig.Clone()
-		em := sw.Inject(orig, portGen)
+		em := inject(sw, orig, portGen)
 		if em == nil {
 			return false
 		}
-		em2 := sw.Inject(toSink(em.Pkt), portNF)
+		em2 := inject(sw, toSink(em.Pkt), portNF)
 		if em2 == nil {
 			return false
 		}
@@ -79,7 +79,7 @@ func TestBoundaryMinimumPayloadRaised(t *testing.T) {
 	sw, prog := testbed(t, boundaryCfg(), -1)
 	// Payload 200: enough for plain parking (160) but not for
 	// offset 64 + 160 = 224 -> ENB=0.
-	em := sw.Inject(mkPkt(42+200, 1), portGen)
+	em := inject(sw, mkPkt(42+200, 1), portGen)
 	if em == nil || em.Pkt.PP == nil || em.Pkt.PP.Enabled {
 		t.Fatal("payload below offset+park must not split")
 	}
@@ -93,14 +93,14 @@ func TestBoundaryFramePath(t *testing.T) {
 	orig := mkPkt(700, 2)
 	want := orig.Clone()
 
-	splitFrame, em, err := sw.InjectFrame(orig.Serialize(), portGen)
+	splitFrame, em, err := injectFrame(sw, orig.Serialize(), portGen)
 	if err != nil || em == nil {
 		t.Fatalf("frame split: %v", err)
 	}
 	// An NF-unaware parse sees the original first 64 payload bytes at the
 	// front of its payload view — this is what makes Slim-DPI work on
 	// split packets.
-	nfView, err := packet.Parse(splitFrame, false)
+	nfView, err := packet.ParseAt(splitFrame, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +110,11 @@ func TestBoundaryFramePath(t *testing.T) {
 	// Return the frame via the merge port; the switch parses the header
 	// at the program's offset automatically.
 	nfView.Eth.Src, nfView.Eth.Dst = nfMAC, sinkMAC
-	mergedFrame, em2, err := sw.InjectFrame(nfView.Serialize(), portNF)
+	mergedFrame, em2, err := injectFrame(sw, nfView.Serialize(), portNF)
 	if err != nil || em2 == nil {
 		t.Fatalf("frame merge: %v", err)
 	}
-	merged, err := packet.Parse(mergedFrame, false)
+	merged, err := packet.ParseAt(mergedFrame, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,11 +8,10 @@ import (
 )
 
 // burstSlot is one frame's scratch state inside a FrameBurst: a reusable
-// parsed packet whose payload is steered into buf at a fixed offset so the
-// headroom in front of it can absorb merged payload blocks in place —
-// the same layout frameScratch gives InjectFrameAppend, replicated per
-// burst index so a whole burst can be parsed before any packet is
-// injected.
+// parsed packet (header structs included) whose payload is steered into
+// buf at a fixed offset so the headroom in front of it can absorb merged
+// payload blocks in place. One slot per burst index lets a whole burst be
+// parsed before any packet is injected.
 type burstSlot struct {
 	pkt packet.Packet
 	udp packet.UDP
@@ -24,18 +23,19 @@ type burstSlot struct {
 	head int
 }
 
-// FrameBurst is the batched raw-frame entry point: a fixed-capacity set of
-// parse slots feeding InjectBatch. A socket worker fills it with one
-// receive burst (Add per frame), runs the whole burst through the switch
-// (Run), and serializes the surviving emissions — one parse/inject/emit
-// cycle per burst instead of per frame, with nothing allocated in steady
-// state.
+// FrameBurst is the raw-frame entry point: a fixed-capacity set of parse
+// slots feeding InjectBatch (a one-slot burst is the per-frame case). A
+// socket worker fills it with one receive burst (Add per frame), runs the
+// whole burst through the switch (Run), and serializes the surviving
+// emissions — one parse/inject/emit cycle per burst instead of per frame,
+// with nothing allocated in steady state.
 //
-// A FrameBurst is owned by one goroutine and — like all Inject* paths —
-// may only run concurrently with other pipe traffic under the
-// one-worker-per-pipe discipline ParallelDriver documents. Emissions
-// returned by Run alias the burst's slot scratch and stay valid until the
-// next Reset/Add cycle.
+// A FrameBurst is owned by one goroutine. Several bursts may run on one
+// Switch concurrently only under the one-worker-per-pipe rule (see
+// Switch): every frame Added to a burst enters on ports of the pipes its
+// goroutine owns, and no other goroutine injects into those pipes or
+// their recirculation partners. Emissions returned by Run alias the
+// burst's slot scratch and stay valid until the next Reset/Add cycle.
 type FrameBurst struct {
 	sw      *Switch
 	slots   []burstSlot

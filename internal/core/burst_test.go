@@ -8,12 +8,13 @@ import (
 	"github.com/payloadpark/payloadpark/internal/rmt"
 )
 
-// TestFrameBurstMatchesInjectFrameAppend drives the same frame sequence
-// through the batched FrameBurst path and the per-frame
-// InjectFrameAppend path on identically configured switches: emitted
-// bytes and program counters must agree — the burst path is a batching
+// TestFrameBurstMatchesInjectBatch drives the same frame sequence through
+// FrameBurst in bursts of 8 (slot scratch, in-place headroom merge) and,
+// one at a time, through the packet-level entry (ParseAt + a batch of
+// one + Serialize) on identically configured switches: emitted bytes and
+// program counters must agree — bursting and slot reuse are an
 // optimization, not a semantic change.
-func TestFrameBurstMatchesInjectFrameAppend(t *testing.T) {
+func TestFrameBurstMatchesInjectBatch(t *testing.T) {
 	mkSwitch := func() (*Switch, *Program) {
 		s := NewSwitch("burst")
 		prog, err := s.AttachPayloadPark(Config{Slots: 16, MaxExpiry: 1, SplitPort: 0, MergePort: 1}, -1)
@@ -38,32 +39,29 @@ func TestFrameBurstMatchesInjectFrameAppend(t *testing.T) {
 		frames = append(frames, b.UDP(flow, 120+i*40, uint16(i)).Serialize())
 	}
 
-	// Reference: one frame at a time through InjectFrameAppend, split
-	// frames bounced back in on the merge port (NF round trip elided —
-	// the switch sees the same byte sequence either way).
+	// Reference: one frame at a time through the packet-level entry,
+	// split frames bounced back in on the merge port (NF round trip
+	// elided — the switch sees the same byte sequence either way).
 	refSw, refProg := mkSwitch()
-	var refOut [][]byte
-	var buf []byte
-	for _, f := range frames {
-		out, em, err := refSw.InjectFrameAppend(f, 0, buf[:0])
-		buf = out
-		if err != nil || em == nil {
-			continue
+	ref := func(in [][]byte, port rmt.PortID) [][]byte {
+		var outs [][]byte
+		for _, f := range in {
+			pkt, err := packet.ParseAt(f, refSw.PPOffset(port))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if em := inject(refSw, pkt, port); em != nil {
+				outs = append(outs, em.Pkt.Serialize())
+			}
 		}
-		refOut = append(refOut, append([]byte(nil), out...))
+		return outs
 	}
-	for _, f := range refOut {
-		out, em, err := refSw.InjectFrameAppend(f, 1, buf[:0])
-		buf = out
-		if err != nil || em == nil {
-			continue
-		}
-	}
+	refOut := ref(frames, 0)
+	refMerged := ref(refOut, 1)
 
 	// Batched: same frames through FrameBurst in bursts of 8.
 	bSw, bProg := mkSwitch()
 	burst := bSw.NewFrameBurst(8)
-	var bOut [][]byte
 	run := func(in [][]byte, port rmt.PortID) [][]byte {
 		var outs [][]byte
 		for at := 0; at < len(in); at += burst.Cap() {
@@ -85,15 +83,20 @@ func TestFrameBurstMatchesInjectFrameAppend(t *testing.T) {
 		}
 		return outs
 	}
-	bOut = run(frames, 0)
-	run(bOut, 1)
+	bOut := run(frames, 0)
+	bMerged := run(bOut, 1)
 
-	if len(bOut) != len(refOut) {
-		t.Fatalf("split-side emissions: burst %d, reference %d", len(bOut), len(refOut))
-	}
-	for i := range bOut {
-		if !bytes.Equal(bOut[i], refOut[i]) {
-			t.Errorf("frame %d differs between burst and per-frame paths", i)
+	for _, side := range []struct {
+		name      string
+		got, want [][]byte
+	}{{"split", bOut, refOut}, {"merge", bMerged, refMerged}} {
+		if len(side.got) != len(side.want) {
+			t.Fatalf("%s-side emissions: burst %d, reference %d", side.name, len(side.got), len(side.want))
+		}
+		for i := range side.got {
+			if !bytes.Equal(side.got[i], side.want[i]) {
+				t.Errorf("%s frame %d differs between burst and per-packet paths", side.name, i)
+			}
 		}
 	}
 	if got, want := bProg.C.String(), refProg.C.String(); got != want {

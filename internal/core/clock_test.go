@@ -18,7 +18,7 @@ func TestClockWrapsAndSkipsZero(t *testing.T) {
 
 	const rounds = MaxClock + 512 // cross the wrap
 	for i := 0; i < rounds; i++ {
-		em := sw.Inject(mkPkt(300, uint16(i)), portGen)
+		em := inject(sw, mkPkt(300, uint16(i)), portGen)
 		if em == nil {
 			t.Fatalf("packet %d dropped", i)
 		}
@@ -29,7 +29,7 @@ func TestClockWrapsAndSkipsZero(t *testing.T) {
 			t.Fatalf("packet %d assigned clock 0", i)
 		}
 		// Merge immediately (FIFO depth 1) so the table never fills.
-		if m := sw.Inject(toSink(em.Pkt), portNF); m == nil {
+		if m := inject(sw, toSink(em.Pkt), portNF); m == nil {
 			t.Fatalf("packet %d failed to merge (clock %d)", i, i%MaxClock)
 		}
 	}
@@ -50,10 +50,10 @@ func TestStaleMergeAfterSlotReuse(t *testing.T) {
 	cfg.MaxExpiry = 1
 	sw, prog := testbed(t, cfg, -1)
 
-	old := sw.Inject(mkPkt(512, 0), portGen) // slot 1
-	sw.Inject(mkPkt(512, 1), portGen)        // slot 0
+	old := inject(sw, mkPkt(512, 0), portGen) // slot 1
+	inject(sw, mkPkt(512, 1), portGen)        // slot 0
 	// Wrap: evicts and re-claims slot 1 with a new generation.
-	fresh := sw.Inject(mkPkt(512, 2), portGen)
+	fresh := inject(sw, mkPkt(512, 2), portGen)
 	if fresh == nil || fresh.Pkt.PP.Tag.TableIndex != old.Pkt.PP.Tag.TableIndex {
 		t.Fatal("test topology assumption broken: expected same slot reuse")
 	}
@@ -62,14 +62,14 @@ func TestStaleMergeAfterSlotReuse(t *testing.T) {
 	}
 
 	// The stale merge is dropped...
-	if m := sw.Inject(toSink(old.Pkt), portNF); m != nil {
+	if m := inject(sw, toSink(old.Pkt), portNF); m != nil {
 		t.Fatal("stale merge accepted")
 	}
 	if prog.C.PrematureEvictions.Value() != 1 {
 		t.Errorf("premature = %d", prog.C.PrematureEvictions.Value())
 	}
 	// ...and the new occupant still merges intact.
-	if m := sw.Inject(toSink(fresh.Pkt), portNF); m == nil {
+	if m := inject(sw, toSink(fresh.Pkt), portNF); m == nil {
 		t.Fatal("fresh occupant lost its payload to a stale merge")
 	}
 }
@@ -88,7 +88,7 @@ func TestRegisterStateIsolation(t *testing.T) {
 	for i := range ems {
 		p := mkPkt(512, uint16(1000+i))
 		wants[i] = append([]byte(nil), p.Payload...)
-		ems[i] = sw.Inject(p, portGen)
+		ems[i] = inject(sw, p, portGen)
 		if ems[i] == nil || !ems[i].Pkt.PP.Enabled {
 			t.Fatalf("slot-fill %d failed", i)
 		}
@@ -97,7 +97,7 @@ func TestRegisterStateIsolation(t *testing.T) {
 	// though the FIFO assumption is violated (correctness never depends
 	// on ordering, only performance does).
 	for i := 15; i >= 0; i-- {
-		m := sw.Inject(toSink(ems[i].Pkt), portNF)
+		m := inject(sw, toSink(ems[i].Pkt), portNF)
 		if m == nil {
 			t.Fatalf("merge %d dropped", i)
 		}

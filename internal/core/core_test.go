@@ -39,6 +39,36 @@ func testbed(t testing.TB, cfg Config, recircPipe int) (*Switch, *Program) {
 	return sw, prog
 }
 
+// injectTraced runs one packet through sw as a batch of one, returning its
+// emission, or nil and the drop reason.
+func injectTraced(sw *Switch, pkt *packet.Packet, in rmt.PortID) (*Emission, string) {
+	res := make([]BatchResult, 1)
+	sw.InjectBatch([]BatchPacket{{Pkt: pkt, In: in}}, res)
+	if !res[0].OK {
+		return nil, res[0].Reason
+	}
+	return &res[0].Em, ""
+}
+
+func inject(sw *Switch, pkt *packet.Packet, in rmt.PortID) *Emission {
+	em, _ := injectTraced(sw, pkt, in)
+	return em
+}
+
+// injectFrame runs one raw frame through sw on a one-slot FrameBurst,
+// returning the emitted bytes (nil, nil, nil when the switch dropped it).
+func injectFrame(sw *Switch, frame []byte, in rmt.PortID) ([]byte, *Emission, error) {
+	b := sw.NewFrameBurst(1)
+	if err := b.Add(frame, in); err != nil {
+		return nil, nil, err
+	}
+	r := &b.Run()[0]
+	if !r.OK {
+		return nil, nil, nil
+	}
+	return r.Em.Pkt.Serialize(), &r.Em, nil
+}
+
 func defaultCfg() Config {
 	return Config{Slots: 64, MaxExpiry: 1, SplitPort: portGen, MergePort: portNF}
 }
@@ -62,7 +92,7 @@ func TestSplitParksPayload(t *testing.T) {
 	orig := mkPkt(512, 1)
 	want := orig.Clone()
 
-	em := sw.Inject(orig, portGen)
+	em := inject(sw, orig, portGen)
 	if em == nil {
 		t.Fatal("split packet dropped")
 	}
@@ -99,11 +129,11 @@ func TestSplitMergeRoundTripIsIdentity(t *testing.T) {
 	orig := mkPkt(882, 7)
 	want := orig.Clone()
 
-	em := sw.Inject(orig, portGen)
+	em := inject(sw, orig, portGen)
 	if em == nil {
 		t.Fatal("split dropped")
 	}
-	em2 := sw.Inject(toSink(em.Pkt), portNF)
+	em2 := inject(sw, toSink(em.Pkt), portNF)
 	if em2 == nil {
 		t.Fatal("merge dropped")
 	}
@@ -136,7 +166,7 @@ func TestSmallPayloadGetsDisabledHeader(t *testing.T) {
 	orig := mkPkt(42+100, 2) // 100 B payload < 160
 	want := orig.Clone()
 
-	em := sw.Inject(orig, portGen)
+	em := inject(sw, orig, portGen)
 	if em == nil {
 		t.Fatal("small packet dropped")
 	}
@@ -158,7 +188,7 @@ func TestSmallPayloadGetsDisabledHeader(t *testing.T) {
 	}
 
 	// The NF returns it; the switch strips the disabled header.
-	em2 := sw.Inject(toSink(em.Pkt), portNF)
+	em2 := inject(sw, toSink(em.Pkt), portNF)
 	if em2 == nil {
 		t.Fatal("ENB=0 return dropped")
 	}
@@ -180,14 +210,14 @@ func TestTableFullDisablesSplit(t *testing.T) {
 	sw, prog := testbed(t, cfg, -1)
 
 	for i := 0; i < 4; i++ {
-		if em := sw.Inject(mkPkt(512, uint16(i)), portGen); em == nil || !em.Pkt.PP.Enabled {
+		if em := inject(sw, mkPkt(512, uint16(i)), portGen); em == nil || !em.Pkt.PP.Enabled {
 			t.Fatalf("packet %d should have split", i)
 		}
 	}
 	// Fifth packet probes an occupied slot (EXP 10 -> 9): Split disabled.
 	orig := mkPkt(512, 99)
 	want := orig.Clone()
-	em := sw.Inject(orig, portGen)
+	em := inject(sw, orig, portGen)
 	if em == nil {
 		t.Fatal("overflow packet dropped")
 	}
@@ -212,14 +242,14 @@ func TestEvictionAndPrematureEvictionDetection(t *testing.T) {
 	sw, prog := testbed(t, cfg, -1)
 
 	// Fill all four slots.
-	first := sw.Inject(mkPkt(512, 0), portGen)
+	first := inject(sw, mkPkt(512, 0), portGen)
 	var rest []*Emission
 	for i := 1; i < 4; i++ {
-		rest = append(rest, sw.Inject(mkPkt(512, uint16(i)), portGen))
+		rest = append(rest, inject(sw, mkPkt(512, uint16(i)), portGen))
 	}
 	// Fifth split wraps to the first slot: EXP 1 -> 0 evicts packet 0's
 	// payload and claims the slot in the same operation (Alg. 1).
-	fifth := sw.Inject(mkPkt(512, 4), portGen)
+	fifth := inject(sw, mkPkt(512, 4), portGen)
 	if fifth == nil || !fifth.Pkt.PP.Enabled {
 		t.Fatal("fifth packet should evict and claim")
 	}
@@ -228,7 +258,7 @@ func TestEvictionAndPrematureEvictionDetection(t *testing.T) {
 	}
 
 	// Packet 0 returns: its payload is gone -> premature eviction, drop.
-	if em := sw.Inject(toSink(first.Pkt), portNF); em != nil {
+	if em := inject(sw, toSink(first.Pkt), portNF); em != nil {
 		t.Fatal("prematurely evicted packet must be dropped")
 	}
 	if prog.C.PrematureEvictions.Value() != 1 {
@@ -239,12 +269,12 @@ func TestEvictionAndPrematureEvictionDetection(t *testing.T) {
 	}
 
 	// The fifth packet merges fine — its generation matches.
-	if em := sw.Inject(toSink(fifth.Pkt), portNF); em == nil {
+	if em := inject(sw, toSink(fifth.Pkt), portNF); em == nil {
 		t.Fatal("fifth packet should merge")
 	}
 	// The untouched middle packets also merge.
 	for i, em := range rest {
-		if m := sw.Inject(toSink(em.Pkt), portNF); m == nil {
+		if m := inject(sw, toSink(em.Pkt), portNF); m == nil {
 			t.Fatalf("packet %d failed to merge", i+1)
 		}
 	}
@@ -252,7 +282,7 @@ func TestEvictionAndPrematureEvictionDetection(t *testing.T) {
 
 func TestExplicitDropReclaimsSlot(t *testing.T) {
 	sw, prog := testbed(t, defaultCfg(), -1)
-	em := sw.Inject(mkPkt(512, 1), portGen)
+	em := inject(sw, mkPkt(512, 1), portGen)
 	if em == nil || !em.Pkt.PP.Enabled {
 		t.Fatal("split failed")
 	}
@@ -265,7 +295,7 @@ func TestExplicitDropReclaimsSlot(t *testing.T) {
 	notif.PP.Op = packet.PPOpExplicitDrop
 	notif.Payload = nil
 	toSink(notif)
-	if out := sw.Inject(notif, portNF); out != nil {
+	if out := inject(sw, notif, portNF); out != nil {
 		t.Fatal("explicit drop notification must be consumed")
 	}
 	if prog.C.ExplicitDrops.Value() != 1 {
@@ -285,14 +315,14 @@ func TestStaleExplicitDrop(t *testing.T) {
 	cfg.MaxExpiry = 1
 	sw, prog := testbed(t, cfg, -1)
 
-	first := sw.Inject(mkPkt(512, 0), portGen)
-	sw.Inject(mkPkt(512, 1), portGen)
-	sw.Inject(mkPkt(512, 2), portGen) // wraps, evicts first
+	first := inject(sw, mkPkt(512, 0), portGen)
+	inject(sw, mkPkt(512, 1), portGen)
+	inject(sw, mkPkt(512, 2), portGen) // wraps, evicts first
 
 	notif := first.Pkt
 	notif.PP.Op = packet.PPOpExplicitDrop
 	toSink(notif)
-	if out := sw.Inject(notif, portNF); out != nil {
+	if out := inject(sw, notif, portNF); out != nil {
 		t.Fatal("stale explicit drop must be consumed")
 	}
 	if prog.C.StaleExplicitDrops.Value() != 1 {
@@ -305,10 +335,10 @@ func TestStaleExplicitDrop(t *testing.T) {
 
 func TestBadTagCRCDropped(t *testing.T) {
 	sw, prog := testbed(t, defaultCfg(), -1)
-	em := sw.Inject(mkPkt(512, 1), portGen)
+	em := inject(sw, mkPkt(512, 1), portGen)
 	em.Pkt.PP.Tag.CRC ^= 0xbeef
 	toSink(em.Pkt)
-	if out := sw.Inject(em.Pkt, portNF); out != nil {
+	if out := inject(sw, em.Pkt, portNF); out != nil {
 		t.Fatal("corrupted tag must be dropped")
 	}
 	if prog.C.BadTagDrops.Value() != 1 {
@@ -325,7 +355,7 @@ func TestMergeTransparentToNATRewrites(t *testing.T) {
 	orig := mkPkt(882, 3)
 	origPayload := append([]byte(nil), orig.Payload...)
 
-	em := sw.Inject(orig, portGen)
+	em := inject(sw, orig, portGen)
 	if em == nil {
 		t.Fatal("split dropped")
 	}
@@ -335,7 +365,7 @@ func TestMergeTransparentToNATRewrites(t *testing.T) {
 	em.Pkt.SetPorts(61000, em.Pkt.DstPort())
 	toSink(em.Pkt)
 
-	em2 := sw.Inject(em.Pkt, portNF)
+	em2 := inject(sw, em.Pkt, portNF)
 	if em2 == nil {
 		t.Fatal("merge dropped after NAT rewrite")
 	}
@@ -361,7 +391,7 @@ func TestRecirculationParks384(t *testing.T) {
 
 	orig := mkPkt(1024, 5)
 	want := orig.Clone()
-	em := sw.Inject(orig, portGen)
+	em := inject(sw, orig, portGen)
 	if em == nil {
 		t.Fatal("recirc split dropped")
 	}
@@ -376,7 +406,7 @@ func TestRecirculationParks384(t *testing.T) {
 		t.Errorf("recirculated latency = %d, want > %d", em.LatencyNs, rmt.PipeLatencyNs)
 	}
 
-	em2 := sw.Inject(toSink(em.Pkt), portNF)
+	em2 := inject(sw, toSink(em.Pkt), portNF)
 	if em2 == nil {
 		t.Fatal("recirc merge dropped")
 	}
@@ -394,7 +424,7 @@ func TestRecirculationRaisesMinPayload(t *testing.T) {
 	sw, prog := testbed(t, cfg, 1)
 
 	// 200 B payload: enough for 160 but not for 384 -> ENB=0 (§6.3.3).
-	em := sw.Inject(mkPkt(42+200, 1), portGen)
+	em := inject(sw, mkPkt(42+200, 1), portGen)
 	if em == nil || em.Pkt.PP == nil || em.Pkt.PP.Enabled {
 		t.Fatal("sub-384B payload must not split in recirculation mode")
 	}
@@ -409,7 +439,7 @@ func TestRecirculationRaisesMinPayload(t *testing.T) {
 func TestUnknownMACDropped(t *testing.T) {
 	sw := NewSwitch("t")
 	// no routes at all
-	if em := sw.Inject(mkPkt(100, 1), portGen); em != nil {
+	if em := inject(sw, mkPkt(100, 1), portGen); em != nil {
 		t.Fatal("packet with unknown dst MAC must drop")
 	}
 	if sw.Drops()[DropUnknownMAC] != 1 {
@@ -425,7 +455,7 @@ func TestBaselineSwitchPureL2(t *testing.T) {
 	sw.AddL2Route(nfMAC, portNF)
 	orig := mkPkt(882, 1)
 	want := orig.Clone()
-	em := sw.Inject(orig, portGen)
+	em := inject(sw, orig, portGen)
 	if em == nil {
 		t.Fatal("baseline forward dropped")
 	}
@@ -442,22 +472,22 @@ func TestInjectFrameBytePath(t *testing.T) {
 	orig := mkPkt(512, 1)
 	want := orig.Clone()
 
-	splitFrame, em, err := sw.InjectFrame(orig.Serialize(), portGen)
+	splitFrame, em, err := injectFrame(sw, orig.Serialize(), portGen)
 	if err != nil || em == nil {
-		t.Fatalf("InjectFrame split: %v", err)
+		t.Fatalf("split frame: %v", err)
 	}
 	// Return path: parse as the NF would (it never parses PP), flip MACs
 	// at the byte level, and reinject on the merge port.
-	ret, err := packet.Parse(splitFrame, true)
+	ret, err := packet.ParseAt(splitFrame, 0)
 	if err != nil {
 		t.Fatalf("parse split frame: %v", err)
 	}
 	toSink(ret)
-	mergedFrame, em2, err := sw.InjectFrame(ret.Serialize(), portNF)
+	mergedFrame, em2, err := injectFrame(sw, ret.Serialize(), portNF)
 	if err != nil || em2 == nil {
-		t.Fatalf("InjectFrame merge: %v", err)
+		t.Fatalf("merge frame: %v", err)
 	}
-	merged, err := packet.Parse(mergedFrame, false)
+	merged, err := packet.ParseAt(mergedFrame, -1)
 	if err != nil {
 		t.Fatalf("parse merged frame: %v", err)
 	}
@@ -465,7 +495,7 @@ func TestInjectFrameBytePath(t *testing.T) {
 		t.Error("byte path did not restore payload")
 	}
 
-	if _, _, err := sw.InjectFrame([]byte{1, 2, 3}, portGen); err == nil {
+	if _, _, err := injectFrame(sw, []byte{1, 2, 3}, portGen); err == nil {
 		t.Error("garbage frame should error")
 	}
 }
@@ -490,9 +520,9 @@ func TestTwoProgramsShareOnePipe(t *testing.T) {
 		t.Fatalf("program B: %v", err)
 	}
 
-	emA := sw.Inject(mkPkt(512, 1), 0)
+	emA := inject(sw, mkPkt(512, 1), 0)
 	pktB := packet.NewBuilder(genMAC, nf2MAC).UDP(flow, 512, 2)
-	emB := sw.Inject(pktB, 4)
+	emB := inject(sw, pktB, 4)
 	if emA == nil || !emA.Pkt.PP.Enabled {
 		t.Fatal("program A split failed")
 	}
@@ -601,11 +631,11 @@ func TestFunctionalEquivalenceProperty(t *testing.T) {
 		want := orig.Clone()
 		toSink(want) // baseline result: MAC swap only
 
-		em := sw.Inject(orig, portGen)
+		em := inject(sw, orig, portGen)
 		if em == nil {
 			return false
 		}
-		em2 := sw.Inject(toSink(em.Pkt), portNF)
+		em2 := inject(sw, toSink(em.Pkt), portNF)
 		if em2 == nil {
 			return false
 		}
@@ -629,14 +659,14 @@ func TestFIFOWrapReuse(t *testing.T) {
 
 	inFlight := make([]*Emission, 0, 4)
 	for i := 0; i < 100; i++ {
-		em := sw.Inject(mkPkt(512, uint16(i)), portGen)
+		em := inject(sw, mkPkt(512, uint16(i)), portGen)
 		if em == nil || !em.Pkt.PP.Enabled {
 			t.Fatalf("packet %d failed to split", i)
 		}
 		inFlight = append(inFlight, em)
 		// Merge in FIFO order with at most 4 outstanding (half the table).
 		if len(inFlight) == 4 {
-			if m := sw.Inject(toSink(inFlight[0].Pkt), portNF); m == nil {
+			if m := inject(sw, toSink(inFlight[0].Pkt), portNF); m == nil {
 				t.Fatalf("merge %d failed", i)
 			}
 			inFlight = inFlight[1:]
@@ -670,9 +700,9 @@ func BenchmarkSplit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pkt := pkts[i%256]
-		em := sw.Inject(pkt, portGen)
+		em := inject(sw, pkt, portGen)
 		if em != nil && em.Pkt.PP != nil && em.Pkt.PP.Enabled {
-			sw.Inject(toSink(em.Pkt), portNF)
+			inject(sw, toSink(em.Pkt), portNF)
 		}
 		if i%256 == 255 {
 			for j := range pkts {
@@ -692,7 +722,7 @@ func TestPlainPacketOnMergePort(t *testing.T) {
 	p := mkPkt(300, 1)
 	toSink(p)
 	want := p.Clone()
-	em := sw.Inject(p, portNF)
+	em := inject(sw, p, portNF)
 	if em == nil {
 		t.Fatal("plain merge-port packet dropped")
 	}
@@ -717,7 +747,7 @@ func TestSplitPortHandlesUpstreamHeader(t *testing.T) {
 	p := mkPkt(600, 1)
 	// Simulate an upstream split: a PP header is already attached.
 	p.PP = &packet.PPHeader{Enabled: true, Tag: packet.Tag{TableIndex: 5, Clock: 6}.Seal()}
-	em := sw.Inject(p, portGen)
+	em := inject(sw, p, portGen)
 	if em == nil {
 		t.Fatal("dropped")
 	}
@@ -736,7 +766,7 @@ func TestTCPSplitMergeRoundTrip(t *testing.T) {
 	orig := packet.NewBuilder(genMAC, nfMAC).TCP(tcpFlow, 882, 1<<20, 9)
 	want := orig.Clone()
 
-	em := sw.Inject(orig, portGen)
+	em := inject(sw, orig, portGen)
 	if em == nil || em.Pkt.PP == nil || !em.Pkt.PP.Enabled {
 		t.Fatal("TCP packet did not split")
 	}
@@ -747,7 +777,7 @@ func TestTCPSplitMergeRoundTrip(t *testing.T) {
 	}
 	// A NAT-style port rewrite on the TCP header survives the merge.
 	em.Pkt.SetPorts(61001, em.Pkt.DstPort())
-	em2 := sw.Inject(toSink(em.Pkt), portNF)
+	em2 := inject(sw, toSink(em.Pkt), portNF)
 	if em2 == nil {
 		t.Fatal("TCP merge dropped")
 	}
@@ -766,20 +796,20 @@ func TestTCPSplitMergeRoundTrip(t *testing.T) {
 	// Byte-level round trip through the frame path too.
 	orig2 := packet.NewBuilder(genMAC, nfMAC).TCP(tcpFlow, 700, 7, 10)
 	want2 := orig2.Clone()
-	frame, em3, err := sw.InjectFrame(orig2.Serialize(), portGen)
+	frame, em3, err := injectFrame(sw, orig2.Serialize(), portGen)
 	if err != nil || em3 == nil {
 		t.Fatalf("TCP frame split: %v", err)
 	}
-	ret, err := packet.Parse(frame, true)
+	ret, err := packet.ParseAt(frame, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	toSink(ret)
-	out, em4, err := sw.InjectFrame(ret.Serialize(), portNF)
+	out, em4, err := injectFrame(sw, ret.Serialize(), portNF)
 	if err != nil || em4 == nil {
 		t.Fatalf("TCP frame merge: %v", err)
 	}
-	got, _ := packet.Parse(out, false)
+	got, _ := packet.ParseAt(out, -1)
 	if !bytes.Equal(got.Payload, want2.Payload) {
 		t.Error("TCP frame path payload mismatch")
 	}

@@ -32,7 +32,7 @@ func TestECMPGroupSpreadsAndPinsFlows(t *testing.T) {
 	perPort := map[rmt.PortID]int{}
 	assigned := map[int]rmt.PortID{}
 	for i := 0; i < 512; i++ {
-		em := sw.Inject(mkFlowPkt(flowN(i), 256, uint16(i)), portGen)
+		em := inject(sw, mkFlowPkt(flowN(i), 256, uint16(i)), portGen)
 		if em == nil {
 			t.Fatalf("flow %d dropped", i)
 		}
@@ -49,7 +49,7 @@ func TestECMPGroupSpreadsAndPinsFlows(t *testing.T) {
 	}
 	// Same flow always takes the same member.
 	for i := 0; i < 512; i++ {
-		em := sw.Inject(mkFlowPkt(flowN(i), 256, uint16(1000+i)), portGen)
+		em := inject(sw, mkFlowPkt(flowN(i), 256, uint16(1000+i)), portGen)
 		if em == nil || em.Port != assigned[i] {
 			t.Fatalf("flow %d moved ports without a membership change", i)
 		}
@@ -67,7 +67,7 @@ func TestECMPMemberRemovalRemapsMinimally(t *testing.T) {
 	}
 	before := map[int]rmt.PortID{}
 	for i := 0; i < 512; i++ {
-		em := sw.Inject(mkFlowPkt(flowN(i), 256, uint16(i)), portGen)
+		em := inject(sw, mkFlowPkt(flowN(i), 256, uint16(i)), portGen)
 		if em == nil {
 			t.Fatalf("flow %d dropped", i)
 		}
@@ -80,7 +80,7 @@ func TestECMPMemberRemovalRemapsMinimally(t *testing.T) {
 	}
 	moved := 0
 	for i := 0; i < 512; i++ {
-		em := sw.Inject(mkFlowPkt(flowN(i), 256, uint16(2000+i)), portGen)
+		em := inject(sw, mkFlowPkt(flowN(i), 256, uint16(2000+i)), portGen)
 		if em == nil {
 			t.Fatalf("flow %d dropped after rebalance", i)
 		}
@@ -114,7 +114,7 @@ func TestECMPGroupPrecedesL2AndValidates(t *testing.T) {
 	if err := sw.SetECMPRoute(nfMAC, map[string]rmt.PortID{"only": 5}); err != nil {
 		t.Fatal(err)
 	}
-	em := sw.Inject(mkFlowPkt(flowN(1), 256, 1), portGen)
+	em := inject(sw, mkFlowPkt(flowN(1), 256, 1), portGen)
 	if em == nil || em.Port != 5 {
 		t.Fatalf("group did not take precedence over L2 route: %+v", em)
 	}
@@ -143,7 +143,7 @@ func TestSplitDemotion(t *testing.T) {
 	sw, prog := testbed(t, defaultCfg(), -1)
 
 	// Park one payload while promoted.
-	em := sw.Inject(mkPkt(512, 1), portGen)
+	em := inject(sw, mkPkt(512, 1), portGen)
 	if em == nil || em.Pkt.PP == nil || !em.Pkt.PP.Enabled {
 		t.Fatal("split failed while enabled")
 	}
@@ -154,7 +154,7 @@ func TestSplitDemotion(t *testing.T) {
 	if prog.SplitEnabled() {
 		t.Fatal("SplitEnabled after demotion")
 	}
-	em2 := sw.Inject(mkPkt(512, 2), portGen)
+	em2 := inject(sw, mkPkt(512, 2), portGen)
 	if em2 == nil {
 		t.Fatal("demoted packet dropped")
 	}
@@ -169,7 +169,7 @@ func TestSplitDemotion(t *testing.T) {
 	}
 
 	// The pre-demotion payload still merges.
-	m := sw.Inject(toSink(held), portNF)
+	m := inject(sw, toSink(held), portNF)
 	if m == nil {
 		t.Fatal("pre-demotion payload failed to merge while demoted")
 	}
@@ -179,7 +179,7 @@ func TestSplitDemotion(t *testing.T) {
 
 	// Restore: parking resumes.
 	prog.SetSplitEnabled(true)
-	em3 := sw.Inject(mkPkt(512, 3), portGen)
+	em3 := inject(sw, mkPkt(512, 3), portGen)
 	if em3 == nil || em3.Pkt.PP == nil || !em3.Pkt.PP.Enabled {
 		t.Fatal("split did not resume after restore")
 	}

@@ -44,7 +44,7 @@ func TestMultiSwitchStriping(t *testing.T) {
 		want := orig.Clone()
 
 		// Forward path: A splits...
-		emA := swA.Inject(orig, 0)
+		emA := inject(swA, orig, 0)
 		if emA == nil || emA.Pkt.PP == nil || !emA.Pkt.PP.Enabled {
 			t.Fatalf("size %d: switch A did not split", size)
 		}
@@ -53,7 +53,7 @@ func TestMultiSwitchStriping(t *testing.T) {
 		// ...the frame travels to B as bytes; B parses it as a plain
 		// packet (B does not know about A's header — it is payload).
 		frameAB := emA.Pkt.Serialize()
-		frameB, emB, err := swB.InjectFrame(frameAB, 0)
+		frameB, emB, err := injectFrame(swB, frameAB, 0)
 		if err != nil || emB == nil {
 			t.Fatalf("size %d: switch B rejected: %v", size, err)
 		}
@@ -69,13 +69,13 @@ func TestMultiSwitchStriping(t *testing.T) {
 		nfPkt.Eth.Src, nfPkt.Eth.Dst = nfMAC, sinkMAC
 
 		// Return path: B merges (restores A's header + B's parked bytes)...
-		emB2 := swB.Inject(nfPkt, 1)
+		emB2 := inject(swB, nfPkt, 1)
 		if emB2 == nil {
 			t.Fatalf("size %d: switch B merge failed", size)
 		}
 		// ...then A merges, arriving as bytes on A's merge port.
 		frameBA := emB2.Pkt.Serialize()
-		frameOut, emA2, err := swA.InjectFrame(frameBA, 1)
+		frameOut, emA2, err := injectFrame(swA, frameBA, 1)
 		if err != nil || emA2 == nil {
 			t.Fatalf("size %d: switch A merge failed: %v", size, err)
 		}
@@ -118,11 +118,11 @@ func TestMultiSwitchSmallMiddle(t *testing.T) {
 	// 250 B payload: A parks 160 leaving 90+7 < 160, so B adds ENB=0.
 	orig := mkPkt(42+250, 9)
 	want := orig.Clone()
-	emA := swA.Inject(orig, 0)
+	emA := inject(swA, orig, 0)
 	if emA == nil || !emA.Pkt.PP.Enabled {
 		t.Fatal("A should split")
 	}
-	frameB, emB, err := swB.InjectFrame(emA.Pkt.Serialize(), 0)
+	frameB, emB, err := injectFrame(swB, emA.Pkt.Serialize(), 0)
 	if err != nil || emB == nil {
 		t.Fatal("B rejected")
 	}
@@ -133,11 +133,11 @@ func TestMultiSwitchSmallMiddle(t *testing.T) {
 
 	nfPkt := emB.Pkt
 	nfPkt.Eth.Src, nfPkt.Eth.Dst = nfMAC, sinkMAC
-	emB2 := swB.Inject(nfPkt, 1)
+	emB2 := inject(swB, nfPkt, 1)
 	if emB2 == nil {
 		t.Fatal("B merge-strip failed")
 	}
-	frameOut, emA2, err := swA.InjectFrame(emB2.Pkt.Serialize(), 1)
+	frameOut, emA2, err := injectFrame(swA, emB2.Pkt.Serialize(), 1)
 	if err != nil || emA2 == nil {
 		t.Fatal("A merge failed")
 	}

@@ -31,7 +31,7 @@ func TestAttachSpecCompression(t *testing.T) {
 	orig := mkPkt(512, 1)
 	want := orig.Clone()
 
-	em := sw.Inject(orig, portGen)
+	em := inject(sw, orig, portGen)
 	if em == nil {
 		t.Fatal("compressed packet dropped")
 	}
@@ -69,7 +69,7 @@ func TestAttachSpecCompression(t *testing.T) {
 	if err != nil {
 		t.Fatalf("switch-side reparse: %v", err)
 	}
-	em2 := sw.Inject(back, portNF)
+	em2 := inject(sw, back, portNF)
 	if em2 == nil {
 		t.Fatal("restored packet dropped")
 	}
@@ -104,7 +104,7 @@ func TestAttachSpecCompressionSkipsTCP(t *testing.T) {
 	tcpFlow := flow
 	tcpFlow.Protocol = packet.IPProtoTCP
 	pkt := packet.NewBuilder(genMAC, nfMAC).TCP(tcpFlow, 512, 1, 0)
-	em := sw.Inject(pkt, portGen)
+	em := inject(sw, pkt, portGen)
 	if em == nil {
 		t.Fatal("TCP packet dropped")
 	}
@@ -133,7 +133,7 @@ func TestAttachSpecParkCompress(t *testing.T) {
 
 	orig := mkPkt(512, 7)
 	want := orig.Clone()
-	em := sw.Inject(orig, portGen)
+	em := inject(sw, orig, portGen)
 	if em == nil {
 		t.Fatal("packet dropped on the way to the NF")
 	}
@@ -160,7 +160,7 @@ func TestAttachSpecParkCompress(t *testing.T) {
 	if err != nil {
 		t.Fatalf("switch-side reparse: %v", err)
 	}
-	em2 := sw.Inject(back, portNF)
+	em2 := inject(sw, back, portNF)
 	if em2 == nil {
 		t.Fatal("packet dropped on the way to the sink")
 	}
@@ -184,7 +184,7 @@ func TestAttachSpecParkCompress(t *testing.T) {
 // order (the claim of each in stage 1, the stores behind them).
 func TestAttachSpecBesideParkRecompiles(t *testing.T) {
 	sw, park := testbed(t, defaultCfg(), -1)
-	if em := sw.Inject(mkPkt(512, 1), portGen); em == nil || em.Pkt.CR != nil {
+	if em := inject(sw, mkPkt(512, 1), portGen); em == nil || em.Pkt.CR != nil {
 		t.Fatalf("parking-only split: %+v", em)
 	}
 	comp, err := sw.AttachSpec(compressSpec(), nil, nil)
@@ -193,7 +193,7 @@ func TestAttachSpecBesideParkRecompiles(t *testing.T) {
 	}
 	orig := mkPkt(512, 2)
 	want := orig.Clone()
-	em := sw.Inject(orig, portGen)
+	em := inject(sw, orig, portGen)
 	if em == nil || em.Pkt.PP == nil || !em.Pkt.PP.Enabled || em.Pkt.CR == nil {
 		t.Fatalf("split after second attach: want parked and compressed, got %+v", em)
 	}
@@ -201,7 +201,7 @@ func TestAttachSpecBesideParkRecompiles(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reparse: %v", err)
 	}
-	em2 := sw.Inject(back, portNF)
+	em2 := inject(sw, back, portNF)
 	if em2 == nil || !bytes.Equal(em2.Pkt.AppendSerialize(nil), toSink(want).AppendSerialize(nil)) {
 		t.Error("round trip through both programs is not the identity")
 	}

@@ -50,30 +50,18 @@ type Emission struct {
 	LatencyNs int64
 }
 
-// frameScratch is the per-pipe scratch state behind InjectFrameAppend: a
-// reusable parsed packet (header structs and payload buffer included) and
-// a reusable emission. The payload is parsed at a fixed offset into buf so
-// the headroom in front of it can absorb merged payload blocks in place.
-type frameScratch struct {
-	pkt packet.Packet
-	udp packet.UDP
-	tcp packet.TCP
-	pp  packet.PPHeader
-	em  Emission
-	// buf backs the payload: [0,head) is merge headroom, payload bytes
-	// start at head.
-	buf  []byte
-	head int
-}
-
 // Switch is a 4-pipe RMT switch running L2 forwarding plus any installed
 // PayloadPark programs. A Switch with no programs installed is the
 // paper's baseline deployment.
 //
-// A Switch is safe to drive from multiple goroutines only through a
-// ParallelDriver, which assigns each pipe (and its recirculation target)
-// to exactly one worker; all counters are sharded per pipe and merged on
-// read. Direct Inject* calls are single-threaded, like the sim.
+// InjectBatch (parsed packets) and FrameBurst (raw frames, built on it)
+// are the only ways in. Pipes share no stateful memory (§5) and every
+// counter is sharded per pipe, so goroutines may drive one Switch
+// concurrently under the one-worker-per-pipe rule: all traffic entering a
+// pipe's ports — and the ports of any pipe that recirculates into it or
+// that it recirculates into — comes from a single goroutine. Merged
+// counter reads (RxPackets, Drops, ...) are well-defined only while no
+// worker is injecting.
 type Switch struct {
 	name     string
 	pipes    [NumPipes]*rmt.Pipeline
@@ -93,7 +81,7 @@ type Switch struct {
 	// replacing a per-packet linear scan over installed programs.
 	ppOffset [NumPorts]int
 	// maxPark is the largest ParkBytes over installed programs; it sizes
-	// the frame-scratch merge headroom.
+	// the merge headroom of FrameBurst slots.
 	maxPark int
 
 	// rx/tx count packets entering and leaving the switch, sharded by pipe
@@ -108,8 +96,6 @@ type Switch struct {
 	dropIdx    map[string]int
 	dropNames  []string
 	dropShards [NumPipes + 1][]uint64
-
-	scratch [NumPipes]frameScratch
 }
 
 // NewSwitch returns a switch with four empty pipes and an empty L2 table.
@@ -159,7 +145,7 @@ func (s *Switch) PPOffset(port rmt.PortID) int {
 }
 
 // RxPackets returns packets received across all pipes. Not meaningful
-// while a parallel batch is in flight.
+// while a pipe worker is injecting.
 func (s *Switch) RxPackets() uint64 {
 	var n uint64
 	for i := range s.rx {
@@ -169,7 +155,7 @@ func (s *Switch) RxPackets() uint64 {
 }
 
 // TxPackets returns packets transmitted across all pipes. Not meaningful
-// while a parallel batch is in flight.
+// while a pipe worker is injecting.
 func (s *Switch) TxPackets() uint64 {
 	var n uint64
 	for i := range s.tx {
@@ -263,34 +249,44 @@ func (s *Switch) AttachSpec(spec *prog.Spec, overrides map[string]int64, counter
 // Programs instead).
 func (s *Switch) Instances() []*prog.Instance { return s.instances }
 
-// Inject runs one packet through the switch, entering on port in. It
-// returns the emission, or nil if the packet was dropped or consumed
-// (explicit drops, eviction mismatches, unknown MACs).
+// BatchPacket couples a packet with its ingress port for InjectBatch.
+type BatchPacket struct {
+	Pkt *packet.Packet
+	In  rmt.PortID
+}
+
+// BatchResult is the per-packet outcome of an injection: Em is filled in
+// place (no per-packet allocation) and valid when OK; otherwise Reason
+// holds the drop cause (one of the Drop* constants or DropUnknownMAC),
+// which lets a driver separate intended consumption (explicit drops) from
+// failures.
+type BatchResult struct {
+	Em     Emission
+	OK     bool
+	Reason string
+}
+
+// InjectBatch runs batch through the switch in order, filling results[i]
+// for batch[i] (len(results) must be >= len(batch)); a batch of one is the
+// scalar case. Packets are mutated in place (headers rewritten, payload
+// parked or reassembled); callers that need the original must Clone first.
 //
-// The packet is mutated in place (headers rewritten, payload parked or
-// reassembled); callers that need the original must Clone first.
-func (s *Switch) Inject(pkt *packet.Packet, in rmt.PortID) *Emission {
-	em, _ := s.InjectTraced(pkt, in)
-	return em
-}
-
-// InjectTraced is Inject with the drop reason: when the emission is nil,
-// reason holds the drop cause (one of the Drop* constants or
-// DropUnknownMAC); otherwise it is empty. The simulator uses the reason to
-// separate intended consumption (explicit drops) from failures.
-func (s *Switch) InjectTraced(pkt *packet.Packet, in rmt.PortID) (*Emission, string) {
-	em := &Emission{}
-	if reason := s.injectInto(pkt, in, nil, em); reason != "" {
-		return nil, reason
+//pp:zeroalloc
+func (s *Switch) InjectBatch(batch []BatchPacket, results []BatchResult) {
+	for i := range batch {
+		r := &results[i]
+		r.Reason = s.injectOne(batch[i].Pkt, batch[i].In, &r.Em)
+		r.OK = r.Reason == ""
+		if !r.OK {
+			r.Em = Emission{}
+		}
 	}
-	return em, ""
 }
 
-// injectInto is the shared hot path: parse-free injection of an
-// already-parsed packet into its pipe, filling em on success and returning
-// the drop reason otherwise. headroom, when non-nil, is scratch space
-// directly in front of pkt.Payload's backing array (frame path only).
-func (s *Switch) injectInto(pkt *packet.Packet, in rmt.PortID, headroom []byte, em *Emission) string {
+// injectOne runs one already-parsed packet through its pipe (and the
+// recirculation pipe on a second pass), filling em on success and
+// returning the drop reason otherwise.
+func (s *Switch) injectOne(pkt *packet.Packet, in rmt.PortID, em *Emission) string {
 	pipeIdx := PipeOfPort(in)
 	if pipeIdx < 0 || pipeIdx >= NumPipes {
 		s.rx[invalidShard].Inc()
@@ -301,12 +297,10 @@ func (s *Switch) injectInto(pkt *packet.Packet, in rmt.PortID, headroom []byte, 
 	pipe := s.pipes[pipeIdx]
 	phv := pipe.AcquirePHV()
 	pipe.Parser().FillPHV(phv, pkt, in)
-	if headroom == nil {
-		// A packet split earlier stashed the hole the parked region left
-		// in its payload backing; a merge can reassemble into it in place.
-		headroom = pkt.TakeHeadroom()
-	}
-	phv.Headroom = headroom
+	// A packet split earlier — or parsed into a FrameBurst slot — stashed
+	// the hole in front of its payload; a merge reassembles into it in
+	// place.
+	phv.Headroom = pkt.TakeHeadroom()
 	pipe.Process(phv)
 	passes := 1
 	if phv.Recirc {
@@ -318,122 +312,6 @@ func (s *Switch) injectInto(pkt *packet.Packet, in rmt.PortID, headroom []byte, 
 	reason := s.deparse(pipeIdx, phv, passes, em)
 	pipe.ReleasePHV(phv)
 	return reason
-}
-
-// InjectReuse is InjectTraced filling a caller-owned Emission instead of
-// allocating one per packet: the hot-loop form for drivers (the simulator)
-// that copy what they need out of em before the next injection.
-//
-//pp:zeroalloc
-func (s *Switch) InjectReuse(pkt *packet.Packet, in rmt.PortID, em *Emission) (bool, string) {
-	reason := s.injectInto(pkt, in, nil, em)
-	return reason == "", reason
-}
-
-// InjectFrame parses raw frame bytes and runs them through the switch,
-// returning the emitted frame bytes. This is the entry point for the
-// real-socket dataplane and the byte-level equivalence tests. The returned
-// emission and bytes are freshly allocated; the allocation-free variant is
-// InjectFrameAppend.
-func (s *Switch) InjectFrame(frame []byte, in rmt.PortID) ([]byte, *Emission, error) {
-	pipeIdx := PipeOfPort(in)
-	if pipeIdx < 0 || pipeIdx >= NumPipes {
-		s.rx[invalidShard].Inc()
-		s.drop(invalidShard, dropInvalidPort)
-		return nil, nil, fmt.Errorf("core: invalid port %d", in)
-	}
-	pkt, err := packet.ParseAt(frame, s.ppOffset[in])
-	if err != nil {
-		s.rx[pipeIdx].Inc()
-		s.drop(pipeIdx, dropParseError)
-		return nil, nil, err
-	}
-	em := s.Inject(pkt, in)
-	if em == nil {
-		return nil, nil, nil
-	}
-	return em.Pkt.AppendSerialize(nil), em, nil
-}
-
-// InjectFrameAppend is InjectFrame on the switch's per-pipe scratch state:
-// the frame is parsed into a reused packet whose payload carries merge
-// headroom, and the emitted frame bytes are appended to out (pass a reused
-// buffer, typically buf[:0], for an allocation-free steady state).
-//
-// The returned emission — including its packet and the emitted bytes when
-// out's capacity was reused — is only valid until the next InjectFrameAppend
-// on the same pipe. Callers that retain either must copy first.
-//
-//pp:zeroalloc
-func (s *Switch) InjectFrameAppend(frame []byte, in rmt.PortID, out []byte) ([]byte, *Emission, error) {
-	pipeIdx := PipeOfPort(in)
-	if pipeIdx < 0 || pipeIdx >= NumPipes {
-		s.rx[invalidShard].Inc()
-		s.drop(invalidShard, dropInvalidPort)
-		return out, nil, fmt.Errorf("core: invalid port %d", in) //pp:alloc-ok error path only; invalid ports never reach the steady state
-	}
-	sc := &s.scratch[pipeIdx]
-	if sc.buf == nil || sc.head != s.maxPark {
-		sc.head = s.maxPark
-		sc.buf = make([]byte, sc.head+maxFrameBytes) //pp:alloc-ok one-time scratch warm-up; reused across frames on this pipe
-	}
-	// Re-wire the scratch header structs (a prior parse may have nil'ed
-	// some of them) and steer the payload to buf[head:].
-	sc.pkt.UDP = &sc.udp
-	sc.pkt.TCP = &sc.tcp
-	sc.pkt.PP = &sc.pp
-	sc.pkt.Payload = sc.buf[sc.head:sc.head]
-	if err := packet.ParseAtInto(&sc.pkt, frame, s.ppOffset[in]); err != nil {
-		s.rx[pipeIdx].Inc()
-		s.drop(pipeIdx, dropParseError)
-		return out, nil, err
-	}
-	// Headroom holds only while the payload still sits at its scratch
-	// position (an oversized frame would have forced a reallocation).
-	var headroom []byte
-	if sc.head > 0 && len(sc.pkt.Payload) > 0 && &sc.pkt.Payload[0] == &sc.buf[sc.head] {
-		headroom = sc.buf[:sc.head]
-	}
-	if reason := s.injectInto(&sc.pkt, in, headroom, &sc.em); reason != "" {
-		return out, nil, nil
-	}
-	return sc.em.Pkt.AppendSerialize(out), &sc.em, nil
-}
-
-// BatchPacket couples a packet with its ingress port for InjectBatch.
-type BatchPacket struct {
-	Pkt *packet.Packet
-	In  rmt.PortID
-}
-
-// BatchResult is the per-packet outcome of a batched injection: Em is
-// filled in place (no per-packet allocation) and valid when OK; Reason
-// holds the drop cause otherwise.
-type BatchResult struct {
-	Em     Emission
-	OK     bool
-	Reason string
-}
-
-// InjectBatch runs batch through the switch sequentially, filling
-// results[i] for batch[i] (len(results) must be >= len(batch)). It is
-// observably equivalent to calling InjectTraced per packet, without the
-// per-packet Emission allocation.
-//
-//pp:zeroalloc
-func (s *Switch) InjectBatch(batch []BatchPacket, results []BatchResult) {
-	for i := range batch {
-		s.injectOne(&batch[i], &results[i])
-	}
-}
-
-//pp:zeroalloc
-func (s *Switch) injectOne(bp *BatchPacket, r *BatchResult) {
-	r.Reason = s.injectInto(bp.Pkt, bp.In, nil, &r.Em)
-	r.OK = r.Reason == ""
-	if !r.OK {
-		r.Em = Emission{}
-	}
 }
 
 // deparse applies the PHV's park/reassemble effects to the packet bytes
@@ -525,7 +403,7 @@ func (s *Switch) drop(shard int, why string) {
 
 // Drops returns drop counts by reason, merged across pipe shards. The map
 // is a fresh copy (the live counters are interned per pipe). Not
-// meaningful while a parallel batch is in flight.
+// meaningful while a pipe worker is injecting.
 func (s *Switch) Drops() map[string]uint64 {
 	s.dropMu.RLock()
 	names := s.dropNames

@@ -12,7 +12,7 @@ import (
 func init() {
 	register(experiment(Experiment{
 		ID:    "fabric",
-		Title: "Leaf-spine fabric: park-at-edge vs park-at-every-hop, link-failure reroute, per-switch drivers",
+		Title: "Leaf-spine fabric: park-at-edge vs park-at-every-hop, link-failure reroute",
 		Paper: "not a paper figure: §7's multi-switch vision (striping, distributed memory pressure) played out on a 4x2 leaf-spine with per-hop stats",
 	}, func(o Options) (*FabricSuite, error) {
 		return CollectFabricSuite(o, "4x2")
@@ -27,28 +27,18 @@ type FabricSuite struct {
 	Modes []sim.FabricResult `json:"modes"`
 	// Failure is the 6x3 link-failure reroute run (edge parking).
 	Failure sim.FabricResult `json:"failure"`
-	// Dataplane compares the striped switch chain driven sequentially vs
-	// with one ParallelDriver per switch.
-	DataplaneSequential sim.FabricDataplaneResult `json:"dataplane_sequential"`
-	DataplanePipelined  sim.FabricDataplaneResult `json:"dataplane_pipelined"`
 }
 
 // ParseTopology parses "LxS" (e.g. "4x2") into leaf and spine counts and
-// rejects geometries the parking modes cannot run: every flow's spine
-// affinity (i mod S) must differ from its egress leaf's ((i+1) mod L mod
-// S), or slim transit traffic would enter that leaf on its merge port.
+// rejects geometries the parking modes cannot run (sim.FabricConfig's
+// rules, checked for edge parking).
 func ParseTopology(s string) (leaves, spines int, err error) {
-	if _, err := fmt.Sscanf(strings.ToLower(s), "%dx%d", &leaves, &spines); err != nil {
+	// Zero would read as "default" downstream, so it is a parse error here.
+	if _, err := fmt.Sscanf(strings.ToLower(s), "%dx%d", &leaves, &spines); err != nil || leaves == 0 || spines == 0 {
 		return 0, 0, fmt.Errorf("harness: topology %q: want LxS, e.g. 4x2", s)
 	}
-	if leaves < 2 || leaves > 16 || spines < 1 || spines > 13 {
-		return 0, 0, fmt.Errorf("harness: topology %dx%d outside supported geometry", leaves, spines)
-	}
-	for i := 0; i < leaves; i++ {
-		if i%spines == ((i+1)%leaves)%spines {
-			return 0, 0, fmt.Errorf("harness: topology %dx%d cannot park: flow %d's forward path would enter leaf %d on its merge port (try 4x2 or 6x3)",
-				leaves, spines, i, (i+1)%leaves)
-		}
+	if err := (sim.FabricConfig{Leaves: leaves, Spines: spines, Mode: sim.ParkEdge}).Validate(); err != nil {
+		return 0, 0, fmt.Errorf("harness: topology %w", err)
 	}
 	return leaves, spines, nil
 }
@@ -81,8 +71,8 @@ func sumDrops(r sim.FabricResult) (links, switches uint64) {
 
 // CollectFabricSuite runs the fabric experiment family on the given LxS
 // topology: the parking-mode comparison (a declarative ParkingAxis sweep
-// at a load past baseline fabric saturation), the link-failure reroute
-// scenario, and the per-switch parallel-driver dataplane drive.
+// at a load past baseline fabric saturation) and the link-failure reroute
+// scenario.
 func CollectFabricSuite(o Options, topo string) (*FabricSuite, error) {
 	leaves, spines, err := ParseTopology(topo)
 	if err != nil {
@@ -130,33 +120,7 @@ func CollectFabricSuite(o Options, topo string) (*FabricSuite, error) {
 		return nil, err
 	}
 	out.Failure = *fr.Fabric
-
-	// Part 3: the striped switch chain, sequential vs one ParallelDriver
-	// per switch. This is a wall-clock dataplane drive, not a
-	// discrete-event scenario.
-	dcfg := sim.FabricDataplaneConfig{Switches: 2, Seed: o.Seed}
-	if o.Quick {
-		dcfg.Packets = 256
-		dcfg.Rounds = 8
-	}
-	out.DataplaneSequential = sim.RunFabricDataplane(dcfg)
-	dcfg.Pipelined = true
-	out.DataplanePipelined = sim.RunFabricDataplane(dcfg)
 	return out, nil
-}
-
-// RunFabricSuite collects the suite and renders it as text. When out is
-// non-nil the collected results are also copied there for
-// machine-readable export (the ppbench -topology -json path).
-func RunFabricSuite(o Options, topo string, out *FabricSuite, w io.Writer) error {
-	suite, err := CollectFabricSuite(o, topo)
-	if err != nil {
-		return err
-	}
-	if out != nil {
-		*out = *suite
-	}
-	return RenderFabricSuite(suite, w)
 }
 
 func RenderFabricSuite(suite *FabricSuite, w io.Writer) error {
@@ -194,14 +158,6 @@ func RenderFabricSuite(suite *FabricSuite, w io.Writer) error {
 	fmt.Fprintf(w, "  drops: links=%d switches=%d (blackholed during detection); premature evictions=%d\n",
 		linkDrops, switchDrops, totalPremature(fr))
 	fmt.Fprintf(w, "  orphaned parked payloads at run end: %d (reclaimed by expiry eviction as the index wraps)\n", orphans)
-
-	seq, par := suite.DataplaneSequential, suite.DataplanePipelined
-	fmt.Fprintf(w, "\nstriped 2-switch chain dataplane (one PayloadPark program per pipe per switch):\n")
-	fmt.Fprintf(w, "  sequential: %s per-switch splits=%v\n", seq, seq.PerSwitch)
-	fmt.Fprintf(w, "  pipelined:  %s per-switch splits=%v\n", par, par.PerSwitch)
-	if seq.Mpps > 0 {
-		fmt.Fprintf(w, "  speedup: %.2fx across %d workers (per-pipe x per-switch)\n", par.Mpps/seq.Mpps, par.Workers)
-	}
 	return nil
 }
 

@@ -459,24 +459,12 @@ func collectEquiv(o Options) (*EquivResult, error) {
 	if o.Quick {
 		n = 1000
 	}
-	mkSwitch := func(pp bool) (*core.Switch, *core.Program) {
-		sw := core.NewSwitch("equiv")
-		sw.AddL2Route(sim.MACNF, 1)
-		sw.AddL2Route(sim.MACGen, 2) // MAC swap returns toward the generator
-		if !pp {
-			return sw, nil
-		}
-		prog, err := sw.AttachPayloadPark(core.Config{
-			Slots: MacroSlots, MaxExpiry: 1, SplitPort: 0, MergePort: 1,
-		}, -1)
-		if err != nil {
-			panic(err)
-		}
-		return sw, prog
-	}
-	capture := func(pp bool) ([]pcap.Record, *core.Program) {
-		sw, prog := mkSwitch(pp)
+	capture := func(pp *core.Config) ([]pcap.Record, *core.Program, error) {
 		srv := nf.NewServer(nf.ServerConfig{Chain: nf.NewChain(nf.MACSwap{})})
+		tb, err := sim.NewInProcess(pp, srv)
+		if err != nil {
+			return nil, nil, err
+		}
 		gen := trafficgen.New(trafficgen.Config{
 			Sizes: trafficgen.Datacenter{}, Flows: 512,
 			SrcMAC: sim.MACGen, DstMAC: sim.MACNF,
@@ -484,25 +472,21 @@ func collectEquiv(o Options) (*EquivResult, error) {
 		})
 		var out []pcap.Record
 		for i := 0; i < n; i++ {
-			em := sw.Inject(gen.Next(), 0)
-			if em == nil {
-				continue
+			if got := tb.Process(gen.Next()); got != nil {
+				out = append(out, pcap.Record{TimestampNs: int64(i) * 1e3, Data: got.Serialize()})
 			}
-			res := srv.Handle(em.Pkt)
-			if res.Out == nil {
-				continue
-			}
-			em2 := sw.Inject(res.Out, 1)
-			if em2 == nil {
-				continue
-			}
-			out = append(out, pcap.Record{TimestampNs: int64(i) * 1e3, Data: em2.Pkt.Serialize()})
 		}
-		return out, prog
+		return out, tb.Prog, nil
 	}
 
-	baseRecs, _ := capture(false)
-	ppRecs, progPP := capture(true)
+	baseRecs, _, err := capture(nil)
+	if err != nil {
+		return nil, err
+	}
+	ppRecs, progPP, err := capture(&core.Config{Slots: MacroSlots, MaxExpiry: 1})
+	if err != nil {
+		return nil, err
+	}
 
 	// Serialize both captures to real pcap bytes, then reread and compare,
 	// exactly as DPDK-pdump files would be diffed.

@@ -24,10 +24,6 @@ type Options struct {
 	// Ctx, when non-nil, cancels experiment runs mid-simulation (the CLI
 	// binds it to SIGINT). Nil means context.Background().
 	Ctx context.Context
-	// Partitions is the partition-count series the scale experiment
-	// sweeps (default 1, 2, 4, 8). Other experiments ignore it: their
-	// scenarios are single-switch or depend on sweep-level parallelism.
-	Partitions []int
 }
 
 // ctx resolves the execution context.

@@ -295,7 +295,12 @@ func ReferenceRun(cfg Config) (*Result, error) {
 		nfs[j] = &refNF{handle: newNFHandle(cfg.DropFraction)}
 	}
 	res := &Result{Geometry: cfg.Geometry, Mode: "reference", Parking: cfg.Parking}
-	var hopBuf, injBuf []byte
+	// One one-slot burst per switch: the reference walks a frame at a time.
+	bursts := make([]*core.FrameBurst, len(f.switches))
+	for i, fs := range f.switches {
+		bursts[i] = fs.sw.NewFrameBurst(1)
+	}
+	var out []byte
 	for k := 0; k < cfg.Frames; k++ {
 		for g := range f.gens {
 			frame := f.gens[g][k]
@@ -303,18 +308,22 @@ func ReferenceRun(cfg Config) (*Result, error) {
 			res.Sent++
 			for hop := 0; hop < maxHops; hop++ {
 				fs := f.switches[at.sw]
-				out, em, err := fs.sw.InjectFrameAppend(frame, at.port, injBuf[:0])
-				injBuf = out
-				if err != nil || em == nil {
+				fb := bursts[at.sw]
+				fb.Reset()
+				if fb.Add(frame, at.port) != nil {
+					break // rejected: the switch counted the parse error
+				}
+				r := &fb.Run()[0]
+				if !r.OK {
 					break // consumed or dropped at the switch
 				}
-				lk, ok := fs.links[em.Port]
+				out = r.Em.Pkt.AppendSerialize(out[:0])
+				lk, ok := fs.links[r.Em.Port]
 				if !ok {
-					return nil, fmt.Errorf("live: reference: %s egress port %d is not cabled", fs.name, em.Port)
+					return nil, fmt.Errorf("live: reference: %s egress port %d is not cabled", fs.name, r.Em.Port)
 				}
 				if lk.cable != nil {
-					hopBuf = append(hopBuf[:0], out...)
-					frame = hopBuf
+					frame = out // Add copies it into the slot before out is rewritten
 					at = *lk.cable
 					continue
 				}
@@ -331,8 +340,7 @@ func ReferenceRun(cfg Config) (*Result, error) {
 					if notified {
 						res.NFNotified++
 					}
-					hopBuf = append(hopBuf[:0], resp...)
-					frame = hopBuf
+					frame = resp
 					at = f.nfPort[lk.ep.index]
 					continue
 				}

@@ -3,9 +3,9 @@
 // exchanging Ethernet-over-UDP frames through loopback sockets, the
 // deployable-system shape of the paper's hardware testbed. A switch node
 // binds one socket per active pipe and drives each from its own worker
-// goroutine — per-pipe parallelism with no shared stateful memory,
-// exactly the Tofino discipline core.ParallelDriver models — reading
-// recvmmsg-style bursts, draining them through the zero-alloc
+// goroutine — per-pipe parallelism with no shared stateful memory, the
+// Tofino discipline core.Switch's one-worker-per-pipe rule states —
+// reading recvmmsg-style bursts, draining them through the zero-alloc
 // core.FrameBurst path, and writing the emissions back out through one
 // batched sendmmsg flush.
 //

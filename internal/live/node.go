@@ -23,8 +23,8 @@ const mailWake = 2 * time.Millisecond
 // pipeWorker is one pipe's socket and its single-owner state: the
 // ingress resolution and egress cabling maps, and the control mailbox
 // drained between bursts. The worker goroutine is the only toucher of
-// the pipe's core state (programs, scratch, counter shards), the
-// one-worker-per-pipe discipline core.ParallelDriver documents.
+// the pipe's core state (programs, burst slots, counter shards): the
+// one-worker-per-pipe rule core.Switch documents.
 type pipeWorker struct {
 	pipe  int
 	conn  *net.UDPConn

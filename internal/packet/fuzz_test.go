@@ -25,14 +25,14 @@ func TestParseNeverPanics(t *testing.T) {
 				frame[23] = 6 // TCP
 			}
 		}
-		for _, withPP := range []bool{false, true} {
+		for _, ppOffset := range []int{-1, 0} {
 			func() {
 				defer func() {
 					if r := recover(); r != nil {
-						t.Fatalf("Parse panicked on %d random bytes (pp=%t): %v", n, withPP, r)
+						t.Fatalf("ParseAt panicked on %d random bytes (ppOffset=%d): %v", n, ppOffset, r)
 					}
 				}()
-				p, err := Parse(frame, withPP)
+				p, err := ParseAt(frame, ppOffset)
 				if err == nil && p == nil {
 					t.Fatal("nil packet with nil error")
 				}

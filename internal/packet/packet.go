@@ -80,29 +80,20 @@ func (p *Packet) SetPP(h PPHeader) {
 // SetCR attaches a compression header to the packet without allocating,
 // storing it inline. While CR is non-nil the IPv4 and transport header
 // structs remain authoritative for NF processing, but the wire form elides
-// them: Len, HeaderLen and SerializeTo emit Ethernet + compression header
+// them: Len, HeaderLen and Serialize emit Ethernet + compression header
 // only. The compress-claim action uses this on the dataplane hot path.
 func (p *Packet) SetCR(h CRHeader) {
 	p.crStore = h
 	p.CR = &p.crStore
 }
 
-// Parse decodes an Ethernet/IPv4/{UDP,TCP} frame. withPP tells the parser
-// whether a PayloadPark header follows the L4 header; in the real system
-// this is known from the ingress port (packets arriving from the NF server
-// carry it), not from the bytes, because the header deliberately has no
+// ParseAt decodes an Ethernet/IPv4/{UDP,TCP} frame whose PayloadPark
+// header sits ppOffset bytes into the payload region (the §7 decoupling
+// boundary; 0 = right behind the L4 header). ppOffset < 0 parses a frame
+// with no PayloadPark header. In the real system the offset is known from
+// the ingress port (packets arriving from the NF server carry the
+// header), not from the bytes, because the header deliberately has no
 // magic number — it replaces payload bytes that nothing else interprets.
-func Parse(frame []byte, withPP bool) (*Packet, error) {
-	off := -1
-	if withPP {
-		off = 0
-	}
-	return ParseAt(frame, off)
-}
-
-// ParseAt decodes a frame whose PayloadPark header sits ppOffset bytes
-// into the payload region (the §7 decoupling boundary). ppOffset < 0
-// parses a frame with no PayloadPark header.
 func ParseAt(frame []byte, ppOffset int) (*Packet, error) {
 	p := &Packet{}
 	if err := ParseAtInto(p, frame, ppOffset); err != nil {
@@ -123,40 +114,46 @@ func ParseAtInto(p *Packet, frame []byte, ppOffset int) error {
 	if err := p.Eth.Unmarshal(frame); err != nil {
 		return err
 	}
-	if p.Eth.EtherType == EtherTypeCR {
-		return p.parseCompressed(frame, ppOffset)
-	}
-	if p.Eth.EtherType != EtherTypeIPv4 {
+	off := EthernetHeaderLen
+	switch p.Eth.EtherType {
+	case EtherTypeCR:
+		if err := p.parseCompressed(frame[off:]); err != nil {
+			return err
+		}
+		off += CRHeaderLen
+	case EtherTypeIPv4:
+		if err := p.IP.Unmarshal(frame[off:]); err != nil {
+			return err
+		}
+		off += IPv4HeaderLen
+		switch p.IP.Protocol {
+		case IPProtoUDP:
+			if p.UDP == nil {
+				p.UDP = &UDP{} //pp:alloc-ok warm-up: a reused packet keeps its UDP struct across parses
+			}
+			p.TCP = nil
+			if err := p.UDP.Unmarshal(frame[off:]); err != nil {
+				return err
+			}
+			off += UDPHeaderLen
+		case IPProtoTCP:
+			if p.TCP == nil {
+				p.TCP = &TCP{} //pp:alloc-ok warm-up: a reused packet keeps its TCP struct across parses
+			}
+			p.UDP = nil
+			if err := p.TCP.Unmarshal(frame[off:]); err != nil {
+				return err
+			}
+			off += TCPHeaderLen
+		default:
+			return ErrUnknownL4
+		}
+		p.CR = nil
+	default:
 		return ErrNotIPv4
 	}
-	off := EthernetHeaderLen
-	if err := p.IP.Unmarshal(frame[off:]); err != nil {
-		return err
-	}
-	off += IPv4HeaderLen
-	switch p.IP.Protocol {
-	case IPProtoUDP:
-		if p.UDP == nil {
-			p.UDP = &UDP{} //pp:alloc-ok warm-up: a reused packet keeps its UDP struct across parses
-		}
-		p.TCP = nil
-		if err := p.UDP.Unmarshal(frame[off:]); err != nil {
-			return err
-		}
-		off += UDPHeaderLen
-	case IPProtoTCP:
-		if p.TCP == nil {
-			p.TCP = &TCP{} //pp:alloc-ok warm-up: a reused packet keeps its TCP struct across parses
-		}
-		p.UDP = nil
-		if err := p.TCP.Unmarshal(frame[off:]); err != nil {
-			return err
-		}
-		off += TCPHeaderLen
-	default:
-		return ErrUnknownL4
-	}
-	p.CR = nil
+	// What follows the last header is payload, with an optional PayloadPark
+	// header ppOffset bytes into it.
 	p.headroom = nil
 	payload := p.Payload[:0]
 	if ppOffset >= 0 {
@@ -181,41 +178,21 @@ func ParseAtInto(p *Packet, frame []byte, ppOffset int) error {
 	return nil
 }
 
-// parseCompressed decodes an EtherTypeCR frame: Ethernet + compression
-// header + payload, the IPv4 and transport headers being parked in a switch
-// context table. The header structs cannot be recovered from the bytes, so
-// IP carries only the protocol the compression header records and UDP/TCP
-// are nil until the restore hop reinstates them from the context.
-func (p *Packet) parseCompressed(frame []byte, ppOffset int) error {
+// parseCompressed decodes the compression header of an EtherTypeCR frame
+// (hdr is what follows Ethernet). The IPv4 and transport headers are
+// parked in a switch context table and cannot be recovered from the
+// bytes, so IP carries only the protocol the compression header records
+// and UDP/TCP are nil until the restore hop reinstates them from the
+// context.
+func (p *Packet) parseCompressed(hdr []byte) error {
 	if p.CR == nil {
 		p.CR = &p.crStore
 	}
-	if err := p.CR.Unmarshal(frame[EthernetHeaderLen:]); err != nil {
+	if err := p.CR.Unmarshal(hdr); err != nil {
 		return err
 	}
 	p.IP = IPv4{Protocol: p.CR.Proto}
 	p.UDP, p.TCP = nil, nil
-	p.headroom = nil
-	off := EthernetHeaderLen + CRHeaderLen
-	payload := p.Payload[:0]
-	if ppOffset >= 0 {
-		if len(frame) < off+ppOffset+PPHeaderLen {
-			return fmt.Errorf("payloadpark header at offset %d: %w", ppOffset, ErrTruncated)
-		}
-		if p.PP == nil {
-			p.PP = &p.ppStore
-		}
-		if err := p.PP.Unmarshal(frame[off+ppOffset:]); err != nil {
-			return err
-		}
-		p.PPOffset = ppOffset
-		payload = append(payload, frame[off:off+ppOffset]...)
-		p.Payload = append(payload, frame[off+ppOffset+PPHeaderLen:]...)
-		return nil
-	}
-	p.PP = nil
-	p.PPOffset = 0
-	p.Payload = append(payload, frame[off:]...)
 	return nil
 }
 
@@ -253,7 +230,7 @@ func (p *Packet) Len() int { return p.HeaderLen() + len(p.Payload) }
 // Serialize renders the packet to a freshly allocated frame buffer.
 func (p *Packet) Serialize() []byte {
 	buf := make([]byte, p.Len())
-	p.SerializeTo(buf)
+	p.serializeTo(buf)
 	return buf
 }
 
@@ -272,14 +249,14 @@ func (p *Packet) AppendSerialize(buf []byte) []byte {
 	} else {
 		buf = buf[:off+n]
 	}
-	p.SerializeTo(buf[off:])
+	p.serializeTo(buf[off:])
 	return buf
 }
 
-// SerializeTo renders the packet into buf, which must hold Len() bytes,
+// serializeTo renders the packet into buf, which must hold Len() bytes,
 // and returns the number of bytes written. A PayloadPark header, when
 // present, is emitted PPOffset bytes into the payload region.
-func (p *Packet) SerializeTo(buf []byte) int {
+func (p *Packet) serializeTo(buf []byte) int {
 	off := 0
 	p.Eth.Marshal(buf[off:])
 	off += EthernetHeaderLen

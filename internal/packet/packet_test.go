@@ -32,7 +32,7 @@ func TestUDPRoundTrip(t *testing.T) {
 			t.Fatalf("built size = %d, want %d", p.Len(), size)
 		}
 		frame := p.Serialize()
-		got, err := Parse(frame, false)
+		got, err := ParseAt(frame, -1)
 		if err != nil {
 			t.Fatalf("Parse(%d bytes): %v", size, err)
 		}
@@ -53,7 +53,7 @@ func TestParsePPRoundTrip(t *testing.T) {
 		Tag:     Tag{TableIndex: 1000, Clock: 42}.Seal(),
 	}
 	frame := p.Serialize()
-	got, err := Parse(frame, true)
+	got, err := ParseAt(frame, 0)
 	if err != nil {
 		t.Fatalf("Parse with PP: %v", err)
 	}
@@ -76,7 +76,7 @@ func TestParseRejectsMalformedPP(t *testing.T) {
 	p.PP = &PPHeader{Enabled: true, Tag: Tag{TableIndex: 9, Clock: 9}.Seal()}
 	frame := p.Serialize()
 	frame[EthernetHeaderLen+IPv4HeaderLen+UDPHeaderLen] |= 0x15 // dirty ALIGN bits
-	if _, err := Parse(frame, true); !errors.Is(err, ErrBadPPHeader) {
+	if _, err := ParseAt(frame, 0); !errors.Is(err, ErrBadPPHeader) {
 		t.Errorf("err = %v, want ErrBadPPHeader", err)
 	}
 }
@@ -96,26 +96,26 @@ func TestParseErrors(t *testing.T) {
 		{"cut udp", frame[:EthernetHeaderLen+IPv4HeaderLen+3], ErrTruncated},
 	}
 	for _, tc := range tests {
-		if _, err := Parse(tc.frame, false); !errors.Is(err, tc.want) {
+		if _, err := ParseAt(tc.frame, -1); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
 
 	bad := append([]byte(nil), frame...)
 	bad[12], bad[13] = 0x86, 0xdd // IPv6 ethertype
-	if _, err := Parse(bad, false); !errors.Is(err, ErrNotIPv4) {
+	if _, err := ParseAt(bad, -1); !errors.Is(err, ErrNotIPv4) {
 		t.Errorf("non-IPv4: err = %v, want ErrNotIPv4", err)
 	}
 
 	bad = append([]byte(nil), frame...)
 	bad[EthernetHeaderLen] = 4<<4 | 6 // IHL 6: options
-	if _, err := Parse(bad, false); !errors.Is(err, ErrIPv4Options) {
+	if _, err := ParseAt(bad, -1); !errors.Is(err, ErrIPv4Options) {
 		t.Errorf("options: err = %v, want ErrIPv4Options", err)
 	}
 
 	bad = append([]byte(nil), frame...)
 	bad[EthernetHeaderLen+9] = 47 // GRE
-	if _, err := Parse(bad, false); !errors.Is(err, ErrUnknownL4) {
+	if _, err := ParseAt(bad, -1); !errors.Is(err, ErrUnknownL4) {
 		t.Errorf("GRE: err = %v, want ErrUnknownL4", err)
 	}
 }
@@ -135,7 +135,7 @@ func TestTCPRoundTrip(t *testing.T) {
 	}
 	p.IP.UpdateChecksum()
 	frame := p.Serialize()
-	got, err := Parse(frame, false)
+	got, err := ParseAt(frame, -1)
 	if err != nil {
 		t.Fatalf("Parse TCP: %v", err)
 	}
@@ -326,7 +326,7 @@ func TestParsePropertyRandomSizes(t *testing.T) {
 		size := 42 + int(sz)%1459 // 42..1500
 		p := NewBuilder(testSrcMAC, testDstMAC).UDP(testFT, size, id)
 		frame := p.Serialize()
-		got, err := Parse(frame, false)
+		got, err := ParseAt(frame, -1)
 		if err != nil {
 			return false
 		}
@@ -359,7 +359,7 @@ func BenchmarkParseUDP(b *testing.B) {
 	b.SetBytes(int64(len(frame)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Parse(frame, false); err != nil {
+		if _, err := ParseAt(frame, -1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -371,6 +371,6 @@ func BenchmarkSerializeUDP(b *testing.B) {
 	b.SetBytes(int64(p.Len()))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p.SerializeTo(buf)
+		p.serializeTo(buf)
 	}
 }

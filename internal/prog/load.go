@@ -353,11 +353,9 @@ func configureParser(spec *Spec, pipe *rmt.Pipeline, params map[string]int64) er
 		pipe.DeclarePHVBits(spec.PHVBits)
 	}
 	for _, pv := range spec.Parser.PPPorts {
-		port, err := pv.resolve(params)
-		if err != nil {
+		if _, err := pv.resolve(params); err != nil {
 			return fmt.Errorf("prog: parser pp port: %w", err)
 		}
-		parser.ExpectPPHeader(rmt.PortID(port))
 	}
 	return nil
 }

@@ -9,20 +9,18 @@ import (
 // visible to MATs, and — when configured — the leading payload bytes are
 // lifted into PHV payload blocks so stages can park them in registers.
 //
-// The parser also knows, per port, whether arriving packets carry a
-// PayloadPark header (the paper disambiguates Split vs. Merge traffic by
-// switch port, §5).
+// Whether an arriving frame carries a PayloadPark header is decided per
+// port (the paper disambiguates Split vs. Merge traffic by switch port,
+// §5) by whoever parses the bytes — core.Switch.PPOffset — before the
+// parsed packet reaches FillPHV.
 type Parser struct {
 	blocks     int // payload blocks extracted into the PHV
 	blockBytes int // bytes per block
 	parkOffset int // payload bytes left in front of the parked region
-	ppPorts    map[PortID]bool
 }
 
 // NewParser returns a parser that extracts no payload blocks.
-func NewParser() *Parser {
-	return &Parser{ppPorts: make(map[PortID]bool)}
-}
+func NewParser() *Parser { return &Parser{} }
 
 // ExtractPayloadBlocks configures the parser to lift blocks x blockBytes
 // payload bytes into the PHV. The PHV budget check happens when the owning
@@ -49,10 +47,6 @@ func (p *Parser) BlockBytes() int { return p.blockBytes }
 // ParkBytes returns the number of payload bytes the parser lifts into the
 // PHV (block count x width).
 func (p *Parser) ParkBytes() int { return p.blocks * p.blockBytes }
-
-// ExpectPPHeader marks a port whose arriving packets carry the PayloadPark
-// header (i.e. ports facing the NF server).
-func (p *Parser) ExpectPPHeader(port PortID) { p.ppPorts[port] = true }
 
 // phvBits reports the PHV bits the payload blocks and the visible prefix
 // consume.
@@ -91,19 +85,4 @@ func (p *Parser) FillPHV(phv *PHV, pkt *packet.Packet, port PortID) {
 		phv.Blocks = views
 		phv.SetMeta(MetaPayloadOK, 1)
 	}
-}
-
-// ParseFrame parses raw frame bytes arriving on port and builds the PHV.
-// Whether a PayloadPark header is expected is decided by the port, exactly
-// as in the hardware prototype.
-func (p *Parser) ParseFrame(frame []byte, port PortID) (*PHV, error) {
-	off := -1
-	if p.ppPorts[port] {
-		off = p.parkOffset
-	}
-	pkt, err := packet.ParseAt(frame, off)
-	if err != nil {
-		return nil, err
-	}
-	return p.ToPHV(pkt, port), nil
 }

@@ -260,35 +260,6 @@ func TestParserPHVBudgetIncludesBlocks(t *testing.T) {
 	}
 }
 
-func TestParseFrameByPort(t *testing.T) {
-	p := NewPipeline("test")
-	p.Parser().ExpectPPHeader(7)
-	pkt := testPkt(t, 300)
-	pkt.PP = &packet.PPHeader{Enabled: true, Tag: packet.Tag{TableIndex: 1, Clock: 2}.Seal()}
-	frame := pkt.Serialize()
-
-	phv, err := p.Parser().ParseFrame(frame, 7)
-	if err != nil {
-		t.Fatalf("ParseFrame(pp port): %v", err)
-	}
-	if phv.Pkt.PP == nil || !phv.Pkt.PP.Enabled {
-		t.Error("PP header not parsed on PP-expected port")
-	}
-
-	plain := testPkt(t, 300).Serialize()
-	phv, err = p.Parser().ParseFrame(plain, 3)
-	if err != nil {
-		t.Fatalf("ParseFrame(plain port): %v", err)
-	}
-	if phv.Pkt.PP != nil {
-		t.Error("PP header parsed on non-PP port")
-	}
-
-	if _, err := p.Parser().ParseFrame(frame[:10], 3); err == nil {
-		t.Error("truncated frame parsed without error")
-	}
-}
-
 func TestMarkDrop(t *testing.T) {
 	phv := &PHV{}
 	phv.MarkDrop("premature eviction")

@@ -274,8 +274,8 @@ func (t Testbed) run(ctx context.Context, s *Scenario) (*Report, error) {
 // --- MultiServer ---
 
 func (m MultiServer) validate(s *Scenario) error {
-	if m.Servers < 0 || m.Servers > 8 {
-		return errf("multiserver: Servers = %d outside [1,8]", m.Servers)
+	if err := (sim.MultiServerConfig{Servers: defInt(m.Servers, 8)}).Validate(); err != nil {
+		return errf("multiserver: %v", err)
 	}
 	if s.Chain != nil {
 		return errf("multiserver: custom Chain unsupported (the §6.2.3 deployment pins the MAC-swap chain)")
@@ -350,10 +350,6 @@ func (m MultiServer) run(ctx context.Context, s *Scenario) (*Report, error) {
 // --- LeafSpine ---
 
 func (l LeafSpine) validate(s *Scenario) error {
-	L, S := defInt(l.Leaves, 4), defInt(l.Spines, 2)
-	if L < 2 || L > 16 || S < 1 || S > 13 {
-		return errf("leafspine: %dx%d outside supported geometry", L, S)
-	}
 	switch s.Program.Kind {
 	case "":
 		if s.Program.Spec != nil {
@@ -363,24 +359,15 @@ func (l LeafSpine) validate(s *Scenario) error {
 		if s.Program.Spec != nil {
 			return errf("leafspine: Program.Kind \"compress\" is built-in (drop Spec)")
 		}
-		if s.Parking.Mode == sim.ParkEveryHop {
-			return errf("leafspine: compression cannot ride every-hop striping (wire-parse hops would re-parse compressed transit frames)")
-		}
 	case "custom":
 		return errf("leafspine: custom Program specs are Testbed-only (use Kind \"compress\")")
 	default:
 		return errf("leafspine: unknown Program.Kind %q (want \"compress\")", s.Program.Kind)
 	}
-	if s.Parking.Enabled() || s.Program.Kind == "compress" {
-		for i := 0; i < L; i++ {
-			if i%S == ((i+1)%L)%S {
-				return errf("leafspine: %dx%d cannot park: flow %d's forward path enters leaf %d on its merge port (try 4x2 or 6x3)",
-					L, S, i, (i+1)%L)
-			}
-		}
-		if l.FailLink && S < 3 {
-			return errf("leafspine: parking-safe reroute needs a third spine (got %d)", S)
-		}
+	// Geometry, merge-port collision, reroute, ECMP x every-hop and
+	// compress x every-hop: the fabric's own rules.
+	if err := l.simConfig(s).Validate(); err != nil {
+		return errf("leafspine: %v", err)
 	}
 	if s.Chain != nil {
 		return errf("leafspine: custom Chain unsupported (fabric NFs pin the MAC-swap chain)")
@@ -391,18 +378,17 @@ func (l LeafSpine) validate(s *Scenario) error {
 	if s.Parking.Recirculate || s.Parking.BoundaryOffset != 0 || s.Parking.ExplicitDrop {
 		return errf("leafspine: Recirculate/BoundaryOffset/ExplicitDrop unsupported")
 	}
-	if s.Control.ECMP && s.Parking.Mode == sim.ParkEveryHop {
-		return errf("leafspine: ECMP cannot stripe (park-at-every-hop programs sit on each flow's static path)")
-	}
 	if s.Control.Adaptive && !s.Control.ECMP && !s.Parking.Enabled() {
 		return errf("leafspine: adaptive control needs parking enabled")
 	}
 	return nil
 }
 
-func (l LeafSpine) run(ctx context.Context, s *Scenario) (*Report, error) {
+// simConfig maps the scenario onto the fabric's configuration (Cancel and
+// Obs are run-time wiring, added by run).
+func (l LeafSpine) simConfig(s *Scenario) sim.FabricConfig {
 	warmup, measure := s.Opts.windows()
-	cfg := sim.FabricConfig{
+	return sim.FabricConfig{
 		Leaves:            l.Leaves,
 		Spines:            l.Spines,
 		LinkBps:           l.LinkBps,
@@ -427,8 +413,12 @@ func (l LeafSpine) run(ctx context.Context, s *Scenario) (*Report, error) {
 		ECMP:              s.Control.ECMP,
 		Control:           s.Control.config(),
 		Partitions:        s.Opts.Partitions,
-		Cancel:            CancelFunc(ctx),
 	}
+}
+
+func (l LeafSpine) run(ctx context.Context, s *Scenario) (*Report, error) {
+	cfg := l.simConfig(s)
+	cfg.Cancel = CancelFunc(ctx)
 	ob := newObsSetup(s.Observe)
 	cfg.Obs = ob.simCfg()
 	res := sim.RunLeafSpine(cfg)

@@ -128,12 +128,14 @@ func TestRunValidation(t *testing.T) {
 		want string
 	}{
 		{"nil topology", Scenario{}, "nil Topology"},
-		{"bad servers", Scenario{Topology: MultiServer{Servers: 9}}, "outside [1,8]"},
+		{"bad servers", Scenario{Topology: MultiServer{Servers: 9}}, "multiserver: servers = 9 outside [1,8]"},
 		{"ms chain", Scenario{Topology: MultiServer{}, Chain: fwNATChain}, "MAC-swap"},
 		{"ms everyhop", Scenario{Topology: MultiServer{}, Parking: Parking{Mode: sim.ParkEveryHop}}, "multi-switch"},
-		{"bad geometry", Scenario{Topology: LeafSpine{Leaves: 40}}, "geometry"},
+		{"bad geometry", Scenario{Topology: LeafSpine{Leaves: 40}}, "leafspine: 40x2 outside supported geometry"},
 		{"merge-port geometry", Scenario{Topology: LeafSpine{Leaves: 4, Spines: 3}, Parking: Parking{Mode: sim.ParkEdge}}, "merge port"},
 		{"fail needs 3 spines", Scenario{Topology: LeafSpine{Leaves: 4, Spines: 2, FailLink: true}, Parking: Parking{Mode: sim.ParkEdge}}, "third spine"},
+		{"ecmp x everyhop", Scenario{Topology: LeafSpine{}, Parking: Parking{Mode: sim.ParkEveryHop}, Control: Control{ECMP: true}}, "cannot stripe"},
+		{"compress x everyhop", Scenario{Topology: LeafSpine{}, Parking: Parking{Mode: sim.ParkEveryHop}, Program: Program{Kind: "compress"}}, "every-hop"},
 		{"custom nil hook", Scenario{Topology: Custom{Name: "x"}}, "nil Run hook"},
 		{"custom nil report", Scenario{Topology: Custom{Name: "x", Run: func(context.Context, Scenario) (*Report, error) {
 			return nil, nil

@@ -174,8 +174,7 @@ type Sweep struct {
 	Axes []Axis
 	// Workers bounds the parallel worker pool (default
 	// min(GOMAXPROCS, points)). Each point is one independent
-	// single-threaded simulation, so points scale across cores the way
-	// the dataplane's ParallelDriver shards across pipes.
+	// single-threaded simulation, so points scale across cores.
 	Workers int
 }
 

@@ -252,7 +252,9 @@ type SwitchNode struct {
 	ingress  [core.NumPorts]func(Parcel)
 	routeFns [core.NumPorts]func(Parcel)
 
-	em   core.Emission
+	// one is the batch of one every arrival is injected through; buf and
+	// pool back reparse.
+	one  batchOfOne
 	buf  []byte
 	pool []*packet.Packet
 
@@ -329,18 +331,32 @@ func (n *SwitchNode) handle(p Parcel, in rmt.PortID) {
 			return
 		}
 	}
-	ok, reason := n.SW.InjectReuse(p.Pkt, in, &n.em)
-	if !ok {
-		if reason != core.DropExplicitDrop {
-			n.dropOf(in)(p, reason)
+	r := n.one.inject(n.SW, p.Pkt, in)
+	if !r.OK {
+		if r.Reason != core.DropExplicitDrop {
+			n.dropOf(in)(p, r.Reason)
 		} else {
 			n.consumedOf(in)(p)
 		}
 		return
 	}
-	p.Pkt = n.em.Pkt
-	p.egress = n.em.Port
-	n.eng.ScheduleParcel(n.em.LatencyNs, n.routeFns[in], p)
+	p.Pkt = r.Em.Pkt
+	p.egress = r.Em.Port
+	n.eng.ScheduleParcel(r.Em.LatencyNs, n.routeFns[in], p)
+}
+
+// batchOfOne is the scalar case of core.Switch.InjectBatch: owner-held
+// scratch for injecting one packet at a time without allocating.
+type batchOfOne struct {
+	bp  [1]core.BatchPacket
+	res [1]core.BatchResult
+}
+
+// inject runs pkt through sw; the result is valid until the next call.
+func (b *batchOfOne) inject(sw *core.Switch, pkt *packet.Packet, in rmt.PortID) *core.BatchResult {
+	b.bp[0] = core.BatchPacket{Pkt: pkt, In: in}
+	sw.InjectBatch(b.bp[:], b.res[:])
+	return &b.res[0]
 }
 
 // route forwards an emission onto the cable of its egress port. in is the

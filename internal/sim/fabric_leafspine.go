@@ -207,6 +207,42 @@ func (c *FabricConfig) fillDefaults() {
 	}
 }
 
+// Validate reports the first leaf-spine rule the configuration breaks
+// (zero Leaves/Spines read as the 4x2 default). It is the one place the
+// geometry and mode-combination rules live: scenario validation returns
+// its error, RunLeafSpine panics with it.
+func (c FabricConfig) Validate() error {
+	c.fillDefaults()
+	L, S := c.Leaves, c.Spines
+	if L < 2 || L > 16 || S < 1 || S > 13 {
+		return fmt.Errorf("%dx%d outside supported geometry (2..16 leaves, 1..13 spines)", L, S)
+	}
+	if c.ECMP && c.Mode == ParkEveryHop {
+		return fmt.Errorf("ECMP cannot stripe: park-at-every-hop programs are installed on each flow's static path")
+	}
+	if c.Compress && c.Mode == ParkEveryHop {
+		return fmt.Errorf("compression cannot ride every-hop striping: wire-parse hops would re-parse compressed transit frames")
+	}
+	if c.Mode != ParkNone || c.Compress {
+		// A slim transit packet entering the egress leaf on that leaf's
+		// merge port would be treated as a merge with a foreign tag and
+		// dropped as a premature eviction, so every flow's spine affinity
+		// must differ from its egress leaf's (4x2 and 6x3 qualify; 4x3
+		// does not — flow 3's affinity collides with leaf 0's).
+		// Compression pins its restore port identically, so the same
+		// geometry requirement applies.
+		for i := 0; i < L; i++ {
+			if c.spineOf(i) == c.spineOf((i+1)%L) {
+				return fmt.Errorf("%dx%d cannot park: flow %d's forward path enters leaf %d on its merge port (try 4x2 or 6x3)", L, S, i, (i+1)%L)
+			}
+		}
+		if c.FailLink && S < 3 {
+			return fmt.Errorf("parking-safe reroute needs a third spine (got %d): with two, the alternate path arrives on the egress leaf's merge port", S)
+		}
+	}
+	return nil
+}
+
 // FlowResult reports one source->NF->sink flow across the fabric.
 type FlowResult struct {
 	// Name is "leaf<i>->nf<j>".
@@ -274,33 +310,10 @@ func leafSpineMACs(i int) (gen, nfm packet.MAC) {
 // to its port path.
 func RunLeafSpine(cfg FabricConfig) FabricResult {
 	cfg.fillDefaults()
+	if err := cfg.Validate(); err != nil {
+		panic("sim: leaf-spine " + err.Error())
+	}
 	L, S := cfg.Leaves, cfg.Spines
-	if L < 2 || L > 16 || S < 1 || S > 13 {
-		panic(fmt.Sprintf("sim: leaf-spine %dx%d outside supported geometry", L, S))
-	}
-	if cfg.Mode != ParkNone || cfg.Compress {
-		// A slim transit packet entering the egress leaf on that leaf's
-		// merge port would be treated as a merge with a foreign tag and
-		// dropped as a premature eviction, so every flow's spine affinity
-		// must differ from its egress leaf's (4x2 and 6x3 qualify; 4x3
-		// does not — flow 3's affinity collides with leaf 0's).
-		// Compression pins its restore port identically, so the same
-		// geometry requirement applies.
-		for i := 0; i < L; i++ {
-			if cfg.spineOf(i) == cfg.spineOf((i+1)%L) {
-				panic(fmt.Sprintf("sim: leaf-spine %dx%d cannot park: flow %d's forward path enters leaf %d on its merge port", L, S, i, (i+1)%L))
-			}
-		}
-		if cfg.FailLink && S < 3 {
-			panic(fmt.Sprintf("sim: parking-safe reroute needs a third spine (got %d): with two, the alternate path arrives on the egress leaf's merge port", S))
-		}
-	}
-	if cfg.ECMP && cfg.Mode == ParkEveryHop {
-		panic("sim: ECMP cannot stripe: park-at-every-hop programs are installed on each flow's static path")
-	}
-	if cfg.Compress && cfg.Mode == ParkEveryHop {
-		panic("sim: compression cannot ride every-hop striping: wire-parse hops would re-parse compressed transit frames")
-	}
 
 	// Partition placement: greedy min-cut over the switch graph (leaves
 	// 0..L-1 then spines L..L+S-1, matching report order); every leaf's

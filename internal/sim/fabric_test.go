@@ -1,11 +1,16 @@
 package sim
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/payloadpark/payloadpark/internal/core"
+	"github.com/payloadpark/payloadpark/internal/packet"
+	"github.com/payloadpark/payloadpark/internal/rmt"
+	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
 // leafSpineSmoke is a fast 4x2 configuration for tests.
@@ -169,31 +174,85 @@ func totalPrematureStats(r FabricResult) uint64 {
 	return n
 }
 
-// TestFabricDataplaneEquivalence: the pipelined per-switch drivers are
-// observably equivalent to the sequential chain walk — same split/merge
-// counters on every switch, packets fully restored every round.
+// TestFabricDataplaneEquivalence: a chain of striping switches is
+// equivalent to plain forwarding. Frames cross every hop as bytes through
+// one-slot FrameBursts; each switch parks its own block behind the
+// upstream switch's header (§7), the deepest switch's emission turns
+// around as the NF would, and after the last merge the sink sees the
+// original bytes — with every switch having parked and restored every
+// packet, every round, on all four pipes.
 func TestFabricDataplaneEquivalence(t *testing.T) {
+	const packets, rounds = 64, 4
 	for _, switches := range []int{2, 3} {
-		cfg := FabricDataplaneConfig{Switches: switches, Packets: 64, Rounds: 4, Batch: 32, Seed: 7}
-		seq := RunFabricDataplane(cfg)
-		cfg.Pipelined = true
-		par := RunFabricDataplane(cfg)
-		if seq.Packets == 0 || seq.Packets != par.Packets {
-			t.Fatalf("chain %d: injections seq=%d par=%d", switches, seq.Packets, par.Packets)
+		chain := make([]*core.Switch, switches)
+		bursts := make([]*core.FrameBurst, switches)
+		for k := range chain {
+			sw := core.NewSwitch(fmt.Sprintf("fab%d", k))
+			for pipe := 0; pipe < core.NumPipes; pipe++ {
+				base := rmt.PortID(pipe * core.PortsPerPipe)
+				sw.AddL2Route(packet.MAC{2, 0, 0, 0, byte(pipe), 2}, base+1)
+				sinkPort := base // downstream switches return toward the upstream one
+				if k == 0 {
+					sinkPort = base + 2
+				}
+				sw.AddL2Route(packet.MAC{2, 0, 0, 0, byte(pipe), 3}, sinkPort)
+				if _, err := sw.AttachPayloadPark(core.Config{
+					Slots: 1024, MaxExpiry: 1, SplitPort: base, MergePort: base + 1,
+				}, -1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			chain[k], bursts[k] = sw, sw.NewFrameBurst(1)
 		}
-		if !reflect.DeepEqual(seq.PerSwitch, par.PerSwitch) {
-			t.Errorf("chain %d: per-switch splits diverged: %v vs %v", switches, seq.PerSwitch, par.PerSwitch)
+		hop := func(k int, frame []byte, in rmt.PortID) []byte {
+			fb := bursts[k]
+			fb.Reset()
+			if err := fb.Add(frame, in); err != nil {
+				t.Fatalf("chain %d: switch %d port %d: %v", switches, k, in, err)
+			}
+			r := &fb.Run()[0]
+			if !r.OK {
+				t.Fatalf("chain %d: switch %d port %d dropped: %s", switches, k, in, r.Reason)
+			}
+			return r.Em.Pkt.Serialize()
 		}
-		if seq.Splits != par.Splits || seq.Merges != par.Merges {
-			t.Errorf("chain %d: counters diverged: seq=%+v par=%+v", switches, seq, par)
+		for pipe := 0; pipe < core.NumPipes; pipe++ {
+			base := rmt.PortID(pipe * core.PortsPerPipe)
+			sinkMAC := packet.MAC{2, 0, 0, 0, byte(pipe), 3}
+			gen := trafficgen.New(trafficgen.Config{
+				Sizes: trafficgen.Fixed(882), Flows: 256,
+				SrcMAC: MACGen, DstMAC: packet.MAC{2, 0, 0, 0, byte(pipe), 2},
+				DstIP: packet.IPv4Addr{10, 3, byte(pipe), 9}, DstPort: 80, Seed: 7 + int64(pipe),
+			})
+			for i := 0; i < packets; i++ {
+				orig := gen.Next().Serialize()
+				want := append([]byte(nil), orig...)
+				copy(want[0:6], sinkMAC[:])
+				for r := 0; r < rounds; r++ {
+					frame := orig
+					for k := 0; k < switches; k++ {
+						frame = hop(k, frame, base)
+					}
+					copy(frame[0:6], sinkMAC[:])
+					for k := switches - 1; k >= 0; k-- {
+						frame = hop(k, frame, base+1)
+					}
+					if !bytes.Equal(frame, want) {
+						t.Fatalf("chain %d pipe %d packet %d round %d: sink frame differs from the original", switches, pipe, i, r)
+					}
+				}
+			}
 		}
-		if seq.Splits != seq.Merges {
-			t.Errorf("chain %d: splits=%d merges=%d (slots leaked)", switches, seq.Splits, seq.Merges)
-		}
-		want := uint64(switches * 64 * 4 * core.NumPipes)
-		if seq.Splits != want {
-			t.Errorf("chain %d: splits=%d, want %d (every switch parks every packet every round)",
-				switches, seq.Splits, want)
+		for k, sw := range chain {
+			var splits, merges uint64
+			for _, p := range sw.Programs() {
+				splits += p.C.Splits.Value()
+				merges += p.C.Merges.Value()
+			}
+			if want := uint64(core.NumPipes * packets * rounds); splits != want || merges != want {
+				t.Errorf("chain %d switch %d: splits=%d merges=%d, want %d each (every switch parks every packet every round)",
+					switches, k, splits, merges, want)
+			}
 		}
 	}
 }

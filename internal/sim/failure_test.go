@@ -5,6 +5,8 @@ import (
 
 	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/ctrl"
+	"github.com/payloadpark/payloadpark/internal/packet"
+	"github.com/payloadpark/payloadpark/internal/rmt"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
@@ -122,13 +124,13 @@ func TestAdaptiveEvictorInSim(t *testing.T) {
 	// evictions that the controller must react to.
 	var held []*core.Emission
 	for i := 0; i < 16; i++ {
-		if em := sw.Inject(gen.Next(), 0); em != nil && em.Pkt.PP != nil && em.Pkt.PP.Enabled {
+		if em := inject(sw, gen.Next(), 0); em != nil && em.Pkt.PP != nil && em.Pkt.PP.Enabled {
 			held = append(held, em)
 		}
 	}
 	for _, em := range held {
 		em.Pkt.Eth.Src, em.Pkt.Eth.Dst = MACNF, MACSink
-		sw.Inject(em.Pkt, 1) // most are premature by now
+		inject(sw, em.Pkt, 1) // most are premature by now
 	}
 	ctl.Tick(1000)
 	if prog.MaxExpiry() != 8 {
@@ -147,4 +149,15 @@ func TestAdaptiveEvictorInSim(t *testing.T) {
 		rep.Decisions[0].Kind != "backoff" || rep.Decisions[1].Kind != "resume" {
 		t.Fatalf("decision timeline wrong: %+v", rep.Decisions)
 	}
+}
+
+// inject runs one packet through sw as a batch of one, returning its
+// emission (nil when dropped).
+func inject(sw *core.Switch, pkt *packet.Packet, in rmt.PortID) *core.Emission {
+	res := make([]core.BatchResult, 1)
+	sw.InjectBatch([]core.BatchPacket{{Pkt: pkt, In: in}}, res)
+	if !res[0].OK {
+		return nil
+	}
+	return &res[0].Em
 }

@@ -45,6 +45,15 @@ type MultiServerConfig struct {
 	Obs ObsConfig
 }
 
+// Validate reports a server count the switch cannot host (two per pipe).
+// Scenario validation returns its error; RunMultiServer panics with it.
+func (c MultiServerConfig) Validate() error {
+	if c.Servers < 1 || c.Servers > 8 {
+		return fmt.Errorf("servers = %d outside [1,8]", c.Servers)
+	}
+	return nil
+}
+
 // MultiServerFlows is each generator's 5-tuple pool size: large enough
 // that the RSS hash spreads load over 8 cores with only a few percent of
 // share noise, small enough to keep flow state cheap. Exported so the
@@ -69,8 +78,8 @@ type MultiServerResult struct {
 // whose per-ingress-port drop hooks charge each tenant's failures to its
 // own counters and packet pool.
 func RunMultiServer(cfg MultiServerConfig) MultiServerResult {
-	if cfg.Servers < 1 || cfg.Servers > 8 {
-		panic(fmt.Sprintf("sim: servers = %d outside [1,8]", cfg.Servers))
+	if err := cfg.Validate(); err != nil {
+		panic("sim: multiserver " + err.Error())
 	}
 	if cfg.WarmupNs == 0 {
 		cfg.WarmupNs = 10e6

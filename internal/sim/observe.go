@@ -191,7 +191,7 @@ func (n *SwitchNode) handleTraced(p Parcel, in rmt.PortID) {
 		}
 	}
 	pre := n.progCounts()
-	ok, reason := n.SW.InjectReuse(p.Pkt, in, &n.em)
+	r := n.one.inject(n.SW, p.Pkt, in)
 	post := n.progCounts()
 	at := n.eng.Now()
 	if d := post.splits - pre.splits; d > 0 {
@@ -203,17 +203,17 @@ func (n *SwitchNode) handleTraced(p Parcel, in rmt.PortID) {
 	if d := post.evictions - pre.evictions; d > 0 {
 		n.rec.Emit(obs.Event{At: at, Track: n.trk, Kind: obs.KindEvict, ID: p.Born, Arg: int64(d)})
 	}
-	if !ok {
-		if reason != core.DropExplicitDrop {
-			n.rec.Emit(obs.Event{At: at, Track: n.trk, Kind: obs.KindDrop, Name: n.dropName(reason), ID: p.Born})
-			n.dropOf(in)(p, reason)
+	if !r.OK {
+		if r.Reason != core.DropExplicitDrop {
+			n.rec.Emit(obs.Event{At: at, Track: n.trk, Kind: obs.KindDrop, Name: n.dropName(r.Reason), ID: p.Born})
+			n.dropOf(in)(p, r.Reason)
 		} else {
 			n.rec.Emit(obs.Event{At: at, Track: n.trk, Kind: obs.KindConsume, ID: p.Born})
 			n.consumedOf(in)(p)
 		}
 		return
 	}
-	p.Pkt = n.em.Pkt
-	p.egress = n.em.Port
-	n.eng.ScheduleParcel(n.em.LatencyNs, n.routeFns[in], p)
+	p.Pkt = r.Em.Pkt
+	p.egress = r.Em.Port
+	n.eng.ScheduleParcel(r.Em.LatencyNs, n.routeFns[in], p)
 }

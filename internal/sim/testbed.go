@@ -184,6 +184,25 @@ func (r Result) String() string {
 		r.Name, r.SendGbps, r.GoodputGbps, r.AvgLatencyUs, 100*r.UnintendedDropRate, r.PCIeUtilPct, r.Healthy)
 }
 
+// wireTestbed installs the Fig. 5 wiring on sw: generator on port 0 (the
+// split port), NF server on port 1 (the merge port), sink on port 2. A
+// nil pp leaves the switch a plain L2 forwarder (the baseline).
+func wireTestbed(sw *core.Switch, pp *core.Config) (*core.Program, error) {
+	sw.AddL2Route(MACNF, portNF)
+	sw.AddL2Route(MACSink, portSink)
+	sw.AddL2Route(MACGen, portSink) // MAC-swap chains return toward the generator
+	if pp == nil {
+		return nil, nil
+	}
+	cfg := *pp
+	cfg.SplitPort, cfg.MergePort = portSplit, portNF
+	recirc := -1
+	if cfg.Recirculate {
+		recirc = 1
+	}
+	return sw.AttachPayloadPark(cfg, recirc)
+}
+
 // RunTestbed simulates one deployment and reports measurements. It is a
 // thin preset over Fabric: one switch node with three cables (generator,
 // NF server, sink), reproducing the paper's Fig. 5 topology. The wiring
@@ -198,24 +217,13 @@ func RunTestbed(cfg TestbedConfig) Result {
 	// Behavioural components.
 	swn := f.AddSwitch(cfg.Name)
 	sw := swn.SW
-	sw.AddL2Route(MACNF, portNF)
-	sw.AddL2Route(MACSink, portSink)
-	sw.AddL2Route(MACGen, portSink) // MAC-swap chains return toward the generator
-
-	var prog *core.Program
+	var pp *core.Config
 	if cfg.PayloadPark {
-		pp := cfg.PP
-		pp.SplitPort = portSplit
-		pp.MergePort = portNF
-		recirc := -1
-		if pp.Recirculate {
-			recirc = 1
-		}
-		var err error
-		prog, err = sw.AttachPayloadPark(pp, recirc)
-		if err != nil {
-			panic(fmt.Sprintf("sim: attach payloadpark: %v", err))
-		}
+		pp = &cfg.PP
+	}
+	prog, err := wireTestbed(sw, pp)
+	if err != nil {
+		panic(fmt.Sprintf("sim: attach payloadpark: %v", err))
 	}
 	insts := attachPrograms(sw, cfg.Programs, portSplit, portNF)
 

@@ -35,7 +35,7 @@ var ErrEmptyCapture = errors.New("trafficgen: capture holds no parseable packets
 func NewReplay(recs []pcap.Record, srcMAC, dstMAC packet.MAC) (*Replay, error) {
 	r := &Replay{}
 	for _, rec := range recs {
-		p, err := packet.Parse(rec.Data, false)
+		p, err := packet.ParseAt(rec.Data, -1)
 		if err != nil {
 			continue
 		}

@@ -44,7 +44,7 @@ func TestWorkloadWriteAndReplay(t *testing.T) {
 	}
 	// Looping: packet 501 equals packet 1 (modulo clone identity).
 	again := rp.Next()
-	first, _ := packet.Parse(recs[0].Data, false)
+	first, _ := packet.ParseAt(recs[0].Data, -1)
 	if !bytes.Equal(again.Payload, first.Payload) {
 		t.Error("replay did not loop to the start")
 	}

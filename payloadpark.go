@@ -24,10 +24,6 @@
 //     applications push packets through it in-process.
 //   - Experiments exposes the per-figure/table reproduction harness.
 //
-// The legacy Simulate, SimulateMultiServer and SimulateFabric
-// entrypoints survive as thin deprecated wrappers over the same
-// internals; parity tests pin their outputs byte-identical to Run's.
-//
 // The dataplane is byte-accurate: Split really removes the parked bytes
 // from the packet and stores them in register cells that obey the RMT
 // one-stateful-access-per-table restriction; Merge really reassembles the
@@ -38,8 +34,6 @@ package payloadpark
 import (
 	"context"
 	"fmt"
-	"io"
-	"strings"
 
 	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/ctrl"
@@ -82,8 +76,6 @@ type (
 	Counters = core.Counters
 	// SimResult is a simulated deployment's measurements.
 	SimResult = sim.Result
-	// SimConfig parameterizes a simulation run.
-	SimConfig = sim.TestbedConfig
 	// ServerModel calibrates the simulated NF server.
 	ServerModel = sim.ServerModel
 	// CoreStat is one NF-server core's drop/occupancy record.
@@ -287,12 +279,9 @@ func Datacenter() SizeDist { return trafficgen.Datacenter{} }
 // Deployment is an in-process PayloadPark testbed: a switch with the
 // program installed between a traffic source and an NF chain. It is the
 // quickstart surface — push packets, observe split/merge behaviour, read
-// counters. For timed measurements use Simulate.
+// counters.
 type Deployment struct {
-	sw     *core.Switch
-	prog   *core.Program
-	server *nf.Server
-	base   bool
+	tb *sim.InProcess
 }
 
 // DeploymentConfig configures New.
@@ -337,99 +326,51 @@ func New(cfg DeploymentConfig) (*Deployment, error) {
 	if cfg.Chain == nil {
 		cfg.Chain = nf.NewChain(nf.MACSwap{})
 	}
-	d := &Deployment{base: cfg.Baseline}
-	d.sw = core.NewSwitch("payloadpark")
-	d.sw.AddL2Route(sim.MACNF, 1)
-	d.sw.AddL2Route(sim.MACSink, 2)
-	d.sw.AddL2Route(sim.MACGen, 2)
+	var pp *core.Config
 	if !cfg.Baseline {
-		pp := core.Config{
+		pp = &core.Config{
 			Slots: cfg.Slots, MaxExpiry: cfg.MaxExpiry,
-			SplitPort: 0, MergePort: 1, Recirculate: cfg.Recirculate,
-			BoundaryOffset: cfg.BoundaryOffset,
+			Recirculate: cfg.Recirculate, BoundaryOffset: cfg.BoundaryOffset,
 		}
-		recirc := -1
-		if cfg.Recirculate {
-			recirc = 1
-		}
-		prog, err := d.sw.AttachPayloadPark(pp, recirc)
-		if err != nil {
-			return nil, fmt.Errorf("payloadpark: %w", err)
-		}
-		d.prog = prog
 	}
-	d.server = nf.NewServer(nf.ServerConfig{
+	tb, err := sim.NewInProcess(pp, nf.NewServer(nf.ServerConfig{
 		Chain:        cfg.Chain,
 		ExplicitDrop: cfg.ExplicitDrop,
-	})
-	return d, nil
+	}))
+	if err != nil {
+		return nil, fmt.Errorf("payloadpark: %w", err)
+	}
+	return &Deployment{tb: tb}, nil
 }
 
 // Process pushes one generator packet through switch -> NF chain ->
 // switch and returns what the sink receives (nil if dropped anywhere).
 // The input packet is mutated; clone it first if you need the original.
-func (d *Deployment) Process(pkt *Packet) *Packet {
-	em := d.sw.Inject(pkt, 0)
-	if em == nil {
-		return nil
-	}
-	res := d.server.Handle(em.Pkt)
-	if res.Out == nil {
-		return nil
-	}
-	em2 := d.sw.Inject(res.Out, 1)
-	if em2 == nil {
-		return nil
-	}
-	return em2.Pkt
-}
+func (d *Deployment) Process(pkt *Packet) *Packet { return d.tb.Process(pkt) }
 
 // ProcessFrame is Process at the byte level: frame in, frame out.
-func (d *Deployment) ProcessFrame(frame []byte) ([]byte, error) {
-	out, em, err := d.sw.InjectFrame(frame, 0)
-	if err != nil {
-		return nil, err
-	}
-	if em == nil {
-		return nil, nil
-	}
-	// Parse as the (PayloadPark-unaware) NF framework would: any
-	// PayloadPark header rides inside the payload bytes untouched.
-	pkt, err := packet.Parse(out, false)
-	if err != nil {
-		return nil, err
-	}
-	res := d.server.Handle(pkt)
-	if res.Out == nil {
-		return nil, nil
-	}
-	out2, em2, err := d.sw.InjectFrame(res.Out.Serialize(), 1)
-	if err != nil || em2 == nil {
-		return nil, err
-	}
-	return out2, nil
-}
+func (d *Deployment) ProcessFrame(frame []byte) ([]byte, error) { return d.tb.ProcessFrame(frame) }
 
 // Counters returns the program's monitoring counters (nil state for a
 // baseline deployment).
 func (d *Deployment) Counters() *Counters {
-	if d.prog == nil {
+	if d.tb.Prog == nil {
 		return &Counters{}
 	}
-	return &d.prog.C
+	return &d.tb.Prog.C
 }
 
 // Occupancy returns the number of occupied lookup-table slots.
 func (d *Deployment) Occupancy() int {
-	if d.prog == nil {
+	if d.tb.Prog == nil {
 		return 0
 	}
-	return d.prog.Occupancy()
+	return d.tb.Prog.Occupancy()
 }
 
 // SwitchDrops returns drop counts by reason.
 func (d *Deployment) SwitchDrops() map[string]uint64 {
-	return d.sw.Drops()
+	return d.tb.SW.Drops()
 }
 
 // ResourceReport describes switch resource utilization (paper Table 1).
@@ -440,7 +381,7 @@ type ResourceReport struct {
 
 // Resources reports the ingress pipe's utilization.
 func (d *Deployment) Resources() ResourceReport {
-	u := d.sw.Pipe(0).Resources()
+	u := d.tb.SW.Pipe(0).Resources()
 	return ResourceReport{
 		SRAMAvgPct: u.SRAMAvgPct, SRAMPeakPct: u.SRAMPeakPct,
 		TCAMPct: u.TCAMPct, VLIWPct: u.VLIWPct,
@@ -455,36 +396,12 @@ func NewUDPPacket(flow FiveTuple, totalSize int, id uint16) *Packet {
 	return packet.NewBuilder(sim.MACGen, sim.MACNF).UDP(flow, totalSize, id)
 }
 
-// Simulate runs the calibrated discrete-event testbed and reports the
-// paper's metrics. See SimConfig for the knobs; harness presets for the
-// paper's machine calibrations are available through Experiments.
-//
-// Deprecated: use Run with a TestbedTopology — it accepts the same knobs
-// through Scenario and adds cancellation and the structured Report.
-// Parity tests pin this wrapper byte-identical to Run.
-func Simulate(cfg SimConfig) SimResult { return sim.RunTestbed(cfg) }
-
-// MultiServerConfig parameterizes the §6.2.3 multi-NF-server deployment
-// (up to 8 servers sharing one switch, two per pipe).
-type MultiServerConfig = sim.MultiServerConfig
-
 // MultiServerResult carries per-server measurements plus the shared
 // switch's SRAM picture.
 type MultiServerResult = sim.MultiServerResult
 
-// SimulateMultiServer runs the multi-server deployment in one
-// discrete-event simulation.
-//
-// Deprecated: use Run with a MultiServerTopology.
-func SimulateMultiServer(cfg MultiServerConfig) MultiServerResult {
-	return sim.RunMultiServer(cfg)
-}
-
 // Fabric topology simulation (multi-switch leaf-spine deployments).
 type (
-	// FabricConfig parameterizes a leaf-spine fabric run: geometry,
-	// parking mode, per-flow load, and the link-failure scenario.
-	FabricConfig = sim.FabricConfig
 	// FabricResult carries per-flow end-to-end metrics plus per-hop link
 	// and switch reports.
 	FabricResult = sim.FabricResult
@@ -497,7 +414,6 @@ type (
 	SwitchStats = sim.SwitchStats
 )
 
-// Parking modes for SimulateFabric.
 const (
 	// ParkNoneMode runs the fabric as plain L2 switches (baseline).
 	ParkNoneMode = sim.ParkNone
@@ -509,14 +425,6 @@ const (
 	// switch parks its own block.
 	ParkEveryHopMode = sim.ParkEveryHop
 )
-
-// SimulateFabric runs a leaf-spine fabric simulation: every leaf hosts a
-// traffic source, a sink, and an NF server; flows cross the spine in
-// both directions, parked according to cfg.Mode, with static route
-// tables and per-switch PayloadPark programs.
-//
-// Deprecated: use Run with a LeafSpineTopology.
-func SimulateFabric(cfg FabricConfig) FabricResult { return sim.RunLeafSpine(cfg) }
 
 // DefaultServerModel is the OpenNetVM-on-Xeon calibration: the paper's
 // 8-core machine with RSS receive-side scaling across all cores (see
@@ -534,21 +442,6 @@ func Experiments() []Experiment { return harness.All() }
 
 // ExperimentIDs returns every experiment id, sorted.
 func ExperimentIDs() []string { return harness.IDs() }
-
-// RunExperiment executes one experiment by id (e.g. "fig7", "table1"),
-// writing its output to w. Quick trades precision for speed. An unknown
-// id's error lists the valid ids.
-//
-// Deprecated: use Experiments and Experiment.Run (or Experiment.Collect
-// for the structured result); the harness itself runs on Run/RunSweep.
-func RunExperiment(id string, quick bool, seed int64, w io.Writer) error {
-	e, ok := harness.ByID(id)
-	if !ok {
-		return fmt.Errorf("payloadpark: unknown experiment %q (valid: %s)",
-			id, strings.Join(harness.IDs(), ", "))
-	}
-	return e.Run(harness.Options{Quick: quick, Seed: seed}, w)
-}
 
 // PortID names a switch port (re-export for advanced switch wiring).
 type PortID = rmt.PortID

@@ -1,10 +1,12 @@
-//lint:file-ignore SA1019 the legacy entrypoints stay covered until removal
 package payloadpark
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"testing/quick"
+
+	"github.com/payloadpark/payloadpark/internal/harness"
 )
 
 var testFlow = FiveTuple{
@@ -152,19 +154,22 @@ func TestDeploymentBadConfig(t *testing.T) {
 }
 
 func TestSimulateSmoke(t *testing.T) {
-	res := Simulate(SimConfig{
-		Name: "api-smoke", LinkBps: 10e9, SendBps: 3e9,
-		Dist: Datacenter(), Seed: 1,
-		BuildChain:  func() *Chain { return NewChain(NewNAT(IPv4Addr{198, 51, 100, 1})) },
-		Server:      DefaultServerModel(),
-		PayloadPark: true,
-		PP:          Config{Slots: 8192, MaxExpiry: 1},
-		WarmupNs:    1e6, MeasureNs: 5e6,
+	rep, err := Run(context.Background(), Scenario{
+		Name:     "api-smoke",
+		Topology: TestbedTopology{LinkBps: 10e9},
+		Parking:  ParkingPolicy{Mode: ParkEdgeMode, Slots: 8192, MaxExpiry: 1},
+		Traffic:  Traffic{SendBps: 3e9, Dist: Datacenter()},
+		Server:   DefaultServerModel(),
+		Chain:    func() *Chain { return NewChain(NewNAT(IPv4Addr{198, 51, 100, 1})) },
+		Opts:     RunOptions{Seed: 1, WarmupNs: 1e6, MeasureNs: 5e6},
 	})
-	if res.GoodputGbps <= 0 || !res.Healthy {
-		t.Errorf("simulation result: %+v", res)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Splits == 0 {
+	if rep.GoodputGbps <= 0 || !rep.Healthy {
+		t.Errorf("simulation result: %+v", rep)
+	}
+	if rep.Testbed.Splits == 0 {
 		t.Error("no splits recorded")
 	}
 }
@@ -191,19 +196,53 @@ func TestExperimentsRegistry(t *testing.T) {
 	}
 }
 
-func TestRunExperimentUnknown(t *testing.T) {
-	if err := RunExperiment("nope", true, 1, nil); err == nil {
-		t.Error("unknown experiment accepted")
-	}
-}
-
 func TestRunExperimentFig6(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunExperiment("fig6", true, 1, &buf); err != nil {
-		t.Fatal(err)
+	for _, e := range Experiments() {
+		if e.ID != "fig6" {
+			continue
+		}
+		if err := e.Run(harness.Options{Quick: true, Seed: 1}, &buf); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if buf.Len() == 0 {
 		t.Error("no output")
+	}
+}
+
+// TestRunSweepFacade exercises the sweep surface end to end through the
+// public package.
+func TestRunSweepFacade(t *testing.T) {
+	rep, err := RunSweep(context.Background(), Sweep{
+		Base: Scenario{
+			Name:     "facade",
+			Topology: TestbedTopology{},
+			Traffic:  Traffic{SendBps: 2e9},
+			Opts:     RunOptions{Seed: 1, WarmupNs: 2e5, MeasureNs: 1e6},
+		},
+		Axes: []Axis{ParkingAxis(ParkNoneMode, ParkEdgeMode)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Points) != 2 || rep.Points[0].Report == nil || rep.Points[1].Report == nil {
+		t.Fatalf("sweep points: %+v", rep.Points)
+	}
+	if rep.Points[0].Report.Mode != "baseline" || rep.Points[1].Report.Mode != "edge" {
+		t.Errorf("modes: %s / %s", rep.Points[0].Report.Mode, rep.Points[1].Report.Mode)
+	}
+}
+
+func TestExperimentIDs(t *testing.T) {
+	ids := ExperimentIDs()
+	if len(ids) < 13 {
+		t.Fatalf("ids = %v", ids)
+	}
+	for i := 1; i < len(ids); i++ {
+		if ids[i-1] >= ids[i] {
+			t.Errorf("ids not sorted: %v", ids)
+		}
 	}
 }
 
@@ -301,12 +340,16 @@ func TestProcessFrameErrors(t *testing.T) {
 }
 
 func TestSimulateMultiServerFacade(t *testing.T) {
-	res := SimulateMultiServer(MultiServerConfig{
-		Servers: 2, LinkBps: 10e9, SendBps: 2e9,
-		Dist: Fixed(384), SlotsPerServer: 2048, MaxExpiry: 1,
-		PayloadPark: true, Seed: 1, WarmupNs: 1e6, MeasureNs: 4e6,
+	rep, err := Run(context.Background(), Scenario{
+		Topology: MultiServerTopology{Servers: 2, LinkBps: 10e9},
+		Parking:  ParkingPolicy{Mode: ParkEdgeMode, Slots: 2048, MaxExpiry: 1},
+		Traffic:  Traffic{SendBps: 2e9, Dist: Fixed(384)},
+		Opts:     RunOptions{Seed: 1, WarmupNs: 1e6, MeasureNs: 4e6},
 	})
-	if len(res.PerServer) != 2 || res.PerServer[0].GoodputGbps <= 0 {
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := rep.MultiServer; len(res.PerServer) != 2 || res.PerServer[0].GoodputGbps <= 0 {
 		t.Errorf("facade multi-server run: %+v", res)
 	}
 }
