@@ -12,30 +12,57 @@ import (
 
 	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/harness"
+	"github.com/payloadpark/payloadpark/internal/nf"
 	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/sim"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
-// benchPair runs a baseline/PayloadPark configuration pair and reports
-// the goodput gain percentage.
-func benchPair(b *testing.B, mk func(pp bool) sim.TestbedConfig) (base, pp sim.Result) {
+// fig is one figure benchmark's description: the Fig. 5 testbed at
+// linkBps running sections s.
+type fig struct {
+	linkBps float64
+	s       sim.Sections
+}
+
+// figure builds a figure's description with windows short enough to keep
+// a benchmark iteration around a second; pp selects the PayloadPark side
+// (slots-slot table, aggressive expiry) over the baseline.
+func figure(name string, linkBps, sendBps float64, dist trafficgen.SizeDist, chain func() *nf.Chain, server sim.ServerModel, pp bool, slots int) fig {
+	f := fig{linkBps, sim.Sections{
+		Name:    name,
+		Traffic: sim.Traffic{SendBps: sendBps, Dist: dist},
+		Server:  server,
+		Chain:   chain,
+		Opts:    sim.RunOptions{Seed: 1, WarmupNs: 2e6, MeasureNs: 6e6},
+	}}
+	if pp {
+		f.s.Parking = sim.Parking{Mode: sim.ParkEdge, Slots: slots, MaxExpiry: 1}
+	}
+	return f
+}
+
+func (f fig) run(b *testing.B) sim.Result {
+	b.Helper()
+	res, err := sim.RunTestbed(sim.Testbed{LinkBps: f.linkBps}, f.s, sim.Wiring{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
+// benchPair runs a baseline/PayloadPark pair and reports the goodput gain
+// percentage.
+func benchPair(b *testing.B, mk func(pp bool) fig) (base, pp sim.Result) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		base = sim.RunTestbed(mk(false))
-		pp = sim.RunTestbed(mk(true))
+		base = mk(false).run(b)
+		pp = mk(true).run(b)
 	}
 	if base.GoodputGbps > 0 {
 		b.ReportMetric(100*(pp.GoodputGbps-base.GoodputGbps)/base.GoodputGbps, "goodput-gain-%")
 	}
 	return base, pp
-}
-
-// shortWindows keeps benchmark iterations around a second.
-func shortWindows(cfg sim.TestbedConfig) sim.TestbedConfig {
-	cfg.WarmupNs = 2e6
-	cfg.MeasureNs = 6e6
-	return cfg
 }
 
 func BenchmarkFig06DatacenterCDF(b *testing.B) {
@@ -54,15 +81,8 @@ func BenchmarkFig06DatacenterCDF(b *testing.B) {
 func BenchmarkFig07GoodputLatency(b *testing.B) {
 	// FW->NAT->LB on NetBricks, 10GbE, datacenter traffic, at 11 Gbps
 	// offered — past the baseline's saturation (paper: +13% at peak).
-	benchPair(b, func(pp bool) sim.TestbedConfig {
-		return shortWindows(sim.TestbedConfig{
-			Name: "fig7", LinkBps: 10e9, SendBps: 11e9,
-			Dist: trafficgen.Datacenter{}, Seed: 1,
-			BuildChain:  harness.ChainFWNATLB,
-			Server:      harness.NetBricks10G(),
-			PayloadPark: pp,
-			PP:          core.Config{Slots: harness.MacroSlots, MaxExpiry: 1},
-		})
+	benchPair(b, func(pp bool) fig {
+		return figure("fig7", 10e9, 11e9, trafficgen.Datacenter{}, harness.ChainFWNATLB, harness.NetBricks10G(), pp, harness.MacroSlots)
 	})
 }
 
@@ -73,18 +93,11 @@ func BenchmarkFig08FixedSizes(b *testing.B) {
 	// server AND survived its NIC ring.
 	var base, pp sim.Result
 	for i := 0; i < b.N; i++ {
-		mk := func(isPP bool) sim.TestbedConfig {
-			return shortWindows(sim.TestbedConfig{
-				Name: "fig8", LinkBps: 40e9, SendBps: 38e9,
-				Dist: trafficgen.Fixed(384), Seed: 1,
-				BuildChain:  harness.ChainFWNAT,
-				Server:      harness.OpenNetVM40G(),
-				PayloadPark: isPP,
-				PP:          core.Config{Slots: harness.MacroSlots, MaxExpiry: 1},
-			})
+		mk := func(isPP bool) fig {
+			return figure("fig8", 40e9, 38e9, trafficgen.Fixed(384), harness.ChainFWNAT, harness.OpenNetVM40G(), isPP, harness.MacroSlots)
 		}
-		base = sim.RunTestbed(mk(false))
-		pp = sim.RunTestbed(mk(true))
+		base = mk(false).run(b)
+		pp = mk(true).run(b)
 	}
 	eb := base.GoodputGbps * (1 - base.UnintendedDropRate)
 	ep := pp.GoodputGbps * (1 - pp.UnintendedDropRate)
@@ -97,18 +110,11 @@ func BenchmarkFig09PCIe(b *testing.B) {
 	// 256 B packets at a common sub-saturation rate (paper: 58% savings).
 	var base, pp sim.Result
 	for i := 0; i < b.N; i++ {
-		mk := func(isPP bool) sim.TestbedConfig {
-			return shortWindows(sim.TestbedConfig{
-				Name: "fig9", LinkBps: 40e9, SendBps: 16e9,
-				Dist: trafficgen.Fixed(256), Seed: 1,
-				BuildChain:  harness.ChainFWNAT,
-				Server:      harness.OpenNetVM40G(),
-				PayloadPark: isPP,
-				PP:          core.Config{Slots: harness.MacroSlots, MaxExpiry: 1},
-			})
+		mk := func(isPP bool) fig {
+			return figure("fig9", 40e9, 16e9, trafficgen.Fixed(256), harness.ChainFWNAT, harness.OpenNetVM40G(), isPP, harness.MacroSlots)
 		}
-		base = sim.RunTestbed(mk(false))
-		pp = sim.RunTestbed(mk(true))
+		base = mk(false).run(b)
+		pp = mk(true).run(b)
 	}
 	if base.PCIeGbps > 0 {
 		b.ReportMetric(100*(base.PCIeGbps-pp.PCIeGbps)/base.PCIeGbps, "pcie-savings-%")
@@ -117,14 +123,21 @@ func BenchmarkFig09PCIe(b *testing.B) {
 
 func benchMulti(b *testing.B, pp bool, send float64) sim.MultiServerResult {
 	b.Helper()
+	s := sim.Sections{
+		Parking: sim.Parking{Slots: harness.SlotsForSRAMPct(0.20, false), MaxExpiry: 1},
+		Traffic: sim.Traffic{SendBps: send, Dist: trafficgen.Fixed(384)},
+		Server:  harness.MultiServer10G(),
+		Opts:    sim.RunOptions{Seed: 1, WarmupNs: 2e6, MeasureNs: 6e6},
+	}
+	if pp {
+		s.Parking.Mode = sim.ParkEdge
+	}
 	var res sim.MultiServerResult
 	for i := 0; i < b.N; i++ {
-		res = sim.RunMultiServer(sim.MultiServerConfig{
-			Servers: 2, LinkBps: 10e9, SendBps: send,
-			Dist: trafficgen.Fixed(384), SlotsPerServer: harness.SlotsForSRAMPct(0.20, false),
-			MaxExpiry: 1, Server: harness.MultiServer10G(),
-			PayloadPark: pp, Seed: 1, WarmupNs: 2e6, MeasureNs: 6e6,
-		})
+		var err error
+		if res, err = sim.RunMultiServer(sim.MultiServer{Servers: 2, LinkBps: 10e9}, s, sim.Wiring{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 	return res
 }
@@ -152,20 +165,15 @@ func BenchmarkFig12EvictionPolicy(b *testing.B) {
 	// explicit drops (paper: the latter preserves goodput).
 	var noExpl, expl sim.Result
 	for i := 0; i < b.N; i++ {
-		mk := func(explicit bool) sim.TestbedConfig {
-			return sim.TestbedConfig{
-				Name: "fig12", LinkBps: 10e9, SendBps: 12e9,
-				Dist: trafficgen.Datacenter{}, Seed: 1,
-				BuildChain:   harness.ChainFWNATDrop(0.5),
-				Server:       harness.OpenNetVM40G(),
-				PayloadPark:  true,
-				PP:           core.Config{Slots: harness.MacroSlots, MaxExpiry: 10},
-				ExplicitDrop: explicit,
-				WarmupNs:     60e6, MeasureNs: 25e6,
-			}
+		mk := func(explicit bool) fig {
+			f := figure("fig12", 10e9, 12e9, trafficgen.Datacenter{}, harness.ChainFWNATDrop(0.5), harness.OpenNetVM40G(), true, harness.MacroSlots)
+			f.s.Parking.MaxExpiry = 10
+			f.s.Parking.ExplicitDrop = explicit
+			f.s.Opts.WarmupNs, f.s.Opts.MeasureNs = 60e6, 25e6
+			return f
 		}
-		noExpl = sim.RunTestbed(mk(false))
-		expl = sim.RunTestbed(mk(true))
+		noExpl = mk(false).run(b)
+		expl = mk(true).run(b)
 	}
 	if noExpl.GoodputGbps > 0 {
 		b.ReportMetric(100*(expl.GoodputGbps-noExpl.GoodputGbps)/noExpl.GoodputGbps, "explicit-drop-gain-%")
@@ -174,16 +182,10 @@ func BenchmarkFig12EvictionPolicy(b *testing.B) {
 
 func BenchmarkFig13Recirculation(b *testing.B) {
 	// Recirculation parks 384 B (paper: +28%, ~2x the 160 B gain).
-	benchPair(b, func(pp bool) sim.TestbedConfig {
-		cfg := shortWindows(sim.TestbedConfig{
-			Name: "fig13", LinkBps: 10e9, SendBps: 13e9,
-			Dist: trafficgen.Datacenter{}, Seed: 1,
-			BuildChain:  harness.ChainFWNATLB,
-			Server:      harness.NetBricks10G(),
-			PayloadPark: pp,
-			PP:          core.Config{Slots: harness.MacroSlotsRecirc, MaxExpiry: 1, Recirculate: pp},
-		})
-		return cfg
+	benchPair(b, func(pp bool) fig {
+		f := figure("fig13", 10e9, 13e9, trafficgen.Datacenter{}, harness.ChainFWNATLB, harness.NetBricks10G(), pp, harness.MacroSlotsRecirc)
+		f.s.Parking.Recirculate = pp
+		return f
 	})
 }
 
@@ -192,47 +194,27 @@ func BenchmarkFig14MemorySweep(b *testing.B) {
 	// its eviction onset; the metric is premature evictions observed.
 	server := harness.MemorySweepServer()
 	server.ServiceJitterPct = 0.2
+	f := figure("fig14", 40e9, 16e9, trafficgen.Fixed(384), harness.ChainFWNAT, server, true, harness.SlotsForSRAMPct(0.1781, false))
+	f.s.Opts.WarmupNs, f.s.Opts.MeasureNs = 15e6, 30e6
 	var res sim.Result
 	for i := 0; i < b.N; i++ {
-		res = sim.RunTestbed(sim.TestbedConfig{
-			Name: "fig14", LinkBps: 40e9, SendBps: 16e9,
-			Dist: trafficgen.Fixed(384), Seed: 1,
-			BuildChain:  harness.ChainFWNAT,
-			Server:      server,
-			PayloadPark: true,
-			PP:          core.Config{Slots: harness.SlotsForSRAMPct(0.1781, false), MaxExpiry: 1},
-			WarmupNs:    15e6, MeasureNs: 30e6,
-		})
+		res = f.run(b)
 	}
 	b.ReportMetric(float64(res.Premature), "premature-evictions")
 }
 
 func BenchmarkFig15NFCycles(b *testing.B) {
 	// NF-Heavy at 256 B: compute-bound, no PayloadPark gain expected.
-	benchPair(b, func(pp bool) sim.TestbedConfig {
-		return shortWindows(sim.TestbedConfig{
-			Name: "fig15", LinkBps: 40e9, SendBps: 10e9,
-			Dist: trafficgen.Fixed(256), Seed: 1,
-			BuildChain:  harness.ChainSynthetic("NF-Heavy", 570),
-			Server:      harness.OpenNetVM40G(),
-			PayloadPark: pp,
-			PP:          core.Config{Slots: harness.MacroSlots, MaxExpiry: 1},
-		})
+	benchPair(b, func(pp bool) fig {
+		return figure("fig15", 40e9, 10e9, trafficgen.Fixed(256), harness.ChainSynthetic("NF-Heavy", 570), harness.OpenNetVM40G(), pp, harness.MacroSlots)
 	})
 }
 
 func BenchmarkFig16SmallPacketLatency(b *testing.B) {
 	// 512 B FW->NAT at 40 Gbps offered: the baseline is past its cap
 	// (paper: 33.6 Gbps), PayloadPark is not.
-	benchPair(b, func(pp bool) sim.TestbedConfig {
-		return shortWindows(sim.TestbedConfig{
-			Name: "fig16", LinkBps: 40e9, SendBps: 40e9,
-			Dist: trafficgen.Fixed(512), Seed: 1,
-			BuildChain:  harness.ChainFWNAT,
-			Server:      harness.OpenNetVM40G(),
-			PayloadPark: pp,
-			PP:          core.Config{Slots: harness.MacroSlots, MaxExpiry: 1},
-		})
+	benchPair(b, func(pp bool) fig {
+		return figure("fig16", 40e9, 40e9, trafficgen.Fixed(512), harness.ChainFWNAT, harness.OpenNetVM40G(), pp, harness.MacroSlots)
 	})
 }
 
@@ -303,7 +285,7 @@ func benchInjectLoop(b *testing.B, cfg core.Config, size int, attach bool) {
 // ---- Zero-allocation hot-path benchmarks ----
 //
 // These assert the steady-state allocation contract of the pooled/batched
-// dataplane: ToPHV (pooled form), Pipeline.Process, FrameBurst, and
+// dataplane: FillPHV into a pooled PHV, Pipeline.Process, FrameBurst, and
 // InjectBatch run at 0 allocs/op once warm. CI runs them with
 // -benchtime=1x as a does-it-still-run check; the measured ledger is
 // bench/ (bash bench/run.sh).
@@ -323,7 +305,7 @@ func benchPipe(b *testing.B) (*core.Switch, *packet.Packet) {
 	return sw, packet.NewBuilder(sim.MACGen, sim.MACNF).UDP(flow, 882, 1)
 }
 
-func BenchmarkToPHV(b *testing.B) {
+func BenchmarkFillPHV(b *testing.B) {
 	sw, pkt := benchPipe(b)
 	pipe := sw.Pipe(0)
 	b.ReportAllocs()

@@ -13,18 +13,28 @@
 // (Bosshart et al.'s match-action model driven from the control plane).
 package ctrl
 
-// Config tunes the controller. The zero value plus FillDefaults is the
-// stock policy: 250 µs ticks, failure-driven rebalancing only, and — when
-// Adaptive is set — the paper's aggressive/conservative expiry toggle
-// with occupancy-driven demotion.
+// Config is the control-plane section of a run's description (the
+// scenario package re-exports it as Scenario.Control) and the controller's
+// knobs in one. The zero value disables the control plane; with ECMP or
+// Adaptive on, the zero knobs plus FillDefaults are the stock policy:
+// 250 µs ticks, failure-driven rebalancing only, and — when Adaptive is
+// set — the paper's aggressive/conservative expiry toggle with
+// occupancy-driven demotion.
 type Config struct {
+	// ECMP (LeafSpine only) replaces each ingress leaf's static forward
+	// route with a hash-group next-hop table over the parking-safe
+	// spines; the controller rebalances membership on link failure and —
+	// with HotLinkPct — congestion. Incompatible with park-at-every-hop.
+	// Read by the fabric that installs the groups, not by the Controller.
+	ECMP bool `json:"ecmp,omitempty"`
+	// Adaptive enables the fabric-wide adaptive parking policy: per-switch
+	// Expiry retuning between Aggressive and Conservative, and demotion of
+	// park-at-every-hop to park-at-edge on hot switches. On a Testbed it
+	// is the single-switch §7 adaptive evictor. Without it the controller
+	// only manages ECMP group membership.
+	Adaptive bool `json:"adaptive,omitempty"`
 	// PeriodNs is the telemetry/decision tick period (default 250 µs).
 	PeriodNs int64 `json:"period_ns,omitempty"`
-
-	// Adaptive enables the fabric-wide adaptive parking policy (expiry
-	// retuning and demotion). Without it the controller only manages ECMP
-	// group membership.
-	Adaptive bool `json:"adaptive,omitempty"`
 	// Aggressive/Conservative are the two Expiry thresholds toggled per
 	// switch (paper §7 examples: 1-2 aggressive, 10 conservative).
 	// Aggressive defaults to the deployment's configured MaxExpiry (the
@@ -53,6 +63,24 @@ type Config struct {
 	// CalmTicks of the link staying below ColdLinkPct.
 	HotLinkPct  float64 `json:"hot_link_pct,omitempty"`
 	ColdLinkPct float64 `json:"cold_link_pct,omitempty"`
+}
+
+// Enabled reports whether any control-plane feature is on.
+func (c Config) Enabled() bool { return c.ECMP || c.Adaptive }
+
+// Label names the spec, as used in sweep labels and reports: "static"
+// (zero value), "ecmp", "adaptive", or "ecmp+adaptive".
+func (c Config) Label() string {
+	switch {
+	case c.ECMP && c.Adaptive:
+		return "ecmp+adaptive"
+	case c.ECMP:
+		return "ecmp"
+	case c.Adaptive:
+		return "adaptive"
+	default:
+		return "static"
+	}
 }
 
 // FillDefaults resolves the zero-value knobs to the stock policy.

@@ -30,14 +30,14 @@ type FabricSuite struct {
 }
 
 // ParseTopology parses "LxS" (e.g. "4x2") into leaf and spine counts and
-// rejects geometries the parking modes cannot run (sim.FabricConfig's
-// rules, checked for edge parking).
+// rejects geometries the parking modes cannot run (sim.CheckLeafSpine,
+// checked for a pinned merge port).
 func ParseTopology(s string) (leaves, spines int, err error) {
 	// Zero would read as "default" downstream, so it is a parse error here.
 	if _, err := fmt.Sscanf(strings.ToLower(s), "%dx%d", &leaves, &spines); err != nil || leaves == 0 || spines == 0 {
 		return 0, 0, fmt.Errorf("harness: topology %q: want LxS, e.g. 4x2", s)
 	}
-	if err := (sim.FabricConfig{Leaves: leaves, Spines: spines, Mode: sim.ParkEdge}).Validate(); err != nil {
+	if err := sim.CheckLeafSpine(leaves, spines, true); err != nil {
 		return 0, 0, fmt.Errorf("harness: topology %w", err)
 	}
 	return leaves, spines, nil

@@ -46,50 +46,52 @@ type LiveRate struct {
 	Result *live.Result `json:"result"`
 }
 
-// liveParityConfigs are the deterministic replays the parity gate holds
-// to exact counter equality: chain baseline, chain parking with NF
-// drops (evictions), chain parking with §6.2.4 explicit drops, a
-// two-pipe chain, and the 4x2 park-at-edge leaf-spine.
-func liveParityConfigs(o Options) []struct {
-	name string
-	cfg  live.Config
-} {
+// CollectLiveSuite runs the live experiment family: the lockstep parity
+// replays (each on sockets and again in process, over the one
+// description), then the loopback throughput comparisons through the
+// Scenario front end, like every other topology.
+func CollectLiveSuite(o Options) (*LiveSuite, error) {
+	suite := &LiveSuite{Identical: true}
+	ctx := o.ctx()
+
+	// The deterministic replays the parity gate holds to exact counter
+	// equality: chain baseline, chain parking with NF drops (evictions),
+	// chain parking with §6.2.4 explicit drops, a two-pipe chain, and the
+	// 4x2 park-at-edge leaf-spine. Parking runs use a tiny table with the
+	// conservative expiry, so orphaned payloads are reclaimed mid-replay.
 	frames := 192
 	if o.Quick {
 		frames = 64
 	}
-	return []struct {
-		name string
-		cfg  live.Config
-	}{
-		{"chain-baseline", live.Config{Geometry: "chain", Frames: frames, Lockstep: true, Seed: o.Seed}},
-		{"chain-parking-drops", live.Config{Geometry: "chain", Parking: true, Slots: 8,
-			DropFraction: 0.25, Frames: frames, Lockstep: true, Seed: o.Seed}},
-		{"chain-explicit-drop", live.Config{Geometry: "chain", Parking: true, Slots: 8,
-			DropFraction: 0.25, ExplicitDrop: true, Frames: frames, Lockstep: true, Seed: o.Seed + 1}},
-		{"chain-two-pipes", live.Config{Geometry: "chain", Pipes: 2, Parking: true, Slots: 8,
-			DropFraction: 0.2, Frames: frames / 2, Lockstep: true, Seed: o.Seed + 2}},
-		{"leafspine-4x2", live.Config{Geometry: "4x2", Parking: true, Slots: 8,
-			DropFraction: 0.2, Frames: frames / 4, Lockstep: true, Seed: o.Seed + 3}},
+	topo := func(geometry string, pipes, frames int, dropFraction float64) live.Topology {
+		return live.Topology{Geometry: geometry, Pipes: pipes, Frames: frames, Lockstep: true, DropFraction: dropFraction}
 	}
-}
-
-// CollectLiveSuite runs the live experiment family: the lockstep parity
-// replays, then the loopback throughput comparisons (all through the
-// Scenario front end, like every other topology).
-func CollectLiveSuite(o Options) (*LiveSuite, error) {
-	suite := &LiveSuite{Identical: true}
-	ctx := o.ctx()
-	for _, pc := range liveParityConfigs(o) {
-		lr, err := live.Run(ctx, pc.cfg)
-		if err != nil {
-			return nil, fmt.Errorf("harness: live %s: %w", pc.name, err)
+	park := func(explicitDrop bool, seed int64) sim.Sections {
+		return sim.Sections{
+			Parking: sim.Parking{Mode: sim.ParkEdge, Slots: 8, MaxExpiry: 2, ExplicitDrop: explicitDrop},
+			Opts:    sim.RunOptions{Seed: seed},
 		}
-		ref, err := live.ReferenceRun(pc.cfg)
+	}
+	for _, pr := range []struct {
+		name string
+		topo live.Topology
+		sec  sim.Sections
+	}{
+		{"chain-baseline", topo("chain", 1, frames, 0), sim.Sections{Opts: sim.RunOptions{Seed: o.Seed}}},
+		{"chain-parking-drops", topo("chain", 1, frames, 0.25), park(false, o.Seed)},
+		{"chain-explicit-drop", topo("chain", 1, frames, 0.25), park(true, o.Seed+1)},
+		{"chain-two-pipes", topo("chain", 2, frames/2, 0.2), park(false, o.Seed+2)},
+		{"leafspine-4x2", topo("4x2", 0, frames/4, 0.2), park(false, o.Seed+3)},
+	} {
+		lr, err := live.Run(ctx, pr.topo, pr.sec, live.Wiring{})
 		if err != nil {
-			return nil, fmt.Errorf("harness: reference %s: %w", pc.name, err)
+			return nil, fmt.Errorf("harness: live %s: %w", pr.name, err)
 		}
-		p := LiveParity{Name: pc.name, Identical: true, Live: lr, Reference: ref}
+		ref, err := live.ReferenceRun(pr.topo, pr.sec)
+		if err != nil {
+			return nil, fmt.Errorf("harness: reference %s: %w", pr.name, err)
+		}
+		p := LiveParity{Name: pr.name, Identical: true, Live: lr, Reference: ref}
 		if err := live.Parity(lr, ref); err != nil {
 			p.Identical = false
 			p.Mismatch = err.Error()
@@ -98,7 +100,7 @@ func CollectLiveSuite(o Options) (*LiveSuite, error) {
 		suite.Parity = append(suite.Parity, p)
 	}
 
-	frames := 20000
+	frames = 20000
 	if o.Quick {
 		frames = 4000
 	}

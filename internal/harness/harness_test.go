@@ -248,11 +248,14 @@ func TestTable1Values(t *testing.T) {
 func TestMultiServerPortLayout(t *testing.T) {
 	// Two servers share pipe 0 without colliding on ports or stage
 	// budgets; verify via a tiny run.
-	res := sim.RunMultiServer(sim.MultiServerConfig{
-		Servers: 2, LinkBps: 10e9, SendBps: 2e9,
-		Dist: trafficgen.Fixed(384), SlotsPerServer: 1024, MaxExpiry: 1,
-		PayloadPark: true, Seed: 1, WarmupNs: 1e6, MeasureNs: 3e6,
-	})
+	res, err := sim.RunMultiServer(sim.MultiServer{Servers: 2, LinkBps: 10e9}, sim.Sections{
+		Parking: sim.Parking{Mode: sim.ParkEdge, Slots: 1024, MaxExpiry: 1},
+		Traffic: sim.Traffic{SendBps: 2e9, Dist: trafficgen.Fixed(384)},
+		Opts:    sim.RunOptions{Seed: 1, WarmupNs: 1e6, MeasureNs: 3e6},
+	}, sim.Wiring{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, r := range res.PerServer {
 		if r.GoodputGbps <= 0 {
 			t.Errorf("server %d goodput %v", i, r.GoodputGbps)

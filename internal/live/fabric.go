@@ -6,6 +6,7 @@ import (
 	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/rmt"
+	"github.com/payloadpark/payloadpark/internal/sim"
 )
 
 // Endpoint kinds hanging off switch ports.
@@ -63,7 +64,9 @@ func (fs *fabricSwitch) pipesInUse() []int {
 // replay: switches with installed programs, the cable graph, and the
 // per-generator frame sequences.
 type fabric struct {
-	cfg      Config
+	// topo and sec are the run's description, resolved and validated.
+	topo     Topology
+	sec      sim.Sections
 	geo      geometry
 	switches []*fabricSwitch
 	// gens[i] holds generator i's deterministic frames; genEntry[i] is
@@ -76,14 +79,15 @@ type fabric struct {
 	nfPort []cableEnd
 }
 
-// build constructs the fabric for cfg (already defaulted and validated).
-func build(cfg Config) (*fabric, error) {
-	geo, err := cfg.parseGeometry()
+// build resolves and validates the description, then builds its fabric.
+func build(t Topology, s sim.Sections) (*fabric, error) {
+	t.Resolve(&s)
+	err := t.Validate(s)
 	if err != nil {
 		return nil, err
 	}
-	f := &fabric{cfg: cfg, geo: geo}
-	if geo.kind == "chain" {
+	f := &fabric{topo: t, sec: s}
+	if f.geo, _ = t.parseGeometry(); f.geo.kind == "chain" { // Validate has checked it
 		err = f.buildChain()
 	} else {
 		err = f.buildLeafSpine()
@@ -92,7 +96,7 @@ func build(cfg Config) (*fabric, error) {
 		return nil, err
 	}
 	for i, target := range f.genTarget {
-		f.gens = append(f.gens, cfg.genFrames(i, target))
+		f.gens = append(f.gens, genFrames(t, s, i, target))
 	}
 	return f, nil
 }
@@ -107,18 +111,13 @@ func (f *fabric) buildChain() error {
 		sw:    core.NewSwitch("sw0"),
 		links: make(map[rmt.PortID]link),
 	}
-	for p := 0; p < f.cfg.Pipes; p++ {
+	for p := 0; p < f.topo.Pipes; p++ {
 		split := rmt.PortID(p * core.PortsPerPipe)
 		merge := split + 1
 		fs.sw.AddL2Route(nfMAC(p), merge)
 		fs.sw.AddL2Route(genMAC(p), split)
-		if f.cfg.Parking {
-			prog, err := fs.sw.AttachPayloadPark(core.Config{
-				Slots:     f.cfg.Slots,
-				MaxExpiry: uint32(f.cfg.MaxExpiry),
-				SplitPort: split,
-				MergePort: merge,
-			}, -1)
+		if f.sec.Parking.Enabled() {
+			prog, err := fs.sw.AttachPayloadPark(f.sec.Parking.Core(split, merge), -1)
 			if err != nil {
 				return fmt.Errorf("live: pipe %d program: %w", p, err)
 			}
@@ -151,13 +150,8 @@ func (f *fabric) buildLeafSpine() error {
 			links: make(map[rmt.PortID]link),
 		}
 		merge := rmt.PortID(3 + k%S)
-		if f.cfg.Parking {
-			prog, err := leaf.sw.AttachPayloadPark(core.Config{
-				Slots:     f.cfg.Slots,
-				MaxExpiry: uint32(f.cfg.MaxExpiry),
-				SplitPort: 0,
-				MergePort: merge,
-			}, -1)
+		if f.sec.Parking.Enabled() {
+			prog, err := leaf.sw.AttachPayloadPark(f.sec.Parking.Core(0, merge), -1)
 			if err != nil {
 				return fmt.Errorf("live: leaf %d program: %w", k, err)
 			}
@@ -205,36 +199,31 @@ func (f *fabric) buildLeafSpine() error {
 	return nil
 }
 
-// collect merges the fabric's dataplane counters. Callers must have
-// quiesced every pipe worker first (or be running the single-threaded
-// reference).
-func (f *fabric) collect() CounterSet {
-	var cs CounterSet
-	cs.Drops = make(map[string]uint64)
-	for _, fs := range f.switches {
-		cs.Rx += fs.sw.RxPackets()
-		cs.Tx += fs.sw.TxPackets()
-		for _, p := range fs.progs {
-			cs.Splits += p.C.Splits.Value()
-			cs.Merges += p.C.Merges.Value()
-			cs.Evictions += p.C.Evictions.Value()
-			cs.PrematureEvictions += p.C.PrematureEvictions.Value()
-			cs.ExplicitDrops += p.C.ExplicitDrops.Value()
-			cs.OccupiedSkips += p.C.OccupiedSkips.Value()
-			cs.SmallPayloadSkips += p.C.SmallPayloadSkips.Value()
-			cs.DemotedSkips += p.C.DemotedSkips.Value()
-			cs.SplitDisabledFromNF += p.C.SplitDisabledFromNF.Value()
-			cs.BadTagDrops += p.C.BadTagDrops.Value()
-			cs.StaleExplicitDrops += p.C.StaleExplicitDrops.Value()
-		}
-		for why, n := range fs.sw.Drops() {
-			cs.Drops[why] += n
-		}
+// add merges one switch's dataplane counters into cs. Callers must have
+// quiesced the switch's pipe workers first (or be running the
+// single-threaded reference).
+func (cs *CounterSet) add(fs *fabricSwitch) {
+	cs.Rx += fs.sw.RxPackets()
+	cs.Tx += fs.sw.TxPackets()
+	for _, p := range fs.progs {
+		cs.Splits += p.C.Splits.Value()
+		cs.Merges += p.C.Merges.Value()
+		cs.Evictions += p.C.Evictions.Value()
+		cs.PrematureEvictions += p.C.PrematureEvictions.Value()
+		cs.ExplicitDrops += p.C.ExplicitDrops.Value()
+		cs.OccupiedSkips += p.C.OccupiedSkips.Value()
+		cs.SmallPayloadSkips += p.C.SmallPayloadSkips.Value()
+		cs.DemotedSkips += p.C.DemotedSkips.Value()
+		cs.SplitDisabledFromNF += p.C.SplitDisabledFromNF.Value()
+		cs.BadTagDrops += p.C.BadTagDrops.Value()
+		cs.StaleExplicitDrops += p.C.StaleExplicitDrops.Value()
 	}
-	if len(cs.Drops) == 0 {
-		cs.Drops = nil
+	for why, n := range fs.sw.Drops() {
+		if cs.Drops == nil {
+			cs.Drops = make(map[string]uint64)
+		}
+		cs.Drops[why] += n
 	}
-	return cs
 }
 
 // refNF is one NF endpoint of the reference replay, mirroring
@@ -276,32 +265,29 @@ func (n *refNF) process(frame []byte, explicitDrop bool) (out []byte, notified b
 // longest legitimate path (leaf-spine with the NF return) is 7 segments.
 const maxHops = 16
 
-// ReferenceRun replays cfg's deterministic workload through the same
-// fabric in process — the dataplane the discrete-event simulator drives,
+// ReferenceRun replays the description's deterministic workload through
+// the same fabric in process — the dataplane the discrete-event simulator drives,
 // stripped of timing. Frames walk the cable graph depth-first, one at a
 // time, which is exactly the operation order the live fabric's lockstep
 // mode produces; the returned counters are the parity baseline.
-func ReferenceRun(cfg Config) (*Result, error) {
-	cfg.FillDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	f, err := build(cfg)
+func ReferenceRun(t Topology, s sim.Sections) (*Result, error) {
+	f, err := build(t, s)
 	if err != nil {
 		return nil, err
 	}
+	t, s = f.topo, f.sec
 	nfs := make([]*refNF, len(f.nfPort))
 	for j := range nfs {
-		nfs[j] = &refNF{handle: newNFHandle(cfg.DropFraction)}
+		nfs[j] = &refNF{handle: newNFHandle(t.DropFraction)}
 	}
-	res := &Result{Geometry: cfg.Geometry, Mode: "reference", Parking: cfg.Parking}
+	res := &Result{Geometry: t.Geometry, Mode: "reference", Parking: s.Parking.Enabled()}
 	// One one-slot burst per switch: the reference walks a frame at a time.
 	bursts := make([]*core.FrameBurst, len(f.switches))
 	for i, fs := range f.switches {
 		bursts[i] = fs.sw.NewFrameBurst(1)
 	}
 	var out []byte
-	for k := 0; k < cfg.Frames; k++ {
+	for k := 0; k < t.Frames; k++ {
 		for g := range f.gens {
 			frame := f.gens[g][k]
 			at := f.genEntry[g]
@@ -332,7 +318,7 @@ func ReferenceRun(cfg Config) (*Result, error) {
 					res.Delivered++
 					res.DeliveredBytes += uint64(len(out))
 				case epNF:
-					resp, notified := nfs[lk.ep.index].process(out, cfg.ExplicitDrop)
+					resp, notified := nfs[lk.ep.index].process(out, s.Parking.ExplicitDrop)
 					if resp == nil {
 						res.NFDropped++
 						break
@@ -348,6 +334,8 @@ func ReferenceRun(cfg Config) (*Result, error) {
 			}
 		}
 	}
-	res.Counters = f.collect()
+	for _, fs := range f.switches {
+		res.Counters.add(fs)
+	}
 	return res, nil
 }

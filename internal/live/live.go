@@ -13,6 +13,10 @@
 // identical core.Switch pipelines and NF byte path, which is what the
 // discrete-event simulator drives; comparing the two counter-for-counter
 // is the sim-vs-live parity gate.
+//
+// A run is described by Topology (declared, defaulted and validated
+// here) plus the simulator's own sim.Sections, resolved with the live
+// defaults.
 package live
 
 import (
@@ -22,40 +26,38 @@ import (
 	"time"
 
 	"github.com/payloadpark/payloadpark/internal/core"
-	"github.com/payloadpark/payloadpark/internal/ctrl"
 	"github.com/payloadpark/payloadpark/internal/nf"
 	"github.com/payloadpark/payloadpark/internal/obs"
 	"github.com/payloadpark/payloadpark/internal/packet"
+	"github.com/payloadpark/payloadpark/internal/sim"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
-// Config describes one live-fabric run.
-type Config struct {
-	// Geometry selects the fabric shape: "chain" (gen -> switch -> NF per
-	// pipe, the paper's testbed) or an "LxS" leaf-spine such as "4x2"
+// Topology is the live section of a run's description: the socket
+// fabric's shape and its replay mode. The scenario package re-exports it
+// as scenario.Live; the rest of the description — Parking, Traffic,
+// Control, Opts — arrives as the same sim.Sections the simulated runners
+// take, so one scenario file runs simulated or live by swapping the
+// topology envelope. It is declared here, defaulted by Resolve and
+// validated by Validate.
+//
+// Geometry "chain" is the Fig. 5 testbed (generator -> switch -> NF,
+// one parking program per pipe); "LxS" (e.g. "4x2") is the park-at-edge
+// leaf-spine fabric. Lockstep mode replays deterministically — its
+// counters match ReferenceRun exactly — and throughput mode blasts an
+// open-loop window for wire-rate numbers. Parking.ExplicitDrop (the
+// §6.2.4 NF notification path) is chain-only: a notification can only
+// reach the parking switch when the NF hangs off its merge pipe.
+type Topology struct {
+	// Geometry is "chain" (default) or an "LxS" leaf-spine such as "4x2"
 	// (L leaves, S spines, park-at-edge).
 	Geometry string `json:"geometry,omitempty"`
 	// Pipes is how many switch pipes the chain geometry drives, each with
 	// its own generator/NF pair and worker socket (1..4, default 1).
 	// Ignored by leaf-spine geometries.
 	Pipes int `json:"pipes,omitempty"`
-
-	// Parking installs the PayloadPark program (false: baseline L2).
-	Parking bool `json:"parking,omitempty"`
-	// Slots/MaxExpiry configure each parking program (defaults 64 / 2).
-	Slots     int `json:"slots,omitempty"`
-	MaxExpiry int `json:"max_expiry,omitempty"`
-	// ExplicitDrop enables the §6.2.4 NF notification path; chain
-	// geometry only (a notification can only reach the parking switch
-	// when the NF hangs off its merge pipe).
-	ExplicitDrop bool `json:"explicit_drop,omitempty"`
-
-	// DropFraction blacklists roughly this fraction of source IPs at the
-	// NF firewall (0 disables the firewall stage).
-	DropFraction float64 `json:"drop_fraction,omitempty"`
-
-	// Frames is how many frames each generator sends (default 256
-	// lockstep, 20000 throughput).
+	// Frames is the per-generator frame budget (defaults: 256 lockstep,
+	// 20000 throughput; with Opts.Quick, 64 and 4000).
 	Frames int `json:"frames,omitempty"`
 	// Lockstep runs one frame end to end at a time — the deterministic
 	// replay mode the parity check needs. Off, the run is open-loop
@@ -66,61 +68,57 @@ type Config struct {
 	Window int `json:"window,omitempty"`
 	// Burst is the per-worker receive-burst size (default wire.DefaultBurst).
 	Burst int `json:"burst,omitempty"`
+	// DropFraction blacklists roughly this fraction of source IPs at the
+	// NF (a stateless firewall ahead of the MAC swap; 0 disables the
+	// stage), exercising eviction and explicit-drop paths.
+	DropFraction float64 `json:"drop_fraction,omitempty"`
+}
 
-	// FrameSize fixes the generated frame size; 0 draws from the
-	// datacenter mixture (small frames exercise the small-payload skip).
-	FrameSize int `json:"frame_size,omitempty"`
-	// Flows is the 5-tuple population per generator (default 256).
-	Flows int `json:"flows,omitempty"`
-	// Seed makes the workload reproducible across live and reference runs.
-	Seed int64 `json:"seed,omitempty"`
-
-	// Control, when non-nil, runs a ctrl.Controller against the fabric
-	// through the socket-backed control plant (ctrl.ServePlant over TCP
-	// loopback), ticking at Control.PeriodNs wall-clock.
-	Control *ctrl.Config `json:"control,omitempty"`
-
+// Wiring binds one live run to its caller; none of it describes the run.
+type Wiring struct {
 	// Timeout bounds the whole run (default 60s).
-	Timeout time.Duration `json:"-"`
-
+	Timeout time.Duration
 	// Metrics, when non-nil, registers the fabric's live counters and
 	// socket-batching histograms (per-node rx/errors, per-generator
 	// sent/received, burst and batch size distributions) for snapshot
 	// or scrape. Only atomically maintained state is exposed, so a
 	// scrape mid-run is race-free.
-	Metrics *obs.Registry `json:"-"`
+	Metrics *obs.Registry
 }
 
-// FillDefaults resolves zero values to the stock configuration.
-func (c *Config) FillDefaults() {
-	if c.Geometry == "" {
-		c.Geometry = "chain"
+// timeout is the run's deadline.
+func (w Wiring) timeout() time.Duration {
+	if w.Timeout == 0 {
+		return 60 * time.Second
 	}
-	if c.Pipes == 0 {
-		c.Pipes = 1
+	return w.Timeout
+}
+
+// Resolve fills the topology's and the sections' zero fields; socket runs
+// size their parking tables and flow pools far below the simulator's.
+func (t *Topology) Resolve(s *sim.Sections) {
+	if t.Geometry == "" {
+		t.Geometry = "chain"
 	}
-	if c.Slots == 0 {
-		c.Slots = 64
+	if t.Pipes == 0 {
+		t.Pipes = 1
 	}
-	if c.MaxExpiry == 0 {
-		c.MaxExpiry = 2
-	}
-	if c.Frames == 0 {
-		if c.Lockstep {
-			c.Frames = 256
-		} else {
-			c.Frames = 20000
+	if t.Frames == 0 {
+		switch {
+		case t.Lockstep && s.Opts.Quick:
+			t.Frames = 64
+		case t.Lockstep:
+			t.Frames = 256
+		case s.Opts.Quick:
+			t.Frames = 4000
+		default:
+			t.Frames = 20000
 		}
 	}
-	if c.Window == 0 {
-		c.Window = 512
+	if t.Window == 0 {
+		t.Window = 512
 	}
-	if c.Flows == 0 {
-		c.Flows = 256
-	}
-	if c.Timeout == 0 {
-		c.Timeout = 60 * time.Second
-	}
+	s.Resolve(64, trafficgen.Datacenter{}, 256)
 }
 
 // geometry is a parsed Geometry string.
@@ -130,57 +128,46 @@ type geometry struct {
 	spines int
 }
 
-// ErrGeometry formats the valid-geometry guidance every geometry error
-// carries.
+// validGeometries is the guidance every geometry error carries.
 const validGeometries = `valid geometries: "chain" (with pipes 1..4) or "LxS" leaf-spine such as "4x2" (2..16 leaves, 1..13 spines, adjacent leaves on distinct spines: leaf k and leaf k+1 must differ mod S)`
 
-// parseGeometry validates cfg's Geometry/Pipes combination.
-func (c *Config) parseGeometry() (geometry, error) {
-	if c.Geometry == "chain" {
-		if c.Pipes < 1 || c.Pipes > core.NumPipes {
-			return geometry{}, fmt.Errorf("live: chain geometry supports 1..%d pipes, got %d; %s", core.NumPipes, c.Pipes, validGeometries)
+// parseGeometry validates the Geometry/Pipes combination. The leaf-spine
+// rules are the simulated fabric's (sim.CheckLeafSpine): the socket
+// fabric cables the same port layout and always pins a merge port.
+func (t Topology) parseGeometry() (geometry, error) {
+	if t.Geometry == "chain" {
+		if t.Pipes < 1 || t.Pipes > core.NumPipes {
+			return geometry{}, fmt.Errorf("live: chain geometry supports 1..%d pipes, got %d; %s", core.NumPipes, t.Pipes, validGeometries)
 		}
 		return geometry{kind: "chain"}, nil
 	}
-	l, s, ok := strings.Cut(c.Geometry, "x")
-	if ok {
+	if l, s, ok := strings.Cut(t.Geometry, "x"); ok {
 		leaves, err1 := strconv.Atoi(l)
 		spines, err2 := strconv.Atoi(s)
 		if err1 == nil && err2 == nil {
-			if leaves < 2 || leaves > core.PortsPerPipe {
-				return geometry{}, fmt.Errorf("live: leaf-spine %q needs 2..%d leaves; %s", c.Geometry, core.PortsPerPipe, validGeometries)
-			}
-			if spines < 1 || spines > core.PortsPerPipe-3 {
-				return geometry{}, fmt.Errorf("live: leaf-spine %q needs 1..%d spines; %s", c.Geometry, core.PortsPerPipe-3, validGeometries)
-			}
-			for k := 0; k < leaves; k++ {
-				if k%spines == ((k+1)%leaves)%spines {
-					return geometry{}, fmt.Errorf("live: leaf-spine %q is not parking-safe: leaf %d and leaf %d share spine %d, so transit frames would hit a merge port; %s",
-						c.Geometry, k, (k+1)%leaves, k%spines, validGeometries)
-				}
+			if err := sim.CheckLeafSpine(leaves, spines, true); err != nil {
+				return geometry{}, fmt.Errorf("live: leaf-spine %v; %s", err, validGeometries)
 			}
 			return geometry{kind: "leafspine", leaves: leaves, spines: spines}, nil
 		}
 	}
-	return geometry{}, fmt.Errorf("live: unknown geometry %q; %s", c.Geometry, validGeometries)
+	return geometry{}, fmt.Errorf("live: unknown geometry %q; %s", t.Geometry, validGeometries)
 }
 
-// Validate checks the configuration without running it.
-func (c *Config) Validate() error {
-	cc := *c
-	cc.FillDefaults()
-	g, err := cc.parseGeometry()
+// Validate reports the first rule a resolved live run breaks.
+func (t Topology) Validate(s sim.Sections) error {
+	g, err := t.parseGeometry()
 	if err != nil {
 		return err
 	}
-	if cc.ExplicitDrop && g.kind != "chain" {
+	if s.Parking.ExplicitDrop && g.kind != "chain" {
 		return fmt.Errorf("live: explicit drop needs the NF on the parking switch's merge pipe; only the chain geometry provides that")
 	}
-	if cc.Slots < 1 || cc.Slots > core.MaxSlots {
-		return fmt.Errorf("live: slots %d outside [1,%d]", cc.Slots, core.MaxSlots)
+	if err := s.Parking.Validate(); err != nil {
+		return fmt.Errorf("live: %w", err)
 	}
-	if cc.DropFraction < 0 || cc.DropFraction >= 1 {
-		return fmt.Errorf("live: drop fraction %v outside [0,1)", cc.DropFraction)
+	if t.DropFraction < 0 || t.DropFraction >= 1 {
+		return fmt.Errorf("live: drop fraction %v outside [0,1)", t.DropFraction)
 	}
 	return nil
 }
@@ -190,27 +177,19 @@ func (c *Config) Validate() error {
 func genMAC(i int) packet.MAC { return packet.MAC{2, 0, 0, 0, byte(i), 1} }
 func nfMAC(i int) packet.MAC  { return packet.MAC{2, 0, 0, 0, byte(i), 2} }
 
-// sizeDist resolves the configured frame-size distribution.
-func (c *Config) sizeDist() trafficgen.SizeDist {
-	if c.FrameSize > 0 {
-		return trafficgen.Fixed(c.FrameSize)
-	}
-	return trafficgen.Datacenter{}
-}
-
 // genFrames pre-serializes generator i's deterministic frame sequence;
 // live run and reference replay share the same bytes.
-func (c *Config) genFrames(i, targetNF int) [][]byte {
+func genFrames(t Topology, s sim.Sections, i, targetNF int) [][]byte {
 	tg := trafficgen.New(trafficgen.Config{
-		Sizes:   c.sizeDist(),
-		Flows:   c.Flows,
+		Sizes:   s.Traffic.Dist,
+		Flows:   s.Traffic.Flows,
 		SrcMAC:  genMAC(i),
 		DstMAC:  nfMAC(targetNF),
 		DstIP:   packet.IPv4Addr{192, 168, 0, byte(targetNF)},
 		DstPort: 9000,
-		Seed:    c.Seed + int64(i)*7919,
+		Seed:    s.Opts.Seed + int64(i)*7919,
 	})
-	frames := make([][]byte, c.Frames)
+	frames := make([][]byte, t.Frames)
 	for k := range frames {
 		p := tg.Next()
 		frames[k] = p.Serialize()

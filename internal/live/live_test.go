@@ -7,17 +7,25 @@ import (
 	"time"
 
 	"github.com/payloadpark/payloadpark/internal/ctrl"
+	"github.com/payloadpark/payloadpark/internal/sim"
+	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
+// parking is the tests' parking section: a tiny edge table with the
+// conservative expiry, so NF drops orphan payloads and evictions happen.
+func parking(slots int, explicitDrop bool) sim.Parking {
+	return sim.Parking{Mode: sim.ParkEdge, Slots: slots, MaxExpiry: 2, ExplicitDrop: explicitDrop}
+}
+
 // runPair runs the live fabric and the in-process reference over the
-// identical configuration and requires exact counter parity.
-func runPair(t *testing.T, cfg Config) (*Result, *Result) {
+// identical description and requires exact counter parity.
+func runPair(t *testing.T, topo Topology, sec sim.Sections) (*Result, *Result) {
 	t.Helper()
-	live, err := Run(context.Background(), cfg)
+	live, err := Run(context.Background(), topo, sec, Wiring{})
 	if err != nil {
 		t.Fatalf("live run: %v", err)
 	}
-	ref, err := ReferenceRun(cfg)
+	ref, err := ReferenceRun(topo, sec)
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
@@ -28,15 +36,9 @@ func runPair(t *testing.T, cfg Config) (*Result, *Result) {
 }
 
 func TestLockstepParityChain(t *testing.T) {
-	live, _ := runPair(t, Config{
-		Geometry:     "chain",
-		Parking:      true,
-		Slots:        8,
-		Frames:       96,
-		Lockstep:     true,
-		DropFraction: 0.25,
-		Seed:         7,
-	})
+	live, _ := runPair(t,
+		Topology{Geometry: "chain", Frames: 96, Lockstep: true, DropFraction: 0.25},
+		sim.Sections{Parking: parking(8, false), Opts: sim.RunOptions{Seed: 7}})
 	if live.Counters.Splits == 0 || live.Counters.Merges == 0 {
 		t.Fatalf("workload exercised no parking: %+v", live.Counters)
 	}
@@ -49,16 +51,9 @@ func TestLockstepParityChain(t *testing.T) {
 }
 
 func TestLockstepParityChainExplicitDrop(t *testing.T) {
-	live, _ := runPair(t, Config{
-		Geometry:     "chain",
-		Parking:      true,
-		Slots:        8,
-		Frames:       96,
-		Lockstep:     true,
-		DropFraction: 0.25,
-		ExplicitDrop: true,
-		Seed:         11,
-	})
+	live, _ := runPair(t,
+		Topology{Geometry: "chain", Frames: 96, Lockstep: true, DropFraction: 0.25},
+		sim.Sections{Parking: parking(8, true), Opts: sim.RunOptions{Seed: 11}})
 	if live.NFNotified == 0 {
 		t.Fatalf("explicit drop produced no notifications: %+v", live)
 	}
@@ -68,31 +63,18 @@ func TestLockstepParityChainExplicitDrop(t *testing.T) {
 }
 
 func TestLockstepParityChainTwoPipes(t *testing.T) {
-	live, _ := runPair(t, Config{
-		Geometry:     "chain",
-		Pipes:        2,
-		Parking:      true,
-		Slots:        8,
-		Frames:       48,
-		Lockstep:     true,
-		DropFraction: 0.2,
-		Seed:         3,
-	})
+	live, _ := runPair(t,
+		Topology{Geometry: "chain", Pipes: 2, Frames: 48, Lockstep: true, DropFraction: 0.2},
+		sim.Sections{Parking: parking(8, false), Opts: sim.RunOptions{Seed: 3}})
 	if live.Counters.Splits == 0 {
 		t.Fatalf("no splits across two pipes: %+v", live.Counters)
 	}
 }
 
 func TestLockstepParityLeafSpine(t *testing.T) {
-	live, _ := runPair(t, Config{
-		Geometry:     "4x2",
-		Parking:      true,
-		Slots:        8,
-		Frames:       32,
-		Lockstep:     true,
-		DropFraction: 0.2,
-		Seed:         5,
-	})
+	live, _ := runPair(t,
+		Topology{Geometry: "4x2", Frames: 32, Lockstep: true, DropFraction: 0.2},
+		sim.Sections{Parking: parking(8, false), Opts: sim.RunOptions{Seed: 5}})
 	if live.Counters.Splits == 0 || live.Counters.Merges == 0 {
 		t.Fatalf("leaf-spine exercised no parking: %+v", live.Counters)
 	}
@@ -102,12 +84,9 @@ func TestLockstepParityLeafSpine(t *testing.T) {
 }
 
 func TestLockstepBaselineChain(t *testing.T) {
-	live, _ := runPair(t, Config{
-		Geometry: "chain",
-		Frames:   32,
-		Lockstep: true,
-		Seed:     2,
-	})
+	live, _ := runPair(t,
+		Topology{Geometry: "chain", Frames: 32, Lockstep: true},
+		sim.Sections{Opts: sim.RunOptions{Seed: 2}})
 	if live.Counters.Splits != 0 {
 		t.Fatalf("baseline run split packets: %+v", live.Counters)
 	}
@@ -117,15 +96,10 @@ func TestLockstepBaselineChain(t *testing.T) {
 }
 
 func TestThroughputChainDelivers(t *testing.T) {
-	live, err := Run(context.Background(), Config{
-		Geometry: "chain",
-		Parking:  true,
-		Slots:    32,
-		Frames:   2000,
-		Window:   128,
-		Seed:     1,
-		Timeout:  30 * time.Second,
-	})
+	live, err := Run(context.Background(),
+		Topology{Geometry: "chain", Frames: 2000, Window: 128},
+		sim.Sections{Parking: parking(32, false), Opts: sim.RunOptions{Seed: 1}},
+		Wiring{Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,17 +115,14 @@ func TestThroughputChainDelivers(t *testing.T) {
 }
 
 func TestLiveControllerTicks(t *testing.T) {
-	ctl := &ctrl.Config{PeriodNs: int64(time.Millisecond)}
-	live, err := Run(context.Background(), Config{
-		Geometry: "chain",
-		Parking:  true,
-		Slots:    16,
-		Frames:   1500,
-		Window:   64,
-		Seed:     9,
-		Control:  ctl,
-		Timeout:  30 * time.Second,
-	})
+	live, err := Run(context.Background(),
+		Topology{Geometry: "chain", Frames: 1500, Window: 64},
+		sim.Sections{
+			Parking: parking(16, false),
+			Control: ctrl.Config{Adaptive: true, PeriodNs: int64(time.Millisecond)},
+			Opts:    sim.RunOptions{Seed: 9},
+		},
+		Wiring{Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,33 +132,70 @@ func TestLiveControllerTicks(t *testing.T) {
 }
 
 func TestValidateRejectsBadGeometry(t *testing.T) {
+	validate := func(topo Topology, sec sim.Sections) error {
+		topo.Resolve(&sec)
+		return topo.Validate(sec)
+	}
 	cases := []struct {
-		cfg  Config
+		topo Topology
+		park sim.Parking
 		want string
 	}{
-		{Config{Geometry: "ring"}, "unknown geometry"},
-		{Config{Geometry: "3x2"}, "merge port"},
-		{Config{Geometry: "4x2", ExplicitDrop: true}, "explicit drop"},
-		{Config{Geometry: "chain", Pipes: 99}, "pipes"},
-		{Config{Geometry: "chain", Slots: -1}, "slots"},
-		{Config{Geometry: "chain", DropFraction: 1.5}, "drop fraction"},
+		{Topology{Geometry: "ring"}, sim.Parking{}, "unknown geometry"},
+		{Topology{Geometry: "3x2"}, sim.Parking{}, "merge port"},
+		{Topology{Geometry: "4x2"}, sim.Parking{ExplicitDrop: true}, "explicit drop"},
+		{Topology{Geometry: "chain", Pipes: 99}, sim.Parking{}, "pipes"},
+		{Topology{Geometry: "chain"}, sim.Parking{Slots: -1}, "slots"},
+		{Topology{Geometry: "chain", DropFraction: 1.5}, sim.Parking{}, "drop fraction"},
 	}
 	for _, tc := range cases {
-		cfg := tc.cfg
-		cfg.FillDefaults()
-		err := cfg.Validate()
+		err := validate(tc.topo, sim.Sections{Parking: tc.park})
 		if err == nil {
-			t.Errorf("%+v accepted", tc.cfg)
+			t.Errorf("%+v %+v accepted", tc.topo, tc.park)
 			continue
 		}
 		if !strings.Contains(strings.ToLower(err.Error()), tc.want) {
-			t.Errorf("%+v: error %q does not mention %q", tc.cfg, err, tc.want)
+			t.Errorf("%+v %+v: error %q does not mention %q", tc.topo, tc.park, err, tc.want)
 		}
 	}
 	// Errors must list the valid shapes so the CLI user can self-serve.
-	cfg := Config{Geometry: "ring"}
-	cfg.FillDefaults()
-	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "chain") {
-		t.Fatalf("geometry error does not list valid options: %v", cfg.Validate())
+	if err := validate(Topology{Geometry: "ring"}, sim.Sections{}); err == nil || !strings.Contains(err.Error(), "chain") {
+		t.Fatalf("geometry error does not list valid options: %v", err)
+	}
+}
+
+// TestResolveDefaults pins every default the live topology fills into
+// zero-valued sections, and that a written value is left alone — in
+// particular a written 8192-slot table, the simulator's default, stays
+// 8192 here.
+func TestResolveDefaults(t *testing.T) {
+	for _, tc := range []struct {
+		lockstep, quick bool
+		frames          int
+	}{{true, false, 256}, {false, false, 20000}, {true, true, 64}, {false, true, 4000}} {
+		topo := Topology{Lockstep: tc.lockstep}
+		sec := sim.Sections{Opts: sim.RunOptions{Quick: tc.quick}}
+		topo.Resolve(&sec)
+		want := Topology{Geometry: "chain", Pipes: 1, Frames: tc.frames, Lockstep: tc.lockstep, Window: 512}
+		if topo != want {
+			t.Errorf("lockstep=%t quick=%t: resolved to %+v, want %+v", tc.lockstep, tc.quick, topo, want)
+		}
+		if sec.Parking.Slots != 64 || sec.Parking.MaxExpiry != 1 || sec.Traffic.Flows != 256 ||
+			sec.Traffic.Dist != (trafficgen.Datacenter{}) {
+			t.Errorf("sections resolved to %+v %+v, want 64 slots, expiry 1, 256 flows, the datacenter mix", sec.Parking, sec.Traffic)
+		}
+	}
+	if got := (Wiring{}).timeout(); got != 60*time.Second {
+		t.Errorf("default timeout %v, want 60s", got)
+	}
+
+	topo := Topology{Geometry: "4x2", Frames: 9, Window: 3}
+	sec := sim.Sections{Parking: sim.Parking{Slots: 8192, MaxExpiry: 2}, Traffic: sim.Traffic{FixedSize: 300, Flows: 5}}
+	topo.Resolve(&sec)
+	if topo.Geometry != "4x2" || topo.Frames != 9 || topo.Window != 3 {
+		t.Errorf("written topology moved: %+v", topo)
+	}
+	if sec.Parking.Slots != 8192 || sec.Parking.MaxExpiry != 2 || sec.Traffic.Flows != 5 || sec.Traffic.Dist != trafficgen.Fixed(300) {
+		t.Errorf("written sections moved: %+v %+v", sec.Parking, sec.Traffic)
 	}
 }

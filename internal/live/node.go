@@ -10,7 +10,6 @@ import (
 
 	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/ctrl"
-	"github.com/payloadpark/payloadpark/internal/obs"
 	"github.com/payloadpark/payloadpark/internal/rmt"
 	"github.com/payloadpark/payloadpark/internal/wire"
 )
@@ -20,17 +19,14 @@ import (
 // land within this latency even on a quiet pipe.
 const mailWake = 2 * time.Millisecond
 
-// pipeWorker is one pipe's socket and its single-owner state: the
-// ingress resolution and egress cabling maps, and the control mailbox
-// drained between bursts. The worker goroutine is the only toucher of
+// pipeWorker is one pipe's socket-switch loop (wire.SwitchLoop: the
+// socket, the ingress resolution and egress cabling maps, and the control
+// mailbox drained between bursts). Its goroutine is the only toucher of
 // the pipe's core state (programs, burst slots, counter shards): the
 // one-worker-per-pipe rule core.Switch documents.
 type pipeWorker struct {
-	pipe  int
-	conn  *net.UDPConn
-	peers map[string]rmt.PortID
-	addrs map[rmt.PortID]*net.UDPAddr
-	mail  chan func()
+	pipe int
+	wire.SwitchLoop
 }
 
 // switchNode is one fabric switch running live: per-pipe worker sockets
@@ -47,17 +43,12 @@ type switchNode struct {
 	// errs counts uncabled emissions and send failures.
 	errs atomic.Uint64
 	wg   sync.WaitGroup
-
-	// burstHist/batchHist, when metrics are registered, observe each
-	// worker's receive-burst and send-batch sizes (shared across the
-	// node's pipe workers; the histogram is atomic).
-	burstHist, batchHist *obs.Histogram
 }
 
 // newSwitchNode binds one loopback socket per pipe in use. Workers are
 // not started until start (peer maps are filled in between, once every
 // socket in the fabric is bound).
-func newSwitchNode(fs *fabricSwitch) (*switchNode, error) {
+func newSwitchNode(fs *fabricSwitch, burst int) (*switchNode, error) {
 	n := &switchNode{fs: fs}
 	for _, pipe := range fs.pipesInUse() {
 		conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
@@ -66,13 +57,19 @@ func newSwitchNode(fs *fabricSwitch) (*switchNode, error) {
 			return nil, fmt.Errorf("live: bind %s pipe %d: %w", fs.name, pipe, err)
 		}
 		wire.TuneUDP(conn)
-		n.workers = append(n.workers, &pipeWorker{
-			pipe:  pipe,
-			conn:  conn,
-			peers: make(map[string]rmt.PortID),
-			addrs: make(map[rmt.PortID]*net.UDPAddr),
-			mail:  make(chan func(), 16),
-		})
+		n.workers = append(n.workers, &pipeWorker{pipe: pipe, SwitchLoop: wire.SwitchLoop{
+			Conn:  conn,
+			SW:    fs.sw,
+			Burst: burst,
+			Peers: make(map[string]rmt.PortID),
+			Addrs: make(map[rmt.PortID]*net.UDPAddr),
+			// 16 pending control closures: quiesce posts one per caller and
+			// callers are serialized, so the mailbox never fills.
+			Mail:   make(chan func(), 16),
+			Wake:   mailWake,
+			Rx:     &n.rxFrames,
+			Errors: &n.errs,
+		}})
 	}
 	return n, nil
 }
@@ -91,87 +88,32 @@ func (n *switchNode) worker(port rmt.PortID) *pipeWorker {
 // addr returns the socket address frames for port must be sent to.
 func (n *switchNode) addr(port rmt.PortID) *net.UDPAddr {
 	if pw := n.worker(port); pw != nil {
-		return pw.conn.LocalAddr().(*net.UDPAddr)
+		return pw.Conn.LocalAddr().(*net.UDPAddr)
 	}
 	return nil
 }
 
-// cable registers a peer: frames arriving on pw's socket from peerAddr
-// enter the switch on port, and emissions for port go back to peerAddr.
+// cable registers a peer: frames arriving on the port's pipe socket from
+// peerAddr enter the switch on port, and emissions for port go back to
+// peerAddr.
 func (n *switchNode) cable(port rmt.PortID, peerAddr *net.UDPAddr) error {
 	pw := n.worker(port)
 	if pw == nil {
 		return fmt.Errorf("live: %s has no worker for port %d", n.fs.name, port)
 	}
-	pw.peers[peerAddr.String()] = port
-	pw.addrs[port] = peerAddr
+	pw.Cable(port, peerAddr)
 	return nil
 }
 
-// start launches the pipe workers.
-func (n *switchNode) start(ctx context.Context, burst int) {
+// start launches the pipe workers; they stop when close shuts their
+// sockets.
+func (n *switchNode) start(ctx context.Context) {
 	for _, pw := range n.workers {
 		n.wg.Add(1)
-		go n.runPipe(ctx, pw, burst)
-	}
-}
-
-// runPipe is one pipe's worker loop: drain the control mailbox, read a
-// burst, drive it through the zero-alloc FrameBurst path, and flush the
-// emissions in one batched send.
-func (n *switchNode) runPipe(ctx context.Context, pw *pipeWorker, burst int) {
-	defer n.wg.Done()
-	br := wire.NewBurstReader(pw.conn, burst)
-	fb := n.fs.sw.NewFrameBurst(burst)
-	bs := wire.NewBatchSender(pw.conn)
-	br.Hist, bs.Hist = n.burstHist, n.batchHist
-	for {
-		for {
-			select {
-			case fn := <-pw.mail:
-				fn()
-				continue
-			default:
-			}
-			break
-		}
-		// A short deadline keeps an idle worker responsive to its mailbox;
-		// a busy worker never hits it.
-		pw.conn.SetReadDeadline(time.Now().Add(mailWake))
-		count, err := br.Read()
-		if err != nil {
-			if ctx.Err() != nil {
-				return
-			}
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
-			return
-		}
-		fb.Reset()
-		for i := 0; i < count; i++ {
-			port, ok := pw.peers[br.From(i).String()]
-			if !ok {
-				n.errs.Add(1)
-				continue
-			}
-			n.rxFrames.Add(1)
-			if err := fb.Add(br.Frame(i), port); err != nil {
-				n.errs.Add(1)
-			}
-		}
-		for _, r := range fb.Run() {
-			if !r.OK {
-				continue
-			}
-			dst, ok := pw.addrs[r.Em.Port]
-			if !ok {
-				n.errs.Add(1)
-				continue
-			}
-			bs.Commit(r.Em.Pkt.AppendSerialize(bs.Begin()), dst, nil)
-		}
-		n.errs.Add(uint64(bs.Flush()))
+		go func(pw *pipeWorker) {
+			defer n.wg.Done()
+			pw.Run(ctx) // returns once the socket closes; nothing to report
+		}(pw)
 	}
 }
 
@@ -186,7 +128,7 @@ func (n *switchNode) quiesce(fn func()) {
 	release.Add(1)
 	for _, pw := range n.workers {
 		parked.Add(1)
-		pw.mail <- func() {
+		pw.Mail <- func() {
 			parked.Done()
 			release.Wait()
 		}
@@ -199,7 +141,7 @@ func (n *switchNode) quiesce(fn func()) {
 // close shuts the sockets (stopping the workers) and waits for them.
 func (n *switchNode) close() {
 	for _, pw := range n.workers {
-		pw.conn.Close()
+		pw.Conn.Close()
 	}
 	n.wg.Wait()
 }

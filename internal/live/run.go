@@ -9,6 +9,7 @@ import (
 
 	"github.com/payloadpark/payloadpark/internal/ctrl"
 	"github.com/payloadpark/payloadpark/internal/obs"
+	"github.com/payloadpark/payloadpark/internal/sim"
 	"github.com/payloadpark/payloadpark/internal/wire"
 )
 
@@ -22,15 +23,33 @@ type liveFabric struct {
 	nfs   []*wire.NFDaemon
 }
 
-// resolveUDP parses an endpoint's bound address.
-func resolveUDP(addr string) (*net.UDPAddr, error) {
-	return net.ResolveUDPAddr("udp", addr)
+// cableEndpoint cables the endpoint bound at addr to its switch port.
+func (lf *liveFabric) cableEndpoint(at cableEnd, addr string) error {
+	ua, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		return err
+	}
+	return lf.nodes[at.sw].cable(at.port, ua)
+}
+
+// newGenerator binds a generator (or sink: one that only receives)
+// against the pipe socket of the port it hangs off.
+func (lf *liveFabric) newGenerator(ctx context.Context, at cableEnd) (*wire.Generator, error) {
+	g, err := wire.NewGenerator(ctx, wire.GenConfig{
+		Listen:     "127.0.0.1:0",
+		SwitchAddr: lf.nodes[at.sw].addr(at.port).String(),
+		Discard:    true,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return g, lf.cableEndpoint(at, g.Addr())
 }
 
 // bringUp binds every socket of the fabric and cables them together.
 // Workers and daemons are started; teardown happens via ctx cancellation
 // plus close().
-func bringUp(ctx context.Context, f *fabric) (*liveFabric, error) {
+func bringUp(ctx context.Context, f *fabric, metrics *obs.Registry) (*liveFabric, error) {
 	lf := &liveFabric{f: f}
 	ok := false
 	defer func() {
@@ -39,7 +58,7 @@ func bringUp(ctx context.Context, f *fabric) (*liveFabric, error) {
 		}
 	}()
 	for _, fs := range f.switches {
-		n, err := newSwitchNode(fs)
+		n, err := newSwitchNode(fs, f.topo.Burst)
 		if err != nil {
 			return nil, err
 		}
@@ -49,42 +68,26 @@ func bringUp(ctx context.Context, f *fabric) (*liveFabric, error) {
 	// socket its port belongs to.
 	lf.sinks = make([]*wire.Generator, len(f.genEntry))
 	for _, entry := range f.genEntry {
-		swAddr := lf.nodes[entry.sw].addr(entry.port)
-		g, err := wire.NewGenerator(ctx, wire.GenConfig{
-			Listen:     "127.0.0.1:0",
-			SwitchAddr: swAddr.String(),
-			Discard:    true,
-		})
+		g, err := lf.newGenerator(ctx, entry)
 		if err != nil {
 			return nil, err
 		}
 		lf.gens = append(lf.gens, g)
-		ga, err := resolveUDP(g.Addr())
-		if err != nil {
-			return nil, err
-		}
-		if err := lf.nodes[entry.sw].cable(entry.port, ga); err != nil {
-			return nil, err
-		}
 	}
 	for _, at := range f.nfPort {
 		swAddr := lf.nodes[at.sw].addr(at.port)
 		nfd, err := wire.NewNFDaemon(wire.NFConfig{
 			Listen:       "127.0.0.1:0",
 			SwitchAddr:   swAddr.String(),
-			Handle:       newNFHandle(f.cfg.DropFraction),
-			ExplicitDrop: f.cfg.ExplicitDrop,
-			Burst:        f.cfg.Burst,
+			Handle:       newNFHandle(f.topo.DropFraction),
+			ExplicitDrop: f.sec.Parking.ExplicitDrop,
+			Burst:        f.topo.Burst,
 		})
 		if err != nil {
 			return nil, err
 		}
 		lf.nfs = append(lf.nfs, nfd)
-		na, err := resolveUDP(nfd.Addr())
-		if err != nil {
-			return nil, err
-		}
-		if err := lf.nodes[at.sw].cable(at.port, na); err != nil {
+		if err := lf.cableEndpoint(at, nfd.Addr()); err != nil {
 			return nil, err
 		}
 	}
@@ -93,23 +96,11 @@ func bringUp(ctx context.Context, f *fabric) (*liveFabric, error) {
 		for port, lk := range fs.links {
 			switch {
 			case lk.ep != nil && lk.ep.kind == epSink:
-				swAddr := lf.nodes[si].addr(port)
-				s, err := wire.NewGenerator(ctx, wire.GenConfig{
-					Listen:     "127.0.0.1:0",
-					SwitchAddr: swAddr.String(),
-					Discard:    true,
-				})
+				s, err := lf.newGenerator(ctx, cableEnd{sw: si, port: port})
 				if err != nil {
 					return nil, err
 				}
 				lf.sinks[lk.ep.index] = s
-				sa, err := resolveUDP(s.Addr())
-				if err != nil {
-					return nil, err
-				}
-				if err := lf.nodes[si].cable(port, sa); err != nil {
-					return nil, err
-				}
 			case lk.cable != nil:
 				far := lf.nodes[lk.cable.sw].addr(lk.cable.port)
 				if far == nil {
@@ -121,11 +112,11 @@ func bringUp(ctx context.Context, f *fabric) (*liveFabric, error) {
 			}
 		}
 	}
-	if f.cfg.Metrics != nil {
-		lf.registerMetrics(f.cfg.Metrics)
+	if metrics != nil {
+		lf.registerMetrics(metrics)
 	}
 	for _, n := range lf.nodes {
-		n.start(ctx, f.cfg.Burst)
+		n.start(ctx)
 	}
 	for _, nfd := range lf.nfs {
 		d := nfd
@@ -146,8 +137,11 @@ func (lf *liveFabric) registerMetrics(reg *obs.Registry) {
 		lbl := fmt.Sprintf("{switch=%q}", n.fs.name)
 		reg.Counter("pp_live_rx_frames_total"+lbl, "datagrams accepted by the node's workers", n.rxFrames.Load)
 		reg.Counter("pp_live_errors_total"+lbl, "uncabled emissions and send failures", n.errs.Load)
-		n.burstHist = reg.Histogram("pp_live_rx_burst_frames"+lbl, "frames drained per receive burst")
-		n.batchHist = reg.Histogram("pp_live_tx_batch_frames"+lbl, "frames written per batched send")
+		burst := reg.Histogram("pp_live_rx_burst_frames"+lbl, "frames drained per receive burst")
+		batch := reg.Histogram("pp_live_tx_batch_frames"+lbl, "frames written per batched send")
+		for _, pw := range n.workers {
+			pw.BurstHist, pw.BatchHist = burst, batch
+		}
 	}
 	for i, nfd := range lf.nfs {
 		nfd := nfd
@@ -232,22 +226,22 @@ func waitFor(ctx context.Context, cond func() bool, what string) error {
 	return nil
 }
 
-// Run brings the fabric up on loopback sockets and drives the configured
-// workload through it, returning the measured result. Lockstep mode is
-// the deterministic replay (compare against ReferenceRun with Parity);
-// throughput mode measures open-loop wire rate.
-func Run(ctx context.Context, cfg Config) (*Result, error) {
-	cfg.FillDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	f, err := build(cfg)
+// Run resolves and validates the description, brings its fabric up on
+// loopback sockets and drives the workload through it, returning the
+// measured result. Lockstep mode is the deterministic replay (compare
+// against ReferenceRun with Parity); throughput mode measures open-loop
+// wire rate. With s.Control enabled a ctrl.Controller drives the fabric
+// through the socket-backed control plant (ctrl.ServePlant over TCP
+// loopback), ticking at Control.PeriodNs wall-clock.
+func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, error) {
+	f, err := build(t, s)
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
+	t, s = f.topo, f.sec
+	ctx, cancel := context.WithTimeout(ctx, w.timeout())
 	defer cancel()
-	lf, err := bringUp(ctx, f)
+	lf, err := bringUp(ctx, f, w.Metrics)
 	if err != nil {
 		return nil, err
 	}
@@ -256,14 +250,14 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		lf.close()
 	}()
 
-	res := &Result{Geometry: cfg.Geometry, Parking: cfg.Parking}
+	res := &Result{Geometry: t.Geometry, Parking: s.Parking.Enabled()}
 
 	// Optional controller over the socket-backed control plant: a TCP
 	// loopback stream carrying the ctrl protocol, served by the fabric.
 	var ctlTicks int
 	var ctlStop chan struct{}
 	var ctlDone sync.WaitGroup
-	if cfg.Control != nil {
+	if s.Control.Enabled() {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return nil, fmt.Errorf("live: control listener: %w", err)
@@ -285,7 +279,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("live: control dial: %w", err)
 		}
-		ctlCfg := *cfg.Control
+		ctlCfg := s.Control
 		ctlCfg.FillDefaults()
 		controller := ctrl.New(ctlCfg, ctrl.NewPlantClient(cliConn), nil)
 		period := time.Duration(ctlCfg.PeriodNs)
@@ -328,10 +322,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	defer stopControl()
 
 	begin := time.Now()
-	if cfg.Lockstep {
+	if t.Lockstep {
 		res.Mode = "lockstep"
 		var sent uint64
-		for k := 0; k < cfg.Frames; k++ {
+		for k := 0; k < t.Frames; k++ {
 			for g := range lf.gens {
 				if err := lf.gens[g].Send(f.gens[g][k]); err != nil {
 					return nil, fmt.Errorf("live: send: %w", err)
@@ -402,32 +396,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// Merged counters are only coherent with every worker parked; quiesce
 	// node by node (the fabric is globally idle, so per-node barriers
 	// suffice and also publish the workers' writes to this goroutine).
-	cs := CounterSet{Drops: map[string]uint64{}}
 	for _, n := range lf.nodes {
-		n.quiesce(func() {
-			one := (&fabric{switches: []*fabricSwitch{n.fs}}).collect()
-			cs.Rx += one.Rx
-			cs.Tx += one.Tx
-			cs.Splits += one.Splits
-			cs.Merges += one.Merges
-			cs.Evictions += one.Evictions
-			cs.PrematureEvictions += one.PrematureEvictions
-			cs.ExplicitDrops += one.ExplicitDrops
-			cs.OccupiedSkips += one.OccupiedSkips
-			cs.SmallPayloadSkips += one.SmallPayloadSkips
-			cs.DemotedSkips += one.DemotedSkips
-			cs.SplitDisabledFromNF += one.SplitDisabledFromNF
-			cs.BadTagDrops += one.BadTagDrops
-			cs.StaleExplicitDrops += one.StaleExplicitDrops
-			for why, v := range one.Drops {
-				cs.Drops[why] += v
-			}
-		})
+		n.quiesce(func() { res.Counters.add(n.fs) })
 	}
-	if len(cs.Drops) == 0 {
-		cs.Drops = nil
-	}
-	res.Counters = cs
 	return res, nil
 }
 
@@ -437,11 +408,11 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 func (lf *liveFabric) blast(ctx context.Context, g int) error {
 	gen := lf.gens[g]
 	frames := lf.f.gens[g]
-	burst := lf.f.cfg.Burst
+	burst := lf.f.topo.Burst
 	if burst <= 0 {
 		burst = wire.DefaultBurst
 	}
-	window := lf.f.cfg.Window
+	window := lf.f.topo.Window
 	bs := gen.BatchSender()
 	dst := gen.SwitchUDPAddr()
 	acct := func() uint64 {

@@ -52,26 +52,16 @@ func (p *Parser) ParkBytes() int { return p.blocks * p.blockBytes }
 // consume.
 func (p *Parser) phvBits() int { return (p.blocks*p.blockBytes + p.parkOffset) * 8 }
 
-// ToPHV builds a PHV from an already-parsed packet arriving on port.
+// FillPHV resets phv and populates it from an already-parsed packet
+// arriving on port, reusing the PHV's Blocks backing array — allocation-
+// free with pooled PHVs (Pipeline.AcquirePHV).
 //
 // Payload-block extraction only succeeds when the payload is large enough
-// to fill every configured block; otherwise Blocks stays nil and the
+// to fill every configured block; otherwise Blocks stays empty and the
 // MetaPayloadOK flag stays 0, which is how the dataplane program knows to
 // skip the Split path for small payloads (§5: "We apply the Split
 // operation only when the payload length exceeds the number of per-packet
 // bytes that we can store").
-//
-//pp:zeroalloc
-func (p *Parser) ToPHV(pkt *packet.Packet, port PortID) *PHV {
-	phv := &PHV{} //pp:alloc-ok the one deliberate allocation; pooled callers use FillPHV
-	p.FillPHV(phv, pkt, port)
-	return phv
-}
-
-// FillPHV resets phv and populates it from an already-parsed packet
-// arriving on port, reusing the PHV's Blocks backing array. This is the
-// allocation-free path used with pooled PHVs (Pipeline.AcquirePHV); see
-// ToPHV for the extraction rules.
 func (p *Parser) FillPHV(phv *PHV, pkt *packet.Packet, port PortID) {
 	phv.Reset()
 	phv.Pkt = pkt

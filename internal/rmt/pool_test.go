@@ -54,26 +54,6 @@ func TestAcquireReleaseReusesPHV(t *testing.T) {
 	}
 }
 
-func TestFillPHVMatchesToPHV(t *testing.T) {
-	p, _ := buildPoolPipe(t)
-	pkt := testPkt(t, 300)
-	want := p.Parser().ToPHV(pkt, 5)
-
-	phv := p.AcquirePHV()
-	p.Parser().FillPHV(phv, pkt, 5)
-	if phv.InPort != want.InPort || phv.GetMeta(MetaPayloadOK) != want.GetMeta(MetaPayloadOK) {
-		t.Errorf("FillPHV differs from ToPHV: %+v vs %+v", phv, want)
-	}
-	if len(phv.Blocks) != len(want.Blocks) {
-		t.Fatalf("blocks %d vs %d", len(phv.Blocks), len(want.Blocks))
-	}
-	for i := range phv.Blocks {
-		if !bytes.Equal(phv.Blocks[i], want.Blocks[i]) {
-			t.Fatalf("block %d differs", i)
-		}
-	}
-}
-
 func TestProgramFollowsStageOrder(t *testing.T) {
 	p := NewPipeline("order")
 	var got []string

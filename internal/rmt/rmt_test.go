@@ -214,7 +214,8 @@ func TestParserExtractsBlocks(t *testing.T) {
 	p := NewPipeline("test")
 	p.Parser().ExtractPayloadBlocks(20, 8) // 160 bytes
 	pkt := testPkt(t, 42+200)              // 200B payload
-	phv := p.Parser().ToPHV(pkt, 5)
+	phv := p.AcquirePHV()
+	p.Parser().FillPHV(phv, pkt, 5)
 	if phv.GetMeta(MetaPayloadOK) != 1 {
 		t.Fatal("payload OK flag not set for 200B payload")
 	}
@@ -235,7 +236,8 @@ func TestParserSkipsSmallPayload(t *testing.T) {
 	p := NewPipeline("test")
 	p.Parser().ExtractPayloadBlocks(20, 8)
 	pkt := testPkt(t, 42+159) // payload one byte short
-	phv := p.Parser().ToPHV(pkt, 0)
+	phv := p.AcquirePHV()
+	p.Parser().FillPHV(phv, pkt, 0)
 	if phv.GetMeta(MetaPayloadOK) != 0 || phv.Blocks != nil {
 		t.Error("small payload must not be lifted into blocks")
 	}
@@ -246,7 +248,8 @@ func TestParserSkipsPPPackets(t *testing.T) {
 	p.Parser().ExtractPayloadBlocks(20, 8)
 	pkt := testPkt(t, 42+200)
 	pkt.PP = &packet.PPHeader{Enabled: true}
-	phv := p.Parser().ToPHV(pkt, 0)
+	phv := p.AcquirePHV()
+	p.Parser().FillPHV(phv, pkt, 0)
 	if phv.GetMeta(MetaPayloadOK) != 0 {
 		t.Error("packets already carrying a PP header must not re-split")
 	}

@@ -3,67 +3,11 @@ package scenario
 import (
 	"context"
 	"encoding/json"
-	"reflect"
 	"strings"
 	"testing"
 
-	"github.com/payloadpark/payloadpark/internal/ctrl"
 	"github.com/payloadpark/payloadpark/internal/sim"
 )
-
-// TestControlMirrorsCtrlConfig guards the Control<->ctrl.Config DTO
-// boundary: Control deliberately re-declares the controller knobs (so
-// users can write flat Control{ECMP: true, Adaptive: true} literals),
-// and this test makes silent drift impossible — every ctrl.Config field
-// must exist on Control with the same name and type, and config() must
-// copy its value through.
-func TestControlMirrorsCtrlConfig(t *testing.T) {
-	ct := reflect.TypeOf(Control{})
-	cc := reflect.TypeOf(ctrl.Config{})
-	for i := 0; i < cc.NumField(); i++ {
-		f := cc.Field(i)
-		g, ok := ct.FieldByName(f.Name)
-		if !ok {
-			t.Errorf("ctrl.Config.%s has no scenario.Control counterpart (add the field and wire config())", f.Name)
-			continue
-		}
-		if g.Type != f.Type {
-			t.Errorf("Control.%s is %v, ctrl.Config.%s is %v", f.Name, g.Type, f.Name, f.Type)
-		}
-	}
-	// config() copies every shared knob: fill Control with distinctive
-	// nonzero values by reflection and compare.
-	var in Control
-	iv := reflect.ValueOf(&in).Elem()
-	for i := 0; i < cc.NumField(); i++ {
-		f := iv.FieldByName(cc.Field(i).Name)
-		switch f.Kind() {
-		case reflect.Bool:
-			f.SetBool(true)
-		case reflect.Int, reflect.Int64:
-			f.SetInt(int64(7 + i))
-		case reflect.Uint32, reflect.Uint64:
-			f.SetUint(uint64(7 + i))
-		case reflect.Float64:
-			f.SetFloat(float64(7 + i))
-		default:
-			t.Fatalf("unhandled kind %v for ctrl.Config.%s", f.Kind(), cc.Field(i).Name)
-		}
-	}
-	out := in.config()
-	if out == nil {
-		t.Fatal("config() returned nil for an enabled spec")
-	}
-	ov := reflect.ValueOf(*out)
-	for i := 0; i < cc.NumField(); i++ {
-		name := cc.Field(i).Name
-		want := iv.FieldByName(name).Interface()
-		got := ov.Field(i).Interface()
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("config() dropped %s: got %v, want %v", name, got, want)
-		}
-	}
-}
 
 func TestRunLeafSpineWithControl(t *testing.T) {
 	rep, err := Run(context.Background(), Scenario{

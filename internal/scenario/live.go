@@ -8,82 +8,13 @@ import (
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
-// Live is the socket-backed deployment: real UDP datagrams through
-// compiled core.Switch pipelines on loopback sockets (internal/live)
-// instead of the discrete-event simulator. It shares Scenario's Parking,
-// Traffic, Control, and Opts sections with the simulated topologies, so
-// the same scenario file runs simulated or live by swapping the topology
-// envelope.
-//
-// Geometry "chain" is the Fig. 5 testbed (generator -> switch -> NF,
-// one parking program per pipe); "LxS" (e.g. "4x2") is the park-at-edge
-// leaf-spine fabric. Lockstep mode replays deterministically — its
-// counters match live.ReferenceRun exactly — and throughput mode blasts
-// an open-loop window for wire-rate numbers.
-type Live struct {
-	// Geometry is "chain" (default) or "LxS" leaf-spine (e.g. "4x2").
-	Geometry string `json:"geometry,omitempty"`
-	// Pipes is the chain's pipe count (chain only; default 1).
-	Pipes int `json:"pipes,omitempty"`
-	// Frames is the per-generator frame budget (defaults: 256 lockstep,
-	// 20000 throughput; Opts.Quick quarters it).
-	Frames int `json:"frames,omitempty"`
-	// Lockstep selects deterministic one-frame-at-a-time replay; the
-	// default is the open-loop throughput mode.
-	Lockstep bool `json:"lockstep,omitempty"`
-	// Window bounds in-flight frames per generator in throughput mode
-	// (default 512).
-	Window int `json:"window,omitempty"`
-	// Burst is the socket receive/send burst (default wire.DefaultBurst).
-	Burst int `json:"burst,omitempty"`
-	// DropFraction blacklists that fraction of flows at the NF (a
-	// stateless firewall ahead of the MAC swap), exercising eviction and
-	// explicit-drop paths.
-	DropFraction float64 `json:"drop_fraction,omitempty"`
-}
+// Live is the socket-backed deployment (internal/live): the same Parking,
+// Traffic, Control and Opts sections on real loopback sockets, so one
+// scenario file runs simulated or live by swapping the topology envelope.
+type Live live.Topology
 
 // Kind implements Topology.
 func (Live) Kind() string { return "live" }
-
-// config builds the live runner's config from the composed scenario.
-func (l Live) config(s *Scenario) live.Config {
-	cfg := live.Config{
-		Geometry:     l.Geometry,
-		Pipes:        l.Pipes,
-		Parking:      s.Parking.Enabled(),
-		Slots:        s.Parking.Slots,
-		MaxExpiry:    int(s.Parking.MaxExpiry),
-		ExplicitDrop: s.Parking.ExplicitDrop,
-		DropFraction: l.DropFraction,
-		Frames:       l.Frames,
-		Lockstep:     l.Lockstep,
-		Window:       l.Window,
-		Burst:        l.Burst,
-		Flows:        s.Traffic.Flows,
-		Seed:         s.Opts.Seed,
-		Control:      s.Control.config(),
-	}
-	if cfg.Geometry == "" {
-		cfg.Geometry = "chain"
-	}
-	if d, ok := s.Traffic.dist().(trafficgen.Fixed); ok {
-		cfg.FrameSize = int(d)
-	}
-	// Socket runs size their tables to the live default, not the
-	// simulator's 8192: fillDefaults has already run, so only override
-	// the scenario-level default back to zero-means-default.
-	if cfg.Slots == 8192 {
-		cfg.Slots = 0
-	}
-	if cfg.Frames == 0 && s.Opts.Quick {
-		if l.Lockstep {
-			cfg.Frames = 64
-		} else {
-			cfg.Frames = 4000
-		}
-	}
-	return cfg
-}
 
 func (l Live) validate(s *Scenario) error {
 	if s.Chain != nil {
@@ -92,7 +23,7 @@ func (l Live) validate(s *Scenario) error {
 	if s.Traffic.Source != nil {
 		return errf("live: Traffic.Source unsupported")
 	}
-	switch s.Traffic.dist().(type) {
+	switch s.Traffic.SizeDist().(type) {
 	case nil, trafficgen.Fixed, trafficgen.Datacenter:
 	default:
 		return errf("live: Traffic.Dist %T unsupported (use FixedSize or the default mix)", s.Traffic.Dist)
@@ -115,18 +46,14 @@ func (l Live) validate(s *Scenario) error {
 	if s.Observe.Trace {
 		return errf("live: Observe.Trace is simulated-topology only (flight recording needs the deterministic sim clock); Observe.Metrics works live")
 	}
-	cfg := l.config(s)
-	cfg.FillDefaults()
-	return cfg.Validate()
+	return nil
 }
 
 func (l Live) run(ctx context.Context, s *Scenario) (*Report, error) {
-	cfg := l.config(s)
 	ob := newObsSetup(s.Observe)
-	cfg.Metrics = ob.reg
-	res, err := live.Run(ctx, cfg)
+	res, err := live.Run(ctx, live.Topology(l), s.sections(), live.Wiring{Metrics: ob.reg})
 	if err != nil {
-		return nil, err
+		return nil, errf("%w", err) // live's errors carry the "live:" prefix
 	}
 	unaccounted := res.Sent - res.Delivered - res.NFDropped - res.NFNotified
 	rep := &Report{

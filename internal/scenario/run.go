@@ -3,14 +3,10 @@ package scenario
 import (
 	"context"
 
-	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/ctrl"
 	"github.com/payloadpark/payloadpark/internal/live"
-	"github.com/payloadpark/payloadpark/internal/nf"
 	"github.com/payloadpark/payloadpark/internal/obs"
-	"github.com/payloadpark/payloadpark/internal/prog"
 	"github.com/payloadpark/payloadpark/internal/sim"
-	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
 // Report is the structured outcome of one Run, identical in shape for
@@ -65,8 +61,8 @@ type Report struct {
 }
 
 // obsSetup carries one run's observability plumbing: the registry and
-// trace built from the Observe spec, handed to the sim config before
-// the run and folded into the Report after.
+// trace built from the Observe spec, handed to the runner as wiring and
+// folded into the Report after.
 type obsSetup struct {
 	reg   *obs.Registry
 	trace *obs.Trace
@@ -87,8 +83,9 @@ func newObsSetup(o Observe) obsSetup {
 	return ob
 }
 
-func (ob obsSetup) simCfg() sim.ObsConfig {
-	return sim.ObsConfig{Metrics: ob.reg, Trace: ob.trace}
+// wiring binds a simulated run to its context and observability.
+func (ob obsSetup) wiring(ctx context.Context) sim.Wiring {
+	return sim.Wiring{Cancel: CancelFunc(ctx), Obs: sim.ObsConfig{Metrics: ob.reg, Trace: ob.trace}}
 }
 
 // finish snapshots the registry (after the run, so every counter has
@@ -101,8 +98,10 @@ func (ob obsSetup) finish(rep *Report) {
 }
 
 // Run executes one Scenario and returns its Report. It is the single
-// public entrypoint for every topology; the legacy Simulate* functions
-// are thin deprecated wrappers over the same internals.
+// public entrypoint for every topology. The scenario's sections go to the
+// topology's runner as they are; the runner's package resolves their
+// defaults and validates them (see sim.Sections), so nothing here
+// restates a field.
 //
 // Cancellation is honored mid-simulation: the context's Done channel is
 // polled by the event engine every few thousand events, so even a
@@ -118,7 +117,6 @@ func Run(ctx context.Context, s Scenario) (*Report, error) {
 	if s.Opts.Partitions < 0 {
 		return nil, errf("Opts.Partitions = %d (want >= 0)", s.Opts.Partitions)
 	}
-	s.Parking.fillDefaults()
 	if err := s.Topology.validate(&s); err != nil {
 		return nil, err
 	}
@@ -150,11 +148,11 @@ func Run(ctx context.Context, s Scenario) (*Report, error) {
 	return rep, nil
 }
 
-// CancelFunc adapts a context to the sim configs' Cancel hook: it
-// returns nil for contexts that can never be canceled (no polling cost)
-// and a non-blocking Done poll otherwise. Custom topologies should pass
-// it to their sim config so mid-simulation cancellation works for them
-// too.
+// CancelFunc adapts a context to the sim runners' Cancel hook
+// (sim.Wiring): it returns nil for contexts that can never be canceled
+// (no polling cost) and a non-blocking Done poll otherwise. Custom
+// topologies should pass it to their runner so mid-simulation
+// cancellation works for them too.
 func CancelFunc(ctx context.Context) func() bool {
 	done := ctx.Done()
 	if done == nil {
@@ -205,54 +203,11 @@ func (t Testbed) validate(s *Scenario) error {
 }
 
 func (t Testbed) run(ctx context.Context, s *Scenario) (*Report, error) {
-	warmup, measure := s.Opts.windows()
-	dist := s.Traffic.dist()
-	if dist == nil && s.Traffic.Source == nil {
-		dist = trafficgen.Datacenter{}
-	}
-	chain := s.Chain
-	if chain == nil {
-		chain = func() *nf.Chain { return nf.NewChain(nf.MACSwap{}) }
-	}
-	cfg := sim.TestbedConfig{
-		Name:             s.Name,
-		LinkBps:          defFloat(t.LinkBps, 10e9),
-		SendBps:          s.Traffic.SendBps,
-		Dist:             dist,
-		Flows:            s.Traffic.Flows,
-		Source:           s.Traffic.Source,
-		Seed:             s.Opts.Seed,
-		BuildChain:       chain,
-		Server:           s.Server,
-		PayloadPark:      s.Parking.Enabled(),
-		ExplicitDrop:     s.Parking.ExplicitDrop,
-		WarmupNs:         warmup,
-		MeasureNs:        measure,
-		SwitchQueueBytes: t.SwitchQueueBytes,
-		PropNs:           t.PropNs,
-		NFLinkLossRate:   t.NFLinkLossRate,
-		Control:          s.Control.config(),
-		Cancel:           CancelFunc(ctx),
-	}
 	ob := newObsSetup(s.Observe)
-	cfg.Obs = ob.simCfg()
-	if cfg.PayloadPark {
-		cfg.PP = core.Config{
-			Slots:          s.Parking.Slots,
-			MaxExpiry:      s.Parking.MaxExpiry,
-			Recirculate:    s.Parking.Recirculate,
-			BoundaryOffset: s.Parking.BoundaryOffset,
-		}
+	res, err := sim.RunTestbed(sim.Testbed(t), s.sections(), ob.wiring(ctx))
+	if err != nil {
+		return nil, errf("testbed: %w", err)
 	}
-	switch s.Program.Kind {
-	case "compress":
-		cfg.Programs = []sim.ProgramAttachment{{Spec: prog.HeaderCompressSpec(prog.CompressParams{
-			Slots: s.Program.Slots, MaxExpiry: s.Program.MaxExpiry,
-		})}}
-	case "custom":
-		cfg.Programs = []sim.ProgramAttachment{{Spec: s.Program.Spec, Params: s.Program.Params}}
-	}
-	res := sim.RunTestbed(cfg)
 	rep := &Report{
 		SendGbps:           res.SendGbps,
 		GoodputGbps:        res.GoodputGbps,
@@ -274,17 +229,11 @@ func (t Testbed) run(ctx context.Context, s *Scenario) (*Report, error) {
 // --- MultiServer ---
 
 func (m MultiServer) validate(s *Scenario) error {
-	if err := (sim.MultiServerConfig{Servers: defInt(m.Servers, 8)}).Validate(); err != nil {
-		return errf("multiserver: %v", err)
-	}
 	if s.Chain != nil {
 		return errf("multiserver: custom Chain unsupported (the §6.2.3 deployment pins the MAC-swap chain)")
 	}
 	if s.Traffic.Source != nil {
 		return errf("multiserver: Traffic.Source unsupported")
-	}
-	if s.Traffic.Flows != 0 && s.Traffic.Flows != sim.MultiServerFlows {
-		return errf("multiserver: Traffic.Flows is pinned to %d (leave it zero)", sim.MultiServerFlows)
 	}
 	if s.Parking.Recirculate || s.Parking.BoundaryOffset != 0 || s.Parking.ExplicitDrop {
 		return errf("multiserver: Recirculate/BoundaryOffset/ExplicitDrop unsupported")
@@ -302,29 +251,11 @@ func (m MultiServer) validate(s *Scenario) error {
 }
 
 func (m MultiServer) run(ctx context.Context, s *Scenario) (*Report, error) {
-	warmup, measure := s.Opts.windows()
-	dist := s.Traffic.dist()
-	if dist == nil {
-		dist = trafficgen.Fixed(384)
-	}
-	cfg := sim.MultiServerConfig{
-		Servers:        defInt(m.Servers, 8),
-		LinkBps:        defFloat(m.LinkBps, 10e9),
-		SendBps:        s.Traffic.SendBps,
-		Dist:           dist,
-		SlotsPerServer: s.Parking.Slots,
-		MaxExpiry:      s.Parking.MaxExpiry,
-		Server:         s.Server,
-		Cores:          m.Cores,
-		PayloadPark:    s.Parking.Enabled(),
-		Seed:           s.Opts.Seed,
-		WarmupNs:       warmup,
-		MeasureNs:      measure,
-		Cancel:         CancelFunc(ctx),
-	}
 	ob := newObsSetup(s.Observe)
-	cfg.Obs = ob.simCfg()
-	res := sim.RunMultiServer(cfg)
+	res, err := sim.RunMultiServer(sim.MultiServer(m), s.sections(), ob.wiring(ctx))
+	if err != nil {
+		return nil, errf("multiserver: %w", err)
+	}
 	rep := &Report{MultiServer: &res}
 	for i := range res.PerServer {
 		r := &res.PerServer[i]
@@ -364,11 +295,6 @@ func (l LeafSpine) validate(s *Scenario) error {
 	default:
 		return errf("leafspine: unknown Program.Kind %q (want \"compress\")", s.Program.Kind)
 	}
-	// Geometry, merge-port collision, reroute, ECMP x every-hop and
-	// compress x every-hop: the fabric's own rules.
-	if err := l.simConfig(s).Validate(); err != nil {
-		return errf("leafspine: %v", err)
-	}
 	if s.Chain != nil {
 		return errf("leafspine: custom Chain unsupported (fabric NFs pin the MAC-swap chain)")
 	}
@@ -384,44 +310,12 @@ func (l LeafSpine) validate(s *Scenario) error {
 	return nil
 }
 
-// simConfig maps the scenario onto the fabric's configuration (Cancel and
-// Obs are run-time wiring, added by run).
-func (l LeafSpine) simConfig(s *Scenario) sim.FabricConfig {
-	warmup, measure := s.Opts.windows()
-	return sim.FabricConfig{
-		Leaves:            l.Leaves,
-		Spines:            l.Spines,
-		LinkBps:           l.LinkBps,
-		SendBps:           s.Traffic.SendBps,
-		Dist:              s.Traffic.dist(),
-		Flows:             s.Traffic.Flows,
-		Mode:              s.Parking.Mode,
-		Slots:             s.Parking.Slots,
-		MaxExpiry:         s.Parking.MaxExpiry,
-		Compress:          s.Program.Kind == "compress",
-		CompressSlots:     s.Program.Slots,
-		CompressMaxExpiry: s.Program.MaxExpiry,
-		Server:            s.Server,
-		Seed:              s.Opts.Seed,
-		WarmupNs:          warmup,
-		MeasureNs:         measure,
-		PropNs:            l.PropNs,
-		QueueBytes:        l.QueueBytes,
-		FailLink:          l.FailLink,
-		FailAtNs:          l.FailAtNs,
-		RerouteNs:         l.RerouteNs,
-		ECMP:              s.Control.ECMP,
-		Control:           s.Control.config(),
-		Partitions:        s.Opts.Partitions,
-	}
-}
-
 func (l LeafSpine) run(ctx context.Context, s *Scenario) (*Report, error) {
-	cfg := l.simConfig(s)
-	cfg.Cancel = CancelFunc(ctx)
 	ob := newObsSetup(s.Observe)
-	cfg.Obs = ob.simCfg()
-	res := sim.RunLeafSpine(cfg)
+	res, err := sim.RunLeafSpine(sim.LeafSpine(l), s.sections(), ob.wiring(ctx))
+	if err != nil {
+		return nil, errf("leafspine: %w", err)
+	}
 	rep := &Report{
 		Mode:               res.Mode,
 		SendGbps:           res.SendGbps,
@@ -453,25 +347,11 @@ func (c Custom) validate(s *Scenario) error {
 		return errf("custom topology %q has a nil Run hook", c.Kind())
 	}
 	if s.Observe != (Observe{}) {
-		return errf("custom: Observe is unsupported (the hook owns its own sim configs; wire sim.ObsConfig there)")
+		return errf("custom: Observe is unsupported (the hook owns its own runners; wire sim.ObsConfig there)")
 	}
 	return nil
 }
 
 func (c Custom) run(ctx context.Context, s *Scenario) (*Report, error) {
 	return c.Run(ctx, *s)
-}
-
-func defFloat(v, def float64) float64 {
-	if v == 0 {
-		return def
-	}
-	return v
-}
-
-func defInt(v, def int) int {
-	if v == 0 {
-		return def
-	}
-	return v
 }

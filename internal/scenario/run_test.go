@@ -2,15 +2,15 @@ package scenario
 
 import (
 	"context"
+	"encoding/json"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
 
-	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/nf"
 	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/sim"
-	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
 func fwNATChain() *nf.Chain {
@@ -18,106 +18,6 @@ func fwNATChain() *nf.Chain {
 		nf.NewFirewall([]nf.FirewallRule{{Prefix: packet.IPv4Addr{172, 16, 0, 0}, Bits: 12}}),
 		nf.NewNAT(packet.IPv4Addr{198, 51, 100, 1}),
 	)
-}
-
-// TestRunTestbedParity pins the redesign's core promise: a Scenario run
-// through the unified entrypoint produces the byte-identical sim.Result
-// a direct pre-redesign RunTestbed call produces for the same
-// parameters.
-func TestRunTestbedParity(t *testing.T) {
-	sc := Scenario{
-		Name:     "parity",
-		Topology: Testbed{},
-		Parking:  Parking{Mode: sim.ParkEdge, Slots: 16384},
-		Traffic:  Traffic{SendBps: 4e9, Dist: trafficgen.Datacenter{}},
-		Chain:    fwNATChain,
-		Opts:     RunOptions{Seed: 1, WarmupNs: 2e6, MeasureNs: 10e6},
-	}
-	rep, err := Run(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := sim.RunTestbed(sim.TestbedConfig{
-		Name: "parity", LinkBps: 10e9, SendBps: 4e9,
-		Dist: trafficgen.Datacenter{}, Seed: 1,
-		BuildChain:  fwNATChain,
-		PayloadPark: true,
-		PP:          core.Config{Slots: 16384, MaxExpiry: 1},
-		WarmupNs:    2e6, MeasureNs: 10e6,
-	})
-	if rep.Testbed == nil {
-		t.Fatal("no testbed detail")
-	}
-	if !reflect.DeepEqual(*rep.Testbed, direct) {
-		t.Errorf("scenario run diverged from direct RunTestbed:\n got %+v\nwant %+v", *rep.Testbed, direct)
-	}
-	if rep.GoodputGbps != direct.GoodputGbps || rep.Healthy != direct.Healthy {
-		t.Errorf("headline metrics diverged: %+v", rep)
-	}
-	if rep.Topology != "testbed" || rep.Mode != "edge" || rep.Scenario != "parity" {
-		t.Errorf("identity fields: %+v", rep)
-	}
-	if len(rep.LatencyCDF) == 0 {
-		t.Error("no latency CDF in headline metrics")
-	}
-}
-
-// TestRunMultiServerParity does the same for the multi-server topology.
-func TestRunMultiServerParity(t *testing.T) {
-	sc := Scenario{
-		Name:     "ms-parity",
-		Topology: MultiServer{Servers: 2},
-		Parking:  Parking{Mode: sim.ParkEdge, Slots: 2048},
-		Traffic:  Traffic{SendBps: 2e9, Dist: trafficgen.Fixed(384)},
-		Opts:     RunOptions{Seed: 1, WarmupNs: 1e6, MeasureNs: 4e6},
-	}
-	rep, err := Run(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := sim.RunMultiServer(sim.MultiServerConfig{
-		Servers: 2, LinkBps: 10e9, SendBps: 2e9,
-		Dist: trafficgen.Fixed(384), SlotsPerServer: 2048, MaxExpiry: 1,
-		PayloadPark: true, Seed: 1, WarmupNs: 1e6, MeasureNs: 4e6,
-	})
-	if rep.MultiServer == nil {
-		t.Fatal("no multiserver detail")
-	}
-	if !reflect.DeepEqual(*rep.MultiServer, direct) {
-		t.Errorf("scenario run diverged from direct RunMultiServer")
-	}
-	if rep.Delivered == 0 || rep.GoodputGbps <= 0 {
-		t.Errorf("headline metrics empty: %+v", rep)
-	}
-}
-
-// TestRunLeafSpineParity does the same for the fabric topology.
-func TestRunLeafSpineParity(t *testing.T) {
-	sc := Scenario{
-		Name:     "ls-parity",
-		Topology: LeafSpine{Leaves: 4, Spines: 2},
-		Parking:  Parking{Mode: sim.ParkEdge},
-		Traffic:  Traffic{SendBps: 3e9},
-		Opts:     RunOptions{Seed: 1, WarmupNs: 2e6, MeasureNs: 5e6},
-	}
-	rep, err := Run(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := sim.RunLeafSpine(sim.FabricConfig{
-		Leaves: 4, Spines: 2, Mode: sim.ParkEdge, SendBps: 3e9,
-		Slots: 8192, MaxExpiry: 1,
-		Seed: 1, WarmupNs: 2e6, MeasureNs: 5e6,
-	})
-	if rep.Fabric == nil {
-		t.Fatal("no fabric detail")
-	}
-	if !reflect.DeepEqual(*rep.Fabric, direct) {
-		t.Errorf("scenario run diverged from direct RunLeafSpine")
-	}
-	if rep.Mode != "edge" || rep.Topology != "leafspine" {
-		t.Errorf("identity fields: %+v", rep)
-	}
 }
 
 func TestRunValidation(t *testing.T) {
@@ -174,15 +74,15 @@ func TestCustomTopology(t *testing.T) {
 
 // TestQuickWindows checks the RunOptions window resolution.
 func TestQuickWindows(t *testing.T) {
-	w, m := RunOptions{}.windows()
+	w, m := RunOptions{}.Windows()
 	if w != 10e6 || m != 40e6 {
 		t.Errorf("default windows %d/%d", w, m)
 	}
-	w, m = RunOptions{Quick: true}.windows()
+	w, m = RunOptions{Quick: true}.Windows()
 	if w != 2e6 || m != 8e6 {
 		t.Errorf("quick windows %d/%d", w, m)
 	}
-	w, m = RunOptions{Quick: true, WarmupNs: 5, MeasureNs: 6}.windows()
+	w, m = RunOptions{Quick: true, WarmupNs: 5, MeasureNs: 6}.Windows()
 	if w != 5 || m != 6 {
 		t.Errorf("explicit windows %d/%d", w, m)
 	}
@@ -259,5 +159,90 @@ func TestRunPartitionsDeterminism(t *testing.T) {
 	sc := Scenario{Topology: Testbed{}, Traffic: Traffic{SendBps: 1e9}, Opts: RunOptions{Partitions: -1}}
 	if _, err := Run(context.Background(), sc); err == nil || !strings.Contains(err.Error(), "Partitions") {
 		t.Errorf("negative partitions: err = %v, want a Partitions validation error", err)
+	}
+}
+
+// TestHostileSlots: a parking table outside the switch's range is an error
+// naming the field on every topology — the three simulated ones used to
+// panic while attaching the program — a zero Slots is the topology's
+// default, and a table in range that still overflows a pipe's SRAM
+// (multiserver puts two per pipe) surfaces the placement failure as an
+// error too.
+func TestHostileSlots(t *testing.T) {
+	short := RunOptions{Seed: 1, WarmupNs: 1e5, MeasureNs: 2e5}
+	for _, topo := range []Topology{Testbed{}, MultiServer{Servers: 2}, LeafSpine{}, Live{Lockstep: true, Frames: 4}} {
+		for _, tc := range []struct {
+			slots int
+			want  string // "" runs clean
+		}{
+			{0, ""},
+			{65536, ""},
+			{65537, "parking.slots = 65537 outside [1, 65536]"},
+			{100000, "parking.slots = 100000 outside [1, 65536]"},
+			{-1, "parking.slots = -1 outside [1, 65536]"},
+		} {
+			if topo.Kind() == "multiserver" && tc.slots == 65536 {
+				tc.want = "SRAM overflow"
+			}
+			_, err := Run(context.Background(), Scenario{
+				Topology: topo,
+				Parking:  Parking{Mode: sim.ParkEdge, Slots: tc.slots},
+				Traffic:  Traffic{SendBps: 1e9},
+				Opts:     short,
+			})
+			switch {
+			case tc.want == "" && err != nil:
+				t.Errorf("%s slots=%d: %v", topo.Kind(), tc.slots, err)
+			case tc.want == "SRAM overflow" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Errorf("%s slots=%d: err = %v, want the placement failure", topo.Kind(), tc.slots, err)
+			case strings.HasPrefix(tc.want, "parking") && (err == nil || err.Error() != "scenario: "+topo.Kind()+": "+tc.want):
+				t.Errorf("%s slots=%d: err = %v, want %q", topo.Kind(), tc.slots, err, tc.want)
+			}
+		}
+	}
+
+	// The file CI feeds `ppbench -scenario` stays hostile.
+	data, err := os.ReadFile("testdata/hostile-slots.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc Scenario
+	if err := json.Unmarshal(data, &sc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), sc); err == nil || !strings.Contains(err.Error(), "parking.slots = 100000") {
+		t.Errorf("testdata/hostile-slots.json: err = %v, want the parking.slots range error", err)
+	}
+}
+
+// TestReportHeadlines: the Report's identity fields and headline metrics
+// are the per-topology detail's, for each simulated topology.
+func TestReportHeadlines(t *testing.T) {
+	run := func(sc Scenario) *Report {
+		t.Helper()
+		sc.Parking.Mode = sim.ParkEdge
+		sc.Opts = RunOptions{Seed: 1, WarmupNs: 1e6, MeasureNs: 4e6}
+		rep, err := Run(context.Background(), sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Scenario != sc.Name || rep.Topology != sc.Topology.Kind() || rep.Mode != "edge" {
+			t.Errorf("%s: identity fields: %+v", sc.Name, rep)
+		}
+		return rep
+	}
+	tb := run(Scenario{Name: "tb", Topology: Testbed{}, Traffic: Traffic{SendBps: 4e9}, Chain: fwNATChain})
+	if tb.Testbed == nil || tb.GoodputGbps != tb.Testbed.GoodputGbps || tb.Healthy != tb.Testbed.Healthy ||
+		tb.Delivered != tb.Testbed.Delivered || len(tb.LatencyCDF) == 0 {
+		t.Errorf("testbed headline metrics diverge from the detail: %+v", tb)
+	}
+	ms := run(Scenario{Name: "ms", Topology: MultiServer{Servers: 2}, Traffic: Traffic{SendBps: 2e9}})
+	if ms.MultiServer == nil || len(ms.MultiServer.PerServer) != 2 || ms.Delivered == 0 ||
+		ms.GoodputGbps != ms.MultiServer.PerServer[0].GoodputGbps+ms.MultiServer.PerServer[1].GoodputGbps {
+		t.Errorf("multiserver headline metrics diverge from the detail: %+v", ms)
+	}
+	ls := run(Scenario{Name: "ls", Topology: LeafSpine{}, Traffic: Traffic{SendBps: 3e9}})
+	if ls.Fabric == nil || ls.GoodputGbps != ls.Fabric.GoodputGbps || ls.Healthy != ls.Fabric.Healthy || ls.Delivered == 0 {
+		t.Errorf("leafspine headline metrics diverge from the detail: %+v", ls)
 	}
 }

@@ -11,6 +11,11 @@
 // parking mode × traffic × server calibration — and the per-figure
 // harness builds its experiments as Scenarios and Sweeps over this
 // package.
+//
+// A Scenario's sections are not this package's own: each is declared,
+// defaulted (Resolve) and validated (Validate) in the package whose
+// runner reads it — internal/sim, internal/ctrl, internal/live — and
+// re-exported here under the Scenario's names.
 package scenario
 
 import (
@@ -19,9 +24,7 @@ import (
 
 	"github.com/payloadpark/payloadpark/internal/ctrl"
 	"github.com/payloadpark/payloadpark/internal/nf"
-	"github.com/payloadpark/payloadpark/internal/prog"
 	"github.com/payloadpark/payloadpark/internal/sim"
-	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
 // Topology selects the deployment shape a Scenario simulates. It is a
@@ -32,71 +35,33 @@ type Topology interface {
 	// Kind names the topology in reports ("testbed", "multiserver",
 	// "leafspine", "live", or a custom name).
 	Kind() string
-	// validate rejects impossible geometry or unsupported knob
-	// combinations with a descriptive error, before any simulation runs.
+	// validate rejects knob combinations the topology does not support,
+	// before any simulation runs; run's runner resolves and validates the
+	// sections themselves (geometry, ranges) and reports its own errors.
 	validate(s *Scenario) error
 	// run executes the scenario on this topology.
 	run(ctx context.Context, s *Scenario) (*Report, error)
 }
 
-// Testbed is the paper's canonical Fig. 5 single-switch topology:
-// traffic generator -> switch -> NF server, with the generator's receive
-// side as the sink. It is the only topology that accepts a custom NF
-// chain, a replay Source, and the recirculation / boundary-offset /
-// explicit-drop parking knobs.
-type Testbed struct {
-	// LinkBps is the switch<->NF-server line rate (default 10 GbE).
-	LinkBps float64 `json:"link_bps,omitempty"`
-	// SwitchQueueBytes is the egress buffer per switch port (default 1 MB).
-	SwitchQueueBytes int `json:"switch_queue_bytes,omitempty"`
-	// PropNs is the per-link propagation delay (default 500 ns).
-	PropNs int64 `json:"prop_ns,omitempty"`
-	// NFLinkLossRate injects random loss on both directions of the
-	// switch<->NF link (§7 failure scenarios).
-	NFLinkLossRate float64 `json:"nf_link_loss_rate,omitempty"`
-}
+// The serializable topologies are defined types over the struct the
+// runner declares (sim.Testbed, sim.MultiServer, sim.LeafSpine,
+// live.Topology): same fields, same JSON form, converted — not copied —
+// when handed to the runner. See those types for the field docs.
+
+// Testbed is the paper's canonical Fig. 5 single-switch topology.
+type Testbed sim.Testbed
 
 // Kind implements Topology.
 func (Testbed) Kind() string { return "testbed" }
 
-// MultiServer is the §6.2.3 deployment: up to 8 NF servers (each
-// running a MAC-swap chain) sharing one switch, two per pipe, with the
-// reserved switch memory statically sliced between them.
-type MultiServer struct {
-	// Servers is the NF server count (1..8, default 8).
-	Servers int `json:"servers,omitempty"`
-	// LinkBps is each server's link rate (default 10 GbE).
-	LinkBps float64 `json:"link_bps,omitempty"`
-	// Cores, when non-zero, overrides Server.Cores on every server.
-	Cores int `json:"cores,omitempty"`
-}
+// MultiServer is the §6.2.3 deployment: up to 8 NF servers on one switch.
+type MultiServer sim.MultiServer
 
 // Kind implements Topology.
 func (MultiServer) Kind() string { return "multiserver" }
 
-// LeafSpine is the multi-switch fabric topology: every leaf hosts a
-// traffic source, a sink, and an NF server; flow i enters at leaf i, is
-// served by the NF at leaf (i+1) mod Leaves, and crosses spine i mod
-// Spines in both directions. Parking follows Scenario.Parking.Mode
-// (park-at-edge or §7 every-hop striping).
-type LeafSpine struct {
-	// Leaves and Spines size the fabric (defaults 4 and 2).
-	Leaves int `json:"leaves,omitempty"`
-	Spines int `json:"spines,omitempty"`
-	// LinkBps is the fabric and edge link rate (default 10 GbE).
-	LinkBps float64 `json:"link_bps,omitempty"`
-	// PropNs is the per-link propagation delay (default 500 ns).
-	PropNs int64 `json:"prop_ns,omitempty"`
-	// QueueBytes is the egress buffer per fabric port (default 1 MB).
-	QueueBytes int `json:"queue_bytes,omitempty"`
-	// FailLink enables the link-failure scenario: flow 0's forward
-	// spine->leaf link goes down at FailAtNs and the forward path is
-	// rerouted RerouteNs later (with Scenario.Control, at the
-	// controller's next tick instead).
-	FailLink  bool  `json:"fail_link,omitempty"`
-	FailAtNs  int64 `json:"fail_at_ns,omitempty"`
-	RerouteNs int64 `json:"reroute_ns,omitempty"`
-}
+// LeafSpine is the multi-switch fabric topology.
+type LeafSpine sim.LeafSpine
 
 // Kind implements Topology.
 func (LeafSpine) Kind() string { return "leafspine" }
@@ -122,221 +87,16 @@ func (c Custom) Kind() string {
 	return c.Name
 }
 
-// Parking is the PayloadPark policy of a Scenario. The zero value is the
-// baseline (no parking); set Mode to park.
-type Parking struct {
-	// Mode selects where payloads park: sim.ParkNone (baseline),
-	// sim.ParkEdge, or sim.ParkEveryHop (leaf-spine striping; on a
-	// single-switch topology it is equivalent to ParkEdge). Serialized by
-	// name ("baseline", "edge", "everyhop").
-	Mode sim.ParkMode `json:"mode,omitempty"`
-	// Slots is each installed program's lookup-table capacity
-	// (default 8192; per server on MultiServer, per switch on LeafSpine).
-	Slots int `json:"slots,omitempty"`
-	// MaxExpiry is the eviction threshold (default 1).
-	MaxExpiry uint32 `json:"max_expiry,omitempty"`
-	// Recirculate enables 384-byte parking via a second pipe
-	// (Testbed only).
-	Recirculate bool `json:"recirculate,omitempty"`
-	// BoundaryOffset moves the §7 decoupling boundary (Testbed only).
-	BoundaryOffset int `json:"boundary_offset,omitempty"`
-	// ExplicitDrop enables the §6.2.4 framework modification
-	// (Testbed only).
-	ExplicitDrop bool `json:"explicit_drop,omitempty"`
-}
-
-// Program is the declarative table-program policy of a Scenario: switch
-// programs loaded from internal/prog specs beyond — or instead of — the
-// built-in parking program. The zero value installs nothing extra.
-//
-// Kind "compress" loads the built-in ROHC-style header-compression spec
-// (prog.HeaderCompressSpec): IPv4/UDP headers compress to a 7-byte tagged
-// header where the flow enters the programmable domain and restore on the
-// way back, saving 21 wire bytes per packet. It composes with Parking on
-// both Testbed and LeafSpine.
-//
-// Kind "custom" loads an arbitrary serialized Spec (Testbed only) — the
-// `ppbench -program file.json` path. The topology pins the spec's
-// split_port/merge_port parameters to its canonical ports unless Params
-// pins them first.
-//
-// Restoring headers rewrites the packet's L3/L4 fields from the stored
-// context, so compression must not be combined with NF chains that
-// rewrite those fields (NAT); verdict-only and MAC-swap chains are safe.
-type Program struct {
-	// Kind selects the policy: "" (none), "compress", or "custom".
-	Kind string `json:"kind,omitempty"`
-	// Slots sizes the compression context table (default 8192).
-	Slots int `json:"slots,omitempty"`
-	// MaxExpiry is the context eviction threshold (default 1).
-	MaxExpiry uint32 `json:"max_expiry,omitempty"`
-	// Spec is the custom table program (Kind "custom" only).
-	Spec *prog.Spec `json:"spec,omitempty"`
-	// Params override the spec's declared parameters (Kind "custom").
-	Params map[string]int64 `json:"params,omitempty"`
-}
-
-// Enabled reports whether the scenario loads any table program.
-func (p Program) Enabled() bool { return p.Kind != "" }
-
-// isZero reports whether the section can vanish from the wire form.
-func (p Program) isZero() bool {
-	return p.Kind == "" && p.Slots == 0 && p.MaxExpiry == 0 && p.Spec == nil && len(p.Params) == 0
-}
-
-// Control is the control-plane spec of a Scenario: ECMP multipath
-// routing and/or the fabric-wide adaptive parking policy, both driven by
-// a periodic-tick controller (internal/ctrl) reading switch and link
-// telemetry. The zero value disables the control plane.
-type Control struct {
-	// ECMP (LeafSpine only) replaces each ingress leaf's static forward
-	// route with a hash-group next-hop table over the parking-safe
-	// spines; the controller rebalances membership on link failure and —
-	// with HotLinkPct — congestion. Incompatible with ParkEveryHop.
-	ECMP bool `json:"ecmp,omitempty"`
-	// Adaptive enables the fabric-wide adaptive parking policy:
-	// per-switch Expiry retuning between Aggressive and Conservative, and
-	// demotion of park-at-every-hop to park-at-edge on hot switches. On a
-	// Testbed it is the single-switch §7 adaptive evictor.
-	Adaptive bool `json:"adaptive,omitempty"`
-	// PeriodNs is the controller tick (default 250 µs).
-	PeriodNs int64 `json:"period_ns,omitempty"`
-	// Aggressive/Conservative are the Expiry thresholds the adaptive
-	// policy toggles (defaults: the deployment's MaxExpiry, and 8).
-	Aggressive   uint32 `json:"aggressive,omitempty"`
-	Conservative uint32 `json:"conservative,omitempty"`
-	// PrematureThreshold is the per-tick premature-eviction count that
-	// triggers the conservative policy (default 0: any).
-	PrematureThreshold uint64 `json:"premature_threshold,omitempty"`
-	// CalmTicks is the hysteresis for resuming the aggressive policy and
-	// restoring demoted switches (default 3).
-	CalmTicks int `json:"calm_ticks,omitempty"`
-	// DemotePct/RestorePct bound the parking-occupancy hysteresis for
-	// demoting a switch's transit parking (defaults 85 and 40).
-	DemotePct  float64 `json:"demote_pct,omitempty"`
-	RestorePct float64 `json:"restore_pct,omitempty"`
-	// HotLinkPct/ColdLinkPct enable and bound congestion rebalancing of
-	// ECMP members (disabled when HotLinkPct is 0).
-	HotLinkPct  float64 `json:"hot_link_pct,omitempty"`
-	ColdLinkPct float64 `json:"cold_link_pct,omitempty"`
-}
-
-// Enabled reports whether any control-plane feature is on.
-func (c Control) Enabled() bool { return c.ECMP || c.Adaptive }
-
-// config converts the spec to the controller's knobs (nil when the
-// control plane is off).
-func (c Control) config() *ctrl.Config {
-	if !c.Enabled() {
-		return nil
-	}
-	return &ctrl.Config{
-		PeriodNs:           c.PeriodNs,
-		Adaptive:           c.Adaptive,
-		Aggressive:         c.Aggressive,
-		Conservative:       c.Conservative,
-		PrematureThreshold: c.PrematureThreshold,
-		CalmTicks:          c.CalmTicks,
-		DemotePct:          c.DemotePct,
-		RestorePct:         c.RestorePct,
-		HotLinkPct:         c.HotLinkPct,
-		ColdLinkPct:        c.ColdLinkPct,
-	}
-}
-
-// Enabled reports whether the policy parks at all.
-func (p Parking) Enabled() bool { return p.Mode != sim.ParkNone }
-
-func (p *Parking) fillDefaults() {
-	if p.Slots == 0 {
-		p.Slots = 8192
-	}
-	if p.MaxExpiry == 0 {
-		p.MaxExpiry = 1
-	}
-}
-
-// Traffic is the offered-load spec of a Scenario.
-type Traffic struct {
-	// SendBps is the offered load per traffic source, in frame
-	// bits/second.
-	SendBps float64 `json:"send_bps,omitempty"`
-	// Dist draws packet sizes (default: the Fig. 6 datacenter mix on
-	// Testbed and LeafSpine, Fixed(384) on MultiServer, matching the
-	// paper's workloads). Serialized scenarios carry FixedSize instead.
-	Dist trafficgen.SizeDist `json:"-"`
-	// FixedSize, when non-zero, is the serializable form of a Fixed
-	// packet-size distribution: it resolves to trafficgen.Fixed(FixedSize)
-	// when Dist is nil. A zero FixedSize with a nil Dist keeps the
-	// topology default (the datacenter mix).
-	FixedSize int `json:"fixed_size,omitempty"`
-	// Flows is each source's 5-tuple pool size (default 1024 on Testbed
-	// and LeafSpine; MultiServer pins sim.MultiServerFlows).
-	Flows int `json:"flows,omitempty"`
-	// Source, when non-nil, overrides the synthetic generator with an
-	// arbitrary packet stream, e.g. a pcap replay (Testbed only). The
-	// builder is called once per run so replays start fresh. Not
-	// serializable.
-	Source func() trafficgen.Source `json:"-"`
-}
-
-// dist resolves the effective size distribution (nil means "topology
-// default").
-func (t Traffic) dist() trafficgen.SizeDist {
-	if t.Dist != nil {
-		return t.Dist
-	}
-	if t.FixedSize > 0 {
-		return trafficgen.Fixed(t.FixedSize)
-	}
-	return nil
-}
-
-// RunOptions are the execution knobs shared by every topology.
-type RunOptions struct {
-	// Seed drives all randomness.
-	Seed int64 `json:"seed,omitempty"`
-	// Quick shrinks the default measurement window for CI-speed runs
-	// (2 ms warmup + 8 ms measured instead of 10 + 40). It applies
-	// per field: whichever of WarmupNs/MeasureNs is set explicitly wins
-	// over Quick for that field alone.
-	Quick bool `json:"quick,omitempty"`
-	// WarmupNs/MeasureNs bound the measurement window explicitly.
-	WarmupNs  int64 `json:"warmup_ns,omitempty"`
-	MeasureNs int64 `json:"measure_ns,omitempty"`
-	// Partitions shards a multi-switch fabric across that many
-	// conservatively synchronized event engines, one goroutine each
-	// (0 and 1 run the serial reference timeline). Results are
-	// byte-identical across partition counts — the knob trades nothing
-	// but wall-clock time. Single-switch topologies (Testbed,
-	// MultiServer) have no graph to cut and always run serial, and a
-	// scenario with a control plane (Control.Enabled) runs serial too:
-	// the fabric-wide controller reads and writes global state mid-run.
-	Partitions int `json:"partitions,omitempty"`
-	// Progress, when non-nil, is called with a short label when the run
-	// completes (and by RunSweep once per completed grid point). It may
-	// be called from multiple goroutines during a sweep; RunSweep
-	// serializes the calls. Not serializable.
-	Progress func(label string) `json:"-"`
-}
-
-// windows resolves the measurement window.
-func (o RunOptions) windows() (warmup, measure int64) {
-	warmup, measure = o.WarmupNs, o.MeasureNs
-	if warmup == 0 {
-		warmup = 10e6
-		if o.Quick {
-			warmup = 2e6
-		}
-	}
-	if measure == 0 {
-		measure = 40e6
-		if o.Quick {
-			measure = 8e6
-		}
-	}
-	return warmup, measure
-}
+// The sections of a Scenario are the runners' own parameter types,
+// re-exported: see sim.Parking, sim.Program, ctrl.Config, sim.Traffic and
+// sim.RunOptions for the fields, their defaults and their rules.
+type (
+	Parking    = sim.Parking
+	Program    = sim.Program
+	Control    = ctrl.Config
+	Traffic    = sim.Traffic
+	RunOptions = sim.RunOptions
+)
 
 // Scenario is one point of the evaluation grid: what to simulate
 // (Topology), how payloads park (Parking), how the control plane drives
@@ -401,6 +161,14 @@ type Observe struct {
 
 // Enabled reports whether any observability is requested.
 func (o Observe) Enabled() bool { return o.Metrics || o.Trace }
+
+// sections gathers what every runner reads besides its topology.
+func (s *Scenario) sections() sim.Sections {
+	return sim.Sections{
+		Name: s.Name, Parking: s.Parking, Program: s.Program, Control: s.Control,
+		Traffic: s.Traffic, Server: s.Server, Chain: s.Chain, Opts: s.Opts,
+	}
+}
 
 // With returns a copy of the scenario with fn applied — the building
 // block Axis setters use.

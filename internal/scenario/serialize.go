@@ -67,7 +67,7 @@ func (s Scenario) MarshalJSON() ([]byte, error) {
 			return nil, errf("marshal: multiserver with a Datacenter dist has no wire form (the serialized default is Fixed(384))")
 		}
 		s.Traffic.Dist = nil // the deserialized default
-		// A stale FixedSize would win on the wire (dist() prefers Dist
+		// A stale FixedSize would win on the wire (SizeDist prefers Dist
 		// only in memory); clear it so the round trip keeps the mix.
 		s.Traffic.FixedSize = 0
 	default:
@@ -97,7 +97,7 @@ func (s Scenario) MarshalJSON() ([]byte, error) {
 	if s.Parking != (Parking{}) {
 		w.Parking = &s.Parking
 	}
-	if !s.Program.isZero() {
+	if !s.Program.IsZero() {
 		w.Program = &s.Program
 	}
 	if s.Control != (Control{}) {

@@ -101,7 +101,7 @@ func TestScenarioJSONFixedDistConverts(t *testing.T) {
 	if err := json.Unmarshal(b, &stale); err != nil {
 		t.Fatal(err)
 	}
-	if stale.Traffic.FixedSize != 0 || stale.Traffic.dist() != nil {
+	if stale.Traffic.FixedSize != 0 || stale.Traffic.SizeDist() != nil {
 		t.Errorf("stale FixedSize leaked into the wire form: %+v (wire %s)", stale.Traffic, b)
 	}
 }

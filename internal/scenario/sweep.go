@@ -73,20 +73,6 @@ func ControlAxis(specs ...Control) Axis {
 	return a
 }
 
-// Label names a control spec, as used in sweep labels and reports.
-func (c Control) Label() string {
-	switch {
-	case c.ECMP && c.Adaptive:
-		return "ecmp+adaptive"
-	case c.ECMP:
-		return "ecmp"
-	case c.Adaptive:
-		return "adaptive"
-	default:
-		return "static"
-	}
-}
-
 // CoresAxis sweeps the NF server's core count.
 func CoresAxis(counts ...int) Axis {
 	a := Axis{Name: "cores"}

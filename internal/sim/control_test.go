@@ -5,18 +5,16 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/ctrl"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
-func ecmpSmoke(mode ParkMode, sendGbps float64) FabricConfig {
-	return FabricConfig{
-		Leaves: 6, Spines: 3,
-		Mode: mode, SendBps: sendGbps * 1e9, Seed: 1,
-		WarmupNs: 2e6, MeasureNs: 10e6,
-		ECMP: true,
-	}
+// ecmpSmoke is a 6x3 fabric with hash-group routing; run it with
+// runStatic for the groups alone, or enable Control.Adaptive and run.
+func ecmpSmoke(mode ParkMode, sendGbps float64) leafSpineRun {
+	r := fabricRun(LeafSpine{Leaves: 6, Spines: 3}, mode, sendGbps*1e9, RunOptions{Seed: 1, WarmupNs: 2e6, MeasureNs: 10e6})
+	r.Control.ECMP = true
+	return r
 }
 
 func linkTx(r FabricResult, name string) uint64 {
@@ -33,9 +31,9 @@ func linkTx(r FabricResult, name string) uint64 {
 // flow's static affinity spine — and end-to-end behaviour stays healthy.
 func TestLeafSpineECMPSpreadsFlows(t *testing.T) {
 	static := ecmpSmoke(ParkEdge, 4)
-	static.ECMP = false
-	s := RunLeafSpine(static)
-	e := RunLeafSpine(ecmpSmoke(ParkEdge, 4))
+	static.Control.ECMP = false
+	s := static.run(t)
+	e := ecmpSmoke(ParkEdge, 4).runStatic(t)
 
 	if !e.Healthy {
 		t.Fatalf("ECMP run unhealthy: drop=%.5f", e.UnintendedDropRate)
@@ -58,7 +56,7 @@ func TestLeafSpineECMPSpreadsFlows(t *testing.T) {
 		}
 	}
 	// Baseline (no parking) may additionally use the merge spine.
-	b := RunLeafSpine(ecmpSmoke(ParkNone, 4))
+	b := ecmpSmoke(ParkNone, 4).runStatic(t)
 	if linkTx(b, "spine1->leaf1") == 0 {
 		t.Error("baseline ECMP should use all three spines toward leaf1")
 	}
@@ -68,12 +66,12 @@ func TestLeafSpineECMPSpreadsFlows(t *testing.T) {
 // seed, same config => byte-identical FabricResult, including the
 // flow->path assignment the link counters encode.
 func TestLeafSpineECMPDeterministic(t *testing.T) {
-	mk := func() FabricConfig {
+	mk := func() leafSpineRun {
 		cfg := ecmpSmoke(ParkEdge, 5)
-		cfg.Control = &ctrl.Config{Adaptive: true}
+		cfg.Control.Adaptive = true
 		return cfg
 	}
-	a, b := RunLeafSpine(mk()), RunLeafSpine(mk())
+	a, b := mk().run(t), mk().run(t)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("identical ECMP configs diverged:\n%+v\n%+v", a, b)
 	}
@@ -94,17 +92,14 @@ func TestLeafSpineECMPDeterministic(t *testing.T) {
 // zero parking-safety violations (no premature evictions anywhere,
 // orphans only at the ingress leaf whose in-flight packets died).
 func TestLeafSpineECMPControllerReroute(t *testing.T) {
-	mk := func(ecmp bool, cc *ctrl.Config) FabricConfig {
-		return FabricConfig{
-			Leaves: 6, Spines: 3,
-			Mode: ParkEdge, SendBps: 4.5e9, Seed: 1,
-			WarmupNs: 2e6, MeasureNs: 16e6,
-			FailLink: true, FailAtNs: 6e6, RerouteNs: 2e6,
-			ECMP: ecmp, Control: cc,
-		}
+	mk := func(cc ctrl.Config) leafSpineRun {
+		r := fabricRun(LeafSpine{Leaves: 6, Spines: 3, FailLink: true, FailAtNs: 6e6, RerouteNs: 2e6}, ParkEdge, 4.5e9,
+			RunOptions{Seed: 1, WarmupNs: 2e6, MeasureNs: 16e6})
+		r.Control = cc
+		return r
 	}
-	static := RunLeafSpine(mk(false, nil))
-	ctl := RunLeafSpine(mk(true, &ctrl.Config{Adaptive: true}))
+	static := mk(ctrl.Config{}).run(t)
+	ctl := mk(ctrl.Config{ECMP: true, Adaptive: true}).run(t)
 
 	if ctl.Control == nil || ctl.Control.Ticks == 0 {
 		t.Fatal("controller did not run")
@@ -156,14 +151,10 @@ func TestLeafSpineECMPControllerReroute(t *testing.T) {
 // TestLeafSpineECMPFallbackReroute: ECMP without a controller mirrors
 // the static detection delay with a one-shot group rewrite.
 func TestLeafSpineECMPFallbackReroute(t *testing.T) {
-	cfg := FabricConfig{
-		Leaves: 6, Spines: 3,
-		Mode: ParkEdge, SendBps: 4e9, Seed: 1,
-		WarmupNs: 2e6, MeasureNs: 12e6,
-		FailLink: true, FailAtNs: 5e6, RerouteNs: 1e6,
-		ECMP: true,
-	}
-	r := RunLeafSpine(cfg)
+	cfg := fabricRun(LeafSpine{Leaves: 6, Spines: 3, FailLink: true, FailAtNs: 5e6, RerouteNs: 1e6}, ParkEdge, 4e9,
+		RunOptions{Seed: 1, WarmupNs: 2e6, MeasureNs: 12e6})
+	cfg.Control.ECMP = true
+	r := cfg.runStatic(t)
 	if r.Control != nil {
 		t.Error("no controller configured, but a control report appeared")
 	}
@@ -176,13 +167,10 @@ func TestLeafSpineECMPFallbackReroute(t *testing.T) {
 }
 
 func TestLeafSpineECMPRejectsEveryHop(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("ECMP + ParkEveryHop accepted")
-		}
-	}()
 	cfg := ecmpSmoke(ParkEveryHop, 2)
-	RunLeafSpine(cfg)
+	if _, err := RunLeafSpine(cfg.LeafSpine, cfg.Sections, cfg.Wiring); err == nil {
+		t.Error("ECMP + ParkEveryHop accepted")
+	}
 }
 
 // TestTestbedAdaptiveControlTimeline wires the single-switch adaptive
@@ -196,21 +184,19 @@ func TestTestbedAdaptiveControlTimeline(t *testing.T) {
 	server := DefaultServerModel()
 	server.StallPeriodNs = 4e6
 	server.StallNs = 2e6
-	cfg := TestbedConfig{
-		Name:        "adaptive",
-		LinkBps:     10e9,
-		SendBps:     6e9,
-		Dist:        trafficgen.Datacenter{},
-		Seed:        1,
-		BuildChain:  chainFWNAT,
-		Server:      server,
-		PayloadPark: true,
-		PP:          core.Config{Slots: 512, MaxExpiry: 1},
-		WarmupNs:    2e6,
-		MeasureNs:   10e6,
-		Control:     &ctrl.Config{Conservative: 12},
+	cfg := testbedRun{
+		Testbed: Testbed{LinkBps: 10e9},
+		Sections: Sections{
+			Name:    "adaptive",
+			Parking: Parking{Mode: ParkEdge, Slots: 512, MaxExpiry: 1},
+			Control: ctrl.Config{Adaptive: true, Conservative: 12},
+			Traffic: Traffic{SendBps: 6e9, Dist: trafficgen.Datacenter{}},
+			Server:  server,
+			Chain:   chainFWNAT,
+			Opts:    RunOptions{Seed: 1, WarmupNs: 2e6, MeasureNs: 10e6},
+		},
 	}
-	res := RunTestbed(cfg)
+	res := cfg.run(t)
 	if res.Control == nil {
 		t.Fatal("no control report")
 	}
@@ -228,8 +214,8 @@ func TestTestbedAdaptiveControlTimeline(t *testing.T) {
 	}
 
 	// Without a program (baseline), Control is ignored.
-	cfg.PayloadPark = false
-	if base := RunTestbed(cfg); base.Control != nil {
+	cfg.Parking.Mode = ParkNone
+	if base := cfg.run(t); base.Control != nil {
 		t.Error("baseline run produced a control report")
 	}
 }

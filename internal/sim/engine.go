@@ -9,6 +9,10 @@
 // results. Multi-switch fabrics may shard across several engines — one
 // per partition, conservatively synchronized on link propagation delay
 // (see partition.go) — without giving up determinism.
+//
+// A run is described by sections (sections.go): each is declared there,
+// defaulted by its topology's Resolve and validated by its Validate, and
+// the runners take them as they are.
 package sim
 
 // Engine is a discrete-event executor.

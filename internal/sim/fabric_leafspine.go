@@ -74,175 +74,6 @@ const (
 	leafPortSpine = rmt.PortID(3)
 )
 
-// FabricConfig describes one leaf-spine simulation run.
-type FabricConfig struct {
-	// Leaves and Spines size the fabric (defaults 4 and 2). Spines must
-	// be >= 2 and Leaves even when parking is enabled, so that a flow's
-	// forward path never enters the egress leaf on a merge port (spine
-	// affinity alternates with leaf parity).
-	Leaves, Spines int
-	// LinkBps is the fabric and edge link rate.
-	LinkBps float64
-	// SendBps is the offered load per traffic source.
-	SendBps float64
-	// Dist draws packet sizes; Flows is each source's 5-tuple pool size.
-	Dist  trafficgen.SizeDist
-	Flows int
-	// Mode selects the parking scheme.
-	Mode ParkMode
-	// Slots sizes each installed program's lookup table; MaxExpiry is the
-	// eviction threshold.
-	Slots     int
-	MaxExpiry uint32
-	// Compress additionally loads the declarative header-compression
-	// program (prog.HeaderCompressSpec) at every ingress leaf: headers
-	// compress where the flow enters the fabric and restore when they
-	// return from the flow's spine, mirroring ParkEdge's port layout. It
-	// composes with ParkNone (compression alone) and ParkEdge (both
-	// policies on the same pipe), and shares ParkEdge's spine-affinity
-	// geometry requirement since the restore port is pinned the same way.
-	// Incompatible with ParkEveryHop, whose byte-accurate wire-parse hops
-	// would re-parse compressed transit frames.
-	Compress bool
-	// CompressSlots sizes each compression context table (default Slots);
-	// CompressMaxExpiry is the context eviction threshold (default
-	// MaxExpiry).
-	CompressSlots     int
-	CompressMaxExpiry uint32
-	// Server calibrates the NF servers (one per leaf).
-	Server ServerModel
-	// Seed drives all randomness.
-	Seed int64
-	// WarmupNs/MeasureNs bound the measurement window.
-	WarmupNs  int64
-	MeasureNs int64
-	// PropNs is the per-link propagation delay; QueueBytes the egress
-	// buffer per fabric port.
-	PropNs     int64
-	QueueBytes int
-	// FailLink enables the failure scenario: flow 0's forward spine->leaf
-	// link goes down at FailAtNs, and the forward path is rerouted onto
-	// the alternate spine RerouteNs later (route detection + programming
-	// delay). The parked state at the ingress leaf survives, because the
-	// merge port pins the return path; only packets in flight on the dead
-	// link orphan their parked payloads.
-	FailLink  bool
-	FailAtNs  int64
-	RerouteNs int64
-	// ECMP replaces each ingress leaf's static forward (NF-bound) route
-	// with a hash-group next-hop table over the parking-safe spines:
-	// flows spread across group members by 5-tuple Maglev hashing, and
-	// member loss remaps only the flows that rode the lost member. Return
-	// routes stay pinned to each flow's merge spine, so parked payloads
-	// always find their way home. Incompatible with ParkEveryHop, whose
-	// per-hop programs are installed on a flow's static path.
-	ECMP bool
-	// Control, when non-nil, attaches the fabric-wide controller: every
-	// Control.PeriodNs it reads per-switch and per-link telemetry and
-	// pushes ECMP membership (link failure/congestion rebalancing) and —
-	// with Control.Adaptive — per-switch Expiry retuning plus hot-switch
-	// parking demotion. The decision timeline lands in
-	// FabricResult.Control. With ECMP and no controller, the failure
-	// scenario falls back to a one-shot group rewrite RerouteNs after the
-	// failure (mirroring the static route-detection delay).
-	Control *ctrl.Config
-	// Partitions shards the fabric across that many conservatively
-	// synchronized engines, one goroutine each (0 and 1 run serial — the
-	// reference timeline). Switches are placed by greedy min-cut over the
-	// leaf-spine graph; each leaf's source, sink, and NF server follow
-	// their leaf. Results are byte-identical across partition counts. A
-	// fabric-wide controller (Control non-nil) reads and writes global
-	// state mid-run and therefore forces a serial run regardless.
-	Partitions int
-	// Cancel, when non-nil, is polled periodically by the event engine;
-	// once it returns true the run stops early and the result is partial.
-	Cancel func() bool
-	// Obs arms the observability layer (metrics and/or the flight
-	// recorder); the zero value keeps it off.
-	Obs ObsConfig
-}
-
-func (c *FabricConfig) fillDefaults() {
-	if c.Leaves == 0 {
-		c.Leaves = 4
-	}
-	if c.Spines == 0 {
-		c.Spines = 2
-	}
-	if c.LinkBps == 0 {
-		c.LinkBps = 10e9
-	}
-	if c.Dist == nil {
-		c.Dist = trafficgen.Datacenter{}
-	}
-	if c.Flows == 0 {
-		c.Flows = 1024
-	}
-	if c.Slots == 0 {
-		c.Slots = 8192
-	}
-	if c.MaxExpiry == 0 {
-		c.MaxExpiry = 1
-	}
-	if c.Server.FreqHz == 0 {
-		c.Server = DefaultServerModel()
-	}
-	if c.WarmupNs == 0 {
-		c.WarmupNs = 5e6
-	}
-	if c.MeasureNs == 0 {
-		c.MeasureNs = 20e6
-	}
-	if c.PropNs == 0 {
-		c.PropNs = 500
-	}
-	if c.QueueBytes == 0 {
-		c.QueueBytes = 1 << 20
-	}
-	if c.FailAtNs == 0 {
-		c.FailAtNs = c.WarmupNs + c.MeasureNs/4
-	}
-	if c.RerouteNs == 0 {
-		c.RerouteNs = 2e6
-	}
-}
-
-// Validate reports the first leaf-spine rule the configuration breaks
-// (zero Leaves/Spines read as the 4x2 default). It is the one place the
-// geometry and mode-combination rules live: scenario validation returns
-// its error, RunLeafSpine panics with it.
-func (c FabricConfig) Validate() error {
-	c.fillDefaults()
-	L, S := c.Leaves, c.Spines
-	if L < 2 || L > 16 || S < 1 || S > 13 {
-		return fmt.Errorf("%dx%d outside supported geometry (2..16 leaves, 1..13 spines)", L, S)
-	}
-	if c.ECMP && c.Mode == ParkEveryHop {
-		return fmt.Errorf("ECMP cannot stripe: park-at-every-hop programs are installed on each flow's static path")
-	}
-	if c.Compress && c.Mode == ParkEveryHop {
-		return fmt.Errorf("compression cannot ride every-hop striping: wire-parse hops would re-parse compressed transit frames")
-	}
-	if c.Mode != ParkNone || c.Compress {
-		// A slim transit packet entering the egress leaf on that leaf's
-		// merge port would be treated as a merge with a foreign tag and
-		// dropped as a premature eviction, so every flow's spine affinity
-		// must differ from its egress leaf's (4x2 and 6x3 qualify; 4x3
-		// does not — flow 3's affinity collides with leaf 0's).
-		// Compression pins its restore port identically, so the same
-		// geometry requirement applies.
-		for i := 0; i < L; i++ {
-			if c.spineOf(i) == c.spineOf((i+1)%L) {
-				return fmt.Errorf("%dx%d cannot park: flow %d's forward path enters leaf %d on its merge port (try 4x2 or 6x3)", L, S, i, (i+1)%L)
-			}
-		}
-		if c.FailLink && S < 3 {
-			return fmt.Errorf("parking-safe reroute needs a third spine (got %d): with two, the alternate path arrives on the egress leaf's merge port", S)
-		}
-	}
-	return nil
-}
-
 // FlowResult reports one source->NF->sink flow across the fabric.
 type FlowResult struct {
 	// Name is "leaf<i>->nf<j>".
@@ -272,7 +103,7 @@ type FabricResult struct {
 	Switches []SwitchStats `json:"switches"`
 	// Programs reports each declaratively attached table program's
 	// in-window counter deltas (compression; empty unless
-	// FabricConfig.Compress ran).
+	// Sections.Program ran).
 	Programs []ProgramCounters `json:"programs,omitempty"`
 	// Aggregates over all flows.
 	SendGbps     float64 `json:"send_gbps"`
@@ -296,7 +127,7 @@ type FabricResult struct {
 
 // spineOf returns the spine affinity of flow i (used for both the
 // forward and the return path, which is what pins the merge port).
-func (c *FabricConfig) spineOf(i int) int { return i % c.Spines }
+func (l *LeafSpine) spineOf(i int) int { return i % l.Spines }
 
 func leafSpineMACs(i int) (gen, nfm packet.MAC) {
 	return packet.MAC{0x02, 0x40, 0, 0, 0, byte(i)}, packet.MAC{0x02, 0x50, 0, 0, 0, byte(i)}
@@ -305,22 +136,38 @@ func leafSpineMACs(i int) (gen, nfm packet.MAC) {
 // RunLeafSpine simulates a leaf-spine fabric: every leaf hosts a traffic
 // source, a sink, and an NF server running a MAC-swap chain; flow i
 // enters at leaf i and is served by the NF at leaf (i+1) mod Leaves,
-// crossing spine i mod Spines in both directions. Parking follows
-// cfg.Mode; static route tables (each switch's L2 table) map every flow
-// to its port path.
-func RunLeafSpine(cfg FabricConfig) FabricResult {
-	cfg.fillDefaults()
-	if err := cfg.Validate(); err != nil {
-		panic("sim: leaf-spine " + err.Error())
+// crossing spine i mod Spines in both directions; static route tables
+// (each switch's L2 table) map every flow to its port path. Parking
+// follows s.Parking.Mode; s.Program Kind "compress" loads the compression
+// program at every ingress leaf, mirroring ParkEdge's port layout;
+// s.Control.ECMP overlays the forward routes with hash groups, and an
+// enabled s.Control runs the fabric-wide controller (see ctrl.Config),
+// whose decision timeline lands in FabricResult.Control. The sections
+// are resolved and validated first: a description the fabric cannot run
+// is an error, never a panic.
+func RunLeafSpine(l LeafSpine, s Sections, w Wiring) (FabricResult, error) {
+	return runLeafSpine(l, s, w, s.Control.Enabled())
+}
+
+// runLeafSpine is RunLeafSpine with the controller decision explicit:
+// tests pass controlled=false with Control.ECMP set to pin what the hash
+// groups do on their own (static failover by a one-shot group rewrite,
+// partition invariance), which no Scenario reaches — there, an enabled
+// Control always runs the controller.
+func runLeafSpine(l LeafSpine, sec Sections, w Wiring, controlled bool) (FabricResult, error) {
+	l.Resolve(&sec)
+	if err := l.Validate(sec); err != nil {
+		return FabricResult{}, err
 	}
-	L, S := cfg.Leaves, cfg.Spines
+	L, S := l.Leaves, l.Spines
+	mode, ecmp, compress := sec.Parking.Mode, sec.Control.ECMP, sec.Program.Kind == "compress"
 
 	// Partition placement: greedy min-cut over the switch graph (leaves
 	// 0..L-1 then spines L..L+S-1, matching report order); every leaf's
 	// source, sink, and NF server follow their leaf. The controller reads
 	// and writes fabric-wide state mid-run, so it forces a serial run.
-	P := cfg.Partitions
-	if P < 1 || cfg.Control != nil {
+	P := sec.Opts.Partitions
+	if P < 1 || controlled {
 		P = 1
 	}
 	if P > L+S {
@@ -338,10 +185,10 @@ func RunLeafSpine(cfg FabricConfig) FabricResult {
 	f := NewFabric()
 	f.SetPartitions(P)
 	for p := 0; p < P; p++ {
-		f.PartitionEngine(p).Cancel = cfg.Cancel
+		f.PartitionEngine(p).Cancel = w.Cancel
 	}
-	windowStart := cfg.WarmupNs
-	windowEnd := cfg.WarmupNs + cfg.MeasureNs
+	windowStart := sec.Opts.WarmupNs
+	windowEnd := sec.Opts.WarmupNs + sec.Opts.MeasureNs
 
 	// Nodes first: leaves, then spines, so reports read in that order.
 	leaves := make([]*SwitchNode, L)
@@ -366,9 +213,9 @@ func RunLeafSpine(cfg FabricConfig) FabricResult {
 				continue
 			}
 			// Toward NF k: the flow sourced at leaf k-1 owns the path.
-			leaves[i].SW.AddL2Route(nfK, leafPortSpine+rmt.PortID(cfg.spineOf((k-1+L)%L)))
+			leaves[i].SW.AddL2Route(nfK, leafPortSpine+rmt.PortID(l.spineOf((k-1+L)%L)))
 			// Toward source k: the return path of flow k.
-			leaves[i].SW.AddL2Route(genK, leafPortSpine+rmt.PortID(cfg.spineOf(k)))
+			leaves[i].SW.AddL2Route(genK, leafPortSpine+rmt.PortID(l.spineOf(k)))
 		}
 	}
 	for s := 0; s < S; s++ {
@@ -380,19 +227,19 @@ func RunLeafSpine(cfg FabricConfig) FabricResult {
 	}
 
 	// Programs.
-	attach := func(n *SwitchNode, split, merge rmt.PortID) {
-		if _, err := n.SW.AttachPayloadPark(core.Config{
-			Slots: cfg.Slots, MaxExpiry: cfg.MaxExpiry,
-			SplitPort: split, MergePort: merge,
-		}, -1); err != nil {
-			panic(fmt.Sprintf("sim: leaf-spine attach %s: %v", n.Name, err))
+	attach := func(n *SwitchNode, split, merge rmt.PortID) error {
+		if _, err := n.SW.AttachPayloadPark(sec.Parking.Core(split, merge), -1); err != nil {
+			return fmt.Errorf("attach %s: %w", n.Name, err)
 		}
+		return nil
 	}
-	if cfg.Mode != ParkNone {
+	if mode != ParkNone {
 		// Ingress-leaf programs: split what the source sends, merge what
 		// returns from this flow's spine.
 		for i := 0; i < L; i++ {
-			attach(leaves[i], leafPortGen, leafPortSpine+rmt.PortID(cfg.spineOf(i)))
+			if err := attach(leaves[i], leafPortGen, leafPortSpine+rmt.PortID(l.spineOf(i))); err != nil {
+				return FabricResult{}, err
+			}
 		}
 	}
 	// Compression companion policy: compress where the flow enters the
@@ -400,24 +247,16 @@ func RunLeafSpine(cfg FabricConfig) FabricResult {
 	// the same port layout ParkEdge uses, loaded from the declarative
 	// spec rather than a built-in Go program.
 	leafComp := make([]*prog.Instance, L)
-	if cfg.Compress {
-		slots := cfg.CompressSlots
-		if slots == 0 {
-			slots = cfg.Slots
-		}
-		exp := cfg.CompressMaxExpiry
-		if exp == 0 {
-			exp = cfg.MaxExpiry
-		}
+	if compress {
 		for i := 0; i < L; i++ {
 			spec := prog.HeaderCompressSpec(prog.CompressParams{
-				Slots: slots, MaxExpiry: exp,
+				Slots: sec.Program.Slots, MaxExpiry: sec.Program.MaxExpiry,
 				CompressPort: int(leafPortGen),
-				RestorePort:  int(leafPortSpine + rmt.PortID(cfg.spineOf(i))),
+				RestorePort:  int(leafPortSpine + rmt.PortID(l.spineOf(i))),
 			})
 			inst, err := leaves[i].SW.AttachSpec(spec, nil, nil)
 			if err != nil {
-				panic(fmt.Sprintf("sim: leaf-spine attach compression %s: %v", leaves[i].Name, err))
+				return FabricResult{}, fmt.Errorf("attach compression %s: %w", leaves[i].Name, err)
 			}
 			leafComp[i] = inst
 		}
@@ -425,15 +264,15 @@ func RunLeafSpine(cfg FabricConfig) FabricResult {
 	// Window-start compression-counter snapshots, each taken on the
 	// engine owning its leaf so partitioned runs stay race-free.
 	compSnaps := make([]map[string]uint64, L)
-	if cfg.Compress {
+	if compress {
 		for i := 0; i < L; i++ {
 			i := i
 			leaves[i].Engine().ScheduleAt(windowStart, func() {
-				compSnaps[i] = counterSnapshot(leafComp[i])
+				compSnaps[i] = leafComp[i].Counters()
 			})
 		}
 	}
-	if cfg.Mode == ParkEveryHop {
+	if mode == ParkEveryHop {
 		// Striping parks again at the spine and at the egress leaf; each
 		// downstream program sees the upstream header as payload, which
 		// requires byte-accurate hops.
@@ -445,10 +284,14 @@ func RunLeafSpine(cfg FabricConfig) FabricResult {
 		}
 		for i := 0; i < L; i++ {
 			j := (i + 1) % L
-			attach(spines[cfg.spineOf(i)], rmt.PortID(i), rmt.PortID(j))
+			if err := attach(spines[l.spineOf(i)], rmt.PortID(i), rmt.PortID(j)); err != nil {
+				return FabricResult{}, err
+			}
 			// Last-hop program at the egress leaf: split what arrives from
 			// the flow's spine, merge what the local NF returns.
-			attach(leaves[j], leafPortSpine+rmt.PortID(cfg.spineOf(i)), leafPortNF)
+			if err := attach(leaves[j], leafPortSpine+rmt.PortID(l.spineOf(i)), leafPortNF); err != nil {
+				return FabricResult{}, err
+			}
 		}
 	}
 
@@ -458,7 +301,7 @@ func RunLeafSpine(cfg FabricConfig) FabricResult {
 	// membership from there.
 	var plant *controlPlant
 	var groups []ctrl.Group
-	if cfg.ECMP || cfg.Control != nil {
+	if ecmp || controlled {
 		// Transit programs (demotable by the adaptive policy) are the
 		// every-hop stripers: everything whose split port is not the
 		// ingress-leaf traffic source.
@@ -466,14 +309,14 @@ func RunLeafSpine(cfg FabricConfig) FabricResult {
 			return prog.Config().SplitPort != leafPortGen
 		})
 	}
-	if cfg.ECMP {
+	if ecmp {
 		for i := 0; i < L; i++ {
 			j := (i + 1) % L
 			_, nfDst := leafSpineMACs(j)
 			ports := make(map[string]rmt.PortID, S)
 			var members []ctrl.Member
 			for s := 0; s < S; s++ {
-				if (cfg.Mode != ParkNone || cfg.Compress) && s == cfg.spineOf(j) {
+				if (mode != ParkNone || compress) && s == l.spineOf(j) {
 					// A slim (or compressed) flow arriving at the egress
 					// leaf on this spine's port would hit that leaf's
 					// merge/restore port.
@@ -488,7 +331,7 @@ func RunLeafSpine(cfg FabricConfig) FabricResult {
 			}
 			gname := fmt.Sprintf("leaf%d->nf%d", i, j)
 			if err := leaves[i].SW.SetECMPRoute(nfDst, ports); err != nil {
-				panic(fmt.Sprintf("sim: leaf-spine ECMP group %s: %v", gname, err))
+				return FabricResult{}, fmt.Errorf("ECMP group %s: %w", gname, err)
 			}
 			plant.addGroup(gname, leaves[i], nfDst, ports)
 			groups = append(groups, ctrl.Group{Name: gname, Switch: leaves[i].Name, Members: members})
@@ -541,10 +384,10 @@ func RunLeafSpine(cfg FabricConfig) FabricResult {
 		_, nfDst := leafSpineMACs((i + 1) % L)
 		flows[i] = &flowState{
 			gen: trafficgen.New(trafficgen.Config{
-				Sizes: cfg.Dist, Flows: cfg.Flows,
+				Sizes: sec.Traffic.Dist, Flows: sec.Traffic.Flows,
 				SrcMAC: gen, DstMAC: nfDst,
 				DstIP: packet.IPv4Addr{10, 2, byte(i), 9}, DstPort: 80,
-				Seed: cfg.Seed + int64(i),
+				Seed: sec.Opts.Seed + int64(i),
 			}),
 			goodput:  stats.NewRateMeter(windowStart),
 			toNF:     stats.NewRateMeter(windowStart),
@@ -561,10 +404,10 @@ func RunLeafSpine(cfg FabricConfig) FabricResult {
 	// Failure bookkeeping (flow 0).
 	var phaseDelivered [3]uint64
 	phase := func(now int64) int {
-		if !cfg.FailLink || now < cfg.FailAtNs {
+		if !l.FailLink || now < l.FailAtNs {
 			return 0
 		}
-		if now < cfg.FailAtNs+cfg.RerouteNs {
+		if now < l.FailAtNs+l.RerouteNs {
 			return 1
 		}
 		return 2
@@ -575,7 +418,7 @@ func RunLeafSpine(cfg FabricConfig) FabricResult {
 	// edge shares its leaf's partition). A link's transmit side lives with
 	// the sending switch; its drop hook charges that same partition.
 	fabricLink := func(name string, deliver func(Parcel), onDrop func(Parcel, string), src, dst int) *Link {
-		return f.NewLinkAt(name, cfg.LinkBps, cfg.PropNs, cfg.QueueBytes, deliver, onDrop, src, dst)
+		return f.NewLinkAt(name, l.LinkBps, l.PropNs, l.QueueBytes, deliver, onDrop, src, dst)
 	}
 	var failLink *Link
 	for i := 0; i < L; i++ {
@@ -586,7 +429,7 @@ func RunLeafSpine(cfg FabricConfig) FabricResult {
 			down := fabricLink(fmt.Sprintf("spine%d->leaf%d", s, i),
 				leaves[i].Ingress(leafPortSpine+rmt.PortID(s)), dropFor(i, part[L+s]), part[L+s], part[i])
 			spines[s].SetOut(rmt.PortID(i), down)
-			if cfg.FailLink && s == cfg.spineOf(0) && i == 1%L {
+			if l.FailLink && s == l.spineOf(0) && i == 1%L {
 				failLink = down // flow 0's forward last fabric hop
 			}
 		}
@@ -603,22 +446,22 @@ func RunLeafSpine(cfg FabricConfig) FabricResult {
 		ingEng, egrEng := leaves[i].Engine(), leaves[j].Engine()
 
 		genLink := f.NewLinkAt(fmt.Sprintf("gen%d->leaf%d", i, i),
-			2*cfg.LinkBps, cfg.PropNs, 4<<20, leaves[i].Ingress(leafPortGen), dropFor(i, part[i]), part[i], part[i])
+			2*l.LinkBps, l.PropNs, 4<<20, leaves[i].Ingress(leafPortGen), dropFor(i, part[i]), part[i], part[i])
 
 		fs.sink = f.AddSinkAt(fmt.Sprintf("sink%d", i), windowEnd, fs.gen.Recycle, part[i])
 		sinkLink := f.NewLinkAt(fmt.Sprintf("leaf%d->sink%d", i, i),
-			2*cfg.LinkBps, cfg.PropNs, 2*cfg.QueueBytes, fs.sink.Receive, dropFor(i, part[i]), part[i], part[i])
+			2*l.LinkBps, l.PropNs, 2*l.QueueBytes, fs.sink.Receive, dropFor(i, part[i]), part[i], part[i])
 		leaves[i].SetOut(leafPortSink, sinkLink)
 
 		// The NF at leaf j serves flow i: its delivery tap owns flow i's
 		// goodput meters.
 		srv := nf.NewServer(nf.ServerConfig{Chain: nf.NewChain(nf.MACSwap{})})
 		returnLink := f.NewLinkAt(fmt.Sprintf("nf%d->leaf%d", j, j),
-			cfg.LinkBps, cfg.PropNs, cfg.QueueBytes, leaves[j].Ingress(leafPortNF), dropFor(i, part[j]), part[j], part[j])
-		srvSim := NewServerSim(egrEng, cfg.Server, srv, cfg.Seed+(int64(i)+1)<<40,
+			l.LinkBps, l.PropNs, l.QueueBytes, leaves[j].Ingress(leafPortNF), dropFor(i, part[j]), part[j], part[j])
+		srvSim := NewServerSim(egrEng, sec.Server, srv, sec.Opts.Seed+(int64(i)+1)<<40,
 			returnLink.Send, dropFor(i, part[j]), consumeFor(i, part[j]))
 		toNFLink := f.NewLinkAt(fmt.Sprintf("leaf%d->nf%d", j, j),
-			cfg.LinkBps, cfg.PropNs, cfg.QueueBytes,
+			l.LinkBps, l.PropNs, l.QueueBytes,
 			func(p Parcel) {
 				now := egrEng.Now()
 				if p.InWindow && now >= windowStart && now <= windowEnd {
@@ -632,9 +475,9 @@ func RunLeafSpine(cfg FabricConfig) FabricResult {
 			}, dropFor(i, part[j]), part[j], part[j])
 		leaves[j].SetOut(leafPortNF, toNFLink)
 
-		src := f.AddSourceAt(fmt.Sprintf("gen%d", i), fs.gen, genLink, cfg.SendBps, part[i])
+		src := f.AddSourceAt(fmt.Sprintf("gen%d", i), fs.gen, genLink, sec.Traffic.SendBps, part[i])
 		src.WindowStart, src.WindowEnd = windowStart, windowEnd
-		src.StopAt = windowEnd + cfg.WarmupNs/2
+		src.StopAt = windowEnd + sec.Opts.WarmupNs/2
 		src.OnSend = func(p Parcel) {
 			fs.sent++
 			fs.sentBits.Record(ingEng.Now(), float64(p.Pkt.Len()*8))
@@ -648,37 +491,37 @@ func RunLeafSpine(cfg FabricConfig) FabricResult {
 	// arrival port is the egress leaf's merge port (validated above);
 	// parked state at leaf 0 survives because the merge port pins the
 	// untouched return path.
-	if cfg.FailLink {
+	if l.FailLink {
 		// The failure lands on the engine owning the affected state: the
 		// dead link's transmit side lives with its spine, the route (or
 		// group) rewrite with leaf 0 — so partitioned runs mutate each from
 		// its own timeline only.
-		spines[cfg.spineOf(0)].Engine().ScheduleAt(cfg.FailAtNs, func() { failLink.Down = true })
+		spines[l.spineOf(0)].Engine().ScheduleAt(l.FailAtNs, func() { failLink.Down = true })
 		switch {
-		case !cfg.ECMP:
+		case !ecmp:
 			_, nfDst := leafSpineMACs(1 % L)
-			alt := (cfg.spineOf(0) + 1) % S
-			if cfg.Mode != ParkNone {
-				for alt == cfg.spineOf(0) || alt == cfg.spineOf(1%L) {
+			alt := (l.spineOf(0) + 1) % S
+			if mode != ParkNone {
+				for alt == l.spineOf(0) || alt == l.spineOf(1%L) {
 					alt = (alt + 1) % S
 				}
 			}
 			altPort := leafPortSpine + rmt.PortID(alt)
-			leaves[0].Engine().ScheduleAt(cfg.FailAtNs+cfg.RerouteNs, func() {
+			leaves[0].Engine().ScheduleAt(l.FailAtNs+l.RerouteNs, func() {
 				leaves[0].SW.AddL2Route(nfDst, altPort)
 			})
-		case cfg.Control == nil:
+		case !controlled:
 			// ECMP without a controller: one-shot group rewrite after the
 			// static detection delay — the failed spine leaves flow 0's
 			// forward group, and Maglev remaps only the flows it carried.
-			dead := fmt.Sprintf("spine%d", cfg.spineOf(0))
+			dead := fmt.Sprintf("spine%d", l.spineOf(0))
 			var survivors []string
 			for _, m := range groups[0].Members {
 				if m.Name != dead {
 					survivors = append(survivors, m.Name)
 				}
 			}
-			leaves[0].Engine().ScheduleAt(cfg.FailAtNs+cfg.RerouteNs, func() {
+			leaves[0].Engine().ScheduleAt(l.FailAtNs+l.RerouteNs, func() {
 				plant.PushGroup(groups[0].Name, survivors)
 			})
 			// With a controller, its next telemetry tick sees the down link
@@ -686,18 +529,16 @@ func RunLeafSpine(cfg FabricConfig) FabricResult {
 		}
 	}
 
-	f.EnableObs(cfg.Obs)
+	f.EnableObs(w.Obs)
 
 	var controller *ctrl.Controller
-	if cfg.Control != nil {
-		cc := *cfg.Control
-		if cc.Aggressive == 0 {
-			cc.Aggressive = cfg.MaxExpiry
-		}
-		controller = attachController(f, cc, plant, groups, windowEnd+cfg.WarmupNs)
+	if controlled {
+		cc := sec.Control
+		def(&cc.Aggressive, sec.Parking.MaxExpiry)
+		controller = attachController(f, cc, plant, groups, windowEnd+sec.Opts.WarmupNs)
 	}
 
-	f.Run(windowEnd + cfg.WarmupNs)
+	f.Run(windowEnd + sec.Opts.WarmupNs)
 
 	// Harvest (single-threaded again; partition goroutines are done). The
 	// sharded counters sum back to the fabric-wide figures.
@@ -709,14 +550,14 @@ func RunLeafSpine(cfg FabricConfig) FabricResult {
 		unintendedDrops += d
 	}
 	res := FabricResult{
-		Mode:            cfg.Mode.String(),
-		Links:           f.LinkReports(windowEnd + cfg.WarmupNs),
+		Mode:            mode.String(),
+		Links:           f.LinkReports(windowEnd + sec.Opts.WarmupNs),
 		Switches:        f.SwitchReports(),
 		SentWindow:      sentWindow,
 		UnintendedDrops: unintendedDrops,
 		PhaseDelivered:  phaseDelivered,
 	}
-	if cfg.Compress {
+	if compress {
 		for i, inst := range leafComp {
 			res.Programs = append(res.Programs, programReport(leaves[i].Name, inst, compSnaps[i]))
 		}
@@ -749,5 +590,5 @@ func RunLeafSpine(cfg FabricConfig) FabricResult {
 		res.UnintendedDropRate = float64(unintendedDrops) / float64(sentWindow)
 	}
 	res.Healthy = res.UnintendedDropRate < HealthyDropRate
-	return res
+	return res, nil
 }

@@ -14,11 +14,8 @@ import (
 )
 
 // leafSpineSmoke is a fast 4x2 configuration for tests.
-func leafSpineSmoke(mode ParkMode, sendGbps float64) FabricConfig {
-	return FabricConfig{
-		Mode: mode, SendBps: sendGbps * 1e9, Seed: 1,
-		WarmupNs: 2e6, MeasureNs: 8e6,
-	}
+func leafSpineSmoke(mode ParkMode, sendGbps float64) leafSpineRun {
+	return fabricRun(LeafSpine{}, mode, sendGbps*1e9, RunOptions{Seed: 1, WarmupNs: 2e6, MeasureNs: 8e6})
 }
 
 // TestLeafSpineDeterministic: a fixed seed produces identical per-flow,
@@ -26,29 +23,25 @@ func leafSpineSmoke(mode ParkMode, sendGbps float64) FabricConfig {
 // failure scenario's event timeline.
 func TestLeafSpineDeterministic(t *testing.T) {
 	for _, mode := range []ParkMode{ParkNone, ParkEdge, ParkEveryHop} {
-		a := RunLeafSpine(leafSpineSmoke(mode, 9))
-		b := RunLeafSpine(leafSpineSmoke(mode, 9))
+		a := leafSpineSmoke(mode, 9).run(t)
+		b := leafSpineSmoke(mode, 9).run(t)
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("mode %s: identical configs diverged:\n%+v\n%+v", mode, a, b)
 		}
 	}
-	mk := func() FabricConfig {
-		cfg := FabricConfig{
-			Leaves: 6, Spines: 3,
-			Mode: ParkEdge, SendBps: 4e9, Seed: 3,
-			WarmupNs: 2e6, MeasureNs: 10e6, FailLink: true,
-		}
-		return cfg
+	mk := func() leafSpineRun {
+		return fabricRun(LeafSpine{Leaves: 6, Spines: 3, FailLink: true}, ParkEdge, 4e9,
+			RunOptions{Seed: 3, WarmupNs: 2e6, MeasureNs: 10e6})
 	}
-	a, b := RunLeafSpine(mk()), RunLeafSpine(mk())
+	a, b := mk().run(t), mk().run(t)
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("failure scenario diverged:\n%+v\n%+v", a, b)
 	}
 	// And the seed genuinely matters.
 	cfg := leafSpineSmoke(ParkEdge, 9)
-	cfg.Seed = 2
-	c := RunLeafSpine(cfg)
-	first := RunLeafSpine(leafSpineSmoke(ParkEdge, 9))
+	cfg.Opts.Seed = 2
+	c := cfg.run(t)
+	first := leafSpineSmoke(ParkEdge, 9).run(t)
 	if reflect.DeepEqual(first.Flows, c.Flows) {
 		t.Error("different seeds produced identical flows (suspicious)")
 	}
@@ -58,8 +51,8 @@ func TestLeafSpineDeterministic(t *testing.T) {
 // same header-unit goodput as the baseline while moving fewer bytes over
 // every fabric hop, and all parked payloads are reclaimed.
 func TestLeafSpineEdgeParking(t *testing.T) {
-	base := RunLeafSpine(leafSpineSmoke(ParkNone, 4))
-	edge := RunLeafSpine(leafSpineSmoke(ParkEdge, 4))
+	base := leafSpineSmoke(ParkNone, 4).run(t)
+	edge := leafSpineSmoke(ParkEdge, 4).run(t)
 	assertFabricInvariants(t, base)
 	assertFabricInvariants(t, edge)
 	if !base.Healthy || !edge.Healthy {
@@ -106,8 +99,8 @@ func TestLeafSpineEdgeParking(t *testing.T) {
 // egress leaf too, so the NF-facing link carries fewer bytes than under
 // edge parking, and the round trip still reclaims every slot.
 func TestLeafSpineEveryHopStripes(t *testing.T) {
-	edge := RunLeafSpine(leafSpineSmoke(ParkEdge, 4))
-	hop := RunLeafSpine(leafSpineSmoke(ParkEveryHop, 4))
+	edge := leafSpineSmoke(ParkEdge, 4).run(t)
+	hop := leafSpineSmoke(ParkEveryHop, 4).run(t)
 	assertFabricInvariants(t, hop)
 	if !hop.Healthy {
 		t.Fatalf("striping unhealthy below saturation: %+v", hop)
@@ -137,13 +130,8 @@ func TestLeafSpineEveryHopStripes(t *testing.T) {
 // reroute lands; afterwards delivery resumes with no premature
 // evictions, because the merge port pinned the untouched return path.
 func TestLeafSpineFailureReroute(t *testing.T) {
-	cfg := FabricConfig{
-		Leaves: 6, Spines: 3,
-		Mode: ParkEdge, SendBps: 4e9, Seed: 1,
-		WarmupNs: 2e6, MeasureNs: 12e6,
-		FailLink: true, FailAtNs: 5e6, RerouteNs: 1e6,
-	}
-	r := RunLeafSpine(cfg)
+	r := fabricRun(LeafSpine{Leaves: 6, Spines: 3, FailLink: true, FailAtNs: 5e6, RerouteNs: 1e6}, ParkEdge, 4e9,
+		RunOptions{Seed: 1, WarmupNs: 2e6, MeasureNs: 12e6}).run(t)
 	assertFabricInvariants(t, r)
 	if r.PhaseDelivered[0] == 0 || r.PhaseDelivered[2] == 0 {
 		t.Fatalf("no recovery: phases=%v", r.PhaseDelivered)
@@ -257,19 +245,17 @@ func TestFabricDataplaneEquivalence(t *testing.T) {
 	}
 }
 
-// TestLeafSpineGeometryValidation: invalid parking geometries panic with
-// a diagnostic rather than silently corrupting flows.
+// TestLeafSpineGeometryValidation: invalid parking geometries are
+// rejected with a diagnostic rather than silently corrupting flows.
 func TestLeafSpineGeometryValidation(t *testing.T) {
-	expectPanic := func(name string, cfg FabricConfig) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		RunLeafSpine(cfg)
+	expectError := func(name string, l LeafSpine) {
+		r := fabricRun(l, ParkEdge, 1e9, RunOptions{})
+		if _, err := RunLeafSpine(r.LeafSpine, r.Sections, r.Wiring); err == nil {
+			t.Errorf("%s: expected an error", name)
+		}
 	}
 	// 4x3: flow 3's affinity collides with leaf 0's merge port.
-	expectPanic("4x3", FabricConfig{Leaves: 4, Spines: 3, Mode: ParkEdge, SendBps: 1e9})
+	expectError("4x3", LeafSpine{Leaves: 4, Spines: 3})
 	// Failure reroute with two spines would land on a merge port.
-	expectPanic("fail-2spines", FabricConfig{Mode: ParkEdge, SendBps: 1e9, FailLink: true})
+	expectError("fail-2spines", LeafSpine{FailLink: true})
 }

@@ -18,10 +18,10 @@ func TestLossyLinkEvictorReclaims(t *testing.T) {
 	cfg := smokeConfig(true, 6)
 	cfg.Name = "lossy"
 	cfg.NFLinkLossRate = 0.05 // 5% loss each way
-	cfg.PP.Slots = 2048       // small table so orphans matter quickly
-	cfg.WarmupNs = 5e6
-	cfg.MeasureNs = 30e6
-	res := RunTestbed(cfg)
+	cfg.Parking.Slots = 2048  // small table so orphans matter quickly
+	cfg.Opts.WarmupNs = 5e6
+	cfg.Opts.MeasureNs = 30e6
+	res := cfg.run(t)
 
 	if res.Splits == 0 {
 		t.Fatal("no splits under loss")
@@ -49,15 +49,15 @@ func TestLossyLinkEvictorReclaims(t *testing.T) {
 // PayloadPark does not amplify it (the paper argues both deployments are
 // equally susceptible).
 func TestLossyLinkBaselineComparable(t *testing.T) {
-	mk := func(pp bool) TestbedConfig {
+	mk := func(pp bool) testbedRun {
 		cfg := smokeConfig(pp, 6)
 		cfg.NFLinkLossRate = 0.02
-		cfg.WarmupNs = 4e6
-		cfg.MeasureNs = 16e6
+		cfg.Opts.WarmupNs = 4e6
+		cfg.Opts.MeasureNs = 16e6
 		return cfg
 	}
-	base := RunTestbed(mk(false))
-	pp := RunTestbed(mk(true))
+	base := mk(false).run(t)
+	pp := mk(true).run(t)
 	if base.UnintendedDropRate == 0 || pp.UnintendedDropRate == 0 {
 		t.Fatal("loss not observed")
 	}

@@ -29,24 +29,22 @@ func assertFabricInvariants(t *testing.T, res FabricResult) {
 // configurations — edge, every-hop, the failure scenario, ECMP — and
 // checks the slot-accounting identity on every switch of each.
 func TestFabricSlotAccountingGoldenRuns(t *testing.T) {
-	cfgs := map[string]FabricConfig{
+	cfgs := map[string]leafSpineRun{
 		"edge":     leafSpineSmoke(ParkEdge, 6),
 		"everyhop": leafSpineSmoke(ParkEveryHop, 6),
-		"failure": {
-			Leaves: 6, Spines: 3, Mode: ParkEdge, SendBps: 4e9, Seed: 3,
-			WarmupNs: 2e6, MeasureNs: 10e6, FailLink: true,
-		},
+		"failure": fabricRun(LeafSpine{Leaves: 6, Spines: 3, FailLink: true}, ParkEdge, 4e9,
+			RunOptions{Seed: 3, WarmupNs: 2e6, MeasureNs: 10e6}),
 	}
 	ecmp := leafSpineSmoke(ParkEdge, 6)
-	ecmp.ECMP = true
+	ecmp.Control.ECMP = true
 	cfgs["ecmp"] = ecmp
 	compress := leafSpineSmoke(ParkEdge, 6)
-	compress.Compress = true
+	compress.Program.Kind = "compress"
 	cfgs["edge+compress"] = compress
 
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {
-			res := RunLeafSpine(cfg)
+			res := cfg.runStatic(t) // the ecmp case: hash groups, no controller
 			assertFabricInvariants(t, res)
 			var splits uint64
 			for _, sw := range res.Switches {

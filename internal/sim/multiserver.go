@@ -11,56 +11,6 @@ import (
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
-// MultiServerConfig describes the §6.2.3 deployment: up to 8 NF servers
-// (each running a MAC swapper) sharing one switch, two servers per pipe,
-// with the reserved switch memory statically sliced between them.
-type MultiServerConfig struct {
-	// Servers is the NF server count (1..8).
-	Servers int
-	// LinkBps is each server's link rate; SendBps the per-server offered load.
-	LinkBps float64
-	SendBps float64
-	// Dist draws packet sizes (the paper uses Fixed(384)).
-	Dist trafficgen.SizeDist
-	// SlotsPerServer sizes each server's sliced lookup table.
-	SlotsPerServer int
-	// MaxExpiry is the eviction threshold.
-	MaxExpiry uint32
-	// Server calibrates the NF server machines (8-core 2.4 GHz Xeons in
-	// the paper).
-	Server ServerModel
-	// Cores, when non-zero, overrides Server.Cores on every server — the
-	// knob the core-count sweeps turn without restating the calibration.
-	Cores int
-	// PayloadPark toggles the optimization (false = baseline).
-	PayloadPark bool
-	Seed        int64
-	WarmupNs    int64
-	MeasureNs   int64
-	// Cancel, when non-nil, is polled periodically by the event engine;
-	// once it returns true the run stops early and the result is partial.
-	Cancel func() bool
-	// Obs arms the observability layer (metrics and/or the flight
-	// recorder); the zero value keeps it off.
-	Obs ObsConfig
-}
-
-// Validate reports a server count the switch cannot host (two per pipe).
-// Scenario validation returns its error; RunMultiServer panics with it.
-func (c MultiServerConfig) Validate() error {
-	if c.Servers < 1 || c.Servers > 8 {
-		return fmt.Errorf("servers = %d outside [1,8]", c.Servers)
-	}
-	return nil
-}
-
-// MultiServerFlows is each generator's 5-tuple pool size: large enough
-// that the RSS hash spreads load over 8 cores with only a few percent of
-// share noise, small enough to keep flow state cheap. Exported so the
-// harness's single-server peak probes offer the same RSS load
-// distribution as the multi-server runs they calibrate.
-const MultiServerFlows = 2048
-
 // MultiServerResult reports per-server and aggregate outcomes. Note the
 // metric fork documented on Result.GoodputGbps: in PerServer entries it
 // holds the bits that actually crossed the to-NF link; derive the
@@ -74,41 +24,33 @@ type MultiServerResult struct {
 }
 
 // RunMultiServer simulates all servers against one shared switch in a
-// single discrete-event run. It is a preset over Fabric: one switch node
-// whose per-ingress-port drop hooks charge each tenant's failures to its
-// own counters and packet pool.
-func RunMultiServer(cfg MultiServerConfig) MultiServerResult {
-	if err := cfg.Validate(); err != nil {
-		panic("sim: multiserver " + err.Error())
-	}
-	if cfg.WarmupNs == 0 {
-		cfg.WarmupNs = 10e6
-	}
-	if cfg.MeasureNs == 0 {
-		cfg.MeasureNs = 50e6
-	}
-	if cfg.Server.FreqHz == 0 {
-		cfg.Server = DefaultServerModel()
-	}
-	if cfg.Cores > 0 {
-		cfg.Server.Cores = cfg.Cores
+// single discrete-event run, after resolving and validating the sections
+// (an error, never a panic, for a description the switch cannot hold). It
+// is a preset over Fabric: one switch node whose per-ingress-port drop
+// hooks charge each tenant's failures to its own counters and packet
+// pool.
+func RunMultiServer(m MultiServer, s Sections, w Wiring) (MultiServerResult, error) {
+	m.Resolve(&s)
+	if err := m.Validate(s); err != nil {
+		return MultiServerResult{}, err
 	}
 	f := NewFabric()
-	f.Engine().Cancel = cfg.Cancel
+	f.Engine().Cancel = w.Cancel
 	swn := f.AddSwitch("multiserver")
 	sw := swn.SW
-	windowStart := cfg.WarmupNs
-	windowEnd := cfg.WarmupNs + cfg.MeasureNs
+	windowEnd := s.Opts.WarmupNs + s.Opts.MeasureNs
 
-	results := make([]Result, cfg.Servers)
-	for i := 0; i < cfg.Servers; i++ {
-		wireServer(f, swn, cfg, i, windowStart, windowEnd, &results[i])
+	results := make([]Result, m.Servers)
+	for i := 0; i < m.Servers; i++ {
+		if err := wireServer(f, swn, m, s, i, &results[i]); err != nil {
+			return MultiServerResult{}, err
+		}
 	}
-	f.EnableObs(cfg.Obs)
-	f.Run(windowEnd + cfg.WarmupNs)
+	f.EnableObs(w.Obs)
+	f.Run(windowEnd + s.Opts.WarmupNs)
 
 	out := MultiServerResult{PerServer: results}
-	pipes := (cfg.Servers + 1) / 2
+	pipes := (m.Servers + 1) / 2
 	for p := 0; p < pipes; p++ {
 		u := sw.Pipe(p).Resources()
 		out.SRAMAvgPct += u.SRAMAvgPct
@@ -117,15 +59,16 @@ func RunMultiServer(cfg MultiServerConfig) MultiServerResult {
 		}
 	}
 	out.SRAMAvgPct /= float64(pipes)
-	return out
+	return out, nil
 }
 
 // wireServer attaches one generator/server pair to the shared switch
 // node. Server i lives on pipe i/2; the second server of a pipe uses the
 // upper port block. The server's two ingress ports register per-port
 // drop hooks, so its failures recycle into its own generator pool.
-func wireServer(f *Fabric, swn *SwitchNode, cfg MultiServerConfig, i int, windowStart, windowEnd int64, res *Result) {
+func wireServer(f *Fabric, swn *SwitchNode, m MultiServer, s Sections, i int, res *Result) error {
 	eng := f.Engine()
+	windowStart, windowEnd := s.Opts.WarmupNs, s.Opts.WarmupNs+s.Opts.MeasureNs
 	pipe := i / 2
 	base := rmt.PortID(core.PortsPerPipe*pipe + 8*(i%2))
 	split, nfPort, sinkPort := base, base+1, base+2
@@ -137,22 +80,18 @@ func wireServer(f *Fabric, swn *SwitchNode, cfg MultiServerConfig, i int, window
 	swn.SW.AddL2Route(macSink, sinkPort)
 	swn.SW.AddL2Route(macGen, sinkPort) // MAC swap returns toward the generator
 
-	if cfg.PayloadPark {
-		_, err := swn.SW.AttachPayloadPark(core.Config{
-			Slots: cfg.SlotsPerServer, MaxExpiry: cfg.MaxExpiry,
-			SplitPort: split, MergePort: nfPort,
-		}, -1)
-		if err != nil {
-			panic(fmt.Sprintf("sim: multiserver attach %d: %v", i, err))
+	if s.Parking.Enabled() {
+		if _, err := swn.SW.AttachPayloadPark(s.Parking.Core(split, nfPort), -1); err != nil {
+			return fmt.Errorf("attach server %d: %w", i+1, err)
 		}
 	}
 
 	srv := nf.NewServer(nf.ServerConfig{Chain: nf.NewChain(nf.MACSwap{})})
 	gen := trafficgen.New(trafficgen.Config{
-		Sizes: cfg.Dist, Flows: MultiServerFlows,
+		Sizes: s.Traffic.Dist, Flows: s.Traffic.Flows,
 		SrcMAC: macGen, DstMAC: macNF,
 		DstIP: packet.IPv4Addr{10, 1, byte(i), 9}, DstPort: 80,
-		Seed: cfg.Seed + int64(i),
+		Seed: s.Opts.Seed + int64(i),
 	})
 	// Every terminal point (sink delivery, any drop, NF consumption) hands
 	// the packet back to the generator, so multi-server runs reuse packets
@@ -173,11 +112,11 @@ func wireServer(f *Fabric, swn *SwitchNode, cfg MultiServerConfig, i int, window
 	consumed := func(p Parcel) { recycle(p.Pkt) }
 
 	name := func(hop string) string { return fmt.Sprintf("%s[%d]", hop, i+1) }
-	returnLink := f.NewLink(name("nf->switch"), cfg.LinkBps, 500, 1<<20,
+	returnLink := f.NewLink(name("nf->switch"), m.LinkBps, 500, 1<<20,
 		swn.IngressWith(nfPort, onDrop, consumed), onDrop)
-	srvSim := NewServerSim(eng, cfg.Server, srv, cfg.Seed+(int64(i)+1)<<40,
+	srvSim := NewServerSim(eng, s.Server, srv, s.Opts.Seed+(int64(i)+1)<<40,
 		returnLink.Send, onDrop, consumed)
-	toNFLink := f.NewLink(name("switch->nf"), cfg.LinkBps, 500, 1<<20,
+	toNFLink := f.NewLink(name("switch->nf"), m.LinkBps, 500, 1<<20,
 		func(p Parcel) {
 			if now := eng.Now(); p.InWindow && now <= windowEnd {
 				// Goodput records what actually crossed the link: the full
@@ -190,17 +129,17 @@ func wireServer(f *Fabric, swn *SwitchNode, cfg MultiServerConfig, i int, window
 			srvSim.Receive(p)
 		}, onDrop)
 	sink := f.AddSink(name("sink"), windowEnd, recycle)
-	sinkLink := f.NewLink(name("switch->sink"), 2*cfg.LinkBps, 500, 2<<20,
+	sinkLink := f.NewLink(name("switch->sink"), 2*m.LinkBps, 500, 2<<20,
 		sink.Receive, onDrop)
-	genLink := f.NewLink(name("gen->switch"), 2*cfg.LinkBps, 500, 4<<20,
+	genLink := f.NewLink(name("gen->switch"), 2*m.LinkBps, 500, 4<<20,
 		swn.IngressWith(split, onDrop, consumed), onDrop)
 
 	swn.SetOut(nfPort, toNFLink)
 	swn.SetOut(sinkPort, sinkLink)
 
-	src := f.AddSource(name("gen"), gen, genLink, cfg.SendBps)
+	src := f.AddSource(name("gen"), gen, genLink, s.Traffic.SendBps)
 	src.WindowStart, src.WindowEnd = windowStart, windowEnd
-	src.StopAt = windowEnd + cfg.WarmupNs/2
+	src.StopAt = windowEnd + s.Opts.WarmupNs/2
 	src.OnSend = func(p Parcel) {
 		sent++
 		sentBits.Record(eng.Now(), float64(p.Pkt.Len()*8))
@@ -208,7 +147,7 @@ func wireServer(f *Fabric, swn *SwitchNode, cfg MultiServerConfig, i int, window
 	src.Start(int64(i) * 97) // desynchronize servers slightly
 
 	// Finalize this server's result when the run ends.
-	eng.ScheduleAt(windowEnd+cfg.WarmupNs-1, func() {
+	eng.ScheduleAt(windowEnd+s.Opts.WarmupNs-1, func() {
 		goodput.CloseAt(windowEnd)
 		toNF.CloseAt(windowEnd)
 		sentBits.CloseAt(windowEnd)
@@ -226,4 +165,5 @@ func wireServer(f *Fabric, swn *SwitchNode, cfg MultiServerConfig, i int, window
 		}
 		res.Healthy = res.UnintendedDropRate < HealthyDropRate
 	})
+	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/nf"
 	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
@@ -16,19 +15,21 @@ import (
 // pre-existing Result field: the presets must reproduce the old wiring's
 // event timeline exactly, not just approximately.
 
-func goldenCfg(pp bool, sendGbps float64, seed int64) TestbedConfig {
-	return TestbedConfig{
-		Name: "golden", LinkBps: 10e9, SendBps: sendGbps * 1e9,
-		Dist: trafficgen.Datacenter{}, Seed: seed,
-		BuildChain: func() *nf.Chain {
-			return nf.NewChain(
-				nf.NewFirewall([]nf.FirewallRule{{Prefix: packet.IPv4Addr{172, 16, 0, 0}, Bits: 12}}),
-				nf.NewNAT(packet.IPv4Addr{198, 51, 100, 1}),
-			)
+func goldenCfg(pp bool, sendGbps float64, seed int64) testbedRun {
+	return testbedRun{
+		Testbed: Testbed{LinkBps: 10e9},
+		Sections: Sections{
+			Name:    "golden",
+			Parking: parking(pp),
+			Traffic: Traffic{SendBps: sendGbps * 1e9, Dist: trafficgen.Datacenter{}},
+			Chain: func() *nf.Chain {
+				return nf.NewChain(
+					nf.NewFirewall([]nf.FirewallRule{{Prefix: packet.IPv4Addr{172, 16, 0, 0}, Bits: 12}}),
+					nf.NewNAT(packet.IPv4Addr{198, 51, 100, 1}),
+				)
+			},
+			Opts: RunOptions{Seed: seed, WarmupNs: 2e6, MeasureNs: 10e6},
 		},
-		PayloadPark: pp,
-		PP:          core.Config{Slots: 16384, MaxExpiry: 1},
-		WarmupNs:    2e6, MeasureNs: 10e6,
 	}
 }
 
@@ -75,7 +76,7 @@ func assertGolden(t *testing.T, name string, got, want Result) {
 
 func TestTestbedFabricParity(t *testing.T) {
 	// PayloadPark at light load.
-	assertGolden(t, "pp-light", RunTestbed(goldenCfg(true, 4, 1)), Result{
+	assertGolden(t, "pp-light", goldenCfg(true, 4, 1).run(t), Result{
 		Name: "golden", SendGbps: 3.9998584, GoodputGbps: 0.1912848, ToNFGbps: 3.6220184,
 		ToNFMpps: 0.5693, AvgLatencyUs: 5.301349384885778, P99LatencyUs: 7.077478645124461,
 		MaxLatencyUs: 6.846, JitterUs: 1.5446506151142225, Delivered: 0x163a,
@@ -84,14 +85,14 @@ func TestTestbedFabricParity(t *testing.T) {
 		SRAMPct: 17.500101725260418,
 	})
 	// Baseline at light load.
-	assertGolden(t, "baseline-light", RunTestbed(goldenCfg(false, 4, 1)), Result{
+	assertGolden(t, "baseline-light", goldenCfg(false, 4, 1).run(t), Result{
 		Name: "golden", SendGbps: 3.9998584, GoodputGbps: 0.1912848, ToNFGbps: 4.1078976,
 		ToNFMpps: 0.5693, AvgLatencyUs: 5.576470650263611, P99LatencyUs: 7.077478645124461,
 		MaxLatencyUs: 7.132, JitterUs: 1.5555293497363882, Delivered: 0x163a,
 		PCIeGbps: 8.0724656, PCIeUtilPct: 12.231008484848482, Healthy: true,
 	})
 	// PayloadPark past saturation (queue drops, unhealthy).
-	assertGolden(t, "pp-overload", RunTestbed(goldenCfg(true, 12, 3)), Result{
+	assertGolden(t, "pp-overload", goldenCfg(true, 12, 3).run(t), Result{
 		Name: "golden", SendGbps: 12.0083288, GoodputGbps: 0.5208672, ToNFGbps: 9.8259184,
 		ToNFMpps: 1.5502, AvgLatencyUs: 572.5190586489431, P99LatencyUs: 890.386482912101,
 		MaxLatencyUs: 843.987, JitterUs: 271.4679413510569, Delivered: 0x3c8b,
@@ -102,16 +103,16 @@ func TestTestbedFabricParity(t *testing.T) {
 	})
 	// Recirculation + explicit drop + lossy NF link + jittery server.
 	cfg := goldenCfg(true, 6, 4)
-	cfg.PP.Recirculate = true
-	cfg.ExplicitDrop = true
-	cfg.BuildChain = func() *nf.Chain {
+	cfg.Parking.Recirculate = true
+	cfg.Parking.ExplicitDrop = true
+	cfg.Chain = func() *nf.Chain {
 		return nf.NewChain(nf.NewFirewall(nf.BlacklistFraction(0.1)), nf.NewNAT(packet.IPv4Addr{198, 51, 100, 1}))
 	}
 	cfg.NFLinkLossRate = 0.001
 	srv := DefaultServerModel()
 	srv.ServiceJitterPct = 0.2
 	cfg.Server = srv
-	assertGolden(t, "pp-recirc-lossy", RunTestbed(cfg), Result{
+	assertGolden(t, "pp-recirc-lossy", cfg.run(t), Result{
 		Name: "golden", SendGbps: 6.0014192, GoodputGbps: 0.2881536, ToNFGbps: 4.7451784,
 		ToNFMpps: 0.8576, AvgLatencyUs: 5.386311221945125, P99LatencyUs: 7.077478645124461,
 		MaxLatencyUs: 6.559, JitterUs: 1.1726887780548756, Delivered: 0x1f54,
@@ -123,12 +124,15 @@ func TestTestbedFabricParity(t *testing.T) {
 }
 
 func TestMultiServerFabricParity(t *testing.T) {
-	cfg := MultiServerConfig{
-		Servers: 8, LinkBps: 10e9, SendBps: 11e9,
-		Dist: trafficgen.Fixed(384), SlotsPerServer: 12000, MaxExpiry: 1,
-		PayloadPark: true, Seed: 7, WarmupNs: 5e6, MeasureNs: 20e6,
+	cfg := multiServerRun{
+		MultiServer: MultiServer{Servers: 8, LinkBps: 10e9},
+		Sections: Sections{
+			Parking: Parking{Mode: ParkEdge, Slots: 12000, MaxExpiry: 1},
+			Traffic: Traffic{SendBps: 11e9, Dist: trafficgen.Fixed(384)},
+			Opts:    RunOptions{Seed: 7, WarmupNs: 5e6, MeasureNs: 20e6},
+		},
 	}
-	r := RunMultiServer(cfg)
+	r := cfg.run(t)
 	if math.Abs(r.SRAMAvgPct-25.634969) > 1e-5 || math.Abs(r.SRAMPeakPct-29.296875) > 1e-5 {
 		t.Errorf("SRAM = %.6f/%.6f, want 25.634969/29.296875", r.SRAMAvgPct, r.SRAMPeakPct)
 	}
@@ -145,9 +149,9 @@ func TestMultiServerFabricParity(t *testing.T) {
 		AvgLatencyUs: 3.673, MaxLatencyUs: 3.673, Delivered: 71672, Healthy: true,
 	})
 
-	cfg.PayloadPark = false
+	cfg.Parking.Mode = ParkNone
 	cfg.Servers = 3
-	r = RunMultiServer(cfg)
+	r = cfg.run(t)
 	assertGolden(t, "ms-base-1", r.PerServer[0], Result{
 		Name: "server-1", SendGbps: 11.0106624, GoodputGbps: 9.02784, ToNFGbps: 9.59208, ToNFMpps: 2.93875,
 		AvgLatencyUs: 841.3129976858164, MaxLatencyUs: 841.452, Delivered: 58768,

@@ -58,31 +58,25 @@ func TestGreedyPartitionPlacement(t *testing.T) {
 func TestLeafSpinePartitionParity(t *testing.T) {
 	cases := []struct {
 		name string
-		cfg  FabricConfig
+		cfg  leafSpineRun
 	}{
 		{"4x2-edge", leafSpineSmoke(ParkEdge, 9)},
 		{"4x2-everyhop", leafSpineSmoke(ParkEveryHop, 6)},
-		{"6x3-fail", FabricConfig{
-			Leaves: 6, Spines: 3,
-			Mode: ParkEdge, SendBps: 4e9, Seed: 3,
-			WarmupNs: 2e6, MeasureNs: 10e6, FailLink: true,
-		}},
-		{"6x3-ecmp-fail", FabricConfig{
-			Leaves: 6, Spines: 3,
-			Mode: ParkEdge, SendBps: 4e9, Seed: 5,
-			WarmupNs: 2e6, MeasureNs: 8e6,
-			FailLink: true, ECMP: true,
-		}},
+		{"6x3-fail", fabricRun(LeafSpine{Leaves: 6, Spines: 3, FailLink: true}, ParkEdge, 4e9,
+			RunOptions{Seed: 3, WarmupNs: 2e6, MeasureNs: 10e6})},
+		{"6x3-ecmp-fail", fabricRun(LeafSpine{Leaves: 6, Spines: 3, FailLink: true}, ParkEdge, 4e9,
+			RunOptions{Seed: 5, WarmupNs: 2e6, MeasureNs: 8e6})},
 	}
+	cases[3].cfg.Control.ECMP = true // hash groups with no controller: a controller would force a serial run
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			base := tc.cfg
-			base.Partitions = 1
-			want := RunLeafSpine(base)
+			base.Opts.Partitions = 1
+			want := base.runStatic(t)
 			for _, p := range []int{2, 4, 8} {
 				cfg := tc.cfg
-				cfg.Partitions = p
-				if got := RunLeafSpine(cfg); !reflect.DeepEqual(want, got) {
+				cfg.Opts.Partitions = p
+				if got := cfg.runStatic(t); !reflect.DeepEqual(want, got) {
 					t.Errorf("partitions=%d diverged from serial run:\nserial: %+v\nparallel: %+v", p, want, got)
 				}
 			}
@@ -95,11 +89,10 @@ func TestLeafSpinePartitionParity(t *testing.T) {
 // no-op rather than a divergence.
 func TestLeafSpinePartitionsWithController(t *testing.T) {
 	cfg := leafSpineSmoke(ParkEdge, 6)
-	cfg.ECMP = true
-	cfg.Control = &ctrl.Config{Adaptive: true}
-	want := RunLeafSpine(cfg)
-	cfg.Partitions = 4
-	if got := RunLeafSpine(cfg); !reflect.DeepEqual(want, got) {
+	cfg.Control = ctrl.Config{ECMP: true, Adaptive: true}
+	want := cfg.run(t)
+	cfg.Opts.Partitions = 4
+	if got := cfg.run(t); !reflect.DeepEqual(want, got) {
 		t.Errorf("controller run changed under partitions knob:\n%+v\n%+v", want, got)
 	}
 }

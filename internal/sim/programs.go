@@ -9,17 +9,6 @@ import (
 	"github.com/payloadpark/payloadpark/internal/rmt"
 )
 
-// ProgramAttachment asks a topology preset to load one declarative table
-// program (internal/prog) onto its switch alongside — or instead of — the
-// built-in PayloadPark program. Params override the spec's declared
-// parameters. The topology pins split_port and merge_port to its canonical
-// ports unless the caller pins them in Params, so a serialized spec written
-// against one port layout runs anywhere.
-type ProgramAttachment struct {
-	Spec   *prog.Spec       `json:"spec"`
-	Params map[string]int64 `json:"params,omitempty"`
-}
-
 // ProgramCounters is one attached program's report: the spec name, every
 // named counter's in-window delta, and the end-of-run occupancy of its
 // EXP/CLK state tables (parking slots plus compression contexts).
@@ -36,55 +25,44 @@ type ProgramCounters struct {
 	Occupancy int `json:"occupancy"`
 }
 
-// attachPrograms loads each attachment onto sw, defaulting split_port and
-// merge_port to the topology's canonical ports. Topology presets panic on
-// attach failure, like they do for the built-in program: a bad spec is a
-// configuration error, not a simulation outcome.
-func attachPrograms(sw *core.Switch, atts []ProgramAttachment, split, merge rmt.PortID) []*prog.Instance {
-	insts := make([]*prog.Instance, 0, len(atts))
-	for _, att := range atts {
-		params := make(map[string]int64, len(att.Params)+2)
-		for k, v := range att.Params { //pp:nondeterministic-ok order-insensitive copy into a map
-			params[k] = v
-		}
-		if att.Spec != nil {
-			for _, port := range []struct {
-				name string
-				def  int64
-			}{
-				{"split_port", int64(split)},
-				{"merge_port", int64(merge)},
-			} {
-				if _, pinned := att.Params[port.name]; pinned {
-					continue
-				}
-				if _, declared := att.Spec.ResolveParam(port.name, nil); declared {
-					params[port.name] = port.def
-				}
+// attachProgram loads the section's table program onto sw (nothing for
+// the zero section): the built-in compression spec, or the custom Spec
+// with split_port and merge_port defaulted to the topology's canonical
+// ports unless Params pins them, so a serialized spec written against one
+// port layout runs anywhere. A spec the pipe cannot hold is an error.
+func attachProgram(sw *core.Switch, p Program, split, merge rmt.PortID) (*prog.Instance, error) {
+	spec, pins := p.Spec, p.Params
+	switch p.Kind {
+	case "":
+		return nil, nil
+	case "compress":
+		spec, pins = prog.HeaderCompressSpec(prog.CompressParams{Slots: p.Slots, MaxExpiry: p.MaxExpiry}), nil
+	}
+	params := make(map[string]int64, len(pins)+2)
+	for k, v := range pins { //pp:nondeterministic-ok order-insensitive copy into a map
+		params[k] = v
+	}
+	if spec != nil {
+		for _, port := range []struct {
+			name string
+			def  int64
+		}{
+			{"split_port", int64(split)},
+			{"merge_port", int64(merge)},
+		} {
+			if _, pinned := pins[port.name]; pinned {
+				continue
+			}
+			if _, declared := spec.ResolveParam(port.name, nil); declared {
+				params[port.name] = port.def
 			}
 		}
-		inst, err := sw.AttachSpec(att.Spec, params, nil)
-		if err != nil {
-			panic(fmt.Sprintf("sim: attach program: %v", err))
-		}
-		insts = append(insts, inst)
 	}
-	return insts
-}
-
-// counterSnapshot captures one instance's cumulative counter values.
-func counterSnapshot(inst *prog.Instance) map[string]uint64 {
-	return inst.Counters()
-}
-
-// programSnapshots captures every instance's cumulative counters (taken
-// at window start for in-window deltas).
-func programSnapshots(insts []*prog.Instance) []map[string]uint64 {
-	out := make([]map[string]uint64, len(insts))
-	for i, inst := range insts {
-		out[i] = counterSnapshot(inst)
+	inst, err := sw.AttachSpec(spec, params, nil)
+	if err != nil {
+		return nil, fmt.Errorf("attach program: %w", err)
 	}
-	return out
+	return inst, nil
 }
 
 // programOccupancy sums the occupied cells of the instance's meta state
@@ -106,20 +84,6 @@ func programReport(swName string, inst *prog.Instance, snap map[string]uint64) P
 		pc.Counters[name] = inst.CounterValue(name) - snap[name]
 	}
 	return pc
-}
-
-// programReports builds the report section for one switch's instances.
-func programReports(swName string, insts []*prog.Instance, snaps []map[string]uint64) []ProgramCounters {
-	out := make([]ProgramCounters, 0, len(insts))
-	for i, inst := range insts {
-		var snap map[string]uint64
-		if i < len(snaps) {
-			snap = snaps[i]
-		}
-		out = append(out, programReport(swName, inst, snap))
-	}
-	sortPrograms(out)
-	return out
 }
 
 // sortPrograms orders a report section by (switch, program) so output is

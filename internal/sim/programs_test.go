@@ -5,36 +5,38 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/nf"
 	"github.com/payloadpark/payloadpark/internal/prog"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
-// compressAttachment builds a testbed attachment for the built-in
+// compressAttachment is the Program section for the built-in
 // header-compression spec (ports defaulted by the topology).
-func compressAttachment(slots int) ProgramAttachment {
-	return ProgramAttachment{Spec: prog.HeaderCompressSpec(prog.CompressParams{Slots: slots})}
+func compressAttachment(slots int) Program {
+	return Program{Kind: "compress", Slots: slots}
 }
 
-func testbedSmoke(sendGbps float64) TestbedConfig {
-	return TestbedConfig{
-		Name: "prog-smoke", LinkBps: 10e9, SendBps: sendGbps * 1e9,
-		Dist: trafficgen.Fixed(512), Seed: 11,
-		BuildChain: macSwapChain,
-		WarmupNs:   2e6, MeasureNs: 8e6,
+func testbedSmoke(sendGbps float64) testbedRun {
+	return testbedRun{
+		Testbed: Testbed{LinkBps: 10e9},
+		Sections: Sections{
+			Name:    "prog-smoke",
+			Traffic: Traffic{SendBps: sendGbps * 1e9, Dist: trafficgen.Fixed(512)},
+			Chain:   macSwapChain,
+			Opts:    RunOptions{Seed: 11, WarmupNs: 2e6, MeasureNs: 8e6},
+		},
 	}
 }
 
 // TestTestbedCompressionProgram: the declarative header-compression
-// policy, attached through TestbedConfig.Programs with no Go program
+// policy, attached through Sections.Program with no Go program
 // behind it, keeps goodput at parity below saturation while shrinking
 // the NF-link traffic, and every context is reclaimed.
 func TestTestbedCompressionProgram(t *testing.T) {
-	base := RunTestbed(testbedSmoke(4))
+	base := testbedSmoke(4).run(t)
 	cfg := testbedSmoke(4)
-	cfg.Programs = []ProgramAttachment{compressAttachment(4096)}
-	comp := RunTestbed(cfg)
+	cfg.Program = compressAttachment(4096)
+	comp := cfg.run(t)
 
 	if !base.Healthy || !comp.Healthy {
 		t.Fatalf("unhealthy below saturation: base=%t comp=%t", base.Healthy, comp.Healthy)
@@ -71,15 +73,13 @@ func TestTestbedCompressionProgram(t *testing.T) {
 // fewer bytes than under either policy alone.
 func TestTestbedParkPlusCompression(t *testing.T) {
 	park := testbedSmoke(4)
-	park.PayloadPark = true
-	park.PP = core.Config{Slots: 16384, MaxExpiry: 1}
-	parkRes := RunTestbed(park)
+	park.Parking = parking(true)
+	parkRes := park.run(t)
 
 	both := testbedSmoke(4)
-	both.PayloadPark = true
-	both.PP = core.Config{Slots: 16384, MaxExpiry: 1}
-	both.Programs = []ProgramAttachment{compressAttachment(4096)}
-	bothRes := RunTestbed(both)
+	both.Parking = parking(true)
+	both.Program = compressAttachment(4096)
+	bothRes := both.run(t)
 
 	if !parkRes.Healthy || !bothRes.Healthy {
 		t.Fatalf("unhealthy below saturation: park=%t both=%t", parkRes.Healthy, bothRes.Healthy)
@@ -104,10 +104,10 @@ func TestTestbedParkPlusCompression(t *testing.T) {
 // context is reclaimed, and results are byte-identical across partition
 // counts.
 func TestLeafSpineCompression(t *testing.T) {
-	base := RunLeafSpine(leafSpineSmoke(ParkNone, 4))
+	base := leafSpineSmoke(ParkNone, 4).run(t)
 	cfg := leafSpineSmoke(ParkNone, 4)
-	cfg.Compress = true
-	comp := RunLeafSpine(cfg)
+	cfg.Program.Kind = "compress"
+	comp := cfg.run(t)
 	assertFabricInvariants(t, comp)
 
 	if !base.Healthy || !comp.Healthy {
@@ -140,8 +140,8 @@ func TestLeafSpineCompression(t *testing.T) {
 	}
 
 	par := cfg
-	par.Partitions = 3
-	if got := RunLeafSpine(par); !reflect.DeepEqual(comp, got) {
+	par.Opts.Partitions = 3
+	if got := par.run(t); !reflect.DeepEqual(comp, got) {
 		t.Error("compression run diverged across partition counts")
 	}
 }
@@ -150,10 +150,10 @@ func TestLeafSpineCompression(t *testing.T) {
 // fabric — payload parks and headers compress at the ingress leaf — slim
 // the fabric hops beyond parking alone and reclaim all state.
 func TestLeafSpineParkEdgePlusCompression(t *testing.T) {
-	park := RunLeafSpine(leafSpineSmoke(ParkEdge, 4))
+	park := leafSpineSmoke(ParkEdge, 4).run(t)
 	cfg := leafSpineSmoke(ParkEdge, 4)
-	cfg.Compress = true
-	both := RunLeafSpine(cfg)
+	cfg.Program.Kind = "compress"
+	both := cfg.run(t)
 	assertFabricInvariants(t, park)
 	assertFabricInvariants(t, both)
 
@@ -184,27 +184,25 @@ func TestLeafSpineParkEdgePlusCompression(t *testing.T) {
 
 // TestLeafSpineCompressRejectsEveryHop pins the unsupported combination.
 func TestLeafSpineCompressRejectsEveryHop(t *testing.T) {
-	defer func() {
-		if r := recover(); r == nil || !strings.Contains(r.(string), "every-hop") {
-			t.Errorf("recover = %v, want every-hop rejection", r)
-		}
-	}()
 	cfg := leafSpineSmoke(ParkEveryHop, 4)
-	cfg.Compress = true
-	RunLeafSpine(cfg)
+	cfg.Program.Kind = "compress"
+	if _, err := RunLeafSpine(cfg.LeafSpine, cfg.Sections, cfg.Wiring); err == nil || !strings.Contains(err.Error(), "every-hop") {
+		t.Errorf("err = %v, want every-hop rejection", err)
+	}
 }
 
 // TestAttachProgramsPinnedPorts: an attachment's own Params win over the
 // topology defaults.
 func TestAttachProgramsPinnedPorts(t *testing.T) {
 	cfg := testbedSmoke(2)
-	cfg.Programs = []ProgramAttachment{{
+	cfg.Program = Program{
+		Kind: "custom",
 		Spec: prog.HeaderCompressSpec(prog.CompressParams{Slots: 64}),
 		// Pin both ports to the generator port: nothing ever arrives on a
 		// restore port, so contexts only ever accumulate.
 		Params: map[string]int64{"merge_port": int64(portSplit)},
-	}}
-	res := RunTestbed(cfg)
+	}
+	res := cfg.run(t)
 	if res.Programs[0].Counters["restores"] != 0 {
 		t.Errorf("restores = %d on a pinned-away merge port", res.Programs[0].Counters["restores"])
 	}

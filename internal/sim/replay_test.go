@@ -30,20 +30,20 @@ func TestReplayDrivenTestbed(t *testing.T) {
 
 	cfg := smokeConfig(true, 4)
 	cfg.Name = "replay"
-	cfg.Source = func() trafficgen.Source {
+	cfg.Traffic.Source = func() trafficgen.Source {
 		rp, err := trafficgen.NewReplay(recs, MACGen, MACNF)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rp
 	}
-	res := RunTestbed(cfg)
+	res := cfg.run(t)
 	if res.GoodputGbps <= 0 || res.Splits == 0 {
 		t.Fatalf("replay run inert: %+v", res)
 	}
 	// The replayed workload matches the synthetic one statistically, so
 	// goodput at equal offered load should agree closely.
-	synth := RunTestbed(smokeConfig(true, 4))
+	synth := smokeConfig(true, 4).run(t)
 	if math.Abs(res.GoodputGbps-synth.GoodputGbps) > 0.05*synth.GoodputGbps {
 		t.Errorf("replay goodput %.3f vs synthetic %.3f", res.GoodputGbps, synth.GoodputGbps)
 	}

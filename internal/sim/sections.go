@@ -1,0 +1,416 @@
+package sim
+
+import (
+	"errors"
+	"fmt"
+
+	"github.com/payloadpark/payloadpark/internal/core"
+	"github.com/payloadpark/payloadpark/internal/ctrl"
+	"github.com/payloadpark/payloadpark/internal/nf"
+	"github.com/payloadpark/payloadpark/internal/prog"
+	"github.com/payloadpark/payloadpark/internal/rmt"
+	"github.com/payloadpark/payloadpark/internal/trafficgen"
+)
+
+// The sections of a run's description: the types the scenario package
+// re-exports as Scenario's fields and every runner (RunTestbed,
+// RunMultiServer, RunLeafSpine, live.Run) takes as parameters. A section
+// is declared here, defaulted by the Resolve of the topology that runs it
+// and validated by that topology's Validate; nothing restates its fields.
+
+// Parking is the PayloadPark policy of a run. The zero value is the
+// baseline (no parking); set Mode to park.
+type Parking struct {
+	// Mode selects where payloads park: ParkNone (baseline), ParkEdge, or
+	// ParkEveryHop (leaf-spine striping; on a single-switch topology it is
+	// equivalent to ParkEdge). Serialized by name ("baseline", "edge",
+	// "everyhop").
+	Mode ParkMode `json:"mode,omitempty"`
+	// Slots is each installed program's lookup-table capacity (default
+	// 8192, 64 on the live socket fabric; per server on MultiServer, per
+	// switch on LeafSpine).
+	Slots int `json:"slots,omitempty"`
+	// MaxExpiry is the eviction threshold (default 1).
+	MaxExpiry uint32 `json:"max_expiry,omitempty"`
+	// Recirculate enables 384-byte parking via a second pipe
+	// (Testbed only).
+	Recirculate bool `json:"recirculate,omitempty"`
+	// BoundaryOffset moves the §7 decoupling boundary (Testbed only).
+	BoundaryOffset int `json:"boundary_offset,omitempty"`
+	// ExplicitDrop enables the §6.2.4 framework modification
+	// (Testbed and the live chain).
+	ExplicitDrop bool `json:"explicit_drop,omitempty"`
+}
+
+// Enabled reports whether the policy parks at all.
+func (p Parking) Enabled() bool { return p.Mode != ParkNone }
+
+// Core is the program configuration the policy installs between split and
+// merge (the topology owns the ports).
+func (p Parking) Core(split, merge rmt.PortID) core.Config {
+	return core.Config{
+		Slots: p.Slots, MaxExpiry: p.MaxExpiry,
+		Recirculate: p.Recirculate, BoundaryOffset: p.BoundaryOffset,
+		SplitPort: split, MergePort: merge,
+	}
+}
+
+// Validate is the one home of the parking-table rules: core.Config's
+// ranges, reported against the section's field names.
+func (p Parking) Validate() error {
+	err := p.Core(0, 1).Validate()
+	switch {
+	case errors.Is(err, core.ErrBadSlots):
+		return fmt.Errorf("parking.slots = %d outside [1, %d]", p.Slots, core.MaxSlots)
+	case errors.Is(err, core.ErrBadBoundary):
+		return fmt.Errorf("parking.boundary_offset = %d outside [0, %d]", p.BoundaryOffset, core.MaxBoundaryOffset)
+	case err != nil:
+		return fmt.Errorf("parking: %w", err)
+	}
+	return nil
+}
+
+// Program is the declarative table-program policy of a run: switch
+// programs loaded from internal/prog specs beyond — or instead of — the
+// built-in parking program. The zero value installs nothing extra.
+//
+// Kind "compress" loads the built-in ROHC-style header-compression spec
+// (prog.HeaderCompressSpec): IPv4/UDP headers compress to a 7-byte tagged
+// header where the flow enters the programmable domain and restore on the
+// way back, saving 21 wire bytes per packet. It composes with Parking on
+// both Testbed and LeafSpine.
+//
+// Kind "custom" loads an arbitrary serialized Spec (Testbed only) — the
+// `ppbench -program file.json` path. The topology pins the spec's
+// split_port/merge_port parameters to its canonical ports unless Params
+// pins them first.
+//
+// Restoring headers rewrites the packet's L3/L4 fields from the stored
+// context, so compression must not be combined with NF chains that
+// rewrite those fields (NAT); verdict-only and MAC-swap chains are safe.
+type Program struct {
+	// Kind selects the policy: "" (none), "compress", or "custom".
+	Kind string `json:"kind,omitempty"`
+	// Slots sizes the compression context table (default 8192; on
+	// LeafSpine, the parking Slots).
+	Slots int `json:"slots,omitempty"`
+	// MaxExpiry is the context eviction threshold (default 1; on
+	// LeafSpine, the parking MaxExpiry).
+	MaxExpiry uint32 `json:"max_expiry,omitempty"`
+	// Spec is the custom table program (Kind "custom" only).
+	Spec *prog.Spec `json:"spec,omitempty"`
+	// Params override the spec's declared parameters (Kind "custom").
+	Params map[string]int64 `json:"params,omitempty"`
+}
+
+// Enabled reports whether the run loads any table program.
+func (p Program) Enabled() bool { return p.Kind != "" }
+
+// IsZero reports whether the section can vanish from the wire form.
+func (p Program) IsZero() bool {
+	return p.Kind == "" && p.Slots == 0 && p.MaxExpiry == 0 && p.Spec == nil && len(p.Params) == 0
+}
+
+// Traffic is the offered-load spec of a run.
+type Traffic struct {
+	// SendBps is the offered load per traffic source, in frame
+	// bits/second.
+	SendBps float64 `json:"send_bps,omitempty"`
+	// Dist draws packet sizes (default: the Fig. 6 datacenter mix on
+	// Testbed, LeafSpine and Live, Fixed(384) on MultiServer, matching the
+	// paper's workloads). Serialized scenarios carry FixedSize instead.
+	Dist trafficgen.SizeDist `json:"-"`
+	// FixedSize, when non-zero, is the serializable form of a Fixed
+	// packet-size distribution: it resolves to trafficgen.Fixed(FixedSize)
+	// when Dist is nil. A zero FixedSize with a nil Dist keeps the
+	// topology default.
+	FixedSize int `json:"fixed_size,omitempty"`
+	// Flows is each source's 5-tuple pool size (default 1024 on Testbed
+	// and LeafSpine, 256 on Live; MultiServer pins MultiServerFlows).
+	Flows int `json:"flows,omitempty"`
+	// Source, when non-nil, overrides the synthetic generator with an
+	// arbitrary packet stream, e.g. a pcap replay (Testbed only). The
+	// builder is called once per run so replays start fresh. Not
+	// serializable.
+	Source func() trafficgen.Source `json:"-"`
+}
+
+// SizeDist resolves the written size distribution (nil means "topology
+// default").
+func (t Traffic) SizeDist() trafficgen.SizeDist {
+	if t.Dist != nil {
+		return t.Dist
+	}
+	if t.FixedSize > 0 {
+		return trafficgen.Fixed(t.FixedSize)
+	}
+	return nil
+}
+
+// RunOptions are the execution knobs shared by every topology.
+type RunOptions struct {
+	// Seed drives all randomness.
+	Seed int64 `json:"seed,omitempty"`
+	// Quick shrinks the default measurement window for CI-speed runs
+	// (2 ms warmup + 8 ms measured instead of 10 + 40; on Live it quarters
+	// the default frame budget). It applies per field: whichever of
+	// WarmupNs/MeasureNs is set explicitly wins over Quick for that field
+	// alone.
+	Quick bool `json:"quick,omitempty"`
+	// WarmupNs/MeasureNs bound the measurement window explicitly.
+	WarmupNs  int64 `json:"warmup_ns,omitempty"`
+	MeasureNs int64 `json:"measure_ns,omitempty"`
+	// Partitions shards a multi-switch fabric across that many
+	// conservatively synchronized event engines, one goroutine each
+	// (0 and 1 run the serial reference timeline). Switches are placed by
+	// greedy min-cut over the leaf-spine graph; each leaf's source, sink,
+	// and NF server follow their leaf. Results are byte-identical across
+	// partition counts — the knob trades nothing but wall-clock time.
+	// Single-switch topologies (Testbed, MultiServer) have no graph to cut
+	// and always run serial, and a run with a control plane
+	// (Control.Enabled) runs serial too: the fabric-wide controller reads
+	// and writes global state mid-run.
+	Partitions int `json:"partitions,omitempty"`
+	// Progress, when non-nil, is called with a short label when the run
+	// completes (and by RunSweep once per completed grid point). It may
+	// be called from multiple goroutines during a sweep; RunSweep
+	// serializes the calls. Not serializable.
+	Progress func(label string) `json:"-"`
+}
+
+// Windows resolves the measurement window.
+func (o RunOptions) Windows() (warmup, measure int64) {
+	warmup, measure = 10e6, 40e6
+	if o.Quick {
+		warmup, measure = 2e6, 8e6
+	}
+	if o.WarmupNs != 0 {
+		warmup = o.WarmupNs
+	}
+	if o.MeasureNs != 0 {
+		measure = o.MeasureNs
+	}
+	return warmup, measure
+}
+
+// Sections is everything a runner reads besides its own topology: the
+// Scenario's sections, by value and under the Scenario's field names.
+type Sections struct {
+	Name    string // labels the run in results
+	Parking Parking
+	Program Program
+	Control ctrl.Config // a controller runs iff Control.Enabled()
+	Traffic Traffic
+	Server  ServerModel      // NF server calibration (zero value: DefaultServerModel)
+	Chain   func() *nf.Chain // a fresh NF chain per run (Testbed only; default MAC swap)
+	Opts    RunOptions
+}
+
+// Wiring binds one run to its caller; none of it describes the run.
+type Wiring struct {
+	// Cancel, when non-nil, is polled periodically by the event engine;
+	// once it returns true the run stops early and the result is partial.
+	// The scenario layer binds it to a context's Done channel.
+	Cancel func() bool
+	// Obs arms the observability layer (metrics and/or the flight
+	// recorder); the zero value keeps it off.
+	Obs ObsConfig
+}
+
+// def fills *p with v when it is the zero value ("zero means default").
+func def[T comparable](p *T, v T) {
+	var zero T
+	if *p == zero {
+		*p = v
+	}
+}
+
+// Resolve fills the sections' zero fields. The arguments are the defaults
+// that depend on the topology (its Resolve passes them); everything else
+// is the same everywhere. Explicit values always win, so a written 8192 is
+// never mistaken for an unset field.
+func (s *Sections) Resolve(slots int, dist trafficgen.SizeDist, flows int) {
+	def(&s.Parking.Slots, slots)
+	def(&s.Parking.MaxExpiry, 1)
+	if s.Traffic.Dist = s.Traffic.SizeDist(); s.Traffic.Dist == nil {
+		s.Traffic.Dist = dist
+	}
+	def(&s.Traffic.Flows, flows)
+	s.Opts.WarmupNs, s.Opts.MeasureNs = s.Opts.Windows()
+	if s.Server.FreqHz == 0 {
+		s.Server = DefaultServerModel()
+	}
+	if s.Chain == nil {
+		s.Chain = func() *nf.Chain { return nf.NewChain(nf.MACSwap{}) }
+	}
+}
+
+// simSlots is the parking-table default of the simulated topologies (the
+// live socket fabric defaults smaller).
+const simSlots = 8192
+
+// Testbed is the paper's canonical Fig. 5 single-switch topology:
+// traffic generator -> switch -> NF server, with the generator's receive
+// side as the sink. It is the only topology that accepts a custom NF
+// chain, a replay Source, and the recirculation / boundary-offset /
+// explicit-drop parking knobs.
+type Testbed struct {
+	// LinkBps is the switch<->NF-server line rate (default 10 GbE).
+	LinkBps float64 `json:"link_bps,omitempty"`
+	// SwitchQueueBytes is the egress buffer per switch port (default 1 MB).
+	SwitchQueueBytes int `json:"switch_queue_bytes,omitempty"`
+	// PropNs is the per-link propagation delay (default 500 ns).
+	PropNs int64 `json:"prop_ns,omitempty"`
+	// NFLinkLossRate injects random loss on both directions of the
+	// switch<->NF link (§7 failure scenarios). Lost split packets orphan
+	// their parked payloads; the payload evictor must reclaim them.
+	NFLinkLossRate float64 `json:"nf_link_loss_rate,omitempty"`
+}
+
+// Resolve fills the testbed's and the sections' defaults.
+func (t *Testbed) Resolve(s *Sections) {
+	def(&t.LinkBps, 10e9)
+	def(&t.SwitchQueueBytes, 1<<20)
+	def(&t.PropNs, 500)
+	s.Resolve(simSlots, trafficgen.Datacenter{}, 1024)
+}
+
+// Validate reports the first rule a resolved testbed run breaks.
+func (t Testbed) Validate(s Sections) error {
+	return s.Parking.Validate()
+}
+
+// MultiServer is the §6.2.3 deployment: up to 8 NF servers (each
+// running a MAC-swap chain) sharing one switch, two per pipe, with the
+// reserved switch memory statically sliced between them.
+type MultiServer struct {
+	// Servers is the NF server count (1..8, default 8).
+	Servers int `json:"servers,omitempty"`
+	// LinkBps is each server's link rate (default 10 GbE).
+	LinkBps float64 `json:"link_bps,omitempty"`
+	// Cores, when non-zero, overrides Server.Cores on every server — the
+	// knob the core-count sweeps turn without restating the calibration.
+	Cores int `json:"cores,omitempty"`
+}
+
+// MultiServerFlows is each generator's 5-tuple pool size: large enough
+// that the RSS hash spreads load over 8 cores with only a few percent of
+// share noise, small enough to keep flow state cheap. Exported so the
+// harness's single-server peak probes offer the same RSS load
+// distribution as the multi-server runs they calibrate.
+const MultiServerFlows = 2048
+
+// Resolve fills the deployment's and the sections' defaults.
+func (m *MultiServer) Resolve(s *Sections) {
+	def(&m.Servers, 8)
+	def(&m.LinkBps, 10e9)
+	s.Resolve(simSlots, trafficgen.Fixed(384), MultiServerFlows)
+	if m.Cores > 0 {
+		s.Server.Cores = m.Cores
+	}
+}
+
+// Validate reports the first rule a resolved multi-server run breaks: a
+// server count the switch cannot host (two per pipe), a flow pool other
+// than the pinned one, or a parking table out of range.
+func (m MultiServer) Validate(s Sections) error {
+	if m.Servers < 1 || m.Servers > 8 {
+		return fmt.Errorf("servers = %d outside [1,8]", m.Servers)
+	}
+	if s.Traffic.Flows != MultiServerFlows {
+		return fmt.Errorf("Traffic.Flows is pinned to %d (leave it zero)", MultiServerFlows)
+	}
+	return s.Parking.Validate()
+}
+
+// LeafSpine is the multi-switch fabric topology: every leaf hosts a
+// traffic source, a sink, and an NF server; flow i enters at leaf i, is
+// served by the NF at leaf (i+1) mod Leaves, and crosses spine i mod
+// Spines in both directions. Parking follows Parking.Mode (park-at-edge
+// or §7 every-hop striping).
+type LeafSpine struct {
+	// Leaves and Spines size the fabric (defaults 4 and 2). When payloads
+	// park (or headers compress), every flow's spine affinity must differ
+	// from its egress leaf's — see CheckLeafSpine.
+	Leaves int `json:"leaves,omitempty"`
+	Spines int `json:"spines,omitempty"`
+	// LinkBps is the fabric and edge link rate (default 10 GbE).
+	LinkBps float64 `json:"link_bps,omitempty"`
+	// PropNs is the per-link propagation delay (default 500 ns).
+	PropNs int64 `json:"prop_ns,omitempty"`
+	// QueueBytes is the egress buffer per fabric port (default 1 MB).
+	QueueBytes int `json:"queue_bytes,omitempty"`
+	// FailLink enables the link-failure scenario: flow 0's forward
+	// spine->leaf link goes down at FailAtNs (default: a quarter into the
+	// measurement window) and the forward path is rerouted onto the
+	// alternate spine RerouteNs later (default 2 ms: route detection +
+	// programming delay; with a controller, at its next tick instead).
+	// The parked state at the ingress leaf survives, because the merge
+	// port pins the return path; only packets in flight on the dead link
+	// orphan their parked payloads.
+	FailLink  bool  `json:"fail_link,omitempty"`
+	FailAtNs  int64 `json:"fail_at_ns,omitempty"`
+	RerouteNs int64 `json:"reroute_ns,omitempty"`
+}
+
+// Resolve fills the fabric's and the sections' defaults; the compression
+// context table follows the parking table unless sized explicitly.
+func (l *LeafSpine) Resolve(s *Sections) {
+	def(&l.Leaves, 4)
+	def(&l.Spines, 2)
+	def(&l.LinkBps, 10e9)
+	def(&l.PropNs, 500)
+	def(&l.QueueBytes, 1<<20)
+	s.Resolve(simSlots, trafficgen.Datacenter{}, 1024)
+	def(&l.FailAtNs, s.Opts.WarmupNs+s.Opts.MeasureNs/4)
+	def(&l.RerouteNs, 2e6)
+	def(&s.Program.Slots, s.Parking.Slots)
+	def(&s.Program.MaxExpiry, s.Parking.MaxExpiry)
+}
+
+// CheckLeafSpine is the one home of the leaf-spine geometry rules, shared
+// by the simulated fabric and the live "LxS" socket fabric (both use the
+// same port layout: flow i crosses spine i mod spines both ways). pinned
+// says whether leaves install a merge or restore port: a slim transit
+// packet entering the egress leaf on that leaf's merge port would be
+// treated as a merge with a foreign tag and dropped as a premature
+// eviction, so every flow's spine affinity must differ from its egress
+// leaf's (4x2 and 6x3 qualify; 4x3 does not — flow 3's affinity collides
+// with leaf 0's).
+func CheckLeafSpine(leaves, spines int, pinned bool) error {
+	if leaves < 2 || leaves > core.PortsPerPipe || spines < 1 || spines > core.PortsPerPipe-3 {
+		return fmt.Errorf("%dx%d outside supported geometry (2..%d leaves, 1..%d spines)",
+			leaves, spines, core.PortsPerPipe, core.PortsPerPipe-3)
+	}
+	if !pinned {
+		return nil
+	}
+	for i := 0; i < leaves; i++ {
+		if j := (i + 1) % leaves; i%spines == j%spines {
+			return fmt.Errorf("%dx%d cannot park: flow %d's forward path enters leaf %d on its merge port (try 4x2 or 6x3)", leaves, spines, i, j)
+		}
+	}
+	return nil
+}
+
+// Validate reports the first leaf-spine rule a resolved run breaks. It is
+// the one place the geometry and mode-combination rules live.
+func (l LeafSpine) Validate(s Sections) error {
+	compress := s.Program.Kind == "compress"
+	// Compression pins its restore port like ParkEdge pins its merge
+	// port, so the same geometry requirement applies.
+	pinned := s.Parking.Enabled() || compress
+	if s.Control.ECMP && s.Parking.Mode == ParkEveryHop {
+		return fmt.Errorf("ECMP cannot stripe: park-at-every-hop programs are installed on each flow's static path")
+	}
+	if compress && s.Parking.Mode == ParkEveryHop {
+		return fmt.Errorf("compression cannot ride every-hop striping: wire-parse hops would re-parse compressed transit frames")
+	}
+	if err := CheckLeafSpine(l.Leaves, l.Spines, pinned); err != nil {
+		return err
+	}
+	if pinned && l.FailLink && l.Spines < 3 {
+		return fmt.Errorf("parking-safe reroute needs a third spine (got %d): with two, the alternate path arrives on the egress leaf's merge port", l.Spines)
+	}
+	return s.Parking.Validate()
+}

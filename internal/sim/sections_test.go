@@ -1,0 +1,111 @@
+package sim
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+
+	"github.com/payloadpark/payloadpark/internal/trafficgen"
+)
+
+// TestResolveDefaults pins every default a simulated topology fills into
+// zero-valued sections — the effective values scenario.Run has always
+// produced — and that a written value, per field, is left alone.
+func TestResolveDefaults(t *testing.T) {
+	// What every simulated topology resolves zero sections to, apart from
+	// the traffic defaults each case states.
+	common := func(dist trafficgen.SizeDist, flows int) Sections {
+		return Sections{
+			Parking: Parking{Slots: 8192, MaxExpiry: 1},
+			Traffic: Traffic{Dist: dist, Flows: flows},
+			Server:  DefaultServerModel(),
+			Opts:    RunOptions{WarmupNs: 10e6, MeasureNs: 40e6},
+		}
+	}
+	check := func(name string, gotTopo, wantTopo any, got, want Sections) {
+		t.Helper()
+		if got.Chain == nil || got.Chain().Name() != "MACSwap" {
+			t.Errorf("%s: default chain is not the MAC swap", name)
+		}
+		got.Chain = nil
+		if !reflect.DeepEqual(gotTopo, wantTopo) {
+			t.Errorf("%s: topology resolved to %+v, want %+v", name, gotTopo, wantTopo)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: sections resolved to\n %+v, want\n %+v", name, got, want)
+		}
+	}
+
+	var tb Testbed
+	var s Sections
+	tb.Resolve(&s)
+	check("testbed", tb, Testbed{LinkBps: 10e9, SwitchQueueBytes: 1 << 20, PropNs: 500},
+		s, common(trafficgen.Datacenter{}, 1024))
+
+	var ms MultiServer
+	s = Sections{}
+	ms.Resolve(&s)
+	check("multiserver", ms, MultiServer{Servers: 8, LinkBps: 10e9},
+		s, common(trafficgen.Fixed(384), 2048))
+
+	ms, s = MultiServer{Cores: 3}, Sections{}
+	ms.Resolve(&s)
+	if s.Server.Cores != 3 {
+		t.Errorf("multiserver Cores override: server has %d cores, want 3", s.Server.Cores)
+	}
+
+	var ls LeafSpine
+	s = Sections{}
+	ls.Resolve(&s)
+	want := common(trafficgen.Datacenter{}, 1024)
+	want.Program = Program{Slots: 8192, MaxExpiry: 1} // compress contexts follow parking
+	check("leafspine", ls, LeafSpine{
+		Leaves: 4, Spines: 2, LinkBps: 10e9, PropNs: 500, QueueBytes: 1 << 20,
+		FailAtNs: 10e6 + 40e6/4, RerouteNs: 2e6,
+	}, s, want)
+
+	// Written values win, field by field.
+	ls = LeafSpine{Leaves: 6, FailAtNs: 7}
+	s = Sections{
+		Parking: Parking{Slots: 100, MaxExpiry: 3},
+		Program: Program{MaxExpiry: 9},
+		Traffic: Traffic{FixedSize: 512, Flows: 7},
+		Opts:    RunOptions{Quick: true, MeasureNs: 6},
+	}
+	ls.Resolve(&s)
+	if ls.Leaves != 6 || ls.Spines != 2 || ls.FailAtNs != 7 {
+		t.Errorf("written geometry moved: %+v", ls)
+	}
+	if s.Parking.Slots != 100 || s.Parking.MaxExpiry != 3 || s.Program.Slots != 100 || s.Program.MaxExpiry != 9 {
+		t.Errorf("written parking/program moved: %+v %+v", s.Parking, s.Program)
+	}
+	if s.Traffic.Dist != trafficgen.Fixed(512) || s.Traffic.Flows != 7 {
+		t.Errorf("written traffic moved: %+v", s.Traffic)
+	}
+	if s.Opts.WarmupNs != 2e6 || s.Opts.MeasureNs != 6 {
+		t.Errorf("windows = %d/%d, want quick warmup 2e6 and the written 6", s.Opts.WarmupNs, s.Opts.MeasureNs)
+	}
+	if w, m := (RunOptions{Quick: true}).Windows(); w != 2e6 || m != 8e6 {
+		t.Errorf("quick windows %d/%d, want 2e6/8e6", w, m)
+	}
+}
+
+// TestRunnersRejectInsteadOfPanic: a description a runner cannot hold is
+// an error naming the field, from every runner, before anything is built.
+func TestRunnersRejectInsteadOfPanic(t *testing.T) {
+	bad := Sections{Parking: Parking{Mode: ParkEdge, Slots: 100000}}
+	_, errT := RunTestbed(Testbed{}, bad, Wiring{})
+	_, errM := RunMultiServer(MultiServer{}, bad, Wiring{})
+	_, errL := RunLeafSpine(LeafSpine{}, bad, Wiring{})
+	for kind, err := range map[string]error{"testbed": errT, "multiserver": errM, "leafspine": errL} {
+		if err == nil || err.Error() != "parking.slots = 100000 outside [1, 65536]" {
+			t.Errorf("%s: err = %v, want the parking.slots range error", kind, err)
+		}
+	}
+	// In range, but two 65536-slot tables do not fit one pipe's stages:
+	// the placement failure surfaces as an error too.
+	fits := Sections{Parking: Parking{Mode: ParkEdge, Slots: 65536}, Opts: RunOptions{WarmupNs: 1e5, MeasureNs: 1e5}}
+	if _, err := RunMultiServer(MultiServer{Servers: 2}, fits, Wiring{}); err == nil || !strings.Contains(err.Error(), "SRAM overflow") {
+		t.Errorf("multiserver 2x65536: err = %v, want the SRAM overflow as an error", err)
+	}
+}

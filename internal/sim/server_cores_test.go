@@ -235,16 +235,22 @@ func TestStageOverflowReportsAndRecycles(t *testing.T) {
 // payloads cross the to-NF link — must record strictly more delivered
 // bits than PayloadPark's header-only packets.
 func TestMultiServerGoodputAccounting(t *testing.T) {
-	mk := func(pp bool) MultiServerConfig {
-		return MultiServerConfig{
-			Servers: 2, LinkBps: 10e9, SendBps: 2e9,
-			Dist: trafficgen.Fixed(384), SlotsPerServer: 8192, MaxExpiry: 1,
-			PayloadPark: pp, Seed: 5,
-			WarmupNs: 2e6, MeasureNs: 8e6,
+	mk := func(pp bool) multiServerRun {
+		r := multiServerRun{
+			MultiServer: MultiServer{Servers: 2, LinkBps: 10e9},
+			Sections: Sections{
+				Parking: Parking{Slots: 8192, MaxExpiry: 1},
+				Traffic: Traffic{SendBps: 2e9, Dist: trafficgen.Fixed(384)},
+				Opts:    RunOptions{Seed: 5, WarmupNs: 2e6, MeasureNs: 8e6},
+			},
 		}
+		if pp {
+			r.Parking.Mode = ParkEdge
+		}
+		return r
 	}
-	base := RunMultiServer(mk(false))
-	pp := RunMultiServer(mk(true))
+	base := mk(false).run(t)
+	pp := mk(true).run(t)
 	for i := range base.PerServer {
 		b, p := base.PerServer[i], pp.PerServer[i]
 		if b.GoodputGbps <= p.GoodputGbps {
@@ -277,22 +283,23 @@ func TestMultiServerGoodputAccounting(t *testing.T) {
 // offered load past the single-core knee, 8 cores deliver several times
 // the single-core packet rate.
 func TestMultiServerCoresOverride(t *testing.T) {
-	mk := func(cores int) MultiServerConfig {
-		return MultiServerConfig{
-			Servers: 1, LinkBps: 10e9, SendBps: 8e9,
-			Dist: trafficgen.Fixed(384), SlotsPerServer: 8192, MaxExpiry: 1,
-			Server: ServerModel{
-				FreqHz: 2.4e9, RxFixedNs: 1712, RxPerByteNs: 0.6,
-				NICRing: 1024, StageQueue: 4096,
-				PCIeBps: 31.5e9, PCIeOverheadBytes: 8,
+	mk := func(cores int) multiServerRun {
+		return multiServerRun{
+			MultiServer: MultiServer{Servers: 1, LinkBps: 10e9, Cores: cores},
+			Sections: Sections{
+				Parking: Parking{Slots: 8192, MaxExpiry: 1},
+				Traffic: Traffic{SendBps: 8e9, Dist: trafficgen.Fixed(384)},
+				Server: ServerModel{
+					FreqHz: 2.4e9, RxFixedNs: 1712, RxPerByteNs: 0.6,
+					NICRing: 1024, StageQueue: 4096,
+					PCIeBps: 31.5e9, PCIeOverheadBytes: 8,
+				},
+				Opts: RunOptions{Seed: 9, WarmupNs: 2e6, MeasureNs: 10e6},
 			},
-			Cores:       cores,
-			PayloadPark: false, Seed: 9,
-			WarmupNs: 2e6, MeasureNs: 10e6,
 		}
 	}
-	one := RunMultiServer(mk(1)).PerServer[0]
-	eight := RunMultiServer(mk(8)).PerServer[0]
+	one := mk(1).run(t).PerServer[0]
+	eight := mk(8).run(t).PerServer[0]
 	// 8 Gbps of 384 B packets is ~2.6 Mpps: ~5x a single core's ~0.5 Mpps
 	// capacity but well inside the 8-core aggregate, so the single-core
 	// run must shed most of its load at the NIC ring while the 8-core run

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/nf"
 	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
@@ -202,23 +201,30 @@ func chainFWNAT() *nf.Chain {
 	)
 }
 
-func smokeConfig(pp bool, sendGbps float64) TestbedConfig {
-	return TestbedConfig{
-		Name:        "smoke",
-		LinkBps:     10e9,
-		SendBps:     sendGbps * 1e9,
-		Dist:        trafficgen.Datacenter{},
-		Seed:        1,
-		BuildChain:  chainFWNAT,
-		PayloadPark: pp,
-		PP:          core.Config{Slots: 16384, MaxExpiry: 1},
-		WarmupNs:    2e6,
-		MeasureNs:   10e6,
+// parking is the smoke tests' policy: a 16384-slot edge program, or the
+// baseline.
+func parking(pp bool) Parking {
+	if !pp {
+		return Parking{}
+	}
+	return Parking{Mode: ParkEdge, Slots: 16384, MaxExpiry: 1}
+}
+
+func smokeConfig(pp bool, sendGbps float64) testbedRun {
+	return testbedRun{
+		Testbed: Testbed{LinkBps: 10e9},
+		Sections: Sections{
+			Name:    "smoke",
+			Parking: parking(pp),
+			Traffic: Traffic{SendBps: sendGbps * 1e9, Dist: trafficgen.Datacenter{}},
+			Chain:   chainFWNAT,
+			Opts:    RunOptions{Seed: 1, WarmupNs: 2e6, MeasureNs: 10e6},
+		},
 	}
 }
 
 func TestTestbedBaselineUnderLoad(t *testing.T) {
-	res := RunTestbed(smokeConfig(false, 4))
+	res := smokeConfig(false, 4).run(t)
 	// 4 Gbps of ~882B packets: ~0.567 Mpps, goodput ~0.19 Gbps.
 	if res.SendGbps < 3.8 || res.SendGbps > 4.2 {
 		t.Errorf("send = %v Gbps, want ~4", res.SendGbps)
@@ -242,8 +248,8 @@ func TestTestbedBaselineUnderLoad(t *testing.T) {
 }
 
 func TestTestbedPayloadParkEqualGoodputBelowSaturation(t *testing.T) {
-	base := RunTestbed(smokeConfig(false, 4))
-	pp := RunTestbed(smokeConfig(true, 4))
+	base := smokeConfig(false, 4).run(t)
+	pp := smokeConfig(true, 4).run(t)
 	// Below saturation both deliver the same pps, hence equal goodput
 	// (paper Fig. 7: curves overlap until the baseline saturates).
 	if math.Abs(pp.GoodputGbps-base.GoodputGbps) > 0.01 {
@@ -268,8 +274,8 @@ func TestTestbedPayloadParkEqualGoodputBelowSaturation(t *testing.T) {
 func TestTestbedSaturationGoodputGain(t *testing.T) {
 	// At 11 Gbps offered on a 10GE link the baseline saturates but
 	// PayloadPark still fits: its goodput must be higher (Fig. 7 shape).
-	base := RunTestbed(smokeConfig(false, 11))
-	pp := RunTestbed(smokeConfig(true, 11))
+	base := smokeConfig(false, 11).run(t)
+	pp := smokeConfig(true, 11).run(t)
 	if base.Healthy {
 		t.Errorf("baseline should be unhealthy at 11G: drop=%v", base.UnintendedDropRate)
 	}
@@ -283,13 +289,14 @@ func TestTestbedSaturationGoodputGain(t *testing.T) {
 }
 
 func TestMultiServerRun(t *testing.T) {
-	cfg := MultiServerConfig{
-		Servers: 4, LinkBps: 10e9, SendBps: 3e9,
-		Dist: trafficgen.Fixed(384), SlotsPerServer: 8192, MaxExpiry: 1,
-		PayloadPark: true, Seed: 3,
-		WarmupNs: 1e6, MeasureNs: 5e6,
-	}
-	res := RunMultiServer(cfg)
+	res := multiServerRun{
+		MultiServer: MultiServer{Servers: 4, LinkBps: 10e9},
+		Sections: Sections{
+			Parking: Parking{Mode: ParkEdge, Slots: 8192, MaxExpiry: 1},
+			Traffic: Traffic{SendBps: 3e9, Dist: trafficgen.Fixed(384)},
+			Opts:    RunOptions{Seed: 3, WarmupNs: 1e6, MeasureNs: 5e6},
+		},
+	}.run(t)
 	if len(res.PerServer) != 4 {
 		t.Fatalf("servers = %d", len(res.PerServer))
 	}
@@ -313,13 +320,10 @@ func TestMultiServerRun(t *testing.T) {
 	}
 }
 
-func TestMultiServerPanicsOnBadCount(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic for 0 servers")
-		}
-	}()
-	RunMultiServer(MultiServerConfig{Servers: 0})
+func TestMultiServerRejectsBadCount(t *testing.T) {
+	if _, err := RunMultiServer(MultiServer{Servers: 9}, Sections{}, Wiring{}); err == nil {
+		t.Error("no error for 9 servers")
+	}
 }
 
 func TestWireBytes(t *testing.T) {

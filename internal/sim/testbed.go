@@ -31,87 +31,6 @@ const (
 // to be healthy when the packet drop rate is below 0.1%" (§6.1).
 const HealthyDropRate = 0.001
 
-// TestbedConfig describes one simulated deployment run.
-type TestbedConfig struct {
-	// Name labels the run in results.
-	Name string
-	// LinkBps is the switch<->NF-server line rate (10 or 40 GbE).
-	LinkBps float64
-	// SendBps is the offered load in frame bits/second.
-	SendBps float64
-	// Dist draws packet sizes; Flows is the 5-tuple pool size.
-	Dist  trafficgen.SizeDist
-	Flows int
-	// Source, when non-nil, overrides the synthetic generator with an
-	// arbitrary packet stream (e.g. a pcap replay). The builder is called
-	// once per run so replays start fresh.
-	Source func() trafficgen.Source
-	// Seed drives all randomness.
-	Seed int64
-	// BuildChain constructs a fresh NF chain (fresh NF state per run).
-	BuildChain func() *nf.Chain
-	// Server calibrates the NF server timing.
-	Server ServerModel
-	// PayloadPark enables the program; PP carries its parameters (ports
-	// are overridden to the canonical topology).
-	PayloadPark bool
-	PP          core.Config
-	// Programs attaches declarative table programs (internal/prog specs)
-	// beyond — or instead of — the built-in parking program. Each spec's
-	// split_port/merge_port default to the canonical generator/NF ports
-	// unless pinned in the attachment's Params. Per-program in-window
-	// counter deltas land in Result.Programs.
-	Programs []ProgramAttachment
-	// ExplicitDrop enables the §6.2.4 framework modification.
-	ExplicitDrop bool
-	// WarmupNs/MeasureNs bound the measurement window.
-	WarmupNs  int64
-	MeasureNs int64
-	// SwitchQueueBytes is the egress buffer per switch port (default 1 MB).
-	SwitchQueueBytes int
-	// PropNs is the per-link propagation delay (default 500 ns).
-	PropNs int64
-	// NFLinkLossRate injects random loss on both directions of the
-	// switch<->NF link (§7 failure scenarios). Lost split packets orphan
-	// their parked payloads; the payload evictor must reclaim them.
-	NFLinkLossRate float64
-	// Control, when non-nil (and PayloadPark is on), attaches the §7
-	// adaptive-eviction control plane: a controller samples the program's
-	// premature-eviction counter every Control.PeriodNs and toggles the
-	// Expiry threshold between the aggressive and conservative policies.
-	// The mode-switch timeline lands in Result.Control. Adaptive is
-	// implied — a single-switch deployment has no ECMP groups to manage.
-	Control *ctrl.Config
-	// Cancel, when non-nil, is polled periodically by the event engine;
-	// once it returns true the run stops early and the result is partial.
-	// The scenario layer binds it to a context's Done channel.
-	Cancel func() bool
-	// Obs arms the observability layer (metrics and/or the flight
-	// recorder); the zero value keeps it off.
-	Obs ObsConfig
-}
-
-func (c *TestbedConfig) fillDefaults() {
-	if c.Flows == 0 {
-		c.Flows = 1024
-	}
-	if c.SwitchQueueBytes == 0 {
-		c.SwitchQueueBytes = 1 << 20
-	}
-	if c.PropNs == 0 {
-		c.PropNs = 500
-	}
-	if c.WarmupNs == 0 {
-		c.WarmupNs = 10e6 // 10 ms
-	}
-	if c.MeasureNs == 0 {
-		c.MeasureNs = 50e6 // 50 ms
-	}
-	if c.Server.FreqHz == 0 {
-		c.Server = DefaultServerModel()
-	}
-}
-
 // CDFPoint is one quantile of a delivered-latency distribution: Q is the
 // cumulative fraction, LatencyUs the latency at that quantile.
 type CDFPoint struct {
@@ -165,7 +84,7 @@ type Result struct {
 	// Healthy reports the paper's <0.1% unintended-drop criterion.
 	Healthy bool `json:"healthy"`
 	// Programs reports each attached declarative table program's
-	// in-window counter deltas (empty unless TestbedConfig.Programs ran).
+	// in-window counter deltas (empty unless Sections.Program ran).
 	Programs []ProgramCounters `json:"programs,omitempty"`
 	// SRAMPct is the average per-stage SRAM utilization of the ingress pipe.
 	SRAMPct float64 `json:"sram_pct"`
@@ -173,7 +92,7 @@ type Result struct {
 	// whole run (RSS spread, ring-overflow attribution, peak RX backlog).
 	PerCore []CoreStat `json:"per_core,omitempty"`
 	// Control is the adaptive-eviction control plane's report — the
-	// mode-switch decision timeline — when TestbedConfig.Control ran a
+	// mode-switch decision timeline — when Sections.Control ran a
 	// controller (nil otherwise).
 	Control *ctrl.Report `json:"control,omitempty"`
 }
@@ -203,48 +122,57 @@ func wireTestbed(sw *core.Switch, pp *core.Config) (*core.Program, error) {
 	return sw.AttachPayloadPark(cfg, recirc)
 }
 
-// RunTestbed simulates one deployment and reports measurements. It is a
-// thin preset over Fabric: one switch node with three cables (generator,
-// NF server, sink), reproducing the paper's Fig. 5 topology. The wiring
-// and scheduling order match the pre-fabric implementation exactly, so
-// results are byte-identical (see TestTestbedFabricParity).
-func RunTestbed(cfg TestbedConfig) Result {
-	cfg.fillDefaults()
+// RunTestbed simulates one Fig. 5 deployment and reports measurements:
+// it resolves the sections' defaults, validates them, and returns an
+// error — never a panic — for a description the switch cannot hold. It is
+// a thin preset over Fabric: one switch node with three cables
+// (generator, NF server, sink). The wiring and scheduling order match the
+// pre-fabric implementation exactly, so results are byte-identical (see
+// TestTestbedFabricParity).
+func RunTestbed(t Testbed, s Sections, w Wiring) (Result, error) {
+	t.Resolve(&s)
+	if err := t.Validate(s); err != nil {
+		return Result{}, err
+	}
 	f := NewFabric()
 	eng := f.Engine()
-	eng.Cancel = cfg.Cancel
+	eng.Cancel = w.Cancel
 
 	// Behavioural components.
-	swn := f.AddSwitch(cfg.Name)
+	swn := f.AddSwitch(s.Name)
 	sw := swn.SW
 	var pp *core.Config
-	if cfg.PayloadPark {
-		pp = &cfg.PP
+	if s.Parking.Enabled() {
+		c := s.Parking.Core(portSplit, portNF)
+		pp = &c
 	}
 	prog, err := wireTestbed(sw, pp)
 	if err != nil {
-		panic(fmt.Sprintf("sim: attach payloadpark: %v", err))
+		return Result{}, fmt.Errorf("attach payloadpark: %w", err)
 	}
-	insts := attachPrograms(sw, cfg.Programs, portSplit, portNF)
+	inst, err := attachProgram(sw, s.Program, portSplit, portNF)
+	if err != nil {
+		return Result{}, err
+	}
 
-	chain := cfg.BuildChain()
+	chain := s.Chain()
 	srv := nf.NewServer(nf.ServerConfig{
 		Chain:        chain,
 		RewriteMACs:  !chainSwapsMACs(chain),
 		NFMAC:        MACNF,
 		NextHopMAC:   MACSink,
-		ExplicitDrop: cfg.ExplicitDrop,
+		ExplicitDrop: s.Parking.ExplicitDrop,
 	})
 
 	var gen trafficgen.Source
-	if cfg.Source != nil {
-		gen = cfg.Source()
+	if s.Traffic.Source != nil {
+		gen = s.Traffic.Source()
 	} else {
 		gen = trafficgen.New(trafficgen.Config{
-			Sizes: cfg.Dist, Flows: cfg.Flows,
+			Sizes: s.Traffic.Dist, Flows: s.Traffic.Flows,
 			SrcMAC: MACGen, DstMAC: MACNF,
 			DstIP: packet.IPv4Addr{10, 1, 0, 9}, DstPort: 80,
-			Seed: cfg.Seed,
+			Seed: s.Opts.Seed,
 		})
 	}
 
@@ -257,8 +185,8 @@ func RunTestbed(cfg TestbedConfig) Result {
 	}
 
 	// Measurement state.
-	windowStart := cfg.WarmupNs
-	windowEnd := cfg.WarmupNs + cfg.MeasureNs
+	windowStart := s.Opts.WarmupNs
+	windowEnd := s.Opts.WarmupNs + s.Opts.MeasureNs
 	var (
 		sentWindow      uint64
 		sentBits        = stats.NewRateMeter(windowStart)
@@ -284,11 +212,11 @@ func RunTestbed(cfg TestbedConfig) Result {
 	// Wiring, back to front. Return path: server -> link -> switch merge.
 	var srvSim *ServerSim
 
-	returnLink := f.NewLink("nf->switch", cfg.LinkBps, cfg.PropNs, cfg.SwitchQueueBytes,
+	returnLink := f.NewLink("nf->switch", t.LinkBps, t.PropNs, t.SwitchQueueBytes,
 		swn.Ingress(portNF), dropUnintended)
-	returnLink.LossRate = cfg.NFLinkLossRate
+	returnLink.LossRate = t.NFLinkLossRate
 
-	srvSim = NewServerSim(eng, cfg.Server, srv, cfg.Seed,
+	srvSim = NewServerSim(eng, s.Server, srv, s.Opts.Seed,
 		returnLink.Send,
 		dropUnintended,
 		func(p Parcel) {
@@ -302,7 +230,7 @@ func RunTestbed(cfg TestbedConfig) Result {
 	// Goodput is measured on delivery over the switch->NF link: useful-
 	// header bits that actually reached the NF server (§6.1, including
 	// packets the firewall later drops — §6.2.4).
-	toNFLink := f.NewLink("switch->nf", cfg.LinkBps, cfg.PropNs, cfg.SwitchQueueBytes,
+	toNFLink := f.NewLink("switch->nf", t.LinkBps, t.PropNs, t.SwitchQueueBytes,
 		func(p Parcel) {
 			now := eng.Now()
 			if p.InWindow && now >= windowStart && now <= windowEnd {
@@ -311,11 +239,11 @@ func RunTestbed(cfg TestbedConfig) Result {
 			}
 			srvSim.Receive(p)
 		}, dropUnintended)
-	toNFLink.LossRate = cfg.NFLinkLossRate
+	toNFLink.LossRate = t.NFLinkLossRate
 
 	sink := f.AddSink("sink", windowEnd, recycle)
 	sink.Hist = latencyHist
-	sinkLink := f.NewLink("switch->sink", 2*cfg.LinkBps, cfg.PropNs, 2*cfg.SwitchQueueBytes,
+	sinkLink := f.NewLink("switch->sink", 2*t.LinkBps, t.PropNs, 2*t.SwitchQueueBytes,
 		sink.Receive, dropUnintended)
 
 	swn.SetOut(portNF, toNFLink)
@@ -342,12 +270,12 @@ func RunTestbed(cfg TestbedConfig) Result {
 	eng.ScheduleAt(windowStart, func() { pcieBase = srvSim.PCIeBytes.Value(); pcieSample() })
 
 	// Generator: constant bit rate over frame bits.
-	genLink := f.NewLink("gen->switch", 2*cfg.LinkBps, cfg.PropNs, 4<<20,
+	genLink := f.NewLink("gen->switch", 2*t.LinkBps, t.PropNs, 4<<20,
 		swn.Ingress(portSplit), dropUnintended)
 
-	src := f.AddSource("gen", gen, genLink, cfg.SendBps)
+	src := f.AddSource("gen", gen, genLink, s.Traffic.SendBps)
 	src.WindowStart, src.WindowEnd = windowStart, windowEnd
-	src.StopAt = windowEnd + cfg.WarmupNs/2
+	src.StopAt = windowEnd + s.Opts.WarmupNs/2
 	src.OnSend = func(p Parcel) {
 		sentWindow++
 		sentBits.Record(eng.Now(), float64(p.Pkt.Len()*8))
@@ -355,31 +283,30 @@ func RunTestbed(cfg TestbedConfig) Result {
 
 	// Counter snapshot at window start for in-window deltas.
 	var snap core.Counters
-	var progSnaps []map[string]uint64
+	var progSnap map[string]uint64
 	eng.ScheduleAt(windowStart, func() {
 		if prog != nil {
 			snap = prog.C
 		}
-		progSnaps = programSnapshots(insts)
+		if inst != nil {
+			progSnap = inst.Counters()
+		}
 	})
 
-	f.EnableObs(cfg.Obs)
+	f.EnableObs(w.Obs)
 
 	// Adaptive-eviction control plane (single-switch: no groups, the
 	// controller only retunes the program's Expiry threshold).
 	var controller *ctrl.Controller
-	if cfg.Control != nil && prog != nil {
-		cc := *cfg.Control
-		cc.Adaptive = true
-		if cc.Aggressive == 0 {
-			cc.Aggressive = prog.MaxExpiry()
-		}
-		controller = attachController(f, cc, newControlPlant(f, nil), nil, windowEnd+cfg.WarmupNs)
+	if s.Control.Enabled() && prog != nil {
+		cc := s.Control
+		def(&cc.Aggressive, prog.MaxExpiry())
+		controller = attachController(f, cc, newControlPlant(f, nil), nil, windowEnd+s.Opts.WarmupNs)
 	}
 
 	src.Start(0)
 	// Drain period after the window so in-flight packets can land.
-	f.Run(windowEnd + cfg.WarmupNs)
+	f.Run(windowEnd + s.Opts.WarmupNs)
 
 	sentBits.CloseAt(windowEnd)
 	goodput.CloseAt(windowEnd)
@@ -387,7 +314,7 @@ func RunTestbed(cfg TestbedConfig) Result {
 	pcie.CloseAt(windowEnd)
 
 	res := Result{
-		Name:        cfg.Name,
+		Name:        s.Name,
 		SendGbps:    sentBits.Gbps(),
 		GoodputGbps: goodput.Gbps(),
 		ToNFGbps:    toNF.Gbps(),
@@ -395,7 +322,7 @@ func RunTestbed(cfg TestbedConfig) Result {
 		Delivered:   sink.Delivered,
 		NFDrops:     nfDrops,
 		PCIeGbps:    pcie.Gbps(),
-		PCIeUtilPct: 100 * pcie.Gbps() * 1e9 / cfg.Server.PCIeBps,
+		PCIeUtilPct: 100 * pcie.Gbps() * 1e9 / s.Server.PCIeBps,
 		PerCore:     srvSim.CoreStats(),
 	}
 	res.AvgLatencyUs = sink.Latency.Mean()
@@ -422,8 +349,8 @@ func RunTestbed(cfg TestbedConfig) Result {
 		res.ExplicitDrops = prog.C.ExplicitDrops.Value() - snap.ExplicitDrops.Value()
 		res.SRAMPct = sw.Pipe(0).Resources().SRAMAvgPct
 	}
-	if len(insts) > 0 {
-		res.Programs = programReports("", insts, progSnaps)
+	if inst != nil {
+		res.Programs = []ProgramCounters{programReport("", inst, progSnap)}
 		if res.SRAMPct == 0 {
 			res.SRAMPct = sw.Pipe(0).Resources().SRAMAvgPct
 		}
@@ -431,7 +358,7 @@ func RunTestbed(cfg TestbedConfig) Result {
 	if controller != nil {
 		res.Control = controller.Snapshot()
 	}
-	return res
+	return res, nil
 }
 
 // chainSwapsMACs reports whether the chain already handles L2 return

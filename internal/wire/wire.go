@@ -133,6 +133,97 @@ func (b *BurstReader) Read() (int, error) {
 	return count, nil
 }
 
+// SwitchLoop is the one socket-wrapped switch worker: datagrams on Conn
+// enter SW on the port their source address is cabled to, a burst at a
+// time — read a burst, drive it through the zero-alloc core.FrameBurst
+// path, write the surviving emissions out in one batched send.
+// SwitchDaemon runs one (own switch, one socket); the live fabric runs one
+// per pipe over a shared switch (core.Switch's one-worker-per-pipe rule).
+type SwitchLoop struct {
+	Conn  *net.UDPConn
+	SW    *core.Switch
+	Burst int // receive-burst size (default DefaultBurst)
+	// Peers resolves a datagram's source address to its ingress port;
+	// Addrs is where emissions for an egress port are sent ("cables").
+	Peers map[string]rmt.PortID
+	Addrs map[rmt.PortID]*net.UDPAddr
+	// Mail, when non-nil, is a control mailbox drained between bursts —
+	// the only window in which other goroutines may run code against the
+	// pipes this loop owns — and Wake bounds how long an idle loop blocks
+	// in a read before draining it again.
+	Mail chan func()
+	Wake time.Duration
+	// Rx counts accepted datagrams, Errors unknown peers, rejected frames,
+	// uncabled emissions and send failures, Tx (optional) forwarded
+	// datagrams. Atomic: read from other goroutines while Run serves.
+	Rx, Errors, Tx *atomic.Uint64
+	// BurstHist/BatchHist, when set, observe burst and batch sizes.
+	BurstHist, BatchHist *obs.Histogram
+}
+
+// Cable registers a peer: frames arriving from addr enter the switch on
+// port, and emissions for port go back to addr. Call before Run.
+func (l *SwitchLoop) Cable(port rmt.PortID, addr *net.UDPAddr) {
+	l.Peers[addr.String()] = port
+	l.Addrs[port] = addr
+}
+
+// Run serves until the socket is closed or fails, returning nil when ctx
+// was cancelled first. The steady state allocates nothing.
+func (l *SwitchLoop) Run(ctx context.Context) error {
+	br := NewBurstReader(l.Conn, l.Burst)
+	fb := l.SW.NewFrameBurst(len(br.bufs))
+	bs := NewBatchSender(l.Conn)
+	br.Hist, bs.Hist = l.BurstHist, l.BatchHist
+	for {
+		if l.Mail != nil {
+			for drained := false; !drained; {
+				select {
+				case fn := <-l.Mail:
+					fn()
+				default:
+					drained = true
+				}
+			}
+			l.Conn.SetReadDeadline(time.Now().Add(l.Wake))
+		}
+		count, err := br.Read()
+		if err != nil {
+			if ctx.Err() != nil {
+				return nil
+			}
+			if ne, ok := err.(net.Error); ok && ne.Timeout() && l.Mail != nil {
+				continue
+			}
+			return err
+		}
+		fb.Reset()
+		for i := 0; i < count; i++ {
+			port, ok := l.Peers[br.From(i).String()]
+			if !ok {
+				l.Errors.Add(1)
+				continue
+			}
+			l.Rx.Add(1)
+			if err := fb.Add(br.Frame(i), port); err != nil {
+				l.Errors.Add(1)
+			}
+		}
+		for _, r := range fb.Run() {
+			if !r.OK {
+				continue
+			}
+			dst, ok := l.Addrs[r.Em.Port]
+			if !ok {
+				l.Errors.Add(1)
+				continue
+			}
+			bs.Commit(r.Em.Pkt.AppendSerialize(bs.Begin()), dst, l.Tx)
+		}
+		l.Errors.Add(uint64(bs.Flush()))
+	}
+}
+
 // SwitchConfig wires a switch daemon.
 type SwitchConfig struct {
 	// Listen is the UDP address the switch binds (e.g. "127.0.0.1:7000").
@@ -152,20 +243,12 @@ type SwitchConfig struct {
 
 // SwitchDaemon is a userspace PayloadPark switch over UDP.
 type SwitchDaemon struct {
-	cfg   SwitchConfig
-	sw    *core.Switch
-	prog  *core.Program
-	conn  *net.UDPConn
-	peers map[string]rmt.PortID // source addr -> ingress port
-	addrs map[rmt.PortID]*net.UDPAddr
+	loop SwitchLoop
+	prog *core.Program
 
 	// Rx/Tx count datagrams; Errors counts parse/forward failures.
 	// Atomic: read from other goroutines while Run serves.
 	Rx, Tx, Errors atomic.Uint64
-
-	// burstHist/batchHist are installed by RegisterMetrics and wired
-	// onto the reader/sender inside Run.
-	burstHist, batchHist *obs.Histogram
 }
 
 // TuneUDP widens a socket's kernel buffers to absorb open-loop bursts:
@@ -191,12 +274,14 @@ func NewSwitchDaemon(cfg SwitchConfig) (*SwitchDaemon, error) {
 		return nil, fmt.Errorf("wire: %w", err)
 	}
 	TuneUDP(conn)
-	d := &SwitchDaemon{
-		cfg:   cfg,
-		sw:    core.NewSwitch("wire"),
-		conn:  conn,
-		peers: make(map[string]rmt.PortID, len(cfg.Ports)),
-		addrs: make(map[rmt.PortID]*net.UDPAddr, len(cfg.Ports)),
+	d := &SwitchDaemon{}
+	d.loop = SwitchLoop{
+		Conn:  conn,
+		SW:    core.NewSwitch("wire"),
+		Burst: cfg.Burst,
+		Peers: make(map[string]rmt.PortID, len(cfg.Ports)),
+		Addrs: make(map[rmt.PortID]*net.UDPAddr, len(cfg.Ports)),
+		Rx:    &d.Rx, Tx: &d.Tx, Errors: &d.Errors,
 	}
 	for port, addr := range cfg.Ports {
 		ua, err := net.ResolveUDPAddr("udp", addr)
@@ -204,14 +289,13 @@ func NewSwitchDaemon(cfg SwitchConfig) (*SwitchDaemon, error) {
 			conn.Close()
 			return nil, fmt.Errorf("wire: port %d addr %q: %w", port, addr, err)
 		}
-		d.peers[ua.String()] = port
-		d.addrs[port] = ua
+		d.loop.Cable(port, ua)
 	}
 	for mac, port := range cfg.L2 {
-		d.sw.AddL2Route(mac, port)
+		d.loop.SW.AddL2Route(mac, port)
 	}
 	if cfg.PP != nil {
-		prog, err := d.sw.AttachPayloadPark(*cfg.PP, cfg.RecircPipe)
+		prog, err := d.loop.SW.AttachPayloadPark(*cfg.PP, cfg.RecircPipe)
 		if err != nil {
 			conn.Close()
 			return nil, err
@@ -222,7 +306,7 @@ func NewSwitchDaemon(cfg SwitchConfig) (*SwitchDaemon, error) {
 }
 
 // Addr returns the bound UDP address.
-func (d *SwitchDaemon) Addr() string { return d.conn.LocalAddr().String() }
+func (d *SwitchDaemon) Addr() string { return d.loop.Conn.LocalAddr().String() }
 
 // Counters returns the program counters (zero-valued for baseline).
 func (d *SwitchDaemon) Counters() *core.Counters {
@@ -240,60 +324,20 @@ func (d *SwitchDaemon) RegisterMetrics(reg *obs.Registry) {
 	reg.Counter("pp_switch_rx_datagrams_total", "datagrams received", d.Rx.Load)
 	reg.Counter("pp_switch_tx_datagrams_total", "datagrams forwarded", d.Tx.Load)
 	reg.Counter("pp_switch_errors_total", "parse/forward/send failures", d.Errors.Load)
-	d.burstHist = reg.Histogram("pp_switch_rx_burst_frames", "frames drained per receive burst")
-	d.batchHist = reg.Histogram("pp_switch_tx_batch_frames", "frames written per batched send")
+	d.loop.BurstHist = reg.Histogram("pp_switch_rx_burst_frames", "frames drained per receive burst")
+	d.loop.BatchHist = reg.Histogram("pp_switch_tx_batch_frames", "frames written per batched send")
 }
 
 // Run serves until ctx is cancelled. Single-threaded by design: the
 // dataplane program is not concurrency-safe, exactly like the single
-// pipeline it models. Frames are read in recvmmsg-style bursts, the
-// whole burst is parsed and driven through the switch's zero-alloc
-// InjectBatch path, and the surviving emissions are serialized into one
-// reused buffer and written out together (BatchSender) — a burst costs
-// roughly one read syscall plus one write per forwarded frame, and the
-// steady state allocates nothing.
+// pipeline it models. A burst costs roughly one read syscall plus one
+// write per forwarded frame, and the steady state allocates nothing.
 func (d *SwitchDaemon) Run(ctx context.Context) error {
 	go func() {
 		<-ctx.Done()
-		d.conn.Close()
+		d.loop.Conn.Close()
 	}()
-	br := NewBurstReader(d.conn, d.cfg.Burst)
-	burst := d.sw.NewFrameBurst(len(br.bufs))
-	bs := NewBatchSender(d.conn)
-	br.Hist, bs.Hist = d.burstHist, d.batchHist
-	for {
-		count, err := br.Read()
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil
-			}
-			return err
-		}
-		burst.Reset()
-		for i := 0; i < count; i++ {
-			port, ok := d.peers[br.From(i).String()]
-			if !ok {
-				d.Errors.Add(1)
-				continue
-			}
-			d.Rx.Add(1)
-			if err := burst.Add(br.Frame(i), port); err != nil {
-				d.Errors.Add(1)
-			}
-		}
-		for _, r := range burst.Run() {
-			if !r.OK {
-				continue
-			}
-			dst, ok := d.addrs[r.Em.Port]
-			if !ok {
-				d.Errors.Add(1)
-				continue
-			}
-			bs.Commit(r.Em.Pkt.AppendSerialize(bs.Begin()), dst, &d.Tx)
-		}
-		d.Errors.Add(uint64(bs.Flush()))
-	}
+	return d.loop.Run(ctx)
 }
 
 // NFConfig wires an NF server daemon.
