@@ -11,15 +11,18 @@
 //	ppbench -exp fig7 [-quick] [-seed N] [-json out.json]
 //	ppbench -exp live [-quick] [-json BENCH_live.json]
 //	ppbench -exp all  [-quick] [-json out.json]
-//	ppbench -cores 1,2,4,8 [-quick] [-seed N] [-json out.json]
-//	ppbench -topology 4x2 [-json BENCH_fabric.json] [-quick] [-seed N]
 //	ppbench -scenario file.json [-json report.json] [-quick] [-seed N]
 //	ppbench -program spec.json [-json report.json] [-quick] [-seed N]
 //	ppbench -trace trace.json [-scenario file.json] [-quick] [-seed N] [-partitions K]
 //
-// -json writes the experiment's structured result (the same data the
-// text tables render) as a machine-readable artifact; it works for
-// every experiment, not just the fabric family.
+// -exp is the one way to run a registered experiment: it collects the
+// experiment's Result, renders it as text, and -json additionally writes
+// that same Result — the printed tables (title, header, rows of cells,
+// notes) plus the full Report of every run behind them, keyed by scenario
+// name — as a machine-readable artifact ("all": one Result per id). An
+// experiment whose check gates (equiv, live's sim-vs-live parity) exits
+// non-zero after printing. Any other geometry, core count or rate is a
+// -scenario file.
 //
 // -partitions applies to a -trace run and to a -scenario run whose file
 // leaves opts.partitions unset (results are byte-identical either way —
@@ -27,14 +30,6 @@
 //
 // -cpuprofile and -memprofile write pprof CPU and heap profiles of the
 // run (flushed on exit, including failure exits).
-//
-// -cores sweeps the NF server's core count through the RSS-sharded server
-// model, reporting the saturation knee and the Fig. 14-class eviction
-// onset at each count (the registered "cores" experiment with a custom
-// core list).
-//
-// -topology runs the leaf-spine fabric experiment family (parking-mode
-// comparison, link-failure reroute) on the given LxS geometry.
 //
 // -scenario loads a serialized Scenario (the JSON form payloadpark.Run
 // accepts, with the topology as a {"kind","config"} envelope), runs it,
@@ -65,7 +60,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -81,8 +75,6 @@ func main() {
 		exp      = flag.String("exp", "", "experiment id (e.g. fig7, table1) or 'all'")
 		quick    = flag.Bool("quick", false, "shorter windows and sparser sweeps")
 		seed     = flag.Int64("seed", 1, "random seed")
-		cores    = flag.String("cores", "", "comma-separated NF-server core counts to sweep (e.g. 1,2,4,8)")
-		topology = flag.String("topology", "", "leaf-spine geometry LxS (e.g. 4x2): run the fabric experiment family")
 		scnFile  = flag.String("scenario", "", "run a serialized Scenario from this JSON file and print its Report")
 		progFile = flag.String("program", "", "run a serialized table-program spec (prog.Spec JSON) on the canonical testbed and print its Report")
 		jsonOut  = flag.String("json", "", "write the structured experiment result to this file")
@@ -130,32 +122,6 @@ func main() {
 		return
 	}
 
-	if *topology != "" {
-		if err := runTopology(opts, *topology, *jsonOut); err != nil {
-			fail(err)
-		}
-		return
-	}
-
-	if *cores != "" {
-		counts, err := parseCounts(*cores, "core count")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ppbench: %v\n", err)
-			os.Exit(2)
-		}
-		start := time.Now()
-		res, err := harness.CollectCoreSweep(opts, counts)
-		if err != nil {
-			fail(fmt.Errorf("core sweep: %w", err))
-		}
-		if err := harness.RenderCoreSweep(res, os.Stdout); err != nil {
-			fail(err)
-		}
-		fmt.Printf("   (%.1fs)\n", time.Since(start).Seconds())
-		writeJSON(*jsonOut, res)
-		return
-	}
-
 	if *list || *exp == "" {
 		fmt.Println("experiments:")
 		for _, id := range harness.IDs() {
@@ -168,21 +134,18 @@ func main() {
 		return
 	}
 
-	collected := map[string]any{}
+	collected := map[string]*harness.Result{}
 	run := func(e harness.Experiment) error {
 		fmt.Printf("== %s: %s\n", e.ID, e.Title)
 		fmt.Printf("   paper: %s\n", e.Paper)
 		start := time.Now()
-		var err error
-		if *jsonOut != "" {
-			// Collect once; render the same data as text.
-			var res any
-			if res, err = e.Collect(opts); err == nil {
-				collected[e.ID] = res
-				err = renderAny(e, res)
+		res, err := e.Collect(opts)
+		if res != nil {
+			// A failed gate still returns its Result: show and keep it.
+			collected[e.ID] = res
+			if rerr := res.Render(os.Stdout); err == nil {
+				err = rerr
 			}
-		} else {
-			err = e.Run(opts, os.Stdout)
 		}
 		fmt.Printf("   (%.1fs)\n\n", time.Since(start).Seconds())
 		return err
@@ -207,19 +170,13 @@ func main() {
 			*exp, strings.Join(harness.IDs(), ", "))
 		os.Exit(2)
 	}
-	if err := run(e); err != nil {
-		fail(err)
-	}
+	err := run(e)
 	if res, ok := collected[e.ID]; ok {
 		writeJSON(*jsonOut, res)
 	}
-}
-
-// renderAny re-renders a collected result as text so -json runs still
-// show the tables. Falls back to running the experiment if the renderer
-// needs the raw collect (never the case today, but harmless).
-func renderAny(e harness.Experiment, res any) error {
-	return harness.Render(e, res, os.Stdout)
+	if err != nil {
+		fail(err)
+	}
 }
 
 func fail(err error) {
@@ -241,23 +198,6 @@ func writeJSON(path string, v any) {
 		fail(err)
 	}
 	fmt.Printf("   wrote %s\n", path)
-}
-
-// parseCounts parses a comma-separated list of small positive integers
-// (the -cores flag). An empty string is no list.
-func parseCounts(s, what string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 || n > 64 {
-			return nil, fmt.Errorf("bad %s %q (want 1..64)", what, f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 // Profiling plumbing. fail() exits with os.Exit, which skips deferred
@@ -423,23 +363,6 @@ func counterKeys(m map[string]uint64) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// runTopology runs the fabric experiment family and optionally exports
-// the results as a BENCH artifact.
-func runTopology(opts harness.Options, topo, jsonPath string) error {
-	start := time.Now()
-	fmt.Printf("== fabric: leaf-spine %s experiment family\n", topo)
-	suite, err := harness.CollectFabricSuite(opts, topo)
-	if err != nil {
-		return err
-	}
-	if err := harness.RenderFabricSuite(suite, os.Stdout); err != nil {
-		return err
-	}
-	fmt.Printf("   (%.1fs)\n", time.Since(start).Seconds())
-	writeJSON(jsonPath, suite)
-	return nil
 }
 
 // writeTrace exports a report's flight recording as Chrome trace-event

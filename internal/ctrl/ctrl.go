@@ -13,6 +13,8 @@
 // (Bosshart et al.'s match-action model driven from the control plane).
 package ctrl
 
+import "errors"
+
 // Config is the control-plane section of a run's description (the
 // scenario package re-exports it as Scenario.Control) and the controller's
 // knobs in one. The zero value disables the control plane; with ECMP or
@@ -67,6 +69,16 @@ type Config struct {
 
 // Enabled reports whether any control-plane feature is on.
 func (c Config) Enabled() bool { return c.ECMP || c.Adaptive }
+
+// Validate is the one home of the rule every topology shares: an adaptive
+// controller with neither parking tables to retune nor ECMP groups to
+// manage has nothing to drive. parking says whether the run parks.
+func (c Config) Validate(parking bool) error {
+	if c.Adaptive && !c.ECMP && !parking {
+		return errors.New("control.adaptive needs parking enabled")
+	}
+	return nil
+}
 
 // Label names the spec, as used in sweep labels and reports: "static"
 // (zero value), "ecmp", "adaptive", or "ecmp+adaptive".

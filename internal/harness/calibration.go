@@ -1,8 +1,10 @@
 // Package harness defines one runnable experiment per table and figure of
 // the paper's evaluation (§6), the calibration constants that align the
-// simulator with the paper's testbed, and the text output that mirrors
-// the paper's rows and series. EXPERIMENTS.md records paper-vs-measured
-// values for every experiment here.
+// simulator with the paper's testbed (README "Calibration note"), and the
+// text output that mirrors the paper's rows and series. Every experiment
+// is one function that runs its Scenarios and appends the rows it prints
+// to a Result; each Experiment's Paper line states what the paper reports,
+// for side-by-side reading.
 package harness
 
 import (

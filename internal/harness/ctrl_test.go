@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"github.com/payloadpark/payloadpark/internal/scenario"
 )
 
 // TestCtrlSuite pins the control-plane experiment family's acceptance
@@ -13,68 +15,74 @@ import (
 // comparison to health, and the demotion demo produces a decision
 // timeline.
 func TestCtrlSuite(t *testing.T) {
-	suite, err := CollectCtrlSuite(Options{Quick: true, Seed: 1})
+	o := Options{Quick: true, Seed: 1}
+	res, err := collectCtrl(o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	run := func(name string) *scenario.Report {
+		rep, ok := res.Runs[name]
+		if !ok {
+			t.Fatalf("no run %q in the result", name)
+		}
+		return rep
+	}
 
 	// Acceptance criterion: strictly higher goodput, zero violations.
-	f := suite.Failure
-	if f.Adaptive.GoodputGbps <= f.Static.GoodputGbps {
+	static, adaptive := run("ctrl-failure[static]"), run("ctrl-failure[ecmp+adaptive]")
+	if adaptive.GoodputGbps <= static.GoodputGbps {
 		t.Errorf("ECMP+adaptive failure goodput %.4f <= static %.4f",
-			f.Adaptive.GoodputGbps, f.Static.GoodputGbps)
+			adaptive.GoodputGbps, static.GoodputGbps)
 	}
-	if f.Violations != 0 {
-		t.Errorf("parking-safety violations: %d", f.Violations)
+	if v := static.Premature + adaptive.Premature; v != 0 {
+		t.Errorf("parking-safety violations: %d", v)
 	}
-	if f.AdaptiveRerouteNs <= 0 || f.AdaptiveRerouteNs >= f.StaticRerouteNs {
+	if ns := rerouteAfterNs(o, adaptive); ns <= 0 || ns >= staticRerouteNs {
 		t.Errorf("controller detection %.3f ms not inside (0, %.3f ms)",
-			float64(f.AdaptiveRerouteNs)/1e6, float64(f.StaticRerouteNs)/1e6)
+			float64(ns)/1e6, staticRerouteNs/1e6)
 	}
-	if f.Adaptive.PhaseDelivered[1] <= f.Static.PhaseDelivered[1] {
+	if adaptive.Fabric.PhaseDelivered[1] <= static.Fabric.PhaseDelivered[1] {
 		t.Errorf("outage-phase deliveries: adaptive %d <= static %d",
-			f.Adaptive.PhaseDelivered[1], f.Static.PhaseDelivered[1])
+			adaptive.Fabric.PhaseDelivered[1], static.Fabric.PhaseDelivered[1])
 	}
 
 	// Congestion rebalancing: on 6x3 the blind-hash arm is unhealthy, the
 	// adaptive arm drains the hot members and recovers.
-	for _, cmp := range suite.Comparisons {
-		if len(cmp.Runs) != 3 {
-			t.Fatalf("%s: %d runs", cmp.Topology, len(cmp.Runs))
-		}
-		static, adaptive := cmp.Runs[0], cmp.Runs[2]
+	for _, topo := range []string{"4x2", "6x3"} {
+		static := run("ctrl-modes-" + topo + "[control=static]")
+		adaptive := run("ctrl-modes-" + topo + "[control=ecmp+adaptive]")
+		run("ctrl-modes-" + topo + "[control=ecmp]") // the third arm ran too
 		if !static.Healthy {
-			t.Errorf("%s: static arm unhealthy", cmp.Topology)
+			t.Errorf("%s: static arm unhealthy", topo)
 		}
 		if !adaptive.Healthy {
-			t.Errorf("%s: ecmp+adaptive arm unhealthy (rebalancing failed)", cmp.Topology)
+			t.Errorf("%s: ecmp+adaptive arm unhealthy (rebalancing failed)", topo)
 		}
 		if adaptive.GoodputGbps < 0.95*static.GoodputGbps {
 			t.Errorf("%s: ecmp+adaptive goodput %.3f fell >5%% below static %.3f",
-				cmp.Topology, adaptive.GoodputGbps, static.GoodputGbps)
+				topo, adaptive.GoodputGbps, static.GoodputGbps)
 		}
 	}
 	// The 6x3 blind-hash arm demonstrates the collision the controller
 	// solves (slim returns sharing an up-link with hashed forwards).
-	ecmp63 := suite.Comparisons[1].Runs[1]
-	if ecmp63.Healthy {
+	if run("ctrl-modes-6x3[control=ecmp]").Healthy {
 		t.Log("note: 6x3 blind-ECMP arm healthy at this scale (collision not provoked)")
 	}
-	adaptive63 := suite.Comparisons[1].Runs[2]
-	if adaptive63.Control == nil || adaptive63.Control.Rebalances == 0 {
+	if c := run("ctrl-modes-6x3[control=ecmp+adaptive]").Control; c == nil || c.Rebalances == 0 {
 		t.Error("6x3 adaptive arm recorded no rebalance decisions")
 	}
 
 	// Demotion demo: transit parking demoted and restored, and the
-	// renderer shows the timeline.
-	if suite.Demote.Control == nil || suite.Demote.Control.Demotions == 0 {
-		t.Fatalf("demotion demo produced no demotions: %+v", suite.Demote.Control)
+	// rendering shows the timeline.
+	demote := run("ctrl-demote").Control
+	if demote == nil || demote.Demotions == 0 {
+		t.Fatalf("demotion demo produced no demotions: %+v", demote)
 	}
-	if suite.Demote.Control.Restorations == 0 {
+	if demote.Restorations == 0 {
 		t.Error("demotion demo never restored transit parking")
 	}
 	var buf bytes.Buffer
-	if err := RenderCtrlSuite(suite, &buf); err != nil {
+	if err := res.Render(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

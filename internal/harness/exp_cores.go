@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
 	"github.com/payloadpark/payloadpark/internal/scenario"
 	"github.com/payloadpark/payloadpark/internal/sim"
@@ -10,46 +9,15 @@ import (
 )
 
 func init() {
-	register(experiment(Experiment{
-		ID:    "cores",
-		Title: "Per-server saturation and stall/eviction onset vs NF-server core count (RSS sharding)",
-		Paper: "not a paper figure: the paper's NF servers are 8-core Xeons (§6.1); this sweep shows saturation emerging from per-core RX queues, and how the Fig. 14 eviction onset moves with core count",
-	}, func(o Options) (*CoreSweepResult, error) {
-		return CollectCoreSweep(o, []int{1, 2, 4, 8})
-	}, RenderCoreSweep))
+	register(Experiment{
+		ID:      "cores",
+		Title:   "Per-server saturation and stall/eviction onset vs NF-server core count (RSS sharding)",
+		Paper:   "not a paper figure: the paper's NF servers are 8-core Xeons (§6.1); this sweep shows saturation emerging from per-core RX queues, and how the Fig. 14 eviction onset moves with core count",
+		Collect: collectCores,
+	})
 }
 
-// CoreSatRow is one core count's saturation-knee search result.
-type CoreSatRow struct {
-	Cores        int     `json:"cores"`
-	BaseKneeMpps float64 `json:"base_knee_mpps"`
-	PPKneeMpps   float64 `json:"pp_knee_mpps"`
-	BaseScaling  float64 `json:"base_scaling"`
-	PPScaling    float64 `json:"pp_scaling"`
-	// PPPeakQueue / PPSkew come from the PayloadPark knee run's per-core
-	// counters.
-	PPPeakQueue int            `json:"pp_peak_queue"`
-	PPSkew      string         `json:"pp_skew"`
-	PerCore     []sim.CoreStat `json:"per_core,omitempty"`
-}
-
-// CoreEvictRow is one core count's stall/eviction-onset search result.
-type CoreEvictRow struct {
-	Cores           int     `json:"cores"`
-	PeakSendGbps    float64 `json:"peak_send_gbps"`
-	PeakGoodputGbps float64 `json:"peak_goodput_gbps"`
-	PeakQueue       int     `json:"peak_queue"`
-}
-
-// CoreSweepResult is the structured output of the core-count sweep.
-type CoreSweepResult struct {
-	Saturation []CoreSatRow   `json:"saturation"`
-	Eviction   []CoreEvictRow `json:"eviction"`
-	// EvictionSlots is the reserved table size of the eviction part.
-	EvictionSlots int `json:"eviction_slots"`
-}
-
-// CollectCoreSweep measures how an NF server scales with its core count
+// collectCores measures how an NF server scales with its core count
 // under the RSS-sharded server model, in two parts:
 //
 //  1. Saturation: the peak healthy delivered packet rate (the knee before
@@ -60,68 +28,48 @@ type CoreSweepResult struct {
 //     receive-path stalls, EXP=1, ~26% SRAM reserved) with the aggregate
 //     RX budget split per core, showing how many cores it takes to drain
 //     stall excursions before parked payloads are prematurely evicted.
-//
-// ppbench exposes it as `-cores 1,2,4,8`; the registered "cores"
-// experiment runs the default 1,2,4,8 sweep.
-func CollectCoreSweep(o Options, coreCounts []int) (*CoreSweepResult, error) {
-	if len(coreCounts) == 0 {
-		return nil, fmt.Errorf("harness: empty core-count list")
-	}
-	iters := 7
+func collectCores(o Options) (*Result, error) {
+	counts := []int{1, 2, 4, 8}
 	if o.Quick {
-		iters = 5
+		counts = []int{1, 2}
 	}
+	res := &Result{}
 
-	mkSat := func(cores int, mode sim.ParkMode) func(bps float64) scenario.Scenario {
-		return func(bps float64) scenario.Scenario {
-			server := MultiServer10G()
-			server.Cores = cores
-			return scenario.Scenario{
-				Name:     "cores-sat",
-				Topology: scenario.Testbed{LinkBps: 40e9},
-				Parking:  scenario.Parking{Mode: mode, Slots: SlotsForSRAMPct(0.20, false), MaxExpiry: 1},
-				Traffic:  scenario.Traffic{SendBps: bps, Dist: trafficgen.Fixed(384), Flows: sim.MultiServerFlows},
-				Server:   server,
-				Opts:     o.scnOpts(),
-			}
-		}
-	}
-	res := &CoreSweepResult{}
 	// The per-count knee searches are independent; run them across the
 	// worker pool, then derive the scaling ratios (which reference the
 	// first count's knees) sequentially.
-	type knee struct{ base, pp *scenario.Report }
-	knees := make([]knee, len(coreCounts))
-	if err := forEachCell(len(coreCounts), func(i int) error {
-		c := coreCounts[i]
-		_, b, err := peakHealthySend(o, mkSat(c, sim.ParkNone), 0.3e9, 40e9, iters, healthy)
-		if err != nil {
-			return err
-		}
-		_, p, err := peakHealthySend(o, mkSat(c, sim.ParkEdge), 0.3e9, 40e9, iters, healthy)
-		if err != nil {
-			return err
-		}
-		knees[i] = knee{base: b, pp: p}
-		return nil
+	knee := make([][2]*scenario.Report, len(counts))
+	if err := forEachCell(len(counts), func(i int) (err error) {
+		server := MultiServer10G()
+		server.Cores = counts[i]
+		_, knee[i], err = res.peaks(o, scenario.Scenario{
+			Name:     fmt.Sprintf("cores-sat-%d", counts[i]),
+			Topology: scenario.Testbed{LinkBps: 40e9},
+			Parking:  scenario.Parking{Slots: SlotsForSRAMPct(0.20, false), MaxExpiry: 1},
+			Traffic:  scenario.Traffic{Dist: trafficgen.Fixed(384), Flows: sim.MultiServerFlows},
+			Server:   server,
+			Opts:     o.opts(),
+		}, 0.3e9, 40e9, 40e9)
+		return err
 	}); err != nil {
 		return nil, err
 	}
-	var baseRef, ppRef float64
-	for i, c := range coreCounts {
-		b, p := knees[i].base, knees[i].pp
-		bm, pm := b.Testbed.ToNFMpps, p.Testbed.ToNFMpps
-		if baseRef == 0 {
-			baseRef, ppRef = bm, pm
-		}
-		row := CoreSatRow{
-			Cores: c, BaseKneeMpps: bm, PPKneeMpps: pm,
-			BaseScaling: bm / baseRef, PPScaling: pm / ppRef,
-			PPPeakQueue: maxPeakQueue(p.Testbed.PerCore),
-			PPSkew:      rssSkew(p.Testbed.PerCore),
-			PerCore:     p.Testbed.PerCore,
-		}
-		res.Saturation = append(res.Saturation, row)
+	t := res.table("saturation knee vs cores (MAC swap, 384 B, MultiServer10G per-core costs, 40GbE):",
+		"cores\tbase knee(Mpps)\tpp knee(Mpps)\tbase scaling\tpp scaling\tpp peak rx-q\tpp rss skew")
+	ref := knee[0]
+	for i, k := range knee {
+		b, p := k[0].Testbed, k[1].Testbed
+		t.row("%d\t%.2f\t%.2f\t%.1fx\t%.1fx\t%d\t%s", counts[i], b.ToNFMpps, p.ToNFMpps,
+			b.ToNFMpps/ref[0].Testbed.ToNFMpps, p.ToNFMpps/ref[1].Testbed.ToNFMpps,
+			maxPeakQueue(p.PerCore), rssSkew(p.PerCore))
+	}
+	// Per-core breakdown at the largest count: RSS spread, drop
+	// attribution, and peak backlog.
+	last := knee[len(knee)-1][1].Testbed.PerCore
+	t = res.table(fmt.Sprintf("per-core detail at %d cores (payloadpark knee run):", len(last)),
+		"core\tserved\trx-drops\tstage-drops\tpeak rx-q")
+	for i, c := range last {
+		t.row("%d\t%d\t%d\t%d\t%d", i, c.Served, c.RxDrops, c.StageDrops, c.PeakQueue)
 	}
 
 	// Part 2: the Fig. 14-class stall/eviction experiment, per-core-aware.
@@ -129,95 +77,28 @@ func CollectCoreSweep(o Options, coreCounts []int) (*CoreSweepResult, error) {
 	// path; splitting it over the sweep's cores (×8 per-core cost) keeps
 	// the 8-core aggregate on the old calibration while letting fewer
 	// cores genuinely drain slower during a stall-and-drain excursion.
-	res.EvictionSlots = SlotsForSRAMPct(0.2594, false)
-	warmup, measure := int64(30e6), int64(75e6)
-	if o.Quick {
-		warmup, measure = 15e6, 50e6
-	}
-	mkEv := func(cores int) func(bps float64) scenario.Scenario {
-		return func(bps float64) scenario.Scenario {
-			server := MemorySweepServer()
-			server.Cores = cores
-			server.RxFixedNs *= 8
-			server.RxPerByteNs *= 8
-			server.ServiceJitterPct = 0.2
-			return scenario.Scenario{
-				Name:     "cores-evict",
-				Topology: scenario.Testbed{LinkBps: 40e9},
-				Parking:  scenario.Parking{Mode: sim.ParkEdge, Slots: res.EvictionSlots, MaxExpiry: 1},
-				Traffic:  scenario.Traffic{SendBps: bps, Dist: trafficgen.Fixed(384), Flows: sim.MultiServerFlows},
-				Chain:    ChainFWNAT,
-				Server:   server,
-				Opts:     scenario.RunOptions{Seed: o.Seed, WarmupNs: warmup, MeasureNs: measure},
-			}
-		}
-	}
-	res.Eviction = make([]CoreEvictRow, len(coreCounts))
-	if err := forEachCell(len(coreCounts), func(i int) error {
-		c := coreCounts[i]
-		peakSend, rep, err := peakHealthySend(o, mkEv(c), 1e9, 40e9, iters, noPrematureEvictions)
-		if err != nil {
-			return err
-		}
-		res.Eviction[i] = CoreEvictRow{
-			Cores: c, PeakSendGbps: peakSend / 1e9,
-			PeakGoodputGbps: rep.GoodputGbps,
-			PeakQueue:       maxPeakQueue(rep.Testbed.PerCore),
-		}
-		return nil
+	slots := SlotsForSRAMPct(0.2594, false)
+	send := make([]float64, len(counts))
+	onset := make([]*scenario.Report, len(counts))
+	if err := forEachCell(len(counts), func(i int) (err error) {
+		server := MemorySweepServer()
+		server.Cores = counts[i]
+		server.RxFixedNs *= 8
+		server.RxPerByteNs *= 8
+		base := evictionScenario(o, fmt.Sprintf("cores-evict-%d", counts[i]), slots, server)
+		base.Traffic.Flows = sim.MultiServerFlows
+		send[i], onset[i], err = peakHealthySend(o, atSend(base), 1e9, 40e9, o.iters(), noPrematureEvictions)
+		return err
 	}); err != nil {
 		return nil, err
 	}
+	t = res.table(fmt.Sprintf("stall/eviction onset vs cores (Fig. 14 class: %d slots ~26%% SRAM, EXP=1, 25ms/4ms stalls):", slots),
+		"cores\tpeak no-eviction send(Gbps)\tpeak goodput(Gbps)\tpeak rx-q")
+	for i, rep := range onset {
+		res.record(rep)
+		t.row("%d\t%.1f\t%.3f\t%d", counts[i], send[i]/1e9, rep.GoodputGbps, maxPeakQueue(rep.Testbed.PerCore))
+	}
 	return res, nil
-}
-
-// RunCoreSweep is CollectCoreSweep plus the text rendering (the ppbench
-// -cores front end).
-func RunCoreSweep(o Options, coreCounts []int, w io.Writer) error {
-	res, err := CollectCoreSweep(o, coreCounts)
-	if err != nil {
-		return err
-	}
-	return RenderCoreSweep(res, w)
-}
-
-func RenderCoreSweep(res *CoreSweepResult, w io.Writer) error {
-	fmt.Fprintln(w, "saturation knee vs cores (MAC swap, 384 B, MultiServer10G per-core costs, 40GbE):")
-	tw := newTable(w)
-	fmt.Fprintln(tw, "cores\tbase knee(Mpps)\tpp knee(Mpps)\tbase scaling\tpp scaling\tpp peak rx-q\tpp rss skew")
-	var best *CoreSatRow
-	for i := range res.Saturation {
-		r := &res.Saturation[i]
-		fmt.Fprintf(tw, "%d\t%.2f\t%.2f\t%.1fx\t%.1fx\t%d\t%s\n",
-			r.Cores, r.BaseKneeMpps, r.PPKneeMpps, r.BaseScaling, r.PPScaling, r.PPPeakQueue, r.PPSkew)
-		if best == nil || r.Cores > best.Cores {
-			best = r
-		}
-	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	// Per-core breakdown at the largest count: RSS spread, drop
-	// attribution, and peak backlog.
-	if best != nil && len(best.PerCore) > 1 {
-		fmt.Fprintf(w, "\nper-core detail at %d cores (payloadpark knee run):\n", len(best.PerCore))
-		tw = newTable(w)
-		fmt.Fprintln(tw, "core\tserved\trx-drops\tstage-drops\tpeak rx-q")
-		for i, c := range best.PerCore {
-			fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\n", i, c.Served, c.RxDrops, c.StageDrops, c.PeakQueue)
-		}
-		if err := tw.Flush(); err != nil {
-			return err
-		}
-	}
-
-	fmt.Fprintf(w, "\nstall/eviction onset vs cores (Fig. 14 class: %d slots ~26%% SRAM, EXP=1, 25ms/4ms stalls):\n", res.EvictionSlots)
-	tw = newTable(w)
-	fmt.Fprintln(tw, "cores\tpeak no-eviction send(Gbps)\tpeak goodput(Gbps)\tpeak rx-q")
-	for _, r := range res.Eviction {
-		fmt.Fprintf(tw, "%d\t%.1f\t%.3f\t%d\n", r.Cores, r.PeakSendGbps, r.PeakGoodputGbps, r.PeakQueue)
-	}
-	return tw.Flush()
 }
 
 // maxPeakQueue returns the deepest per-core RX backlog of a run.

@@ -2,160 +2,118 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
 	"github.com/payloadpark/payloadpark/internal/scenario"
 	"github.com/payloadpark/payloadpark/internal/sim"
 )
 
 func init() {
-	register(experiment(Experiment{
-		ID:    "ctrl",
-		Title: "Fabric control plane: static vs ECMP vs ECMP+adaptive routing, failure reroute, hot-switch demotion",
-		Paper: "not a paper figure: §7's dynamic eviction policy and multi-hop vision driven fabric-wide by a telemetry-tick controller (ECMP hash groups, adaptive expiry, striping demotion)",
-	}, CollectCtrlSuite, RenderCtrlSuite))
-}
-
-// CtrlSuite bundles the control-plane experiment family's results
-// (ppbench -exp ctrl -json writes it to a BENCH artifact).
-type CtrlSuite struct {
-	// Comparisons hold the static/ecmp/ecmp+adaptive routing comparison
-	// per topology (no failures; steady state at a load past baseline
-	// fabric saturation).
-	Comparisons []CtrlComparison `json:"comparisons"`
-	// Failure is the 6x3 link-failure run, static routing vs the
-	// ECMP+adaptive controller at the same offered load — the
-	// acceptance-criterion scenario.
-	Failure CtrlFailure `json:"failure"`
-	// Demote is the hot-switch demotion demo: every-hop striping against
-	// a small spine table under receive stalls; the controller demotes
-	// the hot transit parking and restores it.
-	Demote sim.FabricResult `json:"demote"`
-}
-
-// CtrlComparison is one topology's routing-mode comparison.
-type CtrlComparison struct {
-	Topology string             `json:"topology"`
-	Runs     []sim.FabricResult `json:"runs"`
-	// Labels name the runs ("static", "ecmp", "ecmp+adaptive"), index-
-	// aligned with Runs.
-	Labels []string `json:"labels"`
-}
-
-// CtrlFailure is the link-failure comparison at identical offered load.
-type CtrlFailure struct {
-	Static   sim.FabricResult `json:"static"`
-	Adaptive sim.FabricResult `json:"adaptive"`
-	// StaticRerouteNs is the static path's configured detection delay;
-	// AdaptiveRerouteNs is when the controller's reroute decision landed
-	// (relative to the failure instant).
-	StaticRerouteNs   int64 `json:"static_reroute_ns"`
-	AdaptiveRerouteNs int64 `json:"adaptive_reroute_ns"`
-	// GoodputGainPct is the ECMP+adaptive end-to-end goodput gain over
-	// static routing; Violations counts parking-safety violations
-	// (premature evictions) across both runs.
-	GoodputGainPct float64 `json:"goodput_gain_pct"`
-	Violations     uint64  `json:"violations"`
+	register(Experiment{
+		ID:      "ctrl",
+		Title:   "Fabric control plane: static vs ECMP vs ECMP+adaptive routing, failure reroute, hot-switch demotion",
+		Paper:   "not a paper figure: §7's dynamic eviction policy and multi-hop vision driven fabric-wide by a telemetry-tick controller (ECMP hash groups, adaptive expiry, striping demotion)",
+		Collect: collectCtrl,
+	})
 }
 
 // staticRerouteNs is the static path's detection+programming delay in
-// the failure comparison (the RerouteNs the scenario simulates and the
-// delay CtrlFailure reports).
+// the failure comparison (the RerouteNs the scenario simulates).
 const staticRerouteNs = 2e6
 
-// failAt places the link failure a quarter into the measurement window
-// (so the outage and the recovery are both measured), offset from the
-// controller's tick grid so the reported detection latency reflects a
-// mid-interval failure.
-func failAt(o Options) int64 { return o.warmup() + o.measure() + 100_000 }
+// failAt places the link failure a quarter into the (4x stretched)
+// measurement window, so the outage and the recovery are both measured,
+// offset from the controller's tick grid so the reported detection
+// latency reflects a mid-interval failure.
+func failAt(o Options) int64 {
+	warmup, measure := o.opts().Windows()
+	return warmup + measure + 100_000
+}
 
-// CollectCtrlSuite runs the control-plane experiment family.
-func CollectCtrlSuite(o Options) (*CtrlSuite, error) {
-	out := &CtrlSuite{}
+// rerouteAfterNs is how long after the failure the controller's first
+// reroute decision landed (0: it never rerouted).
+func rerouteAfterNs(o Options, rep *scenario.Report) int64 {
+	for _, d := range rep.Control.Decisions {
+		if d.Kind == "reroute" {
+			return d.AtNs - failAt(o)
+		}
+	}
+	return 0
+}
+
+// collectCtrl runs the control-plane experiment family: the routing-mode
+// comparison per parking-capable geometry (runs "ctrl-modes-LxS[control=…]"),
+// the 6x3 link failure at identical offered load under static routing and
+// under the ECMP+adaptive controller ("ctrl-failure[…]"), and the
+// hot-switch demotion demo ("ctrl-demote").
+func collectCtrl(o Options) (*Result, error) {
+	res := &Result{}
 	// The adaptive arm rebalances on congestion too: edge parking keeps
 	// the return leg slim, so blind hashing can land a forward half-flow
 	// on the up-link a full slim return stream already occupies — the
 	// controller drains the hot member and converges back to the
 	// engineered assignment (watch the "rebalance" decisions).
 	adaptive := scenario.Control{ECMP: true, Adaptive: true, HotLinkPct: 90, ColdLinkPct: 60}
-	ctrlAxis := scenario.ControlAxis(
-		scenario.Control{},
-		scenario.Control{ECMP: true},
-		adaptive,
-	)
 
 	// Part 1: routing comparison on both parking-capable geometries, edge
 	// parking, 11 Gbps offered per source (past the 10 GbE fabric's
 	// baseline saturation, inside the slim-packet envelope).
-	for _, topo := range []string{"4x2", "6x3"} {
-		leaves, spines, err := ParseTopology(topo)
-		if err != nil {
-			return nil, err
-		}
-		grid, err := runSweep(o, scenario.Sweep{
+	for _, g := range [][2]int{{4, 2}, {6, 3}} {
+		topo := fmt.Sprintf("%dx%d", g[0], g[1])
+		grid, err := res.sweep(o, scenario.Sweep{
 			Base: scenario.Scenario{
 				Name:     "ctrl-modes-" + topo,
-				Topology: scenario.LeafSpine{Leaves: leaves, Spines: spines},
+				Topology: scenario.LeafSpine{Leaves: g[0], Spines: g[1]},
 				Parking:  scenario.Parking{Mode: sim.ParkEdge},
 				Traffic:  scenario.Traffic{SendBps: 11e9},
-				Opts:     o.scnOpts(),
+				Opts:     o.opts(),
 			},
-			Axes: []scenario.Axis{ctrlAxis},
+			Axes: []scenario.Axis{scenario.ControlAxis(scenario.Control{}, scenario.Control{ECMP: true}, adaptive)},
 		})
 		if err != nil {
 			return nil, err
 		}
-		cmp := CtrlComparison{Topology: topo}
+		t := res.table(fmt.Sprintf("routing comparison, %s leaf-spine, edge parking, 11 Gbps offered per source:", topo),
+			"control\tgoodput(Gbps)\tvs static\tdrop%\thealthy\tavg lat(us)\tspine util%\tticks\tdecisions")
 		for _, pt := range grid.Points {
-			if pt.Err != "" {
-				return nil, fmt.Errorf("harness: ctrl %s %v: %s", topo, pt.Labels, pt.Err)
+			r := pt.Report
+			ticks, decisions := 0, 0
+			if r.Control != nil {
+				ticks, decisions = r.Control.Ticks, len(r.Control.Decisions)
 			}
-			cmp.Runs = append(cmp.Runs, *pt.Report.Fabric)
-			cmp.Labels = append(cmp.Labels, pt.Labels[0])
+			t.row("%s\t%.3f\t%s\t%.3f%%\t%t\t%.1f\t%.1f\t%d\t%d",
+				pt.Labels[0], r.GoodputGbps, pct(r.GoodputGbps, grid.Points[0].Report.GoodputGbps),
+				100*r.UnintendedDropRate, r.Healthy, r.AvgLatencyUs,
+				avgUtil(r.Fabric.Links, "->spine"), ticks, decisions)
 		}
-		out.Comparisons = append(out.Comparisons, cmp)
 	}
 
 	// Part 2: the 6x3 link-failure scenario at identical offered load.
 	// Static routing eats the full RerouteNs detection delay; the
 	// controller reroutes at its next telemetry tick.
-	mkFail := func(ctl scenario.Control) scenario.Scenario {
-		return scenario.Scenario{
+	var fail [2]*scenario.Report
+	for i, ctl := range []scenario.Control{{}, adaptive} {
+		var err error
+		if fail[i], err = res.run(o, scenario.Scenario{
 			Name:     "ctrl-failure[" + ctl.Label() + "]",
 			Topology: scenario.LeafSpine{Leaves: 6, Spines: 3, FailLink: true, FailAtNs: failAt(o), RerouteNs: staticRerouteNs},
 			Parking:  scenario.Parking{Mode: sim.ParkEdge},
 			Control:  ctl,
 			Traffic:  scenario.Traffic{SendBps: 4.5e9},
-			Opts: scenario.RunOptions{
-				Seed: o.Seed, WarmupNs: o.warmup(), MeasureNs: 4 * o.measure(),
-			},
+			Opts:     o.stretched(4),
+		}); err != nil {
+			return nil, err
 		}
 	}
-	st, err := run(o, mkFail(scenario.Control{}))
-	if err != nil {
-		return nil, err
-	}
-	ad, err := run(o, mkFail(adaptive))
-	if err != nil {
-		return nil, err
-	}
-	out.Failure = CtrlFailure{
-		Static:          *st.Fabric,
-		Adaptive:        *ad.Fabric,
-		StaticRerouteNs: staticRerouteNs,
-	}
-	if ad.Control != nil {
-		for _, d := range ad.Control.Decisions {
-			if d.Kind == "reroute" {
-				out.Failure.AdaptiveRerouteNs = d.AtNs - failAt(o)
-				break
-			}
-		}
-	}
-	if g := st.Fabric.GoodputGbps; g > 0 {
-		out.Failure.GoodputGainPct = 100 * (ad.Fabric.GoodputGbps/g - 1)
-	}
-	out.Failure.Violations = totalPremature(*st.Fabric) + totalPremature(*ad.Fabric)
+	st, ad := fail[0], fail[1]
+	t := res.table("link failure + reroute (6x3, edge parking, 4.5 Gbps/source; fail flow 0's forward spine link):", "")
+	t.note("  static routing:  reroute after %.2f ms, goodput %.3f Gbps, flow-0 phases %v",
+		staticRerouteNs/1e6, st.GoodputGbps, st.Fabric.PhaseDelivered)
+	t.note("  ecmp+adaptive:   reroute after %.2f ms, goodput %.3f Gbps, flow-0 phases %v",
+		float64(rerouteAfterNs(o, ad))/1e6, ad.GoodputGbps, ad.Fabric.PhaseDelivered)
+	t.note("  goodput gain: %+.2f%%; parking-safety violations (premature evictions): %d",
+		100*(ad.GoodputGbps/st.GoodputGbps-1), st.Premature+ad.Premature)
+	t.note("  controller: %d ticks, %d reroutes, %d expiry changes",
+		ad.Control.Ticks, ad.Control.Reroutes, ad.Control.ExpiryChanges)
 
 	// Part 3: hot-switch demotion. Every-hop striping with a small
 	// parking table; periodic receive stalls back headers up at the NF,
@@ -164,79 +122,29 @@ func CollectCtrlSuite(o Options) (*CtrlSuite, error) {
 	server := sim.DefaultServerModel()
 	server.StallPeriodNs = 8e6
 	server.StallNs = 3e6
-	dem, err := run(o, scenario.Scenario{
+	dem, err := res.run(o, scenario.Scenario{
 		Name:     "ctrl-demote",
 		Topology: scenario.LeafSpine{Leaves: 4, Spines: 2},
 		Parking:  scenario.Parking{Mode: sim.ParkEveryHop, Slots: 128},
 		Control:  scenario.Control{Adaptive: true, Conservative: 4, DemotePct: 60, RestorePct: 25},
 		Traffic:  scenario.Traffic{SendBps: 8e9},
 		Server:   server,
-		Opts:     o.scnOpts(),
+		Opts:     o.opts(),
 	})
 	if err != nil {
 		return nil, err
 	}
-	out.Demote = *dem.Fabric
-	return out, nil
-}
-
-// RenderCtrlSuite writes the text form of a collected suite.
-func RenderCtrlSuite(suite *CtrlSuite, w io.Writer) error {
-	for _, cmp := range suite.Comparisons {
-		fmt.Fprintf(w, "routing comparison, %s leaf-spine, edge parking, 11 Gbps offered per source:\n", cmp.Topology)
-		tw := newTable(w)
-		fmt.Fprintln(tw, "control\tgoodput(Gbps)\tvs static\tdrop%\thealthy\tavg lat(us)\tspine util%\tticks\tdecisions")
-		var base float64
-		for i, r := range cmp.Runs {
-			if i == 0 {
-				base = r.GoodputGbps
-			}
-			ticks, decisions := 0, 0
-			if r.Control != nil {
-				ticks, decisions = r.Control.Ticks, len(r.Control.Decisions)
-			}
-			fmt.Fprintf(tw, "%s\t%.3f\t%s\t%.3f%%\t%t\t%.1f\t%.1f\t%d\t%d\n",
-				cmp.Labels[i], r.GoodputGbps, pct(r.GoodputGbps, base),
-				100*r.UnintendedDropRate, r.Healthy, r.AvgLatencyUs,
-				avgUtil(r.Links, "->spine"), ticks, decisions)
-		}
-		if err := tw.Flush(); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-
-	f := suite.Failure
-	fmt.Fprintf(w, "link failure + reroute (6x3, edge parking, 4.5 Gbps/source; fail flow 0's forward spine link):\n")
-	fmt.Fprintf(w, "  static routing:  reroute after %.2f ms, goodput %.3f Gbps, flow-0 phases %v\n",
-		float64(f.StaticRerouteNs)/1e6, f.Static.GoodputGbps, f.Static.PhaseDelivered)
-	fmt.Fprintf(w, "  ecmp+adaptive:   reroute after %.2f ms, goodput %.3f Gbps, flow-0 phases %v\n",
-		float64(f.AdaptiveRerouteNs)/1e6, f.Adaptive.GoodputGbps, f.Adaptive.PhaseDelivered)
-	fmt.Fprintf(w, "  goodput gain: %+.2f%%; parking-safety violations (premature evictions): %d\n",
-		f.GoodputGainPct, f.Violations)
-	if f.Adaptive.Control != nil {
-		fmt.Fprintf(w, "  controller: %d ticks, %d reroutes, %d expiry changes\n",
-			f.Adaptive.Control.Ticks, f.Adaptive.Control.Reroutes, f.Adaptive.Control.ExpiryChanges)
-	}
-
-	d := suite.Demote
-	fmt.Fprintf(w, "\nhot-switch demotion (4x2 every-hop striping, 128-slot tables, 3 ms receive stalls every 8 ms):\n")
-	if d.Control == nil {
-		fmt.Fprintln(w, "  no controller report")
-		return nil
-	}
-	fmt.Fprintf(w, "  %d ticks: %d demotions, %d restorations, %d expiry backoffs\n",
-		d.Control.Ticks, d.Control.Demotions, d.Control.Restorations, d.Control.ExpiryChanges)
+	d := dem.Control
+	t = res.table("hot-switch demotion (4x2 every-hop striping, 128-slot tables, 3 ms receive stalls every 8 ms):", "")
+	t.note("  %d ticks: %d demotions, %d restorations, %d expiry backoffs",
+		d.Ticks, d.Demotions, d.Restorations, d.ExpiryChanges)
 	const maxShown = 12
-	shown := 0
-	for i, dec := range d.Control.Decisions {
-		fmt.Fprintf(w, "  %8.3f ms  %-8s %-8s %s\n", float64(dec.AtNs)/1e6, dec.Kind, dec.Target, dec.Detail)
-		if shown++; shown >= maxShown {
-			if rest := len(d.Control.Decisions) - i - 1; rest > 0 {
-				fmt.Fprintf(w, "  ... (%d more decisions)\n", rest)
-			}
+	for i, dec := range d.Decisions {
+		if i == maxShown {
+			t.note("  ... (%d more decisions)", len(d.Decisions)-maxShown)
 			break
 		}
+		t.note("  %8.3f ms  %-8s %-8s %s", float64(dec.AtNs)/1e6, dec.Kind, dec.Target, dec.Detail)
 	}
-	return nil
+	return res, nil
 }

@@ -2,39 +2,42 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
 	"github.com/payloadpark/payloadpark/internal/nf"
 	"github.com/payloadpark/payloadpark/internal/scenario"
-	"github.com/payloadpark/payloadpark/internal/sim"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
 func init() {
-	register(experiment(Experiment{
-		ID:    "fig8",
-		Title: "Peak goodput vs fixed packet size for FW, NAT and FW->NAT on OpenNetVM, 40GbE",
-		Paper: "+10-36% goodput for 384-1492 B packets; negligible gain at 256 B; chains gain less than single NFs",
-	}, collectFig8, renderPeakGrid))
-	register(experiment(Experiment{
-		ID:    "fig9",
-		Title: "PCIe bandwidth utilization vs fixed packet size (lower is better)",
-		Paper: "PayloadPark saves 2-58% of PCIe bandwidth; the largest saving is at 256 B packets",
-	}, collectFig9, renderFig9))
-	register(experiment(Experiment{
-		ID:    "s621",
-		Title: "FW->NAT on OpenNetVM, 40GbE, datacenter traffic (§6.2.1)",
-		Paper: "15.6% goodput improvement, no latency penalty, ~12% PCIe bandwidth savings at all send rates",
-	}, collectS621, renderS621))
-	register(experiment(Experiment{
-		ID:    "fig15",
-		Title: "Peak goodput for NF-Light/Medium/Heavy across packet sizes",
-		Paper: "gains persist at 1492 B for all NFs; no gain for NF-Heavy at <=1024 B (compute bound ~5 Mpps); NF-Medium loses 3.9% at 256 B to premature evictions",
-	}, collectFig15, renderPeakGrid))
+	register(Experiment{
+		ID:      "fig8",
+		Title:   "Peak goodput vs fixed packet size for FW, NAT and FW->NAT on OpenNetVM, 40GbE",
+		Paper:   "+10-36% goodput for 384-1492 B packets; negligible gain at 256 B; chains gain less than single NFs",
+		Collect: collectFig8,
+	})
+	register(Experiment{
+		ID:      "fig9",
+		Title:   "PCIe bandwidth utilization vs fixed packet size (lower is better)",
+		Paper:   "PayloadPark saves 2-58% of PCIe bandwidth; the largest saving is at 256 B packets",
+		Collect: collectFig9,
+	})
+	register(Experiment{
+		ID:      "s621",
+		Title:   "FW->NAT on OpenNetVM, 40GbE, datacenter traffic (§6.2.1)",
+		Paper:   "15.6% goodput improvement, no latency penalty, ~12% PCIe bandwidth savings at all send rates",
+		Collect: collectS621,
+	})
+	register(Experiment{
+		ID:      "fig15",
+		Title:   "Peak goodput for NF-Light/Medium/Heavy across packet sizes",
+		Paper:   "gains persist at 1492 B for all NFs; no gain for NF-Heavy at <=1024 B (compute bound ~5 Mpps); NF-Medium loses 3.9% at 256 B to premature evictions",
+		Collect: collectFig15,
+	})
 }
 
-// fixedScenario builds the 40GbE OpenNetVM fixed-size base scenario.
-func fixedScenario(o Options, name string, size int, chain func() *nf.Chain, server sim.ServerModel) scenario.Scenario {
+// fixedScenario builds the 40GbE OpenNetVM fixed-size base scenario
+// (size 0: the datacenter mix).
+func fixedScenario(o Options, name string, size int, chain func() *nf.Chain) scenario.Scenario {
 	var dist trafficgen.SizeDist = trafficgen.Datacenter{}
 	if size > 0 {
 		dist = trafficgen.Fixed(size)
@@ -45,8 +48,8 @@ func fixedScenario(o Options, name string, size int, chain func() *nf.Chain, ser
 		Parking:  scenario.Parking{Slots: MacroSlots, MaxExpiry: 1},
 		Traffic:  scenario.Traffic{Dist: dist},
 		Chain:    chain,
-		Server:   server,
-		Opts:     o.scnOpts(),
+		Server:   OpenNetVM40G(),
+		Opts:     o.opts(),
 	}
 }
 
@@ -57,238 +60,102 @@ func fig8Sizes(o Options) []int {
 	return []int{256, 384, 512, 1024, 1492}
 }
 
-// PeakGridRow is one (workload, size) cell of a peak-goodput grid.
-type PeakGridRow struct {
-	Workload    string           `json:"workload"`
-	SizeBytes   int              `json:"size_bytes"`
-	Base        *scenario.Report `json:"base"`
-	PP          *scenario.Report `json:"pp"`
-	GainPct     float64          `json:"gain_pct"`
-	PPPremature uint64           `json:"pp_premature"`
+// peakCells searches the peak healthy send for both arms of every
+// (workload, size) cell; cell w*len(sizes)+s holds workload w at size s.
+// Cells are independent, so they run across a worker pool (each cell's
+// binary search stays sequential — every probe depends on the previous
+// verdict); cell order is deterministic regardless of worker interleaving.
+func (r *Result) peakCells(o Options, name string, names []string, chains []func() *nf.Chain, sizes []int) ([][2]*scenario.Report, error) {
+	peak := make([][2]*scenario.Report, len(names)*len(sizes))
+	return peak, forEachCell(len(peak), func(i int) (err error) {
+		w, size := i/len(sizes), sizes[i%len(sizes)]
+		base := fixedScenario(o, fmt.Sprintf("%s-%s-%dB", name, names[w], size), size, chains[w])
+		_, peak[i], err = r.peaks(o, base, 2e9, 60e9, 60e9)
+		return err
+	})
 }
 
-// PeakGridResult is the structured output of the fig8/fig15 peak grids.
-type PeakGridResult struct {
-	// ShowPremature selects the fig15 text rendering (premature column).
-	ShowPremature bool          `json:"show_premature"`
-	Rows          []PeakGridRow `json:"rows"`
-}
-
-// collectPeakGrid searches the peak healthy send for base and parked
-// variants of every (workload, size) cell. Cells are independent, so
-// they run across a worker pool (each cell's binary search stays
-// sequential — every probe depends on the previous verdict); row order
-// is deterministic regardless of worker interleaving.
-func collectPeakGrid(o Options, name string, workloads []struct {
-	name  string
-	chain func() *nf.Chain
-}, sizes []int, premature bool) (*PeakGridResult, error) {
-	iters := 7
-	if o.Quick {
-		iters = 5
-	}
-	rows := make([]PeakGridRow, len(workloads)*len(sizes))
-	searchCell := func(i int) error {
-		wl, size := workloads[i/len(sizes)], sizes[i%len(sizes)]
-		base := fixedScenario(o, name, size, wl.chain, OpenNetVM40G())
-		mk := func(mode sim.ParkMode) func(bps float64) scenario.Scenario {
-			return func(bps float64) scenario.Scenario {
-				return base.With(func(s *scenario.Scenario) {
-					s.Parking.Mode = mode
-					s.Traffic.SendBps = bps
-				})
-			}
-		}
-		_, b, err := peakHealthySend(o, mk(sim.ParkNone), 2e9, 60e9, iters, healthy)
-		if err != nil {
-			return err
-		}
-		_, p, err := peakHealthySend(o, mk(sim.ParkEdge), 2e9, 60e9, iters, healthy)
-		if err != nil {
-			return err
-		}
-		rows[i] = PeakGridRow{Workload: wl.name, SizeBytes: size, Base: b, PP: p, PPPremature: p.Premature}
-		if b.GoodputGbps > 0 {
-			rows[i].GainPct = 100 * (p.GoodputGbps - b.GoodputGbps) / b.GoodputGbps
-		}
-		return nil
-	}
-	if err := forEachCell(len(rows), searchCell); err != nil {
+func collectFig8(o Options) (*Result, error) {
+	res := &Result{}
+	names, sizes := []string{"FW", "NAT", "FW->NAT"}, fig8Sizes(o)
+	peak, err := res.peakCells(o, "fig8", names, []func() *nf.Chain{ChainFW1, ChainNAT, ChainFWNAT}, sizes)
+	if err != nil {
 		return nil, err
 	}
-	return &PeakGridResult{ShowPremature: premature, Rows: rows}, nil
-}
-
-func renderPeakGrid(res *PeakGridResult, w io.Writer) error {
-	tw := newTable(w)
-	if res.ShowPremature {
-		fmt.Fprintln(tw, "nf\tsize(B)\tbase peak gput(Gbps)\tpp peak gput(Gbps)\tgain\tpp premature")
-	} else {
-		fmt.Fprintln(tw, "chain\tsize(B)\tbase peak gput(Gbps)\tpp peak gput(Gbps)\tgain")
+	t := res.table("", "chain\tsize(B)\tbase peak gput(Gbps)\tpp peak gput(Gbps)\tgain")
+	for i, pk := range peak {
+		b, p := pk[0].GoodputGbps, pk[1].GoodputGbps
+		t.row("%s\t%d\t%.3f\t%.3f\t%s", names[i/len(sizes)], sizes[i%len(sizes)], b, p, pct(p, b))
 	}
-	for _, r := range res.Rows {
-		if res.ShowPremature {
-			fmt.Fprintf(tw, "%s\t%d\t%.3f\t%.3f\t%s\t%d\n",
-				r.Workload, r.SizeBytes, r.Base.GoodputGbps, r.PP.GoodputGbps,
-				pct(r.PP.GoodputGbps, r.Base.GoodputGbps), r.PPPremature)
-		} else {
-			fmt.Fprintf(tw, "%s\t%d\t%.3f\t%.3f\t%s\n",
-				r.Workload, r.SizeBytes, r.Base.GoodputGbps, r.PP.GoodputGbps,
-				pct(r.PP.GoodputGbps, r.Base.GoodputGbps))
-		}
-	}
-	return tw.Flush()
+	return res, nil
 }
 
-func collectFig8(o Options) (*PeakGridResult, error) {
-	return collectPeakGrid(o, "fig8", []struct {
-		name  string
-		chain func() *nf.Chain
-	}{
-		{"FW", ChainFW1},
-		{"NAT", ChainNAT},
-		{"FW->NAT", ChainFWNAT},
-	}, fig8Sizes(o), false)
-}
-
-func collectFig15(o Options) (*PeakGridResult, error) {
-	sizes := []int{256, 512, 1024, 1492}
+func collectFig15(o Options) (*Result, error) {
+	res := &Result{}
+	names, sizes := []string{"NF-Light", "NF-Medium", "NF-Heavy"}, []int{256, 512, 1024, 1492}
 	if o.Quick {
 		sizes = []int{256, 1492}
 	}
-	return collectPeakGrid(o, "fig15", []struct {
-		name  string
-		chain func() *nf.Chain
-	}{
-		{"NF-Light", ChainSynthetic("NF-Light", 50)},
-		{"NF-Medium", ChainSynthetic("NF-Medium", 300)},
-		{"NF-Heavy", ChainSynthetic("NF-Heavy", 570)},
-	}, sizes, true)
+	peak, err := res.peakCells(o, "fig15", names, []func() *nf.Chain{
+		ChainSynthetic(names[0], 50), ChainSynthetic(names[1], 300), ChainSynthetic(names[2], 570),
+	}, sizes)
+	if err != nil {
+		return nil, err
+	}
+	t := res.table("", "nf\tsize(B)\tbase peak gput(Gbps)\tpp peak gput(Gbps)\tgain\tpp premature")
+	for i, pk := range peak {
+		b, p := pk[0].GoodputGbps, pk[1].GoodputGbps
+		t.row("%s\t%d\t%.3f\t%.3f\t%s\t%d", names[i/len(sizes)], sizes[i%len(sizes)], b, p, pct(p, b), pk[1].Premature)
+	}
+	return res, nil
 }
 
 // --- fig9: PCIe vs packet size ---
 
-// PCIeSizeRow is one packet size's PCIe comparison.
-type PCIeSizeRow struct {
-	SizeBytes   int     `json:"size_bytes"`
-	BaseGbps    float64 `json:"base_gbps"`
-	PPGbps      float64 `json:"pp_gbps"`
-	BaseUtilPct float64 `json:"base_util_pct"`
-	PPUtilPct   float64 `json:"pp_util_pct"`
-	SavingsPct  float64 `json:"savings_pct"`
-}
-
-// Fig9Result is the structured fig9 output.
-type Fig9Result struct {
-	SendGbps float64       `json:"send_gbps"`
-	Rows     []PCIeSizeRow `json:"rows"`
-}
-
-func collectFig9(o Options) (*Fig9Result, error) {
+func collectFig9(o Options) (*Result, error) {
 	// Compare at a common send rate that keeps both deployments healthy
 	// so pps is identical and the per-packet byte ratio shows.
-	const send = 16.0
-	res := &Fig9Result{SendGbps: send}
-	grid, err := runSweep(o, scenario.Sweep{
-		Base: fixedScenario(o, "fig9", 256, ChainFWNAT, OpenNetVM40G()).With(func(s *scenario.Scenario) {
-			s.Traffic.SendBps = send * 1e9
+	res := &Result{}
+	grid, err := res.sweep(o, scenario.Sweep{
+		Base: fixedScenario(o, "fig9", 256, ChainFWNAT).With(func(s *scenario.Scenario) {
+			s.Traffic.SendBps = 16e9
 		}),
 		Axes: []scenario.Axis{
 			scenario.PacketSizeAxis(fig8Sizes(o)...),
-			scenario.ParkingAxis(sim.ParkNone, sim.ParkEdge),
+			scenario.ParkingAxis(parkArms[:]...),
 		},
 	})
 	if err != nil {
 		return nil, err
 	}
+	t := res.table("", "size(B)\tbase pcie(Gbps)\tpp pcie(Gbps)\tbase util%\tpp util%\tsavings")
 	for i, size := range fig8Sizes(o) {
 		b, p := grid.At(i, 0).Report.Testbed, grid.At(i, 1).Report.Testbed
-		row := PCIeSizeRow{
-			SizeBytes: size,
-			BaseGbps:  b.PCIeGbps, PPGbps: p.PCIeGbps,
-			BaseUtilPct: b.PCIeUtilPct, PPUtilPct: p.PCIeUtilPct,
-		}
-		if b.PCIeGbps > 0 {
-			row.SavingsPct = 100 * (b.PCIeGbps - p.PCIeGbps) / b.PCIeGbps
-		}
-		res.Rows = append(res.Rows, row)
+		t.row("%d\t%.2f\t%.2f\t%.1f\t%.1f\t%.1f%%",
+			size, b.PCIeGbps, p.PCIeGbps, b.PCIeUtilPct, p.PCIeUtilPct, savingsPct(b.PCIeGbps, p.PCIeGbps))
 	}
 	return res, nil
-}
-
-func renderFig9(res *Fig9Result, w io.Writer) error {
-	tw := newTable(w)
-	fmt.Fprintln(tw, "size(B)\tbase pcie(Gbps)\tpp pcie(Gbps)\tbase util%\tpp util%\tsavings")
-	for _, r := range res.Rows {
-		fmt.Fprintf(tw, "%d\t%.2f\t%.2f\t%.1f\t%.1f\t%.1f%%\n",
-			r.SizeBytes, r.BaseGbps, r.PPGbps, r.BaseUtilPct, r.PPUtilPct, r.SavingsPct)
-	}
-	return tw.Flush()
 }
 
 // --- s621 ---
 
-// S621Result is the structured §6.2.1 output.
-type S621Result struct {
-	BasePeak *scenario.Report `json:"base_peak"`
-	PPPeak   *scenario.Report `json:"pp_peak"`
-	GainPct  float64          `json:"gain_pct"`
-	PCIe     *PCIeCompare     `json:"pcie,omitempty"`
-}
-
-func collectS621(o Options) (*S621Result, error) {
-	base := fixedScenario(o, "s621", 0, ChainFWNAT, OpenNetVM40G())
-	mk := func(mode sim.ParkMode) func(bps float64) scenario.Scenario {
-		return func(bps float64) scenario.Scenario {
-			return base.With(func(s *scenario.Scenario) {
-				s.Parking.Mode = mode
-				s.Traffic.SendBps = bps
-			})
-		}
-	}
-	iters := 7
-	if o.Quick {
-		iters = 5
-	}
-	res := &S621Result{}
-	var err error
-	if _, res.BasePeak, err = peakHealthySend(o, mk(sim.ParkNone), 10e9, 45e9, iters, healthy); err != nil {
+func collectS621(o Options) (*Result, error) {
+	res := &Result{}
+	base := fixedScenario(o, "s621", 0, ChainFWNAT)
+	_, peak, err := res.peaks(o, base, 10e9, 45e9, 45e9)
+	if err != nil {
 		return nil, err
 	}
-	if _, res.PPPeak, err = peakHealthySend(o, mk(sim.ParkEdge), 10e9, 45e9, iters, healthy); err != nil {
-		return nil, err
-	}
-	if res.BasePeak.GoodputGbps > 0 {
-		res.GainPct = 100 * (res.PPPeak.GoodputGbps - res.BasePeak.GoodputGbps) / res.BasePeak.GoodputGbps
-	}
-
 	// PCIe savings at a fixed sub-saturation send rate.
-	b, err := run(o, mk(sim.ParkNone)(15e9))
+	gbps, err := res.pcie(o, base, 15e9)
 	if err != nil {
 		return nil, err
 	}
-	p, err := run(o, mk(sim.ParkEdge)(15e9))
-	if err != nil {
-		return nil, err
-	}
-	if bt := b.Testbed; bt.PCIeGbps > 0 {
-		res.PCIe = &PCIeCompare{
-			SendGbps: 15, BaseGbps: bt.PCIeGbps, PPGbps: p.Testbed.PCIeGbps,
-			SavingsPct: 100 * (bt.PCIeGbps - p.Testbed.PCIeGbps) / bt.PCIeGbps,
-		}
-	}
+	t := res.table("", "")
+	t.note("peak goodput: baseline=%.3f Gbps pp=%.3f Gbps gain=%s (paper: +15.6%%)",
+		peak[0].GoodputGbps, peak[1].GoodputGbps, pct(peak[1].GoodputGbps, peak[0].GoodputGbps))
+	t.note("latency at peak: baseline=%.1fus pp=%.1fus", peak[0].AvgLatencyUs, peak[1].AvgLatencyUs)
+	t.note("pcie at 15G send: baseline=%.2f Gbps pp=%.2f Gbps savings=%.1f%% (paper: ~12%%)",
+		gbps[0], gbps[1], savingsPct(gbps[0], gbps[1]))
 	return res, nil
-}
-
-func renderS621(res *S621Result, w io.Writer) error {
-	fmt.Fprintf(w, "peak goodput: baseline=%.3f Gbps pp=%.3f Gbps gain=%s (paper: +15.6%%)\n",
-		res.BasePeak.GoodputGbps, res.PPPeak.GoodputGbps,
-		pct(res.PPPeak.GoodputGbps, res.BasePeak.GoodputGbps))
-	fmt.Fprintf(w, "latency at peak: baseline=%.1fus pp=%.1fus\n",
-		res.BasePeak.AvgLatencyUs, res.PPPeak.AvgLatencyUs)
-	if res.PCIe != nil {
-		fmt.Fprintf(w, "pcie at %.0fG send: baseline=%.2f Gbps pp=%.2f Gbps savings=%.1f%% (paper: ~12%%)\n",
-			res.PCIe.SendGbps, res.PCIe.BaseGbps, res.PCIe.PPGbps, res.PCIe.SavingsPct)
-	}
-	return nil
 }

@@ -2,7 +2,7 @@ package harness
 
 import (
 	"fmt"
-	"io"
+	"strings"
 
 	"github.com/payloadpark/payloadpark/internal/live"
 	"github.com/payloadpark/payloadpark/internal/scenario"
@@ -10,49 +10,22 @@ import (
 )
 
 func init() {
-	register(experiment(Experiment{
-		ID:    "live",
-		Title: "Live socket fabric: sim-vs-live counter parity, loopback wire rate, leaf-spine and adaptive control over real datagrams",
-		Paper: "not a paper figure: the paper's Tofino testbed (Fig. 5) recreated as UDP loopback sockets around the same compiled pipeline, so its counters can be held to the simulator's exactly",
-	}, CollectLiveSuite, RenderLiveSuite))
+	register(Experiment{
+		ID:      "live",
+		Title:   "Live socket fabric: sim-vs-live counter parity, loopback wire rate, leaf-spine and adaptive control over real datagrams",
+		Paper:   "not a paper figure: the paper's Tofino testbed (Fig. 5) recreated as UDP loopback sockets around the same compiled pipeline, so its counters can be held to the simulator's exactly",
+		Collect: collectLive,
+	})
 }
 
-// LiveSuite is the live experiment family's machine-readable result.
-// Identical sits at the top level on purpose: CI greps the BENCH
-// artifact for `"identical": true` as the sim-vs-live parity hard gate.
-type LiveSuite struct {
-	// Identical reports exact counter parity between the lockstep socket
-	// runs and their in-process reference replays (every run in Parity).
-	Identical bool `json:"identical"`
-	// Parity holds the lockstep parity runs (live vs reference pairs).
-	Parity []LiveParity `json:"parity"`
-	// Rates holds the open-loop throughput runs over loopback.
-	Rates []LiveRate `json:"rates"`
-}
-
-// LiveParity is one deterministic lockstep replay, run on sockets and
-// re-run in process, with the counter comparison verdict.
-type LiveParity struct {
-	Name      string       `json:"name"`
-	Identical bool         `json:"identical"`
-	Mismatch  string       `json:"mismatch,omitempty"`
-	Live      *live.Result `json:"live"`
-	Reference *live.Result `json:"reference"`
-}
-
-// LiveRate is one open-loop throughput run.
-type LiveRate struct {
-	Name   string       `json:"name"`
-	Result *live.Result `json:"result"`
-}
-
-// CollectLiveSuite runs the live experiment family: the lockstep parity
+// collectLive runs the live experiment family: the lockstep parity
 // replays (each on sockets and again in process, over the one
-// description), then the loopback throughput comparisons through the
-// Scenario front end, like every other topology.
-func CollectLiveSuite(o Options) (*LiveSuite, error) {
-	suite := &LiveSuite{Identical: true}
-	ctx := o.ctx()
+// description; runs "live-parity-NAME" and "live-parity-NAME/reference"),
+// then the loopback throughput comparisons through the Scenario front
+// end, like every other topology. A parity mismatch is an error: the
+// Result still renders, with the mismatch in the verdict column.
+func collectLive(o Options) (*Result, error) {
+	res := &Result{}
 
 	// The deterministic replays the parity gate holds to exact counter
 	// equality: chain baseline, chain parking with NF drops (evictions),
@@ -63,122 +36,80 @@ func CollectLiveSuite(o Options) (*LiveSuite, error) {
 	if o.Quick {
 		frames = 64
 	}
-	topo := func(geometry string, pipes, frames int, dropFraction float64) live.Topology {
-		return live.Topology{Geometry: geometry, Pipes: pipes, Frames: frames, Lockstep: true, DropFraction: dropFraction}
-	}
-	park := func(explicitDrop bool, seed int64) sim.Sections {
-		return sim.Sections{
-			Parking: sim.Parking{Mode: sim.ParkEdge, Slots: 8, MaxExpiry: 2, ExplicitDrop: explicitDrop},
-			Opts:    sim.RunOptions{Seed: seed},
-		}
-	}
-	for _, pr := range []struct {
-		name string
-		topo live.Topology
-		sec  sim.Sections
-	}{
-		{"chain-baseline", topo("chain", 1, frames, 0), sim.Sections{Opts: sim.RunOptions{Seed: o.Seed}}},
-		{"chain-parking-drops", topo("chain", 1, frames, 0.25), park(false, o.Seed)},
-		{"chain-explicit-drop", topo("chain", 1, frames, 0.25), park(true, o.Seed+1)},
-		{"chain-two-pipes", topo("chain", 2, frames/2, 0.2), park(false, o.Seed+2)},
-		{"leafspine-4x2", topo("4x2", 0, frames/4, 0.2), park(false, o.Seed+3)},
-	} {
-		lr, err := live.Run(ctx, pr.topo, pr.sec, live.Wiring{})
+	parity := res.table("", "   run\tframes\tdelivered\tsplits\tmerges\tevict\tpremature\texplicit\tverdict")
+	var mismatches []string
+	var err error
+	// replay runs one lockstep description on sockets and in process and
+	// prints the comparison; after a failed run the rest are skipped.
+	replay := func(name string, topo live.Topology, parking sim.Parking, seed int64) {
 		if err != nil {
-			return nil, fmt.Errorf("harness: live %s: %w", pr.name, err)
+			return
 		}
-		ref, err := live.ReferenceRun(pr.topo, pr.sec)
-		if err != nil {
-			return nil, fmt.Errorf("harness: reference %s: %w", pr.name, err)
+		topo.Lockstep = true
+		sec := sim.Sections{Parking: parking, Opts: sim.RunOptions{Seed: seed}}
+		lr, lerr := live.Run(o.ctx(), topo, sec, live.Wiring{})
+		if lerr != nil {
+			err = fmt.Errorf("harness: live %s: %w", name, lerr)
+			return
 		}
-		p := LiveParity{Name: pr.name, Identical: true, Live: lr, Reference: ref}
-		if err := live.Parity(lr, ref); err != nil {
-			p.Identical = false
-			p.Mismatch = err.Error()
-			suite.Identical = false
+		ref, rerr := live.ReferenceRun(topo, sec)
+		if rerr != nil {
+			err = fmt.Errorf("harness: reference %s: %w", name, rerr)
+			return
 		}
-		suite.Parity = append(suite.Parity, p)
+		res.record(&scenario.Report{Scenario: "live-parity-" + name, Topology: "live", Live: lr})
+		res.record(&scenario.Report{Scenario: "live-parity-" + name + "/reference", Topology: "live", Live: ref})
+		verdict := "identical"
+		if perr := live.Parity(lr, ref); perr != nil {
+			verdict = "MISMATCH: " + perr.Error()
+			mismatches = append(mismatches, name)
+		}
+		c := lr.Counters
+		parity.row("   %s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s", name, lr.Sent, lr.Delivered,
+			c.Splits, c.Merges, c.Evictions, c.PrematureEvictions, c.ExplicitDrops, verdict)
 	}
+	park := sim.Parking{Mode: sim.ParkEdge, Slots: 8, MaxExpiry: 2}
+	explicit := park
+	explicit.ExplicitDrop = true
+	replay("chain-baseline", live.Topology{Frames: frames}, sim.Parking{}, o.Seed)
+	replay("chain-parking-drops", live.Topology{Frames: frames, DropFraction: 0.25}, park, o.Seed)
+	replay("chain-explicit-drop", live.Topology{Frames: frames, DropFraction: 0.25}, explicit, o.Seed+1)
+	replay("chain-two-pipes", live.Topology{Pipes: 2, Frames: frames / 2, DropFraction: 0.2}, park, o.Seed+2)
+	replay("leafspine-4x2", live.Topology{Geometry: "4x2", Frames: frames / 4, DropFraction: 0.2}, park, o.Seed+3)
+	if err != nil {
+		return nil, err
+	}
+	parity.Title = fmt.Sprintf("   sim-vs-live parity (lockstep replay, exact counter equality): identical=%t", len(mismatches) == 0)
 
 	frames = 20000
 	if o.Quick {
 		frames = 4000
 	}
-	rates := []struct {
-		name string
-		scn  scenario.Scenario
-	}{
-		{"chain-baseline", scenario.Scenario{
-			Name:     "live-chain-baseline",
-			Topology: scenario.Live{Frames: frames},
-			Opts:     scenario.RunOptions{Seed: o.Seed},
-		}},
-		{"chain-parking", scenario.Scenario{
-			Name:     "live-chain-parking",
-			Topology: scenario.Live{Frames: frames},
-			Parking:  scenario.Parking{Mode: sim.ParkEdge, Slots: 1024},
-			Opts:     scenario.RunOptions{Seed: o.Seed},
-		}},
-		{"chain-two-pipes", scenario.Scenario{
-			Name:     "live-chain-two-pipes",
-			Topology: scenario.Live{Pipes: 2, Frames: frames},
-			Parking:  scenario.Parking{Mode: sim.ParkEdge, Slots: 1024},
-			Opts:     scenario.RunOptions{Seed: o.Seed},
-		}},
-		{"leafspine-4x2", scenario.Scenario{
-			Name:     "live-leafspine-4x2",
-			Topology: scenario.Live{Geometry: "4x2", Frames: frames / 4},
-			Parking:  scenario.Parking{Mode: sim.ParkEdge, Slots: 1024},
-			Opts:     scenario.RunOptions{Seed: o.Seed},
-		}},
-		{"chain-adaptive", scenario.Scenario{
-			Name:     "live-chain-adaptive",
-			Topology: scenario.Live{Frames: frames, DropFraction: 0.1},
-			Parking:  scenario.Parking{Mode: sim.ParkEdge, Slots: 64},
-			Control:  scenario.Control{Adaptive: true, PeriodNs: 1e6, Conservative: 8},
-			Opts:     scenario.RunOptions{Seed: o.Seed},
-		}},
-	}
-	for _, rc := range rates {
-		rep, err := scenario.Run(ctx, rc.scn)
+	rates := res.table("   loopback wire rate (open-loop, batched per-pipe workers):",
+		"   run\tsent\tdelivered\tkpps\tGbps\tsplits\tevict\tctl ticks")
+	for _, scn := range []scenario.Scenario{
+		{Name: "live-chain-baseline", Topology: scenario.Live{Frames: frames}},
+		{Name: "live-chain-parking", Topology: scenario.Live{Frames: frames},
+			Parking: scenario.Parking{Mode: sim.ParkEdge, Slots: 1024}},
+		{Name: "live-chain-two-pipes", Topology: scenario.Live{Pipes: 2, Frames: frames},
+			Parking: scenario.Parking{Mode: sim.ParkEdge, Slots: 1024}},
+		{Name: "live-leafspine-4x2", Topology: scenario.Live{Geometry: "4x2", Frames: frames / 4},
+			Parking: scenario.Parking{Mode: sim.ParkEdge, Slots: 1024}},
+		{Name: "live-chain-adaptive", Topology: scenario.Live{Frames: frames, DropFraction: 0.1},
+			Parking: scenario.Parking{Mode: sim.ParkEdge, Slots: 64},
+			Control: scenario.Control{Adaptive: true, PeriodNs: 1e6, Conservative: 8}},
+	} {
+		scn.Opts.Seed = o.Seed
+		rep, err := res.run(o, scn)
 		if err != nil {
-			return nil, fmt.Errorf("harness: live rate %s: %w", rc.name, err)
+			return nil, fmt.Errorf("harness: live rate %s: %w", scn.Name, err)
 		}
-		suite.Rates = append(suite.Rates, LiveRate{Name: rc.name, Result: rep.Live})
+		r := rep.Live
+		rates.row("   %s\t%d\t%d\t%.0f\t%.3f\t%d\t%d\t%d", strings.TrimPrefix(scn.Name, "live-"),
+			r.Sent, r.Delivered, r.PPS/1e3, r.Gbps, r.Counters.Splits, r.Counters.Evictions, r.ControlTicks)
 	}
-	return suite, nil
-}
-
-// RenderLiveSuite writes the text form of a collected LiveSuite.
-func RenderLiveSuite(s *LiveSuite, w io.Writer) error {
-	fmt.Fprintf(w, "   sim-vs-live parity (lockstep replay, exact counter equality): identical=%t\n", s.Identical)
-	tw := newTable(w)
-	fmt.Fprintln(tw, "   run\tframes\tdelivered\tsplits\tmerges\tevict\tpremature\texplicit\tverdict")
-	for _, p := range s.Parity {
-		verdict := "identical"
-		if !p.Identical {
-			verdict = "MISMATCH: " + p.Mismatch
-		}
-		c := p.Live.Counters
-		fmt.Fprintf(tw, "   %s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\n",
-			p.Name, p.Live.Sent, p.Live.Delivered, c.Splits, c.Merges,
-			c.Evictions, c.PrematureEvictions, c.ExplicitDrops, verdict)
+	if len(mismatches) > 0 {
+		return res, fmt.Errorf("harness: live counters diverged from the in-process reference: %s", strings.Join(mismatches, ", "))
 	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "   loopback wire rate (open-loop, batched per-pipe workers):\n")
-	tw = newTable(w)
-	fmt.Fprintln(tw, "   run\tsent\tdelivered\tkpps\tGbps\tsplits\tevict\tctl ticks")
-	for _, r := range s.Rates {
-		res := r.Result
-		if res == nil {
-			fmt.Fprintf(tw, "   %s\t(no live result)\n", r.Name)
-			continue
-		}
-		fmt.Fprintf(tw, "   %s\t%d\t%d\t%.0f\t%.3f\t%d\t%d\t%d\n",
-			r.Name, res.Sent, res.Delivered, res.PPS/1e3, res.Gbps,
-			res.Counters.Splits, res.Counters.Evictions, res.ControlTicks)
-	}
-	return tw.Flush()
+	return res, nil
 }

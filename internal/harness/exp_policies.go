@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"github.com/payloadpark/payloadpark/internal/scenario"
@@ -11,59 +10,28 @@ import (
 )
 
 func init() {
-	register(experiment(Experiment{
-		ID:    "policies",
-		Title: "Programmable policies: payload parking vs ROHC-style header compression vs both, 40GbE",
-		Paper: "declarative table programs (§5 generalized): parking slims the NF link by the parked payload, compression by 21 B/packet; combined they stack on one pipe",
-	}, collectPolicies, renderPolicies))
+	register(Experiment{
+		ID:      "policies",
+		Title:   "Programmable policies: payload parking vs ROHC-style header compression vs both, 40GbE",
+		Paper:   "declarative table programs (§5 generalized): parking slims the NF link by the parked payload, compression by 21 B/packet; combined they stack on one pipe",
+		Collect: collectPolicies,
+	})
 }
 
-// policyVariants are the four policy assignments compared, in display
-// order. Each mutates the base scenario; the NF chain stays the default
-// MAC-swap (compression restores L3/L4 from switch state, so the chain
-// must not rewrite headers).
-var policyVariants = []struct {
-	name string
-	mut  func(*scenario.Scenario)
-}{
-	{"baseline", func(*scenario.Scenario) {}},
-	{"park", func(s *scenario.Scenario) { s.Parking.Mode = sim.ParkEdge }},
-	{"compress", func(s *scenario.Scenario) { s.Program = scenario.Program{Kind: "compress"} }},
-	{"park+compress", func(s *scenario.Scenario) {
+// policyNames are the four policy assignments compared, in display order.
+var policyNames = []string{"baseline", "park", "compress", "park+compress"}
+
+// withPolicy applies a named policy to a scenario. The NF chain stays the
+// default MAC-swap (compression restores L3/L4 from switch state, so the
+// chain must not rewrite headers).
+func withPolicy(s scenario.Scenario, policy string) scenario.Scenario {
+	if strings.Contains(policy, "park") {
 		s.Parking.Mode = sim.ParkEdge
+	}
+	if strings.Contains(policy, "compress") {
 		s.Program = scenario.Program{Kind: "compress"}
-	}},
-}
-
-// PolicyRow is one (size, send, policy) testbed cell.
-type PolicyRow struct {
-	SizeBytes    int     `json:"size_bytes"`
-	SendGbps     float64 `json:"send_gbps"`
-	Policy       string  `json:"policy"`
-	GoodputGbps  float64 `json:"goodput_gbps"`
-	AvgLatencyUs float64 `json:"avg_latency_us"`
-	ToNFGbps     float64 `json:"to_nf_gbps"`
-	Healthy      bool    `json:"healthy"`
-	Splits       uint64  `json:"splits"`
-	Compressions uint64  `json:"compressions"`
-}
-
-// PolicyFabricRow is one leaf-spine policy cell: the same comparison on
-// the 4x2 fabric, with fabric-hop traffic in place of the NF link.
-type PolicyFabricRow struct {
-	Policy       string  `json:"policy"`
-	GoodputGbps  float64 `json:"goodput_gbps"`
-	AvgLatencyUs float64 `json:"avg_latency_us"`
-	SpineGbits   float64 `json:"spine_gbits"`
-	Healthy      bool    `json:"healthy"`
-	Splits       uint64  `json:"splits"`
-	Compressions uint64  `json:"compressions"`
-}
-
-// PoliciesResult is the structured policies output.
-type PoliciesResult struct {
-	Testbed []PolicyRow       `json:"testbed"`
-	Fabric  []PolicyFabricRow `json:"fabric"`
+	}
+	return s
 }
 
 func policySizes(o Options) []int {
@@ -73,10 +41,13 @@ func policySizes(o Options) []int {
 	return []int{256, 512, 1024}
 }
 
-func policySends(o Options) []float64 {
-	// 16 Gbps keeps every variant healthy so per-packet byte savings
-	// show; 34 Gbps overloads the small sizes so goodput separates.
-	return []float64{16, 34}
+// policySends: 16 Gbps keeps every variant healthy so per-packet byte
+// savings show; 34 Gbps overloads the small sizes so goodput separates.
+var policySends = []float64{16, 34}
+
+// policyTestbedName names one (policy, size, send) testbed cell's run.
+func policyTestbedName(policy string, size int, sendGbps float64) string {
+	return fmt.Sprintf("policies-%s-%dB-%gG", policy, size, sendGbps)
 }
 
 func sumCompressions(r *scenario.Report) uint64 {
@@ -87,96 +58,66 @@ func sumCompressions(r *scenario.Report) uint64 {
 	return n
 }
 
-func collectPolicies(o Options) (*PoliciesResult, error) {
-	sizes, sends := policySizes(o), policySends(o)
-	res := &PoliciesResult{
-		Testbed: make([]PolicyRow, len(sizes)*len(sends)*len(policyVariants)),
-		Fabric:  make([]PolicyFabricRow, len(policyVariants)),
+// spineGbits is the traffic a fabric run put on its leaf->spine hops.
+func spineGbits(r *scenario.Report) float64 {
+	var gbits float64
+	for _, l := range r.Fabric.Links {
+		if strings.Contains(l.Name, "->spine") {
+			gbits += float64(l.TxBits) / 1e9
+		}
 	}
-	runCell := func(i int) error {
-		v := policyVariants[i%len(policyVariants)]
-		size := sizes[i/(len(sends)*len(policyVariants))]
-		send := sends[i/len(policyVariants)%len(sends)]
-		sc := scenario.Scenario{
-			Name:     fmt.Sprintf("policies-%s-%dB-%gG", v.name, size, send),
+	return gbits
+}
+
+func collectPolicies(o Options) (*Result, error) {
+	res := &Result{}
+	sizes, np := policySizes(o), len(policyNames)
+	cells := make([]*scenario.Report, len(sizes)*len(policySends)*np)
+	if err := forEachCell(len(cells), func(i int) (err error) {
+		size, send := sizes[i/(len(policySends)*np)], policySends[i/np%len(policySends)]
+		cells[i], err = res.run(o, withPolicy(scenario.Scenario{
+			Name:     policyTestbedName(policyNames[i%np], size, send),
 			Topology: scenario.Testbed{LinkBps: 40e9},
 			Parking:  scenario.Parking{Slots: MacroSlots, MaxExpiry: 1},
 			Traffic:  scenario.Traffic{Dist: trafficgen.Fixed(size), SendBps: send * 1e9},
 			Server:   OpenNetVM40G(),
-			Opts:     o.scnOpts(),
-		}
-		v.mut(&sc)
-		r, err := run(o, sc)
-		if err != nil {
-			return err
-		}
-		res.Testbed[i] = PolicyRow{
-			SizeBytes: size, SendGbps: send, Policy: v.name,
-			GoodputGbps: r.GoodputGbps, AvgLatencyUs: r.AvgLatencyUs,
-			ToNFGbps: r.Testbed.ToNFGbps, Healthy: r.Healthy,
-			Splits: r.Testbed.Splits, Compressions: sumCompressions(r),
-		}
-		return nil
-	}
-	if err := forEachCell(len(res.Testbed), runCell); err != nil {
+			Opts:     o.opts(),
+		}, policyNames[i%np]))
+		return err
+	}); err != nil {
 		return nil, err
+	}
+	t := res.table("", "size(B)\tsend(Gbps)\tpolicy\tgput(Gbps)\tlat(us)\tto-NF(Gbps)\thealthy\tsplits\tcompressions")
+	for i, r := range cells {
+		t.row("%d\t%.0f\t%s\t%.3f\t%.1f\t%.3f\t%t\t%d\t%d",
+			sizes[i/(len(policySends)*np)], policySends[i/np%len(policySends)], policyNames[i%np],
+			r.GoodputGbps, r.AvgLatencyUs, r.Testbed.ToNFGbps, r.Healthy, r.Testbed.Splits, sumCompressions(r))
 	}
 
 	// The same four policies fabric-wide: a 4x2 leaf-spine with the
 	// datacenter mix, policies installed at the ingress leaves.
-	fabricCell := func(i int) error {
-		v := policyVariants[i]
-		sc := scenario.Scenario{
-			Name:     "policies-fabric-" + v.name,
+	fabric := make([]*scenario.Report, np)
+	if err := forEachCell(np, func(i int) (err error) {
+		fabric[i], err = res.run(o, withPolicy(scenario.Scenario{
+			Name:     "policies-fabric-" + policyNames[i],
 			Topology: scenario.LeafSpine{Leaves: 4, Spines: 2},
 			Parking:  scenario.Parking{Slots: MacroSlots, MaxExpiry: 2},
 			Traffic:  scenario.Traffic{SendBps: 8e9},
-			Opts:     o.scnOpts(),
-		}
-		v.mut(&sc)
-		r, err := run(o, sc)
-		if err != nil {
-			return err
-		}
-		row := PolicyFabricRow{
-			Policy: v.name, GoodputGbps: r.GoodputGbps,
-			AvgLatencyUs: r.AvgLatencyUs, Healthy: r.Healthy,
-			Compressions: sumCompressions(r),
-		}
-		for _, l := range r.Fabric.Links {
-			if strings.Contains(l.Name, "->spine") {
-				row.SpineGbits += float64(l.TxBits) / 1e9
-			}
-		}
-		for _, sw := range r.Fabric.Switches {
-			row.Splits += sw.Splits
-		}
-		res.Fabric[i] = row
-		return nil
-	}
-	if err := forEachCell(len(policyVariants), fabricCell); err != nil {
+			Opts:     o.opts(),
+		}, policyNames[i]))
+		return err
+	}); err != nil {
 		return nil, err
 	}
+	t = res.table("leaf-spine 4x2, datacenter mix, 8 Gbps/leaf:",
+		"policy\tgput(Gbps)\tlat(us)\tspine traffic(Gbit)\thealthy\tsplits\tcompressions")
+	for i, r := range fabric {
+		var splits uint64
+		for _, sw := range r.Fabric.Switches {
+			splits += sw.Splits
+		}
+		t.row("%s\t%.3f\t%.1f\t%.3f\t%t\t%d\t%d",
+			policyNames[i], r.GoodputGbps, r.AvgLatencyUs, spineGbits(r), r.Healthy, splits, sumCompressions(r))
+	}
 	return res, nil
-}
-
-func renderPolicies(res *PoliciesResult, w io.Writer) error {
-	tw := newTable(w)
-	fmt.Fprintln(tw, "size(B)\tsend(Gbps)\tpolicy\tgput(Gbps)\tlat(us)\tto-NF(Gbps)\thealthy\tsplits\tcompressions")
-	for _, r := range res.Testbed {
-		fmt.Fprintf(tw, "%d\t%.0f\t%s\t%.3f\t%.1f\t%.3f\t%t\t%d\t%d\n",
-			r.SizeBytes, r.SendGbps, r.Policy, r.GoodputGbps, r.AvgLatencyUs,
-			r.ToNFGbps, r.Healthy, r.Splits, r.Compressions)
-	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "\nleaf-spine 4x2, datacenter mix, 8 Gbps/leaf:")
-	tw = newTable(w)
-	fmt.Fprintln(tw, "policy\tgput(Gbps)\tlat(us)\tspine traffic(Gbit)\thealthy\tsplits\tcompressions")
-	for _, r := range res.Fabric {
-		fmt.Fprintf(tw, "%s\t%.3f\t%.1f\t%.3f\t%t\t%d\t%d\n",
-			r.Policy, r.GoodputGbps, r.AvgLatencyUs, r.SpineGbits, r.Healthy, r.Splits, r.Compressions)
-	}
-	return tw.Flush()
 }

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
 	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/packet"
@@ -12,45 +11,35 @@ import (
 )
 
 func init() {
-	register(experiment(Experiment{
-		ID:    "fig6",
-		Title: "Packet size distribution for the enterprise datacenter workload",
-		Paper: "bimodal CDF, average packet size 882 B, 30% of packets below the 160 B payload threshold",
-	}, collectFig6, renderFig6))
-	register(experiment(Experiment{
-		ID:    "fig7",
-		Title: "Goodput and latency vs send rate, FW->NAT->LB on NetBricks, 10GbE, datacenter traffic",
-		Paper: "PayloadPark +13% goodput at peak, no latency penalty; baseline hits its latency cliff at 10G",
-	}, collectFig7, renderRateSweep))
-	register(experiment(Experiment{
-		ID:    "fig13",
-		Title: "Fig. 7 with packet recirculation (384 B parked)",
-		Paper: "+28% goodput (about twice the gain without recirculation), no end-to-end latency penalty, 23% PCIe savings",
-	}, collectFig13, renderRateSweep))
-	register(experiment(Experiment{
-		ID:    "fig16",
-		Title: "Goodput and latency vs send rate, 512 B packets, FW->NAT on OpenNetVM, 40GbE",
-		Paper: "baseline capped at 33.6 Gbps send; PayloadPark keeps processing beyond it; latency rises for both past saturation",
-	}, collectFig16, renderRateSweep))
+	register(Experiment{
+		ID:      "fig6",
+		Title:   "Packet size distribution for the enterprise datacenter workload",
+		Paper:   "bimodal CDF, average packet size 882 B, 30% of packets below the 160 B payload threshold",
+		Collect: collectFig6,
+	})
+	register(Experiment{
+		ID:      "fig7",
+		Title:   "Goodput and latency vs send rate, FW->NAT->LB on NetBricks, 10GbE, datacenter traffic",
+		Paper:   "PayloadPark +13% goodput at peak, no latency penalty; baseline hits its latency cliff at 10G",
+		Collect: collectFig7,
+	})
+	register(Experiment{
+		ID:      "fig13",
+		Title:   "Fig. 7 with packet recirculation (384 B parked)",
+		Paper:   "+28% goodput (about twice the gain without recirculation), no end-to-end latency penalty, 23% PCIe savings",
+		Collect: collectFig13,
+	})
+	register(Experiment{
+		ID:      "fig16",
+		Title:   "Goodput and latency vs send rate, 512 B packets, FW->NAT on OpenNetVM, 40GbE",
+		Paper:   "baseline capped at 33.6 Gbps send; PayloadPark keeps processing beyond it; latency rises for both past saturation",
+		Collect: collectFig16,
+	})
 }
 
 // --- fig6: the traffic model itself ---
 
-// SizeCDFPoint is one point of the generated size distribution.
-type SizeCDFPoint struct {
-	SizeBytes float64 `json:"size_bytes"`
-	Frac      float64 `json:"frac"`
-}
-
-// Fig6Result is the structured fig6 output.
-type Fig6Result struct {
-	Samples    int            `json:"samples"`
-	MeanBytes  float64        `json:"mean_bytes"`
-	SubParkPct float64        `json:"sub_park_pct"`
-	CDF        []SizeCDFPoint `json:"cdf"`
-}
-
-func collectFig6(o Options) (*Fig6Result, error) {
+func collectFig6(o Options) (*Result, error) {
 	gen := trafficgen.New(trafficgen.Config{
 		Sizes: trafficgen.Datacenter{}, Flows: 1024,
 		SrcMAC: sim.MACGen, DstMAC: sim.MACNF,
@@ -67,56 +56,17 @@ func collectFig6(o Options) (*Fig6Result, error) {
 		}
 	}
 	cdf := gen.SizeCDF()
-	res := &Fig6Result{
-		Samples:    n,
-		MeanBytes:  cdf.Mean(),
-		SubParkPct: 100 * float64(small) / float64(n),
-	}
+	res := &Result{}
+	t := res.table(fmt.Sprintf("samples=%d mean=%.1fB (paper: 882B) sub-160B-payload=%.1f%% (paper: 30%%)",
+		n, cdf.Mean(), 100*float64(small)/float64(n)),
+		"CDF (packet size -> cumulative fraction):")
 	for _, x := range []float64{64, 128, 201, 256, 425, 512, 1024, 1300, 1400, 1463, 1500} {
-		res.CDF = append(res.CDF, SizeCDFPoint{SizeBytes: x, Frac: cdf.At(x)})
+		t.row("  %4.0f\t%.3f", x, cdf.At(x))
 	}
 	return res, nil
 }
 
-func renderFig6(res *Fig6Result, w io.Writer) error {
-	fmt.Fprintf(w, "samples=%d mean=%.1fB (paper: 882B) sub-160B-payload=%.1f%% (paper: 30%%)\n",
-		res.Samples, res.MeanBytes, res.SubParkPct)
-	fmt.Fprintln(w, "CDF (packet size -> cumulative fraction):")
-	tw := newTable(w)
-	for _, p := range res.CDF {
-		fmt.Fprintf(tw, "  %4.0f\t%.3f\n", p.SizeBytes, p.Frac)
-	}
-	return tw.Flush()
-}
-
 // --- fig7/13/16: rate sweeps as declarative grids ---
-
-// RateSweepResult is the structured output of the goodput/latency rate
-// sweeps: a rate × {baseline, parked} grid plus the peak-healthy search
-// and an optional PCIe comparison.
-type RateSweepResult struct {
-	// Sweep is the grid: axis 0 the send rate, axis 1 the parking mode
-	// (baseline first).
-	Sweep *scenario.SweepReport `json:"sweep"`
-	// Peak-healthy binary search results.
-	BasePeakSendGbps float64          `json:"base_peak_send_gbps"`
-	PPPeakSendGbps   float64          `json:"pp_peak_send_gbps"`
-	BasePeak         *scenario.Report `json:"base_peak"`
-	PPPeak           *scenario.Report `json:"pp_peak"`
-	// PCIe compares bus traffic at a common sub-saturation rate.
-	PCIe *PCIeCompare `json:"pcie,omitempty"`
-	// PeakMetric names what the peak rows mean in the text rendering
-	// ("goodput" or "send").
-	PeakMetric string `json:"peak_metric"`
-}
-
-// PCIeCompare reports PCIe bus traffic at a common send rate.
-type PCIeCompare struct {
-	SendGbps   float64 `json:"send_gbps"`
-	BaseGbps   float64 `json:"base_gbps"`
-	PPGbps     float64 `json:"pp_gbps"`
-	SavingsPct float64 `json:"savings_pct"`
-}
 
 // sweepScenario is the Fig. 7/13 base scenario: the grid axes set the
 // send rate and the parking mode on top of it.
@@ -132,118 +82,74 @@ func sweepScenario(o Options, name string, recirc bool) scenario.Scenario {
 		Traffic:  scenario.Traffic{Dist: trafficgen.Datacenter{}},
 		Chain:    ChainFWNATLB,
 		Server:   NetBricks10G(),
-		Opts:     o.scnOpts(),
+		Opts:     o.opts(),
 	}
 }
 
-// collectRateSweep runs the declarative grid, then the two peak
-// searches, then the optional PCIe probe.
-func collectRateSweep(o Options, base scenario.Scenario, rates []float64, peakLo, peakHiBase, peakHiPP float64, pcie bool, peakMetric string) (*RateSweepResult, error) {
-	grid, err := runSweep(o, scenario.Sweep{
+// rateGrid runs base over the rate × {baseline, parked} grid and prints
+// it as the result's first table.
+func (r *Result) rateGrid(o Options, base scenario.Scenario, rates []float64) (*Table, error) {
+	grid, err := r.sweep(o, scenario.Sweep{
 		Base: base,
 		Axes: []scenario.Axis{
 			scenario.SendGbpsAxis(rates...),
-			scenario.ParkingAxis(sim.ParkNone, sim.ParkEdge),
+			scenario.ParkingAxis(parkArms[:]...),
 		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &RateSweepResult{Sweep: grid, PeakMetric: peakMetric}
-
-	iters := 7
-	if o.Quick {
-		iters = 5
-	}
-	mk := func(mode sim.ParkMode) func(bps float64) scenario.Scenario {
-		return func(bps float64) scenario.Scenario {
-			return base.With(func(s *scenario.Scenario) {
-				s.Parking.Mode = mode
-				s.Traffic.SendBps = bps
-			})
-		}
-	}
-	var perr error
-	if res.BasePeakSendGbps, res.BasePeak, perr = peakGbps(o, mk(sim.ParkNone), peakLo, peakHiBase, iters); perr != nil {
-		return nil, perr
-	}
-	if res.PPPeakSendGbps, res.PPPeak, perr = peakGbps(o, mk(sim.ParkEdge), peakLo, peakHiPP, iters); perr != nil {
-		return nil, perr
-	}
-
-	if pcie {
-		// PCIe compared at a common sub-saturation rate, where both carry
-		// the same pps and the per-packet byte ratio shows (paper: "at all
-		// send rates").
-		b, err := run(o, mk(sim.ParkNone)(peakLo*1e9))
-		if err != nil {
-			return nil, err
-		}
-		p, err := run(o, mk(sim.ParkEdge)(peakLo*1e9))
-		if err != nil {
-			return nil, err
-		}
-		if bt := b.Testbed; bt != nil && bt.PCIeGbps > 0 {
-			res.PCIe = &PCIeCompare{
-				SendGbps: peakLo, BaseGbps: bt.PCIeGbps, PPGbps: p.Testbed.PCIeGbps,
-				SavingsPct: 100 * (bt.PCIeGbps - p.Testbed.PCIeGbps) / bt.PCIeGbps,
-			}
-		}
-	}
-	return res, nil
-}
-
-// peakGbps wraps peakHealthySend for rate arguments in Gbps.
-func peakGbps(o Options, mk func(bps float64) scenario.Scenario, loGbps, hiGbps float64, iters int) (float64, *scenario.Report, error) {
-	bps, rep, err := peakHealthySend(o, mk, loGbps*1e9, hiGbps*1e9, iters, healthy)
-	return bps / 1e9, rep, err
-}
-
-func renderRateSweep(res *RateSweepResult, w io.Writer) error {
-	tw := newTable(w)
-	fmt.Fprintln(tw, "send(Gbps)\tbase gput(Gbps)\tpp gput(Gbps)\tbase lat(us)\tpp lat(us)\tbase drop%\tpp drop%")
-	for i := 0; i < res.Sweep.Shape[0]; i++ {
-		b, p := res.Sweep.At(i, 0).Report, res.Sweep.At(i, 1).Report
-		fmt.Fprintf(tw, "%s\t%.3f\t%.3f\t%.1f\t%.1f\t%.3f\t%.3f\n",
-			res.Sweep.At(i, 0).Labels[0],
+	t := r.table("", "send(Gbps)\tbase gput(Gbps)\tpp gput(Gbps)\tbase lat(us)\tpp lat(us)\tbase drop%\tpp drop%")
+	for i := range rates {
+		b, p := grid.At(i, 0).Report, grid.At(i, 1).Report
+		t.row("%s\t%.3f\t%.3f\t%.1f\t%.1f\t%.3f\t%.3f", grid.At(i, 0).Labels[0],
 			b.GoodputGbps, p.GoodputGbps, b.AvgLatencyUs, p.AvgLatencyUs,
 			100*b.UnintendedDropRate, 100*p.UnintendedDropRate)
 	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	if res.PeakMetric == "send" {
-		fmt.Fprintf(w, "peak healthy send: baseline=%.1f Gbps (paper: 33.6), payloadpark=%.1f Gbps (beyond baseline cap)\n",
-			res.BasePeakSendGbps, res.PPPeakSendGbps)
-	} else {
-		fmt.Fprintf(w, "peak healthy goodput: baseline=%.3f Gbps, payloadpark=%.3f Gbps, gain=%s\n",
-			res.BasePeak.GoodputGbps, res.PPPeak.GoodputGbps,
-			pct(res.PPPeak.GoodputGbps, res.BasePeak.GoodputGbps))
-	}
-	if res.PCIe != nil {
-		fmt.Fprintf(w, "pcie at %.0fG send: baseline=%.2f Gbps, payloadpark=%.2f Gbps (savings %.1f%%)\n",
-			res.PCIe.SendGbps, res.PCIe.BaseGbps, res.PCIe.PPGbps, res.PCIe.SavingsPct)
-	}
-	return nil
+	return t, nil
 }
 
-func collectFig7(o Options) (*RateSweepResult, error) {
+// goodputSweep is the Fig. 7/13 shape: the rate grid, the gain in peak
+// healthy goodput (searched between 8 Gbps and hiBps), and the PCIe
+// comparison at the search floor.
+func goodputSweep(o Options, base scenario.Scenario, rates []float64, hiBps float64) (*Result, error) {
+	res := &Result{}
+	t, err := res.rateGrid(o, base, rates)
+	if err != nil {
+		return nil, err
+	}
+	_, peak, err := res.peaks(o, base, 8e9, hiBps, hiBps)
+	if err != nil {
+		return nil, err
+	}
+	t.note("peak healthy goodput: baseline=%.3f Gbps, payloadpark=%.3f Gbps, gain=%s",
+		peak[0].GoodputGbps, peak[1].GoodputGbps, pct(peak[1].GoodputGbps, peak[0].GoodputGbps))
+	gbps, err := res.pcie(o, base, 8e9)
+	if err != nil {
+		return nil, err
+	}
+	t.note("pcie at 8G send: baseline=%.2f Gbps, payloadpark=%.2f Gbps (savings %.1f%%)",
+		gbps[0], gbps[1], savingsPct(gbps[0], gbps[1]))
+	return res, nil
+}
+
+func collectFig7(o Options) (*Result, error) {
 	rates := []float64{2, 4, 6, 8, 9, 10, 11, 12}
 	if o.Quick {
 		rates = []float64{4, 9, 10.5, 12}
 	}
-	return collectRateSweep(o, sweepScenario(o, "fig7", false), rates, 8, 16, 16, true, "goodput")
+	return goodputSweep(o, sweepScenario(o, "fig7", false), rates, 16e9)
 }
 
-func collectFig13(o Options) (*RateSweepResult, error) {
+func collectFig13(o Options) (*Result, error) {
 	rates := []float64{2, 4, 6, 8, 10, 11, 12, 13, 14}
 	if o.Quick {
 		rates = []float64{4, 10, 12, 14}
 	}
-	return collectRateSweep(o, sweepScenario(o, "fig13", true), rates, 8, 18, 18, true, "goodput")
+	return goodputSweep(o, sweepScenario(o, "fig13", true), rates, 18e9)
 }
 
-func collectFig16(o Options) (*RateSweepResult, error) {
+func collectFig16(o Options) (*Result, error) {
 	base := scenario.Scenario{
 		Name:     "fig16",
 		Topology: scenario.Testbed{LinkBps: 40e9},
@@ -251,12 +157,23 @@ func collectFig16(o Options) (*RateSweepResult, error) {
 		Traffic:  scenario.Traffic{Dist: trafficgen.Fixed(512)},
 		Chain:    ChainFWNAT,
 		Server:   OpenNetVM40G(),
-		Opts:     o.scnOpts(),
+		Opts:     o.opts(),
 	}
 	rates := []float64{5, 10, 15, 20, 25, 30, 33, 36, 40, 45, 50}
 	if o.Quick {
 		rates = []float64{10, 30, 34, 40, 48}
 	}
+	res := &Result{}
+	t, err := res.rateGrid(o, base, rates)
+	if err != nil {
+		return nil, err
+	}
 	// The PP peak search explores beyond the baseline ceiling (60G vs 50G).
-	return collectRateSweep(o, base, rates, 20, 50, 60, false, "send")
+	send, _, err := res.peaks(o, base, 20e9, 50e9, 60e9)
+	if err != nil {
+		return nil, err
+	}
+	t.note("peak healthy send: baseline=%.1f Gbps (paper: 33.6), payloadpark=%.1f Gbps (beyond baseline cap)",
+		send[0]/1e9, send[1]/1e9)
+	return res, nil
 }

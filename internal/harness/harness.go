@@ -6,12 +6,14 @@ import (
 	"io"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"text/tabwriter"
 
 	"github.com/payloadpark/payloadpark/internal/nf"
 	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/scenario"
+	"github.com/payloadpark/payloadpark/internal/sim"
 )
 
 // Options controls experiment execution.
@@ -34,36 +36,28 @@ func (o Options) ctx() context.Context {
 	return context.Background()
 }
 
-func (o Options) warmup() int64 {
+// opts are the run options every experiment scenario starts from: the
+// seed and the Quick flag. The measurement windows are the runners' own
+// defaults (sim.RunOptions.Windows).
+func (o Options) opts() scenario.RunOptions {
+	return scenario.RunOptions{Seed: o.Seed, Quick: o.Quick}
+}
+
+// stretched is opts with the default measurement window scaled by f, for
+// the runs that need a longer (failure phases) or shorter (probes) one.
+func (o Options) stretched(f float64) scenario.RunOptions {
+	ro := o.opts()
+	_, measure := ro.Windows()
+	ro.MeasureNs = int64(f * float64(measure))
+	return ro
+}
+
+// iters is the depth of a peak-healthy binary search.
+func (o Options) iters() int {
 	if o.Quick {
-		return 2e6
+		return 5
 	}
-	return 10e6
-}
-
-func (o Options) measure() int64 {
-	if o.Quick {
-		return 8e6
-	}
-	return 40e6
-}
-
-// scnOpts converts harness Options into scenario RunOptions with the
-// harness's measurement windows.
-func (o Options) scnOpts() scenario.RunOptions {
-	return scenario.RunOptions{Seed: o.Seed, WarmupNs: o.warmup(), MeasureNs: o.measure()}
-}
-
-// run executes one scenario through the unified entrypoint under the
-// options' context.
-func run(o Options, s scenario.Scenario) (*scenario.Report, error) {
-	return scenario.Run(o.ctx(), s)
-}
-
-// runSweep executes a grid through the unified entrypoint under the
-// options' context.
-func runSweep(o Options, sw scenario.Sweep) (*scenario.SweepReport, error) {
-	return scenario.RunSweep(o.ctx(), sw)
+	return 7
 }
 
 // Experiment is one reproducible table or figure.
@@ -74,51 +68,128 @@ type Experiment struct {
 	Title string
 	// Paper summarizes what the paper reports, for side-by-side reading.
 	Paper string
-	// Run executes the experiment, writing its table/series to w.
-	Run func(o Options, w io.Writer) error
-	// Collect executes the experiment and returns its structured,
-	// JSON-serializable result (what `ppbench -json` emits). Every
-	// registered experiment provides it; Run renders the same data as
-	// text.
-	Collect func(o Options) (any, error)
-
-	// render writes the text form of a collected result. Paired with
-	// Collect at registration (see experiment), so the mapping cannot
-	// drift from the Run path.
-	render func(res any, w io.Writer) error
+	// Collect runs the experiment's scenarios and returns what it prints
+	// and the runs behind it. An experiment whose check gates (equiv's
+	// capture comparison, live's counter parity) returns the Result
+	// together with an error when the check fails, so callers that stop at
+	// the error fail closed and callers that render first still show why.
+	Collect func(o Options) (*Result, error)
 }
 
-// experiment wires a typed collector and renderer into an Experiment:
-// Run collects then renders, Collect returns the structured result, and
-// the renderer is retained so Render can re-render a collected value
-// (the `ppbench -json` collect-once-render-twice path).
-func experiment[T any](e Experiment, collect func(Options) (T, error), render func(T, io.Writer) error) Experiment {
-	e.Collect = func(o Options) (any, error) { return collect(o) }
-	e.render = func(res any, w io.Writer) error {
-		r, ok := res.(T)
-		if !ok {
-			return fmt.Errorf("harness: %s: render got %T", e.ID, res)
+// Run collects the experiment and writes its text form to w.
+func (e Experiment) Run(o Options, w io.Writer) error {
+	res, err := e.Collect(o)
+	if res != nil {
+		if rerr := res.Render(w); err == nil {
+			err = rerr
 		}
-		return render(r, w)
 	}
-	e.Run = func(o Options, w io.Writer) error {
-		res, err := collect(o)
-		if err != nil {
+	return err
+}
+
+// Table is one printed table: an optional title line, an optional header
+// and rows of already-formatted cells (aligned in columns when rendered),
+// and trailing note lines.
+type Table struct {
+	Title  string     `json:"title,omitempty"`
+	Header []string   `json:"header,omitempty"`
+	Rows   [][]string `json:"rows,omitempty"`
+	Notes  []string   `json:"notes,omitempty"`
+}
+
+// row appends one row; the format's tabs separate its cells.
+func (t *Table) row(format string, args ...any) {
+	t.Rows = append(t.Rows, strings.Split(fmt.Sprintf(format, args...), "\t"))
+}
+
+// note appends one trailing line.
+func (t *Table) note(format string, args ...any) {
+	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
+}
+
+// Result is everything an experiment produces, and the one shape
+// `ppbench -json` writes: the tables it prints and the Report of every
+// run behind them, keyed by scenario name.
+type Result struct {
+	Tables []*Table                    `json:"tables"`
+	Runs   map[string]*scenario.Report `json:"runs,omitempty"`
+
+	mu sync.Mutex // guards Runs: grid cells record from worker goroutines
+}
+
+// table starts a new table; header's tabs separate its cells ("" for a
+// table of notes only).
+func (r *Result) table(title, header string) *Table {
+	t := &Table{Title: title}
+	if header != "" {
+		t.Header = strings.Split(header, "\t")
+	}
+	r.Tables = append(r.Tables, t)
+	return t
+}
+
+// record files a finished run under its scenario name.
+func (r *Result) record(rep *scenario.Report) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.Runs == nil {
+		r.Runs = make(map[string]*scenario.Report)
+	}
+	r.Runs[rep.Scenario] = rep
+}
+
+// run executes one scenario through the unified entrypoint under the
+// options' context and records its report.
+func (r *Result) run(o Options, s scenario.Scenario) (*scenario.Report, error) {
+	rep, err := scenario.Run(o.ctx(), s)
+	if err != nil {
+		return nil, err
+	}
+	r.record(rep)
+	return rep, nil
+}
+
+// sweep executes a grid in parallel and records every point; a point that
+// failed fails the experiment.
+func (r *Result) sweep(o Options, sw scenario.Sweep) (*scenario.SweepReport, error) {
+	grid, err := scenario.RunSweep(o.ctx(), sw)
+	if err != nil {
+		return nil, err
+	}
+	for _, pt := range grid.Points {
+		if pt.Err != "" {
+			return nil, fmt.Errorf("harness: %s %v: %s", grid.Name, pt.Labels, pt.Err)
+		}
+		r.record(pt.Report)
+	}
+	return grid, nil
+}
+
+// Render writes the text form: tables separated by a blank line, each its
+// title, its aligned header and rows, then its notes.
+func (r *Result) Render(w io.Writer) error {
+	for i, t := range r.Tables {
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		if t.Title != "" {
+			fmt.Fprintln(w, t.Title)
+		}
+		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+		if len(t.Header) > 0 {
+			fmt.Fprintln(tw, strings.Join(t.Header, "\t"))
+		}
+		for _, row := range t.Rows {
+			fmt.Fprintln(tw, strings.Join(row, "\t"))
+		}
+		if err := tw.Flush(); err != nil {
 			return err
 		}
-		return render(res, w)
+		for _, n := range t.Notes {
+			fmt.Fprintln(w, n)
+		}
 	}
-	return e
-}
-
-// Render writes the text form of a collected experiment result — the
-// bridge CLI front ends use to show tables for a result they also
-// marshal as JSON.
-func Render(e Experiment, res any, w io.Writer) error {
-	if e.render == nil {
-		return fmt.Errorf("harness: %s has no renderer", e.ID)
-	}
-	return e.render(res, w)
+	return nil
 }
 
 // registry of experiments, populated by the experiment files' init()s.
@@ -154,17 +225,12 @@ func IDs() []string {
 	return out
 }
 
-// newTable returns a tabwriter for aligned experiment output.
-func newTable(w io.Writer) *tabwriter.Writer {
-	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-}
-
 // pct renders a ratio as a signed percentage.
 func pct(now, base float64) string {
 	if base == 0 {
 		return "n/a"
 	}
-	return fmt.Sprintf("%+.1f%%", 100*(now-base)/base)
+	return fmt.Sprintf("%+.1f%%", gainPct(base, now))
 }
 
 // Chain builders shared by experiments. Each call returns fresh NF state.
@@ -229,6 +295,28 @@ func ChainSynthetic(name string, cycles uint64) func() *nf.Chain {
 	return func() *nf.Chain { return nf.NewChain(nf.NewSynthetic(name, cycles)) }
 }
 
+// parkArms are the two deployments every §6 figure compares, baseline
+// first.
+var parkArms = [2]sim.ParkMode{sim.ParkNone, sim.ParkEdge}
+
+// atSend returns base as a function of its send rate: the scenario
+// builder a peak search probes.
+func atSend(base scenario.Scenario) func(sendBps float64) scenario.Scenario {
+	return func(sendBps float64) scenario.Scenario {
+		base.Traffic.SendBps = sendBps
+		return base
+	}
+}
+
+// arm is atSend for base deployed in one parking mode. what tags the
+// run's name, keeping the peak and the PCIe runs of one base distinct in
+// Result.Runs.
+func arm(base scenario.Scenario, what string, mode sim.ParkMode) func(sendBps float64) scenario.Scenario {
+	base.Name = fmt.Sprintf("%s-%s[parking=%s]", base.Name, what, mode)
+	base.Parking.Mode = mode
+	return atSend(base)
+}
+
 // peakHealthySend binary-searches the highest send rate (bps) whose run
 // still satisfies ok (e.g. the <0.1% drop criterion). mk builds the
 // scenario for a given send rate. Returns the peak rate and its report.
@@ -236,7 +324,7 @@ func ChainSynthetic(name string, cycles uint64) func() *nf.Chain {
 // verdict), so it runs through scenario.Run rather than a Sweep grid.
 func peakHealthySend(o Options, mk func(sendBps float64) scenario.Scenario, lo, hi float64, iters int, ok func(*scenario.Report) bool) (float64, *scenario.Report, error) {
 	best := lo
-	bestRep, err := run(o, mk(lo))
+	bestRep, err := scenario.Run(o.ctx(), mk(lo))
 	if err != nil {
 		return 0, nil, err
 	}
@@ -246,7 +334,7 @@ func peakHealthySend(o Options, mk func(sendBps float64) scenario.Scenario, lo, 
 	}
 	for i := 0; i < iters; i++ {
 		mid := (lo + hi) / 2
-		rep, err := run(o, mk(mid))
+		rep, err := scenario.Run(o.ctx(), mk(mid))
 		if err != nil {
 			return 0, nil, err
 		}
@@ -258,6 +346,52 @@ func peakHealthySend(o Options, mk func(sendBps float64) scenario.Scenario, lo, 
 		}
 	}
 	return best, bestRep, nil
+}
+
+// peaks is the two-arm peak search: base's peak healthy send rate (bps)
+// and the report at it, as baseline and as PayloadPark (parkArms order).
+// The PayloadPark search may explore a higher ceiling than the baseline's.
+func (r *Result) peaks(o Options, base scenario.Scenario, lo, hiBase, hiPP float64) (send [2]float64, rep [2]*scenario.Report, err error) {
+	for i, hi := range [2]float64{hiBase, hiPP} {
+		send[i], rep[i], err = peakHealthySend(o, arm(base, "peak", parkArms[i]), lo, hi, o.iters(), healthy)
+		if err != nil {
+			return send, rep, err
+		}
+		r.record(rep[i])
+	}
+	return send, rep, nil
+}
+
+// pcie compares PCIe bus traffic (Gbps) of base's two arms at a common
+// sub-saturation send rate, where both carry the same pps and the
+// per-packet byte ratio shows (paper: "at all send rates").
+func (r *Result) pcie(o Options, base scenario.Scenario, sendBps float64) (gbps [2]float64, err error) {
+	for i, mode := range parkArms {
+		rep, err := r.run(o, arm(base, "pcie", mode)(sendBps))
+		if err != nil {
+			return gbps, err
+		}
+		gbps[i] = rep.Testbed.PCIeGbps
+	}
+	return gbps, nil
+}
+
+// savingsPct is how much smaller now is than base, in percent (0 for a
+// zero base).
+func savingsPct(base, now float64) float64 {
+	if base == 0 {
+		return 0
+	}
+	return 100 * (base - now) / base
+}
+
+// gainPct is how much larger now is than base, in percent (0 for a zero
+// base).
+func gainPct(base, now float64) float64 {
+	if base == 0 {
+		return 0
+	}
+	return 100 * (now - base) / base
 }
 
 // forEachCell runs fn(0..n-1) across a GOMAXPROCS-bounded worker pool

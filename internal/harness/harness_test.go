@@ -3,12 +3,12 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
+	"errors"
+	"os"
 	"strings"
 	"testing"
 
 	"github.com/payloadpark/payloadpark/internal/core"
-	"github.com/payloadpark/payloadpark/internal/rmt"
 	"github.com/payloadpark/payloadpark/internal/scenario"
 	"github.com/payloadpark/payloadpark/internal/sim"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
@@ -32,10 +32,9 @@ func TestRegistryComplete(t *testing.T) {
 	if _, ok := ByID("nope"); ok {
 		t.Error("ByID(nope) succeeded")
 	}
-	// Every experiment provides both the text and the structured path.
 	for _, e := range all {
-		if e.Run == nil || e.Collect == nil {
-			t.Errorf("%s: missing Run or Collect", e.ID)
+		if e.Collect == nil {
+			t.Errorf("%s: missing Collect", e.ID)
 		}
 	}
 	ids := IDs()
@@ -49,8 +48,9 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-// TestCollectStructured: a collected result marshals to JSON and matches
-// what the text rendering prints (fig6 as the cheap probe).
+// TestCollectStructured: a collected result marshals to JSON with its
+// table, and the text rendering prints the same cells (fig6 as the cheap
+// probe).
 func TestCollectStructured(t *testing.T) {
 	e, _ := ByID("fig6")
 	res, err := e.Collect(Options{Quick: true, Seed: 1})
@@ -61,16 +61,23 @@ func TestCollectStructured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), "mean_bytes") {
-		t.Errorf("fig6 JSON missing fields: %s", data)
+	var back Result
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
 	}
-	fig6 := res.(*Fig6Result)
+	if len(back.Tables) != 1 || len(back.Tables[0].Rows) != 11 || len(back.Tables[0].Rows[0]) != 2 {
+		t.Fatalf("fig6 JSON lost its table: %s", data)
+	}
+	samples := back.Tables[0].Title
+	if !strings.HasPrefix(samples, "samples=40000 ") {
+		t.Errorf("fig6 title = %q", samples)
+	}
 	var buf bytes.Buffer
 	if err := e.Run(Options{Quick: true, Seed: 1}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), fmt.Sprintf("samples=%d", fig6.Samples)) {
-		t.Errorf("text render disagrees with collected struct:\n%s", buf.String())
+	if !strings.Contains(buf.String(), samples) || !strings.Contains(buf.String(), back.Tables[0].Rows[10][1]) {
+		t.Errorf("text render disagrees with the collected table:\n%s", buf.String())
 	}
 }
 
@@ -190,11 +197,12 @@ func TestFig7Directional(t *testing.T) {
 			s.Traffic.SendBps = 11e9
 		})
 	}
-	base, err := run(o, mk(sim.ParkNone))
+	res := &Result{}
+	base, err := res.run(o, mk(sim.ParkNone))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp, err := run(o, mk(sim.ParkEdge))
+	pp, err := res.run(o, mk(sim.ParkEdge))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,19 +219,30 @@ func TestFig7Directional(t *testing.T) {
 	}
 }
 
+// TestFastExperimentsRun pins the text of the sub-two-second deterministic
+// experiments byte for byte: testdata/<id>.quick.seed1.txt is what
+// `ppbench -exp <id> -quick -seed 1` printed before the per-experiment
+// result types and renderers were collapsed into Result.
 func TestFastExperimentsRun(t *testing.T) {
-	// The sub-second experiments run end-to-end and produce output.
-	for _, id := range []string{"fig6", "table1", "equiv"} {
+	ids := []string{"fig6", "table1", "equiv"}
+	if !testing.Short() {
+		ids = append(ids, "fig7", "fig9", "fig13", "fabric", "policies")
+	}
+	for _, id := range ids {
 		e, ok := ByID(id)
 		if !ok {
 			t.Fatalf("missing %s", id)
+		}
+		want, err := os.ReadFile("testdata/" + id + ".quick.seed1.txt")
+		if err != nil {
+			t.Fatal(err)
 		}
 		var buf bytes.Buffer
 		if err := e.Run(Options{Quick: true, Seed: 1}, &buf); err != nil {
 			t.Errorf("%s: %v", id, err)
 		}
-		if buf.Len() == 0 {
-			t.Errorf("%s produced no output", id)
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%s text moved:\n%s\nwant:\n%s", id, buf.String(), want)
 		}
 	}
 }
@@ -264,10 +283,22 @@ func TestMultiServerPortLayout(t *testing.T) {
 }
 
 func TestEquivFailsClosed(t *testing.T) {
-	// runEquiv must return an error (not just print) if captures differ;
-	// we can't easily force a mismatch without breaking the dataplane, so
-	// assert the happy path returns nil and prints 'identical=true'.
+	// A gating experiment must return an error (not just print) when its
+	// check fails. We can't easily force a capture mismatch without
+	// breaking the dataplane, so assert the contract on Experiment.Run —
+	// a Result returned beside an error is rendered, then the error is
+	// returned — and that equiv's happy path returns nil and prints
+	// 'identical=true'.
 	var buf bytes.Buffer
+	gate := Experiment{Collect: func(Options) (*Result, error) {
+		res := &Result{}
+		res.table("", "").note("identical=false")
+		return res, errors.New("gate failed")
+	}}
+	if err := gate.Run(Options{}, &buf); err == nil || buf.String() != "identical=false\n" {
+		t.Errorf("failed gate: err=%v output=%q", err, buf.String())
+	}
+	buf.Reset()
 	e, _ := ByID("equiv")
 	if err := e.Run(Options{Quick: true, Seed: 42}, &buf); err != nil {
 		t.Fatalf("equiv: %v", err)
@@ -276,8 +307,6 @@ func TestEquivFailsClosed(t *testing.T) {
 		t.Errorf("equiv output: %s", buf.String())
 	}
 }
-
-var _ = rmt.PortID(0) // keep rmt import for layout helpers used in tests
 
 // TestMediumExperimentsRun executes two medium-cost experiments end to
 // end in quick mode, covering the sweep printers and the peak search.

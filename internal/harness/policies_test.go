@@ -21,16 +21,15 @@ func TestPoliciesRun(t *testing.T) {
 
 	// Index the healthy 512 B / 16 Gbps cells by policy.
 	toNF := map[string]float64{}
-	for _, r := range res.Testbed {
-		if r.SizeBytes == 512 && r.SendGbps == 16 {
-			if !r.Healthy {
-				t.Errorf("%s unhealthy at 16 Gbps", r.Policy)
-			}
-			toNF[r.Policy] = r.ToNFGbps
+	for _, policy := range policyNames {
+		r, ok := res.Runs[policyTestbedName(policy, 512, 16)]
+		if !ok {
+			t.Fatalf("no 512B/16G run for %s", policy)
 		}
-	}
-	if len(toNF) != 4 {
-		t.Fatalf("policies at 512B/16G = %v, want 4", toNF)
+		if !r.Healthy {
+			t.Errorf("%s unhealthy at 16 Gbps", policy)
+		}
+		toNF[policy] = r.Testbed.ToNFGbps
 	}
 	base := toNF["baseline"]
 	if toNF["park"] >= base || toNF["compress"] >= base {
@@ -39,32 +38,27 @@ func TestPoliciesRun(t *testing.T) {
 	if both := toNF["park+compress"]; both >= toNF["park"] || both >= toNF["compress"] {
 		t.Errorf("combined policy did not slim beyond either alone: %v", toNF)
 	}
-	for _, r := range res.Testbed {
-		switch r.Policy {
-		case "park", "park+compress":
-			if r.Splits == 0 {
-				t.Errorf("%s %dB/%gG: no splits", r.Policy, r.SizeBytes, r.SendGbps)
+	for _, policy := range policyNames {
+		for _, send := range policySends {
+			name := policyTestbedName(policy, 512, send)
+			r := res.Runs[name]
+			if parks := strings.Contains(policy, "park"); parks && r.Testbed.Splits == 0 {
+				t.Errorf("%s: no splits", name)
 			}
-		}
-		switch r.Policy {
-		case "compress", "park+compress":
-			if r.Compressions == 0 {
-				t.Errorf("%s %dB/%gG: no compressions", r.Policy, r.SizeBytes, r.SendGbps)
-			}
-		case "baseline", "park":
-			if r.Compressions != 0 {
-				t.Errorf("%s reported compressions", r.Policy)
+			if compresses := strings.Contains(policy, "compress"); compresses != (sumCompressions(r) != 0) {
+				t.Errorf("%s: compressions = %d", name, sumCompressions(r))
 			}
 		}
 	}
 
-	// Fabric points: four rows, compression slims the spine hops.
-	if len(res.Fabric) != 4 {
-		t.Fatalf("fabric rows = %d, want 4", len(res.Fabric))
-	}
+	// Fabric points: four runs, compression slims the spine hops.
 	spine := map[string]float64{}
-	for _, r := range res.Fabric {
-		spine[r.Policy] = r.SpineGbits
+	for _, policy := range policyNames {
+		r, ok := res.Runs["policies-fabric-"+policy]
+		if !ok {
+			t.Fatalf("no fabric run for %s", policy)
+		}
+		spine[policy] = spineGbits(r)
 	}
 	if spine["compress"] >= spine["baseline"] {
 		t.Errorf("fabric compression did not slim spine hops: %v", spine)
@@ -74,7 +68,7 @@ func TestPoliciesRun(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := renderPolicies(res, &buf); err != nil {
+	if err := res.Render(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -7,6 +7,7 @@ import (
 	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/rmt"
 	"github.com/payloadpark/payloadpark/internal/sim"
+	"github.com/payloadpark/payloadpark/internal/wire"
 )
 
 // Endpoint kinds hanging off switch ports.
@@ -226,41 +227,6 @@ func (cs *CounterSet) add(fs *fabricSwitch) {
 	}
 }
 
-// refNF is one NF endpoint of the reference replay, mirroring
-// wire.NFDaemon's byte path exactly: persistent parse scratch, the shared
-// handle chain, serialization into a reused buffer.
-type refNF struct {
-	handle func(*packet.Packet) bool
-	pkt    packet.Packet
-	udp    packet.UDP
-	tcp    packet.TCP
-	out    []byte
-}
-
-// nfOffset is where the PayloadPark header sits in a split UDP frame, as
-// wire.NFDaemon hard-codes it.
-const nfOffset = packet.HeaderUnitLen
-
-// process runs one frame through the NF, returning the response frame
-// (forwarded traffic, or an explicit-drop notification) or nil when the
-// frame dies silently. notified reports the notification case.
-func (n *refNF) process(frame []byte, explicitDrop bool) (out []byte, notified bool) {
-	n.pkt.UDP, n.pkt.TCP = &n.udp, &n.tcp
-	if err := packet.ParseAtInto(&n.pkt, frame, -1); err != nil {
-		return nil, false
-	}
-	if n.handle(&n.pkt) {
-		n.out = n.pkt.AppendSerialize(n.out[:0])
-		return n.out, false
-	}
-	if explicitDrop && len(frame) >= nfOffset+packet.PPHeaderLen && frame[nfOffset]&0x80 != 0 {
-		n.out = append(n.out[:0], frame[:nfOffset+packet.PPHeaderLen]...)
-		n.out[len(n.out)-packet.PPHeaderLen] |= 0x40
-		return n.out, true
-	}
-	return nil, false
-}
-
 // maxHops bounds one frame's walk through the reference fabric; the
 // longest legitimate path (leaf-spine with the NF return) is 7 segments.
 const maxHops = 16
@@ -276,10 +242,14 @@ func ReferenceRun(t Topology, s sim.Sections) (*Result, error) {
 		return nil, err
 	}
 	t, s = f.topo, f.sec
-	nfs := make([]*refNF, len(f.nfPort))
-	for j := range nfs {
-		nfs[j] = &refNF{handle: newNFHandle(t.DropFraction)}
+	// One NF endpoint per port: the shared handle chain, persistent parse
+	// scratch, and a reused response buffer, as a wire.NFDaemon holds them.
+	handles := make([]func(*packet.Packet) bool, len(f.nfPort))
+	for j := range handles {
+		handles[j] = newNFHandle(t.DropFraction)
 	}
+	scratch := make([]wire.NFScratch, len(f.nfPort))
+	var resp []byte
 	res := &Result{Geometry: t.Geometry, Mode: "reference", Parking: s.Parking.Enabled()}
 	// One one-slot burst per switch: the reference walks a frame at a time.
 	bursts := make([]*core.FrameBurst, len(f.switches))
@@ -318,17 +288,18 @@ func ReferenceRun(t Topology, s sim.Sections) (*Result, error) {
 					res.Delivered++
 					res.DeliveredBytes += uint64(len(out))
 				case epNF:
-					resp, notified := nfs[lk.ep.index].process(out, s.Parking.ExplicitDrop)
-					if resp == nil {
-						res.NFDropped++
-						break
-					}
-					if notified {
+					var verdict wire.NFVerdict
+					resp, verdict = wire.NFFrame(&scratch[lk.ep.index], handles[lk.ep.index], s.Parking.ExplicitDrop, out, resp[:0])
+					switch verdict {
+					case wire.NFNotified:
 						res.NFNotified++
+						fallthrough
+					case wire.NFForwarded:
+						frame = resp
+						at = f.nfPort[lk.ep.index]
+						continue
 					}
-					frame = resp
-					at = f.nfPort[lk.ep.index]
-					continue
+					res.NFDropped++ // no response: dropped by the chain, or unparseable
 				}
 				break
 			}

@@ -163,6 +163,9 @@ func (t Topology) Validate(s sim.Sections) error {
 	if s.Parking.ExplicitDrop && g.kind != "chain" {
 		return fmt.Errorf("live: explicit drop needs the NF on the parking switch's merge pipe; only the chain geometry provides that")
 	}
+	if err := s.Control.Validate(s.Parking.Enabled()); err != nil {
+		return fmt.Errorf("live: %w", err)
+	}
 	if err := s.Parking.Validate(); err != nil {
 		return fmt.Errorf("live: %w", err)
 	}

@@ -7,8 +7,8 @@ import (
 
 // Tofino-like per-pipe hardware budgets. The paper withholds exact figures
 // for confidentiality (§5 footnote 2); these are the publicly circulated
-// Tofino-1 approximations recorded in DESIGN.md §6. All Table 1 numbers in
-// EXPERIMENTS.md are computed against these budgets.
+// Tofino-1 approximations. All Table 1 numbers (`ppbench -exp table1`) are
+// computed against these budgets.
 const (
 	// StageCount is the number of match-action stages per pipe.
 	StageCount = 12

@@ -5,7 +5,6 @@ import (
 
 	"github.com/payloadpark/payloadpark/internal/live"
 	"github.com/payloadpark/payloadpark/internal/sim"
-	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
 // Live is the socket-backed deployment (internal/live): the same Parking,
@@ -23,11 +22,6 @@ func (l Live) validate(s *Scenario) error {
 	if s.Traffic.Source != nil {
 		return errf("live: Traffic.Source unsupported")
 	}
-	switch s.Traffic.SizeDist().(type) {
-	case nil, trafficgen.Fixed, trafficgen.Datacenter:
-	default:
-		return errf("live: Traffic.Dist %T unsupported (use FixedSize or the default mix)", s.Traffic.Dist)
-	}
 	if s.Parking.Mode == sim.ParkEveryHop {
 		return errf("live: ParkEveryHop unsupported (the socket fabric parks at the edge)")
 	}
@@ -39,9 +33,6 @@ func (l Live) validate(s *Scenario) error {
 	}
 	if s.Control.ECMP {
 		return errf("live: ECMP unsupported (the socket fabric routes statically)")
-	}
-	if s.Control.Adaptive && !s.Parking.Enabled() {
-		return errf("live: adaptive control needs parking enabled")
 	}
 	if s.Observe.Trace {
 		return errf("live: Observe.Trace is simulated-topology only (flight recording needs the deterministic sim clock); Observe.Metrics works live")

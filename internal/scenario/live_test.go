@@ -8,15 +8,42 @@ import (
 
 	"math/rand"
 
+	"github.com/payloadpark/payloadpark/internal/live"
 	"github.com/payloadpark/payloadpark/internal/sim"
 )
 
-// oddDist is a size distribution the live topology cannot serialize or
-// reproduce in its pre-generated frame tables.
+// oddDist is a size distribution that is neither Fixed nor the datacenter
+// mix: half the frames below the parking threshold, half above.
 type oddDist struct{}
 
-func (oddDist) Sample(*rand.Rand) int { return 700 }
-func (oddDist) Name() string          { return "odd" }
+func (oddDist) Sample(rng *rand.Rand) int { return []int{96, 700}[rng.Intn(2)] }
+func (oddDist) Name() string              { return "odd" }
+
+// TestLiveScenarioAnyDist: the live runner pre-generates its frames from
+// Traffic.Dist as written, so any distribution replays on sockets with
+// exact counter parity against the in-process reference.
+func TestLiveScenarioAnyDist(t *testing.T) {
+	s := Scenario{
+		Topology: Live{Frames: 32, Lockstep: true, DropFraction: 0.2},
+		Parking:  Parking{Mode: sim.ParkEdge, Slots: 8, MaxExpiry: 2},
+		Traffic:  Traffic{Dist: oddDist{}},
+		Opts:     RunOptions{Seed: 9},
+	}
+	rep, err := Run(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := live.ReferenceRun(live.Topology(s.Topology.(Live)), s.sections())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := live.Parity(rep.Live, ref); err != nil {
+		t.Fatalf("odd-distribution replay diverged: %v", err)
+	}
+	if c := rep.Live.Counters; c.Splits == 0 || c.SmallPayloadSkips == 0 {
+		t.Fatalf("distribution did not straddle the parking threshold: %+v", c)
+	}
+}
 
 func TestLiveScenarioRoundTripAndRun(t *testing.T) {
 	s := Scenario{
@@ -69,7 +96,6 @@ func TestLiveScenarioValidation(t *testing.T) {
 		{func(s *Scenario) { s.Parking.Recirculate = true }, "Recirculate"},
 		{func(s *Scenario) { s.Program.Kind = "compress" }, "table programs"},
 		{func(s *Scenario) { s.Control.ECMP = true }, "ECMP"},
-		{func(s *Scenario) { s.Traffic.Dist = oddDist{} }, "Dist"},
 	}
 	for _, tc := range cases {
 		s := base

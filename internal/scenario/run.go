@@ -174,31 +174,6 @@ func (t Testbed) validate(s *Scenario) error {
 	if s.Control.ECMP {
 		return errf("testbed: ECMP needs a multipath topology (use LeafSpine)")
 	}
-	if s.Control.Adaptive && !s.Parking.Enabled() {
-		return errf("testbed: adaptive control needs parking enabled")
-	}
-	switch s.Program.Kind {
-	case "":
-		if s.Program.Spec != nil {
-			return errf("testbed: Program.Spec set without Program.Kind \"custom\"")
-		}
-	case "compress":
-		if s.Program.Spec != nil {
-			return errf("testbed: Program.Kind \"compress\" is built-in (drop Spec, or use Kind \"custom\")")
-		}
-	case "custom":
-		if s.Program.Spec == nil {
-			return errf("testbed: Program.Kind \"custom\" needs a Spec")
-		}
-		if s.Program.Spec.UsesRecircPipe() {
-			return errf("testbed: custom specs cannot target the recirculation pipe (the built-in program owns it; use Parking.Recirculate)")
-		}
-		if s.Parking.Enabled() && s.Program.Spec.ParksPayload() {
-			return errf("testbed: custom spec %q parks payload while Parking is enabled; both programs would claim the same packets (disable one)", s.Program.Spec.Name)
-		}
-	default:
-		return errf("testbed: unknown Program.Kind %q (want \"compress\" or \"custom\")", s.Program.Kind)
-	}
 	return nil
 }
 
@@ -281,20 +256,6 @@ func (m MultiServer) run(ctx context.Context, s *Scenario) (*Report, error) {
 // --- LeafSpine ---
 
 func (l LeafSpine) validate(s *Scenario) error {
-	switch s.Program.Kind {
-	case "":
-		if s.Program.Spec != nil {
-			return errf("leafspine: Program.Spec set without Program.Kind")
-		}
-	case "compress":
-		if s.Program.Spec != nil {
-			return errf("leafspine: Program.Kind \"compress\" is built-in (drop Spec)")
-		}
-	case "custom":
-		return errf("leafspine: custom Program specs are Testbed-only (use Kind \"compress\")")
-	default:
-		return errf("leafspine: unknown Program.Kind %q (want \"compress\")", s.Program.Kind)
-	}
 	if s.Chain != nil {
 		return errf("leafspine: custom Chain unsupported (fabric NFs pin the MAC-swap chain)")
 	}
@@ -303,9 +264,6 @@ func (l LeafSpine) validate(s *Scenario) error {
 	}
 	if s.Parking.Recirculate || s.Parking.BoundaryOffset != 0 || s.Parking.ExplicitDrop {
 		return errf("leafspine: Recirculate/BoundaryOffset/ExplicitDrop unsupported")
-	}
-	if s.Control.Adaptive && !s.Control.ECMP && !s.Parking.Enabled() {
-		return errf("leafspine: adaptive control needs parking enabled")
 	}
 	return nil
 }

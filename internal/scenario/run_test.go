@@ -246,3 +246,33 @@ func TestReportHeadlines(t *testing.T) {
 		t.Errorf("leafspine headline metrics diverge from the detail: %+v", ls)
 	}
 }
+
+// TestMultiServerReportsParkingCounters: a multi-server run fills every
+// server's parking counters, and Report.Premature — the Fig. 14 criterion
+// — is their sum. A 64-slot table with EXP=1 wraps long before headers
+// return through a saturated server's RX queues, so every server must
+// evict prematurely.
+func TestMultiServerReportsParkingCounters(t *testing.T) {
+	slow := sim.DefaultServerModel()
+	slow.RxFixedNs = 2500 // 8 cores x 0.4 Mpps: far below the 3.5 Mpps offered
+	rep, err := Run(context.Background(), Scenario{
+		Topology: MultiServer{Servers: 4},
+		Parking:  Parking{Mode: sim.ParkEdge, Slots: 64, MaxExpiry: 1},
+		Traffic:  Traffic{SendBps: 11e9},
+		Server:   slow,
+		Opts:     RunOptions{Seed: 1, WarmupNs: 1e6, MeasureNs: 4e6},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum uint64
+	for i, r := range rep.MultiServer.PerServer {
+		if r.Splits == 0 || r.Merges == 0 || r.Premature == 0 {
+			t.Errorf("server %d: splits=%d merges=%d premature=%d, want all non-zero", i+1, r.Splits, r.Merges, r.Premature)
+		}
+		sum += r.Premature
+	}
+	if rep.Premature != sum {
+		t.Errorf("Report.Premature = %d, want the per-server sum %d", rep.Premature, sum)
+	}
+}

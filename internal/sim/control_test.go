@@ -3,14 +3,16 @@ package sim
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/payloadpark/payloadpark/internal/ctrl"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
-// ecmpSmoke is a 6x3 fabric with hash-group routing; run it with
-// runStatic for the groups alone, or enable Control.Adaptive and run.
+// ecmpSmoke is a 6x3 fabric with hash-group routing (a controller owns
+// the groups' membership); enable Control.Adaptive for the parking policy
+// too.
 func ecmpSmoke(mode ParkMode, sendGbps float64) leafSpineRun {
 	r := fabricRun(LeafSpine{Leaves: 6, Spines: 3}, mode, sendGbps*1e9, RunOptions{Seed: 1, WarmupNs: 2e6, MeasureNs: 10e6})
 	r.Control.ECMP = true
@@ -33,7 +35,7 @@ func TestLeafSpineECMPSpreadsFlows(t *testing.T) {
 	static := ecmpSmoke(ParkEdge, 4)
 	static.Control.ECMP = false
 	s := static.run(t)
-	e := ecmpSmoke(ParkEdge, 4).runStatic(t)
+	e := ecmpSmoke(ParkEdge, 4).run(t)
 
 	if !e.Healthy {
 		t.Fatalf("ECMP run unhealthy: drop=%.5f", e.UnintendedDropRate)
@@ -56,7 +58,7 @@ func TestLeafSpineECMPSpreadsFlows(t *testing.T) {
 		}
 	}
 	// Baseline (no parking) may additionally use the merge spine.
-	b := ecmpSmoke(ParkNone, 4).runStatic(t)
+	b := ecmpSmoke(ParkNone, 4).run(t)
 	if linkTx(b, "spine1->leaf1") == 0 {
 		t.Error("baseline ECMP should use all three spines toward leaf1")
 	}
@@ -148,24 +150,6 @@ func TestLeafSpineECMPControllerReroute(t *testing.T) {
 	}
 }
 
-// TestLeafSpineECMPFallbackReroute: ECMP without a controller mirrors
-// the static detection delay with a one-shot group rewrite.
-func TestLeafSpineECMPFallbackReroute(t *testing.T) {
-	cfg := fabricRun(LeafSpine{Leaves: 6, Spines: 3, FailLink: true, FailAtNs: 5e6, RerouteNs: 1e6}, ParkEdge, 4e9,
-		RunOptions{Seed: 1, WarmupNs: 2e6, MeasureNs: 12e6})
-	cfg.Control.ECMP = true
-	r := cfg.runStatic(t)
-	if r.Control != nil {
-		t.Error("no controller configured, but a control report appeared")
-	}
-	if r.PhaseDelivered[0] == 0 || r.PhaseDelivered[2] == 0 {
-		t.Fatalf("no recovery: phases=%v", r.PhaseDelivered)
-	}
-	if n := totalPrematureStats(r); n != 0 {
-		t.Errorf("fallback reroute caused %d premature evictions", n)
-	}
-}
-
 func TestLeafSpineECMPRejectsEveryHop(t *testing.T) {
 	cfg := ecmpSmoke(ParkEveryHop, 2)
 	if _, err := RunLeafSpine(cfg.LeafSpine, cfg.Sections, cfg.Wiring); err == nil {
@@ -213,9 +197,10 @@ func TestTestbedAdaptiveControlTimeline(t *testing.T) {
 		t.Errorf("first decision = %q, want backoff", res.Control.Decisions[0].Kind)
 	}
 
-	// Without a program (baseline), Control is ignored.
+	// Without a program (baseline) there is nothing to retune: an error
+	// naming the field, not a run that silently drops the controller.
 	cfg.Parking.Mode = ParkNone
-	if base := cfg.run(t); base.Control != nil {
-		t.Error("baseline run produced a control report")
+	if _, err := RunTestbed(cfg.Testbed, cfg.Sections, cfg.Wiring); err == nil || !strings.Contains(err.Error(), "control.adaptive needs parking") {
+		t.Errorf("adaptive baseline run: err = %v", err)
 	}
 }

@@ -145,22 +145,14 @@ func leafSpineMACs(i int) (gen, nfm packet.MAC) {
 // whose decision timeline lands in FabricResult.Control. The sections
 // are resolved and validated first: a description the fabric cannot run
 // is an error, never a panic.
-func RunLeafSpine(l LeafSpine, s Sections, w Wiring) (FabricResult, error) {
-	return runLeafSpine(l, s, w, s.Control.Enabled())
-}
-
-// runLeafSpine is RunLeafSpine with the controller decision explicit:
-// tests pass controlled=false with Control.ECMP set to pin what the hash
-// groups do on their own (static failover by a one-shot group rewrite,
-// partition invariance), which no Scenario reaches — there, an enabled
-// Control always runs the controller.
-func runLeafSpine(l LeafSpine, sec Sections, w Wiring, controlled bool) (FabricResult, error) {
+func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
 	l.Resolve(&sec)
 	if err := l.Validate(sec); err != nil {
 		return FabricResult{}, err
 	}
 	L, S := l.Leaves, l.Spines
 	mode, ecmp, compress := sec.Parking.Mode, sec.Control.ECMP, sec.Program.Kind == "compress"
+	controlled := sec.Control.Enabled() // ECMP groups always run under a controller
 
 	// Partition placement: greedy min-cut over the switch graph (leaves
 	// 0..L-1 then spines L..L+S-1, matching report order); every leaf's
@@ -301,7 +293,7 @@ func runLeafSpine(l LeafSpine, sec Sections, w Wiring, controlled bool) (FabricR
 	// membership from there.
 	var plant *controlPlant
 	var groups []ctrl.Group
-	if ecmp || controlled {
+	if controlled {
 		// Transit programs (demotable by the adaptive policy) are the
 		// every-hop stripers: everything whose split port is not the
 		// ingress-leaf traffic source.
@@ -497,8 +489,10 @@ func runLeafSpine(l LeafSpine, sec Sections, w Wiring, controlled bool) (FabricR
 		// group) rewrite with leaf 0 — so partitioned runs mutate each from
 		// its own timeline only.
 		spines[l.spineOf(0)].Engine().ScheduleAt(l.FailAtNs, func() { failLink.Down = true })
-		switch {
-		case !ecmp:
+		// Static routes are rewritten after the detection delay. With ECMP
+		// the controller's next telemetry tick sees the down link and
+		// shrinks the group instead — detection latency is the tick period.
+		if !ecmp {
 			_, nfDst := leafSpineMACs(1 % L)
 			alt := (l.spineOf(0) + 1) % S
 			if mode != ParkNone {
@@ -510,22 +504,6 @@ func runLeafSpine(l LeafSpine, sec Sections, w Wiring, controlled bool) (FabricR
 			leaves[0].Engine().ScheduleAt(l.FailAtNs+l.RerouteNs, func() {
 				leaves[0].SW.AddL2Route(nfDst, altPort)
 			})
-		case !controlled:
-			// ECMP without a controller: one-shot group rewrite after the
-			// static detection delay — the failed spine leaves flow 0's
-			// forward group, and Maglev remaps only the flows it carried.
-			dead := fmt.Sprintf("spine%d", l.spineOf(0))
-			var survivors []string
-			for _, m := range groups[0].Members {
-				if m.Name != dead {
-					survivors = append(survivors, m.Name)
-				}
-			}
-			leaves[0].Engine().ScheduleAt(l.FailAtNs+l.RerouteNs, func() {
-				plant.PushGroup(groups[0].Name, survivors)
-			})
-			// With a controller, its next telemetry tick sees the down link
-			// and reroutes — detection latency is the tick period.
 		}
 	}
 

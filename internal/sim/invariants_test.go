@@ -44,7 +44,7 @@ func TestFabricSlotAccountingGoldenRuns(t *testing.T) {
 
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {
-			res := cfg.runStatic(t) // the ecmp case: hash groups, no controller
+			res := cfg.run(t)
 			assertFabricInvariants(t, res)
 			var splits uint64
 			for _, sw := range res.Switches {

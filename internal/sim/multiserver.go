@@ -80,10 +80,14 @@ func wireServer(f *Fabric, swn *SwitchNode, m MultiServer, s Sections, i int, re
 	swn.SW.AddL2Route(macSink, sinkPort)
 	swn.SW.AddL2Route(macGen, sinkPort) // MAC swap returns toward the generator
 
+	var prog *core.Program
+	var snap core.Counters // the program's counters at window start
 	if s.Parking.Enabled() {
-		if _, err := swn.SW.AttachPayloadPark(s.Parking.Core(split, nfPort), -1); err != nil {
+		var err error
+		if prog, err = swn.SW.AttachPayloadPark(s.Parking.Core(split, nfPort), -1); err != nil {
 			return fmt.Errorf("attach server %d: %w", i+1, err)
 		}
+		eng.ScheduleAt(windowStart, func() { snap = prog.C })
 	}
 
 	srv := nf.NewServer(nf.ServerConfig{Chain: nf.NewChain(nf.MACSwap{})})
@@ -164,6 +168,9 @@ func wireServer(f *Fabric, swn *SwitchNode, m MultiServer, s Sections, i int, re
 			res.UnintendedDropRate = float64(drops) / float64(sent)
 		}
 		res.Healthy = res.UnintendedDropRate < HealthyDropRate
+		if prog != nil {
+			res.parkingSince(&prog.C, &snap)
+		}
 	})
 	return nil
 }

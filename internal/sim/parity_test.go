@@ -138,15 +138,19 @@ func TestMultiServerFabricParity(t *testing.T) {
 	}
 	// Server 1 and 2 of the pre-refactor run, field for field. SendGbps
 	// and Delivered were not recorded pre-refactor (always zero); their
-	// values here were captured when the measurement was added — every
+	// values here were captured when the measurement was added, and so
+	// were Splits and Merges when wireServer stopped discarding its
+	// program (they had been zero whatever happened) — every other
 	// timeline-derived field is still the original golden.
 	assertGolden(t, "ms-pp-1", r.PerServer[0], Result{
 		Name: "server-1", SendGbps: 11.0106624, GoodputGbps: 6.6230472, ToNFGbps: 7.311156, ToNFMpps: 3.5839,
 		AvgLatencyUs: 3.673, MaxLatencyUs: 3.673, Delivered: 71671, Healthy: true,
+		Splits: 80648, Merges: 80655,
 	})
 	assertGolden(t, "ms-pp-2", r.PerServer[1], Result{
 		Name: "server-2", SendGbps: 11.010816, GoodputGbps: 6.6231396, ToNFGbps: 7.311258, ToNFMpps: 3.58395,
 		AvgLatencyUs: 3.673, MaxLatencyUs: 3.673, Delivered: 71672, Healthy: true,
+		Splits: 80647, Merges: 80654,
 	})
 
 	cfg.Parking.Mode = ParkNone

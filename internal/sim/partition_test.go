@@ -52,8 +52,9 @@ func TestGreedyPartitionPlacement(t *testing.T) {
 // TestLeafSpinePartitionParity is the tentpole's determinism contract:
 // the partitioned conservative-sync runner produces byte-identical
 // FabricResults across partition counts — including the failure-reroute
-// and ECMP goldens — with partitions=1 being the reference serial
-// timeline. Runs under -race in CI, which also pins the runner's
+// golden — with partitions=1 being the reference serial timeline (ECMP
+// runs a controller, which forces the serial run: see
+// TestLeafSpinePartitionsWithController). Runs under -race in CI, which also pins the runner's
 // barrier discipline.
 func TestLeafSpinePartitionParity(t *testing.T) {
 	cases := []struct {
@@ -64,19 +65,16 @@ func TestLeafSpinePartitionParity(t *testing.T) {
 		{"4x2-everyhop", leafSpineSmoke(ParkEveryHop, 6)},
 		{"6x3-fail", fabricRun(LeafSpine{Leaves: 6, Spines: 3, FailLink: true}, ParkEdge, 4e9,
 			RunOptions{Seed: 3, WarmupNs: 2e6, MeasureNs: 10e6})},
-		{"6x3-ecmp-fail", fabricRun(LeafSpine{Leaves: 6, Spines: 3, FailLink: true}, ParkEdge, 4e9,
-			RunOptions{Seed: 5, WarmupNs: 2e6, MeasureNs: 8e6})},
 	}
-	cases[3].cfg.Control.ECMP = true // hash groups with no controller: a controller would force a serial run
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			base := tc.cfg
 			base.Opts.Partitions = 1
-			want := base.runStatic(t)
+			want := base.run(t)
 			for _, p := range []int{2, 4, 8} {
 				cfg := tc.cfg
 				cfg.Opts.Partitions = p
-				if got := cfg.runStatic(t); !reflect.DeepEqual(want, got) {
+				if got := cfg.run(t); !reflect.DeepEqual(want, got) {
 					t.Errorf("partitions=%d diverged from serial run:\nserial: %+v\nparallel: %+v", p, want, got)
 				}
 			}

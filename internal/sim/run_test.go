@@ -53,17 +53,6 @@ func (r leafSpineRun) run(t testing.TB) FabricResult {
 	return res
 }
 
-// runStatic runs with no controller even when Control.ECMP installs hash
-// groups (see runLeafSpine).
-func (r leafSpineRun) runStatic(t testing.TB) FabricResult {
-	t.Helper()
-	res, err := runLeafSpine(r.LeafSpine, r.Sections, r.Wiring, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
 // fabricRun spells a leaf-spine description the way the fabric tests
 // vary it: geometry (and failure scenario), parking mode, offered load
 // per source, and the seed/window options.

@@ -111,6 +111,36 @@ func (p Program) IsZero() bool {
 	return p.Kind == "" && p.Slots == 0 && p.MaxExpiry == 0 && p.Spec == nil && len(p.Params) == 0
 }
 
+// Validate is the one home of the Kind/Spec rules. custom says whether
+// the topology accepts Kind "custom" specs (only the Testbed does);
+// parking whether the built-in parking program is installed beside it.
+func (p Program) Validate(custom, parking bool) error {
+	switch p.Kind {
+	case "":
+		if p.Spec != nil {
+			return errors.New(`Program.Spec set without Program.Kind "custom"`)
+		}
+	case "compress":
+		if p.Spec != nil {
+			return errors.New(`Program.Kind "compress" is built-in (drop Spec, or use Kind "custom" on a Testbed)`)
+		}
+	case "custom":
+		switch {
+		case !custom:
+			return errors.New(`Program.Kind "custom" specs are Testbed-only (use Kind "compress")`)
+		case p.Spec == nil:
+			return errors.New(`Program.Kind "custom" needs a Spec`)
+		case p.Spec.UsesRecircPipe():
+			return errors.New("Program.Spec cannot target the recirculation pipe (the built-in program owns it; use Parking.Recirculate)")
+		case parking && p.Spec.ParksPayload():
+			return fmt.Errorf("Program.Spec %q parks payload while Parking is enabled; both programs would claim the same packets (disable one)", p.Spec.Name)
+		}
+	default:
+		return fmt.Errorf(`unknown Program.Kind %q (want "compress" or, on a Testbed, "custom")`, p.Kind)
+	}
+	return nil
+}
+
 // Traffic is the offered-load spec of a run.
 type Traffic struct {
 	// SendBps is the offered load per traffic source, in frame
@@ -277,6 +307,12 @@ func (t *Testbed) Resolve(s *Sections) {
 
 // Validate reports the first rule a resolved testbed run breaks.
 func (t Testbed) Validate(s Sections) error {
+	if err := s.Program.Validate(true, s.Parking.Enabled()); err != nil {
+		return err
+	}
+	if err := s.Control.Validate(s.Parking.Enabled()); err != nil {
+		return err
+	}
 	return s.Parking.Validate()
 }
 
@@ -396,6 +432,12 @@ func CheckLeafSpine(leaves, spines int, pinned bool) error {
 // Validate reports the first leaf-spine rule a resolved run breaks. It is
 // the one place the geometry and mode-combination rules live.
 func (l LeafSpine) Validate(s Sections) error {
+	if err := s.Program.Validate(false, s.Parking.Enabled()); err != nil {
+		return err
+	}
+	if err := s.Control.Validate(s.Parking.Enabled()); err != nil {
+		return err
+	}
 	compress := s.Program.Kind == "compress"
 	// Compression pins its restore port like ParkEdge pins its merge
 	// port, so the same geometry requirement applies.

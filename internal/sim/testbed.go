@@ -103,6 +103,18 @@ func (r Result) String() string {
 		r.Name, r.SendGbps, r.GoodputGbps, r.AvgLatencyUs, 100*r.UnintendedDropRate, r.PCIeUtilPct, r.Healthy)
 }
 
+// parkingSince fills the parking counters with a program's in-window
+// deltas: its counters now, less the snapshot taken at window start.
+func (r *Result) parkingSince(now, snap *core.Counters) {
+	r.Splits = now.Splits.Value() - snap.Splits.Value()
+	r.Merges = now.Merges.Value() - snap.Merges.Value()
+	r.Evictions = now.Evictions.Value() - snap.Evictions.Value()
+	r.Premature = now.PrematureEvictions.Value() - snap.PrematureEvictions.Value()
+	r.OccupiedSkips = now.OccupiedSkips.Value() - snap.OccupiedSkips.Value()
+	r.SmallSkips = now.SmallPayloadSkips.Value() - snap.SmallPayloadSkips.Value()
+	r.ExplicitDrops = now.ExplicitDrops.Value() - snap.ExplicitDrops.Value()
+}
+
 // wireTestbed installs the Fig. 5 wiring on sw: generator on port 0 (the
 // split port), NF server on port 1 (the merge port), sink on port 2. A
 // nil pp leaves the switch a plain L2 forwarder (the baseline).
@@ -340,13 +352,7 @@ func RunTestbed(t Testbed, s Sections, w Wiring) (Result, error) {
 	}
 	res.Healthy = res.UnintendedDropRate < HealthyDropRate
 	if prog != nil {
-		res.Splits = prog.C.Splits.Value() - snap.Splits.Value()
-		res.Merges = prog.C.Merges.Value() - snap.Merges.Value()
-		res.Evictions = prog.C.Evictions.Value() - snap.Evictions.Value()
-		res.Premature = prog.C.PrematureEvictions.Value() - snap.PrematureEvictions.Value()
-		res.OccupiedSkips = prog.C.OccupiedSkips.Value() - snap.OccupiedSkips.Value()
-		res.SmallSkips = prog.C.SmallPayloadSkips.Value() - snap.SmallPayloadSkips.Value()
-		res.ExplicitDrops = prog.C.ExplicitDrops.Value() - snap.ExplicitDrops.Value()
+		res.parkingSince(&prog.C, &snap)
 		res.SRAMPct = sw.Pipe(0).Resources().SRAMAvgPct
 	}
 	if inst != nil {

@@ -50,7 +50,7 @@ func (f Fixed) Name() string { return "fixed" }
 // The resulting mean is ~882 B, the paper's reported average. The split of
 // medium vs. large weight is chosen so both the 160 B mode's +13% and the
 // recirculation mode's +28% goodput gains fall out of the same workload
-// (see EXPERIMENTS.md).
+// (`ppbench -exp fig7` and `-exp fig13`).
 type Datacenter struct{}
 
 // Mixture parameters (see type comment).

@@ -423,11 +423,61 @@ func (d *NFDaemon) Retarget(switchAddr string) error {
 // ppOffset is where the PayloadPark header sits in a split UDP frame.
 const ppOffset = packet.HeaderUnitLen
 
+// NFScratch is the parse scratch NFFrame reuses from frame to frame; the
+// caller holds one per NF endpoint.
+type NFScratch struct {
+	pkt packet.Packet
+	udp packet.UDP
+	tcp packet.TCP
+}
+
+// NFVerdict is what became of one frame at the NF.
+type NFVerdict int
+
+const (
+	// NFUnparseable: the frame is not a packet the NF understands; no
+	// response.
+	NFUnparseable NFVerdict = iota
+	// NFForwarded: the chain passed the packet; the response is its
+	// re-serialization.
+	NFForwarded
+	// NFNotified: the chain dropped a packet carrying an enabled
+	// PayloadPark header and explicit drops are on; the response is the
+	// §6.2.4 notification.
+	NFNotified
+	// NFDropped: the chain dropped the packet silently; no response.
+	NFDropped
+)
+
+// NFFrame is the NF server's byte path for one frame: parse into sc,
+// run handle (NFConfig.Handle's contract), and append the response frame
+// — the forwarded packet or an explicit-drop notification — to dst. The
+// NF parses only the protocol headers it understands; a PayloadPark
+// header rides in the payload region, and the notification is built from
+// the raw bytes, as the real 50-line framework patch does: flip OP,
+// truncate after the PayloadPark header. NFDaemon and the live fabric's
+// in-process reference replay both run exactly this function.
+func NFFrame(sc *NFScratch, handle func(*packet.Packet) bool, explicitDrop bool, frame, dst []byte) ([]byte, NFVerdict) {
+	sc.pkt.UDP, sc.pkt.TCP = &sc.udp, &sc.tcp
+	if err := packet.ParseAtInto(&sc.pkt, frame, -1); err != nil {
+		return dst, NFUnparseable
+	}
+	if handle(&sc.pkt) {
+		return sc.pkt.AppendSerialize(dst), NFForwarded
+	}
+	if explicitDrop && len(frame) >= ppOffset+packet.PPHeaderLen && frame[ppOffset]&0x80 != 0 {
+		dst = append(dst, frame[:ppOffset+packet.PPHeaderLen]...)
+		dst[len(dst)-packet.PPHeaderLen] |= 0x40
+		return dst, NFNotified
+	}
+	return dst, NFDropped
+}
+
 // Run serves until ctx is cancelled. Frames are read in recvmmsg-style
-// bursts; each is parsed into a reused packet, serialized into the
-// burst's shared send buffer, and the whole burst's responses are
-// written out together (BatchSender), so the framework path allocates
-// only what the hosted NF chain itself allocates.
+// bursts; each runs through NFFrame into the burst's shared send buffer,
+// and the whole burst's responses are written out together
+// (BatchSender), so the framework path allocates only what the hosted NF
+// chain itself allocates.
 func (d *NFDaemon) Run(ctx context.Context) error {
 	go func() {
 		<-ctx.Done()
@@ -436,9 +486,7 @@ func (d *NFDaemon) Run(ctx context.Context) error {
 	br := NewBurstReader(d.conn, d.cfg.Burst)
 	bs := NewBatchSender(d.conn)
 	br.Hist, bs.Hist = d.burstHist, d.batchHist
-	var pkt packet.Packet
-	var udp packet.UDP
-	var tcp packet.TCP
+	var sc NFScratch
 	for {
 		count, err := br.Read()
 		if err != nil {
@@ -449,27 +497,18 @@ func (d *NFDaemon) Run(ctx context.Context) error {
 		}
 		for i := 0; i < count; i++ {
 			d.Rx.Add(1)
-			frame := br.Frame(i)
-			// The NF parses only the protocol headers it understands; the
-			// PayloadPark header rides in the payload region.
-			pkt.UDP, pkt.TCP = &udp, &tcp
-			if err := packet.ParseAtInto(&pkt, frame, -1); err != nil {
-				continue
+			switch out, verdict := NFFrame(&sc, d.cfg.Handle, d.cfg.ExplicitDrop, br.Frame(i), bs.Begin()); verdict {
+			case NFForwarded:
+				bs.Commit(out, d.swAddr, &d.Tx)
+			case NFNotified:
+				bs.Commit(out, d.swAddr, &d.Notified)
+			case NFDropped:
+				d.Dropped.Add(1)
+			case NFUnparseable:
+				// Skipped without counting as Dropped: that counter is the
+				// chain's verdicts (the reference replay, which keeps no
+				// counters of its own, treats both as "no response").
 			}
-			if d.cfg.Handle(&pkt) {
-				bs.Commit(pkt.AppendSerialize(bs.Begin()), d.swAddr, &d.Tx)
-				continue
-			}
-			// Dropped by the NF.
-			if d.cfg.ExplicitDrop && len(frame) >= ppOffset+packet.PPHeaderLen && frame[ppOffset]&0x80 != 0 {
-				// Raw-byte manipulation, as the real 50-line framework patch
-				// does: flip OP, truncate after the PayloadPark header.
-				notif := append(bs.Begin(), frame[:ppOffset+packet.PPHeaderLen]...)
-				notif[len(notif)-packet.PPHeaderLen] |= 0x40
-				bs.Commit(notif, d.swAddr, &d.Notified)
-				continue
-			}
-			d.Dropped.Add(1)
 		}
 		bs.Flush()
 	}

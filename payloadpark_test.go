@@ -181,7 +181,7 @@ func TestExperimentsRegistry(t *testing.T) {
 	}
 	ids := map[string]bool{}
 	for _, e := range exps {
-		if e.ID == "" || e.Title == "" || e.Paper == "" || e.Run == nil {
+		if e.ID == "" || e.Title == "" || e.Paper == "" || e.Collect == nil {
 			t.Errorf("incomplete experiment: %+v", e.ID)
 		}
 		if ids[e.ID] {
