@@ -21,16 +21,6 @@ import (
 	payloadpark "github.com/payloadpark/payloadpark"
 )
 
-// headerGbps converts a delivered packet rate into the paper's
-// header-unit goodput (42 B of useful header per packet, §6.1).
-// SimResult.GoodputGbps holds the bits that actually crossed the to-NF
-// link (full packets for baseline, header remainders for PayloadPark),
-// so the two metrics answer different questions: how loaded is the link
-// vs how many useful headers reached the NF.
-func headerGbps(r payloadpark.SimResult) float64 {
-	return r.ToNFMpps * 1e6 * payloadpark.HeaderUnitLen * 8 / 1e9
-}
-
 // scenario builds the 8-server run; the parking mode is the only knob
 // the comparison turns.
 func scenario(mode payloadpark.ParkMode, sendGbps float64) payloadpark.Scenario {
@@ -63,11 +53,11 @@ func main() {
 
 	fmt.Println("8 NF servers (MAC-swap), 384B packets, 12 Gbps offered per server (baseline link caps at ~9.4)")
 	fmt.Println()
-	fmt.Println("server   baseline            payloadpark         (header-unit goodput | delivered link bits)")
+	fmt.Println("server   baseline            payloadpark         (GoodputGbps | ToNFGbps: useful-header bits | wire bits to the NF)")
 	for i := range base.PerServer {
 		b, p := base.PerServer[i], pp.PerServer[i]
 		fmt.Printf("  %d      %.3f | %.2f Gbps   %.3f | %.2f Gbps\n",
-			i+1, headerGbps(b), b.GoodputGbps, headerGbps(p), p.GoodputGbps)
+			i+1, b.GoodputGbps, b.ToNFGbps, p.GoodputGbps, p.ToNFGbps)
 	}
 	fmt.Printf("\nshared switch SRAM with 8 sliced tables: %.1f%% avg / %.1f%% peak per stage\n",
 		pp.SRAMAvgPct, pp.SRAMPeakPct)

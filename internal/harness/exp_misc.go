@@ -108,7 +108,7 @@ func collectFig10(o Options) (*Result, error) {
 	t := res.table("", "server\tbase gput(Gbps)\tpp gput(Gbps)\tgain")
 	var gain float64
 	for i := range ms[0].PerServer {
-		b, p := headerGoodputGbps(ms[0].PerServer[i]), headerGoodputGbps(ms[1].PerServer[i])
+		b, p := ms[0].PerServer[i].GoodputGbps, ms[1].PerServer[i].GoodputGbps
 		t.row("%d\t%.3f\t%.3f\t%s", i+1, b, p, pct(p, b))
 		gain += gainPct(b, p)
 	}
@@ -133,12 +133,6 @@ func collectFig11(o Options) (*Result, error) {
 	}
 	t.note("average latency win %.2f%% (paper: 9.4%%)", win/float64(len(ms[0].PerServer)))
 	return res, nil
-}
-
-// headerGoodputGbps converts a delivered packet rate into the paper's
-// header-unit goodput (42 B of useful header per packet, §6.1).
-func headerGoodputGbps(r sim.Result) float64 {
-	return r.ToNFMpps * 1e6 * float64(packet.HeaderUnitLen) * 8 / 1e9
 }
 
 // --- fig12: explicit drops × expiry thresholds, as one declarative grid ---

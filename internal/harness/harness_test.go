@@ -219,14 +219,15 @@ func TestFig7Directional(t *testing.T) {
 	}
 }
 
-// TestFastExperimentsRun pins the text of the sub-two-second deterministic
+// TestFastExperimentsRun pins the text of the few-second deterministic
 // experiments byte for byte: testdata/<id>.quick.seed1.txt is what
 // `ppbench -exp <id> -quick -seed 1` printed before the per-experiment
-// result types and renderers were collapsed into Result.
+// result types and renderers were collapsed into Result (fig10 and fig11:
+// before the three topologies' edge wiring was collapsed into sim's edge).
 func TestFastExperimentsRun(t *testing.T) {
 	ids := []string{"fig6", "table1", "equiv"}
 	if !testing.Short() {
-		ids = append(ids, "fig7", "fig9", "fig13", "fabric", "policies")
+		ids = append(ids, "fig7", "fig9", "fig10", "fig11", "fig13", "fabric", "policies")
 	}
 	for _, id := range ids {
 		e, ok := ByID(id)
@@ -305,27 +306,6 @@ func TestEquivFailsClosed(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "identical=true") {
 		t.Errorf("equiv output: %s", buf.String())
-	}
-}
-
-// TestMediumExperimentsRun executes two medium-cost experiments end to
-// end in quick mode, covering the sweep printers and the peak search.
-func TestMediumExperimentsRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second experiment runs")
-	}
-	for _, id := range []string{"fig10", "fig11"} {
-		e, ok := ByID(id)
-		if !ok {
-			t.Fatalf("missing %s", id)
-		}
-		var buf bytes.Buffer
-		if err := e.Run(Options{Quick: true, Seed: 1}, &buf); err != nil {
-			t.Errorf("%s: %v", id, err)
-		}
-		if !strings.Contains(buf.String(), "server") {
-			t.Errorf("%s output missing per-server rows:\n%s", id, buf.String())
-		}
 	}
 }
 

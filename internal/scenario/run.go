@@ -21,9 +21,7 @@ type Report struct {
 	Mode string `json:"mode"`
 
 	// Headline metrics, common to every topology. Goodput is the paper's
-	// header-unit goodput where the topology measures it (testbed,
-	// leaf-spine); multi-server reports summed delivered link bits (see
-	// sim.Result.GoodputGbps for the metric fork).
+	// header-unit goodput, summed over servers or flows.
 	SendGbps           float64        `json:"send_gbps"`
 	GoodputGbps        float64        `json:"goodput_gbps"`
 	AvgLatencyUs       float64        `json:"avg_latency_us"`

@@ -215,6 +215,53 @@ func TestHostileSlots(t *testing.T) {
 	}
 }
 
+// TestHostileRates: a rate, delay, buffer or window the event engine
+// cannot pace by is an error naming the field on every simulated topology
+// that has it — each of these used to run and report a healthy-looking
+// Report (a negative link rate serializes backwards in time; an unset
+// send rate paces a packet every nanosecond).
+func TestHostileRates(t *testing.T) {
+	ok := Traffic{SendBps: 1e9}
+	short := RunOptions{Seed: 1, WarmupNs: 1e5, MeasureNs: 2e5}
+	all := []Topology{Testbed{}, MultiServer{Servers: 2}, LeafSpine{}}
+	for _, tc := range []struct {
+		want    string
+		traffic Traffic
+		opts    RunOptions
+		topos   []Topology
+	}{
+		{"link_bps = -5 outside (0, +Inf)", ok, short,
+			[]Topology{Testbed{LinkBps: -5}, MultiServer{Servers: 2, LinkBps: -5}, LeafSpine{LinkBps: -5}}},
+		{"traffic.send_bps = 0 outside (0, +Inf)", Traffic{}, short, all},
+		{"traffic.send_bps = -1e+09 outside (0, +Inf)", Traffic{SendBps: -1e9}, short, all},
+		{"prop_ns = -100 outside [0, +Inf)", ok, short,
+			[]Topology{Testbed{PropNs: -100}, LeafSpine{PropNs: -100}}},
+		{"switch_queue_bytes = -1 outside [1, +Inf)", ok, short, []Topology{Testbed{SwitchQueueBytes: -1}}},
+		{"queue_bytes = -1 outside [1, +Inf)", ok, short, []Topology{LeafSpine{QueueBytes: -1}}},
+		{"opts.measure_ns = -5000000 outside [1, +Inf)", ok, RunOptions{Quick: true, MeasureNs: -5e6}, all},
+		{"opts.warmup_ns = -1 outside [0, +Inf)", ok, RunOptions{Quick: true, WarmupNs: -1}, all},
+	} {
+		for _, topo := range tc.topos {
+			_, err := Run(context.Background(), Scenario{Topology: topo, Traffic: tc.traffic, Opts: tc.opts})
+			if want := "scenario: " + topo.Kind() + ": " + tc.want; err == nil || err.Error() != want {
+				t.Errorf("%s: err = %v, want %q", topo.Kind(), err, want)
+			}
+		}
+	}
+
+	data, err := os.ReadFile("testdata/hostile-rates.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc Scenario
+	if err := json.Unmarshal(data, &sc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), sc); err == nil || err.Error() != "scenario: testbed: link_bps = -5 outside (0, +Inf)" {
+		t.Errorf("testdata/hostile-rates.json: err = %v, want the link_bps range error", err)
+	}
+}
+
 // TestReportHeadlines: the Report's identity fields and headline metrics
 // are the per-topology detail's, for each simulated topology.
 func TestReportHeadlines(t *testing.T) {

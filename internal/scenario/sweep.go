@@ -33,89 +33,55 @@ func AxisOf(name string, points ...AxisPoint) Axis {
 	return Axis{Name: name, Points: points}
 }
 
-// SendGbpsAxis sweeps the per-source offered load in Gbps.
-func SendGbpsAxis(rates ...float64) Axis {
-	a := Axis{Name: "send_gbps"}
-	for _, r := range rates {
-		r := r
-		a.Points = append(a.Points, AxisPoint{
-			Label: fmt.Sprintf("%g", r),
-			Set:   func(s *Scenario) { s.Traffic.SendBps = r * 1e9 },
-		})
+// axisOver is every *Axis constructor below: one point per value,
+// labelled by label and applied by set.
+func axisOver[T any](name string, values []T, label func(T) string, set func(*Scenario, T)) Axis {
+	a := Axis{Name: name}
+	for _, v := range values {
+		v := v
+		a.Points = append(a.Points, AxisPoint{Label: label(v), Set: func(s *Scenario) { set(s, v) }})
 	}
 	return a
 }
 
+// number labels a numeric axis value: %g for floats, %d for integers.
+func number[T int | int64 | float64](v T) string { return fmt.Sprint(v) }
+
+// SendGbpsAxis sweeps the per-source offered load in Gbps.
+func SendGbpsAxis(rates ...float64) Axis {
+	return axisOver("send_gbps", rates, number[float64], func(s *Scenario, r float64) { s.Traffic.SendBps = r * 1e9 })
+}
+
 // ParkingAxis sweeps the parking mode (sim.ParkNone is the baseline).
 func ParkingAxis(modes ...sim.ParkMode) Axis {
-	a := Axis{Name: "parking"}
-	for _, m := range modes {
-		m := m
-		a.Points = append(a.Points, AxisPoint{
-			Label: m.String(),
-			Set:   func(s *Scenario) { s.Parking.Mode = m },
-		})
-	}
-	return a
+	return axisOver("parking", modes, sim.ParkMode.String, func(s *Scenario, m sim.ParkMode) { s.Parking.Mode = m })
 }
 
 // ControlAxis sweeps control-plane specs. Labels derive from the spec:
 // "static" (zero value), "ecmp", "adaptive", or "ecmp+adaptive".
 func ControlAxis(specs ...Control) Axis {
-	a := Axis{Name: "control"}
-	for _, c := range specs {
-		c := c
-		a.Points = append(a.Points, AxisPoint{
-			Label: c.Label(),
-			Set:   func(s *Scenario) { s.Control = c },
-		})
-	}
-	return a
+	return axisOver("control", specs, Control.Label, func(s *Scenario, c Control) { s.Control = c })
 }
 
 // CoresAxis sweeps the NF server's core count.
 func CoresAxis(counts ...int) Axis {
-	a := Axis{Name: "cores"}
-	for _, c := range counts {
-		c := c
-		a.Points = append(a.Points, AxisPoint{
-			Label: fmt.Sprintf("%d", c),
-			Set: func(s *Scenario) {
-				s.Server.Cores = c
-				if ms, ok := s.Topology.(MultiServer); ok {
-					ms.Cores = c
-					s.Topology = ms
-				}
-			},
-		})
-	}
-	return a
+	return axisOver("cores", counts, number[int], func(s *Scenario, c int) {
+		s.Server.Cores = c
+		if ms, ok := s.Topology.(MultiServer); ok {
+			ms.Cores = c
+			s.Topology = ms
+		}
+	})
 }
 
 // PacketSizeAxis sweeps fixed packet sizes in bytes.
 func PacketSizeAxis(sizes ...int) Axis {
-	a := Axis{Name: "size"}
-	for _, n := range sizes {
-		n := n
-		a.Points = append(a.Points, AxisPoint{
-			Label: fmt.Sprintf("%d", n),
-			Set:   func(s *Scenario) { s.Traffic.Dist = trafficgen.Fixed(n) },
-		})
-	}
-	return a
+	return axisOver("size", sizes, number[int], func(s *Scenario, n int) { s.Traffic.Dist = trafficgen.Fixed(n) })
 }
 
 // SlotsAxis sweeps the lookup-table capacity per program.
 func SlotsAxis(slots ...int) Axis {
-	a := Axis{Name: "slots"}
-	for _, n := range slots {
-		n := n
-		a.Points = append(a.Points, AxisPoint{
-			Label: fmt.Sprintf("%d", n),
-			Set:   func(s *Scenario) { s.Parking.Slots = n },
-		})
-	}
-	return a
+	return axisOver("slots", slots, number[int], func(s *Scenario, n int) { s.Parking.Slots = n })
 }
 
 // PartitionsAxis sweeps the parallel-engine partition count for fabric
@@ -123,28 +89,12 @@ func SlotsAxis(slots ...int) Axis {
 // partitioning changes wall-clock time, never the simulated timeline —
 // so it pairs with wall-clock measurement, not with metric comparison.
 func PartitionsAxis(counts ...int) Axis {
-	a := Axis{Name: "partitions"}
-	for _, c := range counts {
-		c := c
-		a.Points = append(a.Points, AxisPoint{
-			Label: fmt.Sprintf("%d", c),
-			Set:   func(s *Scenario) { s.Opts.Partitions = c },
-		})
-	}
-	return a
+	return axisOver("partitions", counts, number[int], func(s *Scenario, c int) { s.Opts.Partitions = c })
 }
 
 // SeedAxis sweeps the random seed (repetition axis).
 func SeedAxis(seeds ...int64) Axis {
-	a := Axis{Name: "seed"}
-	for _, v := range seeds {
-		v := v
-		a.Points = append(a.Points, AxisPoint{
-			Label: fmt.Sprintf("%d", v),
-			Set:   func(s *Scenario) { s.Opts.Seed = v },
-		})
-	}
-	return a
+	return axisOver("seed", seeds, number[int64], func(s *Scenario, v int64) { s.Opts.Seed = v })
 }
 
 // Sweep expands a parameter grid over a base scenario: the cartesian

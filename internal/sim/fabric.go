@@ -10,11 +10,11 @@ import (
 )
 
 // Fabric is a graph of simulation nodes — switches, NF servers, traffic
-// sources and sinks — connected by unidirectional Links. It generalizes
-// the hard-coded single-switch testbed: the canonical presets
-// (RunTestbed, RunMultiServer) build one switch with its three cables,
-// while the leaf-spine preset (RunLeafSpine) builds a multi-hop fabric
-// with per-switch PayloadPark programs and static route tables.
+// sources and sinks — connected by unidirectional Links. The canonical
+// presets (RunTestbed, RunMultiServer) build one switch and its edges
+// (edge.go), while the leaf-spine preset (RunLeafSpine) builds a
+// multi-hop fabric with per-switch PayloadPark programs and static route
+// tables between the same edges.
 //
 // By default a Fabric shares one single-threaded discrete-event Engine;
 // all nodes schedule onto the same clock, so runs stay deterministic
@@ -115,14 +115,9 @@ func (f *Fabric) AddSourceAt(name string, gen trafficgen.Source, out *Link, send
 	return s
 }
 
-// AddSink registers a terminal sink recording delivery latency on
-// partition 0.
-func (f *Fabric) AddSink(name string, windowEnd int64, recycle func(*packet.Packet)) *SinkNode {
-	return f.AddSinkAt(name, windowEnd, recycle, 0)
-}
-
-// AddSinkAt is AddSink placed on partition part (a sink must share the
-// delivery partition of the link feeding it).
+// AddSinkAt registers a terminal sink recording delivery latency on
+// partition part (a sink must share the delivery partition of the link
+// feeding it).
 func (f *Fabric) AddSinkAt(name string, windowEnd int64, recycle func(*packet.Packet), part int) *SinkNode {
 	s := &SinkNode{eng: f.PartitionEngine(part), Name: name, WindowEnd: windowEnd, Recycle: recycle}
 	f.sinks = append(f.sinks, s)
@@ -211,9 +206,9 @@ func (f *Fabric) SwitchReports() []SwitchStats {
 // hops (headers + 1500 B payload + cascaded PayloadPark headers).
 const maxWireFrame = 2048
 
-// portHooks is the per-ingress-port drop handling of a switch node: a
-// shared switch (the multi-server preset) charges each tenant's drops to
-// that tenant's own counters and packet pool.
+// portHooks is the per-ingress-port drop handling of a switch node: each
+// edge charges the drops of packets entering on its ports to its own
+// counters and packet pool, whoever else shares the switch.
 type portHooks struct {
 	onDrop     func(Parcel, string)
 	onConsumed func(Parcel)
@@ -287,8 +282,8 @@ func (n *SwitchNode) Ingress(port rmt.PortID) func(Parcel) {
 
 // IngressWith is Ingress with per-port drop handling: drops of packets
 // that entered on this port go to onDrop/onConsumed instead of the
-// node-level hooks (nil falls back). The multi-server preset uses this to
-// charge each tenant's drops to its own counters.
+// node-level hooks (nil falls back). Edges use this to charge the drops on
+// their own ports to their own counters.
 func (n *SwitchNode) IngressWith(port rmt.PortID, onDrop func(Parcel, string), onConsumed func(Parcel)) func(Parcel) {
 	if onDrop != nil || onConsumed != nil {
 		n.hooks[port] = portHooks{onDrop: onDrop, onConsumed: onConsumed}

@@ -9,7 +9,6 @@ import (
 	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/prog"
 	"github.com/payloadpark/payloadpark/internal/rmt"
-	"github.com/payloadpark/payloadpark/internal/stats"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
@@ -179,8 +178,7 @@ func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
 	for p := 0; p < P; p++ {
 		f.PartitionEngine(p).Cancel = w.Cancel
 	}
-	windowStart := sec.Opts.WarmupNs
-	windowEnd := sec.Opts.WarmupNs + sec.Opts.MeasureNs
+	windowStart, windowEnd := sec.Opts.window()
 
 	// Nodes first: leaves, then spines, so reports read in that order.
 	leaves := make([]*SwitchNode, L)
@@ -330,61 +328,46 @@ func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
 		}
 	}
 
-	// Per-flow state. Counters that used to be fabric-global (sent-window,
-	// unintended drops) are sharded per flow / per partition — each shard
-	// has exactly one writing partition — and summed at harvest, so
-	// partitioned runs stay race-free and byte-identical to serial ones.
-	type flowState struct {
-		gen      *trafficgen.Generator
-		sink     *SinkNode
-		goodput  *stats.RateMeter
-		toNF     *stats.RateMeter
-		sentBits *stats.RateMeter
-		sent     uint64
+	gens := make([]*trafficgen.Generator, L)
+	for i := range gens {
+		gen, _ := leafSpineMACs(i)
+		_, nfDst := leafSpineMACs((i + 1) % L)
+		gens[i] = sec.generator(gen, nfDst, packet.IPv4Addr{10, 2, byte(i), 9}, sec.Opts.Seed+int64(i))
 	}
-	flows := make([]*flowState, L)
+	// Drop accounting away from the edges (fabric cables, spines, leaf
+	// ingress from a spine) is sharded per partition — each shard has
+	// exactly one writing partition — and summed with the edges' own
+	// counts at harvest, so partitioned runs stay race-free and
+	// byte-identical to serial ones.
 	partDrops := make([]uint64, P)
+	// recycleAt retires flow r's packets on partition at. Recycling into
+	// flow r's pool is only safe from the partition that owns r's generator
+	// (the source leaf's); elsewhere the packet is released to the GC —
+	// generators fully rewrite reused packets, so pool membership never
+	// shows up in results. Drops can strike mid-fabric where the owning
+	// flow is unknown; charging a neighbour pool is equally harmless.
+	recycleAt := func(r, at int) func(*packet.Packet) {
+		if at == part[r] {
+			return gens[r].Recycle
+		}
+		return func(*packet.Packet) {}
+	}
 	// dropFor builds a drop hook for flow r's packets charged to the
-	// partition hosting the dropping hop. Recycling into flow r's pool is
-	// only safe from the partition that owns r's generator (the source
-	// leaf's); elsewhere the packet is released to the GC — generators
-	// fully rewrite reused packets, so pool membership never shows up in
-	// results. Drops can strike mid-fabric where the owning flow is
-	// unknown; charging a neighbour pool is equally harmless.
+	// partition hosting the dropping hop.
 	dropFor := func(r, at int) func(Parcel, string) {
-		home := part[r]
+		recycle := recycleAt(r, at)
 		return func(p Parcel, _ string) {
 			if p.InWindow {
 				partDrops[at]++
 			}
-			if at == home {
-				flows[r].gen.Recycle(p.Pkt)
-			}
+			recycle(p.Pkt)
 		}
 	}
 	consumeFor := func(r, at int) func(Parcel) {
-		home := part[r]
-		return func(p Parcel) {
-			if at == home {
-				flows[r].gen.Recycle(p.Pkt)
-			}
-		}
+		recycle := recycleAt(r, at)
+		return func(p Parcel) { recycle(p.Pkt) }
 	}
-
 	for i := 0; i < L; i++ {
-		gen, _ := leafSpineMACs(i)
-		_, nfDst := leafSpineMACs((i + 1) % L)
-		flows[i] = &flowState{
-			gen: trafficgen.New(trafficgen.Config{
-				Sizes: sec.Traffic.Dist, Flows: sec.Traffic.Flows,
-				SrcMAC: gen, DstMAC: nfDst,
-				DstIP: packet.IPv4Addr{10, 2, byte(i), 9}, DstPort: 80,
-				Seed: sec.Opts.Seed + int64(i),
-			}),
-			goodput:  stats.NewRateMeter(windowStart),
-			toNF:     stats.NewRateMeter(windowStart),
-			sentBits: stats.NewRateMeter(windowStart),
-		}
 		leaves[i].OnDrop = dropFor(i, part[i])
 		leaves[i].OnConsumed = consumeFor(i, part[i])
 	}
@@ -427,54 +410,29 @@ func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
 		}
 	}
 
-	// Edge cables: source, sink, and NF server per leaf. Everything here
-	// rides its leaf's partition — the source, sink, and their links with
-	// the ingress leaf i; the NF server, its cables, and flow i's delivery
-	// tap with the egress leaf j — so no edge hop ever crosses a cut.
-	for i := 0; i < L; i++ {
-		i := i
-		fs := flows[i]
+	// Edges: flow i's source and sink hang off leaf i, its NF server off
+	// leaf j. Each side rides its leaf's partition, so no edge hop ever
+	// crosses a cut.
+	edges := make([]*edge, L)
+	for i := range edges {
 		j := (i + 1) % L
-		ingEng, egrEng := leaves[i].Engine(), leaves[j].Engine()
-
-		genLink := f.NewLinkAt(fmt.Sprintf("gen%d->leaf%d", i, i),
-			2*l.LinkBps, l.PropNs, 4<<20, leaves[i].Ingress(leafPortGen), dropFor(i, part[i]), part[i], part[i])
-
-		fs.sink = f.AddSinkAt(fmt.Sprintf("sink%d", i), windowEnd, fs.gen.Recycle, part[i])
-		sinkLink := f.NewLinkAt(fmt.Sprintf("leaf%d->sink%d", i, i),
-			2*l.LinkBps, l.PropNs, 2*l.QueueBytes, fs.sink.Receive, dropFor(i, part[i]), part[i], part[i])
-		leaves[i].SetOut(leafPortSink, sinkLink)
-
-		// The NF at leaf j serves flow i: its delivery tap owns flow i's
-		// goodput meters.
-		srv := nf.NewServer(nf.ServerConfig{Chain: nf.NewChain(nf.MACSwap{})})
-		returnLink := f.NewLinkAt(fmt.Sprintf("nf%d->leaf%d", j, j),
-			l.LinkBps, l.PropNs, l.QueueBytes, leaves[j].Ingress(leafPortNF), dropFor(i, part[j]), part[j], part[j])
-		srvSim := NewServerSim(egrEng, sec.Server, srv, sec.Opts.Seed+(int64(i)+1)<<40,
-			returnLink.Send, dropFor(i, part[j]), consumeFor(i, part[j]))
-		toNFLink := f.NewLinkAt(fmt.Sprintf("leaf%d->nf%d", j, j),
-			l.LinkBps, l.PropNs, l.QueueBytes,
-			func(p Parcel) {
-				now := egrEng.Now()
-				if p.InWindow && now >= windowStart && now <= windowEnd {
-					fs.goodput.Record(now, packet.HeaderUnitLen*8)
-					fs.toNF.Record(now, float64(WireBytes(p.Pkt)*8))
-				}
-				if i == 0 {
-					phaseDelivered[phase(now)]++
-				}
-				srvSim.Receive(p)
-			}, dropFor(i, part[j]), part[j], part[j])
-		leaves[j].SetOut(leafPortNF, toNFLink)
-
-		src := f.AddSourceAt(fmt.Sprintf("gen%d", i), fs.gen, genLink, sec.Traffic.SendBps, part[i])
-		src.WindowStart, src.WindowEnd = windowStart, windowEnd
-		src.StopAt = windowEnd + sec.Opts.WarmupNs/2
-		src.OnSend = func(p Parcel) {
-			fs.sent++
-			fs.sentBits.Record(ingEng.Now(), float64(p.Pkt.Len()*8))
+		spec := edgeSpec{
+			src:     edgeSide{node: leaves[i], part: part[i], recycle: recycleAt(i, part[i])},
+			nf:      edgeSide{node: leaves[j], part: part[j], recycle: recycleAt(i, part[j])},
+			genPort: leafPortGen, sinkPort: leafPortSink, nfPort: leafPortNF,
+			genName: fmt.Sprintf("gen%d", i), sinkName: fmt.Sprintf("sink%d", i),
+			genCable: fmt.Sprintf("gen%d->leaf%d", i, i), sinkCable: fmt.Sprintf("leaf%d->sink%d", i, i),
+			returnCable: fmt.Sprintf("nf%d->leaf%d", j, j), toNFCable: fmt.Sprintf("leaf%d->nf%d", j, j),
+			linkBps: l.LinkBps, propNs: l.PropNs, queueBytes: l.QueueBytes,
+			source:    gens[i],
+			startAt:   int64(i) * 131, // desynchronize sources slightly
+			serverCfg: nf.ServerConfig{Chain: nf.NewChain(nf.MACSwap{})}, serverSeed: sec.Opts.Seed + (int64(i)+1)<<40,
+			sec: sec,
 		}
-		src.Start(int64(i) * 131) // desynchronize sources slightly
+		if i == 0 {
+			spec.onDeliver = func(now int64) { phaseDelivered[phase(now)]++ }
+		}
+		edges[i] = newEdge(f, spec)
 	}
 
 	// Failure scenario: fail flow 0's forward spine->leaf link, then
@@ -520,20 +478,14 @@ func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
 
 	// Harvest (single-threaded again; partition goroutines are done). The
 	// sharded counters sum back to the fabric-wide figures.
-	var sentWindow, unintendedDrops uint64
-	for _, fs := range flows {
-		sentWindow += fs.sent
+	res := FabricResult{
+		Mode:           mode.String(),
+		Links:          f.LinkReports(windowEnd + sec.Opts.WarmupNs),
+		Switches:       f.SwitchReports(),
+		PhaseDelivered: phaseDelivered,
 	}
 	for _, d := range partDrops {
-		unintendedDrops += d
-	}
-	res := FabricResult{
-		Mode:            mode.String(),
-		Links:           f.LinkReports(windowEnd + sec.Opts.WarmupNs),
-		Switches:        f.SwitchReports(),
-		SentWindow:      sentWindow,
-		UnintendedDrops: unintendedDrops,
-		PhaseDelivered:  phaseDelivered,
+		res.UnintendedDrops += d
 	}
 	if compress {
 		for i, inst := range leafComp {
@@ -544,28 +496,28 @@ func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
 	if controller != nil {
 		res.Control = controller.Snapshot()
 	}
-	for i, fs := range flows {
-		fs.sentBits.CloseAt(windowEnd)
-		fs.goodput.CloseAt(windowEnd)
-		fs.toNF.CloseAt(windowEnd)
+	for i, e := range edges {
+		r := e.measure()
 		fr := FlowResult{
 			Name:         fmt.Sprintf("leaf%d->nf%d", i, (i+1)%L),
-			SendGbps:     fs.sentBits.Gbps(),
-			GoodputGbps:  fs.goodput.Gbps(),
-			ToNFGbps:     fs.toNF.Gbps(),
-			ToNFMpps:     fs.goodput.Mpps(),
-			AvgLatencyUs: fs.sink.Latency.Mean(),
-			MaxLatencyUs: fs.sink.Latency.Max(),
-			Delivered:    fs.sink.Delivered,
+			SendGbps:     r.SendGbps,
+			GoodputGbps:  r.GoodputGbps,
+			ToNFGbps:     r.ToNFGbps,
+			ToNFMpps:     r.ToNFMpps,
+			AvgLatencyUs: r.AvgLatencyUs,
+			MaxLatencyUs: r.MaxLatencyUs,
+			Delivered:    r.Delivered,
 		}
 		res.Flows = append(res.Flows, fr)
 		res.SendGbps += fr.SendGbps
 		res.GoodputGbps += fr.GoodputGbps
 		res.AvgLatencyUs += fr.AvgLatencyUs
+		res.SentWindow += e.sent
+		res.UnintendedDrops += e.src.drops + e.nf.drops
 	}
 	res.AvgLatencyUs /= float64(L)
-	if sentWindow > 0 {
-		res.UnintendedDropRate = float64(unintendedDrops) / float64(sentWindow)
+	if res.SentWindow > 0 {
+		res.UnintendedDropRate = float64(res.UnintendedDrops) / float64(res.SentWindow)
 	}
 	res.Healthy = res.UnintendedDropRate < HealthyDropRate
 	return res, nil

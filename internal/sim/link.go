@@ -48,8 +48,8 @@ const DropLinkDown = "link down"
 // dropped and reported to onDrop.
 type Link struct {
 	eng *Engine
-	// Name labels the link in per-hop fabric reports ("" for the
-	// anonymous links of the single-switch presets).
+	// Name labels the link in per-hop fabric reports and metrics ("" for
+	// a link built outside a Fabric).
 	Name string
 	// Bps is the line rate in bits/second.
 	Bps float64

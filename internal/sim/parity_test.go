@@ -143,12 +143,12 @@ func TestMultiServerFabricParity(t *testing.T) {
 	// program (they had been zero whatever happened) — every other
 	// timeline-derived field is still the original golden.
 	assertGolden(t, "ms-pp-1", r.PerServer[0], Result{
-		Name: "server-1", SendGbps: 11.0106624, GoodputGbps: 6.6230472, ToNFGbps: 7.311156, ToNFMpps: 3.5839,
+		Name: "server-1", SendGbps: 11.0106624, GoodputGbps: 1.2041904, ToNFGbps: 7.311156, ToNFMpps: 3.5839,
 		AvgLatencyUs: 3.673, MaxLatencyUs: 3.673, Delivered: 71671, Healthy: true,
 		Splits: 80648, Merges: 80655,
 	})
 	assertGolden(t, "ms-pp-2", r.PerServer[1], Result{
-		Name: "server-2", SendGbps: 11.010816, GoodputGbps: 6.6231396, ToNFGbps: 7.311258, ToNFMpps: 3.58395,
+		Name: "server-2", SendGbps: 11.010816, GoodputGbps: 1.2042072, ToNFGbps: 7.311258, ToNFMpps: 3.58395,
 		AvgLatencyUs: 3.673, MaxLatencyUs: 3.673, Delivered: 71672, Healthy: true,
 		Splits: 80647, Merges: 80654,
 	})
@@ -157,13 +157,53 @@ func TestMultiServerFabricParity(t *testing.T) {
 	cfg.Servers = 3
 	r = cfg.run(t)
 	assertGolden(t, "ms-base-1", r.PerServer[0], Result{
-		Name: "server-1", SendGbps: 11.0106624, GoodputGbps: 9.02784, ToNFGbps: 9.59208, ToNFMpps: 2.93875,
+		Name: "server-1", SendGbps: 11.0106624, GoodputGbps: 0.98742, ToNFGbps: 9.59208, ToNFMpps: 2.93875,
 		AvgLatencyUs: 841.3129976858164, MaxLatencyUs: 841.452, Delivered: 58768,
 		JitterUs: 0.13900231418358544, UnintendedDropRate: 0.1441744322303443,
 	})
 	assertGolden(t, "ms-base-3", r.PerServer[2], Result{
-		Name: "server-3", SendGbps: 11.010816, GoodputGbps: 9.02784, ToNFGbps: 9.59208, ToNFMpps: 2.93875,
+		Name: "server-3", SendGbps: 11.010816, GoodputGbps: 0.98742, ToNFGbps: 9.59208, ToNFMpps: 2.93875,
 		AvgLatencyUs: 841.3129984005208, MaxLatencyUs: 841.452, Delivered: 58769,
 		JitterUs: 0.1390015994792293, UnintendedDropRate: 0.1441724210085792,
 	})
+}
+
+// TestGoodputUnitAcrossTopologies pins what goodput_gbps means: on every
+// topology it is the paper's header-unit goodput — 42 B of useful header
+// per packet delivered to the NF server (§6.1) — so below saturation it
+// follows the packet rate alone, whatever parking leaves on the link.
+func TestGoodputUnitAcrossTopologies(t *testing.T) {
+	edges := func(mode ParkMode) map[string][]Result {
+		s := Sections{
+			Parking: Parking{Mode: mode},
+			Traffic: Traffic{SendBps: 2e9, Dist: trafficgen.Fixed(384)},
+			Opts:    RunOptions{Seed: 3, WarmupNs: 1e6, MeasureNs: 5e6},
+		}
+		out := map[string][]Result{
+			"testbed":     {testbedRun{Sections: s}.run(t)},
+			"multiserver": multiServerRun{MultiServer: MultiServer{Servers: 2}, Sections: s}.run(t).PerServer,
+		}
+		for _, fl := range (leafSpineRun{LeafSpine: LeafSpine{Leaves: 4, Spines: 2}, Sections: s}).run(t).Flows {
+			out["leafspine"] = append(out["leafspine"], Result{GoodputGbps: fl.GoodputGbps, ToNFMpps: fl.ToNFMpps})
+		}
+		return out
+	}
+	base, parked := edges(ParkNone), edges(ParkEdge)
+	const want = 2 * 42.0 / 384 // 2 Gbps of 384 B frames, 42 B of each useful
+	for kind, rs := range base {
+		for i, b := range rs {
+			p := parked[kind][i]
+			for arm, r := range map[string]Result{"baseline": b, "parked": p} {
+				if unit := r.ToNFMpps * 42 * 8 / 1e3; math.Abs(r.GoodputGbps-unit) > 1e-12*unit {
+					t.Errorf("%s edge %d %s: GoodputGbps = %v, want ToNFMpps x 42 B = %v", kind, i, arm, r.GoodputGbps, unit)
+				}
+				if math.Abs(r.GoodputGbps-want) > 0.02*want {
+					t.Errorf("%s edge %d %s: GoodputGbps = %v, want %v within 2%%", kind, i, arm, r.GoodputGbps, want)
+				}
+			}
+			if math.Abs(p.GoodputGbps-b.GoodputGbps) > 0.02*b.GoodputGbps {
+				t.Errorf("%s edge %d: parked goodput %v vs baseline %v differ by more than 2%%", kind, i, p.GoodputGbps, b.GoodputGbps)
+			}
+		}
+	}
 }

@@ -3,10 +3,12 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/ctrl"
 	"github.com/payloadpark/payloadpark/internal/nf"
+	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/prog"
 	"github.com/payloadpark/payloadpark/internal/rmt"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
@@ -223,6 +225,9 @@ func (o RunOptions) Windows() (warmup, measure int64) {
 	return warmup, measure
 }
 
+// window is the resolved measurement window on the run's clock.
+func (o RunOptions) window() (start, end int64) { return o.WarmupNs, o.WarmupNs + o.MeasureNs }
+
 // Sections is everything a runner reads besides its own topology: the
 // Scenario's sections, by value and under the Scenario's field names.
 type Sections struct {
@@ -234,6 +239,14 @@ type Sections struct {
 	Server  ServerModel      // NF server calibration (zero value: DefaultServerModel)
 	Chain   func() *nf.Chain // a fresh NF chain per run (Testbed only; default MAC swap)
 	Opts    RunOptions
+}
+
+// generator builds the synthetic traffic source of one edge.
+func (s Sections) generator(src, dst packet.MAC, dstIP packet.IPv4Addr, seed int64) *trafficgen.Generator {
+	return trafficgen.New(trafficgen.Config{
+		Sizes: s.Traffic.Dist, Flows: s.Traffic.Flows,
+		SrcMAC: src, DstMAC: dst, DstIP: dstIP, DstPort: 80, Seed: seed,
+	})
 }
 
 // Wiring binds one run to its caller; none of it describes the run.
@@ -275,9 +288,43 @@ func (s *Sections) Resolve(slots int, dist trafficgen.SizeDist, flows int) {
 	}
 }
 
-// simSlots is the parking-table default of the simulated topologies (the
-// live socket fabric defaults smaller).
-const simSlots = 8192
+// checkEdge is the one home of the range rules for what every edge is
+// built from: the parking table, then the values the edge hands the event
+// engine — a non-positive rate paces a packet every nanosecond or
+// serializes backwards in time and still reports a healthy-looking run —
+// reported against their JSON field names (queueField is the topology's
+// name for its egress buffer).
+func (s Sections) checkEdge(linkBps float64, propNs int64, queueField string, queueBytes int) error {
+	if err := s.Parking.Validate(); err != nil {
+		return err
+	}
+	rate := func(v float64) bool { return v > 0 && !math.IsInf(v, 1) } // false for NaN too
+	switch {
+	case !rate(s.Traffic.SendBps):
+		return fmt.Errorf("traffic.send_bps = %g outside (0, +Inf)", s.Traffic.SendBps)
+	case !rate(linkBps):
+		return fmt.Errorf("link_bps = %g outside (0, +Inf)", linkBps)
+	case propNs < 0:
+		return fmt.Errorf("prop_ns = %d outside [0, +Inf)", propNs)
+	case queueBytes < 1:
+		return fmt.Errorf("%s = %d outside [1, +Inf)", queueField, queueBytes)
+	case s.Opts.WarmupNs < 0:
+		return fmt.Errorf("opts.warmup_ns = %d outside [0, +Inf)", s.Opts.WarmupNs)
+	case s.Opts.MeasureNs < 1:
+		return fmt.Errorf("opts.measure_ns = %d outside [1, +Inf)", s.Opts.MeasureNs)
+	}
+	return nil
+}
+
+// Defaults of the simulated topologies: the parking table (the live socket
+// fabric defaults smaller), the per-link propagation delay and the egress
+// buffer per switch port (MultiServer has no field for the last two, so
+// they are what it runs).
+const (
+	simSlots      = 8192
+	simPropNs     = 500
+	simQueueBytes = 1 << 20
+)
 
 // Testbed is the paper's canonical Fig. 5 single-switch topology:
 // traffic generator -> switch -> NF server, with the generator's receive
@@ -300,8 +347,8 @@ type Testbed struct {
 // Resolve fills the testbed's and the sections' defaults.
 func (t *Testbed) Resolve(s *Sections) {
 	def(&t.LinkBps, 10e9)
-	def(&t.SwitchQueueBytes, 1<<20)
-	def(&t.PropNs, 500)
+	def(&t.SwitchQueueBytes, simQueueBytes)
+	def(&t.PropNs, simPropNs)
 	s.Resolve(simSlots, trafficgen.Datacenter{}, 1024)
 }
 
@@ -313,7 +360,7 @@ func (t Testbed) Validate(s Sections) error {
 	if err := s.Control.Validate(s.Parking.Enabled()); err != nil {
 		return err
 	}
-	return s.Parking.Validate()
+	return s.checkEdge(t.LinkBps, t.PropNs, "switch_queue_bytes", t.SwitchQueueBytes)
 }
 
 // MultiServer is the §6.2.3 deployment: up to 8 NF servers (each
@@ -356,7 +403,7 @@ func (m MultiServer) Validate(s Sections) error {
 	if s.Traffic.Flows != MultiServerFlows {
 		return fmt.Errorf("Traffic.Flows is pinned to %d (leave it zero)", MultiServerFlows)
 	}
-	return s.Parking.Validate()
+	return s.checkEdge(m.LinkBps, simPropNs, "", simQueueBytes)
 }
 
 // LeafSpine is the multi-switch fabric topology: every leaf hosts a
@@ -395,8 +442,8 @@ func (l *LeafSpine) Resolve(s *Sections) {
 	def(&l.Leaves, 4)
 	def(&l.Spines, 2)
 	def(&l.LinkBps, 10e9)
-	def(&l.PropNs, 500)
-	def(&l.QueueBytes, 1<<20)
+	def(&l.PropNs, simPropNs)
+	def(&l.QueueBytes, simQueueBytes)
 	s.Resolve(simSlots, trafficgen.Datacenter{}, 1024)
 	def(&l.FailAtNs, s.Opts.WarmupNs+s.Opts.MeasureNs/4)
 	def(&l.RerouteNs, 2e6)
@@ -454,5 +501,5 @@ func (l LeafSpine) Validate(s Sections) error {
 	if pinned && l.FailLink && l.Spines < 3 {
 		return fmt.Errorf("parking-safe reroute needs a third spine (got %d): with two, the alternate path arrives on the egress leaf's merge port", l.Spines)
 	}
-	return s.Parking.Validate()
+	return s.checkEdge(l.LinkBps, l.PropNs, "queue_bytes", l.QueueBytes)
 }

@@ -93,7 +93,7 @@ func TestResolveDefaults(t *testing.T) {
 // TestRunnersRejectInsteadOfPanic: a description a runner cannot hold is
 // an error naming the field, from every runner, before anything is built.
 func TestRunnersRejectInsteadOfPanic(t *testing.T) {
-	bad := Sections{Parking: Parking{Mode: ParkEdge, Slots: 100000}}
+	bad := Sections{Parking: Parking{Mode: ParkEdge, Slots: 100000}, Traffic: Traffic{SendBps: 1e9}}
 	_, errT := RunTestbed(Testbed{}, bad, Wiring{})
 	_, errM := RunMultiServer(MultiServer{}, bad, Wiring{})
 	_, errL := RunLeafSpine(LeafSpine{}, bad, Wiring{})
@@ -104,7 +104,7 @@ func TestRunnersRejectInsteadOfPanic(t *testing.T) {
 	}
 	// In range, but two 65536-slot tables do not fit one pipe's stages:
 	// the placement failure surfaces as an error too.
-	fits := Sections{Parking: Parking{Mode: ParkEdge, Slots: 65536}, Opts: RunOptions{WarmupNs: 1e5, MeasureNs: 1e5}}
+	fits := Sections{Parking: Parking{Mode: ParkEdge, Slots: 65536}, Traffic: Traffic{SendBps: 1e9}, Opts: RunOptions{WarmupNs: 1e5, MeasureNs: 1e5}}
 	if _, err := RunMultiServer(MultiServer{Servers: 2}, fits, Wiring{}); err == nil || !strings.Contains(err.Error(), "SRAM overflow") {
 		t.Errorf("multiserver 2x65536: err = %v, want the SRAM overflow as an error", err)
 	}

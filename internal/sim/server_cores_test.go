@@ -229,11 +229,10 @@ func TestStageOverflowReportsAndRecycles(t *testing.T) {
 	}
 }
 
-// TestMultiServerGoodputAccounting is the regression test for the
-// delivered-bits fix: at equal sub-saturation offered load both
-// deployments deliver the same packet rate, so the baseline — whose full
-// payloads cross the to-NF link — must record strictly more delivered
-// bits than PayloadPark's header-only packets.
+// TestMultiServerGoodputAccounting: at equal sub-saturation offered load
+// both deployments deliver the same packet rate, so the baseline — whose
+// full payloads cross the to-NF link — must load that link (ToNFGbps)
+// strictly more than PayloadPark's header-only packets.
 func TestMultiServerGoodputAccounting(t *testing.T) {
 	mk := func(pp bool) multiServerRun {
 		r := multiServerRun{
@@ -253,15 +252,16 @@ func TestMultiServerGoodputAccounting(t *testing.T) {
 	pp := mk(true).run(t)
 	for i := range base.PerServer {
 		b, p := base.PerServer[i], pp.PerServer[i]
-		if b.GoodputGbps <= p.GoodputGbps {
-			t.Errorf("server %d: baseline delivered %.3f Gbps <= payloadpark %.3f — payload bits not accounted",
-				i, b.GoodputGbps, p.GoodputGbps)
+		if b.ToNFGbps <= p.ToNFGbps {
+			t.Errorf("server %d: baseline moved %.3f Gbps <= payloadpark %.3f — payload bits not accounted",
+				i, b.ToNFGbps, p.ToNFGbps)
 		}
-		// Splitting parks 160 of 384 bytes: the delivered-bit ratio must
-		// reflect it (header remainder ~60% of the original packet).
-		if p.GoodputGbps > 0.75*b.GoodputGbps {
-			t.Errorf("server %d: pp/base delivered ratio %.2f, want < 0.75",
-				i, p.GoodputGbps/b.GoodputGbps)
+		// Splitting parks 160 of 384 bytes: the link-bit ratio must
+		// reflect it (header remainder + 24 B wire overhead is ~62% of the
+		// original frame's 408 wire bytes).
+		if p.ToNFGbps > 0.75*b.ToNFGbps {
+			t.Errorf("server %d: pp/base link-bit ratio %.2f, want < 0.75",
+				i, p.ToNFGbps/b.ToNFGbps)
 		}
 		// Same offered load, both healthy: same delivered packet rate.
 		if b.ToNFMpps == 0 || p.ToNFMpps == 0 {
@@ -272,9 +272,10 @@ func TestMultiServerGoodputAccounting(t *testing.T) {
 			t.Errorf("server %d: delivered pps diverged below saturation: base %.3f pp %.3f",
 				i, b.ToNFMpps, p.ToNFMpps)
 		}
-		// Baseline delivered bits track the offered 2 Gbps.
-		if b.GoodputGbps < 1.85 || b.GoodputGbps > 2.1 {
-			t.Errorf("server %d: baseline delivered %.3f Gbps, want ~2", i, b.GoodputGbps)
+		// Baseline link bits track the offered 2 Gbps of 384 B frames, each
+		// 408 B on the wire.
+		if wire := 408.0 / 384; b.ToNFGbps < 1.85*wire || b.ToNFGbps > 2.1*wire {
+			t.Errorf("server %d: baseline moved %.3f Gbps, want ~%.3f", i, b.ToNFGbps, 2*wire)
 		}
 	}
 }

@@ -48,10 +48,7 @@ type Result struct {
 	SendGbps float64 `json:"send_gbps"`
 	// GoodputGbps is the paper's goodput: useful-header bits (42 B per
 	// packet) delivered to the NF server per second, measured at the
-	// switch (§6.1). Multi-server runs instead record the bits that
-	// actually crossed the to-NF link (full packet for baseline, header
-	// remainder for PayloadPark) and derive the header-unit metric from
-	// the delivered packet rate in ToNFMpps.
+	// switch (§6.1).
 	GoodputGbps float64 `json:"goodput_gbps"`
 	// ToNFGbps / ToNFMpps describe the switch->NF link traffic.
 	ToNFGbps float64 `json:"to_nf_gbps"`
@@ -103,18 +100,6 @@ func (r Result) String() string {
 		r.Name, r.SendGbps, r.GoodputGbps, r.AvgLatencyUs, 100*r.UnintendedDropRate, r.PCIeUtilPct, r.Healthy)
 }
 
-// parkingSince fills the parking counters with a program's in-window
-// deltas: its counters now, less the snapshot taken at window start.
-func (r *Result) parkingSince(now, snap *core.Counters) {
-	r.Splits = now.Splits.Value() - snap.Splits.Value()
-	r.Merges = now.Merges.Value() - snap.Merges.Value()
-	r.Evictions = now.Evictions.Value() - snap.Evictions.Value()
-	r.Premature = now.PrematureEvictions.Value() - snap.PrematureEvictions.Value()
-	r.OccupiedSkips = now.OccupiedSkips.Value() - snap.OccupiedSkips.Value()
-	r.SmallSkips = now.SmallPayloadSkips.Value() - snap.SmallPayloadSkips.Value()
-	r.ExplicitDrops = now.ExplicitDrops.Value() - snap.ExplicitDrops.Value()
-}
-
 // wireTestbed installs the Fig. 5 wiring on sw: generator on port 0 (the
 // split port), NF server on port 1 (the merge port), sink on port 2. A
 // nil pp leaves the switch a plain L2 forwarder (the baseline).
@@ -137,10 +122,9 @@ func wireTestbed(sw *core.Switch, pp *core.Config) (*core.Program, error) {
 // RunTestbed simulates one Fig. 5 deployment and reports measurements:
 // it resolves the sections' defaults, validates them, and returns an
 // error — never a panic — for a description the switch cannot hold. It is
-// a thin preset over Fabric: one switch node with three cables
-// (generator, NF server, sink). The wiring and scheduling order match the
-// pre-fabric implementation exactly, so results are byte-identical (see
-// TestTestbedFabricParity).
+// one switch and one edge, plus what only the testbed measures: the
+// latency histogram, PCIe utilization, table programs and the
+// adaptive-eviction controller.
 func RunTestbed(t Testbed, s Sections, w Wiring) (Result, error) {
 	t.Resolve(&s)
 	if err := t.Validate(s); err != nil {
@@ -150,7 +134,6 @@ func RunTestbed(t Testbed, s Sections, w Wiring) (Result, error) {
 	eng := f.Engine()
 	eng.Cancel = w.Cancel
 
-	// Behavioural components.
 	swn := f.AddSwitch(s.Name)
 	sw := swn.SW
 	var pp *core.Config
@@ -167,27 +150,12 @@ func RunTestbed(t Testbed, s Sections, w Wiring) (Result, error) {
 		return Result{}, err
 	}
 
-	chain := s.Chain()
-	srv := nf.NewServer(nf.ServerConfig{
-		Chain:        chain,
-		RewriteMACs:  !chainSwapsMACs(chain),
-		NFMAC:        MACNF,
-		NextHopMAC:   MACSink,
-		ExplicitDrop: s.Parking.ExplicitDrop,
-	})
-
 	var gen trafficgen.Source
 	if s.Traffic.Source != nil {
 		gen = s.Traffic.Source()
 	} else {
-		gen = trafficgen.New(trafficgen.Config{
-			Sizes: s.Traffic.Dist, Flows: s.Traffic.Flows,
-			SrcMAC: MACGen, DstMAC: MACNF,
-			DstIP: packet.IPv4Addr{10, 1, 0, 9}, DstPort: 80,
-			Seed: s.Opts.Seed,
-		})
+		gen = s.generator(MACGen, MACNF, packet.IPv4Addr{10, 1, 0, 9}, s.Opts.Seed)
 	}
-
 	// Packets that reach a terminal point (sink delivery, any drop, NF
 	// consumption) are handed back to the generator for reuse: traffic
 	// generation allocates nothing in steady state.
@@ -196,79 +164,37 @@ func RunTestbed(t Testbed, s Sections, w Wiring) (Result, error) {
 		recycle = rec.Recycle
 	}
 
-	// Measurement state.
-	windowStart := s.Opts.WarmupNs
-	windowEnd := s.Opts.WarmupNs + s.Opts.MeasureNs
-	var (
-		sentWindow      uint64
-		sentBits        = stats.NewRateMeter(windowStart)
-		goodput         = stats.NewRateMeter(windowStart)
-		toNF            = stats.NewRateMeter(windowStart)
-		pcie            = stats.NewRateMeter(windowStart)
-		latencyHist     = stats.NewHistogram(stats.ExponentialBounds(1, 1.122, 120)) // 1 µs .. ~1 s
-		nfDrops         uint64
-		unintendedDrops uint64
-	)
-
-	dropUnintended := func(p Parcel, _ string) {
-		if p.InWindow {
-			unintendedDrops++
-		}
-		recycle(p.Pkt)
-	}
-	// Everything except intended explicit-drop consumption is a failure
-	// (premature eviction, bad tag, unknown MAC).
-	swn.OnDrop = dropUnintended
-	swn.OnConsumed = func(p Parcel) { recycle(p.Pkt) }
-
-	// Wiring, back to front. Return path: server -> link -> switch merge.
-	var srvSim *ServerSim
-
-	returnLink := f.NewLink("nf->switch", t.LinkBps, t.PropNs, t.SwitchQueueBytes,
-		swn.Ingress(portNF), dropUnintended)
-	returnLink.LossRate = t.NFLinkLossRate
-
-	srvSim = NewServerSim(eng, s.Server, srv, s.Opts.Seed,
-		returnLink.Send,
-		dropUnintended,
-		func(p Parcel) {
-			if p.InWindow {
-				nfDrops++
-			}
-			recycle(p.Pkt)
+	chain := s.Chain()
+	side := edgeSide{node: swn, recycle: recycle}
+	e := newEdge(f, edgeSpec{
+		src: side, nf: side,
+		genPort: portSplit, sinkPort: portSink, nfPort: portNF,
+		genName: "gen", sinkName: "sink", genCable: "gen->switch", sinkCable: "switch->sink",
+		returnCable: "nf->switch", toNFCable: "switch->nf",
+		linkBps: t.LinkBps, propNs: t.PropNs, queueBytes: t.SwitchQueueBytes, lossRate: t.NFLinkLossRate,
+		source: gen,
+		serverCfg: nf.ServerConfig{
+			Chain:        chain,
+			RewriteMACs:  !chainSwapsMACs(chain),
+			NFMAC:        MACNF,
+			NextHopMAC:   MACSink,
+			ExplicitDrop: s.Parking.ExplicitDrop,
 		},
-	)
-
-	// Goodput is measured on delivery over the switch->NF link: useful-
-	// header bits that actually reached the NF server (§6.1, including
-	// packets the firewall later drops — §6.2.4).
-	toNFLink := f.NewLink("switch->nf", t.LinkBps, t.PropNs, t.SwitchQueueBytes,
-		func(p Parcel) {
-			now := eng.Now()
-			if p.InWindow && now >= windowStart && now <= windowEnd {
-				goodput.Record(now, packet.HeaderUnitLen*8)
-				toNF.Record(now, float64(WireBytes(p.Pkt)*8))
-			}
-			srvSim.Receive(p)
-		}, dropUnintended)
-	toNFLink.LossRate = t.NFLinkLossRate
-
-	sink := f.AddSink("sink", windowEnd, recycle)
-	sink.Hist = latencyHist
-	sinkLink := f.NewLink("switch->sink", 2*t.LinkBps, t.PropNs, 2*t.SwitchQueueBytes,
-		sink.Receive, dropUnintended)
-
-	swn.SetOut(portNF, toNFLink)
-	swn.SetOut(portSink, sinkLink)
+		serverSeed: s.Opts.Seed, sec: s, prog: prog,
+	})
+	windowStart, windowEnd := s.Opts.window()
+	latencyHist := stats.NewHistogram(stats.ExponentialBounds(1, 1.122, 120)) // 1 µs .. ~1 s
+	e.sink.Hist = latencyHist
 
 	// PCIe utilization: sample the server's cumulative DMA byte counter
 	// periodically inside the window.
+	pcie := stats.NewRateMeter(windowStart)
 	var pcieBase uint64
 	var pcieSample func()
 	pcieSample = func() {
 		now := eng.Now()
 		if now >= windowStart && now <= windowEnd {
-			total := srvSim.PCIeBytes.Value()
+			total := e.server.PCIeBytes.Value()
 			delta := total - pcieBase
 			pcieBase = total
 			if now > windowStart {
@@ -279,31 +205,12 @@ func RunTestbed(t Testbed, s Sections, w Wiring) (Result, error) {
 			eng.Schedule(1e6, pcieSample) // 1 ms sampling, like PCM
 		}
 	}
-	eng.ScheduleAt(windowStart, func() { pcieBase = srvSim.PCIeBytes.Value(); pcieSample() })
+	eng.ScheduleAt(windowStart, func() { pcieBase = e.server.PCIeBytes.Value(); pcieSample() })
 
-	// Generator: constant bit rate over frame bits.
-	genLink := f.NewLink("gen->switch", 2*t.LinkBps, t.PropNs, 4<<20,
-		swn.Ingress(portSplit), dropUnintended)
-
-	src := f.AddSource("gen", gen, genLink, s.Traffic.SendBps)
-	src.WindowStart, src.WindowEnd = windowStart, windowEnd
-	src.StopAt = windowEnd + s.Opts.WarmupNs/2
-	src.OnSend = func(p Parcel) {
-		sentWindow++
-		sentBits.Record(eng.Now(), float64(p.Pkt.Len()*8))
+	var progSnap map[string]uint64 // the table program's counters at window start
+	if inst != nil {
+		eng.ScheduleAt(windowStart, func() { progSnap = inst.Counters() })
 	}
-
-	// Counter snapshot at window start for in-window deltas.
-	var snap core.Counters
-	var progSnap map[string]uint64
-	eng.ScheduleAt(windowStart, func() {
-		if prog != nil {
-			snap = prog.C
-		}
-		if inst != nil {
-			progSnap = inst.Counters()
-		}
-	})
 
 	f.EnableObs(w.Obs)
 
@@ -316,30 +223,14 @@ func RunTestbed(t Testbed, s Sections, w Wiring) (Result, error) {
 		controller = attachController(f, cc, newControlPlant(f, nil), nil, windowEnd+s.Opts.WarmupNs)
 	}
 
-	src.Start(0)
 	// Drain period after the window so in-flight packets can land.
 	f.Run(windowEnd + s.Opts.WarmupNs)
 
-	sentBits.CloseAt(windowEnd)
-	goodput.CloseAt(windowEnd)
-	toNF.CloseAt(windowEnd)
 	pcie.CloseAt(windowEnd)
-
-	res := Result{
-		Name:        s.Name,
-		SendGbps:    sentBits.Gbps(),
-		GoodputGbps: goodput.Gbps(),
-		ToNFGbps:    toNF.Gbps(),
-		ToNFMpps:    goodput.Mpps(),
-		Delivered:   sink.Delivered,
-		NFDrops:     nfDrops,
-		PCIeGbps:    pcie.Gbps(),
-		PCIeUtilPct: 100 * pcie.Gbps() * 1e9 / s.Server.PCIeBps,
-		PerCore:     srvSim.CoreStats(),
-	}
-	res.AvgLatencyUs = sink.Latency.Mean()
-	res.MaxLatencyUs = sink.Latency.Max()
-	res.JitterUs = sink.Latency.Max() - sink.Latency.Mean()
+	res := e.measure()
+	res.Name = s.Name
+	res.PCIeGbps = pcie.Gbps()
+	res.PCIeUtilPct = 100 * pcie.Gbps() * 1e9 / s.Server.PCIeBps
 	res.P99LatencyUs = latencyHist.Quantile(0.99)
 	if latencyHist.Count() > 0 {
 		res.LatencyCDF = make([]CDFPoint, len(latencyCDFQuantiles))
@@ -347,19 +238,11 @@ func RunTestbed(t Testbed, s Sections, w Wiring) (Result, error) {
 			res.LatencyCDF[i] = CDFPoint{Q: q, LatencyUs: latencyHist.Quantile(q)}
 		}
 	}
-	if sentWindow > 0 {
-		res.UnintendedDropRate = float64(unintendedDrops) / float64(sentWindow)
-	}
-	res.Healthy = res.UnintendedDropRate < HealthyDropRate
-	if prog != nil {
-		res.parkingSince(&prog.C, &snap)
+	if prog != nil || inst != nil {
 		res.SRAMPct = sw.Pipe(0).Resources().SRAMAvgPct
 	}
 	if inst != nil {
 		res.Programs = []ProgramCounters{programReport("", inst, progSnap)}
-		if res.SRAMPct == 0 {
-			res.SRAMPct = sw.Pipe(0).Resources().SRAMAvgPct
-		}
 	}
 	if controller != nil {
 		res.Control = controller.Snapshot()
