@@ -1,18 +1,23 @@
-// Package live runs the PayloadPark dataplane as a real fabric: every
-// switch, NF server, traffic source and sink is a live endpoint
-// exchanging Ethernet-over-UDP frames through loopback sockets, the
-// deployable-system shape of the paper's hardware testbed. A switch node
-// binds one socket per active pipe and drives each from its own worker
-// goroutine — per-pipe parallelism with no shared stateful memory, the
-// Tofino discipline core.Switch's one-worker-per-pipe rule states —
+// Package live is the socket backend of the fabric graph (one graph, three
+// backends: sim.Graph is realised by the event simulator, by this package,
+// and by the reference walk). It runs the PayloadPark dataplane as a real
+// fabric: every switch, NF server, traffic source and sink of the graph is
+// a live endpoint exchanging Ethernet-over-UDP frames through loopback
+// sockets, the deployable-system shape of the paper's hardware testbed.
+// Ports, MACs, routes, program placement, seeds and cables are the
+// graph's — sim/graph.go holds the one table — and every switch is loaded
+// by Graph.Realise; this package adds only sockets. A switch node binds
+// one socket per pipe with a cabled port and drives each from its own
+// worker goroutine — per-pipe parallelism with no shared stateful memory,
+// the Tofino discipline core.Switch's one-worker-per-pipe rule states —
 // reading recvmmsg-style bursts, draining them through the zero-alloc
 // core.FrameBurst path, and writing the emissions back out through one
 // batched sendmmsg flush.
 //
-// The same topology can be replayed in process (ReferenceRun) over the
-// identical core.Switch pipelines and NF byte path, which is what the
-// discrete-event simulator drives; comparing the two counter-for-counter
-// is the sim-vs-live parity gate.
+// The same graph can be walked in process (ReferenceRun, over sim.Walker)
+// with the identical core.Switch pipelines and NF byte path; comparing the
+// two counter-for-counter is the sim-vs-live parity gate, and the
+// controller drives both through the one sim.Plant.
 //
 // A run is described by Topology (declared, defaulted and validated
 // here) plus the simulator's own sim.Sections, resolved with the live
@@ -41,9 +46,9 @@ import (
 // topology envelope. It is declared here, defaulted by Resolve and
 // validated by Validate.
 //
-// Geometry "chain" is the Fig. 5 testbed (generator -> switch -> NF,
-// one parking program per pipe); "LxS" (e.g. "4x2") is the park-at-edge
-// leaf-spine fabric. Lockstep mode replays deterministically — its
+// Geometry "chain" is the single-switch graph (generator -> switch -> NF
+// -> switch -> sink, one group and one parking program per pipe); "LxS"
+// (e.g. "4x2") is the park-at-edge leaf-spine graph. Lockstep mode replays deterministically — its
 // counters match ReferenceRun exactly — and throughput mode blasts an
 // open-loop window for wire-rate numbers. Parking.ExplicitDrop (the
 // §6.2.4 NF notification path) is chain-only: a notification can only
@@ -121,46 +126,40 @@ func (t *Topology) Resolve(s *sim.Sections) {
 	s.Resolve(64, trafficgen.Datacenter{}, 256)
 }
 
-// geometry is a parsed Geometry string.
-type geometry struct {
-	kind   string // "chain" or "leafspine"
-	leaves int
-	spines int
-}
-
 // validGeometries is the guidance every geometry error carries.
 const validGeometries = `valid geometries: "chain" (with pipes 1..4) or "LxS" leaf-spine such as "4x2" (2..16 leaves, 1..13 spines, adjacent leaves on distinct spines: leaf k and leaf k+1 must differ mod S)`
 
-// parseGeometry validates the Geometry/Pipes combination. The leaf-spine
-// rules are the simulated fabric's (sim.CheckLeafSpine): the socket
-// fabric cables the same port layout and always pins a merge port.
-func (t Topology) parseGeometry() (geometry, error) {
+// parseGeometry validates the Geometry/Pipes combination and returns the
+// leaf-spine size (0x0 for the chain). The leaf-spine rules are the
+// simulated fabric's (sim.CheckLeafSpine): the socket fabric realises the
+// same graph and always pins a merge port.
+func (t Topology) parseGeometry() (leaves, spines int, err error) {
 	if t.Geometry == "chain" {
 		if t.Pipes < 1 || t.Pipes > core.NumPipes {
-			return geometry{}, fmt.Errorf("live: chain geometry supports 1..%d pipes, got %d; %s", core.NumPipes, t.Pipes, validGeometries)
+			return 0, 0, fmt.Errorf("live: chain geometry supports 1..%d pipes, got %d; %s", core.NumPipes, t.Pipes, validGeometries)
 		}
-		return geometry{kind: "chain"}, nil
+		return 0, 0, nil
 	}
 	if l, s, ok := strings.Cut(t.Geometry, "x"); ok {
 		leaves, err1 := strconv.Atoi(l)
 		spines, err2 := strconv.Atoi(s)
 		if err1 == nil && err2 == nil {
 			if err := sim.CheckLeafSpine(leaves, spines, true); err != nil {
-				return geometry{}, fmt.Errorf("live: leaf-spine %v; %s", err, validGeometries)
+				return 0, 0, fmt.Errorf("live: leaf-spine %v; %s", err, validGeometries)
 			}
-			return geometry{kind: "leafspine", leaves: leaves, spines: spines}, nil
+			return leaves, spines, nil
 		}
 	}
-	return geometry{}, fmt.Errorf("live: unknown geometry %q; %s", t.Geometry, validGeometries)
+	return 0, 0, fmt.Errorf("live: unknown geometry %q; %s", t.Geometry, validGeometries)
 }
 
 // Validate reports the first rule a resolved live run breaks.
 func (t Topology) Validate(s sim.Sections) error {
-	g, err := t.parseGeometry()
+	leaves, _, err := t.parseGeometry()
 	if err != nil {
 		return err
 	}
-	if s.Parking.ExplicitDrop && g.kind != "chain" {
+	if s.Parking.ExplicitDrop && leaves != 0 {
 		return fmt.Errorf("live: explicit drop needs the NF on the parking switch's merge pipe; only the chain geometry provides that")
 	}
 	if err := s.Control.Validate(s.Parking.Enabled()); err != nil {
@@ -169,30 +168,45 @@ func (t Topology) Validate(s sim.Sections) error {
 	if err := s.Parking.Validate(); err != nil {
 		return fmt.Errorf("live: %w", err)
 	}
+	if err := s.Traffic.Validate(); err != nil {
+		return fmt.Errorf("live: %w", err)
+	}
 	if t.DropFraction < 0 || t.DropFraction >= 1 {
 		return fmt.Errorf("live: drop fraction %v outside [0,1)", t.DropFraction)
+	}
+	// Every frame is serialized before the first is sent, a window nothing
+	// can enter never drains, and a burst sizes per-socket buffers: each is
+	// bounded here rather than found out by the allocator or the deadline.
+	for _, f := range []struct {
+		name       string
+		v, lo, max int
+	}{
+		{"frames", t.Frames, 1, maxFrames},
+		{"window", t.Window, 1, maxWindow},
+		{"burst", t.Burst, 0, maxBurst}, // 0: wire.DefaultBurst
+	} {
+		if f.v < f.lo || f.v > f.max {
+			return fmt.Errorf("live: %s = %d outside [%d, %d]", f.name, f.v, f.lo, f.max)
+		}
 	}
 	return nil
 }
 
-// genMAC/nfMAC name the fabric's endpoints; index i is the generator/NF
-// pair (chain: pipe index; leaf-spine: leaf index).
-func genMAC(i int) packet.MAC { return packet.MAC{2, 0, 0, 0, byte(i), 1} }
-func nfMAC(i int) packet.MAC  { return packet.MAC{2, 0, 0, 0, byte(i), 2} }
+// Upper bounds of the resolved topology's counts: a million frames per
+// generator is ~1 GB of pre-serialized workload, a window beyond 64 Ki
+// frames overruns any loopback socket buffer, and a burst is a per-socket
+// array of wire.MaxFrame buffers.
+const (
+	maxFrames = 1 << 20
+	maxWindow = 1 << 16
+	maxBurst  = 1 << 10
+)
 
-// genFrames pre-serializes generator i's deterministic frame sequence;
+// genFrames pre-serializes one generator's deterministic frame sequence;
 // live run and reference replay share the same bytes.
-func genFrames(t Topology, s sim.Sections, i, targetNF int) [][]byte {
-	tg := trafficgen.New(trafficgen.Config{
-		Sizes:   s.Traffic.Dist,
-		Flows:   s.Traffic.Flows,
-		SrcMAC:  genMAC(i),
-		DstMAC:  nfMAC(targetNF),
-		DstIP:   packet.IPv4Addr{192, 168, 0, byte(targetNF)},
-		DstPort: 9000,
-		Seed:    s.Opts.Seed + int64(i)*7919,
-	})
-	frames := make([][]byte, t.Frames)
+func genFrames(cfg trafficgen.Config, n int) [][]byte {
+	tg := trafficgen.New(cfg)
+	frames := make([][]byte, n)
 	for k := range frames {
 		p := tg.Next()
 		frames[k] = p.Serialize()

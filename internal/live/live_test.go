@@ -2,13 +2,17 @@ package live
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/ctrl"
+	"github.com/payloadpark/payloadpark/internal/rmt"
 	"github.com/payloadpark/payloadpark/internal/sim"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
+	"github.com/payloadpark/payloadpark/internal/wire"
 )
 
 // parking is the tests' parking section: a tiny edge table with the
@@ -197,5 +201,113 @@ func TestResolveDefaults(t *testing.T) {
 	}
 	if sec.Parking.Slots != 8192 || sec.Parking.MaxExpiry != 2 || sec.Traffic.Flows != 5 || sec.Traffic.Dist != trafficgen.Fixed(300) {
 		t.Errorf("written sections moved: %+v %+v", sec.Parking, sec.Traffic)
+	}
+}
+
+// TestOnePlantBothHooks: the controller's plant is the same code on the
+// simulator and on sockets; only the "run this while the switch is quiet"
+// hook differs. Over a two-pipe chain and a 4x2 every-hop graph — each
+// realised twice and loaded with the same orphaned payloads — the direct
+// hook and the worker-parking hook must read identical telemetry and
+// leave identical programs behind after the same pushes: every program's
+// expiry retuned, split claims gated on exactly the transit placements.
+func TestOnePlantBothHooks(t *testing.T) {
+	sec := sim.Sections{Parking: parking(16, false), Opts: sim.RunOptions{Seed: 4}}
+	(&Topology{}).Resolve(&sec)
+	hop := sec
+	hop.Parking.Mode = sim.ParkEveryHop
+	for _, tc := range []struct {
+		name      string
+		g         *sim.Graph
+		demotable bool
+	}{
+		{"chain", sim.SingleSwitchGraph("sw0", sec, []rmt.PortID{0, core.PortsPerPipe}, true), false},
+		{"4x2-everyhop", sim.LeafSpineGraph(4, 2, hop), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var plants [2]*sim.Plant
+			var sides [2][]*core.Switch
+			for side := range plants {
+				sws, err := tc.g.RealiseAll()
+				if err != nil {
+					t.Fatal(err)
+				}
+				// A quarter of the frames die at the NF's firewall, so their
+				// payloads stay parked: occupancy the telemetry must report.
+				w := sim.NewWalker(tc.g, sws)
+				handle := newNFHandle(0.25)
+				var scratch wire.NFScratch
+				var resp []byte
+				for i := range tc.g.Flows {
+					for _, frame := range genFrames(tc.g.Flows[i].Traffic, 24) {
+						_, err := w.Send(i, frame, func(_ *sim.Endpoint, frame []byte) []byte {
+							var verdict wire.NFVerdict
+							if resp, verdict = wire.NFFrame(&scratch, handle, false, frame, resp[:0]); verdict != wire.NFForwarded {
+								return nil
+							}
+							return resp
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				sides[side] = sws
+				quiet := func(_ int, fn func()) { fn() }
+				if side == 1 {
+					peers := tc.g.Peers()
+					nodes := make([]*switchNode, len(sws))
+					for i, sw := range sws {
+						if nodes[i], err = newSwitchNode(tc.g.Switches[i].Name, sw, peers[i], 0); err != nil {
+							t.Fatal(err)
+						}
+						nodes[i].start(ctx)
+						defer nodes[i].close()
+					}
+					quiet = func(sw int, fn func()) { nodes[sw].quiesce(fn) }
+				}
+				plants[side] = sim.NewPlant(tc.g, sws, quiet, nil)
+			}
+
+			var telem [2]ctrl.Telemetry
+			for side, p := range plants {
+				p.ReadTelemetry(&telem[side])
+			}
+			if !reflect.DeepEqual(telem[0], telem[1]) {
+				t.Fatalf("telemetry differs by hook:\n direct   %+v\n quiesced %+v", telem[0], telem[1])
+			}
+			occupied := 0
+			for i, st := range telem[0].Switches {
+				gs := tc.g.Switches[i]
+				if st.Name != gs.Name || st.Slots != 16*len(gs.Park) || st.Demotable != (tc.demotable && len(gs.Park) > 0) || st.Premature != 0 {
+					t.Errorf("switch %d telemetry %+v, want %s with %d slots, demotable=%t", i, st, gs.Name, 16*len(gs.Park), tc.demotable)
+				}
+				occupied += st.Occupancy
+			}
+			if occupied == 0 {
+				t.Error("no payload left parked: the occupancy reading is vacuous")
+			}
+
+			for side, p := range plants {
+				for _, gs := range tc.g.Switches {
+					p.PushExpiry(gs.Name, 7)
+					p.PushTransitSplit(gs.Name, false)
+				}
+				p.PushGroup("no-such-group", []string{"spine0"})
+				p.ReadTelemetry(&telem[side]) // a quiet window after the pushes: their writes are visible below
+			}
+			for side, sws := range sides {
+				for i, sw := range sws {
+					for k, prog := range sw.Programs() {
+						if want := !tc.g.Switches[i].Park[k].Transit; prog.MaxExpiry() != 7 || prog.SplitEnabled() != want {
+							t.Errorf("side %d %s program %d: expiry %d split enabled %t, want 7 and %t",
+								side, tc.g.Switches[i].Name, k, prog.MaxExpiry(), prog.SplitEnabled(), want)
+						}
+					}
+				}
+			}
+		})
 	}
 }

@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"github.com/payloadpark/payloadpark/internal/core"
-	"github.com/payloadpark/payloadpark/internal/ctrl"
 	"github.com/payloadpark/payloadpark/internal/rmt"
+	"github.com/payloadpark/payloadpark/internal/sim"
 	"github.com/payloadpark/payloadpark/internal/wire"
 )
 
@@ -19,21 +19,18 @@ import (
 // land within this latency even on a quiet pipe.
 const mailWake = 2 * time.Millisecond
 
-// pipeWorker is one pipe's socket-switch loop (wire.SwitchLoop: the
-// socket, the ingress resolution and egress cabling maps, and the control
-// mailbox drained between bursts). Its goroutine is the only toucher of
-// the pipe's core state (programs, burst slots, counter shards): the
-// one-worker-per-pipe rule core.Switch documents.
-type pipeWorker struct {
-	pipe int
-	wire.SwitchLoop
-}
-
-// switchNode is one fabric switch running live: per-pipe worker sockets
+// switchNode is one graph switch running live: per-pipe worker sockets
 // over the shared core.Switch.
 type switchNode struct {
-	fs      *fabricSwitch
-	workers []*pipeWorker
+	name string
+	// workers holds one socket-switch loop (wire.SwitchLoop: the socket,
+	// the ingress resolution and egress cabling maps, and the control
+	// mailbox drained between bursts) per pipe with a cabled port, byPipe
+	// the same loops by pipe index. A loop's goroutine is the only toucher
+	// of its pipe's core state (programs, burst slots, counter shards): the
+	// one-worker-per-pipe rule core.Switch documents.
+	workers []*wire.SwitchLoop
+	byPipe  [core.NumPipes]*wire.SwitchLoop
 	// quiesceMu serializes quiesce callers (telemetry vs. final collect)
 	// so two barriers never interleave their per-worker parks.
 	quiesceMu sync.Mutex
@@ -45,21 +42,28 @@ type switchNode struct {
 	wg   sync.WaitGroup
 }
 
-// newSwitchNode binds one loopback socket per pipe in use. Workers are
-// not started until start (peer maps are filled in between, once every
-// socket in the fabric is bound).
-func newSwitchNode(fs *fabricSwitch, burst int) (*switchNode, error) {
-	n := &switchNode{fs: fs}
-	for _, pipe := range fs.pipesInUse() {
+// newSwitchNode binds one loopback socket per pipe with a cabled port.
+// Workers are not started until start (peer maps are filled in between,
+// once every socket in the fabric is bound).
+func newSwitchNode(name string, sw *core.Switch, ports [core.NumPorts]sim.Peer, burst int) (*switchNode, error) {
+	n := &switchNode{name: name}
+	for pipe := 0; pipe < core.NumPipes; pipe++ {
+		inUse := false
+		for _, peer := range ports[pipe*core.PortsPerPipe : (pipe+1)*core.PortsPerPipe] {
+			inUse = inUse || peer.Cabled
+		}
+		if !inUse {
+			continue
+		}
 		conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 		if err != nil {
 			n.close()
-			return nil, fmt.Errorf("live: bind %s pipe %d: %w", fs.name, pipe, err)
+			return nil, fmt.Errorf("live: bind %s pipe %d: %w", name, pipe, err)
 		}
 		wire.TuneUDP(conn)
-		n.workers = append(n.workers, &pipeWorker{pipe: pipe, SwitchLoop: wire.SwitchLoop{
+		n.byPipe[pipe] = &wire.SwitchLoop{
 			Conn:  conn,
-			SW:    fs.sw,
+			SW:    sw,
 			Burst: burst,
 			Peers: make(map[string]rmt.PortID),
 			Addrs: make(map[rmt.PortID]*net.UDPAddr),
@@ -69,40 +73,24 @@ func newSwitchNode(fs *fabricSwitch, burst int) (*switchNode, error) {
 			Wake:   mailWake,
 			Rx:     &n.rxFrames,
 			Errors: &n.errs,
-		}})
+		}
+		n.workers = append(n.workers, n.byPipe[pipe])
 	}
 	return n, nil
 }
 
-// worker returns the pipe worker serving port's pipe.
-func (n *switchNode) worker(port rmt.PortID) *pipeWorker {
-	pipe := core.PipeOfPort(port)
-	for _, pw := range n.workers {
-		if pw.pipe == pipe {
-			return pw
-		}
-	}
-	return nil
-}
-
-// addr returns the socket address frames for port must be sent to.
+// addr returns the socket address frames for a cabled port must be sent
+// to.
 func (n *switchNode) addr(port rmt.PortID) *net.UDPAddr {
-	if pw := n.worker(port); pw != nil {
-		return pw.Conn.LocalAddr().(*net.UDPAddr)
-	}
-	return nil
+	return n.byPipe[core.PipeOfPort(port)].Conn.LocalAddr().(*net.UDPAddr)
 }
 
 // cable registers a peer: frames arriving on the port's pipe socket from
 // peerAddr enter the switch on port, and emissions for port go back to
-// peerAddr.
-func (n *switchNode) cable(port rmt.PortID, peerAddr *net.UDPAddr) error {
-	pw := n.worker(port)
-	if pw == nil {
-		return fmt.Errorf("live: %s has no worker for port %d", n.fs.name, port)
-	}
-	pw.Cable(port, peerAddr)
-	return nil
+// peerAddr. The graph's cabling decided which pipes have a worker, so a
+// port it cables always has one.
+func (n *switchNode) cable(port rmt.PortID, peerAddr *net.UDPAddr) {
+	n.byPipe[core.PipeOfPort(port)].Cable(port, peerAddr)
 }
 
 // start launches the pipe workers; they stop when close shuts their
@@ -110,7 +98,7 @@ func (n *switchNode) cable(port rmt.PortID, peerAddr *net.UDPAddr) error {
 func (n *switchNode) start(ctx context.Context) {
 	for _, pw := range n.workers {
 		n.wg.Add(1)
-		go func(pw *pipeWorker) {
+		go func(pw *wire.SwitchLoop) {
 			defer n.wg.Done()
 			pw.Run(ctx) // returns once the socket closes; nothing to report
 		}(pw)
@@ -145,62 +133,3 @@ func (n *switchNode) close() {
 	}
 	n.wg.Wait()
 }
-
-// livePlant implements ctrl.Plant over the fabric's switch nodes: every
-// read or push quiesces the owning node's workers first, so the
-// controller never races the dataplane.
-type livePlant struct {
-	nodes []*switchNode
-}
-
-func (p *livePlant) ReadTelemetry(t *ctrl.Telemetry) {
-	t.Switches = t.Switches[:0]
-	t.Links = t.Links[:0]
-	for _, n := range p.nodes {
-		st := ctrl.SwitchTelem{Name: n.fs.name}
-		n.quiesce(func() {
-			for _, prog := range n.fs.progs {
-				st.Premature += prog.C.PrematureEvictions.Value()
-				st.Occupancy += prog.Occupancy()
-				st.Slots += prog.Config().Slots
-			}
-		})
-		t.Switches = append(t.Switches, st)
-	}
-}
-
-func (p *livePlant) node(sw string) *switchNode {
-	for _, n := range p.nodes {
-		if n.fs.name == sw {
-			return n
-		}
-	}
-	return nil
-}
-
-func (p *livePlant) PushExpiry(sw string, expiry uint32) {
-	if n := p.node(sw); n != nil {
-		n.quiesce(func() {
-			for _, prog := range n.fs.progs {
-				prog.SetMaxExpiry(expiry)
-			}
-		})
-	}
-}
-
-func (p *livePlant) PushTransitSplit(sw string, enabled bool) {
-	// The live geometries park at the edge only — no transit programs to
-	// demote — but the push is still applied under quiescence so the
-	// protocol path is exercised end to end.
-	if n := p.node(sw); n != nil {
-		n.quiesce(func() {})
-		_ = enabled
-	}
-}
-
-func (p *livePlant) PushGroup(group string, members []string) {
-	// No ECMP groups are configured in the live fabric; the message is
-	// carried by the protocol but has nothing to rewrite.
-}
-
-var _ ctrl.Plant = (*livePlant)(nil)

@@ -7,37 +7,43 @@ import (
 	"sync"
 	"time"
 
+	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/ctrl"
 	"github.com/payloadpark/payloadpark/internal/obs"
 	"github.com/payloadpark/payloadpark/internal/sim"
 	"github.com/payloadpark/payloadpark/internal/wire"
 )
 
-// liveFabric is the fabric brought up on sockets: one switchNode per
-// fabricSwitch plus the endpoint daemons.
+// liveFabric is the graph realised on sockets: one switchNode per graph
+// switch and, per flow, a generator, a sink (a generator that only
+// receives) and an NF daemon.
 type liveFabric struct {
 	f     *fabric
+	sws   []*core.Switch
 	nodes []*switchNode
 	gens  []*wire.Generator
-	sinks []*wire.Generator // leaf-spine delivery points (nil entries for chain)
+	sinks []*wire.Generator
 	nfs   []*wire.NFDaemon
+	// fwd[i] and ret[i] count the switches flow i's frames cross from the
+	// generator to the NF and from the NF to the sink.
+	fwd, ret []uint64
 }
 
 // cableEndpoint cables the endpoint bound at addr to its switch port.
-func (lf *liveFabric) cableEndpoint(at cableEnd, addr string) error {
+func (lf *liveFabric) cableEndpoint(at sim.PortRef, addr string) error {
 	ua, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return err
+	if err == nil {
+		lf.nodes[at.Switch].cable(at.Port, ua)
 	}
-	return lf.nodes[at.sw].cable(at.port, ua)
+	return err
 }
 
-// newGenerator binds a generator (or sink: one that only receives)
-// against the pipe socket of the port it hangs off.
-func (lf *liveFabric) newGenerator(ctx context.Context, at cableEnd) (*wire.Generator, error) {
+// newGenerator binds a generator (or sink) against the pipe socket of the
+// port it hangs off.
+func (lf *liveFabric) newGenerator(ctx context.Context, at sim.PortRef) (*wire.Generator, error) {
 	g, err := wire.NewGenerator(ctx, wire.GenConfig{
 		Listen:     "127.0.0.1:0",
-		SwitchAddr: lf.nodes[at.sw].addr(at.port).String(),
+		SwitchAddr: lf.nodes[at.Switch].addr(at.Port).String(),
 		Discard:    true,
 	})
 	if err != nil {
@@ -46,9 +52,9 @@ func (lf *liveFabric) newGenerator(ctx context.Context, at cableEnd) (*wire.Gene
 	return g, lf.cableEndpoint(at, g.Addr())
 }
 
-// bringUp binds every socket of the fabric and cables them together.
-// Workers and daemons are started; teardown happens via ctx cancellation
-// plus close().
+// bringUp realises the graph: it loads every switch, binds every socket
+// and cables them together. Workers and daemons are started; teardown
+// happens via ctx cancellation plus close().
 func bringUp(ctx context.Context, f *fabric, metrics *obs.Registry) (*liveFabric, error) {
 	lf := &liveFabric{f: f}
 	ok := false
@@ -57,8 +63,13 @@ func bringUp(ctx context.Context, f *fabric, metrics *obs.Registry) (*liveFabric
 			lf.close()
 		}
 	}()
-	for _, fs := range f.switches {
-		n, err := newSwitchNode(fs, f.topo.Burst)
+	var err error
+	if lf.sws, err = f.g.RealiseAll(); err != nil {
+		return nil, fmt.Errorf("live: %w", err)
+	}
+	peers := f.g.Peers()
+	for i, sw := range lf.sws {
+		n, err := newSwitchNode(f.g.Switches[i].Name, sw, peers[i], f.topo.Burst)
 		if err != nil {
 			return nil, err
 		}
@@ -66,19 +77,19 @@ func bringUp(ctx context.Context, f *fabric, metrics *obs.Registry) (*liveFabric
 	}
 	// Endpoints: every generator, sink, and NF binds against the pipe
 	// socket its port belongs to.
-	lf.sinks = make([]*wire.Generator, len(f.genEntry))
-	for _, entry := range f.genEntry {
-		g, err := lf.newGenerator(ctx, entry)
+	for i := range f.g.Flows {
+		fl := &f.g.Flows[i]
+		gen, err := lf.newGenerator(ctx, fl.Gen.At)
 		if err != nil {
 			return nil, err
 		}
-		lf.gens = append(lf.gens, g)
-	}
-	for _, at := range f.nfPort {
-		swAddr := lf.nodes[at.sw].addr(at.port)
+		sink, err := lf.newGenerator(ctx, fl.Sink.At)
+		if err != nil {
+			return nil, err
+		}
 		nfd, err := wire.NewNFDaemon(wire.NFConfig{
 			Listen:       "127.0.0.1:0",
-			SwitchAddr:   swAddr.String(),
+			SwitchAddr:   lf.nodes[fl.NF.At.Switch].addr(fl.NF.At.Port).String(),
 			Handle:       newNFHandle(f.topo.DropFraction),
 			ExplicitDrop: f.sec.Parking.ExplicitDrop,
 			Burst:        f.topo.Burst,
@@ -86,31 +97,17 @@ func bringUp(ctx context.Context, f *fabric, metrics *obs.Registry) (*liveFabric
 		if err != nil {
 			return nil, err
 		}
-		lf.nfs = append(lf.nfs, nfd)
-		if err := lf.cableEndpoint(at, nfd.Addr()); err != nil {
+		if err := lf.cableEndpoint(fl.NF.At, nfd.Addr()); err != nil {
 			return nil, err
 		}
+		lf.gens, lf.sinks, lf.nfs = append(lf.gens, gen), append(lf.sinks, sink), append(lf.nfs, nfd)
+		lf.fwd = append(lf.fwd, uint64(f.g.PathLen(fl.Gen.At, fl.NF.MAC)))
+		lf.ret = append(lf.ret, uint64(f.g.PathLen(fl.NF.At, fl.Traffic.SrcMAC)))
 	}
-	// Sinks and inter-switch cables.
-	for si, fs := range f.switches {
-		for port, lk := range fs.links {
-			switch {
-			case lk.ep != nil && lk.ep.kind == epSink:
-				s, err := lf.newGenerator(ctx, cableEnd{sw: si, port: port})
-				if err != nil {
-					return nil, err
-				}
-				lf.sinks[lk.ep.index] = s
-			case lk.cable != nil:
-				far := lf.nodes[lk.cable.sw].addr(lk.cable.port)
-				if far == nil {
-					return nil, fmt.Errorf("live: cable (%s,%d) has no far socket", fs.name, port)
-				}
-				if err := lf.nodes[si].cable(port, far); err != nil {
-					return nil, err
-				}
-			}
-		}
+	for _, c := range f.g.Cables {
+		a, b := lf.nodes[c.A.Switch], lf.nodes[c.B.Switch]
+		a.cable(c.A.Port, b.addr(c.B.Port))
+		b.cable(c.B.Port, a.addr(c.A.Port))
 	}
 	if metrics != nil {
 		lf.registerMetrics(metrics)
@@ -134,7 +131,7 @@ func bringUp(ctx context.Context, f *fabric, metrics *obs.Registry) (*liveFabric
 func (lf *liveFabric) registerMetrics(reg *obs.Registry) {
 	for _, n := range lf.nodes {
 		n := n
-		lbl := fmt.Sprintf("{switch=%q}", n.fs.name)
+		lbl := fmt.Sprintf("{switch=%q}", n.name)
 		reg.Counter("pp_live_rx_frames_total"+lbl, "datagrams accepted by the node's workers", n.rxFrames.Load)
 		reg.Counter("pp_live_errors_total"+lbl, "uncabled emissions and send failures", n.errs.Load)
 		burst := reg.Histogram("pp_live_rx_burst_frames"+lbl, "frames drained per receive burst")
@@ -151,11 +148,10 @@ func (lf *liveFabric) registerMetrics(reg *obs.Registry) {
 		reg.Counter("pp_live_nf_dropped_total"+lbl, "packets dropped by the NF chain", nfd.Dropped.Load)
 		reg.Counter("pp_live_nf_notified_total"+lbl, "explicit-drop notifications returned", nfd.Notified.Load)
 	}
-	for i, gen := range lf.gens {
-		gen := gen
+	for i := range lf.gens {
 		lbl := fmt.Sprintf(`{gen="%d"}`, i)
-		reg.Counter("pp_live_gen_sent_total"+lbl, "frames sent by the generator", gen.Sent.Load)
-		reg.Counter("pp_live_gen_received_total"+lbl, "frames returned to the generator", gen.Received.Load)
+		reg.Counter("pp_live_gen_sent_total"+lbl, "frames sent by the generator", lf.gens[i].Sent.Load)
+		reg.Counter("pp_live_gen_received_total"+lbl, "frames delivered to the generator's sink", lf.sinks[i].Received.Load)
 	}
 }
 
@@ -166,21 +162,12 @@ func (lf *liveFabric) close() {
 	}
 }
 
-// delivered returns generator g's delivered frame count (the gen itself
-// in the chain, the leaf sink in leaf-spine).
-func (lf *liveFabric) delivered(g int) uint64 {
-	if lf.sinks[g] != nil {
-		return lf.sinks[g].Received.Load()
-	}
-	return lf.gens[g].Received.Load()
-}
-
 // accounted returns how many sent frames have finished: delivered, NF
 // dropped, or NF notified.
 func (lf *liveFabric) accounted() uint64 {
 	var n uint64
-	for g := range lf.gens {
-		n += lf.delivered(g)
+	for _, sink := range lf.sinks {
+		n += sink.Received.Load()
 	}
 	for _, nfd := range lf.nfs {
 		n += nfd.Dropped.Load() + nfd.Notified.Load()
@@ -198,20 +185,15 @@ func (lf *liveFabric) switchIngress() uint64 {
 }
 
 // expectedIngress is the exact datagram count the fabric's switches see
-// once quiescent: every generator frame crosses hops switches, every
-// NF-forwarded frame crosses hops on the way back, and each explicit-
-// drop notification enters its merge switch once.
-func (lf *liveFabric) expectedIngress(sent uint64) uint64 {
-	hops := uint64(1)
-	if lf.f.geo.kind == "leafspine" {
-		hops = 3
+// once quiescent: every generator frame crosses its flow's forward path,
+// every NF-forwarded frame the return path, and each explicit-drop
+// notification enters its merge switch once.
+func (lf *liveFabric) expectedIngress() uint64 {
+	var n uint64
+	for i, nfd := range lf.nfs {
+		n += lf.fwd[i]*lf.gens[i].Sent.Load() + lf.ret[i]*nfd.Tx.Load() + nfd.Notified.Load()
 	}
-	var nfTx, notified uint64
-	for _, nfd := range lf.nfs {
-		nfTx += nfd.Tx.Load()
-		notified += nfd.Notified.Load()
-	}
-	return hops*sent + hops*nfTx + notified
+	return n
 }
 
 // waitFor polls cond (every 200µs) until it holds or ctx expires.
@@ -263,7 +245,10 @@ func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, er
 			return nil, fmt.Errorf("live: control listener: %w", err)
 		}
 		defer ln.Close()
-		plant := &livePlant{nodes: lf.nodes}
+		// The one Plant, with the socket fabric's quiet window: every read
+		// or push parks the owning node's workers first, so the controller
+		// never races the dataplane. There are no links to report on.
+		plant := sim.NewPlant(f.g, lf.sws, func(sw int, fn func()) { lf.nodes[sw].quiesce(fn) }, nil)
 		var srvDone sync.WaitGroup
 		srvDone.Add(1)
 		go func() {
@@ -327,7 +312,7 @@ func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, er
 		var sent uint64
 		for k := 0; k < t.Frames; k++ {
 			for g := range lf.gens {
-				if err := lf.gens[g].Send(f.gens[g][k]); err != nil {
+				if err := lf.gens[g].Send(f.frames[g][k]); err != nil {
 					return nil, fmt.Errorf("live: send: %w", err)
 				}
 				sent++
@@ -341,7 +326,7 @@ func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, er
 		res.Sent = sent
 		// Trailing explicit-drop notifications are still in flight when
 		// Notified ticks; wait for the exact switch ingress count.
-		if err := waitFor(ctx, func() bool { return lf.switchIngress() >= lf.expectedIngress(sent) },
+		if err := waitFor(ctx, func() bool { return lf.switchIngress() >= lf.expectedIngress() },
 			"fabric quiescence"); err != nil {
 			return nil, err
 		}
@@ -374,13 +359,9 @@ func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, er
 	res.ElapsedNs = time.Since(begin).Nanoseconds()
 	stopControl()
 
-	for g := range lf.gens {
-		res.Delivered += lf.delivered(g)
-		if lf.sinks[g] != nil {
-			res.DeliveredBytes += lf.sinks[g].ReceivedBytes.Load()
-		} else {
-			res.DeliveredBytes += lf.gens[g].ReceivedBytes.Load()
-		}
+	for _, sink := range lf.sinks {
+		res.Delivered += sink.Received.Load()
+		res.DeliveredBytes += sink.ReceivedBytes.Load()
 	}
 	for _, nfd := range lf.nfs {
 		res.NFDropped += nfd.Dropped.Load()
@@ -396,8 +377,8 @@ func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, er
 	// Merged counters are only coherent with every worker parked; quiesce
 	// node by node (the fabric is globally idle, so per-node barriers
 	// suffice and also publish the workers' writes to this goroutine).
-	for _, n := range lf.nodes {
-		n.quiesce(func() { res.Counters.add(n.fs) })
+	for i, n := range lf.nodes {
+		n.quiesce(func() { res.Counters.add(lf.sws[i]) })
 	}
 	return res, nil
 }
@@ -407,7 +388,7 @@ func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, er
 // fabric consumed (evictions) so ghosts never wedge the window.
 func (lf *liveFabric) blast(ctx context.Context, g int) error {
 	gen := lf.gens[g]
-	frames := lf.f.gens[g]
+	frames := lf.f.frames[g]
 	burst := lf.f.topo.Burst
 	if burst <= 0 {
 		burst = wire.DefaultBurst
@@ -416,9 +397,8 @@ func (lf *liveFabric) blast(ctx context.Context, g int) error {
 	bs := gen.BatchSender()
 	dst := gen.SwitchUDPAddr()
 	acct := func() uint64 {
-		n := lf.delivered(g)
-		nfd := lf.nfs[lf.f.genTarget[g]]
-		return n + nfd.Dropped.Load() + nfd.Notified.Load()
+		nfd := lf.nfs[g]
+		return lf.sinks[g].Received.Load() + nfd.Dropped.Load() + nfd.Notified.Load()
 	}
 	var ghosts uint64
 	lastAcct := uint64(0)

@@ -7,7 +7,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"github.com/payloadpark/payloadpark/internal/live"
 	"github.com/payloadpark/payloadpark/internal/nf"
 	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/sim"
@@ -259,6 +261,65 @@ func TestHostileRates(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), sc); err == nil || err.Error() != "scenario: testbed: link_bps = -5 outside (0, +Inf)" {
 		t.Errorf("testdata/hostile-rates.json: err = %v, want the link_bps range error", err)
+	}
+}
+
+// TestHostileLive: counts the socket fabric cannot run are errors naming
+// the field, from the runner and from the reference replay alike, at once
+// — frames: -1 used to panic sizing the frame table, burst: 2^30 died
+// out of memory, and window: -5 sent nothing until the 60 s deadline. A
+// fixed frame size below the header unit (which every topology used to
+// report as a healthy run at the written size) is rejected the same way.
+func TestHostileLive(t *testing.T) {
+	for _, tc := range []struct {
+		topo Live
+		want string
+	}{
+		{Live{Frames: -1}, "frames = -1 outside [1, 1048576]"},
+		{Live{Frames: 1 << 30}, "frames = 1073741824 outside [1, 1048576]"},
+		{Live{Window: -5}, "window = -5 outside [1, 65536]"},
+		{Live{Burst: 1 << 30}, "burst = 1073741824 outside [0, 1024]"},
+		{Live{Burst: -1, Lockstep: true}, "burst = -1 outside [0, 1024]"},
+		{Live{Geometry: "4x2", Frames: -1}, "frames = -1 outside [1, 1048576]"},
+	} {
+		sc := Scenario{Topology: tc.topo, Parking: Parking{Mode: sim.ParkEdge}}
+		begin := time.Now()
+		_, runErr := Run(context.Background(), sc)
+		_, refErr := live.ReferenceRun(live.Topology(tc.topo), sc.sections())
+		if d := time.Since(begin); d > time.Second {
+			t.Errorf("%+v: rejected after %v, want at once", tc.topo, d)
+		}
+		if want := "scenario: live: " + tc.want; runErr == nil || runErr.Error() != want {
+			t.Errorf("%+v: Run err = %v, want %q", tc.topo, runErr, want)
+		}
+		if want := "live: " + tc.want; refErr == nil || refErr.Error() != want {
+			t.Errorf("%+v: ReferenceRun err = %v, want %q", tc.topo, refErr, want)
+		}
+	}
+
+	for _, topo := range []Topology{Testbed{}, MultiServer{Servers: 2}, LeafSpine{}, Live{Lockstep: true, Frames: 4}} {
+		for size, want := range map[int]string{
+			20:   "traffic.fixed_size = 20 outside [42, 1500]",
+			-7:   "traffic.fixed_size = -7 outside [42, 1500]",
+			1501: "traffic.fixed_size = 1501 outside [42, 1500]",
+		} {
+			_, err := Run(context.Background(), Scenario{Topology: topo, Traffic: Traffic{SendBps: 1e9, FixedSize: size}})
+			if want := "scenario: " + topo.Kind() + ": " + want; err == nil || err.Error() != want {
+				t.Errorf("%s fixed_size=%d: err = %v, want %q", topo.Kind(), size, err, want)
+			}
+		}
+	}
+
+	data, err := os.ReadFile("testdata/hostile-live.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc Scenario
+	if err := json.Unmarshal(data, &sc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), sc); err == nil || err.Error() != "scenario: live: frames = -1 outside [1, 1048576]" {
+		t.Errorf("testdata/hostile-live.json: err = %v, want the frames range error", err)
 	}
 }
 

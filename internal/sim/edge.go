@@ -4,7 +4,6 @@ import (
 	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/nf"
 	"github.com/payloadpark/payloadpark/internal/packet"
-	"github.com/payloadpark/payloadpark/internal/rmt"
 	"github.com/payloadpark/payloadpark/internal/stats"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
@@ -41,14 +40,14 @@ func (s *edgeSide) drop(p Parcel, _ string) {
 // explicit-drop notification, §6.2.4).
 func (s *edgeSide) consume(p Parcel) { s.recycle(p.Pkt) }
 
-// edgeSpec describes one edge. src hosts the generator and the sink, nf
-// the NF server: the same switch on a single-switch topology, the ingress
-// and egress leaf on a fabric.
+// edgeSpec describes one edge: the graph's flow — ports, node and cable
+// names as reports and metrics print them — plus what only a clocked
+// backend adds. src hosts the generator and the sink, nf the NF server:
+// the same switch on a single-switch topology, the ingress and egress leaf
+// on a fabric.
 type edgeSpec struct {
-	src, nf                   edgeSide
-	genPort, sinkPort, nfPort rmt.PortID
-	// Node and link names as reports and metrics print them.
-	genName, sinkName, genCable, sinkCable, returnCable, toNFCable string
+	flow    *Flow
+	src, nf edgeSide
 	// NF-facing line rate, per-link propagation delay and the switch's
 	// egress buffer; lossRate strikes both directions of the NF link.
 	linkBps    float64
@@ -58,7 +57,6 @@ type edgeSpec struct {
 
 	source     trafficgen.Source
 	startAt    int64 // first departure (runners stagger their sources)
-	serverCfg  nf.ServerConfig
 	serverSeed int64
 	sec        Sections // resolved: offered load, server model, window
 
@@ -104,16 +102,18 @@ func newEdge(f *Fabric, spec edgeSpec) *edge {
 	src, srv := &e.src, &e.nf
 	srcEng, nfEng := src.node.Engine(), srv.node.Engine()
 
-	genLink := f.NewLinkAt(e.genCable, 2*e.linkBps, e.propNs, 4<<20,
-		src.node.IngressWith(e.genPort, src.drop, src.consume), src.drop, src.part, src.part)
-	e.sink = f.AddSinkAt(e.sinkName, end, src.recycle, src.part)
-	src.node.SetOut(e.sinkPort, f.NewLinkAt(e.sinkCable, 2*e.linkBps, e.propNs, 2*e.queueBytes,
+	fl := e.flow
+
+	genLink := f.NewLinkAt(fl.Gen.ToSwitch, 2*e.linkBps, e.propNs, 4<<20,
+		src.node.IngressWith(fl.Gen.At.Port, src.drop, src.consume), src.drop, src.part, src.part)
+	e.sink = f.AddSinkAt(fl.Sink.Name, end, src.recycle, src.part)
+	src.node.SetOut(fl.Sink.At.Port, f.NewLinkAt(fl.Sink.FromSwitch, 2*e.linkBps, e.propNs, 2*e.queueBytes,
 		e.sink.Receive, src.drop, src.part, src.part))
 
-	returnLink := f.NewLinkAt(e.returnCable, e.linkBps, e.propNs, e.queueBytes,
-		srv.node.IngressWith(e.nfPort, srv.drop, srv.consume), srv.drop, srv.part, srv.part)
+	returnLink := f.NewLinkAt(fl.NF.ToSwitch, e.linkBps, e.propNs, e.queueBytes,
+		srv.node.IngressWith(fl.NF.At.Port, srv.drop, srv.consume), srv.drop, srv.part, srv.part)
 	returnLink.LossRate = e.lossRate
-	e.server = NewServerSim(nfEng, e.sec.Server, nf.NewServer(e.serverCfg), e.serverSeed,
+	e.server = NewServerSim(nfEng, e.sec.Server, nf.NewServer(e.sec.serverConfig(fl)), e.serverSeed,
 		returnLink.Send, srv.drop, func(p Parcel) {
 			if p.InWindow {
 				e.nfConsumed++
@@ -127,7 +127,7 @@ func newEdge(f *Fabric, spec edgeSpec) *edge {
 	// goes on to drop — §6.2.4 plots goodput against the firewall's drop
 	// rate, so a verdict must not erase the delivery it judged. InWindow
 	// already says the packet was born after the window opened.
-	toNFLink := f.NewLinkAt(e.toNFCable, e.linkBps, e.propNs, e.queueBytes,
+	toNFLink := f.NewLinkAt(fl.NF.FromSwitch, e.linkBps, e.propNs, e.queueBytes,
 		func(p Parcel) {
 			now := nfEng.Now()
 			if p.InWindow && now <= end {
@@ -140,12 +140,12 @@ func newEdge(f *Fabric, spec edgeSpec) *edge {
 			e.server.Receive(p)
 		}, srv.drop, srv.part, srv.part)
 	toNFLink.LossRate = e.lossRate
-	srv.node.SetOut(e.nfPort, toNFLink)
+	srv.node.SetOut(fl.NF.At.Port, toNFLink)
 
 	// Offered load is constant bit rate over frame bits, counted as it
 	// leaves the generator; the source runs half a warmup past the window
 	// so the window's tail is measured under steady load.
-	gen := f.AddSourceAt(e.genName, e.source, genLink, e.sec.Traffic.SendBps, src.part)
+	gen := f.AddSourceAt(fl.Gen.Name, e.source, genLink, e.sec.Traffic.SendBps, src.part)
 	gen.WindowStart, gen.WindowEnd = start, end
 	gen.StopAt = end + e.sec.Opts.WarmupNs/2
 	gen.OnSend = func(p Parcel) {

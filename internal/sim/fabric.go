@@ -9,12 +9,12 @@ import (
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
-// Fabric is a graph of simulation nodes — switches, NF servers, traffic
-// sources and sinks — connected by unidirectional Links. The canonical
-// presets (RunTestbed, RunMultiServer) build one switch and its edges
-// (edge.go), while the leaf-spine preset (RunLeafSpine) builds a
-// multi-hop fabric with per-switch PayloadPark programs and static route
-// tables between the same edges.
+// Fabric is the discrete-event realisation of a Graph (graph.go):
+// simulation nodes — switches, NF servers, traffic sources and sinks —
+// connected by unidirectional Links. The runners load each switch with
+// Graph.Realise and cable it: RunTestbed and RunMultiServer one switch
+// and its edges (edge.go), RunLeafSpine the graph's fabric cables between
+// the same edges.
 //
 // By default a Fabric shares one single-threaded discrete-event Engine;
 // all nodes schedule onto the same clock, so runs stay deterministic

@@ -3,11 +3,8 @@ package sim
 import (
 	"fmt"
 
-	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/ctrl"
-	"github.com/payloadpark/payloadpark/internal/nf"
 	"github.com/payloadpark/payloadpark/internal/packet"
-	"github.com/payloadpark/payloadpark/internal/prog"
 	"github.com/payloadpark/payloadpark/internal/rmt"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
@@ -63,16 +60,6 @@ func (m *ParkMode) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Leaf-spine port layout. Leaves use pipe-0 ports: 0 = traffic source,
-// 1 = sink, 2 = local NF server, 3+s = spine s. Spines use port i for
-// leaf i. Both layouts must fit one pipe (16 ports).
-const (
-	leafPortGen   = rmt.PortID(0)
-	leafPortSink  = rmt.PortID(1)
-	leafPortNF    = rmt.PortID(2)
-	leafPortSpine = rmt.PortID(3)
-)
-
 // FlowResult reports one source->NF->sink flow across the fabric.
 type FlowResult struct {
 	// Name is "leaf<i>->nf<j>".
@@ -124,14 +111,6 @@ type FabricResult struct {
 	Control *ctrl.Report `json:"control,omitempty"`
 }
 
-// spineOf returns the spine affinity of flow i (used for both the
-// forward and the return path, which is what pins the merge port).
-func (l *LeafSpine) spineOf(i int) int { return i % l.Spines }
-
-func leafSpineMACs(i int) (gen, nfm packet.MAC) {
-	return packet.MAC{0x02, 0x40, 0, 0, 0, byte(i)}, packet.MAC{0x02, 0x50, 0, 0, 0, byte(i)}
-}
-
 // RunLeafSpine simulates a leaf-spine fabric: every leaf hosts a traffic
 // source, a sink, and an NF server running a MAC-swap chain; flow i
 // enters at leaf i and is served by the NF at leaf (i+1) mod Leaves,
@@ -152,8 +131,9 @@ func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
 	L, S := l.Leaves, l.Spines
 	mode, ecmp, compress := sec.Parking.Mode, sec.Control.ECMP, sec.Program.Kind == "compress"
 	controlled := sec.Control.Enabled() // ECMP groups always run under a controller
+	g := l.graph(sec)
 
-	// Partition placement: greedy min-cut over the switch graph (leaves
+	// Partition placement: greedy min-cut over the graph's cables (leaves
 	// 0..L-1 then spines L..L+S-1, matching report order); every leaf's
 	// source, sink, and NF server follow their leaf. The controller reads
 	// and writes fabric-wide state mid-run, so it forces a serial run.
@@ -165,11 +145,9 @@ func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
 		P = L + S
 	}
 	adj := make([][]int, L+S)
-	for i := 0; i < L; i++ {
-		for s := 0; s < S; s++ {
-			adj[i] = append(adj[i], L+s)
-			adj[L+s] = append(adj[L+s], i)
-		}
+	for _, c := range g.Cables {
+		adj[c.A.Switch] = append(adj[c.A.Switch], c.B.Switch)
+		adj[c.B.Switch] = append(adj[c.B.Switch], c.A.Switch)
 	}
 	part := greedyPartition(adj, P)
 
@@ -180,159 +158,30 @@ func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
 	}
 	windowStart, windowEnd := sec.Opts.window()
 
-	// Nodes first: leaves, then spines, so reports read in that order.
-	leaves := make([]*SwitchNode, L)
-	for i := range leaves {
-		leaves[i] = f.AddSwitchAt(fmt.Sprintf("leaf%d", i), part[i])
-	}
-	spines := make([]*SwitchNode, S)
-	for s := range spines {
-		spines[s] = f.AddSwitchAt(fmt.Sprintf("spine%d", s), part[L+s])
-	}
-
-	// Static routes. Flow i: leaf i -> spine i%S -> leaf (i+1)%L -> NF,
-	// and the exact reverse for the returning headers.
-	for i := 0; i < L; i++ {
-		for k := 0; k < L; k++ {
-			genK, nfK := leafSpineMACs(k)
-			if k == i {
-				// NF k hangs off this leaf; merged headers for source k
-				// leave toward its sink.
-				leaves[i].SW.AddL2Route(nfK, leafPortNF)
-				leaves[i].SW.AddL2Route(genK, leafPortSink)
-				continue
-			}
-			// Toward NF k: the flow sourced at leaf k-1 owns the path.
-			leaves[i].SW.AddL2Route(nfK, leafPortSpine+rmt.PortID(l.spineOf((k-1+L)%L)))
-			// Toward source k: the return path of flow k.
-			leaves[i].SW.AddL2Route(genK, leafPortSpine+rmt.PortID(l.spineOf(k)))
+	nodes := make([]*SwitchNode, L+S)
+	for i, gs := range g.Switches {
+		nodes[i] = f.AddSwitchAt(gs.Name, part[i])
+		nodes[i].WireParse = gs.WireParse
+		if err := g.Realise(i, nodes[i].SW); err != nil {
+			return FabricResult{}, err
 		}
 	}
-	for s := 0; s < S; s++ {
-		for k := 0; k < L; k++ {
-			genK, nfK := leafSpineMACs(k)
-			spines[s].SW.AddL2Route(nfK, rmt.PortID(k))
-			spines[s].SW.AddL2Route(genK, rmt.PortID(k))
-		}
-	}
-
-	// Programs.
-	attach := func(n *SwitchNode, split, merge rmt.PortID) error {
-		if _, err := n.SW.AttachPayloadPark(sec.Parking.Core(split, merge), -1); err != nil {
-			return fmt.Errorf("attach %s: %w", n.Name, err)
-		}
-		return nil
-	}
-	if mode != ParkNone {
-		// Ingress-leaf programs: split what the source sends, merge what
-		// returns from this flow's spine.
-		for i := 0; i < L; i++ {
-			if err := attach(leaves[i], leafPortGen, leafPortSpine+rmt.PortID(l.spineOf(i))); err != nil {
-				return FabricResult{}, err
-			}
-		}
-	}
-	// Compression companion policy: compress where the flow enters the
-	// fabric, restore when the headers return from the flow's spine —
-	// the same port layout ParkEdge uses, loaded from the declarative
-	// spec rather than a built-in Go program.
-	leafComp := make([]*prog.Instance, L)
-	if compress {
-		for i := 0; i < L; i++ {
-			spec := prog.HeaderCompressSpec(prog.CompressParams{
-				Slots: sec.Program.Slots, MaxExpiry: sec.Program.MaxExpiry,
-				CompressPort: int(leafPortGen),
-				RestorePort:  int(leafPortSpine + rmt.PortID(l.spineOf(i))),
-			})
-			inst, err := leaves[i].SW.AttachSpec(spec, nil, nil)
-			if err != nil {
-				return FabricResult{}, fmt.Errorf("attach compression %s: %w", leaves[i].Name, err)
-			}
-			leafComp[i] = inst
-		}
-	}
+	leaves := nodes[:L]
 	// Window-start compression-counter snapshots, each taken on the
 	// engine owning its leaf so partitioned runs stay race-free.
 	compSnaps := make([]map[string]uint64, L)
 	if compress {
-		for i := 0; i < L; i++ {
+		for i := range leaves {
 			i := i
 			leaves[i].Engine().ScheduleAt(windowStart, func() {
-				compSnaps[i] = leafComp[i].Counters()
+				compSnaps[i] = leaves[i].SW.Instances()[0].Counters()
 			})
-		}
-	}
-	if mode == ParkEveryHop {
-		// Striping parks again at the spine and at the egress leaf; each
-		// downstream program sees the upstream header as payload, which
-		// requires byte-accurate hops.
-		for _, n := range leaves {
-			n.WireParse = true
-		}
-		for _, n := range spines {
-			n.WireParse = true
-		}
-		for i := 0; i < L; i++ {
-			j := (i + 1) % L
-			if err := attach(spines[l.spineOf(i)], rmt.PortID(i), rmt.PortID(j)); err != nil {
-				return FabricResult{}, err
-			}
-			// Last-hop program at the egress leaf: split what arrives from
-			// the flow's spine, merge what the local NF returns.
-			if err := attach(leaves[j], leafPortSpine+rmt.PortID(l.spineOf(i)), leafPortNF); err != nil {
-				return FabricResult{}, err
-			}
-		}
-	}
-
-	// Control plane. ECMP overlays each ingress leaf's forward route with
-	// a hash group over the parking-safe spines (a group takes precedence
-	// over the static L2 entry); the controller — when configured — owns
-	// membership from there.
-	var plant *controlPlant
-	var groups []ctrl.Group
-	if controlled {
-		// Transit programs (demotable by the adaptive policy) are the
-		// every-hop stripers: everything whose split port is not the
-		// ingress-leaf traffic source.
-		plant = newControlPlant(f, func(prog *core.Program) bool {
-			return prog.Config().SplitPort != leafPortGen
-		})
-	}
-	if ecmp {
-		for i := 0; i < L; i++ {
-			j := (i + 1) % L
-			_, nfDst := leafSpineMACs(j)
-			ports := make(map[string]rmt.PortID, S)
-			var members []ctrl.Member
-			for s := 0; s < S; s++ {
-				if (mode != ParkNone || compress) && s == l.spineOf(j) {
-					// A slim (or compressed) flow arriving at the egress
-					// leaf on this spine's port would hit that leaf's
-					// merge/restore port.
-					continue
-				}
-				name := fmt.Sprintf("spine%d", s)
-				ports[name] = leafPortSpine + rmt.PortID(s)
-				members = append(members, ctrl.Member{Name: name, Links: []string{
-					fmt.Sprintf("leaf%d->spine%d", i, s),
-					fmt.Sprintf("spine%d->leaf%d", s, j),
-				}})
-			}
-			gname := fmt.Sprintf("leaf%d->nf%d", i, j)
-			if err := leaves[i].SW.SetECMPRoute(nfDst, ports); err != nil {
-				return FabricResult{}, fmt.Errorf("ECMP group %s: %w", gname, err)
-			}
-			plant.addGroup(gname, leaves[i], nfDst, ports)
-			groups = append(groups, ctrl.Group{Name: gname, Switch: leaves[i].Name, Members: members})
 		}
 	}
 
 	gens := make([]*trafficgen.Generator, L)
 	for i := range gens {
-		gen, _ := leafSpineMACs(i)
-		_, nfDst := leafSpineMACs((i + 1) % L)
-		gens[i] = sec.generator(gen, nfDst, packet.IPv4Addr{10, 2, byte(i), 9}, sec.Opts.Seed+int64(i))
+		gens[i] = trafficgen.New(g.Flows[i].Traffic)
 	}
 	// Drop accounting away from the edges (fabric cables, spines, leaf
 	// ingress from a spine) is sharded per partition — each shard has
@@ -363,17 +212,10 @@ func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
 			recycle(p.Pkt)
 		}
 	}
-	consumeFor := func(r, at int) func(Parcel) {
-		recycle := recycleAt(r, at)
-		return func(p Parcel) { recycle(p.Pkt) }
-	}
-	for i := 0; i < L; i++ {
-		leaves[i].OnDrop = dropFor(i, part[i])
-		leaves[i].OnConsumed = consumeFor(i, part[i])
-	}
-	for s := 0; s < S; s++ {
-		spines[s].OnDrop = dropFor(s%L, part[L+s])
-		spines[s].OnConsumed = consumeFor(s%L, part[L+s])
+	for n, node := range nodes {
+		recycle := recycleAt(n%L, part[n]) // spine s charges flow s%L's pool
+		node.OnDrop = dropFor(n%L, part[n])
+		node.OnConsumed = func(p Parcel) { recycle(p.Pkt) }
 	}
 
 	// Failure bookkeeping (flow 0).
@@ -392,21 +234,23 @@ func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
 	// the only links that can cross a partition cut (everything at the
 	// edge shares its leaf's partition). A link's transmit side lives with
 	// the sending switch; its drop hook charges that same partition.
-	fabricLink := func(name string, deliver func(Parcel), onDrop func(Parcel, string), src, dst int) *Link {
-		return f.NewLinkAt(name, l.LinkBps, l.PropNs, l.QueueBytes, deliver, onDrop, src, dst)
-	}
+	// The failure scenario's subject is flow 0's forward path, as the graph
+	// routes it: leaf 0's uplink toward the NF, and the link from the spine
+	// behind that uplink down to the egress leaf.
+	egress := g.Flows[0].NF.At.Switch
+	fwdPort := g.Switches[0].Routes[g.Flows[0].NF.MAC]
+	fwdSpine := g.Peers()[0][fwdPort].Far.Switch
 	var failLink *Link
-	for i := 0; i < L; i++ {
-		for s := 0; s < S; s++ {
-			up := fabricLink(fmt.Sprintf("leaf%d->spine%d", i, s),
-				spines[s].Ingress(rmt.PortID(i)), dropFor(i, part[i]), part[i], part[L+s])
-			leaves[i].SetOut(leafPortSpine+rmt.PortID(s), up)
-			down := fabricLink(fmt.Sprintf("spine%d->leaf%d", s, i),
-				leaves[i].Ingress(leafPortSpine+rmt.PortID(s)), dropFor(i, part[L+s]), part[L+s], part[i])
-			spines[s].SetOut(rmt.PortID(i), down)
-			if l.FailLink && s == l.spineOf(0) && i == 1%L {
-				failLink = down // flow 0's forward last fabric hop
-			}
+	for _, c := range g.Cables {
+		leaf, spine := c.A.Switch, c.B.Switch
+		up := f.NewLinkAt(nodes[leaf].Name+"->"+nodes[spine].Name, l.LinkBps, l.PropNs, l.QueueBytes,
+			nodes[spine].Ingress(c.B.Port), dropFor(leaf, part[leaf]), part[leaf], part[spine])
+		nodes[leaf].SetOut(c.A.Port, up)
+		down := f.NewLinkAt(nodes[spine].Name+"->"+nodes[leaf].Name, l.LinkBps, l.PropNs, l.QueueBytes,
+			nodes[leaf].Ingress(c.A.Port), dropFor(leaf, part[spine]), part[spine], part[leaf])
+		nodes[spine].SetOut(c.B.Port, down)
+		if spine == fwdSpine && leaf == egress {
+			failLink = down // flow 0's forward last fabric hop
 		}
 	}
 
@@ -417,17 +261,14 @@ func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
 	for i := range edges {
 		j := (i + 1) % L
 		spec := edgeSpec{
+			flow:    &g.Flows[i],
 			src:     edgeSide{node: leaves[i], part: part[i], recycle: recycleAt(i, part[i])},
 			nf:      edgeSide{node: leaves[j], part: part[j], recycle: recycleAt(i, part[j])},
-			genPort: leafPortGen, sinkPort: leafPortSink, nfPort: leafPortNF,
-			genName: fmt.Sprintf("gen%d", i), sinkName: fmt.Sprintf("sink%d", i),
-			genCable: fmt.Sprintf("gen%d->leaf%d", i, i), sinkCable: fmt.Sprintf("leaf%d->sink%d", i, i),
-			returnCable: fmt.Sprintf("nf%d->leaf%d", j, j), toNFCable: fmt.Sprintf("leaf%d->nf%d", j, j),
 			linkBps: l.LinkBps, propNs: l.PropNs, queueBytes: l.QueueBytes,
-			source:    gens[i],
-			startAt:   int64(i) * 131, // desynchronize sources slightly
-			serverCfg: nf.ServerConfig{Chain: nf.NewChain(nf.MACSwap{})}, serverSeed: sec.Opts.Seed + (int64(i)+1)<<40,
-			sec: sec,
+			source:     gens[i],
+			startAt:    int64(i) * 131, // desynchronize sources slightly
+			serverSeed: sec.Opts.Seed + (int64(i)+1)<<40,
+			sec:        sec,
 		}
 		if i == 0 {
 			spec.onDeliver = func(now int64) { phaseDelivered[phase(now)]++ }
@@ -446,21 +287,22 @@ func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
 		// dead link's transmit side lives with its spine, the route (or
 		// group) rewrite with leaf 0 — so partitioned runs mutate each from
 		// its own timeline only.
-		spines[l.spineOf(0)].Engine().ScheduleAt(l.FailAtNs, func() { failLink.Down = true })
+		nodes[fwdSpine].Engine().ScheduleAt(l.FailAtNs, func() { failLink.Down = true })
 		// Static routes are rewritten after the detection delay. With ECMP
 		// the controller's next telemetry tick sees the down link and
 		// shrinks the group instead — detection latency is the tick period.
 		if !ecmp {
-			_, nfDst := leafSpineMACs(1 % L)
-			alt := (l.spineOf(0) + 1) % S
+			// Every leaf numbers its uplinks alike, so the egress leaf's
+			// merge port names the uplink to avoid here.
+			next := func(p rmt.PortID) rmt.PortID { return leafUplink + (p-leafUplink+1)%rmt.PortID(S) }
+			alt := next(fwdPort)
 			if mode != ParkNone {
-				for alt == l.spineOf(0) || alt == l.spineOf(1%L) {
-					alt = (alt + 1) % S
+				for alt == fwdPort || alt == g.Switches[egress].Park[0].Merge {
+					alt = next(alt)
 				}
 			}
-			altPort := leafPortSpine + rmt.PortID(alt)
 			leaves[0].Engine().ScheduleAt(l.FailAtNs+l.RerouteNs, func() {
-				leaves[0].SW.AddL2Route(nfDst, altPort)
+				leaves[0].SW.AddL2Route(g.Flows[0].NF.MAC, alt)
 			})
 		}
 	}
@@ -471,7 +313,7 @@ func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
 	if controlled {
 		cc := sec.Control
 		def(&cc.Aggressive, sec.Parking.MaxExpiry)
-		controller = attachController(f, cc, plant, groups, windowEnd+sec.Opts.WarmupNs)
+		controller = attachController(f, cc, g, windowEnd+sec.Opts.WarmupNs)
 	}
 
 	f.Run(windowEnd + sec.Opts.WarmupNs)
@@ -488,8 +330,8 @@ func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
 		res.UnintendedDrops += d
 	}
 	if compress {
-		for i, inst := range leafComp {
-			res.Programs = append(res.Programs, programReport(leaves[i].Name, inst, compSnaps[i]))
+		for i, leaf := range leaves {
+			res.Programs = append(res.Programs, programReport(leaf.Name, leaf.SW.Instances()[0], compSnaps[i]))
 		}
 		sortPrograms(res.Programs)
 	}
@@ -499,7 +341,7 @@ func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
 	for i, e := range edges {
 		r := e.measure()
 		fr := FlowResult{
-			Name:         fmt.Sprintf("leaf%d->nf%d", i, (i+1)%L),
+			Name:         g.Flows[i].Name,
 			SendGbps:     r.SendGbps,
 			GoodputGbps:  r.GoodputGbps,
 			ToNFGbps:     r.ToNFGbps,

@@ -7,33 +7,41 @@ import (
 	"github.com/payloadpark/payloadpark/internal/rmt"
 )
 
-// InProcess is the engine-less backend: the Fig. 5 testbed — one switch,
-// one NF server — with no clock and no sockets. Each call carries one
-// packet (or frame) through generator → switch → NF → switch → sink, the
-// operation order the engine and the socket daemons produce with a single
-// packet in flight.
+// InProcess is the Fig. 5 testbed graph — one switch, one NF server —
+// realised with no clock and no sockets. Each call carries one packet (or
+// frame) through generator → switch → NF → switch → sink, the operation
+// order the engine and the socket daemons produce with a single packet in
+// flight.
 type InProcess struct {
 	SW *core.Switch
 	// Prog is the installed PayloadPark program (nil for the baseline).
 	Prog   *core.Program
 	Server *nf.Server
 
-	one   batchOfOne
-	fb    *core.FrameBurst
-	nfPkt packet.Packet
-	wire  []byte
+	genPort, nfPort rmt.PortID
+	one             batchOfOne
+	walk            *Walker
+	nfPkt           packet.Packet
+	wire            []byte
 }
 
 // NewInProcess builds the testbed switch around srv; pp parameterizes the
-// PayloadPark program (ports are pinned by the wiring), nil runs the
+// PayloadPark program (ports are pinned by the graph), nil runs the
 // baseline.
 func NewInProcess(pp *core.Config, srv *nf.Server) (*InProcess, error) {
-	sw := core.NewSwitch("inprocess")
-	prog, err := wireTestbed(sw, pp)
+	var s Sections
+	if pp != nil {
+		s.Parking = Parking{Mode: ParkEdge, Slots: pp.Slots, MaxExpiry: pp.MaxExpiry,
+			Recirculate: pp.Recirculate, BoundaryOffset: pp.BoundaryOffset}
+	}
+	g := SingleSwitchGraph("inprocess", s, []rmt.PortID{0}, false)
+	sws, err := g.RealiseAll()
 	if err != nil {
 		return nil, err
 	}
-	return &InProcess{SW: sw, Prog: prog, Server: srv, fb: sw.NewFrameBurst(1)}, nil
+	fl := &g.Flows[0]
+	return &InProcess{SW: sws[0], Prog: first(sws[0].Programs()), Server: srv,
+		genPort: fl.Gen.At.Port, nfPort: fl.NF.At.Port, walk: NewWalker(g, sws)}, nil
 }
 
 // Process pushes one generator packet through the round trip and returns
@@ -41,7 +49,7 @@ func NewInProcess(pp *core.Config, srv *nf.Server) (*InProcess, error) {
 // place.
 func (r *InProcess) Process(pkt *packet.Packet) *packet.Packet {
 	// A dropped packet's emission is zeroed, so Em.Pkt is nil.
-	toNF := r.one.inject(r.SW, pkt, portSplit).Em.Pkt
+	toNF := r.one.inject(r.SW, pkt, r.genPort).Em.Pkt
 	if toNF == nil {
 		return nil
 	}
@@ -49,7 +57,7 @@ func (r *InProcess) Process(pkt *packet.Packet) *packet.Packet {
 	if res.Out == nil {
 		return nil
 	}
-	return r.one.inject(r.SW, res.Out, portNF).Em.Pkt
+	return r.one.inject(r.SW, res.Out, r.nfPort).Em.Pkt
 }
 
 // ProcessFrame is Process at the byte level: frame in, the sink's frame
@@ -57,32 +65,23 @@ func (r *InProcess) Process(pkt *packet.Packet) *packet.Packet {
 // PayloadPark-unaware framework would: any PayloadPark header rides inside
 // the payload untouched.
 func (r *InProcess) ProcessFrame(frame []byte) ([]byte, error) {
-	toNF, err := r.frameHop(frame, portSplit)
-	if toNF == nil {
+	var nfErr error
+	out, err := r.walk.Send(0, frame, func(_ *Endpoint, toNF []byte) []byte {
+		if nfErr = packet.ParseAtInto(&r.nfPkt, toNF, -1); nfErr != nil {
+			return nil
+		}
+		res := r.Server.Handle(&r.nfPkt)
+		if res.Out == nil {
+			return nil
+		}
+		r.wire = res.Out.AppendSerialize(r.wire[:0])
+		return r.wire
+	})
+	if err == nil {
+		err = nfErr
+	}
+	if err != nil || out == nil {
 		return nil, err
 	}
-	r.wire = toNF.AppendSerialize(r.wire[:0])
-	if err := packet.ParseAtInto(&r.nfPkt, r.wire, -1); err != nil {
-		return nil, err
-	}
-	res := r.Server.Handle(&r.nfPkt)
-	if res.Out == nil {
-		return nil, nil
-	}
-	r.wire = res.Out.AppendSerialize(r.wire[:0])
-	toSink, err := r.frameHop(r.wire, portNF)
-	if toSink == nil {
-		return nil, err
-	}
-	return toSink.Serialize(), nil
-}
-
-// frameHop runs frame through a one-slot FrameBurst; the packet aliases
-// the slot until the next hop.
-func (r *InProcess) frameHop(frame []byte, in rmt.PortID) (*packet.Packet, error) {
-	r.fb.Reset()
-	if err := r.fb.Add(frame, in); err != nil {
-		return nil, err
-	}
-	return r.fb.Run()[0].Em.Pkt, nil
+	return append([]byte(nil), out...), nil // out aliases the walker's scratch
 }

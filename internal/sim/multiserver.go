@@ -1,12 +1,7 @@
 package sim
 
 import (
-	"fmt"
-
-	"github.com/payloadpark/payloadpark/internal/core"
-	"github.com/payloadpark/payloadpark/internal/nf"
-	"github.com/payloadpark/payloadpark/internal/packet"
-	"github.com/payloadpark/payloadpark/internal/rmt"
+	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
 // MultiServerResult reports per-server and aggregate outcomes.
@@ -32,12 +27,27 @@ func RunMultiServer(m MultiServer, s Sections, w Wiring) (MultiServerResult, err
 	f.Engine().Cancel = w.Cancel
 	swn := f.AddSwitch("multiserver")
 
+	g := m.graph(s)
+	if err := g.Realise(0, swn.SW); err != nil {
+		return MultiServerResult{}, err
+	}
+
 	edges := make([]*edge, m.Servers)
 	for i := range edges {
-		var err error
-		if edges[i], err = wireServer(f, swn, m, s, i); err != nil {
-			return MultiServerResult{}, err
+		gen := trafficgen.New(g.Flows[i].Traffic)
+		side := edgeSide{node: swn, recycle: gen.Recycle}
+		spec := edgeSpec{
+			flow: &g.Flows[i], src: side, nf: side,
+			linkBps: m.LinkBps, propNs: simPropNs, queueBytes: simQueueBytes,
+			source:     gen,
+			startAt:    int64(i) * 97, // desynchronize servers slightly
+			serverSeed: s.Opts.Seed + (int64(i)+1)<<40,
+			sec:        s,
 		}
+		if s.Parking.Enabled() {
+			spec.prog = swn.SW.Programs()[i]
+		}
+		edges[i] = newEdge(f, spec)
 	}
 	f.EnableObs(w.Obs)
 	_, windowEnd := s.Opts.window()
@@ -46,7 +56,7 @@ func RunMultiServer(m MultiServer, s Sections, w Wiring) (MultiServerResult, err
 	out := MultiServerResult{PerServer: make([]Result, m.Servers)}
 	for i, e := range edges {
 		out.PerServer[i] = e.measure()
-		out.PerServer[i].Name = fmt.Sprintf("server-%d", i+1)
+		out.PerServer[i].Name = g.Flows[i].Name
 	}
 	pipes := (m.Servers + 1) / 2
 	for p := 0; p < pipes; p++ {
@@ -58,43 +68,4 @@ func RunMultiServer(m MultiServer, s Sections, w Wiring) (MultiServerResult, err
 	}
 	out.SRAMAvgPct /= float64(pipes)
 	return out, nil
-}
-
-// wireServer attaches one generator/server pair to the shared switch
-// node. Server i lives on pipe i/2; the second server of a pipe uses the
-// upper port block.
-func wireServer(f *Fabric, swn *SwitchNode, m MultiServer, s Sections, i int) (*edge, error) {
-	pipe := i / 2
-	base := rmt.PortID(core.PortsPerPipe*pipe + 8*(i%2))
-	split, nfPort, sinkPort := base, base+1, base+2
-
-	macGen := packet.MAC{0x02, 0x10, 0, 0, 0, byte(i)}
-	macNF := packet.MAC{0x02, 0x20, 0, 0, 0, byte(i)}
-	macSink := packet.MAC{0x02, 0x30, 0, 0, 0, byte(i)}
-	swn.SW.AddL2Route(macNF, nfPort)
-	swn.SW.AddL2Route(macSink, sinkPort)
-	swn.SW.AddL2Route(macGen, sinkPort) // MAC swap returns toward the generator
-
-	var prog *core.Program
-	if s.Parking.Enabled() {
-		var err error
-		if prog, err = swn.SW.AttachPayloadPark(s.Parking.Core(split, nfPort), -1); err != nil {
-			return nil, fmt.Errorf("attach server %d: %w", i+1, err)
-		}
-	}
-
-	gen := s.generator(macGen, macNF, packet.IPv4Addr{10, 1, byte(i), 9}, s.Opts.Seed+int64(i))
-	name := func(hop string) string { return fmt.Sprintf("%s[%d]", hop, i+1) }
-	side := edgeSide{node: swn, recycle: gen.Recycle}
-	return newEdge(f, edgeSpec{
-		src: side, nf: side,
-		genPort: split, sinkPort: sinkPort, nfPort: nfPort,
-		genName: name("gen"), sinkName: name("sink"), genCable: name("gen->switch"), sinkCable: name("switch->sink"),
-		returnCable: name("nf->switch"), toNFCable: name("switch->nf"),
-		linkBps: m.LinkBps, propNs: simPropNs, queueBytes: simQueueBytes,
-		source:    gen,
-		startAt:   int64(i) * 97, // desynchronize servers slightly
-		serverCfg: nf.ServerConfig{Chain: nf.NewChain(nf.MACSwap{})}, serverSeed: s.Opts.Seed + (int64(i)+1)<<40,
-		sec: s, prog: prog,
-	}), nil
 }

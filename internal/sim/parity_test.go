@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
 	"github.com/payloadpark/payloadpark/internal/nf"
+	"github.com/payloadpark/payloadpark/internal/obs"
 	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
@@ -139,7 +142,7 @@ func TestMultiServerFabricParity(t *testing.T) {
 	// Server 1 and 2 of the pre-refactor run, field for field. SendGbps
 	// and Delivered were not recorded pre-refactor (always zero); their
 	// values here were captured when the measurement was added, and so
-	// were Splits and Merges when wireServer stopped discarding its
+	// were Splits and Merges when the multi-server runner stopped discarding its
 	// program (they had been zero whatever happened) — every other
 	// timeline-derived field is still the original golden.
 	assertGolden(t, "ms-pp-1", r.PerServer[0], Result{
@@ -205,5 +208,152 @@ func TestGoodputUnitAcrossTopologies(t *testing.T) {
 				t.Errorf("%s edge %d: parked goodput %v vs baseline %v differ by more than 2%%", kind, i, p.GoodputGbps, b.GoodputGbps)
 			}
 		}
+	}
+}
+
+// TestSimEqualsReferenceWalk is the sim ≡ reference leg of the three-way
+// parity the shared graph makes possible (live ≡ reference is internal/
+// live's lockstep gate): below saturation, with more slots than packets in
+// flight, the event engine can reorder nothing a counter sees — so every
+// whole-run count of the simulation must equal what Walker produces when it
+// carries the same generators' first `sent` frames through the same graph
+// one at a time. Per switch: Rx, Tx and the parking counters; per flow:
+// delivered to the sink and dropped by the NF. The simulation's side is
+// read from its metrics registry, by the graph's own switch and cable
+// names; the reference side also conserves frames and bytes, so the graph
+// itself is checked, not just its two realisations against each other.
+func TestSimEqualsReferenceWalk(t *testing.T) {
+	fwChain := func() *nf.Chain { return nf.NewChain(nf.NewFirewall(nf.BlacklistFraction(0.2)), nf.MACSwap{}) }
+	sec := func(chain func() *nf.Chain) Sections {
+		return Sections{
+			Name:    "parity",
+			Parking: Parking{Mode: ParkEdge, Slots: 2048},
+			Traffic: Traffic{SendBps: 2e9, Flows: 64},
+			Chain:   chain,
+			Opts:    RunOptions{Seed: 5, WarmupNs: 2e5, MeasureNs: 2e6},
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		// run resolves s in place, simulates it under w and returns the
+		// graph the runner built from it.
+		run func(s *Sections, w Wiring) (*Graph, error)
+	}{
+		{"testbed", func(s *Sections, w Wiring) (*Graph, error) {
+			var tb Testbed
+			_, err := RunTestbed(tb, *s, w)
+			tb.Resolve(s)
+			return tb.graph(*s), err
+		}},
+		{"multiserver-4", func(s *Sections, w Wiring) (*Graph, error) {
+			s.Chain, s.Traffic.Flows = nil, 0 // pinned by the topology
+			m := MultiServer{Servers: 4}
+			_, err := RunMultiServer(m, *s, w)
+			m.Resolve(s)
+			return m.graph(*s), err
+		}},
+		{"leafspine-4x2", func(s *Sections, w Wiring) (*Graph, error) {
+			s.Chain = nil
+			l := LeafSpine{Leaves: 4, Spines: 2}
+			_, err := RunLeafSpine(l, *s, w)
+			l.Resolve(s)
+			return l.graph(*s), err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sec(fwChain)
+			reg := obs.NewRegistry()
+			g, err := tc.run(&s, Wiring{Obs: ObsConfig{Metrics: reg}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim := make(map[string]uint64)
+			for _, c := range reg.Snapshot().Counters {
+				sim[c.Name] = c.Value
+			}
+			linkTx := func(name string) uint64 { return sim[fmt.Sprintf("pp_link_tx_packets_total{link=%q}", name)] }
+
+			sws, err := g.RealiseAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := NewWalker(g, sws)
+			var sent uint64
+			for i := range g.Flows {
+				fl := &g.Flows[i]
+				gen, srv := trafficgen.New(fl.Traffic), nf.NewServer(s.serverConfig(fl))
+				var nfPkt packet.Packet
+				var resp []byte
+				var delivered, nfDropped uint64
+				n := linkTx(fl.Gen.ToSwitch)
+				sent += n
+				for k := uint64(0); k < n; k++ {
+					frame := gen.Next().Serialize()
+					out, err := w.Send(i, frame, func(_ *Endpoint, frame []byte) []byte {
+						if err := packet.ParseAtInto(&nfPkt, frame, -1); err != nil {
+							t.Fatal(err)
+						}
+						res := srv.Handle(&nfPkt)
+						if res.Out == nil {
+							nfDropped++
+							return nil
+						}
+						resp = res.Out.AppendSerialize(resp[:0])
+						return resp
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if out != nil {
+						delivered++
+						// The graph is also held to the paper's §6.2.6
+						// property, so a wrong route or merge port cannot
+						// pass by being wrong on both sides: past the
+						// swapped addresses, the sink gets the sent bytes.
+						if !bytes.Equal(out[12:], frame[12:]) {
+							t.Fatalf("%s frame %d: sink received %d B that are not the %d B sent", fl.Name, k, len(out), len(frame))
+						}
+					}
+				}
+				if delivered+nfDropped != n {
+					t.Errorf("%s: %d sent, %d delivered + %d NF-dropped: frames were lost in the reference walk", fl.Name, n, delivered, nfDropped)
+				}
+				if got := linkTx(fl.Sink.FromSwitch); got != delivered {
+					t.Errorf("%s: sim delivered %d, reference %d", fl.Name, got, delivered)
+				}
+				if got := linkTx(fl.NF.FromSwitch) - linkTx(fl.NF.ToSwitch); got != nfDropped {
+					t.Errorf("%s: sim NF dropped %d, reference %d", fl.Name, got, nfDropped)
+				}
+				if tc.name == "testbed" && nfDropped == 0 {
+					t.Error("the firewall dropped nothing: the NF-drop leg is vacuous")
+				}
+			}
+			if sent < 100 {
+				t.Fatalf("only %d packets sent: the comparison is vacuous", sent)
+			}
+			var splits uint64
+			for i, sw := range sws {
+				name := g.Switches[i].Name
+				eq := func(what string, simV, refV uint64) {
+					if simV != refV {
+						t.Errorf("%s %s: sim %d, reference %d", name, what, simV, refV)
+					}
+				}
+				eq("rx", sim[fmt.Sprintf("pp_switch_rx_packets_total{switch=%q}", name)], sw.RxPackets())
+				eq("tx", sim[fmt.Sprintf("pp_switch_tx_packets_total{switch=%q}", name)], sw.TxPackets())
+				for k, prog := range sw.Programs() {
+					ctr := func(family string) uint64 {
+						return sim[fmt.Sprintf("pp_park_%s_total{switch=%q,program=\"%d\"}", family, name, k)]
+					}
+					eq(fmt.Sprintf("program %d splits", k), ctr("splits"), prog.C.Splits.Value())
+					eq(fmt.Sprintf("program %d merges", k), ctr("merges"), prog.C.Merges.Value())
+					eq(fmt.Sprintf("program %d small-payload skips", k), ctr("small_payload_skips"), prog.C.SmallPayloadSkips.Value())
+					splits += prog.C.Splits.Value()
+				}
+			}
+			if splits == 0 {
+				t.Error("nothing parked: the program-counter leg is vacuous")
+			}
+		})
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/ctrl"
 	"github.com/payloadpark/payloadpark/internal/nf"
-	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/prog"
 	"github.com/payloadpark/payloadpark/internal/rmt"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
@@ -179,6 +178,20 @@ func (t Traffic) SizeDist() trafficgen.SizeDist {
 	return nil
 }
 
+// Validate is the one home of the resolved Traffic section's size rule:
+// a fixed frame smaller than its own headers is padded up by the packet
+// builder while every rate is still computed from the written size, and a
+// negative one silently falls back to the topology's default mix.
+func (t Traffic) Validate() error {
+	f, _ := t.Dist.(trafficgen.Fixed) // a Fixed written as Dist obeys the same rule
+	for _, size := range []int{t.FixedSize, int(f)} {
+		if size != 0 && (size < trafficgen.MinPacketSize || size > trafficgen.MaxPacketSize) {
+			return fmt.Errorf("traffic.fixed_size = %d outside [%d, %d]", size, trafficgen.MinPacketSize, trafficgen.MaxPacketSize)
+		}
+	}
+	return nil
+}
+
 // RunOptions are the execution knobs shared by every topology.
 type RunOptions struct {
 	// Seed drives all randomness.
@@ -241,14 +254,6 @@ type Sections struct {
 	Opts    RunOptions
 }
 
-// generator builds the synthetic traffic source of one edge.
-func (s Sections) generator(src, dst packet.MAC, dstIP packet.IPv4Addr, seed int64) *trafficgen.Generator {
-	return trafficgen.New(trafficgen.Config{
-		Sizes: s.Traffic.Dist, Flows: s.Traffic.Flows,
-		SrcMAC: src, DstMAC: dst, DstIP: dstIP, DstPort: 80, Seed: seed,
-	})
-}
-
 // Wiring binds one run to its caller; none of it describes the run.
 type Wiring struct {
 	// Cancel, when non-nil, is polled periodically by the event engine;
@@ -289,13 +294,16 @@ func (s *Sections) Resolve(slots int, dist trafficgen.SizeDist, flows int) {
 }
 
 // checkEdge is the one home of the range rules for what every edge is
-// built from: the parking table, then the values the edge hands the event
+// built from: the parking table, the frame size, then the values the edge hands the event
 // engine — a non-positive rate paces a packet every nanosecond or
 // serializes backwards in time and still reports a healthy-looking run —
 // reported against their JSON field names (queueField is the topology's
 // name for its egress buffer).
 func (s Sections) checkEdge(linkBps float64, propNs int64, queueField string, queueBytes int) error {
 	if err := s.Parking.Validate(); err != nil {
+		return err
+	}
+	if err := s.Traffic.Validate(); err != nil {
 		return err
 	}
 	rate := func(v float64) bool { return v > 0 && !math.IsInf(v, 1) } // false for NaN too

@@ -332,3 +332,10 @@ func TestWireBytes(t *testing.T) {
 		t.Errorf("wire bytes = %d", WireBytes(p.Pkt))
 	}
 }
+
+// The testbed group's ports, as the hand-wired tests name them.
+const (
+	portSplit = groupGen
+	portNF    = groupNF
+	portSink  = groupSink
+)

@@ -3,28 +3,11 @@ package sim
 import (
 	"fmt"
 
-	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/ctrl"
 	"github.com/payloadpark/payloadpark/internal/nf"
 	"github.com/payloadpark/payloadpark/internal/packet"
-	"github.com/payloadpark/payloadpark/internal/rmt"
 	"github.com/payloadpark/payloadpark/internal/stats"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
-)
-
-// Canonical single-server topology (paper Fig. 5): the traffic generator
-// feeds the switch over two ports; the NF server hangs off one port; the
-// generator's receive side is the sink.
-var (
-	MACGen  = packet.MAC{0x02, 0, 0, 0, 0, 0x01}
-	MACNF   = packet.MAC{0x02, 0, 0, 0, 0, 0x02}
-	MACSink = packet.MAC{0x02, 0, 0, 0, 0, 0x03}
-)
-
-const (
-	portSplit = rmt.PortID(0)
-	portNF    = rmt.PortID(1)
-	portSink  = rmt.PortID(2)
 )
 
 // HealthyDropRate is the paper's health criterion: "We consider the system
@@ -100,25 +83,6 @@ func (r Result) String() string {
 		r.Name, r.SendGbps, r.GoodputGbps, r.AvgLatencyUs, 100*r.UnintendedDropRate, r.PCIeUtilPct, r.Healthy)
 }
 
-// wireTestbed installs the Fig. 5 wiring on sw: generator on port 0 (the
-// split port), NF server on port 1 (the merge port), sink on port 2. A
-// nil pp leaves the switch a plain L2 forwarder (the baseline).
-func wireTestbed(sw *core.Switch, pp *core.Config) (*core.Program, error) {
-	sw.AddL2Route(MACNF, portNF)
-	sw.AddL2Route(MACSink, portSink)
-	sw.AddL2Route(MACGen, portSink) // MAC-swap chains return toward the generator
-	if pp == nil {
-		return nil, nil
-	}
-	cfg := *pp
-	cfg.SplitPort, cfg.MergePort = portSplit, portNF
-	recirc := -1
-	if cfg.Recirculate {
-		recirc = 1
-	}
-	return sw.AttachPayloadPark(cfg, recirc)
-}
-
 // RunTestbed simulates one Fig. 5 deployment and reports measurements:
 // it resolves the sections' defaults, validates them, and returns an
 // error — never a panic — for a description the switch cannot hold. It is
@@ -134,27 +98,22 @@ func RunTestbed(t Testbed, s Sections, w Wiring) (Result, error) {
 	eng := f.Engine()
 	eng.Cancel = w.Cancel
 
+	g := t.graph(s)
+	fl := &g.Flows[0]
 	swn := f.AddSwitch(s.Name)
 	sw := swn.SW
-	var pp *core.Config
-	if s.Parking.Enabled() {
-		c := s.Parking.Core(portSplit, portNF)
-		pp = &c
-	}
-	prog, err := wireTestbed(sw, pp)
-	if err != nil {
-		return Result{}, fmt.Errorf("attach payloadpark: %w", err)
-	}
-	inst, err := attachProgram(sw, s.Program, portSplit, portNF)
-	if err != nil {
+	if err := g.Realise(0, sw); err != nil {
 		return Result{}, err
 	}
+	// The parking program and the section's table program, when the run
+	// has them.
+	prog, inst := first(sw.Programs()), first(sw.Instances())
 
 	var gen trafficgen.Source
 	if s.Traffic.Source != nil {
 		gen = s.Traffic.Source()
 	} else {
-		gen = s.generator(MACGen, MACNF, packet.IPv4Addr{10, 1, 0, 9}, s.Opts.Seed)
+		gen = trafficgen.New(fl.Traffic)
 	}
 	// Packets that reach a terminal point (sink delivery, any drop, NF
 	// consumption) are handed back to the generator for reuse: traffic
@@ -164,22 +123,11 @@ func RunTestbed(t Testbed, s Sections, w Wiring) (Result, error) {
 		recycle = rec.Recycle
 	}
 
-	chain := s.Chain()
 	side := edgeSide{node: swn, recycle: recycle}
 	e := newEdge(f, edgeSpec{
-		src: side, nf: side,
-		genPort: portSplit, sinkPort: portSink, nfPort: portNF,
-		genName: "gen", sinkName: "sink", genCable: "gen->switch", sinkCable: "switch->sink",
-		returnCable: "nf->switch", toNFCable: "switch->nf",
+		flow: fl, src: side, nf: side,
 		linkBps: t.LinkBps, propNs: t.PropNs, queueBytes: t.SwitchQueueBytes, lossRate: t.NFLinkLossRate,
-		source: gen,
-		serverCfg: nf.ServerConfig{
-			Chain:        chain,
-			RewriteMACs:  !chainSwapsMACs(chain),
-			NFMAC:        MACNF,
-			NextHopMAC:   MACSink,
-			ExplicitDrop: s.Parking.ExplicitDrop,
-		},
+		source:     gen,
 		serverSeed: s.Opts.Seed, sec: s, prog: prog,
 	})
 	windowStart, windowEnd := s.Opts.window()
@@ -220,7 +168,7 @@ func RunTestbed(t Testbed, s Sections, w Wiring) (Result, error) {
 	if s.Control.Enabled() && prog != nil {
 		cc := s.Control
 		def(&cc.Aggressive, prog.MaxExpiry())
-		controller = attachController(f, cc, newControlPlant(f, nil), nil, windowEnd+s.Opts.WarmupNs)
+		controller = attachController(f, cc, g, windowEnd+s.Opts.WarmupNs)
 	}
 
 	// Drain period after the window so in-flight packets can land.
