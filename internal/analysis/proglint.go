@@ -28,8 +28,9 @@ header-compress, park+compress) and every committed spec file: dead
 tables and entries (a match probing a metadata word nothing writes, a
 recirculation match with no recirculate action, an entry shadowed by an
 earlier one), unbound or unused $parameters, unknown actions and
-condition fields, unused registers and runtime knobs, and metadata words
-two concurrently-live entries both write. Waive deliberate exceptions
+condition fields, bindings an action does not declare, registers that do
+not fit the table that binds them, unused registers and runtime knobs, and
+metadata words two concurrently-live entries both write. Waive deliberate exceptions
 with the spec's lint_allow list ("code:object" entries).`
 
 // LintBuiltinSpecs lints the programs internal/prog itself emits. A

@@ -1,14 +1,16 @@
 // Static liveness and consistency lint for table programs.
 //
-// Load already rejects specs the hardware model cannot install (budget
-// overflow, unknown actions, missing bindings) — but it accepts programs
-// that install fine and then do nothing: a table whose entries can never
-// match because nothing writes the metadata word they probe, an entry
-// shadowed by an earlier catch-all, a declared parameter no table reads.
-// Those are the spec-level analogues of dead code, and like dead code
-// they are almost always a typo in hand-written JSON. Lint finds them
-// statically, before install, using the same action vocabulary metadata
-// the rmt layer registers.
+// Load rejects specs the hardware model cannot install or run safely
+// (budget overflow, unknown actions, bindings an action does not declare,
+// a register too small for its table) — but it accepts programs that
+// install fine and then do nothing: a table whose entries can never match
+// because nothing writes the metadata word they probe, an entry shadowed by
+// an earlier catch-all, a declared parameter no table reads. Those are the
+// spec-level analogues of dead code, and like dead code they are almost
+// always a typo in hand-written JSON. Lint reports both kinds from the one
+// resolved form Load installs (resolve.go): the resolve pass's problems as
+// they stand, and the liveness checks below, which read what each action
+// reads, writes and loads from its rmt descriptor.
 //
 // cmd/ppvet runs Lint over the built-in specs and every committed spec
 // file; LoadOptions.Lint surfaces the same findings through ppbench
@@ -21,7 +23,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 
 	"github.com/payloadpark/payloadpark/internal/rmt"
 )
@@ -43,362 +44,107 @@ func (f LintFinding) String() string {
 	return fmt.Sprintf("%s %s: %s", f.Code, f.Object, f.Detail)
 }
 
-// Lint statically checks the spec for liveness and consistency problems
-// Load cannot see: unbound or unused parameters, unknown actions and
-// condition fields, entries that can never fire (no visible writer for a
-// matched metadata word, shadowing by an earlier entry, a recirculation
-// match with no recirculate action), registers no table binds, and
-// metadata words two concurrently-live entries both write. Findings
-// waived by the spec's lint_allow list are dropped; a waiver that
-// matches nothing is itself a finding.
-func (s *Spec) Lint() []LintFinding {
-	l := &linter{
-		spec:        s,
-		usedParams:  make(map[string]bool),
-		usedRuntime: make(map[string]bool),
-	}
-	l.run()
-	return l.filtered()
-}
+// Lint statically checks the spec: everything that would make Load reject
+// it (unbound parameters, unknown actions and condition fields, bindings
+// an action does not declare, registers that do not fit their tables) and
+// the liveness problems Load cannot see — entries that can never fire (no
+// visible writer for a matched metadata word, shadowing by an earlier
+// entry, a recirculation match with no recirculating action), registers no
+// table binds, unused parameters, and metadata words two concurrently-live
+// entries both write. Findings waived by the spec's lint_allow list are
+// dropped; a waiver that matches nothing is itself a finding.
+func (s *Spec) Lint() []LintFinding { return resolve(s, nil).lint() }
 
-// The per-action metadata the liveness checks consult: which user
-// metadata words each registered action reads and writes per packet, and
-// which runtime parameters it loads. This mirrors the action bodies in
-// rmt/actions.go; an action absent from every map touches no metadata.
-var (
-	actionMetaWrites = map[string][]int{
-		"park_claim":       {rmt.MetaSplitClaimed, rmt.MetaParkBytes, rmt.MetaParkOffset},
-		"park_release":     {rmt.MetaPPEnabled, rmt.MetaTableIndex, rmt.MetaParkBytes, rmt.MetaParkOffset},
-		"compress_claim":   {rmt.MetaCompClaimed},
-		"restore_validate": {rmt.MetaCompEnabled, rmt.MetaCompTableIndex},
-	}
-	// actions that publish through a meta_out parameter, with its default.
-	actionMetaOut = map[string]int{
-		"advance_index": rmt.MetaTableIndex,
-		"advance_clock": rmt.MetaClock,
-	}
-	actionMetaReads = map[string][]int{
-		"park_claim":     {rmt.MetaTableIndex, rmt.MetaClock},
-		"block_store":    {rmt.MetaTableIndex},
-		"block_load":     {rmt.MetaTableIndex},
-		"compress_claim": {rmt.MetaCompTableIndex, rmt.MetaCompClock},
-		"header_store":   {rmt.MetaCompTableIndex},
-		"header_load":    {rmt.MetaCompTableIndex},
-	}
-	actionRuntimeReads = map[string][]string{
-		"park_claim":     {RTMaxExpiry},
-		"compress_claim": {RTMaxExpiry},
-	}
-)
+// passField is the condition field liveness treats specially.
+var passField, _ = rmt.LookupField("pass")
 
-type linter struct {
-	spec        *Spec
-	findings    []LintFinding
-	usedParams  map[string]bool
-	usedRuntime map[string]bool
-}
-
-func (l *linter) addf(code, object, format string, args ...any) {
-	l.findings = append(l.findings, LintFinding{
-		Code: code, Object: object, Detail: fmt.Sprintf(format, args...),
-	})
-}
-
-// val resolves a ParamVal, tracking parameter use and reporting unbound
-// references. ok is false when the value is unknowable statically.
-func (l *linter) val(pv ParamVal, object, what string) (v int64, ok bool) {
-	if pv.ref == "" {
-		return pv.lit, true
-	}
-	if v, declared := l.spec.Params[pv.ref]; declared {
-		l.usedParams[pv.ref] = true
-		return v, true
-	}
-	l.addf("unbound-param", object, "%s references $%s, which params does not declare", what, pv.ref)
-	return 0, false
-}
-
-// scanName tracks and validates "$param" references inside a register or
-// table name.
-func (l *linter) scanName(name, object string) {
-	for i := 0; i < len(name); {
-		if name[i] != '$' {
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(name) && (name[j] == '_' || name[j] >= 'a' && name[j] <= 'z' || name[j] >= '0' && name[j] <= '9') {
-			j++
-		}
-		ref := name[i+1 : j]
-		if ref == "" {
-			l.addf("unbound-param", object, "name %q has a bare '$'", name)
-		} else if _, ok := l.spec.Params[ref]; ok {
-			l.usedParams[ref] = true
-		} else {
-			l.addf("unbound-param", object, "name %q references $%s, which params does not declare", name, ref)
-		}
-		i = j
-	}
-}
-
-// lintedCond is one match condition with its value resolved, as the
-// liveness and overlap checks compare them.
-type lintedCond struct {
-	field string
-	op    string // "eq" or "ne"
-	val   int64
-	ok    bool // val resolved statically
-	meta  int  // metadata word index when field is meta.<x>, else -1
-}
-
-// metaWrite is one (table, entry, word) metadata write site.
-type metaWrite struct {
-	table int // index into spec.Tables
-	entry int
-	word  int
-}
-
-func pipeName(p string) string {
-	if p == "" {
-		return "ingress"
-	}
-	return p
-}
-
-func (l *linter) run() {
-	s := l.spec
-
-	// Parser geometry.
-	l.val(s.Parser.Blocks, "parser", "blocks")
-	l.val(s.Parser.BlockBytes, "parser", "block_bytes")
-	l.val(s.Parser.ParkOffset, "parser", "park_offset")
-	for i, pv := range s.Parser.PPPorts {
-		l.val(pv, "parser", fmt.Sprintf("pp_ports[%d]", i))
-	}
-
-	// Registers: validate names and geometry, collect roles.
-	declaredRoles := make(map[string]bool)
-	for i := range s.Registers {
-		r := &s.Registers[i]
-		obj := "register " + r.Name
-		l.scanName(r.Name, obj)
-		l.val(r.Width, obj, "width")
-		l.val(r.Cells, obj, "cells")
-		role := r.Role
-		if role == "" {
-			role = r.Name
-		}
-		declaredRoles[role] = true
-	}
-
-	// Tables: validate fields, actions and bindings; collect the resolved
-	// conditions, metadata reads/writes, and recirculation facts the
-	// liveness checks below consume.
-	boundRoles := make(map[string]bool)
-	conds := make([][][]lintedCond, len(s.Tables)) // [table][entry][cond]
-	var writes []metaWrite
-	hasRecirculate := false
-	for ti := range s.Tables {
-		t := &s.Tables[ti]
-		tobj := "table " + t.Name
-		l.scanName(t.Name, tobj)
-		if t.Register != "" {
-			if !declaredRoles[t.Register] {
-				l.addf("unknown-register", tobj, "binds register role %q, which no register declares", t.Register)
-			}
-			boundRoles[t.Register] = true
-		}
-		conds[ti] = make([][]lintedCond, len(t.Entries))
-		for ei := range t.Entries {
-			e := &t.Entries[ei]
-			eobj := t.Name + "/" + e.Name
-			conds[ti][ei] = l.lintEntryConds(e, eobj)
-			for _, name := range sortedKeys(e.Params) {
-				l.val(e.Params[name], eobj, "parameter "+name)
-			}
-			if e.Action == "recirculate" {
-				hasRecirculate = true
-			}
-			if !knownAction(e.Action) {
-				l.addf("unknown-action", eobj, "action %q is not in the rmt vocabulary (known: %s)", e.Action, strings.Join(rmt.ActionNames(), ", "))
-				continue
-			}
-			for _, name := range actionRuntimeReads[e.Action] {
-				l.usedRuntime[name] = true
-			}
-			writes = append(writes, l.entryMetaWrites(e, ti, ei, eobj)...)
-		}
-	}
-
-	l.checkLiveness(conds, writes, hasRecirculate)
-	l.checkShadowing(conds)
-	l.checkMetaOverlap(conds, writes)
+// lint runs the liveness checks over the resolved program and returns them
+// with the resolve pass's problems, less the spec's waivers. The checks
+// report through problemf on a copy, so Load never mistakes an advisory
+// finding for a problem.
+func (p *program) lint() []LintFinding {
+	l := *p
+	l.problems = slices.Clone(p.problems)
+	l.checkLiveness()
+	l.checkShadowing()
+	l.checkMetaOverlap()
 
 	// Declared-but-unused parameters, runtime knobs, and registers.
-	for _, name := range sortedKeys(s.Params) {
+	for _, name := range sortedKeys(l.spec.Params) {
 		if !l.usedParams[name] {
-			l.addf("unused-param", "params/"+name, "parameter %q is never referenced by the parser, a register, or a table", name)
+			l.problemf("unused-param", object{kind: "params/", name: name}, "parameter %q is never referenced by the parser, a register, or a table", name)
 		}
 	}
-	for _, name := range sortedKeys(s.Runtime) {
+	for _, name := range sortedKeys(l.spec.Runtime) {
 		if !l.usedRuntime[name] {
-			l.addf("unused-runtime", "runtime/"+name, "runtime parameter %q is never read by a match or an action", name)
+			l.problemf("unused-runtime", object{kind: "runtime/", name: name}, "runtime parameter %q is never read by a match or an action", name)
 		}
 	}
-	for i := range s.Registers {
-		r := &s.Registers[i]
-		role := r.Role
-		if role == "" {
-			role = r.Name
-		}
-		if !boundRoles[role] {
-			l.addf("unused-register", "register "+r.Name, "no table binds register role %q", role)
+	for i := range l.regs {
+		if r := &l.regs[i]; !r.bound {
+			l.problemf("unused-register", object{kind: "register ", name: r.spec.Name}, "no table binds register role %q", r.role)
 		}
 	}
-}
-
-// lintEntryConds validates one entry's match conditions and returns them
-// resolved.
-func (l *linter) lintEntryConds(e *EntrySpec, eobj string) []lintedCond {
-	out := make([]lintedCond, 0, len(e.Match))
-	for _, c := range e.Match {
-		lc := lintedCond{field: c.Field, op: c.Op, meta: -1}
-		switch c.Op {
-		case "", "eq":
-			lc.op = "eq"
-		case "ne":
-		default:
-			l.addf("unknown-op", eobj, "condition %q has op %q (want eq or ne)", c.Field, c.Op)
-			continue
-		}
-		if !l.lintCondField(c.Field, eobj, &lc) {
-			continue
-		}
-		lc.val, lc.ok = l.val(c.Value, eobj, "condition "+c.Field)
-		out = append(out, lc)
-	}
-	return out
-}
-
-// lintCondField validates a condition field name against the rmt
-// vocabulary, filling lc.meta for metadata words.
-func (l *linter) lintCondField(field, eobj string, lc *lintedCond) bool {
-	if slices.Contains(rmt.CondFields(), field) {
-		return true
-	}
-	if name, ok := strings.CutPrefix(field, "meta."); ok {
-		if idx, known := rmt.MetaIndex(name); known {
-			lc.meta = idx
-			return true
-		}
-		l.addf("unknown-field", eobj, "meta.%s names no metadata word (and is not an index below %d)", name, rmt.MetaWords)
-		return false
-	}
-	if name, ok := strings.CutPrefix(field, "param."); ok {
-		if _, declared := l.spec.Runtime[name]; declared {
-			l.usedRuntime[name] = true
-			return true
-		}
-		l.addf("unknown-field", eobj, "param.%s names no runtime parameter", name)
-		return false
-	}
-	l.addf("unknown-field", eobj, "unknown condition field %q", field)
-	return false
-}
-
-// entryMetaWrites returns the metadata words one entry's action writes.
-func (l *linter) entryMetaWrites(e *EntrySpec, ti, ei int, eobj string) []metaWrite {
-	var out []metaWrite
-	for _, w := range actionMetaWrites[e.Action] {
-		out = append(out, metaWrite{table: ti, entry: ei, word: w})
-	}
-	if def, ok := actionMetaOut[e.Action]; ok {
-		word := def
-		if pv, has := e.Params["meta_out"]; has {
-			if v, resolved := l.val(pv, eobj, "meta_out"); resolved {
-				word = int(v)
-			}
-		}
-		out = append(out, metaWrite{table: ti, entry: ei, word: word})
-	}
-	return out
-}
-
-func knownAction(name string) bool {
-	for _, n := range rmt.ActionNames() {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
-// writerVisible reports whether a metadata write in table wt can be
-// observed by table rt: an earlier stage of the same pipe, or any
-// ingress-pipe stage when the reader is on the recirculation pipe
-// (metadata persists across the recirculation hop).
-func (l *linter) writerVisible(wt, rt int) bool {
-	w, r := &l.spec.Tables[wt], &l.spec.Tables[rt]
-	wp, rp := pipeName(w.Pipe), pipeName(r.Pipe)
-	if wp == rp {
-		return w.Stage < r.Stage
-	}
-	return wp == "ingress" && rp == "recirc"
+	return l.spec.waive(l.problems)
 }
 
 // checkLiveness flags entries that can never fire: a match requiring a
 // nonzero metadata word no visible table writes, an action reading a
 // word no visible table writes, or a recirculation-pass match in a
-// program with no recirculate action. A table all of whose entries are
+// program with no recirculating action. A table all of whose entries are
 // dead is reported once, as dead-table.
-func (l *linter) checkLiveness(conds [][][]lintedCond, writes []metaWrite, hasRecirculate bool) {
-	parserPayloadOK := l.spec.ParksPayload()
-	for ti := range l.spec.Tables {
-		t := &l.spec.Tables[ti]
-		dead := make([]LintFinding, 0, len(t.Entries))
-		for ei := range t.Entries {
-			e := &t.Entries[ei]
-			eobj := t.Name + "/" + e.Name
+func (p *program) checkLiveness() {
+	recirculates := false
+	for ti := range p.tables {
+		for _, e := range p.tables[ti].entries {
+			recirculates = recirculates || e.binding != nil && e.binding.Action.Recirculates
+		}
+	}
+	for ti := range p.tables {
+		t := &p.tables[ti]
+		dead := make([]string, len(t.entries))
+		ndead := 0
+		for ei := range t.entries {
+			e := &t.entries[ei]
 			var why string
-			for _, lc := range conds[ti][ei] {
-				switch {
-				case lc.meta >= 0:
+			for _, c := range e.conds {
+				if word, isMeta := c.Field.MetaWord(); isMeta {
 					// meta.X == 0 (or ne nonzero) matches the PHV's zeroed
 					// default; only a match that needs a nonzero word needs
 					// a writer.
-					needsWriter := lc.ok && (lc.op == "eq" && lc.val != 0 || lc.op == "ne" && lc.val == 0)
-					if needsWriter && !l.wordWritten(lc.meta, ti, writes, parserPayloadOK) {
-						why = fmt.Sprintf("matches %s %s %d but no earlier-stage table writes that metadata word", lc.field, lc.op, lc.val)
+					if (c.Value != 0) != c.Ne && !p.wordWritten(word, ti) {
+						why = fmt.Sprintf("matches %s %s %d but no earlier-stage table writes that metadata word", c.Field, map[bool]string{false: "eq", true: "ne"}[c.Ne], c.Value)
 					}
-				case lc.field == "pass":
-					if lc.ok && lc.val >= 1 && !hasRecirculate {
-						why = fmt.Sprintf("matches pass == %d but no entry runs the recirculate action", lc.val)
-					}
+				} else if c.Field == passField && c.Value >= 1 && !c.Ne && !recirculates {
+					why = fmt.Sprintf("matches pass == %d but no entry's action can recirculate a packet", c.Value)
 				}
 				if why != "" {
 					break
 				}
 			}
-			if why == "" && pipeName(t.Pipe) == "recirc" && !hasRecirculate {
-				why = "lives on the recirculation pipe but no entry runs the recirculate action"
+			if why == "" && pipeName(t.spec.Pipe) == "recirc" && !recirculates {
+				why = "lives on the recirculation pipe but no entry's action can recirculate a packet"
 			}
-			if why == "" {
-				for _, word := range actionMetaReads[e.Action] {
-					if !l.wordWritten(word, ti, writes, parserPayloadOK) {
-						why = fmt.Sprintf("action %s reads metadata word %d, which no earlier-stage table writes", e.Action, word)
+			if why == "" && e.binding != nil {
+				for _, word := range e.binding.Action.Reads {
+					if !p.wordWritten(word, ti) {
+						why = fmt.Sprintf("action %s reads metadata word %d, which no earlier-stage table writes", e.binding.Action.Name, word)
 						break
 					}
 				}
 			}
-			if why != "" {
-				dead = append(dead, LintFinding{Code: "dead-entry", Object: eobj, Detail: why})
+			if dead[ei] = why; why != "" {
+				ndead++
 			}
 		}
-		if len(dead) == len(t.Entries) && len(t.Entries) > 0 {
-			l.addf("dead-table", "table "+t.Name, "every entry is dead: %s", dead[0].Detail)
-		} else {
-			l.findings = append(l.findings, dead...)
+		if ndead == len(t.entries) && ndead > 0 {
+			p.problemf("dead-table", object{kind: "table ", name: t.spec.Name}, "every entry is dead: %s", dead[0])
+			continue
+		}
+		for ei, why := range dead {
+			if why != "" {
+				p.problemf("dead-entry", object{name: t.spec.Name, entry: t.entries[ei].spec.Name}, "%s", why)
+			}
 		}
 	}
 }
@@ -406,12 +152,12 @@ func (l *linter) checkLiveness(conds [][][]lintedCond, writes []metaWrite, hasRe
 // wordWritten reports whether metadata word is written somewhere visible
 // to reader table rt. The parser provides payload_ok on payload-parking
 // programs.
-func (l *linter) wordWritten(word, rt int, writes []metaWrite, parserPayloadOK bool) bool {
-	if word == rmt.MetaPayloadOK && parserPayloadOK {
+func (p *program) wordWritten(word, rt int) bool {
+	if word == rmt.MetaPayloadOK && p.scope.Blocks > 0 {
 		return true
 	}
-	for _, w := range writes {
-		if w.word == word && l.writerVisible(w.table, rt) {
+	for _, w := range p.writes {
+		if w.word == word && p.reaches(w.table, rt) {
 			return true
 		}
 	}
@@ -422,14 +168,14 @@ func (l *linter) wordWritten(word, rt int, writes []metaWrite, parserPayloadOK b
 // entry of the same table matches a superset of their packets: rules are
 // first-match-fires, so if every condition of entry i also appears in
 // entry j > i, no packet reaches j.
-func (l *linter) checkShadowing(conds [][][]lintedCond) {
-	for ti := range l.spec.Tables {
-		t := &l.spec.Tables[ti]
-		for j := 1; j < len(t.Entries); j++ {
+func (p *program) checkShadowing() {
+	for ti := range p.tables {
+		t := &p.tables[ti]
+		for j := 1; j < len(t.entries); j++ {
 			for i := 0; i < j; i++ {
-				if condsSubset(conds[ti][i], conds[ti][j]) {
-					l.addf("shadowed-entry", t.Name+"/"+t.Entries[j].Name,
-						"unreachable: earlier entry %q matches every packet this entry matches", t.Entries[i].Name)
+				if condsSubset(&t.entries[i], &t.entries[j]) {
+					p.problemf("shadowed-entry", object{name: t.spec.Name, entry: t.entries[j].spec.Name},
+						"unreachable: earlier entry %q matches every packet this entry matches", t.entries[i].spec.Name)
 					break
 				}
 			}
@@ -437,25 +183,16 @@ func (l *linter) checkShadowing(conds [][][]lintedCond) {
 	}
 }
 
-// condsSubset reports whether every condition in a also appears in b
-// (same field, op, and resolved value), i.e. a matches a superset of b.
-func condsSubset(a, b []lintedCond) bool {
-	for _, ca := range a {
-		if !ca.ok {
-			return false
-		}
-		found := false
-		for _, cb := range b {
-			if cb.ok && cb.field == ca.field && cb.op == ca.op && cb.val == ca.val {
-				found = true
-				break
-			}
-		}
-		if !found {
+// condsSubset reports whether every condition of a also appears in b (same
+// field, sense and value), i.e. a matches a superset of b. An entry that
+// lost a condition to a problem is not known to.
+func condsSubset(a, b *entry) bool {
+	for _, c := range a.conds {
+		if !slices.Contains(b.conds, c) {
 			return false
 		}
 	}
-	return true
+	return !a.partial
 }
 
 // checkMetaOverlap flags metadata words written by entries of two
@@ -464,23 +201,17 @@ func condsSubset(a, b []lintedCond) bool {
 // The built-in specs route around this with meta_out (the compression
 // taggers publish to their own words); forgetting that routing is
 // exactly the bug this check catches.
-func (l *linter) checkMetaOverlap(conds [][][]lintedCond, writes []metaWrite) {
-	for i := 0; i < len(writes); i++ {
-		for j := i + 1; j < len(writes); j++ {
-			a, b := writes[i], writes[j]
-			if a.word != b.word || a.table == b.table {
+func (p *program) checkMetaOverlap() {
+	for i, a := range p.writes {
+		for _, b := range p.writes[i+1:] {
+			ta, tb := &p.tables[a.table], &p.tables[b.table]
+			if a.word != b.word || a.table == b.table || pipeName(ta.spec.Pipe) != pipeName(tb.spec.Pipe) ||
+				condsContradict(ta.entries[a.entry].conds, tb.entries[b.entry].conds) {
 				continue
 			}
-			ta, tb := &l.spec.Tables[a.table], &l.spec.Tables[b.table]
-			if pipeName(ta.Pipe) != pipeName(tb.Pipe) {
-				continue
-			}
-			if condsContradict(conds[a.table][a.entry], conds[b.table][b.entry]) {
-				continue
-			}
-			l.addf("meta-overlap", ta.Name+"/"+ta.Entries[a.entry].Name,
+			p.problemf("meta-overlap", object{name: ta.spec.Name, entry: ta.entries[a.entry].spec.Name},
 				"writes metadata word %d, also written by %s/%s for overlapping packets; route one through meta_out",
-				a.word, tb.Name, tb.Entries[b.entry].Name)
+				a.word, tb.spec.Name, tb.entries[b.entry].spec.Name)
 		}
 	}
 }
@@ -488,21 +219,13 @@ func (l *linter) checkMetaOverlap(conds [][][]lintedCond, writes []metaWrite) {
 // condsContradict reports whether two condition sets provably cannot
 // match the same packet: some field is pinned eq to different values, or
 // pinned eq by one and excluded ne by the other.
-func condsContradict(a, b []lintedCond) bool {
+func condsContradict(a, b []rmt.Cond) bool {
 	for _, ca := range a {
-		if !ca.ok {
-			continue
-		}
 		for _, cb := range b {
-			if !cb.ok || ca.field != cb.field {
+			if ca.Field != cb.Field || ca.Ne && cb.Ne {
 				continue
 			}
-			switch {
-			case ca.op == "eq" && cb.op == "eq" && ca.val != cb.val:
-				return true
-			case ca.op == "eq" && cb.op == "ne" && ca.val == cb.val:
-				return true
-			case ca.op == "ne" && cb.op == "eq" && ca.val == cb.val:
+			if (ca.Value == cb.Value) == (ca.Ne != cb.Ne) {
 				return true
 			}
 		}
@@ -510,25 +233,25 @@ func condsContradict(a, b []lintedCond) bool {
 	return false
 }
 
-// filtered applies the spec's lint_allow waivers and reports waivers
-// that matched nothing.
-func (l *linter) filtered() []LintFinding {
-	if len(l.spec.LintAllow) == 0 {
-		return l.findings
+// waive applies the spec's lint_allow waivers and reports waivers that
+// matched nothing.
+func (s *Spec) waive(findings []LintFinding) []LintFinding {
+	if len(s.LintAllow) == 0 {
+		return findings
 	}
-	allowed := make(map[string]bool, len(l.spec.LintAllow))
-	for _, key := range l.spec.LintAllow {
+	allowed := make(map[string]bool, len(s.LintAllow))
+	for _, key := range s.LintAllow {
 		allowed[key] = false
 	}
 	var out []LintFinding
-	for _, f := range l.findings {
+	for _, f := range findings {
 		if _, waived := allowed[f.Key()]; waived {
 			allowed[f.Key()] = true
 			continue
 		}
 		out = append(out, f)
 	}
-	for _, key := range l.spec.LintAllow {
+	for _, key := range s.LintAllow {
 		if !allowed[key] {
 			out = append(out, LintFinding{
 				Code: "unused-lint-allow", Object: key,

@@ -3,6 +3,7 @@ package prog
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/payloadpark/payloadpark/internal/rmt"
@@ -25,42 +26,29 @@ type LoadOptions struct {
 	// read them unchanged). Names not bound here get instance-owned
 	// counters.
 	Counters map[string]*stats.Counter
-	// Lint, when set, receives every Spec.Lint finding before install.
-	// Findings are advisory — a spec with dead tables still loads, since
+	// Lint, when set, receives every lint finding before install, from the
+	// same resolve pass Load installs (no second walk of the spec). Liveness
+	// findings are advisory — a spec with dead tables still loads, since
 	// liveness is a warning about intent, not installability — so the
 	// callback decides whether to print, collect, or fail.
 	Lint func(LintFinding)
 }
 
-// Instance is one loaded program: the live runtime parameters, counters and
-// registers of a Spec installed on a pipe. It implements rmt.Env.
+// Instance is one loaded program: the resolved form of a Spec and the live
+// runtime parameters, counters and registers it was installed with.
 type Instance struct {
-	spec     *Spec
-	params   map[string]int64
+	prog     *program
 	runtime  map[string]*uint32
 	counters map[string]*stats.Counter
 	regs     map[string]*rmt.Register
 }
 
 // Spec returns the spec this instance was loaded from.
-func (in *Instance) Spec() *Spec { return in.spec }
-
-// RuntimeParam implements rmt.Env: the storage cell of a named runtime
-// parameter.
-func (in *Instance) RuntimeParam(name string) (*uint32, bool) {
-	cell, ok := in.runtime[name]
-	return cell, ok
-}
-
-// BoundCounter implements rmt.Env: the counter registered under name.
-func (in *Instance) BoundCounter(name string) (*stats.Counter, bool) {
-	c, ok := in.counters[name]
-	return c, ok
-}
+func (in *Instance) Spec() *Spec { return in.prog.spec }
 
 // Param returns the resolved compile-time parameter value.
 func (in *Instance) Param(name string) (int64, bool) {
-	v, ok := in.params[name]
+	v, ok := in.prog.params[name]
 	return v, ok
 }
 
@@ -122,23 +110,13 @@ func (in *Instance) Register(role string) *rmt.Register { return in.regs[role] }
 // extracted, bytes per block, and the park offset. Blocks == 0 means the
 // program parks no payload.
 func (in *Instance) ParkGeometry() (blocks, blockBytes, parkOffset int) {
-	b, _ := in.spec.Parser.Blocks.resolve(in.params)
-	bb, _ := in.spec.Parser.BlockBytes.resolve(in.params)
-	off, _ := in.spec.Parser.ParkOffset.resolve(in.params)
-	return int(b), int(bb), int(off)
+	sc := in.prog.scope
+	return int(sc.Blocks), int(sc.BlockBytes), int(sc.ParkOffset)
 }
 
 // PPPorts returns the resolved ports whose inbound frames the program
 // expects to carry a PayloadPark header.
-func (in *Instance) PPPorts() []int {
-	ports := make([]int, 0, len(in.spec.Parser.PPPorts))
-	for _, pv := range in.spec.Parser.PPPorts {
-		if p, err := pv.resolve(in.params); err == nil {
-			ports = append(ports, int(p))
-		}
-	}
-	return ports
-}
+func (in *Instance) PPPorts() []int { return slices.Clone(in.prog.ppPorts) }
 
 // Occupied counts occupied cells of the EXP/CLK register under role (cells
 // whose expiry half is non-zero) — the generic form of Program.Occupancy.
@@ -157,9 +135,10 @@ func (in *Instance) Occupied(role string) int {
 	return n
 }
 
-// Load validates spec and installs it: parser geometry, registers, then
-// tables, each checked against the same stage budgets core.Install relied
-// on (the rmt layer's placement panics surface as errors here).
+// Load resolves spec, fails on any problem the resolve pass found, and
+// installs the resolved program: parser geometry, registers, then tables,
+// each checked against the same stage budgets core.Install relied on (the
+// rmt layer's placement panics surface as errors here).
 func Load(spec *Spec, opts LoadOptions) (inst *Instance, err error) {
 	switch {
 	case spec == nil:
@@ -170,48 +149,40 @@ func Load(spec *Spec, opts LoadOptions) (inst *Instance, err error) {
 		return nil, errors.New("prog: spec has no name")
 	case spec.PHVBits <= 0:
 		return nil, fmt.Errorf("prog: spec %q declares no PHV bits", spec.Name)
+	case opts.RecircPipe == nil && spec.UsesRecircPipe():
+		return nil, fmt.Errorf("prog: spec %q uses the recirculation pipe but none was supplied", spec.Name)
 	}
 
+	p := resolve(spec, opts.Params)
 	if opts.Lint != nil {
-		for _, f := range spec.Lint() {
+		for _, f := range p.lint() {
 			opts.Lint(f)
 		}
 	}
-
-	params := make(map[string]int64, len(spec.Params))
-	for k, v := range spec.Params { //pp:nondeterministic-ok order-insensitive copy into a map
-		params[k] = v
-	}
-	// Sorted so a bad override always reports the same parameter first.
-	for _, k := range sortedKeys(opts.Params) {
-		if _, ok := spec.Params[k]; !ok {
-			return nil, fmt.Errorf("prog: spec %q declares no parameter %q to override", spec.Name, k)
-		}
-		params[k] = opts.Params[k]
-	}
-	runtime := make(map[string]*uint32, len(spec.Runtime))
-	for k, v := range spec.Runtime { //pp:nondeterministic-ok order-insensitive copy into a map
-		u := v
-		runtime[k] = &u
+	if len(p.problems) > 0 {
+		f := p.problems[0]
+		return nil, fmt.Errorf("prog: spec %q: %s: %s", spec.Name, f.Object, f.Detail)
 	}
 
 	inst = &Instance{
-		spec:     spec,
-		params:   params,
-		runtime:  runtime,
+		prog:     p,
+		runtime:  make(map[string]*uint32, len(spec.Runtime)),
 		counters: make(map[string]*stats.Counter),
-		regs:     make(map[string]*rmt.Register),
+		regs:     make(map[string]*rmt.Register, len(p.regs)),
 	}
-
-	// Resolve every counter name the entries reference: external binding
-	// when supplied, instance-owned otherwise.
-	for ti := range spec.Tables {
-		for ei := range spec.Tables[ti].Entries {
-			for _, name := range spec.Tables[ti].Entries[ei].Counters { //pp:nondeterministic-ok idempotent counter creation; order-insensitive
+	for k, v := range spec.Runtime { //pp:nondeterministic-ok order-insensitive copy into a map
+		u := v
+		inst.runtime[k] = &u
+	}
+	// Every counter name an entry bound: the external counter when one was
+	// supplied, an instance-owned one otherwise.
+	for ti := range p.tables {
+		for ei := range p.tables[ti].entries {
+			for _, name := range p.tables[ti].entries[ei].binding.CounterNames() {
 				if _, ok := inst.counters[name]; ok {
 					continue
 				}
-				if c, ok := opts.Counters[name]; ok && c != nil {
+				if c := opts.Counters[name]; c != nil {
 					inst.counters[name] = c
 				} else {
 					inst.counters[name] = new(stats.Counter)
@@ -230,72 +201,37 @@ func Load(spec *Spec, opts LoadOptions) (inst *Instance, err error) {
 		}
 	}()
 
-	if err := configureParser(spec, opts.Pipe, params); err != nil {
+	if err := configureParser(spec, opts.Pipe, p.scope); err != nil {
 		return nil, err
 	}
-
-	for i := range spec.Registers {
-		r := &spec.Registers[i]
-		pipe, err := pickPipe(r.Pipe, opts)
-		if err != nil {
-			return nil, fmt.Errorf("prog: register %q: %w", r.Name, err)
+	pick := func(pipe string) *rmt.Pipeline {
+		if pipe == "recirc" {
+			return opts.RecircPipe
 		}
-		name, err := substName(r.Name, params)
-		if err != nil {
-			return nil, err
-		}
-		width, err := r.Width.resolve(params)
-		if err != nil {
-			return nil, fmt.Errorf("prog: register %q width: %w", name, err)
-		}
-		cells, err := r.Cells.resolve(params)
-		if err != nil {
-			return nil, fmt.Errorf("prog: register %q cells: %w", name, err)
-		}
-		if r.Stage < 0 || r.Stage >= rmt.StageCount {
-			return nil, fmt.Errorf("prog: register %q stage %d outside [0,%d)", name, r.Stage, rmt.StageCount)
-		}
-		role := r.Role
-		if role == "" {
-			role = name
-		}
-		if _, dup := inst.regs[role]; dup {
-			return nil, fmt.Errorf("prog: duplicate register role %q", role)
-		}
-		inst.regs[role] = pipe.NewRegister(r.Stage, name, int(width), int(cells))
+		return opts.Pipe
 	}
-
-	for i := range spec.Tables {
-		t := &spec.Tables[i]
-		pipe, err := pickPipe(t.Pipe, opts)
-		if err != nil {
-			return nil, fmt.Errorf("prog: table %q: %w", t.Name, err)
+	for i := range p.regs {
+		r := &p.regs[i]
+		inst.regs[r.role] = pick(r.spec.Pipe).NewRegister(r.spec.Stage, r.name, int(r.width), int(r.cells))
+	}
+	for ti := range p.tables {
+		t := &p.tables[ti]
+		mat := &rmt.MAT{Name: t.name, Res: t.spec.Resources, Rules: make([]rmt.Rule, len(t.entries))}
+		if t.reg != nil {
+			mat.Reg = inst.regs[t.reg.role]
 		}
-		name, err := substName(t.Name, params)
-		if err != nil {
-			return nil, err
-		}
-		if t.Stage < 0 || t.Stage >= rmt.StageCount {
-			return nil, fmt.Errorf("prog: table %q stage %d outside [0,%d)", name, t.Stage, rmt.StageCount)
-		}
-		var reg *rmt.Register
-		if t.Register != "" {
-			if reg = inst.regs[t.Register]; reg == nil {
-				return nil, fmt.Errorf("prog: table %q binds undeclared register role %q", name, t.Register)
+		for ei := range t.entries {
+			e := &t.entries[ei]
+			rule := &mat.Rules[ei]
+			rule.Name = e.spec.Name
+			if rule.Conds, err = rmt.CompileConds(e.conds, inst.runtime); err == nil {
+				rule.Action, err = e.binding.Build(inst.runtime, inst.counters)
 			}
-		}
-		if len(t.Entries) == 0 {
-			return nil, fmt.Errorf("prog: table %q has no entries", name)
-		}
-		rules := make([]rmt.Rule, 0, len(t.Entries))
-		for j := range t.Entries {
-			rule, err := compileEntry(&t.Entries[j], inst, params)
 			if err != nil {
-				return nil, fmt.Errorf("prog: table %q: %w", name, err)
+				return nil, fmt.Errorf("prog: spec %q: %s/%s: %w", spec.Name, t.spec.Name, e.spec.Name, err)
 			}
-			rules = append(rules, rule)
 		}
-		pipe.AddMAT(t.Stage, &rmt.MAT{Name: name, Reg: reg, Res: t.Resources.toRMT(), Rules: rules})
+		pick(t.spec.Pipe).AddMAT(t.spec.Stage, mat)
 	}
 	// Build the touched pipes' match programs now, so set-up pays for them
 	// and not the first packet.
@@ -306,97 +242,25 @@ func Load(spec *Spec, opts LoadOptions) (inst *Instance, err error) {
 	return inst, nil
 }
 
-// pickPipe selects the destination pipe for a register or table.
-func pickPipe(which string, opts LoadOptions) (*rmt.Pipeline, error) {
-	switch which {
-	case "", "ingress":
-		return opts.Pipe, nil
-	case "recirc":
-		if opts.RecircPipe == nil {
-			return nil, errors.New("spec uses the recirculation pipe but none was supplied")
-		}
-		return opts.RecircPipe, nil
-	}
-	return nil, fmt.Errorf("unknown pipe %q (want ingress or recirc)", which)
-}
-
-// configureParser applies the spec's parser geometry with the same
+// configureParser applies the resolved parser geometry with the same
 // share-or-agree discipline core.Install used: the first payload-parking
 // program on a pipe configures block extraction and declares its PHV usage,
 // later ones must agree. Programs that park no payload (Blocks == 0) only
 // declare their PHV usage.
-func configureParser(spec *Spec, pipe *rmt.Pipeline, params map[string]int64) error {
-	blocks, err := spec.Parser.Blocks.resolve(params)
-	if err != nil {
-		return fmt.Errorf("prog: parser blocks: %w", err)
-	}
-	blockBytes, err := spec.Parser.BlockBytes.resolve(params)
-	if err != nil {
-		return fmt.Errorf("prog: parser block bytes: %w", err)
-	}
-	parkOffset, err := spec.Parser.ParkOffset.resolve(params)
-	if err != nil {
-		return fmt.Errorf("prog: parser park offset: %w", err)
-	}
+func configureParser(spec *Spec, pipe *rmt.Pipeline, sc rmt.Scope) error {
+	blocks, blockBytes, parkOffset := int(sc.Blocks), int(sc.BlockBytes), int(sc.ParkOffset)
 	parser := pipe.Parser()
-	if blocks > 0 {
-		if parser.Blocks() == 0 {
-			parser.ExtractPayloadBlocks(int(blocks), int(blockBytes))
-			parser.SetParkOffset(int(parkOffset))
-			pipe.DeclarePHVBits(spec.PHVBits)
-		} else if parser.Blocks() != int(blocks) || parser.BlockBytes() != int(blockBytes) ||
-			parser.ParkOffset() != int(parkOffset) {
+	if blocks > 0 && parser.Blocks() != 0 {
+		if parser.Blocks() != blocks || parser.BlockBytes() != blockBytes || parser.ParkOffset() != parkOffset {
 			return fmt.Errorf("prog: pipe parser already extracts %dx%dB blocks at offset %d, spec %q needs %dx%dB at offset %d",
 				parser.Blocks(), parser.BlockBytes(), parser.ParkOffset(), spec.Name, blocks, blockBytes, parkOffset)
 		}
-	} else {
-		pipe.DeclarePHVBits(spec.PHVBits)
+		return nil
 	}
-	for _, pv := range spec.Parser.PPPorts {
-		if _, err := pv.resolve(params); err != nil {
-			return fmt.Errorf("prog: parser pp port: %w", err)
-		}
+	if blocks > 0 {
+		parser.ExtractPayloadBlocks(blocks, blockBytes)
+		parser.SetParkOffset(parkOffset)
 	}
+	pipe.DeclarePHVBits(spec.PHVBits)
 	return nil
-}
-
-// compileEntry resolves one entry's conditions and action against the
-// instance environment.
-func compileEntry(e *EntrySpec, inst *Instance, params map[string]int64) (rmt.Rule, error) {
-	conds := make([]rmt.Cond, 0, len(e.Match))
-	for _, c := range e.Match {
-		v, err := c.Value.resolve(params)
-		if err != nil {
-			return rmt.Rule{}, fmt.Errorf("entry %q condition %q: %w", e.Name, c.Field, err)
-		}
-		conds = append(conds, rmt.Cond{Field: c.Field, Op: c.Op, Value: v})
-	}
-	ops, err := rmt.CompileConds(conds, inst)
-	if err != nil {
-		return rmt.Rule{}, fmt.Errorf("entry %q: %w", e.Name, err)
-	}
-	args := rmt.ActionArgs{Reasons: e.Reasons}
-	if len(e.Params) > 0 {
-		args.Params = make(map[string]int64, len(e.Params))
-		// Sorted so an unresolvable entry always reports the same
-		// parameter first.
-		for _, k := range sortedKeys(e.Params) {
-			v, err := e.Params[k].resolve(params)
-			if err != nil {
-				return rmt.Rule{}, fmt.Errorf("entry %q parameter %q: %w", e.Name, k, err)
-			}
-			args.Params[k] = v
-		}
-	}
-	if len(e.Counters) > 0 {
-		args.Counters = make(map[string]*stats.Counter, len(e.Counters))
-		for role, name := range e.Counters { //pp:nondeterministic-ok order-insensitive copy into a map
-			args.Counters[role] = inst.counters[name]
-		}
-	}
-	action, err := rmt.BuildAction(e.Action, inst, args)
-	if err != nil {
-		return rmt.Rule{}, fmt.Errorf("entry %q: %w", e.Name, err)
-	}
-	return rmt.Rule{Name: e.Name, Conds: ops, Action: action}, nil
 }

@@ -25,8 +25,14 @@ import (
 // one-rule pipe that runs the entry's action against the twin's registers.
 type oracleEntry struct {
 	id    string // table/entry
-	conds []rmt.Cond
+	conds []oracleCond
 	fire  *rmt.Pipeline
+}
+
+// oracleCond is a condition as the spec wrote it, with its value resolved.
+type oracleCond struct {
+	field, op string
+	val       int64
 }
 
 type oracle struct {
@@ -38,27 +44,27 @@ type oracle struct {
 func newOracle(t *testing.T, inst *Instance) *oracle {
 	o := &oracle{inst: inst, tables: map[string][][]oracleEntry{}}
 	for stage := 0; stage < rmt.StageCount; stage++ {
-		for ti := range inst.spec.Tables {
-			tbl := &inst.spec.Tables[ti]
+		for ti := range inst.prog.tables {
+			tbl := inst.prog.tables[ti].spec
 			if tbl.Stage != stage {
 				continue
 			}
 			var entries []oracleEntry
 			for ei := range tbl.Entries {
 				e := &tbl.Entries[ei]
-				rule, err := compileEntry(e, inst, inst.params)
+				action, err := inst.prog.tables[ti].entries[ei].binding.Build(inst.runtime, inst.counters)
 				if err != nil {
 					t.Fatalf("oracle: %s/%s: %v", tbl.Name, e.Name, err)
 				}
 				oe := oracleEntry{id: tbl.Name + "/" + e.Name, fire: rmt.NewPipeline("oracle/" + e.Name)}
 				for _, c := range e.Match {
-					v, _ := c.Value.resolve(inst.params)
-					oe.conds = append(oe.conds, rmt.Cond{Field: c.Field, Op: c.Op, Value: v})
+					v, _ := c.Value.resolve(inst.prog.params)
+					oe.conds = append(oe.conds, oracleCond{field: c.Field, op: c.Op, val: v})
 				}
 				// Only the action is borrowed: an unconditional rule bound to
 				// the twin's register, so firing goes through Ctx.RMW's checks.
 				oe.fire.AddMAT(stage, &rmt.MAT{Name: oe.id, Reg: inst.regs[tbl.Register],
-					Rules: []rmt.Rule{{Name: e.Name, Action: rule.Action}}})
+					Rules: []rmt.Rule{{Name: e.Name, Action: action}}})
 				entries = append(entries, oe)
 			}
 			o.tables[pipeName(tbl.Pipe)] = append(o.tables[pipeName(tbl.Pipe)], entries)
@@ -108,8 +114,9 @@ func (o *oracle) field(name string, p *rmt.PHV) int64 {
 	case "cr.tag_valid":
 		return b(p.Pkt.CR != nil && p.Pkt.CR.Tag.Valid())
 	}
-	if word, ok := strings.CutPrefix(name, "meta."); ok {
-		idx, _ := rmt.MetaIndex(word)
+	if strings.HasPrefix(name, "meta.") {
+		f, _ := rmt.LookupField(name)
+		idx, _ := f.MetaWord()
 		return int64(p.Meta[idx])
 	}
 	v, _ := o.inst.Runtime(strings.TrimPrefix(name, "param."))
@@ -124,7 +131,7 @@ func (o *oracle) process(pipe string, p *rmt.PHV) {
 			e := &entries[i]
 			hit := true
 			for _, c := range e.conds {
-				if (o.field(c.Field, p) == c.Value) == (c.Op == "ne") {
+				if (o.field(c.field, p) == c.val) == (c.op == "ne") {
 					hit = false
 					break
 				}
@@ -139,21 +146,26 @@ func (o *oracle) process(pipe string, p *rmt.PHV) {
 }
 
 // The compiled side reports what fired through shadow actions: "traced:X"
-// builds X and logs the entry id planted in its reasons before running it.
+// is X's descriptor with one more reason role, under which the entry id is
+// planted; its body logs the id before running X's.
 const fireReason = "__fire"
 
 var compiledFired []string
 
 func init() {
 	for _, name := range rmt.ActionNames() {
-		rmt.RegisterAction("traced:"+name, func(env rmt.Env, a rmt.ActionArgs) (func(*rmt.Ctx), error) {
-			inner, err := rmt.BuildAction(name, env, a)
-			id := a.Reasons[fireReason]
+		d, _ := rmt.LookupAction(name)
+		shadow := *d
+		shadow.Name = "traced:" + name
+		shadow.Reasons = append(slices.Clone(d.Reasons), fireReason)
+		shadow.Build = func(a rmt.Args) func(*rmt.Ctx) {
+			inner, id := d.Build(a), a.Reason(fireReason)
 			return func(c *rmt.Ctx) {
 				compiledFired = append(compiledFired, id)
 				inner(c)
-			}, err
-		})
+			}
+		}
+		rmt.RegisterAction(&shadow)
 	}
 }
 

@@ -1,0 +1,385 @@
+package prog
+
+import (
+	"fmt"
+	"slices"
+	"strconv"
+	"strings"
+
+	"github.com/payloadpark/payloadpark/internal/rmt"
+)
+
+// program is a Spec resolved against its parameters and the rmt vocabulary:
+// names expanded, every ParamVal a number, every condition field and action
+// looked up, every entry bound to its action's descriptor, every register
+// role followed. resolve builds it once; Load installs it and Lint analyses
+// it, so the two cannot disagree about what a spec means. problems lists
+// every reason the spec cannot be installed, in the linter's own finding
+// form — Load fails on the first, Lint reports them all.
+type program struct {
+	spec     *Spec
+	params   map[string]int64 // spec parameters under the overrides
+	scope    rmt.Scope        // parser geometry and declared runtime parameters
+	ppPorts  []int
+	regs     []register // parallel to spec.Registers
+	tables   []table    // parallel to spec.Tables
+	writes   []metaWrite
+	problems []LintFinding
+
+	usedParams  map[string]bool
+	usedRuntime map[string]bool
+}
+
+type register struct {
+	spec         *RegisterSpec
+	name, role   string
+	width, cells int64
+	sized        bool // width and cells resolved
+	bound        bool // some table binds it
+}
+
+type table struct {
+	spec    *TableSpec
+	name    string
+	reg     *register // nil when the table binds none (or an undeclared role)
+	entries []entry
+}
+
+// entry is one resolved entry. conds holds the conditions that resolved
+// (partial marks an entry that lost one to a problem); binding is nil when
+// the action or its bindings did not check out.
+type entry struct {
+	spec    *EntrySpec
+	conds   []rmt.Cond
+	partial bool
+	binding *rmt.Binding
+}
+
+// metaWrite is one (table, entry, word) metadata write site; below is the
+// exclusive bound of the register index it publishes (the value of the
+// entry's bound parameter), 0 for a flag or size.
+type metaWrite struct {
+	table, entry, word int
+	below              int64
+	belowKey           string
+}
+
+// object names what a finding is about — "parser", "register <name>",
+// "table <name>" or "<table>/<entry>" — and is rendered only when a finding
+// is reported, so a clean resolve builds no strings.
+type object struct{ kind, name, entry string }
+
+func (o object) String() string {
+	if o.entry != "" {
+		return o.name + "/" + o.entry
+	}
+	return o.kind + o.name
+}
+
+func pipeName(p string) string {
+	if p == "" {
+		return "ingress"
+	}
+	return p
+}
+
+func (p *program) problemf(code string, obj object, format string, args ...any) {
+	p.problems = append(p.problems, LintFinding{Code: code, Object: obj.String(), Detail: fmt.Sprintf(format, args...)})
+}
+
+// val resolves a ParamVal under the program's parameters, tracking
+// parameter use and reporting a dangling reference from "<what><key>".
+func (p *program) val(pv ParamVal, obj object, what, key string) (int64, bool) {
+	v, ok := pv.resolve(p.params)
+	if !ok {
+		p.problemf("unbound-param", obj, "%s%s: reference %q names no declared parameter", what, key, "$"+pv.ref)
+	} else if pv.ref != "" {
+		p.usedParams[pv.ref] = true
+	}
+	return v, ok
+}
+
+// name expands the "$param" references inside a register or table name.
+func (p *program) name(s string, obj object) string {
+	if !strings.ContainsRune(s, '$') {
+		return s
+	}
+	var b strings.Builder
+	for i := 0; i < len(s); {
+		if s[i] != '$' {
+			b.WriteByte(s[i])
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(s) && (s[j] == '_' || s[j] >= 'a' && s[j] <= 'z' || s[j] >= '0' && s[j] <= '9') {
+			j++
+		}
+		ref := s[i+1 : j]
+		if v, ok := p.params[ref]; ok {
+			p.usedParams[ref] = true
+			b.WriteString(strconv.FormatInt(v, 10))
+		} else if ref == "" {
+			p.problemf("unbound-param", obj, "name %q has a bare '$'", s)
+		} else {
+			p.problemf("unbound-param", obj, "name %q: reference %q names no declared parameter", s, "$"+ref)
+		}
+		i = j
+	}
+	return b.String()
+}
+
+// placed checks the pipe and stage a register or table declares.
+func (p *program) placed(obj object, pipe string, stage int) {
+	if pipe != "" && pipe != "ingress" && pipe != "recirc" {
+		p.problemf("bad-layout", obj, "unknown pipe %q (want ingress or recirc)", pipe)
+	}
+	if stage < 0 || stage >= rmt.StageCount {
+		p.problemf("bad-layout", obj, "stage %d outside [0,%d)", stage, rmt.StageCount)
+	}
+}
+
+// maxParserBytes bounds each parser geometry value to what the PHV could
+// ever hold, so sizes derived from them cannot overflow or go negative; the
+// pipe's own PHV budget check still decides whether the program fits.
+const maxParserBytes = rmt.PHVBits / 8
+
+// resolve is the one walk of a Spec: Load and Lint both consume its result.
+func resolve(s *Spec, overrides map[string]int64) *program {
+	p := &program{
+		spec:        s,
+		params:      make(map[string]int64, len(s.Params)),
+		regs:        make([]register, len(s.Registers)),
+		tables:      make([]table, len(s.Tables)),
+		usedParams:  make(map[string]bool, len(s.Params)),
+		usedRuntime: make(map[string]bool, len(s.Runtime)),
+	}
+	for k, v := range s.Params { //pp:nondeterministic-ok order-insensitive copy into a map
+		p.params[k] = v
+	}
+	// Sorted so a bad override always reports the same parameter first.
+	for _, k := range sortedKeys(overrides) {
+		if _, ok := s.Params[k]; !ok {
+			p.problemf("unbound-param", object{kind: "params/", name: k}, "spec declares no parameter %q to override", k)
+		}
+		p.params[k] = overrides[k]
+	}
+
+	p.scope.Runtime = s.Runtime
+	parser := object{name: "parser"}
+	p.scope.Blocks, _ = p.val(s.Parser.Blocks, parser, "blocks", "")
+	p.scope.BlockBytes, _ = p.val(s.Parser.BlockBytes, parser, "block_bytes", "")
+	p.scope.ParkOffset, _ = p.val(s.Parser.ParkOffset, parser, "park_offset", "")
+	for _, g := range [...]struct {
+		what string
+		v    int64
+	}{{"blocks", p.scope.Blocks}, {"block_bytes", p.scope.BlockBytes}, {"park_offset", p.scope.ParkOffset}} {
+		if g.v < 0 || g.v > maxParserBytes {
+			p.problemf("bad-layout", parser, "%s = %d outside [0, %d]", g.what, g.v, maxParserBytes)
+		}
+	}
+	if p.scope.Blocks > 0 && p.scope.BlockBytes == 0 {
+		p.problemf("bad-layout", parser, "block_bytes = 0 with %d blocks to extract", p.scope.Blocks)
+	}
+	for i, pv := range s.Parser.PPPorts {
+		if v, ok := p.val(pv, parser, "pp_ports#", strconv.Itoa(i)); ok {
+			p.ppPorts = append(p.ppPorts, int(v))
+		}
+	}
+
+	roles := make(map[string]*register, len(s.Registers))
+	for i := range s.Registers {
+		spec := &s.Registers[i]
+		obj := object{kind: "register ", name: spec.Name}
+		r := &p.regs[i]
+		*r = register{spec: spec, name: p.name(spec.Name, obj), role: spec.Role}
+		if r.role == "" {
+			r.role = r.name
+		}
+		width, wok := p.val(spec.Width, obj, "width", "")
+		cells, cok := p.val(spec.Cells, obj, "cells", "")
+		r.width, r.cells, r.sized = width, cells, wok && cok
+		p.placed(obj, spec.Pipe, spec.Stage)
+		if roles[r.role] != nil {
+			p.problemf("bad-layout", obj, "duplicate register role %q", r.role)
+		}
+		roles[r.role] = r
+	}
+
+	// One arena each for the program's entries and conditions, not one
+	// allocation per table and per entry: a fabric run loads 24 switches.
+	nEntries, nConds := 0, 0
+	for ti := range s.Tables {
+		nEntries += len(s.Tables[ti].Entries)
+		for ei := range s.Tables[ti].Entries {
+			nConds += len(s.Tables[ti].Entries[ei].Match)
+		}
+	}
+	entries, conds := make([]entry, nEntries), make([]rmt.Cond, 0, nConds)
+	for ti := range s.Tables {
+		spec := &s.Tables[ti]
+		obj := object{kind: "table ", name: spec.Name}
+		t := &p.tables[ti]
+		n := len(spec.Entries)
+		*t = table{spec: spec, name: p.name(spec.Name, obj), entries: entries[:n:n]}
+		entries = entries[n:]
+		p.placed(obj, spec.Pipe, spec.Stage)
+		if spec.Register != "" {
+			t.reg = roles[spec.Register]
+			switch r := t.reg; {
+			case r == nil:
+				p.problemf("unknown-register", obj, "binds undeclared register role %q", spec.Register)
+			case pipeName(r.spec.Pipe) != pipeName(spec.Pipe) || r.spec.Stage != spec.Stage:
+				p.problemf("bad-layout", obj, "binds register %q of %s stage %d from %s stage %d (registers are stage-local)",
+					r.name, pipeName(r.spec.Pipe), r.spec.Stage, pipeName(spec.Pipe), spec.Stage)
+			default:
+				r.bound = true
+			}
+		}
+		if r := spec.Resources; min(r.TCAMBytes, r.SRAMMatchBytes, r.VLIWSlots, r.ExactXbarBits, r.TernXbarBits) < 0 {
+			p.problemf("bad-layout", obj, "declares a negative resource: %+v (a table cannot refund a stage's budget)", r)
+		}
+		if len(spec.Entries) == 0 {
+			p.problemf("bad-layout", obj, "has no entries")
+		}
+		for ei := range spec.Entries {
+			conds = p.resolveEntry(ti, ei, conds)
+		}
+	}
+	p.checkIndexDomains()
+	return p
+}
+
+// resolveEntry resolves one entry's conditions onto the tail of the conds
+// arena, which it returns, and binds the entry to its action.
+func (p *program) resolveEntry(ti, ei int, conds []rmt.Cond) []rmt.Cond {
+	t := &p.tables[ti]
+	e := &t.entries[ei]
+	e.spec = &t.spec.Entries[ei]
+	obj := object{name: t.spec.Name, entry: e.spec.Name}
+
+	start := len(conds)
+	for _, c := range e.spec.Match {
+		field, err := rmt.LookupField(c.Field)
+		if name, isParam := field.RuntimeParam(); err == nil && isParam {
+			if _, declared := p.spec.Runtime[name]; declared {
+				p.usedRuntime[name] = true
+			} else {
+				err = fmt.Errorf("unknown condition field %q: no such runtime parameter", c.Field)
+			}
+		}
+		v, ok := p.val(c.Value, obj, "condition ", c.Field)
+		switch {
+		case err != nil:
+			p.problemf("unknown-field", obj, "%v", err)
+		case c.Op != "" && c.Op != "eq" && c.Op != "ne":
+			p.problemf("unknown-op", obj, "condition %q has op %q (want eq or ne)", c.Field, c.Op)
+		case ok:
+			conds = append(conds, rmt.Cond{Field: field, Ne: c.Op == "ne", Value: v})
+			continue
+		}
+		e.partial = true
+	}
+	e.conds = conds[start:len(conds):len(conds)]
+	p.bindEntry(ti, ei, obj)
+	return conds
+}
+
+// bindEntry binds a resolved entry to its action's descriptor and holds
+// the entry's match and the table's register to what the action declared.
+func (p *program) bindEntry(ti, ei int, obj object) {
+	t := &p.tables[ti]
+	e := &t.entries[ei]
+	args := rmt.ActionArgs{Counters: e.spec.Counters, Reasons: e.spec.Reasons}
+	resolved := true
+	if len(e.spec.Params) > 0 {
+		args.Params = make(map[string]int64, len(e.spec.Params))
+		// Sorted so an unresolvable entry always reports the same parameter
+		// first.
+		for _, k := range sortedKeys(e.spec.Params) {
+			v, ok := p.val(e.spec.Params[k], obj, "parameter ", k)
+			args.Params[k], resolved = v, resolved && ok
+		}
+	}
+	d, err := rmt.LookupAction(e.spec.Action)
+	if err != nil {
+		p.problemf("unknown-action", obj, "%v", err)
+		return
+	}
+	if !resolved {
+		return // the dangling reference is already reported
+	}
+	b, err := d.Bind(args, p.scope)
+	if err != nil {
+		p.problemf("bad-binding", obj, "%v", err)
+		return
+	}
+	e.binding = b
+	for _, name := range d.Runtime {
+		p.usedRuntime[name] = true
+	}
+	if d.Needs != rmt.NoHeader && !e.partial && !slices.ContainsFunc(e.conds, func(c rmt.Cond) bool { return c.Proves(d.Needs) }) {
+		p.problemf("bad-binding", obj, "action %s reads a header no condition of the entry proves present (match on its valid or enabled field)", d.Name)
+	}
+	// An undeclared role or an unresolved geometry is already reported.
+	err = nil
+	if r := t.reg; r != nil && r.sized {
+		err = b.CheckRegister(true, r.width, r.cells)
+	} else if t.spec.Register == "" {
+		err = b.CheckRegister(false, 0, 0)
+	}
+	if err != nil {
+		p.problemf("register-misfit", obj, "%v", err)
+	}
+	for _, w := range d.Writes {
+		word, below := b.WriteWord(w)
+		p.writes = append(p.writes, metaWrite{table: ti, entry: ei, word: word, below: below, belowKey: w.Below})
+	}
+}
+
+// reaches reports whether a metadata write in table wt can be observed by
+// table rt on hardware: an earlier stage of the same pipe, or any
+// ingress-pipe stage when the reader is on the recirculation pipe (metadata
+// persists across the recirculation hop).
+func (p *program) reaches(wt, rt int) bool {
+	w, r := p.tables[wt].spec, p.tables[rt].spec
+	wp, rp := pipeName(w.Pipe), pipeName(r.Pipe)
+	if wp == rp {
+		return w.Stage < r.Stage
+	}
+	return wp == "ingress" && rp == "recirc"
+}
+
+// checkIndexDomains holds every metadata-indexed register access to its
+// register: an index any table publishes into a metadata word must stay
+// below the cell count of every register the program indexes by that word
+// (tag- and zero-indexed accesses were checked against the register alone,
+// by Binding.CheckRegister). Any table, not only those reaches admits: the
+// model runs a stage's tables in placement order and a recirculated packet
+// re-enters with its metadata, so a panic-free program cannot lean on the
+// hardware's visibility rule.
+func (p *program) checkIndexDomains() {
+	for _, w := range p.writes {
+		if w.below == 0 {
+			continue
+		}
+	readers:
+		for ti := range p.tables {
+			t := &p.tables[ti]
+			if t.reg == nil || !t.reg.sized || w.below <= t.reg.cells {
+				continue
+			}
+			for ei := range t.entries {
+				b := t.entries[ei].binding
+				if b == nil || b.Action.Reg.Index != rmt.IndexMeta || b.Action.Reg.Word != w.word {
+					continue
+				}
+				wt := &p.tables[w.table]
+				p.problemf("register-misfit", object{name: wt.spec.Name, entry: wt.entries[w.entry].spec.Name},
+					"parameter %q = %d advances metadata word %d past the %d cells of register %q, which %s/%s indexes by it",
+					w.belowKey, w.below, w.word, t.reg.cells, t.reg.name, t.spec.Name, t.entries[ei].spec.Name)
+				break readers
+			}
+		}
+	}
+}

@@ -17,7 +17,6 @@ package prog
 import (
 	"encoding/json"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"github.com/payloadpark/payloadpark/internal/rmt"
@@ -67,16 +66,14 @@ func (v *ParamVal) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// resolve returns the concrete value under params.
-func (v ParamVal) resolve(params map[string]int64) (int64, error) {
+// resolve returns the concrete value under params; ok is false for a
+// reference to a parameter params does not hold.
+func (v ParamVal) resolve(params map[string]int64) (n int64, ok bool) {
 	if v.ref == "" {
-		return v.lit, nil
+		return v.lit, true
 	}
-	n, ok := params[v.ref]
-	if !ok {
-		return 0, fmt.Errorf("prog: reference %q names no declared parameter", "$"+v.ref)
-	}
-	return n, nil
+	n, ok = params[v.ref]
+	return n, ok
 }
 
 // Spec is a declarative switch program: what core.Install used to build in
@@ -126,8 +123,8 @@ func (s *Spec) ResolveParam(name string, overrides map[string]int64) (int64, boo
 // PayloadPark program does. Callers use it to reject double-parking a
 // pipe that already runs the built-in program.
 func (s *Spec) ParksPayload() bool {
-	v, err := s.Parser.Blocks.resolve(s.Params)
-	return err == nil && v > 0
+	v, ok := s.Parser.Blocks.resolve(s.Params)
+	return ok && v > 0
 }
 
 // UsesRecircPipe reports whether any register or table targets the
@@ -166,25 +163,9 @@ type RegisterSpec struct {
 	Cells ParamVal `json:"cells"`
 }
 
-// ResourcesSpec declares a table's per-stage hardware consumption,
-// mirroring rmt.Resources.
-type ResourcesSpec struct {
-	TCAMBytes      int `json:"tcam_bytes,omitempty"`
-	SRAMMatchBytes int `json:"sram_match_bytes,omitempty"`
-	VLIWSlots      int `json:"vliw_slots,omitempty"`
-	ExactXbarBits  int `json:"exact_xbar_bits,omitempty"`
-	TernXbarBits   int `json:"tern_xbar_bits,omitempty"`
-}
-
-func (r ResourcesSpec) toRMT() rmt.Resources {
-	return rmt.Resources{
-		TCAMBytes:      r.TCAMBytes,
-		SRAMMatchBytes: r.SRAMMatchBytes,
-		VLIWSlots:      r.VLIWSlots,
-		ExactXbarBits:  r.ExactXbarBits,
-		TernXbarBits:   r.TernXbarBits,
-	}
-}
+// ResourcesSpec declares a table's per-stage hardware consumption: the rmt
+// layer's own declaration, which carries the JSON form.
+type ResourcesSpec = rmt.Resources
 
 // TableSpec declares one match-action table: its stage, the register role it
 // binds (one stateful access per packet), and its entries in match order
@@ -216,34 +197,4 @@ type CondSpec struct {
 	Field string   `json:"field"`
 	Op    string   `json:"op,omitempty"`
 	Value ParamVal `json:"value"`
-}
-
-// substName expands "$param" references inside a register or table name.
-func substName(s string, params map[string]int64) (string, error) {
-	if !strings.ContainsRune(s, '$') {
-		return s, nil
-	}
-	var b strings.Builder
-	for i := 0; i < len(s); {
-		if s[i] != '$' {
-			b.WriteByte(s[i])
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(s) && (s[j] == '_' || s[j] >= 'a' && s[j] <= 'z' || s[j] >= '0' && s[j] <= '9') {
-			j++
-		}
-		name := s[i+1 : j]
-		if name == "" {
-			return "", fmt.Errorf("prog: name %q has a bare '$'", s)
-		}
-		v, ok := params[name]
-		if !ok {
-			return "", fmt.Errorf("prog: name %q references undeclared parameter %q", s, name)
-		}
-		b.WriteString(strconv.FormatInt(v, 10))
-		i = j
-	}
-	return b.String(), nil
 }

@@ -1,24 +1,24 @@
 // Named action vocabulary.
 //
-// Historically the PayloadPark program (internal/core) baked its dataplane
-// behavior into Go closures: every rule's match predicate and action body was
-// hand-written code, so every policy variant was a new code path. This file
-// extracts those primitives into a registry of named actions and a small
-// condition language, so a table program becomes *data*: a list of entries,
-// each naming its match conditions and an action with parameters. The
-// internal/prog package compiles such specs onto a Pipeline; this layer is
-// the instruction set it targets.
+// A table program is data: a list of entries, each naming its match
+// conditions and an action with parameters (internal/prog compiles such
+// specs onto a Pipeline; this file is the instruction set it targets). As
+// in P4, each action's signature is declared once — the Action descriptors
+// below — and everything that needs to know it reads the declaration: Bind
+// checks an entry's bindings against it, prog checks the bound register and
+// the liveness of metadata words against it, the README's vocabulary table
+// is rendered from it, and Build receives only values that passed.
 //
-// The vocabulary mirrors what a Tofino stateful ALU plus VLIW action unit
-// can express: one register read-modify-write, PHV field moves, and header
+// The vocabulary is what a Tofino stateful ALU plus VLIW action unit can
+// express: one register read-modify-write, PHV field moves, and header
 // add/remove — nothing a real RMT stage could not do.
 package rmt
 
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 
 	"github.com/payloadpark/payloadpark/internal/packet"
@@ -29,117 +29,187 @@ import (
 // header-compression context the register budget can hold.
 const HdrScratchBytes = packet.IPv4HeaderLen + packet.UDPHeaderLen
 
-// Env resolves the runtime bindings of a table program while its entries are
-// being compiled: named runtime parameters (control-plane knobs read by
-// actions on every packet) and named counters. internal/prog's Instance
-// implements it.
-type Env interface {
-	// RuntimeParam returns the storage cell of a named runtime parameter.
-	// Actions load it per packet, so the control plane can change it between
-	// packets without reinstalling the program.
-	RuntimeParam(name string) (*uint32, bool)
-	// BoundCounter returns the counter registered under name.
-	BoundCounter(name string) (*stats.Counter, bool)
+// metaNames are the well-known metadata word names (the constants in
+// rmt.go) for the "meta.<name>" condition fields, by word index.
+var metaNames = [MetaWords]string{
+	MetaTableIndex:     "tbl_idx",
+	MetaClock:          "clk",
+	MetaPPEnabled:      "pp_enabled",
+	MetaPayloadOK:      "payload_ok",
+	MetaSplitClaimed:   "split_claimed",
+	MetaParkBytes:      "park_bytes",
+	MetaParkOffset:     "park_offset",
+	MetaCompTableIndex: "comp_tbl_idx",
+	MetaCompClock:      "comp_clk",
+	MetaCompClaimed:    "comp_claimed",
+	MetaCompEnabled:    "comp_enabled",
 }
 
-// metaIndexByName maps the well-known metadata word names (the constants
-// above) to their indexes for the "meta.<name>" condition fields.
-var metaIndexByName = map[string]int{
-	"tbl_idx":       MetaTableIndex,
-	"clk":           MetaClock,
-	"pp_enabled":    MetaPPEnabled,
-	"payload_ok":    MetaPayloadOK,
-	"split_claimed": MetaSplitClaimed,
-	"park_bytes":    MetaParkBytes,
-	"park_offset":   MetaParkOffset,
-	"comp_tbl_idx":  MetaCompTableIndex,
-	"comp_clk":      MetaCompClock,
-	"comp_claimed":  MetaCompClaimed,
-	"comp_enabled":  MetaCompEnabled,
+// Action declares one action of the vocabulary: what an entry may bind to
+// it, what its body touches per packet, and the Build that turns checked
+// bindings into that body.
+type Action struct {
+	Name string
+	Doc  string // one line, for the README's vocabulary table
+
+	Ints     []IntParam // compile-time integer parameters
+	Counters []string   // counter roles; every role is required
+	Reasons  []string   // drop-reason roles; every role is required
+	Runtime  []string   // runtime parameters loaded per packet
+
+	Reads  []int       // metadata words the body reads
+	Writes []MetaWrite // metadata words the body may write
+	// Needs is the header the body dereferences unchecked: the entry's
+	// match must prove it present (Cond.Proves).
+	Needs Header
+	// Reg is what the body demands of the table's bound register.
+	Reg RegUse
+	// Recirculates marks the action that requests another pipeline pass.
+	Recirculates bool
+
+	// Build returns the per-packet body. Every key it asks Args for was
+	// declared above and checked by Bind, so it cannot fail; the body runs
+	// with everything pre-resolved and never sees a map.
+	Build func(a Args) func(*Ctx)
 }
 
-// MetaIndex resolves the <name> of a "meta.<name>" condition field — a
-// well-known word name or a decimal index below MetaWords — to its index.
-// CompileConds and prog's spec linter share it.
-func MetaIndex(name string) (int, bool) {
-	if idx, ok := metaIndexByName[name]; ok {
-		return idx, true
+// IntParam declares one integer parameter: required unless Optional (then
+// Default applies), at least Min and — when Max is set — at most Max less
+// the value of the Less parameter. Parser ties it to the program's parser
+// geometry.
+type IntParam struct {
+	Name     string
+	Optional bool
+	Default  int64
+	Min, Max int64
+	Less     string
+	Parser   ParserRel
+}
+
+// ParserRel relates an integer parameter to the parser geometry of the
+// program it is bound in: merge-side actions must rebuild exactly the bytes
+// the parser lifted, and the deparser trusts the sizes they publish.
+type ParserRel uint8
+
+const (
+	Free         ParserRel = iota
+	BlockIndex             // 0 <= v < parser blocks
+	SameAsParser           // v == the parser quantity of the parameter's name (Scope.geometry)
+)
+
+// MetaWrite declares one metadata word a body may write: Word, or the word
+// the integer parameter Via names. Below, when set, names the integer
+// parameter that bounds the value — the write publishes a register index in
+// [0, Below) — and is empty for flags and sizes.
+type MetaWrite struct {
+	Word  int
+	Via   string
+	Below string
+}
+
+// Header is a header an action body may dereference.
+type Header uint8
+
+const (
+	NoHeader Header = iota
+	HeaderPP
+	HeaderCR
+)
+
+// RegIndex is how an action's one RMW picks its register cell.
+type RegIndex uint8
+
+const (
+	NoRegister RegIndex = iota
+	IndexZero           // cell 0: the taggers' one-cell counters
+	IndexMeta           // the metadata word RegUse.Word, published by an earlier table
+	IndexTag            // the header tag's TableIndex modulo the "slots" parameter
+)
+
+// ParserBlockBytes as RegUse.BytesOf says the RMW moves one parser payload
+// block.
+const ParserBlockBytes = "parser.block_bytes"
+
+// RegUse declares an action's stateful access: which cell its RMW picks
+// and how many leading cell bytes it moves — Bytes, or the value of the
+// integer parameter (or ParserBlockBytes) BytesOf names.
+type RegUse struct {
+	Index   RegIndex
+	Word    int
+	Bytes   int
+	BytesOf string
+}
+
+// Scope is the program-level context an entry's bindings are checked
+// against: the parser geometry and the runtime parameters the program
+// declares.
+type Scope struct {
+	Blocks, BlockBytes, ParkOffset int64
+	Runtime                        map[string]uint32
+}
+
+// geometry returns the parser quantity a SameAsParser parameter must equal.
+func (sc Scope) geometry(name string) int64 {
+	switch name {
+	case "blocks":
+		return sc.Blocks
+	case "block_bytes":
+		return sc.BlockBytes
+	case "park_bytes":
+		return sc.Blocks * sc.BlockBytes
+	case "park_offset":
+		return sc.ParkOffset
 	}
-	n, err := strconv.Atoi(name)
-	return n, err == nil && n >= 0 && n < MetaWords
+	panic(fmt.Sprintf("rmt: the parser has no quantity %q", name))
 }
 
-// ActionArgs carries an entry's compile-time bindings into an action
-// factory: integer parameters, counters by role, and drop-reason strings by
-// role. All are resolved before install; the hot path never sees a map.
+// ActionArgs is what one table entry binds to its action, by key: integer
+// parameters, counter names by role, and drop-reason strings by role.
 type ActionArgs struct {
 	Params   map[string]int64
-	Counters map[string]*stats.Counter
+	Counters map[string]string
 	Reasons  map[string]string
 }
 
-// Int returns parameter name or def when absent.
-func (a ActionArgs) Int(name string, def int64) int64 {
-	if v, ok := a.Params[name]; ok {
-		return v
-	}
-	return def
+// Binding is one entry's bindings after Bind checked them, held in the
+// descriptor's declaration order.
+type Binding struct {
+	Action   *Action
+	ints     []int64
+	counters []string
+	reasons  []string
+	regBytes int64
 }
 
-// NeedInt returns parameter name, erroring when the entry omitted it.
-func (a ActionArgs) NeedInt(name string) (int64, error) {
-	v, ok := a.Params[name]
+// Args hands an action's Build its checked bindings by declared key.
+// Asking for a key the descriptor does not declare is a bug in the
+// vocabulary and panics at install time.
+type Args struct {
+	*Binding
+	ctrs  []*stats.Counter // by Action.Counters
+	cells []*uint32        // by Action.Runtime
+}
+
+var actionRegistry = map[string]*Action{}
+
+// RegisterAction adds an action to the vocabulary. The built-in table below
+// goes through it; the only other caller is prog's oracle test, which
+// registers tracing shadows. Registering a duplicate name panics: the name
+// is the contract specs compile against.
+func RegisterAction(d *Action) {
+	if _, dup := actionRegistry[d.Name]; dup {
+		panic(fmt.Sprintf("rmt: action %q registered twice", d.Name))
+	}
+	actionRegistry[d.Name] = d
+}
+
+// LookupAction returns the named action's descriptor.
+func LookupAction(name string) (*Action, error) {
+	d, ok := actionRegistry[name]
 	if !ok {
-		return 0, fmt.Errorf("missing required parameter %q", name)
+		return nil, fmt.Errorf("unknown action %q (known: %s)", name, strings.Join(ActionNames(), ", "))
 	}
-	return v, nil
-}
-
-// NeedCounter returns the counter bound to role, erroring when absent: an
-// action that increments a counter cannot run without one.
-func (a ActionArgs) NeedCounter(role string) (*stats.Counter, error) {
-	c, ok := a.Counters[role]
-	if !ok || c == nil {
-		return nil, fmt.Errorf("missing required counter %q", role)
-	}
-	return c, nil
-}
-
-// Reason returns the drop-reason string bound to role, or def.
-func (a ActionArgs) Reason(role, def string) string {
-	if s, ok := a.Reasons[role]; ok {
-		return s
-	}
-	return def
-}
-
-// ActionFactory builds an action body from its declarative arguments.
-// Factories validate arguments once at install time and return a closure
-// that runs per packet with everything pre-resolved.
-type ActionFactory func(env Env, args ActionArgs) (func(*Ctx), error)
-
-var actionRegistry = map[string]ActionFactory{}
-
-// RegisterAction adds a named action to the vocabulary. Registering a
-// duplicate name panics: the name is the contract specs compile against.
-func RegisterAction(name string, f ActionFactory) {
-	if _, dup := actionRegistry[name]; dup {
-		panic(fmt.Sprintf("rmt: action %q registered twice", name))
-	}
-	actionRegistry[name] = f
-}
-
-// BuildAction compiles the named action with the given arguments.
-func BuildAction(name string, env Env, args ActionArgs) (func(*Ctx), error) {
-	f, ok := actionRegistry[name]
-	if !ok {
-		return nil, fmt.Errorf("rmt: unknown action %q (known: %s)", name, strings.Join(ActionNames(), ", "))
-	}
-	body, err := f(env, args)
-	if err != nil {
-		return nil, fmt.Errorf("rmt: action %q: %w", name, err)
-	}
-	return body, nil
+	return d, nil
 }
 
 // ActionNames lists the registered vocabulary, sorted.
@@ -152,6 +222,215 @@ func ActionNames() []string {
 	return names
 }
 
+// undeclared returns the smallest key of m outside declared, so a bad entry
+// always reports the same key first.
+func undeclared[V any](m map[string]V, declared []string) (key string, found bool) {
+	for k := range m { //pp:nondeterministic-ok reduced to the minimum key
+		if !slices.Contains(declared, k) && (!found || k < key) {
+			key, found = k, true
+		}
+	}
+	return key, found
+}
+
+// bindRoles returns the values got binds to the declared roles, in role
+// order: every role bound, and no key that is not a role.
+func (d *Action) bindRoles(kind string, roles []string, got map[string]string) ([]string, error) {
+	if k, bad := undeclared(got, roles); bad {
+		return nil, fmt.Errorf("%s role %q is not declared by action %s", kind, k, d.Name)
+	}
+	out := make([]string, len(roles))
+	for i, role := range roles {
+		if out[i] = got[role]; out[i] == "" {
+			return nil, fmt.Errorf("missing required %s %q", kind, role)
+		}
+	}
+	return out, nil
+}
+
+// Bind is the one check of an entry's bindings against the descriptor: it
+// rejects a key the descriptor does not declare, a missing required key, a
+// value out of range or at odds with the parser geometry, and a runtime
+// parameter the program does not declare.
+func (d *Action) Bind(args ActionArgs, sc Scope) (b *Binding, err error) {
+	b = &Binding{Action: d, ints: make([]int64, len(d.Ints))}
+	declared := 0
+	for i, p := range d.Ints {
+		v, ok := args.Params[p.Name]
+		if !ok && !p.Optional {
+			return nil, fmt.Errorf("missing required parameter %q", p.Name)
+		} else if !ok {
+			v = p.Default
+		} else {
+			declared++
+		}
+		b.ints[i] = v
+	}
+	if declared != len(args.Params) { // some key is not a declared parameter: name it
+		names := make([]string, len(d.Ints))
+		for i, p := range d.Ints {
+			names[i] = p.Name
+		}
+		k, _ := undeclared(args.Params, names)
+		return nil, fmt.Errorf("parameter %q is not declared by action %s", k, d.Name)
+	}
+	for i := range d.Ints {
+		if err := d.Ints[i].check(b, sc); err != nil {
+			return nil, err
+		}
+	}
+	if b.counters, err = d.bindRoles("counter", d.Counters, args.Counters); err != nil {
+		return nil, err
+	}
+	if b.reasons, err = d.bindRoles("reason", d.Reasons, args.Reasons); err != nil {
+		return nil, err
+	}
+	for _, name := range d.Runtime {
+		if _, ok := sc.Runtime[name]; !ok {
+			return nil, fmt.Errorf("missing required runtime parameter %q", name)
+		}
+	}
+	switch of := d.Reg.BytesOf; of {
+	case "":
+		b.regBytes = int64(d.Reg.Bytes)
+	case ParserBlockBytes:
+		b.regBytes = sc.BlockBytes
+	default:
+		b.regBytes = b.Int(of)
+	}
+	return b, nil
+}
+
+// check holds parameter p's bound value to its declared range and parser
+// relation.
+func (p *IntParam) check(b *Binding, sc Scope) error {
+	v, hi := b.Int(p.Name), p.Max
+	if p.Less != "" {
+		hi -= b.Int(p.Less)
+	}
+	if v < p.Min || p.Max != 0 && v > hi {
+		return fmt.Errorf("parameter %q = %d outside %s", p.Name, v, p.rangeText())
+	}
+	switch p.Parser {
+	case BlockIndex:
+		if v >= sc.Blocks {
+			return fmt.Errorf("parameter %q = %d outside the parser's blocks [0, %d)", p.Name, v, sc.Blocks)
+		}
+	case SameAsParser:
+		if want := sc.geometry(p.Name); v != want {
+			return fmt.Errorf("parameter %q = %d must equal the parser's %s (%d)", p.Name, v, p.Name, want)
+		}
+	}
+	return nil
+}
+
+// rangeText renders the parameter's static range, for errors and the
+// README.
+func (p *IntParam) rangeText() string {
+	hi := "+Inf)"
+	if p.Max != 0 {
+		hi = fmt.Sprintf("%d]", p.Max)
+		if p.Less != "" {
+			hi = fmt.Sprintf("%d - %s]", p.Max, p.Less)
+		}
+	}
+	return fmt.Sprintf("[%d, %s", p.Min, hi)
+}
+
+// at returns the position of name among an action's declared keys of one
+// kind, panicking on a key the descriptor does not declare.
+func (d *Action) at(i int, kind, name string) int {
+	if i < 0 {
+		panic(fmt.Sprintf("rmt: action %q declares no %s %q", d.Name, kind, name))
+	}
+	return i
+}
+
+// Int returns the bound value of a declared integer parameter.
+func (b *Binding) Int(name string) int64 {
+	d := b.Action
+	return b.ints[d.at(slices.IndexFunc(d.Ints, func(p IntParam) bool { return p.Name == name }), "parameter", name)]
+}
+
+// Reason returns the drop reason bound to a declared role.
+func (b *Binding) Reason(role string) string {
+	d := b.Action
+	return b.reasons[d.at(slices.Index(d.Reasons, role), "reason role", role)]
+}
+
+// CounterNames lists the counter names the entry bound, in role order.
+func (b *Binding) CounterNames() []string { return b.counters }
+
+// WriteWord resolves a declared metadata write: the word it lands in and,
+// when the write publishes a register index, the exclusive bound of that
+// index (0 otherwise).
+func (b *Binding) WriteWord(w MetaWrite) (word int, below int64) {
+	word = w.Word
+	if w.Via != "" {
+		word = int(b.Int(w.Via))
+	}
+	if w.Below != "" {
+		below = b.Int(w.Below)
+	}
+	return word, below
+}
+
+// CheckRegister holds the table's bound register (bound false when the
+// table binds none) to what the action declared: a register to access,
+// cells wide enough for the bytes one RMW moves, and — for tag-indexed
+// access — at least "slots" cells. Metadata-indexed access is bounded by
+// the tables that publish the word, which only the program knows.
+func (b *Binding) CheckRegister(bound bool, width, cells int64) error {
+	reg := b.Action.Reg
+	switch {
+	case reg.Index == NoRegister:
+		return nil
+	case !bound:
+		return fmt.Errorf("action %s accesses a register but the table binds none", b.Action.Name)
+	case b.regBytes > width:
+		of := ""
+		if reg.BytesOf != "" {
+			of = fmt.Sprintf(" (%s)", reg.BytesOf)
+		}
+		return fmt.Errorf("action %s moves %d B per cell%s but the bound register is %d B wide", b.Action.Name, b.regBytes, of, width)
+	case reg.Index == IndexTag && b.Int("slots") > cells:
+		return fmt.Errorf("parameter %q = %d indexes past the bound register's %d cells", "slots", b.Int("slots"), cells)
+	}
+	return nil
+}
+
+// Build resolves the binding's runtime parameters to their storage cells
+// and its counters by name, and returns the action's per-packet body. The
+// body loads a cell on every packet, so the control plane can change a
+// runtime parameter between packets without reinstalling the program.
+func (b *Binding) Build(runtime map[string]*uint32, counters map[string]*stats.Counter) (func(*Ctx), error) {
+	d := b.Action
+	a := Args{Binding: b, ctrs: make([]*stats.Counter, len(b.counters)), cells: make([]*uint32, len(d.Runtime))}
+	for i, name := range b.counters {
+		if a.ctrs[i] = counters[name]; a.ctrs[i] == nil {
+			return nil, fmt.Errorf("rmt: action %s: no counter %q", d.Name, name)
+		}
+	}
+	for i, name := range d.Runtime {
+		if a.cells[i] = runtime[name]; a.cells[i] == nil {
+			return nil, fmt.Errorf("rmt: action %s: no runtime parameter %q", d.Name, name)
+		}
+	}
+	return d.Build(a), nil
+}
+
+// Counter returns the counter bound to a declared role.
+func (a Args) Counter(role string) *stats.Counter {
+	d := a.Action
+	return a.ctrs[d.at(slices.Index(d.Counters, role), "counter role", role)]
+}
+
+// Runtime returns the storage cell of a declared runtime parameter.
+func (a Args) Runtime(name string) *uint32 {
+	d := a.Action
+	return a.cells[d.at(slices.Index(d.Runtime, name), "runtime parameter", name)]
+}
+
 // expClk unpacks an 8-byte EXP/CLK register cell: the remaining-expiry
 // count and the generation clock of the occupying packet (Alg. 1).
 func expClk(cell []byte) (exp, clk uint32) {
@@ -161,14 +440,6 @@ func expClk(cell []byte) (exp, clk uint32) {
 func setExpClk(cell []byte, exp, clk uint32) {
 	binary.BigEndian.PutUint32(cell[0:4], exp)
 	binary.BigEndian.PutUint32(cell[4:8], clk)
-}
-
-func runtimeParam(env Env, name string) (*uint32, error) {
-	cell, ok := env.RuntimeParam(name)
-	if !ok {
-		return nil, fmt.Errorf("missing required runtime parameter %q", name)
-	}
-	return cell, nil
 }
 
 // claimProbe is the shared EXP/CLK slot-claim RMW (Alg. 1 lines 5-12): age
@@ -206,445 +477,361 @@ func releaseProbe(c *Ctx, idx int, tagClk uint16) (matched bool) {
 	return matched
 }
 
+// Shared parameter declarations.
+var (
+	slotsParam = IntParam{Name: "slots", Min: 1}
+	// The header-image window [off, off+len) lies inside the header scratch.
+	offParam = IntParam{Name: "off", Max: HdrScratchBytes - 1}
+	lenParam = IntParam{Name: "len", Min: 1, Max: HdrScratchBytes, Less: "off"}
+)
+
+func metaOut(def int64) IntParam {
+	return IntParam{Name: "meta_out", Optional: true, Default: def, Max: MetaWords - 1}
+}
+
 func init() {
-	// advance_index: bump the round-robin table index register and publish
-	// it to a metadata word (Alg. 1 line 2). Params: slots (required),
-	// meta_out (default meta.tbl_idx).
-	RegisterAction("advance_index", func(env Env, a ActionArgs) (func(*Ctx), error) {
-		slots, err := a.NeedInt("slots")
-		if err != nil {
-			return nil, err
-		}
-		if slots <= 0 {
-			return nil, fmt.Errorf("slots must be positive, got %d", slots)
-		}
-		metaOut := int(a.Int("meta_out", MetaTableIndex))
-		if metaOut < 0 || metaOut >= MetaWords {
-			return nil, fmt.Errorf("meta_out %d out of range [0,%d)", metaOut, MetaWords)
-		}
-		return func(c *Ctx) {
-			c.RMW(0, func(cell []byte) {
-				ti := (binary.BigEndian.Uint64(cell) + 1) % uint64(slots)
-				binary.BigEndian.PutUint64(cell, ti)
-				c.PHV.SetMeta(metaOut, uint32(ti))
-			})
-		}, nil
-	})
+	for _, d := range builtinActions {
+		RegisterAction(d)
+	}
+}
 
-	// advance_clock: bump the generation clock register, skipping 0 (the
-	// "slot free" sentinel), and publish it (Alg. 1 line 3). Params:
-	// max_clock (required), meta_out (default meta.clk).
-	RegisterAction("advance_clock", func(env Env, a ActionArgs) (func(*Ctx), error) {
-		maxClock, err := a.NeedInt("max_clock")
-		if err != nil {
-			return nil, err
-		}
-		if maxClock <= 1 {
-			return nil, fmt.Errorf("max_clock must exceed 1, got %d", maxClock)
-		}
-		metaOut := int(a.Int("meta_out", MetaClock))
-		if metaOut < 0 || metaOut >= MetaWords {
-			return nil, fmt.Errorf("meta_out %d out of range [0,%d)", metaOut, MetaWords)
-		}
-		return func(c *Ctx) {
-			c.RMW(0, func(cell []byte) {
-				clk := (binary.BigEndian.Uint64(cell) + 1) % uint64(maxClock)
-				if clk == 0 { // clock 0 means "slot free"; skip it
-					clk = 1
+var builtinActions = []*Action{
+	{
+		Name:   "advance_index",
+		Doc:    "bump the round-robin table index register and publish it (Alg. 1 line 2)",
+		Ints:   []IntParam{slotsParam, metaOut(MetaTableIndex)},
+		Writes: []MetaWrite{{Via: "meta_out", Below: "slots"}},
+		Reg:    RegUse{Index: IndexZero, Bytes: 8},
+		Build: func(a Args) func(*Ctx) {
+			slots, metaOut := a.Int("slots"), int(a.Int("meta_out"))
+			return func(c *Ctx) {
+				c.RMW(0, func(cell []byte) {
+					ti := (binary.BigEndian.Uint64(cell) + 1) % uint64(slots)
+					binary.BigEndian.PutUint64(cell, ti)
+					c.PHV.SetMeta(metaOut, uint32(ti))
+				})
+			}
+		},
+	},
+	{
+		Name:   "advance_clock",
+		Doc:    "bump the generation clock register, skipping 0 (the \"slot free\" sentinel), and publish it (Alg. 1 line 3)",
+		Ints:   []IntParam{{Name: "max_clock", Min: 2}, metaOut(MetaClock)},
+		Writes: []MetaWrite{{Via: "meta_out", Below: "max_clock"}},
+		Reg:    RegUse{Index: IndexZero, Bytes: 8},
+		Build: func(a Args) func(*Ctx) {
+			maxClock, metaOut := a.Int("max_clock"), int(a.Int("meta_out"))
+			return func(c *Ctx) {
+				c.RMW(0, func(cell []byte) {
+					clk := (binary.BigEndian.Uint64(cell) + 1) % uint64(maxClock)
+					if clk == 0 { // clock 0 means "slot free"; skip it
+						clk = 1
+					}
+					binary.BigEndian.PutUint64(cell, clk)
+					c.PHV.SetMeta(metaOut, uint32(clk))
+				})
+			}
+		},
+	},
+	{
+		Name:     "add_disabled_header",
+		Doc:      "attach an all-zero PP header: the explicit \"nothing was parked\" marker of §5's small-payload and demoted split paths",
+		Counters: []string{"count"},
+		Build: func(a Args) func(*Ctx) {
+			count := a.Counter("count")
+			return func(c *Ctx) {
+				c.PHV.Pkt.SetPP(packet.PPHeader{}) // hdr.pp = 0; setValid()
+				count.Inc()
+			}
+		},
+	},
+	{
+		Name:     "strip_disabled_header",
+		Doc:      "remove a disabled PP header on the merge path",
+		Counters: []string{"count"},
+		Build: func(a Args) func(*Ctx) {
+			count := a.Counter("count")
+			return func(c *Ctx) {
+				c.PHV.Pkt.PP = nil
+				c.PHV.Pkt.PPOffset = 0
+				count.Inc()
+			}
+		},
+	},
+	{
+		Name:     "drop",
+		Doc:      "mark the packet for drop with a reason and count it",
+		Counters: []string{"count"},
+		Reasons:  []string{"why"},
+		Build: func(a Args) func(*Ctx) {
+			why, count := a.Reason("why"), a.Counter("count")
+			return func(c *Ctx) {
+				c.PHV.MarkDrop(why)
+				count.Inc()
+			}
+		},
+	},
+	{
+		Name: "park_claim",
+		Doc:  "Alg. 1's split-side slot claim: probe the EXP/CLK cell; on a claim seal a PP tag and attach an enabled header, otherwise a disabled one",
+		Ints: []IntParam{
+			{Name: "park_bytes", Parser: SameAsParser},
+			{Name: "park_offset", Parser: SameAsParser},
+		},
+		Counters: []string{"claim", "evict", "skip"},
+		Runtime:  []string{"max_expiry"},
+		Reads:    []int{MetaTableIndex, MetaClock},
+		Writes:   []MetaWrite{{Word: MetaSplitClaimed}, {Word: MetaParkBytes}, {Word: MetaParkOffset}},
+		Reg:      RegUse{Index: IndexMeta, Word: MetaTableIndex, Bytes: 8},
+		Build: func(a Args) func(*Ctx) {
+			parkBytes, parkOffset := a.Int("park_bytes"), a.Int("park_offset")
+			maxExpiry := a.Runtime("max_expiry")
+			claim, evict, skip := a.Counter("claim"), a.Counter("evict"), a.Counter("skip")
+			return func(c *Ctx) {
+				phv := c.PHV
+				ti := phv.GetMeta(MetaTableIndex)
+				clkNow := phv.GetMeta(MetaClock)
+				if claimProbe(c, int(ti), maxExpiry, clkNow, evict) {
+					tag := packet.Tag{TableIndex: uint16(ti), Clock: uint16(clkNow)}.Seal()
+					phv.Pkt.SetPP(packet.PPHeader{Enabled: true, Op: packet.PPOpMerge, Tag: tag})
+					phv.Pkt.PPOffset = int(parkOffset)
+					phv.SetMeta(MetaSplitClaimed, 1)
+					phv.SetMeta(MetaParkBytes, uint32(parkBytes))
+					phv.SetMeta(MetaParkOffset, uint32(parkOffset))
+					claim.Inc()
+				} else {
+					phv.Pkt.SetPP(packet.PPHeader{})
+					phv.Pkt.PPOffset = int(parkOffset)
+					skip.Inc()
 				}
-				binary.BigEndian.PutUint64(cell, clk)
-				c.PHV.SetMeta(metaOut, uint32(clk))
-			})
-		}, nil
-	})
-
-	// add_disabled_header: attach a PP header with every field zero so the
-	// merge hop sees an explicit "nothing was parked" marker (§5's
-	// small-payload and demoted split paths). Counters: count (required).
-	RegisterAction("add_disabled_header", func(env Env, a ActionArgs) (func(*Ctx), error) {
-		count, err := a.NeedCounter("count")
-		if err != nil {
-			return nil, err
-		}
-		return func(c *Ctx) {
-			c.PHV.Pkt.SetPP(packet.PPHeader{}) // hdr.pp = 0; setValid()
-			count.Inc()
-		}, nil
-	})
-
-	// strip_disabled_header: remove a disabled PP header on the merge path.
-	// Counters: count (required).
-	RegisterAction("strip_disabled_header", func(env Env, a ActionArgs) (func(*Ctx), error) {
-		count, err := a.NeedCounter("count")
-		if err != nil {
-			return nil, err
-		}
-		return func(c *Ctx) {
-			c.PHV.Pkt.PP = nil
-			c.PHV.Pkt.PPOffset = 0
-			count.Inc()
-		}, nil
-	})
-
-	// drop: mark the packet for drop with a reason and count it. Reasons:
-	// why (required). Counters: count (required).
-	RegisterAction("drop", func(env Env, a ActionArgs) (func(*Ctx), error) {
-		why := a.Reason("why", "")
-		if why == "" {
-			return nil, fmt.Errorf("missing required reason %q", "why")
-		}
-		count, err := a.NeedCounter("count")
-		if err != nil {
-			return nil, err
-		}
-		return func(c *Ctx) {
-			c.PHV.MarkDrop(why)
-			count.Inc()
-		}, nil
-	})
-
-	// park_claim: Alg. 1's split-side slot claim. Probes the EXP/CLK cell at
-	// meta.tbl_idx; on a claim, seals a PP tag and attaches an enabled
-	// header; otherwise attaches a disabled header. Params: park_bytes,
-	// park_offset (required). Runtime: max_expiry. Counters: claim, evict,
-	// skip (required).
-	RegisterAction("park_claim", func(env Env, a ActionArgs) (func(*Ctx), error) {
-		parkBytes, err := a.NeedInt("park_bytes")
-		if err != nil {
-			return nil, err
-		}
-		parkOffset, err := a.NeedInt("park_offset")
-		if err != nil {
-			return nil, err
-		}
-		maxExpiry, err := runtimeParam(env, "max_expiry")
-		if err != nil {
-			return nil, err
-		}
-		claim, err := a.NeedCounter("claim")
-		if err != nil {
-			return nil, err
-		}
-		evict, err := a.NeedCounter("evict")
-		if err != nil {
-			return nil, err
-		}
-		skip, err := a.NeedCounter("skip")
-		if err != nil {
-			return nil, err
-		}
-		return func(c *Ctx) {
-			phv := c.PHV
-			ti := phv.GetMeta(MetaTableIndex)
-			clkNow := phv.GetMeta(MetaClock)
-			if claimProbe(c, int(ti), maxExpiry, clkNow, evict) {
-				tag := packet.Tag{TableIndex: uint16(ti), Clock: uint16(clkNow)}.Seal()
-				phv.Pkt.SetPP(packet.PPHeader{Enabled: true, Op: packet.PPOpMerge, Tag: tag})
-				phv.Pkt.PPOffset = int(parkOffset)
-				phv.SetMeta(MetaSplitClaimed, 1)
-				phv.SetMeta(MetaParkBytes, uint32(parkBytes))
-				phv.SetMeta(MetaParkOffset, uint32(parkOffset))
-				claim.Inc()
-			} else {
-				phv.Pkt.SetPP(packet.PPHeader{})
-				phv.Pkt.PPOffset = int(parkOffset)
-				skip.Inc()
 			}
-		}, nil
-	})
-
-	// park_release: Alg. 2's merge-side validate-and-release. On a clock
-	// match, frees the slot, strips the PP header, and prepares merge block
-	// views for the payload-table load MATs; on a mismatch the payload was
-	// prematurely evicted and the packet drops. Params: slots, blocks,
-	// block_bytes, park_bytes, park_offset (required). Counters: merge,
-	// premature (required). Reasons: premature (required).
-	RegisterAction("park_release", func(env Env, a ActionArgs) (func(*Ctx), error) {
-		slots, err := a.NeedInt("slots")
-		if err != nil {
-			return nil, err
-		}
-		if slots <= 0 {
-			return nil, fmt.Errorf("slots must be positive, got %d", slots)
-		}
-		blocks, err := a.NeedInt("blocks")
-		if err != nil {
-			return nil, err
-		}
-		blockBytes, err := a.NeedInt("block_bytes")
-		if err != nil {
-			return nil, err
-		}
-		parkBytes, err := a.NeedInt("park_bytes")
-		if err != nil {
-			return nil, err
-		}
-		parkOffset, err := a.NeedInt("park_offset")
-		if err != nil {
-			return nil, err
-		}
-		merge, err := a.NeedCounter("merge")
-		if err != nil {
-			return nil, err
-		}
-		premature, err := a.NeedCounter("premature")
-		if err != nil {
-			return nil, err
-		}
-		why := a.Reason("premature", "")
-		if why == "" {
-			return nil, fmt.Errorf("missing required reason %q", "premature")
-		}
-		return func(c *Ctx) {
-			phv := c.PHV
-			tag := phv.Pkt.PP.Tag
-			if releaseProbe(c, int(tag.TableIndex)%int(slots), tag.Clock) {
-				phv.SetMeta(MetaPPEnabled, 1)
-				phv.SetMeta(MetaTableIndex, uint32(tag.TableIndex))
-				phv.SetMeta(MetaParkBytes, uint32(parkBytes))
-				phv.SetMeta(MetaParkOffset, uint32(parkOffset))
-				phv.Pkt.PP = nil
-				phv.Pkt.PPOffset = 0
-				phv.PrepareMergeBlocks(int(blocks), int(blockBytes), int(parkOffset))
-				merge.Inc()
-			} else {
-				phv.MarkDrop(why)
-				premature.Inc()
-			}
-		}, nil
-	})
-
-	// slot_reclaim: the explicit-drop fast path (§6.2.4): an NF returns a
-	// header-only packet whose payload should be discarded, so validate the
-	// tag's clock and free the slot without merging. Params: slots
-	// (required). Counters: hit, miss (required). Reasons: hit, miss
-	// (required).
-	RegisterAction("slot_reclaim", func(env Env, a ActionArgs) (func(*Ctx), error) {
-		slots, err := a.NeedInt("slots")
-		if err != nil {
-			return nil, err
-		}
-		if slots <= 0 {
-			return nil, fmt.Errorf("slots must be positive, got %d", slots)
-		}
-		hit, err := a.NeedCounter("hit")
-		if err != nil {
-			return nil, err
-		}
-		miss, err := a.NeedCounter("miss")
-		if err != nil {
-			return nil, err
-		}
-		hitWhy := a.Reason("hit", "")
-		missWhy := a.Reason("miss", "")
-		if hitWhy == "" || missWhy == "" {
-			return nil, fmt.Errorf("missing required reasons %q and %q", "hit", "miss")
-		}
-		return func(c *Ctx) {
-			phv := c.PHV
-			tag := phv.Pkt.PP.Tag
-			if releaseProbe(c, int(tag.TableIndex)%int(slots), tag.Clock) {
-				hit.Inc()
-				phv.MarkDrop(hitWhy)
-			} else {
-				miss.Inc()
-				phv.MarkDrop(missWhy)
-			}
-		}, nil
-	})
-
-	// block_store: copy payload block k from the PHV into the cell at
-	// meta.tbl_idx (the split-side payload park). Params: block (required).
-	RegisterAction("block_store", func(env Env, a ActionArgs) (func(*Ctx), error) {
-		block, err := a.NeedInt("block")
-		if err != nil {
-			return nil, err
-		}
-		return func(c *Ctx) {
-			phv := c.PHV
-			c.RMW(int(phv.GetMeta(MetaTableIndex)), func(cell []byte) {
-				copy(cell, phv.Blocks[block])
-			})
-		}, nil
-	})
-
-	// block_load: copy the cell at meta.tbl_idx into payload block view k
-	// and zero the cell (the merge-side payload restore). Params: block
-	// (required).
-	RegisterAction("block_load", func(env Env, a ActionArgs) (func(*Ctx), error) {
-		block, err := a.NeedInt("block")
-		if err != nil {
-			return nil, err
-		}
-		return func(c *Ctx) {
-			phv := c.PHV
-			c.RMW(int(phv.GetMeta(MetaTableIndex)), func(cell []byte) {
-				copy(phv.Blocks[block], cell)
-				clear(cell)
-			})
-		}, nil
-	})
-
-	// recirculate: request another pipeline pass for this packet.
-	RegisterAction("recirculate", func(env Env, a ActionArgs) (func(*Ctx), error) {
-		return func(c *Ctx) {
-			c.PHV.Recirc = true
-		}, nil
-	})
-
-	// compress_claim: the header-compression analogue of park_claim. Probes
-	// the context-table EXP/CLK cell at meta.comp_tbl_idx; on a claim, seals
-	// a CR tag and attaches the compression header (the deparser then elides
-	// IPv4+L4 from the wire). On a miss the packet simply travels
-	// uncompressed. Runtime: max_expiry. Counters: claim, evict, skip
-	// (required).
-	RegisterAction("compress_claim", func(env Env, a ActionArgs) (func(*Ctx), error) {
-		maxExpiry, err := runtimeParam(env, "max_expiry")
-		if err != nil {
-			return nil, err
-		}
-		claim, err := a.NeedCounter("claim")
-		if err != nil {
-			return nil, err
-		}
-		evict, err := a.NeedCounter("evict")
-		if err != nil {
-			return nil, err
-		}
-		skip, err := a.NeedCounter("skip")
-		if err != nil {
-			return nil, err
-		}
-		return func(c *Ctx) {
-			phv := c.PHV
-			ti := phv.GetMeta(MetaCompTableIndex)
-			clkNow := phv.GetMeta(MetaCompClock)
-			if claimProbe(c, int(ti), maxExpiry, clkNow, evict) {
-				tag := packet.Tag{TableIndex: uint16(ti), Clock: uint16(clkNow)}.Seal()
-				phv.Pkt.SetCR(packet.CRHeader{Proto: phv.Pkt.IP.Protocol, Tag: tag})
-				phv.SetMeta(MetaCompClaimed, 1)
-				claim.Inc()
-			} else {
-				skip.Inc()
-			}
-		}, nil
-	})
-
-	// restore_validate: the header-compression analogue of park_release.
-	// Validates the CR tag's clock against the context table; on a match,
-	// frees the context and flags the restore; on a mismatch the context was
-	// evicted and the packet cannot be reconstructed, so it drops. Params:
-	// slots (required). Counters: restore, stale (required). Reasons: stale
-	// (required).
-	RegisterAction("restore_validate", func(env Env, a ActionArgs) (func(*Ctx), error) {
-		slots, err := a.NeedInt("slots")
-		if err != nil {
-			return nil, err
-		}
-		if slots <= 0 {
-			return nil, fmt.Errorf("slots must be positive, got %d", slots)
-		}
-		restore, err := a.NeedCounter("restore")
-		if err != nil {
-			return nil, err
-		}
-		stale, err := a.NeedCounter("stale")
-		if err != nil {
-			return nil, err
-		}
-		why := a.Reason("stale", "")
-		if why == "" {
-			return nil, fmt.Errorf("missing required reason %q", "stale")
-		}
-		return func(c *Ctx) {
-			phv := c.PHV
-			tag := phv.Pkt.CR.Tag
-			if releaseProbe(c, int(tag.TableIndex)%int(slots), tag.Clock) {
-				phv.SetMeta(MetaCompEnabled, 1)
-				phv.SetMeta(MetaCompTableIndex, uint32(tag.TableIndex))
-				restore.Inc()
-			} else {
-				phv.MarkDrop(why)
-				stale.Inc()
-			}
-		}, nil
-	})
-
-	// header_store: serialize the packet's IPv4+L4 headers and store bytes
-	// [off, off+len) of that image into the cell at meta.comp_tbl_idx. Two
-	// entries split the 28-byte context across two registers to respect the
-	// 16-byte cell-width ceiling. Params: off, len (required).
-	RegisterAction("header_store", func(env Env, a ActionArgs) (func(*Ctx), error) {
-		off, err := a.NeedInt("off")
-		if err != nil {
-			return nil, err
-		}
-		length, err := a.NeedInt("len")
-		if err != nil {
-			return nil, err
-		}
-		if off < 0 || length <= 0 || off+length > HdrScratchBytes {
-			return nil, fmt.Errorf("window [%d,%d) outside header scratch [0,%d)", off, off+length, HdrScratchBytes)
-		}
-		return func(c *Ctx) {
-			phv := c.PHV
-			var hdr [HdrScratchBytes]byte
-			phv.Pkt.IP.Marshal(hdr[:packet.IPv4HeaderLen])
-			if phv.Pkt.UDP != nil {
-				phv.Pkt.UDP.Marshal(hdr[packet.IPv4HeaderLen:])
-			}
-			c.RMW(int(phv.GetMeta(MetaCompTableIndex)), func(cell []byte) {
-				copy(cell, hdr[off:off+length])
-			})
-		}, nil
-	})
-
-	// header_load: copy the cell at meta.comp_tbl_idx into bytes
-	// [off, off+len) of the PHV header scratch and zero the cell. Params:
-	// off, len (required).
-	RegisterAction("header_load", func(env Env, a ActionArgs) (func(*Ctx), error) {
-		off, err := a.NeedInt("off")
-		if err != nil {
-			return nil, err
-		}
-		length, err := a.NeedInt("len")
-		if err != nil {
-			return nil, err
-		}
-		if off < 0 || length <= 0 || off+length > HdrScratchBytes {
-			return nil, fmt.Errorf("window [%d,%d) outside header scratch [0,%d)", off, off+length, HdrScratchBytes)
-		}
-		return func(c *Ctx) {
-			phv := c.PHV
-			c.RMW(int(phv.GetMeta(MetaCompTableIndex)), func(cell []byte) {
-				copy(phv.HdrScratch[off:off+length], cell[:length])
-				clear(cell)
-			})
-		}, nil
-	})
-
-	// decompress_apply: reparse the header scratch back into the packet's
-	// IPv4+L4 structs and detach the CR header, completing the restore. The
-	// scratch bytes came from header_store's Marshal, so the unmarshal can
-	// only fail if the context table was corrupted. Reasons: corrupt
-	// (optional, default "restore context corrupt"). No register access.
-	RegisterAction("decompress_apply", func(env Env, a ActionArgs) (func(*Ctx), error) {
-		why := a.Reason("corrupt", "restore context corrupt")
-		return func(c *Ctx) {
-			phv := c.PHV
-			if err := phv.Pkt.IP.Unmarshal(phv.HdrScratch[:packet.IPv4HeaderLen]); err != nil {
-				phv.MarkDrop(why)
-				return
-			}
-			if phv.Pkt.IP.Protocol == packet.IPProtoUDP {
-				if phv.Pkt.UDP == nil {
-					phv.Pkt.UDP = new(packet.UDP)
+		},
+	},
+	{
+		Name: "park_release",
+		Doc:  "Alg. 2's merge-side validate-and-release: on a clock match free the slot, strip the PP header and prepare the merge block views; on a mismatch (premature eviction) drop",
+		Ints: []IntParam{
+			slotsParam,
+			{Name: "blocks", Parser: SameAsParser},
+			{Name: "block_bytes", Parser: SameAsParser},
+			{Name: "park_bytes", Parser: SameAsParser},
+			{Name: "park_offset", Parser: SameAsParser},
+		},
+		Counters: []string{"merge", "premature"},
+		Reasons:  []string{"premature"},
+		Writes:   []MetaWrite{{Word: MetaPPEnabled}, {Word: MetaTableIndex, Below: "slots"}, {Word: MetaParkBytes}, {Word: MetaParkOffset}},
+		Needs:    HeaderPP,
+		Reg:      RegUse{Index: IndexTag, Bytes: 8},
+		Build: func(a Args) func(*Ctx) {
+			slots, blocks, blockBytes := a.Int("slots"), a.Int("blocks"), a.Int("block_bytes")
+			parkBytes, parkOffset := a.Int("park_bytes"), a.Int("park_offset")
+			merge, premature, why := a.Counter("merge"), a.Counter("premature"), a.Reason("premature")
+			return func(c *Ctx) {
+				phv := c.PHV
+				tag := phv.Pkt.PP.Tag
+				// The reduced index is what later tables see: equal to the
+				// tag's for every tag this switch sealed, and inside their
+				// registers for one it did not.
+				ti := int(tag.TableIndex) % int(slots)
+				if releaseProbe(c, ti, tag.Clock) {
+					phv.SetMeta(MetaPPEnabled, 1)
+					phv.SetMeta(MetaTableIndex, uint32(ti))
+					phv.SetMeta(MetaParkBytes, uint32(parkBytes))
+					phv.SetMeta(MetaParkOffset, uint32(parkOffset))
+					phv.Pkt.PP = nil
+					phv.Pkt.PPOffset = 0
+					phv.PrepareMergeBlocks(int(blocks), int(blockBytes), int(parkOffset))
+					merge.Inc()
+				} else {
+					phv.MarkDrop(why)
+					premature.Inc()
 				}
-				phv.Pkt.TCP = nil
-				phv.Pkt.UDP.Unmarshal(phv.HdrScratch[packet.IPv4HeaderLen:HdrScratchBytes])
 			}
-			phv.Pkt.CR = nil
-			phv.Pkt.Eth.EtherType = packet.EtherTypeIPv4
-		}, nil
-	})
+		},
+	},
+	{
+		Name:     "slot_reclaim",
+		Doc:      "the explicit-drop fast path (§6.2.4): validate the tag's clock and free the slot without merging; the header-only packet drops either way",
+		Ints:     []IntParam{slotsParam},
+		Counters: []string{"hit", "miss"},
+		Reasons:  []string{"hit", "miss"},
+		Needs:    HeaderPP,
+		Reg:      RegUse{Index: IndexTag, Bytes: 8},
+		Build: func(a Args) func(*Ctx) {
+			slots := a.Int("slots")
+			hit, miss := a.Counter("hit"), a.Counter("miss")
+			hitWhy, missWhy := a.Reason("hit"), a.Reason("miss")
+			return func(c *Ctx) {
+				phv := c.PHV
+				tag := phv.Pkt.PP.Tag
+				if releaseProbe(c, int(tag.TableIndex)%int(slots), tag.Clock) {
+					hit.Inc()
+					phv.MarkDrop(hitWhy)
+				} else {
+					miss.Inc()
+					phv.MarkDrop(missWhy)
+				}
+			}
+		},
+	},
+	{
+		Name:  "block_store",
+		Doc:   "copy payload block k from the PHV into the payload-table cell (the split-side park)",
+		Ints:  []IntParam{{Name: "block", Parser: BlockIndex}},
+		Reads: []int{MetaTableIndex},
+		Reg:   RegUse{Index: IndexMeta, Word: MetaTableIndex, BytesOf: ParserBlockBytes},
+		Build: func(a Args) func(*Ctx) {
+			block := a.Int("block")
+			return func(c *Ctx) {
+				phv := c.PHV
+				c.RMW(int(phv.GetMeta(MetaTableIndex)), func(cell []byte) {
+					copy(cell, phv.Blocks[block])
+				})
+			}
+		},
+	},
+	{
+		Name:  "block_load",
+		Doc:   "copy the payload-table cell into payload block view k and zero the cell (the merge-side restore)",
+		Ints:  []IntParam{{Name: "block", Parser: BlockIndex}},
+		Reads: []int{MetaTableIndex},
+		Reg:   RegUse{Index: IndexMeta, Word: MetaTableIndex, BytesOf: ParserBlockBytes},
+		Build: func(a Args) func(*Ctx) {
+			block := a.Int("block")
+			return func(c *Ctx) {
+				phv := c.PHV
+				c.RMW(int(phv.GetMeta(MetaTableIndex)), func(cell []byte) {
+					copy(phv.Blocks[block], cell)
+					clear(cell)
+				})
+			}
+		},
+	},
+	{
+		Name:         "recirculate",
+		Doc:          "request another pipeline pass for this packet",
+		Recirculates: true,
+		Build: func(Args) func(*Ctx) {
+			return func(c *Ctx) {
+				c.PHV.Recirc = true
+			}
+		},
+	},
+	{
+		Name:     "compress_claim",
+		Doc:      "park_claim's header-compression analogue: on a context claim seal a CR tag and attach the compression header (the deparser then elides IPv4+L4); on a miss the packet travels uncompressed",
+		Counters: []string{"claim", "evict", "skip"},
+		Runtime:  []string{"max_expiry"},
+		Reads:    []int{MetaCompTableIndex, MetaCompClock},
+		Writes:   []MetaWrite{{Word: MetaCompClaimed}},
+		Reg:      RegUse{Index: IndexMeta, Word: MetaCompTableIndex, Bytes: 8},
+		Build: func(a Args) func(*Ctx) {
+			maxExpiry := a.Runtime("max_expiry")
+			claim, evict, skip := a.Counter("claim"), a.Counter("evict"), a.Counter("skip")
+			return func(c *Ctx) {
+				phv := c.PHV
+				ti := phv.GetMeta(MetaCompTableIndex)
+				clkNow := phv.GetMeta(MetaCompClock)
+				if claimProbe(c, int(ti), maxExpiry, clkNow, evict) {
+					tag := packet.Tag{TableIndex: uint16(ti), Clock: uint16(clkNow)}.Seal()
+					phv.Pkt.SetCR(packet.CRHeader{Proto: phv.Pkt.IP.Protocol, Tag: tag})
+					phv.SetMeta(MetaCompClaimed, 1)
+					claim.Inc()
+				} else {
+					skip.Inc()
+				}
+			}
+		},
+	},
+	{
+		Name:     "restore_validate",
+		Doc:      "park_release's header-compression analogue: on a clock match free the context and flag the restore; on a mismatch (context evicted, headers unrecoverable) drop",
+		Ints:     []IntParam{slotsParam},
+		Counters: []string{"restore", "stale"},
+		Reasons:  []string{"stale"},
+		Writes:   []MetaWrite{{Word: MetaCompEnabled}, {Word: MetaCompTableIndex, Below: "slots"}},
+		Needs:    HeaderCR,
+		Reg:      RegUse{Index: IndexTag, Bytes: 8},
+		Build: func(a Args) func(*Ctx) {
+			slots := a.Int("slots")
+			restore, stale, why := a.Counter("restore"), a.Counter("stale"), a.Reason("stale")
+			return func(c *Ctx) {
+				phv := c.PHV
+				tag := phv.Pkt.CR.Tag
+				ti := int(tag.TableIndex) % int(slots) // reduced, as in park_release
+				if releaseProbe(c, ti, tag.Clock) {
+					phv.SetMeta(MetaCompEnabled, 1)
+					phv.SetMeta(MetaCompTableIndex, uint32(ti))
+					restore.Inc()
+				} else {
+					phv.MarkDrop(why)
+					stale.Inc()
+				}
+			}
+		},
+	},
+	{
+		// Two entries split the 28-byte context across two registers to
+		// respect the 16-byte cell-width ceiling.
+		Name:  "header_store",
+		Doc:   "serialize the packet's IPv4+L4 headers and store bytes [off, off+len) of that image into the context cell",
+		Ints:  []IntParam{offParam, lenParam},
+		Reads: []int{MetaCompTableIndex},
+		Reg:   RegUse{Index: IndexMeta, Word: MetaCompTableIndex, BytesOf: "len"},
+		Build: func(a Args) func(*Ctx) {
+			off, length := a.Int("off"), a.Int("len")
+			return func(c *Ctx) {
+				phv := c.PHV
+				var hdr [HdrScratchBytes]byte
+				phv.Pkt.IP.Marshal(hdr[:packet.IPv4HeaderLen])
+				if phv.Pkt.UDP != nil {
+					phv.Pkt.UDP.Marshal(hdr[packet.IPv4HeaderLen:])
+				}
+				c.RMW(int(phv.GetMeta(MetaCompTableIndex)), func(cell []byte) {
+					copy(cell, hdr[off:off+length])
+				})
+			}
+		},
+	},
+	{
+		Name:  "header_load",
+		Doc:   "copy the context cell into bytes [off, off+len) of the PHV header scratch and zero the cell",
+		Ints:  []IntParam{offParam, lenParam},
+		Reads: []int{MetaCompTableIndex},
+		Reg:   RegUse{Index: IndexMeta, Word: MetaCompTableIndex, BytesOf: "len"},
+		Build: func(a Args) func(*Ctx) {
+			off, length := a.Int("off"), a.Int("len")
+			return func(c *Ctx) {
+				phv := c.PHV
+				c.RMW(int(phv.GetMeta(MetaCompTableIndex)), func(cell []byte) {
+					copy(phv.HdrScratch[off:off+length], cell[:length])
+					clear(cell)
+				})
+			}
+		},
+	},
+	{
+		// The scratch bytes came from header_store's Marshal, so the
+		// unmarshal can only fail if the context table was corrupted.
+		Name: "decompress_apply",
+		Doc:  "reparse the header scratch back into the packet's IPv4+L4 structs and detach the CR header, completing the restore",
+		Build: func(Args) func(*Ctx) {
+			return func(c *Ctx) {
+				phv := c.PHV
+				if err := phv.Pkt.IP.Unmarshal(phv.HdrScratch[:packet.IPv4HeaderLen]); err != nil {
+					phv.MarkDrop("restore context corrupt")
+					return
+				}
+				if phv.Pkt.IP.Protocol == packet.IPProtoUDP {
+					if phv.Pkt.UDP == nil {
+						phv.Pkt.UDP = new(packet.UDP)
+					}
+					phv.Pkt.TCP = nil
+					phv.Pkt.UDP.Unmarshal(phv.HdrScratch[packet.IPv4HeaderLen:HdrScratchBytes])
+				}
+				phv.Pkt.CR = nil
+				phv.Pkt.Eth.EtherType = packet.EtherTypeIPv4
+			}
+		},
+	},
 }

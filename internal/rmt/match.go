@@ -13,35 +13,14 @@ package rmt
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
 	"github.com/payloadpark/payloadpark/internal/packet"
 )
 
-// Cond is one declarative match condition on a PHV field. Conditions in a
-// rule AND together (first-match-fires across rules supplies OR). Fields:
-//
-//	in_port        ingress port
-//	pass           recirculation pass count
-//	drop           1 when the packet is already marked for drop
-//	recirc         1 when a recirculation request is pending
-//	l4             IP protocol of the parsed transport (17 UDP, 6 TCP, 0 none)
-//	pp.valid       1 when a PayloadPark header is present
-//	pp.enabled     1 when a PP header is present with ENB set
-//	pp.op          PP opcode (0 split, 1 merge; -1 when no header)
-//	pp.tag_valid   1 when the PP tag's CRC seals its contents
-//	cr.valid       1 when a compression header is present
-//	cr.tag_valid   1 when the CR tag's CRC seals its contents
-//	meta.<name>    user metadata word, by well-known name or decimal index
-//	param.<name>   runtime parameter (loaded per packet)
-//
-// Op is "eq" (default when empty) or "ne".
-type Cond struct {
-	Field string
-	Op    string
-	Value int64
-}
-
+// condKind indexes condFields; the two prefixed families follow the named
+// fields.
 type condKind uint8
 
 const (
@@ -60,18 +39,99 @@ const (
 	condParam
 )
 
-// condFieldNames names every non-prefixed condition field, indexed by kind.
-// It is the one list CompileConds resolves against and prog's linter
-// validates against, so the two cannot drift.
-var condFieldNames = [...]string{
-	condInPort: "in_port", condPass: "pass", condDrop: "drop", condRecirc: "recirc", condL4: "l4",
-	condPPValid: "pp.valid", condPPEnabled: "pp.enabled", condPPOp: "pp.op", condPPTagValid: "pp.tag_valid",
-	condCRValid: "cr.valid", condCRTagValid: "cr.tag_valid",
+// condFields is the condition vocabulary, indexed by kind: each field's
+// name, what it loads, and — for fields of an optional header — that header
+// and the value the field takes when it is absent. It is the one table
+// LookupField resolves against and the README documents.
+var condFields = [...]struct {
+	name, doc string
+	hdr       Header
+	absent    int64
+}{
+	condInPort:     {name: "in_port", doc: "ingress port"},
+	condPass:       {name: "pass", doc: "recirculation pass count"},
+	condDrop:       {name: "drop", doc: "1 when the packet is already marked for drop"},
+	condRecirc:     {name: "recirc", doc: "1 when a recirculation request is pending"},
+	condL4:         {name: "l4", doc: "IP protocol of the parsed transport (17 UDP, 6 TCP, 0 none)"},
+	condPPValid:    {name: "pp.valid", doc: "1 when a PayloadPark header is present", hdr: HeaderPP},
+	condPPEnabled:  {name: "pp.enabled", doc: "1 when a PP header is present with ENB set", hdr: HeaderPP},
+	condPPOp:       {name: "pp.op", doc: "PP opcode (0 merge, 1 explicit drop; -1 when no header)", hdr: HeaderPP, absent: -1},
+	condPPTagValid: {name: "pp.tag_valid", doc: "1 when the PP tag's CRC seals its contents", hdr: HeaderPP},
+	condCRValid:    {name: "cr.valid", doc: "1 when a compression header is present", hdr: HeaderCR},
+	condCRTagValid: {name: "cr.tag_valid", doc: "1 when the CR tag's CRC seals its contents", hdr: HeaderCR},
+	condMeta:       {name: "meta.<name>", doc: "user metadata word, by well-known name or decimal index"},
+	condParam:      {name: "param.<name>", doc: "runtime parameter (loaded per packet)"},
 }
 
-// CondFields lists the non-prefixed condition fields ("meta.<name>" and
-// "param.<name>" are the two prefixed families).
-func CondFields() []string { return slices.Clone(condFieldNames[:]) }
+// Field is a condition field resolved against the vocabulary.
+type Field struct {
+	kind  condKind
+	word  uint8  // metadata word (condMeta)
+	param string // runtime parameter name (condParam)
+}
+
+// LookupField resolves a condition field by name. It is the one resolver:
+// prog resolves every spec condition through it, once.
+func LookupField(name string) (Field, error) {
+	for k := condInPort; k < condMeta; k++ {
+		if condFields[k].name == name {
+			return Field{kind: k}, nil
+		}
+	}
+	if word, ok := strings.CutPrefix(name, "meta."); ok {
+		idx := slices.Index(metaNames[:], word)
+		if idx < 0 {
+			if n, err := strconv.Atoi(word); err == nil && n >= 0 && n < MetaWords {
+				idx = n
+			}
+		}
+		if idx < 0 || word == "" {
+			return Field{}, fmt.Errorf("unknown condition field %q: no such metadata word (and not an index below %d)", name, MetaWords)
+		}
+		return Field{kind: condMeta, word: uint8(idx)}, nil
+	}
+	if param, ok := strings.CutPrefix(name, "param."); ok {
+		return Field{kind: condParam, param: param}, nil
+	}
+	return Field{}, fmt.Errorf("unknown condition field %q", name)
+}
+
+// String returns the field's canonical name.
+func (f Field) String() string {
+	switch f.kind {
+	case condMeta:
+		if name := metaNames[f.word]; name != "" {
+			return "meta." + name
+		}
+		return "meta." + strconv.Itoa(int(f.word))
+	case condParam:
+		return "param." + f.param
+	}
+	return condFields[f.kind].name
+}
+
+// MetaWord returns the metadata word a meta.<name> field loads.
+func (f Field) MetaWord() (int, bool) { return int(f.word), f.kind == condMeta }
+
+// RuntimeParam returns the runtime parameter a param.<name> field loads.
+func (f Field) RuntimeParam() (string, bool) { return f.param, f.kind == condParam }
+
+// Cond is one match condition on a PHV field: Field == Value, or != when Ne.
+// Conditions in a rule AND together (first-match-fires across rules
+// supplies OR).
+type Cond struct {
+	Field Field
+	Ne    bool
+	Value int64
+}
+
+// Proves reports whether a packet that satisfies the condition must carry
+// header h: the field belongs to h and the condition excludes the value the
+// field takes when h is absent.
+func (c Cond) Proves(h Header) bool {
+	f := &condFields[c.Field.kind]
+	return h != NoHeader && f.hdr == h && (c.Value == f.absent) == c.Ne
+}
 
 // CondOp is one compiled condition: the field to load, the constant to
 // compare it with, and the sense of the comparison.
@@ -86,40 +146,19 @@ type CondOp struct {
 // static reports whether the op is decided per program, not per packet.
 func (c CondOp) static() bool { return c.kind <= condPass }
 
-// CompileConds resolves a conjunction of conditions into ops. Evaluation
+// CompileConds binds a conjunction of conditions into ops. Evaluation
 // short-circuits left to right, so cheap guards should come first; in_port
 // and pass conditions are moved to the front, where Compile elides them.
-// env may be nil when no condition names a runtime parameter.
-func CompileConds(conds []Cond, env Env) ([]CondOp, error) {
+// runtime holds the storage cells of the program's runtime parameters (nil
+// when no condition names one).
+func CompileConds(conds []Cond, runtime map[string]*uint32) ([]CondOp, error) {
 	ops := make([]CondOp, len(conds))
 	for i, c := range conds {
-		op := &ops[i]
-		op.val = c.Value
-		switch c.Op {
-		case "", "eq":
-		case "ne":
-			op.ne = true
-		default:
-			return nil, fmt.Errorf("rmt: unknown condition op %q (want eq or ne)", c.Op)
-		}
-		if k := slices.Index(condFieldNames[:], c.Field); k >= 0 {
-			op.kind = condKind(k)
-		} else if name, ok := strings.CutPrefix(c.Field, "meta."); ok {
-			idx, ok := MetaIndex(name)
-			if !ok {
-				return nil, fmt.Errorf("rmt: unknown metadata word %q", name)
+		ops[i] = CondOp{kind: c.Field.kind, ne: c.Ne, idx: c.Field.word, val: c.Value}
+		if c.Field.kind == condParam {
+			if ops[i].cell = runtime[c.Field.param]; ops[i].cell == nil {
+				return nil, fmt.Errorf("rmt: unknown runtime parameter %q", c.Field.param)
 			}
-			op.kind, op.idx = condMeta, uint8(idx)
-		} else if name, ok := strings.CutPrefix(c.Field, "param."); ok {
-			if env != nil {
-				op.cell, _ = env.RuntimeParam(name)
-			}
-			if op.cell == nil {
-				return nil, fmt.Errorf("rmt: unknown runtime parameter %q", name)
-			}
-			op.kind = condParam
-		} else {
-			return nil, fmt.Errorf("rmt: unknown condition field %q", c.Field)
 		}
 	}
 	slices.SortStableFunc(ops, func(a, b CondOp) int { return int(b2i(b.static()) - b2i(a.static())) })

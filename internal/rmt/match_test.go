@@ -3,8 +3,6 @@ package rmt
 import (
 	"strings"
 	"testing"
-
-	"github.com/payloadpark/payloadpark/internal/stats"
 )
 
 // traceRule is a rule that appends its name to a log when it fires; run,
@@ -15,15 +13,12 @@ type traceRule struct {
 	run   func(*PHV)
 }
 
-// cellEnv is an Env of bare runtime-parameter cells.
-type cellEnv map[string]*uint32
-
-func (e cellEnv) RuntimeParam(name string) (*uint32, bool) { c, ok := e[name]; return c, ok }
-func (cellEnv) BoundCounter(string) (*stats.Counter, bool) { return nil, false }
+// cellEnv holds bare runtime-parameter cells.
+type cellEnv = map[string]*uint32
 
 // tracePipe builds a pipe of traceRules, one MAT per stage in the order
 // given.
-func tracePipe(t *testing.T, env Env, log *[]string, mats ...[]traceRule) *Pipeline {
+func tracePipe(t *testing.T, env cellEnv, log *[]string, mats ...[]traceRule) *Pipeline {
 	t.Helper()
 	p := NewPipeline("trace")
 	for stage, rules := range mats {
@@ -56,10 +51,10 @@ func runTrace(t *testing.T, p *Pipeline, log *[]string, phv *PHV) string {
 func TestSpecialiserPortClasses(t *testing.T) {
 	var log []string
 	p := tracePipe(t, nil, &log,
-		[]traceRule{{name: "eq1", conds: []Cond{{Field: "in_port", Value: 1}}}},
-		[]traceRule{{name: "ne1", conds: []Cond{{Field: "in_port", Op: "ne", Value: 1}}}},
+		[]traceRule{{name: "eq1", conds: []Cond{{Field: fld("in_port"), Value: 1}}}},
+		[]traceRule{{name: "ne1", conds: []Cond{{Field: fld("in_port"), Ne: true, Value: 1}}}},
 		[]traceRule{{name: "any"}},
-		[]traceRule{{name: "pass1", conds: []Cond{{Field: "pass", Value: 1}, {Field: "in_port", Value: 4}}}},
+		[]traceRule{{name: "pass1", conds: []Cond{{Field: fld("pass"), Value: 1}, {Field: fld("in_port"), Value: 4}}}},
 	)
 	for _, tc := range []struct {
 		port PortID
@@ -84,8 +79,8 @@ func TestSpecialiserPortClasses(t *testing.T) {
 func TestUnnamedPortRunsEmptyProgram(t *testing.T) {
 	var log []string
 	p := tracePipe(t, nil, &log,
-		[]traceRule{{name: "a", conds: []Cond{{Field: "in_port", Value: 1}, {Field: "drop", Value: 0}}}},
-		[]traceRule{{name: "b", conds: []Cond{{Field: "in_port", Value: 2}}}},
+		[]traceRule{{name: "a", conds: []Cond{{Field: fld("in_port"), Value: 1}, {Field: fld("drop"), Value: 0}}}},
+		[]traceRule{{name: "b", conds: []Cond{{Field: fld("in_port"), Value: 2}}}},
 	)
 	p.Compile()
 	if len(p.ports) != 2 || p.ports[0] != 1 || p.ports[1] != 2 {
@@ -118,8 +113,8 @@ func TestAddMATAfterProcessRecompiles(t *testing.T) {
 // evaluating it, and b.1 still sees what a.1's action wrote.
 func TestFailSkipRespectsFirstMatch(t *testing.T) {
 	var log []string
-	g1 := []Cond{{Field: "meta.0", Value: 1}}
-	g2 := []Cond{{Field: "meta.1", Value: 1}}
+	g1 := []Cond{{Field: fld("meta.0"), Value: 1}}
+	g2 := []Cond{{Field: fld("meta.1"), Value: 1}}
 	setMeta1 := false
 	p := tracePipe(t, nil, &log,
 		[]traceRule{
@@ -158,10 +153,10 @@ func TestFailSkipRespectsFirstMatch(t *testing.T) {
 // action may have just made true.
 func TestFailSkipStopsAtDifferentGuard(t *testing.T) {
 	var log []string
-	g := []Cond{{Field: "meta.0", Value: 1}}
+	g := []Cond{{Field: fld("meta.0"), Value: 1}}
 	p := tracePipe(t, nil, &log,
 		[]traceRule{{name: "x", conds: g}},
-		[]traceRule{{name: "y", conds: []Cond{{Field: "meta.1", Value: 1}}, run: func(phv *PHV) { phv.SetMeta(0, 1) }}},
+		[]traceRule{{name: "y", conds: []Cond{{Field: fld("meta.1"), Value: 1}}, run: func(phv *PHV) { phv.SetMeta(0, 1) }}},
 		[]traceRule{{name: "z", conds: g}},
 		[]traceRule{{name: "w", conds: g}},
 	)
@@ -185,7 +180,7 @@ func TestRuntimeParamLoadedPerPacket(t *testing.T) {
 	var log []string
 	gate := uint32(0)
 	p := tracePipe(t, cellEnv{"gate": &gate}, &log,
-		[]traceRule{{name: "open", conds: []Cond{{Field: "param.gate", Value: 1}}}},
+		[]traceRule{{name: "open", conds: []Cond{{Field: fld("param.gate"), Value: 1}}}},
 	)
 	if got := runTrace(t, p, &log, &PHV{}); got != "" {
 		t.Errorf("gate closed: fired %q", got)
@@ -194,8 +189,8 @@ func TestRuntimeParamLoadedPerPacket(t *testing.T) {
 	if got := runTrace(t, p, &log, &PHV{}); got != "open" {
 		t.Errorf("gate open: fired %q, want open", got)
 	}
-	if _, err := CompileConds([]Cond{{Field: "param.gate"}}, nil); err == nil {
-		t.Error("param condition compiled without an Env")
+	if _, err := CompileConds([]Cond{{Field: fld("param.gate")}}, nil); err == nil {
+		t.Error("param condition compiled without its cell")
 	}
 }
 

@@ -120,11 +120,13 @@ func (p *Pipeline) NewRegister(stage int, name string, widthBytes, cells int) *R
 	if cells <= 0 {
 		panic(fmt.Sprintf("rmt: register %q needs at least one cell", name))
 	}
-	r := &Register{name: name, stage: stage, width: widthBytes, cells: cells, data: make([]byte, widthBytes*cells)}
-	if s.sramBytes()+r.SRAMBytes() > StageSRAMBytes {
-		panic(fmt.Sprintf("rmt: stage %d SRAM overflow placing register %q (%d B used, %d B budget)",
-			stage, name, s.sramBytes()+r.SRAMBytes(), StageSRAMBytes))
+	// Budget first, by division: a hostile cell count must neither overflow
+	// the product nor be allocated before it is refused.
+	if free := StageSRAMBytes - s.sramBytes(); cells > free/widthBytes {
+		panic(fmt.Sprintf("rmt: stage %d SRAM overflow placing register %q (%d cells x %d B, %d B of the %d B budget free)",
+			stage, name, cells, widthBytes, free, StageSRAMBytes))
 	}
+	r := &Register{name: name, stage: stage, width: widthBytes, cells: cells, data: make([]byte, widthBytes*cells)}
 	s.regs = append(s.regs, r)
 	return r
 }

@@ -18,7 +18,7 @@ func buildPoolPipe(t *testing.T) (*Pipeline, *Register) {
 		Reg:  reg,
 		Rules: []Rule{{
 			Name:  "store",
-			Conds: conds(t, Cond{Field: "meta.payload_ok", Value: 1}),
+			Conds: conds(t, Cond{Field: fld("meta.payload_ok"), Value: 1}),
 			Action: func(c *Ctx) {
 				c.RMW(0, func(cell []byte) { copy(cell, c.PHV.Blocks[0]) })
 			},

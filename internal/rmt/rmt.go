@@ -250,13 +250,14 @@ type Rule struct {
 
 // Resources declares what a MAT consumes of the per-stage hardware budgets.
 // The P4 compiler derives these from the program; here the program author
-// declares them and the declarations are validated against stage budgets.
+// declares them (in a prog.Spec, hence the JSON form) and the declarations
+// are validated against stage budgets.
 type Resources struct {
-	TCAMBytes      int // ternary match storage
-	SRAMMatchBytes int // exact match storage (excluding bound registers)
-	VLIWSlots      int // action instruction slots
-	ExactXbarBits  int // exact match crossbar input bits
-	TernXbarBits   int // ternary match crossbar input bits
+	TCAMBytes      int `json:"tcam_bytes,omitempty"`       // ternary match storage
+	SRAMMatchBytes int `json:"sram_match_bytes,omitempty"` // exact match storage (excluding bound registers)
+	VLIWSlots      int `json:"vliw_slots,omitempty"`       // action instruction slots
+	ExactXbarBits  int `json:"exact_xbar_bits,omitempty"`  // exact match crossbar input bits
+	TernXbarBits   int `json:"tern_xbar_bits,omitempty"`   // ternary match crossbar input bits
 }
 
 // MAT is one match-action table placed in a stage, optionally bound to a

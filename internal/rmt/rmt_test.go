@@ -23,6 +23,15 @@ func testPkt(t testing.TB, size int) *packet.Packet {
 	return packet.NewBuilder(mac1, mac2).UDP(ft, size, 1)
 }
 
+// fld resolves a condition field the vocabulary is known to hold.
+func fld(name string) Field {
+	f, err := LookupField(name)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
 // conds compiles declarative conditions that name no runtime parameter.
 func conds(t testing.TB, cs ...Cond) []CondOp {
 	t.Helper()
@@ -139,7 +148,7 @@ func TestFirstMatchingRuleFires(t *testing.T) {
 	p.AddMAT(0, &MAT{
 		Name: "ordered",
 		Rules: []Rule{
-			{Name: "a", Conds: conds(t, Cond{Field: "in_port", Value: 1}),
+			{Name: "a", Conds: conds(t, Cond{Field: fld("in_port"), Value: 1}),
 				Action: func(*Ctx) { fired = append(fired, "a") }},
 			{Name: "b", Action: func(*Ctx) { fired = append(fired, "b") }},
 		},

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/payloadpark/payloadpark/internal/prog"
+	"github.com/payloadpark/payloadpark/internal/rmt"
 	"github.com/payloadpark/payloadpark/internal/sim"
 )
 
@@ -180,4 +181,91 @@ func TestProgramCompressReport(t *testing.T) {
 	if splits == 0 {
 		t.Error("parking idle alongside compression")
 	}
+}
+
+// TestHostileProgram: a custom spec the pipe cannot run safely is an error
+// from prog.Load and from Run, naming the table/entry and the key — each of
+// these used to load and then panic on the first packets (a, b, d) or run to
+// a plausible Report with every packet stale (c).
+func TestHostileProgram(t *testing.T) {
+	entry := func(s *prog.Spec, table string, i int) *prog.EntrySpec {
+		for ti := range s.Tables {
+			if s.Tables[ti].Name == table {
+				return &s.Tables[ti].Entries[i]
+			}
+		}
+		t.Fatalf("spec %s has no table %s", s.Name, table)
+		return nil
+	}
+	compress := func() *prog.Spec { return prog.HeaderCompressSpec(prog.CompressParams{Slots: 4096}) }
+	cases := []struct {
+		name string
+		spec *prog.Spec
+		want []string
+	}{
+		{"index past the register", func() *prog.Spec {
+			s := compress()
+			entry(s, "cr_tagger_ti", 0).Params["slots"] = prog.Lit(100000)
+			return s
+		}(), []string{"cr_tagger_ti/advance", `"slots" = 100000`, "4096 cells"}},
+		{"register narrower than the move", func() *prog.Spec {
+			s := compress()
+			for i := range s.Registers {
+				if s.Registers[i].Role == prog.RoleCtxLo {
+					s.Registers[i].Width = prog.Lit(8)
+				}
+			}
+			return s
+		}(), []string{"cr_ctx_lo/store", "14 B per cell (len)", "8 B wide"}},
+		{"misspelt key", func() *prog.Spec {
+			s := compress()
+			p := entry(s, "cr_tagger_ti", 0).Params
+			p["meta_ot"] = p["meta_out"]
+			delete(p, "meta_out")
+			return s
+		}(), []string{"cr_tagger_ti/advance", `"meta_ot" is not declared`}},
+		{"block past the parser's", func() *prog.Spec {
+			s := prog.PayloadParkSpec(prog.ParkParams{
+				Slots: 64, MaxExpiry: 1, SplitPort: 0, MergePort: 1,
+				Blocks: 2, BaseBlocks: 2, BlockBytes: 8, MaxClock: 1 << 16,
+			})
+			entry(s, "pp_payload_1", 0).Params["block"] = prog.Lit(99)
+			return s
+		}(), []string{"pp_payload_1/store", `"block" = 99`, "[0, 2)"}},
+	}
+	check := func(name, via string, err error, want []string) {
+		t.Helper()
+		if err == nil {
+			t.Errorf("%s: %s accepted the spec", name, via)
+			return
+		}
+		for _, w := range want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: %s: err = %v, want it to contain %q", name, via, err, w)
+			}
+		}
+	}
+	for _, c := range cases {
+		_, err := prog.Load(c.spec, prog.LoadOptions{Pipe: rmt.NewPipeline(c.name)})
+		check(c.name, "prog.Load", err, c.want)
+		_, err = Run(context.Background(), Scenario{
+			Topology: Testbed{},
+			Program:  Program{Kind: "custom", Spec: c.spec},
+			Traffic:  Traffic{SendBps: 4e9, FixedSize: 512},
+			Opts:     RunOptions{Quick: true},
+		})
+		check(c.name, "Run", err, c.want)
+	}
+
+	// The file CI feeds `ppbench -scenario` stays hostile.
+	data, err := os.ReadFile("testdata/hostile-program.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc Scenario
+	if err := json.Unmarshal(data, &sc); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(context.Background(), sc)
+	check("testdata/hostile-program.json", "Run", err, cases[0].want)
 }
