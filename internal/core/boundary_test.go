@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -140,5 +141,98 @@ func TestBoundaryValidation(t *testing.T) {
 	}
 	if _, err := sw.AttachPayloadPark(Config{Slots: 16, MaxExpiry: 1, SplitPort: 2, MergePort: 3, BoundaryOffset: 0}, -1); err == nil {
 		t.Error("boundary geometry conflict accepted")
+	}
+}
+
+// TestTruncatedMergeIsACountedDrop: under the boundary-offset program
+// (BenchmarkAblationBoundaryOffset's config) a validly tagged packet comes
+// back from the NF with its payload cut shorter than the boundary. It used
+// to panic in PHV.PrepareMergeBlocks (a make with cap < len). It must cost
+// one counted drop with its own reason and free the slot — and a frame cut
+// that short cannot even carry the PP header at its offset, so the frame
+// path refuses it at parse and the slot waits for eviction. Either way
+// splits = merges + evictions + explicit drops + truncated drops +
+// occupancy.
+func TestTruncatedMergeIsACountedDrop(t *testing.T) {
+	sw, prog := testbed(t, Config{Slots: 8192, MaxExpiry: 1, SplitPort: portGen, MergePort: portNF, BoundaryOffset: 64}, -1)
+	conserved := func(when string) {
+		t.Helper()
+		c := &prog.C
+		freed := c.Merges.Value() + c.Evictions.Value() + c.ExplicitDrops.Value() + sw.Drops()[DropTruncatedMerge]
+		if got := freed + uint64(prog.Occupancy()); got != c.Splits.Value() {
+			t.Fatalf("%s: splits = %d but merges+evictions+drops+occupancy = %d (%v, drops %v)",
+				when, c.Splits.Value(), got, c, sw.Drops())
+		}
+	}
+
+	// Parsed packets through InjectBatch.
+	em := inject(sw, mkPkt(882, 1), portGen)
+	if em == nil || !em.Pkt.PP.Enabled {
+		t.Fatal("split failed")
+	}
+	cut := toSink(em.Pkt)
+	cut.Payload = cut.Payload[:10] // a truncating NF: 10 B < the 64 B boundary
+	if em, why := injectTraced(sw, cut, portNF); em != nil || why != DropTruncatedMerge {
+		t.Fatalf("truncated merge: emission %v, reason %q; want a %q drop", em, why, DropTruncatedMerge)
+	}
+	if n := sw.Drops()[DropTruncatedMerge]; n != 1 || prog.C.Merges.Value() != 0 || prog.C.PrematureEvictions.Value() != 0 {
+		t.Errorf("drops[%q] = %d, counters %v; want one truncated drop and no merge", DropTruncatedMerge, n, &prog.C)
+	}
+	if prog.Occupancy() != 0 {
+		t.Errorf("occupancy = %d after the truncated merge, want its slot freed", prog.Occupancy())
+	}
+	conserved("after the InjectBatch truncation")
+
+	// A payload of exactly the boundary is whole: prefix + parked bytes.
+	orig := mkPkt(882, 2)
+	want := orig.Clone()
+	em = inject(sw, orig, portGen)
+	exact := toSink(em.Pkt)
+	exact.Payload = exact.Payload[:64]
+	if em = inject(sw, exact, portNF); em == nil || !bytes.Equal(em.Pkt.Payload, want.Payload[:64+BaseParkBytes]) {
+		t.Fatal("a payload cut exactly at the boundary did not merge to prefix + parked bytes")
+	}
+	conserved("after the boundary-length merge")
+
+	// Raw frames through a FrameBurst.
+	splitFrame, em, err := injectFrame(sw, mkPkt(882, 3).Serialize(), portGen)
+	if err != nil || em == nil {
+		t.Fatalf("frame split: %v", err)
+	}
+	b := sw.NewFrameBurst(1)
+	if err := b.Add(splitFrame[:packet.HeaderUnitLen+10], portNF); !errors.Is(err, packet.ErrTruncated) {
+		t.Fatalf("truncated frame: Add = %v, want ErrTruncated (no PP header left at offset 64)", err)
+	}
+	if len(b.Run()) != 0 || sw.Drops()[dropParseError] != 1 || sw.Drops()[DropTruncatedMerge] != 1 {
+		t.Errorf("drops = %v; want the truncated frame counted once as %q", sw.Drops(), dropParseError)
+	}
+	if prog.Occupancy() != 1 {
+		t.Errorf("occupancy = %d, want the refused frame's payload still parked", prog.Occupancy())
+	}
+	conserved("after the FrameBurst truncation")
+}
+
+// TestRoundTripEverySize: split -> NF MAC flip -> merge returns the
+// generator's bytes for every size the datacenter mix can draw (42..1500:
+// disabled-header small packets, and parked ones either side of the
+// boundary threshold), with and without a boundary offset.
+func TestRoundTripEverySize(t *testing.T) {
+	for name, cfg := range map[string]Config{"offset 0": defaultCfg(), "offset 64": boundaryCfg()} {
+		sw, prog := testbed(t, cfg, -1)
+		for size := packet.HeaderUnitLen; size <= 1500; size++ {
+			orig := mkFlowPkt(flowN(size), size, uint16(size))
+			want := orig.Clone()
+			em := inject(sw, orig, portGen)
+			if em == nil {
+				t.Fatalf("%s size %d: split dropped", name, size)
+			}
+			em = inject(sw, toSink(em.Pkt), portNF)
+			if em == nil || em.Pkt.PP != nil || !bytes.Equal(em.Pkt.Payload, want.Payload) {
+				t.Fatalf("%s size %d: round trip did not restore the payload", name, size)
+			}
+		}
+		if prog.C.Splits.Value() == 0 || prog.C.Splits.Value() != prog.C.Merges.Value() || prog.C.SmallPayloadSkips.Value() == 0 {
+			t.Errorf("%s: counters %v; want parked and small packets, every split merged", name, &prog.C)
+		}
 	}
 }

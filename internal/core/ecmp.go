@@ -59,10 +59,7 @@ func (s *Switch) SetECMPRoute(dst packet.MAC, members map[string]rmt.PortID) err
 	if err != nil {
 		return err
 	}
-	if s.ecmp == nil {
-		s.ecmp = make(map[packet.MAC]*ecmpGroup)
-	}
-	s.ecmp[dst] = &ecmpGroup{tbl: tbl, ports: ports}
+	s.fwd.entry(dst).group = &ecmpGroup{tbl: tbl, ports: ports}
 	return nil
 }
 
@@ -70,8 +67,8 @@ func (s *Switch) SetECMPRoute(dst packet.MAC, members map[string]rmt.PortID) err
 // sorted (nil when no group is installed) — the telemetry view the
 // control plane diffs against its desired membership.
 func (s *Switch) ECMPMembers(dst packet.MAC) []string {
-	g, ok := s.ecmp[dst]
-	if !ok {
+	g := s.fwd.find(macKey(dst)).group
+	if g == nil {
 		return nil
 	}
 	names := make([]string, 0, len(g.ports))
@@ -80,16 +77,6 @@ func (s *Switch) ECMPMembers(dst packet.MAC) []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// ecmpLookup resolves a packet's egress port through its destination's
-// hash group, if one is installed.
-func (s *Switch) ecmpLookup(pkt *packet.Packet) (rmt.PortID, bool) {
-	g, ok := s.ecmp[pkt.Eth.Dst]
-	if !ok {
-		return 0, false
-	}
-	return g.ports[g.tbl.Lookup(FlowHash(pkt.FiveTuple()))], true
 }
 
 // FlowHash hashes a 5-tuple for ECMP member selection (inline FNV-1a so

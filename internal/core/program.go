@@ -20,6 +20,9 @@ const (
 	DropExplicitDrop      = "explicit drop"
 	DropStaleExplicitDrop = "stale explicit drop"
 	DropBadTag            = "bad tag crc"
+	// DropTruncatedMerge: the tag matched and the slot was freed, but the
+	// NF had cut the payload shorter than the boundary offset.
+	DropTruncatedMerge = rmt.DropTruncatedMerge
 )
 
 // Program is one installed PayloadPark instance: the packet tagger, the

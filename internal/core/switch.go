@@ -71,10 +71,9 @@ type Switch struct {
 	// recircOf maps an ingress pipe index to the pipe handling its second
 	// pass.
 	recircOf map[int]int
-	l2       map[packet.MAC]rmt.PortID
-	// ecmp maps destination MACs to hash-group next-hop tables; a group
-	// takes precedence over the L2 entry for the same MAC (see ecmp.go).
-	ecmp map[packet.MAC]*ecmpGroup
+	// fwd maps destination MACs to L2 ports and ECMP hash groups (fwd.go,
+	// ecmp.go).
+	fwd fwdTable
 
 	// ppOffset precomputes, per port, where arriving frames carry a
 	// PayloadPark header (-1: none). Rebuilt on AttachPayloadPark,
@@ -103,7 +102,7 @@ func NewSwitch(name string) *Switch {
 	s := &Switch{
 		name:     name,
 		recircOf: make(map[int]int),
-		l2:       make(map[packet.MAC]rmt.PortID),
+		fwd:      fwdTable{cells: make([]fwdEntry, 16)},
 		dropIdx:  make(map[string]int),
 	}
 	for i := range s.pipes {
@@ -115,7 +114,7 @@ func NewSwitch(name string) *Switch {
 	// Pre-intern the reasons the switch and the stock program can record.
 	for _, why := range []string{
 		DropUnknownMAC, dropInvalidPort, dropParseError,
-		DropPrematureEviction, DropExplicitDrop, DropStaleExplicitDrop, DropBadTag,
+		DropPrematureEviction, DropExplicitDrop, DropStaleExplicitDrop, DropBadTag, DropTruncatedMerge,
 	} {
 		s.dropID(why)
 	}
@@ -129,7 +128,10 @@ func (s *Switch) Pipe(i int) *rmt.Pipeline { return s.pipes[i] }
 func (s *Switch) Programs() []*Program { return s.programs }
 
 // AddL2Route maps a destination MAC to an egress port.
-func (s *Switch) AddL2Route(mac packet.MAC, port rmt.PortID) { s.l2[mac] = port }
+func (s *Switch) AddL2Route(mac packet.MAC, port rmt.PortID) {
+	e := s.fwd.entry(mac)
+	e.port, e.hasL2 = port, true
+}
 
 // PipeOfPort returns the pipe index serving a port.
 func PipeOfPort(port rmt.PortID) int { return int(port) / PortsPerPipe }
@@ -351,10 +353,7 @@ func (s *Switch) deparse(pipeIdx int, phv *rmt.PHV, passes int, em *Emission) st
 		k := int(phv.GetMeta(rmt.MetaParkOffset))
 		pkt.Payload = phv.FinishMerge(pkt.Payload, k, park)
 	}
-	out, ok := s.ecmpLookup(pkt)
-	if !ok {
-		out, ok = s.l2[pkt.Eth.Dst]
-	}
+	out, ok := s.fwd.resolve(pkt)
 	if !ok {
 		s.drop(pipeIdx, DropUnknownMAC)
 		return DropUnknownMAC

@@ -7,6 +7,7 @@ import (
 	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/scenario"
 	"github.com/payloadpark/payloadpark/internal/sim"
+	"github.com/payloadpark/payloadpark/internal/stats"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
@@ -49,13 +50,14 @@ func collectFig6(o Options) (*Result, error) {
 	if o.Quick {
 		n = 40000
 	}
-	small := 0
+	small, cdf := 0, stats.NewCDF()
 	for i := 0; i < n; i++ {
-		if len(gen.Next().Payload) < core.BaseParkBytes {
+		p := gen.Next()
+		cdf.Observe(float64(p.Len()))
+		if len(p.Payload) < core.BaseParkBytes {
 			small++
 		}
 	}
-	cdf := gen.SizeCDF()
 	res := &Result{}
 	t := res.table(fmt.Sprintf("samples=%d mean=%.1fB (paper: 882B) sub-160B-payload=%.1f%% (paper: 30%%)",
 		n, cdf.Mean(), 100*float64(small)/float64(n)),

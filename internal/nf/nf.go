@@ -70,7 +70,11 @@ func (c *Chain) Len() int { return len(c.nfs) }
 // and the per-stage costs actually incurred (stages after a Drop are not
 // charged — the packet never reaches them).
 func (c *Chain) Process(pkt *packet.Packet) (Verdict, []StageCost) {
-	costs := make([]StageCost, 0, len(c.nfs))
+	return c.processInto(make([]StageCost, 0, len(c.nfs)), pkt)
+}
+
+// processInto is Process appending the costs to a caller-owned buffer.
+func (c *Chain) processInto(costs []StageCost, pkt *packet.Packet) (Verdict, []StageCost) {
 	for _, f := range c.nfs {
 		v, cy := f.Process(pkt)
 		costs = append(costs, StageCost{Name: f.Name(), Cycles: cy})
@@ -79,26 +83,4 @@ func (c *Chain) Process(pkt *packet.Packet) (Verdict, []StageCost) {
 		}
 	}
 	return Forward, costs
-}
-
-// BottleneckCycles returns the largest per-stage cycle cost, the service
-// time of a pipelined (one core per NF) deployment.
-func BottleneckCycles(costs []StageCost) uint64 {
-	var max uint64
-	for _, c := range costs {
-		if c.Cycles > max {
-			max = c.Cycles
-		}
-	}
-	return max
-}
-
-// TotalCycles sums the per-stage costs, the service time of a
-// run-to-completion deployment.
-func TotalCycles(costs []StageCost) uint64 {
-	var sum uint64
-	for _, c := range costs {
-		sum += c.Cycles
-	}
-	return sum
 }

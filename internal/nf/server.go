@@ -30,7 +30,9 @@ type Result struct {
 	// Out is the packet to transmit back to the switch; nil when the
 	// packet was consumed (dropped without notification).
 	Out *packet.Packet
-	// Costs are the per-stage CPU costs incurred.
+	// Costs are the per-stage CPU costs incurred. The slice aliases a
+	// buffer the Server owns and is valid only until the next Handle on
+	// that server; a caller that keeps costs past then copies them out.
 	Costs []StageCost
 	// Notification is true when Out is an Explicit Drop notification
 	// rather than a forwarded packet.
@@ -40,9 +42,13 @@ type Result struct {
 // Server models the NF framework endpoint: it applies the chain to
 // arriving packets and implements the framework-level forwarding and
 // explicit-drop behaviour. Timing is modeled by the simulator; Server is
-// behaviour only.
+// behaviour only. One goroutine drives a Server: Handle reuses the
+// server's cost buffer from call to call.
 type Server struct {
 	cfg ServerConfig
+	// costs backs Result.Costs (one entry per chain stage), so Handle
+	// allocates nothing.
+	costs []StageCost
 
 	// Rx counts packets handled; Tx packets returned; Dropped packets
 	// consumed; Notifications explicit-drop notifications sent.
@@ -54,16 +60,19 @@ type Server struct {
 
 // NewServer builds a server for the given configuration.
 func NewServer(cfg ServerConfig) *Server {
-	return &Server{cfg: cfg}
+	return &Server{cfg: cfg, costs: make([]StageCost, 0, cfg.Chain.Len())}
 }
 
 // Chain returns the hosted chain.
 func (s *Server) Chain() *Chain { return s.cfg.Chain }
 
-// Handle runs one packet through the framework.
+// Handle runs one packet through the framework. The returned Costs stay
+// valid until the next Handle (see Result.Costs).
+//
+//pp:zeroalloc
 func (s *Server) Handle(pkt *packet.Packet) Result {
 	s.Rx.Inc()
-	verdict, costs := s.cfg.Chain.Process(pkt)
+	verdict, costs := s.cfg.Chain.processInto(s.costs[:0], pkt)
 	if verdict == Drop {
 		if s.cfg.ExplicitDrop && pkt.PP != nil && pkt.PP.Enabled {
 			// §6.2.4: truncate, flip opcode, send back.

@@ -8,18 +8,24 @@ type Builder struct {
 	srcMAC, dstMAC MAC
 	ttl            uint8
 	payloadSeed    uint64
+	// template is the pseudo-random stream payloads are cut from; it is
+	// only ever read after it is built.
+	template []byte
 }
 
 // NewBuilder returns a Builder with the testbed's fixed L2 endpoints.
 func NewBuilder(srcMAC, dstMAC MAC) *Builder {
-	return &Builder{srcMAC: srcMAC, dstMAC: dstMAC, ttl: 64}
+	return &Builder{srcMAC: srcMAC, dstMAC: dstMAC, ttl: 64, template: seed0Template}
 }
 
 // UDP builds a UDP packet with the given flow key and total wire size
 // (Ethernet through payload, no FCS). totalSize must be at least
-// HeaderUnitLen (42); the payload is filled with a deterministic
-// pseudo-random pattern derived from the builder seed, the flow and the
-// packet id, so corruption anywhere in the pipeline is detectable.
+// HeaderUnitLen (42). The payload is a deterministic function of the
+// builder seed, the flow's source address and port, and the packet id:
+// those, stamped into its first 8 bytes, then a window of the builder's
+// pseudo-random template whose offset they select — so two packets of
+// different flows or ids never carry equal payloads, and a corrupted or
+// mis-merged payload anywhere in the pipeline fails a byte compare.
 func (b *Builder) UDP(ft FiveTuple, totalSize int, id uint16) *Packet {
 	return b.UDPInto(&Packet{}, ft, totalSize, id)
 }
@@ -28,6 +34,8 @@ func (b *Builder) UDP(ft FiveTuple, totalSize int, id uint16) *Packet {
 // reusing its UDP header struct and payload capacity so steady-state
 // generation does not allocate. Every field is rewritten; no state of the
 // packet's previous life survives.
+//
+//pp:zeroalloc
 func (b *Builder) UDPInto(p *Packet, ft FiveTuple, totalSize int, id uint16) *Packet {
 	if totalSize < HeaderUnitLen {
 		totalSize = HeaderUnitLen
@@ -35,9 +43,9 @@ func (b *Builder) UDPInto(p *Packet, ft FiveTuple, totalSize int, id uint16) *Pa
 	payloadLen := totalSize - HeaderUnitLen
 	udp := p.UDP
 	if udp == nil {
-		udp = &UDP{}
+		udp = &UDP{} //pp:alloc-ok warm-up: a recycled packet keeps its UDP struct
 	}
-	payload := fillPayload(p.Payload[:0], payloadLen, b.payloadSeed^uint64(ft.SrcIP.Uint32())<<16^uint64(id))
+	payload := b.payload(p.Payload[:0], payloadLen, ft, id)
 	*p = Packet{
 		Eth: Ethernet{Dst: b.dstMAC, Src: b.srcMAC, EtherType: EtherTypeIPv4},
 		IP: IPv4{
@@ -60,26 +68,56 @@ func (b *Builder) UDPInto(p *Packet, ft FiveTuple, totalSize int, id uint16) *Pa
 	return p
 }
 
-// SetPayloadSeed changes the payload pattern seed (default 0).
-func (b *Builder) SetPayloadSeed(seed uint64) { b.payloadSeed = seed }
+// SetPayloadSeed changes the payload pattern seed (default 0), rebuilding
+// the template from it.
+func (b *Builder) SetPayloadSeed(seed uint64) {
+	b.payloadSeed = seed
+	b.template = fillPayload(seed)
+}
 
-// fillPayload appends n bytes of a deterministic splitmix64 pattern to
-// out's backing array (reusing capacity) and returns the filled slice.
-func fillPayload(out []byte, n int, seed uint64) []byte {
+// A template is templateLen bytes; a payload's window starts in its first
+// half (at one of 1<<templateOffsetBits offsets), so payloads up to 2 KB —
+// every frame of a standard MTU — are one copy.
+const (
+	templateOffsetBits = 11
+	templateLen        = 2 << templateOffsetBits
+)
+
+// seed0Template is the template of the default seed, shared (read-only)
+// by every Builder that never calls SetPayloadSeed.
+var seed0Template = fillPayload(0)
+
+// fillPayload returns a template: templateLen bytes of the splitmix64
+// stream started at seed.
+func fillPayload(seed uint64) []byte {
+	out := make([]byte, templateLen)
+	for i := 0; i < len(out); i += 8 {
+		binary.LittleEndian.PutUint64(out[i:], splitmix64(&seed))
+	}
+	return out
+}
+
+// payload writes the n payload bytes of packet (ft, id) into out's backing
+// array (reusing capacity) and returns the filled slice: a template window
+// — wrapping for payloads longer than one — under an 8-byte stamp of the
+// per-packet seed. Payloads shorter than the stamp keep its low bytes,
+// which hold the id.
+//
+//pp:zeroalloc
+func (b *Builder) payload(out []byte, n int, ft FiveTuple, id uint16) []byte {
 	if cap(out) < n {
-		out = make([]byte, n)
+		out = make([]byte, n) //pp:alloc-ok warm-up: a recycled packet keeps its payload capacity
 	} else {
 		out = out[:n]
 	}
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		binary.LittleEndian.PutUint64(out[i:], splitmix64(&seed))
+	seed := b.payloadSeed ^ uint64(ft.SrcPort)<<48 ^ uint64(ft.SrcIP.Uint32())<<16 ^ uint64(id)
+	off := int(seed * 0x9e3779b97f4a7c15 >> (64 - templateOffsetBits))
+	for filled := copy(out, b.template[off:]); filled < n; {
+		filled += copy(out[filled:], b.template)
 	}
-	if i < n {
-		var word [8]byte
-		binary.LittleEndian.PutUint64(word[:], splitmix64(&seed))
-		copy(out[i:], word[:])
-	}
+	var stamp [8]byte
+	binary.LittleEndian.PutUint64(stamp[:], seed)
+	copy(out, stamp[:])
 	return out
 }
 
@@ -115,7 +153,7 @@ func (b *Builder) TCP(ft FiveTuple, totalSize int, seq uint32, id uint16) *Packe
 			SrcPort: ft.SrcPort, DstPort: ft.DstPort,
 			Seq: seq, Flags: 0x18, Window: 65535,
 		},
-		Payload: fillPayload(nil, payloadLen, b.payloadSeed^uint64(ft.SrcIP.Uint32())<<16^uint64(id)),
+		Payload: b.payload(nil, payloadLen, ft, id),
 	}
 	p.IP.UpdateChecksum()
 	return p

@@ -299,6 +299,102 @@ func TestBuilderDeterministicPayload(t *testing.T) {
 	}
 }
 
+// TestBuilderPayloadProperties pins what the template payloads promise:
+// a payload is a pure function of (builder seed, flow, id, size); packets
+// of different flows or ids differ within their first 8 bytes (so inside
+// any parked region); and a built payload is a private copy — scribbling
+// over it changes neither the template nor the next packet built.
+func TestBuilderPayloadProperties(t *testing.T) {
+	other := testFT
+	other.SrcIP = IPv4Addr{10, 0, 0, 3}
+	otherPort := testFT
+	otherPort.SrcPort++
+	pristine := fillPayload(0)
+	b, twin := NewBuilder(testSrcMAC, testDstMAC), NewBuilder(testSrcMAC, testDstMAC)
+	reused := &Packet{}
+	for size := HeaderUnitLen; size <= 1500; size++ {
+		id := uint16(size * 7)
+		p := b.UDP(testFT, size, id)
+		if got := len(p.Payload); got != size-HeaderUnitLen {
+			t.Fatalf("size %d: payload is %d bytes", size, got)
+		}
+		if q := twin.UDPInto(reused, testFT, size, id); !bytes.Equal(p.Payload, q.Payload) {
+			t.Fatalf("size %d: same (seed, flow, id, size) built different payloads", size)
+		}
+		if n := len(p.Payload); n >= 8 {
+			for what, q := range map[string]*Packet{
+				"id":       b.UDP(testFT, size, id+1),
+				"src ip":   b.UDP(other, size, id),
+				"src port": b.UDP(otherPort, size, id),
+			} {
+				if bytes.Equal(p.Payload[:8], q.Payload[:8]) {
+					t.Fatalf("size %d: a different %s left the first 8 payload bytes equal", size, what)
+				}
+			}
+		}
+		// The payload is the packet's own: wipe it, then build again.
+		want := append([]byte(nil), p.Payload...)
+		for i := range p.Payload {
+			p.Payload[i] = 0xee
+		}
+		for i := range reused.Payload {
+			reused.Payload[i] = 0xee
+		}
+		if again := b.UDP(testFT, size, id); !bytes.Equal(again.Payload, want) {
+			t.Fatalf("size %d: mutating a built payload changed the next packet built", size)
+		}
+	}
+	if !bytes.Equal(seed0Template, pristine) || !bytes.Equal(b.template, pristine) {
+		t.Fatal("built payloads alias the template: it changed under mutation")
+	}
+	// The template has far fewer windows than a flow has ids: only the
+	// stamp keeps two ids that share a window apart.
+	seen := make(map[[8]byte]int, 1<<16)
+	for id := 0; id < 1<<16; id++ {
+		var head [8]byte
+		copy(head[:], b.UDPInto(reused, testFT, 300, uint16(id)).Payload)
+		if prev, dup := seen[head]; dup {
+			t.Fatalf("ids %d and %d of one flow start with the same 8 payload bytes", prev, id)
+		}
+		seen[head] = id
+	}
+
+	// TCP cuts from the same template; a payload longer than the template
+	// wraps around it.
+	tp1, tp2 := b.TCP(testFT, 600, 1, 9), twin.TCP(testFT, 600, 1, 9)
+	if !bytes.Equal(tp1.Payload, tp2.Payload) || bytes.Equal(tp1.Payload[:8], b.TCP(testFT, 600, 1, 10).Payload[:8]) {
+		t.Error("TCP payloads are not a function of (flow, id)")
+	}
+	if jumbo := b.UDP(testFT, 9000, 1); len(jumbo.Payload) != 9000-HeaderUnitLen ||
+		bytes.Equal(jumbo.Payload[templateLen:templateLen+64], make([]byte, 64)) {
+		t.Error("a payload longer than the template was not filled to its end")
+	}
+
+	// A new seed rebuilds the template and moves every payload.
+	before := b.UDP(testFT, 512, 9)
+	b.SetPayloadSeed(42)
+	if after := b.UDP(testFT, 512, 9); bytes.Equal(before.Payload, after.Payload) || bytes.Equal(before.Payload[8:], after.Payload[8:]) {
+		t.Error("SetPayloadSeed left the payload pattern unchanged")
+	}
+	if !bytes.Equal(seed0Template, pristine) {
+		t.Error("SetPayloadSeed wrote into the shared default template")
+	}
+}
+
+// TestUDPIntoAllocFree: rebuilding into a recycled packet reuses its UDP
+// struct and payload capacity, whatever size came before.
+func TestUDPIntoAllocFree(t *testing.T) {
+	b := NewBuilder(testSrcMAC, testDstMAC)
+	p := b.UDP(testFT, 1500, 1)
+	id := uint16(1)
+	if allocs := testing.AllocsPerRun(200, func() {
+		id++
+		b.UDPInto(p, testFT, HeaderUnitLen+int(id)*7%1459, id)
+	}); allocs != 0 {
+		t.Errorf("UDPInto allocates %.1f/packet into a recycled packet, want 0", allocs)
+	}
+}
+
 func TestBuilderMinimumSize(t *testing.T) {
 	p := NewBuilder(testSrcMAC, testDstMAC).UDP(testFT, 10, 0)
 	if p.Len() != HeaderUnitLen {

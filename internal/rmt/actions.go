@@ -609,7 +609,7 @@ var builtinActions = []*Action{
 	},
 	{
 		Name: "park_release",
-		Doc:  "Alg. 2's merge-side validate-and-release: on a clock match free the slot, strip the PP header and prepare the merge block views; on a mismatch (premature eviction) drop",
+		Doc:  "Alg. 2's merge-side validate-and-release: on a clock match free the slot, strip the PP header and prepare the merge block views (a payload cut shorter than `park_offset` drops as \"" + DropTruncatedMerge + "\", slot freed); on a mismatch (premature eviction) drop",
 		Ints: []IntParam{
 			slotsParam,
 			{Name: "blocks", Parser: SameAsParser},
@@ -634,6 +634,13 @@ var builtinActions = []*Action{
 				// registers for one it did not.
 				ti := int(tag.TableIndex) % int(slots)
 				if releaseProbe(c, ti, tag.Clock) {
+					if len(phv.Pkt.Payload) < int(parkOffset) {
+						// An NF cut the payload short of the boundary: the
+						// slot is free again, but there is no prefix left
+						// to splice the parked bytes behind.
+						phv.MarkDrop(DropTruncatedMerge)
+						return
+					}
 					phv.SetMeta(MetaPPEnabled, 1)
 					phv.SetMeta(MetaTableIndex, uint32(ti))
 					phv.SetMeta(MetaParkBytes, uint32(parkBytes))

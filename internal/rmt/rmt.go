@@ -163,6 +163,14 @@ func (p *PHV) SetMeta(i int, v uint32) { p.Meta[i] = v }
 // GetMeta loads a metadata word.
 func (p *PHV) GetMeta(i int) uint32 { return p.Meta[i] }
 
+// DropTruncatedMerge is the reason park_release drops a validly tagged
+// merge packet whose payload no longer reaches the program's boundary
+// offset: PrepareMergeBlocks and FinishMerge splice the parked bytes
+// behind payload[:k], so a payload an NF cut shorter than k cannot be
+// reassembled. It is fixed rather than spec-bound because it guards the
+// merge helpers, not a policy.
+const DropTruncatedMerge = "merge payload truncated"
+
 // MarkDrop drops the packet at end of pipeline, recording a reason for
 // diagnostics and counters.
 func (p *PHV) MarkDrop(why string) {

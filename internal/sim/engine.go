@@ -59,7 +59,7 @@ const cancelStride = 4096
 func (e *Engine) Canceled() bool { return e.canceled }
 
 // eventSlot holds one scheduled event's payload: either a plain closure
-// (fn) or a pre-bound parcel handler (pfn + p).
+// (fn non-nil) or a pre-bound parcel handler (pfn + p).
 type eventSlot struct {
 	fn  func()
 	pfn func(Parcel)
@@ -86,55 +86,54 @@ func NewEngineHeap() *Engine {
 // Now returns the current simulation time in nanoseconds.
 func (e *Engine) Now() int64 { return e.now }
 
-// Schedule runs fn after delay nanoseconds (>= 0).
-func (e *Engine) Schedule(delay int64, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	e.ScheduleAt(e.now+delay, fn)
-}
+// Schedule runs fn after delay nanoseconds (a negative delay is now).
+func (e *Engine) Schedule(delay int64, fn func()) { e.ScheduleAt(e.now+delay, fn) }
 
 // ScheduleAt runs fn at absolute time t (clamped to now).
 func (e *Engine) ScheduleAt(t int64, fn func()) {
-	e.queue.push(node{at: e.clamp(t), seq: e.nextSeq(), slot: e.alloc(eventSlot{fn: fn})}, e.now)
+	slot := e.alloc()
+	e.fns[slot].fn = fn
+	e.push(t, slot)
 }
 
 // ScheduleParcel runs fn(p) after delay nanoseconds. Unlike Schedule with
-// a closure capturing p, the parcel rides in the event slot and fn is a
-// pre-bound handler, so per-packet-hop scheduling allocates nothing —
-// links and server stations schedule one to two events per packet hop.
+// a closure capturing p, the four-word parcel is copied into the event
+// slot and fn is a pre-bound handler, so per-packet-hop scheduling
+// allocates nothing.
 func (e *Engine) ScheduleParcel(delay int64, fn func(Parcel), p Parcel) {
-	if delay < 0 {
-		delay = 0
-	}
 	e.ScheduleParcelAt(e.now+delay, fn, p)
 }
 
 // ScheduleParcelAt runs fn(p) at absolute time t (clamped to now).
+//
+//pp:zeroalloc
 func (e *Engine) ScheduleParcelAt(t int64, fn func(Parcel), p Parcel) {
-	e.queue.push(node{at: e.clamp(t), seq: e.nextSeq(), slot: e.alloc(eventSlot{pfn: fn, p: p})}, e.now)
+	slot := e.alloc()
+	ev := &e.fns[slot]
+	ev.pfn, ev.p = fn, p
+	e.push(t, slot)
 }
 
-func (e *Engine) clamp(t int64) int64 {
+// push queues slot's event at time t (clamped to now), after every event
+// already scheduled for t.
+func (e *Engine) push(t int64, slot int32) {
 	if t < e.now {
-		return e.now
+		t = e.now
 	}
-	return t
-}
-
-func (e *Engine) nextSeq() uint64 {
 	e.seq++
-	return e.seq
+	e.queue.push(node{at: t, seq: e.seq, slot: slot}, e.now)
 }
 
-func (e *Engine) alloc(ev eventSlot) int32 {
+// alloc returns a free slot for the caller to fill: its fn is nil, its pfn
+// and parcel are whatever its last event left. The table grows to the peak
+// in-flight event count, then recycles.
+func (e *Engine) alloc() int32 {
 	if n := len(e.free); n > 0 {
 		slot := e.free[n-1]
 		e.free = e.free[:n-1]
-		e.fns[slot] = ev
 		return slot
 	}
-	e.fns = append(e.fns, ev)
+	e.fns = append(e.fns, eventSlot{})
 	return int32(len(e.fns) - 1)
 }
 
@@ -148,15 +147,20 @@ func (e *Engine) Run(until int64) {
 		if !ok {
 			break
 		}
-		slot := e.fns[ev.slot]
-		e.fns[ev.slot] = eventSlot{}
+		slot := &e.fns[ev.slot]
+		fn, pfn, p := slot.fn, slot.pfn, slot.p
+		// Only a closure is dropped from the freed slot (it may capture
+		// anything). A stale parcel and its handler — a pooled packet, a
+		// link's or station's pre-bound method — outlive the slot anyway,
+		// and leaving them spares every parcel event a second slot write.
+		slot.fn = nil
 		e.free = append(e.free, ev.slot)
 		e.now = ev.at
 		e.nexec++
-		if slot.pfn != nil {
-			slot.pfn(slot.p)
+		if fn == nil {
+			pfn(p)
 		} else {
-			slot.fn()
+			fn()
 		}
 		if e.Cancel != nil {
 			if executed++; executed%cancelStride == 0 && e.Cancel() {

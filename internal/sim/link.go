@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"github.com/payloadpark/payloadpark/internal/nf"
 	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/rmt"
 	"github.com/payloadpark/payloadpark/internal/stats"
@@ -9,7 +8,9 @@ import (
 )
 
 // Parcel is a packet in flight through the simulation, carrying the
-// bookkeeping the dataplane must not see.
+// bookkeeping the dataplane must not see. Every hop copies it into and out
+// of an event slot (or a cross-partition message), so it is four words:
+// what only one station reads is parked there and claimed by index.
 type Parcel struct {
 	Pkt *packet.Packet
 	// Born is the generator timestamp, for end-to-end latency.
@@ -17,19 +18,14 @@ type Parcel struct {
 	// InWindow marks parcels born inside the measurement window.
 	InWindow bool
 
-	// Event-carried state: parcels ride inside engine events (see
-	// Engine.ScheduleParcel), so the fields a handler would otherwise
-	// capture in a per-packet closure live here instead.
-
 	// egress is the switch output port while the parcel waits out the
-	// switch traversal latency (testbed routing).
+	// switch traversal latency.
 	egress rmt.PortID
-	// res, core and stage are the NF service verdict, the RSS-selected
-	// core, and the pipelined station index while the parcel moves through
-	// the server model.
-	res   nf.Result
+	// Inside a ServerSim: the RSS-selected core, the pipelined station
+	// index, and the claim on the NF verdict parked in its job table.
 	core  int32
-	stage int
+	stage int32
+	job   int32
 }
 
 // WireBytes returns the bytes a packet occupies on a physical link,
@@ -102,6 +98,8 @@ func NewLink(eng *Engine, bps float64, propNs int64, capBytes int, deliver func(
 func (l *Link) QueuedBytes() int { return l.queuedBytes }
 
 // Send enqueues a packet for transmission, dropping it if the queue is full.
+//
+//pp:zeroalloc
 func (l *Link) Send(p Parcel) {
 	if l.Down {
 		l.Drops.Inc()
@@ -133,6 +131,8 @@ func (l *Link) Send(p Parcel) {
 // packet propagates (or is lost in flight). The packet is not mutated
 // between Send and delivery, so its wire size is recomputed rather than
 // carried through the event.
+//
+//pp:zeroalloc
 func (l *Link) txDone(p Parcel) {
 	wire := WireBytes(p.Pkt)
 	l.queuedBytes -= wire

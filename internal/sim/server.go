@@ -114,6 +114,16 @@ type station struct {
 	queued    int
 }
 
+// job is one packet's NF verdict, parked in the server from rxDone until
+// the packet leaves (stage-overflow drop, consumed, finish); the events in
+// between carry Parcel.job, its index. stages is how many stations the
+// packet is charged for (a Drop verdict truncates the chain), forward is
+// false when the chain consumed it. Pointer-free: no GC write barriers.
+type job struct {
+	stages  int32
+	forward bool
+}
+
 // ServerSim wraps an nf.Server with the timing model: shared NIC ring ->
 // shared PCIe DMA -> RSS-selected per-core RX station -> that core's
 // pipelined NF stations -> PCIe DMA -> out. Saturation emerges from
@@ -142,6 +152,14 @@ type ServerSim struct {
 	stages   []station
 	pcieBusy int64
 	rng      *rand.Rand
+
+	// jobs is the free-listed verdict table; job j's cycles at station i are
+	// jobCycles[j*chainLen+i], copied out of nf.Result.Costs (the nf.Server
+	// reuses those on its next Handle). Both grow to the peak packets in
+	// service, then recycle.
+	jobs      []job
+	jobCycles []uint64
+	freeJobs  []int32
 
 	// RxDrops counts NIC ring overflows; StageDrops inter-NF ring
 	// overflows; PCIeBytes total DMA bytes (both directions).
@@ -246,6 +264,8 @@ func (s *ServerSim) pcieTransfer(pktBytes int) int64 {
 // PCIe bus are shared across queues. A dropped packet is reported to
 // onDrop, whose owner recycles it — ServerSim never holds a reference to
 // a dropped parcel.
+//
+//pp:zeroalloc
 func (s *ServerSim) Receive(p Parcel) {
 	core := 0
 	if s.cores > 1 {
@@ -279,24 +299,52 @@ func (s *ServerSim) Receive(p Parcel) {
 }
 
 // rxDone runs when an RX core has picked the packet off the ring: the NF
-// chain renders its verdict and the packet enters that core's pipelined
-// stations.
+// chain renders its verdict, which is parked in the job table, and the
+// packet — from here the verdict's output, if it has one — enters that
+// core's pipelined stations.
+//
+//pp:zeroalloc
 func (s *ServerSim) rxDone(p Parcel) {
 	s.rxOccupancy--
 	s.coreQueue[p.core]--
 	s.coreStats[p.core].Served++
-	p.res = s.srv.Handle(p.Pkt)
+	res := s.srv.Handle(p.Pkt)
+	p.job = s.claimJob()
+	s.jobs[p.job] = job{stages: int32(len(res.Costs)), forward: res.Out != nil}
+	cycles := s.jobCycles[int(p.job)*s.chainLen:]
+	for i, c := range res.Costs {
+		cycles[i] = c.Cycles
+	}
+	if res.Out != nil {
+		p.Pkt = res.Out
+	}
 	p.stage = 0
 	s.enterStage(p)
 }
 
+// claimJob takes a row off the free list, growing the table when every
+// row is in service.
+func (s *ServerSim) claimJob() int32 {
+	if n := len(s.freeJobs); n > 0 {
+		j := s.freeJobs[n-1]
+		s.freeJobs = s.freeJobs[:n-1]
+		return j
+	}
+	s.jobs = append(s.jobs, job{})
+	for i := 0; i < s.chainLen; i++ {
+		s.jobCycles = append(s.jobCycles, 0)
+	}
+	return int32(len(s.jobs) - 1)
+}
+
 // enterStage routes the packet through the pipelined NF stations of its
 // core that it was actually charged for (stages after a Drop verdict are
-// skipped because res.Costs is truncated). The verdict, core and station
-// index ride in the parcel.
+// skipped because the job's stage count is truncated).
+//
+//pp:zeroalloc
 func (s *ServerSim) enterStage(p Parcel) {
-	i := p.stage
-	if i >= len(p.res.Costs) {
+	i := int(p.stage)
+	if i >= int(s.jobs[p.job].stages) {
 		s.finish(p)
 		return
 	}
@@ -304,13 +352,14 @@ func (s *ServerSim) enterStage(p Parcel) {
 	if st.queued >= s.model.StageQueue {
 		s.StageDrops.Inc()
 		s.coreStats[p.core].StageDrops++
+		s.freeJobs = append(s.freeJobs, p.job)
 		if s.onDrop != nil {
 			s.onDrop(p, "stage queue overflow")
 		}
 		return
 	}
 	st.queued++
-	serviceNs := s.jitter(int64(float64(p.res.Costs[i].Cycles) / s.model.FreqHz * 1e9))
+	serviceNs := s.jitter(int64(float64(s.jobCycles[int(p.job)*s.chainLen+i]) / s.model.FreqHz * 1e9))
 	start := st.busyUntil
 	if now := s.eng.Now(); start < now {
 		start = now
@@ -321,23 +370,27 @@ func (s *ServerSim) enterStage(p Parcel) {
 }
 
 // stageDone leaves station p.stage of p's core and enters the next one.
+//
+//pp:zeroalloc
 func (s *ServerSim) stageDone(p Parcel) {
-	s.stages[int(p.core)*s.chainLen+p.stage].queued--
+	s.stages[int(p.core)*s.chainLen+int(p.stage)].queued--
 	p.stage++
 	s.enterStage(p)
 }
 
-// finish transmits the result (forwarded packet or explicit-drop
-// notification) or records a silent drop.
+// finish releases the job and transmits the result (forwarded packet or
+// explicit-drop notification) or records a silent drop.
+//
+//pp:zeroalloc
 func (s *ServerSim) finish(p Parcel) {
-	if p.res.Out == nil {
+	forward := s.jobs[p.job].forward
+	s.freeJobs = append(s.freeJobs, p.job)
+	if !forward {
 		if s.onConsumed != nil {
 			s.onConsumed(p)
 		}
 		return
 	}
-	p.Pkt = p.res.Out
-	p.res = nf.Result{}
 	txDone := s.pcieTransfer(p.Pkt.Len())
 	s.eng.ScheduleParcelAt(txDone, s.out, p)
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"testing"
+	"unsafe"
 
 	"github.com/payloadpark/payloadpark/internal/nf"
 	"github.com/payloadpark/payloadpark/internal/packet"
@@ -196,6 +197,122 @@ func TestDropPathsRecycleAllocFree(t *testing.T) {
 	if link.Drops.Value() == 0 || link.Lost.Value() == 0 || s.RxDrops.Value() == 0 {
 		t.Errorf("test exercised no drop paths: queue=%d lost=%d ring=%d",
 			link.Drops.Value(), link.Lost.Value(), s.RxDrops.Value())
+	}
+}
+
+// TestSizeofEventPayloadPins guards ROADMAP item 2(a): every link and
+// station hop copies a Parcel into and out of an eventSlot, so neither may
+// grow back past the sizes the slimmed event payload was measured at.
+func TestSizeofEventPayloadPins(t *testing.T) {
+	if n := unsafe.Sizeof(Parcel{}); n > 32 {
+		t.Errorf("unsafe.Sizeof(Parcel{}) = %d, want <= 32 (ROADMAP item 2(a): park per-station state in the station, not in the event)", n)
+	}
+	if n := unsafe.Sizeof(eventSlot{}); n > 48 {
+		t.Errorf("unsafe.Sizeof(eventSlot{}) = %d, want <= 48 (ROADMAP item 2(a): two handlers and a four-word parcel)", n)
+	}
+}
+
+// fwNatLB is the paper's three-NF chain with a firewall no generated
+// packet matches.
+func fwNatLB(t testing.TB) *nf.Chain {
+	t.Helper()
+	lb, err := nf.NewLoadBalancer(map[string]packet.IPv4Addr{"b0": {10, 2, 0, 10}, "b1": {10, 2, 0, 11}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nf.NewChain(
+		nf.NewFirewall([]nf.FirewallRule{{Prefix: packet.IPv4Addr{172, 16, 0, 0}, Bits: 12}}),
+		nf.NewNAT(packet.IPv4Addr{198, 51, 100, 1}), lb)
+}
+
+// TestChainPathAllocFree drives the whole simulated packet path —
+// generator -> link -> ServerSim -> link -> sink — with chains that charge
+// stages (TestDropPathsRecycleAllocFree's is empty, so its verdicts carry
+// no costs) and asserts the steady state allocates nothing: the verdict's
+// costs alias the nf.Server's buffer and park in the job table.
+func TestChainPathAllocFree(t *testing.T) {
+	chains := map[string]func() *nf.Chain{
+		"FW->NAT->LB": func() *nf.Chain { return fwNatLB(t) },
+		"MACSwap":     macSwapChain,
+	}
+	for name, chain := range chains {
+		f := NewFabric()
+		eng := f.Engine()
+		gen := trafficgen.New(trafficgen.Config{
+			Sizes: trafficgen.Datacenter{}, Flows: 32, // few flows: the NAT learns them all while warming up
+			SrcMAC: MACGen, DstMAC: MACNF, DstIP: packet.IPv4Addr{10, 1, 0, 9}, DstPort: 80, Seed: 5,
+		})
+		recycle := func(p Parcel, _ string) { gen.Recycle(p.Pkt) }
+		sink := f.AddSinkAt("sink", 1<<62, gen.Recycle, 0)
+		toSink := f.NewLink("nf->sink", 40e9, 100, 1<<20, sink.Receive, recycle)
+		model := DefaultServerModel()
+		model.Cores = 2
+		srv := NewServerSim(eng, model, nf.NewServer(nf.ServerConfig{Chain: chain()}), 1,
+			toSink.Send, recycle, func(p Parcel) { gen.Recycle(p.Pkt) })
+		toNF := f.NewLink("gen->nf", 40e9, 100, 1<<20, srv.Receive, recycle)
+		src := f.AddSource("gen", gen, toNF, 10e9)
+		src.WindowEnd = 1 << 62
+
+		round := func() {
+			src.StopAt = eng.Now() + 50e3 // ~70 packets
+			src.Start(eng.Now())
+			eng.Run(eng.Now() + 1e6) // drain: every packet reaches the sink
+		}
+		for i := 0; i < 8; i++ {
+			round() // warm pools, slot and job tables, NAT flow table
+		}
+		delivered := sink.Delivered
+		if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
+			t.Errorf("%s: packet path allocates %.2f/round, want 0", name, allocs)
+		}
+		if sink.Delivered == delivered || toNF.Drops.Value()+toSink.Drops.Value()+srv.RxDrops.Value()+srv.StageDrops.Value() != 0 {
+			t.Errorf("%s: rounds delivered %d packets with drops; want a clean forwarding path", name, sink.Delivered-delivered)
+		}
+		if len(srv.freeJobs) != len(srv.jobs) {
+			t.Errorf("%s: %d of %d job rows still claimed after the drain", name, len(srv.jobs)-len(srv.freeJobs), len(srv.jobs))
+		}
+	}
+}
+
+// TestJobTableReleasedAtEveryExit: a verdict parked at rxDone is released
+// at each of the three ways out of the server — stage-queue overflow, a
+// consumed (firewall-dropped) packet, and a forward — so after a full
+// drain every row is back on the free list, and an identical second round
+// reuses the table without growing it.
+func TestJobTableReleasedAtEveryExit(t *testing.T) {
+	eng := NewEngine()
+	model := DefaultServerModel()
+	model.Cores = 1
+	model.StageQueue = 4
+	chain := nf.NewChain(nf.NewFirewall(nf.BlacklistFraction(0.3)), nf.NewSynthetic("Slow", 50_000))
+	gen := coreTestGen(13)
+	var forwarded, consumed, dropped int
+	s := NewServerSim(eng, model, nf.NewServer(nf.ServerConfig{Chain: chain}), 1,
+		func(p Parcel) { forwarded++; gen.Recycle(p.Pkt) },
+		func(p Parcel, _ string) { dropped++; gen.Recycle(p.Pkt) },
+		func(p Parcel) { consumed++; gen.Recycle(p.Pkt) })
+	round := func() {
+		for i := 0; i < 64; i++ {
+			s.Receive(Parcel{Pkt: gen.Next()})
+		}
+		eng.Run(eng.Now() + 1e9)
+	}
+	round()
+	if forwarded == 0 || consumed == 0 || s.StageDrops.Value() == 0 {
+		t.Fatalf("round exercised forwarded=%d consumed=%d stage drops=%d; want all three exits",
+			forwarded, consumed, s.StageDrops.Value())
+	}
+	if forwarded+consumed+dropped != 64 {
+		t.Fatalf("%d of 64 packets reached an exit", forwarded+consumed+dropped)
+	}
+	rows := len(s.jobs)
+	if len(s.freeJobs) != rows || len(s.jobCycles) != rows*chain.Len() {
+		t.Fatalf("after the drain %d of %d job rows are free (%d cycle cells): a verdict leaked",
+			len(s.freeJobs), rows, len(s.jobCycles))
+	}
+	round()
+	if len(s.jobs) != rows || len(s.freeJobs) != rows {
+		t.Errorf("second round grew the job table %d -> %d rows (%d free)", rows, len(s.jobs), len(s.freeJobs))
 	}
 }
 

@@ -180,11 +180,19 @@ func (w *timeWheel) place(n node) {
 		w.farN++
 		return
 	}
-	idx := int(n.at) & wheelMask
+	w.link(int(n.at)&wheelMask, ni)
+}
+
+// link appends node ni to hot bucket idx. Emptiness is read off the
+// occupancy bitmap, not the bucket: the bitmap is 16 KB and stays cached,
+// while the 1 MB bucket array is touched at a fresh line per timestamp —
+// so the common first-event-of-its-nanosecond case only stores to that
+// line and never waits for it.
+func (w *timeWheel) link(idx int, ni int32) {
 	b := &w.buckets[idx]
-	if b.head == 0 {
+	if bit := uint64(1) << uint(idx&63); w.occ[idx>>6]&bit == 0 {
 		b.head, b.tail = ni, ni
-		w.occ[idx>>6] |= 1 << uint(idx&63)
+		w.occ[idx>>6] |= bit
 		w.sum[idx>>12] |= 1 << uint((idx>>6)&63)
 	} else {
 		w.nodes[b.tail].next = ni
@@ -205,18 +213,8 @@ func (w *timeWheel) cascade(fi int) {
 		n := &w.nodes[ni]
 		next := n.next
 		n.next = 0
-		idx := int(n.at) & wheelMask
-		hb := &w.buckets[idx]
-		if hb.head == 0 {
-			hb.head, hb.tail = ni, ni
-			w.occ[idx>>6] |= 1 << uint(idx&63)
-			w.sum[idx>>12] |= 1 << uint((idx>>6)&63)
-		} else {
-			w.nodes[hb.tail].next = ni
-			hb.tail = ni
-		}
+		w.link(int(n.at)&wheelMask, ni)
 		w.farN--
-		w.count++
 		ni = next
 	}
 }
@@ -257,7 +255,6 @@ func (w *timeWheel) popLE(limit int64) (node, bool) {
 					w.sum[idx>>12] &^= 1 << uint((idx>>6)&63)
 				}
 			}
-			*n = wnode{}
 			w.free = append(w.free, ni)
 			w.count--
 			w.base = out.at

@@ -11,7 +11,6 @@ import (
 	"math/rand"
 
 	"github.com/payloadpark/payloadpark/internal/packet"
-	"github.com/payloadpark/payloadpark/internal/stats"
 )
 
 // Packet size limits (Ethernet without FCS, as everywhere in this repo).
@@ -126,7 +125,6 @@ type Generator struct {
 	flows   []packet.FiveTuple
 	builder *packet.Builder
 	seq     uint64
-	sizes   *stats.CDF
 	pool    []*packet.Packet
 }
 
@@ -139,7 +137,6 @@ func New(cfg Config) *Generator {
 		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		builder: packet.NewBuilder(cfg.SrcMAC, cfg.DstMAC),
-		sizes:   stats.NewCDF(),
 	}
 	g.flows = make([]packet.FiveTuple, cfg.Flows)
 	for i := range g.flows {
@@ -156,9 +153,10 @@ func New(cfg Config) *Generator {
 // at random; sizes follow the configured distribution. Recycled packets
 // are reused, so a driver that returns retired packets generates traffic
 // without allocating in steady state.
+//
+//pp:zeroalloc
 func (g *Generator) Next() *packet.Packet {
 	size := g.cfg.Sizes.Sample(g.rng)
-	g.sizes.Observe(float64(size))
 	ft := g.flows[g.rng.Intn(len(g.flows))]
 	g.seq++
 	var p *packet.Packet
@@ -166,7 +164,7 @@ func (g *Generator) Next() *packet.Packet {
 		p = g.pool[n-1]
 		g.pool = g.pool[:n-1]
 	} else {
-		p = &packet.Packet{}
+		p = &packet.Packet{} //pp:alloc-ok warm-up: the pool fills as the driver recycles
 	}
 	return g.builder.UDPInto(p, ft, size, uint16(g.seq))
 }
@@ -183,9 +181,6 @@ func (g *Generator) Recycle(p *packet.Packet) {
 
 // Generated returns how many packets have been produced.
 func (g *Generator) Generated() uint64 { return g.seq }
-
-// SizeCDF returns the empirical CDF of generated sizes (Fig. 6).
-func (g *Generator) SizeCDF() *stats.CDF { return g.sizes }
 
 // MeanWireBits estimates the distribution's mean wire size in bits
 // (including the 24 B Ethernet preamble+IFG+FCS overhead the link model

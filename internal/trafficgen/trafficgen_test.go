@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/payloadpark/payloadpark/internal/packet"
+	"github.com/payloadpark/payloadpark/internal/stats"
 )
 
 func testConfig(sizes SizeDist) Config {
@@ -63,10 +64,10 @@ func TestDatacenterMoments(t *testing.T) {
 
 func TestDatacenterCDFIsBimodal(t *testing.T) {
 	g := New(testConfig(Datacenter{}))
+	cdf := stats.NewCDF()
 	for i := 0; i < 50000; i++ {
-		g.Next()
+		cdf.Observe(float64(g.Next().Len()))
 	}
-	cdf := g.SizeCDF()
 	// Mass below 202 B ~30%; little mass in the 500-1000 B valley; heavy
 	// mass above 1300 B. That is the bimodal shape of Fig. 6.
 	if p := cdf.At(201); p < 0.27 || p < 0.0 {
@@ -79,6 +80,23 @@ func TestDatacenterCDFIsBimodal(t *testing.T) {
 	high := 1 - cdf.At(1300)
 	if high < 0.5 {
 		t.Errorf("mass above 1300 = %.3f, want > 0.5", high)
+	}
+}
+
+// TestNextAllocFree: with every packet recycled, generation allocates
+// nothing — the generator keeps no per-size statistics (Fig. 6 observes
+// the sizes it draws) and payloads are copied from the builder's template
+// into the recycled packet's buffer.
+func TestNextAllocFree(t *testing.T) {
+	g := New(testConfig(Datacenter{}))
+	for i := 0; i < 64; i++ { // warm the pool: 64 packets of differing capacity
+		g.Recycle(g.Next())
+	}
+	for i := 0; i < 2000; i++ {
+		g.Recycle(g.Next()) // grow every pooled payload to the largest size
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { g.Recycle(g.Next()) }); allocs != 0 {
+		t.Errorf("Next allocates %.2f/packet in steady state, want 0", allocs)
 	}
 }
 
