@@ -23,6 +23,9 @@ const (
 	// DropTruncatedMerge: the tag matched and the slot was freed, but the
 	// NF had cut the payload shorter than the boundary offset.
 	DropTruncatedMerge = rmt.DropTruncatedMerge
+	// DropNoParkRegion: a table program moved a payload block of a packet
+	// whose payload the parser had not lifted.
+	DropNoParkRegion = rmt.DropNoParkRegion
 )
 
 // Program is one installed PayloadPark instance: the packet tagger, the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -242,5 +243,45 @@ func TestAttachSpecErrors(t *testing.T) {
 	}
 	if got := len(sw.Instances()); got != 0 {
 		t.Errorf("failed attaches recorded %d instances", got)
+	}
+}
+
+// TestUnguardedStoreIsACountedDrop: the parking spec with meta.split_claimed
+// dropped from its store entries still loads, and then stores every block of
+// every packet on the split port — including a 64-byte frame whose payload
+// the parser was too small to lift. That used to die on an index into the
+// PHV's empty block list; it must cost one counted drop with its own reason,
+// on the parsed-packet path and on the frame path, and park nothing.
+func TestUnguardedStoreIsACountedDrop(t *testing.T) {
+	sw := NewSwitch("unguarded")
+	sw.AddL2Route(nfMAC, portNF)
+	spec := prog.PayloadParkSpec(prog.ParkParams{
+		Slots: 64, MaxExpiry: 1, SplitPort: int(portGen), MergePort: int(portNF),
+		Blocks: BaseBlocks, BaseBlocks: BaseBlocks, BlockBytes: BlockBytes, MaxClock: MaxClock,
+	})
+	for ti := range spec.Tables {
+		for ei := range spec.Tables[ti].Entries {
+			e := &spec.Tables[ti].Entries[ei]
+			if e.Name == "store" {
+				e.Match = slices.DeleteFunc(e.Match, func(c prog.CondSpec) bool { return c.Field == "meta.split_claimed" })
+			}
+		}
+	}
+	inst, err := sw.AttachSpec(spec, nil, nil)
+	if err != nil {
+		t.Fatalf("AttachSpec: %v", err)
+	}
+	if em, why := injectTraced(sw, mkPkt(64, 1), portGen); em != nil || why != DropNoParkRegion {
+		t.Fatalf("64-byte packet: emission %v, reason %q; want a %q drop", em, why, DropNoParkRegion)
+	}
+	if out, em, err := injectFrame(sw, mkPkt(64, 2).Serialize(), portGen); out != nil || em != nil || err != nil {
+		t.Fatalf("64-byte frame: emission %v, error %v; want a drop", em, err)
+	}
+	if n := sw.Drops()[DropNoParkRegion]; n != 2 || inst.Occupied(prog.RoleMeta) != 0 {
+		t.Errorf("drops[%q] = %d, occupancy %d; want 2 and nothing parked", DropNoParkRegion, n, inst.Occupied(prog.RoleMeta))
+	}
+	// A payload the parser lifts still parks and travels on.
+	if em := inject(sw, mkPkt(512, 3), portGen); em == nil || em.Pkt.PP == nil || !em.Pkt.PP.Enabled {
+		t.Fatalf("512-byte packet after the drops: emission %+v, want a split", em)
 	}
 }

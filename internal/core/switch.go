@@ -114,7 +114,7 @@ func NewSwitch(name string) *Switch {
 	// Pre-intern the reasons the switch and the stock program can record.
 	for _, why := range []string{
 		DropUnknownMAC, dropInvalidPort, dropParseError,
-		DropPrematureEviction, DropExplicitDrop, DropStaleExplicitDrop, DropBadTag, DropTruncatedMerge,
+		DropPrematureEviction, DropExplicitDrop, DropStaleExplicitDrop, DropBadTag, DropTruncatedMerge, DropNoParkRegion,
 	} {
 		s.dropID(why)
 	}
@@ -346,9 +346,9 @@ func (s *Switch) deparse(pipeIdx int, phv *rmt.PHV, passes int, em *Emission) st
 	}
 	if phv.GetMeta(rmt.MetaPPEnabled) == 1 {
 		// Reassemble: the parked blocks return to their boundary offset.
-		// PrepareMergeBlocks placed them either in the frame headroom
-		// directly in front of the payload (zero-copy reslice) or in a
-		// single buffer sized for the merged payload.
+		// PrepareMergeBlocks placed the park region either in the frame
+		// headroom directly in front of the payload (zero-copy reslice) or
+		// in a single buffer sized for the merged payload.
 		park := int(phv.GetMeta(rmt.MetaParkBytes))
 		k := int(phv.GetMeta(rmt.MetaParkOffset))
 		pkt.Payload = phv.FinishMerge(pkt.Payload, k, park)

@@ -36,7 +36,8 @@ func loadFresh(spec *Spec) (*Instance, map[string]*rmt.Pipeline, error) {
 // fuzzPHV draws one PHV a loaded program must survive: either of the
 // program's ports (or a port it does not name), any header combination with
 // sealed or corrupted tags of any index, and — as in randPHV — the parser's
-// payload blocks always present, over a payload longer than any park offset.
+// park region whole or, one time in four, absent (the parser lifts nothing
+// from a small payload), over a payload longer than any park offset.
 // Metadata starts zeroed, as the parser leaves it: every index a table then
 // reads was published by a table of the program.
 func fuzzPHV(r *rand.Rand, inst *Instance) *rmt.PHV {
@@ -76,8 +77,8 @@ func fuzzPHV(r *rand.Rand, inst *Instance) *rmt.PHV {
 	}
 	phv := &rmt.PHV{Pkt: pkt, InPort: ports[r.Intn(len(ports))], Drop: r.Intn(8) == 0}
 	blocks, blockBytes, _ := inst.ParkGeometry()
-	for i := 0; i < blocks; i++ {
-		phv.Blocks = append(phv.Blocks, pkt.Payload[i*blockBytes:(i+1)*blockBytes])
+	if r.Intn(4) != 0 {
+		phv.Park = pkt.Payload[:blocks*blockBytes]
 	}
 	return phv
 }
@@ -85,7 +86,9 @@ func fuzzPHV(r *rand.Rand, inst *Instance) *rmt.PHV {
 // FuzzSpecCompile: no bytes that decode as a Spec make Load or Lint panic,
 // and a spec Load accepts runs 256 PHVs — pass 0 on the ingress pipe, then
 // pass 1 wherever the switch would recirculate them, and pass 1 cold — without
-// panicking and firing exactly the entries the naive oracle fires.
+// panicking, its traced load firing exactly the entries the naive oracle
+// fires and its untraced load (block moves fused) leaving the oracle's PHV,
+// registers and counters.
 func FuzzSpecCompile(f *testing.F) {
 	for _, spec := range BuiltinSpecs() {
 		blob, err := json.Marshal(spec)
@@ -110,37 +113,45 @@ func fuzzSpecCompile(t *testing.T, data []byte) {
 	if err != nil {
 		t.Fatalf("spec loads but its traced shadow does not: %v", err)
 	}
-	twin, _, err := loadFresh(spec)
+	fused, fusedPipes, err := loadFresh(spec)
 	if err != nil {
 		t.Fatalf("second load of an accepted spec: %v", err)
+	}
+	twin, _, err := loadFresh(spec)
+	if err != nil {
+		t.Fatalf("third load of an accepted spec: %v", err)
 	}
 	o := newOracle(t, twin)
 	second := "ingress"
 	if pipes["recirc"] != nil {
 		second = "recirc"
 	}
-	ra, rb := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
+	ra, rf, rb := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
 	for i := 0; i < 256; i++ {
-		a, b := fuzzPHV(ra, compiled), fuzzPHV(rb, twin)
+		a, f, b := fuzzPHV(ra, compiled), fuzzPHV(rf, fused), fuzzPHV(rb, twin)
 		pipe := "ingress"
 		if i%8 == 7 {
-			pipe, a.Pass, b.Pass = second, 1, 1
+			pipe, a.Pass, f.Pass, b.Pass = second, 1, 1, 1
 		}
 		for {
 			compiledFired = compiledFired[:0]
 			pipes[pipe].Process(a)
+			fusedPipes[pipe].Process(f)
 			o.process(pipe, b)
 			if !slices.Equal(compiledFired, o.fired) {
 				t.Fatalf("phv %d (%s port %d pass %d): compiled fired %v, oracle %v", i, pipe, b.InPort, b.Pass, compiledFired, o.fired)
 			}
-			if !samePHV(a, b) {
-				t.Fatalf("phv %d (%s, fired %v): final PHVs differ:\ncompiled %+v\noracle   %+v", i, pipe, o.fired, a, b)
+			if !samePHV(a, b) || !samePHV(f, b) {
+				t.Fatalf("phv %d (%s, fired %v): final PHVs differ:\ntraced %+v\nfused  %+v\noracle %+v", i, pipe, o.fired, a, f, b)
 			}
 			if !a.Recirc || a.Pass != 0 {
 				break
 			}
 			pipe = second
-			a.Recirc, a.Pass, b.Recirc, b.Pass = false, 1, false, 1
+			a.Recirc, a.Pass, f.Recirc, f.Pass, b.Recirc, b.Pass = false, 1, false, 1, false, 1
 		}
+	}
+	if diff := stateDiff("fused", fused, o); diff != "" {
+		t.Fatalf("after 256 PHVs: %s", diff)
 	}
 }

@@ -210,9 +210,22 @@ func Load(spec *Spec, opts LoadOptions) (inst *Instance, err error) {
 		}
 		return opts.Pipe
 	}
-	for i := range p.regs {
+	// A run of registers only block moves touch (the payload table) is carved
+	// from one row-major bank, so that the moves rmt fuses copy one row; every
+	// other register stands alone, dense for claim probes and occupancy scans.
+	var group []rmt.BankRegister
+	for i := 0; i < len(p.regs); i += len(group) {
 		r := &p.regs[i]
-		inst.regs[r.role] = pick(r.spec.Pipe).NewRegister(r.spec.Stage, r.name, int(r.width), int(r.cells))
+		group = group[:0]
+		for _, o := range p.regs[i:] {
+			if len(group) > 0 && !(r.banked() && o.banked() && pipeName(o.spec.Pipe) == pipeName(r.spec.Pipe) && o.cells == r.cells) {
+				break
+			}
+			group = append(group, rmt.BankRegister{Stage: o.spec.Stage, Name: o.name, Width: int(o.width)})
+		}
+		for k, reg := range pick(r.spec.Pipe).NewRegisterBank(int(r.cells), group) {
+			inst.regs[p.regs[i+k].role] = reg
+		}
 	}
 	for ti := range p.tables {
 		t := &p.tables[ti]
@@ -225,7 +238,7 @@ func Load(spec *Spec, opts LoadOptions) (inst *Instance, err error) {
 			rule := &mat.Rules[ei]
 			rule.Name = e.spec.Name
 			if rule.Conds, err = rmt.CompileConds(e.conds, inst.runtime); err == nil {
-				rule.Action, err = e.binding.Build(inst.runtime, inst.counters)
+				rule.Action, rule.Move, err = e.binding.Build(inst.runtime, inst.counters)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("prog: spec %q: %s/%s: %w", spec.Name, t.spec.Name, e.spec.Name, err)

@@ -3,6 +3,7 @@ package prog
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"reflect"
@@ -17,9 +18,11 @@ import (
 // The naive oracle: the table-program semantics with no compilation at all.
 // It walks every table of a pipe in stage order and every entry in order,
 // evaluates every condition by field name, and fires the first entry of each
-// table whose conditions all hold. It is the reference rmt's compiled match
-// programs (per-port, per-pass, fail-skip) are held against, and the first
-// brick of ROADMAP item 4(a)'s reference interpreter.
+// table whose conditions all hold, over stand-alone registers of its own and
+// with a block move spelled as the one-cell RMW it declares (naiveMove). It
+// is the reference rmt's compiled match programs (per-port, per-pass,
+// fail-skip, fused move runs over the banked registers) are held against,
+// and the first brick of ROADMAP item 4(a)'s reference interpreter.
 
 // oracleEntry is one entry as the oracle sees it: resolved conditions and a
 // one-rule pipe that runs the entry's action against the twin's registers.
@@ -36,13 +39,45 @@ type oracleCond struct {
 }
 
 type oracle struct {
-	inst   *Instance
+	inst   *Instance // runtime parameters and counters; its registers go unused
+	regs   map[string]*rmt.Register
 	tables map[string][][]oracleEntry // pipe -> tables in stage order
 	fired  []string
 }
 
+// naiveMove is a block move as one stage's stateful ALU performs it: one RMW
+// on the cell meta.tbl_idx picks, moving block k of the park region.
+func naiveMove(dir rmt.MoveDir, block, w int) func(*rmt.Ctx) {
+	return func(c *rmt.Ctx) {
+		park := c.PHV.Park
+		if len(park) < (block+1)*w {
+			c.PHV.MarkDrop(rmt.DropNoParkRegion)
+			return
+		}
+		c.RMW(int(c.PHV.Meta[rmt.MetaTableIndex]), func(cell []byte) {
+			if dir == rmt.MoveStore {
+				copy(cell, park[block*w:(block+1)*w])
+			} else {
+				copy(park[block*w:(block+1)*w], cell)
+				clear(cell)
+			}
+		})
+	}
+}
+
 func newOracle(t *testing.T, inst *Instance) *oracle {
-	o := &oracle{inst: inst, tables: map[string][][]oracleEntry{}}
+	o := &oracle{inst: inst, regs: map[string]*rmt.Register{}, tables: map[string][][]oracleEntry{}}
+	// Stand-alone registers, one dense array each, on pipes of the oracle's
+	// own: what Load's bank must be indistinguishable from.
+	homes := map[string]*rmt.Pipeline{}
+	for i := range inst.prog.regs {
+		r := &inst.prog.regs[i]
+		pipe := pipeName(r.spec.Pipe)
+		if homes[pipe] == nil {
+			homes[pipe] = rmt.NewPipeline("oracle/" + pipe)
+		}
+		o.regs[r.role] = homes[pipe].NewRegister(r.spec.Stage, r.name, int(r.width), int(r.cells))
+	}
 	for stage := 0; stage < rmt.StageCount; stage++ {
 		for ti := range inst.prog.tables {
 			tbl := inst.prog.tables[ti].spec
@@ -52,9 +87,12 @@ func newOracle(t *testing.T, inst *Instance) *oracle {
 			var entries []oracleEntry
 			for ei := range tbl.Entries {
 				e := &tbl.Entries[ei]
-				action, err := inst.prog.tables[ti].entries[ei].binding.Build(inst.runtime, inst.counters)
+				action, mv, err := inst.prog.tables[ti].entries[ei].binding.Build(inst.runtime, inst.counters)
 				if err != nil {
 					t.Fatalf("oracle: %s/%s: %v", tbl.Name, e.Name, err)
+				}
+				if mv.Dir != rmt.NoMove {
+					action = naiveMove(mv.Dir, mv.Block, mv.Bytes)
 				}
 				oe := oracleEntry{id: tbl.Name + "/" + e.Name, fire: rmt.NewPipeline("oracle/" + e.Name)}
 				for _, c := range e.Match {
@@ -62,8 +100,8 @@ func newOracle(t *testing.T, inst *Instance) *oracle {
 					oe.conds = append(oe.conds, oracleCond{field: c.Field, op: c.Op, val: v})
 				}
 				// Only the action is borrowed: an unconditional rule bound to
-				// the twin's register, so firing goes through Ctx.RMW's checks.
-				oe.fire.AddMAT(stage, &rmt.MAT{Name: oe.id, Reg: inst.regs[tbl.Register],
+				// the oracle's register, so firing goes through Ctx.RMW's checks.
+				oe.fire.AddMAT(stage, &rmt.MAT{Name: oe.id, Reg: o.regs[tbl.Register],
 					Rules: []rmt.Rule{{Name: e.Name, Action: action}}})
 				entries = append(entries, oe)
 			}
@@ -145,9 +183,12 @@ func (o *oracle) process(pipe string, p *rmt.PHV) {
 	}
 }
 
-// The compiled side reports what fired through shadow actions: "traced:X"
-// is X's descriptor with one more reason role, under which the entry id is
-// planted; its body logs the id before running X's.
+// A compiled side reports what fired through shadow actions: "traced:X" is
+// X's descriptor with one more reason role, under which the entry id is
+// planted; its body logs the id before running X's. A block move has no
+// body to wrap, so its shadow is the naive RMW — a closure, which Compile
+// never fuses: the traced side pins which entries fire, and only an untraced
+// load runs the moves the way production does.
 const fireReason = "__fire"
 
 var compiledFired []string
@@ -158,8 +199,15 @@ func init() {
 		shadow := *d
 		shadow.Name = "traced:" + name
 		shadow.Reasons = append(slices.Clone(d.Reasons), fireReason)
+		shadow.Move = rmt.NoMove
 		shadow.Build = func(a rmt.Args) func(*rmt.Ctx) {
-			inner, id := d.Build(a), a.Reason(fireReason)
+			id := a.Reason(fireReason)
+			var inner func(*rmt.Ctx)
+			if d.Move != rmt.NoMove {
+				inner = naiveMove(d.Move, int(a.Int("block")), int(a.RegBytes()))
+			} else {
+				inner = d.Build(a)
+			}
 			return func(c *rmt.Ctx) {
 				compiledFired = append(compiledFired, id)
 				inner(c)
@@ -201,9 +249,10 @@ const (
 
 // randPHV draws one PHV: any port, either pass, every header and flag state
 // a table can test. Two generators seeded alike yield twin PHVs that share
-// no memory. Indexes stay inside the tables and the 48 payload blocks are
-// always present, so no action can violate the hardware model — a panic is
-// not a match difference.
+// no memory. Indexes stay inside the tables, so no action can violate the
+// hardware model — a panic is not a match difference; the park region holds
+// all 48 payload blocks or, one time in eight, is absent (a block move then
+// drops the packet).
 func randPHV(r *rand.Rand) *rmt.PHV {
 	ft := packet.FiveTuple{
 		SrcIP: packet.IPv4Addr{10, 0, 0, 1}, DstIP: packet.IPv4Addr{10, 0, 0, 2},
@@ -253,8 +302,8 @@ func randPHV(r *rand.Rand) *rmt.PHV {
 	if r.Intn(2) == 0 {
 		pkt.IP.Marshal(phv.HdrScratch[:packet.IPv4HeaderLen])
 	}
-	for i := 0; i < 48; i++ {
-		phv.Blocks = append(phv.Blocks, pkt.Payload[42+8*i:42+8*i+8])
+	if r.Intn(8) != 0 {
+		phv.Park = pkt.Payload[42 : 42+48*8]
 	}
 	return phv
 }
@@ -279,10 +328,13 @@ func loadTwin(t *testing.T, spec *Spec) (*Instance, map[string]*rmt.Pipeline) {
 	return inst, pipes
 }
 
-// TestCompiledMatchesOracle drives seeded random PHVs through the compiled
-// pipes and the oracle on twin instances and requires the same fired
-// (table, entry) sequence, the same final PHV, and byte-identical registers
-// and counters, with the runtime knobs flipped between packets.
+// TestCompiledMatchesOracle drives seeded random PHVs through the oracle and
+// two compiled loads of each spec. The traced load must fire the oracle's
+// (table, entry) sequence; the untraced load — the program as production
+// runs it, block moves fused — must leave the oracle's PHV, and byte-identical
+// registers and counters, after every packet. Runtime knobs flip between
+// packets, and either pipe runs either pass, so the recirculation pipe's
+// 28-block second-pass run is covered.
 func TestCompiledMatchesOracle(t *testing.T) {
 	specs := BuiltinSpecs()
 	blob, err := os.ReadFile("../../examples/policies/compress-spec.json")
@@ -302,55 +354,55 @@ func TestCompiledMatchesOracle(t *testing.T) {
 	}
 	for si, spec := range specs {
 		t.Run(spec.Name, func(t *testing.T) {
-			compiled, pipes := loadTwin(t, traced(t, spec))
+			tracedInst, tracedPipes := loadTwin(t, traced(t, spec))
+			fused, fusedPipes := loadTwin(t, spec)
 			twin, _ := loadTwin(t, spec)
 			o := newOracle(t, twin)
-			pipeNames := sortedKeys(pipes)
+			pipeNames := sortedKeys(fusedPipes)
 
 			seed := int64(1000 + si)
-			driver, ra, rb := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(^seed)), rand.New(rand.NewSource(^seed))
-			sameState := func(i int) {
-				t.Helper()
-				if a, b := compiled.Counters(), twin.Counters(); !reflect.DeepEqual(a, b) {
-					t.Fatalf("packet %d: counters differ:\ncompiled %v\noracle   %v", i, a, b)
-				}
-				for role, reg := range compiled.regs {
-					for c := 0; c < reg.Cells(); c++ {
-						if a, b := reg.Snapshot(c), twin.regs[role].Snapshot(c); !bytes.Equal(a, b) {
-							t.Fatalf("packet %d: register %s cell %d: compiled %x, oracle %x", i, role, c, a, b)
-						}
-					}
-				}
-			}
+			driver := rand.New(rand.NewSource(seed))
+			ra, rf, rb := rand.New(rand.NewSource(^seed)), rand.New(rand.NewSource(^seed)), rand.New(rand.NewSource(^seed))
 			reached := map[string]int{}
 			for i := 0; i < n; i++ {
 				if driver.Intn(40) == 0 {
 					se, me := uint32(driver.Intn(2)), uint32(1+driver.Intn(3))
-					for _, inst := range []*Instance{compiled, twin} {
+					for _, inst := range []*Instance{tracedInst, fused, twin} {
 						inst.SetRuntime(RTSplitEnabled, se)
 						inst.SetRuntime(RTMaxExpiry, me)
 					}
 				}
 				pipe := pipeNames[driver.Intn(len(pipeNames))]
-				a, b := randPHV(ra), randPHV(rb)
+				a, f, b := randPHV(ra), randPHV(rf), randPHV(rb)
 				compiledFired = compiledFired[:0]
-				pipes[pipe].Process(a)
+				tracedPipes[pipe].Process(a)
+				fusedPipes[pipe].Process(f)
 				o.process(pipe, b)
 				if !slices.Equal(compiledFired, o.fired) {
 					t.Fatalf("packet %d (%s port %d pass %d): compiled fired %v, oracle %v",
 						i, pipe, b.InPort, b.Pass, compiledFired, o.fired)
 				}
-				if !samePHV(a, b) {
-					t.Fatalf("packet %d (%s, fired %v): final PHVs differ:\ncompiled %+v\noracle   %+v", i, pipe, o.fired, a, b)
+				diff := ""
+				switch {
+				case !samePHV(a, b):
+					diff = fmt.Sprintf("final PHVs differ:\ntraced %+v\noracle %+v", a, b)
+				case !samePHV(f, b):
+					diff = fmt.Sprintf("final PHVs differ:\nfused  %+v\noracle %+v", f, b)
+				default:
+					if diff = stateDiff("fused", fused, o); diff == "" && i%1000 == 0 {
+						diff = stateDiff("traced", tracedInst, o)
+					}
+				}
+				if diff != "" {
+					t.Fatalf("packet %d (%s port %d pass %d, fired %v): %s", i, pipe, b.InPort, b.Pass, o.fired, diff)
 				}
 				for _, id := range o.fired {
 					reached[id]++
 				}
-				if i%1000 == 0 {
-					sameState(i)
-				}
 			}
-			sameState(n)
+			if diff := stateDiff("traced", tracedInst, o); diff != "" {
+				t.Fatalf("after %d packets: %s", n, diff)
+			}
 			for _, tbl := range spec.Tables {
 				for _, e := range tbl.Entries {
 					if reached[tbl.Name+"/"+e.Name] == 0 {
@@ -362,10 +414,28 @@ func TestCompiledMatchesOracle(t *testing.T) {
 	}
 }
 
+// stateDiff names the first counter or register cell of a compiled instance
+// that differs from the oracle's, "" when none does.
+func stateDiff(side string, compiled *Instance, o *oracle) string {
+	for name, c := range compiled.counters {
+		if a, b := c.Value(), o.inst.CounterValue(name); a != b {
+			return fmt.Sprintf("counter %s: %s %d, oracle %d", name, side, a, b)
+		}
+	}
+	for role, reg := range compiled.regs {
+		for c := 0; c < reg.Cells(); c++ {
+			if a, b := reg.Snapshot(c), o.regs[role].Snapshot(c); !bytes.Equal(a, b) {
+				return fmt.Sprintf("register %s cell %d: %s %x, oracle %x", role, c, side, a, b)
+			}
+		}
+	}
+	return ""
+}
+
 // samePHV compares everything a table program can read or write.
 func samePHV(a, b *rmt.PHV) bool {
 	return a.InPort == b.InPort && a.Egress == b.Egress && a.Pass == b.Pass &&
 		a.Drop == b.Drop && a.DropWhy == b.DropWhy && a.Recirc == b.Recirc &&
 		a.Meta == b.Meta && a.HdrScratch == b.HdrScratch &&
-		reflect.DeepEqual(a.Blocks, b.Blocks) && reflect.DeepEqual(a.Pkt, b.Pkt)
+		bytes.Equal(a.Park, b.Park) && reflect.DeepEqual(a.Pkt, b.Pkt)
 }

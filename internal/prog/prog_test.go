@@ -3,6 +3,7 @@ package prog
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -146,6 +147,26 @@ func TestLoadBudgetViolationIsError(t *testing.T) {
 	spec.PHVBits = rmt.PHVBits + 1
 	if _, err := Load(spec, LoadOptions{Pipe: rmt.NewPipeline("phv")}); err == nil {
 		t.Error("PHV overflow accepted")
+	}
+}
+
+// TestLoadRefusesBankBeforeAllocating: at 100,000 slots the metadata table
+// (800 KB) fits its stage but two 800 KB payload registers do not fit theirs.
+// The 16 MB bank those registers would share must be refused on the budget,
+// before a byte of it is allocated.
+func TestLoadRefusesBankBeforeAllocating(t *testing.T) {
+	p := parkParams()
+	p.Slots = 100_000
+	spec := PayloadParkSpec(p)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Load(spec, LoadOptions{Pipe: rmt.NewPipeline("bank")})
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "SRAM overflow placing register \"pload_tbl_1[0]\"") {
+		t.Fatalf("err = %v, want the second payload register of stage 2 refused", err)
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 2<<20 {
+		t.Errorf("the refused load allocated %d KB: more than the metadata table and the resolve pass", grown>>10)
 	}
 }
 

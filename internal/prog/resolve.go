@@ -36,7 +36,12 @@ type register struct {
 	width, cells int64
 	sized        bool // width and cells resolved
 	bound        bool // some table binds it
+	body         bool // some binding entry runs an action body on it, not a block move
 }
+
+// banked reports whether only block moves touch the register: Load then
+// carves it from its pipe's bank.
+func (r *register) banked() bool { return r.bound && !r.body }
 
 type table struct {
 	spec    *TableSpec
@@ -315,6 +320,9 @@ func (p *program) bindEntry(ti, ei int, obj object) {
 		return
 	}
 	e.binding = b
+	if t.reg != nil && d.Move == rmt.NoMove {
+		t.reg.body = true
+	}
 	for _, name := range d.Runtime {
 		p.usedRuntime[name] = true
 	}

@@ -47,7 +47,8 @@ var metaNames = [MetaWords]string{
 
 // Action declares one action of the vocabulary: what an entry may bind to
 // it, what its body touches per packet, and the Build that turns checked
-// bindings into that body.
+// bindings into that body — or, for a block move, the Move the pipe
+// executes in a body's place.
 type Action struct {
 	Name string
 	Doc  string // one line, for the README's vocabulary table
@@ -66,6 +67,10 @@ type Action struct {
 	Reg RegUse
 	// Recirculates marks the action that requests another pipeline pass.
 	Recirculates bool
+	// Move, when set, makes the action a block move of that direction
+	// (move.go): the block is the "block" parameter, the width Reg's bytes,
+	// and there is no Build.
+	Move MoveDir
 
 	// Build returns the per-packet body. Every key it asks Args for was
 	// declared above and checked by Bind, so it cannot fail; the body runs
@@ -358,6 +363,10 @@ func (b *Binding) Reason(role string) string {
 	return b.reasons[d.at(slices.Index(d.Reasons, role), "reason role", role)]
 }
 
+// RegBytes returns how many leading cell bytes the entry's one register
+// access moves (RegUse.Bytes, or what BytesOf resolved to).
+func (b *Binding) RegBytes() int64 { return b.regBytes }
+
 // CounterNames lists the counter names the entry bound, in role order.
 func (b *Binding) CounterNames() []string { return b.counters }
 
@@ -400,23 +409,27 @@ func (b *Binding) CheckRegister(bound bool, width, cells int64) error {
 }
 
 // Build resolves the binding's runtime parameters to their storage cells
-// and its counters by name, and returns the action's per-packet body. The
-// body loads a cell on every packet, so the control plane can change a
-// runtime parameter between packets without reinstalling the program.
-func (b *Binding) Build(runtime map[string]*uint32, counters map[string]*stats.Counter) (func(*Ctx), error) {
+// and its counters by name, and returns the action's per-packet body — or,
+// for a block move, no body and the move to declare on the rule. The body
+// loads a cell on every packet, so the control plane can change a runtime
+// parameter between packets without reinstalling the program.
+func (b *Binding) Build(runtime map[string]*uint32, counters map[string]*stats.Counter) (func(*Ctx), Move, error) {
 	d := b.Action
+	if d.Move != NoMove {
+		return nil, Move{Dir: d.Move, Block: int(b.Int("block")), Bytes: int(b.RegBytes())}, nil
+	}
 	a := Args{Binding: b, ctrs: make([]*stats.Counter, len(b.counters)), cells: make([]*uint32, len(d.Runtime))}
 	for i, name := range b.counters {
 		if a.ctrs[i] = counters[name]; a.ctrs[i] == nil {
-			return nil, fmt.Errorf("rmt: action %s: no counter %q", d.Name, name)
+			return nil, Move{}, fmt.Errorf("rmt: action %s: no counter %q", d.Name, name)
 		}
 	}
 	for i, name := range d.Runtime {
 		if a.cells[i] = runtime[name]; a.cells[i] == nil {
-			return nil, fmt.Errorf("rmt: action %s: no runtime parameter %q", d.Name, name)
+			return nil, Move{}, fmt.Errorf("rmt: action %s: no runtime parameter %q", d.Name, name)
 		}
 	}
-	return d.Build(a), nil
+	return d.Build(a), Move{}, nil
 }
 
 // Counter returns the counter bound to a declared role.
@@ -609,7 +622,7 @@ var builtinActions = []*Action{
 	},
 	{
 		Name: "park_release",
-		Doc:  "Alg. 2's merge-side validate-and-release: on a clock match free the slot, strip the PP header and prepare the merge block views (a payload cut shorter than `park_offset` drops as \"" + DropTruncatedMerge + "\", slot freed); on a mismatch (premature eviction) drop",
+		Doc:  "Alg. 2's merge-side validate-and-release: on a clock match free the slot, strip the PP header and prepare the merge park region (a payload cut shorter than `park_offset` drops as \"" + DropTruncatedMerge + "\", slot freed); on a mismatch (premature eviction) drop",
 		Ints: []IntParam{
 			slotsParam,
 			{Name: "blocks", Parser: SameAsParser},
@@ -683,36 +696,19 @@ var builtinActions = []*Action{
 	},
 	{
 		Name:  "block_store",
-		Doc:   "copy payload block k from the PHV into the payload-table cell (the split-side park)",
+		Doc:   "copy payload block k of the park region into the payload-table cell (the split-side park); a PHV with no park region drops as \"" + DropNoParkRegion + "\"",
 		Ints:  []IntParam{{Name: "block", Parser: BlockIndex}},
 		Reads: []int{MetaTableIndex},
 		Reg:   RegUse{Index: IndexMeta, Word: MetaTableIndex, BytesOf: ParserBlockBytes},
-		Build: func(a Args) func(*Ctx) {
-			block := a.Int("block")
-			return func(c *Ctx) {
-				phv := c.PHV
-				c.RMW(int(phv.GetMeta(MetaTableIndex)), func(cell []byte) {
-					copy(cell, phv.Blocks[block])
-				})
-			}
-		},
+		Move:  MoveStore,
 	},
 	{
 		Name:  "block_load",
-		Doc:   "copy the payload-table cell into payload block view k and zero the cell (the merge-side restore)",
+		Doc:   "copy the payload-table cell into block k of the park region and zero the cell (the merge-side restore); a PHV with no park region drops as \"" + DropNoParkRegion + "\"",
 		Ints:  []IntParam{{Name: "block", Parser: BlockIndex}},
 		Reads: []int{MetaTableIndex},
 		Reg:   RegUse{Index: IndexMeta, Word: MetaTableIndex, BytesOf: ParserBlockBytes},
-		Build: func(a Args) func(*Ctx) {
-			block := a.Int("block")
-			return func(c *Ctx) {
-				phv := c.PHV
-				c.RMW(int(phv.GetMeta(MetaTableIndex)), func(cell []byte) {
-					copy(phv.Blocks[block], cell)
-					clear(cell)
-				})
-			}
-		},
+		Move:  MoveLoad,
 	},
 	{
 		Name:         "recirculate",

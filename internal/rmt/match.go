@@ -6,8 +6,11 @@
 // class), with in_port and pass — which cannot change during Process —
 // decided when the program is built; and a run of consecutive steps with
 // identical remaining guards shares one evaluation, because a failed guard
-// means no action ran and the PHV those guards read is unchanged. Runtime
-// parameters are never folded: their cell is loaded on every packet.
+// means no action ran and the PHV those guards read is unchanged. A run of
+// block moves (move.go) under one guard goes further and becomes one step
+// (fuseMoves): a move writes register cells and park-region bytes, which no
+// guard can read, so the guard that admitted the first admits them all.
+// Runtime parameters are never folded: their cell is loaded on every packet.
 package rmt
 
 import (
@@ -220,13 +223,42 @@ func matches(guard []CondOp, p *PHV) bool {
 	return true
 }
 
-// step is one rule of a compiled program.
+// step is one rule of a compiled program, or a fused run of block moves:
+// then move is set and rule and mat are those of the run's last move.
 type step struct {
 	guard  []CondOp // the rule's conditions minus the static ones
 	rule   *Rule
 	mat    *MAT
+	move   *moveRun
 	onHit  int32 // next step after a hit: past this MAT (first match fires)
 	onMiss int32 // next step after a miss: past the run of identical guards
+}
+
+// fuseMoves rewrites steps in place so that every block move is a move
+// step, and every maximal run of moves that can share one — consecutive
+// steps of one direction under equal guards, each the first step of its own
+// MAT, so no jump lands inside the run and first-match-fires cannot
+// suppress part of it — is a single one. The one effect of a move a guard
+// can read is its DropNoParkRegion drop, which a run takes on its whole
+// reach at once: step by step, the moves behind the one that dropped would
+// drop again or miss. It returns the shortened program.
+func fuseMoves(steps []step) []step {
+	out := steps[:0]
+	for i := 0; i < len(steps); {
+		j := i + 1
+		if dir := steps[i].rule.Move.Dir; dir != NoMove {
+			if i == 0 || steps[i-1].mat != steps[i].mat {
+				for j < len(steps) && steps[j].rule.Move.Dir == dir && steps[j].mat != steps[j-1].mat &&
+					slices.Equal(steps[j].guard, steps[i].guard) {
+					j++
+				}
+			}
+			steps[j-1].move = newMoveRun(steps[i:j])
+		}
+		out = append(out, steps[j-1])
+		i = j
+	}
+	return out
 }
 
 // reaches reports whether the step's rule can still match on pass and port
@@ -292,7 +324,9 @@ func (p *Pipeline) Compile() {
 				arena = append(arena, all[i])
 			}
 		}
-		steps := arena[start:len(arena):len(arena)]
+		steps := fuseMoves(arena[start:])
+		arena = arena[:start+len(steps)]
+		steps = steps[:len(steps):len(steps)]
 		for i := len(steps) - 1; i >= 0; i-- {
 			s := &steps[i]
 			s.onHit, s.onMiss = int32(i+1), int32(i+1)

@@ -7,7 +7,7 @@ import (
 // Parser models the programmable parser in front of the match-action
 // pipeline. It turns a parsed packet into a PHV: header fields become
 // visible to MATs, and — when configured — the leading payload bytes are
-// lifted into PHV payload blocks so stages can park them in registers.
+// lifted into the PHV's park region so stages can park them in registers.
 //
 // Whether an arriving frame carries a PayloadPark header is decided per
 // port (the paper disambiguates Split vs. Merge traffic by switch port,
@@ -53,12 +53,11 @@ func (p *Parser) ParkBytes() int { return p.blocks * p.blockBytes }
 func (p *Parser) phvBits() int { return (p.blocks*p.blockBytes + p.parkOffset) * 8 }
 
 // FillPHV resets phv and populates it from an already-parsed packet
-// arriving on port, reusing the PHV's Blocks backing array — allocation-
-// free with pooled PHVs (Pipeline.AcquirePHV).
+// arriving on port, without allocating.
 //
 // Payload-block extraction only succeeds when the payload is large enough
-// to fill every configured block; otherwise Blocks stays empty and the
-// MetaPayloadOK flag stays 0, which is how the dataplane program knows to
+// to fill every configured block; otherwise the park region stays empty and
+// the MetaPayloadOK flag stays 0, which is how the dataplane program knows to
 // skip the Split path for small payloads (§5: "We apply the Split
 // operation only when the payload length exceeds the number of per-packet
 // bytes that we can store").
@@ -66,13 +65,8 @@ func (p *Parser) FillPHV(phv *PHV, pkt *packet.Packet, port PortID) {
 	phv.Reset()
 	phv.Pkt = pkt
 	phv.InPort = port
-	if p.blocks > 0 && len(pkt.Payload) >= p.parkOffset+p.ParkBytes() && pkt.PP == nil {
-		views := phv.Blocks[:0]
-		for i := 0; i < p.blocks; i++ {
-			off := p.parkOffset + i*p.blockBytes
-			views = append(views, pkt.Payload[off:off+p.blockBytes])
-		}
-		phv.Blocks = views
+	if end := p.parkOffset + p.ParkBytes(); p.blocks > 0 && len(pkt.Payload) >= end && pkt.PP == nil {
+		phv.Park = pkt.Payload[p.parkOffset:end]
 		phv.SetMeta(MetaPayloadOK, 1)
 	}
 }

@@ -109,26 +109,55 @@ func (p *Pipeline) PHVBitsUsed() int {
 	return p.phvBits + p.parser.phvBits()
 }
 
-// NewRegister allocates a register array local to stage. It panics when
-// the stage index is invalid or the stage's SRAM budget would overflow,
-// mirroring a compiler placement failure.
+// NewRegister allocates a stand-alone register array local to stage: a
+// bank of one. It panics when the stage index is invalid or the stage's
+// SRAM budget would overflow, mirroring a compiler placement failure.
 func (p *Pipeline) NewRegister(stage int, name string, widthBytes, cells int) *Register {
-	s := p.stage(stage)
-	if widthBytes <= 0 || widthBytes > 16 {
-		panic(fmt.Sprintf("rmt: register %q width %dB outside (0,16]", name, widthBytes))
+	return p.NewRegisterBank(cells, []BankRegister{{Stage: stage, Name: name, Width: widthBytes}})[0]
+}
+
+// BankRegister places one register of a bank.
+type BankRegister struct {
+	Stage int
+	Name  string
+	Width int // bytes per cell
+}
+
+// NewRegisterBank allocates registers of cells cells each, every one local
+// to its own stage and charged to that stage's SRAM budget as if placed
+// alone, over one row-major bank: cell i of regs[j] directly follows cell i
+// of regs[j-1], for registers consecutive block moves fill. It panics like
+// NewRegister, before any byte is allocated.
+func (p *Pipeline) NewRegisterBank(cells int, regs []BankRegister) []*Register {
+	var placing [StageCount]int // SRAM this call has claimed, by stage
+	stride := 0
+	for _, r := range regs {
+		s := p.stage(r.Stage)
+		if r.Width <= 0 || r.Width > 16 {
+			panic(fmt.Sprintf("rmt: register %q width %dB outside (0,16]", r.Name, r.Width))
+		}
+		if cells <= 0 {
+			panic(fmt.Sprintf("rmt: register %q needs at least one cell", r.Name))
+		}
+		// Budget first, by division: a hostile cell count must neither overflow
+		// the product nor be allocated before it is refused.
+		if free := StageSRAMBytes - s.sramBytes() - placing[r.Stage]; cells > free/r.Width {
+			panic(fmt.Sprintf("rmt: stage %d SRAM overflow placing register %q (%d cells x %d B, %d B of the %d B budget free)",
+				r.Stage, r.Name, cells, r.Width, free, StageSRAMBytes))
+		}
+		placing[r.Stage] += cells * r.Width
+		stride += r.Width
 	}
-	if cells <= 0 {
-		panic(fmt.Sprintf("rmt: register %q needs at least one cell", name))
+	b := newBank(cells, stride)
+	placed, out := make([]Register, len(regs)), make([]*Register, len(regs))
+	off := 0
+	for i, r := range regs {
+		placed[i] = Register{name: r.Name, stage: r.Stage, width: r.Width, cells: cells, bank: b, off: off}
+		off += r.Width
+		out[i] = &placed[i]
+		p.stages[r.Stage].regs = append(p.stages[r.Stage].regs, out[i])
 	}
-	// Budget first, by division: a hostile cell count must neither overflow
-	// the product nor be allocated before it is refused.
-	if free := StageSRAMBytes - s.sramBytes(); cells > free/widthBytes {
-		panic(fmt.Sprintf("rmt: stage %d SRAM overflow placing register %q (%d cells x %d B, %d B of the %d B budget free)",
-			stage, name, cells, widthBytes, free, StageSRAMBytes))
-	}
-	r := &Register{name: name, stage: stage, width: widthBytes, cells: cells, data: make([]byte, widthBytes*cells)}
-	s.regs = append(s.regs, r)
-	return r
+	return out
 }
 
 // AddMAT places a MAT in a stage. It validates stage locality of the bound
@@ -148,6 +177,14 @@ func (p *Pipeline) AddMAT(stage int, m *MAT) {
 		}
 		if n+1 > MaxRegisterMATsPerStage {
 			panic(fmt.Sprintf("rmt: stage %d exceeds %d register MATs", stage, MaxRegisterMATsPerStage))
+		}
+	}
+	for i := range m.Rules {
+		// What Ctx.RMW refuses per packet, a declared move is refused here.
+		if r, mv := &m.Rules[i], m.Rules[i].Move; mv.Dir != NoMove &&
+			(r.Action != nil || m.Reg == nil || mv.Block < 0 || mv.Bytes <= 0 || mv.Bytes > m.Reg.width) {
+			panic(fmt.Sprintf("rmt: MAT %q rule %q moves %d B of block %d: it needs a bound register with cells that wide, and no action body",
+				m.Name, r.Name, mv.Bytes, mv.Block))
 		}
 	}
 	if got, budget := s.vliwSlots()+m.Res.VLIWSlots, StageVLIWSlots; got > budget {
@@ -182,8 +219,7 @@ func (p *Pipeline) Process(phv *PHV) {
 		p.badPass(phv.Pass)
 	}
 	p.processed++
-	class := slices.Index(p.ports, phv.InPort) + 1
-	steps := p.progs[phv.Pass*(len(p.ports)+1)+class]
+	steps := p.program(phv.Pass, phv.InPort)
 	// The PHV's context scratch is reused for every hit: a stack Ctx would
 	// escape through the indirect Action call and allocate per MAT hit.
 	ctx := &phv.ctx
@@ -194,10 +230,20 @@ func (p *Pipeline) Process(phv *PHV) {
 			i = int(s.onMiss)
 			continue
 		}
-		ctx.reg, ctx.accessed = s.mat.Reg, false
-		s.rule.Action(ctx)
+		if s.move != nil {
+			s.move.run(phv)
+		} else {
+			ctx.reg, ctx.accessed = s.mat.Reg, false
+			s.rule.Action(ctx)
+		}
 		i = int(s.onHit)
 	}
+}
+
+// program returns the match program compiled for pass and ingress port.
+func (p *Pipeline) program(pass int, port PortID) []step {
+	class := slices.Index(p.ports, port) + 1
+	return p.progs[pass*(len(p.ports)+1)+class]
 }
 
 // badPass stays out of line so Process carries none of the message's
@@ -222,9 +268,9 @@ func (p *Pipeline) AcquirePHV() *PHV {
 }
 
 // ReleasePHV resets phv and returns it to the pipe's free-list. The caller
-// must not retain references into the PHV (its Blocks views are recycled);
-// buffers handed out by FinishMerge on the headroom path belong to the
-// caller's frame scratch, not the PHV, and stay valid.
+// must not retain references into the PHV; buffers handed out by FinishMerge
+// on the headroom path belong to the caller's frame scratch, not the PHV,
+// and stay valid.
 func (p *Pipeline) ReleasePHV(phv *PHV) {
 	phv.Reset()
 	p.phvFree = append(p.phvFree, phv)

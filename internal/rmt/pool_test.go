@@ -20,7 +20,7 @@ func buildPoolPipe(t *testing.T) (*Pipeline, *Register) {
 			Name:  "store",
 			Conds: conds(t, Cond{Field: fld("meta.payload_ok"), Value: 1}),
 			Action: func(c *Ctx) {
-				c.RMW(0, func(cell []byte) { copy(cell, c.PHV.Blocks[0]) })
+				c.RMW(0, func(cell []byte) { copy(cell, c.PHV.Park[:8]) })
 			},
 		}},
 	})
@@ -38,19 +38,16 @@ func TestAcquireReleaseReusesPHV(t *testing.T) {
 	p, _ := buildPoolPipe(t)
 	phv := p.AcquirePHV()
 	p.Parser().FillPHV(phv, testPkt(t, 300), 3)
-	if phv.GetMeta(MetaPayloadOK) != 1 || len(phv.Blocks) != 20 {
-		t.Fatalf("FillPHV: payloadOK=%d blocks=%d", phv.GetMeta(MetaPayloadOK), len(phv.Blocks))
+	if phv.GetMeta(MetaPayloadOK) != 1 || len(phv.Park) != 160 {
+		t.Fatalf("FillPHV: payloadOK=%d park region=%d B", phv.GetMeta(MetaPayloadOK), len(phv.Park))
 	}
 	p.ReleasePHV(phv)
 	again := p.AcquirePHV()
 	if again != phv {
 		t.Error("free-list did not return the released PHV")
 	}
-	if again.Pkt != nil || again.GetMeta(MetaPayloadOK) != 0 || len(again.Blocks) != 0 {
+	if again.Pkt != nil || again.GetMeta(MetaPayloadOK) != 0 || again.Park != nil {
 		t.Errorf("released PHV not reset: %+v", again)
-	}
-	if cap(again.Blocks) < 20 {
-		t.Errorf("Blocks backing array not retained: cap=%d", cap(again.Blocks))
 	}
 }
 
@@ -83,21 +80,6 @@ func TestProgramFollowsStageOrder(t *testing.T) {
 	}
 }
 
-func TestPooledProcessDoesNotAllocate(t *testing.T) {
-	p, _ := buildPoolPipe(t)
-	pkt := testPkt(t, 300)
-	run := func() {
-		phv := p.AcquirePHV()
-		p.Parser().FillPHV(phv, pkt, 3)
-		p.Process(phv)
-		p.ReleasePHV(phv)
-	}
-	run() // warm the pool and the Blocks backing array
-	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
-		t.Errorf("pooled FillPHV+Process+Release allocates %.1f/op, want 0", allocs)
-	}
-}
-
 func TestPrepareMergeBlocksHeadroom(t *testing.T) {
 	p, _ := buildPoolPipe(t)
 	// Simulate the frame path: payload sits at offset 160 of a backing
@@ -113,14 +95,12 @@ func TestPrepareMergeBlocksHeadroom(t *testing.T) {
 	phv := p.AcquirePHV()
 	p.Parser().FillPHV(phv, pkt, 0)
 	phv.Headroom = buf[:160]
-	views := phv.PrepareMergeBlocks(20, 8, 0)
-	if len(views) != 20 {
-		t.Fatalf("views = %d, want 20", len(views))
+	region := phv.PrepareMergeBlocks(20, 8, 0)
+	if len(region) != 160 || &region[0] != &phv.Park[0] {
+		t.Fatalf("region = %d B, want the PHV's 160 B park region", len(region))
 	}
-	for i := range views {
-		for j := range views[i] {
-			views[i][j] = byte(0xA0 + i)
-		}
+	for i := range region {
+		region[i] = byte(0xA0 + i/8)
 	}
 	merged := phv.FinishMerge(pkt.Payload, 0, 160)
 	if len(merged) != 160+64 {
@@ -145,11 +125,9 @@ func TestPrepareMergeBlocksFallback(t *testing.T) {
 	phv := p.AcquirePHV()
 	p.Parser().FillPHV(phv, pkt, 0)
 	// No headroom: one buffer must hold prefix + parked region + tail.
-	views := phv.PrepareMergeBlocks(4, 8, 3)
-	for i := range views {
-		for j := range views[i] {
-			views[i][j] = byte(0xB0 + i)
-		}
+	region := phv.PrepareMergeBlocks(4, 8, 3)
+	for i := range region {
+		region[i] = byte(0xB0 + i/8)
 	}
 	payload := pkt.Payload
 	merged := phv.FinishMerge(payload, 3, 32)

@@ -13,10 +13,15 @@
 //   - Registers are stage-local: a register created in stage k can only be
 //     bound to MATs in stage k.
 //   - Actions may only touch the packet header vector (PHV): parsed header
-//     fields, user metadata, and parsed payload blocks. They never see raw
-//     packet memory.
+//     fields, user metadata, and the park region (the payload bytes the
+//     parser lifted). They never see raw packet memory.
 //   - Stages execute in order; information flows forward only (via PHV
 //     metadata), never backward.
+//
+// That is the model — what sits in which stage and what it costs — not how
+// it must execute: Compile runs a run of per-block payload moves as one copy
+// over a row-banked register slab (move.go), while budgets, lint and Table 1
+// still count one MAT, one register and one access per block.
 //
 // Timing is not cycle-accurate — the pipeline reports a fixed traversal
 // latency plus a per-recirculation penalty, which is the granularity the
@@ -26,6 +31,7 @@ package rmt
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"github.com/payloadpark/payloadpark/internal/packet"
 )
@@ -61,13 +67,10 @@ const (
 
 // PHV is the packet header vector: everything the match-action pipeline is
 // allowed to see and modify. Pkt points at the parsed header structs; the
-// deparser makes header edits effective. Blocks are the payload blocks the
-// parser lifted into the PHV (the paper stores up to 160 B of payload in
-// the PHV so stages can write it to register arrays).
+// deparser makes header edits effective.
 //
-// PHVs are pooled per pipe (Pipeline.AcquirePHV / ReleasePHV): Reset keeps
-// the Blocks backing array and scratch buffers so a warmed-up PHV carries a
-// packet through the pipeline without allocating.
+// PHVs are pooled per pipe (Pipeline.AcquirePHV / ReleasePHV): a recycled
+// PHV carries a packet through the pipeline without allocating.
 type PHV struct {
 	Pkt     *packet.Packet
 	InPort  PortID
@@ -80,8 +83,14 @@ type PHV struct {
 	Recirc bool
 	Pass   int
 
-	Meta   [MetaWords]uint32
-	Blocks [][]byte
+	Meta [MetaWords]uint32
+
+	// Park is the park region, block k at [k*w, (k+1)*w): on a split the
+	// payload bytes the parser lifted into the PHV (the paper lifts up to
+	// 160 B so stages can write them to register arrays), on a merge what
+	// PrepareMergeBlocks handed the load MATs to fill. Empty when the payload
+	// was too small to lift; a block move then drops the packet.
+	Park []byte
 
 	// HdrScratch is PHV scratch for header bytes staged between a register
 	// load and the deparser — the header-compression restore path loads the
@@ -106,42 +115,31 @@ type PHV struct {
 	headroomBacked bool
 }
 
-// Reset clears the PHV for reuse, keeping the Blocks backing array (and
-// its capacity) so a recycled PHV extracts payload blocks without
-// allocating.
-func (p *PHV) Reset() {
-	blocks := p.Blocks[:0]
-	*p = PHV{Blocks: blocks}
-}
+// Reset clears the PHV for reuse.
+func (p *PHV) Reset() { *p = PHV{} }
 
-// PrepareMergeBlocks returns n contiguous views of w bytes each for the
+// PrepareMergeBlocks makes the park region n blocks of w bytes for the
 // payload-table load MATs to fill during a merge, reassembled at payload
-// offset k by FinishMerge. When the PHV carries frame headroom of at least
-// n*w bytes and k == 0 (the prototype's default boundary), the views point
-// at the headroom tail directly in front of the payload, making the later
-// reassembly a zero-copy reslice. Otherwise one buffer sized for the final
-// merged payload is allocated.
-func (p *PHV) PrepareMergeBlocks(n, w, k int) [][]byte {
+// offset k by FinishMerge, and returns it. When the PHV carries frame
+// headroom of at least n*w bytes and k == 0 (the prototype's default
+// boundary), the region is the headroom tail directly in front of the
+// payload, making the later reassembly a zero-copy reslice. Otherwise one
+// buffer sized for the final merged payload is allocated.
+func (p *PHV) PrepareMergeBlocks(n, w, k int) []byte {
 	park := n * w
-	var region []byte
 	if k == 0 && len(p.Headroom) >= park && cap(p.Headroom) >= len(p.Headroom)+len(p.Pkt.Payload) {
-		region = p.Headroom[len(p.Headroom)-park:]
+		p.Park = p.Headroom[len(p.Headroom)-park:]
 		p.headroomBacked = true
 		p.merge = nil
 	} else {
 		// One allocation holds front prefix + parked region, with capacity
 		// for the payload tail so FinishMerge appends without reallocating.
 		buf := make([]byte, k+park, k+park+len(p.Pkt.Payload)-k)
-		region = buf[k:]
+		p.Park = buf[k:]
 		p.merge = buf
 		p.headroomBacked = false
 	}
-	views := p.Blocks[:0]
-	for i := 0; i < n; i++ {
-		views = append(views, region[i*w:(i+1)*w])
-	}
-	p.Blocks = views
-	return views
+	return p.Park
 }
 
 // FinishMerge splices the parked region prepared by PrepareMergeBlocks
@@ -171,6 +169,12 @@ func (p *PHV) GetMeta(i int) uint32 { return p.Meta[i] }
 // merge helpers, not a policy.
 const DropTruncatedMerge = "merge payload truncated"
 
+// DropNoParkRegion is the reason a block move drops a packet whose park
+// region does not reach the block: the program moves blocks on a path where
+// the parser lifted nothing and park_release prepared nothing. Fixed like
+// DropTruncatedMerge: it guards the move routine, not a policy.
+const DropNoParkRegion = "no park region"
+
 // MarkDrop drops the packet at end of pipeline, recording a reason for
 // diagnostics and counters.
 func (p *PHV) MarkDrop(why string) {
@@ -179,13 +183,47 @@ func (p *PHV) MarkDrop(why string) {
 }
 
 // Register is a stage-local SRAM register array with fixed-width cells,
-// accessed through the single-RMW-per-MAT discipline via Ctx.
+// accessed through the single-RMW-per-MAT discipline via Ctx. Its cells
+// live in a bank (a stand-alone register is a bank of one).
 type Register struct {
 	name  string
 	stage int
 	width int // bytes per cell
 	cells int
-	data  []byte
+	bank  *bank
+	off   int // of a cell within its bank row
+}
+
+// bank is the storage of registers placed together (NewRegisterBank),
+// row-major: row i holds cell i of every register back to back, so the cells
+// a run of payload MATs touches for one table index are adjacent and a fused
+// block move is one copy. Rows come in chunks of a power of two, not one
+// slab: a run that loads program after program (a fabric, a sweep) would
+// hold the last multi-megabyte slab live while allocating the next.
+type bank struct {
+	chunks [][]byte
+	shift  uint // log2 of the rows per chunk
+	mask   int  // rows per chunk - 1
+	stride int  // bytes per row
+}
+
+// bankChunkBytes bounds one chunk: 1,024 rows of the prototype's 20 x 8 B
+// payload row, and a stand-alone 8-byte register of up to 32 k cells whole.
+const bankChunkBytes = 256 << 10
+
+func newBank(cells, stride int) *bank {
+	rows := 1 << max(bits.Len(uint(bankChunkBytes/stride))-1, 0)
+	b := &bank{shift: uint(bits.TrailingZeros(uint(rows))), mask: rows - 1, stride: stride}
+	b.chunks = make([][]byte, 0, (cells+rows-1)/rows)
+	for at := 0; at < cells; at += rows {
+		b.chunks = append(b.chunks, make([]byte, min(rows, cells-at)*stride))
+	}
+	return b
+}
+
+// row returns row i of the bank from byte offset off on.
+func (b *bank) row(i, off int) []byte {
+	return b.chunks[i>>b.shift][(i&b.mask)*b.stride+off:]
 }
 
 // Name returns the register's name.
@@ -202,8 +240,7 @@ func (r *Register) SRAMBytes() int { return r.cells * r.width }
 
 // cell returns the backing slice for cell i. Only Ctx and test helpers use it.
 func (r *Register) cell(i int) []byte {
-	off := i * r.width
-	return r.data[off : off+r.width]
+	return r.bank.row(i, r.off)[:r.width]
 }
 
 // Snapshot copies cell i's contents; intended for tests and debugging, not
@@ -240,7 +277,7 @@ func (c *Ctx) RMW(idx int, f func(cell []byte)) {
 		panic(fmt.Sprintf("rmt: MAT exceeded one stateful access per packet on register %q", c.reg.name))
 	}
 	if idx < 0 || idx >= c.reg.cells {
-		panic(fmt.Sprintf("rmt: register %q index %d out of range [0,%d)", c.reg.name, idx, c.reg.cells))
+		c.reg.badIndex(idx)
 	}
 	c.accessed = true
 	f(c.reg.cell(idx))
@@ -250,10 +287,13 @@ func (c *Ctx) RMW(idx int, f func(cell []byte)) {
 // the PHV's headers and metadata only, and nil Conds match every packet;
 // Action runs when every condition holds. Rules are evaluated in order; the
 // first hit fires; at most one rule fires per MAT per pass, as in hardware.
+// A rule whose Move names a direction has no Action: its whole effect is
+// that block move, which the pipe executes itself (move.go).
 type Rule struct {
 	Name   string
 	Conds  []CondOp
 	Action func(*Ctx)
+	Move   Move
 }
 
 // Resources declares what a MAT consumes of the per-stage hardware budgets.

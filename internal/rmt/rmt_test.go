@@ -228,13 +228,9 @@ func TestParserExtractsBlocks(t *testing.T) {
 	if phv.GetMeta(MetaPayloadOK) != 1 {
 		t.Fatal("payload OK flag not set for 200B payload")
 	}
-	if len(phv.Blocks) != 20 {
-		t.Fatalf("blocks = %d, want 20", len(phv.Blocks))
-	}
-	// Blocks must be contiguous views of the payload prefix.
-	joined := bytes.Join(phv.Blocks, nil)
-	if !bytes.Equal(joined, pkt.Payload[:160]) {
-		t.Error("blocks do not reproduce the payload prefix")
+	// The park region is the payload prefix itself, not a copy.
+	if !bytes.Equal(phv.Park, pkt.Payload[:160]) || &phv.Park[0] != &pkt.Payload[0] {
+		t.Errorf("park region of %d B does not alias the payload prefix", len(phv.Park))
 	}
 	if phv.InPort != 5 {
 		t.Errorf("inPort = %d, want 5", phv.InPort)
@@ -247,7 +243,7 @@ func TestParserSkipsSmallPayload(t *testing.T) {
 	pkt := testPkt(t, 42+159) // payload one byte short
 	phv := p.AcquirePHV()
 	p.Parser().FillPHV(phv, pkt, 0)
-	if phv.GetMeta(MetaPayloadOK) != 0 || phv.Blocks != nil {
+	if phv.GetMeta(MetaPayloadOK) != 0 || phv.Park != nil {
 		t.Error("small payload must not be lifted into blocks")
 	}
 }

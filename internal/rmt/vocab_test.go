@@ -67,7 +67,7 @@ type outcome struct {
 }
 
 // runHonest builds d's body with minimal arguments and runs it once on a
-// PHV carrying every header, the scope's payload blocks and the given
+// PHV carrying every header, the scope's park region and the given
 // metadata, over a register whose cells are all free or all held by the
 // PHV's tag.
 func runHonest(t *testing.T, d *Action, meta [MetaWords]uint32, held bool) (*Binding, outcome) {
@@ -81,13 +81,13 @@ func runHonest(t *testing.T, d *Action, meta [MetaWords]uint32, held bool) (*Bin
 		counters[name] = new(stats.Counter)
 	}
 	expiry := honestScope.Runtime["max_expiry"]
-	body, err := b.Build(cellEnv{"max_expiry": &expiry}, counters)
+	body, move, err := b.Build(cellEnv{"max_expiry": &expiry}, counters)
 	if err != nil {
 		t.Fatalf("%s: %v", d.Name, err)
 	}
 
 	p := NewPipeline("honest")
-	mat := &MAT{Name: d.Name, Rules: []Rule{{Name: d.Name, Action: body}}}
+	mat := &MAT{Name: d.Name, Rules: []Rule{{Name: d.Name, Action: body, Move: move}}}
 	if d.Reg.Index != NoRegister {
 		mat.Reg = p.NewRegister(0, "r", 16, honestCells)
 		for i := 0; i < honestCells; i++ {
@@ -111,9 +111,7 @@ func runHonest(t *testing.T, d *Action, meta [MetaWords]uint32, held bool) (*Bin
 	phv := &PHV{Pkt: pkt, Meta: meta}
 	pkt.IP.Marshal(phv.HdrScratch[:packet.IPv4HeaderLen])
 	pkt.UDP.Marshal(phv.HdrScratch[packet.IPv4HeaderLen:])
-	for i := 0; i < int(honestScope.Blocks); i++ {
-		phv.Blocks = append(phv.Blocks, pkt.Payload[8*i:8*i+8])
-	}
+	phv.Park = pkt.Payload[:honestScope.Blocks*honestScope.BlockBytes]
 	p.Process(phv)
 
 	out := outcome{meta: phv.Meta, phv: phv, counters: map[string]uint64{}}
@@ -198,7 +196,7 @@ func TestDescriptorsHonest(t *testing.T) {
 // untouchedCells returns the register image runHonest starts from.
 func untouchedCells(t *testing.T, d *Action, held bool) [][]byte {
 	idle := *d
-	idle.Build = func(Args) func(*Ctx) { return func(*Ctx) {} }
+	idle.Move, idle.Build = NoMove, func(Args) func(*Ctx) { return func(*Ctx) {} }
 	_, out := runHonest(t, &idle, [MetaWords]uint32{}, held)
 	return out.cells
 }

@@ -18,12 +18,11 @@ type sendMark struct {
 
 // BatchSender is the transmit mirror of the receive burst: frames are
 // serialized back to back into one reused backing buffer during burst
-// processing and written out together at the end of the burst — the
-// portable analogue of sendmmsg. The kernel still sees one sendto per
-// frame, but the send path allocates nothing in steady state (the buffer
-// grows once to the burst high-water mark) and the serialization cost is
-// paid while the burst is hot in cache rather than interleaved with
-// socket writes.
+// processing and written out together at the end of the burst: one
+// sendmmsg(2) on linux, one sendto per frame elsewhere (see Flush). The
+// send path allocates nothing in steady state (the buffer grows once to
+// the burst high-water mark) and the serialization cost is paid while the
+// burst is hot in cache rather than interleaved with socket writes.
 //
 // Usage per frame: out := s.Begin(); out = pkt.AppendSerialize(out);
 // s.Commit(out, dst, &txCounter) — Begin hands out the buffer tail,

@@ -37,12 +37,13 @@ const DefaultBurst = 32
 
 // BurstReader drains receive bursts from a UDP socket into reusable
 // buffers. The first read of a burst blocks; the rest are non-blocking
-// (an immediate deadline), so a busy socket costs ~one read syscall per
-// burst. On a quiet socket the drain would only ever time out, so empty
-// drains back the reader off exponentially (skip 1, 2, ... up to 8
-// bursts) — steady trickle traffic converges back to ~one syscall per
-// frame while any queue build-up re-engages batching within a few
-// frames.
+// (an immediate deadline). There is no recvmmsg underneath: a burst of n
+// frames costs n recvfrom calls, one more that returns EAGAIN, and two
+// deadline updates — what a burst saves is the blocking wake-up per frame,
+// not the syscall. On a quiet socket the drain would only ever time out,
+// so empty drains back the reader off exponentially (skip 1, 2, ... up to
+// 8 bursts) — steady trickle traffic converges back to one syscall per
+// frame while any queue build-up re-engages draining within a few frames.
 //
 // It is shared by the wire daemons and the live fabric's per-pipe socket
 // workers; one BurstReader is owned by one goroutine.
