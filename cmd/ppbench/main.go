@@ -13,7 +13,7 @@
 //	ppbench -exp all  [-quick] [-json out.json]
 //	ppbench -scenario file.json [-json report.json] [-quick] [-seed N]
 //	ppbench -program spec.json [-json report.json] [-quick] [-seed N]
-//	ppbench -trace trace.json [-scenario file.json] [-quick] [-seed N] [-partitions K]
+//	ppbench -trace trace.json [-scenario file.json] [-quick] [-seed N]
 //
 // -exp is the one way to run a registered experiment: it collects the
 // experiment's Result, renders it as text, and -json additionally writes
@@ -23,10 +23,6 @@
 // experiment whose check gates (equiv, live's sim-vs-live parity) exits
 // non-zero after printing. Any other geometry, core count or rate is a
 // -scenario file.
-//
-// -partitions applies to a -trace run and to a -scenario run whose file
-// leaves opts.partitions unset (results are byte-identical either way —
-// partitioning only changes wall-clock time).
 //
 // -cpuprofile and -memprofile write pprof CPU and heap profiles of the
 // run (flushed on exit, including failure exits).
@@ -45,8 +41,7 @@
 // recording as Chrome trace-event JSON (open it in Perfetto or
 // chrome://tracing). Combined with -scenario it records that scenario;
 // alone it records the canonical 4x2 leaf-spine parking run. The
-// export is deterministic: same scenario, same seed, same bytes, at
-// any partition count.
+// export is deterministic: same scenario, same seed, same bytes.
 package main
 
 import (
@@ -79,7 +74,6 @@ func main() {
 		progFile = flag.String("program", "", "run a serialized table-program spec (prog.Spec JSON) on the canonical testbed and print its Report")
 		jsonOut  = flag.String("json", "", "write the structured experiment result to this file")
 		traceOut = flag.String("trace", "", "record the packet-lifecycle flight recorder and write Chrome trace-event JSON to this file (with -scenario, or alone on the canonical 4x2 leaf-spine parking run)")
-		parts    = flag.Int("partitions", 0, "partition count for -trace runs and for -scenario runs whose file leaves it unset")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	)
@@ -102,14 +96,14 @@ func main() {
 	opts := harness.Options{Quick: *quick, Seed: *seed, Ctx: ctx}
 
 	if *scnFile != "" {
-		if err := runScenarioFile(ctx, *scnFile, *jsonOut, *traceOut, *quick, *seed, *parts); err != nil {
+		if err := runScenarioFile(ctx, *scnFile, *jsonOut, *traceOut, *quick, *seed); err != nil {
 			fail(err)
 		}
 		return
 	}
 
 	if *traceOut != "" {
-		if err := runTraceOnly(ctx, *traceOut, *jsonOut, *quick, *seed, *parts); err != nil {
+		if err := runTraceOnly(ctx, *traceOut, *jsonOut, *quick, *seed); err != nil {
 			fail(err)
 		}
 		return
@@ -255,9 +249,9 @@ func flushProfiles() {
 // unified entrypoint, and prints the Report (headline summary plus the
 // full JSON; -json additionally writes the Report to a file, -trace
 // turns on the flight recorder and exports the Chrome trace). The
-// -quick, -seed, and -partitions flags act as fallbacks:
-// they apply only when the file's own opts leave them unset.
-func runScenarioFile(ctx context.Context, path, jsonPath, tracePath string, quick bool, seed int64, partitions int) error {
+// -quick and -seed flags act as fallbacks: they apply only when the
+// file's own opts leave them unset.
+func runScenarioFile(ctx context.Context, path, jsonPath, tracePath string, quick bool, seed int64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -271,9 +265,6 @@ func runScenarioFile(ctx context.Context, path, jsonPath, tracePath string, quic
 	}
 	if quick && !s.Opts.Quick && s.Opts.WarmupNs == 0 && s.Opts.MeasureNs == 0 {
 		s.Opts.Quick = true
-	}
-	if s.Opts.Partitions == 0 {
-		s.Opts.Partitions = partitions
 	}
 	if tracePath != "" {
 		s.Observe.Trace = true
@@ -393,7 +384,7 @@ func writeTrace(path string, rep *scenario.Report) error {
 // topology where the full packet lifecycle (inject, split, transit,
 // merge, sink) plus an adaptive controller all appear — and exports the
 // flight recording.
-func runTraceOnly(ctx context.Context, tracePath, jsonPath string, quick bool, seed int64, partitions int) error {
+func runTraceOnly(ctx context.Context, tracePath, jsonPath string, quick bool, seed int64) error {
 	s := scenario.Scenario{
 		Name:     "trace",
 		Topology: scenario.LeafSpine{Leaves: 4, Spines: 2},
@@ -401,7 +392,7 @@ func runTraceOnly(ctx context.Context, tracePath, jsonPath string, quick bool, s
 		Traffic:  scenario.Traffic{SendBps: 6e9},
 		Control:  scenario.Control{Adaptive: true},
 		Observe:  scenario.Observe{Trace: true, Metrics: true},
-		Opts:     scenario.RunOptions{Seed: seed, Quick: quick, Partitions: partitions},
+		Opts:     scenario.RunOptions{Seed: seed, Quick: quick},
 	}
 	fmt.Printf("== trace: canonical 4x2 leaf-spine parking run\n")
 	start := time.Now()

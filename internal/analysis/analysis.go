@@ -4,7 +4,7 @@
 // library (go/ast, go/types, and a `go list -export` driver).
 //
 // The repo's four pinned invariants — deterministic Reports across
-// partition counts, zero-alloc steady-state hot paths, a complete
+// runs, zero-alloc steady-state hot paths, a complete
 // snake_case JSON surface, and budget-valid table programs — are all
 // runtime facts guarded by tests that catch violations after they are
 // written. The analyzers in this package shift those checks left to

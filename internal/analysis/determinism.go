@@ -7,10 +7,10 @@ import (
 )
 
 // Determinism flags nondeterminism sources inside the packages whose
-// behaviour is pinned byte-identical across runs, worker counts, and
-// partition counts (the PR-6 Report identity and PR-8 sim-vs-live
-// parity guarantees): wall-clock reads, the globally seeded math/rand
-// source, map iteration, and select statements that race ready cases.
+// behaviour is pinned byte-identical across runs and worker counts (the
+// Report identity and sim-vs-live parity guarantees): wall-clock reads,
+// the globally seeded math/rand source, map iteration, and select
+// statements that race ready cases.
 // Legitimate sites — wall-clock progress reporting, map ranges whose
 // results are sorted before use — carry a //pp:nondeterministic-ok
 // annotation with the reason.
@@ -23,8 +23,8 @@ In ` + strings.Join(deterministicPkgs, ", ") + `: calls to time.Now/
 Since/Until, package-level math/rand functions (the shared global
 source), range over map values (iteration order varies per run), and
 select statements with two or more communication cases (ready cases are
-chosen pseudorandomly). Shift-lefts the engine-order, partition-identity
-and golden determinism tests.`,
+chosen pseudorandomly). Shift-lefts the engine-order, run-twice and
+golden determinism tests.`,
 	Run: runDeterminism,
 }
 

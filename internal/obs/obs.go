@@ -9,13 +9,10 @@
 // when observability is disabled.
 //
 // The flight recorder is keyed on simulation time, never wall clock:
-// with one single-writer Recorder per partition engine and all
-// ordering resolved against interned strings (not intern ids), an
-// exported trace is byte-identical across partition counts and under
-// the race detector.
+// with one single-writer Recorder per trace and all ordering resolved
+// against interned strings (not intern ids), an exported trace is
+// byte-identical across runs of the same scenario and seed.
 package obs
-
-import "sync"
 
 // EventKind classifies a flight-recorder event.
 type EventKind uint8
@@ -80,13 +77,13 @@ type Event struct {
 	Kind  EventKind
 }
 
-// DefaultEventCap is the per-recorder ring capacity when the Observe
-// spec does not override it.
+// DefaultEventCap is the recorder's ring capacity when the Observe spec
+// does not override it.
 const DefaultEventCap = 1 << 20
 
-// Recorder is a single-writer ring buffer of events. One recorder
-// belongs to exactly one engine goroutine; Emit is not safe for
-// concurrent use, which is what keeps it zero-alloc and lock-free.
+// Recorder is a single-writer ring buffer of events, written by the
+// engine goroutine of its trace's run; Emit is not safe for concurrent
+// use, which is what keeps it zero-alloc and lock-free.
 // The buffer grows geometrically until the configured cap, then
 // overwrites the oldest events.
 type Recorder struct {
@@ -134,19 +131,17 @@ func (r *Recorder) events() []Event {
 	return append(out, r.buf[:r.next]...)
 }
 
-// Trace owns the interner and the recorders of one run. Interning and
-// recorder creation happen at wiring time (before the run); the
-// recorders themselves write without touching the Trace.
+// Trace owns the interner and the one recorder of a run. Interning
+// happens at wiring time and on rare slow paths of the run's own
+// goroutine; export reads the trace after the run.
 type Trace struct {
-	mu    sync.Mutex
 	names []string
 	idx   map[string]uint16
-	recs  []*Recorder
-	cap   int
+	rec   Recorder
 }
 
-// NewTrace builds an empty trace. eventCap bounds each recorder's
-// ring; <= 0 selects DefaultEventCap.
+// NewTrace builds an empty trace. eventCap bounds the recorder's ring;
+// <= 0 selects DefaultEventCap.
 func NewTrace(eventCap int) *Trace {
 	if eventCap <= 0 {
 		eventCap = DefaultEventCap
@@ -154,16 +149,14 @@ func NewTrace(eventCap int) *Trace {
 	return &Trace{
 		names: []string{""}, // id 0 reserved: "no name"
 		idx:   make(map[string]uint16),
-		cap:   eventCap,
+		rec:   Recorder{max: eventCap},
 	}
 }
 
 // Intern maps a string to a stable id for Event.Track/Event.Name.
-// Safe for concurrent use; intended for wiring time and for rare slow
-// paths (new drop reasons), not per-packet calls.
+// Intended for wiring time and for rare slow paths (new drop reasons),
+// not per-packet calls.
 func (t *Trace) Intern(s string) uint16 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if id, ok := t.idx[s]; ok {
 		return id
 	}
@@ -175,45 +168,19 @@ func (t *Trace) Intern(s string) uint16 {
 
 // lookup resolves an intern id (export path only).
 func (t *Trace) lookup(id uint16) string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if int(id) < len(t.names) {
 		return t.names[id]
 	}
 	return ""
 }
 
-// NewRecorder adds a recorder to the trace. Call once per partition
-// engine (or worker) at wiring time.
-func (t *Trace) NewRecorder() *Recorder {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	r := &Recorder{max: t.cap}
-	t.recs = append(t.recs, r)
-	return r
-}
+// Recorder returns the trace's recorder.
+func (t *Trace) Recorder() *Recorder { return &t.rec }
 
-// Total is the number of events emitted across all recorders.
-func (t *Trace) Total() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var n uint64
-	for _, r := range t.recs {
-		n += r.total
-	}
-	return n
-}
+// Total is the number of events emitted.
+func (t *Trace) Total() uint64 { return t.rec.Total() }
 
-// Dropped is the number of events lost to ring wrap-around across all
-// recorders. A non-zero value voids the byte-identity guarantee
-// across partition counts (each partition wraps independently); raise
-// the event cap to restore it.
-func (t *Trace) Dropped() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var n uint64
-	for _, r := range t.recs {
-		n += r.Dropped()
-	}
-	return n
-}
+// Dropped is the number of events lost to ring wrap-around: the export
+// then holds only the newest events. Raise the event cap to keep them
+// all.
+func (t *Trace) Dropped() uint64 { return t.rec.Dropped() }

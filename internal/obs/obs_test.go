@@ -146,7 +146,7 @@ func TestMetricsHandler(t *testing.T) {
 
 func TestRecorderRingWrap(t *testing.T) {
 	tr := NewTrace(4)
-	r := tr.NewRecorder()
+	r := tr.Recorder()
 	for i := 0; i < 10; i++ {
 		r.Emit(Event{At: int64(i)})
 	}
@@ -168,7 +168,7 @@ func TestRecorderRingWrap(t *testing.T) {
 
 func TestWriteChromeSchema(t *testing.T) {
 	tr := NewTrace(0)
-	r := tr.NewRecorder()
+	r := tr.Recorder()
 	leaf := tr.Intern("leaf0")
 	ctrlTrack := tr.Intern("controller")
 	reason := tr.Intern("queue overflow")
@@ -234,7 +234,7 @@ func TestWriteChromeSchema(t *testing.T) {
 
 // TestWriteChromeInternOrderInvariant pins the determinism mechanism:
 // the same logical events produce identical bytes even when intern ids
-// and recorder order differ (as they do across partition counts).
+// and the emission order of simultaneous events differ.
 func TestWriteChromeInternOrderInvariant(t *testing.T) {
 	build := func(flip bool) []byte {
 		tr := NewTrace(0)
@@ -244,12 +244,16 @@ func TestWriteChromeInternOrderInvariant(t *testing.T) {
 		} else {
 			a, b = tr.Intern("leaf0"), tr.Intern("spine0")
 		}
-		r1, r2 := tr.NewRecorder(), tr.NewRecorder()
-		if flip {
-			r1, r2 = r2, r1
+		evs := []Event{
+			{At: 10, Track: a, Kind: KindInject, ID: 10},
+			{At: 10, Track: b, Kind: KindSink, ID: 7, Arg: 3},
 		}
-		r1.Emit(Event{At: 10, Track: a, Kind: KindInject, ID: 10})
-		r2.Emit(Event{At: 20, Track: b, Kind: KindSink, ID: 10, Arg: 10})
+		if flip {
+			evs[0], evs[1] = evs[1], evs[0]
+		}
+		for _, e := range evs {
+			tr.Recorder().Emit(e)
+		}
 		var buf bytes.Buffer
 		if err := tr.WriteChrome(&buf); err != nil {
 			t.Fatal(err)
@@ -263,7 +267,7 @@ func TestWriteChromeInternOrderInvariant(t *testing.T) {
 
 func TestEmitZeroAlloc(t *testing.T) {
 	tr := NewTrace(1 << 10)
-	r := tr.NewRecorder()
+	r := tr.Recorder()
 	for i := 0; i < 1<<10; i++ { // fill to cap: steady state overwrites in place
 		r.Emit(Event{At: int64(i)})
 	}
@@ -288,7 +292,7 @@ func TestEmitZeroAlloc(t *testing.T) {
 
 func BenchmarkRecorderEmit(b *testing.B) {
 	tr := NewTrace(1 << 16)
-	r := tr.NewRecorder()
+	r := tr.Recorder()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r.Emit(Event{At: int64(i), Track: 1, Kind: KindPark, ID: int64(i)})

@@ -19,27 +19,22 @@ type resolvedEvent struct {
 	arg    int64
 }
 
-// resolve unwraps every recorder ring and resolves intern ids.
+// resolve unwraps the recorder ring and resolves intern ids.
 func (t *Trace) resolve() []resolvedEvent {
-	t.mu.Lock()
-	recs := append([]*Recorder(nil), t.recs...)
-	t.mu.Unlock()
 	var out []resolvedEvent
-	for _, r := range recs {
-		for _, e := range r.events() {
-			re := resolvedEvent{
-				at: e.At, track: t.lookup(e.Track), kind: e.Kind,
-				name: t.lookup(e.Name), id: e.ID, arg: e.Arg,
-			}
-			if e.Kind == KindDecision {
-				re.target = t.lookup(uint16(e.ID))
-				re.id = 0
-			}
-			out = append(out, re)
+	for _, e := range t.rec.events() {
+		re := resolvedEvent{
+			at: e.At, track: t.lookup(e.Track), kind: e.Kind,
+			name: t.lookup(e.Name), id: e.ID, arg: e.Arg,
 		}
+		if e.Kind == KindDecision {
+			re.target = t.lookup(uint16(e.ID))
+			re.id = 0
+		}
+		out = append(out, re)
 	}
-	// Total order over resolved fields only: recorders from different
-	// partitionings of the same run produce the same sorted stream.
+	// Total order over resolved fields only, so the bytes depend neither
+	// on intern ids nor on the emission order of simultaneous events.
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.at != b.at {

@@ -22,7 +22,7 @@ import (
 // with a block move spelled as the one-cell RMW it declares (naiveMove). It
 // is the reference rmt's compiled match programs (per-port, per-pass,
 // fail-skip, fused move runs over the banked registers) are held against,
-// and the first brick of ROADMAP item 4(a)'s reference interpreter.
+// and the first brick of ROADMAP item 5's reference interpreter.
 
 // oracleEntry is one entry as the oracle sees it: resolved conditions and a
 // one-rule pipe that runs the entry's action against the twin's registers.

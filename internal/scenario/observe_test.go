@@ -69,7 +69,7 @@ func TestObserveMetricsSnapshot(t *testing.T) {
 		return 0, false
 	}
 	for _, name := range []string{
-		`pp_engine_events_total{partition="0"}`,
+		`pp_engine_events_total`,
 		`pp_switch_rx_packets_total{switch="obs-metrics"}`,
 		`pp_sink_delivered_total{sink="sink"}`,
 	} {
@@ -96,12 +96,12 @@ func TestObserveMetricsSnapshot(t *testing.T) {
 	}
 }
 
-// TestTraceDeterministicAcrossPartitions is the flight recorder's core
-// promise: the exported Chrome trace is byte-identical whether the
-// fabric ran serial or partitioned, because events are stamped with sim
-// time and canonically ordered at export.
-func TestTraceDeterministicAcrossPartitions(t *testing.T) {
-	export := func(partitions int) []byte {
+// TestRunTwiceByteEqual is the flight recorder's core promise: two runs
+// of a 4x2 edge-parking leaf-spine scenario with the same seed produce
+// the same Report and the same Chrome trace, byte for byte, because
+// events are stamped with sim time and canonically ordered at export.
+func TestRunTwiceByteEqual(t *testing.T) {
+	run := func() (report, trace []byte) {
 		t.Helper()
 		sc := Scenario{
 			Name:     "obs-trace",
@@ -109,8 +109,8 @@ func TestTraceDeterministicAcrossPartitions(t *testing.T) {
 			Parking:  Parking{Mode: sim.ParkEdge},
 			Traffic:  Traffic{SendBps: 6e9},
 			Control:  Control{Adaptive: true},
-			Observe:  Observe{Trace: true},
-			Opts:     RunOptions{Seed: 3, WarmupNs: 1e6, MeasureNs: 4e6, Partitions: partitions},
+			Observe:  Observe{Metrics: true, Trace: true},
+			Opts:     RunOptions{Seed: 3, WarmupNs: 1e6, MeasureNs: 4e6},
 		}
 		rep, err := Run(context.Background(), sc)
 		if err != nil {
@@ -126,13 +126,19 @@ func TestTraceDeterministicAcrossPartitions(t *testing.T) {
 		if err := rep.Trace.WriteChrome(&buf); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
-	}
-	want := export(0)
-	for _, p := range []int{1, 2, 4} {
-		if got := export(p); !bytes.Equal(want, got) {
-			t.Errorf("partitions=%d trace diverged from serial export (%d vs %d bytes)", p, len(got), len(want))
+		report, err = json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return report, buf.Bytes()
+	}
+	wantReport, want := run()
+	gotReport, got := run()
+	if !bytes.Equal(wantReport, gotReport) {
+		t.Errorf("report diverged across two runs (%d vs %d bytes)", len(gotReport), len(wantReport))
+	}
+	if !bytes.Equal(want, got) {
+		t.Errorf("trace diverged across two runs (%d vs %d bytes)", len(got), len(want))
 	}
 	// The export is valid JSON with the Chrome trace-event shape, and the
 	// controller track made it in (Control.Adaptive ran a controller).

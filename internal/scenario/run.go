@@ -112,9 +112,6 @@ func Run(ctx context.Context, s Scenario) (*Report, error) {
 	if s.Topology == nil {
 		return nil, errf("nil Topology (set Testbed, MultiServer, LeafSpine, or Custom)")
 	}
-	if s.Opts.Partitions < 0 {
-		return nil, errf("Opts.Partitions = %d (want >= 0)", s.Opts.Partitions)
-	}
 	if err := s.Topology.validate(&s); err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package scenario
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"reflect"
 	"strings"
@@ -110,57 +111,35 @@ func TestProgressCallback(t *testing.T) {
 	}
 }
 
-// TestRunPartitionsDeterminism pins RunOptions.Partitions' contract at
-// the scenario layer: a partitioned leaf-spine run reports byte-identical
-// to the serial reference, single-switch topologies ignore the knob
-// entirely, and a negative count is rejected up front.
+// TestRunPartitionsDeterminism pins the deprecated RunOptions.Partitions'
+// contract at the scenario layer: a Scenario file that still sets it
+// decodes, and its Report equals the same file's without it, on every
+// simulated topology.
 func TestRunPartitionsDeterminism(t *testing.T) {
-	run := func(sc Scenario) *Report {
-		t.Helper()
-		rep, err := Run(context.Background(), sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	for _, tc := range []struct {
-		name string
-		sc   Scenario
-	}{
-		{"leafspine", Scenario{
-			Name:     "part-ls",
-			Topology: LeafSpine{Leaves: 4, Spines: 2},
-			Parking:  Parking{Mode: sim.ParkEdge},
-			Traffic:  Traffic{SendBps: 6e9},
-			Opts:     RunOptions{Seed: 1, WarmupNs: 1e6, MeasureNs: 4e6},
-		}},
-		{"testbed", Scenario{
-			Name:     "part-tb",
-			Topology: Testbed{},
-			Traffic:  Traffic{SendBps: 2e9},
-			Opts:     RunOptions{Seed: 1, WarmupNs: 1e6, MeasureNs: 4e6},
-		}},
-		{"multiserver", Scenario{
-			Name:     "part-ms",
-			Topology: MultiServer{Servers: 2},
-			Traffic:  Traffic{SendBps: 2e9},
-			Opts:     RunOptions{Seed: 1, WarmupNs: 1e6, MeasureNs: 4e6},
-		}},
+	for _, tc := range []struct{ name, topology, traffic string }{
+		{"leafspine", `{"kind":"leafspine","config":{"leaves":4,"spines":2}}`, "6000000000"},
+		{"testbed", `{"kind":"testbed"}`, "2000000000"},
+		{"multiserver", `{"kind":"multiserver","config":{"servers":2}}`, "2000000000"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want := run(tc.sc)
-			for _, p := range []int{1, 3} {
-				sc := tc.sc
-				sc.Opts.Partitions = p
-				if got := run(sc); !reflect.DeepEqual(want, got) {
-					t.Errorf("partitions=%d diverged from the serial report:\nserial: %+v\npartitioned: %+v", p, want, got)
+			run := func(extra string) *Report {
+				t.Helper()
+				file := fmt.Sprintf(`{"name":"legacy","topology":%s,"parking":{"mode":"edge"},"traffic":{"send_bps":%s},`+
+					`"opts":{"seed":1,"warmup_ns":1000000,"measure_ns":4000000%s}}`, tc.topology, tc.traffic, extra)
+				var sc Scenario
+				if err := json.Unmarshal([]byte(file), &sc); err != nil {
+					t.Fatal(err)
 				}
+				rep, err := Run(context.Background(), sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep
+			}
+			if want, got := run(""), run(`,"partitions":4`); !reflect.DeepEqual(want, got) {
+				t.Errorf("partitions changed the report:\nwithout: %+v\nwith:    %+v", want, got)
 			}
 		})
-	}
-	sc := Scenario{Topology: Testbed{}, Traffic: Traffic{SendBps: 1e9}, Opts: RunOptions{Partitions: -1}}
-	if _, err := Run(context.Background(), sc); err == nil || !strings.Contains(err.Error(), "Partitions") {
-		t.Errorf("negative partitions: err = %v, want a Partitions validation error", err)
 	}
 }
 

@@ -144,18 +144,17 @@ type Scenario struct {
 // default; the dataplane then pays at most one untaken branch per
 // packet.
 type Observe struct {
-	// Metrics snapshots engine, link, switch, program, controller, and
-	// barrier metrics into Report.Metrics after the run.
+	// Metrics snapshots engine, link, switch, program and controller
+	// metrics into Report.Metrics after the run.
 	Metrics bool `json:"metrics,omitempty"`
 	// Trace records packet-lifecycle events (inject, park, merge,
 	// evict, drop, sink, controller decisions) keyed on sim time into
 	// Report.Trace. Simulated topologies only: the live fabric has no
 	// simulation clock to key on.
 	Trace bool `json:"trace,omitempty"`
-	// TraceEventCap bounds each partition recorder's ring buffer
-	// (default obs.DefaultEventCap). Traces stay byte-identical across
-	// partition counts as long as no ring wraps; Report notes dropped
-	// events when one does.
+	// TraceEventCap bounds the recorder's ring buffer (default
+	// obs.DefaultEventCap); Report.Trace counts the events dropped when
+	// the ring wraps.
 	TraceEventCap int `json:"trace_event_cap,omitempty"`
 }
 

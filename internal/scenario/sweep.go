@@ -84,14 +84,6 @@ func SlotsAxis(slots ...int) Axis {
 	return axisOver("slots", slots, number[int], func(s *Scenario, n int) { s.Parking.Slots = n })
 }
 
-// PartitionsAxis sweeps the parallel-engine partition count for fabric
-// topologies. Every point of this axis reports byte-identical results —
-// partitioning changes wall-clock time, never the simulated timeline —
-// so it pairs with wall-clock measurement, not with metric comparison.
-func PartitionsAxis(counts ...int) Axis {
-	return axisOver("partitions", counts, number[int], func(s *Scenario, c int) { s.Opts.Partitions = c })
-}
-
 // SeedAxis sweeps the random seed (repetition axis).
 func SeedAxis(seeds ...int64) Axis {
 	return axisOver("seed", seeds, number[int64], func(s *Scenario, v int64) { s.Opts.Seed = v })

@@ -13,15 +13,11 @@ import (
 // measures its flows through this one type, so a metric name means the
 // same thing whichever runner produced it.
 
-// edgeSide is one end of an edge: the switch its cables plug into, the
-// partition that switch — and so everything cabled to it — runs on, and
-// the fate of the packets that end there.
+// edgeSide is one end of an edge: the switch its cables plug into and the
+// fate of the packets that end there.
 type edgeSide struct {
 	node *SwitchNode
-	part int
-	// recycle returns a retired packet to its generator's pool. It runs on
-	// part, so it may only touch the pool when part also hosts the
-	// generator (elsewhere it must leave the packet to the GC).
+	// recycle returns a retired packet to its generator's pool.
 	recycle func(*packet.Packet)
 
 	drops uint64 // in-window unintended drops on this side
@@ -62,16 +58,12 @@ type edgeSpec struct {
 
 	// prog, when non-nil, is the parking program on src.node whose
 	// in-window counter deltas the edge reports; onDeliver, when non-nil,
-	// sees the time of every delivery to the NF server (on nf.part).
+	// sees the time of every delivery to the NF server.
 	prog      *core.Program
 	onDeliver func(now int64)
 }
 
-// edge is one built edge: what the run writes and measure reads. Every
-// counter has exactly one writing partition — sent, sentBits, src.drops
-// and the sink with src.part; goodput, toNF, nf.drops, nfConsumed and the
-// server with nf.part — so partitioned runs need no locks, and measure may
-// only run once the partition goroutines have joined.
+// edge is one built edge: what the run writes and measure reads.
 type edge struct {
 	edgeSpec
 	sink   *SinkNode
@@ -100,20 +92,20 @@ func newEdge(f *Fabric, spec edgeSpec) *edge {
 		toNF:     stats.NewRateMeter(start),
 	}
 	src, srv := &e.src, &e.nf
-	srcEng, nfEng := src.node.Engine(), srv.node.Engine()
+	eng := f.eng
 
 	fl := e.flow
 
-	genLink := f.NewLinkAt(fl.Gen.ToSwitch, 2*e.linkBps, e.propNs, 4<<20,
-		src.node.IngressWith(fl.Gen.At.Port, src.drop, src.consume), src.drop, src.part, src.part)
-	e.sink = f.AddSinkAt(fl.Sink.Name, end, src.recycle, src.part)
-	src.node.SetOut(fl.Sink.At.Port, f.NewLinkAt(fl.Sink.FromSwitch, 2*e.linkBps, e.propNs, 2*e.queueBytes,
-		e.sink.Receive, src.drop, src.part, src.part))
+	genLink := f.NewLink(fl.Gen.ToSwitch, 2*e.linkBps, e.propNs, 4<<20,
+		src.node.IngressWith(fl.Gen.At.Port, src.drop, src.consume), src.drop)
+	e.sink = f.AddSink(fl.Sink.Name, end, src.recycle)
+	src.node.SetOut(fl.Sink.At.Port, f.NewLink(fl.Sink.FromSwitch, 2*e.linkBps, e.propNs, 2*e.queueBytes,
+		e.sink.Receive, src.drop))
 
-	returnLink := f.NewLinkAt(fl.NF.ToSwitch, e.linkBps, e.propNs, e.queueBytes,
-		srv.node.IngressWith(fl.NF.At.Port, srv.drop, srv.consume), srv.drop, srv.part, srv.part)
+	returnLink := f.NewLink(fl.NF.ToSwitch, e.linkBps, e.propNs, e.queueBytes,
+		srv.node.IngressWith(fl.NF.At.Port, srv.drop, srv.consume), srv.drop)
 	returnLink.LossRate = e.lossRate
-	e.server = NewServerSim(nfEng, e.sec.Server, nf.NewServer(e.sec.serverConfig(fl)), e.serverSeed,
+	e.server = NewServerSim(eng, e.sec.Server, nf.NewServer(e.sec.serverConfig(fl)), e.serverSeed,
 		returnLink.Send, srv.drop, func(p Parcel) {
 			if p.InWindow {
 				e.nfConsumed++
@@ -127,9 +119,9 @@ func newEdge(f *Fabric, spec edgeSpec) *edge {
 	// goes on to drop — §6.2.4 plots goodput against the firewall's drop
 	// rate, so a verdict must not erase the delivery it judged. InWindow
 	// already says the packet was born after the window opened.
-	toNFLink := f.NewLinkAt(fl.NF.FromSwitch, e.linkBps, e.propNs, e.queueBytes,
+	toNFLink := f.NewLink(fl.NF.FromSwitch, e.linkBps, e.propNs, e.queueBytes,
 		func(p Parcel) {
-			now := nfEng.Now()
+			now := eng.Now()
 			if p.InWindow && now <= end {
 				e.goodput.Record(now, packet.HeaderUnitLen*8)
 				e.toNF.Record(now, float64(WireBytes(p.Pkt)*8))
@@ -138,24 +130,24 @@ func newEdge(f *Fabric, spec edgeSpec) *edge {
 				e.onDeliver(now)
 			}
 			e.server.Receive(p)
-		}, srv.drop, srv.part, srv.part)
+		}, srv.drop)
 	toNFLink.LossRate = e.lossRate
 	srv.node.SetOut(fl.NF.At.Port, toNFLink)
 
 	// Offered load is constant bit rate over frame bits, counted as it
 	// leaves the generator; the source runs half a warmup past the window
 	// so the window's tail is measured under steady load.
-	gen := f.AddSourceAt(fl.Gen.Name, e.source, genLink, e.sec.Traffic.SendBps, src.part)
+	gen := f.AddSource(fl.Gen.Name, e.source, genLink, e.sec.Traffic.SendBps)
 	gen.WindowStart, gen.WindowEnd = start, end
 	gen.StopAt = end + e.sec.Opts.WarmupNs/2
 	gen.OnSend = func(p Parcel) {
 		e.sent++
-		e.sentBits.Record(srcEng.Now(), float64(p.Pkt.Len()*8))
+		e.sentBits.Record(eng.Now(), float64(p.Pkt.Len()*8))
 	}
 	gen.Start(e.startAt)
 
 	if e.prog != nil {
-		srcEng.ScheduleAt(start, func() { e.snap = e.prog.C })
+		eng.ScheduleAt(start, func() { e.snap = e.prog.C })
 	}
 	return e
 }

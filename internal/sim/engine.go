@@ -4,11 +4,9 @@
 // all wrapped around the byte-accurate dataplane of internal/core and the
 // behavioural NFs of internal/nf.
 //
-// Time is int64 nanoseconds. Each engine is single-threaded and
-// deterministic: identical configurations and seeds produce identical
-// results. Multi-switch fabrics may shard across several engines — one
-// per partition, conservatively synchronized on link propagation delay
-// (see partition.go) — without giving up determinism.
+// Time is int64 nanoseconds. Every topology runs on one engine, which is
+// single-threaded and deterministic: identical configurations and seeds
+// produce identical results.
 //
 // A run is described by sections (sections.go): each is declared there,
 // defaulted by its topology's Resolve and validated by its Validate, and
@@ -31,8 +29,6 @@ type Engine struct {
 	fns   []eventSlot
 	free  []int32
 
-	canceled bool
-
 	// nexec counts events executed over the engine's lifetime (the
 	// observability layer's events-total metric; one integer increment
 	// per event whether or not anything reads it).
@@ -53,10 +49,6 @@ type Engine struct {
 // frequent enough that a canceled multi-second run stops within
 // microseconds of real time.
 const cancelStride = 4096
-
-// Canceled reports whether the last Run stopped early because Cancel
-// returned true.
-func (e *Engine) Canceled() bool { return e.canceled }
 
 // eventSlot holds one scheduled event's payload: either a plain closure
 // (fn non-nil) or a pre-bound parcel handler (pfn + p).
@@ -140,7 +132,6 @@ func (e *Engine) alloc() int32 {
 // Run executes events in timestamp order until the queue drains or the
 // clock passes until.
 func (e *Engine) Run(until int64) {
-	e.canceled = false
 	var executed uint
 	for {
 		ev, ok := e.queue.popLE(until)
@@ -164,7 +155,6 @@ func (e *Engine) Run(until int64) {
 		}
 		if e.Cancel != nil {
 			if executed++; executed%cancelStride == 0 && e.Cancel() {
-				e.canceled = true
 				return
 			}
 		}
@@ -181,12 +171,6 @@ func (e *Engine) Pending() int { return e.queue.len() }
 // Only meaningful from the engine's own goroutine or after Run
 // returns (metric snapshots read it post-run).
 func (e *Engine) Executed() uint64 { return e.nexec }
-
-// nextAt returns the firing time of the earliest queued event (the
-// partition runner's window placement).
-func (e *Engine) nextAt() (int64, bool) {
-	return e.queue.peekAt()
-}
 
 // node is one queued event: its firing time, a FIFO tie-break for
 // simultaneous events, and the slot of its closure in Engine.fns. Nodes

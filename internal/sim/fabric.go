@@ -16,11 +16,9 @@ import (
 // and its edges (edge.go), RunLeafSpine the graph's fabric cables between
 // the same edges.
 //
-// By default a Fabric shares one single-threaded discrete-event Engine;
-// all nodes schedule onto the same clock, so runs stay deterministic
-// regardless of topology size. SetPartitions shards the fabric across
-// several engines — one goroutine each, conservatively synchronized on
-// link propagation delay (partition.go) — with byte-identical results.
+// A Fabric shares one single-threaded discrete-event Engine; all nodes
+// schedule onto the same clock, so runs stay deterministic regardless of
+// topology size.
 type Fabric struct {
 	eng      *Engine
 	switches []*SwitchNode
@@ -28,19 +26,9 @@ type Fabric struct {
 	sources  []*SourceNode
 	sinks    []*SinkNode
 
-	// Partitioned execution (empty on a serial fabric): per-partition
-	// engines, the directed mailbox matrix, the barrier merge scratch,
-	// the cut-crossing link counter, and the conservative lookahead (the
-	// minimum propagation delay over cut-crossing links).
-	parts        []*Engine
-	mail         [][]mailbox
-	flushBuf     []crossMsg
-	lanes        int32
-	minCrossProp int64
-
-	// obs is the run's observability state (nil when disabled); see
+	// obs holds the run's observability bindings (zero when disabled); see
 	// EnableObs in observe.go.
-	obs *fabricObs
+	obs ObsConfig
 }
 
 // NewFabric returns an empty fabric at time zero.
@@ -53,73 +41,39 @@ func NewFabric() *Fabric {
 func (f *Fabric) Engine() *Engine { return f.eng }
 
 // Run executes the fabric until the clock passes until.
-func (f *Fabric) Run(until int64) {
-	if len(f.parts) <= 1 {
-		f.eng.Run(until)
-		return
-	}
-	f.runParallel(until)
-}
+func (f *Fabric) Run(until int64) { f.eng.Run(until) }
 
-// AddSwitch adds a switch node with an empty dataplane on partition 0.
-// Attach programs and routes through node.SW; cable its egress ports with
-// SetOut.
+// AddSwitch adds a switch node with an empty dataplane. Attach programs
+// and routes through node.SW; cable its egress ports with SetOut.
 func (f *Fabric) AddSwitch(name string) *SwitchNode {
-	return f.AddSwitchAt(name, 0)
-}
-
-// AddSwitchAt is AddSwitch placed on partition part: all of the node's
-// events — ingress handling, traversal latency, egress serialization on
-// its cables — run on that partition's engine.
-func (f *Fabric) AddSwitchAt(name string, part int) *SwitchNode {
-	n := &SwitchNode{f: f, eng: f.PartitionEngine(part), Name: name, SW: core.NewSwitch(name)}
+	n := &SwitchNode{eng: f.eng, Name: name, SW: core.NewSwitch(name)}
 	n.buf = make([]byte, 0, maxWireFrame)
 	f.switches = append(f.switches, n)
 	return n
 }
 
-// NewLink builds a registered link delivering to the given handler, with
-// both endpoints on partition 0. Registration is what makes the link show
-// up in per-hop reports; the link itself behaves exactly like NewLink's.
+// NewLink builds a registered link delivering to the given handler.
+// Registration is what makes the link show up in per-hop reports; the
+// link itself behaves exactly like the package-level NewLink's.
 func (f *Fabric) NewLink(name string, bps float64, propNs int64, capBytes int, deliver func(Parcel), onDrop func(Parcel, string)) *Link {
-	return f.NewLinkAt(name, bps, propNs, capBytes, deliver, onDrop, 0, 0)
-}
-
-// NewLinkAt is NewLink with placed endpoints: queueing and serialization
-// run on partition src (the sender's side of the cable); delivery fires
-// on partition dst. When they differ the link crosses a cut — completed
-// transmissions post to the src->dst mailbox and arrive at the barrier,
-// which requires a positive propagation delay (the lookahead).
-func (f *Fabric) NewLinkAt(name string, bps float64, propNs int64, capBytes int, deliver func(Parcel), onDrop func(Parcel, string), src, dst int) *Link {
-	l := NewLink(f.PartitionEngine(src), bps, propNs, capBytes, deliver, onDrop)
+	l := NewLink(f.eng, bps, propNs, capBytes, deliver, onDrop)
 	l.Name = name
-	if src != dst {
-		f.bindCross(l, src, dst)
-	}
 	f.links = append(f.links, l)
 	return l
 }
 
-// AddSource registers a paced traffic source on partition 0. Configure
-// its fields, then Start it.
+// AddSource registers a paced traffic source. Configure its fields, then
+// Start it.
 func (f *Fabric) AddSource(name string, gen trafficgen.Source, out *Link, sendBps float64) *SourceNode {
-	return f.AddSourceAt(name, gen, out, sendBps, 0)
-}
-
-// AddSourceAt is AddSource placed on partition part (a source must share
-// its outgoing link's transmit partition).
-func (f *Fabric) AddSourceAt(name string, gen trafficgen.Source, out *Link, sendBps float64, part int) *SourceNode {
-	s := &SourceNode{eng: f.PartitionEngine(part), Name: name, Gen: gen, Out: out, SendBps: sendBps}
+	s := &SourceNode{eng: f.eng, Name: name, Gen: gen, Out: out, SendBps: sendBps}
 	s.sendFn = s.sendNext
 	f.sources = append(f.sources, s)
 	return s
 }
 
-// AddSinkAt registers a terminal sink recording delivery latency on
-// partition part (a sink must share the delivery partition of the link
-// feeding it).
-func (f *Fabric) AddSinkAt(name string, windowEnd int64, recycle func(*packet.Packet), part int) *SinkNode {
-	s := &SinkNode{eng: f.PartitionEngine(part), Name: name, WindowEnd: windowEnd, Recycle: recycle}
+// AddSink registers a terminal sink recording delivery latency.
+func (f *Fabric) AddSink(name string, windowEnd int64, recycle func(*packet.Packet)) *SinkNode {
+	s := &SinkNode{eng: f.eng, Name: name, WindowEnd: windowEnd, Recycle: recycle}
 	f.sinks = append(f.sinks, s)
 	return s
 }
@@ -219,7 +173,6 @@ type portHooks struct {
 // handling, and optional byte-level re-parsing between cascaded
 // programmable switches.
 type SwitchNode struct {
-	f    *Fabric
 	eng  *Engine
 	Name string
 	// SW is the behavioural dataplane. Attach programs and routes
@@ -254,7 +207,7 @@ type SwitchNode struct {
 	pool []*packet.Packet
 
 	// Flight-recorder state (nil/zero unless the fabric's EnableObs ran
-	// with a trace): the partition's recorder, this node's interned
+	// with a trace): the trace's recorder, this node's interned
 	// track id, the cached program list for counter-delta detection,
 	// and the per-node drop-reason intern cache.
 	rec       *obs.Recorder
@@ -267,11 +220,6 @@ type SwitchNode struct {
 // SetOut cables egress port to a link. Emissions routed to an uncabled
 // port are dropped with reason "no route".
 func (n *SwitchNode) SetOut(port rmt.PortID, l *Link) { n.out[port] = l }
-
-// Engine returns the engine the node's events run on — its partition's
-// engine, or the fabric engine on a serial fabric. Preset closures that
-// observe a node's deliveries must read the clock and schedule here.
-func (n *SwitchNode) Engine() *Engine { return n.eng }
 
 // Ingress returns the delivery handler for packets arriving on port,
 // using the node-level drop hooks. The handler is built once per port;

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/payloadpark/payloadpark/internal/ctrl"
-	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/rmt"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
@@ -133,47 +132,27 @@ func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
 	controlled := sec.Control.Enabled() // ECMP groups always run under a controller
 	g := l.graph(sec)
 
-	// Partition placement: greedy min-cut over the graph's cables (leaves
-	// 0..L-1 then spines L..L+S-1, matching report order); every leaf's
-	// source, sink, and NF server follow their leaf. The controller reads
-	// and writes fabric-wide state mid-run, so it forces a serial run.
-	P := sec.Opts.Partitions
-	if P < 1 || controlled {
-		P = 1
-	}
-	if P > L+S {
-		P = L + S
-	}
-	adj := make([][]int, L+S)
-	for _, c := range g.Cables {
-		adj[c.A.Switch] = append(adj[c.A.Switch], c.B.Switch)
-		adj[c.B.Switch] = append(adj[c.B.Switch], c.A.Switch)
-	}
-	part := greedyPartition(adj, P)
-
 	f := NewFabric()
-	f.SetPartitions(P)
-	for p := 0; p < P; p++ {
-		f.PartitionEngine(p).Cancel = w.Cancel
-	}
+	eng := f.eng
+	eng.Cancel = w.Cancel
 	windowStart, windowEnd := sec.Opts.window()
 
+	// Switches in report order: leaves 0..L-1, then spines L..L+S-1.
 	nodes := make([]*SwitchNode, L+S)
 	for i, gs := range g.Switches {
-		nodes[i] = f.AddSwitchAt(gs.Name, part[i])
+		nodes[i] = f.AddSwitch(gs.Name)
 		nodes[i].WireParse = gs.WireParse
 		if err := g.Realise(i, nodes[i].SW); err != nil {
 			return FabricResult{}, err
 		}
 	}
 	leaves := nodes[:L]
-	// Window-start compression-counter snapshots, each taken on the
-	// engine owning its leaf so partitioned runs stay race-free.
+	// Window-start compression-counter snapshots.
 	compSnaps := make([]map[string]uint64, L)
 	if compress {
 		for i := range leaves {
 			i := i
-			leaves[i].Engine().ScheduleAt(windowStart, func() {
+			eng.ScheduleAt(windowStart, func() {
 				compSnaps[i] = leaves[i].SW.Instances()[0].Counters()
 			})
 		}
@@ -184,37 +163,22 @@ func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
 		gens[i] = trafficgen.New(g.Flows[i].Traffic)
 	}
 	// Drop accounting away from the edges (fabric cables, spines, leaf
-	// ingress from a spine) is sharded per partition — each shard has
-	// exactly one writing partition — and summed with the edges' own
-	// counts at harvest, so partitioned runs stay race-free and
-	// byte-identical to serial ones.
-	partDrops := make([]uint64, P)
-	// recycleAt retires flow r's packets on partition at. Recycling into
-	// flow r's pool is only safe from the partition that owns r's generator
-	// (the source leaf's); elsewhere the packet is released to the GC —
-	// generators fully rewrite reused packets, so pool membership never
-	// shows up in results. Drops can strike mid-fabric where the owning
-	// flow is unknown; charging a neighbour pool is equally harmless.
-	recycleAt := func(r, at int) func(*packet.Packet) {
-		if at == part[r] {
-			return gens[r].Recycle
-		}
-		return func(*packet.Packet) {}
-	}
-	// dropFor builds a drop hook for flow r's packets charged to the
-	// partition hosting the dropping hop.
-	dropFor := func(r, at int) func(Parcel, string) {
-		recycle := recycleAt(r, at)
+	// ingress from a spine), summed with the edges' own counts at harvest.
+	// Drops can strike mid-fabric where the owning flow is unknown, so a
+	// packet may recycle into a neighbour's pool: generators fully rewrite
+	// reused packets, so pool membership never shows up in results.
+	var fabricDrops uint64
+	dropFor := func(r int) func(Parcel, string) {
 		return func(p Parcel, _ string) {
 			if p.InWindow {
-				partDrops[at]++
+				fabricDrops++
 			}
-			recycle(p.Pkt)
+			gens[r].Recycle(p.Pkt)
 		}
 	}
 	for n, node := range nodes {
-		recycle := recycleAt(n%L, part[n]) // spine s charges flow s%L's pool
-		node.OnDrop = dropFor(n%L, part[n])
+		recycle := gens[n%L].Recycle // spine s charges flow s%L's pool
+		node.OnDrop = dropFor(n % L)
 		node.OnConsumed = func(p Parcel) { recycle(p.Pkt) }
 	}
 
@@ -230,10 +194,8 @@ func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
 		return 2
 	}
 
-	// Cables. Fabric links both ways between every leaf and every spine —
-	// the only links that can cross a partition cut (everything at the
-	// edge shares its leaf's partition). A link's transmit side lives with
-	// the sending switch; its drop hook charges that same partition.
+	// Cables. Fabric links both ways between every leaf and every spine;
+	// both directions charge their drops to the leaf's flow.
 	// The failure scenario's subject is flow 0's forward path, as the graph
 	// routes it: leaf 0's uplink toward the NF, and the link from the spine
 	// behind that uplink down to the egress leaf.
@@ -243,11 +205,11 @@ func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
 	var failLink *Link
 	for _, c := range g.Cables {
 		leaf, spine := c.A.Switch, c.B.Switch
-		up := f.NewLinkAt(nodes[leaf].Name+"->"+nodes[spine].Name, l.LinkBps, l.PropNs, l.QueueBytes,
-			nodes[spine].Ingress(c.B.Port), dropFor(leaf, part[leaf]), part[leaf], part[spine])
+		up := f.NewLink(nodes[leaf].Name+"->"+nodes[spine].Name, l.LinkBps, l.PropNs, l.QueueBytes,
+			nodes[spine].Ingress(c.B.Port), dropFor(leaf))
 		nodes[leaf].SetOut(c.A.Port, up)
-		down := f.NewLinkAt(nodes[spine].Name+"->"+nodes[leaf].Name, l.LinkBps, l.PropNs, l.QueueBytes,
-			nodes[leaf].Ingress(c.A.Port), dropFor(leaf, part[spine]), part[spine], part[leaf])
+		down := f.NewLink(nodes[spine].Name+"->"+nodes[leaf].Name, l.LinkBps, l.PropNs, l.QueueBytes,
+			nodes[leaf].Ingress(c.A.Port), dropFor(leaf))
 		nodes[spine].SetOut(c.B.Port, down)
 		if spine == fwdSpine && leaf == egress {
 			failLink = down // flow 0's forward last fabric hop
@@ -255,15 +217,14 @@ func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
 	}
 
 	// Edges: flow i's source and sink hang off leaf i, its NF server off
-	// leaf j. Each side rides its leaf's partition, so no edge hop ever
-	// crosses a cut.
+	// leaf j.
 	edges := make([]*edge, L)
 	for i := range edges {
 		j := (i + 1) % L
 		spec := edgeSpec{
 			flow:    &g.Flows[i],
-			src:     edgeSide{node: leaves[i], part: part[i], recycle: recycleAt(i, part[i])},
-			nf:      edgeSide{node: leaves[j], part: part[j], recycle: recycleAt(i, part[j])},
+			src:     edgeSide{node: leaves[i], recycle: gens[i].Recycle},
+			nf:      edgeSide{node: leaves[j], recycle: gens[i].Recycle},
 			linkBps: l.LinkBps, propNs: l.PropNs, queueBytes: l.QueueBytes,
 			source:     gens[i],
 			startAt:    int64(i) * 131, // desynchronize sources slightly
@@ -283,11 +244,7 @@ func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
 	// parked state at leaf 0 survives because the merge port pins the
 	// untouched return path.
 	if l.FailLink {
-		// The failure lands on the engine owning the affected state: the
-		// dead link's transmit side lives with its spine, the route (or
-		// group) rewrite with leaf 0 — so partitioned runs mutate each from
-		// its own timeline only.
-		nodes[fwdSpine].Engine().ScheduleAt(l.FailAtNs, func() { failLink.Down = true })
+		eng.ScheduleAt(l.FailAtNs, func() { failLink.Down = true })
 		// Static routes are rewritten after the detection delay. With ECMP
 		// the controller's next telemetry tick sees the down link and
 		// shrinks the group instead — detection latency is the tick period.
@@ -301,7 +258,7 @@ func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
 					alt = next(alt)
 				}
 			}
-			leaves[0].Engine().ScheduleAt(l.FailAtNs+l.RerouteNs, func() {
+			eng.ScheduleAt(l.FailAtNs+l.RerouteNs, func() {
 				leaves[0].SW.AddL2Route(g.Flows[0].NF.MAC, alt)
 			})
 		}
@@ -318,16 +275,12 @@ func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
 
 	f.Run(windowEnd + sec.Opts.WarmupNs)
 
-	// Harvest (single-threaded again; partition goroutines are done). The
-	// sharded counters sum back to the fabric-wide figures.
 	res := FabricResult{
-		Mode:           mode.String(),
-		Links:          f.LinkReports(windowEnd + sec.Opts.WarmupNs),
-		Switches:       f.SwitchReports(),
-		PhaseDelivered: phaseDelivered,
-	}
-	for _, d := range partDrops {
-		res.UnintendedDrops += d
+		Mode:            mode.String(),
+		Links:           f.LinkReports(windowEnd + sec.Opts.WarmupNs),
+		Switches:        f.SwitchReports(),
+		PhaseDelivered:  phaseDelivered,
+		UnintendedDrops: fabricDrops,
 	}
 	if compress {
 		for i, leaf := range leaves {

@@ -9,7 +9,7 @@ import (
 
 // Parcel is a packet in flight through the simulation, carrying the
 // bookkeeping the dataplane must not see. Every hop copies it into and out
-// of an event slot (or a cross-partition message), so it is four words:
+// of an event slot, so it is four words:
 // what only one station reads is parked there and claimed by index.
 type Parcel struct {
 	Pkt *packet.Packet
@@ -68,11 +68,6 @@ type Link struct {
 	// txDoneFn is the pre-bound transmit-complete handler, created once so
 	// Send schedules without allocating a closure per packet.
 	txDoneFn func(Parcel)
-	// xbox/lane are set when the link crosses a partition cut
-	// (Fabric.bindCross): completed transmissions post to the mailbox,
-	// stamped with the lane, instead of scheduling delivery on eng.
-	xbox *mailbox
-	lane int32
 
 	queuedBytes int
 	busyUntil   int64
@@ -143,11 +138,6 @@ func (l *Link) txDone(p Parcel) {
 		if l.onDrop != nil {
 			l.onDrop(p, "link loss")
 		}
-		return
-	}
-	if l.xbox != nil {
-		now := l.eng.Now()
-		l.xbox.post(now+l.PropNs, now, l.lane, l.deliver, p)
 		return
 	}
 	l.eng.ScheduleParcel(l.PropNs, l.deliver, p)

@@ -17,58 +17,28 @@ type ObsConfig struct {
 	Trace   *obs.Trace
 }
 
-func (c ObsConfig) enabled() bool { return c.Metrics != nil || c.Trace != nil }
-
-// fabricObs is the per-run observability state hanging off a fabric:
-// the trace with one recorder per partition, plus the barrier counters
-// the partition runner maintains when metrics are on.
-type fabricObs struct {
-	trace *obs.Trace
-	reg   *obs.Registry
-	recs  []*obs.Recorder
-
-	// Barrier bookkeeping (written single-threaded at the barrier).
-	rounds      uint64
-	crossMsgs   uint64
-	mailboxPeak int
-	// stallNs accumulates per-round barrier imbalance — the wall-clock
-	// time fast partitions spent waiting for the slowest one. The only
-	// wall-clock value in the layer; it never feeds back into the sim.
-	stallNs int64
-}
-
 // EnableObs arms observability on a fully wired fabric. Call after
 // every switch, program, source, sink and link exists and before Run
 // (and before attachController, which binds the decision track).
 // A zero config is a no-op.
 func (f *Fabric) EnableObs(cfg ObsConfig) {
-	if !cfg.enabled() {
-		return
-	}
-	fo := &fabricObs{trace: cfg.Trace, reg: cfg.Metrics}
-	f.obs = fo
-	if cfg.Trace != nil {
-		k := f.Partitions()
-		partOf := make(map[*Engine]int, k)
-		fo.recs = make([]*obs.Recorder, k)
-		for p := 0; p < k; p++ {
-			fo.recs[p] = cfg.Trace.NewRecorder()
-			partOf[f.PartitionEngine(p)] = p
-		}
+	f.obs = cfg
+	if tr := cfg.Trace; tr != nil {
+		rec := tr.Recorder()
 		for _, n := range f.switches {
-			n.rec = fo.recs[partOf[n.eng]]
-			n.trace = cfg.Trace
-			n.trk = cfg.Trace.Intern(n.Name)
+			n.rec = rec
+			n.trace = tr
+			n.trk = tr.Intern(n.Name)
 			n.progs = n.SW.Programs()
 			n.dropNames = make(map[string]uint16)
 		}
 		for _, s := range f.sources {
-			s.rec = fo.recs[partOf[s.eng]]
-			s.trk = cfg.Trace.Intern(s.Name)
+			s.rec = rec
+			s.trk = tr.Intern(s.Name)
 		}
 		for _, s := range f.sinks {
-			s.rec = fo.recs[partOf[s.eng]]
-			s.trk = cfg.Trace.Intern(s.Name)
+			s.rec = rec
+			s.trk = tr.Intern(s.Name)
 		}
 	}
 	if cfg.Metrics != nil {
@@ -77,25 +47,14 @@ func (f *Fabric) EnableObs(cfg ObsConfig) {
 }
 
 // registerMetrics publishes the fabric's state into the registry:
-// engine progress per partition, barrier behaviour, per-link and
-// per-switch forwarding counters, and every program's parking
-// counters. Reads are closures over live state, so snapshots must
-// happen after Run returns (the scenario layer guarantees this).
+// engine progress, per-link and per-switch forwarding counters, and
+// every program's parking counters. Reads are closures over live state,
+// so snapshots must happen after Run returns (the scenario layer
+// guarantees this).
 func (f *Fabric) registerMetrics(reg *obs.Registry) {
-	k := f.Partitions()
-	for p := 0; p < k; p++ {
-		e := f.PartitionEngine(p)
-		lbl := fmt.Sprintf(`{partition="%d"}`, p)
-		reg.Counter("pp_engine_events_total"+lbl, "events executed by the partition engine", e.Executed)
-		reg.Gauge("pp_engine_pending_events"+lbl, "events still queued (wheel + heap occupancy)", func() float64 { return float64(e.Pending()) })
-	}
-	if k > 1 {
-		fo := f.obs
-		reg.Counter("pp_barrier_rounds_total", "conservative-sync windows executed", func() uint64 { return fo.rounds })
-		reg.Counter("pp_barrier_cross_messages_total", "parcels merged across partition mailboxes", func() uint64 { return fo.crossMsgs })
-		reg.Gauge("pp_barrier_mailbox_peak_messages", "largest single mailbox flush", func() float64 { return float64(fo.mailboxPeak) })
-		reg.Counter("pp_barrier_stall_ns_total", "wall-clock time partitions idled at barriers", func() uint64 { return uint64(fo.stallNs) })
-	}
+	e := f.eng
+	reg.Counter("pp_engine_events_total", "events executed by the engine", e.Executed)
+	reg.Gauge("pp_engine_pending_events", "events still queued (wheel + heap occupancy)", func() float64 { return float64(e.Pending()) })
 	for _, l := range f.links {
 		l := l
 		lbl := fmt.Sprintf("{link=%q}", l.Name)
@@ -126,21 +85,17 @@ func (f *Fabric) registerMetrics(reg *obs.Registry) {
 // observeController merges the controller into the observability
 // layer: decisions land on a dedicated "controller" trace track in
 // the same sim-time clock domain as data-plane spans, and the tick/
-// decision totals join the metrics registry. Controlled fabrics
-// always run serial (the presets force one partition), so decisions
-// record through partition 0's single-writer recorder.
+// decision totals join the metrics registry. Decisions record through
+// the trace's recorder.
 func (f *Fabric) observeController(c *ctrl.Controller) {
-	if f.obs == nil {
-		return
+	if f.obs.Metrics != nil {
+		c.RegisterMetrics(f.obs.Metrics)
 	}
-	if f.obs.reg != nil {
-		c.RegisterMetrics(f.obs.reg)
-	}
-	tr := f.obs.trace
+	tr := f.obs.Trace
 	if tr == nil {
 		return
 	}
-	rec := f.obs.recs[0]
+	rec := tr.Recorder()
 	track := tr.Intern("controller")
 	c.SetObserver(func(at int64, kind, target string) {
 		// Kind and target come from small closed sets; interning is a

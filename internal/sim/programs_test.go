@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -100,9 +99,8 @@ func TestTestbedParkPlusCompression(t *testing.T) {
 }
 
 // TestLeafSpineCompression: fabric-wide compression at the ingress
-// leaves keeps goodput at parity while slimming the fabric hops, every
-// context is reclaimed, and results are byte-identical across partition
-// counts.
+// leaves keeps goodput at parity while slimming the fabric hops, and every
+// context is reclaimed.
 func TestLeafSpineCompression(t *testing.T) {
 	base := leafSpineSmoke(ParkNone, 4).run(t)
 	cfg := leafSpineSmoke(ParkNone, 4)
@@ -137,12 +135,6 @@ func TestLeafSpineCompression(t *testing.T) {
 		if pc.Occupancy != 0 {
 			t.Errorf("%s: %d compression contexts leaked", pc.Switch, pc.Occupancy)
 		}
-	}
-
-	par := cfg
-	par.Opts.Partitions = 3
-	if got := par.run(t); !reflect.DeepEqual(comp, got) {
-		t.Error("compression run diverged across partition counts")
 	}
 }
 

@@ -205,16 +205,9 @@ type RunOptions struct {
 	// WarmupNs/MeasureNs bound the measurement window explicitly.
 	WarmupNs  int64 `json:"warmup_ns,omitempty"`
 	MeasureNs int64 `json:"measure_ns,omitempty"`
-	// Partitions shards a multi-switch fabric across that many
-	// conservatively synchronized event engines, one goroutine each
-	// (0 and 1 run the serial reference timeline). Switches are placed by
-	// greedy min-cut over the leaf-spine graph; each leaf's source, sink,
-	// and NF server follow their leaf. Results are byte-identical across
-	// partition counts — the knob trades nothing but wall-clock time.
-	// Single-switch topologies (Testbed, MultiServer) have no graph to cut
-	// and always run serial, and a run with a control plane
-	// (Control.Enabled) runs serial too: the fabric-wide controller reads
-	// and writes global state mid-run.
+	// Deprecated: Partitions is ignored; every run takes one engine's
+	// timeline. It is still decoded so older Scenario files load, and goes
+	// with the benchmark's two-partition workload (ROADMAP item 0).
 	Partitions int `json:"partitions,omitempty"`
 	// Progress, when non-nil, is called with a short label when the run
 	// completes (and by RunSweep once per completed grid point). It may

@@ -243,7 +243,7 @@ func TestChainPathAllocFree(t *testing.T) {
 			SrcMAC: MACGen, DstMAC: MACNF, DstIP: packet.IPv4Addr{10, 1, 0, 9}, DstPort: 80, Seed: 5,
 		})
 		recycle := func(p Parcel, _ string) { gen.Recycle(p.Pkt) }
-		sink := f.AddSinkAt("sink", 1<<62, gen.Recycle, 0)
+		sink := f.AddSink("sink", 1<<62, gen.Recycle)
 		toSink := f.NewLink("nf->sink", 40e9, 100, 1<<20, sink.Receive, recycle)
 		model := DefaultServerModel()
 		model.Cores = 2

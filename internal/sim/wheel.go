@@ -219,22 +219,6 @@ func (w *timeWheel) cascade(fi int) {
 	}
 }
 
-// peekAt returns the earliest queued event's timestamp without removing
-// it.
-func (w *timeWheel) peekAt() (int64, bool) {
-	if w.count > 0 {
-		idx := w.scanFrom(int(w.base) & wheelMask)
-		return w.nodes[w.buckets[idx].head].at, true
-	}
-	if w.farN > 0 {
-		return w.far[w.farScan()].min, true
-	}
-	if len(w.overflow) > 0 {
-		return w.overflow[0].at, true
-	}
-	return 0, false
-}
-
 // popLE removes and returns the earliest event if it fires at or before
 // limit. Events beyond limit are left queued (Run boundaries must not
 // disturb ordering).

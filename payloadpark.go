@@ -215,7 +215,6 @@ var (
 	CoresAxis      = scenario.CoresAxis
 	PacketSizeAxis = scenario.PacketSizeAxis
 	SlotsAxis      = scenario.SlotsAxis
-	PartitionsAxis = scenario.PartitionsAxis
 	SeedAxis       = scenario.SeedAxis
 )
 
