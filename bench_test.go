@@ -10,6 +10,7 @@ import (
 
 	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/packet"
+	"github.com/payloadpark/payloadpark/internal/rmt"
 	"github.com/payloadpark/payloadpark/internal/sim"
 )
 
@@ -99,7 +100,7 @@ func BenchmarkFrameBurst(b *testing.B) {
 	frame := pkt.Serialize()
 	fb := sw.NewFrameBurst(1)
 	var splitOut, mergeOut []byte
-	hop := func(in []byte, port PortID, out []byte) []byte {
+	hop := func(in []byte, port rmt.PortID, out []byte) []byte {
 		fb.Reset()
 		if err := fb.Add(in, port); err != nil {
 			b.Fatal(err)

@@ -1,16 +1,20 @@
 // Command ppvet runs the repo's invariant lint suite: static analyzers
 // that enforce at lint time what the test suite otherwise catches at run
 // time — determinism of the pinned packages, zero-alloc hot paths, the
-// snake_case JSON report surface, and table-program liveness.
+// snake_case JSON report surface, and table-program liveness — and then
+// cross-checks the zero-alloc marks against the compiler's escape
+// analysis and api/escape_allowlist.txt.
 //
 // usage:
 //
-//	ppvet [-json] [packages]
+//	ppvet [-json] [-update] [packages]
 //
 // Packages default to ./... resolved from the current directory. When
 // the analyzed set includes internal/prog, the table-program linter also
 // sweeps the built-in specs and every committed spec JSON file under
 // examples/. Exit status is 1 when any finding survives suppression.
+// -update rewrites the analysed packages' escape allowlist entries from
+// the current build instead of reporting escape drift.
 //
 // Suppression: a //pp:<directive> comment with a reason, on or
 // immediately above the flagged line, silences exactly one diagnostic
@@ -38,6 +42,7 @@ var analyzers = []*analysis.Analyzer{
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON object instead of text")
+	update := flag.Bool("update", false, "rewrite "+analysis.AllowlistPath+" from the current build")
 	flag.Usage = usage
 	flag.Parse()
 
@@ -46,7 +51,7 @@ func main() {
 		patterns = []string{"./..."}
 	}
 
-	findings, err := run(patterns)
+	findings, err := run(patterns, *update)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ppvet: %v\n", err)
 		os.Exit(2)
@@ -79,12 +84,16 @@ func main() {
 	}
 }
 
-func run(patterns []string) ([]analysis.Finding, error) {
+func run(patterns []string, update bool) ([]analysis.Finding, error) {
 	pkgs, err := analysis.Load(".", patterns)
 	if err != nil {
 		return nil, err
 	}
 	findings, err := analysis.RunAnalyzers(pkgs, analyzers)
+	if err != nil {
+		return nil, err
+	}
+	root, err := analysis.ModuleDir(".")
 	if err != nil {
 		return nil, err
 	}
@@ -96,10 +105,6 @@ func run(patterns []string) ([]analysis.Finding, error) {
 			continue
 		}
 		findings = append(findings, analysis.LintBuiltinSpecs()...)
-		root, err := analysis.ModuleDir(".")
-		if err != nil {
-			return nil, err
-		}
 		if dir := filepath.Join(root, "examples"); dirExists(dir) {
 			specs, err := analysis.FindSpecFiles(dir)
 			if err != nil {
@@ -111,7 +116,10 @@ func run(patterns []string) ([]analysis.Finding, error) {
 		}
 		break
 	}
-	return findings, nil
+
+	// The escape cross-check runs last, over the packages already loaded.
+	escapes, err := analysis.Escapes(root, pkgs, update)
+	return append(findings, escapes...), err
 }
 
 func dirExists(path string) bool {
@@ -131,11 +139,12 @@ func relativize(f analysis.Finding) string {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: ppvet [-json] [packages]\n\nanalyzers:\n")
+	fmt.Fprintf(os.Stderr, "usage: ppvet [-json] [-update] [packages]\n\nanalyzers:\n")
 	for _, a := range analyzers {
 		fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, firstLine(a.Doc))
 	}
 	fmt.Fprintf(os.Stderr, "  %-12s %s\n", analysis.ProglintName, firstLine(analysis.ProglintDoc))
+	fmt.Fprintf(os.Stderr, "  %-12s %s\n", analysis.EscapeName, firstLine(analysis.EscapeDoc))
 	fmt.Fprintf(os.Stderr, "\nflags:\n")
 	flag.PrintDefaults()
 }

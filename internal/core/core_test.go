@@ -156,9 +156,6 @@ func TestSplitMergeRoundTripIsIdentity(t *testing.T) {
 	if prog.Occupancy() != 0 {
 		t.Errorf("occupancy after merge = %d, want 0", prog.Occupancy())
 	}
-	if prog.C.Outstanding() != 0 {
-		t.Errorf("outstanding = %d, want 0", prog.C.Outstanding())
-	}
 }
 
 func TestSmallPayloadGetsDisabledHeader(t *testing.T) {

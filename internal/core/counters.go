@@ -56,15 +56,6 @@ func (c *Counters) String() string {
 		c.BadTagDrops.Value(), c.StaleExplicitDrops.Value())
 }
 
-// Outstanding returns how many payloads are currently parked: successful
-// splits minus every counted way a slot is reclaimed. (A merge dropped as
-// DropTruncatedMerge also frees its slot and is counted only in the
-// switch's drop reasons, so this over-reads by that many.)
-func (c *Counters) Outstanding() int64 {
-	return int64(c.Splits.Value()) - int64(c.Merges.Value()) -
-		int64(c.ExplicitDrops.Value()) - int64(c.Evictions.Value())
-}
-
 // RegisterObs registers every monitoring counter with the metrics
 // registry under the given Prometheus label set (e.g.
 // `switch="leaf0",program="0"`; empty for an unlabeled deployment).

@@ -6,7 +6,6 @@ import (
 
 	"github.com/payloadpark/payloadpark/internal/scenario"
 	"github.com/payloadpark/payloadpark/internal/sim"
-	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
 func init() {
@@ -75,14 +74,9 @@ func collectPolicies(o Options) (*Result, error) {
 	cells := make([]*scenario.Report, len(sizes)*len(policySends)*np)
 	if err := forEachCell(len(cells), func(i int) (err error) {
 		size, send := sizes[i/(len(policySends)*np)], policySends[i/np%len(policySends)]
-		cells[i], err = res.run(o, withPolicy(scenario.Scenario{
-			Name:     policyTestbedName(policyNames[i%np], size, send),
-			Topology: scenario.Testbed{LinkBps: 40e9},
-			Parking:  scenario.Parking{Slots: MacroSlots, MaxExpiry: 1},
-			Traffic:  scenario.Traffic{Dist: trafficgen.Fixed(size), SendBps: send * 1e9},
-			Server:   OpenNetVM40G(),
-			Opts:     o.opts(),
-		}, policyNames[i%np]))
+		s := fixedScenario(o, policyTestbedName(policyNames[i%np], size, send), size, nil)
+		s.Traffic.SendBps = send * 1e9
+		cells[i], err = res.run(o, withPolicy(s, policyNames[i%np]))
 		return err
 	}); err != nil {
 		return nil, err

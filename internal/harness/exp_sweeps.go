@@ -152,15 +152,7 @@ func collectFig13(o Options) (*Result, error) {
 }
 
 func collectFig16(o Options) (*Result, error) {
-	base := scenario.Scenario{
-		Name:     "fig16",
-		Topology: scenario.Testbed{LinkBps: 40e9},
-		Parking:  scenario.Parking{Slots: MacroSlots, MaxExpiry: 1},
-		Traffic:  scenario.Traffic{Dist: trafficgen.Fixed(512)},
-		Chain:    ChainFWNAT,
-		Server:   OpenNetVM40G(),
-		Opts:     o.opts(),
-	}
+	base := fixedScenario(o, "fig16", 512, ChainFWNAT)
 	rates := []float64{5, 10, 15, 20, 25, 30, 33, 36, 40, 45, 50}
 	if o.Quick {
 		rates = []float64{10, 30, 34, 40, 48}

@@ -33,8 +33,8 @@ func TestRegistryComplete(t *testing.T) {
 		t.Error("ByID(nope) succeeded")
 	}
 	for _, e := range all {
-		if e.Collect == nil {
-			t.Errorf("%s: missing Collect", e.ID)
+		if e.Title == "" || e.Paper == "" || e.Collect == nil {
+			t.Errorf("%s: incomplete experiment (title, paper claim and Collect are required)", e.ID)
 		}
 	}
 	ids := IDs()

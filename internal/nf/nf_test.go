@@ -201,16 +201,17 @@ func TestMACSwap(t *testing.T) {
 }
 
 func TestSyntheticCosts(t *testing.T) {
-	if NFLight.Cycles() != 50 || NFMedium.Cycles() != 300 || NFHeavy.Cycles() != 570 {
-		t.Error("paper calibration points wrong")
+	heavy := NewSynthetic("NF-Heavy", 570)
+	if heavy.Cycles() != 570 {
+		t.Errorf("cycles = %d, want 570", heavy.Cycles())
 	}
 	p := pktFrom(packet.IPv4Addr{10, 0, 0, 1}, 1, 100)
-	v, cy := NFHeavy.Process(p)
+	v, cy := heavy.Process(p)
 	if v != Forward || cy != 570 {
 		t.Errorf("verdict=%v cycles=%d", v, cy)
 	}
-	if NFHeavy.Name() != "NF-Heavy" {
-		t.Errorf("name = %s", NFHeavy.Name())
+	if heavy.Name() != "NF-Heavy" {
+		t.Errorf("name = %s", heavy.Name())
 	}
 }
 

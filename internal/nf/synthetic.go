@@ -21,19 +21,12 @@ func (MACSwap) Process(pkt *packet.Packet) (Verdict, uint64) {
 
 // Synthetic is the paper's variable-cost NF: "we take a MAC address
 // swapper and add a busy loop" (§6.1). The paper's three calibration
-// points are ~50 (NF-Light), ~300 (NF-Medium) and ~570 (NF-Heavy) average
-// CPU cycles per packet (§6.3.3).
+// points (§6.3.3) are Fig. 15's NF-Light, NF-Medium and NF-Heavy in
+// internal/harness.
 type Synthetic struct {
 	name   string
 	cycles uint64
 }
-
-// Paper calibration points for Fig. 15.
-var (
-	NFLight  = NewSynthetic("NF-Light", 50)
-	NFMedium = NewSynthetic("NF-Medium", 300)
-	NFHeavy  = NewSynthetic("NF-Heavy", 570)
-)
 
 // NewSynthetic builds a MAC-swapping NF that costs the given cycles.
 func NewSynthetic(name string, cycles uint64) *Synthetic {

@@ -174,13 +174,4 @@ func TestObserveValidation(t *testing.T) {
 	if _, err := Run(context.Background(), live); err == nil || !strings.Contains(err.Error(), "Observe.Trace") {
 		t.Errorf("live trace: err = %v, want Observe.Trace rejection", err)
 	}
-	custom := Scenario{
-		Topology: Custom{Name: "hook", Run: func(context.Context, Scenario) (*Report, error) {
-			return &Report{}, nil
-		}},
-		Observe: Observe{Metrics: true},
-	}
-	if _, err := Run(context.Background(), custom); err == nil || !strings.Contains(err.Error(), "Observe") {
-		t.Errorf("custom observe: err = %v, want Observe rejection", err)
-	}
 }

@@ -11,8 +11,8 @@ import (
 
 // Report is the structured outcome of one Run, identical in shape for
 // every topology: headline metrics up front, the per-topology detail
-// embedded (exactly one of Testbed / MultiServer / Fabric is non-nil;
-// Custom topologies fill whichever fits, or none).
+// embedded (exactly one of Testbed / MultiServer / Fabric / Live is
+// non-nil).
 type Report struct {
 	// Scenario and Topology identify the run.
 	Scenario string `json:"scenario"`
@@ -83,7 +83,7 @@ func newObsSetup(o Observe) obsSetup {
 
 // wiring binds a simulated run to its context and observability.
 func (ob obsSetup) wiring(ctx context.Context) sim.Wiring {
-	return sim.Wiring{Cancel: CancelFunc(ctx), Obs: sim.ObsConfig{Metrics: ob.reg, Trace: ob.trace}}
+	return sim.Wiring{Cancel: cancelFunc(ctx), Obs: sim.ObsConfig{Metrics: ob.reg, Trace: ob.trace}}
 }
 
 // finish snapshots the registry (after the run, so every counter has
@@ -110,7 +110,7 @@ func Run(ctx context.Context, s Scenario) (*Report, error) {
 		ctx = context.Background()
 	}
 	if s.Topology == nil {
-		return nil, errf("nil Topology (set Testbed, MultiServer, LeafSpine, or Custom)")
+		return nil, errf("nil Topology (set Testbed, MultiServer, LeafSpine, or Live)")
 	}
 	if err := s.Topology.validate(&s); err != nil {
 		return nil, err
@@ -121,11 +121,6 @@ func Run(ctx context.Context, s Scenario) (*Report, error) {
 	rep, err := s.Topology.run(ctx, &s)
 	if err != nil {
 		return nil, err
-	}
-	if rep == nil {
-		// Only a Custom hook can produce (nil, nil); fail descriptively
-		// instead of dereferencing it below.
-		return nil, errf("topology %q returned a nil Report without an error", s.Topology.Kind())
 	}
 	// A cancellation that struck mid-simulation left a partial timeline;
 	// report the cancellation, not the half-measured numbers.
@@ -143,12 +138,10 @@ func Run(ctx context.Context, s Scenario) (*Report, error) {
 	return rep, nil
 }
 
-// CancelFunc adapts a context to the sim runners' Cancel hook
+// cancelFunc adapts a context to the sim runners' Cancel hook
 // (sim.Wiring): it returns nil for contexts that can never be canceled
-// (no polling cost) and a non-blocking Done poll otherwise. Custom
-// topologies should pass it to their runner so mid-simulation
-// cancellation works for them too.
-func CancelFunc(ctx context.Context) func() bool {
+// (no polling cost) and a non-blocking Done poll otherwise.
+func cancelFunc(ctx context.Context) func() bool {
 	done := ctx.Done()
 	if done == nil {
 		return nil
@@ -291,20 +284,4 @@ func (l LeafSpine) run(ctx context.Context, s *Scenario) (*Report, error) {
 	}
 	ob.finish(rep)
 	return rep, nil
-}
-
-// --- Custom ---
-
-func (c Custom) validate(s *Scenario) error {
-	if c.Run == nil {
-		return errf("custom topology %q has a nil Run hook", c.Kind())
-	}
-	if s.Observe != (Observe{}) {
-		return errf("custom: Observe is unsupported (the hook owns its own runners; wire sim.ObsConfig there)")
-	}
-	return nil
-}
-
-func (c Custom) run(ctx context.Context, s *Scenario) (*Report, error) {
-	return c.Run(ctx, *s)
 }

@@ -39,39 +39,12 @@ func TestRunValidation(t *testing.T) {
 		{"fail needs 3 spines", Scenario{Topology: LeafSpine{Leaves: 4, Spines: 2, FailLink: true}, Parking: Parking{Mode: sim.ParkEdge}}, "third spine"},
 		{"ecmp x everyhop", Scenario{Topology: LeafSpine{}, Parking: Parking{Mode: sim.ParkEveryHop}, Control: Control{ECMP: true}}, "cannot stripe"},
 		{"compress x everyhop", Scenario{Topology: LeafSpine{}, Parking: Parking{Mode: sim.ParkEveryHop}, Program: Program{Kind: "compress"}}, "every-hop"},
-		{"custom nil hook", Scenario{Topology: Custom{Name: "x"}}, "nil Run hook"},
-		{"custom nil report", Scenario{Topology: Custom{Name: "x", Run: func(context.Context, Scenario) (*Report, error) {
-			return nil, nil
-		}}}, "nil Report"},
 	}
 	for _, c := range cases {
 		_, err := Run(ctx, c.sc)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want contains %q", c.name, err, c.want)
 		}
-	}
-}
-
-// TestCustomTopology runs the escape hatch end to end.
-func TestCustomTopology(t *testing.T) {
-	called := false
-	sc := Scenario{
-		Name: "bespoke",
-		Topology: Custom{Name: "socketfabric", Run: func(ctx context.Context, s Scenario) (*Report, error) {
-			called = true
-			if s.Opts.Seed != 7 {
-				t.Errorf("scenario not forwarded: %+v", s.Opts)
-			}
-			return &Report{GoodputGbps: 1.5, Healthy: true}, nil
-		}},
-		Opts: RunOptions{Seed: 7},
-	}
-	rep, err := Run(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !called || rep.Topology != "socketfabric" || rep.Scenario != "bespoke" {
-		t.Errorf("custom run: %+v", rep)
 	}
 }
 

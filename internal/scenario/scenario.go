@@ -1,6 +1,6 @@
 // Package scenario is the unified simulation entrypoint behind the
 // public payloadpark API: one Scenario descriptor composes a Topology
-// (testbed, multi-server, leaf-spine, or custom), a Parking policy, a
+// (testbed, multi-server, leaf-spine, or live), a Parking policy, a
 // Traffic spec, a ServerModel and RunOptions; Run executes it and
 // returns one structured, JSON-serializable Report regardless of
 // topology. Sweep expands a parameter grid over a base Scenario and runs
@@ -27,13 +27,12 @@ import (
 	"github.com/payloadpark/payloadpark/internal/sim"
 )
 
-// Topology selects the deployment shape a Scenario simulates. It is a
-// closed sum over the supported shapes — Testbed, MultiServer, LeafSpine
-// — plus the Custom escape hatch for bespoke fabrics that still want
-// Run/Sweep's worker pool and Report plumbing.
+// Topology selects the deployment shape a Scenario runs on. It is a
+// closed sum over the supported shapes: Testbed, MultiServer, LeafSpine
+// and Live.
 type Topology interface {
-	// Kind names the topology in reports ("testbed", "multiserver",
-	// "leafspine", "live", or a custom name).
+	// Kind names the topology in reports and in the JSON envelope
+	// ("testbed", "multiserver", "leafspine" or "live").
 	Kind() string
 	// validate rejects knob combinations the topology does not support,
 	// before any simulation runs; run's runner resolves and validates the
@@ -66,27 +65,6 @@ type LeafSpine sim.LeafSpine
 // Kind implements Topology.
 func (LeafSpine) Kind() string { return "leafspine" }
 
-// Custom runs a user-provided topology under the same entrypoint: the
-// Run hook receives the composed Scenario (parking, traffic, server,
-// options) and returns a Report. It is how bespoke fabrics — e.g. a
-// socket-backed deployment — ride Sweep's worker pool and the structured
-// result plumbing.
-type Custom struct {
-	// Name is the topology kind reported for this scenario.
-	Name string
-	// Run executes the scenario. It must honor ctx promptly (bind it to
-	// the sim engine's Cancel hook via CancelFunc).
-	Run func(ctx context.Context, s Scenario) (*Report, error)
-}
-
-// Kind implements Topology.
-func (c Custom) Kind() string {
-	if c.Name == "" {
-		return "custom"
-	}
-	return c.Name
-}
-
 // The sections of a Scenario are the runners' own parameter types,
 // re-exported: see sim.Parking, sim.Program, ctrl.Config, sim.Traffic and
 // sim.RunOptions for the fields, their defaults and their rules.
@@ -106,7 +84,7 @@ type (
 // A Scenario is JSON-serializable (the `ppbench -scenario file.json`
 // front end round-trips it): the Topology sum type is encoded as a
 // {"kind", "config"} envelope; hooks whose loss would change the run's
-// results — Chain, Traffic.Source, Custom topologies — are rejected by
+// results — Chain, Traffic.Source — are rejected by
 // MarshalJSON rather than silently dropped (the display-only
 // Opts.Progress callback is simply omitted).
 type Scenario struct {

@@ -13,8 +13,8 @@ import (
 // envelope — {"kind": "leafspine", "config": {...}} — so a Scenario
 // round-trips through JSON and the `ppbench -scenario file.json` front
 // end can run serialized scenarios. Hooks that would change the run's
-// results (Chain, Traffic.Source) and Custom topologies have no wire
-// form; MarshalJSON rejects them loudly instead of dropping them. The
+// results (Chain, Traffic.Source) have no wire form; MarshalJSON rejects
+// them loudly instead of dropping them. The
 // display-only Opts.Progress callback is the one exception: it is
 // omitted from the wire form, since its absence cannot change what a
 // deserialized scenario simulates. Unknown fields are rejected on
@@ -42,8 +42,8 @@ type scenarioWire struct {
 }
 
 // MarshalJSON implements json.Marshaler. It errors on scenarios that
-// cannot round-trip: nil or Custom topologies, and the Chain /
-// Traffic.Source hooks (whose loss would change simulation results).
+// cannot round-trip: a nil topology, and the Chain / Traffic.Source hooks
+// (whose loss would change simulation results).
 func (s Scenario) MarshalJSON() ([]byte, error) {
 	if s.Topology == nil {
 		return nil, errf("marshal: nil Topology")
@@ -73,26 +73,13 @@ func (s Scenario) MarshalJSON() ([]byte, error) {
 	default:
 		return nil, errf("marshal: Traffic.Dist %T is not serializable (use FixedSize)", d)
 	}
-	var kind string
-	switch s.Topology.(type) {
-	case Testbed, *Testbed:
-		kind = "testbed"
-	case MultiServer, *MultiServer:
-		kind = "multiserver"
-	case LeafSpine, *LeafSpine:
-		kind = "leafspine"
-	case Live, *Live:
-		kind = "live"
-	default:
-		return nil, errf("marshal: topology %q is not serializable", s.Topology.Kind())
-	}
 	cfg, err := json.Marshal(s.Topology)
 	if err != nil {
 		return nil, err
 	}
 	w := scenarioWire{
 		Name:     s.Name,
-		Topology: topologyWire{Kind: kind, Config: cfg},
+		Topology: topologyWire{Kind: s.Topology.Kind(), Config: cfg},
 	}
 	if s.Parking != (Parking{}) {
 		w.Parking = &s.Parking

@@ -113,7 +113,6 @@ func TestScenarioJSONRejectsUnserializable(t *testing.T) {
 		want string
 	}{
 		{"nil-topology", Scenario{}, "nil Topology"},
-		{"custom", Scenario{Topology: Custom{Name: "sockets"}}, "not serializable"},
 		{"chain", Scenario{Topology: Testbed{}, Chain: func() *nf.Chain { return nil }}, "Chain"},
 		{"source", Scenario{Topology: Testbed{}, Traffic: Traffic{Source: func() trafficgen.Source { return nil }}}, "Source"},
 		{"ms-datacenter", Scenario{Topology: MultiServer{}, Traffic: Traffic{Dist: trafficgen.Datacenter{}}}, "no wire form"},

@@ -38,9 +38,7 @@ func (p *Plant) ReadTelemetry(t *ctrl.Telemetry) {
 			for k, prog := range sw.Programs() {
 				st.Premature += prog.C.PrematureEvictions.Value()
 				st.Slots += prog.Config().Slots
-				if out := prog.C.Outstanding(); out > 0 {
-					st.Occupancy += int(out)
-				}
+				st.Occupancy += prog.Occupancy()
 				st.Demotable = st.Demotable || p.g.Switches[i].Park[k].Transit
 			}
 		})

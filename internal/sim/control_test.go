@@ -6,9 +6,51 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/ctrl"
+	"github.com/payloadpark/payloadpark/internal/packet"
+	"github.com/payloadpark/payloadpark/internal/rmt"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
+
+// TestPlantOccupancyIsTheRegisterScan: the plant reports parked payloads
+// from the program's registers. A truncated merge frees its slot but is
+// counted only in the switch's drop reasons, so any difference of the
+// program counters (splits - merges - evictions - explicit drops) would
+// still count it as parked.
+func TestPlantOccupancyIsTheRegisterScan(t *testing.T) {
+	s := Sections{Parking: Parking{Mode: ParkEdge, Slots: 64, MaxExpiry: 1, BoundaryOffset: 64}}
+	g := SingleSwitchGraph("plant", s, []rmt.PortID{0}, false)
+	sws, err := g.RealiseAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, prog := sws[0], sws[0].Programs()[0]
+	b := packet.NewBuilder(MACGen, MACNF)
+	flow := packet.FiveTuple{SrcIP: packet.IPv4Addr{10, 0, 0, 1}, DstIP: packet.IPv4Addr{10, 1, 0, 9}, SrcPort: 5000, DstPort: 80, Protocol: 17}
+	split := func(id uint16) *core.Emission {
+		em := inject(sw, b.UDP(flow, 882, id), groupGen)
+		if em == nil || em.Pkt.PP == nil || !em.Pkt.PP.Enabled {
+			t.Fatalf("packet %d did not park", id)
+		}
+		return em
+	}
+	// A truncating NF returns the first packet with 10 B of payload, short
+	// of the 64 B boundary; the second packet stays parked.
+	cut := split(1).Pkt
+	cut.Eth.Src, cut.Eth.Dst = MACNF, MACSink
+	cut.Payload = cut.Payload[:10]
+	if inject(sw, cut, groupNF) != nil || sw.Drops()[core.DropTruncatedMerge] != 1 {
+		t.Fatalf("truncated merge not dropped: drops %v", sw.Drops())
+	}
+	split(2)
+
+	var tel ctrl.Telemetry
+	NewPlant(g, sws, func(_ int, fn func()) { fn() }, nil).ReadTelemetry(&tel)
+	if got := tel.Switches[0].Occupancy; got != prog.Occupancy() || got != 1 {
+		t.Errorf("plant occupancy = %d, register scan = %d, want 1 (counters %v)", got, prog.Occupancy(), &prog.C)
+	}
+}
 
 // ecmpSmoke is a 6x3 fabric with hash-group routing (a controller owns
 // the groups' membership); enable Control.Adaptive for the parking policy

@@ -260,25 +260,38 @@ func (n *SwitchNode) consumedOf(port rmt.PortID) func(Parcel) {
 }
 
 // handle runs one arriving packet through the switch and schedules its
-// emission after the traversal latency. With the flight recorder on,
-// the traced variant (observe.go) takes over after one predictable
-// branch — the only per-packet cost tracing adds to a disabled run.
+// emission after the traversal latency. With the flight recorder on
+// (n.rec set) it also records what the dataplane did, stamped with the
+// engine's sim clock: parks, merges and evictions from program-counter
+// deltas around the injection, and a drop or explicit-drop consumption
+// with its reason. A run without a recorder pays only the predictable
+// nil checks; the counters are read only when one is armed.
 func (n *SwitchNode) handle(p Parcel, in rmt.PortID) {
-	if n.rec != nil {
-		n.handleTraced(p, in)
+	if n.WireParse && !n.reparse(&p, in) {
+		if n.rec != nil {
+			n.emit(obs.KindDrop, "wire parse error", p.Born, 0)
+		}
+		n.dropOf(in)(p, "wire parse error")
 		return
 	}
-	if n.WireParse {
-		if !n.reparse(&p, in) {
-			n.dropOf(in)(p, "wire parse error")
-			return
-		}
+	var pre progCounts
+	if n.rec != nil {
+		pre = n.progCounts()
 	}
 	r := n.one.inject(n.SW, p.Pkt, in)
+	if n.rec != nil {
+		n.emitDeltas(pre, p.Born)
+	}
 	if !r.OK {
 		if r.Reason != core.DropExplicitDrop {
+			if n.rec != nil {
+				n.emit(obs.KindDrop, r.Reason, p.Born, 0)
+			}
 			n.dropOf(in)(p, r.Reason)
 		} else {
+			if n.rec != nil {
+				n.emit(obs.KindConsume, "", p.Born, 0)
+			}
 			n.consumedOf(in)(p)
 		}
 		return

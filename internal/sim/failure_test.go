@@ -76,14 +76,10 @@ type switchPlant struct {
 }
 
 func (p *switchPlant) ReadTelemetry(t *ctrl.Telemetry) {
-	occ := 0
-	if out := p.prog.C.Outstanding(); out > 0 {
-		occ = int(out)
-	}
 	t.Switches = append(t.Switches[:0], ctrl.SwitchTelem{
 		Name:      p.name,
 		Premature: p.prog.C.PrematureEvictions.Value(),
-		Occupancy: occ,
+		Occupancy: p.prog.Occupancy(),
 		Slots:     p.prog.Config().Slots,
 	})
 	t.Links = t.Links[:0]

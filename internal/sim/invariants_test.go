@@ -150,7 +150,7 @@ func TestFabricByteConservation(t *testing.T) {
 // TestSlotAccountingUnderPressure overdrives a small parking table so
 // occupied skips and evictions all fire, then checks the full identity
 // including the explicit-drop term: Occupancy == Splits − Merges −
-// ExplicitDrops − Evictions (core.Counters.Outstanding).
+// ExplicitDrops − Evictions.
 func TestSlotAccountingUnderPressure(t *testing.T) {
 	f := NewFabric()
 	swn := f.AddSwitch("acct")
@@ -190,7 +190,8 @@ func TestSlotAccountingUnderPressure(t *testing.T) {
 	if c.Splits.Value() == 0 {
 		t.Fatal("nothing parked")
 	}
-	if got, want := int64(park.Occupancy()), c.Outstanding(); got != int64(want) {
-		t.Errorf("occupancy = %d, Outstanding() = %d", got, want)
+	want := int64(c.Splits.Value()) - int64(c.Merges.Value()) - int64(c.ExplicitDrops.Value()) - int64(c.Evictions.Value())
+	if got := int64(park.Occupancy()); got != want {
+		t.Errorf("occupancy = %d, counters say %d outstanding", got, want)
 	}
 }

@@ -3,10 +3,8 @@ package sim
 import (
 	"fmt"
 
-	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/ctrl"
 	"github.com/payloadpark/payloadpark/internal/obs"
-	"github.com/payloadpark/payloadpark/internal/rmt"
 )
 
 // ObsConfig carries one run's observability bindings into the presets:
@@ -105,12 +103,16 @@ func (f *Fabric) observeController(c *ctrl.Controller) {
 }
 
 // progCounts is the park-relevant slice of a switch's program counters,
-// summed across its programs; the traced handler diffs it around every
+// summed across its programs; a traced handle diffs it around every
 // injection to learn what the dataplane just did.
 type progCounts struct {
 	splits, merges, evictions uint64
 }
 
+// progCounts stays out of line, like emit, so handle carries none of the
+// recorder's code on its untraced path.
+//
+//go:noinline
 func (n *SwitchNode) progCounts() progCounts {
 	var c progCounts
 	for _, pr := range n.progs {
@@ -133,42 +135,29 @@ func (n *SwitchNode) dropName(reason string) uint16 {
 	return id
 }
 
-// handleTraced is handle with flight-recorder emission: park, merge
-// and eviction events are recovered from program-counter deltas around
-// the injection, drops and explicit-drop consumption record their
-// reason, and everything is stamped with the engine's sim clock.
-func (n *SwitchNode) handleTraced(p Parcel, in rmt.PortID) {
-	if n.WireParse {
-		if !n.reparse(&p, in) {
-			n.rec.Emit(obs.Event{At: n.eng.Now(), Track: n.trk, Kind: obs.KindDrop, Name: n.dropName("wire parse error"), ID: p.Born})
-			n.dropOf(in)(p, "wire parse error")
-			return
-		}
+// emit records one event on this switch's track at the engine's clock,
+// named by its drop reason when it has one.
+//
+//go:noinline
+func (n *SwitchNode) emit(kind obs.EventKind, reason string, id, arg int64) {
+	var name uint16
+	if reason != "" {
+		name = n.dropName(reason)
 	}
-	pre := n.progCounts()
-	r := n.one.inject(n.SW, p.Pkt, in)
+	n.rec.Emit(obs.Event{At: n.eng.Now(), Track: n.trk, Kind: kind, Name: name, ID: id, Arg: arg})
+}
+
+// emitDeltas records the parks, merges and evictions one injection made:
+// the program counters' growth since pre.
+func (n *SwitchNode) emitDeltas(pre progCounts, id int64) {
 	post := n.progCounts()
-	at := n.eng.Now()
 	if d := post.splits - pre.splits; d > 0 {
-		n.rec.Emit(obs.Event{At: at, Track: n.trk, Kind: obs.KindPark, ID: p.Born, Arg: int64(d)})
+		n.emit(obs.KindPark, "", id, int64(d))
 	}
 	if d := post.merges - pre.merges; d > 0 {
-		n.rec.Emit(obs.Event{At: at, Track: n.trk, Kind: obs.KindMerge, ID: p.Born, Arg: int64(d)})
+		n.emit(obs.KindMerge, "", id, int64(d))
 	}
 	if d := post.evictions - pre.evictions; d > 0 {
-		n.rec.Emit(obs.Event{At: at, Track: n.trk, Kind: obs.KindEvict, ID: p.Born, Arg: int64(d)})
+		n.emit(obs.KindEvict, "", id, int64(d))
 	}
-	if !r.OK {
-		if r.Reason != core.DropExplicitDrop {
-			n.rec.Emit(obs.Event{At: at, Track: n.trk, Kind: obs.KindDrop, Name: n.dropName(r.Reason), ID: p.Born})
-			n.dropOf(in)(p, r.Reason)
-		} else {
-			n.rec.Emit(obs.Event{At: at, Track: n.trk, Kind: obs.KindConsume, ID: p.Born})
-			n.consumedOf(in)(p)
-		}
-		return
-	}
-	p.Pkt = r.Em.Pkt
-	p.egress = r.Em.Port
-	n.eng.ScheduleParcel(r.Em.LatencyNs, n.routeFns[in], p)
 }

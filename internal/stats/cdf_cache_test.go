@@ -13,9 +13,10 @@ func TestCDFCacheInvalidation(t *testing.T) {
 		t.Errorf("At(15) = %v, want 0.5", got)
 	}
 	// Invalidate after a query and re-query.
-	c.ObserveN(30, 2)
+	c.Observe(30)
+	c.Observe(30)
 	if got := c.At(15); got != 0.25 {
-		t.Errorf("At(15) after ObserveN = %v, want 0.25", got)
+		t.Errorf("At(15) after two more samples = %v, want 0.25", got)
 	}
 	if got := c.Quantile(0.75); got != 30 {
 		t.Errorf("Quantile(0.75) = %v, want 30", got)
@@ -30,9 +31,8 @@ func TestCDFCacheInvalidation(t *testing.T) {
 	if got := c.At(1000); got != 1 {
 		t.Errorf("At(1000) = %v, want 1", got)
 	}
-	pts := c.Points()
-	if len(pts) != 4 || pts[0].V != 5 || pts[3].V != 30 || pts[3].P != 1 {
-		t.Errorf("Points() = %v", pts)
+	if got := c.At(5); got != 0.2 {
+		t.Errorf("At(5) = %v, want 0.2", got)
 	}
 }
 

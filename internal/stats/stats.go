@@ -30,9 +30,6 @@ func (c *Counter) Add(delta uint64) { c.n += delta }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n }
 
-// Reset returns the counter to zero.
-func (c *Counter) Reset() { c.n = 0 }
-
 // Summary accumulates a running mean/min/max over float64 observations
 // using Welford's algorithm for numerical stability.
 //
@@ -86,17 +83,6 @@ func (s *Summary) Variance() float64 {
 // Stddev returns the sample standard deviation.
 func (s *Summary) Stddev() float64 { return math.Sqrt(s.Variance()) }
 
-// StderrOfMean returns the standard error of the mean.
-func (s *Summary) StderrOfMean() float64 {
-	if s.count == 0 {
-		return 0
-	}
-	return s.Stddev() / math.Sqrt(float64(s.count))
-}
-
-// Reset discards all samples.
-func (s *Summary) Reset() { *s = Summary{} }
-
 // String summarizes as "mean=… min=… max=… n=…".
 func (s *Summary) String() string {
 	return fmt.Sprintf("mean=%.3f min=%.3f max=%.3f n=%d", s.Mean(), s.Min(), s.Max(), s.Count())
@@ -109,7 +95,6 @@ type Histogram struct {
 	bounds []float64 // ascending upper bounds, exclusive of overflow
 	counts []uint64  // len(bounds)+1, last is overflow
 	total  uint64
-	sum    float64
 }
 
 // NewHistogram builds a histogram with the given ascending bucket upper
@@ -127,15 +112,6 @@ func NewHistogram(bounds []float64) *Histogram {
 	b := make([]float64, len(bounds))
 	copy(b, bounds)
 	return &Histogram{bounds: b, counts: make([]uint64, len(b)+1)}
-}
-
-// LinearBounds returns n ascending bounds starting at start with the given step.
-func LinearBounds(start, step float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + step*float64(i)
-	}
-	return out
 }
 
 // ExponentialBounds returns n ascending bounds starting at start, each
@@ -157,19 +133,10 @@ func (h *Histogram) Observe(v float64) {
 	// exactly on a bound belong to that bucket (upper bound inclusive).
 	h.counts[i]++
 	h.total++
-	h.sum += v
 }
 
 // Count returns the total number of samples.
 func (h *Histogram) Count() uint64 { return h.total }
-
-// Mean returns the exact running mean of observed samples (not bucketed).
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
-}
 
 // Quantile returns an upper-bound estimate for quantile q in [0,1] using
 // bucket boundaries. With no samples it returns 0.
@@ -200,40 +167,11 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
-// Buckets returns a copy of (upperBound, count) pairs including the
-// overflow bucket, whose bound is +Inf.
-func (h *Histogram) Buckets() []Bucket {
-	out := make([]Bucket, 0, len(h.counts))
-	for i, c := range h.counts {
-		bound := math.Inf(1)
-		if i < len(h.bounds) {
-			bound = h.bounds[i]
-		}
-		out = append(out, Bucket{UpperBound: bound, Count: c})
-	}
-	return out
-}
-
-// Bucket is one histogram cell.
-type Bucket struct {
-	UpperBound float64
-	Count      uint64
-}
-
-// Reset zeroes all buckets.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.total = 0
-	h.sum = 0
-}
-
 // CDF is an empirical cumulative distribution function built from discrete
 // samples. It retains every distinct value, so it is intended for modest
 // cardinality domains such as packet sizes.
 //
-// Queries (At, Quantile, Points) run off a sorted-point cache rebuilt
+// Queries (At, Quantile) run off a sorted-point cache rebuilt
 // lazily after observations, so Observe stays a map increment (it sits on
 // the traffic generator's per-packet path) and repeated queries cost a
 // binary search instead of a full rescan.
@@ -260,13 +198,6 @@ func (c *CDF) Observe(v float64) {
 	c.dirty = true
 }
 
-// ObserveN records n identical samples.
-func (c *CDF) ObserveN(v float64, n uint64) {
-	c.counts[v] += n
-	c.total += n
-	c.dirty = true
-}
-
 // rebuild refreshes the sorted query cache from the counts map.
 func (c *CDF) rebuild() {
 	if !c.dirty && len(c.vals) == len(c.counts) {
@@ -285,9 +216,6 @@ func (c *CDF) rebuild() {
 	}
 	c.dirty = false
 }
-
-// Count returns the total number of samples.
-func (c *CDF) Count() uint64 { return c.total }
 
 // At returns P(X <= v).
 func (c *CDF) At(v float64) float64 {
@@ -334,26 +262,6 @@ func (c *CDF) Quantile(q float64) float64 {
 	return c.vals[i]
 }
 
-// Point is one step of an empirical CDF: P(X <= V) = P.
-type Point struct {
-	V float64
-	P float64
-}
-
-// Points returns the CDF steps in ascending value order. The returned
-// slice is a copy; mutating it does not affect the CDF.
-func (c *CDF) Points() []Point {
-	if c.total == 0 {
-		return nil
-	}
-	c.rebuild()
-	out := make([]Point, len(c.vals))
-	for i, v := range c.vals {
-		out[i] = Point{V: v, P: float64(c.cum[i]) / float64(c.total)}
-	}
-	return out
-}
-
 // RateMeter converts an event/byte count observed over a time window into
 // a rate. Time is expressed in integer nanoseconds to match the simulator
 // clock.
@@ -386,12 +294,6 @@ func (r *RateMeter) CloseAt(endNs int64) {
 		r.endNs = endNs
 	}
 }
-
-// Events returns the number of recorded events.
-func (r *RateMeter) Events() uint64 { return r.events }
-
-// Units returns the accumulated units.
-func (r *RateMeter) Units() float64 { return r.units }
 
 // WindowNs returns the observation window length in nanoseconds.
 func (r *RateMeter) WindowNs() int64 { return r.endNs - r.startNs }

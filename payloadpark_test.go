@@ -6,7 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"github.com/payloadpark/payloadpark/internal/harness"
+	"github.com/payloadpark/payloadpark/internal/packet"
 )
 
 var testFlow = FiveTuple{
@@ -159,7 +159,6 @@ func TestSimulateSmoke(t *testing.T) {
 		Topology: TestbedTopology{LinkBps: 10e9},
 		Parking:  ParkingPolicy{Mode: ParkEdgeMode, Slots: 8192, MaxExpiry: 1},
 		Traffic:  Traffic{SendBps: 3e9, Dist: Datacenter()},
-		Server:   DefaultServerModel(),
 		Chain:    func() *Chain { return NewChain(NewNAT(IPv4Addr{198, 51, 100, 1})) },
 		Opts:     RunOptions{Seed: 1, WarmupNs: 1e6, MeasureNs: 5e6},
 	})
@@ -171,43 +170,6 @@ func TestSimulateSmoke(t *testing.T) {
 	}
 	if rep.Testbed.Splits == 0 {
 		t.Error("no splits recorded")
-	}
-}
-
-func TestExperimentsRegistry(t *testing.T) {
-	exps := Experiments()
-	if len(exps) < 13 {
-		t.Fatalf("experiments = %d, want >= 13", len(exps))
-	}
-	ids := map[string]bool{}
-	for _, e := range exps {
-		if e.ID == "" || e.Title == "" || e.Paper == "" || e.Collect == nil {
-			t.Errorf("incomplete experiment: %+v", e.ID)
-		}
-		if ids[e.ID] {
-			t.Errorf("duplicate experiment id %s", e.ID)
-		}
-		ids[e.ID] = true
-	}
-	for _, want := range []string{"fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "table1", "equiv", "s621"} {
-		if !ids[want] {
-			t.Errorf("experiment %s missing", want)
-		}
-	}
-}
-
-func TestRunExperimentFig6(t *testing.T) {
-	var buf bytes.Buffer
-	for _, e := range Experiments() {
-		if e.ID != "fig6" {
-			continue
-		}
-		if err := e.Run(harness.Options{Quick: true, Seed: 1}, &buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if buf.Len() == 0 {
-		t.Error("no output")
 	}
 }
 
@@ -234,21 +196,9 @@ func TestRunSweepFacade(t *testing.T) {
 	}
 }
 
-func TestExperimentIDs(t *testing.T) {
-	ids := ExperimentIDs()
-	if len(ids) < 13 {
-		t.Fatalf("ids = %v", ids)
-	}
-	for i := 1; i < len(ids); i++ {
-		if ids[i-1] >= ids[i] {
-			t.Errorf("ids not sorted: %v", ids)
-		}
-	}
-}
-
 func TestConstants(t *testing.T) {
-	if ParkBytes != 160 || ParkBytesRecirculated != 384 || HeaderUnitLen != 42 {
-		t.Errorf("paper constants drifted: %d %d %d", ParkBytes, ParkBytesRecirculated, HeaderUnitLen)
+	if ParkBytes != 160 || ParkBytesRecirculated != 384 || packet.HeaderUnitLen != 42 {
+		t.Errorf("paper constants drifted: %d %d %d", ParkBytes, ParkBytesRecirculated, packet.HeaderUnitLen)
 	}
 }
 
@@ -307,7 +257,7 @@ func TestDeploymentSwitchDrops(t *testing.T) {
 	}
 	// A packet to an unknown MAC is dropped and accounted.
 	pkt := NewUDPPacket(testFlow, 200, 1)
-	pkt.Eth.Dst = MAC{9, 9, 9, 9, 9, 9}
+	pkt.Eth.Dst = packet.MAC{9, 9, 9, 9, 9, 9}
 	if out := d.Process(pkt); out != nil {
 		t.Fatal("unknown MAC delivered")
 	}
@@ -332,7 +282,7 @@ func TestProcessFrameErrors(t *testing.T) {
 	}
 	// A dropped frame (unknown MAC) returns nil, nil.
 	pkt := NewUDPPacket(testFlow, 200, 1)
-	pkt.Eth.Dst = MAC{9, 9, 9, 9, 9, 9}
+	pkt.Eth.Dst = packet.MAC{9, 9, 9, 9, 9, 9}
 	out, err := d.ProcessFrame(pkt.Serialize())
 	if err != nil || out != nil {
 		t.Errorf("dropped frame: out=%v err=%v", out, err)
