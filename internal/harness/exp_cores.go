@@ -5,7 +5,6 @@ import (
 
 	"github.com/payloadpark/payloadpark/internal/scenario"
 	"github.com/payloadpark/payloadpark/internal/sim"
-	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
 func init() {
@@ -42,14 +41,12 @@ func collectCores(o Options) (*Result, error) {
 	if err := forEachCell(len(counts), func(i int) (err error) {
 		server := MultiServer10G()
 		server.Cores = counts[i]
-		_, knee[i], err = res.peaks(o, scenario.Scenario{
-			Name:     fmt.Sprintf("cores-sat-%d", counts[i]),
-			Topology: scenario.Testbed{LinkBps: 40e9},
-			Parking:  scenario.Parking{Slots: SlotsForSRAMPct(0.20, false), MaxExpiry: 1},
-			Traffic:  scenario.Traffic{Dist: trafficgen.Fixed(384), Flows: sim.MultiServerFlows},
-			Server:   server,
-			Opts:     o.opts(),
-		}, 0.3e9, 40e9, 40e9)
+		base := fixedScenario(o, fmt.Sprintf("cores-sat-%d", counts[i]), 384, nil).With(func(s *scenario.Scenario) {
+			s.Parking.Slots = SlotsForSRAMPct(0.20, false)
+			s.Traffic.Flows = sim.MultiServerFlows
+			s.Server = server
+		})
+		_, knee[i], err = res.peaks(o, base, 0.3e9, 40e9, 40e9)
 		return err
 	}); err != nil {
 		return nil, err

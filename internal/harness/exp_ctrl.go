@@ -93,14 +93,7 @@ func collectCtrl(o Options) (*Result, error) {
 	var fail [2]*scenario.Report
 	for i, ctl := range []scenario.Control{{}, adaptive} {
 		var err error
-		if fail[i], err = res.run(o, scenario.Scenario{
-			Name:     "ctrl-failure[" + ctl.Label() + "]",
-			Topology: scenario.LeafSpine{Leaves: 6, Spines: 3, FailLink: true, FailAtNs: failAt(o), RerouteNs: staticRerouteNs},
-			Parking:  scenario.Parking{Mode: sim.ParkEdge},
-			Control:  ctl,
-			Traffic:  scenario.Traffic{SendBps: 4.5e9},
-			Opts:     o.stretched(4),
-		}); err != nil {
+		if fail[i], err = res.run(o, failureScenario(o, "ctrl-failure["+ctl.Label()+"]", failAt(o), staticRerouteNs, ctl)); err != nil {
 			return nil, err
 		}
 	}

@@ -74,13 +74,7 @@ func collectFabric(o Options) (*Result, error) {
 	// Part 2: link failure + reroute. Parking-safe reroute needs a third
 	// spine (the alternate path must not arrive on the egress leaf's
 	// merge port), so this part runs 6x3.
-	rep, err := res.run(o, scenario.Scenario{
-		Name:     "fabric-failure",
-		Topology: scenario.LeafSpine{Leaves: 6, Spines: 3, FailLink: true, RerouteNs: 2e6},
-		Parking:  scenario.Parking{Mode: sim.ParkEdge},
-		Traffic:  scenario.Traffic{SendBps: 4.5e9},
-		Opts:     o.stretched(4),
-	})
+	rep, err := res.run(o, failureScenario(o, "fabric-failure", 0, 2e6, scenario.Control{}))
 	if err != nil {
 		return nil, err
 	}
@@ -101,4 +95,19 @@ func collectFabric(o Options) (*Result, error) {
 		linkDrops, switchDrops, rep.Premature)
 	t.note("  orphaned parked payloads at run end: %d (reclaimed by expiry eviction as the index wraps)", orphans)
 	return res, nil
+}
+
+// failureScenario is the 6x3 link-failure run (edge parking, 4.5 Gbps per
+// source, a stretched window): flow 0's forward spine link fails at
+// failAtNs (0: a quarter into the window) and static routes follow
+// rerouteNs later.
+func failureScenario(o Options, name string, failAtNs, rerouteNs int64, ctl scenario.Control) scenario.Scenario {
+	return scenario.Scenario{
+		Name:     name,
+		Topology: scenario.LeafSpine{Leaves: 6, Spines: 3, FailLink: true, FailAtNs: failAtNs, RerouteNs: rerouteNs},
+		Parking:  scenario.Parking{Mode: sim.ParkEdge},
+		Control:  ctl,
+		Traffic:  scenario.Traffic{SendBps: 4.5e9},
+		Opts:     o.stretched(4),
+	}
 }

@@ -35,8 +35,9 @@ func init() {
 	})
 }
 
-// fixedScenario builds the 40GbE OpenNetVM fixed-size base scenario
-// (size 0: the datacenter mix).
+// fixedScenario is the 40GbE OpenNetVM testbed calibration every testbed
+// experiment on that server starts from (size 0: the datacenter mix; a
+// nil chain: the MAC swap); an experiment overrides only what it varies.
 func fixedScenario(o Options, name string, size int, chain func() *nf.Chain) scenario.Scenario {
 	var dist trafficgen.SizeDist = trafficgen.Datacenter{}
 	if size > 0 {

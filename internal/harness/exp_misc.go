@@ -174,13 +174,12 @@ func collectFig12(o Options) (*Result, error) {
 	}
 	res := &Result{}
 	grid, err := res.sweep(o, scenario.Sweep{
-		Base: scenario.Scenario{
-			Name:     "fig12",
-			Topology: scenario.Testbed{},
-			Traffic:  scenario.Traffic{SendBps: 12e9, Dist: trafficgen.Datacenter{}},
-			Server:   OpenNetVM40G(),
-			Opts:     opts,
-		},
+		// The 40GbE calibration on a 10GbE link; the axes set chain and parking.
+		Base: fixedScenario(o, "fig12", 0, nil).With(func(s *scenario.Scenario) {
+			s.Topology = scenario.Testbed{}
+			s.Traffic.SendBps = 12e9
+			s.Opts = opts
+		}),
 		Axes: []scenario.Axis{fracAxis, varAxis},
 	})
 	if err != nil {
@@ -210,20 +209,14 @@ func collectFig12(o Options) (*Result, error) {
 // span several stall periods.
 func evictionScenario(o Options, name string, slots int, server sim.ServerModel) scenario.Scenario {
 	server.ServiceJitterPct = 0.2
-	opts := o.opts()
-	opts.WarmupNs, opts.MeasureNs = 30e6, 75e6
-	if o.Quick {
-		opts.WarmupNs, opts.MeasureNs = 15e6, 50e6
-	}
-	return scenario.Scenario{
-		Name:     name,
-		Topology: scenario.Testbed{LinkBps: 40e9},
-		Parking:  scenario.Parking{Mode: sim.ParkEdge, Slots: slots, MaxExpiry: 1},
-		Traffic:  scenario.Traffic{Dist: trafficgen.Fixed(384)},
-		Chain:    ChainFWNAT,
-		Server:   server,
-		Opts:     opts,
-	}
+	return fixedScenario(o, name, 384, ChainFWNAT).With(func(s *scenario.Scenario) {
+		s.Parking.Mode, s.Parking.Slots = sim.ParkEdge, slots
+		s.Server = server
+		s.Opts.WarmupNs, s.Opts.MeasureNs = 30e6, 75e6
+		if o.Quick {
+			s.Opts.WarmupNs, s.Opts.MeasureNs = 15e6, 50e6
+		}
+	})
 }
 
 func collectFig14(o Options) (*Result, error) {

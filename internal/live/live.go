@@ -25,6 +25,7 @@
 package live
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -153,8 +154,25 @@ func (t Topology) parseGeometry() (leaves, spines int, err error) {
 	return 0, 0, fmt.Errorf("live: unknown geometry %q; %s", t.Geometry, validGeometries)
 }
 
-// Validate reports the first rule a resolved live run breaks.
+// Validate reports the first rule a resolved live run breaks: first the
+// sections the socket fabric does not run, then its geometry and counts.
+// It holds every rule of a live run — live.Run and ReferenceRun enforce
+// them whoever calls.
 func (t Topology) Validate(s sim.Sections) error {
+	switch {
+	case s.Chain != nil:
+		return errors.New("live: custom Chain unsupported (the socket NF pins firewall+MAC-swap)")
+	case s.Traffic.Source != nil:
+		return errors.New("live: Traffic.Source unsupported")
+	case s.Parking.Mode == sim.ParkEveryHop:
+		return errors.New("live: ParkEveryHop unsupported (the socket fabric parks at the edge)")
+	case s.Parking.Recirculate || s.Parking.BoundaryOffset != 0:
+		return errors.New("live: Recirculate/BoundaryOffset unsupported")
+	case s.Program.Enabled() || s.Program.Spec != nil:
+		return errors.New("live: table programs unsupported (use Testbed or LeafSpine)")
+	case s.Control.ECMP:
+		return errors.New("live: ECMP unsupported (the socket fabric routes statically)")
+	}
 	leaves, _, err := t.parseGeometry()
 	if err != nil {
 		return err

@@ -9,6 +9,7 @@ import (
 
 	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/ctrl"
+	"github.com/payloadpark/payloadpark/internal/nf"
 	"github.com/payloadpark/payloadpark/internal/rmt"
 	"github.com/payloadpark/payloadpark/internal/sim"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
@@ -165,6 +166,37 @@ func TestValidateRejectsBadGeometry(t *testing.T) {
 	// Errors must list the valid shapes so the CLI user can self-serve.
 	if err := validate(Topology{Geometry: "ring"}, sim.Sections{}); err == nil || !strings.Contains(err.Error(), "chain") {
 		t.Fatalf("geometry error does not list valid options: %v", err)
+	}
+}
+
+// TestRulesHaveOneOwner: every rule naming a section the socket fabric
+// does not run lives in Topology.Validate, so live.Run and ReferenceRun
+// called directly reject the description with the text scenario.Run
+// reports after its "scenario: " prefix. The reference replay used to run
+// a table program, recirculation and every-hop striping as plain parking.
+func TestRulesHaveOneOwner(t *testing.T) {
+	for _, tc := range []struct {
+		set  func(*sim.Sections)
+		want string
+	}{
+		{func(s *sim.Sections) { s.Chain = func() *nf.Chain { return nf.NewChain(nf.MACSwap{}) } }, "custom Chain unsupported (the socket NF pins firewall+MAC-swap)"},
+		{func(s *sim.Sections) { s.Traffic.Source = func() trafficgen.Source { return nil } }, "Traffic.Source unsupported"},
+		{func(s *sim.Sections) { s.Parking.Mode = sim.ParkEveryHop }, "ParkEveryHop unsupported (the socket fabric parks at the edge)"},
+		{func(s *sim.Sections) { s.Parking.Recirculate = true }, "Recirculate/BoundaryOffset unsupported"},
+		{func(s *sim.Sections) { s.Parking.BoundaryOffset = 32 }, "Recirculate/BoundaryOffset unsupported"},
+		{func(s *sim.Sections) { s.Program.Kind = "compress" }, "table programs unsupported (use Testbed or LeafSpine)"},
+		{func(s *sim.Sections) { s.Control.ECMP = true }, "ECMP unsupported (the socket fabric routes statically)"},
+	} {
+		s := sim.Sections{Parking: parking(16, false)}
+		tc.set(&s)
+		topo := Topology{Lockstep: true, Frames: 4}
+		_, runErr := Run(context.Background(), topo, s, Wiring{Timeout: 10 * time.Second})
+		_, refErr := ReferenceRun(topo, s)
+		for via, err := range map[string]error{"Run": runErr, "ReferenceRun": refErr} {
+			if want := "live: " + tc.want; err == nil || err.Error() != want {
+				t.Errorf("%s: err = %v, want %q", via, err, want)
+			}
+		}
 	}
 }
 

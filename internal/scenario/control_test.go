@@ -89,7 +89,7 @@ func TestECMPSweepDeterministicAcrossWorkers(t *testing.T) {
 			},
 			Axes: []Axis{
 				ParkingAxis(sim.ParkNone, sim.ParkEdge),
-				SeedAxis(1, 2),
+				seeds(1, 2),
 			},
 			Workers: workers,
 		}

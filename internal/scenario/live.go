@@ -15,34 +15,12 @@ type Live live.Topology
 // Kind implements Topology.
 func (Live) Kind() string { return "live" }
 
-func (l Live) validate(s *Scenario) error {
-	if s.Chain != nil {
-		return errf("live: custom Chain unsupported (the socket NF pins firewall+MAC-swap)")
-	}
-	if s.Traffic.Source != nil {
-		return errf("live: Traffic.Source unsupported")
-	}
-	if s.Parking.Mode == sim.ParkEveryHop {
-		return errf("live: ParkEveryHop unsupported (the socket fabric parks at the edge)")
-	}
-	if s.Parking.Recirculate || s.Parking.BoundaryOffset != 0 {
-		return errf("live: Recirculate/BoundaryOffset unsupported")
-	}
-	if s.Program.Enabled() || s.Program.Spec != nil {
-		return errf("live: table programs unsupported (use Testbed or LeafSpine)")
-	}
-	if s.Control.ECMP {
-		return errf("live: ECMP unsupported (the socket fabric routes statically)")
-	}
+func (l Live) run(ctx context.Context, s *Scenario, w sim.Wiring) (*Report, error) {
+	// The one rule kept here: Observe is the scenario's, not a runner section.
 	if s.Observe.Trace {
-		return errf("live: Observe.Trace is simulated-topology only (flight recording needs the deterministic sim clock); Observe.Metrics works live")
+		return nil, errf("live: Observe.Trace is simulated-topology only (flight recording needs the deterministic sim clock); Observe.Metrics works live")
 	}
-	return nil
-}
-
-func (l Live) run(ctx context.Context, s *Scenario) (*Report, error) {
-	ob := newObsSetup(s.Observe)
-	res, err := live.Run(ctx, live.Topology(l), s.sections(), live.Wiring{Metrics: ob.reg})
+	res, err := live.Run(ctx, live.Topology(l), s.sections(), live.Wiring{Metrics: w.Obs.Metrics})
 	if err != nil {
 		return nil, errf("%w", err) // live's errors carry the "live:" prefix
 	}
@@ -58,6 +36,5 @@ func (l Live) run(ctx context.Context, s *Scenario) (*Report, error) {
 		rep.UnintendedDropRate = float64(unaccounted) / float64(res.Sent)
 		rep.Healthy = rep.UnintendedDropRate < sim.HealthyDropRate
 	}
-	ob.finish(rep)
 	return rep, nil
 }

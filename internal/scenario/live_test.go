@@ -10,6 +10,7 @@ import (
 
 	"github.com/payloadpark/payloadpark/internal/live"
 	"github.com/payloadpark/payloadpark/internal/sim"
+	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
 // oddDist is a size distribution that is neither Fixed nor the datacenter
@@ -96,6 +97,14 @@ func TestLiveScenarioValidation(t *testing.T) {
 		{func(s *Scenario) { s.Parking.Recirculate = true }, "Recirculate"},
 		{func(s *Scenario) { s.Program.Kind = "compress" }, "table programs"},
 		{func(s *Scenario) { s.Control.ECMP = true }, "ECMP"},
+		// live.Topology.Validate owns these (live.TestRulesHaveOneOwner
+		// calls live.Run and ReferenceRun directly).
+		{func(s *Scenario) { s.Chain = fwNATChain }, "scenario: live: custom Chain unsupported (the socket NF pins firewall+MAC-swap)"},
+		{func(s *Scenario) { s.Traffic.Source = func() trafficgen.Source { return nil } }, "scenario: live: Traffic.Source unsupported"},
+		{func(s *Scenario) { s.Parking.Mode = sim.ParkEveryHop }, "scenario: live: ParkEveryHop unsupported (the socket fabric parks at the edge)"},
+		{func(s *Scenario) { s.Parking.BoundaryOffset = 32 }, "scenario: live: Recirculate/BoundaryOffset unsupported"},
+		{func(s *Scenario) { s.Program.Kind = "compress" }, "scenario: live: table programs unsupported (use Testbed or LeafSpine)"},
+		{func(s *Scenario) { s.Control.ECMP = true }, "scenario: live: ECMP unsupported (the socket fabric routes statically)"},
 	}
 	for _, tc := range cases {
 		s := base

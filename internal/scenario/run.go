@@ -58,48 +58,28 @@ type Report struct {
 	Trace *obs.Trace `json:"-"`
 }
 
-// obsSetup carries one run's observability plumbing: the registry and
-// trace built from the Observe spec, handed to the runner as wiring and
-// folded into the Report after.
-type obsSetup struct {
-	reg   *obs.Registry
-	trace *obs.Trace
-}
-
-func newObsSetup(o Observe) obsSetup {
-	var ob obsSetup
+// bindings builds the observability the spec asks for, as the runners'
+// wiring carries it.
+func (o Observe) bindings() sim.ObsConfig {
+	var c sim.ObsConfig
 	if o.Metrics {
-		ob.reg = obs.NewRegistry()
+		c.Metrics = obs.NewRegistry()
 	}
 	if o.Trace {
 		cap := o.TraceEventCap
 		if cap <= 0 {
 			cap = obs.DefaultEventCap
 		}
-		ob.trace = obs.NewTrace(cap)
+		c.Trace = obs.NewTrace(cap)
 	}
-	return ob
-}
-
-// wiring binds a simulated run to its context and observability.
-func (ob obsSetup) wiring(ctx context.Context) sim.Wiring {
-	return sim.Wiring{Cancel: cancelFunc(ctx), Obs: sim.ObsConfig{Metrics: ob.reg, Trace: ob.trace}}
-}
-
-// finish snapshots the registry (after the run, so every counter has
-// its final value) and attaches the trace to the report.
-func (ob obsSetup) finish(rep *Report) {
-	if ob.reg != nil {
-		rep.Metrics = ob.reg.Snapshot()
-	}
-	rep.Trace = ob.trace
+	return c
 }
 
 // Run executes one Scenario and returns its Report. It is the single
 // public entrypoint for every topology. The scenario's sections go to the
 // topology's runner as they are; the runner's package resolves their
-// defaults and validates them (see sim.Sections), so nothing here
-// restates a field.
+// defaults and validates them — every rule, "unsupported here" included
+// (see sim.Sections) — so nothing here restates a field or a rule.
 //
 // Cancellation is honored mid-simulation: the context's Done channel is
 // polled by the event engine every few thousand events, so even a
@@ -112,13 +92,11 @@ func Run(ctx context.Context, s Scenario) (*Report, error) {
 	if s.Topology == nil {
 		return nil, errf("nil Topology (set Testbed, MultiServer, LeafSpine, or Live)")
 	}
-	if err := s.Topology.validate(&s); err != nil {
-		return nil, err
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rep, err := s.Topology.run(ctx, &s)
+	w := sim.Wiring{Cancel: cancelFunc(ctx), Obs: s.Observe.bindings()}
+	rep, err := s.Topology.run(ctx, &s, w)
 	if err != nil {
 		return nil, err
 	}
@@ -127,6 +105,11 @@ func Run(ctx context.Context, s Scenario) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	// Snapshot after the run, so every counter has its final value.
+	if reg := w.Obs.Metrics; reg != nil {
+		rep.Metrics = reg.Snapshot()
+	}
+	rep.Trace = w.Obs.Trace
 	rep.Scenario = s.Name
 	rep.Topology = s.Topology.Kind()
 	if rep.Mode == "" {
@@ -158,16 +141,8 @@ func cancelFunc(ctx context.Context) func() bool {
 
 // --- Testbed ---
 
-func (t Testbed) validate(s *Scenario) error {
-	if s.Control.ECMP {
-		return errf("testbed: ECMP needs a multipath topology (use LeafSpine)")
-	}
-	return nil
-}
-
-func (t Testbed) run(ctx context.Context, s *Scenario) (*Report, error) {
-	ob := newObsSetup(s.Observe)
-	res, err := sim.RunTestbed(sim.Testbed(t), s.sections(), ob.wiring(ctx))
+func (t Testbed) run(_ context.Context, s *Scenario, w sim.Wiring) (*Report, error) {
+	res, err := sim.RunTestbed(sim.Testbed(t), s.sections(), w)
 	if err != nil {
 		return nil, errf("testbed: %w", err)
 	}
@@ -185,37 +160,13 @@ func (t Testbed) run(ctx context.Context, s *Scenario) (*Report, error) {
 		Programs:           res.Programs,
 		Testbed:            &res,
 	}
-	ob.finish(rep)
 	return rep, nil
 }
 
 // --- MultiServer ---
 
-func (m MultiServer) validate(s *Scenario) error {
-	if s.Chain != nil {
-		return errf("multiserver: custom Chain unsupported (the §6.2.3 deployment pins the MAC-swap chain)")
-	}
-	if s.Traffic.Source != nil {
-		return errf("multiserver: Traffic.Source unsupported")
-	}
-	if s.Parking.Recirculate || s.Parking.BoundaryOffset != 0 || s.Parking.ExplicitDrop {
-		return errf("multiserver: Recirculate/BoundaryOffset/ExplicitDrop unsupported")
-	}
-	if s.Parking.Mode == sim.ParkEveryHop {
-		return errf("multiserver: ParkEveryHop needs a multi-switch topology")
-	}
-	if s.Control.Enabled() {
-		return errf("multiserver: control plane unsupported (use Testbed or LeafSpine)")
-	}
-	if s.Program.Enabled() || s.Program.Spec != nil {
-		return errf("multiserver: table programs unsupported (use Testbed or LeafSpine)")
-	}
-	return nil
-}
-
-func (m MultiServer) run(ctx context.Context, s *Scenario) (*Report, error) {
-	ob := newObsSetup(s.Observe)
-	res, err := sim.RunMultiServer(sim.MultiServer(m), s.sections(), ob.wiring(ctx))
+func (m MultiServer) run(_ context.Context, s *Scenario, w sim.Wiring) (*Report, error) {
+	res, err := sim.RunMultiServer(sim.MultiServer(m), s.sections(), w)
 	if err != nil {
 		return nil, errf("multiserver: %w", err)
 	}
@@ -237,28 +188,13 @@ func (m MultiServer) run(ctx context.Context, s *Scenario) (*Report, error) {
 		rep.UnintendedDropRate /= float64(n)
 	}
 	rep.Healthy = rep.UnintendedDropRate < sim.HealthyDropRate
-	ob.finish(rep)
 	return rep, nil
 }
 
 // --- LeafSpine ---
 
-func (l LeafSpine) validate(s *Scenario) error {
-	if s.Chain != nil {
-		return errf("leafspine: custom Chain unsupported (fabric NFs pin the MAC-swap chain)")
-	}
-	if s.Traffic.Source != nil {
-		return errf("leafspine: Traffic.Source unsupported")
-	}
-	if s.Parking.Recirculate || s.Parking.BoundaryOffset != 0 || s.Parking.ExplicitDrop {
-		return errf("leafspine: Recirculate/BoundaryOffset/ExplicitDrop unsupported")
-	}
-	return nil
-}
-
-func (l LeafSpine) run(ctx context.Context, s *Scenario) (*Report, error) {
-	ob := newObsSetup(s.Observe)
-	res, err := sim.RunLeafSpine(sim.LeafSpine(l), s.sections(), ob.wiring(ctx))
+func (l LeafSpine) run(_ context.Context, s *Scenario, w sim.Wiring) (*Report, error) {
+	res, err := sim.RunLeafSpine(sim.LeafSpine(l), s.sections(), w)
 	if err != nil {
 		return nil, errf("leafspine: %w", err)
 	}
@@ -282,6 +218,5 @@ func (l LeafSpine) run(ctx context.Context, s *Scenario) (*Report, error) {
 	for _, sw := range res.Switches {
 		rep.Premature += sw.Premature
 	}
-	ob.finish(rep)
 	return rep, nil
 }

@@ -14,6 +14,7 @@ import (
 	"github.com/payloadpark/payloadpark/internal/nf"
 	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/sim"
+	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
 func fwNATChain() *nf.Chain {
@@ -25,6 +26,8 @@ func fwNATChain() *nf.Chain {
 
 func TestRunValidation(t *testing.T) {
 	ctx := context.Background()
+	replay := func() trafficgen.Source { return nil }
+	const trio = "Recirculate/BoundaryOffset/ExplicitDrop unsupported"
 	cases := []struct {
 		name string
 		sc   Scenario
@@ -39,6 +42,21 @@ func TestRunValidation(t *testing.T) {
 		{"fail needs 3 spines", Scenario{Topology: LeafSpine{Leaves: 4, Spines: 2, FailLink: true}, Parking: Parking{Mode: sim.ParkEdge}}, "third spine"},
 		{"ecmp x everyhop", Scenario{Topology: LeafSpine{}, Parking: Parking{Mode: sim.ParkEveryHop}, Control: Control{ECMP: true}}, "cannot stripe"},
 		{"compress x everyhop", Scenario{Topology: LeafSpine{}, Parking: Parking{Mode: sim.ParkEveryHop}, Program: Program{Kind: "compress"}}, "every-hop"},
+		// The rules sim's Validate methods own, as Run reports them
+		// (sim.TestRulesHaveOneOwner calls the runners directly).
+		{"tb ecmp", Scenario{Topology: Testbed{}, Control: Control{ECMP: true}}, "scenario: testbed: ECMP needs a multipath topology (use LeafSpine)"},
+		{"ms chain exact", Scenario{Topology: MultiServer{}, Chain: fwNATChain}, "scenario: multiserver: custom Chain unsupported (the §6.2.3 deployment pins the MAC-swap chain)"},
+		{"ms source", Scenario{Topology: MultiServer{}, Traffic: Traffic{Source: replay}}, "scenario: multiserver: Traffic.Source unsupported"},
+		{"ms recirculate", Scenario{Topology: MultiServer{}, Parking: Parking{Recirculate: true}}, "scenario: multiserver: " + trio},
+		{"ms boundary", Scenario{Topology: MultiServer{}, Parking: Parking{BoundaryOffset: 32}}, "scenario: multiserver: " + trio},
+		{"ms explicit drop", Scenario{Topology: MultiServer{}, Parking: Parking{ExplicitDrop: true}}, "scenario: multiserver: " + trio},
+		{"ms everyhop exact", Scenario{Topology: MultiServer{}, Parking: Parking{Mode: sim.ParkEveryHop}}, "scenario: multiserver: ParkEveryHop needs a multi-switch topology"},
+		{"ms control", Scenario{Topology: MultiServer{}, Parking: Parking{Mode: sim.ParkEdge}, Control: Control{Adaptive: true}}, "scenario: multiserver: control plane unsupported (use Testbed or LeafSpine)"},
+		{"ms program", Scenario{Topology: MultiServer{}, Program: Program{Kind: "compress"}}, "scenario: multiserver: table programs unsupported (use Testbed or LeafSpine)"},
+		{"ls chain", Scenario{Topology: LeafSpine{}, Chain: fwNATChain}, "scenario: leafspine: custom Chain unsupported (fabric NFs pin the MAC-swap chain)"},
+		{"ls source", Scenario{Topology: LeafSpine{}, Traffic: Traffic{Source: replay}}, "scenario: leafspine: Traffic.Source unsupported"},
+		{"ls recirculate", Scenario{Topology: LeafSpine{}, Parking: Parking{Recirculate: true}}, "scenario: leafspine: " + trio},
+		{"ls explicit drop", Scenario{Topology: LeafSpine{}, Parking: Parking{ExplicitDrop: true}}, "scenario: leafspine: " + trio},
 	}
 	for _, c := range cases {
 		_, err := Run(ctx, c.sc)

@@ -29,17 +29,18 @@ import (
 
 // Topology selects the deployment shape a Scenario runs on. It is a
 // closed sum over the supported shapes: Testbed, MultiServer, LeafSpine
-// and Live.
+// and Live. Each converts to its runner's own type, and that runner's
+// Validate (sim.Testbed.Validate, ..., live.Topology.Validate) is the one
+// rulebook for it — including which sections it does not run — so Run and
+// a direct runner call reject the same descriptions with the same words.
 type Topology interface {
 	// Kind names the topology in reports and in the JSON envelope
 	// ("testbed", "multiserver", "leafspine" or "live").
 	Kind() string
-	// validate rejects knob combinations the topology does not support,
-	// before any simulation runs; run's runner resolves and validates the
-	// sections themselves (geometry, ranges) and reports its own errors.
-	validate(s *Scenario) error
-	// run executes the scenario on this topology.
-	run(ctx context.Context, s *Scenario) (*Report, error)
+	// run executes the scenario on this topology's runner under w, which
+	// Run binds to ctx and the Observe spec; the runner resolves and
+	// validates the sections itself and reports its own errors.
+	run(ctx context.Context, s *Scenario, w sim.Wiring) (*Report, error)
 }
 
 // The serializable topologies are defined types over the struct the
@@ -135,9 +136,6 @@ type Observe struct {
 	// the ring wraps.
 	TraceEventCap int `json:"trace_event_cap,omitempty"`
 }
-
-// Enabled reports whether any observability is requested.
-func (o Observe) Enabled() bool { return o.Metrics || o.Trace }
 
 // sections gathers what every runner reads besides its topology.
 func (s *Scenario) sections() sim.Sections {

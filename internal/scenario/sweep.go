@@ -45,7 +45,7 @@ func axisOver[T any](name string, values []T, label func(T) string, set func(*Sc
 }
 
 // number labels a numeric axis value: %g for floats, %d for integers.
-func number[T int | int64 | float64](v T) string { return fmt.Sprint(v) }
+func number[T int | float64](v T) string { return fmt.Sprint(v) }
 
 // SendGbpsAxis sweeps the per-source offered load in Gbps.
 func SendGbpsAxis(rates ...float64) Axis {
@@ -77,16 +77,6 @@ func CoresAxis(counts ...int) Axis {
 // PacketSizeAxis sweeps fixed packet sizes in bytes.
 func PacketSizeAxis(sizes ...int) Axis {
 	return axisOver("size", sizes, number[int], func(s *Scenario, n int) { s.Traffic.Dist = trafficgen.Fixed(n) })
-}
-
-// SlotsAxis sweeps the lookup-table capacity per program.
-func SlotsAxis(slots ...int) Axis {
-	return axisOver("slots", slots, number[int], func(s *Scenario, n int) { s.Parking.Slots = n })
-}
-
-// SeedAxis sweeps the random seed (repetition axis).
-func SeedAxis(seeds ...int64) Axis {
-	return axisOver("seed", seeds, number[int64], func(s *Scenario, v int64) { s.Opts.Seed = v })
 }
 
 // Sweep expands a parameter grid over a base scenario: the cartesian

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -10,6 +11,15 @@ import (
 
 	"github.com/payloadpark/payloadpark/internal/sim"
 )
+
+// seeds is a repetition axis over the random seed.
+func seeds(vs ...int64) Axis {
+	var pts []AxisPoint
+	for _, v := range vs {
+		pts = append(pts, AxisPoint{Label: fmt.Sprint(v), Set: func(s *Scenario) { s.Opts.Seed = v }})
+	}
+	return AxisOf("seed", pts...)
+}
 
 func sweepBase() Scenario {
 	return Scenario{
@@ -85,7 +95,7 @@ func TestRunSweepDeterministic(t *testing.T) {
 	mk := func(workers int) *SweepReport {
 		sw := Sweep{
 			Base:    sweepBase(),
-			Axes:    []Axis{SendGbpsAxis(2, 4), SeedAxis(1, 2)},
+			Axes:    []Axis{SendGbpsAxis(2, 4), seeds(1, 2)},
 			Workers: workers,
 		}
 		rep, err := RunSweep(context.Background(), sw)
@@ -140,7 +150,7 @@ func TestRunSweepCancellation(t *testing.T) {
 	start := time.Now()
 	rep, err := RunSweep(ctx, Sweep{
 		Base:    base,
-		Axes:    []Axis{SendGbpsAxis(2, 4, 6, 8, 10, 12), SeedAxis(1, 2, 3, 4)},
+		Axes:    []Axis{SendGbpsAxis(2, 4, 6, 8, 10, 12), seeds(1, 2, 3, 4)},
 		Workers: 4,
 	})
 	elapsed := time.Since(start)
@@ -211,10 +221,6 @@ func TestAxisHelpers(t *testing.T) {
 	PacketSizeAxis(512).Points[0].Set(&s)
 	if s.Traffic.Dist == nil {
 		t.Error("size axis did not set dist")
-	}
-	SlotsAxis(4096).Points[0].Set(&s)
-	if s.Parking.Slots != 4096 {
-		t.Error("slots axis")
 	}
 	CoresAxis(4).Points[0].Set(&s)
 	if s.Server.Cores != 4 {

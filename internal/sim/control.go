@@ -142,7 +142,7 @@ func attachController(f *Fabric, cfg ctrl.Config, g *Graph, until int64) *ctrl.C
 	}
 	c := ctrl.New(cfg, NewPlant(g, sws, func(_ int, fn func()) { fn() }, f.linkTelemetry()), groups)
 	f.observeController(c)
-	eng := f.Engine()
+	eng := f.eng
 	period := c.Config().PeriodNs
 	var tick func()
 	tick = func() {

@@ -44,12 +44,7 @@ func (s *edgeSide) consume(p Parcel) { s.recycle(p.Pkt) }
 type edgeSpec struct {
 	flow    *Flow
 	src, nf edgeSide
-	// NF-facing line rate, per-link propagation delay and the switch's
-	// egress buffer; lossRate strikes both directions of the NF link.
-	linkBps    float64
-	propNs     int64
-	queueBytes int
-	lossRate   float64
+	wires
 
 	source     trafficgen.Source
 	startAt    int64 // first departure (runners stagger their sources)
@@ -97,13 +92,13 @@ func newEdge(f *Fabric, spec edgeSpec) *edge {
 	fl := e.flow
 
 	genLink := f.NewLink(fl.Gen.ToSwitch, 2*e.linkBps, e.propNs, 4<<20,
-		src.node.IngressWith(fl.Gen.At.Port, src.drop, src.consume), src.drop)
+		src.node.Ingress(fl.Gen.At.Port, src.drop, src.consume), src.drop)
 	e.sink = f.AddSink(fl.Sink.Name, end, src.recycle)
 	src.node.SetOut(fl.Sink.At.Port, f.NewLink(fl.Sink.FromSwitch, 2*e.linkBps, e.propNs, 2*e.queueBytes,
 		e.sink.Receive, src.drop))
 
 	returnLink := f.NewLink(fl.NF.ToSwitch, e.linkBps, e.propNs, e.queueBytes,
-		srv.node.IngressWith(fl.NF.At.Port, srv.drop, srv.consume), srv.drop)
+		srv.node.Ingress(fl.NF.At.Port, srv.drop, srv.consume), srv.drop)
 	returnLink.LossRate = e.lossRate
 	e.server = NewServerSim(eng, e.sec.Server, nf.NewServer(e.sec.serverConfig(fl)), e.serverSeed,
 		returnLink.Send, srv.drop, func(p Parcel) {

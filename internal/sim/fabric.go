@@ -11,10 +11,9 @@ import (
 
 // Fabric is the discrete-event realisation of a Graph (graph.go):
 // simulation nodes — switches, NF servers, traffic sources and sinks —
-// connected by unidirectional Links. The runners load each switch with
-// Graph.Realise and cable it: RunTestbed and RunMultiServer one switch
-// and its edges (edge.go), RunLeafSpine the graph's fabric cables between
-// the same edges.
+// connected by unidirectional Links. One skeleton builds it for every
+// runner (realise, run.go): each graph switch loaded by Graph.Realise, two
+// links per graph cable, one edge (edge.go) per flow.
 //
 // A Fabric shares one single-threaded discrete-event Engine; all nodes
 // schedule onto the same clock, so runs stay deterministic regardless of
@@ -35,10 +34,6 @@ type Fabric struct {
 func NewFabric() *Fabric {
 	return &Fabric{eng: NewEngine()}
 }
-
-// Engine exposes the fabric's event engine (for preset measurement
-// closures and custom scheduling).
-func (f *Fabric) Engine() *Engine { return f.eng }
 
 // Run executes the fabric until the clock passes until.
 func (f *Fabric) Run(until int64) { f.eng.Run(until) }
@@ -162,7 +157,8 @@ const maxWireFrame = 2048
 
 // portHooks is the per-ingress-port drop handling of a switch node: each
 // edge charges the drops of packets entering on its ports to its own
-// counters and packet pool, whoever else shares the switch.
+// counters and packet pool, whoever else shares the switch, and a fabric
+// cable's far end charges the run's fabric-wide count.
 type portHooks struct {
 	onDrop     func(Parcel, string)
 	onConsumed func(Parcel)
@@ -188,12 +184,6 @@ type SwitchNode struct {
 	// the serialization scratch per switch, so steady state allocates
 	// nothing.
 	WireParse bool
-	// OnDrop receives unintended switch drops (unknown MAC, premature
-	// eviction, bad tag); OnConsumed receives intended explicit-drop
-	// consumption. Required unless every cabled ingress port overrides
-	// them via IngressWith.
-	OnDrop     func(Parcel, string)
-	OnConsumed func(Parcel)
 
 	out      [core.NumPorts]*Link
 	hooks    [core.NumPorts]portHooks
@@ -221,21 +211,14 @@ type SwitchNode struct {
 // port are dropped with reason "no route".
 func (n *SwitchNode) SetOut(port rmt.PortID, l *Link) { n.out[port] = l }
 
-// Ingress returns the delivery handler for packets arriving on port,
-// using the node-level drop hooks. The handler is built once per port;
-// links deliver through it without per-packet allocation.
-func (n *SwitchNode) Ingress(port rmt.PortID) func(Parcel) {
-	return n.IngressWith(port, nil, nil)
-}
-
-// IngressWith is Ingress with per-port drop handling: drops of packets
-// that entered on this port go to onDrop/onConsumed instead of the
-// node-level hooks (nil falls back). Edges use this to charge the drops on
-// their own ports to their own counters.
-func (n *SwitchNode) IngressWith(port rmt.PortID, onDrop func(Parcel, string), onConsumed func(Parcel)) func(Parcel) {
-	if onDrop != nil || onConsumed != nil {
-		n.hooks[port] = portHooks{onDrop: onDrop, onConsumed: onConsumed}
-	}
+// Ingress returns the delivery handler for packets arriving on port.
+// Packets that entered there and die in the switch go to onDrop
+// (unintended: unknown MAC, premature eviction, bad tag, no route) or
+// onConsumed (an intended explicit-drop notification). The handler is
+// built once per port; links deliver through it without per-packet
+// allocation.
+func (n *SwitchNode) Ingress(port rmt.PortID, onDrop func(Parcel, string), onConsumed func(Parcel)) func(Parcel) {
+	n.hooks[port] = portHooks{onDrop: onDrop, onConsumed: onConsumed}
 	if h := n.ingress[port]; h != nil {
 		return h
 	}
@@ -243,20 +226,6 @@ func (n *SwitchNode) IngressWith(port rmt.PortID, onDrop func(Parcel, string), o
 	n.ingress[port] = h
 	n.routeFns[port] = func(p Parcel) { n.route(p, port) }
 	return h
-}
-
-func (n *SwitchNode) dropOf(port rmt.PortID) func(Parcel, string) {
-	if h := n.hooks[port].onDrop; h != nil {
-		return h
-	}
-	return n.OnDrop
-}
-
-func (n *SwitchNode) consumedOf(port rmt.PortID) func(Parcel) {
-	if h := n.hooks[port].onConsumed; h != nil {
-		return h
-	}
-	return n.OnConsumed
 }
 
 // handle runs one arriving packet through the switch and schedules its
@@ -271,7 +240,7 @@ func (n *SwitchNode) handle(p Parcel, in rmt.PortID) {
 		if n.rec != nil {
 			n.emit(obs.KindDrop, "wire parse error", p.Born, 0)
 		}
-		n.dropOf(in)(p, "wire parse error")
+		n.hooks[in].onDrop(p, "wire parse error")
 		return
 	}
 	var pre progCounts
@@ -287,12 +256,12 @@ func (n *SwitchNode) handle(p Parcel, in rmt.PortID) {
 			if n.rec != nil {
 				n.emit(obs.KindDrop, r.Reason, p.Born, 0)
 			}
-			n.dropOf(in)(p, r.Reason)
+			n.hooks[in].onDrop(p, r.Reason)
 		} else {
 			if n.rec != nil {
 				n.emit(obs.KindConsume, "", p.Born, 0)
 			}
-			n.consumedOf(in)(p)
+			n.hooks[in].onConsumed(p)
 		}
 		return
 	}
@@ -319,7 +288,7 @@ func (b *batchOfOne) inject(sw *core.Switch, pkt *packet.Packet, in rmt.PortID) 
 // ingress port the packet arrived on, which owns the drop handling.
 func (n *SwitchNode) route(p Parcel, in rmt.PortID) {
 	if int(p.egress) >= len(n.out) || n.out[p.egress] == nil {
-		n.dropOf(in)(p, "no route")
+		n.hooks[in].onDrop(p, "no route")
 		return
 	}
 	n.out[p.egress].Send(p)

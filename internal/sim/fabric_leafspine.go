@@ -5,7 +5,6 @@ import (
 
 	"github.com/payloadpark/payloadpark/internal/ctrl"
 	"github.com/payloadpark/payloadpark/internal/rmt"
-	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
 // ParkMode selects where a leaf-spine fabric parks payloads.
@@ -129,57 +128,18 @@ func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
 	}
 	L, S := l.Leaves, l.Spines
 	mode, ecmp, compress := sec.Parking.Mode, sec.Control.ECMP, sec.Program.Kind == "compress"
-	controlled := sec.Control.Enabled() // ECMP groups always run under a controller
 	g := l.graph(sec)
-
-	f := NewFabric()
-	eng := f.eng
-	eng.Cancel = w.Cancel
 	windowStart, windowEnd := sec.Opts.window()
+	spec := runSpec{wires: wires{linkBps: l.LinkBps, propNs: l.PropNs, queueBytes: l.QueueBytes}, stagger: 131}
 
-	// Switches in report order: leaves 0..L-1, then spines L..L+S-1.
-	nodes := make([]*SwitchNode, L+S)
-	for i, gs := range g.Switches {
-		nodes[i] = f.AddSwitch(gs.Name)
-		nodes[i].WireParse = gs.WireParse
-		if err := g.Realise(i, nodes[i].SW); err != nil {
-			return FabricResult{}, err
-		}
-	}
-	leaves := nodes[:L]
 	// Window-start compression-counter snapshots.
 	compSnaps := make([]map[string]uint64, L)
 	if compress {
-		for i := range leaves {
-			i := i
-			eng.ScheduleAt(windowStart, func() {
-				compSnaps[i] = leaves[i].SW.Instances()[0].Counters()
-			})
-		}
-	}
-
-	gens := make([]*trafficgen.Generator, L)
-	for i := range gens {
-		gens[i] = trafficgen.New(g.Flows[i].Traffic)
-	}
-	// Drop accounting away from the edges (fabric cables, spines, leaf
-	// ingress from a spine), summed with the edges' own counts at harvest.
-	// Drops can strike mid-fabric where the owning flow is unknown, so a
-	// packet may recycle into a neighbour's pool: generators fully rewrite
-	// reused packets, so pool membership never shows up in results.
-	var fabricDrops uint64
-	dropFor := func(r int) func(Parcel, string) {
-		return func(p Parcel, _ string) {
-			if p.InWindow {
-				fabricDrops++
+		spec.realised = func(r *simRun) {
+			for i, leaf := range r.nodes[:L] {
+				r.eng.ScheduleAt(windowStart, func() { compSnaps[i] = leaf.SW.Instances()[0].Counters() })
 			}
-			gens[r].Recycle(p.Pkt)
 		}
-	}
-	for n, node := range nodes {
-		recycle := gens[n%L].Recycle // spine s charges flow s%L's pool
-		node.OnDrop = dropFor(n % L)
-		node.OnConsumed = func(p Parcel) { recycle(p.Pkt) }
 	}
 
 	// Failure bookkeeping (flow 0).
@@ -193,58 +153,30 @@ func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
 		}
 		return 2
 	}
-
-	// Cables. Fabric links both ways between every leaf and every spine;
-	// both directions charge their drops to the leaf's flow.
 	// The failure scenario's subject is flow 0's forward path, as the graph
 	// routes it: leaf 0's uplink toward the NF, and the link from the spine
 	// behind that uplink down to the egress leaf.
 	egress := g.Flows[0].NF.At.Switch
 	fwdPort := g.Switches[0].Routes[g.Flows[0].NF.MAC]
 	fwdSpine := g.Peers()[0][fwdPort].Far.Switch
-	var failLink *Link
-	for _, c := range g.Cables {
-		leaf, spine := c.A.Switch, c.B.Switch
-		up := f.NewLink(nodes[leaf].Name+"->"+nodes[spine].Name, l.LinkBps, l.PropNs, l.QueueBytes,
-			nodes[spine].Ingress(c.B.Port), dropFor(leaf))
-		nodes[leaf].SetOut(c.A.Port, up)
-		down := f.NewLink(nodes[spine].Name+"->"+nodes[leaf].Name, l.LinkBps, l.PropNs, l.QueueBytes,
-			nodes[leaf].Ingress(c.A.Port), dropFor(leaf))
-		nodes[spine].SetOut(c.B.Port, down)
-		if spine == fwdSpine && leaf == egress {
-			failLink = down // flow 0's forward last fabric hop
+	spec.wired = func(r *simRun) {
+		r.edges[0].onDeliver = func(now int64) { phaseDelivered[phase(now)]++ }
+		if !l.FailLink {
+			return
 		}
-	}
-
-	// Edges: flow i's source and sink hang off leaf i, its NF server off
-	// leaf j.
-	edges := make([]*edge, L)
-	for i := range edges {
-		j := (i + 1) % L
-		spec := edgeSpec{
-			flow:    &g.Flows[i],
-			src:     edgeSide{node: leaves[i], recycle: gens[i].Recycle},
-			nf:      edgeSide{node: leaves[j], recycle: gens[i].Recycle},
-			linkBps: l.LinkBps, propNs: l.PropNs, queueBytes: l.QueueBytes,
-			source:     gens[i],
-			startAt:    int64(i) * 131, // desynchronize sources slightly
-			serverSeed: sec.Opts.Seed + (int64(i)+1)<<40,
-			sec:        sec,
+		// Fail flow 0's forward spine->leaf link, then repoint the forward
+		// route onto an alternate spine. With parking on, the alternate
+		// must avoid both the dead spine and the spine whose arrival port
+		// is the egress leaf's merge port (validated above); parked state
+		// at leaf 0 survives because the merge port pins the untouched
+		// return path.
+		var failLink *Link
+		for k, c := range g.Cables {
+			if c.A.Switch == egress && c.B.Switch == fwdSpine {
+				failLink = r.cables[k][1]
+			}
 		}
-		if i == 0 {
-			spec.onDeliver = func(now int64) { phaseDelivered[phase(now)]++ }
-		}
-		edges[i] = newEdge(f, spec)
-	}
-
-	// Failure scenario: fail flow 0's forward spine->leaf link, then
-	// repoint the forward route onto an alternate spine. With parking on,
-	// the alternate must avoid both the dead spine and the spine whose
-	// arrival port is the egress leaf's merge port (validated above);
-	// parked state at leaf 0 survives because the merge port pins the
-	// untouched return path.
-	if l.FailLink {
-		eng.ScheduleAt(l.FailAtNs, func() { failLink.Down = true })
+		r.eng.ScheduleAt(l.FailAtNs, func() { failLink.Down = true })
 		// Static routes are rewritten after the detection delay. With ECMP
 		// the controller's next telemetry tick sees the down link and
 		// shrinks the group instead — detection latency is the tick period.
@@ -258,50 +190,41 @@ func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
 					alt = next(alt)
 				}
 			}
-			eng.ScheduleAt(l.FailAtNs+l.RerouteNs, func() {
-				leaves[0].SW.AddL2Route(g.Flows[0].NF.MAC, alt)
+			r.eng.ScheduleAt(l.FailAtNs+l.RerouteNs, func() {
+				r.nodes[0].SW.AddL2Route(g.Flows[0].NF.MAC, alt)
 			})
 		}
 	}
-
-	f.EnableObs(w.Obs)
-
-	var controller *ctrl.Controller
-	if controlled {
-		cc := sec.Control
-		def(&cc.Aggressive, sec.Parking.MaxExpiry)
-		controller = attachController(f, cc, g, windowEnd+sec.Opts.WarmupNs)
+	r, err := realise(g, sec, w, spec)
+	if err != nil {
+		return FabricResult{}, err
 	}
-
-	f.Run(windowEnd + sec.Opts.WarmupNs)
 
 	res := FabricResult{
 		Mode:            mode.String(),
-		Links:           f.LinkReports(windowEnd + sec.Opts.WarmupNs),
-		Switches:        f.SwitchReports(),
+		Links:           r.LinkReports(windowEnd + sec.Opts.WarmupNs),
+		Switches:        r.SwitchReports(),
 		PhaseDelivered:  phaseDelivered,
-		UnintendedDrops: fabricDrops,
+		UnintendedDrops: r.fabricDrops,
+		Control:         r.control(),
 	}
 	if compress {
-		for i, leaf := range leaves {
+		for i, leaf := range r.nodes[:L] {
 			res.Programs = append(res.Programs, programReport(leaf.Name, leaf.SW.Instances()[0], compSnaps[i]))
 		}
 		sortPrograms(res.Programs)
 	}
-	if controller != nil {
-		res.Control = controller.Snapshot()
-	}
-	for i, e := range edges {
-		r := e.measure()
+	for i, e := range r.edges {
+		m := e.measure()
 		fr := FlowResult{
 			Name:         g.Flows[i].Name,
-			SendGbps:     r.SendGbps,
-			GoodputGbps:  r.GoodputGbps,
-			ToNFGbps:     r.ToNFGbps,
-			ToNFMpps:     r.ToNFMpps,
-			AvgLatencyUs: r.AvgLatencyUs,
-			MaxLatencyUs: r.MaxLatencyUs,
-			Delivered:    r.Delivered,
+			SendGbps:     m.SendGbps,
+			GoodputGbps:  m.GoodputGbps,
+			ToNFGbps:     m.ToNFGbps,
+			ToNFMpps:     m.ToNFMpps,
+			AvgLatencyUs: m.AvgLatencyUs,
+			MaxLatencyUs: m.MaxLatencyUs,
+			Delivered:    m.Delivered,
 		}
 		res.Flows = append(res.Flows, fr)
 		res.SendGbps += fr.SendGbps

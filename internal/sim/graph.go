@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/ctrl"
@@ -15,11 +16,13 @@ import (
 // of a deployment — switches with their L2 routes and program placements,
 // the generator / NF server / sink endpoints of every flow, ECMP groups
 // and named cables — built once per geometry (SingleSwitchGraph,
-// LeafSpineGraph) and realised three ways: the discrete-event runners add
-// rates, queues and ServerSim stations (RunTestbed, RunMultiServer,
-// RunLeafSpine, NewInProcess), internal/live adds UDP sockets and wire
-// daemons, and Walker carries frames through it with no clock at all.
-// Ports, MACs, names, seeds and creation order live here and nowhere else.
+// LeafSpineGraph) and realised three ways: the discrete-event runners
+// (RunTestbed, RunMultiServer, RunLeafSpine) share one skeleton, realise
+// in run.go, that adds rates, queues and ServerSim stations; internal/live
+// adds UDP sockets and wire daemons; and Walker (NewInProcess too) carries
+// frames through it with no clock at all. Ports, MACs, names, seeds and
+// creation order live here and nowhere else; which sections a topology
+// runs is its Validate's to say (sections.go).
 
 // The one port table. A single switch hosts each generator / NF server /
 // sink group on three consecutive ports from the group's base (the
@@ -177,12 +180,17 @@ func (m MultiServer) graph(s Sections) *Graph {
 // graph is the leaf-spine fabric.
 func (l LeafSpine) graph(s Sections) *Graph { return LeafSpineGraph(l.Leaves, l.Spines, s) }
 
-// serverConfig is the NF framework hosting the sections' chain at the far
-// end of flow fl.
+// serverConfig is the NF framework hosting the sections' chain (nil: the
+// MAC swap) at the far end of flow fl. A chain of MAC-swapping NFs already
+// handles L2 return addressing, so the framework must not rewrite MACs.
 func (s Sections) serverConfig(fl *Flow) nf.ServerConfig {
-	chain := s.Chain()
+	chain := nf.NewChain(nf.MACSwap{})
+	if s.Chain != nil {
+		chain = s.Chain()
+	}
+	swaps := slices.Contains([]string{"MACSwap", "NF-Light", "NF-Medium", "NF-Heavy"}, chain.Name())
 	return nf.ServerConfig{
-		Chain: chain, RewriteMACs: !chainSwapsMACs(chain),
+		Chain: chain, RewriteMACs: !swaps,
 		NFMAC: fl.NF.MAC, NextHopMAC: fl.Sink.MAC,
 		ExplicitDrop: s.Parking.ExplicitDrop,
 	}

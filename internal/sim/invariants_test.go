@@ -91,10 +91,9 @@ func TestFabricByteConservation(t *testing.T) {
 		DstIP: [4]byte{10, 9, 0, 1}, DstPort: 80, Seed: 7,
 	})
 	fail := func(p Parcel, why string) { t.Errorf("unintended drop: %s", why) }
-	swn.OnDrop = fail
-	swn.OnConsumed = func(p Parcel) { t.Error("switch consumed a packet") }
+	consumed := func(p Parcel) { t.Error("switch consumed a packet") }
 
-	returnLink := f.NewLink("nf->sw", 10e9, 500, 1<<20, swn.Ingress(portNF), fail)
+	returnLink := f.NewLink("nf->sw", 10e9, 500, 1<<20, swn.Ingress(portNF, fail, consumed), fail)
 	var slimmed, delivered int
 	toNFLink := f.NewLink("sw->nf", 10e9, 500, 1<<20, func(p Parcel) {
 		// The NF-facing hop must carry strictly less than the full frame
@@ -122,7 +121,7 @@ func TestFabricByteConservation(t *testing.T) {
 	swn.SetOut(portNF, toNFLink)
 	swn.SetOut(portSink, sinkLink)
 
-	genLink := f.NewLink("gen->sw", 10e9, 500, 1<<20, swn.Ingress(portSplit), fail)
+	genLink := f.NewLink("gen->sw", 10e9, 500, 1<<20, swn.Ingress(portSplit, fail, consumed), fail)
 	src := f.AddSource("gen", gen, genLink, 2e9)
 	src.WindowStart, src.WindowEnd = 0, 4e6
 	src.StopAt = 4e6
@@ -170,7 +169,7 @@ func TestSlotAccountingUnderPressure(t *testing.T) {
 		DstIP: [4]byte{10, 9, 0, 2}, DstPort: 80, Seed: 9,
 	})
 	drop := func(p Parcel, _ string) {}
-	returnLink := f.NewLink("nf->sw", 10e9, 500, 1<<20, swn.Ingress(portNF), drop)
+	returnLink := f.NewLink("nf->sw", 10e9, 500, 1<<20, swn.Ingress(portNF, drop, nil), drop)
 	toNF := f.NewLink("sw->nf", 10e9, 500, 1<<20, func(p Parcel) {
 		p.Pkt.Eth.Src, p.Pkt.Eth.Dst = p.Pkt.Eth.Dst, p.Pkt.Eth.Src
 		returnLink.Send(p)
@@ -178,7 +177,7 @@ func TestSlotAccountingUnderPressure(t *testing.T) {
 	sink := f.NewLink("sw->sink", 10e9, 500, 1<<20, func(Parcel) {}, drop)
 	swn.SetOut(portNF, toNF)
 	swn.SetOut(portSink, sink)
-	genLink := f.NewLink("gen->sw", 10e9, 500, 1<<20, swn.Ingress(portSplit), drop)
+	genLink := f.NewLink("gen->sw", 10e9, 500, 1<<20, swn.Ingress(portSplit, drop, nil), drop)
 	// Overdrive a 64-slot table so occupied skips and evictions happen.
 	src := f.AddSource("gen", gen, genLink, 8e9)
 	src.WindowStart, src.WindowEnd = 0, 4e6

@@ -17,7 +17,10 @@ import (
 // re-exports as Scenario's fields and every runner (RunTestbed,
 // RunMultiServer, RunLeafSpine, live.Run) takes as parameters. A section
 // is declared here, defaulted by the Resolve of the topology that runs it
-// and validated by that topology's Validate; nothing restates its fields.
+// and validated by that topology's Validate — the one rulebook: every rule,
+// "unsupported on this topology" included, lives in the Validate of the
+// runner that reads the section, so a caller that skips the scenario
+// package is held to the same rules. Nothing restates a field.
 
 // Parking is the PayloadPark policy of a run. The zero value is the
 // baseline (no parking); set Mode to park.
@@ -243,7 +246,7 @@ type Sections struct {
 	Control ctrl.Config // a controller runs iff Control.Enabled()
 	Traffic Traffic
 	Server  ServerModel      // NF server calibration (zero value: DefaultServerModel)
-	Chain   func() *nf.Chain // a fresh NF chain per run (Testbed only; default MAC swap)
+	Chain   func() *nf.Chain // a fresh NF chain per run (Testbed only; nil: the MAC swap)
 	Opts    RunOptions
 }
 
@@ -281,9 +284,21 @@ func (s *Sections) Resolve(slots int, dist trafficgen.SizeDist, flows int) {
 	if s.Server.FreqHz == 0 {
 		s.Server = DefaultServerModel()
 	}
-	if s.Chain == nil {
-		s.Chain = func() *nf.Chain { return nf.NewChain(nf.MACSwap{}) }
+}
+
+// fixedNF is the rule of every topology that pins its NF chain and its
+// generators: a custom Chain or a replay Source is the testbed's alone.
+// why says what pins the chain.
+func (s Sections) fixedNF(why string) error {
+	switch {
+	case s.Chain != nil:
+		return fmt.Errorf("custom Chain unsupported (%s)", why)
+	case s.Traffic.Source != nil:
+		return errors.New("Traffic.Source unsupported")
+	case s.Parking.Recirculate || s.Parking.BoundaryOffset != 0 || s.Parking.ExplicitDrop:
+		return errors.New("Recirculate/BoundaryOffset/ExplicitDrop unsupported")
 	}
+	return nil
 }
 
 // checkEdge is the one home of the range rules for what every edge is
@@ -355,6 +370,9 @@ func (t *Testbed) Resolve(s *Sections) {
 
 // Validate reports the first rule a resolved testbed run breaks.
 func (t Testbed) Validate(s Sections) error {
+	if s.Control.ECMP {
+		return errors.New("ECMP needs a multipath topology (use LeafSpine)")
+	}
 	if err := s.Program.Validate(true, s.Parking.Enabled()); err != nil {
 		return err
 	}
@@ -395,9 +413,22 @@ func (m *MultiServer) Resolve(s *Sections) {
 }
 
 // Validate reports the first rule a resolved multi-server run breaks: a
+// knob only another topology runs (a custom chain or source, the
+// testbed's parking knobs, striping, a controller, a table program), a
 // server count the switch cannot host (two per pipe), a flow pool other
 // than the pinned one, or a parking table out of range.
 func (m MultiServer) Validate(s Sections) error {
+	if err := s.fixedNF("the §6.2.3 deployment pins the MAC-swap chain"); err != nil {
+		return err
+	}
+	switch {
+	case s.Parking.Mode == ParkEveryHop:
+		return errors.New("ParkEveryHop needs a multi-switch topology")
+	case s.Control.Enabled():
+		return errors.New("control plane unsupported (use Testbed or LeafSpine)")
+	case s.Program.Enabled() || s.Program.Spec != nil:
+		return errors.New("table programs unsupported (use Testbed or LeafSpine)")
+	}
 	if m.Servers < 1 || m.Servers > 8 {
 		return fmt.Errorf("servers = %d outside [1,8]", m.Servers)
 	}
@@ -477,9 +508,13 @@ func CheckLeafSpine(leaves, spines int, pinned bool) error {
 	return nil
 }
 
-// Validate reports the first leaf-spine rule a resolved run breaks. It is
-// the one place the geometry and mode-combination rules live.
+// Validate reports the first leaf-spine rule a resolved run breaks: the
+// knobs only the testbed runs, then the geometry and mode-combination
+// rules (CheckLeafSpine holds the geometry the live fabric shares).
 func (l LeafSpine) Validate(s Sections) error {
+	if err := s.fixedNF("fabric NFs pin the MAC-swap chain"); err != nil {
+		return err
+	}
 	if err := s.Program.Validate(false, s.Parking.Enabled()); err != nil {
 		return err
 	}

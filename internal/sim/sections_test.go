@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/payloadpark/payloadpark/internal/ctrl"
+	"github.com/payloadpark/payloadpark/internal/nf"
+	"github.com/payloadpark/payloadpark/internal/prog"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
@@ -24,10 +27,11 @@ func TestResolveDefaults(t *testing.T) {
 	}
 	check := func(name string, gotTopo, wantTopo any, got, want Sections) {
 		t.Helper()
-		if got.Chain == nil || got.Chain().Name() != "MACSwap" {
+		// A nil Chain stays nil, so Validate sees what the caller wrote;
+		// the server builds the MAC swap from it.
+		if c := got.serverConfig(&Flow{}).Chain; got.Chain != nil || c.Name() != "MACSwap" {
 			t.Errorf("%s: default chain is not the MAC swap", name)
 		}
-		got.Chain = nil
 		if !reflect.DeepEqual(gotTopo, wantTopo) {
 			t.Errorf("%s: topology resolved to %+v, want %+v", name, gotTopo, wantTopo)
 		}
@@ -107,5 +111,55 @@ func TestRunnersRejectInsteadOfPanic(t *testing.T) {
 	fits := Sections{Parking: Parking{Mode: ParkEdge, Slots: 65536}, Traffic: Traffic{SendBps: 1e9}, Opts: RunOptions{WarmupNs: 1e5, MeasureNs: 1e5}}
 	if _, err := RunMultiServer(MultiServer{Servers: 2}, fits, Wiring{}); err == nil || !strings.Contains(err.Error(), "SRAM overflow") {
 		t.Errorf("multiserver 2x65536: err = %v, want the SRAM overflow as an error", err)
+	}
+}
+
+// TestRulesHaveOneOwner: every rule naming a section a topology does not
+// run lives in that runner's Validate, so a direct runner call rejects
+// the description with the exact text scenario.Run reports after its
+// "scenario: <kind>: " prefix (internal/scenario's validation tables check
+// the same rules through Run). A multi-server run with a controller or a
+// table program used to run without either.
+func TestRulesHaveOneOwner(t *testing.T) {
+	chain := func() *nf.Chain { return nf.NewChain(nf.MACSwap{}) }
+	replay := func() trafficgen.Source { return nil }
+	const (
+		trio       = "Recirculate/BoundaryOffset/ExplicitDrop unsupported"
+		noPrograms = "table programs unsupported (use Testbed or LeafSpine)"
+	)
+	for _, tc := range []struct {
+		topo string
+		set  func(*Sections)
+		want string
+	}{
+		{"testbed", func(s *Sections) { s.Control.ECMP = true }, "ECMP needs a multipath topology (use LeafSpine)"},
+		{"multiserver", func(s *Sections) { s.Chain = chain }, "custom Chain unsupported (the §6.2.3 deployment pins the MAC-swap chain)"},
+		{"multiserver", func(s *Sections) { s.Traffic.Source = replay }, "Traffic.Source unsupported"},
+		{"multiserver", func(s *Sections) { s.Parking.Recirculate = true }, trio},
+		{"multiserver", func(s *Sections) { s.Parking.BoundaryOffset = 32 }, trio},
+		{"multiserver", func(s *Sections) { s.Parking.ExplicitDrop = true }, trio},
+		{"multiserver", func(s *Sections) { s.Parking.Mode = ParkEveryHop }, "ParkEveryHop needs a multi-switch topology"},
+		{"multiserver", func(s *Sections) { s.Control = ctrl.Config{Adaptive: true} }, "control plane unsupported (use Testbed or LeafSpine)"},
+		{"multiserver", func(s *Sections) { s.Program.Kind = "compress" }, noPrograms},
+		{"multiserver", func(s *Sections) { s.Program.Spec = &prog.Spec{} }, noPrograms},
+		{"leafspine", func(s *Sections) { s.Chain = chain }, "custom Chain unsupported (fabric NFs pin the MAC-swap chain)"},
+		{"leafspine", func(s *Sections) { s.Traffic.Source = replay }, "Traffic.Source unsupported"},
+		{"leafspine", func(s *Sections) { s.Parking.Recirculate = true }, trio},
+		{"leafspine", func(s *Sections) { s.Parking.ExplicitDrop = true }, trio},
+	} {
+		s := Sections{Parking: Parking{Mode: ParkEdge}, Traffic: Traffic{SendBps: 1e9}, Opts: RunOptions{WarmupNs: 1e5, MeasureNs: 1e5}}
+		tc.set(&s)
+		var err error
+		switch tc.topo {
+		case "testbed":
+			_, err = RunTestbed(Testbed{}, s, Wiring{})
+		case "multiserver":
+			_, err = RunMultiServer(MultiServer{Servers: 2}, s, Wiring{})
+		case "leafspine":
+			_, err = RunLeafSpine(LeafSpine{}, s, Wiring{})
+		}
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err = %v, want %q", tc.topo, err, tc.want)
+		}
 	}
 }

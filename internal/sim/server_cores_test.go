@@ -237,7 +237,7 @@ func TestChainPathAllocFree(t *testing.T) {
 	}
 	for name, chain := range chains {
 		f := NewFabric()
-		eng := f.Engine()
+		eng := f.eng
 		gen := trafficgen.New(trafficgen.Config{
 			Sizes: trafficgen.Datacenter{}, Flows: 32, // few flows: the NAT learns them all while warming up
 			SrcMAC: MACGen, DstMAC: MACNF, DstIP: packet.IPv4Addr{10, 1, 0, 9}, DstPort: 80, Seed: 5,

@@ -4,8 +4,7 @@ import (
 	"fmt"
 
 	"github.com/payloadpark/payloadpark/internal/ctrl"
-	"github.com/payloadpark/payloadpark/internal/nf"
-	"github.com/payloadpark/payloadpark/internal/packet"
+	"github.com/payloadpark/payloadpark/internal/prog"
 	"github.com/payloadpark/payloadpark/internal/stats"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
@@ -86,96 +85,57 @@ func (r Result) String() string {
 // RunTestbed simulates one Fig. 5 deployment and reports measurements:
 // it resolves the sections' defaults, validates them, and returns an
 // error — never a panic — for a description the switch cannot hold. It is
-// one switch and one edge, plus what only the testbed measures: the
-// latency histogram, PCIe utilization, table programs and the
-// adaptive-eviction controller.
+// one switch and one edge on the shared skeleton, plus what only the
+// testbed measures: the latency histogram, PCIe utilization and the table
+// program.
 func RunTestbed(t Testbed, s Sections, w Wiring) (Result, error) {
 	t.Resolve(&s)
 	if err := t.Validate(s); err != nil {
 		return Result{}, err
 	}
-	f := NewFabric()
-	eng := f.Engine()
-	eng.Cancel = w.Cancel
-
-	g := t.graph(s)
-	fl := &g.Flows[0]
-	swn := f.AddSwitch(s.Name)
-	sw := swn.SW
-	if err := g.Realise(0, sw); err != nil {
-		return Result{}, err
-	}
-	// The parking program and the section's table program, when the run
-	// has them.
-	prog, inst := first(sw.Programs()), first(sw.Instances())
-
-	var gen trafficgen.Source
-	if s.Traffic.Source != nil {
-		gen = s.Traffic.Source()
-	} else {
-		gen = trafficgen.New(fl.Traffic)
-	}
-	// Packets that reach a terminal point (sink delivery, any drop, NF
-	// consumption) are handed back to the generator for reuse: traffic
-	// generation allocates nothing in steady state.
-	recycle := func(*packet.Packet) {}
-	if rec, ok := gen.(interface{ Recycle(*packet.Packet) }); ok {
-		recycle = rec.Recycle
-	}
-
-	side := edgeSide{node: swn, recycle: recycle}
-	e := newEdge(f, edgeSpec{
-		flow: fl, src: side, nf: side,
-		linkBps: t.LinkBps, propNs: t.PropNs, queueBytes: t.SwitchQueueBytes, lossRate: t.NFLinkLossRate,
-		source:     gen,
-		serverSeed: s.Opts.Seed, sec: s, prog: prog,
-	})
 	windowStart, windowEnd := s.Opts.window()
 	latencyHist := stats.NewHistogram(stats.ExponentialBounds(1, 1.122, 120)) // 1 µs .. ~1 s
-	e.sink.Hist = latencyHist
-
-	// PCIe utilization: sample the server's cumulative DMA byte counter
-	// periodically inside the window.
 	pcie := stats.NewRateMeter(windowStart)
-	var pcieBase uint64
-	var pcieSample func()
-	pcieSample = func() {
-		now := eng.Now()
-		if now >= windowStart && now <= windowEnd {
-			total := e.server.PCIeBytes.Value()
-			delta := total - pcieBase
-			pcieBase = total
-			if now > windowStart {
-				pcie.Record(now, float64(delta*8))
+	var inst *prog.Instance        // the section's table program, when the run has one
+	var progSnap map[string]uint64 // its counters at window start
+
+	spec := runSpec{wires: wires{t.LinkBps, t.PropNs, t.SwitchQueueBytes, t.NFLinkLossRate}, unshifted: true}
+	if s.Traffic.Source != nil {
+		spec.sources = []trafficgen.Source{s.Traffic.Source()}
+	}
+	spec.wired = func(r *simRun) {
+		e, eng := r.edges[0], r.eng
+		e.sink.Hist = latencyHist
+		// PCIe utilization: sample the server's cumulative DMA byte counter
+		// periodically inside the window.
+		var pcieBase uint64
+		var pcieSample func()
+		pcieSample = func() {
+			now := eng.Now()
+			if now >= windowStart && now <= windowEnd {
+				total := e.server.PCIeBytes.Value()
+				delta := total - pcieBase
+				pcieBase = total
+				if now > windowStart {
+					pcie.Record(now, float64(delta*8))
+				}
+			}
+			if now < windowEnd {
+				eng.Schedule(1e6, pcieSample) // 1 ms sampling, like PCM
 			}
 		}
-		if now < windowEnd {
-			eng.Schedule(1e6, pcieSample) // 1 ms sampling, like PCM
+		eng.ScheduleAt(windowStart, func() { pcieBase = e.server.PCIeBytes.Value(); pcieSample() })
+		if inst = first(r.nodes[0].SW.Instances()); inst != nil {
+			eng.ScheduleAt(windowStart, func() { progSnap = inst.Counters() })
 		}
 	}
-	eng.ScheduleAt(windowStart, func() { pcieBase = e.server.PCIeBytes.Value(); pcieSample() })
-
-	var progSnap map[string]uint64 // the table program's counters at window start
-	if inst != nil {
-		eng.ScheduleAt(windowStart, func() { progSnap = inst.Counters() })
+	r, err := realise(t.graph(s), s, w, spec)
+	if err != nil {
+		return Result{}, err
 	}
-
-	f.EnableObs(w.Obs)
-
-	// Adaptive-eviction control plane (single-switch: no groups, the
-	// controller only retunes the program's Expiry threshold).
-	var controller *ctrl.Controller
-	if s.Control.Enabled() && prog != nil {
-		cc := s.Control
-		def(&cc.Aggressive, prog.MaxExpiry())
-		controller = attachController(f, cc, g, windowEnd+s.Opts.WarmupNs)
-	}
-
-	// Drain period after the window so in-flight packets can land.
-	f.Run(windowEnd + s.Opts.WarmupNs)
 
 	pcie.CloseAt(windowEnd)
-	res := e.measure()
+	res := r.edges[0].measure()
 	res.Name = s.Name
 	res.PCIeGbps = pcie.Gbps()
 	res.PCIeUtilPct = 100 * pcie.Gbps() * 1e9 / s.Server.PCIeBps
@@ -186,25 +146,12 @@ func RunTestbed(t Testbed, s Sections, w Wiring) (Result, error) {
 			res.LatencyCDF[i] = CDFPoint{Q: q, LatencyUs: latencyHist.Quantile(q)}
 		}
 	}
-	if prog != nil || inst != nil {
+	if sw := r.nodes[0].SW; len(sw.Programs()) > 0 || inst != nil {
 		res.SRAMPct = sw.Pipe(0).Resources().SRAMAvgPct
 	}
 	if inst != nil {
 		res.Programs = []ProgramCounters{programReport("", inst, progSnap)}
 	}
-	if controller != nil {
-		res.Control = controller.Snapshot()
-	}
+	res.Control = r.control()
 	return res, nil
-}
-
-// chainSwapsMACs reports whether the chain already handles L2 return
-// addressing (MAC-swapping NFs), in which case the framework must not
-// rewrite MACs.
-func chainSwapsMACs(c *nf.Chain) bool {
-	switch c.Name() {
-	case "MACSwap", "NF-Light", "NF-Medium", "NF-Heavy":
-		return true
-	}
-	return false
 }
