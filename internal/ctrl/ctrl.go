@@ -13,7 +13,10 @@
 // (Bosshart et al.'s match-action model driven from the control plane).
 package ctrl
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+)
 
 // Config is the control-plane section of a run's description (the
 // scenario package re-exports it as Scenario.Control) and the controller's
@@ -70,10 +73,16 @@ type Config struct {
 // Enabled reports whether any control-plane feature is on.
 func (c Config) Enabled() bool { return c.ECMP || c.Adaptive }
 
-// Validate is the one home of the rule every topology shares: an adaptive
-// controller with neither parking tables to retune nor ECMP groups to
-// manage has nothing to drive. parking says whether the run parks.
+// Validate is the one home of the rules every topology with a controller
+// shares: a tick period must not run backwards (the simulator would
+// reschedule the tick at the same nanosecond forever; 0 is the default),
+// and an adaptive controller with neither parking tables to retune nor
+// ECMP groups to manage has nothing to drive. parking says whether the
+// run parks.
 func (c Config) Validate(parking bool) error {
+	if c.PeriodNs < 0 {
+		return fmt.Errorf("control.period_ns = %d outside [0, +Inf)", c.PeriodNs)
+	}
 	if c.Adaptive && !c.ECMP && !parking {
 		return errors.New("control.adaptive needs parking enabled")
 	}
@@ -174,8 +183,8 @@ type Group struct {
 }
 
 // Plant is the controller's view of the dataplane: telemetry out, table
-// updates in. The simulator's fabric implements it; a real deployment
-// would back it with P4Runtime.
+// updates in. sim.Plant implements it for both backends, the simulator
+// and the socket fabric; a real deployment would back it with P4Runtime.
 type Plant interface {
 	// ReadTelemetry fills t with the current sample, reusing its slices.
 	ReadTelemetry(t *Telemetry)

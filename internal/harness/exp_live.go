@@ -105,8 +105,12 @@ func collectLive(o Options) (*Result, error) {
 			return nil, fmt.Errorf("harness: live rate %s: %w", scn.Name, err)
 		}
 		r := rep.Live
+		ticks := 0
+		if rep.Control != nil {
+			ticks = rep.Control.Ticks
+		}
 		rates.row("   %s\t%d\t%d\t%.0f\t%.3f\t%d\t%d\t%d", strings.TrimPrefix(scn.Name, "live-"),
-			r.Sent, r.Delivered, r.PPS/1e3, r.Gbps, r.Counters.Splits, r.Counters.Evictions, r.ControlTicks)
+			r.Sent, r.Delivered, r.PPS/1e3, r.Gbps, r.Counters.Splits, r.Counters.Evictions, ticks)
 	}
 	if len(mismatches) > 0 {
 		return res, fmt.Errorf("harness: live counters diverged from the in-process reference: %s", strings.Join(mismatches, ", "))

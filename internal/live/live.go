@@ -16,8 +16,11 @@
 //
 // The same graph can be walked in process (ReferenceRun, over sim.Walker)
 // with the identical core.Switch pipelines and NF byte path; comparing the
-// two counter-for-counter is the sim-vs-live parity gate, and the
-// controller drives both through the one sim.Plant.
+// two counter-for-counter is the sim-vs-live parity gate. A controller
+// drives the socket fabric as it drives the simulator: ctrl.Controller
+// calls the one sim.Plant directly, from a wall-clock ticker, and the plant
+// applies each telemetry read and push under the owning node's quiesce
+// barrier — workers park between bursts, the call lands, workers resume.
 //
 // A run is described by Topology (declared, defaulted and validated
 // here) plus the simulator's own sim.Sections, resolved with the live
@@ -32,6 +35,7 @@ import (
 	"time"
 
 	"github.com/payloadpark/payloadpark/internal/core"
+	"github.com/payloadpark/payloadpark/internal/ctrl"
 	"github.com/payloadpark/payloadpark/internal/nf"
 	"github.com/payloadpark/payloadpark/internal/obs"
 	"github.com/payloadpark/payloadpark/internal/packet"
@@ -315,9 +319,9 @@ type Result struct {
 
 	Counters CounterSet `json:"counters"`
 
-	// ControlTicks counts controller decisions taken over the socket
-	// plant (0 without Control).
-	ControlTicks int `json:"control_ticks,omitempty"`
+	// Control is the controller's report — ticks and decision timeline —
+	// when the run had a controller (nil without Control).
+	Control *ctrl.Report `json:"control,omitempty"`
 }
 
 // Parity compares a live run against its reference replay and returns a

@@ -119,23 +119,6 @@ func TestThroughputChainDelivers(t *testing.T) {
 	}
 }
 
-func TestLiveControllerTicks(t *testing.T) {
-	live, err := Run(context.Background(),
-		Topology{Geometry: "chain", Frames: 1500, Window: 64},
-		sim.Sections{
-			Parking: parking(16, false),
-			Control: ctrl.Config{Adaptive: true, PeriodNs: int64(time.Millisecond)},
-			Opts:    sim.RunOptions{Seed: 9},
-		},
-		Wiring{Timeout: 30 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if live.ControlTicks == 0 {
-		t.Fatalf("controller never ticked: %+v", live)
-	}
-}
-
 func TestValidateRejectsBadGeometry(t *testing.T) {
 	validate := func(topo Topology, sec sim.Sections) error {
 		topo.Resolve(&sec)

@@ -212,9 +212,10 @@ func waitFor(ctx context.Context, cond func() bool, what string) error {
 // loopback sockets and drives the workload through it, returning the
 // measured result. Lockstep mode is the deterministic replay (compare
 // against ReferenceRun with Parity); throughput mode measures open-loop
-// wire rate. With s.Control enabled a ctrl.Controller drives the fabric
-// through the socket-backed control plant (ctrl.ServePlant over TCP
-// loopback), ticking at Control.PeriodNs wall-clock.
+// wire rate. With s.Control enabled a ctrl.Controller calls the graph's
+// sim.Plant directly, ticking at Control.PeriodNs wall-clock; the plant
+// applies every telemetry read and push under the owning node's quiesce
+// barrier, and the controller's report lands in Result.Control.
 func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, error) {
 	f, err := build(t, s)
 	if err != nil {
@@ -234,55 +235,26 @@ func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, er
 
 	res := &Result{Geometry: t.Geometry, Parking: s.Parking.Enabled()}
 
-	// Optional controller over the socket-backed control plant: a TCP
-	// loopback stream carrying the ctrl protocol, served by the fabric.
-	var ctlTicks int
-	var ctlStop chan struct{}
+	// Optional controller over the one Plant, with the socket fabric's
+	// quiet window: every read or push parks the owning node's workers
+	// first, so the controller never races the dataplane. There are no
+	// links to report on.
+	ctlCtx, stopTicks := context.WithCancel(ctx)
 	var ctlDone sync.WaitGroup
+	stopControl := func() { stopTicks(); ctlDone.Wait() }
+	defer stopControl()
+	var controller *ctrl.Controller
 	if s.Control.Enabled() {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("live: control listener: %w", err)
-		}
-		defer ln.Close()
-		// The one Plant, with the socket fabric's quiet window: every read
-		// or push parks the owning node's workers first, so the controller
-		// never races the dataplane. There are no links to report on.
-		plant := sim.NewPlant(f.g, lf.sws, func(sw int, fn func()) { lf.nodes[sw].quiesce(fn) }, nil)
-		var srvDone sync.WaitGroup
-		srvDone.Add(1)
-		go func() {
-			defer srvDone.Done()
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-			ctrl.ServePlant(conn, plant)
-		}()
-		cliConn, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			return nil, fmt.Errorf("live: control dial: %w", err)
-		}
-		ctlCfg := s.Control
-		ctlCfg.FillDefaults()
-		controller := ctrl.New(ctlCfg, ctrl.NewPlantClient(cliConn), nil)
-		period := time.Duration(ctlCfg.PeriodNs)
-		if period < time.Millisecond {
-			period = time.Millisecond
-		}
-		ctlStop = make(chan struct{})
+		controller = ctrl.New(s.Control, sim.NewPlant(f.g, lf.sws, func(sw int, fn func()) { lf.nodes[sw].quiesce(fn) }, nil), nil)
+		period := controller.Config().PeriodNs
 		ctlDone.Add(1)
 		go func() {
 			defer ctlDone.Done()
-			defer cliConn.Close()
-			tick := time.NewTicker(period)
+			tick := time.NewTicker(max(time.Duration(period), time.Millisecond))
 			defer tick.Stop()
-			for {
+			for n := int64(1); ; n++ {
 				select {
-				case <-ctlStop:
-					return
-				case <-ctx.Done():
+				case <-ctlCtx.Done():
 					return
 				case <-tick.C:
 					// Decisions are stamped with the tick's nominal time
@@ -290,21 +262,11 @@ func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, er
 					// the simulator's attachController uses — so live
 					// decision timelines line up with sim traces instead
 					// of drifting on goroutine-start wall-clock offsets.
-					ctlTicks++
-					controller.Tick(int64(ctlTicks) * ctlCfg.PeriodNs)
+					controller.Tick(n * period)
 				}
 			}
 		}()
-		defer srvDone.Wait()
 	}
-	stopControl := func() {
-		if ctlStop != nil {
-			close(ctlStop)
-			ctlDone.Wait()
-			ctlStop = nil
-		}
-	}
-	defer stopControl()
 
 	begin := time.Now()
 	if t.Lockstep {
@@ -372,7 +334,9 @@ func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, er
 		res.PPS = float64(res.Delivered) / secs
 		res.Gbps = float64(res.DeliveredBytes) * 8 / secs / 1e9
 	}
-	res.ControlTicks = ctlTicks
+	if controller != nil {
+		res.Control = controller.Snapshot()
+	}
 
 	// Merged counters are only coherent with every worker parked; quiesce
 	// node by node (the fabric is globally idle, so per-node barriers

@@ -30,6 +30,7 @@ func (l Live) run(ctx context.Context, s *Scenario, w sim.Wiring) (*Report, erro
 		Delivered:   res.Delivered,
 		Premature:   res.Counters.PrematureEvictions,
 		Healthy:     true,
+		Control:     res.Control,
 		Live:        res,
 	}
 	if res.Sent > 0 {

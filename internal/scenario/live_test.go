@@ -105,6 +105,7 @@ func TestLiveScenarioValidation(t *testing.T) {
 		{func(s *Scenario) { s.Parking.BoundaryOffset = 32 }, "scenario: live: Recirculate/BoundaryOffset unsupported"},
 		{func(s *Scenario) { s.Program.Kind = "compress" }, "scenario: live: table programs unsupported (use Testbed or LeafSpine)"},
 		{func(s *Scenario) { s.Control.ECMP = true }, "scenario: live: ECMP unsupported (the socket fabric routes statically)"},
+		{func(s *Scenario) { s.Control = Control{Adaptive: true, PeriodNs: -1} }, "scenario: live: control.period_ns = -1 outside [0, +Inf)"},
 	}
 	for _, tc := range cases {
 		s := base

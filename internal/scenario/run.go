@@ -36,7 +36,8 @@ type Report struct {
 
 	// Control is the control-plane section — tick bookkeeping and the
 	// decision timeline — when the scenario ran a controller (testbed
-	// adaptive eviction, or the fabric ECMP/adaptive controller).
+	// adaptive eviction, the fabric ECMP/adaptive controller, or the
+	// live fabric's).
 	Control *ctrl.Report `json:"control,omitempty"`
 
 	// Programs reports each declaratively loaded table program's

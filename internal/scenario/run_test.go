@@ -57,6 +57,11 @@ func TestRunValidation(t *testing.T) {
 		{"ls source", Scenario{Topology: LeafSpine{}, Traffic: Traffic{Source: replay}}, "scenario: leafspine: Traffic.Source unsupported"},
 		{"ls recirculate", Scenario{Topology: LeafSpine{}, Parking: Parking{Recirculate: true}}, "scenario: leafspine: " + trio},
 		{"ls explicit drop", Scenario{Topology: LeafSpine{}, Parking: Parking{ExplicitDrop: true}}, "scenario: leafspine: " + trio},
+		// ctrl.Config.Validate's rules, on every topology that runs a
+		// controller (a negative period used to hang the simulated runs).
+		{"tb negative period", Scenario{Topology: Testbed{}, Parking: Parking{Mode: sim.ParkEdge}, Control: Control{Adaptive: true, PeriodNs: -1}}, "scenario: testbed: control.period_ns = -1 outside [0, +Inf)"},
+		{"ls negative period", Scenario{Topology: LeafSpine{}, Parking: Parking{Mode: sim.ParkEdge}, Control: Control{ECMP: true, PeriodNs: -250000}}, "scenario: leafspine: control.period_ns = -250000 outside [0, +Inf)"},
+		{"live negative period", Scenario{Topology: Live{}, Parking: Parking{Mode: sim.ParkEdge}, Control: Control{Adaptive: true, PeriodNs: -1}}, "scenario: live: control.period_ns = -1 outside [0, +Inf)"},
 	}
 	for _, c := range cases {
 		_, err := Run(ctx, c.sc)
@@ -290,6 +295,26 @@ func TestHostileLive(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), sc); err == nil || err.Error() != "scenario: live: frames = -1 outside [1, 1048576]" {
 		t.Errorf("testdata/hostile-live.json: err = %v, want the frames range error", err)
+	}
+}
+
+// TestHostileControl: the file CI feeds `ppbench -scenario` is an error
+// naming control.period_ns, at once. A negative period used to reschedule
+// the controller's tick at the same nanosecond forever; the deadline turns
+// that hang back into a failure here.
+func TestHostileControl(t *testing.T) {
+	data, err := os.ReadFile("testdata/hostile-control.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc Scenario
+	if err := json.Unmarshal(data, &sc); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := Run(ctx, sc); err == nil || err.Error() != "scenario: testbed: control.period_ns = -1 outside [0, +Inf)" {
+		t.Errorf("testdata/hostile-control.json: err = %v, want the control.period_ns range error", err)
 	}
 }
 

@@ -83,10 +83,11 @@ type (
 	// LiveTopology runs the scenario on real UDP loopback sockets instead
 	// of the discrete-event simulator: per-pipe worker sockets around the
 	// same compiled switch pipeline, a socket NF daemon, and (with
-	// Control) a controller driving the fabric over a socket-backed
-	// control protocol. Lockstep runs replay deterministically and match
-	// the in-process reference counter for counter; the default
-	// throughput mode measures open-loop loopback wire rate.
+	// Control) the same controller and plant the simulator runs, each
+	// telemetry read and push applied under a per-switch quiesce barrier.
+	// Lockstep runs replay deterministically and match the in-process
+	// reference counter for counter; the default throughput mode measures
+	// open-loop loopback wire rate.
 	LiveTopology = scenario.Live
 	// ParkingPolicy selects where and how payloads park (the zero value
 	// is the baseline).
