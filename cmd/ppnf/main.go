@@ -3,9 +3,10 @@
 // processed frames to the switch; the PayloadPark header riding in the
 // payload region passes through untouched.
 //
-// Like ppswitchd, it receives in recvmmsg-style bursts (-burst) and
-// returns the processed burst through the reused-buffer batched sender
-// (wire.BatchSender, one sendmmsg per burst on Linux).
+// Like ppswitchd, it receives in bursts of up to -burst datagrams (one
+// recvmmsg on Linux) and returns the processed burst through the
+// reused-buffer batched sender (wire.BatchSender, one sendmmsg per burst
+// on Linux).
 package main
 
 import (
@@ -57,7 +58,7 @@ func main() {
 		chainStr = flag.String("chain", "macswap", "comma-separated chain: macswap,fw,nat,lb")
 		dropFrac = flag.Float64("fw-drop", 0, "firewall blacklist fraction (0..1)")
 		explicit = flag.Bool("explicit-drop", false, "send Explicit Drop notifications (§6.2.4)")
-		burst    = flag.Int("burst", wire.DefaultBurst, "receive burst size (recvmmsg-style drain)")
+		burst    = flag.Int("burst", wire.DefaultBurst, "most datagrams one receive (one recvmmsg on Linux) returns")
 		metrics  = flag.String("metrics", "", "serve Prometheus text exposition at http://ADDR/metrics (e.g. 127.0.0.1:9001)")
 	)
 	flag.Parse()

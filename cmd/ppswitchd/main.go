@@ -2,11 +2,12 @@
 // over UDP sockets: raw Ethernet frames ride one-per-datagram between the
 // generator, this switch, and the NF server.
 //
-// Frames are read in recvmmsg-style bursts (-burst) and the whole burst
-// is driven through the switch's zero-alloc batch path; emissions are
-// serialized back-to-back into one reused buffer and flushed with a
-// single sendmmsg on Linux (wire.BatchSender) — the same receive and
-// send path the live fabric's per-pipe workers use.
+// Frames are read in bursts of up to -burst datagrams, one recvmmsg on
+// Linux (wire.BurstReader), and the whole burst is driven through the
+// switch's zero-alloc batch path; emissions are serialized back-to-back
+// into one reused buffer and flushed with a single sendmmsg on Linux
+// (wire.BatchSender) — the same receive and send path the live fabric's
+// per-pipe workers use.
 //
 // Example (three terminals):
 //
@@ -45,7 +46,7 @@ func main() {
 		slots   = flag.Int("slots", 4096, "lookup table capacity (0 = baseline L2 switch)")
 		expiry  = flag.Uint("expiry", 1, "expiry threshold MAX_EXP")
 		recirc  = flag.Bool("recirculate", false, "park 384 bytes via recirculation")
-		burst   = flag.Int("burst", wire.DefaultBurst, "receive burst size (recvmmsg-style drain)")
+		burst   = flag.Int("burst", wire.DefaultBurst, "most datagrams one receive (one recvmmsg on Linux) returns")
 		metrics = flag.String("metrics", "", "serve Prometheus text exposition at http://ADDR/metrics (e.g. 127.0.0.1:9000)")
 	)
 	flag.Parse()

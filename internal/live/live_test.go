@@ -10,6 +10,7 @@ import (
 	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/ctrl"
 	"github.com/payloadpark/payloadpark/internal/nf"
+	"github.com/payloadpark/payloadpark/internal/obs"
 	"github.com/payloadpark/payloadpark/internal/rmt"
 	"github.com/payloadpark/payloadpark/internal/sim"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
@@ -116,6 +117,48 @@ func TestThroughputChainDelivers(t *testing.T) {
 	}
 	if live.Delivered == 0 || live.PPS <= 0 || live.Gbps <= 0 {
 		t.Fatalf("no throughput measured: %+v", live)
+	}
+}
+
+// TestThroughputBurstsAreBatched: with a window of frames in flight, a
+// worker's read returns several datagrams, not one.
+func TestThroughputBurstsAreBatched(t *testing.T) {
+	reg := obs.NewRegistry()
+	if _, err := Run(context.Background(),
+		Topology{Geometry: "chain", Frames: 4000, Window: 128},
+		sim.Sections{Parking: parking(64, false), Opts: sim.RunOptions{Seed: 1}},
+		Wiring{Timeout: 30 * time.Second, Metrics: reg}); err != nil {
+		t.Fatal(err)
+	}
+	var frames, bursts uint64
+	for _, h := range reg.Snapshot().Histograms {
+		if strings.HasPrefix(h.Name, "pp_live_rx_burst_frames") {
+			frames, bursts = frames+h.Sum, bursts+h.Count
+		}
+	}
+	if bursts == 0 || float64(frames)/float64(bursts) < 2 {
+		t.Fatalf("%d frames in %d receive bursts: the workers read one datagram at a time", frames, bursts)
+	}
+}
+
+// TestThroughputSettlesWhenBooksBalance: a throughput run whose every
+// frame is accounted for returns at once; it waits out no stability
+// window (20ms), so a one-frame run takes less than that.
+func TestThroughputSettlesWhenBooksBalance(t *testing.T) {
+	best := time.Hour
+	for try := 0; try < 3; try++ { // best of three: a loaded host can stall a wake-up
+		live, err := Run(context.Background(), Topology{Geometry: "chain", Frames: 1},
+			sim.Sections{Parking: parking(32, false), Opts: sim.RunOptions{Seed: 1}}, Wiring{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if live.Sent != 1 || live.Delivered+live.NFDropped != 1 {
+			t.Fatalf("one frame not accounted for: %+v", live)
+		}
+		best = min(best, time.Duration(live.ElapsedNs))
+	}
+	if best >= 20*time.Millisecond {
+		t.Fatalf("a one-frame run took %v, want < 20ms", best)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,7 +66,7 @@ func newSwitchNode(name string, sw *core.Switch, ports [core.NumPorts]sim.Peer, 
 			Conn:  conn,
 			SW:    sw,
 			Burst: burst,
-			Peers: make(map[string]rmt.PortID),
+			Peers: make(map[netip.AddrPort]rmt.PortID),
 			Addrs: make(map[rmt.PortID]*net.UDPAddr),
 			// 16 pending control closures: quiesce posts one per caller and
 			// callers are serialized, so the mailbox never fills.

@@ -312,9 +312,7 @@ func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, er
 		for _, gen := range lf.gens {
 			res.Sent += gen.Sent.Load()
 		}
-		// Open-loop runs can consume frames inside the fabric (premature
-		// evictions); settle on stability rather than exact accounting.
-		if err := lf.settle(ctx); err != nil {
+		if err := lf.settle(ctx, res.Sent); err != nil {
 			return nil, err
 		}
 	}
@@ -404,25 +402,22 @@ func (lf *liveFabric) blast(ctx context.Context, g int) error {
 	return nil
 }
 
-// settle waits until the fabric stops making progress: the switch
-// ingress and accounting totals are unchanged across consecutive 20ms
-// samples.
-func (lf *liveFabric) settle(ctx context.Context) error {
-	stable := 0
-	last := [2]uint64{}
+// settle waits until the books balance — every sent frame accounted for
+// and the exact switch ingress seen, lockstep's rule — or, when frames died
+// inside the fabric (premature evictions), until the switch ingress and
+// accounting totals hold still across samples 20ms apart.
+func (lf *liveFabric) settle(ctx context.Context, sent uint64) error {
+	last := [2]uint64{^uint64(0)} // no counter holds it: the first sample is never "unchanged"
 	return waitFor(ctx, func() bool {
 		cur := [2]uint64{lf.switchIngress(), lf.accounted()}
-		if cur == last {
-			stable++
-		} else {
-			stable = 0
-			last = cur
+		if cur[1] == sent && cur[0] >= lf.expectedIngress() {
+			return true
 		}
-		if stable == 0 {
+		if cur != last {
+			last = cur
 			return false
 		}
 		time.Sleep(20 * time.Millisecond)
-		cur = [2]uint64{lf.switchIngress(), lf.accounted()}
-		return cur == last
+		return [2]uint64{lf.switchIngress(), lf.accounted()} == last
 	}, "fabric to settle")
 }

@@ -32,7 +32,7 @@ type BatchSender struct {
 	conn  *net.UDPConn
 	buf   []byte
 	marks []sendMark
-	fast  batchScratch
+	mm    mmsg // the sendmmsg vectors (linux)
 
 	// Hist, when set, observes each flushed batch's frame count
 	// (nil-safe, zero-alloc): the sendmmsg batch-size distribution.
@@ -41,7 +41,9 @@ type BatchSender struct {
 
 // NewBatchSender wraps conn. One BatchSender is owned by one goroutine.
 func NewBatchSender(conn *net.UDPConn) *BatchSender {
-	return &BatchSender{conn: conn}
+	s := &BatchSender{conn: conn}
+	s.mm.bind(conn, nil)
+	return s
 }
 
 // Begin returns the buffer tail to append the next frame into.
@@ -89,13 +91,8 @@ func (s *BatchSender) Flush() (errs int) {
 		return 0
 	}
 	s.Hist.Observe(uint64(len(s.marks)))
-	if _, errs, handled := s.flushFast(); handled {
-		s.buf = s.buf[:0]
-		s.marks = s.marks[:0]
-		return errs
-	}
-	start := 0
-	for i := range s.marks {
+	errs, handled := s.flushFast()
+	for i, start := 0, 0; !handled && i < len(s.marks); i++ {
 		m := &s.marks[i]
 		if _, err := s.conn.WriteToUDP(s.buf[start:m.end], m.dst); err != nil {
 			errs++

@@ -64,9 +64,8 @@ func benchPair(b *testing.B) (tx, rx *net.UDPConn, rxAddr *net.UDPAddr) {
 	return tx, rx, rx.LocalAddr().(*net.UDPAddr)
 }
 
-// BenchmarkWireBurstDrain measures the recvmmsg-style burst read: a full
-// burst is queued, then drained with one blocking read plus non-blocking
-// drains. Reported per frame.
+// BenchmarkWireBurstDrain measures the burst read: a full burst is
+// queued, then read back (one recvmmsg on linux). Reported per frame.
 func BenchmarkWireBurstDrain(b *testing.B) {
 	tx, rx, rxAddr := benchPair(b)
 	frame := benchFrame(1)

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,42 +30,30 @@ import (
 // MaxFrame is the largest encapsulated frame accepted.
 const MaxFrame = 2048
 
-// DefaultBurst is the default receive-burst size: after one blocking
-// read, up to this many already-queued datagrams are drained without
-// blocking before any is processed — the portable analogue of recvmmsg,
-// which amortizes the syscall round trip per burst instead of per frame.
+// DefaultBurst is the default receive-burst size: the most datagrams
+// one BurstReader.Read returns, which on linux is one recvmmsg(2) call.
 const DefaultBurst = 32
 
-// BurstReader drains receive bursts from a UDP socket into reusable
-// buffers. The first read of a burst blocks; the rest are non-blocking
-// (an immediate deadline). There is no recvmmsg underneath: a burst of n
-// frames costs n recvfrom calls, one more that returns EAGAIN, and two
-// deadline updates — what a burst saves is the blocking wake-up per frame,
-// not the syscall. On a quiet socket the drain would only ever time out,
-// so empty drains back the reader off exponentially (skip 1, 2, ... up to
-// 8 bursts) — steady trickle traffic converges back to one syscall per
-// frame while any queue build-up re-engages draining within a few frames.
-//
-// It is shared by the wire daemons and the live fabric's per-pipe socket
-// workers; one BurstReader is owned by one goroutine.
+// BurstReader reads receive bursts from a UDP socket into reusable
+// buffers. On linux a burst is one recvmmsg(2) with MSG_DONTWAIT: every
+// datagram already queued, up to the burst size; the reader parks in the
+// netpoller only while the socket is empty, so deadlines and Close end a
+// wait as they end ReadFromUDP. Elsewhere a burst is one datagram. Each
+// buffer has a byte to spare past MaxFrame: a datagram that fills it was
+// longer and arrived cut short (Truncated), one rule on every OS. The
+// wire daemons, the generator's receive loop and the live fabric's
+// workers share it; one BurstReader is owned by one goroutine.
 type BurstReader struct {
 	conn  *net.UDPConn
 	bufs  [][]byte
-	from  []*net.UDPAddr
+	from  []netip.AddrPort
 	sizes []int
-	// skip counts upcoming bursts whose drain is skipped; backoff is the
-	// current skip width, doubled after every empty drain.
-	skip    int
-	backoff int
+	mm    mmsg // the recvmmsg vectors (linux)
 
-	// Hist, when set, observes each burst's frame count (nil-safe,
-	// zero-alloc): the recvmmsg-style drain-size distribution.
+	// Hist, when set, observes each burst's datagram count (nil-safe,
+	// zero-alloc).
 	Hist *obs.Histogram
 }
-
-// maxDrainBackoff bounds how many bursts an idle reader skips between
-// drain attempts.
-const maxDrainBackoff = 8
 
 // NewBurstReader wraps conn with a burst-sized buffer set (burst <= 0
 // selects DefaultBurst).
@@ -75,63 +64,47 @@ func NewBurstReader(conn *net.UDPConn, burst int) *BurstReader {
 	b := &BurstReader{
 		conn:  conn,
 		bufs:  make([][]byte, burst),
-		from:  make([]*net.UDPAddr, burst),
+		from:  make([]netip.AddrPort, burst),
 		sizes: make([]int, burst),
 	}
 	for i := range b.bufs {
-		b.bufs[i] = make([]byte, MaxFrame)
+		b.bufs[i] = make([]byte, MaxFrame+1)
 	}
+	b.mm.bind(conn, b.bufs)
 	return b
 }
 
-// Frame returns the i-th frame of the current burst, valid until the next
-// Read.
+// Frame returns the i-th datagram of the current burst, valid until the
+// next Read.
 func (b *BurstReader) Frame(i int) []byte { return b.bufs[i][:b.sizes[i]] }
 
-// From returns the i-th frame's source address, valid until the next
-// Read.
-func (b *BurstReader) From(i int) *net.UDPAddr { return b.from[i] }
+// Truncated reports whether the i-th datagram was longer than MaxFrame:
+// Frame then holds only its head, which is not a frame.
+func (b *BurstReader) Truncated(i int) bool { return b.sizes[i] > MaxFrame }
 
-// Read fills as many buffers as the socket can supply without waiting
-// (at least one, blocking for it) and returns the count. A non-timeout
-// error is returned only when no frame was read.
+// From returns the i-th datagram's source address (IPv4-mapped addresses
+// unmapped, no zone), valid until the next Read.
+func (b *BurstReader) From(i int) netip.AddrPort { return b.from[i] }
+
+// Read waits until the socket holds a datagram, then returns the count of
+// a burst (at least one). The error is the conn's — a net.Error whose
+// Timeout() is true past a read deadline, net.ErrClosed after Close — and
+// comes only with a zero count.
+//
+//pp:zeroalloc
 func (b *BurstReader) Read() (int, error) {
-	n, from, err := b.conn.ReadFromUDP(b.bufs[0])
+	n, err := b.recv()
 	if err != nil {
 		return 0, err
 	}
-	b.sizes[0], b.from[0] = n, from
-	count := 1
-	if len(b.bufs) > 1 {
-		if b.skip > 0 {
-			b.skip--
-			b.Hist.Observe(1)
-			return count, nil
-		}
-		// Drain whatever is already queued, without blocking.
-		b.conn.SetReadDeadline(time.Now())
-		for count < len(b.bufs) {
-			n, from, err := b.conn.ReadFromUDP(b.bufs[count])
-			if err != nil {
-				break
-			}
-			b.sizes[count], b.from[count] = n, from
-			count++
-		}
-		b.conn.SetReadDeadline(time.Time{})
-		if count == 1 {
-			if b.backoff == 0 {
-				b.backoff = 1
-			} else if b.backoff < maxDrainBackoff {
-				b.backoff *= 2
-			}
-			b.skip = b.backoff
-		} else {
-			b.backoff = 0
-		}
-	}
-	b.Hist.Observe(uint64(count))
-	return count, nil
+	b.Hist.Observe(uint64(n))
+	return n, nil
+}
+
+// peerKey is the one form of a peer address BurstReader.From reports and
+// SwitchLoop.Peers is keyed by: IPv4-mapped addresses unmapped, no zone.
+func peerKey(ap netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(ap.Addr().Unmap().WithZone(""), ap.Port())
 }
 
 // SwitchLoop is the one socket-wrapped switch worker: datagrams on Conn
@@ -146,7 +119,7 @@ type SwitchLoop struct {
 	Burst int // receive-burst size (default DefaultBurst)
 	// Peers resolves a datagram's source address to its ingress port;
 	// Addrs is where emissions for an egress port are sent ("cables").
-	Peers map[string]rmt.PortID
+	Peers map[netip.AddrPort]rmt.PortID
 	Addrs map[rmt.PortID]*net.UDPAddr
 	// Mail, when non-nil, is a control mailbox drained between bursts —
 	// the only window in which other goroutines may run code against the
@@ -154,9 +127,10 @@ type SwitchLoop struct {
 	// in a read before draining it again.
 	Mail chan func()
 	Wake time.Duration
-	// Rx counts accepted datagrams, Errors unknown peers, rejected frames,
-	// uncabled emissions and send failures, Tx (optional) forwarded
-	// datagrams. Atomic: read from other goroutines while Run serves.
+	// Rx counts accepted datagrams, Errors unknown peers, oversized
+	// datagrams, rejected frames, uncabled emissions and send failures, Tx
+	// (optional) forwarded datagrams. Atomic: read from other goroutines
+	// while Run serves.
 	Rx, Errors, Tx *atomic.Uint64
 	// BurstHist/BatchHist, when set, observe burst and batch sizes.
 	BurstHist, BatchHist *obs.Histogram
@@ -165,7 +139,7 @@ type SwitchLoop struct {
 // Cable registers a peer: frames arriving from addr enter the switch on
 // port, and emissions for port go back to addr. Call before Run.
 func (l *SwitchLoop) Cable(port rmt.PortID, addr *net.UDPAddr) {
-	l.Peers[addr.String()] = port
+	l.Peers[peerKey(addr.AddrPort())] = port
 	l.Addrs[port] = addr
 }
 
@@ -200,8 +174,8 @@ func (l *SwitchLoop) Run(ctx context.Context) error {
 		}
 		fb.Reset()
 		for i := 0; i < count; i++ {
-			port, ok := l.Peers[br.From(i).String()]
-			if !ok {
+			port, ok := l.Peers[br.From(i)]
+			if !ok || br.Truncated(i) {
 				l.Errors.Add(1)
 				continue
 			}
@@ -280,7 +254,7 @@ func NewSwitchDaemon(cfg SwitchConfig) (*SwitchDaemon, error) {
 		Conn:  conn,
 		SW:    core.NewSwitch("wire"),
 		Burst: cfg.Burst,
-		Peers: make(map[string]rmt.PortID, len(cfg.Ports)),
+		Peers: make(map[netip.AddrPort]rmt.PortID, len(cfg.Ports)),
 		Addrs: make(map[rmt.PortID]*net.UDPAddr, len(cfg.Ports)),
 		Rx:    &d.Rx, Tx: &d.Tx, Errors: &d.Errors,
 	}
@@ -331,8 +305,8 @@ func (d *SwitchDaemon) RegisterMetrics(reg *obs.Registry) {
 
 // Run serves until ctx is cancelled. Single-threaded by design: the
 // dataplane program is not concurrency-safe, exactly like the single
-// pipeline it models. A burst costs roughly one read syscall plus one
-// write per forwarded frame, and the steady state allocates nothing.
+// pipeline it models. On linux a burst costs one recvmmsg and one
+// sendmmsg, and the steady state allocates nothing.
 func (d *SwitchDaemon) Run(ctx context.Context) error {
 	go func() {
 		<-ctx.Done()
@@ -474,8 +448,8 @@ func NFFrame(sc *NFScratch, handle func(*packet.Packet) bool, explicitDrop bool,
 	return dst, NFDropped
 }
 
-// Run serves until ctx is cancelled. Frames are read in recvmmsg-style
-// bursts; each runs through NFFrame into the burst's shared send buffer,
+// Run serves until ctx is cancelled. Frames are read a burst at a time
+// (BurstReader); each runs through NFFrame into the burst's shared send buffer,
 // and the whole burst's responses are written out together
 // (BatchSender), so the framework path allocates only what the hosted NF
 // chain itself allocates.
@@ -498,6 +472,9 @@ func (d *NFDaemon) Run(ctx context.Context) error {
 		}
 		for i := 0; i < count; i++ {
 			d.Rx.Add(1)
+			if br.Truncated(i) {
+				continue // no response, like an unparseable frame
+			}
 			switch out, verdict := NFFrame(&sc, d.cfg.Handle, d.cfg.ExplicitDrop, br.Frame(i), bs.Begin()); verdict {
 			case NFForwarded:
 				bs.Commit(out, d.swAddr, &d.Tx)
@@ -578,21 +555,28 @@ func (g *Generator) Retarget(switchAddr string) error {
 	return nil
 }
 
+// recvLoop counts (and unless Discard keeps) returned frames, a burst at a
+// time; an oversized datagram is not a frame and is not counted.
 func (g *Generator) recvLoop() {
-	buf := make([]byte, MaxFrame)
+	br := NewBurstReader(g.conn, DefaultBurst)
 	for {
-		n, _, err := g.conn.ReadFromUDP(buf)
+		count, err := br.Read()
 		if err != nil {
 			return
 		}
-		g.Received.Add(1)
-		g.ReceivedBytes.Add(uint64(n))
-		if g.cfg.Discard {
-			continue
+		for i := 0; i < count; i++ {
+			if br.Truncated(i) {
+				continue
+			}
+			// Keep first: whoever sees Received reach n can Drain n frames.
+			if !g.cfg.Discard {
+				g.mu.Lock()
+				g.received = append(g.received, append([]byte(nil), br.Frame(i)...))
+				g.mu.Unlock()
+			}
+			g.ReceivedBytes.Add(uint64(len(br.Frame(i))))
+			g.Received.Add(1)
 		}
-		g.mu.Lock()
-		g.received = append(g.received, append([]byte(nil), buf[:n]...))
-		g.mu.Unlock()
 	}
 }
 
