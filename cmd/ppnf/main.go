@@ -3,18 +3,16 @@
 // processed frames to the switch; the PayloadPark header riding in the
 // payload region passes through untouched.
 //
-// Like ppswitchd, it receives in bursts of up to -burst datagrams (one
-// recvmmsg on Linux) and returns the processed burst through the
-// reused-buffer batched sender (wire.BatchSender, one sendmmsg per burst
-// on Linux).
+// Like ppswitchd, it receives in bursts of up to wire.DefaultBurst
+// datagrams (one recvmmsg on Linux) and returns the processed burst through
+// the reused-buffer batched sender (wire.BatchSender, one sendmmsg per
+// burst on Linux).
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -58,7 +56,6 @@ func main() {
 		chainStr = flag.String("chain", "macswap", "comma-separated chain: macswap,fw,nat,lb")
 		dropFrac = flag.Float64("fw-drop", 0, "firewall blacklist fraction (0..1)")
 		explicit = flag.Bool("explicit-drop", false, "send Explicit Drop notifications (§6.2.4)")
-		burst    = flag.Int("burst", wire.DefaultBurst, "most datagrams one receive (one recvmmsg on Linux) returns")
 		metrics  = flag.String("metrics", "", "serve Prometheus text exposition at http://ADDR/metrics (e.g. 127.0.0.1:9001)")
 	)
 	flag.Parse()
@@ -75,7 +72,6 @@ func main() {
 			return v == nf.Forward
 		},
 		ExplicitDrop: *explicit,
-		Burst:        *burst,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ppnf: %v\n", err)
@@ -84,10 +80,14 @@ func main() {
 	fmt.Printf("ppnf: %s on %s -> switch %s (explicit-drop=%t)\n", chain.Name(), d.Addr(), *swAddr, *explicit)
 
 	if *metrics != "" {
-		if err := serveMetrics(*metrics, d.RegisterMetrics); err != nil {
-			fmt.Fprintf(os.Stderr, "ppnf: %v\n", err)
+		reg := obs.NewRegistry()
+		d.RegisterMetrics(reg)
+		addr, err := reg.Serve(*metrics)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "ppnf: -metrics: %v\n", err)
 			os.Exit(1)
 		}
+		fmt.Printf("ppnf: metrics at http://%s/metrics\n", addr)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -98,24 +98,4 @@ func main() {
 	}
 	fmt.Printf("ppnf: rx=%d tx=%d dropped=%d notified=%d\n",
 		d.Rx.Load(), d.Tx.Load(), d.Dropped.Load(), d.Notified.Load())
-}
-
-// serveMetrics binds addr, registers the daemon's atomics, and serves
-// GET /metrics in the background; a bad address fails at startup.
-func serveMetrics(addr string, register func(*obs.Registry)) error {
-	reg := obs.NewRegistry()
-	register(reg)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("-metrics: %w", err)
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", reg.Handler())
-	fmt.Printf("ppnf: metrics at http://%s/metrics\n", ln.Addr())
-	go func() {
-		if err := http.Serve(ln, mux); err != nil {
-			fmt.Fprintf(os.Stderr, "ppnf: metrics server: %v\n", err)
-		}
-	}()
-	return nil
 }

@@ -17,13 +17,9 @@ import (
 	"time"
 
 	"github.com/payloadpark/payloadpark/internal/packet"
+	"github.com/payloadpark/payloadpark/internal/sim"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 	"github.com/payloadpark/payloadpark/internal/wire"
-)
-
-var (
-	genMAC = packet.MAC{0x02, 0, 0, 0, 0, 0x01}
-	nfMAC  = packet.MAC{0x02, 0, 0, 0, 0, 0x02}
 )
 
 func main() {
@@ -37,6 +33,15 @@ func main() {
 		blast  = flag.Bool("blast", false, "open-loop batched sends (ignore -pps), report wire rate")
 	)
 	flag.Parse()
+	switch {
+	case *count < 1:
+		fail("-count = %d outside [1, +Inf)", *count)
+	case *pps < 1 && !*blast:
+		fail("-pps = %d outside [1, +Inf)", *pps)
+	}
+	if err := (sim.Traffic{FixedSize: *size}).Validate(); err != nil {
+		fail("-size: %v", err)
+	}
 
 	var dist trafficgen.SizeDist = trafficgen.Datacenter{}
 	if *size > 0 {
@@ -44,17 +49,16 @@ func main() {
 	}
 	gen := trafficgen.New(trafficgen.Config{
 		Sizes: dist, Flows: 1024,
-		SrcMAC: genMAC, DstMAC: nfMAC,
+		SrcMAC: sim.MACGen, DstMAC: sim.MACNF,
 		DstIP: packet.IPv4Addr{10, 1, 0, 9}, DstPort: 80,
 		Seed: *seed,
 	})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	g, err := wire.NewGenerator(ctx, wire.GenConfig{Listen: *listen, SwitchAddr: *swAddr, Discard: *blast})
+	g, err := wire.NewGenerator(ctx, wire.GenConfig{Listen: *listen, SwitchAddr: *swAddr})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pppktgen: %v\n", err)
-		os.Exit(1)
+		fail("%v", err)
 	}
 
 	var sentBytes int
@@ -84,8 +88,7 @@ func main() {
 			pkt := gen.Next()
 			sentBytes += pkt.Len()
 			if err := g.Send(pkt.Serialize()); err != nil {
-				fmt.Fprintf(os.Stderr, "pppktgen: send: %v\n", err)
-				os.Exit(1)
+				fail("send: %v", err)
 			}
 			time.Sleep(interval)
 		}
@@ -100,4 +103,9 @@ func main() {
 		fmt.Printf("pppktgen: wire rate %.0f pps, %.3f Gbps sent\n",
 			float64(g.Sent.Load())/secs, float64(sentBytes)*8/secs/1e9)
 	}
+}
+
+func fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "pppktgen: "+format+"\n", args...)
+	os.Exit(1)
 }

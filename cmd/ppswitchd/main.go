@@ -2,12 +2,13 @@
 // over UDP sockets: raw Ethernet frames ride one-per-datagram between the
 // generator, this switch, and the NF server.
 //
-// Frames are read in bursts of up to -burst datagrams, one recvmmsg on
-// Linux (wire.BurstReader), and the whole burst is driven through the
-// switch's zero-alloc batch path; emissions are serialized back-to-back
-// into one reused buffer and flushed with a single sendmmsg on Linux
-// (wire.BatchSender) — the same receive and send path the live fabric's
-// per-pipe workers use.
+// The switch is the Fig. 5 testbed graph (sim.Testbed's), loaded by
+// sim.Graph.Realise like every other backend's: the generator on port
+// 0, where payloads split, the NF server on port 1, where they merge, and
+// the sink — the generator's receive side — on port 2. Frames are read in
+// bursts of up to wire.DefaultBurst datagrams, one recvmmsg on Linux, and
+// each burst is driven through the switch's zero-alloc batch path by one
+// wire.SwitchLoop — the loop the live fabric runs per pipe.
 //
 // Example (three terminals):
 //
@@ -21,103 +22,109 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
+	"net/netip"
 	"os"
 	"os/signal"
+	"sync/atomic"
 
 	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/obs"
-	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/rmt"
+	"github.com/payloadpark/payloadpark/internal/sim"
 	"github.com/payloadpark/payloadpark/internal/wire"
-)
-
-// Fixed demo topology MACs, shared by the three wire commands.
-var (
-	genMAC = packet.MAC{0x02, 0, 0, 0, 0, 0x01}
-	nfMAC  = packet.MAC{0x02, 0, 0, 0, 0, 0x02}
 )
 
 func main() {
 	var (
 		listen  = flag.String("listen", "127.0.0.1:7000", "UDP listen address")
-		genAddr = flag.String("gen", "127.0.0.1:7001", "traffic generator address (cabled to port 0)")
+		genAddr = flag.String("gen", "127.0.0.1:7001", "traffic generator address (cabled to port 0, and to the sink port)")
 		nfAddr  = flag.String("nf", "127.0.0.1:7002", "NF server address (cabled to port 1)")
 		slots   = flag.Int("slots", 4096, "lookup table capacity (0 = baseline L2 switch)")
 		expiry  = flag.Uint("expiry", 1, "expiry threshold MAX_EXP")
 		recirc  = flag.Bool("recirculate", false, "park 384 bytes via recirculation")
-		burst   = flag.Int("burst", wire.DefaultBurst, "most datagrams one receive (one recvmmsg on Linux) returns")
 		metrics = flag.String("metrics", "", "serve Prometheus text exposition at http://ADDR/metrics (e.g. 127.0.0.1:9000)")
 	)
 	flag.Parse()
 
-	cfg := wire.SwitchConfig{
-		Listen: *listen,
-		Ports: map[rmt.PortID]string{
-			0: *genAddr,
-			1: *nfAddr,
-		},
-		L2: map[packet.MAC]rmt.PortID{
-			nfMAC:  1,
-			genMAC: 0,
-		},
-		RecircPipe: -1,
-		Burst:      *burst,
-	}
-	if *slots > 0 {
-		cfg.PP = &core.Config{
-			Slots: *slots, MaxExpiry: uint32(*expiry),
-			SplitPort: 0, MergePort: 1, Recirculate: *recirc,
-		}
-		if *recirc {
-			cfg.RecircPipe = 1
-		}
-	}
-	d, err := wire.NewSwitchDaemon(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ppswitchd: %v\n", err)
-		os.Exit(1)
-	}
+	s := sim.Sections{Name: "ppswitchd"}
 	mode := "baseline (L2 only)"
-	if cfg.PP != nil {
+	if *slots != 0 {
+		s.Parking = sim.Parking{Mode: sim.ParkEdge, Slots: *slots, MaxExpiry: uint32(*expiry), Recirculate: *recirc}
+		if err := s.Parking.Validate(); err != nil {
+			fail("%v", err)
+		}
 		mode = fmt.Sprintf("payloadpark slots=%d expiry=%d recirculate=%t", *slots, *expiry, *recirc)
 	}
-	fmt.Printf("ppswitchd: listening on %s, gen=%s nf=%s, %s\n", d.Addr(), *genAddr, *nfAddr, mode)
+	g := sim.Testbed{}.Graph(s)
+	sws, err := g.RealiseAll()
+	if err != nil {
+		fail("%v", err)
+	}
+
+	laddr, err := net.ResolveUDPAddr("udp", *listen)
+	if err != nil {
+		fail("-listen: %v", err)
+	}
+	conn, err := net.ListenUDP("udp", laddr)
+	if err != nil {
+		fail("%v", err)
+	}
+	wire.TuneUDP(conn)
+	gen, err := net.ResolveUDPAddr("udp", *genAddr)
+	if err != nil {
+		fail("-gen: %v", err)
+	}
+	nf, err := net.ResolveUDPAddr("udp", *nfAddr)
+	if err != nil {
+		fail("-nf: %v", err)
+	}
+	var rx, tx, errs atomic.Uint64
+	loop := &wire.SwitchLoop{
+		Conn: conn, SW: sws[0],
+		Peers: make(map[netip.AddrPort]rmt.PortID),
+		Addrs: make(map[rmt.PortID]*net.UDPAddr),
+		Rx:    &rx, Tx: &tx, Errors: &errs,
+	}
+	// The sink is the generator's receive side: cable its port first, so
+	// the split port's cabling decides where the generator's frames enter.
+	fl := &g.Flows[0]
+	loop.Cable(fl.Sink.At.Port, gen)
+	loop.Cable(fl.Gen.At.Port, gen)
+	loop.Cable(fl.NF.At.Port, nf)
+	fmt.Printf("ppswitchd: listening on %s, gen=%s nf=%s, %s\n", conn.LocalAddr(), *genAddr, *nfAddr, mode)
 
 	if *metrics != "" {
-		if err := serveMetrics(*metrics, d.RegisterMetrics, "ppswitchd"); err != nil {
-			fmt.Fprintf(os.Stderr, "ppswitchd: %v\n", err)
-			os.Exit(1)
+		reg := obs.NewRegistry()
+		reg.Counter("pp_switch_rx_datagrams_total", "datagrams received", rx.Load)
+		reg.Counter("pp_switch_tx_datagrams_total", "datagrams forwarded", tx.Load)
+		reg.Counter("pp_switch_errors_total", "parse/forward/send failures", errs.Load)
+		loop.BurstHist = reg.Histogram("pp_switch_rx_burst_frames", "frames drained per receive burst")
+		loop.BatchHist = reg.Histogram("pp_switch_tx_batch_frames", "frames written per batched send")
+		addr, err := reg.Serve(*metrics)
+		if err != nil {
+			fail("-metrics: %v", err)
 		}
+		fmt.Printf("ppswitchd: metrics at http://%s/metrics\n", addr)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if err := d.Run(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "ppswitchd: %v\n", err)
-		os.Exit(1)
+	go func() {
+		<-ctx.Done()
+		conn.Close()
+	}()
+	if err := loop.Run(ctx); err != nil {
+		fail("%v", err)
 	}
-	fmt.Printf("ppswitchd: rx=%d tx=%d errors=%d\n", d.Rx.Load(), d.Tx.Load(), d.Errors.Load())
-	fmt.Printf("ppswitchd: %s\n", d.Counters().String())
+	fmt.Printf("ppswitchd: rx=%d tx=%d errors=%d\n", rx.Load(), tx.Load(), errs.Load())
+	c := &core.Counters{}
+	if progs := sws[0].Programs(); len(progs) > 0 {
+		c = &progs[0].C
+	}
+	fmt.Printf("ppswitchd: %s\n", c.String())
 }
 
-// serveMetrics binds addr, registers the daemon's atomics via register,
-// and serves GET /metrics in the background. Binding synchronously means
-// a bad -metrics address fails at startup, not silently mid-run.
-func serveMetrics(addr string, register func(*obs.Registry), name string) error {
-	reg := obs.NewRegistry()
-	register(reg)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("-metrics: %w", err)
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", reg.Handler())
-	fmt.Printf("%s: metrics at http://%s/metrics\n", name, ln.Addr())
-	go func() {
-		if err := http.Serve(ln, mux); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: metrics server: %v\n", name, err)
-		}
-	}()
-	return nil
+func fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "ppswitchd: "+format+"\n", args...)
+	os.Exit(1)
 }

@@ -242,33 +242,24 @@ func collectFig14(o Options) (*Result, error) {
 // --- table1: switch resource declaration ---
 
 func collectTable1(o Options) (*Result, error) {
-	// 4 NF servers: one program per pipe, ~26% of pipe SRAM each.
-	sw4 := core.NewSwitch("table1-4srv")
-	for pipe := 0; pipe < 4; pipe++ {
-		base := rmt.PortID(core.PortsPerPipe * pipe)
-		if _, err := sw4.AttachPayloadPark(core.Config{
-			Slots: SlotsForSRAMPct(0.26, false), MaxExpiry: 1,
-			SplitPort: base, MergePort: base + 1,
-		}, -1); err != nil {
+	// Pipe 0's share of the switch with 4 NF servers (one group per pipe,
+	// ~26% of pipe SRAM each) and with the §6.2.3 deployment's 8 (two per
+	// pipe, ~20% each: 40% reserved).
+	park := func(sramPct float64) sim.Sections {
+		return sim.Sections{Parking: sim.Parking{Mode: sim.ParkEdge, Slots: SlotsForSRAMPct(sramPct, false), MaxExpiry: 1}}
+	}
+	var u [2]rmt.Usage
+	for i, g := range []*sim.Graph{
+		sim.SingleSwitchGraph("table1-4srv", park(0.26), []rmt.PortID{0, 16, 32, 48}, true),
+		sim.MultiServer{Servers: 8}.Graph(park(0.20)),
+	} {
+		sws, err := g.RealiseAll()
+		if err != nil {
 			return nil, err
 		}
+		u[i] = sws[0].Pipe(0).Resources()
 	}
-	u4 := sw4.Pipe(0).Resources()
-
-	// 8 NF servers: two programs per pipe, ~20% each (40% reserved).
-	sw8 := core.NewSwitch("table1-8srv")
-	for pipe := 0; pipe < 4; pipe++ {
-		for j := 0; j < 2; j++ {
-			base := rmt.PortID(core.PortsPerPipe*pipe + 8*j)
-			if _, err := sw8.AttachPayloadPark(core.Config{
-				Slots: SlotsForSRAMPct(0.20, false), MaxExpiry: 1,
-				SplitPort: base, MergePort: base + 1,
-			}, -1); err != nil {
-				return nil, err
-			}
-		}
-	}
-	u8 := sw8.Pipe(0).Resources()
+	u4, u8 := u[0], u[1]
 
 	res := &Result{}
 	t := res.table("", "resource\tmeasured\tpaper")

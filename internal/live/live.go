@@ -76,8 +76,6 @@ type Topology struct {
 	// Window caps open-loop frames in flight per generator (default 512),
 	// keeping the offered load inside kernel socket buffers.
 	Window int `json:"window,omitempty"`
-	// Burst is the per-worker receive-burst size (default wire.DefaultBurst).
-	Burst int `json:"burst,omitempty"`
 	// DropFraction blacklists roughly this fraction of source IPs at the
 	// NF (a stateless firewall ahead of the MAC swap; 0 disables the
 	// stage), exercising eviction and explicit-drop paths.
@@ -85,9 +83,8 @@ type Topology struct {
 }
 
 // Wiring binds one live run to its caller; none of it describes the run.
+// A caller bounds a run below runTimeout through the ctx it passes Run.
 type Wiring struct {
-	// Timeout bounds the whole run (default 60s).
-	Timeout time.Duration
 	// Metrics, when non-nil, registers the fabric's live counters and
 	// socket-batching histograms (per-node rx/errors, per-generator
 	// sent/received, burst and batch size distributions) for snapshot
@@ -96,13 +93,9 @@ type Wiring struct {
 	Metrics *obs.Registry
 }
 
-// timeout is the run's deadline.
-func (w Wiring) timeout() time.Duration {
-	if w.Timeout == 0 {
-		return 60 * time.Second
-	}
-	return w.Timeout
-}
+// runTimeout bounds every live run: a fabric that has not balanced its
+// books by then has lost frames for good.
+const runTimeout = 60 * time.Second
 
 // Resolve fills the topology's and the sections' zero fields; socket runs
 // size their parking tables and flow pools far below the simulator's.
@@ -196,16 +189,15 @@ func (t Topology) Validate(s sim.Sections) error {
 	if t.DropFraction < 0 || t.DropFraction >= 1 {
 		return fmt.Errorf("live: drop fraction %v outside [0,1)", t.DropFraction)
 	}
-	// Every frame is serialized before the first is sent, a window nothing
-	// can enter never drains, and a burst sizes per-socket buffers: each is
-	// bounded here rather than found out by the allocator or the deadline.
+	// Every frame is serialized before the first is sent, and a window
+	// nothing can enter never drains: each is bounded here rather than found
+	// out by the allocator or the deadline.
 	for _, f := range []struct {
 		name       string
 		v, lo, max int
 	}{
 		{"frames", t.Frames, 1, maxFrames},
 		{"window", t.Window, 1, maxWindow},
-		{"burst", t.Burst, 0, maxBurst}, // 0: wire.DefaultBurst
 	} {
 		if f.v < f.lo || f.v > f.max {
 			return fmt.Errorf("live: %s = %d outside [%d, %d]", f.name, f.v, f.lo, f.max)
@@ -215,13 +207,11 @@ func (t Topology) Validate(s sim.Sections) error {
 }
 
 // Upper bounds of the resolved topology's counts: a million frames per
-// generator is ~1 GB of pre-serialized workload, a window beyond 64 Ki
-// frames overruns any loopback socket buffer, and a burst is a per-socket
-// array of wire.MaxFrame buffers.
+// generator is ~1 GB of pre-serialized workload, and a window beyond 64 Ki
+// frames overruns any loopback socket buffer.
 const (
 	maxFrames = 1 << 20
 	maxWindow = 1 << 16
-	maxBurst  = 1 << 10
 )
 
 // genFrames pre-serializes one generator's deterministic frame sequence;

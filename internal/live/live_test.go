@@ -102,10 +102,12 @@ func TestLockstepBaselineChain(t *testing.T) {
 }
 
 func TestThroughputChainDelivers(t *testing.T) {
-	live, err := Run(context.Background(),
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	live, err := Run(ctx,
 		Topology{Geometry: "chain", Frames: 2000, Window: 128},
 		sim.Sections{Parking: parking(32, false), Opts: sim.RunOptions{Seed: 1}},
-		Wiring{Timeout: 30 * time.Second})
+		Wiring{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,10 +126,12 @@ func TestThroughputChainDelivers(t *testing.T) {
 // worker's read returns several datagrams, not one.
 func TestThroughputBurstsAreBatched(t *testing.T) {
 	reg := obs.NewRegistry()
-	if _, err := Run(context.Background(),
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := Run(ctx,
 		Topology{Geometry: "chain", Frames: 4000, Window: 128},
 		sim.Sections{Parking: parking(64, false), Opts: sim.RunOptions{Seed: 1}},
-		Wiring{Timeout: 30 * time.Second, Metrics: reg}); err != nil {
+		Wiring{Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
 	var frames, bursts uint64
@@ -216,7 +220,7 @@ func TestRulesHaveOneOwner(t *testing.T) {
 		s := sim.Sections{Parking: parking(16, false)}
 		tc.set(&s)
 		topo := Topology{Lockstep: true, Frames: 4}
-		_, runErr := Run(context.Background(), topo, s, Wiring{Timeout: 10 * time.Second})
+		_, runErr := Run(context.Background(), topo, s, Wiring{})
 		_, refErr := ReferenceRun(topo, s)
 		for via, err := range map[string]error{"Run": runErr, "ReferenceRun": refErr} {
 			if want := "live: " + tc.want; err == nil || err.Error() != want {
@@ -247,10 +251,6 @@ func TestResolveDefaults(t *testing.T) {
 			t.Errorf("sections resolved to %+v %+v, want 64 slots, expiry 1, 256 flows, the datacenter mix", sec.Parking, sec.Traffic)
 		}
 	}
-	if got := (Wiring{}).timeout(); got != 60*time.Second {
-		t.Errorf("default timeout %v, want 60s", got)
-	}
-
 	topo := Topology{Geometry: "4x2", Frames: 9, Window: 3}
 	sec := sim.Sections{Parking: sim.Parking{Slots: 8192, MaxExpiry: 2}, Traffic: sim.Traffic{FixedSize: 300, Flows: 5}}
 	topo.Resolve(&sec)
@@ -318,7 +318,7 @@ func TestOnePlantBothHooks(t *testing.T) {
 					peers := tc.g.Peers()
 					nodes := make([]*switchNode, len(sws))
 					for i, sw := range sws {
-						if nodes[i], err = newSwitchNode(tc.g.Switches[i].Name, sw, peers[i], 0); err != nil {
+						if nodes[i], err = newSwitchNode(tc.g.Switches[i].Name, sw, peers[i]); err != nil {
 							t.Fatal(err)
 						}
 						nodes[i].start(ctx)

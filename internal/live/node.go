@@ -46,7 +46,7 @@ type switchNode struct {
 // newSwitchNode binds one loopback socket per pipe with a cabled port.
 // Workers are not started until start (peer maps are filled in between,
 // once every socket in the fabric is bound).
-func newSwitchNode(name string, sw *core.Switch, ports [core.NumPorts]sim.Peer, burst int) (*switchNode, error) {
+func newSwitchNode(name string, sw *core.Switch, ports [core.NumPorts]sim.Peer) (*switchNode, error) {
 	n := &switchNode{name: name}
 	for pipe := 0; pipe < core.NumPipes; pipe++ {
 		inUse := false
@@ -65,7 +65,6 @@ func newSwitchNode(name string, sw *core.Switch, ports [core.NumPorts]sim.Peer, 
 		n.byPipe[pipe] = &wire.SwitchLoop{
 			Conn:  conn,
 			SW:    sw,
-			Burst: burst,
 			Peers: make(map[netip.AddrPort]rmt.PortID),
 			Addrs: make(map[rmt.PortID]*net.UDPAddr),
 			// 16 pending control closures: quiesce posts one per caller and

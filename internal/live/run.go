@@ -44,7 +44,6 @@ func (lf *liveFabric) newGenerator(ctx context.Context, at sim.PortRef) (*wire.G
 	g, err := wire.NewGenerator(ctx, wire.GenConfig{
 		Listen:     "127.0.0.1:0",
 		SwitchAddr: lf.nodes[at.Switch].addr(at.Port).String(),
-		Discard:    true,
 	})
 	if err != nil {
 		return nil, err
@@ -69,7 +68,7 @@ func bringUp(ctx context.Context, f *fabric, metrics *obs.Registry) (*liveFabric
 	}
 	peers := f.g.Peers()
 	for i, sw := range lf.sws {
-		n, err := newSwitchNode(f.g.Switches[i].Name, sw, peers[i], f.topo.Burst)
+		n, err := newSwitchNode(f.g.Switches[i].Name, sw, peers[i])
 		if err != nil {
 			return nil, err
 		}
@@ -92,7 +91,6 @@ func bringUp(ctx context.Context, f *fabric, metrics *obs.Registry) (*liveFabric
 			SwitchAddr:   lf.nodes[fl.NF.At.Switch].addr(fl.NF.At.Port).String(),
 			Handle:       newNFHandle(f.topo.DropFraction),
 			ExplicitDrop: f.sec.Parking.ExplicitDrop,
-			Burst:        f.topo.Burst,
 		})
 		if err != nil {
 			return nil, err
@@ -222,7 +220,7 @@ func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, er
 		return nil, err
 	}
 	t, s = f.topo, f.sec
-	ctx, cancel := context.WithTimeout(ctx, w.timeout())
+	ctx, cancel := context.WithTimeout(ctx, runTimeout)
 	defer cancel()
 	lf, err := bringUp(ctx, f, w.Metrics)
 	if err != nil {
@@ -351,10 +349,6 @@ func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, er
 func (lf *liveFabric) blast(ctx context.Context, g int) error {
 	gen := lf.gens[g]
 	frames := lf.f.frames[g]
-	burst := lf.f.topo.Burst
-	if burst <= 0 {
-		burst = wire.DefaultBurst
-	}
 	window := lf.f.topo.Window
 	bs := gen.BatchSender()
 	dst := gen.SwitchUDPAddr()
@@ -386,13 +380,7 @@ func (lf *liveFabric) blast(ctx context.Context, g int) error {
 			time.Sleep(100 * time.Microsecond)
 			continue
 		}
-		n := window - int(inflight)
-		if n > burst {
-			n = burst
-		}
-		if n > len(frames)-sent {
-			n = len(frames) - sent
-		}
+		n := min(window-int(inflight), wire.DefaultBurst, len(frames)-sent)
 		for i := 0; i < n; i++ {
 			bs.Queue(frames[sent+i], dst, &gen.Sent)
 		}

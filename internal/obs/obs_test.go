@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
-	"net/http/httptest"
+	"net/http"
 	"strings"
 	"testing"
 )
@@ -128,9 +128,14 @@ func TestPrometheusExposition(t *testing.T) {
 func TestMetricsHandler(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("pp_up", "always one", func() uint64 { return 1 })
-	srv := httptest.NewServer(r.Handler())
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/metrics")
+	if _, err := r.Serve("bad::addr::x"); err == nil {
+		t.Fatal("a bad address was accepted")
+	}
+	addr, err := r.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get("http://" + addr.String() + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"io"
+	"net"
 	"net/http"
 	"strconv"
 )
@@ -102,11 +103,22 @@ func writeLabels(bw *bufio.Writer, labels string) {
 	bw.WriteByte('}')
 }
 
-// Handler serves the registry at GET /metrics in the text exposition
-// format, for the ppswitchd/ppnf -metrics endpoints.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+// Serve binds addr and serves the registry at GET /metrics in the text
+// exposition format, in the background (the ppswitchd/ppnf -metrics
+// endpoints), returning the bound address. Binding before returning means
+// a bad address fails at startup, not silently mid-run.
+func (r *Registry) Serve(addr string) (net.Addr, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		r.WritePrometheus(w)
 	})
+	// The server lives as long as the process and nothing closes ln: a
+	// scrape that fails is the scraper's to report.
+	go func() { _ = http.Serve(ln, mux) }()
+	return ln.Addr(), nil
 }

@@ -123,13 +123,16 @@ func TestScenarioJSONRejectsUnserializable(t *testing.T) {
 		}
 	}
 
-	for _, bad := range []string{
-		`{"topology":{"kind":"ring"}}`,
-		`{"name":"x"}`,
+	for bad, want := range map[string]string{
+		`{"topology":{"kind":"ring"}}`: `unknown topology kind "ring"`,
+		`{"name":"x"}`:                 "missing topology.kind",
+		// Every socket reader takes wire.DefaultBurst datagrams a read: a
+		// file still setting the old knob is an error, not silently ignored.
+		`{"topology":{"kind":"live","config":{"burst":64}}}`: `scenario: live config: json: unknown field "burst"`,
 	} {
 		var s Scenario
-		if err := json.Unmarshal([]byte(bad), &s); err == nil {
-			t.Errorf("unmarshal accepted %s", bad)
+		if err := json.Unmarshal([]byte(bad), &s); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("unmarshal %s: err = %v, want %q", bad, err, want)
 		}
 	}
 }

@@ -128,7 +128,7 @@ func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
 	}
 	L, S := l.Leaves, l.Spines
 	mode, ecmp, compress := sec.Parking.Mode, sec.Control.ECMP, sec.Program.Kind == "compress"
-	g := l.graph(sec)
+	g := l.Graph(sec)
 	windowStart, windowEnd := sec.Opts.window()
 	spec := runSpec{wires: wires{linkBps: l.LinkBps, propNs: l.PropNs, queueBytes: l.QueueBytes}, stagger: 131}
 

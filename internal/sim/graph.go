@@ -162,14 +162,14 @@ func SingleSwitchGraph(name string, s Sections, bases []rmt.PortID, numbered boo
 	return g
 }
 
-// graph is the Fig. 5 testbed: one unnumbered group at port 0.
-func (Testbed) graph(s Sections) *Graph {
+// Graph is the Fig. 5 testbed: one unnumbered group at port 0.
+func (Testbed) Graph(s Sections) *Graph {
 	return SingleSwitchGraph(s.Name, s, []rmt.PortID{0}, false)
 }
 
-// graph is the §6.2.3 deployment: server i lives on pipe i/2, the second
+// Graph is the §6.2.3 deployment: server i lives on pipe i/2, the second
 // server of a pipe on the upper port block.
-func (m MultiServer) graph(s Sections) *Graph {
+func (m MultiServer) Graph(s Sections) *Graph {
 	bases := make([]rmt.PortID, m.Servers)
 	for i := range bases {
 		bases[i] = rmt.PortID(core.PortsPerPipe*(i/2) + 8*(i%2))
@@ -177,8 +177,8 @@ func (m MultiServer) graph(s Sections) *Graph {
 	return SingleSwitchGraph("multiserver", s, bases, true)
 }
 
-// graph is the leaf-spine fabric.
-func (l LeafSpine) graph(s Sections) *Graph { return LeafSpineGraph(l.Leaves, l.Spines, s) }
+// Graph is the leaf-spine fabric.
+func (l LeafSpine) Graph(s Sections) *Graph { return LeafSpineGraph(l.Leaves, l.Spines, s) }
 
 // serverConfig is the NF framework hosting the sections' chain (nil: the
 // MAC swap) at the far end of flow fl. A chain of MAC-swapping NFs already

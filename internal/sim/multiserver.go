@@ -20,7 +20,7 @@ func RunMultiServer(m MultiServer, s Sections, w Wiring) (MultiServerResult, err
 	if err := m.Validate(s); err != nil {
 		return MultiServerResult{}, err
 	}
-	g := m.graph(s)
+	g := m.Graph(s)
 	r, err := realise(g, s, w, runSpec{
 		wires:   wires{linkBps: m.LinkBps, propNs: simPropNs, queueBytes: simQueueBytes},
 		stagger: 97, // desynchronize servers slightly

@@ -243,21 +243,21 @@ func TestSimEqualsReferenceWalk(t *testing.T) {
 			var tb Testbed
 			_, err := RunTestbed(tb, *s, w)
 			tb.Resolve(s)
-			return tb.graph(*s), err
+			return tb.Graph(*s), err
 		}},
 		{"multiserver-4", func(s *Sections, w Wiring) (*Graph, error) {
 			s.Chain, s.Traffic.Flows = nil, 0 // pinned by the topology
 			m := MultiServer{Servers: 4}
 			_, err := RunMultiServer(m, *s, w)
 			m.Resolve(s)
-			return m.graph(*s), err
+			return m.Graph(*s), err
 		}},
 		{"leafspine-4x2", func(s *Sections, w Wiring) (*Graph, error) {
 			s.Chain = nil
 			l := LeafSpine{Leaves: 4, Spines: 2}
 			_, err := RunLeafSpine(l, *s, w)
 			l.Resolve(s)
-			return l.graph(*s), err
+			return l.Graph(*s), err
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -129,7 +129,7 @@ func RunTestbed(t Testbed, s Sections, w Wiring) (Result, error) {
 			eng.ScheduleAt(windowStart, func() { progSnap = inst.Counters() })
 		}
 	}
-	r, err := realise(t.graph(s), s, w, spec)
+	r, err := realise(t.Graph(s), s, w, spec)
 	if err != nil {
 		return Result{}, err
 	}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"net"
 	"net/netip"
@@ -143,51 +144,47 @@ func TestSocketPathAllocFree(t *testing.T) {
 
 // TestOversizedDatagramDropped: a 3000-byte datagram arrives cut to the
 // reader's buffer. The switch counts it as an error and never forwards
-// its head, the NF sends nothing for it and a sink does not count it;
-// a 1500-byte frame takes each of the three paths intact.
+// its head, the NF sends nothing for it and a Generator does not count
+// it; a 1500-byte frame takes each of the three paths intact.
 func TestOversizedDatagramDropped(t *testing.T) {
-	macswap := func(p *packet.Packet) bool {
-		p.Eth.Src, p.Eth.Dst = p.Eth.Dst, p.Eth.Src
-		return true
+	tb := newUDPTestbed(t, nil, false, macswap)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sink, err := NewGenerator(ctx, GenConfig{Listen: "127.0.0.1:0", SwitchAddr: tb.swAddr.String()})
+	if err != nil {
+		t.Fatal(err)
 	}
-	gen, swd, nfd, stop := testbedUDP(t, false, false, macswap)
-	stopped := false
-	defer func() {
-		if !stopped {
-			stop()
-		}
-	}()
 	stranger := listen(t, "127.0.0.1")
 	b := packet.NewBuilder(wGenMAC, wNFMAC)
 	for _, size := range []int{3000, 1500} {
 		frame := b.UDP(wFlow, size, uint16(size)).Serialize()
-		if err := gen.Send(frame); err != nil { // through the switch
-			t.Fatal(err)
-		}
-		for _, to := range []string{nfd.Addr(), gen.Addr()} { // straight to the NF, then to the sink
+		tb.send(t, frame)                                              // through the switch
+		for _, to := range []string{tb.nfAddr.String(), sink.Addr()} { // straight to the NF, then to a Generator
 			if _, err := stranger.WriteToUDP(frame, net.UDPAddrFromAddrPort(netip.MustParseAddrPort(to))); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	gen.WaitReceived(3, 5*time.Second)
-	time.Sleep(20 * time.Millisecond) // room for a stray fourth
-	stop()
-	stopped = true
-	got := gen.Drain()
-	if len(got) != 3 {
-		t.Errorf("sink received %d frames, want the three 1500-byte ones", len(got))
+	// The generator's 1500-byte frame and the one sent straight to the NF
+	// return through the switch; room is left for a stray third.
+	got := append(tb.collect(2, 5*time.Second), tb.collect(1, 20*time.Millisecond)...)
+	if len(got) != 2 {
+		t.Errorf("generator received %d frames, want the two 1500-byte ones", len(got))
 	}
 	for _, f := range got {
 		if len(f) != 1500 {
-			t.Errorf("sink received a %d-byte frame", len(f))
+			t.Errorf("generator received a %d-byte frame", len(f))
 		}
 	}
-	// The generator's 1500-byte frame in, and both NF responses back.
-	if swd.Errors.Load() != 1 || swd.Rx.Load() != 3 {
-		t.Errorf("switch rx=%d errors=%d, want 3 and 1", swd.Rx.Load(), swd.Errors.Load())
+	if n := sink.WaitReceived(1, 5*time.Second); n != 1 || sink.ReceivedBytes.Load() != 1500 {
+		t.Errorf("Generator counted %d frames of %d bytes, want the one 1500-byte frame", n, sink.ReceivedBytes.Load())
 	}
-	if nfd.Tx.Load() != 2 {
-		t.Errorf("NF forwarded %d frames, want the two 1500-byte ones", nfd.Tx.Load())
+	tb.stop()
+	// The generator's 1500-byte frame in, and both NF responses back.
+	if tb.errs.Load() != 1 || tb.rx.Load() != 3 {
+		t.Errorf("switch rx=%d errors=%d, want 3 and 1", tb.rx.Load(), tb.errs.Load())
+	}
+	if tb.nfd.Tx.Load() != 2 {
+		t.Errorf("NF forwarded %d frames, want the two 1500-byte ones", tb.nfd.Tx.Load())
 	}
 }

@@ -5,10 +5,13 @@
 // exercised across process boundaries exactly as the hardware prototype
 // sits between physical boxes.
 //
-// Topology is static, like cabling: each logical switch port is bound to
-// one peer UDP address, and a frame's ingress port is determined by its
-// source address — the same port-based disambiguation the paper's switch
-// uses (§5).
+// The package holds the endpoints, not the topology: SwitchLoop drives a
+// switch some caller loaded (sim.Graph.Realise, for cmd/ppswitchd and the
+// live fabric alike), NFDaemon hosts an NF chain and Generator sends and
+// counts. Cabling is static: each logical switch port is bound to one peer
+// UDP address, and a frame's ingress port is determined by its source
+// address — the same port-based disambiguation the paper's switch uses
+// (§5). Every socket is bound before its peers are pointed at it.
 package wire
 
 import (
@@ -17,7 +20,6 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -30,8 +32,9 @@ import (
 // MaxFrame is the largest encapsulated frame accepted.
 const MaxFrame = 2048
 
-// DefaultBurst is the default receive-burst size: the most datagrams
-// one BurstReader.Read returns, which on linux is one recvmmsg(2) call.
+// DefaultBurst is the receive-burst size every socket reader uses: the
+// most datagrams one BurstReader.Read returns, which on linux is one
+// recvmmsg(2) call.
 const DefaultBurst = 32
 
 // BurstReader reads receive bursts from a UDP socket into reusable
@@ -41,8 +44,8 @@ const DefaultBurst = 32
 // wait as they end ReadFromUDP. Elsewhere a burst is one datagram. Each
 // buffer has a byte to spare past MaxFrame: a datagram that fills it was
 // longer and arrived cut short (Truncated), one rule on every OS. The
-// wire daemons, the generator's receive loop and the live fabric's
-// workers share it; one BurstReader is owned by one goroutine.
+// switch loop, the NF daemon and the generator's receive loop share it;
+// one BurstReader is owned by one goroutine.
 type BurstReader struct {
 	conn  *net.UDPConn
 	bufs  [][]byte
@@ -111,12 +114,11 @@ func peerKey(ap netip.AddrPort) netip.AddrPort {
 // enter SW on the port their source address is cabled to, a burst at a
 // time — read a burst, drive it through the zero-alloc core.FrameBurst
 // path, write the surviving emissions out in one batched send.
-// SwitchDaemon runs one (own switch, one socket); the live fabric runs one
+// cmd/ppswitchd runs one (one switch, one socket); the live fabric runs one
 // per pipe over a shared switch (core.Switch's one-worker-per-pipe rule).
 type SwitchLoop struct {
-	Conn  *net.UDPConn
-	SW    *core.Switch
-	Burst int // receive-burst size (default DefaultBurst)
+	Conn *net.UDPConn
+	SW   *core.Switch
 	// Peers resolves a datagram's source address to its ingress port;
 	// Addrs is where emissions for an egress port are sent ("cables").
 	Peers map[netip.AddrPort]rmt.PortID
@@ -146,7 +148,7 @@ func (l *SwitchLoop) Cable(port rmt.PortID, addr *net.UDPAddr) {
 // Run serves until the socket is closed or fails, returning nil when ctx
 // was cancelled first. The steady state allocates nothing.
 func (l *SwitchLoop) Run(ctx context.Context) error {
-	br := NewBurstReader(l.Conn, l.Burst)
+	br := NewBurstReader(l.Conn, DefaultBurst)
 	fb := l.SW.NewFrameBurst(len(br.bufs))
 	bs := NewBatchSender(l.Conn)
 	br.Hist, bs.Hist = l.BurstHist, l.BatchHist
@@ -199,33 +201,6 @@ func (l *SwitchLoop) Run(ctx context.Context) error {
 	}
 }
 
-// SwitchConfig wires a switch daemon.
-type SwitchConfig struct {
-	// Listen is the UDP address the switch binds (e.g. "127.0.0.1:7000").
-	Listen string
-	// Ports maps logical switch ports to peer addresses ("cables").
-	Ports map[rmt.PortID]string
-	// L2 maps destination MACs to logical egress ports.
-	L2 map[packet.MAC]rmt.PortID
-	// PP optionally installs the PayloadPark program (ports from the
-	// config itself); nil runs a baseline L2 switch.
-	PP *core.Config
-	// RecircPipe is the recirculation pipe index when PP.Recirculate.
-	RecircPipe int
-	// Burst is the receive-burst size (default DefaultBurst).
-	Burst int
-}
-
-// SwitchDaemon is a userspace PayloadPark switch over UDP.
-type SwitchDaemon struct {
-	loop SwitchLoop
-	prog *core.Program
-
-	// Rx/Tx count datagrams; Errors counts parse/forward failures.
-	// Atomic: read from other goroutines while Run serves.
-	Rx, Tx, Errors atomic.Uint64
-}
-
 // TuneUDP widens a socket's kernel buffers to absorb open-loop bursts:
 // the default budget (~208 KiB on Linux) overflows under a few hundred
 // in-flight MTU frames, dropping datagrams on loopback. Errors are
@@ -233,86 +208,6 @@ type SwitchDaemon struct {
 func TuneUDP(conn *net.UDPConn) {
 	conn.SetReadBuffer(1 << 21)
 	conn.SetWriteBuffer(1 << 21)
-}
-
-// NewSwitchDaemon validates the config and binds the socket.
-func NewSwitchDaemon(cfg SwitchConfig) (*SwitchDaemon, error) {
-	if len(cfg.Ports) == 0 {
-		return nil, errors.New("wire: switch needs at least one port")
-	}
-	laddr, err := net.ResolveUDPAddr("udp", cfg.Listen)
-	if err != nil {
-		return nil, fmt.Errorf("wire: listen addr: %w", err)
-	}
-	conn, err := net.ListenUDP("udp", laddr)
-	if err != nil {
-		return nil, fmt.Errorf("wire: %w", err)
-	}
-	TuneUDP(conn)
-	d := &SwitchDaemon{}
-	d.loop = SwitchLoop{
-		Conn:  conn,
-		SW:    core.NewSwitch("wire"),
-		Burst: cfg.Burst,
-		Peers: make(map[netip.AddrPort]rmt.PortID, len(cfg.Ports)),
-		Addrs: make(map[rmt.PortID]*net.UDPAddr, len(cfg.Ports)),
-		Rx:    &d.Rx, Tx: &d.Tx, Errors: &d.Errors,
-	}
-	for port, addr := range cfg.Ports {
-		ua, err := net.ResolveUDPAddr("udp", addr)
-		if err != nil {
-			conn.Close()
-			return nil, fmt.Errorf("wire: port %d addr %q: %w", port, addr, err)
-		}
-		d.loop.Cable(port, ua)
-	}
-	for mac, port := range cfg.L2 {
-		d.loop.SW.AddL2Route(mac, port)
-	}
-	if cfg.PP != nil {
-		prog, err := d.loop.SW.AttachPayloadPark(*cfg.PP, cfg.RecircPipe)
-		if err != nil {
-			conn.Close()
-			return nil, err
-		}
-		d.prog = prog
-	}
-	return d, nil
-}
-
-// Addr returns the bound UDP address.
-func (d *SwitchDaemon) Addr() string { return d.loop.Conn.LocalAddr().String() }
-
-// Counters returns the program counters (zero-valued for baseline).
-func (d *SwitchDaemon) Counters() *core.Counters {
-	if d.prog == nil {
-		return &core.Counters{}
-	}
-	return &d.prog.C
-}
-
-// RegisterMetrics publishes the daemon's counters and socket-batching
-// histograms (the ppswitchd -metrics endpoint). Call before Run. Only
-// atomically maintained state is exposed: program counters are plain
-// fields owned by the Run goroutine and stay off the live surface.
-func (d *SwitchDaemon) RegisterMetrics(reg *obs.Registry) {
-	reg.Counter("pp_switch_rx_datagrams_total", "datagrams received", d.Rx.Load)
-	reg.Counter("pp_switch_tx_datagrams_total", "datagrams forwarded", d.Tx.Load)
-	reg.Counter("pp_switch_errors_total", "parse/forward/send failures", d.Errors.Load)
-	d.loop.BurstHist = reg.Histogram("pp_switch_rx_burst_frames", "frames drained per receive burst")
-	d.loop.BatchHist = reg.Histogram("pp_switch_tx_batch_frames", "frames written per batched send")
-}
-
-// Run serves until ctx is cancelled. Single-threaded by design: the
-// dataplane program is not concurrency-safe, exactly like the single
-// pipeline it models. On linux a burst costs one recvmmsg and one
-// sendmmsg, and the steady state allocates nothing.
-func (d *SwitchDaemon) Run(ctx context.Context) error {
-	go func() {
-		<-ctx.Done()
-		d.loop.Conn.Close()
-	}()
-	return d.loop.Run(ctx)
 }
 
 // NFConfig wires an NF server daemon.
@@ -332,8 +227,6 @@ type NFConfig struct {
 	// carry an enabled PayloadPark header are truncated, their opcode bit
 	// flipped at its fixed offset in the raw bytes, and returned.
 	ExplicitDrop bool
-	// Burst is the receive-burst size (default DefaultBurst).
-	Burst int
 }
 
 // NFDaemon is a userspace NF server.
@@ -382,18 +275,6 @@ func NewNFDaemon(cfg NFConfig) (*NFDaemon, error) {
 
 // Addr returns the bound UDP address.
 func (d *NFDaemon) Addr() string { return d.conn.LocalAddr().String() }
-
-// Retarget repoints the daemon at a new switch address. Call before Run:
-// it exists to resolve the bind-order chicken-and-egg when endpoints are
-// created before the switch's ephemeral port is known.
-func (d *NFDaemon) Retarget(switchAddr string) error {
-	ua, err := net.ResolveUDPAddr("udp", switchAddr)
-	if err != nil {
-		return fmt.Errorf("wire: %w", err)
-	}
-	d.swAddr = ua
-	return nil
-}
 
 // ppOffset is where the PayloadPark header sits in a split UDP frame.
 const ppOffset = packet.HeaderUnitLen
@@ -458,7 +339,7 @@ func (d *NFDaemon) Run(ctx context.Context) error {
 		<-ctx.Done()
 		d.conn.Close()
 	}()
-	br := NewBurstReader(d.conn, d.cfg.Burst)
+	br := NewBurstReader(d.conn, DefaultBurst)
 	bs := NewBatchSender(d.conn)
 	br.Hist, bs.Hist = d.burstHist, d.batchHist
 	var sc NFScratch
@@ -498,20 +379,12 @@ type GenConfig struct {
 	Listen string
 	// SwitchAddr is the switch's socket.
 	SwitchAddr string
-	// Discard counts returned frames without buffering their bytes — the
-	// wire-rate mode, where retaining millions of frames would swamp the
-	// measurement.
-	Discard bool
 }
 
-// Generator sends frames to the switch and collects returned frames.
+// Generator sends frames to the switch and counts the frames that return.
 type Generator struct {
-	cfg    GenConfig
 	conn   *net.UDPConn
 	swAddr *net.UDPAddr
-
-	mu       sync.Mutex
-	received [][]byte
 
 	Sent, Received, ReceivedBytes atomic.Uint64
 }
@@ -532,7 +405,7 @@ func NewGenerator(ctx context.Context, cfg GenConfig) (*Generator, error) {
 		conn.Close()
 		return nil, fmt.Errorf("wire: switch addr: %w", err)
 	}
-	g := &Generator{cfg: cfg, conn: conn, swAddr: swAddr}
+	g := &Generator{conn: conn, swAddr: swAddr}
 	go func() {
 		<-ctx.Done()
 		conn.Close()
@@ -544,19 +417,8 @@ func NewGenerator(ctx context.Context, cfg GenConfig) (*Generator, error) {
 // Addr returns the bound UDP address.
 func (g *Generator) Addr() string { return g.conn.LocalAddr().String() }
 
-// Retarget repoints the generator at a new switch address; see
-// NFDaemon.Retarget.
-func (g *Generator) Retarget(switchAddr string) error {
-	ua, err := net.ResolveUDPAddr("udp", switchAddr)
-	if err != nil {
-		return fmt.Errorf("wire: %w", err)
-	}
-	g.swAddr = ua
-	return nil
-}
-
-// recvLoop counts (and unless Discard keeps) returned frames, a burst at a
-// time; an oversized datagram is not a frame and is not counted.
+// recvLoop counts returned frames and their bytes, a burst at a time; an
+// oversized datagram is not a frame and is not counted.
 func (g *Generator) recvLoop() {
 	br := NewBurstReader(g.conn, DefaultBurst)
 	for {
@@ -567,12 +429,6 @@ func (g *Generator) recvLoop() {
 		for i := 0; i < count; i++ {
 			if br.Truncated(i) {
 				continue
-			}
-			// Keep first: whoever sees Received reach n can Drain n frames.
-			if !g.cfg.Discard {
-				g.mu.Lock()
-				g.received = append(g.received, append([]byte(nil), br.Frame(i)...))
-				g.mu.Unlock()
 			}
 			g.ReceivedBytes.Add(uint64(len(br.Frame(i))))
 			g.Received.Add(1)
@@ -594,15 +450,6 @@ func (g *Generator) Send(frame []byte) error {
 		g.Sent.Add(1)
 	}
 	return err
-}
-
-// Drain returns the frames received so far and clears the buffer.
-func (g *Generator) Drain() [][]byte {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := g.received
-	g.received = nil
-	return out
 }
 
 // WaitReceived polls until n frames have been received or the timeout

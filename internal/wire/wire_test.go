@@ -3,6 +3,10 @@ package wire
 import (
 	"bytes"
 	"context"
+	"net"
+	"net/netip"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,101 +25,109 @@ var (
 	}
 )
 
-// testbedUDP spins up generator, switch and NF daemons on localhost
-// ephemeral ports, cabled: gen <-> port0 (split), nf <-> port1 (merge).
-// Returned frames are L2-routed back to the generator (port 0 is also the
-// sink in this two-endpoint wiring).
-func testbedUDP(t *testing.T, pp bool, explicitDrop bool, handle func(*packet.Packet) bool) (*Generator, *SwitchDaemon, *NFDaemon, func()) {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
+func macswap(p *packet.Packet) bool {
+	p.Eth.Src, p.Eth.Dst = p.Eth.Dst, p.Eth.Src
+	return true
+}
 
-	// Bind generator and NF first so the switch can cable to them.
-	gen, err := NewGenerator(ctx, GenConfig{Listen: "127.0.0.1:0", SwitchAddr: "127.0.0.1:1"})
-	if err != nil {
-		t.Fatal(err)
+// udpTestbed is the Fig. 5 testbed on loopback sockets, bound in cabling
+// order: the switch's socket first, then an NF daemon pointed at it, then
+// a test-owned generator socket, which is also where returned frames land.
+// Port 0 (the generator) splits, port 1 (the NF) merges, and the
+// generator's and sink's MACs route back out of port 0.
+type udpTestbed struct {
+	loop           SwitchLoop
+	rx, tx, errs   atomic.Uint64
+	nfd            *NFDaemon
+	gen            *net.UDPConn
+	swAddr, nfAddr *net.UDPAddr
+	// stop cancels both daemons and waits for them, making counter reads
+	// race-free; it runs at cleanup too.
+	stop func()
+}
+
+// newUDPTestbed loads a switch with pp (nil: a baseline L2 switch; a
+// recirculating program borrows pipe 1) and brings the testbed up.
+func newUDPTestbed(t *testing.T, pp *core.Config, explicitDrop bool, handle func(*packet.Packet) bool) *udpTestbed {
+	t.Helper()
+	sw := core.NewSwitch("wire-test")
+	sw.AddL2Route(wNFMAC, 1)
+	sw.AddL2Route(wGenMAC, 0)
+	sw.AddL2Route(wSinkMAC, 0)
+	if pp != nil {
+		recirc := -1
+		if pp.Recirculate {
+			recirc = 1
+		}
+		if _, err := sw.AttachPayloadPark(*pp, recirc); err != nil {
+			t.Fatal(err)
+		}
 	}
-	nfd, err := NewNFDaemon(NFConfig{
-		Listen: "127.0.0.1:0", SwitchAddr: "127.0.0.1:1",
+	tb := &udpTestbed{}
+	tb.loop = SwitchLoop{
+		Conn: listen(t, "127.0.0.1"), SW: sw,
+		Peers: make(map[netip.AddrPort]rmt.PortID),
+		Addrs: make(map[rmt.PortID]*net.UDPAddr),
+		Rx:    &tb.rx, Tx: &tb.tx, Errors: &tb.errs,
+	}
+	tb.swAddr = tb.loop.Conn.LocalAddr().(*net.UDPAddr)
+	var err error
+	tb.nfd, err = NewNFDaemon(NFConfig{
+		Listen: "127.0.0.1:0", SwitchAddr: tb.swAddr.String(),
 		Handle: handle, ExplicitDrop: explicitDrop,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tb.nfAddr = tb.nfd.conn.LocalAddr().(*net.UDPAddr)
+	tb.gen = listen(t, "127.0.0.1")
+	tb.loop.Cable(0, tb.gen.LocalAddr().(*net.UDPAddr))
+	tb.loop.Cable(1, tb.nfAddr)
 
-	swCfg := SwitchConfig{
-		Listen: "127.0.0.1:0",
-		Ports: map[rmt.PortID]string{
-			0: gen.Addr(),
-			1: nfd.Addr(),
-		},
-		L2: map[packet.MAC]rmt.PortID{
-			wNFMAC:   1,
-			wGenMAC:  0,
-			wSinkMAC: 0,
-		},
-	}
-	if pp {
-		swCfg.PP = &core.Config{Slots: 256, MaxExpiry: 1, SplitPort: 0, MergePort: 1}
-		swCfg.RecircPipe = -1
-	}
-	swd, err := NewSwitchDaemon(swCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Re-point generator and NF at the switch's actual address.
-	if err := gen.Retarget(swd.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if err := nfd.Retarget(swd.Addr()); err != nil {
-		t.Fatal(err)
-	}
-
-	done := make(chan struct{}, 2)
-	go func() { swd.Run(ctx); done <- struct{}{} }()
-	go func() { nfd.Run(ctx); done <- struct{}{} }()
-	// stop cancels the context and waits for both daemons, making counter
-	// reads race-free.
-	stop := func() {
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); tb.loop.Run(ctx) }()
+	go func() { defer wg.Done(); tb.nfd.Run(ctx) }()
+	tb.stop = sync.OnceFunc(func() {
 		cancel()
-		<-done
-		<-done
-	}
-	return gen, swd, nfd, stop
+		tb.loop.Conn.Close()
+		wg.Wait()
+	})
+	t.Cleanup(tb.stop)
+	return tb
 }
 
-func TestUDPDataplaneSplitMergeRoundTrip(t *testing.T) {
-	macswap := func(p *packet.Packet) bool {
-		p.Eth.Src, p.Eth.Dst = p.Eth.Dst, p.Eth.Src
-		return true
+// send transmits frame from the generator socket to the switch.
+func (tb *udpTestbed) send(t *testing.T, frame []byte) {
+	t.Helper()
+	if _, err := tb.gen.WriteToUDP(frame, tb.swAddr); err != nil {
+		t.Fatal(err)
 	}
-	gen, swd, nfd, stop := testbedUDP(t, true, false, macswap)
-	stopped := false
-	defer func() {
-		if !stopped {
-			stop()
-		}
-	}()
+}
 
-	const n = 50
-	var want [][]byte
-	b := packet.NewBuilder(wGenMAC, wNFMAC)
-	for i := 0; i < n; i++ {
-		pkt := b.UDP(wFlow, 300+i*20, uint16(i))
-		// Expected: identical packet with MACs swapped.
-		exp := pkt.Clone()
-		exp.Eth.Src, exp.Eth.Dst = pkt.Eth.Dst, pkt.Eth.Src
-		want = append(want, exp.Serialize())
-		if err := gen.Send(pkt.Serialize()); err != nil {
-			t.Fatal(err)
+// collect reads the frames returning to the generator socket until n have
+// arrived or wait has passed.
+func (tb *udpTestbed) collect(n int, wait time.Duration) [][]byte {
+	tb.gen.SetReadDeadline(time.Now().Add(wait))
+	buf := make([]byte, MaxFrame+1)
+	var got [][]byte
+	for len(got) < n {
+		k, _, err := tb.gen.ReadFromUDP(buf)
+		if err != nil {
+			break
 		}
+		got = append(got, append([]byte(nil), buf[:k]...))
 	}
-	if got := gen.WaitReceived(n, 5*time.Second); got != n {
-		t.Fatalf("received %d of %d frames", got, n)
-	}
-	got := gen.Drain()
-	// UDP on loopback preserves ordering in practice, but be tolerant:
-	// compare as multisets keyed by full frame bytes.
+	return got
+}
+
+// counters returns the switch's program counters; call after stop.
+func (tb *udpTestbed) counters() *core.Counters { return &tb.loop.SW.Programs()[0].C }
+
+// matchAll counts the frames of got that equal a distinct frame of want.
+func matchAll(got, want [][]byte) int {
+	want = append([][]byte(nil), want...)
 	matched := 0
 	for _, g := range got {
 		for j, w := range want {
@@ -126,48 +138,63 @@ func TestUDPDataplaneSplitMergeRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if matched != n {
+	return matched
+}
+
+func TestUDPDataplaneSplitMergeRoundTrip(t *testing.T) {
+	tb := newUDPTestbed(t, &core.Config{Slots: 256, MaxExpiry: 1, SplitPort: 0, MergePort: 1}, false, macswap)
+	const n = 50
+	var want [][]byte
+	b := packet.NewBuilder(wGenMAC, wNFMAC)
+	for i := 0; i < n; i++ {
+		pkt := b.UDP(wFlow, 300+i*20, uint16(i))
+		// Expected: identical packet with MACs swapped.
+		exp := pkt.Clone()
+		exp.Eth.Src, exp.Eth.Dst = pkt.Eth.Dst, pkt.Eth.Src
+		want = append(want, exp.Serialize())
+		tb.send(t, pkt.Serialize())
+	}
+	got := tb.collect(n, 5*time.Second)
+	if len(got) != n {
+		t.Fatalf("received %d of %d frames", len(got), n)
+	}
+	// UDP on loopback preserves ordering in practice, but be tolerant:
+	// compare as multisets keyed by full frame bytes.
+	if matched := matchAll(got, want); matched != n {
 		t.Errorf("matched %d of %d frames byte-for-byte", matched, n)
 	}
-	stop()
-	stopped = true
-	c := swd.Counters()
+	tb.stop()
+	c := tb.counters()
 	if c.Splits.Value() == 0 || c.Merges.Value() == 0 {
 		t.Errorf("splits=%d merges=%d — PayloadPark inactive on the wire", c.Splits.Value(), c.Merges.Value())
 	}
 	if c.PrematureEvictions.Value() != 0 {
 		t.Errorf("premature evictions on the wire: %d", c.PrematureEvictions.Value())
 	}
-	if nfd.Rx.Load() != n {
-		t.Errorf("NF saw %d frames, want %d", nfd.Rx.Load(), n)
+	if tb.nfd.Rx.Load() != n {
+		t.Errorf("NF saw %d frames, want %d", tb.nfd.Rx.Load(), n)
 	}
 }
 
 func TestUDPDataplaneBaselineEquivalence(t *testing.T) {
-	macswap := func(p *packet.Packet) bool {
-		p.Eth.Src, p.Eth.Dst = p.Eth.Dst, p.Eth.Src
-		return true
-	}
-	run := func(pp bool) [][]byte {
-		gen, _, _, stop := testbedUDP(t, pp, false, macswap)
-		defer stop()
+	run := func(pp *core.Config) [][]byte {
+		tb := newUDPTestbed(t, pp, false, macswap)
+		defer tb.stop()
 		b := packet.NewBuilder(wGenMAC, wNFMAC)
 		const n = 20
 		for i := 0; i < n; i++ {
-			if err := gen.Send(b.UDP(wFlow, 200+i*50, uint16(i)).Serialize()); err != nil {
-				t.Fatal(err)
-			}
+			tb.send(t, b.UDP(wFlow, 200+i*50, uint16(i)).Serialize())
 			// Serialize sends so loopback ordering is deterministic.
 			time.Sleep(time.Millisecond)
 		}
-		gen.WaitReceived(n, 5*time.Second)
-		return gen.Drain()
+		got := tb.collect(n, 5*time.Second)
+		if len(got) != n {
+			t.Fatalf("pp=%t: received %d of %d frames", pp != nil, len(got), n)
+		}
+		return got
 	}
-	a := run(true)
-	c := run(false)
-	if len(a) != len(c) {
-		t.Fatalf("frame counts differ: pp=%d base=%d", len(a), len(c))
-	}
+	a := run(&core.Config{Slots: 256, MaxExpiry: 1, SplitPort: 0, MergePort: 1})
+	c := run(nil)
 	for i := range a {
 		if !bytes.Equal(a[i], c[i]) {
 			t.Errorf("frame %d differs between PayloadPark and baseline", i)
@@ -177,54 +204,36 @@ func TestUDPDataplaneBaselineEquivalence(t *testing.T) {
 
 func TestUDPDataplaneExplicitDrop(t *testing.T) {
 	dropAll := func(p *packet.Packet) bool { return false }
-	gen, swd, nfd, stop := testbedUDP(t, true, true, dropAll)
-	stopped := false
-	defer func() {
-		if !stopped {
-			stop()
-		}
-	}()
-
+	tb := newUDPTestbed(t, &core.Config{Slots: 256, MaxExpiry: 1, SplitPort: 0, MergePort: 1}, true, dropAll)
 	b := packet.NewBuilder(wGenMAC, wNFMAC)
 	const n = 10
 	for i := 0; i < n; i++ {
-		if err := gen.Send(b.UDP(wFlow, 500, uint16(i)).Serialize()); err != nil {
-			t.Fatal(err)
-		}
+		tb.send(t, b.UDP(wFlow, 500, uint16(i)).Serialize())
 	}
 	// All packets are dropped at the NF; explicit-drop notifications must
-	// reclaim every slot. Poll the occupancy down.
+	// reclaim every slot.
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if nfd.Notified.Load() == n {
-			break
-		}
+	for time.Now().Before(deadline) && tb.nfd.Notified.Load() != n {
 		time.Sleep(time.Millisecond)
 	}
-	time.Sleep(20 * time.Millisecond)
-	stop()
-	stopped = true
-	if nfd.Notified.Load() != n {
-		t.Fatalf("notifications = %d, want %d", nfd.Notified.Load(), n)
+	if got := tb.collect(1, 20*time.Millisecond); len(got) != 0 {
+		t.Errorf("generator received %d frames from dropped traffic", len(got))
 	}
-	c := swd.Counters()
-	if c.ExplicitDrops.Value() != n {
+	tb.stop()
+	if tb.nfd.Notified.Load() != n {
+		t.Fatalf("notifications = %d, want %d", tb.nfd.Notified.Load(), n)
+	}
+	if c := tb.counters(); c.ExplicitDrops.Value() != n {
 		t.Errorf("explicit drops = %d, want %d", c.ExplicitDrops.Value(), n)
-	}
-	if got := gen.Received.Load(); got != 0 {
-		t.Errorf("generator received %d frames from dropped traffic", got)
 	}
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := NewSwitchDaemon(SwitchConfig{Listen: "127.0.0.1:0"}); err == nil {
-		t.Error("switch with no ports accepted")
-	}
-	if _, err := NewSwitchDaemon(SwitchConfig{Listen: "bad::addr::x", Ports: map[rmt.PortID]string{0: "127.0.0.1:1"}}); err == nil {
-		t.Error("bad listen addr accepted")
-	}
 	if _, err := NewNFDaemon(NFConfig{Listen: "127.0.0.1:0"}); err == nil {
 		t.Error("NF without handler accepted")
+	}
+	if _, err := NewNFDaemon(NFConfig{Listen: "bad::addr::x", Handle: macswap}); err == nil {
+		t.Error("bad NF listen addr accepted")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -236,67 +245,29 @@ func TestConfigValidation(t *testing.T) {
 // TestUnknownPeerIgnored sends from an uncabled socket: the switch must
 // count an error and forward nothing.
 func TestUnknownPeerIgnored(t *testing.T) {
-	macswap := func(p *packet.Packet) bool { return true }
-	gen, swd, _, stop := testbedUDP(t, false, false, macswap)
-	defer stop()
-	ctx := context.Background()
-	stranger, err := NewGenerator(ctx, GenConfig{Listen: "127.0.0.1:0", SwitchAddr: swd.Addr()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := stranger.Send(packet.NewBuilder(wGenMAC, wNFMAC).UDP(wFlow, 100, 1).Serialize()); err != nil {
+	tb := newUDPTestbed(t, nil, false, macswap)
+	stranger := listen(t, "127.0.0.1")
+	if _, err := stranger.WriteToUDP(packet.NewBuilder(wGenMAC, wNFMAC).UDP(wFlow, 100, 1).Serialize(), tb.swAddr); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && swd.Errors.Load() == 0 {
+	for time.Now().Before(deadline) && tb.errs.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if swd.Errors.Load() == 0 {
+	tb.stop()
+	if tb.errs.Load() == 0 {
 		t.Error("stranger frame not rejected")
 	}
-	_ = gen
+	if tb.rx.Load() != 0 || tb.tx.Load() != 0 {
+		t.Errorf("stranger frame entered the switch: rx=%d tx=%d", tb.rx.Load(), tb.tx.Load())
+	}
 }
 
 // TestUDPDataplaneRecirculation runs the 384-byte parking mode over real
-// sockets: the switch daemon recirculates split and merge packets through
-// a second pipe.
+// sockets: the switch recirculates split and merge packets through a
+// second pipe.
 func TestUDPDataplaneRecirculation(t *testing.T) {
-	macswap := func(p *packet.Packet) bool {
-		p.Eth.Src, p.Eth.Dst = p.Eth.Dst, p.Eth.Src
-		return true
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	gen, err := NewGenerator(ctx, GenConfig{Listen: "127.0.0.1:0", SwitchAddr: "127.0.0.1:1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nfd, err := NewNFDaemon(NFConfig{Listen: "127.0.0.1:0", SwitchAddr: "127.0.0.1:1", Handle: macswap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	swd, err := NewSwitchDaemon(SwitchConfig{
-		Listen: "127.0.0.1:0",
-		Ports:  map[rmt.PortID]string{0: gen.Addr(), 1: nfd.Addr()},
-		L2:     map[packet.MAC]rmt.PortID{wNFMAC: 1, wGenMAC: 0},
-		PP: &core.Config{
-			Slots: 128, MaxExpiry: 1, SplitPort: 0, MergePort: 1, Recirculate: true,
-		},
-		RecircPipe: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gen.Retarget(swd.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if err := nfd.Retarget(swd.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{}, 2)
-	go func() { swd.Run(ctx); done <- struct{}{} }()
-	go func() { nfd.Run(ctx); done <- struct{}{} }()
-
+	tb := newUDPTestbed(t, &core.Config{Slots: 128, MaxExpiry: 1, SplitPort: 0, MergePort: 1, Recirculate: true}, false, macswap)
 	b := packet.NewBuilder(wGenMAC, wNFMAC)
 	const n = 20
 	var want [][]byte
@@ -305,30 +276,17 @@ func TestUDPDataplaneRecirculation(t *testing.T) {
 		exp := pkt.Clone()
 		exp.Eth.Src, exp.Eth.Dst = pkt.Eth.Dst, pkt.Eth.Src
 		want = append(want, exp.Serialize())
-		if err := gen.Send(pkt.Serialize()); err != nil {
-			t.Fatal(err)
-		}
+		tb.send(t, pkt.Serialize())
 	}
-	if got := gen.WaitReceived(n, 5*time.Second); got != n {
-		t.Fatalf("received %d of %d", got, n)
+	got := tb.collect(n, 5*time.Second)
+	if len(got) != n {
+		t.Fatalf("received %d of %d", len(got), n)
 	}
-	matched := 0
-	for _, g := range gen.Drain() {
-		for j, w := range want {
-			if w != nil && bytes.Equal(g, w) {
-				want[j] = nil
-				matched++
-				break
-			}
-		}
-	}
-	cancel()
-	<-done
-	<-done
-	if matched != n {
+	tb.stop()
+	if matched := matchAll(got, want); matched != n {
 		t.Errorf("matched %d of %d through recirculation", matched, n)
 	}
-	if swd.Counters().Splits.Value() != n {
-		t.Errorf("splits = %d", swd.Counters().Splits.Value())
+	if c := tb.counters(); c.Splits.Value() != n {
+		t.Errorf("splits = %d", c.Splits.Value())
 	}
 }
