@@ -111,13 +111,19 @@ func BenchmarkFrameBurst(b *testing.B) {
 		}
 		return r.Em.Pkt.AppendSerialize(out[:0])
 	}
+	round := func() {
+		splitOut = hop(frame, 0, splitOut)
+		copy(splitOut[0:6], sim.MACSink[:])
+		mergeOut = hop(splitOut, 1, mergeOut)
+	}
+	for i := 0; i < 8192; i++ { // wrap the table once: first writes create its register chunks
+		round()
+	}
 	b.ReportAllocs()
 	b.SetBytes(int64(len(frame)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		splitOut = hop(frame, 0, splitOut)
-		copy(splitOut[0:6], sim.MACSink[:])
-		mergeOut = hop(splitOut, 1, mergeOut)
+		round()
 	}
 }
 
@@ -144,10 +150,7 @@ func BenchmarkInjectBatch(b *testing.B) {
 	results := make([]core.BatchResult, n)
 	merges := make([]core.BatchPacket, 0, n)
 	mres := make([]core.BatchResult, n)
-	b.ReportAllocs()
-	b.SetBytes(int64(n * 882))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	round := func() {
 		sw.InjectBatch(batch, results)
 		merges = merges[:0]
 		for j := range batch {
@@ -160,6 +163,17 @@ func BenchmarkInjectBatch(b *testing.B) {
 		for j := range merges {
 			merges[j].Pkt.Eth.Dst = sim.MACNF
 		}
+	}
+	// Wrap the 8192-slot table once: its register chunks are created by
+	// their first write, a warm-up the measured rounds must not pay.
+	for i := 0; i <= 8192/n; i++ {
+		round()
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(n * 882))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
 	}
 }
 

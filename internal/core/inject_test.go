@@ -232,7 +232,7 @@ func TestInjectBatchZeroAllocSteadyState(t *testing.T) {
 			merges[i].Pkt.Eth.Dst = nfMAC
 		}
 	}
-	roundTrip() // warm pools and scratch
+	roundTrip() // warm pools and scratch; the first splits create the register chunks
 	if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
 		t.Errorf("InjectBatch round trip allocates %.1f/op, want 0", allocs)
 	}
@@ -270,7 +270,7 @@ func TestFrameBurstZeroAllocSteadyState(t *testing.T) {
 		copy(splitOut[0:6], sinkMAC[:]) // turn around toward the sink
 		mergeOut = hop(splitOut, 1, mergeOut)
 	}
-	roundTrip()
+	roundTrip() // warm the slots; the first split creates the register chunks
 	if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
 		t.Errorf("FrameBurst round trip allocates %.1f/op, want 0", allocs)
 	}

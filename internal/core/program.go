@@ -161,7 +161,6 @@ func (p *Program) SetSplitEnabled(on bool) {
 	p.inst.SetRuntime(prog.RTSplitEnabled, v)
 }
 
-// Occupancy counts occupied metadata slots; used by tests and the memory
-// sweep to observe table pressure. It reads register snapshots and is not
-// part of the dataplane.
+// Occupancy counts occupied metadata slots, off the dataplane: reports,
+// gauges and the controller read table pressure here.
 func (p *Program) Occupancy() int { return p.inst.Occupied(prog.RoleMeta) }

@@ -80,7 +80,7 @@ type Switch struct {
 	// replacing a per-packet linear scan over installed programs.
 	ppOffset [NumPorts]int
 	// maxPark is the largest ParkBytes over installed programs; it sizes
-	// the merge headroom of FrameBurst slots.
+	// the merge headroom of FrameBurst slots and wire-parse hops.
 	maxPark int
 
 	// rx/tx count packets entering and leaving the switch, sharded by pipe
@@ -145,6 +145,10 @@ func (s *Switch) PPOffset(port rmt.PortID) int {
 	}
 	return s.ppOffset[port]
 }
+
+// MaxParkBytes is the largest park region over installed programs: the
+// room a byte-level parser leaves in front of a payload for merges here.
+func (s *Switch) MaxParkBytes() int { return s.maxPark }
 
 // RxPackets returns packets received across all pipes. Not meaningful
 // while a pipe worker is injecting.
@@ -299,10 +303,10 @@ func (s *Switch) injectOne(pkt *packet.Packet, in rmt.PortID, em *Emission) stri
 	pipe := s.pipes[pipeIdx]
 	phv := pipe.AcquirePHV()
 	pipe.Parser().FillPHV(phv, pkt, in)
-	// A packet split earlier — or parsed into a FrameBurst slot — stashed
-	// the hole in front of its payload; a merge reassembles into it in
-	// place.
-	phv.Headroom = pkt.TakeHeadroom()
+	// A packet split earlier — or parsed with room in front — stashed the
+	// hole in front of its payload; a merge reassembles into it in place,
+	// and any other hop leaves it for the merging switch further on.
+	phv.Headroom = pkt.Headroom()
 	pipe.Process(phv)
 	passes := 1
 	if phv.Recirc {

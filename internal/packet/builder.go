@@ -31,9 +31,9 @@ func (b *Builder) UDP(ft FiveTuple, totalSize int, id uint16) *Packet {
 }
 
 // UDPInto is UDP writing into a caller-owned (typically recycled) Packet,
-// reusing its UDP header struct and payload capacity so steady-state
-// generation does not allocate. Every field is rewritten; no state of the
-// packet's previous life survives.
+// reusing its UDP header struct, payload capacity and parse buffer so
+// steady-state generation does not allocate. Every other field is
+// rewritten; no state of the packet's previous life survives.
 //
 //pp:zeroalloc
 func (b *Builder) UDPInto(p *Packet, ft FiveTuple, totalSize int, id uint16) *Packet {
@@ -58,6 +58,7 @@ func (b *Builder) UDPInto(p *Packet, ft FiveTuple, totalSize int, id uint16) *Pa
 		},
 		UDP:     udp,
 		Payload: payload,
+		room:    p.room,
 	}
 	*udp = UDP{
 		SrcPort: ft.SrcPort,

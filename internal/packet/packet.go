@@ -39,31 +39,23 @@ type Packet struct {
 
 	// headroom is the scratch region stashed by StashHeadroom; see there.
 	headroom []byte
+	room     []byte // ParseWithHeadroom's buffer from its first byte; copies never share it
 }
 
 // StashHeadroom records scratch bytes that sit immediately in front of
-// Payload in its backing array. The switch's Split deparser stashes the
-// hole left by the parked region so a later Merge can reassemble the
-// payload in place instead of allocating; TakeHeadroom validates the
+// Payload in its backing array — the hole the switch's Split deparser cuts,
+// or the room ParseWithHeadroom leaves — so a later Merge can reassemble
+// the payload in place instead of allocating; Headroom validates the
 // placement before the stash is trusted.
 func (p *Packet) StashHeadroom(h []byte) { p.headroom = h }
 
-// TakeHeadroom consumes the stashed headroom, returning it only if it
-// still directly precedes the current Payload in the same backing array
-// (a payload swapped out by an NF invalidates it); otherwise nil.
-func (p *Packet) TakeHeadroom() []byte {
-	h := p.headroom
-	p.headroom = nil
-	if h == nil {
-		return nil
-	}
-	if len(p.Payload) == 0 {
-		// Nothing follows the hole; reassembly reduces to the headroom
-		// itself, which needs no placement check.
-		return h
-	}
-	n := len(h)
-	if cap(h) > n && &h[:n+1][n] == &p.Payload[0] {
+// Headroom returns the stashed headroom if it still directly precedes the
+// current Payload in its backing array (an NF's new payload or a merge
+// invalidates it) or the payload is empty; otherwise nil. Reading consumes
+// nothing: a hop that neither splits nor merges leaves it to the merging one.
+func (p *Packet) Headroom() []byte {
+	h, n := p.headroom, len(p.headroom)
+	if len(p.Payload) == 0 || cap(h) > n && &h[:n+1][n] == &p.Payload[0] {
 		return h
 	}
 	return nil
@@ -176,6 +168,19 @@ func ParseAtInto(p *Packet, frame []byte, ppOffset int) error {
 	p.PPOffset = 0
 	p.Payload = append(payload, frame[off:]...) //pp:alloc-ok grows p.Payload's reused backing (payload aliases it); amortized warm-up
 	return nil
+}
+
+// ParseWithHeadroom is ParseAtInto into the packet's reused buffer, head
+// bytes in, stashing those bytes as headroom so a merge of up to head parked
+// bytes reassembles in place.
+func (p *Packet) ParseWithHeadroom(frame []byte, ppOffset, head int) error {
+	if cap(p.room) < head+len(frame) {
+		p.room = make([]byte, 2*(head+len(frame)))
+	}
+	p.Payload = p.room[head:head]
+	err := ParseAtInto(p, frame, ppOffset)
+	p.headroom = p.room[:head]
+	return err
 }
 
 // parseCompressed decodes the compression header of an EtherTypeCR frame
@@ -323,7 +328,7 @@ func (p *Packet) Clone() *Packet {
 		}
 	}
 	c.Payload = append([]byte(nil), p.Payload...)
-	c.headroom = nil // the copy's payload lives in a fresh backing array
+	c.headroom, c.room = nil, nil // the copy's payload lives in a fresh backing array
 	return &c
 }
 
@@ -333,8 +338,9 @@ func (p *Packet) Clone() *Packet {
 //
 //pp:zeroalloc
 func (p *Packet) CloneInto(dst *Packet) *Packet {
-	udp, tcp, payload := dst.UDP, dst.TCP, dst.Payload
+	udp, tcp, payload, room := dst.UDP, dst.TCP, dst.Payload, dst.room
 	*dst = *p
+	dst.room = room
 	dst.UDP, dst.TCP = nil, nil
 	if p.UDP != nil {
 		if udp == nil {

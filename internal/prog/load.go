@@ -119,20 +119,13 @@ func (in *Instance) ParkGeometry() (blocks, blockBytes, parkOffset int) {
 func (in *Instance) PPPorts() []int { return slices.Clone(in.prog.ppPorts) }
 
 // Occupied counts occupied cells of the EXP/CLK register under role (cells
-// whose expiry half is non-zero) — the generic form of Program.Occupancy.
-// It reads the cells in place, off the dataplane, without allocating.
+// whose expiry half is non-zero) — the generic form of Program.Occupancy —
+// with rmt's in-place count, which skips the rows no packet has touched.
 func (in *Instance) Occupied(role string) int {
-	reg := in.regs[role]
-	if reg == nil || reg.Width() < 8 {
-		return 0
+	if reg := in.regs[role]; reg != nil && reg.Width() >= 8 {
+		return reg.Occupied()
 	}
-	n := 0
-	for i := 0; i < reg.Cells(); i++ {
-		if reg.Word(i, 0) != 0 { // the expiry half of an EXP/CLK cell
-			n++
-		}
-	}
-	return n
+	return 0
 }
 
 // Load resolves spec, fails on any problem the resolve pass found, and

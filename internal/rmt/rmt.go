@@ -120,11 +120,11 @@ func (p *PHV) Reset() { *p = PHV{} }
 
 // PrepareMergeBlocks makes the park region n blocks of w bytes for the
 // payload-table load MATs to fill during a merge, reassembled at payload
-// offset k by FinishMerge, and returns it. When the PHV carries frame
-// headroom of at least n*w bytes and k == 0 (the prototype's default
-// boundary), the region is the headroom tail directly in front of the
-// payload, making the later reassembly a zero-copy reslice. Otherwise one
-// buffer sized for the final merged payload is allocated.
+// offset k by FinishMerge, and returns it. With k == 0 (the prototype's
+// default boundary) and at least n*w bytes of headroom — the split's hole,
+// passed on by transit hops, or a parser's room — the region is the headroom
+// tail in front of the payload and reassembly is a zero-copy reslice.
+// Otherwise one buffer sized for the final merged payload is allocated.
 func (p *PHV) PrepareMergeBlocks(n, w, k int) []byte {
 	park := n * w
 	if k == 0 && len(p.Headroom) >= park && cap(p.Headroom) >= len(p.Headroom)+len(p.Pkt.Payload) {
@@ -197,14 +197,15 @@ type Register struct {
 // bank is the storage of registers placed together (NewRegisterBank),
 // row-major: row i holds cell i of every register back to back, so the cells
 // a run of payload MATs touches for one table index are adjacent and a fused
-// block move is one copy. Rows come in chunks of a power of two, not one
-// slab: a run that loads program after program (a fabric, a sweep) would
-// hold the last multi-megabyte slab live while allocating the next.
+// block move is one copy. Rows come in power-of-two chunks, each made by its
+// first write (a nil chunk reads as zeros), so a counter-indexed table holds
+// memory for the prefix its traffic reaches; SRAMBytes declares the whole.
 type bank struct {
-	chunks [][]byte
-	shift  uint // log2 of the rows per chunk
-	mask   int  // rows per chunk - 1
-	stride int  // bytes per row
+	chunks [][]byte // nil until written
+	shift  uint     // log2 of the rows per chunk
+	mask   int      // rows per chunk - 1
+	stride int      // bytes per row
+	cells  int      // rows in the bank; the last chunk holds only its share
 }
 
 // bankChunkBytes bounds one chunk: 1,024 rows of the prototype's 20 x 8 B
@@ -213,17 +214,28 @@ const bankChunkBytes = 256 << 10
 
 func newBank(cells, stride int) *bank {
 	rows := 1 << max(bits.Len(uint(bankChunkBytes/stride))-1, 0)
-	b := &bank{shift: uint(bits.TrailingZeros(uint(rows))), mask: rows - 1, stride: stride}
-	b.chunks = make([][]byte, 0, (cells+rows-1)/rows)
-	for at := 0; at < cells; at += rows {
-		b.chunks = append(b.chunks, make([]byte, min(rows, cells-at)*stride))
-	}
-	return b
+	return &bank{chunks: make([][]byte, (cells+rows-1)/rows), shift: uint(bits.TrailingZeros(uint(rows))),
+		mask: rows - 1, stride: stride, cells: cells}
 }
 
-// row returns row i of the bank from byte offset off on.
+// row returns row i of the bank from byte offset off on, for writing: the
+// first write to a chunk creates it.
 func (b *bank) row(i, off int) []byte {
-	return b.chunks[i>>b.shift][(i&b.mask)*b.stride+off:]
+	c := b.chunks[i>>b.shift]
+	if c == nil {
+		c = b.grow(i >> b.shift)
+	}
+	return c[(i&b.mask)*b.stride+off:]
+}
+
+// grow creates chunk k, sized to the bank rows it holds: the bank's one
+// allocation, a warm-up once per chunk, out of line so the block-move and
+// RMW paths carry none of it.
+//
+//go:noinline
+func (b *bank) grow(k int) []byte {
+	b.chunks[k] = make([]byte, min(b.mask+1, b.cells-k<<b.shift)*b.stride)
+	return b.chunks[k]
 }
 
 // Name returns the register's name.
@@ -244,16 +256,28 @@ func (r *Register) cell(i int) []byte {
 }
 
 // Snapshot copies cell i's contents; intended for tests and debugging, not
-// for dataplane logic (which must go through Ctx).
+// for dataplane logic (which must go through Ctx). Like every reader it
+// creates no chunk: an unwritten cell copies as zeros.
 func (r *Register) Snapshot(i int) []byte {
+	if r.bank.chunks[i>>r.bank.shift] == nil && uint(i) < uint(r.cells) {
+		return make([]byte, r.width)
+	}
 	return append([]byte(nil), r.cell(i)...)
 }
 
-// Word reads the big-endian 32-bit word at byte offset off of cell i in
-// place: the allocation-free counterpart of Snapshot for scans that run off
-// the dataplane (occupancy gauges and reports).
-func (r *Register) Word(i, off int) uint32 {
-	return binary.BigEndian.Uint32(r.cell(i)[off:])
+// Occupied counts the cells (a word wide or more) whose leading 32-bit word
+// is non-zero — an EXP/CLK register's live entries — in place, without
+// allocating, and skipping the chunks no write has created.
+func (r *Register) Occupied() int {
+	n, stride := 0, r.bank.stride
+	for _, c := range r.bank.chunks {
+		for at := r.off; at < len(c); at += stride {
+			if binary.BigEndian.Uint32(c[at:]) != 0 {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // Ctx is the action execution context handed to a MAT's action. It

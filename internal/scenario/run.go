@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"context"
+	"runtime"
+	"runtime/metrics"
 
 	"github.com/payloadpark/payloadpark/internal/ctrl"
 	"github.com/payloadpark/payloadpark/internal/live"
@@ -96,6 +98,9 @@ func Run(ctx context.Context, s Scenario) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	alloc := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(alloc)
+	before := alloc[0].Value.Uint64()
 	w := sim.Wiring{Cancel: cancelFunc(ctx), Obs: s.Observe.bindings()}
 	rep, err := s.Topology.run(ctx, &s, w)
 	if err != nil {
@@ -118,6 +123,12 @@ func Run(ctx context.Context, s Scenario) (*Report, error) {
 	}
 	if p := s.Opts.Progress; p != nil {
 		p(s.Name)
+	}
+	// Collect a large world now: the pacer would keep it until the heap doubled
+	// its last mid-run mark, so the next run's peak would depend on where that
+	// mark fell. A 16x8 fabric allocates ~70 MB; Fig. 7's ~7 MB is left alone.
+	if metrics.Read(alloc); alloc[0].Value.Uint64()-before >= 32<<20 {
+		runtime.GC()
 	}
 	return rep, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime/metrics"
 	"strings"
 	"testing"
 	"time"
@@ -136,6 +137,27 @@ func TestRunPartitionsDeterminism(t *testing.T) {
 				t.Errorf("partitions changed the report:\nwithout: %+v\nwith:    %+v", want, got)
 			}
 		})
+	}
+}
+
+// TestRunCollectsLargeWorld: a run that allocated tens of megabytes (the
+// benchmark's 16x8 fabric) returns with its world collected, so a next run
+// in the process starts from the same heap whatever the collector's pacing
+// did mid-run. Without the collection the heap still holds ~50 MB here.
+func TestRunCollectsLargeWorld(t *testing.T) {
+	_, err := Run(context.Background(), Scenario{
+		Topology: LeafSpine{Leaves: 16, Spines: 8, LinkBps: 100e9},
+		Parking:  Parking{Mode: sim.ParkEdge, Slots: 8192, MaxExpiry: 1},
+		Traffic:  Traffic{SendBps: 60e9, Dist: trafficgen.Datacenter{}, Flows: 1024},
+		Opts:     RunOptions{Seed: 3, WarmupNs: 1e5, MeasureNs: 3e5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	metrics.Read(heap)
+	if got := heap[0].Value.Uint64(); got > 16<<20 {
+		t.Errorf("after the run the heap holds %.1f MB of objects, want the world collected", float64(got)/(1<<20))
 	}
 }
 

@@ -297,8 +297,9 @@ func (n *SwitchNode) route(p Parcel, in rmt.PortID) {
 // reparse crosses the wire boundary: the parcel's packet is serialized
 // into the node's scratch and re-parsed with this switch's per-port
 // header geometry, so a downstream program sees exactly the bytes an
-// upstream one emitted (its PayloadPark header becomes opaque payload).
-// The retired packet object joins the node pool and backs a later
+// upstream one emitted (its PayloadPark header becomes opaque payload),
+// with room for any park region here in front, so merges reassemble in
+// place. The retired packet object joins the node pool and backs a later
 // re-parse — steady state allocates nothing.
 func (n *SwitchNode) reparse(p *Parcel, in rmt.PortID) bool {
 	n.buf = p.Pkt.AppendSerialize(n.buf[:0])
@@ -309,7 +310,7 @@ func (n *SwitchNode) reparse(p *Parcel, in rmt.PortID) bool {
 	} else {
 		np = &packet.Packet{}
 	}
-	if err := packet.ParseAtInto(np, n.buf, n.SW.PPOffset(in)); err != nil {
+	if err := np.ParseWithHeadroom(n.buf, n.SW.PPOffset(in), n.SW.MaxParkBytes()); err != nil {
 		n.pool = append(n.pool, np)
 		return false
 	}

@@ -65,12 +65,6 @@ func attachProgram(sw *core.Switch, p Program, split, merge rmt.PortID) (*prog.I
 	return inst, nil
 }
 
-// programOccupancy sums the occupied cells of the instance's meta state
-// tables (parked payload slots and compression contexts).
-func programOccupancy(inst *prog.Instance) int {
-	return inst.Occupied(prog.RoleMeta) + inst.Occupied(prog.RoleCompMeta)
-}
-
 // programReport diffs one instance against its window-start snapshot.
 // A nil snapshot (window never started) reports the cumulative values.
 func programReport(swName string, inst *prog.Instance, snap map[string]uint64) ProgramCounters {
@@ -78,7 +72,7 @@ func programReport(swName string, inst *prog.Instance, snap map[string]uint64) P
 		Switch:    swName,
 		Program:   inst.Spec().Name,
 		Counters:  make(map[string]uint64),
-		Occupancy: programOccupancy(inst),
+		Occupancy: inst.Occupied(prog.RoleMeta) + inst.Occupied(prog.RoleCompMeta),
 	}
 	for _, name := range inst.CounterNames() {
 		pc.Counters[name] = inst.CounterValue(name) - snap[name]
