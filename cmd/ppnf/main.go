@@ -3,10 +3,9 @@
 // processed frames to the switch; the PayloadPark header riding in the
 // payload region passes through untouched.
 //
-// Like ppswitchd, it receives in bursts of up to wire.DefaultBurst
-// datagrams (one recvmmsg on Linux) and returns the processed burst through
-// the reused-buffer batched sender (wire.BatchSender, one sendmmsg per
-// burst on Linux).
+// Like ppswitchd, it reads a datagram of up to wire.DefaultBurst frames
+// as one burst and returns the processed burst through the reused-buffer
+// batched sender (wire.BatchSender), packed into one datagram.
 package main
 
 import (

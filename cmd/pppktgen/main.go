@@ -2,11 +2,12 @@
 // packets (fixed-size or the paper's datacenter mix) through the switch
 // and reports how many came back intact.
 //
-// -blast replaces the paced sender with the open-loop batched path:
-// frames are serialized back-to-back into one reused buffer and flushed
-// in sendmmsg-style batches (wire.BatchSender, the same send path the
-// live fabric's per-pipe workers use), reporting achieved pps and Gbps
-// instead of pacing to -pps.
+// The paced sender puts one frame in each datagram. -blast replaces it
+// with the open-loop batched path: frames are serialized back-to-back into
+// one reused buffer and flushed wire.DefaultBurst at a time, packed into
+// one datagram (wire.BatchSender, the same send path the live fabric's
+// per-pipe workers use), reporting achieved pps and Gbps instead of
+// pacing to -pps.
 package main
 
 import (

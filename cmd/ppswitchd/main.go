@@ -1,14 +1,15 @@
 // Command ppswitchd runs the PayloadPark switch as a userspace daemon
-// over UDP sockets: raw Ethernet frames ride one-per-datagram between the
-// generator, this switch, and the NF server.
+// over UDP sockets: raw Ethernet frames ride between the generator, this
+// switch, and the NF server, up to wire.DefaultBurst of them for one peer
+// in a datagram, each behind its 2-byte length.
 //
 // The switch is the Fig. 5 testbed graph (sim.Testbed's), loaded by
 // sim.Graph.Realise like every other backend's: the generator on port
 // 0, where payloads split, the NF server on port 1, where they merge, and
-// the sink — the generator's receive side — on port 2. Frames are read in
-// bursts of up to wire.DefaultBurst datagrams, one recvmmsg on Linux, and
-// each burst is driven through the switch's zero-alloc batch path by one
-// wire.SwitchLoop — the loop the live fabric runs per pipe.
+// the sink — the generator's receive side — on port 2. Each datagram's
+// frames are one burst, driven through the switch's zero-alloc batch path
+// by one wire.SwitchLoop — the loop the live fabric runs per pipe — and
+// the emissions leave packed into one datagram per peer.
 //
 // Example (three terminals):
 //
@@ -95,9 +96,9 @@ func main() {
 
 	if *metrics != "" {
 		reg := obs.NewRegistry()
-		reg.Counter("pp_switch_rx_datagrams_total", "datagrams received", rx.Load)
-		reg.Counter("pp_switch_tx_datagrams_total", "datagrams forwarded", tx.Load)
-		reg.Counter("pp_switch_errors_total", "parse/forward/send failures", errs.Load)
+		reg.Counter("pp_switch_rx_frames_total", "frames received", rx.Load)
+		reg.Counter("pp_switch_tx_frames_total", "frames forwarded", tx.Load)
+		reg.Counter("pp_switch_errors_total", "rejected datagrams and parse/forward/send failures", errs.Load)
 		loop.BurstHist = reg.Histogram("pp_switch_rx_burst_frames", "frames drained per receive burst")
 		loop.BatchHist = reg.Histogram("pp_switch_tx_batch_frames", "frames written per batched send")
 		addr, err := reg.Serve(*metrics)

@@ -10,9 +10,9 @@
 // one socket per pipe with a cabled port and drives each from its own
 // worker goroutine — per-pipe parallelism with no shared stateful memory,
 // the Tofino discipline core.Switch's one-worker-per-pipe rule states —
-// reading each burst with one recvmmsg, driving it through the zero-alloc
-// core.FrameBurst path, and writing the emissions back out through one
-// sendmmsg flush.
+// reading each burst as one datagram, driving it through the zero-alloc
+// core.FrameBurst path, and writing the emissions back out packed into a
+// datagram per peer (wire.BurstReader, wire.BatchSender).
 //
 // The same graph can be walked in process (ReferenceRun, over sim.Walker)
 // with the identical core.Switch pipelines and NF byte path; comparing the

@@ -123,7 +123,7 @@ func TestThroughputChainDelivers(t *testing.T) {
 }
 
 // TestThroughputBurstsAreBatched: with a window of frames in flight, a
-// worker's read returns several datagrams, not one.
+// worker's read returns several frames, not one.
 func TestThroughputBurstsAreBatched(t *testing.T) {
 	reg := obs.NewRegistry()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -141,7 +141,7 @@ func TestThroughputBurstsAreBatched(t *testing.T) {
 		}
 	}
 	if bursts == 0 || float64(frames)/float64(bursts) < 2 {
-		t.Fatalf("%d frames in %d receive bursts: the workers read one datagram at a time", frames, bursts)
+		t.Fatalf("%d frames in %d receive bursts: the workers read one frame at a time", frames, bursts)
 	}
 }
 

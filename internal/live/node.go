@@ -35,10 +35,11 @@ type switchNode struct {
 	// quiesceMu serializes quiesce callers (telemetry vs. final collect)
 	// so two barriers never interleave their per-worker parks.
 	quiesceMu sync.Mutex
-	// rxFrames counts datagrams accepted across workers; the runner polls
+	// rxFrames counts frames accepted across workers; the runner polls
 	// it to detect fabric quiescence.
 	rxFrames atomic.Uint64
-	// errs counts uncabled emissions and send failures.
+	// errs counts the workers' SwitchLoop.Errors: rejected datagrams,
+	// unknown peers, uncabled emissions and send failures.
 	errs atomic.Uint64
 	wg   sync.WaitGroup
 }

@@ -130,8 +130,8 @@ func (lf *liveFabric) registerMetrics(reg *obs.Registry) {
 	for _, n := range lf.nodes {
 		n := n
 		lbl := fmt.Sprintf("{switch=%q}", n.name)
-		reg.Counter("pp_live_rx_frames_total"+lbl, "datagrams accepted by the node's workers", n.rxFrames.Load)
-		reg.Counter("pp_live_errors_total"+lbl, "uncabled emissions and send failures", n.errs.Load)
+		reg.Counter("pp_live_rx_frames_total"+lbl, "frames accepted by the node's workers", n.rxFrames.Load)
+		reg.Counter("pp_live_errors_total"+lbl, "rejected datagrams and frames, uncabled emissions and send failures", n.errs.Load)
 		burst := reg.Histogram("pp_live_rx_burst_frames"+lbl, "frames drained per receive burst")
 		batch := reg.Histogram("pp_live_tx_batch_frames"+lbl, "frames written per batched send")
 		for _, pw := range n.workers {
@@ -141,8 +141,8 @@ func (lf *liveFabric) registerMetrics(reg *obs.Registry) {
 	for i, nfd := range lf.nfs {
 		nfd := nfd
 		lbl := fmt.Sprintf(`{nf="%d"}`, i)
-		reg.Counter("pp_live_nf_rx_total"+lbl, "datagrams received by the NF daemon", nfd.Rx.Load)
-		reg.Counter("pp_live_nf_tx_total"+lbl, "datagrams forwarded by the NF daemon", nfd.Tx.Load)
+		reg.Counter("pp_live_nf_rx_total"+lbl, "frames received by the NF daemon", nfd.Rx.Load)
+		reg.Counter("pp_live_nf_tx_total"+lbl, "frames forwarded by the NF daemon", nfd.Tx.Load)
 		reg.Counter("pp_live_nf_dropped_total"+lbl, "packets dropped by the NF chain", nfd.Dropped.Load)
 		reg.Counter("pp_live_nf_notified_total"+lbl, "explicit-drop notifications returned", nfd.Notified.Load)
 	}
@@ -173,7 +173,7 @@ func (lf *liveFabric) accounted() uint64 {
 	return n
 }
 
-// switchIngress sums datagrams accepted by every switch worker.
+// switchIngress sums frames accepted by every switch worker.
 func (lf *liveFabric) switchIngress() uint64 {
 	var n uint64
 	for _, node := range lf.nodes {
@@ -182,7 +182,7 @@ func (lf *liveFabric) switchIngress() uint64 {
 	return n
 }
 
-// expectedIngress is the exact datagram count the fabric's switches see
+// expectedIngress is the exact frame count the fabric's switches see
 // once quiescent: every generator frame crosses its flow's forward path,
 // every NF-forwarded frame the return path, and each explicit-drop
 // notification enters its merge switch once.

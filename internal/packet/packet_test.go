@@ -395,6 +395,21 @@ func TestUDPIntoAllocFree(t *testing.T) {
 	}
 }
 
+// TestAppendSerializeGrowsGeometricallyAllocs: a batch buffer filled frame
+// by frame from nil — 32 frames of 1500 bytes — grows a handful of times,
+// not once per frame.
+func TestAppendSerializeGrowsGeometricallyAllocs(t *testing.T) {
+	p := NewBuilder(testSrcMAC, testDstMAC).UDP(testFT, 1500, 1)
+	if allocs := testing.AllocsPerRun(20, func() {
+		var buf []byte
+		for i := 0; i < 32; i++ {
+			buf = p.AppendSerialize(buf)
+		}
+	}); allocs > 7 {
+		t.Errorf("32 appended frames allocate %.0f times, want at most 7", allocs)
+	}
+}
+
 func TestBuilderMinimumSize(t *testing.T) {
 	p := NewBuilder(testSrcMAC, testDstMAC).UDP(testFT, 10, 0)
 	if p.Len() != HeaderUnitLen {

@@ -126,7 +126,7 @@ func TestScenarioJSONRejectsUnserializable(t *testing.T) {
 	for bad, want := range map[string]string{
 		`{"topology":{"kind":"ring"}}`: `unknown topology kind "ring"`,
 		`{"name":"x"}`:                 "missing topology.kind",
-		// Every socket reader takes wire.DefaultBurst datagrams a read: a
+		// Every socket reader takes up to wire.DefaultBurst frames a read: a
 		// file still setting the old knob is an error, not silently ignored.
 		`{"topology":{"kind":"live","config":{"burst":64}}}`: `scenario: live config: json: unknown field "burst"`,
 	} {

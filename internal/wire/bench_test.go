@@ -65,38 +65,34 @@ func benchPair(b *testing.B) (tx, rx *net.UDPConn, rxAddr *net.UDPAddr) {
 }
 
 // BenchmarkWireBurstDrain measures the burst read: a full burst is
-// queued, then read back (one recvmmsg on linux). Reported per frame.
+// queued as one datagram, then read back. Reported per frame.
 func BenchmarkWireBurstDrain(b *testing.B) {
 	tx, rx, rxAddr := benchPair(b)
 	frame := benchFrame(1)
 	br := NewBurstReader(rx, DefaultBurst)
+	var burst []byte
+	for i := 0; i < DefaultBurst; i++ {
+		burst = appendFrame(burst, frame)
+	}
 	b.SetBytes(int64(len(frame)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	got := 0
 	for got < b.N {
-		queue := DefaultBurst
-		if rem := b.N - got; rem < queue {
-			queue = rem
+		queue := min(DefaultBurst, b.N-got)
+		if _, err := tx.WriteToUDP(burst[:queue*(lenPrefix+len(frame))], rxAddr); err != nil {
+			b.Fatal(err)
 		}
-		for i := 0; i < queue; i++ {
-			if _, err := tx.WriteToUDP(frame, rxAddr); err != nil {
-				b.Fatal(err)
-			}
+		n, err := br.Read()
+		if err != nil || n != queue {
+			b.Fatalf("Read = %d, %v; want %d frames", n, err, queue)
 		}
-		for pending := queue; pending > 0; {
-			n, err := br.Read()
-			if err != nil {
-				b.Fatal(err)
-			}
-			pending -= n
-			got += n
-		}
+		got += n
 	}
 }
 
 // BenchmarkWireSendPerFrame is the pre-batching send path: a fresh buffer
-// serialized and written immediately for every frame.
+// serialized and written immediately for every frame, one per datagram.
 func BenchmarkWireSendPerFrame(b *testing.B) {
 	tx, _, rxAddr := benchPair(b)
 	frame := benchFrame(1)
@@ -109,14 +105,15 @@ func BenchmarkWireSendPerFrame(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out := pkt.AppendSerialize(make([]byte, 0, MaxFrame))
-		if _, err := tx.WriteToUDP(out, rxAddr); err != nil {
+		if _, err := tx.WriteToUDP(appendFrame(nil, out), rxAddr); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkWireSendBatched is the BatchSender path: a burst's frames are
-// serialized back to back into one reused buffer and flushed together.
+// serialized back to back into one reused buffer and flushed together, as
+// one datagram.
 func BenchmarkWireSendBatched(b *testing.B) {
 	tx, _, rxAddr := benchPair(b)
 	frame := benchFrame(1)

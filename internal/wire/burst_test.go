@@ -6,7 +6,6 @@ import (
 	"errors"
 	"net"
 	"net/netip"
-	"runtime"
 	"testing"
 	"time"
 
@@ -27,52 +26,130 @@ func listen(t *testing.T, host string) *net.UDPConn {
 	return c
 }
 
-// TestBurstReaderReadsTheQueueAtOnce: 32 datagrams queued from two
-// senders come back from one Read (one per Read off linux), in order,
-// with their sizes, bytes and source ports.
-func TestBurstReaderReadsTheQueueAtOnce(t *testing.T) {
+// datagram packs frames with the one encoder.
+func datagram(frames ...[]byte) []byte {
+	var d []byte
+	for _, f := range frames {
+		d = appendFrame(d, f)
+	}
+	return d
+}
+
+// readBurst reads one datagram and returns copies of its frames, failing
+// the test on a socket error or a rejected datagram.
+func readBurst(t *testing.T, br *BurstReader) [][]byte {
+	t.Helper()
+	n, err := br.Read()
+	if err != nil || n == 0 {
+		t.Fatalf("Read = %d, %v", n, err)
+	}
+	var got [][]byte
+	for i := 0; i < n; i++ {
+		got = append(got, bytes.Clone(br.Frame(i)))
+	}
+	return got
+}
+
+// TestFlushPacksARunPerPeer: one Flush of 32 mixed-size frames, the first
+// 16 for one receiver and the rest for another, reaches each receiver as
+// one datagram — its frames in order, from the sender — and a run longer
+// than DefaultBurst frames or maxDatagram bytes splits in two.
+func TestFlushPacksARunPerPeer(t *testing.T) {
 	for _, host := range []string{"127.0.0.1", "::1"} {
 		t.Run(host, func(t *testing.T) {
-			rx := listen(t, host)
-			TuneUDP(rx)
-			senders := []*net.UDPConn{listen(t, host), listen(t, host)}
-			dst := rx.LocalAddr().(*net.UDPAddr)
-			var want [][]byte
-			var from []netip.AddrPort
+			tx := listen(t, host)
+			rxs := []*net.UDPConn{listen(t, host), listen(t, host)}
+			TuneUDP(rxs[0])
+			brs := []*BurstReader{NewBurstReader(rxs[0], 0), NewBurstReader(rxs[1], 0)}
+			dsts := []*net.UDPAddr{rxs[0].LocalAddr().(*net.UDPAddr), rxs[1].LocalAddr().(*net.UDPAddr)}
+			from := netip.AddrPortFrom(netip.MustParseAddr(host), uint16(tx.LocalAddr().(*net.UDPAddr).Port))
+			for _, rx := range rxs {
+				rx.SetReadDeadline(time.Now().Add(5 * time.Second))
+			}
+			bs := NewBatchSender(tx)
+			var want [2][][]byte
 			for i := 0; i < DefaultBurst; i++ {
-				src := senders[i%2]
 				frame := bytes.Repeat([]byte{byte(i)}, 60+i*40)
-				if _, err := src.WriteToUDP(frame, dst); err != nil {
-					t.Fatal(err)
-				}
-				want = append(want, frame)
-				from = append(from, netip.AddrPortFrom(netip.MustParseAddr(host), uint16(src.LocalAddr().(*net.UDPAddr).Port)))
+				bs.Queue(frame, dsts[i/16], nil)
+				want[i/16] = append(want[i/16], frame)
 			}
-			br := NewBurstReader(rx, DefaultBurst)
-			per := DefaultBurst
-			if runtime.GOOS != "linux" {
-				per = 1
+			if errs := bs.Flush(); errs != 0 {
+				t.Fatalf("%d send errors", errs)
 			}
-			for got := 0; got < DefaultBurst; {
-				n, err := br.Read()
-				if err != nil {
-					t.Fatal(err)
+			for r, br := range brs {
+				got := readBurst(t, br)
+				if len(got) != len(want[r]) {
+					t.Fatalf("receiver %d: one Read returned %d frames, want %d", r, len(got), len(want[r]))
 				}
-				if n != per {
-					t.Fatalf("Read returned %d datagrams, want %d", n, per)
-				}
-				for i := 0; i < n; i++ {
-					k := got + i
-					if !bytes.Equal(br.Frame(i), want[k]) || br.Truncated(i) {
-						t.Errorf("datagram %d: %d bytes (truncated %t), want %d", k, len(br.Frame(i)), br.Truncated(i), len(want[k]))
-					}
-					if br.From(i) != from[k] {
-						t.Errorf("datagram %d from %v, want %v", k, br.From(i), from[k])
+				for i := range got {
+					if !bytes.Equal(got[i], want[r][i]) {
+						t.Errorf("receiver %d frame %d: %d bytes, want %d", r, i, len(got[i]), len(want[r][i]))
 					}
 				}
-				got += n
+				if br.From(0) != from {
+					t.Errorf("receiver %d: from %v, want %v", r, br.From(0), from)
+				}
+			}
+
+			// 32 frames of MaxFrame bytes overrun maxDatagram after 31;
+			// 40 small ones overrun DefaultBurst after 32.
+			for _, c := range []struct{ frames, size, first int }{
+				{DefaultBurst, MaxFrame, maxDatagram / (lenPrefix + MaxFrame)},
+				{40, 100, DefaultBurst},
+			} {
+				for i := 0; i < c.frames; i++ {
+					bs.Queue(bytes.Repeat([]byte{byte(i)}, c.size), dsts[0], nil)
+				}
+				if errs := bs.Flush(); errs != 0 {
+					t.Fatalf("%d send errors", errs)
+				}
+				first, second := readBurst(t, brs[0]), readBurst(t, brs[0])
+				if len(first) != c.first || len(second) != c.frames-c.first {
+					t.Errorf("%d frames of %d bytes arrived as %d + %d, want %d + %d",
+						c.frames, c.size, len(first), len(second), c.first, c.frames-c.first)
+				}
+				if last := second[len(second)-1]; last[0] != byte(c.frames-1) {
+					t.Errorf("the split run ends with frame %d, want %d", last[0], c.frames-1)
+				}
+			}
+
+			// A frame no UDP datagram holds goes alone and fails; its
+			// neighbours arrive.
+			bs.Queue([]byte("a"), dsts[0], nil)
+			bs.Queue(make([]byte, 1<<16-1), dsts[0], nil)
+			bs.Queue([]byte("b"), dsts[0], nil)
+			if errs := bs.Flush(); errs != 1 {
+				t.Errorf("flush around an unsendable frame: %d errors, want 1", errs)
+			}
+			if a, b := readBurst(t, brs[0]), readBurst(t, brs[0]); string(a[0]) != "a" || string(b[0]) != "b" {
+				t.Errorf("neighbours of an unsendable frame arrived as %q, %q", a, b)
 			}
 		})
+	}
+}
+
+// TestDecodeRejectsHostileDatagrams: the decoder takes a datagram only
+// when its length prefixes tile it exactly with one to max frames.
+func TestDecodeRejectsHostileDatagrams(t *testing.T) {
+	two := datagram([]byte("ab"), []byte("cde"))
+	for _, c := range []struct {
+		name  string
+		dgram []byte
+		max   int
+		want  int // frames; 0 means rejected
+	}{
+		{"two frames", two, 2, 2},
+		{"empty", nil, 2, 0},
+		{"zero length", append(datagram([]byte("ab")), 0, 0), 2, 0},
+		{"prefix overruns", two[:len(two)-1], 2, 0},
+		{"trailing byte", append(bytes.Clone(two), 7), 2, 0},
+		{"trailing prefix", append(bytes.Clone(two), 0, 1), 2, 0},
+		{"more frames than the burst", two, 1, 0},
+	} {
+		frames, ok := decodeDatagram(make([][]byte, 0, 4), c.dgram, c.max)
+		if ok != (c.want > 0) || len(frames) != c.want {
+			t.Errorf("%s: %d frames, ok %t; want %d", c.name, len(frames), ok, c.want)
+		}
 	}
 }
 
@@ -88,7 +165,7 @@ func TestBurstReaderDeadlineAndClose(t *testing.T) {
 		t.Fatalf("past the deadline Read = %d, %v; want 0 and a timeout net.Error", n, err)
 	}
 	rx.SetReadDeadline(time.Time{})
-	if _, err := tx.WriteToUDP([]byte("after"), rx.LocalAddr().(*net.UDPAddr)); err != nil {
+	if _, err := tx.WriteToUDP(datagram([]byte("after")), rx.LocalAddr().(*net.UDPAddr)); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := br.Read(); n != 1 || err != nil || string(br.Frame(0)) != "after" {
@@ -136,16 +213,18 @@ func TestSocketPathAllocFree(t *testing.T) {
 			got += n
 		}
 	}
-	round() // warm-up: the send buffer and vectors grow to the batch
+	round() // warm-up: the send buffer grows to the batch
 	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
 		t.Errorf("socket path: %.1f allocs per round, want 0", allocs)
 	}
 }
 
-// TestOversizedDatagramDropped: a 3000-byte datagram arrives cut to the
-// reader's buffer. The switch counts it as an error and never forwards
-// its head, the NF sends nothing for it and a Generator does not count
-// it; a 1500-byte frame takes each of the three paths intact.
+// TestOversizedDatagramDropped: a 3000-byte frame packed between two
+// 1500-byte frames, and a datagram with a byte trailing its one frame. At
+// the switch the oversized frame and the malformed datagram are one error
+// each and are never forwarded; the NF answers neither, and a Generator
+// counts neither. The 1500-byte frames take each of the three paths
+// intact.
 func TestOversizedDatagramDropped(t *testing.T) {
 	tb := newUDPTestbed(t, nil, false, macswap)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -156,35 +235,39 @@ func TestOversizedDatagramDropped(t *testing.T) {
 	}
 	stranger := listen(t, "127.0.0.1")
 	b := packet.NewBuilder(wGenMAC, wNFMAC)
-	for _, size := range []int{3000, 1500} {
-		frame := b.UDP(wFlow, size, uint16(size)).Serialize()
-		tb.send(t, frame)                                              // through the switch
+	good := b.UDP(wFlow, 1500, 1).Serialize()
+	packed := datagram(good, b.UDP(wFlow, 3000, 2).Serialize(), good)
+	malformed := append(datagram(good), 0)
+	for _, dgram := range [][]byte{packed, malformed} {
+		tb.send(t, dgram)                                              // through the switch
 		for _, to := range []string{tb.nfAddr.String(), sink.Addr()} { // straight to the NF, then to a Generator
-			if _, err := stranger.WriteToUDP(frame, net.UDPAddrFromAddrPort(netip.MustParseAddrPort(to))); err != nil {
+			if _, err := stranger.WriteToUDP(dgram, net.UDPAddrFromAddrPort(netip.MustParseAddrPort(to))); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	// The generator's 1500-byte frame and the one sent straight to the NF
-	// return through the switch; room is left for a stray third.
-	got := append(tb.collect(2, 5*time.Second), tb.collect(1, 20*time.Millisecond)...)
-	if len(got) != 2 {
-		t.Errorf("generator received %d frames, want the two 1500-byte ones", len(got))
+	// The generator's two good frames and the two sent straight to the NF
+	// return through the switch; room is left for a stray fifth.
+	got := append(tb.collect(4, 5*time.Second), tb.collect(1, 20*time.Millisecond)...)
+	if len(got) != 4 {
+		t.Errorf("generator received %d frames, want the four 1500-byte ones", len(got))
 	}
 	for _, f := range got {
 		if len(f) != 1500 {
 			t.Errorf("generator received a %d-byte frame", len(f))
 		}
 	}
-	if n := sink.WaitReceived(1, 5*time.Second); n != 1 || sink.ReceivedBytes.Load() != 1500 {
-		t.Errorf("Generator counted %d frames of %d bytes, want the one 1500-byte frame", n, sink.ReceivedBytes.Load())
+	if n := sink.WaitReceived(2, 5*time.Second); n != 2 || sink.ReceivedBytes.Load() != 3000 {
+		t.Errorf("Generator counted %d frames of %d bytes, want the two 1500-byte frames", n, sink.ReceivedBytes.Load())
 	}
 	tb.stop()
-	// The generator's 1500-byte frame in, and both NF responses back.
-	if tb.errs.Load() != 1 || tb.rx.Load() != 3 {
-		t.Errorf("switch rx=%d errors=%d, want 3 and 1", tb.rx.Load(), tb.errs.Load())
+	// In: the generator's two good frames, both back from the NF, and the
+	// NF's answers to the two it was sent straight.
+	if tb.errs.Load() != 2 || tb.rx.Load() != 6 {
+		t.Errorf("switch rx=%d errors=%d, want 6 and 2", tb.rx.Load(), tb.errs.Load())
 	}
-	if tb.nfd.Tx.Load() != 2 {
-		t.Errorf("NF forwarded %d frames, want the two 1500-byte ones", tb.nfd.Tx.Load())
+	// Two frames from the switch, three straight, none of the malformed.
+	if tb.nfd.Rx.Load() != 5 || tb.nfd.Tx.Load() != 4 {
+		t.Errorf("NF rx=%d tx=%d, want 5 and 4", tb.nfd.Rx.Load(), tb.nfd.Tx.Load())
 	}
 }

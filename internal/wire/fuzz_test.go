@@ -81,3 +81,41 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDatagram holds the datagram format to its two rules. Any bytes
+// either decode into frames that tile them exactly or are rejected whole,
+// and never panic the decoder. And the same bytes, cut into a list of
+// frames of 1 to MaxFrame bytes (each length drawn from the bytes
+// themselves), pack and unpack to the same frames in the same order.
+func FuzzDatagram(f *testing.F) {
+	f.Add(datagram([]byte{1, 2, 3}, bytes.Repeat([]byte{9}, 1500)))
+	f.Add([]byte{0, 0})
+	f.Add([]byte{0, 5, 1})
+	f.Add(append(datagram([]byte{1}), 7))
+	f.Add(bytes.Repeat([]byte{0xff}, 300))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		frames, ok := decodeDatagram(nil, data, DefaultBurst)
+		switch {
+		case !ok && len(frames) != 0:
+			t.Fatalf("rejected datagram returned %d frames", len(frames))
+		case ok && (len(frames) > DefaultBurst || !bytes.Equal(datagram(frames...), data)):
+			t.Fatalf("%d frames do not tile the %d-byte datagram", len(frames), len(data))
+		}
+
+		var list [][]byte
+		for rest := data; len(rest) > 0; {
+			n := min(1+int(rest[0])*int(rest[len(rest)-1])%MaxFrame, len(rest))
+			list, rest = append(list, rest[:n]), rest[n:]
+		}
+		got, ok := decodeDatagram(nil, datagram(list...), len(list))
+		if !ok && len(list) > 0 || len(got) != len(list) {
+			t.Fatalf("%d frames packed, %d unpacked (ok %t)", len(list), len(got), ok)
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], list[i]) {
+				t.Fatalf("frame %d: %x, want %x", i, got[i], list[i])
+			}
+		}
+	})
+}

@@ -1,9 +1,16 @@
 // Package wire runs the PayloadPark dataplane over real UDP sockets: the
 // switch, the NF server, and the traffic generator are separate endpoints
-// exchanging raw Ethernet frames encapsulated in UDP datagrams (one frame
-// per datagram), so the byte-accurate program from internal/core can be
-// exercised across process boundaries exactly as the hardware prototype
-// sits between physical boxes.
+// exchanging raw Ethernet frames encapsulated in UDP datagrams, so the
+// byte-accurate program from internal/core can be exercised across
+// process boundaries exactly as the hardware prototype sits between
+// physical boxes.
+//
+// A datagram carries a burst: up to DefaultBurst frames bound for one
+// peer, each behind a 2-byte big-endian length (appendFrame and
+// decodeDatagram hold the format). The kernel's loopback path costs per
+// datagram, not per byte, so a burst crosses a hop for the price of one
+// frame. A datagram whose prefixes do not tile it exactly is dropped
+// whole.
 //
 // The package holds the endpoints, not the topology: SwitchLoop drives a
 // switch some caller loaded (sim.Graph.Realise, for cmd/ppswitchd and the
@@ -32,77 +39,10 @@ import (
 // MaxFrame is the largest encapsulated frame accepted.
 const MaxFrame = 2048
 
-// DefaultBurst is the receive-burst size every socket reader uses: the
-// most datagrams one BurstReader.Read returns, which on linux is one
-// recvmmsg(2) call.
+// DefaultBurst is the burst size of every socket endpoint: the most frames
+// one datagram carries, so the most one BurstReader.Read returns and one
+// datagram of a BatchSender.Flush packs.
 const DefaultBurst = 32
-
-// BurstReader reads receive bursts from a UDP socket into reusable
-// buffers. On linux a burst is one recvmmsg(2) with MSG_DONTWAIT: every
-// datagram already queued, up to the burst size; the reader parks in the
-// netpoller only while the socket is empty, so deadlines and Close end a
-// wait as they end ReadFromUDP. Elsewhere a burst is one datagram. Each
-// buffer has a byte to spare past MaxFrame: a datagram that fills it was
-// longer and arrived cut short (Truncated), one rule on every OS. The
-// switch loop, the NF daemon and the generator's receive loop share it;
-// one BurstReader is owned by one goroutine.
-type BurstReader struct {
-	conn  *net.UDPConn
-	bufs  [][]byte
-	from  []netip.AddrPort
-	sizes []int
-	mm    mmsg // the recvmmsg vectors (linux)
-
-	// Hist, when set, observes each burst's datagram count (nil-safe,
-	// zero-alloc).
-	Hist *obs.Histogram
-}
-
-// NewBurstReader wraps conn with a burst-sized buffer set (burst <= 0
-// selects DefaultBurst).
-func NewBurstReader(conn *net.UDPConn, burst int) *BurstReader {
-	if burst <= 0 {
-		burst = DefaultBurst
-	}
-	b := &BurstReader{
-		conn:  conn,
-		bufs:  make([][]byte, burst),
-		from:  make([]netip.AddrPort, burst),
-		sizes: make([]int, burst),
-	}
-	for i := range b.bufs {
-		b.bufs[i] = make([]byte, MaxFrame+1)
-	}
-	b.mm.bind(conn, b.bufs)
-	return b
-}
-
-// Frame returns the i-th datagram of the current burst, valid until the
-// next Read.
-func (b *BurstReader) Frame(i int) []byte { return b.bufs[i][:b.sizes[i]] }
-
-// Truncated reports whether the i-th datagram was longer than MaxFrame:
-// Frame then holds only its head, which is not a frame.
-func (b *BurstReader) Truncated(i int) bool { return b.sizes[i] > MaxFrame }
-
-// From returns the i-th datagram's source address (IPv4-mapped addresses
-// unmapped, no zone), valid until the next Read.
-func (b *BurstReader) From(i int) netip.AddrPort { return b.from[i] }
-
-// Read waits until the socket holds a datagram, then returns the count of
-// a burst (at least one). The error is the conn's — a net.Error whose
-// Timeout() is true past a read deadline, net.ErrClosed after Close — and
-// comes only with a zero count.
-//
-//pp:zeroalloc
-func (b *BurstReader) Read() (int, error) {
-	n, err := b.recv()
-	if err != nil {
-		return 0, err
-	}
-	b.Hist.Observe(uint64(n))
-	return n, nil
-}
 
 // peerKey is the one form of a peer address BurstReader.From reports and
 // SwitchLoop.Peers is keyed by: IPv4-mapped addresses unmapped, no zone.
@@ -110,16 +50,17 @@ func peerKey(ap netip.AddrPort) netip.AddrPort {
 	return netip.AddrPortFrom(ap.Addr().Unmap().WithZone(""), ap.Port())
 }
 
-// SwitchLoop is the one socket-wrapped switch worker: datagrams on Conn
-// enter SW on the port their source address is cabled to, a burst at a
-// time — read a burst, drive it through the zero-alloc core.FrameBurst
-// path, write the surviving emissions out in one batched send.
+// SwitchLoop is the one socket-wrapped switch worker: the frames of a
+// datagram on Conn enter SW on the port its source address is cabled to, a
+// burst at a time — read a datagram, drive its frames through the
+// zero-alloc core.FrameBurst path, write the surviving emissions out in one
+// batched send.
 // cmd/ppswitchd runs one (one switch, one socket); the live fabric runs one
 // per pipe over a shared switch (core.Switch's one-worker-per-pipe rule).
 type SwitchLoop struct {
 	Conn *net.UDPConn
 	SW   *core.Switch
-	// Peers resolves a datagram's source address to its ingress port;
+	// Peers resolves a datagram's source address to its frames' ingress port;
 	// Addrs is where emissions for an egress port are sent ("cables").
 	Peers map[netip.AddrPort]rmt.PortID
 	Addrs map[rmt.PortID]*net.UDPAddr
@@ -129,10 +70,10 @@ type SwitchLoop struct {
 	// in a read before draining it again.
 	Mail chan func()
 	Wake time.Duration
-	// Rx counts accepted datagrams, Errors unknown peers, oversized
-	// datagrams, rejected frames, uncabled emissions and send failures, Tx
-	// (optional) forwarded datagrams. Atomic: read from other goroutines
-	// while Run serves.
+	// Rx counts accepted frames, Errors rejected datagrams (once each),
+	// frames from unknown peers, oversized or rejected frames, uncabled
+	// emissions and send failures, Tx (optional) forwarded frames. Atomic:
+	// read from other goroutines while Run serves.
 	Rx, Errors, Tx *atomic.Uint64
 	// BurstHist/BatchHist, when set, observe burst and batch sizes.
 	BurstHist, BatchHist *obs.Histogram
@@ -149,7 +90,7 @@ func (l *SwitchLoop) Cable(port rmt.PortID, addr *net.UDPAddr) {
 // was cancelled first. The steady state allocates nothing.
 func (l *SwitchLoop) Run(ctx context.Context) error {
 	br := NewBurstReader(l.Conn, DefaultBurst)
-	fb := l.SW.NewFrameBurst(len(br.bufs))
+	fb := l.SW.NewFrameBurst(DefaultBurst)
 	bs := NewBatchSender(l.Conn)
 	br.Hist, bs.Hist = l.BurstHist, l.BatchHist
 	for {
@@ -174,10 +115,14 @@ func (l *SwitchLoop) Run(ctx context.Context) error {
 			}
 			return err
 		}
+		if count == 0 { // a datagram the decoder rejected
+			l.Errors.Add(1)
+			continue
+		}
+		port, known := l.Peers[br.From(0)]
 		fb.Reset()
 		for i := 0; i < count; i++ {
-			port, ok := l.Peers[br.From(i)]
-			if !ok || br.Truncated(i) {
+			if !known || br.Truncated(i) {
 				l.Errors.Add(1)
 				continue
 			}
@@ -243,8 +188,8 @@ type NFDaemon struct {
 // RegisterMetrics publishes the daemon's counters and socket-batching
 // histograms (the ppnf -metrics endpoint). Call before Run.
 func (d *NFDaemon) RegisterMetrics(reg *obs.Registry) {
-	reg.Counter("pp_nf_rx_datagrams_total", "datagrams received", d.Rx.Load)
-	reg.Counter("pp_nf_tx_datagrams_total", "datagrams forwarded", d.Tx.Load)
+	reg.Counter("pp_nf_rx_frames_total", "frames received", d.Rx.Load)
+	reg.Counter("pp_nf_tx_frames_total", "frames forwarded", d.Tx.Load)
 	reg.Counter("pp_nf_dropped_total", "packets dropped by the NF chain", d.Dropped.Load)
 	reg.Counter("pp_nf_notified_total", "explicit-drop notifications returned", d.Notified.Load)
 	d.burstHist = reg.Histogram("pp_nf_rx_burst_frames", "frames drained per receive burst")
@@ -329,11 +274,12 @@ func NFFrame(sc *NFScratch, handle func(*packet.Packet) bool, explicitDrop bool,
 	return dst, NFDropped
 }
 
-// Run serves until ctx is cancelled. Frames are read a burst at a time
-// (BurstReader); each runs through NFFrame into the burst's shared send buffer,
-// and the whole burst's responses are written out together
+// Run serves until ctx is cancelled. Frames are read a datagram at a time
+// (BurstReader); each runs through NFFrame into the burst's shared send
+// buffer, and the whole burst's responses go back to the switch together
 // (BatchSender), so the framework path allocates only what the hosted NF
-// chain itself allocates.
+// chain itself allocates. A rejected datagram gets no response and no
+// count.
 func (d *NFDaemon) Run(ctx context.Context) error {
 	go func() {
 		<-ctx.Done()
@@ -417,8 +363,8 @@ func NewGenerator(ctx context.Context, cfg GenConfig) (*Generator, error) {
 // Addr returns the bound UDP address.
 func (g *Generator) Addr() string { return g.conn.LocalAddr().String() }
 
-// recvLoop counts returned frames and their bytes, a burst at a time; an
-// oversized datagram is not a frame and is not counted.
+// recvLoop counts returned frames and their bytes, a datagram at a time;
+// an oversized frame or a rejected datagram is not counted.
 func (g *Generator) recvLoop() {
 	br := NewBurstReader(g.conn, DefaultBurst)
 	for {
@@ -443,9 +389,9 @@ func (g *Generator) BatchSender() *BatchSender { return NewBatchSender(g.conn) }
 // SwitchUDPAddr returns the resolved switch address Send targets.
 func (g *Generator) SwitchUDPAddr() *net.UDPAddr { return g.swAddr }
 
-// Send transmits one frame to the switch.
+// Send transmits one frame to the switch, alone in its datagram.
 func (g *Generator) Send(frame []byte) error {
-	_, err := g.conn.WriteToUDP(frame, g.swAddr)
+	_, err := g.conn.WriteToUDP(appendFrame(nil, frame), g.swAddr)
 	if err == nil {
 		g.Sent.Add(1)
 	}

@@ -98,10 +98,10 @@ func newUDPTestbed(t *testing.T, pp *core.Config, explicitDrop bool, handle func
 	return tb
 }
 
-// send transmits frame from the generator socket to the switch.
-func (tb *udpTestbed) send(t *testing.T, frame []byte) {
+// send transmits a datagram from the generator socket to the switch.
+func (tb *udpTestbed) send(t *testing.T, dgram []byte) {
 	t.Helper()
-	if _, err := tb.gen.WriteToUDP(frame, tb.swAddr); err != nil {
+	if _, err := tb.gen.WriteToUDP(dgram, tb.swAddr); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -110,14 +110,17 @@ func (tb *udpTestbed) send(t *testing.T, frame []byte) {
 // arrived or wait has passed.
 func (tb *udpTestbed) collect(n int, wait time.Duration) [][]byte {
 	tb.gen.SetReadDeadline(time.Now().Add(wait))
-	buf := make([]byte, MaxFrame+1)
+	buf := make([]byte, 1<<16)
 	var got [][]byte
 	for len(got) < n {
 		k, _, err := tb.gen.ReadFromUDP(buf)
 		if err != nil {
 			break
 		}
-		got = append(got, append([]byte(nil), buf[:k]...))
+		frames, _ := decodeDatagram(nil, buf[:k], DefaultBurst)
+		for _, f := range frames {
+			got = append(got, bytes.Clone(f))
+		}
 	}
 	return got
 }
@@ -152,7 +155,7 @@ func TestUDPDataplaneSplitMergeRoundTrip(t *testing.T) {
 		exp := pkt.Clone()
 		exp.Eth.Src, exp.Eth.Dst = pkt.Eth.Dst, pkt.Eth.Src
 		want = append(want, exp.Serialize())
-		tb.send(t, pkt.Serialize())
+		tb.send(t, datagram(pkt.Serialize()))
 	}
 	got := tb.collect(n, 5*time.Second)
 	if len(got) != n {
@@ -183,7 +186,7 @@ func TestUDPDataplaneBaselineEquivalence(t *testing.T) {
 		b := packet.NewBuilder(wGenMAC, wNFMAC)
 		const n = 20
 		for i := 0; i < n; i++ {
-			tb.send(t, b.UDP(wFlow, 200+i*50, uint16(i)).Serialize())
+			tb.send(t, datagram(b.UDP(wFlow, 200+i*50, uint16(i)).Serialize()))
 			// Serialize sends so loopback ordering is deterministic.
 			time.Sleep(time.Millisecond)
 		}
@@ -208,7 +211,7 @@ func TestUDPDataplaneExplicitDrop(t *testing.T) {
 	b := packet.NewBuilder(wGenMAC, wNFMAC)
 	const n = 10
 	for i := 0; i < n; i++ {
-		tb.send(t, b.UDP(wFlow, 500, uint16(i)).Serialize())
+		tb.send(t, datagram(b.UDP(wFlow, 500, uint16(i)).Serialize()))
 	}
 	// All packets are dropped at the NF; explicit-drop notifications must
 	// reclaim every slot.
@@ -247,7 +250,7 @@ func TestConfigValidation(t *testing.T) {
 func TestUnknownPeerIgnored(t *testing.T) {
 	tb := newUDPTestbed(t, nil, false, macswap)
 	stranger := listen(t, "127.0.0.1")
-	if _, err := stranger.WriteToUDP(packet.NewBuilder(wGenMAC, wNFMAC).UDP(wFlow, 100, 1).Serialize(), tb.swAddr); err != nil {
+	if _, err := stranger.WriteToUDP(datagram(packet.NewBuilder(wGenMAC, wNFMAC).UDP(wFlow, 100, 1).Serialize()), tb.swAddr); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -276,7 +279,7 @@ func TestUDPDataplaneRecirculation(t *testing.T) {
 		exp := pkt.Clone()
 		exp.Eth.Src, exp.Eth.Dst = pkt.Eth.Dst, pkt.Eth.Src
 		want = append(want, exp.Serialize())
-		tb.send(t, pkt.Serialize())
+		tb.send(t, datagram(pkt.Serialize()))
 	}
 	got := tb.collect(n, 5*time.Second)
 	if len(got) != n {
