@@ -13,7 +13,7 @@
 //	ppbench -exp all  [-quick] [-json out.json]
 //	ppbench -scenario file.json [-json report.json] [-quick] [-seed N]
 //	ppbench -program spec.json [-json report.json] [-quick] [-seed N]
-//	ppbench -trace trace.json [-scenario file.json] [-quick] [-seed N]
+//	ppbench -scenario file.json -trace trace.json [-quick] [-seed N]
 //
 // -exp is the one way to run a registered experiment: it collects the
 // experiment's Result, renders it as text, and -json additionally writes
@@ -37,11 +37,12 @@
 // it as a custom policy on the canonical testbed, and prints the Report
 // with the program's counters — new policies are JSON, not Go.
 //
-// -trace turns on the packet-lifecycle flight recorder and writes the
-// recording as Chrome trace-event JSON (open it in Perfetto or
-// chrome://tracing). Combined with -scenario it records that scenario;
-// alone it records the canonical 4x2 leaf-spine parking run. The
-// export is deterministic: same scenario, same seed, same bytes.
+// -trace turns on the packet-lifecycle flight recorder for the -scenario
+// run and writes the recording as Chrome trace-event JSON (open it in
+// Perfetto or chrome://tracing); examples/trace/leafspine-4x2.json is a
+// 4x2 leaf-spine parking run whose trace shows the full packet lifecycle
+// and an adaptive controller. The export is deterministic: same scenario,
+// same seed, same bytes.
 package main
 
 import (
@@ -61,7 +62,6 @@ import (
 	"github.com/payloadpark/payloadpark/internal/harness"
 	"github.com/payloadpark/payloadpark/internal/prog"
 	"github.com/payloadpark/payloadpark/internal/scenario"
-	"github.com/payloadpark/payloadpark/internal/sim"
 )
 
 func main() {
@@ -73,7 +73,7 @@ func main() {
 		scnFile  = flag.String("scenario", "", "run a serialized Scenario from this JSON file and print its Report")
 		progFile = flag.String("program", "", "run a serialized table-program spec (prog.Spec JSON) on the canonical testbed and print its Report")
 		jsonOut  = flag.String("json", "", "write the structured experiment result to this file")
-		traceOut = flag.String("trace", "", "record the packet-lifecycle flight recorder and write Chrome trace-event JSON to this file (with -scenario, or alone on the canonical 4x2 leaf-spine parking run)")
+		traceOut = flag.String("trace", "", "record the -scenario run's packet-lifecycle flight recorder and write Chrome trace-event JSON to this file")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	)
@@ -101,12 +101,9 @@ func main() {
 		}
 		return
 	}
-
 	if *traceOut != "" {
-		if err := runTraceOnly(ctx, *traceOut, *jsonOut, *quick, *seed); err != nil {
-			fail(err)
-		}
-		return
+		fmt.Fprintln(os.Stderr, "ppbench: -trace records a -scenario run (e.g. -scenario examples/trace/leafspine-4x2.json)")
+		os.Exit(2)
 	}
 
 	if *progFile != "" {
@@ -377,34 +374,5 @@ func writeTrace(path string, rep *scenario.Report) error {
 		return err
 	}
 	fmt.Printf("   wrote %s (%d events, %d dropped)\n", path, rep.Trace.Total(), rep.Trace.Dropped())
-	return nil
-}
-
-// runTraceOnly records the canonical 4x2 leaf-spine parking run — the
-// topology where the full packet lifecycle (inject, split, transit,
-// merge, sink) plus an adaptive controller all appear — and exports the
-// flight recording.
-func runTraceOnly(ctx context.Context, tracePath, jsonPath string, quick bool, seed int64) error {
-	s := scenario.Scenario{
-		Name:     "trace",
-		Topology: scenario.LeafSpine{Leaves: 4, Spines: 2},
-		Parking:  scenario.Parking{Mode: sim.ParkEdge},
-		Traffic:  scenario.Traffic{SendBps: 6e9},
-		Control:  scenario.Control{Adaptive: true},
-		Observe:  scenario.Observe{Trace: true, Metrics: true},
-		Opts:     scenario.RunOptions{Seed: seed, Quick: quick},
-	}
-	fmt.Printf("== trace: canonical 4x2 leaf-spine parking run\n")
-	start := time.Now()
-	rep, err := scenario.Run(ctx, s)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("   goodput=%.3f Gbps delivered=%d healthy=%t\n", rep.GoodputGbps, rep.Delivered, rep.Healthy)
-	if err := writeTrace(tracePath, rep); err != nil {
-		return err
-	}
-	fmt.Printf("   (%.1fs)\n", time.Since(start).Seconds())
-	writeJSON(jsonPath, rep)
 	return nil
 }

@@ -565,18 +565,17 @@ func TestAttachErrors(t *testing.T) {
 	}
 }
 
-func TestInstallErrors(t *testing.T) {
-	pipe := rmt.NewPipeline("p")
-	if _, err := Install(pipe, nil, Config{Slots: 10, MaxExpiry: 1, SplitPort: 0, MergePort: 1, Recirculate: true}); err == nil {
+func TestAttachPayloadParkHardwareErrors(t *testing.T) {
+	if _, err := NewSwitch("a").AttachPayloadPark(Config{Slots: 10, MaxExpiry: 1, SplitPort: 0, MergePort: 1, Recirculate: true}, -1); err == nil {
 		t.Error("recirc without pipe accepted")
 	}
-	if _, err := Install(pipe, rmt.NewPipeline("r"), Config{Slots: 10, MaxExpiry: 1, SplitPort: 0, MergePort: 1}); err == nil {
+	if _, err := NewSwitch("b").AttachPayloadPark(Config{Slots: 10, MaxExpiry: 1, SplitPort: 0, MergePort: 1}, 1); err == nil {
 		t.Error("recirc pipe without recirc flag accepted")
 	}
 	// Table too large for per-stage SRAM: 2 payload registers/stage.
 	tooBig := rmt.StageSRAMBytes/(2*BlockBytes) + 1
 	if tooBig <= MaxSlots {
-		if _, err := Install(rmt.NewPipeline("q"), nil, Config{Slots: tooBig, MaxExpiry: 1, SplitPort: 0, MergePort: 1}); err == nil {
+		if _, err := NewSwitch("c").AttachPayloadPark(Config{Slots: tooBig, MaxExpiry: 1, SplitPort: 0, MergePort: 1}, -1); err == nil {
 			t.Error("oversized table accepted")
 		}
 	}

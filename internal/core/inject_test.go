@@ -198,7 +198,7 @@ func TestFrameBurstPerPipeRace(t *testing.T) {
 	}
 	wg.Wait()
 
-	if seq.TxPackets() == 0 || seq.DropCount(DropUnknownMAC) == 0 || seq.DropCount(dropParseError) == 0 {
+	if seq.TxPackets() == 0 || seq.Drops()[DropUnknownMAC] == 0 || seq.Drops()[dropParseError] == 0 {
 		t.Fatalf("sequential run missed a path: %s", countersOf(seq))
 	}
 	if got, want := countersOf(par), countersOf(seq); got != want {

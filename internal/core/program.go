@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"github.com/payloadpark/payloadpark/internal/prog"
 	"github.com/payloadpark/payloadpark/internal/rmt"
 	"github.com/payloadpark/payloadpark/internal/stats"
@@ -44,59 +42,7 @@ type Program struct {
 	// copying.
 	C Counters
 
-	pipe       *rmt.Pipeline
-	recircPipe *rmt.Pipeline
-
 	inst *prog.Instance
-}
-
-// Install wires a PayloadPark program into pipe. When cfg.Recirculate is
-// set, recircPipe receives the additional payload-block registers of the
-// second pass (§6.2.5); otherwise recircPipe must be nil.
-//
-// Install returns an error for configurations the hardware could not hold
-// (table too large for per-stage SRAM, parser geometry conflicts with a
-// program already on the pipe, missing recirculation pipe).
-func Install(pipe *rmt.Pipeline, recircPipe *rmt.Pipeline, cfg Config) (*Program, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Recirculate && recircPipe == nil {
-		return nil, fmt.Errorf("core: recirculation enabled but no recirculation pipe supplied")
-	}
-	if !cfg.Recirculate && recircPipe != nil {
-		return nil, fmt.Errorf("core: recirculation pipe supplied but recirculation disabled")
-	}
-	// Capacity precheck so callers get an error rather than the rmt
-	// placement panic: the heaviest stages hold two payload registers.
-	perStage := 2 * cfg.Slots * BlockBytes
-	if perStage > rmt.StageSRAMBytes {
-		return nil, fmt.Errorf("core: %d slots need %d B per stage, budget is %d B",
-			cfg.Slots, perStage, rmt.StageSRAMBytes)
-	}
-
-	p := &Program{cfg: cfg, pipe: pipe, recircPipe: recircPipe}
-	inst, err := prog.Load(prog.PayloadParkSpec(prog.ParkParams{
-		Slots:          cfg.Slots,
-		MaxExpiry:      cfg.MaxExpiry,
-		SplitPort:      int(cfg.SplitPort),
-		MergePort:      int(cfg.MergePort),
-		BoundaryOffset: cfg.BoundaryOffset,
-		Recirculate:    cfg.Recirculate,
-		Blocks:         cfg.Blocks(),
-		BaseBlocks:     BaseBlocks,
-		BlockBytes:     BlockBytes,
-		MaxClock:       MaxClock,
-	}), prog.LoadOptions{
-		Pipe:       pipe,
-		RecircPipe: recircPipe,
-		Counters:   p.counterBindings(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	p.inst = inst
-	return p, nil
 }
 
 // counterBindings maps the built-in spec's counter names onto the typed
@@ -119,13 +65,6 @@ func (p *Program) counterBindings() map[string]*stats.Counter {
 
 // Config returns the program's configuration.
 func (p *Program) Config() Config { return p.cfg }
-
-// Pipe returns the pipe the program is installed on.
-func (p *Program) Pipe() *rmt.Pipeline { return p.pipe }
-
-// Instance returns the underlying declarative-program instance, for callers
-// that want the spec, the raw counter map, or the named runtime parameters.
-func (p *Program) Instance() *prog.Instance { return p.inst }
 
 // MaxExpiry returns the live Expiry threshold used for new claims.
 func (p *Program) MaxExpiry() uint32 {

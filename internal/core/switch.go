@@ -170,36 +170,67 @@ func (s *Switch) TxPackets() uint64 {
 	return n
 }
 
-// AttachPayloadPark installs a PayloadPark program. Both cfg ports must
-// live on the same pipe — pipes do not share stateful memory (§5). With
-// cfg.Recirculate, recircPipe names the pipe whose stages hold the
-// second-pass payload blocks.
+// AttachPayloadPark compiles a PayloadPark program (prog.PayloadParkSpec)
+// onto the pipe serving cfg's ports. Both ports must live on the same pipe
+// — pipes do not share stateful memory (§5). With cfg.Recirculate,
+// recircPipe names the pipe whose stages hold the second-pass payload
+// blocks (§6.2.5); without it recircPipe must be -1. A configuration the
+// hardware could not hold — a table too large for per-stage SRAM, parser
+// geometry that conflicts with a program already on the pipe — is an error.
 func (s *Switch) AttachPayloadPark(cfg Config, recircPipe int) (*Program, error) {
 	pipeIdx := PipeOfPort(cfg.SplitPort)
-	if PipeOfPort(cfg.MergePort) != pipeIdx {
+	switch {
+	case PipeOfPort(cfg.MergePort) != pipeIdx:
 		return nil, fmt.Errorf("core: split port %d and merge port %d are on different pipes; pipes share no stateful memory",
 			cfg.SplitPort, cfg.MergePort)
+	case !cfg.Recirculate && recircPipe != -1:
+		return nil, fmt.Errorf("core: recirculation pipe %d supplied but recirculation disabled", recircPipe)
+	case cfg.Recirculate && (recircPipe < 0 || recircPipe >= NumPipes || recircPipe == pipeIdx):
+		return nil, fmt.Errorf("core: invalid recirculation pipe %d for ingress pipe %d", recircPipe, pipeIdx)
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	// Capacity precheck so callers get an error rather than the rmt
+	// placement panic: the heaviest stages hold two payload registers.
+	if perStage := 2 * cfg.Slots * BlockBytes; perStage > rmt.StageSRAMBytes {
+		return nil, fmt.Errorf("core: %d slots need %d B per stage, budget is %d B",
+			cfg.Slots, perStage, rmt.StageSRAMBytes)
 	}
 	var rp *rmt.Pipeline
 	if cfg.Recirculate {
-		if recircPipe < 0 || recircPipe >= NumPipes || recircPipe == pipeIdx {
-			return nil, fmt.Errorf("core: invalid recirculation pipe %d for ingress pipe %d", recircPipe, pipeIdx)
-		}
 		rp = s.pipes[recircPipe]
 		s.recircOf[pipeIdx] = recircPipe
 	}
-	prog, err := Install(s.pipes[pipeIdx], rp, cfg)
+	p := &Program{cfg: cfg}
+	inst, err := prog.Load(prog.PayloadParkSpec(prog.ParkParams{
+		Slots:          cfg.Slots,
+		MaxExpiry:      cfg.MaxExpiry,
+		SplitPort:      int(cfg.SplitPort),
+		MergePort:      int(cfg.MergePort),
+		BoundaryOffset: cfg.BoundaryOffset,
+		Recirculate:    cfg.Recirculate,
+		Blocks:         cfg.Blocks(),
+		BaseBlocks:     BaseBlocks,
+		BlockBytes:     BlockBytes,
+		MaxClock:       MaxClock,
+	}), prog.LoadOptions{
+		Pipe:       s.pipes[pipeIdx],
+		RecircPipe: rp,
+		Counters:   p.counterBindings(),
+	})
 	if err != nil {
 		return nil, err
 	}
-	s.programs = append(s.programs, prog)
+	p.inst = inst
+	s.programs = append(s.programs, p)
 	if int(cfg.MergePort) < NumPorts {
 		s.ppOffset[cfg.MergePort] = cfg.BoundaryOffset
 	}
 	if pb := cfg.ParkBytes(); pb > s.maxPark {
 		s.maxPark = pb
 	}
-	return prog, nil
+	return p, nil
 }
 
 // AttachSpec compiles a declarative program spec (built-in or loaded from
@@ -420,23 +451,6 @@ func (s *Switch) Drops() map[string]uint64 {
 		}
 	}
 	return out
-}
-
-// DropCount returns the drops recorded for one reason.
-func (s *Switch) DropCount(why string) uint64 {
-	s.dropMu.RLock()
-	id, ok := s.dropIdx[why]
-	s.dropMu.RUnlock()
-	if !ok {
-		return 0
-	}
-	var n uint64
-	for _, shard := range s.dropShards {
-		if id < len(shard) {
-			n += shard[id]
-		}
-	}
-	return n
 }
 
 // TotalDrops sums drops across reasons.

@@ -53,11 +53,14 @@ type groupState struct {
 // switchState tracks one parking switch between ticks.
 type switchState struct {
 	lastPremature uint64
-	seeded        bool
-	conservative  bool
-	calm          int
-	demoted       bool
-	demoteCalm    int
+	// aggressive is the Expiry the switch reported in its first sample:
+	// the policy it resumes after a backoff.
+	aggressive   uint32
+	seeded       bool
+	conservative bool
+	calm         int
+	demoted      bool
+	demoteCalm   int
 }
 
 // Controller is the fabric control plane. Create with New, drive with
@@ -161,19 +164,6 @@ func (c *Controller) decide(now int64, kind, target, detail string) {
 func (c *Controller) Tick(now int64) {
 	c.rep.Ticks++
 	c.plant.ReadTelemetry(&c.telem)
-
-	if c.cfg.Adaptive && c.rep.Ticks == 1 {
-		// Install the aggressive policy on every parking switch up front
-		// (the deployment may have been configured with a different
-		// Expiry), so backoff decisions report the true starting point.
-		// Initialization, not a decision: nothing lands in the timeline.
-		for i := range c.telem.Switches {
-			if c.telem.Switches[i].Slots > 0 {
-				c.plant.PushExpiry(c.telem.Switches[i].Name, c.cfg.Aggressive)
-			}
-		}
-	}
-
 	links := make(map[string]*LinkTelem, len(c.telem.Links))
 	for i := range c.telem.Links {
 		links[c.telem.Links[i].Name] = &c.telem.Links[i]
@@ -254,7 +244,7 @@ func (c *Controller) tickGroup(now int64, gs *groupState, links map[string]*Link
 			}
 			if util[name] < c.cfg.ColdLinkPct {
 				gs.drained[name]++
-				if gs.drained[name] >= c.cfg.CalmTicks {
+				if gs.drained[name] >= calmTicks {
 					delete(gs.drained, name) // rejoin below
 					undrained[name] = true
 					continue
@@ -342,27 +332,28 @@ func (c *Controller) tickSwitch(now int64, st *SwitchTelem) {
 	if !ss.seeded {
 		ss.seeded = true
 		ss.lastPremature = st.Premature
+		ss.aggressive = st.Expiry
 	}
 	delta := st.Premature - ss.lastPremature
 	ss.lastPremature = st.Premature
 
 	// Expiry policy: back off on premature evictions, resume after calm.
-	if delta > c.cfg.PrematureThreshold {
+	if delta > 0 {
 		if !ss.conservative {
 			ss.conservative = true
 			c.plant.PushExpiry(st.Name, c.cfg.Conservative)
 			c.decide(now, "backoff", st.Name,
-				fmt.Sprintf("%d premature evictions/tick; expiry %d -> %d", delta, c.cfg.Aggressive, c.cfg.Conservative))
+				fmt.Sprintf("%d premature evictions/tick; expiry %d -> %d", delta, ss.aggressive, c.cfg.Conservative))
 		}
 		ss.calm = 0
 	} else if ss.conservative {
 		ss.calm++
-		if ss.calm >= c.cfg.CalmTicks {
+		if ss.calm >= calmTicks {
 			ss.conservative = false
 			ss.calm = 0
-			c.plant.PushExpiry(st.Name, c.cfg.Aggressive)
+			c.plant.PushExpiry(st.Name, ss.aggressive)
 			c.decide(now, "resume", st.Name,
-				fmt.Sprintf("calm for %d ticks; expiry %d -> %d", c.cfg.CalmTicks, c.cfg.Conservative, c.cfg.Aggressive))
+				fmt.Sprintf("calm for %d ticks; expiry %d -> %d", calmTicks, c.cfg.Conservative, ss.aggressive))
 		}
 	}
 
@@ -382,12 +373,12 @@ func (c *Controller) tickSwitch(now int64, st *SwitchTelem) {
 	} else if ss.demoted {
 		if occPct < c.cfg.RestorePct {
 			ss.demoteCalm++
-			if ss.demoteCalm >= c.cfg.CalmTicks {
+			if ss.demoteCalm >= calmTicks {
 				ss.demoted = false
 				ss.demoteCalm = 0
 				c.plant.PushTransitSplit(st.Name, true)
 				c.decide(now, "restore", st.Name,
-					fmt.Sprintf("parking occupancy %.1f%% < %.0f%% for %d ticks; transit split on", occPct, c.cfg.RestorePct, c.cfg.CalmTicks))
+					fmt.Sprintf("parking occupancy %.1f%% < %.0f%% for %d ticks; transit split on", occPct, c.cfg.RestorePct, calmTicks))
 			}
 		} else {
 			ss.demoteCalm = 0

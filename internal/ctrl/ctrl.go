@@ -33,27 +33,19 @@ type Config struct {
 	// Read by the fabric that installs the groups, not by the Controller.
 	ECMP bool `json:"ecmp,omitempty"`
 	// Adaptive enables the fabric-wide adaptive parking policy: per-switch
-	// Expiry retuning between Aggressive and Conservative, and demotion of
-	// park-at-every-hop to park-at-edge on hot switches. On a Testbed it
-	// is the single-switch §7 adaptive evictor. Without it the controller
-	// only manages ECMP group membership.
+	// Expiry retuning between the aggressive and the conservative
+	// threshold, and demotion of park-at-every-hop to park-at-edge on hot
+	// switches. On a Testbed it is the single-switch §7 adaptive evictor.
+	// Without it the controller only manages ECMP group membership.
 	Adaptive bool `json:"adaptive,omitempty"`
 	// PeriodNs is the telemetry/decision tick period (default 250 µs).
 	PeriodNs int64 `json:"period_ns,omitempty"`
-	// Aggressive/Conservative are the two Expiry thresholds toggled per
-	// switch (paper §7 examples: 1-2 aggressive, 10 conservative).
-	// Aggressive defaults to the deployment's configured MaxExpiry (the
-	// plant's current setting); Conservative to 8.
-	Aggressive   uint32 `json:"aggressive,omitempty"`
+	// Conservative is the Expiry a switch backs off to on any premature
+	// eviction (default 8; paper §7 examples: 10). The aggressive Expiry
+	// it resumes after calmTicks clean ticks is the switch's own: the
+	// Expiry its first telemetry sample reports, i.e. the deployment's
+	// configured MaxExpiry, on every backend.
 	Conservative uint32 `json:"conservative,omitempty"`
-	// PrematureThreshold is the premature evictions per tick (per switch)
-	// that trigger the conservative policy; the default 0 backs off on
-	// any premature eviction.
-	PrematureThreshold uint64 `json:"premature_threshold,omitempty"`
-	// CalmTicks is how many consecutive clean ticks are needed before a
-	// backed-off switch returns to the aggressive policy, and a demoted
-	// switch is restored (default 3).
-	CalmTicks int `json:"calm_ticks,omitempty"`
 	// DemotePct/RestorePct bound the occupancy hysteresis (percent of
 	// parking slots occupied) for demoting a switch's transit parking —
 	// park-at-every-hop falls back to park-at-edge on that switch — and
@@ -65,10 +57,15 @@ type Config struct {
 	// member whose link utilization exceeds HotLinkPct is drained if the
 	// group keeps at least one member below ColdLinkPct (default for
 	// ColdLinkPct: half of HotLinkPct). Drained members return after
-	// CalmTicks of the link staying below ColdLinkPct.
+	// calmTicks of the link staying below ColdLinkPct.
 	HotLinkPct  float64 `json:"hot_link_pct,omitempty"`
 	ColdLinkPct float64 `json:"cold_link_pct,omitempty"`
 }
+
+// calmTicks is how many consecutive clean ticks return a backed-off switch
+// to its aggressive Expiry, restore a demoted switch and undrain a cooled
+// group member.
+const calmTicks = 3
 
 // Enabled reports whether any control-plane feature is on.
 func (c Config) Enabled() bool { return c.ECMP || c.Adaptive }
@@ -109,14 +106,8 @@ func (c *Config) FillDefaults() {
 	if c.PeriodNs == 0 {
 		c.PeriodNs = 250e3
 	}
-	if c.Aggressive == 0 {
-		c.Aggressive = 1
-	}
 	if c.Conservative == 0 {
 		c.Conservative = 8
-	}
-	if c.CalmTicks == 0 {
-		c.CalmTicks = 3
 	}
 	if c.DemotePct == 0 {
 		c.DemotePct = 85
@@ -143,6 +134,10 @@ type SwitchTelem struct {
 	// Demotable marks switches with transit parking programs the
 	// controller may demote (every-hop stripers; edge programs stay).
 	Demotable bool
+	// Expiry is the Expiry threshold the switch's parking programs claim
+	// with (the largest, should they differ). The first sample's value is
+	// the switch's aggressive Expiry.
+	Expiry uint32
 }
 
 // LinkTelem is one link's telemetry sample.

@@ -6,7 +6,8 @@ import (
 	"testing"
 )
 
-// fakePlant records pushes and serves scripted telemetry.
+// fakePlant records pushes and serves scripted telemetry; a switch reports
+// the Expiry last pushed to it, as a real plant reads its programs.
 type fakePlant struct {
 	telem   Telemetry
 	pushes  []string
@@ -25,6 +26,11 @@ func newFakePlant() *fakePlant {
 
 func (p *fakePlant) ReadTelemetry(t *Telemetry) {
 	t.Switches = append(t.Switches[:0], p.telem.Switches...)
+	for i := range t.Switches {
+		if e, ok := p.expiry[t.Switches[i].Name]; ok {
+			t.Switches[i].Expiry = e
+		}
+	}
 	t.Links = append(t.Links[:0], p.telem.Links...)
 }
 
@@ -128,7 +134,7 @@ func TestControllerCongestionDrainAndReturn(t *testing.T) {
 		{Name: "leaf0->spine0", UtilPct: 99}, {Name: "spine0->leaf1", UtilPct: 99},
 		{Name: "leaf0->spine2", UtilPct: 10}, {Name: "spine2->leaf1", UtilPct: 10},
 	}
-	c := New(Config{HotLinkPct: 95, CalmTicks: 2}, p, twoSpineGroup())
+	c := New(Config{HotLinkPct: 95}, p, twoSpineGroup())
 
 	c.Tick(1000)
 	if got := p.members["leaf0:nf1"]; !reflect.DeepEqual(got, []string{"spine2"}) {
@@ -138,14 +144,16 @@ func TestControllerCongestionDrainAndReturn(t *testing.T) {
 		t.Fatalf("rebalance not recorded: %+v", c.Snapshot())
 	}
 
-	// The drained link cools; after CalmTicks cool ticks it returns.
+	// The drained link cools; after calmTicks cool ticks it returns.
 	p.link("leaf0->spine0").UtilPct = 5
 	p.link("spine0->leaf1").UtilPct = 5
-	c.Tick(2000)
-	if got := p.members["leaf0:nf1"]; !reflect.DeepEqual(got, []string{"spine2"}) {
-		t.Fatalf("member returned before calm period: %v", got)
+	for _, now := range []int64{2000, 3000} {
+		c.Tick(now)
+		if got := p.members["leaf0:nf1"]; !reflect.DeepEqual(got, []string{"spine2"}) {
+			t.Fatalf("member returned before calm period: %v", got)
+		}
 	}
-	c.Tick(3000)
+	c.Tick(4000)
 	if got := p.members["leaf0:nf1"]; !reflect.DeepEqual(got, []string{"spine0", "spine2"}) {
 		t.Fatalf("member did not return after calm period: %v", got)
 	}
@@ -159,34 +167,35 @@ func TestControllerCongestionDrainAndReturn(t *testing.T) {
 
 func TestControllerAdaptiveExpiry(t *testing.T) {
 	p := newFakePlant()
-	p.telem.Switches = []SwitchTelem{{Name: "leaf0", Slots: 100}}
-	c := New(Config{Adaptive: true, Conservative: 10, CalmTicks: 2}, p, nil)
+	p.telem.Switches = []SwitchTelem{{Name: "leaf0", Slots: 100, Expiry: 2}}
+	c := New(Config{Adaptive: true, Conservative: 10}, p, nil)
 
-	// The first tick installs the aggressive policy (initialization, not
-	// a decision) and seeds the premature baseline.
+	// The first tick seeds the premature baseline and the aggressive
+	// Expiry from the switch's own sample; it pushes nothing.
 	c.Tick(1000)
-	if p.expiry["leaf0"] != 1 {
-		t.Fatalf("aggressive policy not installed at attach: %v", p.expiry)
+	if len(p.pushes) != 0 || len(c.Snapshot().Decisions) != 0 {
+		t.Fatalf("the first tick acted: pushes %v, decisions %+v", p.pushes, c.Snapshot().Decisions)
 	}
-	if rep := c.Snapshot(); len(rep.Decisions) != 0 {
-		t.Fatalf("initialization produced decisions: %+v", rep.Decisions)
-	}
-	p.pushes = nil
 
 	p.telem.Switches[0].Premature = 5
 	c.Tick(2000)
 	if p.expiry["leaf0"] != 10 {
 		t.Fatalf("no backoff: expiry=%v", p.expiry)
 	}
-	// Spike over: two calm ticks resume the aggressive policy.
+	// Spike over: three calm ticks resume the switch's configured Expiry.
 	c.Tick(3000)
 	c.Tick(4000)
-	if p.expiry["leaf0"] != 1 {
-		t.Fatalf("no resume: expiry=%v", p.expiry)
+	if p.expiry["leaf0"] != 10 {
+		t.Fatalf("resumed before calm period: expiry=%v", p.expiry)
+	}
+	c.Tick(5000)
+	if p.expiry["leaf0"] != 2 {
+		t.Fatalf("no resume to the configured 2: expiry=%v", p.expiry)
 	}
 	rep := c.Snapshot()
-	if rep.ExpiryChanges != 2 {
-		t.Fatalf("expiry changes = %d, want 2: %+v", rep.ExpiryChanges, rep.Decisions)
+	if rep.ExpiryChanges != 2 || rep.Decisions[0].Detail != "5 premature evictions/tick; expiry 2 -> 10" ||
+		rep.Decisions[1].Detail != "calm for 3 ticks; expiry 10 -> 2" {
+		t.Fatalf("expiry decisions wrong: %+v", rep.Decisions)
 	}
 }
 
@@ -196,7 +205,7 @@ func TestControllerDemotesAndRestoresHotSwitch(t *testing.T) {
 		{Name: "spine0", Slots: 100, Occupancy: 95, Demotable: true},
 		{Name: "leaf0", Slots: 100, Occupancy: 95}, // edge-only: never demoted
 	}
-	c := New(Config{Adaptive: true, DemotePct: 90, RestorePct: 50, CalmTicks: 2}, p, nil)
+	c := New(Config{Adaptive: true, DemotePct: 90, RestorePct: 50}, p, nil)
 
 	c.Tick(1000)
 	if on, pushed := p.split["spine0"]; !pushed || on {
@@ -206,10 +215,14 @@ func TestControllerDemotesAndRestoresHotSwitch(t *testing.T) {
 		t.Fatalf("non-demotable switch was demoted: %v", p.split)
 	}
 
-	// Cool-down below RestorePct for CalmTicks restores it.
+	// Cool-down below RestorePct for calmTicks restores it.
 	p.telem.Switches[0].Occupancy = 20
 	c.Tick(2000)
 	c.Tick(3000)
+	if on := p.split["spine0"]; on {
+		t.Fatalf("spine restored before calm period: %v", p.split)
+	}
+	c.Tick(4000)
 	if on := p.split["spine0"]; !on {
 		t.Fatalf("spine not restored: %v", p.split)
 	}
@@ -222,8 +235,7 @@ func TestControllerDemotesAndRestoresHotSwitch(t *testing.T) {
 func TestConfigFillDefaults(t *testing.T) {
 	var c Config
 	c.FillDefaults()
-	if c.PeriodNs != 250e3 || c.Aggressive != 1 || c.Conservative != 8 ||
-		c.CalmTicks != 3 || c.DemotePct != 85 || c.RestorePct != 40 {
+	if c.PeriodNs != 250e3 || c.Conservative != 8 || c.DemotePct != 85 || c.RestorePct != 40 {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
 	h := Config{HotLinkPct: 90}

@@ -111,20 +111,12 @@ func MemorySweepServer() sim.ServerModel {
 // PipeSRAMBytes is the stateful SRAM of one pipe.
 const PipeSRAMBytes = rmt.StageCount * rmt.StageSRAMBytes
 
-// slotBytes is the SRAM footprint of one lookup-table row.
-func slotBytes(recirc bool) int {
-	blocks := core.BaseBlocks
-	if recirc {
-		blocks += core.RecircBlocks
-	}
-	return 8 + blocks*core.BlockBytes // metadata cell + payload blocks
-}
-
 // SlotsForSRAMPct returns the lookup-table capacity that consumes roughly
 // the given fraction of a pipe's SRAM, as the Fig. 14 sweep and the §6.2
 // macro setup ("PayloadPark reserves about 26% of switch memory") size it.
 func SlotsForSRAMPct(pct float64, recirc bool) int {
-	slots := int(pct * float64(PipeSRAMBytes) / float64(slotBytes(recirc)))
+	row := core.Config{Slots: 1, Recirculate: recirc}.TableSRAMBytes()
+	slots := int(pct * float64(PipeSRAMBytes) / float64(row))
 	if slots < 1 {
 		slots = 1
 	}

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/payloadpark/payloadpark/internal/ctrl"
+	"github.com/payloadpark/payloadpark/internal/live"
 	"github.com/payloadpark/payloadpark/internal/scenario"
 	"github.com/payloadpark/payloadpark/internal/sim"
 )
@@ -32,4 +34,90 @@ func TestLiveControllerTicks(t *testing.T) {
 	if rep.Live == nil || rep.Live.Control != rep.Control {
 		t.Errorf("the live detail does not carry the headline's control report: %+v", rep.Live)
 	}
+}
+
+// TestLiveControllerPeriodFloor: a live controller ticks at most once a
+// millisecond, and its report and decision stamps say the same: with the
+// default 250 µs period the report reads 1 ms and every decision is
+// stamped on a multiple of it.
+func TestLiveControllerPeriodFloor(t *testing.T) {
+	rep, err := scenario.Run(context.Background(), scenario.Scenario{
+		Topology: scenario.Live{Frames: 4000, Window: 64},
+		Parking:  scenario.Parking{Mode: sim.ParkEdge, Slots: 16, MaxExpiry: 2},
+		Control:  scenario.Control{Adaptive: true},
+		Opts:     scenario.RunOptions{Seed: 9},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const period = int64(time.Millisecond)
+	if rep.Control == nil || rep.Control.PeriodNs != period {
+		t.Fatalf("report period %+v, want %d ns", rep.Control, period)
+	}
+	if len(rep.Control.Decisions) == 0 {
+		t.Fatalf("no decisions to check (premature=%d)", rep.Premature)
+	}
+	for _, d := range rep.Control.Decisions {
+		if d.AtNs%period != 0 {
+			t.Errorf("decision %+v stamped off the %d ns tick", d, period)
+		}
+	}
+}
+
+// TestAdaptiveKeepsConfiguredExpiry: an adaptive controller with nothing
+// to back off from leaves every parking program at the configured
+// MaxExpiry, live and simulated alike. NF drops orphan payloads, so once
+// the slot index wraps a claim meets an occupied slot: at Expiry 3 it is
+// skipped twice before the eviction (at Expiry 1 it would be evicted at
+// once, never skipped). The live lockstep run must match the reference
+// replay — the same programs with no controller — counter for counter, and
+// the simulated testbed must match its own run without a controller.
+func TestAdaptiveKeepsConfiguredExpiry(t *testing.T) {
+	parking := sim.Parking{Mode: sim.ParkEdge, Slots: 1024, MaxExpiry: 3}
+	adaptive := ctrl.Config{Adaptive: true}
+	quiet := func(t *testing.T, rep *ctrl.Report, premature, skips uint64) {
+		t.Helper()
+		if rep == nil || rep.Ticks == 0 || len(rep.Decisions) != 0 {
+			t.Fatalf("want a controller that ticked and decided nothing: %+v", rep)
+		}
+		if premature != 0 || skips == 0 {
+			t.Fatalf("premature=%d occupied_skips=%d: want none, and some", premature, skips)
+		}
+	}
+
+	t.Run("live", func(t *testing.T) {
+		topo := live.Topology{Frames: 2500, Lockstep: true, DropFraction: 0.25}
+		sec := sim.Sections{Parking: parking, Control: adaptive, Opts: sim.RunOptions{Seed: 5}}
+		got, err := live.Run(context.Background(), topo, sec, live.Wiring{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := live.ReferenceRun(topo, sec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		quiet(t, got.Control, got.Counters.PrematureEvictions, got.Counters.OccupiedSkips)
+		if err := live.Parity(got, ref); err != nil {
+			t.Fatalf("the controller moved the live programs off Expiry 3: %v", err)
+		}
+	})
+
+	t.Run("sim", func(t *testing.T) {
+		run := func(c ctrl.Config) sim.Result {
+			res, err := sim.RunTestbed(sim.Testbed{NFLinkLossRate: 0.02}, sim.Sections{
+				Parking: parking, Control: c,
+				Traffic: sim.Traffic{SendBps: 2e9},
+				Opts:    sim.RunOptions{Seed: 5, WarmupNs: 2e6, MeasureNs: 8e6},
+			}, sim.Wiring{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		got, ref := run(adaptive), run(ctrl.Config{})
+		quiet(t, got.Control, got.Premature, got.OccupiedSkips)
+		if got.Splits != ref.Splits || got.Evictions != ref.Evictions || got.OccupiedSkips != ref.OccupiedSkips {
+			t.Fatalf("the controller moved the simulated program off Expiry 3: %+v vs %+v", got, ref)
+		}
+	})
 }

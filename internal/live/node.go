@@ -7,18 +7,12 @@ import (
 	"net/netip"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/rmt"
 	"github.com/payloadpark/payloadpark/internal/sim"
 	"github.com/payloadpark/payloadpark/internal/wire"
 )
-
-// mailWake bounds how long an idle pipe worker blocks in a read before
-// draining its control mailbox: control pushes and telemetry barriers
-// land within this latency even on a quiet pipe.
-const mailWake = 2 * time.Millisecond
 
 // switchNode is one graph switch running live: per-pipe worker sockets
 // over the shared core.Switch.
@@ -71,7 +65,6 @@ func newSwitchNode(name string, sw *core.Switch, ports [core.NumPorts]sim.Peer) 
 			// 16 pending control closures: quiesce posts one per caller and
 			// callers are serialized, so the mailbox never fills.
 			Mail:   make(chan func(), 16),
-			Wake:   mailWake,
 			Rx:     &n.rxFrames,
 			Errors: &n.errs,
 		}

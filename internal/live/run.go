@@ -206,14 +206,19 @@ func waitFor(ctx context.Context, cond func() bool, what string) error {
 	return nil
 }
 
+// minPeriodNs is the shortest controller tick of a live run: every tick
+// parks each switch's workers, so faster ticks would starve the dataplane.
+const minPeriodNs = int64(time.Millisecond)
+
 // Run resolves and validates the description, brings its fabric up on
 // loopback sockets and drives the workload through it, returning the
 // measured result. Lockstep mode is the deterministic replay (compare
 // against ReferenceRun with Parity); throughput mode measures open-loop
 // wire rate. With s.Control enabled a ctrl.Controller calls the graph's
-// sim.Plant directly, ticking at Control.PeriodNs wall-clock; the plant
-// applies every telemetry read and push under the owning node's quiesce
-// barrier, and the controller's report lands in Result.Control.
+// sim.Plant directly, ticking at Control.PeriodNs wall-clock but no faster
+// than every minPeriodNs; the plant applies every telemetry read and push
+// under the owning node's quiesce barrier, and the controller's report
+// lands in Result.Control.
 func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, error) {
 	f, err := build(t, s)
 	if err != nil {
@@ -243,12 +248,14 @@ func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, er
 	defer stopControl()
 	var controller *ctrl.Controller
 	if s.Control.Enabled() {
-		controller = ctrl.New(s.Control, sim.NewPlant(f.g, lf.sws, func(sw int, fn func()) { lf.nodes[sw].quiesce(fn) }, nil), nil)
-		period := controller.Config().PeriodNs
+		cc := s.Control
+		cc.PeriodNs = max(cc.PeriodNs, minPeriodNs)
+		controller = ctrl.New(cc, sim.NewPlant(f.g, lf.sws, func(sw int, fn func()) { lf.nodes[sw].quiesce(fn) }, nil), nil)
+		period := cc.PeriodNs
 		ctlDone.Add(1)
 		go func() {
 			defer ctlDone.Done()
-			tick := time.NewTicker(max(time.Duration(period), time.Millisecond))
+			tick := time.NewTicker(time.Duration(period))
 			defer tick.Stop()
 			for n := int64(1); ; n++ {
 				select {

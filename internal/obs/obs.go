@@ -77,8 +77,8 @@ type Event struct {
 	Kind  EventKind
 }
 
-// DefaultEventCap is the recorder's ring capacity when the Observe spec
-// does not override it.
+// DefaultEventCap is the recorder's ring capacity: a scenario's trace
+// keeps the last DefaultEventCap events.
 const DefaultEventCap = 1 << 20
 
 // Recorder is a single-writer ring buffer of events, written by the

@@ -33,8 +33,8 @@ const (
 	RoleCtxHi    = "cr_ctx_hi"
 )
 
-// ParkParams parameterizes PayloadParkSpec. core.Install fills it from its
-// Config plus the package geometry constants.
+// ParkParams parameterizes PayloadParkSpec. core.Switch.AttachPayloadPark
+// fills it from its Config plus the package geometry constants.
 type ParkParams struct {
 	Slots          int
 	MaxExpiry      uint32
@@ -492,7 +492,7 @@ func appendCompressParts(s *Spec) {
 }
 
 // BuiltinSpecs returns representative instances of the three built-in
-// programs, parameterized with the geometry core.Install uses (20 base +
+// programs, parameterized with the geometry core uses (20 base +
 // 28 recirculation payload blocks of 8 bytes, distinct split/merge
 // ports). Tooling — the spec linter in cmd/ppvet, round-trip tests —
 // iterates these to cover every table the package can emit.

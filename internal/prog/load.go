@@ -130,7 +130,7 @@ func (in *Instance) Occupied(role string) int {
 
 // Load resolves spec, fails on any problem the resolve pass found, and
 // installs the resolved program: parser geometry, registers, then tables,
-// each checked against the same stage budgets core.Install relied on (the
+// each checked against the stage budgets of the rmt pipeline (the
 // rmt layer's placement panics surface as errors here).
 func Load(spec *Spec, opts LoadOptions) (inst *Instance, err error) {
 	switch {
@@ -249,7 +249,7 @@ func Load(spec *Spec, opts LoadOptions) (inst *Instance, err error) {
 }
 
 // configureParser applies the resolved parser geometry with the same
-// share-or-agree discipline core.Install used: the first payload-parking
+// share-or-agree discipline: the first payload-parking
 // program on a pipe configures block extraction and declares its PHV usage,
 // later ones must agree. Programs that park no payload (Blocks == 0) only
 // declare their PHV usage.

@@ -76,7 +76,7 @@ func (v ParamVal) resolve(params map[string]int64) (n int64, ok bool) {
 	return n, ok
 }
 
-// Spec is a declarative switch program: what core.Install used to build in
+// Spec is a declarative switch program: what the switch used to build in
 // Go, as data. Params are compile-time integers (ports, slot counts,
 // geometry); Runtime are the named control-plane knobs actions read per
 // packet (SetMaxExpiry and SetSplitEnabled become writes to these).

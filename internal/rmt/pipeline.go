@@ -59,11 +59,10 @@ type Stage struct {
 // time. Drivers that parallelize across pipes get this for free because
 // pipes share no state.
 type Pipeline struct {
-	name      string
-	stages    [StageCount]*Stage
-	parser    *Parser
-	phvBits   int
-	processed uint64
+	name    string
+	stages  [StageCount]*Stage
+	parser  *Parser
+	phvBits int
 
 	// progs are the compiled match programs (match.go), indexed by
 	// pass*(len(ports)+1)+class: class i+1 serves ports[i], the sorted ports
@@ -218,7 +217,6 @@ func (p *Pipeline) Process(phv *PHV) {
 	if uint(phv.Pass) >= maxPasses {
 		p.badPass(phv.Pass)
 	}
-	p.processed++
 	steps := p.program(phv.Pass, phv.InPort)
 	// The PHV's context scratch is reused for every hit: a stack Ctx would
 	// escape through the indirect Action call and allocate per MAT hit.
@@ -275,9 +273,6 @@ func (p *Pipeline) ReleasePHV(phv *PHV) {
 	phv.Reset()
 	p.phvFree = append(p.phvFree, phv)
 }
-
-// Processed returns how many passes this pipe has executed.
-func (p *Pipeline) Processed() uint64 { return p.processed }
 
 func (s *Stage) sramBytes() int {
 	n := 0

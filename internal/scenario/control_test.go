@@ -74,34 +74,24 @@ func TestControlValidation(t *testing.T) {
 
 // TestECMPSweepDeterministicAcrossWorkers is the reproducibility
 // contract for control-plane sweeps: the same grid run with 1 worker and
-// with 4 produces byte-identical reports — same flow->path assignment,
+// with 4 (GOMAXPROCS 1 and 4) produces byte-identical reports — same flow->path assignment,
 // same decision timeline — regardless of scheduling (run under -race in
 // CI).
 func TestECMPSweepDeterministicAcrossWorkers(t *testing.T) {
-	mk := func(workers int) Sweep {
-		return Sweep{
-			Base: Scenario{
-				Name:     "ecmp-det",
-				Topology: LeafSpine{Leaves: 6, Spines: 3},
-				Control:  Control{ECMP: true, Adaptive: true},
-				Traffic:  Traffic{SendBps: 3e9},
-				Opts:     RunOptions{Seed: 1, WarmupNs: 1e6, MeasureNs: 4e6},
-			},
-			Axes: []Axis{
-				ParkingAxis(sim.ParkNone, sim.ParkEdge),
-				seeds(1, 2),
-			},
-			Workers: workers,
-		}
+	sw := Sweep{
+		Base: Scenario{
+			Name:     "ecmp-det",
+			Topology: LeafSpine{Leaves: 6, Spines: 3},
+			Control:  Control{ECMP: true, Adaptive: true},
+			Traffic:  Traffic{SendBps: 3e9},
+			Opts:     RunOptions{Seed: 1, WarmupNs: 1e6, MeasureNs: 4e6},
+		},
+		Axes: []Axis{
+			ParkingAxis(sim.ParkNone, sim.ParkEdge),
+			seeds(1, 2),
+		},
 	}
-	one, err := RunSweep(context.Background(), mk(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	four, err := RunSweep(context.Background(), mk(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	one, four := atProcs(t, 1, sw), atProcs(t, 4, sw)
 	a, err := json.Marshal(one.Points)
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@ func TestObserveJSONRoundTrip(t *testing.T) {
 		Topology: LeafSpine{Leaves: 4, Spines: 2},
 		Parking:  Parking{Mode: sim.ParkEdge},
 		Traffic:  Traffic{SendBps: 4e9},
-		Observe:  Observe{Metrics: true, Trace: true, TraceEventCap: 4096},
+		Observe:  Observe{Metrics: true, Trace: true},
 		Opts:     RunOptions{Seed: 7},
 	}
 	b, err := json.Marshal(sc)

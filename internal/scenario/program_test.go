@@ -30,9 +30,8 @@ func TestProgramJSONRoundTrip(t *testing.T) {
 			Name:     "custom-spec",
 			Topology: Testbed{},
 			Program: Program{
-				Kind:   "custom",
-				Spec:   prog.HeaderCompressSpec(prog.CompressParams{Slots: 64}),
-				Params: map[string]int64{"comp_slots": 128},
+				Kind: "custom",
+				Spec: prog.HeaderCompressSpec(prog.CompressParams{Slots: 64}),
 			},
 		},
 		{

@@ -69,11 +69,7 @@ func (o Observe) bindings() sim.ObsConfig {
 		c.Metrics = obs.NewRegistry()
 	}
 	if o.Trace {
-		cap := o.TraceEventCap
-		if cap <= 0 {
-			cap = obs.DefaultEventCap
-		}
-		c.Trace = obs.NewTrace(cap)
+		c.Trace = obs.NewTrace(obs.DefaultEventCap)
 	}
 	return c
 }

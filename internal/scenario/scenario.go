@@ -128,13 +128,10 @@ type Observe struct {
 	Metrics bool `json:"metrics,omitempty"`
 	// Trace records packet-lifecycle events (inject, park, merge,
 	// evict, drop, sink, controller decisions) keyed on sim time into
-	// Report.Trace. Simulated topologies only: the live fabric has no
-	// simulation clock to key on.
+	// Report.Trace, in a ring of obs.DefaultEventCap events; Report.Trace
+	// counts the events dropped when the ring wraps. Simulated topologies
+	// only: the live fabric has no simulation clock to key on.
 	Trace bool `json:"trace,omitempty"`
-	// TraceEventCap bounds the recorder's ring buffer (default
-	// obs.DefaultEventCap); Report.Trace counts the events dropped when
-	// the ring wraps.
-	TraceEventCap int `json:"trace_event_cap,omitempty"`
 }
 
 // sections gathers what every runner reads besides its topology.

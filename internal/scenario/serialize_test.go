@@ -129,6 +129,19 @@ func TestScenarioJSONRejectsUnserializable(t *testing.T) {
 		// Every socket reader takes up to wire.DefaultBurst frames a read: a
 		// file still setting the old knob is an error, not silently ignored.
 		`{"topology":{"kind":"live","config":{"burst":64}}}`: `scenario: live config: json: unknown field "burst"`,
+		// Knobs every run takes at one value are gone: links run 500 ns and
+		// 1 MB, traces keep obs.DefaultEventCap events, the controller backs
+		// off on any premature eviction, resumes the switch's own Expiry
+		// after three calm ticks, and a custom spec's ports are the topology's.
+		`{"topology":{"kind":"testbed","config":{"switch_queue_bytes":1}}}`:     `scenario: testbed config: json: unknown field "switch_queue_bytes"`,
+		`{"topology":{"kind":"testbed","config":{"prop_ns":1}}}`:                `scenario: testbed config: json: unknown field "prop_ns"`,
+		`{"topology":{"kind":"leafspine","config":{"prop_ns":1}}}`:              `scenario: leafspine config: json: unknown field "prop_ns"`,
+		`{"topology":{"kind":"leafspine","config":{"queue_bytes":1}}}`:          `scenario: leafspine config: json: unknown field "queue_bytes"`,
+		`{"topology":{"kind":"testbed"},"observe":{"trace_event_cap":64}}`:      `json: unknown field "trace_event_cap"`,
+		`{"topology":{"kind":"testbed"},"control":{"aggressive":2}}`:            `json: unknown field "aggressive"`,
+		`{"topology":{"kind":"testbed"},"control":{"calm_ticks":2}}`:            `json: unknown field "calm_ticks"`,
+		`{"topology":{"kind":"testbed"},"control":{"premature_threshold":1}}`:   `json: unknown field "premature_threshold"`,
+		`{"topology":{"kind":"testbed"},"program":{"params":{"split_port":1}}}`: `json: unknown field "params"`,
 	} {
 		var s Scenario
 		if err := json.Unmarshal([]byte(bad), &s); err == nil || !strings.Contains(err.Error(), want) {

@@ -90,10 +90,6 @@ type Sweep struct {
 	// Axes are the grid dimensions. An empty list is a single-point
 	// sweep (just Base).
 	Axes []Axis
-	// Workers bounds the parallel worker pool (default
-	// min(GOMAXPROCS, points)). Each point is one independent
-	// single-threaded simulation, so points scale across cores.
-	Workers int
 }
 
 // SweepPoint is one executed grid point.
@@ -165,9 +161,10 @@ func (sw Sweep) Expand() []Scenario {
 }
 
 // RunSweep expands the grid and runs its points in parallel across a
-// worker pool. Point order in the report is deterministic (expansion
-// order) regardless of worker interleaving, and so are the results:
-// every point is an independent, seeded, single-threaded simulation.
+// pool of min(GOMAXPROCS, points) workers. Point order in the report is
+// deterministic (expansion order) regardless of worker interleaving, and
+// so are the results: every point is an independent, seeded,
+// single-threaded simulation, so points scale across cores.
 //
 // Cancellation is honored mid-simulation: on ctx cancellation the
 // feeder stops, in-flight simulations abort within a few thousand
@@ -230,16 +227,7 @@ func RunSweep(ctx context.Context, sw Sweep) (*SweepReport, error) {
 		}
 	}
 
-	workers := sw.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(scns) {
-		workers = len(scns)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(min(runtime.GOMAXPROCS(0), len(scns)), 1)
 
 	jobs := make(chan int)
 	var wg sync.WaitGroup

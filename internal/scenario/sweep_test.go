@@ -62,7 +62,6 @@ func TestRunSweepGrid(t *testing.T) {
 			SendGbpsAxis(2, 11),
 			ParkingAxis(sim.ParkNone, sim.ParkEdge),
 		},
-		Workers: 4,
 	}
 	rep, err := RunSweep(context.Background(), sw)
 	if err != nil {
@@ -88,23 +87,24 @@ func TestRunSweepGrid(t *testing.T) {
 	}
 }
 
+// atProcs runs sw with GOMAXPROCS, and so the sweep's worker count, set
+// to procs.
+func atProcs(t *testing.T, procs int, sw Sweep) *SweepReport {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	rep, err := RunSweep(context.Background(), sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 // TestRunSweepDeterministic: the same sweep run with different worker
 // counts produces identical reports (each point is an independent
 // seeded simulation).
 func TestRunSweepDeterministic(t *testing.T) {
-	mk := func(workers int) *SweepReport {
-		sw := Sweep{
-			Base:    sweepBase(),
-			Axes:    []Axis{SendGbpsAxis(2, 4), seeds(1, 2)},
-			Workers: workers,
-		}
-		rep, err := RunSweep(context.Background(), sw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	if a, b := mk(1), mk(4); !reflect.DeepEqual(a, b) {
+	sw := Sweep{Base: sweepBase(), Axes: []Axis{SendGbpsAxis(2, 4), seeds(1, 2)}}
+	if a, b := atProcs(t, 1, sw), atProcs(t, 4, sw); !reflect.DeepEqual(a, b) {
 		t.Error("sweep results depend on worker count")
 	}
 }
@@ -149,9 +149,8 @@ func TestRunSweepCancellation(t *testing.T) {
 
 	start := time.Now()
 	rep, err := RunSweep(ctx, Sweep{
-		Base:    base,
-		Axes:    []Axis{SendGbpsAxis(2, 4, 6, 8, 10, 12), seeds(1, 2, 3, 4)},
-		Workers: 4,
+		Base: base,
+		Axes: []Axis{SendGbpsAxis(2, 4, 6, 8, 10, 12), seeds(1, 2, 3, 4)},
 	})
 	elapsed := time.Since(start)
 	if err != context.Canceled {
@@ -239,9 +238,8 @@ func TestSweepProgressSerialized(t *testing.T) {
 	base := sweepBase()
 	base.Opts.Progress = func(l string) { labels = append(labels, l) }
 	_, err := RunSweep(context.Background(), Sweep{
-		Base:    base,
-		Axes:    []Axis{SendGbpsAxis(1, 2, 3)},
-		Workers: 3,
+		Base: base,
+		Axes: []Axis{SendGbpsAxis(1, 2, 3)},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -39,6 +39,7 @@ func (p *Plant) ReadTelemetry(t *ctrl.Telemetry) {
 				st.Premature += prog.C.PrematureEvictions.Value()
 				st.Slots += prog.Config().Slots
 				st.Occupancy += prog.Occupancy()
+				st.Expiry = max(st.Expiry, prog.MaxExpiry())
 				st.Demotable = st.Demotable || p.g.Switches[i].Park[k].Transit
 			}
 		})

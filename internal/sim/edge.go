@@ -91,13 +91,13 @@ func newEdge(f *Fabric, spec edgeSpec) *edge {
 
 	fl := e.flow
 
-	genLink := f.NewLink(fl.Gen.ToSwitch, 2*e.linkBps, e.propNs, 4<<20,
+	genLink := f.NewLink(fl.Gen.ToSwitch, 2*e.linkBps, simPropNs, 4<<20,
 		src.node.Ingress(fl.Gen.At.Port, src.drop, src.consume), src.drop)
 	e.sink = f.AddSink(fl.Sink.Name, end, src.recycle)
-	src.node.SetOut(fl.Sink.At.Port, f.NewLink(fl.Sink.FromSwitch, 2*e.linkBps, e.propNs, 2*e.queueBytes,
+	src.node.SetOut(fl.Sink.At.Port, f.NewLink(fl.Sink.FromSwitch, 2*e.linkBps, simPropNs, 2*simQueueBytes,
 		e.sink.Receive, src.drop))
 
-	returnLink := f.NewLink(fl.NF.ToSwitch, e.linkBps, e.propNs, e.queueBytes,
+	returnLink := f.NewLink(fl.NF.ToSwitch, e.linkBps, simPropNs, simQueueBytes,
 		srv.node.Ingress(fl.NF.At.Port, srv.drop, srv.consume), srv.drop)
 	returnLink.LossRate = e.lossRate
 	e.server = NewServerSim(eng, e.sec.Server, nf.NewServer(e.sec.serverConfig(fl)), e.serverSeed,
@@ -114,7 +114,7 @@ func newEdge(f *Fabric, spec edgeSpec) *edge {
 	// goes on to drop — §6.2.4 plots goodput against the firewall's drop
 	// rate, so a verdict must not erase the delivery it judged. InWindow
 	// already says the packet was born after the window opened.
-	toNFLink := f.NewLink(fl.NF.FromSwitch, e.linkBps, e.propNs, e.queueBytes,
+	toNFLink := f.NewLink(fl.NF.FromSwitch, e.linkBps, simPropNs, simQueueBytes,
 		func(p Parcel) {
 			now := eng.Now()
 			if p.InWindow && now <= end {

@@ -130,7 +130,7 @@ func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
 	mode, ecmp, compress := sec.Parking.Mode, sec.Control.ECMP, sec.Program.Kind == "compress"
 	g := l.Graph(sec)
 	windowStart, windowEnd := sec.Opts.window()
-	spec := runSpec{wires: wires{linkBps: l.LinkBps, propNs: l.PropNs, queueBytes: l.QueueBytes}, stagger: 131}
+	spec := runSpec{wires: wires{linkBps: l.LinkBps}, stagger: 131}
 
 	// Window-start compression-counter snapshots.
 	compSnaps := make([]map[string]uint64, L)

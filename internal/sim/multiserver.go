@@ -22,7 +22,7 @@ func RunMultiServer(m MultiServer, s Sections, w Wiring) (MultiServerResult, err
 	}
 	g := m.Graph(s)
 	r, err := realise(g, s, w, runSpec{
-		wires:   wires{linkBps: m.LinkBps, propNs: simPropNs, queueBytes: simQueueBytes},
+		wires:   wires{linkBps: m.LinkBps},
 		stagger: 97, // desynchronize servers slightly
 	})
 	if err != nil {

@@ -27,34 +27,22 @@ type ProgramCounters struct {
 
 // attachProgram loads the section's table program onto sw (nothing for
 // the zero section): the built-in compression spec, or the custom Spec
-// with split_port and merge_port defaulted to the topology's canonical
-// ports unless Params pins them, so a serialized spec written against one
-// port layout runs anywhere. A spec the pipe cannot hold is an error.
+// with split_port and merge_port set to the topology's canonical ports, so
+// a serialized spec written against one port layout runs anywhere. A spec
+// the pipe cannot hold is an error.
 func attachProgram(sw *core.Switch, p Program, split, merge rmt.PortID) (*prog.Instance, error) {
-	spec, pins := p.Spec, p.Params
+	spec := p.Spec
 	switch p.Kind {
 	case "":
 		return nil, nil
 	case "compress":
-		spec, pins = prog.HeaderCompressSpec(prog.CompressParams{Slots: p.Slots, MaxExpiry: p.MaxExpiry}), nil
+		spec = prog.HeaderCompressSpec(prog.CompressParams{Slots: p.Slots, MaxExpiry: p.MaxExpiry})
 	}
-	params := make(map[string]int64, len(pins)+2)
-	for k, v := range pins { //pp:nondeterministic-ok order-insensitive copy into a map
-		params[k] = v
-	}
+	params := make(map[string]int64, 2)
 	if spec != nil {
-		for _, port := range []struct {
-			name string
-			def  int64
-		}{
-			{"split_port", int64(split)},
-			{"merge_port", int64(merge)},
-		} {
-			if _, pinned := pins[port.name]; pinned {
-				continue
-			}
-			if _, declared := spec.ResolveParam(port.name, nil); declared {
-				params[port.name] = port.def
+		for name, port := range map[string]rmt.PortID{"split_port": split, "merge_port": merge} { //pp:nondeterministic-ok order-insensitive copy into a map
+			if _, declared := spec.ResolveParam(name, nil); declared {
+				params[name] = int64(port)
 			}
 		}
 	}

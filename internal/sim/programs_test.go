@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/payloadpark/payloadpark/internal/nf"
-	"github.com/payloadpark/payloadpark/internal/prog"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
@@ -180,26 +179,6 @@ func TestLeafSpineCompressRejectsEveryHop(t *testing.T) {
 	cfg.Program.Kind = "compress"
 	if _, err := RunLeafSpine(cfg.LeafSpine, cfg.Sections, cfg.Wiring); err == nil || !strings.Contains(err.Error(), "every-hop") {
 		t.Errorf("err = %v, want every-hop rejection", err)
-	}
-}
-
-// TestAttachProgramsPinnedPorts: an attachment's own Params win over the
-// topology defaults.
-func TestAttachProgramsPinnedPorts(t *testing.T) {
-	cfg := testbedSmoke(2)
-	cfg.Program = Program{
-		Kind: "custom",
-		Spec: prog.HeaderCompressSpec(prog.CompressParams{Slots: 64}),
-		// Pin both ports to the generator port: nothing ever arrives on a
-		// restore port, so contexts only ever accumulate.
-		Params: map[string]int64{"merge_port": int64(portSplit)},
-	}
-	res := cfg.run(t)
-	if res.Programs[0].Counters["restores"] != 0 {
-		t.Errorf("restores = %d on a pinned-away merge port", res.Programs[0].Counters["restores"])
-	}
-	if res.Programs[0].Counters["compressions"] == 0 {
-		t.Error("no compressions")
 	}
 }
 

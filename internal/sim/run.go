@@ -22,14 +22,12 @@ type simRun struct {
 	ctl         *ctrl.Controller // nil unless the Control section is enabled
 }
 
-// wires is a run's link physics: the line rate, propagation delay and
-// egress buffer of every NF link and fabric cable, and the loss rate
-// striking both directions of each NF link.
+// wires is a run's link physics: the line rate of every NF link and fabric
+// cable, and the loss rate striking both directions of each NF link. Every
+// link propagates in simPropNs and buffers simQueueBytes.
 type wires struct {
-	linkBps    float64
-	propNs     int64
-	queueBytes int
-	lossRate   float64
+	linkBps  float64
+	lossRate float64
 }
 
 // runSpec is what a runner adds to its graph.
@@ -99,9 +97,9 @@ func realise(g *Graph, s Sections, w Wiring, spec runSpec) (*simRun, error) {
 	}
 	for _, c := range g.Cables {
 		a, b := r.nodes[c.A.Switch], r.nodes[c.B.Switch]
-		ab := r.NewLink(a.Name+"->"+b.Name, spec.linkBps, spec.propNs, spec.queueBytes, ingress(c.B), dropFor(c.A.Switch))
+		ab := r.NewLink(a.Name+"->"+b.Name, spec.linkBps, simPropNs, simQueueBytes, ingress(c.B), dropFor(c.A.Switch))
 		a.SetOut(c.A.Port, ab)
-		ba := r.NewLink(b.Name+"->"+a.Name, spec.linkBps, spec.propNs, spec.queueBytes, ingress(c.A), dropFor(c.A.Switch))
+		ba := r.NewLink(b.Name+"->"+a.Name, spec.linkBps, simPropNs, simQueueBytes, ingress(c.A), dropFor(c.A.Switch))
 		b.SetOut(c.B.Port, ba)
 		r.cables = append(r.cables, [2]*Link{ab, ba})
 	}
@@ -135,9 +133,7 @@ func realise(g *Graph, s Sections, w Wiring, spec runSpec) (*simRun, error) {
 	r.EnableObs(w.Obs)
 	_, end := s.Opts.window()
 	if s.Control.Enabled() {
-		cc := s.Control
-		def(&cc.Aggressive, s.Parking.MaxExpiry)
-		r.ctl = attachController(r.Fabric, cc, g, end+s.Opts.WarmupNs)
+		r.ctl = attachController(r.Fabric, s.Control, g, end+s.Opts.WarmupNs)
 	}
 	// Drain period after the window so in-flight packets can land.
 	r.Run(end + s.Opts.WarmupNs)

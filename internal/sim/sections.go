@@ -86,8 +86,7 @@ func (p Parking) Validate() error {
 //
 // Kind "custom" loads an arbitrary serialized Spec (Testbed only) — the
 // `ppbench -program file.json` path. The topology pins the spec's
-// split_port/merge_port parameters to its canonical ports unless Params
-// pins them first.
+// split_port/merge_port parameters to its canonical ports.
 //
 // Restoring headers rewrites the packet's L3/L4 fields from the stored
 // context, so compression must not be combined with NF chains that
@@ -103,8 +102,6 @@ type Program struct {
 	MaxExpiry uint32 `json:"max_expiry,omitempty"`
 	// Spec is the custom table program (Kind "custom" only).
 	Spec *prog.Spec `json:"spec,omitempty"`
-	// Params override the spec's declared parameters (Kind "custom").
-	Params map[string]int64 `json:"params,omitempty"`
 }
 
 // Enabled reports whether the run loads any table program.
@@ -112,7 +109,7 @@ func (p Program) Enabled() bool { return p.Kind != "" }
 
 // IsZero reports whether the section can vanish from the wire form.
 func (p Program) IsZero() bool {
-	return p.Kind == "" && p.Slots == 0 && p.MaxExpiry == 0 && p.Spec == nil && len(p.Params) == 0
+	return p.Kind == "" && p.Slots == 0 && p.MaxExpiry == 0 && p.Spec == nil
 }
 
 // Validate is the one home of the Kind/Spec rules. custom says whether
@@ -302,12 +299,11 @@ func (s Sections) fixedNF(why string) error {
 }
 
 // checkEdge is the one home of the range rules for what every edge is
-// built from: the parking table, the frame size, then the values the edge hands the event
-// engine — a non-positive rate paces a packet every nanosecond or
-// serializes backwards in time and still reports a healthy-looking run —
-// reported against their JSON field names (queueField is the topology's
-// name for its egress buffer).
-func (s Sections) checkEdge(linkBps float64, propNs int64, queueField string, queueBytes int) error {
+// built from: the parking table, the frame size, then the values the edge
+// hands the event engine — a non-positive rate paces a packet every
+// nanosecond or serializes backwards in time and still reports a
+// healthy-looking run — reported against their JSON field names.
+func (s Sections) checkEdge(linkBps float64) error {
 	if err := s.Parking.Validate(); err != nil {
 		return err
 	}
@@ -320,10 +316,6 @@ func (s Sections) checkEdge(linkBps float64, propNs int64, queueField string, qu
 		return fmt.Errorf("traffic.send_bps = %g outside (0, +Inf)", s.Traffic.SendBps)
 	case !rate(linkBps):
 		return fmt.Errorf("link_bps = %g outside (0, +Inf)", linkBps)
-	case propNs < 0:
-		return fmt.Errorf("prop_ns = %d outside [0, +Inf)", propNs)
-	case queueBytes < 1:
-		return fmt.Errorf("%s = %d outside [1, +Inf)", queueField, queueBytes)
 	case s.Opts.WarmupNs < 0:
 		return fmt.Errorf("opts.warmup_ns = %d outside [0, +Inf)", s.Opts.WarmupNs)
 	case s.Opts.MeasureNs < 1:
@@ -332,10 +324,9 @@ func (s Sections) checkEdge(linkBps float64, propNs int64, queueField string, qu
 	return nil
 }
 
-// Defaults of the simulated topologies: the parking table (the live socket
-// fabric defaults smaller), the per-link propagation delay and the egress
-// buffer per switch port (MultiServer has no field for the last two, so
-// they are what it runs).
+// The simulated topologies' default parking table (the live socket fabric
+// defaults smaller), and the propagation delay and egress buffer of every
+// simulated link.
 const (
 	simSlots      = 8192
 	simPropNs     = 500
@@ -350,10 +341,6 @@ const (
 type Testbed struct {
 	// LinkBps is the switch<->NF-server line rate (default 10 GbE).
 	LinkBps float64 `json:"link_bps,omitempty"`
-	// SwitchQueueBytes is the egress buffer per switch port (default 1 MB).
-	SwitchQueueBytes int `json:"switch_queue_bytes,omitempty"`
-	// PropNs is the per-link propagation delay (default 500 ns).
-	PropNs int64 `json:"prop_ns,omitempty"`
 	// NFLinkLossRate injects random loss on both directions of the
 	// switch<->NF link (§7 failure scenarios). Lost split packets orphan
 	// their parked payloads; the payload evictor must reclaim them.
@@ -363,8 +350,6 @@ type Testbed struct {
 // Resolve fills the testbed's and the sections' defaults.
 func (t *Testbed) Resolve(s *Sections) {
 	def(&t.LinkBps, 10e9)
-	def(&t.SwitchQueueBytes, simQueueBytes)
-	def(&t.PropNs, simPropNs)
 	s.Resolve(simSlots, trafficgen.Datacenter{}, 1024)
 }
 
@@ -379,7 +364,7 @@ func (t Testbed) Validate(s Sections) error {
 	if err := s.Control.Validate(s.Parking.Enabled()); err != nil {
 		return err
 	}
-	return s.checkEdge(t.LinkBps, t.PropNs, "switch_queue_bytes", t.SwitchQueueBytes)
+	return s.checkEdge(t.LinkBps)
 }
 
 // MultiServer is the §6.2.3 deployment: up to 8 NF servers (each
@@ -435,7 +420,7 @@ func (m MultiServer) Validate(s Sections) error {
 	if s.Traffic.Flows != MultiServerFlows {
 		return fmt.Errorf("Traffic.Flows is pinned to %d (leave it zero)", MultiServerFlows)
 	}
-	return s.checkEdge(m.LinkBps, simPropNs, "", simQueueBytes)
+	return s.checkEdge(m.LinkBps)
 }
 
 // LeafSpine is the multi-switch fabric topology: every leaf hosts a
@@ -451,10 +436,6 @@ type LeafSpine struct {
 	Spines int `json:"spines,omitempty"`
 	// LinkBps is the fabric and edge link rate (default 10 GbE).
 	LinkBps float64 `json:"link_bps,omitempty"`
-	// PropNs is the per-link propagation delay (default 500 ns).
-	PropNs int64 `json:"prop_ns,omitempty"`
-	// QueueBytes is the egress buffer per fabric port (default 1 MB).
-	QueueBytes int `json:"queue_bytes,omitempty"`
 	// FailLink enables the link-failure scenario: flow 0's forward
 	// spine->leaf link goes down at FailAtNs (default: a quarter into the
 	// measurement window) and the forward path is rerouted onto the
@@ -474,8 +455,6 @@ func (l *LeafSpine) Resolve(s *Sections) {
 	def(&l.Leaves, 4)
 	def(&l.Spines, 2)
 	def(&l.LinkBps, 10e9)
-	def(&l.PropNs, simPropNs)
-	def(&l.QueueBytes, simQueueBytes)
 	s.Resolve(simSlots, trafficgen.Datacenter{}, 1024)
 	def(&l.FailAtNs, s.Opts.WarmupNs+s.Opts.MeasureNs/4)
 	def(&l.RerouteNs, 2e6)
@@ -537,5 +516,5 @@ func (l LeafSpine) Validate(s Sections) error {
 	if pinned && l.FailLink && l.Spines < 3 {
 		return fmt.Errorf("parking-safe reroute needs a third spine (got %d): with two, the alternate path arrives on the egress leaf's merge port", l.Spines)
 	}
-	return s.checkEdge(l.LinkBps, l.PropNs, "queue_bytes", l.QueueBytes)
+	return s.checkEdge(l.LinkBps)
 }

@@ -43,7 +43,7 @@ func TestResolveDefaults(t *testing.T) {
 	var tb Testbed
 	var s Sections
 	tb.Resolve(&s)
-	check("testbed", tb, Testbed{LinkBps: 10e9, SwitchQueueBytes: 1 << 20, PropNs: 500},
+	check("testbed", tb, Testbed{LinkBps: 10e9},
 		s, common(trafficgen.Datacenter{}, 1024))
 
 	var ms MultiServer
@@ -64,7 +64,7 @@ func TestResolveDefaults(t *testing.T) {
 	want := common(trafficgen.Datacenter{}, 1024)
 	want.Program = Program{Slots: 8192, MaxExpiry: 1} // compress contexts follow parking
 	check("leafspine", ls, LeafSpine{
-		Leaves: 4, Spines: 2, LinkBps: 10e9, PropNs: 500, QueueBytes: 1 << 20,
+		Leaves: 4, Spines: 2, LinkBps: 10e9,
 		FailAtNs: 10e6 + 40e6/4, RerouteNs: 2e6,
 	}, s, want)
 

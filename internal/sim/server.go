@@ -227,9 +227,6 @@ func NewServerSim(eng *Engine, model ServerModel, srv *nf.Server, seed int64, ou
 	return s
 }
 
-// Cores returns the number of RX/NF cores the server runs.
-func (s *ServerSim) Cores() int { return s.cores }
-
 // CoreStats returns a copy of the per-core drop/occupancy counters.
 func (s *ServerSim) CoreStats() []CoreStat {
 	return append([]CoreStat(nil), s.coreStats...)

@@ -123,8 +123,8 @@ func TestServerSimCoresPreserveWorkConservation(t *testing.T) {
 		if out != n {
 			t.Errorf("cores=%d: %d of %d packets emerged", cores, out, n)
 		}
-		if s.Cores() != cores {
-			t.Errorf("Cores() = %d, want %d", s.Cores(), cores)
+		if got := len(s.CoreStats()); got != cores {
+			t.Errorf("%d per-core records, want %d", got, cores)
 		}
 	}
 }

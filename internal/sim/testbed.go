@@ -99,7 +99,7 @@ func RunTestbed(t Testbed, s Sections, w Wiring) (Result, error) {
 	var inst *prog.Instance        // the section's table program, when the run has one
 	var progSnap map[string]uint64 // its counters at window start
 
-	spec := runSpec{wires: wires{t.LinkBps, t.PropNs, t.SwitchQueueBytes, t.NFLinkLossRate}, unshifted: true}
+	spec := runSpec{wires: wires{t.LinkBps, t.NFLinkLossRate}, unshifted: true}
 	if s.Traffic.Source != nil {
 		spec.sources = []trafficgen.Source{s.Traffic.Source()}
 	}

@@ -30,14 +30,13 @@ func (c *Counter) Add(delta uint64) { c.n += delta }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n }
 
-// Summary accumulates a running mean/min/max over float64 observations
-// using Welford's algorithm for numerical stability.
+// Summary accumulates a running mean/min/max over float64 observations;
+// the mean updates incrementally (Welford) for numerical stability.
 //
 // The zero value is an empty summary.
 type Summary struct {
 	count uint64
 	mean  float64
-	m2    float64
 	min   float64
 	max   float64
 }
@@ -55,9 +54,7 @@ func (s *Summary) Observe(v float64) {
 			s.max = v
 		}
 	}
-	delta := v - s.mean
-	s.mean += delta / float64(s.count)
-	s.m2 += delta * (v - s.mean)
+	s.mean += (v - s.mean) / float64(s.count)
 }
 
 // Count returns the number of samples observed.
@@ -71,17 +68,6 @@ func (s *Summary) Min() float64 { return s.min }
 
 // Max returns the largest sample, or 0 with no samples.
 func (s *Summary) Max() float64 { return s.max }
-
-// Variance returns the sample variance, or 0 with fewer than two samples.
-func (s *Summary) Variance() float64 {
-	if s.count < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.count-1)
-}
-
-// Stddev returns the sample standard deviation.
-func (s *Summary) Stddev() float64 { return math.Sqrt(s.Variance()) }
 
 // String summarizes as "mean=… min=… max=… n=…".
 func (s *Summary) String() string {

@@ -23,7 +23,6 @@ type Source interface {
 type Replay struct {
 	pkts []*packet.Packet
 	idx  int
-	n    uint64
 	pool []*packet.Packet
 }
 
@@ -51,15 +50,11 @@ func NewReplay(recs []pcap.Record, srcMAC, dstMAC packet.MAC) (*Replay, error) {
 // Len returns the number of replayable packets in the capture.
 func (r *Replay) Len() int { return len(r.pkts) }
 
-// Generated returns how many packets Next has produced.
-func (r *Replay) Generated() uint64 { return r.n }
-
 // Next returns a clone of the next captured packet (clones, because the
 // dataplane mutates packets in place). Recycled packets back the clone.
 func (r *Replay) Next() *packet.Packet {
 	src := r.pkts[r.idx]
 	r.idx = (r.idx + 1) % len(r.pkts)
-	r.n++
 	if n := len(r.pool); n > 0 {
 		p := r.pool[n-1]
 		r.pool = r.pool[:n-1]

@@ -179,22 +179,6 @@ func (g *Generator) Recycle(p *packet.Packet) {
 	g.pool = append(g.pool, p)
 }
 
-// Generated returns how many packets have been produced.
-func (g *Generator) Generated() uint64 { return g.seq }
-
-// MeanWireBits estimates the distribution's mean wire size in bits
-// (including the 24 B Ethernet preamble+IFG+FCS overhead the link model
-// charges) by sampling; used to convert a target send rate into a packet
-// rate for constant-bit-rate pacing.
-func MeanWireBits(dist SizeDist, seed int64, samples int) float64 {
-	rng := rand.New(rand.NewSource(seed))
-	var sum float64
-	for i := 0; i < samples; i++ {
-		sum += float64(dist.Sample(rng)+WireOverheadBytes) * 8
-	}
-	return sum / float64(samples)
-}
-
 // WireOverheadBytes is the per-packet Ethernet overhead on the physical
 // link: 7 B preamble + 1 B SFD + 12 B minimum IFG + 4 B FCS.
 const WireOverheadBytes = 24

@@ -44,6 +44,11 @@ const MaxFrame = 2048
 // datagram of a BatchSender.Flush packs.
 const DefaultBurst = 32
 
+// mailWake bounds how long a SwitchLoop with a mailbox blocks in an idle
+// read before draining the mailbox: control pushes and telemetry barriers
+// land within this latency even on a quiet pipe.
+const mailWake = 2 * time.Millisecond
+
 // peerKey is the one form of a peer address BurstReader.From reports and
 // SwitchLoop.Peers is keyed by: IPv4-mapped addresses unmapped, no zone.
 func peerKey(ap netip.AddrPort) netip.AddrPort {
@@ -66,10 +71,8 @@ type SwitchLoop struct {
 	Addrs map[rmt.PortID]*net.UDPAddr
 	// Mail, when non-nil, is a control mailbox drained between bursts —
 	// the only window in which other goroutines may run code against the
-	// pipes this loop owns — and Wake bounds how long an idle loop blocks
-	// in a read before draining it again.
+	// pipes this loop owns — and at least every mailWake on an idle loop.
 	Mail chan func()
-	Wake time.Duration
 	// Rx counts accepted frames, Errors rejected datagrams (once each),
 	// frames from unknown peers, oversized or rejected frames, uncabled
 	// emissions and send failures, Tx (optional) forwarded frames. Atomic:
@@ -103,7 +106,7 @@ func (l *SwitchLoop) Run(ctx context.Context) error {
 					drained = true
 				}
 			}
-			l.Conn.SetReadDeadline(time.Now().Add(l.Wake))
+			l.Conn.SetReadDeadline(time.Now().Add(mailWake))
 		}
 		count, err := br.Read()
 		if err != nil {
