@@ -62,12 +62,6 @@ func (s *Switch) NewFrameBurst(capacity int) *FrameBurst {
 //pp:zeroalloc
 func (b *FrameBurst) Reset() { b.batch = b.batch[:0] }
 
-// Len returns how many frames the burst currently holds.
-func (b *FrameBurst) Len() int { return len(b.batch) }
-
-// Cap returns the burst capacity.
-func (b *FrameBurst) Cap() int { return len(b.slots) }
-
 // Add parses frame into the next slot, entering on port in. Parse
 // failures and invalid ports are counted against the switch (rx + drop
 // reason) and reported back; the burst itself stays usable. Adding past

@@ -63,22 +63,6 @@ func (s *Switch) SetECMPRoute(dst packet.MAC, members map[string]rmt.PortID) err
 	return nil
 }
 
-// ECMPMembers returns the current member names of dst's hash group,
-// sorted (nil when no group is installed) — the telemetry view the
-// control plane diffs against its desired membership.
-func (s *Switch) ECMPMembers(dst packet.MAC) []string {
-	g := s.fwd.find(macKey(dst)).group
-	if g == nil {
-		return nil
-	}
-	names := make([]string, 0, len(g.ports))
-	for name := range g.ports { //pp:nondeterministic-ok key collection; sorted before return
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // FlowHash hashes a 5-tuple for ECMP member selection (inline FNV-1a so
 // the per-packet hot path allocates nothing). The hash is a pure function
 // of the flow key, so a flow's path assignment is deterministic across

@@ -16,6 +16,10 @@ func compressSpec() *prog.Spec {
 	})
 }
 
+// crSavedBytes is the wire saving per compressed packet for the UDP profile:
+// IPv4+UDP (28 B) replaced by the compression header (7 B).
+const crSavedBytes = packet.IPv4HeaderLen + packet.UDPHeaderLen - packet.CRHeaderLen
+
 // TestAttachSpecCompression runs the header-compression policy — loaded as
 // a declarative spec, no Go program — through the canonical testbed round
 // trip: compress toward the NF, MAC-swap, restore toward the sink,
@@ -45,8 +49,8 @@ func TestAttachSpecCompression(t *testing.T) {
 	if !em.Pkt.CR.Tag.Valid() {
 		t.Error("compression tag CRC invalid")
 	}
-	if got, wantLen := em.Pkt.Len(), want.Len()-packet.CRSavedBytes; got != wantLen {
-		t.Errorf("compressed wire length = %d, want %d (%d saved)", got, wantLen, packet.CRSavedBytes)
+	if got, wantLen := em.Pkt.Len(), want.Len()-crSavedBytes; got != wantLen {
+		t.Errorf("compressed wire length = %d, want %d (%d saved)", got, wantLen, crSavedBytes)
 	}
 	if inst.CounterValue("compressions") != 1 {
 		t.Errorf("compressions = %d, want 1", inst.CounterValue("compressions"))
@@ -146,7 +150,7 @@ func TestAttachSpecParkCompress(t *testing.T) {
 	}
 	// On the wire: full frame minus parked payload minus saved header bytes
 	// plus the PayloadPark header.
-	wantLen := want.Len() - BaseParkBytes - packet.CRSavedBytes + packet.PPHeaderLen
+	wantLen := want.Len() - BaseParkBytes - crSavedBytes + packet.PPHeaderLen
 	if got := em.Pkt.Len(); got != wantLen {
 		t.Errorf("NF-link wire length = %d, want %d", got, wantLen)
 	}

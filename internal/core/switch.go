@@ -170,6 +170,17 @@ func (s *Switch) TxPackets() uint64 {
 	return n
 }
 
+// MatchCounts returns the match steps evaluated and the residual conditions
+// loaded across all pipes (rmt.Pipeline.MatchCounts). Not meaningful while a
+// pipe worker is injecting.
+func (s *Switch) MatchCounts() (steps, residual uint64) {
+	for _, p := range s.pipes {
+		st, r := p.MatchCounts()
+		steps, residual = steps+st, residual+r
+	}
+	return steps, residual
+}
+
 // AttachPayloadPark compiles a PayloadPark program (prog.PayloadParkSpec)
 // onto the pipe serving cfg's ports. Both ports must live on the same pipe
 // — pipes do not share stateful memory (§5). With cfg.Recirculate,

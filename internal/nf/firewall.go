@@ -37,7 +37,6 @@ func (r FirewallRule) matches(ip packet.IPv4Addr) bool {
 type Firewall struct {
 	rules   []FirewallRule
 	dropped uint64
-	passed  uint64
 }
 
 // NewFirewall builds a firewall with the given blacklist. The paper's
@@ -49,14 +48,8 @@ func NewFirewall(rules []FirewallRule) *Firewall {
 // Name implements NF.
 func (f *Firewall) Name() string { return "FW" }
 
-// NumRules returns the ACL size.
-func (f *Firewall) NumRules() int { return len(f.rules) }
-
 // Dropped returns how many packets the ACL dropped.
 func (f *Firewall) Dropped() uint64 { return f.dropped }
-
-// Passed returns how many packets were forwarded.
-func (f *Firewall) Passed() uint64 { return f.passed }
 
 // Process implements NF.
 func (f *Firewall) Process(pkt *packet.Packet) (Verdict, uint64) {
@@ -67,7 +60,6 @@ func (f *Firewall) Process(pkt *packet.Packet) (Verdict, uint64) {
 			return Drop, firewallBaseCycles + uint64(i+1)*firewallPerRuleCycles
 		}
 	}
-	f.passed++
 	return Forward, firewallBaseCycles + uint64(len(f.rules))*firewallPerRuleCycles
 }
 

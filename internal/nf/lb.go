@@ -18,7 +18,6 @@ const lbCycles = 150
 type LoadBalancer struct {
 	table    *maglev.Table
 	backends map[string]packet.IPv4Addr
-	perBkend map[string]uint64
 }
 
 // NewLoadBalancer builds an LB over the named backends. The map's keys are
@@ -36,7 +35,7 @@ func NewLoadBalancer(backends map[string]packet.IPv4Addr) (*LoadBalancer, error)
 	for k, v := range backends {
 		cp[k] = v
 	}
-	return &LoadBalancer{table: tbl, backends: cp, perBkend: make(map[string]uint64)}, nil
+	return &LoadBalancer{table: tbl, backends: cp}, nil
 }
 
 // Name implements NF.
@@ -46,18 +45,8 @@ func (l *LoadBalancer) Name() string { return "LB" }
 func (l *LoadBalancer) Process(pkt *packet.Packet) (Verdict, uint64) {
 	h := flowHash(pkt.FiveTuple())
 	backend := l.table.Lookup(h)
-	l.perBkend[backend]++
 	pkt.SetDstIP(l.backends[backend])
 	return Forward, lbCycles
-}
-
-// BackendCounts reports how many packets each backend received.
-func (l *LoadBalancer) BackendCounts() map[string]uint64 {
-	out := make(map[string]uint64, len(l.perBkend))
-	for k, v := range l.perBkend {
-		out[k] = v
-	}
-	return out
 }
 
 // flowHash hashes a 5-tuple for consistent backend selection.

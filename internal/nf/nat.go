@@ -59,13 +59,6 @@ func (n *NAT) Process(pkt *packet.Packet) (Verdict, uint64) {
 	return Forward, cycles
 }
 
-// ReverseLookup maps an external port back to the original flow, as the
-// reverse path of a real NAT would.
-func (n *NAT) ReverseLookup(extPort uint16) (packet.FiveTuple, bool) {
-	ft, ok := n.reverse[extPort]
-	return ft, ok
-}
-
 func (n *NAT) allocPort() uint16 {
 	p := n.nextPort
 	n.nextPort++

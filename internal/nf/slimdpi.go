@@ -25,7 +25,6 @@ type SlimDPI struct {
 	prefixLen  int
 	signatures [][]byte
 	matched    uint64
-	clean      uint64
 }
 
 // NewSlimDPI builds the classifier. Packets whose first prefixLen payload
@@ -41,14 +40,8 @@ func NewSlimDPI(prefixLen int, signatures [][]byte) *SlimDPI {
 // Name implements NF.
 func (d *SlimDPI) Name() string { return "SlimDPI" }
 
-// PrefixLen returns the inspected payload prefix length.
-func (d *SlimDPI) PrefixLen() int { return d.prefixLen }
-
 // Matched returns how many packets matched a signature (and dropped).
 func (d *SlimDPI) Matched() uint64 { return d.matched }
-
-// Clean returns how many packets passed inspection.
-func (d *SlimDPI) Clean() uint64 { return d.clean }
 
 // Process implements NF.
 func (d *SlimDPI) Process(pkt *packet.Packet) (Verdict, uint64) {
@@ -64,6 +57,5 @@ func (d *SlimDPI) Process(pkt *packet.Packet) (Verdict, uint64) {
 			return Drop, cycles
 		}
 	}
-	d.clean++
 	return Forward, cycles
 }

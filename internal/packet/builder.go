@@ -7,25 +7,21 @@ import "encoding/binary"
 type Builder struct {
 	srcMAC, dstMAC MAC
 	ttl            uint8
-	payloadSeed    uint64
-	// template is the pseudo-random stream payloads are cut from; it is
-	// only ever read after it is built.
-	template []byte
 }
 
 // NewBuilder returns a Builder with the testbed's fixed L2 endpoints.
 func NewBuilder(srcMAC, dstMAC MAC) *Builder {
-	return &Builder{srcMAC: srcMAC, dstMAC: dstMAC, ttl: 64, template: seed0Template}
+	return &Builder{srcMAC: srcMAC, dstMAC: dstMAC, ttl: 64}
 }
 
 // UDP builds a UDP packet with the given flow key and total wire size
 // (Ethernet through payload, no FCS). totalSize must be at least
 // HeaderUnitLen (42). The payload is a deterministic function of the
-// builder seed, the flow's source address and port, and the packet id:
-// those, stamped into its first 8 bytes, then a window of the builder's
-// pseudo-random template whose offset they select — so two packets of
-// different flows or ids never carry equal payloads, and a corrupted or
-// mis-merged payload anywhere in the pipeline fails a byte compare.
+// flow's source address and port and the packet id: those, stamped into
+// its first 8 bytes, then a window of the pseudo-random template whose
+// offset they select — so two packets of different flows or ids never
+// carry equal payloads, and a corrupted or mis-merged payload anywhere in
+// the pipeline fails a byte compare.
 func (b *Builder) UDP(ft FiveTuple, totalSize int, id uint16) *Packet {
 	return b.UDPInto(&Packet{}, ft, totalSize, id)
 }
@@ -69,11 +65,17 @@ func (b *Builder) UDPInto(p *Packet, ft FiveTuple, totalSize int, id uint16) *Pa
 	return p
 }
 
-// SetPayloadSeed changes the payload pattern seed (default 0), rebuilding
-// the template from it.
-func (b *Builder) SetPayloadSeed(seed uint64) {
-	b.payloadSeed = seed
-	b.template = fillPayload(seed)
+// TCP builds a TCP packet with the given flow key and total wire size,
+// mirroring UDP: the UDP packet with the same payload bytes, re-headed. The
+// paper's prototype "works with all protocols" (§7); TCP traffic exercises
+// the same parking path with a 20-byte L4 header.
+func (b *Builder) TCP(ft FiveTuple, totalSize int, seq uint32, id uint16) *Packet {
+	p := b.UDP(ft, totalSize-TCPHeaderLen+UDPHeaderLen, id)
+	p.UDP, p.IP.Protocol = nil, IPProtoTCP
+	p.TCP = &TCP{SrcPort: ft.SrcPort, DstPort: ft.DstPort, Seq: seq, Flags: 0x18, Window: 65535}
+	p.IP.TotalLength += TCPHeaderLen - UDPHeaderLen
+	p.IP.UpdateChecksum()
+	return p
 }
 
 // A template is templateLen bytes; a payload's window starts in its first
@@ -84,9 +86,9 @@ const (
 	templateLen        = 2 << templateOffsetBits
 )
 
-// seed0Template is the template of the default seed, shared (read-only)
-// by every Builder that never calls SetPayloadSeed.
-var seed0Template = fillPayload(0)
+// template is the pseudo-random stream every payload is cut from, shared
+// and only ever read.
+var template = fillPayload(0)
 
 // fillPayload returns a template: templateLen bytes of the splitmix64
 // stream started at seed.
@@ -111,10 +113,10 @@ func (b *Builder) payload(out []byte, n int, ft FiveTuple, id uint16) []byte {
 	} else {
 		out = out[:n]
 	}
-	seed := b.payloadSeed ^ uint64(ft.SrcPort)<<48 ^ uint64(ft.SrcIP.Uint32())<<16 ^ uint64(id)
+	seed := uint64(ft.SrcPort)<<48 ^ uint64(ft.SrcIP.Uint32())<<16 ^ uint64(id)
 	off := int(seed * 0x9e3779b97f4a7c15 >> (64 - templateOffsetBits))
-	for filled := copy(out, b.template[off:]); filled < n; {
-		filled += copy(out[filled:], b.template)
+	for filled := copy(out, template[off:]); filled < n; {
+		filled += copy(out[filled:], template)
 	}
 	var stamp [8]byte
 	binary.LittleEndian.PutUint64(stamp[:], seed)
@@ -129,33 +131,4 @@ func splitmix64(seed *uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-// TCP builds a TCP packet with the given flow key and total wire size,
-// mirroring UDP. The paper's prototype "works with all protocols" (§7);
-// TCP traffic exercises the same parking path with a 20-byte L4 header.
-func (b *Builder) TCP(ft FiveTuple, totalSize int, seq uint32, id uint16) *Packet {
-	minSize := EthernetHeaderLen + IPv4HeaderLen + TCPHeaderLen
-	if totalSize < minSize {
-		totalSize = minSize
-	}
-	payloadLen := totalSize - minSize
-	p := &Packet{
-		Eth: Ethernet{Dst: b.dstMAC, Src: b.srcMAC, EtherType: EtherTypeIPv4},
-		IP: IPv4{
-			TotalLength: uint16(totalSize - EthernetHeaderLen),
-			ID:          id,
-			TTL:         b.ttl,
-			Protocol:    IPProtoTCP,
-			Src:         ft.SrcIP,
-			Dst:         ft.DstIP,
-		},
-		TCP: &TCP{
-			SrcPort: ft.SrcPort, DstPort: ft.DstPort,
-			Seq: seq, Flags: 0x18, Window: 65535,
-		},
-		Payload: b.payload(nil, payloadLen, ft, id),
-	}
-	p.IP.UpdateChecksum()
-	return p
 }

@@ -35,10 +35,6 @@ const (
 // appropriate for a link-local encoding that never leaves the fabric.
 const EtherTypeCR EtherType = 0x88B5
 
-// CRSavedBytes is the wire saving per compressed packet for the UDP profile:
-// IPv4+UDP (28 B) replaced by the compression header (7 B).
-const CRSavedBytes = IPv4HeaderLen + UDPHeaderLen - CRHeaderLen
-
 // CRHeader is the parsed compression header.
 type CRHeader struct {
 	Proto IPProtocol // transport protocol of the parked headers

@@ -34,13 +34,6 @@ func (a IPv4Addr) String() string {
 // Uint32 returns the address as a big-endian integer.
 func (a IPv4Addr) Uint32() uint32 { return binary.BigEndian.Uint32(a[:]) }
 
-// IPv4AddrFrom returns the address for a big-endian integer.
-func IPv4AddrFrom(v uint32) IPv4Addr {
-	var a IPv4Addr
-	binary.BigEndian.PutUint32(a[:], v)
-	return a
-}
-
 // EtherType identifies the payload protocol of an Ethernet frame.
 type EtherType uint16
 

@@ -46,12 +46,6 @@ type Instance struct {
 // Spec returns the spec this instance was loaded from.
 func (in *Instance) Spec() *Spec { return in.prog.spec }
 
-// Param returns the resolved compile-time parameter value.
-func (in *Instance) Param(name string) (int64, bool) {
-	v, ok := in.prog.params[name]
-	return v, ok
-}
-
 // Runtime returns the current value of a named runtime parameter.
 func (in *Instance) Runtime(name string) (uint32, bool) {
 	cell, ok := in.runtime[name]
@@ -71,9 +65,6 @@ func (in *Instance) SetRuntime(name string, v uint32) bool {
 	}
 	return ok
 }
-
-// Counter returns the counter registered under name, or nil.
-func (in *Instance) Counter(name string) *stats.Counter { return in.counters[name] }
 
 // CounterValue returns the current value of the named counter (0 when the
 // program has no such counter).
@@ -102,9 +93,6 @@ func (in *Instance) Counters() map[string]uint64 {
 	}
 	return m
 }
-
-// Register returns the register installed under role, or nil.
-func (in *Instance) Register(role string) *rmt.Register { return in.regs[role] }
 
 // ParkGeometry returns the resolved parser geometry: payload blocks
 // extracted, bytes per block, and the park offset. Blocks == 0 means the

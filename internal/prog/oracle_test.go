@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"reflect"
 	"slices"
 	"strings"
@@ -259,17 +258,17 @@ func randPHV(r *rand.Rand) *rmt.PHV {
 		SrcPort: uint16(r.Intn(4)), DstPort: 80, Protocol: packet.IPProtoUDP,
 	}
 	b := packet.NewBuilder(packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2})
-	b.SetPayloadSeed(r.Uint64())
+	id := uint16(r.Uint32()) // the payload follows the id: each PHV parks its own bytes
 	var pkt *packet.Packet
 	switch r.Intn(6) {
 	case 0:
-		pkt = b.UDP(ft, 600, 1)
+		pkt = b.UDP(ft, 600, id)
 		pkt.UDP = nil
 	case 1, 2:
 		ft.Protocol = packet.IPProtoTCP
-		pkt = b.TCP(ft, 600, 7, 1)
+		pkt = b.TCP(ft, 600, 7, id)
 	default:
-		pkt = b.UDP(ft, 600, 1)
+		pkt = b.UDP(ft, 600, id)
 	}
 	tag := func() packet.Tag {
 		tag := packet.Tag{TableIndex: uint16(r.Intn(oracleSlots)), Clock: uint16(1 + r.Intn(3))}.Seal()
@@ -336,18 +335,7 @@ func loadTwin(t *testing.T, spec *Spec) (*Instance, map[string]*rmt.Pipeline) {
 // packets, and either pipe runs either pass, so the recirculation pipe's
 // 28-block second-pass run is covered.
 func TestCompiledMatchesOracle(t *testing.T) {
-	specs := BuiltinSpecs()
-	blob, err := os.ReadFile("../../examples/policies/compress-spec.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromJSON := new(Spec)
-	if err := json.Unmarshal(blob, fromJSON); err != nil {
-		t.Fatal(err)
-	}
-	fromJSON.Name += "(json)"
-	specs = append(specs, fromJSON)
-
+	specs := committedSpecs(t)
 	n := 30_000 // x4 specs: 120k PHVs
 	if testing.Short() {
 		n = 3_000

@@ -1,20 +1,27 @@
 // Compiled match programs.
 //
 // A hardware match stage is fixed-function: the compiler decides at load
-// time which entries a packet can reach. So conditions are data (CondOp,
-// one switch); each pipe keeps one flat program per (pass, ingress-port
-// class), with in_port and pass — which cannot change during Process —
-// decided when the program is built; and a run of consecutive steps with
-// identical remaining guards shares one evaluation, because a failed guard
-// means no action ran and the PHV those guards read is unchanged. A run of
-// block moves (move.go) under one guard goes further and becomes one step
-// (fuseMoves): a move writes register cells and park-region bytes, which no
-// guard can read, so the guard that admitted the first admits them all.
-// Runtime parameters are never folded: their cell is loaded on every packet.
+// time which entries a packet can reach. So conditions are data (CondOp),
+// and each pipe keeps one flat program per (pass, ingress-port class), with
+// in_port and pass — which cannot change during Process — decided when it
+// is built. Like a Tofino MAT building one key from PHV fields, a step tests
+// its guard with one mask-and-compare on a flags word Process derives from
+// the PHV (drop, recirc, l4, pp.valid, pp.enabled, pp.op, cr.valid) and one
+// per metadata word it names. Residual ops keep what the key cannot say:
+// runtime parameters (never folded: their cell is loaded on every packet),
+// ne on a many-valued field, constants outside a lane, a contradiction, and
+// the CRC-derived tag_valid fields, tested last so the CRC stays lazy. A
+// run of consecutive steps with identical guards shares one evaluation,
+// because a failed guard means no action ran and the PHV those guards read
+// is unchanged. A run of block moves (move.go) under one guard goes further
+// and becomes one step (fuseMoves): a move writes register cells and
+// park-region bytes, which no guard can read, so the guard that admitted
+// the first admits them all.
 package rmt
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -43,24 +50,26 @@ const (
 )
 
 // condFields is the condition vocabulary, indexed by kind: each field's
-// name, what it loads, and — for fields of an optional header — that header
-// and the value the field takes when it is absent. It is the one table
-// LookupField resolves against and the README documents.
+// name, what it loads, its lane in the flags word when it has one, and — for
+// fields of an optional header — that header and the value the field takes
+// when it is absent. It is the one table LookupField resolves against and
+// the README documents.
 var condFields = [...]struct {
 	name, doc string
+	lane      uint32
 	hdr       Header
 	absent    int64
 }{
 	condInPort:     {name: "in_port", doc: "ingress port"},
 	condPass:       {name: "pass", doc: "recirculation pass count"},
-	condDrop:       {name: "drop", doc: "1 when the packet is already marked for drop"},
-	condRecirc:     {name: "recirc", doc: "1 when a recirculation request is pending"},
-	condL4:         {name: "l4", doc: "IP protocol of the parsed transport (17 UDP, 6 TCP, 0 none)"},
-	condPPValid:    {name: "pp.valid", doc: "1 when a PayloadPark header is present", hdr: HeaderPP},
-	condPPEnabled:  {name: "pp.enabled", doc: "1 when a PP header is present with ENB set", hdr: HeaderPP},
-	condPPOp:       {name: "pp.op", doc: "PP opcode (0 merge, 1 explicit drop; -1 when no header)", hdr: HeaderPP, absent: -1},
+	condDrop:       {name: "drop", doc: "1 when the packet is already marked for drop", lane: flagDrop},
+	condRecirc:     {name: "recirc", doc: "1 when a recirculation request is pending", lane: flagRecirc},
+	condL4:         {name: "l4", doc: "IP protocol of the parsed transport (17 UDP, 6 TCP, 0 none)", lane: 0xff << laneL4},
+	condPPValid:    {name: "pp.valid", doc: "1 when a PayloadPark header is present", lane: flagPPValid, hdr: HeaderPP},
+	condPPEnabled:  {name: "pp.enabled", doc: "1 when a PP header is present with ENB set", lane: flagPPEnabled, hdr: HeaderPP},
+	condPPOp:       {name: "pp.op", doc: "PP opcode (0 merge, 1 explicit drop; -1 when no header)", lane: 0xff << lanePPOp, hdr: HeaderPP, absent: -1},
 	condPPTagValid: {name: "pp.tag_valid", doc: "1 when the PP tag's CRC seals its contents", hdr: HeaderPP},
-	condCRValid:    {name: "cr.valid", doc: "1 when a compression header is present", hdr: HeaderCR},
+	condCRValid:    {name: "cr.valid", doc: "1 when a compression header is present", lane: flagCRValid, hdr: HeaderCR},
 	condCRTagValid: {name: "cr.tag_valid", doc: "1 when the CR tag's CRC seals its contents", hdr: HeaderCR},
 	condMeta:       {name: "meta.<name>", doc: "user metadata word, by well-known name or decimal index"},
 	condParam:      {name: "param.<name>", doc: "runtime parameter (loaded per packet)"},
@@ -175,7 +184,7 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// load reads the op's field from the PHV. Static ops never get here.
+// load reads a residual op's field from the PHV. Static ops never get here.
 func (c *CondOp) load(p *PHV) int64 {
 	switch c.kind {
 	case condDrop:
@@ -183,13 +192,7 @@ func (c *CondOp) load(p *PHV) int64 {
 	case condRecirc:
 		return b2i(p.Recirc)
 	case condL4:
-		switch {
-		case p.Pkt.UDP != nil:
-			return int64(packet.IPProtoUDP)
-		case p.Pkt.TCP != nil:
-			return int64(packet.IPProtoTCP)
-		}
-		return 0
+		return int64(l4(p.Pkt))
 	case condPPValid:
 		return b2i(p.Pkt.PP != nil)
 	case condPPEnabled:
@@ -211,27 +214,118 @@ func (c *CondOp) load(p *PHV) int64 {
 	return int64(*c.cell)
 }
 
-// matches evaluates a guard against the PHV.
+// The flags word: one bit per one-bit field, and an 8-bit lane each for l4
+// (the IP protocol) and pp.op (0 without a PP header, which pp.valid tells
+// apart).
+const (
+	flagDrop uint32 = 1 << iota
+	flagRecirc
+	flagPPValid
+	flagPPEnabled
+	flagCRValid
+
+	laneL4   = 8
+	lanePPOp = 16
+)
+
+// flagsOf derives the flags word from the PHV.
 //
 //pp:zeroalloc
-func matches(guard []CondOp, p *PHV) bool {
-	for i := range guard {
-		if (guard[i].load(p) == guard[i].val) == guard[i].ne {
-			return false
+func flagsOf(p *PHV) uint32 {
+	pkt := p.Pkt
+	w := uint32(b2i(p.Drop))*flagDrop | uint32(b2i(p.Recirc))*flagRecirc | uint32(b2i(pkt.CR != nil))*flagCRValid |
+		l4(pkt)<<laneL4
+	if pkt.PP != nil {
+		w |= flagPPValid | uint32(b2i(pkt.PP.Enabled))*flagPPEnabled | uint32(pkt.PP.Op)<<lanePPOp
+	}
+	return w
+}
+
+// l4 is the IP protocol of the parsed transport, 0 for none.
+func l4(pkt *packet.Packet) uint32 {
+	switch {
+	case pkt.UDP != nil:
+		return uint32(packet.IPProtoUDP)
+	case pkt.TCP != nil:
+		return uint32(packet.IPProtoTCP)
+	}
+	return 0
+}
+
+// packed returns the op as a test on the flags word, ok false when the word
+// cannot express it: the field has no lane, the constant lies outside the
+// lane, or the op is ne on a lane wider than one bit.
+func (c *CondOp) packed() (mask, val uint32, ok bool) {
+	mask = condFields[c.kind].lane
+	v, shift := c.val, bits.TrailingZeros32(mask)
+	if c.ne && mask == 1<<shift {
+		v = 1 - v // ne on one bit is eq on the other value
+	}
+	if mask == 0 || c.ne && mask != 1<<shift || v < 0 || v > int64(mask>>shift) {
+		return 0, 0, false
+	}
+	val = uint32(v) << shift
+	if c.kind == condPPOp { // the lane reads 0 without a header too
+		mask, val = mask|flagPPValid, val|flagPPValid
+	}
+	return mask, val, true
+}
+
+// metaTest tests one metadata word: Meta[word]&mask == val. The zero test
+// holds for every PHV.
+type metaTest struct {
+	word      uint8
+	mask, val uint32
+}
+
+// guard is a rule's conditions minus the static ones, compiled: the packed
+// test flags&mask == val, up to two metadata-word tests held inline, then
+// the residual ops.
+type guard struct {
+	mask, val uint32
+	meta      [2]metaTest
+	resid     []CondOp
+}
+
+// packGuard compiles ops into a guard. A condition that contradicts an
+// earlier one on its lane, or tests a metadata word again or a third one,
+// stays residual and is decided there.
+func packGuard(ops []CondOp) guard {
+	var g guard
+	var crc []CondOp
+	n := 0 // metadata words tested
+	for _, c := range ops {
+		mask, val, ok := c.packed()
+		switch {
+		case ok && g.mask&mask&(g.val^val) == 0:
+			g.mask, g.val = g.mask|mask, g.val|val
+		case c.kind == condMeta && !c.ne && uint64(c.val) <= 1<<32-1 && n < len(g.meta) &&
+			!slices.ContainsFunc(g.meta[:n], func(t metaTest) bool { return t.word == c.idx }):
+			g.meta[n] = metaTest{word: c.idx, mask: 1<<32 - 1, val: uint32(c.val)}
+			n++
+		case c.kind == condPPTagValid || c.kind == condCRTagValid:
+			crc = append(crc, c)
+		default:
+			g.resid = append(g.resid, c)
 		}
 	}
-	return true
+	g.resid = append(g.resid, crc...)
+	return g
+}
+
+func (g *guard) equal(o *guard) bool {
+	return g.mask == o.mask && g.val == o.val && g.meta == o.meta && slices.Equal(g.resid, o.resid)
 }
 
 // step is one rule of a compiled program, or a fused run of block moves:
 // then move is set and rule and mat are those of the run's last move.
 type step struct {
-	guard  []CondOp // the rule's conditions minus the static ones
-	rule   *Rule
-	mat    *MAT
-	move   *moveRun
 	onHit  int32 // next step after a hit: past this MAT (first match fires)
 	onMiss int32 // next step after a miss: past the run of identical guards
+	guard
+	rule *Rule
+	mat  *MAT
+	move *moveRun
 }
 
 // fuseMoves rewrites steps in place so that every block move is a move
@@ -249,7 +343,7 @@ func fuseMoves(steps []step) []step {
 		if dir := steps[i].rule.Move.Dir; dir != NoMove {
 			if i == 0 || steps[i-1].mat != steps[i].mat {
 				for j < len(steps) && steps[j].rule.Move.Dir == dir && steps[j].mat != steps[j-1].mat &&
-					slices.Equal(steps[j].guard, steps[i].guard) {
+					steps[j].guard.equal(&steps[i].guard) {
 					j++
 				}
 			}
@@ -265,7 +359,10 @@ func fuseMoves(steps []step) []step {
 // class (0 is "any port no rule names", i+1 is ports[i]) once its static
 // conditions are decided.
 func (s *step) reaches(pass, class int, ports []PortID) bool {
-	for _, op := range s.rule.Conds[:len(s.rule.Conds)-len(s.guard)] {
+	for _, op := range s.rule.Conds {
+		if !op.static() {
+			break
+		}
 		eq := int64(pass) == op.val
 		if op.kind == condInPort {
 			eq = class > 0 && int64(ports[class-1]) == op.val
@@ -299,7 +396,7 @@ func (p *Pipeline) Compile() {
 						p.ports = append(p.ports, port)
 					}
 				}
-				all = append(all, step{guard: r.Conds[n:], rule: r, mat: m})
+				all = append(all, step{guard: packGuard(r.Conds[n:]), rule: r, mat: m})
 			}
 		}
 	}
@@ -333,7 +430,7 @@ func (p *Pipeline) Compile() {
 			if i+1 < len(steps) && steps[i+1].mat == s.mat {
 				s.onHit = steps[i+1].onHit
 			}
-			if i+1 < len(steps) && slices.Equal(steps[i+1].guard, s.guard) {
+			if i+1 < len(steps) && steps[i+1].guard.equal(&s.guard) {
 				s.onMiss = steps[i+1].onMiss
 			}
 		}

@@ -91,8 +91,8 @@ func TestUnnamedPortRunsEmptyProgram(t *testing.T) {
 			t.Errorf("pass %d: other-port program has %d steps, want 0", pass, len(other))
 		}
 	}
-	if steps := p.progs[1]; len(steps) != 1 || len(steps[0].guard) != 1 {
-		t.Errorf("port 1 program = %+v, want one step with in_port elided", steps)
+	if steps := p.progs[1]; len(steps) != 1 || !steps[0].guard.equal(&guard{mask: flagDrop}) {
+		t.Errorf("port 1 program = %+v, want one step with in_port elided and drop == 0 packed", steps)
 	}
 }
 

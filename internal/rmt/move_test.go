@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"github.com/payloadpark/payloadpark/internal/packet"
 )
 
 // A hand-built payload table: each moveMAT is one MAT with its own register,
@@ -216,7 +218,7 @@ func TestFusionBoundaries(t *testing.T) {
 
 			r := rand.New(rand.NewSource(int64(len(tc.name))))
 			for i := 0; i < 10_000; i++ {
-				var a, b PHV
+				a, b := PHV{Pkt: &packet.Packet{}}, PHV{Pkt: &packet.Packet{}}
 				a.InPort = []PortID{movePortStore, movePortLoad, 3}[r.Intn(3)]
 				a.Meta[moveGuardWord] = uint32(r.Intn(4))
 				a.Meta[MetaTableIndex] = uint32(r.Intn(16))
@@ -259,7 +261,7 @@ func TestMoveNeedsARegisterThatFits(t *testing.T) {
 		mustPanic(t, "it needs a bound register with cells that wide, and no action body", func() { p.AddMAT(0, bad) })
 	}
 	p.AddMAT(0, &MAT{Name: "ok", Reg: reg, Rules: []Rule{{Move: Move{Dir: MoveStore, Bytes: 4}}}})
-	phv := &PHV{Park: make([]byte, 4)}
+	phv := &PHV{Pkt: &packet.Packet{}, Park: make([]byte, 4)}
 	phv.Meta[MetaTableIndex] = 2
 	mustPanic(t, `register "r" index 2 out of range [0,2)`, func() { p.Process(phv) })
 }

@@ -73,6 +73,8 @@ type Pipeline struct {
 	rules int // rules placed, to size a program
 	dirty bool
 
+	stepsEvaluated, residualLoads uint64 // Process's match work (MatchCounts)
+
 	// phvFree is the pipe-local PHV free-list backing AcquirePHV.
 	phvFree []*PHV
 }
@@ -205,7 +207,9 @@ func (p *Pipeline) stage(i int) *Stage {
 }
 
 // Process runs one pass of the PHV through all stages: the match program
-// compiled for the PHV's pass and ingress port. The caller (switch wrapper)
+// compiled for the PHV's pass and ingress port, each step testing its
+// packed key (match.go) on a flags word derived here and again only after a
+// step fires, as only a hit can change it. The caller (switch wrapper)
 // handles parsing, recirculation, and deparsing. A pass the hardware cannot
 // produce panics, like every other violation of the hardware model.
 //
@@ -222,9 +226,18 @@ func (p *Pipeline) Process(phv *PHV) {
 	// escape through the indirect Action call and allocate per MAT hit.
 	ctx := &phv.ctx
 	ctx.PHV = phv
+	flags := flagsOf(phv)
+	evaluated, loads := 0, 0
 	for i := 0; i < len(steps); {
 		s := &steps[i]
-		if !matches(s.guard, phv) {
+		evaluated++
+		hit := flags&s.mask == s.val && phv.Meta[s.meta[0].word]&s.meta[0].mask == s.meta[0].val &&
+			phv.Meta[s.meta[1].word]&s.meta[1].mask == s.meta[1].val
+		for j := 0; hit && j < len(s.resid); j++ {
+			loads++
+			hit = (s.resid[j].load(phv) == s.resid[j].val) != s.resid[j].ne
+		}
+		if !hit {
 			i = int(s.onMiss)
 			continue
 		}
@@ -234,8 +247,17 @@ func (p *Pipeline) Process(phv *PHV) {
 			ctx.reg, ctx.accessed = s.mat.Reg, false
 			s.rule.Action(ctx)
 		}
+		flags = flagsOf(phv)
 		i = int(s.onHit)
 	}
+	p.stepsEvaluated, p.residualLoads = p.stepsEvaluated+uint64(evaluated), p.residualLoads+uint64(loads)
+}
+
+// MatchCounts returns the match steps Process evaluated and the residual
+// conditions it loaded, over every packet so far. Not meaningful while a
+// worker is processing.
+func (p *Pipeline) MatchCounts() (steps, residual uint64) {
+	return p.stepsEvaluated, p.residualLoads
 }
 
 // program returns the match program compiled for pass and ingress port.

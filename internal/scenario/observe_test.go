@@ -71,6 +71,7 @@ func TestObserveMetricsSnapshot(t *testing.T) {
 	for _, name := range []string{
 		`pp_engine_events_total`,
 		`pp_switch_rx_packets_total{switch="obs-metrics"}`,
+		`pp_rmt_match_steps_total{switch="obs-metrics"}`,
 		`pp_sink_delivered_total{sink="sink"}`,
 	} {
 		v, ok := find(name)
@@ -79,6 +80,9 @@ func TestObserveMetricsSnapshot(t *testing.T) {
 		} else if v == 0 {
 			t.Errorf("%s = 0, want > 0", name)
 		}
+	}
+	if _, ok := find(`pp_rmt_residual_conds_total{switch="obs-metrics"}`); !ok {
+		t.Error("snapshot lacks pp_rmt_residual_conds_total")
 	}
 	// Metrics-only observation must not disturb the simulation.
 	base := sc

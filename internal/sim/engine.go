@@ -65,16 +65,6 @@ func NewEngine() *Engine {
 	return e
 }
 
-// NewEngineHeap returns an engine whose entire queue is the reference
-// 4-ary heap, with the timing wheel disabled. Both schedulers honour the
-// same (at, seq) ordering contract; this one exists so differential
-// tests and BenchmarkEngineSchedulePop can pit them against each other.
-func NewEngineHeap() *Engine {
-	e := &Engine{}
-	e.queue.init(false)
-	return e
-}
-
 // Now returns the current simulation time in nanoseconds.
 func (e *Engine) Now() int64 { return e.now }
 
@@ -183,9 +173,10 @@ type node struct {
 }
 
 // nodeHeap is a 4-ary min-heap ordered by (at, seq) — the timing wheel's
-// overflow level, and the whole queue of a NewEngineHeap engine. The
-// wider fan-out halves the tree depth of the binary variant — fewer sift
-// levels and swaps per operation, and children share cache lines.
+// overflow level, and the whole queue of the heap-only engine the tests
+// keep as a reference (their NewEngineHeap). The wider fan-out halves the
+// tree depth of the binary variant — fewer sift levels and swaps per
+// operation, and children share cache lines.
 type nodeHeap []node
 
 const heapArity = 4

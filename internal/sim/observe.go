@@ -66,6 +66,8 @@ func (f *Fabric) registerMetrics(reg *obs.Registry) {
 		reg.Counter("pp_switch_rx_packets_total"+lbl, "packets received by the switch", func() uint64 { return n.SW.RxPackets() })
 		reg.Counter("pp_switch_tx_packets_total"+lbl, "packets emitted by the switch", func() uint64 { return n.SW.TxPackets() })
 		reg.Counter("pp_switch_drops_total"+lbl, "packets dropped inside the switch", func() uint64 { return n.SW.TotalDrops() })
+		reg.Counter("pp_rmt_match_steps_total"+lbl, "match-program steps evaluated", func() uint64 { steps, _ := n.SW.MatchCounts(); return steps })
+		reg.Counter("pp_rmt_residual_conds_total"+lbl, "residual match conditions loaded", func() uint64 { _, r := n.SW.MatchCounts(); return r })
 		for i, prog := range n.SW.Programs() {
 			prog := prog
 			plbl := fmt.Sprintf("switch=%q,program=\"%d\"", n.Name, i)

@@ -94,8 +94,9 @@ type farBucket struct {
 }
 
 // timeWheel is the three-level event queue. With enabled=false it
-// degrades to the bare overflow heap — the reference scheduler kept
-// selectable for differential tests and benchmarks (NewEngineHeap).
+// degrades to the bare overflow heap — the reference scheduler only the
+// differential tests and benchmarks select (NewEngineHeap, in the tests'
+// export_test.go).
 type timeWheel struct {
 	enabled bool
 	// base is the lower edge of the hot window: the engine clock as of
