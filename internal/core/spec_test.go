@@ -8,6 +8,7 @@ import (
 
 	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/prog"
+	"github.com/payloadpark/payloadpark/internal/rmt"
 )
 
 func compressSpec() *prog.Spec {
@@ -287,5 +288,35 @@ func TestUnguardedStoreIsACountedDrop(t *testing.T) {
 	// A payload the parser lifts still parks and travels on.
 	if em := inject(sw, mkPkt(512, 3), portGen); em == nil || em.Pkt.PP == nil || !em.Pkt.PP.Enabled {
 		t.Fatalf("512-byte packet after the drops: emission %+v, want a split", em)
+	}
+}
+
+// TestFailedAttachSpecTouchesNoPipe: a spec that does not fit the pipe is
+// refused whole, so the good spec attached after it leaves the switch with
+// a fresh switch's resources and output.
+func TestFailedAttachSpecTouchesNoPipe(t *testing.T) {
+	bad := compressSpec()
+	bad.Tables[len(bad.Tables)-1].Resources.VLIWSlots = rmt.StageVLIWSlots + 1
+	reused, fresh := NewSwitch("reused"), NewSwitch("fresh")
+	if _, err := reused.AttachSpec(bad, nil, nil); err == nil || !strings.Contains(err.Error(), "VLIW overflow") {
+		t.Fatalf("err = %v, want the VLIW overflow", err)
+	}
+	for _, sw := range []*Switch{reused, fresh} {
+		sw.AddL2Route(nfMAC, portNF)
+		sw.AddL2Route(sinkMAC, portSink)
+		if _, err := sw.AttachSpec(compressSpec(), nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pipe := PipeOfPort(portGen)
+	if got, want := reused.Pipe(pipe).Resources(), fresh.Pipe(pipe).Resources(); got != want {
+		t.Errorf("resources after a refused spec %+v, want a fresh switch's %+v", got, want)
+	}
+	for _, size := range []int{64, 1500} {
+		got, _, err := injectFrame(reused, mkPkt(size, 1).Serialize(), portGen)
+		want, _, err2 := injectFrame(fresh, mkPkt(size, 1).Serialize(), portGen)
+		if err != nil || err2 != nil || !bytes.Equal(got, want) {
+			t.Errorf("%d B frame: got %x (%v), want a fresh switch's %x (%v)", size, got, err, want, err2)
+		}
 	}
 }

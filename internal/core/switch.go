@@ -202,12 +202,6 @@ func (s *Switch) AttachPayloadPark(cfg Config, recircPipe int) (*Program, error)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// Capacity precheck so callers get an error rather than the rmt
-	// placement panic: the heaviest stages hold two payload registers.
-	if perStage := 2 * cfg.Slots * BlockBytes; perStage > rmt.StageSRAMBytes {
-		return nil, fmt.Errorf("core: %d slots need %d B per stage, budget is %d B",
-			cfg.Slots, perStage, rmt.StageSRAMBytes)
-	}
 	var rp *rmt.Pipeline
 	if cfg.Recirculate {
 		rp = s.pipes[recircPipe]

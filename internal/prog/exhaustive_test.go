@@ -371,10 +371,10 @@ func newExSide(inst *Instance, pipes map[string]*rmt.Pipeline, regs map[string]*
 			writers[pipe] = rmt.NewPipeline("writer/" + pipe)
 			side.writers = append(side.writers, writers[pipe])
 		}
-		writers[pipe].AddMAT(r.spec.Stage, &rmt.MAT{Name: r.name, Reg: regs[r.role], Rules: []rmt.Rule{{
+		mustPlace(rmt.Layout{Pipe: writers[pipe], MATs: []*rmt.MAT{{Name: r.name, Stage: r.spec.Stage, Reg: regs[r.role], Rules: []rmt.Rule{{
 			Name:   "write",
 			Action: func(c *rmt.Ctx) { c.RMW(cellOf(cells), func(cell []byte) { side.write(cells, cell) }) },
-		}}})
+		}}}}})
 	}
 	return side
 }

@@ -24,13 +24,16 @@ func decodeStrict(data []byte) (*Spec, error) {
 // spec uses one, and no overrides: a fuzzed spec carries its own parameters.
 func loadFresh(spec *Spec) (*Instance, map[string]*rmt.Pipeline, error) {
 	pipes := map[string]*rmt.Pipeline{"ingress": rmt.NewPipeline("ingress")}
-	opts := LoadOptions{Pipe: pipes["ingress"]}
 	if spec.UsesRecircPipe() {
 		pipes["recirc"] = rmt.NewPipeline("recirc")
-		opts.RecircPipe = pipes["recirc"]
 	}
-	inst, err := Load(spec, opts)
+	inst, err := loadOn(spec, pipes)
 	return inst, pipes, err
+}
+
+// loadOn loads spec onto pipes["ingress"] and pipes["recirc"].
+func loadOn(spec *Spec, pipes map[string]*rmt.Pipeline) (*Instance, error) {
+	return Load(spec, LoadOptions{Pipe: pipes["ingress"], RecircPipe: pipes["recirc"]})
 }
 
 // fuzzPHV draws one PHV a loaded program must survive: either of the
@@ -83,14 +86,19 @@ func fuzzPHV(r *rand.Rand, inst *Instance) *rmt.PHV {
 	return phv
 }
 
-// FuzzSpecCompile: no bytes that decode as a Spec make Load or Lint panic,
-// and a spec Load accepts runs 256 PHVs — pass 0 on the ingress pipe, then
-// pass 1 wherever the switch would recirculate them, and pass 1 cold — without
-// panicking, its traced load firing exactly the entries the naive oracle
-// fires and its untraced load (block moves fused) leaving the oracle's PHV,
-// registers and counters.
+// FuzzSpecCompile: no bytes that decode as a Spec make Load or Lint panic, a
+// spec Load refuses leaves its pipes as fresh ones, and a spec Load accepts
+// runs 256 PHVs — pass 0 on the ingress pipe, then pass 1 wherever the switch
+// would recirculate them, and pass 1 cold — without panicking, its traced load
+// firing exactly the entries the naive oracle fires and its untraced load
+// (block moves fused) leaving the oracle's PHV, registers and counters. The
+// seeds are the built-in specs and the misfits, which Load refuses.
 func FuzzSpecCompile(f *testing.F) {
-	for _, spec := range BuiltinSpecs() {
+	specs := BuiltinSpecs()
+	for _, m := range misfits() {
+		specs = append(specs, m.spec())
+	}
+	for _, spec := range specs {
 		blob, err := json.Marshal(spec)
 		if err != nil {
 			f.Fatal(err)
@@ -106,7 +114,8 @@ func fuzzSpecCompile(t *testing.T, data []byte) {
 		return
 	}
 	spec.Lint()
-	if _, _, err := loadFresh(spec); err != nil {
+	if _, pipes, err := loadFresh(spec); err != nil {
+		requireFresh(t, pipes)
 		return
 	}
 	compiled, pipes, err := loadFresh(traced(t, spec))

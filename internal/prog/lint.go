@@ -58,13 +58,22 @@ func (s *Spec) Lint() []LintFinding { return resolve(s, nil).lint() }
 // passField is the condition field liveness treats specially.
 var passField, _ = rmt.LookupField("pass")
 
-// lint runs the liveness checks over the resolved program and returns them
-// with the resolve pass's problems, less the spec's waivers. The checks
-// report through problemf on a copy, so Load never mistakes an advisory
-// finding for a problem.
+// lint runs the placement check and the liveness checks over the resolved
+// program and returns them with the resolve pass's problems, less the
+// spec's waivers. The checks report through problemf on a copy, so Load
+// never mistakes an advisory finding for a problem.
 func (p *program) lint() []LintFinding {
 	l := *p
 	l.problems = slices.Clone(p.problems)
+	// The layout Load would place, held to rmt.Fit on fresh pipes.
+	if len(p.problems) == 0 {
+		ls, _, _ := p.layout(rmt.NewPipeline("ingress"), rmt.NewPipeline("recirc"))
+		for _, lay := range ls {
+			if err := rmt.Fit(lay); err != nil {
+				l.problemf("bad-layout", object{kind: "pipe ", name: lay.Pipe.Name()}, "%v", err)
+			}
+		}
+	}
 	l.checkLiveness()
 	l.checkShadowing()
 	l.checkMetaOverlap()

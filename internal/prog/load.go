@@ -116,11 +116,12 @@ func (in *Instance) Occupied(role string) int {
 	return 0
 }
 
-// Load resolves spec, fails on any problem the resolve pass found, and
-// installs the resolved program: parser geometry, registers, then tables,
-// each checked against the stage budgets of the rmt pipeline (the
-// rmt layer's placement panics surface as errors here).
-func Load(spec *Spec, opts LoadOptions) (inst *Instance, err error) {
+// Load resolves spec, fails on any problem the resolve pass found, builds
+// the program's rules, and places it — parser geometry, PHV bits, registers
+// and tables — through rmt.Place, which checks every placement rule against
+// the pipes before it installs anything: a spec that does not fit leaves
+// both pipes as they were.
+func Load(spec *Spec, opts LoadOptions) (*Instance, error) {
 	switch {
 	case spec == nil:
 		return nil, errors.New("prog: nil spec")
@@ -145,11 +146,10 @@ func Load(spec *Spec, opts LoadOptions) (inst *Instance, err error) {
 		return nil, fmt.Errorf("prog: spec %q: %s: %s", spec.Name, f.Object, f.Detail)
 	}
 
-	inst = &Instance{
+	inst := &Instance{
 		prog:     p,
 		runtime:  make(map[string]*uint32, len(spec.Runtime)),
 		counters: make(map[string]*stats.Counter),
-		regs:     make(map[string]*rmt.Register, len(p.regs)),
 	}
 	for k, v := range spec.Runtime { //pp:nondeterministic-ok order-insensitive copy into a map
 		u := v
@@ -172,48 +172,11 @@ func Load(spec *Spec, opts LoadOptions) (inst *Instance, err error) {
 		}
 	}
 
-	// Installation below mutates the pipe; rmt reports placement violations
-	// (SRAM/TCAM/VLIW overflow, register-MAT ports, stage locality, PHV
-	// capacity) by panicking, exactly as its hardware-model contract states.
-	// A declarative spec is user input, so those become errors here.
-	defer func() {
-		if r := recover(); r != nil {
-			inst, err = nil, fmt.Errorf("prog: spec %q does not fit the pipe: %v", spec.Name, r)
-		}
-	}()
-
-	if err := configureParser(spec, opts.Pipe, p.scope); err != nil {
-		return nil, err
-	}
-	pick := func(pipe string) *rmt.Pipeline {
-		if pipe == "recirc" {
-			return opts.RecircPipe
-		}
-		return opts.Pipe
-	}
-	// A run of registers only block moves touch (the payload table) is carved
-	// from one row-major bank, so that the moves rmt fuses copy one row; every
-	// other register stands alone, dense for claim probes and occupancy scans.
-	var group []rmt.BankRegister
-	for i := 0; i < len(p.regs); i += len(group) {
-		r := &p.regs[i]
-		group = group[:0]
-		for _, o := range p.regs[i:] {
-			if len(group) > 0 && !(r.banked() && o.banked() && pipeName(o.spec.Pipe) == pipeName(r.spec.Pipe) && o.cells == r.cells) {
-				break
-			}
-			group = append(group, rmt.BankRegister{Stage: o.spec.Stage, Name: o.name, Width: int(o.width)})
-		}
-		for k, reg := range pick(r.spec.Pipe).NewRegisterBank(int(r.cells), group) {
-			inst.regs[p.regs[i+k].role] = reg
-		}
-	}
-	for ti := range p.tables {
+	ls, regs, mats := p.layout(opts.Pipe, opts.RecircPipe)
+	var err error
+	for ti, mat := range mats {
 		t := &p.tables[ti]
-		mat := &rmt.MAT{Name: t.name, Res: t.spec.Resources, Rules: make([]rmt.Rule, len(t.entries))}
-		if t.reg != nil {
-			mat.Reg = inst.regs[t.reg.role]
-		}
+		mat.Rules = make([]rmt.Rule, len(t.entries))
 		for ei := range t.entries {
 			e := &t.entries[ei]
 			rule := &mat.Rules[ei]
@@ -225,8 +188,11 @@ func Load(spec *Spec, opts LoadOptions) (inst *Instance, err error) {
 				return nil, fmt.Errorf("prog: spec %q: %s/%s: %w", spec.Name, t.spec.Name, e.spec.Name, err)
 			}
 		}
-		pick(t.spec.Pipe).AddMAT(t.spec.Stage, mat)
 	}
+	if err = rmt.Place(ls...); err != nil {
+		return nil, fmt.Errorf("prog: spec %q does not fit the pipe: %w", spec.Name, err)
+	}
+	inst.regs = regs
 	// Build the touched pipes' match programs now, so set-up pays for them
 	// and not the first packet.
 	opts.Pipe.Compile()
@@ -236,25 +202,48 @@ func Load(spec *Spec, opts LoadOptions) (inst *Instance, err error) {
 	return inst, nil
 }
 
-// configureParser applies the resolved parser geometry with the same
-// share-or-agree discipline: the first payload-parking
-// program on a pipe configures block extraction and declares its PHV usage,
-// later ones must agree. Programs that park no payload (Blocks == 0) only
-// declare their PHV usage.
-func configureParser(spec *Spec, pipe *rmt.Pipeline, sc rmt.Scope) error {
-	blocks, blockBytes, parkOffset := int(sc.Blocks), int(sc.BlockBytes), int(sc.ParkOffset)
-	parser := pipe.Parser()
-	if blocks > 0 && parser.Blocks() != 0 {
-		if parser.Blocks() != blocks || parser.BlockBytes() != blockBytes || parser.ParkOffset() != parkOffset {
-			return fmt.Errorf("prog: pipe parser already extracts %dx%dB blocks at offset %d, spec %q needs %dx%dB at offset %d",
-				parser.Blocks(), parser.BlockBytes(), parser.ParkOffset(), spec.Name, blocks, blockBytes, parkOffset)
+// layout lays the resolved program out for rmt: its PHV bits and parser
+// geometry on pipe, and every register and table on the pipe it names
+// (recirc for "recirc"). A run of registers only block moves touch (the
+// payload table) shares one row-major bank, so that the moves rmt fuses copy
+// one row; every other register stands alone, dense for claim probes and
+// occupancy scans. The MATs, one per table, carry no rules yet.
+func (p *program) layout(pipe, recirc *rmt.Pipeline) (ls []rmt.Layout, regs map[string]*rmt.Register, mats []*rmt.MAT) {
+	sc := p.scope
+	ls = []rmt.Layout{{Pipe: pipe, PHVBits: p.spec.PHVBits, Blocks: int(sc.Blocks), BlockBytes: int(sc.BlockBytes), ParkOffset: int(sc.ParkOffset)}}
+	if recirc != nil {
+		ls = append(ls, rmt.Layout{Pipe: recirc})
+	}
+	on := func(pipe string) *rmt.Layout {
+		if pipe == "recirc" {
+			return &ls[len(ls)-1]
 		}
-		return nil
+		return &ls[0]
 	}
-	if blocks > 0 {
-		parser.ExtractPayloadBlocks(blocks, blockBytes)
-		parser.SetParkOffset(parkOffset)
+	regs = make(map[string]*rmt.Register, len(p.regs))
+	for i := 0; i < len(p.regs); {
+		r := &p.regs[i]
+		var bank []*rmt.Register
+		for _, o := range p.regs[i:] {
+			if len(bank) > 0 && !(r.banked() && o.banked() && pipeName(o.spec.Pipe) == pipeName(r.spec.Pipe) && o.cells == r.cells) {
+				break
+			}
+			regs[o.role] = rmt.NewRegister(o.spec.Stage, o.name, int(o.width), int(o.cells))
+			bank = append(bank, regs[o.role])
+		}
+		l := on(r.spec.Pipe)
+		l.Banks = append(l.Banks, bank)
+		i += len(bank)
 	}
-	pipe.DeclarePHVBits(spec.PHVBits)
-	return nil
+	mats = make([]*rmt.MAT, len(p.tables))
+	for ti := range p.tables {
+		t := &p.tables[ti]
+		mats[ti] = &rmt.MAT{Name: t.name, Stage: t.spec.Stage, Res: t.spec.Resources}
+		if t.reg != nil {
+			mats[ti].Reg = regs[t.reg.role]
+		}
+		l := on(t.spec.Pipe)
+		l.MATs = append(l.MATs, mats[ti])
+	}
+	return ls, regs, mats
 }

@@ -1,7 +1,10 @@
 package prog
 
 import (
+	"bytes"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/payloadpark/payloadpark/internal/packet"
@@ -73,5 +76,170 @@ func BenchmarkLoadPark(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		loadPark(b, rmt.NewPipeline("load"))
+	}
+}
+
+// misfit is a spec that breaks one placement rule only after most of it
+// would have been placed piece by piece: good builds the spec, misfit breaks
+// it, and rule is the text of the rmt rule it breaks.
+type misfit struct {
+	name, rule string
+	good       func() *Spec
+	misfit     func(*Spec)
+}
+
+func misfits() []misfit {
+	lastOn := func(s *Spec, pipe string) *TableSpec {
+		var last *TableSpec
+		for i := range s.Tables {
+			if pipeName(s.Tables[i].Pipe) == pipe {
+				last = &s.Tables[i]
+			}
+		}
+		return last
+	}
+	return []misfit{
+		{
+			name: "compress VLIW", rule: "VLIW overflow: 33 slots, 32 budget",
+			good:   func() *Spec { return HeaderCompressSpec(CompressParams{CompressPort: 0, RestorePort: 1}) },
+			misfit: func(s *Spec) { lastOn(s, "ingress").Resources.VLIWSlots = rmt.StageVLIWSlots + 1 },
+		},
+		{
+			name: "park PHV", rule: "PHV overflow: 6080 bits used, 4800 available",
+			good:   func() *Spec { return PayloadParkSpec(parkParams()) },
+			misfit: func(s *Spec) { s.PHVBits = rmt.PHVBits },
+		},
+		{
+			name: "recirc stage", rule: "VLIW overflow",
+			good: func() *Spec {
+				p := parkParams()
+				p.Recirculate, p.Blocks = true, 48
+				return PayloadParkSpec(p)
+			},
+			misfit: func(s *Spec) { lastOn(s, "recirc").Resources.VLIWSlots = rmt.StageVLIWSlots + 1 },
+		},
+		{
+			name: "recirc binds ingress", rule: "neither placed nor in the layout",
+			good: func() *Spec {
+				p := parkParams()
+				p.Recirculate, p.Blocks = true, 48
+				return PayloadParkSpec(p)
+			},
+			// A copy of the last recirc table's register, on the ingress pipe
+			// at the same stage: stage-local, but a pipe away.
+			misfit: func(s *Spec) {
+				t := lastOn(s, "recirc")
+				for _, r := range s.Registers {
+					if r.Role == t.Register {
+						r.Role, r.Name, r.Pipe = "ingress_twin", "ingress_twin", ""
+						s.Registers = append(s.Registers, r)
+					}
+				}
+				t.Register = "ingress_twin"
+			},
+		},
+	}
+}
+
+func (m misfit) spec() *Spec {
+	s := m.good()
+	m.misfit(s)
+	return s
+}
+
+// requireFresh fails unless every pipe equals a new one of its name: PHV
+// bits, resources and parser geometry by name, and then everything else —
+// each stage's registers and MATs, the compiled programs — at once.
+func requireFresh(t *testing.T, pipes map[string]*rmt.Pipeline) {
+	t.Helper()
+	for _, name := range sortedKeys(pipes) {
+		pipe, fresh := pipes[name], rmt.NewPipeline(pipes[name].Name())
+		if got := pipe.PHVBitsUsed(); got != 0 {
+			t.Errorf("pipe %s: %d PHV bits used, want 0", name, got)
+		}
+		if got, want := pipe.Resources(), fresh.Resources(); got != want {
+			t.Errorf("pipe %s: resources %+v, want %+v", name, got, want)
+		}
+		if got, want := *pipe.Parser(), *fresh.Parser(); got != want {
+			t.Errorf("pipe %s: parser %+v, want %+v", name, got, want)
+		}
+		if !reflect.DeepEqual(pipe, fresh) {
+			t.Errorf("pipe %s holds placed registers or MATs", name)
+		}
+	}
+}
+
+// frames runs a 64 B and a 1,500 B frame through the pipes, each split on
+// port 0 and the result merged on port 1 (recirculating where the program
+// asks), and returns every PHV and the serialized packet after each pass.
+func frames(pipes map[string]*rmt.Pipeline) (out []*rmt.PHV, wire [][]byte) {
+	b := packet.NewBuilder(packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2})
+	for _, size := range []int{64, 1500} {
+		pkt := b.UDP(packet.FiveTuple{Protocol: packet.IPProtoUDP, SrcPort: 7, DstPort: 80}, size, 1)
+		for port := range rmt.PortID(2) {
+			phv := &rmt.PHV{}
+			pipes["ingress"].Parser().FillPHV(phv, pkt, port)
+			pipes["ingress"].Process(phv)
+			if phv.Recirc && pipes["recirc"] != nil {
+				phv.Recirc, phv.Pass = false, 1
+				pipes["recirc"].Process(phv)
+			}
+			out, wire = append(out, phv), append(wire, phv.Pkt.Serialize())
+			pkt = phv.Pkt.Clone()
+		}
+	}
+	return out, wire
+}
+
+// TestFailedLoadTouchesNoPipe: a spec that breaks a placement rule leaves
+// every pipe it was given as a fresh one, so the good spec then loads onto
+// them exactly as onto fresh pipes — same resources, same output.
+func TestFailedLoadTouchesNoPipe(t *testing.T) {
+	for _, m := range misfits() {
+		t.Run(m.name, func(t *testing.T) {
+			_, reused, err := loadFresh(m.spec())
+			if err == nil || !strings.Contains(err.Error(), "does not fit the pipe") || !strings.Contains(err.Error(), m.rule) {
+				t.Fatalf("err = %v, want the pipe refusing with %q", err, m.rule)
+			}
+			requireFresh(t, reused)
+			if _, err := loadOn(m.good(), reused); err != nil {
+				t.Fatalf("good spec on the refused pipes: %v", err)
+			}
+			_, fresh, err := loadFresh(m.good())
+			if err != nil {
+				t.Fatalf("good spec on fresh pipes: %v", err)
+			}
+			for name := range fresh {
+				if got, want := reused[name].Resources(), fresh[name].Resources(); got != want {
+					t.Errorf("pipe %s: resources %+v, want a fresh load's %+v", name, got, want)
+				}
+				if got, want := reused[name].PHVBitsUsed(), fresh[name].PHVBitsUsed(); got != want {
+					t.Errorf("pipe %s: %d PHV bits, want a fresh load's %d", name, got, want)
+				}
+			}
+			gotPHV, gotWire := frames(reused)
+			wantPHV, wantWire := frames(fresh)
+			for i := range wantPHV {
+				if !samePHV(gotPHV[i], wantPHV[i]) || !bytes.Equal(gotWire[i], wantWire[i]) {
+					t.Errorf("pass %d: the refused pipes' output differs from fresh pipes':\n got %+v\nwant %+v", i, gotPHV[i], wantPHV[i])
+				}
+			}
+		})
+	}
+}
+
+// TestLintReportsWhatPlacementRefuses: each misfit spec resolves cleanly, so
+// only the placement check can flag it — once, naming the rmt rule.
+func TestLintReportsWhatPlacementRefuses(t *testing.T) {
+	for _, m := range misfits() {
+		var got []LintFinding
+		for _, f := range m.spec().Lint() {
+			if f.Code == "bad-layout" {
+				got = append(got, f)
+			}
+		}
+		if len(got) != 1 || !strings.Contains(got[0].Detail, m.rule) {
+			t.Errorf("%s: bad-layout findings %v, want one naming %q", m.name, got, m.rule)
+		}
 	}
 }

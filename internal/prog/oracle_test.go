@@ -75,7 +75,8 @@ func newOracle(t *testing.T, inst *Instance) *oracle {
 		if homes[pipe] == nil {
 			homes[pipe] = rmt.NewPipeline("oracle/" + pipe)
 		}
-		o.regs[r.role] = homes[pipe].NewRegister(r.spec.Stage, r.name, int(r.width), int(r.cells))
+		o.regs[r.role] = rmt.NewRegister(r.spec.Stage, r.name, int(r.width), int(r.cells))
+		mustPlace(rmt.Layout{Pipe: homes[pipe], Banks: [][]*rmt.Register{{o.regs[r.role]}}})
 	}
 	for stage := 0; stage < rmt.StageCount; stage++ {
 		for ti := range inst.prog.tables {
@@ -100,14 +101,22 @@ func newOracle(t *testing.T, inst *Instance) *oracle {
 				}
 				// Only the action is borrowed: an unconditional rule bound to
 				// the oracle's register, so firing goes through Ctx.RMW's checks.
-				oe.fire.AddMAT(stage, &rmt.MAT{Name: oe.id, Reg: o.regs[tbl.Register],
-					Rules: []rmt.Rule{{Name: e.Name, Action: action}}})
+				mustPlace(rmt.Layout{Pipe: oe.fire, MATs: []*rmt.MAT{{Name: oe.id, Stage: stage, Reg: o.regs[tbl.Register],
+					Rules: []rmt.Rule{{Name: e.Name, Action: action}}}}})
 				entries = append(entries, oe)
 			}
 			o.tables[pipeName(tbl.Pipe)] = append(o.tables[pipeName(tbl.Pipe)], entries)
 		}
 	}
 	return o
+}
+
+// mustPlace places a hand-built piece of a test pipe; the pieces are a
+// loaded spec's own, so a refusal is the test's bug.
+func mustPlace(l rmt.Layout) {
+	if err := rmt.Place(l); err != nil {
+		panic(err)
+	}
 }
 
 // field reads a condition field by name.

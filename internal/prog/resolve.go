@@ -134,13 +134,11 @@ func (p *program) name(s string, obj object) string {
 	return b.String()
 }
 
-// placed checks the pipe and stage a register or table declares.
-func (p *program) placed(obj object, pipe string, stage int) {
+// placed checks the pipe a register or table declares; rmt.Fit checks its
+// stage.
+func (p *program) placed(obj object, pipe string) {
 	if pipe != "" && pipe != "ingress" && pipe != "recirc" {
 		p.problemf("bad-layout", obj, "unknown pipe %q (want ingress or recirc)", pipe)
-	}
-	if stage < 0 || stage >= rmt.StageCount {
-		p.problemf("bad-layout", obj, "stage %d outside [0,%d)", stage, rmt.StageCount)
 	}
 }
 
@@ -204,7 +202,7 @@ func resolve(s *Spec, overrides map[string]int64) *program {
 		width, wok := p.val(spec.Width, obj, "width", "")
 		cells, cok := p.val(spec.Cells, obj, "cells", "")
 		r.width, r.cells, r.sized = width, cells, wok && cok
-		p.placed(obj, spec.Pipe, spec.Stage)
+		p.placed(obj, spec.Pipe)
 		if roles[r.role] != nil {
 			p.problemf("bad-layout", obj, "duplicate register role %q", r.role)
 		}
@@ -228,21 +226,13 @@ func resolve(s *Spec, overrides map[string]int64) *program {
 		n := len(spec.Entries)
 		*t = table{spec: spec, name: p.name(spec.Name, obj), entries: entries[:n:n]}
 		entries = entries[n:]
-		p.placed(obj, spec.Pipe, spec.Stage)
+		p.placed(obj, spec.Pipe)
 		if spec.Register != "" {
-			t.reg = roles[spec.Register]
-			switch r := t.reg; {
-			case r == nil:
+			if t.reg = roles[spec.Register]; t.reg == nil {
 				p.problemf("unknown-register", obj, "binds undeclared register role %q", spec.Register)
-			case pipeName(r.spec.Pipe) != pipeName(spec.Pipe) || r.spec.Stage != spec.Stage:
-				p.problemf("bad-layout", obj, "binds register %q of %s stage %d from %s stage %d (registers are stage-local)",
-					r.name, pipeName(r.spec.Pipe), r.spec.Stage, pipeName(spec.Pipe), spec.Stage)
-			default:
-				r.bound = true
+			} else {
+				t.reg.bound = true
 			}
-		}
-		if r := spec.Resources; min(r.TCAMBytes, r.SRAMMatchBytes, r.VLIWSlots, r.ExactXbarBits, r.TernXbarBits) < 0 {
-			p.problemf("bad-layout", obj, "declares a negative resource: %+v (a table cannot refund a stage's budget)", r)
 		}
 		if len(spec.Entries) == 0 {
 			p.problemf("bad-layout", obj, "has no entries")

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/payloadpark/payloadpark/internal/packet"
@@ -248,18 +249,12 @@ func TestFusionBoundaries(t *testing.T) {
 	}
 }
 
-// TestMoveNeedsARegisterThatFits: what Ctx.RMW refuses per packet, a
-// declared move is refused at placement.
-func TestMoveNeedsARegisterThatFits(t *testing.T) {
+// TestMoveIndexOutOfRangePanics: a move past its register's cells panics at
+// packet time, as Ctx.RMW does. (What a move needs of its register is
+// checked once, by Binding.CheckRegister, before a spec's move is built.)
+func TestMoveIndexOutOfRangePanics(t *testing.T) {
 	p := NewPipeline("misfit")
 	reg := p.NewRegister(0, "r", 4, 2)
-	for _, bad := range []*MAT{
-		{Name: "nobind", Rules: []Rule{{Move: Move{Dir: MoveStore, Bytes: 4}}}},
-		{Name: "narrow", Reg: reg, Rules: []Rule{{Move: Move{Dir: MoveLoad, Bytes: 8}}}},
-		{Name: "both", Reg: reg, Rules: []Rule{{Move: Move{Dir: MoveLoad, Bytes: 4}, Action: func(*Ctx) {}}}},
-	} {
-		mustPanic(t, "it needs a bound register with cells that wide, and no action body", func() { p.AddMAT(0, bad) })
-	}
 	p.AddMAT(0, &MAT{Name: "ok", Reg: reg, Rules: []Rule{{Move: Move{Dir: MoveStore, Bytes: 4}}}})
 	phv := &PHV{Pkt: &packet.Packet{}, Park: make([]byte, 4)}
 	phv.Meta[MetaTableIndex] = 2
@@ -328,11 +323,14 @@ func TestBankedRegisterMatchesStandAlone(t *testing.T) {
 func TestBankOverflowAllocatesNothing(t *testing.T) {
 	const cells = StageSRAMBytes / 16 // two 8-byte registers fill a stage
 	p := NewPipeline("overflow")
-	group := []BankRegister{{Stage: 2, Name: "a", Width: 8}, {Stage: 2, Name: "b", Width: 8}, {Stage: 2, Name: "c", Width: 8}}
+	bank := []*Register{NewRegister(2, "a", 8, cells), NewRegister(2, "b", 8, cells), NewRegister(2, "c", 8, cells)}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	mustPanic(t, `stage 2 SRAM overflow placing register "c"`, func() { p.NewRegisterBank(cells, group) })
+	err := Place(Layout{Pipe: p, Banks: [][]*Register{bank}})
 	runtime.ReadMemStats(&after)
+	if want := `stage 2 SRAM overflow placing register "c"`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want substring %q", err, want)
+	}
 	if grown := after.TotalAlloc - before.TotalAlloc; grown > 64<<10 {
 		t.Errorf("a refused %d KB bank allocated %d KB", cells*24>>10, grown>>10)
 	}

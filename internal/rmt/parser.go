@@ -19,35 +19,6 @@ type Parser struct {
 	parkOffset int // payload bytes left in front of the parked region
 }
 
-// NewParser returns a parser that extracts no payload blocks.
-func NewParser() *Parser { return &Parser{} }
-
-// ExtractPayloadBlocks configures the parser to lift blocks x blockBytes
-// payload bytes into the PHV. The PHV budget check happens when the owning
-// pipeline computes PHVBitsUsed.
-func (p *Parser) ExtractPayloadBlocks(blocks, blockBytes int) {
-	p.blocks = blocks
-	p.blockBytes = blockBytes
-}
-
-// SetParkOffset moves the decoupling boundary (§7): the first offset
-// payload bytes stay with the headers, and block extraction starts after
-// them. The visible prefix consumes PHV space like any parsed bytes.
-func (p *Parser) SetParkOffset(offset int) { p.parkOffset = offset }
-
-// ParkOffset returns the configured boundary offset.
-func (p *Parser) ParkOffset() int { return p.parkOffset }
-
-// Blocks returns the configured payload block count.
-func (p *Parser) Blocks() int { return p.blocks }
-
-// BlockBytes returns the configured payload block width.
-func (p *Parser) BlockBytes() int { return p.blockBytes }
-
-// ParkBytes returns the number of payload bytes the parser lifts into the
-// PHV (block count x width).
-func (p *Parser) ParkBytes() int { return p.blocks * p.blockBytes }
-
 // phvBits reports the PHV bits the payload blocks and the visible prefix
 // consume.
 func (p *Parser) phvBits() int { return (p.blocks*p.blockBytes + p.parkOffset) * 8 }
@@ -65,7 +36,7 @@ func (p *Parser) FillPHV(phv *PHV, pkt *packet.Packet, port PortID) {
 	phv.Reset()
 	phv.Pkt = pkt
 	phv.InPort = port
-	if end := p.parkOffset + p.ParkBytes(); p.blocks > 0 && len(pkt.Payload) >= end && pkt.PP == nil {
+	if end := p.parkOffset + p.blocks*p.blockBytes; p.blocks > 0 && len(pkt.Payload) >= end && pkt.PP == nil {
 		phv.Park = pkt.Payload[p.parkOffset:end]
 		phv.SetMeta(MetaPayloadOK, 1)
 	}

@@ -45,9 +45,8 @@ const (
 
 // Stage is one match-action stage of a pipe.
 type Stage struct {
-	index int
-	mats  []*MAT
-	regs  []*Register
+	mats []*MAT
+	regs []*Register
 }
 
 // Pipeline is one switch pipe: a parser feeding StageCount match-action
@@ -60,14 +59,14 @@ type Stage struct {
 // pipes share no state.
 type Pipeline struct {
 	name    string
-	stages  [StageCount]*Stage
+	stages  [StageCount]Stage
 	parser  *Parser
 	phvBits int
 
 	// progs are the compiled match programs (match.go), indexed by
 	// pass*(len(ports)+1)+class: class i+1 serves ports[i], the sorted ports
-	// that in_port conditions name, and class 0 every other port. AddMAT
-	// marks them dirty; Compile rebuilds them.
+	// that in_port conditions name, and class 0 every other port. Placing a
+	// MAT marks them dirty; Compile rebuilds them.
 	progs [][]step
 	ports []PortID
 	rules int // rules placed, to size a program
@@ -81,28 +80,14 @@ type Pipeline struct {
 
 // NewPipeline returns an empty pipe with the given diagnostic name.
 func NewPipeline(name string) *Pipeline {
-	p := &Pipeline{name: name, parser: NewParser(), dirty: true}
-	for i := range p.stages {
-		p.stages[i] = &Stage{index: i}
-	}
-	return p
+	return &Pipeline{name: name, parser: &Parser{}, dirty: true}
 }
 
 // Name returns the pipe's diagnostic name.
 func (p *Pipeline) Name() string { return p.name }
 
-// Parser returns the pipe's parser for configuration.
+// Parser returns the pipe's parser; a Layout configures it.
 func (p *Pipeline) Parser() *Parser { return p.parser }
-
-// DeclarePHVBits records the PHV bits the program's headers+metadata use;
-// the parser adds its own payload-block usage. Panics if the total exceeds
-// the PHV capacity — the compiler would reject such a program.
-func (p *Pipeline) DeclarePHVBits(bits int) {
-	p.phvBits += bits
-	if p.PHVBitsUsed() > PHVBits {
-		panic(fmt.Sprintf("rmt: PHV overflow: %d bits used, %d available", p.PHVBitsUsed(), PHVBits))
-	}
-}
 
 // PHVBitsUsed returns total PHV bits consumed by declarations and the
 // parser's payload blocks.
@@ -110,100 +95,175 @@ func (p *Pipeline) PHVBitsUsed() int {
 	return p.phvBits + p.parser.phvBits()
 }
 
-// NewRegister allocates a stand-alone register array local to stage: a
-// bank of one. It panics when the stage index is invalid or the stage's
-// SRAM budget would overflow, mirroring a compiler placement failure.
-func (p *Pipeline) NewRegister(stage int, name string, widthBytes, cells int) *Register {
-	return p.NewRegisterBank(cells, []BankRegister{{Stage: stage, Name: name, Width: widthBytes}})[0]
+// Placement.
+//
+// A table program reaches a pipe through one gate, Place: Fit holds it to
+// every placement rule against what the pipes hold, changing nothing, and
+// only a program that passes them all is installed. It fits completely or
+// touches nothing, as a P4 compiler maps every table to stages before the
+// target is touched. (What a block move needs of its register is checked
+// where the move is built, by Binding.CheckRegister.)
+
+// Layout is what one table program adds to one pipe.
+type Layout struct {
+	Pipe    *Pipeline
+	PHVBits int
+	// Blocks of BlockBytes each, after ParkOffset payload bytes, are lifted
+	// into the PHV. The first layout that parks (Blocks > 0) on a pipe sets
+	// its parser; a later one must agree, and shares that one's PHV bits.
+	Blocks, BlockBytes, ParkOffset int
+	// Banks holds the registers, each bank row-major: row i is cell i of
+	// every register in it, so a run of block moves copies adjacent cells.
+	Banks [][]*Register
+	// MATs go to their stages in order, each binding no register, a placed
+	// one, or one in Banks.
+	MATs []*MAT
 }
 
-// BankRegister places one register of a bank.
-type BankRegister struct {
-	Stage int
-	Name  string
-	Width int // bytes per cell
+// NewRegister returns a register of cells cells of width bytes, local to
+// stage, for a Layout's bank. It has no storage until placed.
+func NewRegister(stage int, name string, width, cells int) *Register {
+	return &Register{name: name, stage: stage, width: width, cells: cells}
 }
 
-// NewRegisterBank allocates registers of cells cells each, every one local
-// to its own stage and charged to that stage's SRAM budget as if placed
-// alone, over one row-major bank: cell i of regs[j] directly follows cell i
-// of regs[j-1], for registers consecutive block moves fill. It panics like
-// NewRegister, before any byte is allocated.
-func (p *Pipeline) NewRegisterBank(cells int, regs []BankRegister) []*Register {
-	var placing [StageCount]int // SRAM this call has claimed, by stage
-	stride := 0
-	for _, r := range regs {
-		s := p.stage(r.Stage)
-		if r.Width <= 0 || r.Width > 16 {
-			panic(fmt.Sprintf("rmt: register %q width %dB outside (0,16]", r.Name, r.Width))
+// Fit returns the first placement rule the layouts break, one layout per
+// pipe, each against what its pipe holds; nil when they all fit.
+func Fit(ls ...Layout) error {
+	for i := range ls {
+		if err := ls[i].fit(ls[:i]); err != nil {
+			return err
 		}
-		if cells <= 0 {
-			panic(fmt.Sprintf("rmt: register %q needs at least one cell", r.Name))
-		}
-		// Budget first, by division: a hostile cell count must neither overflow
-		// the product nor be allocated before it is refused.
-		if free := StageSRAMBytes - s.sramBytes() - placing[r.Stage]; cells > free/r.Width {
-			panic(fmt.Sprintf("rmt: stage %d SRAM overflow placing register %q (%d cells x %d B, %d B of the %d B budget free)",
-				r.Stage, r.Name, cells, r.Width, free, StageSRAMBytes))
-		}
-		placing[r.Stage] += cells * r.Width
-		stride += r.Width
 	}
-	b := newBank(cells, stride)
-	placed, out := make([]Register, len(regs)), make([]*Register, len(regs))
-	off := 0
-	for i, r := range regs {
-		placed[i] = Register{name: r.Name, stage: r.Stage, width: r.Width, cells: cells, bank: b, off: off}
-		off += r.Width
-		out[i] = &placed[i]
-		p.stages[r.Stage].regs = append(p.stages[r.Stage].regs, out[i])
-	}
-	return out
+	return nil
 }
 
-// AddMAT places a MAT in a stage. It validates stage locality of the bound
-// register, the stateful-ALU port budget, and the stage resource budgets.
-func (p *Pipeline) AddMAT(stage int, m *MAT) {
-	s := p.stage(stage)
-	if m.Reg != nil {
-		if m.Reg.stage != stage {
-			panic(fmt.Sprintf("rmt: MAT %q in stage %d binds register %q from stage %d (registers are stage-local)",
-				m.Name, stage, m.Reg.name, m.Reg.stage))
-		}
-		n := 0
-		for _, other := range s.mats {
-			if other.Reg != nil {
-				n++
+// Place installs the layouts when Fit accepts them all, and otherwise
+// returns Fit's error with every pipe unchanged.
+func Place(ls ...Layout) error {
+	err := Fit(ls...)
+	for i := 0; err == nil && i < len(ls); i++ {
+		ls[i].install()
+	}
+	return err
+}
+
+// parser returns the PHV bits the layout declares and the parser it sets
+// (nil: the pipe's stays).
+func (l *Layout) parser() (bits int, set *Parser, err error) {
+	have, want := l.Pipe.parser, &Parser{blocks: l.Blocks, blockBytes: l.BlockBytes, parkOffset: l.ParkOffset}
+	switch {
+	case l.Blocks == 0:
+		return l.PHVBits, nil, nil
+	case have.blocks == 0:
+		return l.PHVBits, want, nil
+	case *have != *want:
+		return 0, nil, fmt.Errorf("rmt: pipe parser already extracts %dx%dB blocks at offset %d, the program needs %dx%dB at offset %d",
+			have.blocks, have.blockBytes, have.parkOffset, want.blocks, want.blockBytes, want.parkOffset)
+	}
+	return 0, nil, nil
+}
+
+func (l *Layout) fit(earlier []Layout) error {
+	p := l.Pipe
+	if slices.ContainsFunc(earlier, func(o Layout) bool { return o.Pipe == p }) {
+		return fmt.Errorf("rmt: pipe %q has two layouts", p.name)
+	}
+	bits, set, err := l.parser()
+	if err != nil {
+		return err
+	}
+	if set == nil {
+		set = p.parser
+	}
+	if used := p.phvBits + bits + set.phvBits(); used > PHVBits {
+		return fmt.Errorf("rmt: PHV overflow: %d bits used, %d available", used, PHVBits)
+	}
+	// What each stage holds, then with what the layout adds.
+	var used [StageCount]Resources
+	var ports [StageCount]int
+	for i, s := range p.stages {
+		used[i], ports[i] = s.used()
+	}
+	for _, bank := range l.Banks {
+		for _, r := range bank {
+			switch {
+			case uint(r.stage) >= StageCount:
+				return badStage(r.stage)
+			case r.width <= 0 || r.width > 16:
+				return fmt.Errorf("rmt: register %q width %dB outside (0,16]", r.name, r.width)
+			case r.cells <= 0:
+				return fmt.Errorf("rmt: register %q needs at least one cell", r.name)
 			}
-		}
-		if n+1 > MaxRegisterMATsPerStage {
-			panic(fmt.Sprintf("rmt: stage %d exceeds %d register MATs", stage, MaxRegisterMATsPerStage))
-		}
-	}
-	for i := range m.Rules {
-		// What Ctx.RMW refuses per packet, a declared move is refused here.
-		if r, mv := &m.Rules[i], m.Rules[i].Move; mv.Dir != NoMove &&
-			(r.Action != nil || m.Reg == nil || mv.Block < 0 || mv.Bytes <= 0 || mv.Bytes > m.Reg.width) {
-			panic(fmt.Sprintf("rmt: MAT %q rule %q moves %d B of block %d: it needs a bound register with cells that wide, and no action body",
-				m.Name, r.Name, mv.Bytes, mv.Block))
+			// By division: a hostile cell count must neither overflow the
+			// product nor be allocated before it is refused.
+			sram := &used[r.stage].SRAMMatchBytes
+			if free := StageSRAMBytes - *sram; r.cells > free/r.width {
+				return fmt.Errorf("rmt: stage %d SRAM overflow placing register %q (%d cells x %d B, %d B of the %d B budget free)",
+					r.stage, r.name, r.cells, r.width, free, StageSRAMBytes)
+			}
+			*sram += r.cells * r.width
 		}
 	}
-	if got, budget := s.vliwSlots()+m.Res.VLIWSlots, StageVLIWSlots; got > budget {
-		panic(fmt.Sprintf("rmt: stage %d VLIW overflow: %d slots, %d budget", stage, got, budget))
+	for _, m := range l.MATs {
+		i, res, r := m.Stage, m.Res, m.Reg
+		if uint(i) >= StageCount {
+			return badStage(i)
+		}
+		u := &used[i]
+		if r != nil {
+			ports[i]++
+		}
+		// VLIW and TCAM by subtraction: a stage holds no more than its
+		// budget, so a hostile declaration cannot wrap the sum below it.
+		switch {
+		case min(res.TCAMBytes, res.SRAMMatchBytes, res.VLIWSlots, res.ExactXbarBits, res.TernXbarBits) < 0:
+			return fmt.Errorf("rmt: MAT %q declares a negative resource: %+v (a table cannot refund a stage's budget)", m.Name, res)
+		case r != nil && r.stage != i:
+			return fmt.Errorf("rmt: MAT %q in stage %d binds register %q from stage %d (registers are stage-local)", m.Name, i, r.name, r.stage)
+		case r != nil && r.bank == nil && !slices.ContainsFunc(l.Banks, func(b []*Register) bool { return slices.Contains(b, r) }):
+			return fmt.Errorf("rmt: MAT %q binds register %q, which is neither placed nor in the layout", m.Name, r.name)
+		case ports[i] > MaxRegisterMATsPerStage:
+			return fmt.Errorf("rmt: stage %d exceeds %d register MATs", i, MaxRegisterMATsPerStage)
+		case res.VLIWSlots > StageVLIWSlots-u.VLIWSlots:
+			return fmt.Errorf("rmt: stage %d VLIW overflow: %d slots, %d budget", i, u.VLIWSlots+res.VLIWSlots, StageVLIWSlots)
+		case res.TCAMBytes > StageTCAMBytes-u.TCAMBytes:
+			return fmt.Errorf("rmt: stage %d TCAM overflow: %d B, %d budget", i, u.TCAMBytes+res.TCAMBytes, StageTCAMBytes)
+		}
+		u.add(res)
 	}
-	if got, budget := s.tcamBytes()+m.Res.TCAMBytes, StageTCAMBytes; got > budget {
-		panic(fmt.Sprintf("rmt: stage %d TCAM overflow: %d B, %d budget", stage, got, budget))
-	}
-	s.mats = append(s.mats, m)
-	p.rules += len(m.Rules)
-	p.dirty = true
+	return nil
 }
 
-func (p *Pipeline) stage(i int) *Stage {
-	if i < 0 || i >= StageCount {
-		panic(fmt.Sprintf("rmt: stage %d outside [0,%d)", i, StageCount))
+func badStage(i int) error { return fmt.Errorf("rmt: stage %d outside [0,%d)", i, StageCount) }
+
+// install places a layout Fit accepted.
+func (l *Layout) install() {
+	p := l.Pipe
+	bits, set, _ := l.parser()
+	if p.phvBits += bits; set != nil {
+		*p.parser = *set
 	}
-	return p.stages[i]
+	for _, regs := range l.Banks {
+		if len(regs) == 0 {
+			continue
+		}
+		cells, stride := 0, 0
+		for _, r := range regs {
+			cells, stride = max(cells, r.cells), stride+r.width
+		}
+		b, off := newBank(cells, stride), 0
+		for _, r := range regs {
+			r.bank, r.off = b, off
+			off += r.width
+			p.stages[r.stage].regs = append(p.stages[r.stage].regs, r)
+		}
+	}
+	for _, m := range l.MATs {
+		s := &p.stages[m.Stage]
+		s.mats = append(s.mats, m)
+		p.rules += len(m.Rules)
+		p.dirty = true
+	}
 }
 
 // Process runs one pass of the PHV through all stages: the match program
@@ -296,47 +356,19 @@ func (p *Pipeline) ReleasePHV(phv *PHV) {
 	p.phvFree = append(p.phvFree, phv)
 }
 
-func (s *Stage) sramBytes() int {
-	n := 0
-	for _, r := range s.regs {
-		n += r.SRAMBytes()
-	}
+// used sums what the stage holds — its MATs' resources, with its registers'
+// SRAM in SRAMMatchBytes — and counts the MATs that bind a register.
+func (s *Stage) used() (r Resources, regMATs int) {
 	for _, m := range s.mats {
-		n += m.Res.SRAMMatchBytes
+		r.add(m.Res)
+		if m.Reg != nil {
+			regMATs++
+		}
 	}
-	return n
-}
-
-func (s *Stage) tcamBytes() int {
-	n := 0
-	for _, m := range s.mats {
-		n += m.Res.TCAMBytes
+	for _, reg := range s.regs {
+		r.SRAMMatchBytes += reg.SRAMBytes()
 	}
-	return n
-}
-
-func (s *Stage) vliwSlots() int {
-	n := 0
-	for _, m := range s.mats {
-		n += m.Res.VLIWSlots
-	}
-	return n
-}
-
-func (s *Stage) exactXbarBits() int {
-	n := 0
-	for _, m := range s.mats {
-		n += m.Res.ExactXbarBits
-	}
-	return n
-}
-
-func (s *Stage) ternXbarBits() int {
-	n := 0
-	for _, m := range s.mats {
-		n += m.Res.TernXbarBits
-	}
-	return n
+	return r, regMATs
 }
 
 // Usage reports hardware utilization of one pipe against the Tofino-like
@@ -355,25 +387,18 @@ type Usage struct {
 // Resources computes the pipe's current utilization.
 func (p *Pipeline) Resources() Usage {
 	var u Usage
-	var sramSum, tcam, vliw, exact, tern int
+	var sum Resources
 	for i, s := range p.stages {
-		b := s.sramBytes()
-		u.SRAMBytesPerStage[i] = b
-		sramSum += b
-		pct := 100 * float64(b) / StageSRAMBytes
-		if pct > u.SRAMPeakPct {
-			u.SRAMPeakPct = pct
-		}
-		tcam += s.tcamBytes()
-		vliw += s.vliwSlots()
-		exact += s.exactXbarBits()
-		tern += s.ternXbarBits()
+		r, _ := s.used()
+		sum.add(r)
+		u.SRAMBytesPerStage[i] = r.SRAMMatchBytes
+		u.SRAMPeakPct = max(u.SRAMPeakPct, 100*float64(r.SRAMMatchBytes)/StageSRAMBytes)
 	}
-	u.SRAMAvgPct = 100 * float64(sramSum) / (StageCount * StageSRAMBytes)
-	u.TCAMPct = 100 * float64(tcam) / (StageCount * StageTCAMBytes)
-	u.VLIWPct = 100 * float64(vliw) / (StageCount * StageVLIWSlots)
-	u.ExactXbarPct = 100 * float64(exact) / (StageCount * StageExactXbarBits)
-	u.TernXbarPct = 100 * float64(tern) / (StageCount * StageTernXbarBits)
+	u.SRAMAvgPct = 100 * float64(sum.SRAMMatchBytes) / (StageCount * StageSRAMBytes)
+	u.TCAMPct = 100 * float64(sum.TCAMBytes) / (StageCount * StageTCAMBytes)
+	u.VLIWPct = 100 * float64(sum.VLIWSlots) / (StageCount * StageVLIWSlots)
+	u.ExactXbarPct = 100 * float64(sum.ExactXbarBits) / (StageCount * StageExactXbarBits)
+	u.TernXbarPct = 100 * float64(sum.TernXbarBits) / (StageCount * StageTernXbarBits)
 	u.PHVPct = 100 * float64(p.PHVBitsUsed()) / PHVBits
 	return u
 }

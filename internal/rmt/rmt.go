@@ -194,7 +194,7 @@ type Register struct {
 	off   int // of a cell within its bank row
 }
 
-// bank is the storage of registers placed together (NewRegisterBank),
+// bank is the storage of registers placed together (one of a Layout's Banks),
 // row-major: row i holds cell i of every register back to back, so the cells
 // a run of payload MATs touches for one table index are adjacent and a fused
 // block move is one copy. Rows come in power-of-two chunks, each made by its
@@ -332,10 +332,19 @@ type Resources struct {
 	TernXbarBits   int `json:"tern_xbar_bits,omitempty"`   // ternary match crossbar input bits
 }
 
+func (r *Resources) add(o Resources) {
+	r.TCAMBytes += o.TCAMBytes
+	r.SRAMMatchBytes += o.SRAMMatchBytes
+	r.VLIWSlots += o.VLIWSlots
+	r.ExactXbarBits += o.ExactXbarBits
+	r.TernXbarBits += o.TernXbarBits
+}
+
 // MAT is one match-action table placed in a stage, optionally bound to a
-// stage-local register.
+// register of that stage.
 type MAT struct {
 	Name  string
+	Stage int
 	Rules []Rule
 	Reg   *Register
 	Res   Resources

@@ -3,6 +3,8 @@ package rmt
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -131,14 +133,6 @@ func TestRegisterIndexOutOfRangePanics(t *testing.T) {
 	})
 }
 
-func TestStageLocalityEnforced(t *testing.T) {
-	p := NewPipeline("test")
-	reg := p.NewRegister(3, "r", 4, 1)
-	mustPanic(t, "stage-local", func() {
-		p.AddMAT(4, &MAT{Name: "wrongstage", Reg: reg})
-	})
-}
-
 func TestFirstMatchingRuleFires(t *testing.T) {
 	p := NewPipeline("test")
 	var fired []string
@@ -157,32 +151,111 @@ func TestFirstMatchingRuleFires(t *testing.T) {
 	}
 }
 
-func TestStageBudgets(t *testing.T) {
-	p := NewPipeline("test")
-	// SRAM overflow: a register bigger than a stage's budget.
-	mustPanic(t, "SRAM overflow", func() {
-		p.NewRegister(0, "huge", 16, StageSRAMBytes) // 16x budget
-	})
-	// VLIW overflow.
-	p2 := NewPipeline("test2")
-	mustPanic(t, "VLIW overflow", func() {
-		p2.AddMAT(0, &MAT{Name: "wide", Res: Resources{VLIWSlots: StageVLIWSlots + 1}})
-	})
-	// Register MAT port limit.
-	p3 := NewPipeline("test3")
-	for i := 0; i < MaxRegisterMATsPerStage; i++ {
-		r := p3.NewRegister(0, "r", 4, 1)
-		p3.AddMAT(0, &MAT{Name: "m", Reg: r})
+// TestFitRules: each placement rule refuses a layout with its own message,
+// and a refused Place leaves every pipe as it was.
+func TestFitRules(t *testing.T) {
+	reg := func(stage, width, cells int) *Register { return NewRegister(stage, "r", width, cells) }
+	mat := func(stage int, r *Register, res Resources) *MAT {
+		return &MAT{Name: "m", Stage: stage, Reg: r, Res: res}
 	}
-	r := p3.NewRegister(0, "r-extra", 4, 1)
-	mustPanic(t, "register MATs", func() {
-		p3.AddMAT(0, &MAT{Name: "m-extra", Reg: r})
-	})
-	// Bad stage index.
-	mustPanic(t, "outside", func() { p.NewRegister(StageCount, "r", 4, 1) })
-	// Bad register shapes.
-	mustPanic(t, "width", func() { p.NewRegister(0, "w", 17, 1) })
-	mustPanic(t, "at least one cell", func() { p.NewRegister(0, "c", 4, 0) })
+	for _, tc := range []struct {
+		name string
+		prep func(p *Pipeline) // what the pipe holds already
+		add  func(p *Pipeline) []Layout
+		want string
+	}{
+		{name: "phv", prep: func(p *Pipeline) { mustPlace(Layout{Pipe: p, PHVBits: PHVBits - 10}) },
+			add: func(p *Pipeline) []Layout { return []Layout{{Pipe: p, PHVBits: 11}} }, want: "PHV overflow"},
+		{name: "phv with park blocks", add: func(p *Pipeline) []Layout {
+			return []Layout{{Pipe: p, PHVBits: PHVBits - 20*8*8 + 1, Blocks: 20, BlockBytes: 8}}
+		}, want: "PHV overflow: 4801 bits used, 4800 available"},
+		{name: "parser agreement", prep: func(p *Pipeline) { mustPlace(Layout{Pipe: p, PHVBits: 1, Blocks: 20, BlockBytes: 8}) },
+			add: func(p *Pipeline) []Layout {
+				return []Layout{{Pipe: p, PHVBits: 1, Blocks: 20, BlockBytes: 8, ParkOffset: 16}}
+			},
+			want: "already extracts 20x8B blocks at offset 0, the program needs 20x8B at offset 16"},
+		{name: "register stage", add: func(p *Pipeline) []Layout {
+			return []Layout{{Pipe: p, Banks: [][]*Register{{reg(StageCount, 4, 1)}}}}
+		}, want: "stage 12 outside [0,12)"},
+		{name: "register width", add: func(p *Pipeline) []Layout {
+			return []Layout{{Pipe: p, Banks: [][]*Register{{reg(0, 17, 1)}}}}
+		}, want: "width 17B outside (0,16]"},
+		{name: "register cells", add: func(p *Pipeline) []Layout {
+			return []Layout{{Pipe: p, Banks: [][]*Register{{reg(0, 4, 0)}}}}
+		}, want: "at least one cell"},
+		{name: "sram", add: func(p *Pipeline) []Layout {
+			return []Layout{{Pipe: p, Banks: [][]*Register{{reg(0, 16, StageSRAMBytes)}}}} // 16x budget
+		}, want: "stage 0 SRAM overflow"},
+		{name: "sram across banks", prep: func(p *Pipeline) { p.NewRegister(1, "held", 8, StageSRAMBytes/16) },
+			add: func(p *Pipeline) []Layout {
+				return []Layout{{Pipe: p, Banks: [][]*Register{{reg(1, 8, StageSRAMBytes/16)}, {reg(1, 1, 1)}}}}
+			}, want: "stage 1 SRAM overflow"},
+		{name: "mat stage", add: func(p *Pipeline) []Layout { return []Layout{{Pipe: p, MATs: []*MAT{mat(-1, nil, Resources{})}}} },
+			want: "stage -1 outside [0,12)"},
+		{name: "negative resource", add: func(p *Pipeline) []Layout {
+			return []Layout{{Pipe: p, MATs: []*MAT{mat(0, nil, Resources{VLIWSlots: -4})}}}
+		}, want: "negative resource"},
+		{name: "stage locality", add: func(p *Pipeline) []Layout {
+			r := reg(3, 4, 1)
+			return []Layout{{Pipe: p, Banks: [][]*Register{{r}}, MATs: []*MAT{mat(4, r, Resources{})}}}
+		}, want: "stage-local"},
+		{name: "unplaced register", add: func(p *Pipeline) []Layout {
+			return []Layout{{Pipe: p, MATs: []*MAT{mat(3, reg(3, 4, 1), Resources{})}}}
+		}, want: "neither placed nor in the layout"},
+		{name: "register MAT ports", prep: func(p *Pipeline) {
+			for i := 0; i < MaxRegisterMATsPerStage-1; i++ {
+				p.AddMAT(0, &MAT{Name: "m", Reg: p.NewRegister(0, "r", 4, 1)})
+			}
+		}, add: func(p *Pipeline) []Layout {
+			a, b := reg(0, 4, 1), reg(0, 4, 1)
+			return []Layout{{Pipe: p, Banks: [][]*Register{{a, b}}, MATs: []*MAT{mat(0, a, Resources{}), mat(0, b, Resources{})}}}
+		}, want: "stage 0 exceeds 4 register MATs"},
+		{name: "vliw", add: func(p *Pipeline) []Layout {
+			return []Layout{{Pipe: p, MATs: []*MAT{mat(2, nil, Resources{VLIWSlots: StageVLIWSlots + 1})}}}
+		}, want: "stage 2 VLIW overflow: 33 slots, 32 budget"},
+		{name: "vliw across mats", prep: func(p *Pipeline) { p.AddMAT(2, &MAT{Name: "held", Res: Resources{VLIWSlots: 30}}) },
+			add: func(p *Pipeline) []Layout {
+				return []Layout{{Pipe: p, MATs: []*MAT{mat(2, nil, Resources{VLIWSlots: 1}), mat(2, nil, Resources{VLIWSlots: 2})}}}
+			}, want: "stage 2 VLIW overflow: 33 slots"},
+		{name: "vliw wrap", prep: func(p *Pipeline) { p.AddMAT(2, &MAT{Name: "held", Res: Resources{VLIWSlots: 1}}) },
+			add: func(p *Pipeline) []Layout {
+				return []Layout{{Pipe: p, MATs: []*MAT{mat(2, nil, Resources{VLIWSlots: math.MaxInt})}}}
+			}, want: "stage 2 VLIW overflow"},
+		{name: "tcam", add: func(p *Pipeline) []Layout {
+			return []Layout{{Pipe: p, MATs: []*MAT{mat(5, nil, Resources{TCAMBytes: StageTCAMBytes + 1})}}}
+		}, want: "stage 5 TCAM overflow"},
+		{name: "second pipe", add: func(p *Pipeline) []Layout {
+			// The first layout fits; the second does not, so neither is placed.
+			return []Layout{{Pipe: p, PHVBits: 100, Banks: [][]*Register{{reg(0, 8, 64)}}},
+				{Pipe: NewPipeline("recirc"), MATs: []*MAT{mat(0, nil, Resources{VLIWSlots: StageVLIWSlots + 1})}}}
+		}, want: "stage 0 VLIW overflow"},
+		{name: "two layouts for one pipe", add: func(p *Pipeline) []Layout {
+			return []Layout{{Pipe: p, PHVBits: 1}, {Pipe: p, PHVBits: 1}}
+		}, want: `pipe "fit" has two layouts`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, fresh := NewPipeline("fit"), NewPipeline("fit")
+			if tc.prep != nil {
+				tc.prep(p)
+				tc.prep(fresh)
+			}
+			ls := tc.add(p)
+			if err := Fit(ls...); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Fit: err = %v, want substring %q", err, tc.want)
+			}
+			if err := Place(ls...); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Place: err = %v, want substring %q", err, tc.want)
+			}
+			for _, l := range ls {
+				if l.Pipe != p {
+					fresh = NewPipeline(l.Pipe.name)
+				}
+				if !reflect.DeepEqual(l.Pipe, fresh) {
+					t.Errorf("a refused Place changed pipe %q", l.Pipe.name)
+				}
+			}
+		})
+	}
 }
 
 func TestResourceAccounting(t *testing.T) {
@@ -208,12 +281,6 @@ func TestResourceAccounting(t *testing.T) {
 	if u.TCAMPct <= 0 || u.VLIWPct <= 0 || u.ExactXbarPct <= 0 || u.TernXbarPct <= 0 {
 		t.Errorf("expected nonzero resource percentages: %+v", u)
 	}
-}
-
-func TestPHVOverflowPanics(t *testing.T) {
-	p := NewPipeline("test")
-	p.DeclarePHVBits(PHVBits - 10)
-	mustPanic(t, "PHV overflow", func() { p.DeclarePHVBits(11) })
 }
 
 func TestParserExtractsBlocks(t *testing.T) {
