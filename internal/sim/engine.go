@@ -18,16 +18,15 @@ package sim
 // The event queue is a timing wheel (wheel.go): O(1) amortized insert and
 // extract for the near-horizon events that dominate — link serialization,
 // switch traversal, server stations — with a hand-rolled 4-ary heap as
-// the overflow level for far-future timers. Events are pointer-free
-// (at, seq, slot) nodes; their closures live in a free-listed slot table
-// instead, written exactly once per event, so neither bucket appends nor
-// heap sifts trigger GC write barriers.
+// the overflow level for far-future timers. Each scheduled event is one
+// 64-byte record (event) in the queue's arena: Schedule fills it once and
+// Run reads and frees it once. Wheel buckets link records by index and
+// the overflow heap sorts pointer-free (at, seq, slot) nodes, so neither
+// bucket appends nor heap sifts trigger GC write barriers.
 type Engine struct {
 	now   int64
 	seq   uint64
 	queue timeWheel
-	fns   []eventSlot
-	free  []int32
 
 	// nexec counts events executed over the engine's lifetime (the
 	// observability layer's events-total metric; one integer increment
@@ -50,12 +49,17 @@ type Engine struct {
 // microseconds of real time.
 const cancelStride = 4096
 
-// eventSlot holds one scheduled event's payload: either a plain closure
-// (fn non-nil) or a pre-bound parcel handler (pfn + p).
-type eventSlot struct {
-	fn  func()
-	pfn func(Parcel)
-	p   Parcel
+// event is one scheduled event's record: its firing time, the next record
+// of its wheel bucket or, once fired, of the free list (0 ends a list;
+// arena slot 0 is never used), and its payload — either a plain closure
+// (fn non-nil) or a pre-bound parcel handler (pfn + p). It fills one
+// cache line.
+type event struct {
+	at   int64
+	next int32
+	fn   func()
+	pfn  func(Parcel)
+	p    Parcel
 }
 
 // NewEngine returns an engine at time zero.
@@ -72,15 +76,11 @@ func (e *Engine) Now() int64 { return e.now }
 func (e *Engine) Schedule(delay int64, fn func()) { e.ScheduleAt(e.now+delay, fn) }
 
 // ScheduleAt runs fn at absolute time t (clamped to now).
-func (e *Engine) ScheduleAt(t int64, fn func()) {
-	slot := e.alloc()
-	e.fns[slot].fn = fn
-	e.push(t, slot)
-}
+func (e *Engine) ScheduleAt(t int64, fn func()) { e.push(t).fn = fn }
 
 // ScheduleParcel runs fn(p) after delay nanoseconds. Unlike Schedule with
 // a closure capturing p, the four-word parcel is copied into the event
-// slot and fn is a pre-bound handler, so per-packet-hop scheduling
+// record and fn is a pre-bound handler, so per-packet-hop scheduling
 // allocates nothing.
 func (e *Engine) ScheduleParcel(delay int64, fn func(Parcel), p Parcel) {
 	e.ScheduleParcelAt(e.now+delay, fn, p)
@@ -90,33 +90,20 @@ func (e *Engine) ScheduleParcel(delay int64, fn func(Parcel), p Parcel) {
 //
 //pp:zeroalloc
 func (e *Engine) ScheduleParcelAt(t int64, fn func(Parcel), p Parcel) {
-	slot := e.alloc()
-	ev := &e.fns[slot]
-	ev.pfn, ev.p = fn, p
-	e.push(t, slot)
+	r := e.push(t)
+	r.pfn, r.p = fn, p
 }
 
-// push queues slot's event at time t (clamped to now), after every event
-// already scheduled for t.
-func (e *Engine) push(t int64, slot int32) {
+// push queues a fresh record at time t (clamped to now), after every event
+// already scheduled for t, and returns it for the caller to fill in its
+// payload. Its fn is nil; its pfn and parcel are whatever its last event
+// left.
+func (e *Engine) push(t int64) *event {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	e.queue.push(node{at: t, seq: e.seq, slot: slot}, e.now)
-}
-
-// alloc returns a free slot for the caller to fill: its fn is nil, its pfn
-// and parcel are whatever its last event left. The table grows to the peak
-// in-flight event count, then recycles.
-func (e *Engine) alloc() int32 {
-	if n := len(e.free); n > 0 {
-		slot := e.free[n-1]
-		e.free = e.free[:n-1]
-		return slot
-	}
-	e.fns = append(e.fns, eventSlot{})
-	return int32(len(e.fns) - 1)
+	return e.queue.push(t, e.seq, e.now)
 }
 
 // Run executes events in timestamp order until the queue drains or the
@@ -124,19 +111,19 @@ func (e *Engine) alloc() int32 {
 func (e *Engine) Run(until int64) {
 	var executed uint
 	for {
-		ev, ok := e.queue.popLE(until)
+		i, ok := e.queue.popLE(until)
 		if !ok {
 			break
 		}
-		slot := &e.fns[ev.slot]
-		fn, pfn, p := slot.fn, slot.pfn, slot.p
-		// Only a closure is dropped from the freed slot (it may capture
+		r := &e.queue.events[i]
+		fn, pfn, p := r.fn, r.pfn, r.p
+		e.now = r.at
+		// Only a closure is dropped from the freed record (it may capture
 		// anything). A stale parcel and its handler — a pooled packet, a
-		// link's or station's pre-bound method — outlive the slot anyway,
-		// and leaving them spares every parcel event a second slot write.
-		slot.fn = nil
-		e.free = append(e.free, ev.slot)
-		e.now = ev.at
+		// link's or station's pre-bound method — outlive the record anyway,
+		// and leaving them saves every event two stores.
+		r.fn, r.next = nil, e.queue.free
+		e.queue.free = i
 		e.nexec++
 		if fn == nil {
 			pfn(p)
@@ -162,10 +149,9 @@ func (e *Engine) Pending() int { return e.queue.len() }
 // returns (metric snapshots read it post-run).
 func (e *Engine) Executed() uint64 { return e.nexec }
 
-// node is one queued event: its firing time, a FIFO tie-break for
-// simultaneous events, and the slot of its closure in Engine.fns. Nodes
-// are pointer-free so neither wheel appends nor heap sifts trigger GC
-// write barriers.
+// node is one overflow-heap entry: its event's firing time, a FIFO
+// tie-break for simultaneous events, and the arena slot of its record.
+// Nodes are pointer-free so heap sifts trigger no GC write barriers.
 type node struct {
 	at   int64
 	seq  uint64

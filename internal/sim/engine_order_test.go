@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -257,6 +258,79 @@ func TestEngineCancelCountsExecutedEvents(t *testing.T) {
 		}
 		if fired != cancelStride {
 			t.Errorf("canceled run executed %d events, want exactly %d", fired, cancelStride)
+		}
+	})
+}
+
+// TestEngineRecordReuse: a freed record is the next one scheduled, whatever
+// its kind. A closure event, then a parcel event in its record, then a
+// closure again and a parcel again must each dispatch their own handler —
+// which holds only because Run clears fn when it frees a record.
+func TestEngineRecordReuse(t *testing.T) {
+	bothEngines(t, func(t *testing.T, mk func() *Engine) {
+		e := mk()
+		var got []string
+		closure := func(name string) func() { return func() { got = append(got, name) } }
+		parcel := func(p Parcel) { got = append(got, fmt.Sprintf("parcel %d", p.Born)) }
+		e.ScheduleAt(10, closure("closure 1"))
+		e.Run(10)
+		slot := e.queue.free
+		e.ScheduleParcelAt(20, parcel, Parcel{Born: 2})
+		e.Run(20)
+		e.ScheduleAt(30, closure("closure 3"))
+		e.Run(30)
+		e.ScheduleParcelAt(40, parcel, Parcel{Born: 4})
+		e.Run(40)
+		want := []string{"closure 1", "parcel 2", "closure 3", "parcel 4"}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("reused records dispatched %q, want %q", got, want)
+		}
+		if n := len(e.queue.events) - 1; n != 1 || e.queue.free != slot || e.queue.events[slot].next != 0 {
+			t.Errorf("four sequential events used %d records (free list head %d), want record %d alone", n, e.queue.free, slot)
+		}
+	})
+}
+
+// TestEngineRunBoundaryLeavesRecords: the records of events past a Run
+// boundary — on the hot level, the far level and in the overflow heap —
+// are neither freed nor rewritten, even while later pushes recycle the
+// records of the events that did fire.
+func TestEngineRunBoundaryLeavesRecords(t *testing.T) {
+	bothEngines(t, func(t *testing.T, mk func() *Engine) {
+		e := mk()
+		var got []int64
+		parcel := func(p Parcel) { got = append(got, p.Born) }
+		e.ScheduleAt(10, func() { got = append(got, -1) })
+		pending := map[int32]event{}
+		for _, at := range []int64{50, 3 * wheelSize, 2 * wheelSpan} {
+			e.ScheduleParcelAt(at, parcel, Parcel{Born: at, core: int32(at % 97)})
+			i := int32(len(e.queue.events) - 1)
+			pending[i] = e.queue.events[i]
+		}
+		check := func(when string) {
+			t.Helper()
+			for i, want := range pending {
+				r := e.queue.events[i]
+				if r.at != want.at || r.next != want.next || r.p != want.p || r.fn != nil || r.pfn == nil {
+					t.Errorf("%s: record %d = {at %d next %d p %+v closure %t}, want {at %d next %d p %+v} untouched",
+						when, i, r.at, r.next, r.p, r.fn != nil, want.at, want.next, want.p)
+				}
+				for f := e.queue.free; f != 0; f = e.queue.events[f].next {
+					if f == i {
+						t.Errorf("%s: unfired record %d is on the free list", when, i)
+					}
+				}
+			}
+		}
+		e.Run(20)
+		check("after Run(20)")
+		e.ScheduleAt(30, func() { got = append(got, -2) }) // takes the fired event's record
+		e.Run(40)
+		check("after a recycled record fired")
+		e.Run(1 << 40)
+		want := []int64{-1, -2, 50, 3 * wheelSize, 2 * wheelSpan}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("events fired %v, want %v", got, want)
 		}
 	})
 }

@@ -200,15 +200,16 @@ func TestDropPathsRecycleAllocFree(t *testing.T) {
 	}
 }
 
-// TestSizeofEventPayloadPins guards ROADMAP item 2(a): every link and
-// station hop copies a Parcel into and out of an eventSlot, so neither may
-// grow back past the sizes the slimmed event payload was measured at.
+// TestSizeofEventPayloadPins guards ROADMAP items 2(a) and 2(h): every
+// link and station hop copies a Parcel into and out of an event record,
+// and a record — time, bucket link, two handlers and the parcel — is the
+// only memory an event touches, so neither may grow past one cache line.
 func TestSizeofEventPayloadPins(t *testing.T) {
 	if n := unsafe.Sizeof(Parcel{}); n > 32 {
 		t.Errorf("unsafe.Sizeof(Parcel{}) = %d, want <= 32 (ROADMAP item 2(a): park per-station state in the station, not in the event)", n)
 	}
-	if n := unsafe.Sizeof(eventSlot{}); n > 48 {
-		t.Errorf("unsafe.Sizeof(eventSlot{}) = %d, want <= 48 (ROADMAP item 2(a): two handlers and a four-word parcel)", n)
+	if n := unsafe.Sizeof(event{}); n > 64 {
+		t.Errorf("unsafe.Sizeof(event{}) = %d, want <= 64 (ROADMAP item 2(h): one record per event, one cache line)", n)
 	}
 }
 

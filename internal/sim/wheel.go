@@ -5,7 +5,10 @@ import "math/bits"
 // This file is the engine's event queue: a hierarchical timing wheel —
 // a hot level at 1 ns granularity covering the current 131 µs window, a
 // far level of whole-window buckets covering the next ~134 ms, and the
-// 4-ary heap of engine.go demoted to an overflow level beyond that.
+// 4-ary heap of engine.go demoted to an overflow level beyond that. It
+// owns the event records: one arena, one record per event, which wheel
+// buckets and the free list chain by index and heap nodes point at by
+// slot.
 //
 // The hot wheel wins where the simulator lives: link serialization,
 // switch traversal, and server-station events all fire within a few
@@ -20,7 +23,8 @@ import "math/bits"
 // the profile.
 //
 // Ordering is the engine's (at, seq) contract, preserved by construction
-// rather than by comparison:
+// rather than by comparison — which is why a wheel-resident record keeps
+// no seq, and only heap nodes carry one:
 //
 //   - The hot wheel holds only events of the current wheelSize-aligned
 //     window, so two distinct timestamps can never share a hot bucket,
@@ -70,17 +74,8 @@ const (
 	wheelSpan = wheelSize * farCount
 )
 
-// wnode is one wheel-resident event in the node arena; next chains a
-// bucket's FIFO list (0 is the nil sentinel — arena slot 0 is unused).
-type wnode struct {
-	at   int64
-	seq  uint64
-	slot int32
-	next int32
-}
-
-// wbucket is one hot-wheel slot's FIFO list. The zero value is the empty
-// list, so the bucket array needs no initialization pass.
+// wbucket is one hot-wheel slot's FIFO list of records. The zero value is
+// the empty list, so the bucket array needs no initialization pass.
 type wbucket struct {
 	head, tail int32
 }
@@ -111,8 +106,11 @@ type timeWheel struct {
 	sum     []uint64
 	far     []farBucket
 	farOcc  []uint64
-	nodes   []wnode
-	free    []int32
+	// events is the record arena, grown to the peak in-flight count. free
+	// heads the list of fired records, chained through next: push takes
+	// its head and Engine.Run returns each record once it has fired.
+	events []event
+	free   int32
 
 	overflow nodeHeap
 }
@@ -125,18 +123,23 @@ func (w *timeWheel) init(enabled bool) {
 		w.sum = make([]uint64, sumWords)
 		w.far = make([]farBucket, farCount)
 		w.farOcc = make([]uint64, farWords)
-		w.nodes = make([]wnode, 1, 1024) // slot 0 is the nil sentinel
 	}
+	w.events = make([]event, 1, 256) // slot 0 is the nil sentinel
 }
 
 func (w *timeWheel) len() int { return w.count + w.farN + len(w.overflow) }
 
-// push enqueues n; now is the engine clock (n.at >= now always, the
-// engine clamps).
-func (w *timeWheel) push(n node, now int64) {
-	if !w.enabled {
-		w.overflow.push(n)
-		return
+// push enqueues a free record firing at at, the engine's seq-th event,
+// and returns it; now is the engine clock (at >= now always, the engine
+// clamps).
+func (w *timeWheel) push(at int64, seq uint64, now int64) *event {
+	i := w.free
+	if i != 0 {
+		w.free = w.events[i].next
+		w.events[i].at, w.events[i].next = at, 0
+	} else {
+		i = int32(len(w.events))
+		w.events = append(w.events, event{at: at})
 	}
 	if now > w.base {
 		// Advancing the horizon is free: no live wheel event fires
@@ -152,39 +155,39 @@ func (w *timeWheel) push(n node, now int64) {
 			}
 		}
 	}
-	if (n.at>>wheelBits)-(w.base>>wheelBits) >= farCount || (len(w.overflow) > 0 && n.at >= w.overflow[0].at) {
-		w.overflow.push(n)
-		return
+	if !w.enabled || (at>>wheelBits)-(w.base>>wheelBits) >= farCount || (len(w.overflow) > 0 && at >= w.overflow[0].at) {
+		w.overflow.push(node{at: at, seq: seq, slot: i})
+	} else {
+		w.place(i, at)
 	}
-	w.place(n)
+	return &w.events[i]
 }
 
-// place inserts an in-span event into the hot or far level. Callers
-// guarantee n.at >= base, that n.at's window is within farCount-1
-// windows of base's, and, for FIFO, that n follows every already-placed
+// place inserts record i, firing at at, into the hot or far level. Callers
+// guarantee at >= base, that at's window is within farCount-1 windows of
+// base's, and, for FIFO, that i follows every already-placed
 // equal-timestamp event in seq order.
-func (w *timeWheel) place(n node) {
-	ni := w.allocNode(wnode{at: n.at, seq: n.seq, slot: n.slot})
-	if n.at>>wheelBits != w.base>>wheelBits {
-		fi := int(n.at>>wheelBits) & farMask
+func (w *timeWheel) place(i int32, at int64) {
+	if at>>wheelBits != w.base>>wheelBits {
+		fi := int(at>>wheelBits) & farMask
 		b := &w.far[fi]
 		if b.head == 0 {
-			b.head, b.tail, b.min = ni, ni, n.at
+			b.head, b.tail, b.min = i, i, at
 			w.farOcc[fi>>6] |= 1 << uint(fi&63)
 		} else {
-			w.nodes[b.tail].next = ni
-			b.tail = ni
-			if n.at < b.min {
-				b.min = n.at
+			w.events[b.tail].next = i
+			b.tail = i
+			if at < b.min {
+				b.min = at
 			}
 		}
 		w.farN++
 		return
 	}
-	w.link(int(n.at)&wheelMask, ni)
+	w.link(int(at)&wheelMask, i)
 }
 
-// link appends node ni to hot bucket idx. Emptiness is read off the
+// link appends record ni to hot bucket idx. Emptiness is read off the
 // occupancy bitmap, not the bucket: the bitmap is 16 KB and stays cached,
 // while the 1 MB bucket array is touched at a fresh line per timestamp —
 // so the common first-event-of-its-nanosecond case only stores to that
@@ -196,7 +199,7 @@ func (w *timeWheel) link(idx int, ni int32) {
 		w.occ[idx>>6] |= bit
 		w.sum[idx>>12] |= 1 << uint((idx>>6)&63)
 	} else {
-		w.nodes[b.tail].next = ni
+		w.events[b.tail].next = ni
 		b.tail = ni
 	}
 	w.count++
@@ -204,52 +207,51 @@ func (w *timeWheel) link(idx int, ni int32) {
 
 // cascade relinks far bucket fi's list into the hot wheel. The caller
 // has advanced base into (or up to the minimum of) that bucket's window,
-// so every node lands in the current hot window.
+// so every record lands in the current hot window.
 func (w *timeWheel) cascade(fi int) {
 	b := &w.far[fi]
 	ni := b.head
 	b.head, b.tail, b.min = 0, 0, 0
 	w.farOcc[fi>>6] &^= 1 << uint(fi&63)
 	for ni != 0 {
-		n := &w.nodes[ni]
-		next := n.next
-		n.next = 0
-		w.link(int(n.at)&wheelMask, ni)
+		r := &w.events[ni]
+		next := r.next
+		r.next = 0
+		w.link(int(r.at)&wheelMask, ni)
 		w.farN--
 		ni = next
 	}
 }
 
-// popLE removes and returns the earliest event if it fires at or before
-// limit. Events beyond limit are left queued (Run boundaries must not
+// popLE unlinks the earliest event if it fires at or before limit and
+// returns its record's slot, which the caller frees once it has read the
+// record. Events beyond limit are left queued (Run boundaries must not
 // disturb ordering).
-func (w *timeWheel) popLE(limit int64) (node, bool) {
+func (w *timeWheel) popLE(limit int64) (int32, bool) {
 	for {
 		if w.count > 0 {
 			idx := w.scanFrom(int(w.base) & wheelMask)
 			b := &w.buckets[idx]
 			ni := b.head
-			n := &w.nodes[ni]
-			if n.at > limit {
-				return node{}, false
+			r := &w.events[ni]
+			if r.at > limit {
+				return 0, false
 			}
-			out := node{at: n.at, seq: n.seq, slot: n.slot}
-			if b.head = n.next; b.head == 0 {
+			if b.head = r.next; b.head == 0 {
 				b.tail = 0
 				if w.occ[idx>>6] &^= 1 << uint(idx&63); w.occ[idx>>6] == 0 {
 					w.sum[idx>>12] &^= 1 << uint((idx>>6)&63)
 				}
 			}
-			w.free = append(w.free, ni)
 			w.count--
-			w.base = out.at
-			return out, true
+			w.base = r.at
+			return ni, true
 		}
 		if w.farN > 0 {
 			fi := w.farScan()
 			min := w.far[fi].min
 			if min > limit {
-				return node{}, false
+				return 0, false
 			}
 			// min is the next event to fire anywhere (the heap holds only
 			// later events), so the clock is about to reach it: advancing
@@ -259,12 +261,12 @@ func (w *timeWheel) popLE(limit int64) (node, bool) {
 			continue
 		}
 		if len(w.overflow) == 0 || w.overflow[0].at > limit {
-			return node{}, false
+			return 0, false
 		}
 		if !w.enabled {
-			out := w.overflow[0]
+			i := w.overflow[0].slot
 			w.overflow.pop()
-			return out, true
+			return i, true
 		}
 		// Both wheel levels are drained: migrate the heap's in-span
 		// prefix back into them (in pop order, so bucket lists stay
@@ -273,20 +275,9 @@ func (w *timeWheel) popLE(limit int64) (node, bool) {
 		for len(w.overflow) > 0 && (w.overflow[0].at>>wheelBits)-(w.base>>wheelBits) < farCount {
 			n := w.overflow[0]
 			w.overflow.pop()
-			w.place(n)
+			w.place(n.slot, n.at)
 		}
 	}
-}
-
-func (w *timeWheel) allocNode(n wnode) int32 {
-	if k := len(w.free); k > 0 {
-		ni := w.free[k-1]
-		w.free = w.free[:k-1]
-		w.nodes[ni] = n
-		return ni
-	}
-	w.nodes = append(w.nodes, n)
-	return int32(len(w.nodes) - 1)
 }
 
 // scanFrom returns the first occupied hot bucket at or circularly after

@@ -126,7 +126,20 @@ type Generator struct {
 	builder *packet.Builder
 	seq     uint64
 	pool    []*packet.Packet
+	// slab is what is left of the current slab of fresh packets. Slabs
+	// double from minSlab to maxSlab entries: a short run allocates
+	// little, a long warm-up once per maxSlab packets.
+	slab    []freshPacket
+	slabLen int
 }
+
+// freshPacket is one slab entry: a packet and the UDP header it points at.
+type freshPacket struct {
+	pkt packet.Packet
+	udp packet.UDP
+}
+
+const minSlab, maxSlab = 8, 256
 
 // New builds a generator.
 func New(cfg Config) *Generator {
@@ -164,7 +177,14 @@ func (g *Generator) Next() *packet.Packet {
 		p = g.pool[n-1]
 		g.pool = g.pool[:n-1]
 	} else {
-		p = &packet.Packet{} //pp:alloc-ok warm-up: the pool fills as the driver recycles
+		if len(g.slab) == 0 {
+			g.slabLen = min(max(2*g.slabLen, minSlab), maxSlab)
+			g.slab = make([]freshPacket, g.slabLen) //pp:alloc-ok warm-up: one slab per doubling, the pool fills as the driver recycles
+		}
+		f := &g.slab[0]
+		g.slab = g.slab[1:]
+		p = &f.pkt
+		p.UDP = &f.udp
 	}
 	return g.builder.UDPInto(p, ft, size, uint16(g.seq))
 }

@@ -1,8 +1,11 @@
 package trafficgen
 
 import (
+	"bytes"
 	"math/rand"
+	"sort"
 	"testing"
+	"unsafe"
 
 	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/stats"
@@ -94,6 +97,84 @@ func TestNextAllocFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(1000, func() { g.Recycle(g.Next()) }); allocs != 0 {
 		t.Errorf("Next allocates %.2f/packet in steady state, want 0", allocs)
+	}
+}
+
+// TestNextFreshAllocs: with nothing recycled, a fresh packet's Packet and
+// UDP structs come from the generator's slabs, so generation costs its
+// payload plus one slab per doubling, not three allocations per packet.
+func TestNextFreshAllocs(t *testing.T) {
+	g := New(testConfig(Datacenter{}))
+	if allocs := testing.AllocsPerRun(1024, func() { g.Next() }); allocs > 1.1 {
+		t.Errorf("fresh Next allocates %.3f/packet, want <= 1.1 (payload plus slab share)", allocs)
+	}
+}
+
+// TestSlabNeighboursShareNothing: packets carved from one slab — and
+// across slab boundaries — never share a UDP struct or payload bytes, so
+// rewriting one packet leaves its neighbours as generated.
+func TestSlabNeighboursShareNothing(t *testing.T) {
+	g := New(testConfig(Datacenter{}))
+	const n = 3*maxSlab + 5
+	pkts := make([]*packet.Packet, n)
+	want := make([][]byte, n)
+	udps := map[*packet.UDP]bool{}
+	type span struct{ lo, hi uintptr }
+	var spans []span
+	for i := range pkts {
+		p := g.Next()
+		pkts[i] = p
+		if udps[p.UDP] {
+			t.Fatalf("packet %d reuses an earlier packet's UDP struct", i)
+		}
+		udps[p.UDP] = true
+		if c := cap(p.Payload); c > 0 {
+			lo := uintptr(unsafe.Pointer(unsafe.SliceData(p.Payload)))
+			spans = append(spans, span{lo, lo + uintptr(c)})
+		}
+		want[i] = p.Serialize()
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
+	for i := 1; i < len(spans); i++ {
+		if spans[i].lo < spans[i-1].hi {
+			t.Fatalf("two packets' payload buffers overlap: %#x..%#x and %#x..%#x", spans[i-1].lo, spans[i-1].hi, spans[i].lo, spans[i].hi)
+		}
+	}
+	// Scribble over every odd packet: both neighbours of each must still
+	// serialize as generated.
+	for i := 1; i < n; i += 2 {
+		p := pkts[i]
+		p.UDP.SrcPort, p.UDP.DstPort = ^p.UDP.SrcPort, ^p.UDP.DstPort
+		for k := range p.Payload {
+			p.Payload[k] = ^p.Payload[k]
+		}
+	}
+	for i := 0; i < n; i += 2 {
+		if !bytes.Equal(pkts[i].Serialize(), want[i]) {
+			t.Fatalf("rewriting packets %d and %d changed packet %d", i-1, i+1, i)
+		}
+	}
+}
+
+// TestRecycledPacketReused: Next hands back the most recently recycled
+// packet — the same Packet, UDP struct and payload buffer — before it
+// touches a slab, and rebuilds it exactly as a fresh packet of the same
+// draw.
+func TestRecycledPacketReused(t *testing.T) {
+	g, ref := New(testConfig(Fixed(900))), New(testConfig(Fixed(900)))
+	p := g.Next()
+	ref.Next()
+	udp, buf := p.UDP, unsafe.SliceData(p.Payload)
+	g.Recycle(p)
+	q := g.Next()
+	if q != p || q.UDP != udp || unsafe.SliceData(q.Payload) != buf {
+		t.Errorf("recycled packet not reused: packet %t, UDP %t, payload %t", q == p, q.UDP == udp, unsafe.SliceData(q.Payload) == buf)
+	}
+	if len(g.slab) != minSlab-1 {
+		t.Errorf("recycled Next took a slab entry: %d of %d left", len(g.slab), minSlab)
+	}
+	if !bytes.Equal(q.Serialize(), ref.Next().Serialize()) {
+		t.Error("recycled packet differs from the fresh packet of the same draw")
 	}
 }
 
