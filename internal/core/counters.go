@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/payloadpark/payloadpark/internal/obs"
+	"github.com/payloadpark/payloadpark/internal/prog"
 	"github.com/payloadpark/payloadpark/internal/stats"
 )
 
@@ -46,14 +48,45 @@ type Counters struct {
 	StaleExplicitDrops stats.Counter
 }
 
-// String summarizes the counters on one line.
+// parkCounters names each monitoring counter once: the built-in spec's
+// counter that ticks it, its metric name and help text, and its field.
+var parkCounters = [...]struct {
+	spec, metric, help string
+	field              func(*Counters) *stats.Counter
+}{
+	{prog.CtrSplits, "pp_park_splits_total", "payload splits parked", func(c *Counters) *stats.Counter { return &c.Splits }},
+	{prog.CtrMerges, "pp_park_merges_total", "parked payloads merged back", func(c *Counters) *stats.Counter { return &c.Merges }},
+	{prog.CtrExplicitDrops, "pp_park_explicit_drops_total", "explicit-drop slot reclaims", func(c *Counters) *stats.Counter { return &c.ExplicitDrops }},
+	{prog.CtrEvictions, "pp_park_evictions_total", "payloads evicted by expiry", func(c *Counters) *stats.Counter { return &c.Evictions }},
+	{prog.CtrPrematureEvictions, "pp_park_premature_evictions_total", "merges that found their payload evicted", func(c *Counters) *stats.Counter { return &c.PrematureEvictions }},
+	{prog.CtrSplitDisabledFromNF, "pp_park_split_disabled_total", "packets from the NF with split disabled", func(c *Counters) *stats.Counter { return &c.SplitDisabledFromNF }},
+	{prog.CtrSmallPayloadSkips, "pp_park_small_payload_skips_total", "splits skipped for undersized payloads", func(c *Counters) *stats.Counter { return &c.SmallPayloadSkips }},
+	{prog.CtrOccupiedSkips, "pp_park_occupied_skips_total", "splits skipped on occupied slots", func(c *Counters) *stats.Counter { return &c.OccupiedSkips }},
+	{prog.CtrDemotedSkips, "pp_park_demoted_skips_total", "splits skipped while demoted", func(c *Counters) *stats.Counter { return &c.DemotedSkips }},
+	{prog.CtrBadTagDrops, "pp_park_bad_tag_drops_total", "merge-port packets failing tag validation", func(c *Counters) *stats.Counter { return &c.BadTagDrops }},
+	{prog.CtrStaleExplicitDrops, "pp_park_stale_explicit_drops_total", "explicit drops on already-reclaimed slots", func(c *Counters) *stats.Counter { return &c.StaleExplicitDrops }},
+}
+
+// bindings maps the built-in spec's counter names onto the fields, so the
+// installed spec ticks them without any copying.
+func (c *Counters) bindings() map[string]*stats.Counter {
+	m := make(map[string]*stats.Counter, len(parkCounters))
+	for _, pc := range parkCounters {
+		m[pc.spec] = pc.field(c)
+	}
+	return m
+}
+
+// String summarizes the counters on one line, by spec counter name.
 func (c *Counters) String() string {
-	return fmt.Sprintf("splits=%d merges=%d explicitDrops=%d evictions=%d premature=%d enb0FromNF=%d smallSkips=%d occupiedSkips=%d demotedSkips=%d badTag=%d staleExplicit=%d",
-		c.Splits.Value(), c.Merges.Value(), c.ExplicitDrops.Value(),
-		c.Evictions.Value(), c.PrematureEvictions.Value(),
-		c.SplitDisabledFromNF.Value(), c.SmallPayloadSkips.Value(),
-		c.OccupiedSkips.Value(), c.DemotedSkips.Value(),
-		c.BadTagDrops.Value(), c.StaleExplicitDrops.Value())
+	var b strings.Builder
+	for i, pc := range parkCounters {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%s=%d", pc.spec, pc.field(c).Value())
+	}
+	return b.String()
 }
 
 // RegisterObs registers every monitoring counter with the metrics
@@ -67,24 +100,8 @@ func (c *Counters) RegisterObs(reg *obs.Registry, labels string) {
 	if labels != "" {
 		suffix = "{" + labels + "}"
 	}
-	for _, m := range []struct {
-		name string
-		help string
-		c    *stats.Counter
-	}{
-		{"pp_park_splits_total", "payload splits parked", &c.Splits},
-		{"pp_park_merges_total", "parked payloads merged back", &c.Merges},
-		{"pp_park_explicit_drops_total", "explicit-drop slot reclaims", &c.ExplicitDrops},
-		{"pp_park_evictions_total", "payloads evicted by expiry", &c.Evictions},
-		{"pp_park_premature_evictions_total", "merges that found their payload evicted", &c.PrematureEvictions},
-		{"pp_park_split_disabled_total", "packets from the NF with split disabled", &c.SplitDisabledFromNF},
-		{"pp_park_small_payload_skips_total", "splits skipped for undersized payloads", &c.SmallPayloadSkips},
-		{"pp_park_occupied_skips_total", "splits skipped on occupied slots", &c.OccupiedSkips},
-		{"pp_park_demoted_skips_total", "splits skipped while demoted", &c.DemotedSkips},
-		{"pp_park_bad_tag_drops_total", "merge-port packets failing tag validation", &c.BadTagDrops},
-		{"pp_park_stale_explicit_drops_total", "explicit drops on already-reclaimed slots", &c.StaleExplicitDrops},
-	} {
-		ctr := m.c
-		reg.Counter(m.name+suffix, m.help, func() uint64 { return ctr.Value() })
+	for _, pc := range parkCounters {
+		ctr := pc.field(c)
+		reg.Counter(pc.metric+suffix, pc.help, func() uint64 { return ctr.Value() })
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"github.com/payloadpark/payloadpark/internal/prog"
 	"github.com/payloadpark/payloadpark/internal/rmt"
-	"github.com/payloadpark/payloadpark/internal/stats"
 )
 
 // metaCellBytes is the width of a metadata table cell: the Tofino stateful
@@ -31,8 +30,8 @@ const (
 // optionally a recirculation pipe) per Algorithms 1 and 2.
 //
 // Since the declarative-program refactor the tables themselves are data: a
-// prog.PayloadParkSpec compiled onto the pipe by prog.Load. Program remains
-// the typed control-plane facade over that instance — its runtime knobs
+// prog.PayloadParkSpec compiled onto the pipe by Switch.AttachSpec. Program
+// remains the typed control-plane facade over that instance — its runtime knobs
 // (SetMaxExpiry, SetSplitEnabled) write the spec's named runtime parameters,
 // and its Counters alias the spec's named counters.
 type Program struct {
@@ -43,24 +42,6 @@ type Program struct {
 	C Counters
 
 	inst *prog.Instance
-}
-
-// counterBindings maps the built-in spec's counter names onto the typed
-// Counters struct.
-func (p *Program) counterBindings() map[string]*stats.Counter {
-	return map[string]*stats.Counter{
-		prog.CtrSplits:              &p.C.Splits,
-		prog.CtrMerges:              &p.C.Merges,
-		prog.CtrExplicitDrops:       &p.C.ExplicitDrops,
-		prog.CtrEvictions:           &p.C.Evictions,
-		prog.CtrPrematureEvictions:  &p.C.PrematureEvictions,
-		prog.CtrSplitDisabledFromNF: &p.C.SplitDisabledFromNF,
-		prog.CtrSmallPayloadSkips:   &p.C.SmallPayloadSkips,
-		prog.CtrOccupiedSkips:       &p.C.OccupiedSkips,
-		prog.CtrDemotedSkips:        &p.C.DemotedSkips,
-		prog.CtrBadTagDrops:         &p.C.BadTagDrops,
-		prog.CtrStaleExplicitDrops:  &p.C.StaleExplicitDrops,
-	}
 }
 
 // Config returns the program's configuration.

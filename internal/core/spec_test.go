@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -29,7 +30,7 @@ func TestAttachSpecCompression(t *testing.T) {
 	sw := NewSwitch("cr")
 	sw.AddL2Route(nfMAC, portNF)
 	sw.AddL2Route(sinkMAC, portSink)
-	inst, err := sw.AttachSpec(compressSpec(), nil, nil)
+	inst, err := sw.AttachSpec(compressSpec(), nil, nil, -1)
 	if err != nil {
 		t.Fatalf("AttachSpec: %v", err)
 	}
@@ -103,7 +104,7 @@ func TestAttachSpecCompression(t *testing.T) {
 func TestAttachSpecCompressionSkipsTCP(t *testing.T) {
 	sw := NewSwitch("cr-tcp")
 	sw.AddL2Route(nfMAC, portNF)
-	inst, err := sw.AttachSpec(compressSpec(), nil, nil)
+	inst, err := sw.AttachSpec(compressSpec(), nil, nil, -1)
 	if err != nil {
 		t.Fatalf("AttachSpec: %v", err)
 	}
@@ -132,7 +133,7 @@ func TestAttachSpecParkCompress(t *testing.T) {
 		Slots: 64, MaxExpiry: 1, SplitPort: int(portGen), MergePort: int(portNF),
 		Blocks: BaseBlocks, BaseBlocks: BaseBlocks, BlockBytes: BlockBytes, MaxClock: MaxClock,
 	}, 64)
-	inst, err := sw.AttachSpec(spec, nil, nil)
+	inst, err := sw.AttachSpec(spec, nil, nil, -1)
 	if err != nil {
 		t.Fatalf("AttachSpec: %v", err)
 	}
@@ -193,7 +194,7 @@ func TestAttachSpecBesideParkRecompiles(t *testing.T) {
 	if em := inject(sw, mkPkt(512, 1), portGen); em == nil || em.Pkt.CR != nil {
 		t.Fatalf("parking-only split: %+v", em)
 	}
-	comp, err := sw.AttachSpec(compressSpec(), nil, nil)
+	comp, err := sw.AttachSpec(compressSpec(), nil, nil, -1)
 	if err != nil {
 		t.Fatalf("AttachSpec: %v", err)
 	}
@@ -220,34 +221,119 @@ func TestAttachSpecBesideParkRecompiles(t *testing.T) {
 
 func TestAttachSpecErrors(t *testing.T) {
 	sw := NewSwitch("err")
-	if _, err := sw.AttachSpec(nil, nil, nil); err == nil {
+	if _, err := sw.AttachSpec(nil, nil, nil, -1); err == nil {
 		t.Error("nil spec accepted")
 	}
 	noSplit := compressSpec()
 	delete(noSplit.Params, "split_port")
-	if _, err := sw.AttachSpec(noSplit, nil, nil); err == nil ||
+	if _, err := sw.AttachSpec(noSplit, nil, nil, -1); err == nil ||
 		!strings.Contains(err.Error(), "split_port") {
 		t.Errorf("spec without split_port: err = %v", err)
 	}
 	crossPipe := compressSpec()
 	crossPipe.Params["merge_port"] = 17
-	if _, err := sw.AttachSpec(crossPipe, nil, nil); err == nil ||
+	if _, err := sw.AttachSpec(crossPipe, nil, nil, -1); err == nil ||
 		!strings.Contains(err.Error(), "different pipes") {
 		t.Errorf("cross-pipe spec: err = %v", err)
 	}
-	if _, err := sw.AttachSpec(compressSpec(), map[string]int64{"split_port": -1}, nil); err == nil {
+	if _, err := sw.AttachSpec(compressSpec(), map[string]int64{"split_port": -1}, nil, -1); err == nil {
 		t.Error("negative split port accepted")
 	}
 	recircSpec := prog.PayloadParkSpec(prog.ParkParams{
 		Slots: 8, MaxExpiry: 1, SplitPort: 0, MergePort: 1, Recirculate: true,
 		Blocks: BaseBlocks + RecircBlocks, BaseBlocks: BaseBlocks, BlockBytes: BlockBytes, MaxClock: MaxClock,
 	})
-	if _, err := sw.AttachSpec(recircSpec, nil, nil); err == nil ||
-		!strings.Contains(err.Error(), "recirculation") {
-		t.Errorf("recirc spec: err = %v", err)
+	if _, err := sw.AttachSpec(recircSpec, nil, nil, -1); err == nil ||
+		!strings.Contains(err.Error(), "recirculation pipe -1") {
+		t.Errorf("recirc spec without a recirculation pipe: err = %v", err)
 	}
-	if got := len(sw.Instances()); got != 0 {
-		t.Errorf("failed attaches recorded %d instances", got)
+	requireSameSwitch(t, sw, NewSwitch("fresh"))
+}
+
+// requireSameSwitch fails unless got matches want in every piece of loader
+// bookkeeping — per-port PayloadPark offsets, the largest park region,
+// recirculation routing, each pipe's resources — and in the bytes a 64 B
+// and a 1500 B frame leave with, toward the NF and back toward the sink.
+func requireSameSwitch(t *testing.T, got, want *Switch) {
+	t.Helper()
+	for port := rmt.PortID(0); port < NumPorts; port++ {
+		if g, w := got.PPOffset(port), want.PPOffset(port); g != w {
+			t.Errorf("PPOffset(%d) = %d, want %d", port, g, w)
+		}
+	}
+	if g, w := got.MaxParkBytes(), want.MaxParkBytes(); g != w {
+		t.Errorf("MaxParkBytes = %d, want %d", g, w)
+	}
+	if !maps.Equal(got.recircOf, want.recircOf) {
+		t.Errorf("recircOf = %v, want %v", got.recircOf, want.recircOf)
+	}
+	for i := range NumPipes {
+		if g, w := got.Pipe(i).Resources(), want.Pipe(i).Resources(); g != w {
+			t.Errorf("pipe %d resources %+v, want %+v", i, g, w)
+		}
+	}
+	for _, size := range []int{64, 1500} {
+		g, w := roundTrip(t, got, size), roundTrip(t, want, size)
+		if !slices.EqualFunc(g[:], w[:], bytes.Equal) {
+			t.Errorf("%d B frame: got %x, want %x", size, g, w)
+		}
+	}
+}
+
+// roundTrip sends one frame of size from the generator, MAC-swaps what
+// reaches the NF port as the NF server would, and returns the frames out
+// toward the NF and toward the sink. A frame that does not parse at the
+// merge port's PayloadPark offset (a payload shorter than the boundary
+// carries no header) returns the parse error in place of the second frame.
+func roundTrip(t *testing.T, sw *Switch, size int) [2][]byte {
+	t.Helper()
+	sw.AddL2Route(nfMAC, portNF)
+	sw.AddL2Route(sinkMAC, portSink)
+	toNF, _, err := injectFrame(sw, mkPkt(size, 1).Serialize(), portGen)
+	if err != nil || toNF == nil {
+		t.Fatalf("%d B frame toward the NF: %x, %v", size, toNF, err)
+	}
+	back, err := packet.ParseAt(toNF, sw.PPOffset(portNF))
+	if err != nil {
+		return [2][]byte{toNF, []byte(err.Error())}
+	}
+	out, _, err := injectFrame(sw, toSink(back).Serialize(), portNF)
+	if err != nil {
+		t.Fatalf("%d B frame toward the sink: %v", size, err)
+	}
+	return [2][]byte{toNF, out}
+}
+
+// TestAttachLoadersAgree: the typed wrapper and the spec loader given the
+// same program leave identical switches, with and without recirculation and
+// a moved boundary — the per-port offsets and park region come from the
+// loaded program's parser geometry, not from the Config.
+func TestAttachLoadersAgree(t *testing.T) {
+	for _, recirc := range []bool{false, true} {
+		for _, boundary := range []int{0, 32} {
+			cfg := defaultCfg()
+			cfg.Recirculate, cfg.BoundaryOffset = recirc, boundary
+			rp := -1
+			if recirc {
+				rp = 1
+			}
+			typed, bySpec := NewSwitch("typed"), NewSwitch("spec")
+			if _, err := typed.AttachPayloadPark(cfg, rp); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := bySpec.AttachSpec(prog.PayloadParkSpec(prog.ParkParams{
+				Slots: cfg.Slots, MaxExpiry: cfg.MaxExpiry, SplitPort: int(cfg.SplitPort), MergePort: int(cfg.MergePort),
+				BoundaryOffset: boundary, Recirculate: recirc,
+				Blocks: cfg.Blocks(), BaseBlocks: BaseBlocks, BlockBytes: BlockBytes, MaxClock: MaxClock,
+			}), nil, nil, rp); err != nil {
+				t.Fatal(err)
+			}
+			if typed.MaxParkBytes() != cfg.ParkBytes() || typed.PPOffset(portNF) != boundary {
+				t.Errorf("recirc=%t boundary=%d: MaxParkBytes %d, PPOffset %d; want %d, %d", recirc, boundary,
+					typed.MaxParkBytes(), typed.PPOffset(portNF), cfg.ParkBytes(), boundary)
+			}
+			requireSameSwitch(t, bySpec, typed)
+		}
 	}
 }
 
@@ -272,7 +358,7 @@ func TestUnguardedStoreIsACountedDrop(t *testing.T) {
 			}
 		}
 	}
-	inst, err := sw.AttachSpec(spec, nil, nil)
+	inst, err := sw.AttachSpec(spec, nil, nil, -1)
 	if err != nil {
 		t.Fatalf("AttachSpec: %v", err)
 	}
@@ -291,32 +377,42 @@ func TestUnguardedStoreIsACountedDrop(t *testing.T) {
 	}
 }
 
-// TestFailedAttachSpecTouchesNoPipe: a spec that does not fit the pipe is
-// refused whole, so the good spec attached after it leaves the switch with
-// a fresh switch's resources and output.
+// TestFailedAttachSpecTouchesNoPipe: a program either loader refuses — one
+// that does not fit the pipe, a split port off the switch, a recirculating
+// table too large for its SRAM — leaves a switch equal to a fresh one, and
+// the good spec attached after it runs exactly as on a fresh switch.
 func TestFailedAttachSpecTouchesNoPipe(t *testing.T) {
 	bad := compressSpec()
 	bad.Tables[len(bad.Tables)-1].Resources.VLIWSlots = rmt.StageVLIWSlots + 1
-	reused, fresh := NewSwitch("reused"), NewSwitch("fresh")
-	if _, err := reused.AttachSpec(bad, nil, nil); err == nil || !strings.Contains(err.Error(), "VLIW overflow") {
-		t.Fatalf("err = %v, want the VLIW overflow", err)
-	}
-	for _, sw := range []*Switch{reused, fresh} {
-		sw.AddL2Route(nfMAC, portNF)
-		sw.AddL2Route(sinkMAC, portSink)
-		if _, err := sw.AttachSpec(compressSpec(), nil, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pipe := PipeOfPort(portGen)
-	if got, want := reused.Pipe(pipe).Resources(), fresh.Pipe(pipe).Resources(); got != want {
-		t.Errorf("resources after a refused spec %+v, want a fresh switch's %+v", got, want)
-	}
-	for _, size := range []int{64, 1500} {
-		got, _, err := injectFrame(reused, mkPkt(size, 1).Serialize(), portGen)
-		want, _, err2 := injectFrame(fresh, mkPkt(size, 1).Serialize(), portGen)
-		if err != nil || err2 != nil || !bytes.Equal(got, want) {
-			t.Errorf("%d B frame: got %x (%v), want a fresh switch's %x (%v)", size, got, err, want, err2)
-		}
+	for _, tc := range []struct {
+		name, want string
+		attach     func(*Switch) error
+	}{
+		{"VLIW overflow", "VLIW overflow", func(sw *Switch) error {
+			_, err := sw.AttachSpec(bad, nil, nil, -1)
+			return err
+		}},
+		{"split port off the switch", "split port 64", func(sw *Switch) error {
+			_, err := sw.AttachPayloadPark(Config{Slots: 8, MaxExpiry: 1, SplitPort: 64, MergePort: 65}, -1)
+			return err
+		}},
+		{"recirculating table too large", "SRAM overflow", func(sw *Switch) error {
+			_, err := sw.AttachPayloadPark(Config{Slots: MaxSlots, MaxExpiry: 1, SplitPort: portGen, MergePort: portNF, Recirculate: true}, 1)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reused, fresh := NewSwitch("reused"), NewSwitch("fresh")
+			if err := tc.attach(reused); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one naming %q", err, tc.want)
+			}
+			requireSameSwitch(t, reused, fresh)
+			for _, sw := range []*Switch{reused, fresh} {
+				if _, err := sw.AttachSpec(compressSpec(), nil, nil, -1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			requireSameSwitch(t, reused, fresh)
+		})
 	}
 }

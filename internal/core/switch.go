@@ -63,11 +63,11 @@ type Emission struct {
 // counter reads (RxPackets, Drops, ...) are well-defined only while no
 // worker is injecting.
 type Switch struct {
-	name     string
-	pipes    [NumPipes]*rmt.Pipeline
+	name  string
+	pipes [NumPipes]*rmt.Pipeline
+	// programs are the typed PayloadPark programs; a spec attached through
+	// AttachSpec alone is held by its caller.
 	programs []*Program
-	// instances are declarative programs attached through AttachSpec.
-	instances []*prog.Instance
 	// recircOf maps an ingress pipe index to the pipe handling its second
 	// pass.
 	recircOf map[int]int
@@ -76,11 +76,13 @@ type Switch struct {
 	fwd fwdTable
 
 	// ppOffset precomputes, per port, where arriving frames carry a
-	// PayloadPark header (-1: none). Rebuilt on AttachPayloadPark,
-	// replacing a per-packet linear scan over installed programs.
+	// PayloadPark header (-1: none). AttachSpec sets it from each loaded
+	// program's parser geometry, replacing a per-packet linear scan over
+	// installed programs.
 	ppOffset [NumPorts]int
-	// maxPark is the largest ParkBytes over installed programs; it sizes
-	// the merge headroom of FrameBurst slots and wire-parse hops.
+	// maxPark is the largest park region over installed programs (set by
+	// AttachSpec); it sizes the merge headroom of FrameBurst slots and
+	// wire-parse hops.
 	maxPark int
 
 	// rx/tx count packets entering and leaving the switch, sharded by pipe
@@ -182,33 +184,15 @@ func (s *Switch) MatchCounts() (steps, residual uint64) {
 }
 
 // AttachPayloadPark compiles a PayloadPark program (prog.PayloadParkSpec)
-// onto the pipe serving cfg's ports. Both ports must live on the same pipe
-// — pipes do not share stateful memory (§5). With cfg.Recirculate,
-// recircPipe names the pipe whose stages hold the second-pass payload
-// blocks (§6.2.5); without it recircPipe must be -1. A configuration the
-// hardware could not hold — a table too large for per-stage SRAM, parser
-// geometry that conflicts with a program already on the pipe — is an error.
+// through AttachSpec and wraps the instance in a typed Program whose
+// Counters the spec's counters tick. With cfg.Recirculate, recircPipe names
+// the pipe whose stages hold the second-pass payload blocks (§6.2.5);
+// without it recircPipe must be -1.
 func (s *Switch) AttachPayloadPark(cfg Config, recircPipe int) (*Program, error) {
-	pipeIdx := PipeOfPort(cfg.SplitPort)
-	switch {
-	case PipeOfPort(cfg.MergePort) != pipeIdx:
-		return nil, fmt.Errorf("core: split port %d and merge port %d are on different pipes; pipes share no stateful memory",
-			cfg.SplitPort, cfg.MergePort)
-	case !cfg.Recirculate && recircPipe != -1:
-		return nil, fmt.Errorf("core: recirculation pipe %d supplied but recirculation disabled", recircPipe)
-	case cfg.Recirculate && (recircPipe < 0 || recircPipe >= NumPipes || recircPipe == pipeIdx):
-		return nil, fmt.Errorf("core: invalid recirculation pipe %d for ingress pipe %d", recircPipe, pipeIdx)
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var rp *rmt.Pipeline
-	if cfg.Recirculate {
-		rp = s.pipes[recircPipe]
-		s.recircOf[pipeIdx] = recircPipe
-	}
-	p := &Program{cfg: cfg}
-	inst, err := prog.Load(prog.PayloadParkSpec(prog.ParkParams{
+	spec := prog.PayloadParkSpec(prog.ParkParams{
 		Slots:          cfg.Slots,
 		MaxExpiry:      cfg.MaxExpiry,
 		SplitPort:      int(cfg.SplitPort),
@@ -219,41 +203,34 @@ func (s *Switch) AttachPayloadPark(cfg Config, recircPipe int) (*Program, error)
 		BaseBlocks:     BaseBlocks,
 		BlockBytes:     BlockBytes,
 		MaxClock:       MaxClock,
-	}), prog.LoadOptions{
-		Pipe:       s.pipes[pipeIdx],
-		RecircPipe: rp,
-		Counters:   p.counterBindings(),
 	})
+	p := &Program{cfg: cfg}
+	inst, err := s.AttachSpec(spec, nil, p.C.bindings(), recircPipe)
 	if err != nil {
 		return nil, err
 	}
 	p.inst = inst
 	s.programs = append(s.programs, p)
-	if int(cfg.MergePort) < NumPorts {
-		s.ppOffset[cfg.MergePort] = cfg.BoundaryOffset
-	}
-	if pb := cfg.ParkBytes(); pb > s.maxPark {
-		s.maxPark = pb
-	}
 	return p, nil
 }
 
-// AttachSpec compiles a declarative program spec (built-in or loaded from
-// JSON) onto the pipe serving its split port. overrides repoint the spec's
-// named parameters (ports, slot counts) at this switch's geometry; counters
-// pre-bind spec counter names to externally owned counters. The spec must
-// declare a "split_port" parameter — that port picks the pipe — and, when it
-// declares a "merge_port", both must live on one pipe (pipes share no
-// stateful memory, §5). Specs using the recirculation pipe go through
-// AttachPayloadPark's Config path instead.
-func (s *Switch) AttachSpec(spec *prog.Spec, overrides map[string]int64, counters map[string]*stats.Counter) (*prog.Instance, error) {
+// AttachSpec is the switch's one loader: it compiles a declarative program
+// spec (built-in or loaded from JSON) onto the pipe serving its split port.
+// params repoint the spec's named parameters (ports, slot counts) at this
+// switch's geometry; counters pre-bind spec counter names to externally
+// owned counters. The spec must declare an in-range "split_port" — that
+// port picks the pipe — and, when it declares a "merge_port", both must live
+// on one pipe (pipes share no stateful memory, §5). recircPipe names the
+// pipe holding the spec's second-pass tables: required exactly when the spec
+// uses one, and never the spec's own pipe. A program the hardware could not
+// hold — a table too large for per-stage SRAM, parser geometry that
+// conflicts with a program already on the pipe — is an error, and a refused
+// spec leaves the switch as it was.
+func (s *Switch) AttachSpec(spec *prog.Spec, params map[string]int64, counters map[string]*stats.Counter, recircPipe int) (*prog.Instance, error) {
 	if spec == nil {
 		return nil, fmt.Errorf("core: nil program spec")
 	}
-	if spec.UsesRecircPipe() {
-		return nil, fmt.Errorf("core: spec %q uses the recirculation pipe; attach it through AttachPayloadPark", spec.Name)
-	}
-	split, ok := spec.ResolveParam("split_port", overrides)
+	split, ok := spec.ResolveParam("split_port", params)
 	if !ok {
 		return nil, fmt.Errorf("core: spec %q declares no split_port parameter", spec.Name)
 	}
@@ -261,19 +238,31 @@ func (s *Switch) AttachSpec(spec *prog.Spec, overrides map[string]int64, counter
 		return nil, fmt.Errorf("core: spec %q split port %d outside [0,%d)", spec.Name, split, NumPorts)
 	}
 	pipeIdx := PipeOfPort(rmt.PortID(split))
-	if merge, ok := spec.ResolveParam("merge_port", overrides); ok && PipeOfPort(rmt.PortID(merge)) != pipeIdx {
+	if merge, ok := spec.ResolveParam("merge_port", params); ok && PipeOfPort(rmt.PortID(merge)) != pipeIdx {
 		return nil, fmt.Errorf("core: split port %d and merge port %d are on different pipes; pipes share no stateful memory",
 			split, merge)
 	}
+	var rp *rmt.Pipeline
+	switch recirc := spec.UsesRecircPipe(); {
+	case !recirc && recircPipe != -1:
+		return nil, fmt.Errorf("core: recirculation pipe %d supplied but spec %q does not recirculate", recircPipe, spec.Name)
+	case recirc && (recircPipe < 0 || recircPipe >= NumPipes || recircPipe == pipeIdx):
+		return nil, fmt.Errorf("core: invalid recirculation pipe %d for ingress pipe %d", recircPipe, pipeIdx)
+	case recirc:
+		rp = s.pipes[recircPipe]
+	}
 	inst, err := prog.Load(spec, prog.LoadOptions{
-		Pipe:     s.pipes[pipeIdx],
-		Params:   overrides,
-		Counters: counters,
+		Pipe:       s.pipes[pipeIdx],
+		RecircPipe: rp,
+		Params:     params,
+		Counters:   counters,
 	})
 	if err != nil {
 		return nil, err
 	}
-	s.instances = append(s.instances, inst)
+	if rp != nil {
+		s.recircOf[pipeIdx] = recircPipe
+	}
 	blocks, blockBytes, parkOffset := inst.ParkGeometry()
 	for _, port := range inst.PPPorts() {
 		if port >= 0 && port < NumPorts {
@@ -285,11 +274,6 @@ func (s *Switch) AttachSpec(spec *prog.Spec, overrides map[string]int64, counter
 	}
 	return inst, nil
 }
-
-// Instances returns the declarative-program instances attached through
-// AttachSpec (programs attached through AttachPayloadPark are reported by
-// Programs instead).
-func (s *Switch) Instances() []*prog.Instance { return s.instances }
 
 // BatchPacket couples a packet with its ingress port for InjectBatch.
 type BatchPacket struct {

@@ -33,8 +33,9 @@ const (
 	RoleCtxHi    = "cr_ctx_hi"
 )
 
-// ParkParams parameterizes PayloadParkSpec. core.Switch.AttachPayloadPark
-// fills it from its Config plus the package geometry constants.
+// ParkParams parameterizes PayloadParkSpec. core.Switch.AttachPayloadPark,
+// the typed wrapper over core.Switch.AttachSpec, fills it from its Config
+// plus the package geometry constants.
 type ParkParams struct {
 	Slots          int
 	MaxExpiry      uint32

@@ -171,8 +171,8 @@ type portHooks struct {
 type SwitchNode struct {
 	eng  *Engine
 	Name string
-	// SW is the behavioural dataplane. Attach programs and routes
-	// directly (AttachPayloadPark, AddL2Route).
+	// SW is the behavioural dataplane. Graph.Realise loads its routes and
+	// programs; the Program section's instances stay with the run.
 	SW *core.Switch
 	// WireParse makes ingress byte-accurate: arriving packets are
 	// serialized and re-parsed with this switch's per-port header

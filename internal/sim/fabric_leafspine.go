@@ -136,8 +136,8 @@ func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
 	compSnaps := make([]map[string]uint64, L)
 	if compress {
 		spec.realised = func(r *simRun) {
-			for i, leaf := range r.nodes[:L] {
-				r.eng.ScheduleAt(windowStart, func() { compSnaps[i] = leaf.SW.Instances()[0].Counters() })
+			for i, insts := range r.programs[:L] {
+				r.eng.ScheduleAt(windowStart, func() { compSnaps[i] = insts[0].Counters() })
 			}
 		}
 	}
@@ -210,7 +210,7 @@ func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
 	}
 	if compress {
 		for i, leaf := range r.nodes[:L] {
-			res.Programs = append(res.Programs, programReport(leaf.Name, leaf.SW.Instances()[0], compSnaps[i]))
+			res.Programs = append(res.Programs, programReport(leaf.Name, r.programs[i][0], compSnaps[i]))
 		}
 		sortPrograms(res.Programs)
 	}

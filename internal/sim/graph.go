@@ -8,6 +8,7 @@ import (
 	"github.com/payloadpark/payloadpark/internal/ctrl"
 	"github.com/payloadpark/payloadpark/internal/nf"
 	"github.com/payloadpark/payloadpark/internal/packet"
+	"github.com/payloadpark/payloadpark/internal/prog"
 	"github.com/payloadpark/payloadpark/internal/rmt"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
@@ -301,9 +302,10 @@ func LeafSpineGraph(L, S int, s Sections) *Graph {
 }
 
 // Realise installs graph switch i — routes, parking programs, the
-// section's table program, ECMP groups — on sw. It is the only place a
-// backend loads a switch.
-func (g *Graph) Realise(i int, sw *core.Switch) error {
+// section's table program, ECMP groups — on sw, and returns the table
+// program's instances in attach order (the switch lists only its typed
+// parking Programs). It is the only place a backend loads a switch.
+func (g *Graph) Realise(i int, sw *core.Switch) ([]*prog.Instance, error) {
 	gs := &g.Switches[i]
 	for mac, port := range gs.Routes { //pp:nondeterministic-ok order-insensitive copy into the switch's L2 map
 		sw.AddL2Route(mac, port)
@@ -314,23 +316,27 @@ func (g *Graph) Realise(i int, sw *core.Switch) error {
 			recirc = (core.PipeOfPort(pl.Split) + 1) % core.NumPipes
 		}
 		if _, err := sw.AttachPayloadPark(g.Parking.Core(pl.Split, pl.Merge), recirc); err != nil {
-			return fmt.Errorf("attach %s: %w", gs.Name, err)
+			return nil, fmt.Errorf("attach %s: %w", gs.Name, err)
 		}
 	}
+	var insts []*prog.Instance
 	for _, pl := range gs.Spec {
-		if _, err := attachProgram(sw, g.Program, pl.Split, pl.Merge); err != nil {
-			return fmt.Errorf("%s: %w", gs.Name, err)
+		spec, params := programSpec(g.Program, pl.Split, pl.Merge)
+		inst, err := sw.AttachSpec(spec, params, nil, -1)
+		if err != nil {
+			return nil, fmt.Errorf("%s: attach program: %w", gs.Name, err)
 		}
+		insts = append(insts, inst)
 	}
 	for _, eg := range g.Groups {
 		if eg.On != i {
 			continue
 		}
 		if err := sw.SetECMPRoute(eg.Dst, eg.Ports); err != nil {
-			return fmt.Errorf("ECMP group %s: %w", eg.Name, err)
+			return nil, fmt.Errorf("ECMP group %s: %w", eg.Name, err)
 		}
 	}
-	return nil
+	return insts, nil
 }
 
 // first is s[0], or nil when the switch holds none.
@@ -341,12 +347,13 @@ func first[T any](s []*T) *T {
 	return s[0]
 }
 
-// RealiseAll builds every switch of the graph, in graph order.
+// RealiseAll builds every switch of the graph, in graph order, dropping
+// the table program instances Realise returns.
 func (g *Graph) RealiseAll() ([]*core.Switch, error) {
 	sws := make([]*core.Switch, len(g.Switches))
 	for i := range sws {
 		sws[i] = core.NewSwitch(g.Switches[i].Name)
-		if err := g.Realise(i, sws[i]); err != nil {
+		if _, err := g.Realise(i, sws[i]); err != nil {
 			return nil, err
 		}
 	}

@@ -80,7 +80,7 @@ func TestFabricByteConservation(t *testing.T) {
 	}
 	comp, err := sw.AttachSpec(prog.HeaderCompressSpec(prog.CompressParams{
 		Slots: 512, CompressPort: int(portSplit), RestorePort: int(portNF),
-	}), nil, nil)
+	}), nil, nil, -1)
 	if err != nil {
 		t.Fatalf("attach compression: %v", err)
 	}

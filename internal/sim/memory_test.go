@@ -39,7 +39,7 @@ func newMergeRig(t *testing.T, mode ParkMode) *mergeRig {
 	for i, gs := range g.Switches {
 		n := r.f.AddSwitch(gs.Name)
 		n.WireParse = gs.WireParse
-		if err := g.Realise(i, n.SW); err != nil {
+		if _, err := g.Realise(i, n.SW); err != nil {
 			t.Fatal(err)
 		}
 		r.nodes = append(r.nodes, n)

@@ -1,10 +1,8 @@
 package sim
 
 import (
-	"fmt"
 	"sort"
 
-	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/prog"
 	"github.com/payloadpark/payloadpark/internal/rmt"
 )
@@ -25,17 +23,14 @@ type ProgramCounters struct {
 	Occupancy int `json:"occupancy"`
 }
 
-// attachProgram loads the section's table program onto sw (nothing for
-// the zero section): the built-in compression spec, or the custom Spec
-// with split_port and merge_port set to the topology's canonical ports, so
-// a serialized spec written against one port layout runs anywhere. A spec
-// the pipe cannot hold is an error.
-func attachProgram(sw *core.Switch, p Program, split, merge rmt.PortID) (*prog.Instance, error) {
+// programSpec is the section's table program for one placement (nil for
+// the zero section): the built-in compression spec, or the custom Spec,
+// with params setting split_port and merge_port to the topology's canonical
+// ports, so a serialized spec written against one port layout runs
+// anywhere.
+func programSpec(p Program, split, merge rmt.PortID) (*prog.Spec, map[string]int64) {
 	spec := p.Spec
-	switch p.Kind {
-	case "":
-		return nil, nil
-	case "compress":
+	if p.Kind == "compress" {
 		spec = prog.HeaderCompressSpec(prog.CompressParams{Slots: p.Slots, MaxExpiry: p.MaxExpiry})
 	}
 	params := make(map[string]int64, 2)
@@ -46,11 +41,7 @@ func attachProgram(sw *core.Switch, p Program, split, merge rmt.PortID) (*prog.I
 			}
 		}
 	}
-	inst, err := sw.AttachSpec(spec, params, nil)
-	if err != nil {
-		return nil, fmt.Errorf("attach program: %w", err)
-	}
-	return inst, nil
+	return spec, params
 }
 
 // programReport diffs one instance against its window-start snapshot.

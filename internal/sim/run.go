@@ -3,6 +3,7 @@ package sim
 import (
 	"github.com/payloadpark/payloadpark/internal/ctrl"
 	"github.com/payloadpark/payloadpark/internal/packet"
+	"github.com/payloadpark/payloadpark/internal/prog"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
@@ -13,9 +14,12 @@ import (
 // and keeps what only it measures.
 type simRun struct {
 	*Fabric
-	nodes  []*SwitchNode // in graph order
-	cables [][2]*Link    // per graph cable: A->B, then B->A
-	edges  []*edge       // per flow
+	nodes []*SwitchNode // in graph order
+	// programs holds, per node, the Program section's instances
+	// Graph.Realise loaded, in attach order.
+	programs [][]*prog.Instance
+	cables   [][2]*Link // per graph cable: A->B, then B->A
+	edges    []*edge    // per flow
 	// fabricDrops counts in-window drops no edge owns: on cables and at
 	// ingress ports fed by another switch.
 	fabricDrops uint64
@@ -54,10 +58,12 @@ func realise(g *Graph, s Sections, w Wiring, spec runSpec) (*simRun, error) {
 	for i, gs := range g.Switches {
 		n := r.AddSwitch(gs.Name)
 		n.WireParse = gs.WireParse
-		if err := g.Realise(i, n.SW); err != nil {
+		insts, err := g.Realise(i, n.SW)
+		if err != nil {
 			return nil, err
 		}
 		r.nodes = append(r.nodes, n)
+		r.programs = append(r.programs, insts)
 	}
 	if spec.realised != nil {
 		spec.realised(r)

@@ -125,7 +125,7 @@ func RunTestbed(t Testbed, s Sections, w Wiring) (Result, error) {
 			}
 		}
 		eng.ScheduleAt(windowStart, func() { pcieBase = e.server.PCIeBytes.Value(); pcieSample() })
-		if inst = first(r.nodes[0].SW.Instances()); inst != nil {
+		if inst = first(r.programs[0]); inst != nil {
 			eng.ScheduleAt(windowStart, func() { progSnap = inst.Counters() })
 		}
 	}
