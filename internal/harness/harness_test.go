@@ -268,15 +268,20 @@ func TestTable1Values(t *testing.T) {
 func TestMultiServerPortLayout(t *testing.T) {
 	// Two servers share pipe 0 without colliding on ports or stage
 	// budgets; verify via a tiny run.
-	res, err := sim.RunMultiServer(sim.MultiServer{Servers: 2, LinkBps: 10e9}, sim.Sections{
+	m, s := sim.MultiServer{Servers: 2, LinkBps: 10e9}, sim.Sections{
 		Parking: sim.Parking{Mode: sim.ParkEdge, Slots: 1024, MaxExpiry: 1},
 		Traffic: sim.Traffic{SendBps: 2e9, Dist: trafficgen.Fixed(384)},
 		Opts:    sim.RunOptions{Seed: 1, WarmupNs: 1e6, MeasureNs: 3e6},
-	}, sim.Wiring{})
+	}
+	m.Resolve(&s)
+	if err := m.Validate(s); err != nil {
+		t.Fatal(err)
+	}
+	o, err := sim.Run(m.Graph(s), s, sim.Wiring{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range res.PerServer {
+	for i, r := range m.View(s, o).PerServer {
 		if r.GoodputGbps <= 0 {
 			t.Errorf("server %d goodput %v", i, r.GoodputGbps)
 		}

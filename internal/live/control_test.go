@@ -104,15 +104,20 @@ func TestAdaptiveKeepsConfiguredExpiry(t *testing.T) {
 
 	t.Run("sim", func(t *testing.T) {
 		run := func(c ctrl.Config) sim.Result {
-			res, err := sim.RunTestbed(sim.Testbed{NFLinkLossRate: 0.02}, sim.Sections{
+			tb, s := sim.Testbed{NFLinkLossRate: 0.02}, sim.Sections{
 				Parking: parking, Control: c,
 				Traffic: sim.Traffic{SendBps: 2e9},
 				Opts:    sim.RunOptions{Seed: 5, WarmupNs: 2e6, MeasureNs: 8e6},
-			}, sim.Wiring{})
+			}
+			tb.Resolve(&s)
+			if err := tb.Validate(s); err != nil {
+				t.Fatal(err)
+			}
+			o, err := sim.Run(tb.Graph(s), s, sim.Wiring{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res
+			return tb.View(s, o)
 		}
 		got, ref := run(adaptive), run(ctrl.Config{})
 		quiet(t, got.Control, got.Premature, got.OccupiedSkips)

@@ -61,8 +61,8 @@ type Report struct {
 	Trace *obs.Trace `json:"-"`
 }
 
-// bindings builds the observability the spec asks for, as the runners'
-// wiring carries it.
+// bindings builds the observability the spec asks for, as a run's wiring
+// carries it.
 func (o Observe) bindings() sim.ObsConfig {
 	var c sim.ObsConfig
 	if o.Metrics {
@@ -76,9 +76,11 @@ func (o Observe) bindings() sim.ObsConfig {
 
 // Run executes one Scenario and returns its Report. It is the single
 // public entrypoint for every topology. The scenario's sections go to the
-// topology's runner as they are; the runner's package resolves their
-// defaults and validates them — every rule, "unsupported here" included
-// (see sim.Sections) — so nothing here restates a field or a rule.
+// topology as they are; the topology's package resolves their defaults and
+// validates them — every rule, "unsupported here" included (see
+// sim.Sections) — so nothing here restates a field or a rule. A simulated
+// topology's Report is its headline over the one sim.Outcome plus the
+// topology's view of it.
 //
 // Cancellation is honored mid-simulation: the context's Done channel is
 // polled by the event engine every few thousand events, so even a
@@ -114,9 +116,7 @@ func Run(ctx context.Context, s Scenario) (*Report, error) {
 	rep.Trace = w.Obs.Trace
 	rep.Scenario = s.Name
 	rep.Topology = s.Topology.Kind()
-	if rep.Mode == "" {
-		rep.Mode = s.Parking.Mode.String()
-	}
+	rep.Mode = s.Parking.Mode.String()
 	if p := s.Opts.Progress; p != nil {
 		p(s.Name)
 	}
@@ -129,7 +129,7 @@ func Run(ctx context.Context, s Scenario) (*Report, error) {
 	return rep, nil
 }
 
-// cancelFunc adapts a context to the sim runners' Cancel hook
+// cancelFunc adapts a context to the event engine's Cancel hook
 // (sim.Wiring): it returns nil for contexts that can never be canceled
 // (no polling cost) and a non-blocking Done poll otherwise.
 func cancelFunc(ctx context.Context) func() bool {
@@ -147,84 +147,77 @@ func cancelFunc(ctx context.Context) func() bool {
 	}
 }
 
-// --- Testbed ---
-
-func (t Testbed) run(_ context.Context, s *Scenario, w sim.Wiring) (*Report, error) {
-	res, err := sim.RunTestbed(sim.Testbed(t), s.sections(), w)
-	if err != nil {
-		return nil, errf("testbed: %w", err)
-	}
-	rep := &Report{
-		SendGbps:           res.SendGbps,
-		GoodputGbps:        res.GoodputGbps,
-		AvgLatencyUs:       res.AvgLatencyUs,
-		MaxLatencyUs:       res.MaxLatencyUs,
-		LatencyCDF:         res.LatencyCDF,
-		Delivered:          res.Delivered,
-		UnintendedDropRate: res.UnintendedDropRate,
-		Healthy:            res.Healthy,
-		Premature:          res.Premature,
-		Control:            res.Control,
-		Programs:           res.Programs,
-		Testbed:            &res,
-	}
-	return rep, nil
+// simulated is a topology of the event simulator: sim.Testbed,
+// sim.MultiServer or sim.LeafSpine, by pointer.
+type simulated interface {
+	Resolve(*sim.Sections)
+	Validate(sim.Sections) error
+	Graph(sim.Sections) *sim.Graph
 }
 
-// --- MultiServer ---
-
-func (m MultiServer) run(_ context.Context, s *Scenario, w sim.Wiring) (*Report, error) {
-	res, err := sim.RunMultiServer(sim.MultiServer(m), s.sections(), w)
+// simulate resolves and validates the scenario's sections for t, runs t's
+// graph, and returns the Report's headline over the outcome with view
+// adding t's own section. The headline sums rates and deliveries over the
+// flows, averages their mean latencies and takes the largest maximum; its
+// drop rate is fabric-wide over the packets sent, unless meanDropRate asks
+// for the mean of the flows' rates (the multi-server deployment's).
+func simulate(kind string, t simulated, s *Scenario, w sim.Wiring, meanDropRate bool, view func(sim.Sections, *sim.Outcome, *Report)) (*Report, error) {
+	sec := s.sections()
+	t.Resolve(&sec)
+	err := t.Validate(sec)
+	var o *sim.Outcome
+	if err == nil {
+		o, err = sim.Run(t.Graph(sec), sec, w)
+	}
 	if err != nil {
-		return nil, errf("multiserver: %w", err)
+		return nil, errf("%s: %w", kind, err)
 	}
-	rep := &Report{MultiServer: &res}
-	for i := range res.PerServer {
-		r := &res.PerServer[i]
-		rep.SendGbps += r.SendGbps
-		rep.GoodputGbps += r.GoodputGbps
-		rep.AvgLatencyUs += r.AvgLatencyUs
-		if r.MaxLatencyUs > rep.MaxLatencyUs {
-			rep.MaxLatencyUs = r.MaxLatencyUs
+	rep := &Report{Control: o.Control, Programs: o.Programs}
+	for _, f := range o.Flows {
+		rep.SendGbps += f.SendGbps
+		rep.GoodputGbps += f.GoodputGbps
+		rep.AvgLatencyUs += f.AvgLatencyUs
+		rep.MaxLatencyUs = max(rep.MaxLatencyUs, f.MaxLatencyUs)
+		rep.Delivered += f.Delivered
+		rep.UnintendedDropRate += f.UnintendedDropRate
+		rep.Premature += f.Premature
+	}
+	rep.AvgLatencyUs /= float64(len(o.Flows))
+	if len(o.Switches) > 1 { // a fabric counts parking per switch (sim.Outcome.Flows)
+		for _, sw := range o.Switches {
+			rep.Premature += sw.Premature
 		}
-		rep.Delivered += r.Delivered
-		rep.UnintendedDropRate += r.UnintendedDropRate
-		rep.Premature += r.Premature
 	}
-	if n := len(res.PerServer); n > 0 {
-		rep.AvgLatencyUs /= float64(n)
-		rep.UnintendedDropRate /= float64(n)
+	if meanDropRate {
+		rep.UnintendedDropRate /= float64(len(o.Flows))
+	} else if o.Sent > 0 {
+		rep.UnintendedDropRate = float64(o.Drops) / float64(o.Sent)
 	}
 	rep.Healthy = rep.UnintendedDropRate < sim.HealthyDropRate
+	view(sec, o, rep)
 	return rep, nil
 }
 
-// --- LeafSpine ---
+func (t Testbed) run(_ context.Context, s *Scenario, w sim.Wiring) (*Report, error) {
+	tb := sim.Testbed(t)
+	return simulate(t.Kind(), &tb, s, w, false, func(sec sim.Sections, o *sim.Outcome, rep *Report) {
+		res := tb.View(sec, o)
+		rep.Testbed, rep.LatencyCDF = &res, res.LatencyCDF // the one topology with a headline CDF
+	})
+}
+
+func (m MultiServer) run(_ context.Context, s *Scenario, w sim.Wiring) (*Report, error) {
+	ms := sim.MultiServer(m)
+	return simulate(m.Kind(), &ms, s, w, true, func(sec sim.Sections, o *sim.Outcome, rep *Report) {
+		res := ms.View(sec, o)
+		rep.MultiServer = &res
+	})
+}
 
 func (l LeafSpine) run(_ context.Context, s *Scenario, w sim.Wiring) (*Report, error) {
-	res, err := sim.RunLeafSpine(sim.LeafSpine(l), s.sections(), w)
-	if err != nil {
-		return nil, errf("leafspine: %w", err)
-	}
-	rep := &Report{
-		Mode:               res.Mode,
-		SendGbps:           res.SendGbps,
-		GoodputGbps:        res.GoodputGbps,
-		AvgLatencyUs:       res.AvgLatencyUs,
-		UnintendedDropRate: res.UnintendedDropRate,
-		Healthy:            res.Healthy,
-		Control:            res.Control,
-		Programs:           res.Programs,
-		Fabric:             &res,
-	}
-	for _, fr := range res.Flows {
-		rep.Delivered += fr.Delivered
-		if fr.MaxLatencyUs > rep.MaxLatencyUs {
-			rep.MaxLatencyUs = fr.MaxLatencyUs
-		}
-	}
-	for _, sw := range res.Switches {
-		rep.Premature += sw.Premature
-	}
-	return rep, nil
+	ls := sim.LeafSpine(l)
+	return simulate(l.Kind(), &ls, s, w, false, func(sec sim.Sections, o *sim.Outcome, rep *Report) {
+		res := ls.View(sec, o)
+		rep.Fabric = &res
+	})
 }

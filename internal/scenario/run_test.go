@@ -44,7 +44,7 @@ func TestRunValidation(t *testing.T) {
 		{"ecmp x everyhop", Scenario{Topology: LeafSpine{}, Parking: Parking{Mode: sim.ParkEveryHop}, Control: Control{ECMP: true}}, "cannot stripe"},
 		{"compress x everyhop", Scenario{Topology: LeafSpine{}, Parking: Parking{Mode: sim.ParkEveryHop}, Program: Program{Kind: "compress"}}, "every-hop"},
 		// The rules sim's Validate methods own, as Run reports them
-		// (sim.TestRulesHaveOneOwner calls the runners directly).
+		// (sim.TestRulesHaveOneOwner calls the topologies directly).
 		{"tb ecmp", Scenario{Topology: Testbed{}, Control: Control{ECMP: true}}, "scenario: testbed: ECMP needs a multipath topology (use LeafSpine)"},
 		{"ms chain exact", Scenario{Topology: MultiServer{}, Chain: fwNATChain}, "scenario: multiserver: custom Chain unsupported (the §6.2.3 deployment pins the MAC-swap chain)"},
 		{"ms source", Scenario{Topology: MultiServer{}, Traffic: Traffic{Source: replay}}, "scenario: multiserver: Traffic.Source unsupported"},
@@ -214,9 +214,9 @@ func TestHostileSlots(t *testing.T) {
 	}
 }
 
-// TestHostileRates: a rate or window the event engine
-// cannot pace by is an error naming the field on every simulated topology
-// that has it — each of these used to run and report a healthy-looking
+// TestHostileRates: a rate, window, loss rate or failure time the event
+// engine cannot run by is an error naming the field on every simulated
+// topology that has it — each of these used to run and report a healthy-looking
 // Report (a negative link rate serializes backwards in time; an unset
 // send rate paces a packet every nanosecond).
 func TestHostileRates(t *testing.T) {
@@ -235,6 +235,15 @@ func TestHostileRates(t *testing.T) {
 		{"traffic.send_bps = -1e+09 outside (0, +Inf)", Traffic{SendBps: -1e9}, short, all},
 		{"opts.measure_ns = -5000000 outside [1, +Inf)", ok, RunOptions{Quick: true, MeasureNs: -5e6}, all},
 		{"opts.warmup_ns = -1 outside [0, +Inf)", ok, RunOptions{Quick: true, WarmupNs: -1}, all},
+		// A negative reroute delay moved the route before the link failed
+		// and reported a healthy run; a negative failure time is as wrong.
+		{"fail_at_ns = -1000000 outside [0, +Inf)", ok, short,
+			[]Topology{LeafSpine{Leaves: 4, Spines: 3, FailLink: true, FailAtNs: -1e6}}},
+		{"reroute_ns = -3000000 outside [0, +Inf)", ok, short,
+			[]Topology{LeafSpine{Leaves: 4, Spines: 3, FailLink: true, RerouteNs: -3e6}}},
+		// A negative loss rate ran lossless; a rate above 1 dropped everything.
+		{"nf_link_loss_rate = -0.5 outside [0, 1]", ok, short, []Topology{Testbed{NFLinkLossRate: -0.5}}},
+		{"nf_link_loss_rate = 3 outside [0, 1]", ok, short, []Topology{Testbed{NFLinkLossRate: 3}}},
 	} {
 		for _, topo := range tc.topos {
 			_, err := Run(context.Background(), Scenario{Topology: topo, Traffic: tc.traffic, Opts: tc.opts})

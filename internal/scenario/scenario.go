@@ -13,9 +13,9 @@
 // package.
 //
 // A Scenario's sections are not this package's own: each is declared,
-// defaulted (Resolve) and validated (Validate) in the package whose
-// runner reads it — internal/sim, internal/ctrl, internal/live — and
-// re-exported here under the Scenario's names.
+// defaulted (Resolve) and validated (Validate) in the package that reads
+// it — internal/sim, internal/ctrl, internal/live — and re-exported here
+// under the Scenario's names.
 package scenario
 
 import (
@@ -29,24 +29,27 @@ import (
 
 // Topology selects the deployment shape a Scenario runs on. It is a
 // closed sum over the supported shapes: Testbed, MultiServer, LeafSpine
-// and Live. Each converts to its runner's own type, and that runner's
-// Validate (sim.Testbed.Validate, ..., live.Topology.Validate) is the one
-// rulebook for it — including which sections it does not run — so Run and
-// a direct runner call reject the same descriptions with the same words.
+// and Live. Each converts to its package's own type, whose Validate
+// (sim.Testbed.Validate, ..., live.Topology.Validate) is the one rulebook
+// for it — including which sections it does not run — so Run and a
+// direct call reject the same descriptions with the same words. The three
+// simulated shapes are graph builders: each resolves the sections, builds
+// its sim.Graph, and views the one sim.Outcome that sim.Run measures on
+// it; Live runs on live.Run.
 type Topology interface {
 	// Kind names the topology in reports and in the JSON envelope
 	// ("testbed", "multiserver", "leafspine" or "live").
 	Kind() string
-	// run executes the scenario on this topology's runner under w, which
-	// Run binds to ctx and the Observe spec; the runner resolves and
-	// validates the sections itself and reports its own errors.
+	// run executes the scenario on this topology under w, which Run binds
+	// to ctx and the Observe spec; the topology's package resolves and
+	// validates the sections and reports its own errors.
 	run(ctx context.Context, s *Scenario, w sim.Wiring) (*Report, error)
 }
 
-// The serializable topologies are defined types over the struct the
-// runner declares (sim.Testbed, sim.MultiServer, sim.LeafSpine,
+// The serializable topologies are defined types over the struct their
+// package declares (sim.Testbed, sim.MultiServer, sim.LeafSpine,
 // live.Topology): same fields, same JSON form, converted — not copied —
-// when handed to the runner. See those types for the field docs.
+// when handed over. See those types for the field docs.
 
 // Testbed is the paper's canonical Fig. 5 single-switch topology.
 type Testbed sim.Testbed
@@ -66,7 +69,7 @@ type LeafSpine sim.LeafSpine
 // Kind implements Topology.
 func (LeafSpine) Kind() string { return "leafspine" }
 
-// The sections of a Scenario are the runners' own parameter types,
+// The sections of a Scenario are the sim and ctrl packages' own types,
 // re-exported: see sim.Parking, sim.Program, ctrl.Config, sim.Traffic and
 // sim.RunOptions for the fields, their defaults and their rules.
 type (
@@ -134,7 +137,7 @@ type Observe struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// sections gathers what every runner reads besides its topology.
+// sections gathers what every run reads besides its topology.
 func (s *Scenario) sections() sim.Sections {
 	return sim.Sections{
 		Name: s.Name, Parking: s.Parking, Program: s.Program, Control: s.Control,

@@ -194,7 +194,7 @@ func TestLeafSpineECMPControllerReroute(t *testing.T) {
 
 func TestLeafSpineECMPRejectsEveryHop(t *testing.T) {
 	cfg := ecmpSmoke(ParkEveryHop, 2)
-	if _, err := RunLeafSpine(cfg.LeafSpine, cfg.Sections, cfg.Wiring); err == nil {
+	if _, err := runTopology(&cfg.LeafSpine, &cfg.Sections, cfg.Wiring); err == nil {
 		t.Error("ECMP + ParkEveryHop accepted")
 	}
 }
@@ -242,7 +242,7 @@ func TestTestbedAdaptiveControlTimeline(t *testing.T) {
 	// Without a program (baseline) there is nothing to retune: an error
 	// naming the field, not a run that silently drops the controller.
 	cfg.Parking.Mode = ParkNone
-	if _, err := RunTestbed(cfg.Testbed, cfg.Sections, cfg.Wiring); err == nil || !strings.Contains(err.Error(), "control.adaptive needs parking") {
+	if _, err := runTopology(&cfg.Testbed, &cfg.Sections, cfg.Wiring); err == nil || !strings.Contains(err.Error(), "control.adaptive needs parking") {
 		t.Errorf("adaptive baseline run: err = %v", err)
 	}
 }

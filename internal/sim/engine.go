@@ -9,8 +9,10 @@
 // produce identical results.
 //
 // A run is described by sections (sections.go): each is declared there,
-// defaulted by its topology's Resolve and validated by its Validate, and
-// the runners take them as they are.
+// defaulted by its topology's Resolve and validated by its Validate. The
+// topology's Graph builds the deployment from them (graph.go); Run, the
+// one runner (run.go), simulates and measures any graph; and the
+// topology's View projects that Outcome into its report.
 package sim
 
 // Engine is a discrete-event executor.

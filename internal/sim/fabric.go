@@ -11,9 +11,9 @@ import (
 
 // Fabric is the discrete-event realisation of a Graph (graph.go):
 // simulation nodes — switches, NF servers, traffic sources and sinks —
-// connected by unidirectional Links. One skeleton builds it for every
-// runner (realise, run.go): each graph switch loaded by Graph.Realise, two
-// links per graph cable, one edge (edge.go) per flow.
+// connected by unidirectional Links. Run (run.go) builds it from any
+// graph: each graph switch loaded by Graph.Realise, two links per graph
+// cable, one edge (edge.go) per flow.
 //
 // A Fabric shares one single-threaded discrete-event Engine; all nodes
 // schedule onto the same clock, so runs stay deterministic regardless of
@@ -68,7 +68,8 @@ func (f *Fabric) AddSource(name string, gen trafficgen.Source, out *Link, sendBp
 
 // AddSink registers a terminal sink recording delivery latency.
 func (f *Fabric) AddSink(name string, windowEnd int64, recycle func(*packet.Packet)) *SinkNode {
-	s := &SinkNode{eng: f.eng, Name: name, WindowEnd: windowEnd, Recycle: recycle}
+	s := &SinkNode{eng: f.eng, Name: name, WindowEnd: windowEnd, Recycle: recycle,
+		Hist: stats.NewHistogram(stats.ExponentialBounds(1, 1.122, 120))} // 1 µs .. ~1 s
 	f.sinks = append(f.sinks, s)
 	return s
 }
@@ -374,7 +375,7 @@ type SinkNode struct {
 	WindowEnd int64
 	// Recycle returns retired packets to their generator.
 	Recycle func(*packet.Packet)
-	// Hist, when set, also feeds a latency histogram (P99 reporting).
+	// Hist holds the same latencies for quantiles.
 	Hist *stats.Histogram
 
 	Delivered uint64
@@ -393,9 +394,7 @@ func (s *SinkNode) Receive(p Parcel) {
 		s.Delivered++
 		us := float64(s.eng.Now()-p.Born) / 1e3
 		s.Latency.Observe(us)
-		if s.Hist != nil {
-			s.Hist.Observe(us)
-		}
+		s.Hist.Observe(us)
 	}
 	s.Recycle(p.Pkt)
 }

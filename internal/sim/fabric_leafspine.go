@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/payloadpark/payloadpark/internal/ctrl"
-	"github.com/payloadpark/payloadpark/internal/rmt"
 )
 
 // ParkMode selects where a leaf-spine fabric parks payloads.
@@ -101,123 +100,32 @@ type FabricResult struct {
 	UnintendedDropRate float64 `json:"unintended_drop_rate"`
 	Healthy            bool    `json:"healthy"`
 	// PhaseDelivered counts flow 0's NF deliveries before the failure,
-	// during the outage, and after the reroute (all zero when the
-	// failure scenario is off).
+	// during the outage, and after the reroute (with the failure scenario
+	// off, every delivery counts as before the failure).
 	PhaseDelivered [3]uint64 `json:"phase_delivered"`
 	// Control is the control-plane report — tick counts and the decision
 	// timeline — when a controller ran (nil otherwise).
 	Control *ctrl.Report `json:"control,omitempty"`
 }
 
-// RunLeafSpine simulates a leaf-spine fabric: every leaf hosts a traffic
-// source, a sink, and an NF server running a MAC-swap chain; flow i
-// enters at leaf i and is served by the NF at leaf (i+1) mod Leaves,
-// crossing spine i mod Spines in both directions; static route tables
-// (each switch's L2 table) map every flow to its port path. Parking
-// follows s.Parking.Mode; s.Program Kind "compress" loads the compression
-// program at every ingress leaf, mirroring ParkEdge's port layout;
-// s.Control.ECMP overlays the forward routes with hash groups, and an
-// enabled s.Control runs the fabric-wide controller (see ctrl.Config),
-// whose decision timeline lands in FabricResult.Control. The sections
-// are resolved and validated first: a description the fabric cannot run
-// is an error, never a panic.
-func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
-	l.Resolve(&sec)
-	if err := l.Validate(sec); err != nil {
-		return FabricResult{}, err
-	}
-	L, S := l.Leaves, l.Spines
-	mode, ecmp, compress := sec.Parking.Mode, sec.Control.ECMP, sec.Program.Kind == "compress"
-	g := l.Graph(sec)
-	windowStart, windowEnd := sec.Opts.window()
-	spec := runSpec{wires: wires{linkBps: l.LinkBps}, stagger: 131}
-
-	// Window-start compression-counter snapshots.
-	compSnaps := make([]map[string]uint64, L)
-	if compress {
-		spec.realised = func(r *simRun) {
-			for i, insts := range r.programs[:L] {
-				r.eng.ScheduleAt(windowStart, func() { compSnaps[i] = insts[0].Counters() })
-			}
-		}
-	}
-
-	// Failure bookkeeping (flow 0).
-	var phaseDelivered [3]uint64
-	phase := func(now int64) int {
-		if !l.FailLink || now < l.FailAtNs {
-			return 0
-		}
-		if now < l.FailAtNs+l.RerouteNs {
-			return 1
-		}
-		return 2
-	}
-	// The failure scenario's subject is flow 0's forward path, as the graph
-	// routes it: leaf 0's uplink toward the NF, and the link from the spine
-	// behind that uplink down to the egress leaf.
-	egress := g.Flows[0].NF.At.Switch
-	fwdPort := g.Switches[0].Routes[g.Flows[0].NF.MAC]
-	fwdSpine := g.Peers()[0][fwdPort].Far.Switch
-	spec.wired = func(r *simRun) {
-		r.edges[0].onDeliver = func(now int64) { phaseDelivered[phase(now)]++ }
-		if !l.FailLink {
-			return
-		}
-		// Fail flow 0's forward spine->leaf link, then repoint the forward
-		// route onto an alternate spine. With parking on, the alternate
-		// must avoid both the dead spine and the spine whose arrival port
-		// is the egress leaf's merge port (validated above); parked state
-		// at leaf 0 survives because the merge port pins the untouched
-		// return path.
-		var failLink *Link
-		for k, c := range g.Cables {
-			if c.A.Switch == egress && c.B.Switch == fwdSpine {
-				failLink = r.cables[k][1]
-			}
-		}
-		r.eng.ScheduleAt(l.FailAtNs, func() { failLink.Down = true })
-		// Static routes are rewritten after the detection delay. With ECMP
-		// the controller's next telemetry tick sees the down link and
-		// shrinks the group instead — detection latency is the tick period.
-		if !ecmp {
-			// Every leaf numbers its uplinks alike, so the egress leaf's
-			// merge port names the uplink to avoid here.
-			next := func(p rmt.PortID) rmt.PortID { return leafUplink + (p-leafUplink+1)%rmt.PortID(S) }
-			alt := next(fwdPort)
-			if mode != ParkNone {
-				for alt == fwdPort || alt == g.Switches[egress].Park[0].Merge {
-					alt = next(alt)
-				}
-			}
-			r.eng.ScheduleAt(l.FailAtNs+l.RerouteNs, func() {
-				r.nodes[0].SW.AddL2Route(g.Flows[0].NF.MAC, alt)
-			})
-		}
-	}
-	r, err := realise(g, sec, w, spec)
-	if err != nil {
-		return FabricResult{}, err
-	}
-
+// View is the fabric's report of a run of its graph: per-flow end-to-end
+// metrics and their sums, the per-hop link and switch reports, the
+// fabric-wide drop rate over the packets sent, and flow 0's deliveries
+// around the failure.
+func (LeafSpine) View(s Sections, o *Outcome) FabricResult {
 	res := FabricResult{
-		Mode:            mode.String(),
-		Links:           r.LinkReports(windowEnd + sec.Opts.WarmupNs),
-		Switches:        r.SwitchReports(),
-		PhaseDelivered:  phaseDelivered,
-		UnintendedDrops: r.fabricDrops,
-		Control:         r.control(),
+		Mode:            s.Parking.Mode.String(),
+		Links:           o.Links,
+		Switches:        o.Switches,
+		Programs:        o.Programs,
+		SentWindow:      o.Sent,
+		UnintendedDrops: o.Drops,
+		Control:         o.Control,
 	}
-	if compress {
-		for i, leaf := range r.nodes[:L] {
-			res.Programs = append(res.Programs, programReport(leaf.Name, r.programs[i][0], compSnaps[i]))
-		}
-		sortPrograms(res.Programs)
-	}
-	for i, e := range r.edges {
-		m := e.measure()
-		fr := FlowResult{
-			Name:         g.Flows[i].Name,
+	copy(res.PhaseDelivered[:], o.PhaseDelivered[0])
+	for _, m := range o.Flows {
+		res.Flows = append(res.Flows, FlowResult{
+			Name:         m.Name,
 			SendGbps:     m.SendGbps,
 			GoodputGbps:  m.GoodputGbps,
 			ToNFGbps:     m.ToNFGbps,
@@ -225,18 +133,15 @@ func RunLeafSpine(l LeafSpine, sec Sections, w Wiring) (FabricResult, error) {
 			AvgLatencyUs: m.AvgLatencyUs,
 			MaxLatencyUs: m.MaxLatencyUs,
 			Delivered:    m.Delivered,
-		}
-		res.Flows = append(res.Flows, fr)
-		res.SendGbps += fr.SendGbps
-		res.GoodputGbps += fr.GoodputGbps
-		res.AvgLatencyUs += fr.AvgLatencyUs
-		res.SentWindow += e.sent
-		res.UnintendedDrops += e.src.drops + e.nf.drops
+		})
+		res.SendGbps += m.SendGbps
+		res.GoodputGbps += m.GoodputGbps
+		res.AvgLatencyUs += m.AvgLatencyUs
 	}
-	res.AvgLatencyUs /= float64(L)
+	res.AvgLatencyUs /= float64(len(o.Flows))
 	if res.SentWindow > 0 {
 		res.UnintendedDropRate = float64(res.UnintendedDrops) / float64(res.SentWindow)
 	}
 	res.Healthy = res.UnintendedDropRate < HealthyDropRate
-	return res, nil
+	return res
 }

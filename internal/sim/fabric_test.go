@@ -53,8 +53,8 @@ func TestLeafSpineDeterministic(t *testing.T) {
 func TestLeafSpineEdgeParking(t *testing.T) {
 	base := leafSpineSmoke(ParkNone, 4).run(t)
 	edge := leafSpineSmoke(ParkEdge, 4).run(t)
-	assertFabricInvariants(t, base)
-	assertFabricInvariants(t, edge)
+	assertFabricInvariants(t, base.Switches)
+	assertFabricInvariants(t, edge.Switches)
 	if !base.Healthy || !edge.Healthy {
 		t.Fatalf("unhealthy below saturation: base=%+v edge=%+v", base, base.Healthy)
 	}
@@ -101,7 +101,7 @@ func TestLeafSpineEdgeParking(t *testing.T) {
 func TestLeafSpineEveryHopStripes(t *testing.T) {
 	edge := leafSpineSmoke(ParkEdge, 4).run(t)
 	hop := leafSpineSmoke(ParkEveryHop, 4).run(t)
-	assertFabricInvariants(t, hop)
+	assertFabricInvariants(t, hop.Switches)
 	if !hop.Healthy {
 		t.Fatalf("striping unhealthy below saturation: %+v", hop)
 	}
@@ -132,7 +132,7 @@ func TestLeafSpineEveryHopStripes(t *testing.T) {
 func TestLeafSpineFailureReroute(t *testing.T) {
 	r := fabricRun(LeafSpine{Leaves: 6, Spines: 3, FailLink: true, FailAtNs: 5e6, RerouteNs: 1e6}, ParkEdge, 4e9,
 		RunOptions{Seed: 1, WarmupNs: 2e6, MeasureNs: 12e6}).run(t)
-	assertFabricInvariants(t, r)
+	assertFabricInvariants(t, r.Switches)
 	if r.PhaseDelivered[0] == 0 || r.PhaseDelivered[2] == 0 {
 		t.Fatalf("no recovery: phases=%v", r.PhaseDelivered)
 	}
@@ -250,7 +250,7 @@ func TestFabricDataplaneEquivalence(t *testing.T) {
 func TestLeafSpineGeometryValidation(t *testing.T) {
 	expectError := func(name string, l LeafSpine) {
 		r := fabricRun(l, ParkEdge, 1e9, RunOptions{})
-		if _, err := RunLeafSpine(r.LeafSpine, r.Sections, r.Wiring); err == nil {
+		if _, err := runTopology(&r.LeafSpine, &r.Sections, r.Wiring); err == nil {
 			t.Errorf("%s: expected an error", name)
 		}
 	}

@@ -13,17 +13,19 @@ import (
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
-// One fabric graph, three backends. A Graph is the timing-free description
-// of a deployment — switches with their L2 routes and program placements,
-// the generator / NF server / sink endpoints of every flow, ECMP groups
-// and named cables — built once per geometry (SingleSwitchGraph,
-// LeafSpineGraph) and realised three ways: the discrete-event runners
-// (RunTestbed, RunMultiServer, RunLeafSpine) share one skeleton, realise
-// in run.go, that adds rates, queues and ServerSim stations; internal/live
-// adds UDP sockets and wire daemons; and Walker (NewInProcess too) carries
-// frames through it with no clock at all. Ports, MACs, names, seeds and
-// creation order live here and nowhere else; which sections a topology
-// runs is its Validate's to say (sections.go).
+// One fabric graph, three backends. A Graph is the description of a
+// deployment — switches with their L2 routes and program placements, the
+// generator / NF server / sink endpoints of every flow, ECMP groups and
+// named cables, plus the line rate, start offsets, server seeds and
+// mid-run events a clock needs — built by graph builders, one per
+// geometry (SingleSwitchGraph, LeafSpineGraph, and the topologies' Graph
+// methods over them), and realised three ways: Run (run.go), the event
+// simulator's one runner, adds queues and ServerSim stations to any graph
+// and measures it the same way; internal/live adds UDP sockets and wire
+// daemons; and Walker (NewInProcess too) carries frames through it with no
+// clock at all. Ports, MACs, names, seeds and creation order live here and
+// nowhere else; which sections a topology runs is its Validate's to say
+// (sections.go).
 
 // The one port table. A single switch hosts each generator / NF server /
 // sink group on three consecutive ports from the group's base (the
@@ -67,11 +69,14 @@ type Endpoint struct {
 }
 
 // Flow is one generator -> NF server -> sink path and the traffic it
-// carries.
+// carries, and when a clocked backend starts its generator and what seeds
+// its NF server.
 type Flow struct {
 	Name          string
 	Gen, NF, Sink Endpoint
 	Traffic       trafficgen.Config
+	StartNs       int64
+	ServerSeed    int64
 }
 
 // Placement is one program on a switch: the port pair it splits and
@@ -108,7 +113,8 @@ type ECMPGroup struct {
 }
 
 // Graph is one deployment. Parking and Program are what a Park and a Spec
-// placement install.
+// placement install. The fields after Groups are read by the event
+// simulator alone (Run), and set by the topologies' Graph methods.
 type Graph struct {
 	Parking  Parking
 	Program  Program
@@ -116,6 +122,15 @@ type Graph struct {
 	Cables   []Cable
 	Flows    []Flow
 	Groups   []ECMPGroup
+
+	// LinkBps is the line rate of every NF link and cable, NFLossRate the
+	// loss on both directions of every NF link. SamplePCIe meters the NF
+	// servers' PCIe traffic. Events change the graph mid-run, in order;
+	// Phases split each flow's NF deliveries (Outcome.PhaseDelivered).
+	LinkBps, NFLossRate float64
+	SamplePCIe          bool
+	Events              []GraphEvent
+	Phases              []int64
 }
 
 // traffic is flow i's generator configuration: the one place a run's
@@ -131,15 +146,16 @@ func (s Sections) traffic(src, dst packet.MAC, dstIP packet.IPv4Addr, i int) tra
 // group at each base port: the Fig. 5 testbed is one unnumbered group at
 // port 0, the §6.2.3 multi-server deployment two numbered groups per
 // pipe, the live chain one numbered group per pipe. Every group parks
-// between its own generator and NF ports.
+// between its own generator and NF ports. The unnumbered group's server is
+// seeded with Opts.Seed itself.
 func SingleSwitchGraph(name string, s Sections, bases []rmt.PortID, numbered bool) *Graph {
 	g := &Graph{Parking: s.Parking, Program: s.Program}
 	sw := GraphSwitch{Name: name, Routes: make(map[packet.MAC]rmt.PortID)}
 	for i, base := range bases {
-		gen, nfm, sink, tag := MACGen, MACNF, MACSink, ""
+		gen, nfm, sink, tag, seed := MACGen, MACNF, MACSink, "", s.Opts.Seed
 		if numbered {
 			gen, nfm, sink = packet.MAC{0x02, 0x10, 0, 0, 0, byte(i)}, packet.MAC{0x02, 0x20, 0, 0, 0, byte(i)}, packet.MAC{0x02, 0x30, 0, 0, 0, byte(i)}
-			tag = fmt.Sprintf("[%d]", i+1)
+			tag, seed = fmt.Sprintf("[%d]", i+1), s.Opts.Seed+(int64(i)+1)<<40
 		}
 		sw.Routes[nfm] = base + groupNF
 		sw.Routes[sink] = base + groupSink
@@ -152,20 +168,25 @@ func SingleSwitchGraph(name string, s Sections, bases []rmt.PortID, numbered boo
 			sw.Park = append(sw.Park, pl)
 		}
 		g.Flows = append(g.Flows, Flow{
-			Name:    fmt.Sprintf("server-%d", i+1),
-			Gen:     Endpoint{i, "gen" + tag, gen, PortRef{0, base + groupGen}, "gen->switch" + tag, ""},
-			NF:      Endpoint{i, "nf" + tag, nfm, PortRef{0, base + groupNF}, "nf->switch" + tag, "switch->nf" + tag},
-			Sink:    Endpoint{i, "sink" + tag, sink, PortRef{0, base + groupSink}, "", "switch->sink" + tag},
-			Traffic: s.traffic(gen, nfm, packet.IPv4Addr{10, 1, byte(i), 9}, i),
+			Name:       fmt.Sprintf("server-%d", i+1),
+			Gen:        Endpoint{i, "gen" + tag, gen, PortRef{0, base + groupGen}, "gen->switch" + tag, ""},
+			NF:         Endpoint{i, "nf" + tag, nfm, PortRef{0, base + groupNF}, "nf->switch" + tag, "switch->nf" + tag},
+			Sink:       Endpoint{i, "sink" + tag, sink, PortRef{0, base + groupSink}, "", "switch->sink" + tag},
+			Traffic:    s.traffic(gen, nfm, packet.IPv4Addr{10, 1, byte(i), 9}, i),
+			StartNs:    int64(i) * 97, // desynchronize the groups slightly
+			ServerSeed: seed,
 		})
 	}
 	g.Switches = []GraphSwitch{sw}
 	return g
 }
 
-// Graph is the Fig. 5 testbed: one unnumbered group at port 0.
-func (Testbed) Graph(s Sections) *Graph {
-	return SingleSwitchGraph(s.Name, s, []rmt.PortID{0}, false)
+// Graph is the Fig. 5 testbed: one unnumbered group at port 0, a lossy NF
+// link when asked, and PCIe sampled at the server.
+func (t Testbed) Graph(s Sections) *Graph {
+	g := SingleSwitchGraph(s.Name, s, []rmt.PortID{0}, false)
+	g.LinkBps, g.NFLossRate, g.SamplePCIe = t.LinkBps, t.NFLinkLossRate, true
+	return g
 }
 
 // Graph is the §6.2.3 deployment: server i lives on pipe i/2, the second
@@ -175,11 +196,44 @@ func (m MultiServer) Graph(s Sections) *Graph {
 	for i := range bases {
 		bases[i] = rmt.PortID(core.PortsPerPipe*(i/2) + 8*(i%2))
 	}
-	return SingleSwitchGraph("multiserver", s, bases, true)
+	g := SingleSwitchGraph("multiserver", s, bases, true)
+	g.LinkBps = m.LinkBps
+	return g
 }
 
-// Graph is the leaf-spine fabric.
-func (l LeafSpine) Graph(s Sections) *Graph { return LeafSpineGraph(l.Leaves, l.Spines, s) }
+// Graph is the leaf-spine fabric and, with FailLink, its failure as graph
+// events on flow 0's forward path as the graph routes it: the link from
+// the spine behind leaf 0's uplink down to the egress leaf goes down at
+// FailAtNs, and RerouteNs later the route moves to an alternate spine —
+// or, with ECMP, the controller's next tick shrinks the group instead.
+// Deliveries are split before the failure, during the outage and after.
+func (l LeafSpine) Graph(s Sections) *Graph {
+	g := LeafSpineGraph(l.Leaves, l.Spines, s)
+	g.LinkBps = l.LinkBps
+	if !l.FailLink {
+		return g
+	}
+	fl := &g.Flows[0]
+	egress, fwd := fl.NF.At.Switch, g.Switches[0].Routes[fl.NF.MAC]
+	spine := g.Peers()[0][fwd].Far.Switch
+	g.Phases = []int64{l.FailAtNs, l.FailAtNs + l.RerouteNs}
+	g.Events = []GraphEvent{{At: l.FailAtNs, LinkDown: g.Switches[spine].Name + "->" + g.Switches[egress].Name}}
+	if s.Control.ECMP {
+		return g
+	}
+	// With parking on, the alternate avoids the dead spine and the spine
+	// arriving on the egress leaf's merge port (leaves number uplinks
+	// alike); parked state survives, as the merge port pins the return path.
+	next := func(p rmt.PortID) rmt.PortID { return leafUplink + (p-leafUplink+1)%rmt.PortID(l.Spines) }
+	alt := next(fwd)
+	if s.Parking.Enabled() {
+		for alt == fwd || alt == g.Switches[egress].Park[0].Merge {
+			alt = next(alt)
+		}
+	}
+	g.Events = append(g.Events, GraphEvent{At: l.FailAtNs + l.RerouteNs, On: 0, Dst: fl.NF.MAC, Port: alt})
+	return g
+}
 
 // serverConfig is the NF framework hosting the sections' chain (nil: the
 // MAC swap) at the far end of flow fl. A chain of MAC-swapping NFs already
@@ -272,11 +326,13 @@ func LeafSpineGraph(L, S int, s Sections) *Graph {
 	for i := 0; i < L; i++ {
 		j := (i + 1) % L
 		g.Flows = append(g.Flows, Flow{
-			Name:    fmt.Sprintf("leaf%d->nf%d", i, j),
-			Gen:     Endpoint{i, fmt.Sprintf("gen%d", i), genMAC(i), PortRef{i, leafGen}, fmt.Sprintf("gen%d->leaf%d", i, i), ""},
-			NF:      Endpoint{i, fmt.Sprintf("nf%d", j), nfMAC(j), PortRef{j, leafNF}, fmt.Sprintf("nf%d->leaf%d", j, j), fmt.Sprintf("leaf%d->nf%d", j, j)},
-			Sink:    Endpoint{i, fmt.Sprintf("sink%d", i), genMAC(i), PortRef{i, leafSink}, "", fmt.Sprintf("leaf%d->sink%d", i, i)},
-			Traffic: s.traffic(genMAC(i), nfMAC(j), packet.IPv4Addr{10, 2, byte(i), 9}, i),
+			Name:       fmt.Sprintf("leaf%d->nf%d", i, j),
+			Gen:        Endpoint{i, fmt.Sprintf("gen%d", i), genMAC(i), PortRef{i, leafGen}, fmt.Sprintf("gen%d->leaf%d", i, i), ""},
+			NF:         Endpoint{i, fmt.Sprintf("nf%d", j), nfMAC(j), PortRef{j, leafNF}, fmt.Sprintf("nf%d->leaf%d", j, j), fmt.Sprintf("leaf%d->nf%d", j, j)},
+			Sink:       Endpoint{i, fmt.Sprintf("sink%d", i), genMAC(i), PortRef{i, leafSink}, "", fmt.Sprintf("leaf%d->sink%d", i, i)},
+			Traffic:    s.traffic(genMAC(i), nfMAC(j), packet.IPv4Addr{10, 2, byte(i), 9}, i),
+			StartNs:    int64(i) * 131,
+			ServerSeed: s.Opts.Seed + (int64(i)+1)<<40,
 		})
 		if !s.Control.ECMP {
 			continue
@@ -337,14 +393,6 @@ func (g *Graph) Realise(i int, sw *core.Switch) ([]*prog.Instance, error) {
 		}
 	}
 	return insts, nil
-}
-
-// first is s[0], or nil when the switch holds none.
-func first[T any](s []*T) *T {
-	if len(s) == 0 {
-		return nil
-	}
-	return s[0]
 }
 
 // RealiseAll builds every switch of the graph, in graph order, dropping

@@ -40,8 +40,11 @@ func NewInProcess(pp *core.Config, srv *nf.Server) (*InProcess, error) {
 		return nil, err
 	}
 	fl := &g.Flows[0]
-	return &InProcess{SW: sws[0], Prog: first(sws[0].Programs()), Server: srv,
-		genPort: fl.Gen.At.Port, nfPort: fl.NF.At.Port, walk: NewWalker(g, sws)}, nil
+	r := &InProcess{SW: sws[0], Server: srv, genPort: fl.Gen.At.Port, nfPort: fl.NF.At.Port, walk: NewWalker(g, sws)}
+	if progs := sws[0].Programs(); len(progs) > 0 {
+		r.Prog = progs[0]
+	}
+	return r, nil
 }
 
 // Process pushes one generator packet through the round trip and returns

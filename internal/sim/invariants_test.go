@@ -14,9 +14,9 @@ import (
 // headers, not slots, so they do not appear; the fabric has no explicit
 // drops). Orphans from failure scenarios stay on the left side, so the
 // identity holds there too.
-func assertFabricInvariants(t *testing.T, res FabricResult) {
+func assertFabricInvariants(t *testing.T, switches []SwitchStats) {
 	t.Helper()
-	for _, sw := range res.Switches {
+	for _, sw := range switches {
 		outstanding := int64(sw.Splits) - int64(sw.Merges) - int64(sw.Evictions)
 		if int64(sw.Occupancy) != outstanding {
 			t.Errorf("%s: parked-slot accounting broken: occupancy=%d, splits-merges-evictions=%d",
@@ -45,7 +45,7 @@ func TestFabricSlotAccountingGoldenRuns(t *testing.T) {
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {
 			res := cfg.run(t)
-			assertFabricInvariants(t, res)
+			assertFabricInvariants(t, res.Switches)
 			var splits uint64
 			for _, sw := range res.Switches {
 				splits += sw.Splits

@@ -129,7 +129,8 @@ func BenchmarkLeafSpineBuild(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunLeafSpine(l, sec, Wiring{}); err != nil {
+		l, sec := l, sec
+		if _, err := runTopology(&l, &sec, Wiring{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,39 +9,15 @@ type MultiServerResult struct {
 	SRAMPeakPct float64 `json:"sram_peak_pct"`
 }
 
-// RunMultiServer simulates all servers against one shared switch in a
-// single discrete-event run, after resolving and validating the sections
-// (an error, never a panic, for a description the switch cannot hold). It
-// is one switch and one edge per server on the shared skeleton; each
-// edge's per-port drop hooks charge a tenant's failures to its own
-// counters and packet pool.
-func RunMultiServer(m MultiServer, s Sections, w Wiring) (MultiServerResult, error) {
-	m.Resolve(&s)
-	if err := m.Validate(s); err != nil {
-		return MultiServerResult{}, err
-	}
-	g := m.Graph(s)
-	r, err := realise(g, s, w, runSpec{
-		wires:   wires{linkBps: m.LinkBps},
-		stagger: 97, // desynchronize servers slightly
-	})
-	if err != nil {
-		return MultiServerResult{}, err
-	}
-
-	out := MultiServerResult{PerServer: make([]Result, m.Servers)}
-	for i, e := range r.edges {
-		out.PerServer[i] = e.measure()
-		out.PerServer[i].Name = g.Flows[i].Name
-	}
-	pipes := (m.Servers + 1) / 2
-	for p := 0; p < pipes; p++ {
-		u := r.nodes[0].SW.Pipe(p).Resources()
+// View is the deployment's report of a run of its graph: every server's
+// measurement, and the SRAM of the pipes hosting them (two per pipe).
+func (m MultiServer) View(_ Sections, o *Outcome) MultiServerResult {
+	out := MultiServerResult{PerServer: o.Flows}
+	pipes := o.Pipes[0][:(m.Servers+1)/2]
+	for _, u := range pipes {
 		out.SRAMAvgPct += u.SRAMAvgPct
-		if u.SRAMPeakPct > out.SRAMPeakPct {
-			out.SRAMPeakPct = u.SRAMPeakPct
-		}
+		out.SRAMPeakPct = max(out.SRAMPeakPct, u.SRAMPeakPct)
 	}
-	out.SRAMAvgPct /= float64(pipes)
-	return out, nil
+	out.SRAMAvgPct /= float64(len(pipes))
+	return out
 }

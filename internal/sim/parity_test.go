@@ -12,8 +12,8 @@ import (
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
-// The fabric refactor rebuilt RunTestbed and RunMultiServer as presets
-// over sim.Fabric. These goldens were recorded from the pre-refactor
+// The fabric refactor rebuilt the testbed and multi-server runners as
+// presets over sim.Fabric (today both are graphs run by Run). These goldens were recorded from the pre-refactor
 // implementations (same configurations, same seeds) and pin every
 // pre-existing Result field: the presets must reproduce the old wiring's
 // event timeline exactly, not just approximately.
@@ -143,16 +143,17 @@ func TestMultiServerFabricParity(t *testing.T) {
 	// and Delivered were not recorded pre-refactor (always zero); their
 	// values here were captured when the measurement was added, and so
 	// were Splits and Merges when the multi-server runner stopped discarding its
-	// program (they had been zero whatever happened) — every other
+	// program (they had been zero whatever happened), and P99LatencyUs when
+	// every flow of every graph kept a latency histogram — every other
 	// timeline-derived field is still the original golden.
 	assertGolden(t, "ms-pp-1", r.PerServer[0], Result{
 		Name: "server-1", SendGbps: 11.0106624, GoodputGbps: 1.2041904, ToNFGbps: 7.311156, ToNFMpps: 3.5839,
-		AvgLatencyUs: 3.673, MaxLatencyUs: 3.673, Delivered: 71671, Healthy: true,
+		AvgLatencyUs: 3.673, P99LatencyUs: 3.9802860365986614, MaxLatencyUs: 3.673, Delivered: 71671, Healthy: true,
 		Splits: 80648, Merges: 80655,
 	})
 	assertGolden(t, "ms-pp-2", r.PerServer[1], Result{
 		Name: "server-2", SendGbps: 11.010816, GoodputGbps: 1.2042072, ToNFGbps: 7.311258, ToNFMpps: 3.58395,
-		AvgLatencyUs: 3.673, MaxLatencyUs: 3.673, Delivered: 71672, Healthy: true,
+		AvgLatencyUs: 3.673, P99LatencyUs: 3.9802860365986614, MaxLatencyUs: 3.673, Delivered: 71672, Healthy: true,
 		Splits: 80647, Merges: 80654,
 	})
 
@@ -161,12 +162,12 @@ func TestMultiServerFabricParity(t *testing.T) {
 	r = cfg.run(t)
 	assertGolden(t, "ms-base-1", r.PerServer[0], Result{
 		Name: "server-1", SendGbps: 11.0106624, GoodputGbps: 0.98742, ToNFGbps: 9.59208, ToNFMpps: 2.93875,
-		AvgLatencyUs: 841.3129976858164, MaxLatencyUs: 841.452, Delivered: 58768,
+		AvgLatencyUs: 841.3129976858164, P99LatencyUs: 890.386482912101, MaxLatencyUs: 841.452, Delivered: 58768,
 		JitterUs: 0.13900231418358544, UnintendedDropRate: 0.1441744322303443,
 	})
 	assertGolden(t, "ms-base-3", r.PerServer[2], Result{
 		Name: "server-3", SendGbps: 11.010816, GoodputGbps: 0.98742, ToNFGbps: 9.59208, ToNFMpps: 2.93875,
-		AvgLatencyUs: 841.3129984005208, MaxLatencyUs: 841.452, Delivered: 58769,
+		AvgLatencyUs: 841.3129984005208, P99LatencyUs: 890.386482912101, MaxLatencyUs: 841.452, Delivered: 58769,
 		JitterUs: 0.1390015994792293, UnintendedDropRate: 0.1441724210085792,
 	})
 }
@@ -235,38 +236,21 @@ func TestSimEqualsReferenceWalk(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		// run resolves s in place, simulates it under w and returns the
-		// graph the runner built from it.
-		run func(s *Sections, w Wiring) (*Graph, error)
+		topo topology
+		pin  func(*Sections) // clears what the topology pins
 	}{
-		{"testbed", func(s *Sections, w Wiring) (*Graph, error) {
-			var tb Testbed
-			_, err := RunTestbed(tb, *s, w)
-			tb.Resolve(s)
-			return tb.Graph(*s), err
-		}},
-		{"multiserver-4", func(s *Sections, w Wiring) (*Graph, error) {
-			s.Chain, s.Traffic.Flows = nil, 0 // pinned by the topology
-			m := MultiServer{Servers: 4}
-			_, err := RunMultiServer(m, *s, w)
-			m.Resolve(s)
-			return m.Graph(*s), err
-		}},
-		{"leafspine-4x2", func(s *Sections, w Wiring) (*Graph, error) {
-			s.Chain = nil
-			l := LeafSpine{Leaves: 4, Spines: 2}
-			_, err := RunLeafSpine(l, *s, w)
-			l.Resolve(s)
-			return l.Graph(*s), err
-		}},
+		{"testbed", &Testbed{}, func(*Sections) {}},
+		{"multiserver-4", &MultiServer{Servers: 4}, func(s *Sections) { s.Chain, s.Traffic.Flows = nil, 0 }},
+		{"leafspine-4x2", &LeafSpine{Leaves: 4, Spines: 2}, func(s *Sections) { s.Chain = nil }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := sec(fwChain)
+			tc.pin(&s)
 			reg := obs.NewRegistry()
-			g, err := tc.run(&s, Wiring{Obs: ObsConfig{Metrics: reg}})
-			if err != nil {
+			if _, err := runTopology(tc.topo, &s, Wiring{Obs: ObsConfig{Metrics: reg}}); err != nil {
 				t.Fatal(err)
 			}
+			g := tc.topo.Graph(s)
 			sim := make(map[string]uint64)
 			for _, c := range reg.Snapshot().Counters {
 				sim[c.Name] = c.Value

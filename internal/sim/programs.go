@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"sort"
-
 	"github.com/payloadpark/payloadpark/internal/prog"
 	"github.com/payloadpark/payloadpark/internal/rmt"
 )
@@ -57,15 +55,4 @@ func programReport(swName string, inst *prog.Instance, snap map[string]uint64) P
 		pc.Counters[name] = inst.CounterValue(name) - snap[name]
 	}
 	return pc
-}
-
-// sortPrograms orders a report section by (switch, program) so output is
-// deterministic regardless of attach order.
-func sortPrograms(pcs []ProgramCounters) {
-	sort.SliceStable(pcs, func(i, j int) bool {
-		if pcs[i].Switch != pcs[j].Switch {
-			return pcs[i].Switch < pcs[j].Switch
-		}
-		return pcs[i].Program < pcs[j].Program
-	})
 }

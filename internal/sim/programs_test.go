@@ -105,7 +105,7 @@ func TestLeafSpineCompression(t *testing.T) {
 	cfg := leafSpineSmoke(ParkNone, 4)
 	cfg.Program.Kind = "compress"
 	comp := cfg.run(t)
-	assertFabricInvariants(t, comp)
+	assertFabricInvariants(t, comp.Switches)
 
 	if !base.Healthy || !comp.Healthy {
 		t.Fatalf("unhealthy below saturation: base=%t comp=%t", base.Healthy, comp.Healthy)
@@ -145,8 +145,8 @@ func TestLeafSpineParkEdgePlusCompression(t *testing.T) {
 	cfg := leafSpineSmoke(ParkEdge, 4)
 	cfg.Program.Kind = "compress"
 	both := cfg.run(t)
-	assertFabricInvariants(t, park)
-	assertFabricInvariants(t, both)
+	assertFabricInvariants(t, park.Switches)
+	assertFabricInvariants(t, both.Switches)
 
 	if !both.Healthy {
 		t.Fatalf("unhealthy below saturation: %+v", both.UnintendedDropRate)
@@ -177,7 +177,7 @@ func TestLeafSpineParkEdgePlusCompression(t *testing.T) {
 func TestLeafSpineCompressRejectsEveryHop(t *testing.T) {
 	cfg := leafSpineSmoke(ParkEveryHop, 4)
 	cfg.Program.Kind = "compress"
-	if _, err := RunLeafSpine(cfg.LeafSpine, cfg.Sections, cfg.Wiring); err == nil || !strings.Contains(err.Error(), "every-hop") {
+	if _, err := runTopology(&cfg.LeafSpine, &cfg.Sections, cfg.Wiring); err == nil || !strings.Contains(err.Error(), "every-hop") {
 		t.Errorf("err = %v, want every-hop rejection", err)
 	}
 }

@@ -14,13 +14,15 @@ import (
 )
 
 // The sections of a run's description: the types the scenario package
-// re-exports as Scenario's fields and every runner (RunTestbed,
-// RunMultiServer, RunLeafSpine, live.Run) takes as parameters. A section
+// re-exports as Scenario's fields, and what the topologies' graph builders
+// (Testbed.Graph, MultiServer.Graph, LeafSpine.Graph), the event
+// simulator's one runner (Run) and live.Run take as parameters. A section
 // is declared here, defaulted by the Resolve of the topology that runs it
 // and validated by that topology's Validate — the one rulebook: every rule,
 // "unsupported on this topology" included, lives in the Validate of the
-// runner that reads the section, so a caller that skips the scenario
-// package is held to the same rules. Nothing restates a field.
+// topology that reads the section, so a caller that skips the scenario
+// package is held to the same rules. Nothing restates a field. Run itself
+// takes the sections resolved and builds whatever graph it is given.
 
 // Parking is the PayloadPark policy of a run. The zero value is the
 // baseline (no parking); set Mode to park.
@@ -234,7 +236,7 @@ func (o RunOptions) Windows() (warmup, measure int64) {
 // window is the resolved measurement window on the run's clock.
 func (o RunOptions) window() (start, end int64) { return o.WarmupNs, o.WarmupNs + o.MeasureNs }
 
-// Sections is everything a runner reads besides its own topology: the
+// Sections is everything a run reads besides its own topology: the
 // Scenario's sections, by value and under the Scenario's field names.
 type Sections struct {
 	Name    string // labels the run in results
@@ -341,8 +343,8 @@ const (
 type Testbed struct {
 	// LinkBps is the switch<->NF-server line rate (default 10 GbE).
 	LinkBps float64 `json:"link_bps,omitempty"`
-	// NFLinkLossRate injects random loss on both directions of the
-	// switch<->NF link (§7 failure scenarios). Lost split packets orphan
+	// NFLinkLossRate, in [0, 1], injects random loss on both directions of
+	// the switch<->NF link (§7 failure scenarios). Lost split packets orphan
 	// their parked payloads; the payload evictor must reclaim them.
 	NFLinkLossRate float64 `json:"nf_link_loss_rate,omitempty"`
 }
@@ -363,6 +365,9 @@ func (t Testbed) Validate(s Sections) error {
 	}
 	if err := s.Control.Validate(s.Parking.Enabled()); err != nil {
 		return err
+	}
+	if !(t.NFLinkLossRate >= 0 && t.NFLinkLossRate <= 1) { // false for NaN too
+		return fmt.Errorf("nf_link_loss_rate = %g outside [0, 1]", t.NFLinkLossRate)
 	}
 	return s.checkEdge(t.LinkBps)
 }
@@ -443,7 +448,7 @@ type LeafSpine struct {
 	// programming delay; with a controller, at its next tick instead).
 	// The parked state at the ingress leaf survives, because the merge
 	// port pins the return path; only packets in flight on the dead link
-	// orphan their parked payloads.
+	// orphan their parked payloads. Neither time may be negative.
 	FailLink  bool  `json:"fail_link,omitempty"`
 	FailAtNs  int64 `json:"fail_at_ns,omitempty"`
 	RerouteNs int64 `json:"reroute_ns,omitempty"`
@@ -512,6 +517,12 @@ func (l LeafSpine) Validate(s Sections) error {
 	}
 	if err := CheckLeafSpine(l.Leaves, l.Spines, pinned); err != nil {
 		return err
+	}
+	switch {
+	case l.FailLink && l.FailAtNs < 0:
+		return fmt.Errorf("fail_at_ns = %d outside [0, +Inf)", l.FailAtNs)
+	case l.FailLink && l.RerouteNs < 0:
+		return fmt.Errorf("reroute_ns = %d outside [0, +Inf)", l.RerouteNs)
 	}
 	if pinned && l.FailLink && l.Spines < 3 {
 		return fmt.Errorf("parking-safe reroute needs a third spine (got %d): with two, the alternate path arrives on the egress leaf's merge port", l.Spines)

@@ -94,13 +94,16 @@ func TestResolveDefaults(t *testing.T) {
 	}
 }
 
-// TestRunnersRejectInsteadOfPanic: a description a runner cannot hold is
-// an error naming the field, from every runner, before anything is built.
+// TestRunnersRejectInsteadOfPanic: a description a topology cannot hold is
+// an error naming the field, from every topology, before anything runs.
 func TestRunnersRejectInsteadOfPanic(t *testing.T) {
 	bad := Sections{Parking: Parking{Mode: ParkEdge, Slots: 100000}, Traffic: Traffic{SendBps: 1e9}}
-	_, errT := RunTestbed(Testbed{}, bad, Wiring{})
-	_, errM := RunMultiServer(MultiServer{}, bad, Wiring{})
-	_, errL := RunLeafSpine(LeafSpine{}, bad, Wiring{})
+	run := func(t topology) error {
+		s := bad
+		_, err := runTopology(t, &s, Wiring{})
+		return err
+	}
+	errT, errM, errL := run(&Testbed{}), run(&MultiServer{}), run(&LeafSpine{})
 	for kind, err := range map[string]error{"testbed": errT, "multiserver": errM, "leafspine": errL} {
 		if err == nil || err.Error() != "parking.slots = 100000 outside [1, 65536]" {
 			t.Errorf("%s: err = %v, want the parking.slots range error", kind, err)
@@ -109,13 +112,13 @@ func TestRunnersRejectInsteadOfPanic(t *testing.T) {
 	// In range, but two 65536-slot tables do not fit one pipe's stages:
 	// the placement failure surfaces as an error too.
 	fits := Sections{Parking: Parking{Mode: ParkEdge, Slots: 65536}, Traffic: Traffic{SendBps: 1e9}, Opts: RunOptions{WarmupNs: 1e5, MeasureNs: 1e5}}
-	if _, err := RunMultiServer(MultiServer{Servers: 2}, fits, Wiring{}); err == nil || !strings.Contains(err.Error(), "SRAM overflow") {
+	if _, err := runTopology(&MultiServer{Servers: 2}, &fits, Wiring{}); err == nil || !strings.Contains(err.Error(), "SRAM overflow") {
 		t.Errorf("multiserver 2x65536: err = %v, want the SRAM overflow as an error", err)
 	}
 }
 
 // TestRulesHaveOneOwner: every rule naming a section a topology does not
-// run lives in that runner's Validate, so a direct runner call rejects
+// run lives in that topology's Validate, so a direct call rejects
 // the description with the exact text scenario.Run reports after its
 // "scenario: <kind>: " prefix (internal/scenario's validation tables check
 // the same rules through Run). A multi-server run with a controller or a
@@ -152,11 +155,11 @@ func TestRulesHaveOneOwner(t *testing.T) {
 		var err error
 		switch tc.topo {
 		case "testbed":
-			_, err = RunTestbed(Testbed{}, s, Wiring{})
+			_, err = runTopology(&Testbed{}, &s, Wiring{})
 		case "multiserver":
-			_, err = RunMultiServer(MultiServer{Servers: 2}, s, Wiring{})
+			_, err = runTopology(&MultiServer{Servers: 2}, &s, Wiring{})
 		case "leafspine":
-			_, err = RunLeafSpine(LeafSpine{}, s, Wiring{})
+			_, err = runTopology(&LeafSpine{}, &s, Wiring{})
 		}
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("%s: err = %v, want %q", tc.topo, err, tc.want)

@@ -321,7 +321,7 @@ func TestMultiServerRun(t *testing.T) {
 }
 
 func TestMultiServerRejectsBadCount(t *testing.T) {
-	if _, err := RunMultiServer(MultiServer{Servers: 9}, Sections{}, Wiring{}); err == nil {
+	if _, err := runTopology(&MultiServer{Servers: 9}, &Sections{}, Wiring{}); err == nil {
 		t.Error("no error for 9 servers")
 	}
 }

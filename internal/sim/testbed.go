@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"github.com/payloadpark/payloadpark/internal/ctrl"
-	"github.com/payloadpark/payloadpark/internal/prog"
-	"github.com/payloadpark/payloadpark/internal/stats"
-	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
 // HealthyDropRate is the paper's health criterion: "We consider the system
@@ -19,9 +16,6 @@ type CDFPoint struct {
 	Q         float64 `json:"q"`
 	LatencyUs float64 `json:"latency_us"`
 }
-
-// latencyCDFQuantiles are the quantiles reported in Result.LatencyCDF.
-var latencyCDFQuantiles = []float64{0.5, 0.9, 0.95, 0.99, 0.999}
 
 // Result is the outcome of one testbed run, in the units the paper plots.
 type Result struct {
@@ -82,76 +76,16 @@ func (r Result) String() string {
 		r.Name, r.SendGbps, r.GoodputGbps, r.AvgLatencyUs, 100*r.UnintendedDropRate, r.PCIeUtilPct, r.Healthy)
 }
 
-// RunTestbed simulates one Fig. 5 deployment and reports measurements:
-// it resolves the sections' defaults, validates them, and returns an
-// error — never a panic — for a description the switch cannot hold. It is
-// one switch and one edge on the shared skeleton, plus what only the
-// testbed measures: the latency histogram, PCIe utilization and the table
-// program.
-func RunTestbed(t Testbed, s Sections, w Wiring) (Result, error) {
-	t.Resolve(&s)
-	if err := t.Validate(s); err != nil {
-		return Result{}, err
-	}
-	windowStart, windowEnd := s.Opts.window()
-	latencyHist := stats.NewHistogram(stats.ExponentialBounds(1, 1.122, 120)) // 1 µs .. ~1 s
-	pcie := stats.NewRateMeter(windowStart)
-	var inst *prog.Instance        // the section's table program, when the run has one
-	var progSnap map[string]uint64 // its counters at window start
-
-	spec := runSpec{wires: wires{t.LinkBps, t.NFLinkLossRate}, unshifted: true}
-	if s.Traffic.Source != nil {
-		spec.sources = []trafficgen.Source{s.Traffic.Source()}
-	}
-	spec.wired = func(r *simRun) {
-		e, eng := r.edges[0], r.eng
-		e.sink.Hist = latencyHist
-		// PCIe utilization: sample the server's cumulative DMA byte counter
-		// periodically inside the window.
-		var pcieBase uint64
-		var pcieSample func()
-		pcieSample = func() {
-			now := eng.Now()
-			if now >= windowStart && now <= windowEnd {
-				total := e.server.PCIeBytes.Value()
-				delta := total - pcieBase
-				pcieBase = total
-				if now > windowStart {
-					pcie.Record(now, float64(delta*8))
-				}
-			}
-			if now < windowEnd {
-				eng.Schedule(1e6, pcieSample) // 1 ms sampling, like PCM
-			}
-		}
-		eng.ScheduleAt(windowStart, func() { pcieBase = e.server.PCIeBytes.Value(); pcieSample() })
-		if inst = first(r.programs[0]); inst != nil {
-			eng.ScheduleAt(windowStart, func() { progSnap = inst.Counters() })
-		}
-	}
-	r, err := realise(t.Graph(s), s, w, spec)
-	if err != nil {
-		return Result{}, err
-	}
-
-	pcie.CloseAt(windowEnd)
-	res := r.edges[0].measure()
+// View is the testbed's report of a run of its graph: the one flow's
+// measurement under the run's name, pipe 0's SRAM when a program is
+// installed, the table program's counters and the controller's report.
+func (Testbed) View(s Sections, o *Outcome) Result {
+	res := o.Flows[0]
 	res.Name = s.Name
-	res.PCIeGbps = pcie.Gbps()
-	res.PCIeUtilPct = 100 * pcie.Gbps() * 1e9 / s.Server.PCIeBps
-	res.P99LatencyUs = latencyHist.Quantile(0.99)
-	if latencyHist.Count() > 0 {
-		res.LatencyCDF = make([]CDFPoint, len(latencyCDFQuantiles))
-		for i, q := range latencyCDFQuantiles {
-			res.LatencyCDF[i] = CDFPoint{Q: q, LatencyUs: latencyHist.Quantile(q)}
-		}
+	if s.Parking.Enabled() || s.Program.Enabled() {
+		res.SRAMPct = o.Pipes[0][0].SRAMAvgPct
 	}
-	if sw := r.nodes[0].SW; len(sw.Programs()) > 0 || inst != nil {
-		res.SRAMPct = sw.Pipe(0).Resources().SRAMAvgPct
-	}
-	if inst != nil {
-		res.Programs = []ProgramCounters{programReport("", inst, progSnap)}
-	}
-	res.Control = r.control()
-	return res, nil
+	res.Programs = o.Programs
+	res.Control = o.Control
+	return res
 }
