@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/payloadpark/payloadpark/internal/packet"
+	"github.com/payloadpark/payloadpark/internal/prog"
 	"github.com/payloadpark/payloadpark/internal/rmt"
 )
 
@@ -140,7 +141,7 @@ func TestFlowHashDeterministic(t *testing.T) {
 // program stops parking (disabled-header path, DemotedSkips) but keeps
 // merging payloads parked before the demotion.
 func TestSplitDemotion(t *testing.T) {
-	sw, prog := testbed(t, defaultCfg(), -1)
+	sw, pp := testbed(t, defaultCfg(), -1)
 
 	// Park one payload while promoted.
 	em := inject(sw, mkPkt(512, 1), portGen)
@@ -150,9 +151,9 @@ func TestSplitDemotion(t *testing.T) {
 	held := em.Pkt
 
 	// Demote: new split-eligible packets take the disabled-header path.
-	prog.SetSplitEnabled(false)
-	if prog.SplitEnabled() {
-		t.Fatal("SplitEnabled after demotion")
+	pp.SetSplitEnabled(false)
+	if v, _ := pp.Instance().Runtime(prog.RTSplitEnabled); v != 0 {
+		t.Fatalf("%s = %d after demotion", prog.RTSplitEnabled, v)
 	}
 	em2 := inject(sw, mkPkt(512, 2), portGen)
 	if em2 == nil {
@@ -161,10 +162,10 @@ func TestSplitDemotion(t *testing.T) {
 	if em2.Pkt.PP == nil || em2.Pkt.PP.Enabled {
 		t.Fatalf("demoted packet PP header = %+v, want disabled header", em2.Pkt.PP)
 	}
-	if got := prog.C.DemotedSkips.Value(); got != 1 {
+	if got := pp.C.DemotedSkips.Value(); got != 1 {
 		t.Errorf("DemotedSkips = %d, want 1", got)
 	}
-	if got := prog.C.Splits.Value(); got != 1 {
+	if got := pp.C.Splits.Value(); got != 1 {
 		t.Errorf("Splits = %d, want 1 (no new claims while demoted)", got)
 	}
 
@@ -173,12 +174,12 @@ func TestSplitDemotion(t *testing.T) {
 	if m == nil {
 		t.Fatal("pre-demotion payload failed to merge while demoted")
 	}
-	if prog.C.Merges.Value() != 1 || prog.C.PrematureEvictions.Value() != 0 {
-		t.Errorf("merge counters: %s", prog.C.String())
+	if pp.C.Merges.Value() != 1 || pp.C.PrematureEvictions.Value() != 0 {
+		t.Errorf("merge counters: %s", pp.C.String())
 	}
 
 	// Restore: parking resumes.
-	prog.SetSplitEnabled(true)
+	pp.SetSplitEnabled(true)
 	em3 := inject(sw, mkPkt(512, 3), portGen)
 	if em3 == nil || em3.Pkt.PP == nil || !em3.Pkt.PP.Enabled {
 		t.Fatal("split did not resume after restore")

@@ -63,11 +63,9 @@ func (p *Program) SetMaxExpiry(exp uint32) {
 	p.inst.SetRuntime(prog.RTMaxExpiry, exp)
 }
 
-// SplitEnabled reports whether the program accepts new Split claims.
-func (p *Program) SplitEnabled() bool {
-	v, _ := p.inst.Runtime(prog.RTSplitEnabled)
-	return v == 1
-}
+// Instance returns the loaded table program behind the facade: its
+// runtime parameters, counters and tables.
+func (p *Program) Instance() *prog.Instance { return p.inst }
 
 // SetSplitEnabled gates new Split claims — the control-plane demotion
 // knob. Disabling split sends eligible packets down the disabled-header

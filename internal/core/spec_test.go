@@ -54,8 +54,8 @@ func TestAttachSpecCompression(t *testing.T) {
 	if got, wantLen := em.Pkt.Len(), want.Len()-crSavedBytes; got != wantLen {
 		t.Errorf("compressed wire length = %d, want %d (%d saved)", got, wantLen, crSavedBytes)
 	}
-	if inst.CounterValue("compressions") != 1 {
-		t.Errorf("compressions = %d, want 1", inst.CounterValue("compressions"))
+	if inst.Counters()["compressions"] != 1 {
+		t.Errorf("compressions = %d, want 1", inst.Counters()["compressions"])
 	}
 	if got := inst.Occupied(prog.RoleCompMeta); got != 1 {
 		t.Errorf("context occupancy = %d, want 1", got)
@@ -91,8 +91,8 @@ func TestAttachSpecCompression(t *testing.T) {
 	if !bytes.Equal(got, wantBytes) {
 		t.Error("restored frame differs from the original")
 	}
-	if inst.CounterValue("restores") != 1 {
-		t.Errorf("restores = %d, want 1", inst.CounterValue("restores"))
+	if inst.Counters()["restores"] != 1 {
+		t.Errorf("restores = %d, want 1", inst.Counters()["restores"])
 	}
 	if got := inst.Occupied(prog.RoleCompMeta); got != 0 {
 		t.Errorf("context occupancy after restore = %d, want 0", got)
@@ -118,8 +118,8 @@ func TestAttachSpecCompressionSkipsTCP(t *testing.T) {
 	if em.Pkt.CR != nil {
 		t.Error("TCP packet was compressed")
 	}
-	if inst.CounterValue("compressions") != 0 {
-		t.Errorf("compressions = %d, want 0", inst.CounterValue("compressions"))
+	if inst.Counters()["compressions"] != 0 {
+		t.Errorf("compressions = %d, want 0", inst.Counters()["compressions"])
 	}
 }
 
@@ -179,7 +179,7 @@ func TestAttachSpecParkCompress(t *testing.T) {
 	for name, wantN := range map[string]uint64{
 		prog.CtrSplits: 1, prog.CtrMerges: 1, "compressions": 1, "restores": 1,
 	} {
-		if got := inst.CounterValue(name); got != wantN {
+		if got := inst.Counters()[name]; got != wantN {
 			t.Errorf("%s = %d, want %d", name, got, wantN)
 		}
 	}
@@ -213,9 +213,9 @@ func TestAttachSpecBesideParkRecompiles(t *testing.T) {
 		t.Error("round trip through both programs is not the identity")
 	}
 	if park.C.Splits.Value() != 2 || park.C.Merges.Value() != 1 ||
-		comp.CounterValue("compressions") != 1 || comp.CounterValue("restores") != 1 {
+		comp.Counters()["compressions"] != 1 || comp.Counters()["restores"] != 1 {
 		t.Errorf("splits=%d merges=%d compressions=%d restores=%d, want 2,1,1,1", park.C.Splits.Value(),
-			park.C.Merges.Value(), comp.CounterValue("compressions"), comp.CounterValue("restores"))
+			park.C.Merges.Value(), comp.Counters()["compressions"], comp.Counters()["restores"])
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"github.com/payloadpark/payloadpark/internal/ctrl"
 	"github.com/payloadpark/payloadpark/internal/nf"
 	"github.com/payloadpark/payloadpark/internal/obs"
+	"github.com/payloadpark/payloadpark/internal/prog"
 	"github.com/payloadpark/payloadpark/internal/rmt"
 	"github.com/payloadpark/payloadpark/internal/sim"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
@@ -358,10 +359,14 @@ func TestOnePlantBothHooks(t *testing.T) {
 			}
 			for side, sws := range sides {
 				for i, sw := range sws {
-					for k, prog := range sw.Programs() {
-						if want := !tc.g.Switches[i].Park[k].Transit; prog.MaxExpiry() != 7 || prog.SplitEnabled() != want {
-							t.Errorf("side %d %s program %d: expiry %d split enabled %t, want 7 and %t",
-								side, tc.g.Switches[i].Name, k, prog.MaxExpiry(), prog.SplitEnabled(), want)
+					for k, p := range sw.Programs() {
+						want := uint32(1)
+						if tc.g.Switches[i].Park[k].Transit {
+							want = 0
+						}
+						if split, _ := p.Instance().Runtime(prog.RTSplitEnabled); p.MaxExpiry() != 7 || split != want {
+							t.Errorf("side %d %s program %d: expiry %d split enabled %d, want 7 and %d",
+								side, tc.g.Switches[i].Name, k, p.MaxExpiry(), split, want)
 						}
 					}
 				}

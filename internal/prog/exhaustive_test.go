@@ -20,10 +20,12 @@ import (
 // values fall into one class per constant named plus one "other"; every
 // index and tag of the starting PHV selects one register slot, whose cells
 // start empty, fresh (occupied under the packet's own clock) or stale
-// (occupied under another). For each program — (spec, pipe, port class,
-// pass) — every combination of the classes its guards can tell apart is one
-// starting PHV, and the traced load must fire the oracle's entries while
-// the traced and the fused load leave its PHV, registers and counters.
+// (occupied under another), and the parser's park region is whole or absent
+// (a block move then drops the packet). For each program — (spec, pipe, port
+// class, pass) — every combination of the classes its guards can tell apart
+// is one starting PHV, and the production load must fire the oracle's
+// entries — read from its per-entry hit counts, fused move runs included —
+// and leave its PHV, registers and counters.
 
 // exSlot is the slot every table index and tag of a starting PHV selects,
 // and the clock its tags carry.
@@ -45,6 +47,7 @@ type exState struct {
 	meta         [rmt.MetaWords]uint32
 	runtime      map[string]uint32
 	regs         int // index into regClasses
+	noPark       bool
 }
 
 // axis is one dimension of the class product: the classes a field (or a
@@ -185,7 +188,7 @@ func b2i(b bool) int64 {
 
 // classAxes turns the fields a program reads into the axes of its class
 // product, in first-read order; a header's fields share one axis, and the
-// register axis comes last.
+// park-region and register axes come last.
 func classAxes(fields []exField) []axis {
 	find := func(name string) exField {
 		i := slices.IndexFunc(fields, func(f exField) bool { return f.name == name })
@@ -223,12 +226,16 @@ func classAxes(fields []exField) []axis {
 			axes = append(axes, crAxis([]exField{find("cr.valid"), find("cr.tag_valid")}))
 		}
 	}
+	park := axis{
+		classes: []func(*exState){func(s *exState) { s.noPark = false }, func(s *exState) { s.noPark = true }},
+		names:   []string{"park=whole", "park=absent"},
+	}
 	var regs axis
 	for i, name := range regClasses {
 		regs.classes = append(regs.classes, func(s *exState) { s.regs = i })
 		regs.names = append(regs.names, "regs="+name)
 	}
-	return append(axes, regs)
+	return append(axes, park, regs)
 }
 
 // ppAxis enumerates the PP header: absent, or present enabled or not, with
@@ -304,7 +311,8 @@ func states(axes []axis) [][]int {
 
 // phv builds the starting PHV of a state: a 600-byte frame whose table
 // indexes and tags all select exSlot, its park region the 48 blocks past a
-// 42-byte boundary. Calls on one state build twins that share no memory.
+// 42-byte boundary or none. Calls on one state build twins that share no
+// memory.
 func (s *exState) phv() *rmt.PHV {
 	ft := packet.FiveTuple{
 		SrcIP: packet.IPv4Addr{10, 0, 0, 1}, DstIP: packet.IPv4Addr{10, 0, 0, 2},
@@ -334,7 +342,9 @@ func (s *exState) phv() *rmt.PHV {
 	}
 	phv := &rmt.PHV{Pkt: pkt, InPort: s.port, Pass: s.pass, Drop: s.drop, Recirc: s.recirc, Meta: s.meta}
 	pkt.IP.Marshal(phv.HdrScratch[:packet.IPv4HeaderLen])
-	phv.Park = pkt.Payload[42 : 42+48*8]
+	if !s.noPark {
+		phv.Park = pkt.Payload[42 : 42+48*8]
+	}
 	return phv
 }
 
@@ -412,22 +422,20 @@ func (side *exSide) start(s *exState) {
 	}
 }
 
-// exCheck is the exhaustive comparison of one spec: a traced, a fused and
-// an oracle load, driven from the same starting classes.
+// exCheck is the exhaustive comparison of one spec: the production load and
+// the oracle's, driven from the same starting classes.
 type exCheck struct {
-	spec                 *Spec
-	traced, fused, naive *exSide
-	o                    *oracle
-	states               int
-	reached              map[string]bool
+	spec         *Spec
+	fused, naive *exSide
+	hits         *hitLog
+	o            *oracle
+	states       int
 }
 
 func newExCheck(t *testing.T, spec *Spec) *exCheck {
-	c := &exCheck{spec: spec, reached: map[string]bool{}}
-	inst, pipes := loadTwin(t, traced(t, spec))
-	c.traced = newExSide(inst, pipes, inst.regs)
-	inst, pipes = loadTwin(t, spec)
-	c.fused = newExSide(inst, pipes, inst.regs)
+	c := &exCheck{spec: spec}
+	inst, pipes := loadTwin(t, spec)
+	c.fused, c.hits = newExSide(inst, pipes, inst.regs), newHitLog(inst)
 	inst, _ = loadTwin(t, spec)
 	c.o = newOracle(t, inst)
 	c.naive = newExSide(inst, nil, c.o.regs)
@@ -460,38 +468,30 @@ func (c *exCheck) run(pipe string, port rmt.PortID, pass int) string {
 	return ""
 }
 
-// one runs one starting state through the three sides and compares them.
+// one runs one starting state through both sides and compares them.
 func (c *exCheck) one(pipe string, s *exState) string {
-	for _, side := range []*exSide{c.traced, c.fused, c.naive} {
+	for _, side := range []*exSide{c.fused, c.naive} {
 		side.start(s)
 	}
-	a, f, b := s.phv(), s.phv(), s.phv()
-	compiledFired = compiledFired[:0]
-	c.traced.pipes[pipe].Process(a)
+	f, b := s.phv(), s.phv()
 	c.fused.pipes[pipe].Process(f)
 	c.o.process(pipe, b)
-	switch {
-	case !slices.Equal(compiledFired, c.o.fired):
-		return fmt.Sprintf("compiled fired %v, oracle %v", compiledFired, c.o.fired)
-	case !samePHV(a, b):
-		return fmt.Sprintf("fired %v; final PHVs differ:\ntraced %+v\noracle %+v", c.o.fired, a, b)
+	switch fired := c.hits.fired(); {
+	case !slices.Equal(fired, c.o.fired):
+		return fmt.Sprintf("compiled fired %v, oracle %v", fired, c.o.fired)
 	case !samePHV(f, b):
-		return fmt.Sprintf("fired %v; final PHVs differ:\nfused  %+v\noracle %+v", c.o.fired, f, b)
+		return fmt.Sprintf("fired %v; final PHVs differ:\nfused  %+v\noracle %+v", fired, f, b)
 	}
-	for _, id := range c.o.fired {
-		c.reached[id] = true
-	}
+	ctrs := c.o.inst.Counters()
 	for name, ctr := range c.fused.inst.counters {
-		if x, y := ctr.Value(), c.o.inst.CounterValue(name); x != y {
+		if x, y := ctr.Value(), ctrs[name]; x != y {
 			return fmt.Sprintf("fired %v; counter %s: fused %d, oracle %d", c.o.fired, name, x, y)
 		}
 	}
 	for role, reg := range c.naive.regs {
-		want := reg.Snapshot(cellOf(reg.Cells()))
-		for _, side := range []*exSide{c.traced, c.fused} {
-			if got := side.regs[role].Snapshot(cellOf(reg.Cells())); !bytes.Equal(got, want) {
-				return fmt.Sprintf("fired %v; register %s: %x, oracle %x", c.o.fired, role, got, want)
-			}
+		want, got := reg.Snapshot(cellOf(reg.Cells())), c.fused.regs[role].Snapshot(cellOf(reg.Cells()))
+		if !bytes.Equal(got, want) {
+			return fmt.Sprintf("fired %v; register %s: %x, oracle %x", c.o.fired, role, got, want)
 		}
 	}
 	return ""
@@ -530,14 +530,12 @@ func TestCompiledMatchesOracleExhaustively(t *testing.T) {
 					}
 				}
 			}
-			if diff := stateDiff("fused", c.fused.inst, c.o); diff != "" {
+			if diff := stateDiff(c.fused.inst, c.o); diff != "" {
 				t.Fatalf("after %d states: %s", c.states, diff)
 			}
-			for _, tbl := range spec.Tables {
-				for _, e := range tbl.Entries {
-					if id := tbl.Name + "/" + e.Name; !c.reached[id] && !unreachable[id] {
-						t.Errorf("%s never fired from any starting class", id)
-					}
+			for i, id := range c.hits.ids {
+				if c.hits.rules[i].Hits() == 0 && !unreachable[id] {
+					t.Errorf("%s never fired from any starting class", id)
 				}
 			}
 			t.Logf("%d starting classes", c.states)

@@ -89,10 +89,11 @@ func fuzzPHV(r *rand.Rand, inst *Instance) *rmt.PHV {
 // FuzzSpecCompile: no bytes that decode as a Spec make Load or Lint panic, a
 // spec Load refuses leaves its pipes as fresh ones, and a spec Load accepts
 // runs 256 PHVs — pass 0 on the ingress pipe, then pass 1 wherever the switch
-// would recirculate them, and pass 1 cold — without panicking, its traced load
-// firing exactly the entries the naive oracle fires and its untraced load
-// (block moves fused) leaving the oracle's PHV, registers and counters. The
-// seeds are the built-in specs and the misfits, which Load refuses.
+// would recirculate them, and pass 1 cold — without panicking, its load (block
+// moves fused, as production runs them) firing exactly the entries the naive
+// oracle fires, by its per-entry hit counts, and leaving the oracle's PHV,
+// registers and counters. The seeds are the built-in specs and the misfits,
+// which Load refuses.
 func FuzzSpecCompile(f *testing.F) {
 	specs := BuiltinSpecs()
 	for _, m := range misfits() {
@@ -114,53 +115,44 @@ func fuzzSpecCompile(t *testing.T, data []byte) {
 		return
 	}
 	spec.Lint()
-	if _, pipes, err := loadFresh(spec); err != nil {
+	fused, pipes, err := loadFresh(spec)
+	if err != nil {
 		requireFresh(t, pipes)
 		return
 	}
-	compiled, pipes, err := loadFresh(traced(t, spec))
-	if err != nil {
-		t.Fatalf("spec loads but its traced shadow does not: %v", err)
-	}
-	fused, fusedPipes, err := loadFresh(spec)
+	twin, _, err := loadFresh(spec)
 	if err != nil {
 		t.Fatalf("second load of an accepted spec: %v", err)
 	}
-	twin, _, err := loadFresh(spec)
-	if err != nil {
-		t.Fatalf("third load of an accepted spec: %v", err)
-	}
-	o := newOracle(t, twin)
+	o, hits := newOracle(t, twin), newHitLog(fused)
 	second := "ingress"
 	if pipes["recirc"] != nil {
 		second = "recirc"
 	}
-	ra, rf, rb := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
+	rf, rb := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
 	for i := 0; i < 256; i++ {
-		a, f, b := fuzzPHV(ra, compiled), fuzzPHV(rf, fused), fuzzPHV(rb, twin)
+		f, b := fuzzPHV(rf, fused), fuzzPHV(rb, twin)
 		pipe := "ingress"
 		if i%8 == 7 {
-			pipe, a.Pass, f.Pass, b.Pass = second, 1, 1, 1
+			pipe, f.Pass, b.Pass = second, 1, 1
 		}
 		for {
-			compiledFired = compiledFired[:0]
-			pipes[pipe].Process(a)
-			fusedPipes[pipe].Process(f)
+			pipes[pipe].Process(f)
 			o.process(pipe, b)
-			if !slices.Equal(compiledFired, o.fired) {
-				t.Fatalf("phv %d (%s port %d pass %d): compiled fired %v, oracle %v", i, pipe, b.InPort, b.Pass, compiledFired, o.fired)
+			if fired := hits.fired(); !slices.Equal(fired, o.fired) {
+				t.Fatalf("phv %d (%s port %d pass %d): compiled fired %v, oracle %v", i, pipe, b.InPort, b.Pass, fired, o.fired)
 			}
-			if !samePHV(a, b) || !samePHV(f, b) {
-				t.Fatalf("phv %d (%s, fired %v): final PHVs differ:\ntraced %+v\nfused  %+v\noracle %+v", i, pipe, o.fired, a, f, b)
+			if !samePHV(f, b) {
+				t.Fatalf("phv %d (%s, fired %v): final PHVs differ:\nfused  %+v\noracle %+v", i, pipe, o.fired, f, b)
 			}
-			if !a.Recirc || a.Pass != 0 {
+			if !f.Recirc || f.Pass != 0 {
 				break
 			}
 			pipe = second
-			a.Recirc, a.Pass, f.Recirc, f.Pass, b.Recirc, b.Pass = false, 1, false, 1, false, 1
+			f.Recirc, f.Pass, b.Recirc, b.Pass = false, 1, false, 1
 		}
 	}
-	if diff := stateDiff("fused", fused, o); diff != "" {
+	if diff := stateDiff(fused, o); diff != "" {
 		t.Fatalf("after 256 PHVs: %s", diff)
 	}
 }

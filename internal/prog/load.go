@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/payloadpark/payloadpark/internal/rmt"
 	"github.com/payloadpark/payloadpark/internal/stats"
@@ -41,6 +40,7 @@ type Instance struct {
 	runtime  map[string]*uint32
 	counters map[string]*stats.Counter
 	regs     map[string]*rmt.Register
+	tables   []*rmt.MAT
 }
 
 // Spec returns the spec this instance was loaded from.
@@ -66,25 +66,6 @@ func (in *Instance) SetRuntime(name string, v uint32) bool {
 	return ok
 }
 
-// CounterValue returns the current value of the named counter (0 when the
-// program has no such counter).
-func (in *Instance) CounterValue(name string) uint64 {
-	if c := in.counters[name]; c != nil {
-		return c.Value()
-	}
-	return 0
-}
-
-// CounterNames lists the program's counter names, sorted.
-func (in *Instance) CounterNames() []string {
-	names := make([]string, 0, len(in.counters))
-	for n := range in.counters { //pp:nondeterministic-ok key collection; sorted before return
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Counters snapshots every counter into a map, for reports.
 func (in *Instance) Counters() map[string]uint64 {
 	m := make(map[string]uint64, len(in.counters))
@@ -93,6 +74,10 @@ func (in *Instance) Counters() map[string]uint64 {
 	}
 	return m
 }
+
+// Tables returns the program's placed MATs, one per spec table in spec
+// order, each rule an entry: its Hits count the entry's fires.
+func (in *Instance) Tables() []*rmt.MAT { return in.tables }
 
 // ParkGeometry returns the resolved parser geometry: payload blocks
 // extracted, bytes per block, and the park offset. Blocks == 0 means the
@@ -192,7 +177,7 @@ func Load(spec *Spec, opts LoadOptions) (*Instance, error) {
 	if err = rmt.Place(ls...); err != nil {
 		return nil, fmt.Errorf("prog: spec %q does not fit the pipe: %w", spec.Name, err)
 	}
-	inst.regs = regs
+	inst.regs, inst.tables = regs, mats
 	// Build the touched pipes' match programs now, so set-up pays for them
 	// and not the first packet.
 	opts.Pipe.Compile()

@@ -224,14 +224,13 @@ func TestInstanceKnobs(t *testing.T) {
 	if got := inst.Occupied(RoleMeta); got != 0 {
 		t.Errorf("fresh occupancy = %d, want 0", got)
 	}
-	names := inst.CounterNames()
-	if len(names) == 0 {
-		t.Fatal("no counter names")
+	if _, ok := inst.Counters()[CtrSplits]; !ok {
+		t.Errorf("counters %v lack the bound %s", inst.Counters(), CtrSplits)
 	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Errorf("counter names not sorted: %q >= %q", names[i-1], names[i])
-		}
+	spec := inst.Spec()
+	if tables := inst.Tables(); len(tables) != len(spec.Tables) || tables[0].Name != spec.Tables[0].Name ||
+		len(tables[0].Rules) != len(spec.Tables[0].Entries) {
+		t.Errorf("placed %d tables, want one per spec table in spec order", len(tables))
 	}
 	blocks, blockBytes, off := inst.ParkGeometry()
 	if blocks != 20 || blockBytes != 8 || off != 0 {

@@ -195,33 +195,21 @@ type Args struct {
 	cells []*uint32        // by Action.Runtime
 }
 
-var actionRegistry = map[string]*Action{}
-
-// RegisterAction adds an action to the vocabulary. The built-in table below
-// goes through it; the only other caller is prog's oracle test, which
-// registers tracing shadows. Registering a duplicate name panics: the name
-// is the contract specs compile against.
-func RegisterAction(d *Action) {
-	if _, dup := actionRegistry[d.Name]; dup {
-		panic(fmt.Sprintf("rmt: action %q registered twice", d.Name))
-	}
-	actionRegistry[d.Name] = d
-}
-
-// LookupAction returns the named action's descriptor.
+// LookupAction returns the named action's descriptor. The name is the
+// contract specs compile against, so no two descriptors share one
+// (TestActionNamesUnique).
 func LookupAction(name string) (*Action, error) {
-	d, ok := actionRegistry[name]
-	if !ok {
-		return nil, fmt.Errorf("unknown action %q (known: %s)", name, strings.Join(ActionNames(), ", "))
+	if i := slices.IndexFunc(builtinActions, func(d *Action) bool { return d.Name == name }); i >= 0 {
+		return builtinActions[i], nil
 	}
-	return d, nil
+	return nil, fmt.Errorf("unknown action %q (known: %s)", name, strings.Join(ActionNames(), ", "))
 }
 
-// ActionNames lists the registered vocabulary, sorted.
+// ActionNames lists the vocabulary, sorted.
 func ActionNames() []string {
-	names := make([]string, 0, len(actionRegistry))
-	for n := range actionRegistry { //pp:nondeterministic-ok key collection; sorted before return
-		names = append(names, n)
+	names := make([]string, len(builtinActions))
+	for i, d := range builtinActions {
+		names[i] = d.Name
 	}
 	sort.Strings(names)
 	return names
@@ -500,12 +488,6 @@ var (
 
 func metaOut(def int64) IntParam {
 	return IntParam{Name: "meta_out", Optional: true, Default: def, Max: MetaWords - 1}
-}
-
-func init() {
-	for _, d := range builtinActions {
-		RegisterAction(d)
-	}
 }
 
 var builtinActions = []*Action{

@@ -335,7 +335,10 @@ type step struct {
 // suppress part of it — is a single one. The one effect of a move a guard
 // can read is its DropNoParkRegion drop, which a run takes on its whole
 // reach at once: step by step, the moves behind the one that dropped would
-// drop again or miss. It returns the shortened program.
+// drop again or miss. The run's hit counts follow step-by-step execution
+// too: a hit credits every rule of the run, and a drop for want of a park
+// region credits only the first when the guard requires drop == 0, every
+// rule otherwise. It returns the shortened program.
 func fuseMoves(steps []step) []step {
 	out := steps[:0]
 	for i := 0; i < len(steps); {

@@ -102,9 +102,14 @@ func TestAddMATAfterProcessRecompiles(t *testing.T) {
 	if got := runTrace(t, p, &log, &PHV{}); got != "s2" {
 		t.Fatalf("fired %q, want s2", got)
 	}
-	p.AddMAT(0, &MAT{Name: "late", Rules: []Rule{{Action: func(*Ctx) { log = append(log, "s0") }}}})
+	late := &MAT{Name: "late", Rules: []Rule{{Action: func(*Ctx) { log = append(log, "s0") }}}}
+	p.AddMAT(0, late)
 	if got := runTrace(t, p, &log, &PHV{}); got != "s0,s2" {
 		t.Errorf("after AddMAT fired %q, want s0,s2", got)
+	}
+	// Hit counts live on the rules, so the recompile keeps s2's first fire.
+	if s0, s2 := late.Rules[0].Hits(), p.stages[2].mats[0].Rules[0].Hits(); s0 != 1 || s2 != 2 {
+		t.Errorf("after the recompile s0 hit %d times and s2 %d, want 1 and 2", s0, s2)
 	}
 }
 

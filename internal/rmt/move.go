@@ -32,11 +32,13 @@ type Move struct {
 }
 
 // moveRun is one compiled move step: the moves of a run, coalesced into
-// spans.
+// spans, and the run's rules, which it credits when it fires.
 type moveRun struct {
 	load  bool
 	need  int // park-region bytes the run reaches
 	spans []span
+	rules []*Rule
+	short int // rules credited when the park region falls short of need
 }
 
 // span is a piece of a run contiguous on both sides: n bytes at park-region
@@ -51,9 +53,13 @@ type span struct {
 
 // newMoveRun coalesces the moves of steps, which Compile found fusable.
 func newMoveRun(steps []step) *moveRun {
-	m := &moveRun{load: steps[0].rule.Move.Dir == MoveLoad}
+	m := &moveRun{load: steps[0].rule.Move.Dir == MoveLoad, short: len(steps)}
+	if g := &steps[0].guard; g.mask&flagDrop != 0 && g.val&flagDrop == 0 {
+		m.short = 1
+	}
 	for i := range steps {
 		mv, reg := steps[i].rule.Move, steps[i].mat.Reg
+		m.rules = append(m.rules, steps[i].rule)
 		at := mv.Block * mv.Bytes
 		m.need = max(m.need, at+mv.Bytes)
 		if k := len(m.spans) - 1; k >= 0 {
@@ -73,14 +79,21 @@ func newMoveRun(steps []step) *moveRun {
 }
 
 // run executes the step: the one routine that moves payload blocks, for a
-// lone block as for a fused run.
+// lone block as for a fused run. It credits the rules that would have fired
+// step by step.
 //
 //pp:zeroalloc
 func (m *moveRun) run(phv *PHV) {
 	park := phv.Park
 	if len(park) < m.need {
 		phv.MarkDrop(DropNoParkRegion)
+		for _, r := range m.rules[:m.short] {
+			r.hits++
+		}
 		return
+	}
+	for _, r := range m.rules {
+		r.hits++
 	}
 	idx := int(phv.Meta[MetaTableIndex])
 	for i := range m.spans {

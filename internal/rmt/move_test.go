@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -23,9 +24,10 @@ type moveMAT struct {
 }
 
 type moveRule struct {
-	port  PortID
-	guard uint32
-	move  Move
+	port   PortID
+	guard  uint32
+	move   Move
+	noDrop bool // the entry also requires drop == 0, as the built-in loads do
 }
 
 const (
@@ -102,10 +104,11 @@ func buildMovePipe(t *testing.T, layout []moveMAT, fused bool) (*Pipeline, []*Re
 	for i, m := range layout {
 		mat := &MAT{Name: fmt.Sprintf("m%d", i), Reg: regs[i]}
 		for _, r := range m.rules {
-			rule := Rule{
-				Name:  fmt.Sprintf("m%d/%d", i, len(mat.Rules)),
-				Conds: conds(t, Cond{Field: fld("in_port"), Value: int64(r.port)}, Cond{Field: fld("meta.7"), Value: int64(r.guard)}),
+			cs := []Cond{{Field: fld("in_port"), Value: int64(r.port)}, {Field: fld("meta.7"), Value: int64(r.guard)}}
+			if r.noDrop {
+				cs = append(cs, Cond{Field: fld("drop")})
 			}
+			rule := Rule{Name: fmt.Sprintf("m%d/%d", i, len(mat.Rules)), Conds: conds(t, cs...)}
 			switch {
 			case r.move.Dir == NoMove:
 				rule.Action = func(c *Ctx) { c.PHV.Meta[moveMarkWord]++ }
@@ -121,9 +124,23 @@ func buildMovePipe(t *testing.T, layout []moveMAT, fused bool) (*Pipeline, []*Re
 	return p, regs
 }
 
+// hitVector lists every rule's hits in stage and MAT order.
+func hitVector(p *Pipeline) []uint64 {
+	var out []uint64
+	for _, s := range p.stages {
+		for _, m := range s.mats {
+			for i := range m.Rules {
+				out = append(out, m.Rules[i].Hits())
+			}
+		}
+	}
+	return out
+}
+
 // TestFusionBoundaries: layouts whose runs must not collapse into one copy
 // compile to the step and copy counts stated, and end — PHV by PHV — in the
-// state step-by-step execution over stand-alone registers ends in.
+// state and the hit counts step-by-step execution over stand-alone
+// registers ends in.
 func TestFusionBoundaries(t *testing.T) {
 	six := func(edit func(l []moveMAT)) []moveMAT {
 		l := make([]moveMAT, 6)
@@ -198,6 +215,16 @@ func TestFusionBoundaries(t *testing.T) {
 			load:  []MoveShape{{Load: true, Bytes: 16, Spans: 1}, {Load: true, Bytes: 8, Spans: 1}, {Load: true, Bytes: 24, Spans: 1}},
 		},
 		{
+			name: "loads that require drop == 0: one copy, credited as step by step",
+			layout: six(func(l []moveMAT) {
+				for k := range l {
+					l[k].rules[1].noDrop = true
+				}
+			}),
+			store: []MoveShape{{Bytes: 48, Spans: 1}},
+			load:  []MoveShape{{Load: true, Bytes: 48, Spans: 1}},
+		},
+		{
 			name:   "guards differing in one constant",
 			layout: six(func(l []moveMAT) { l[3].rules[0].guard, l[3].rules[1].guard = 3, 3 }),
 			store:  []MoveShape{{Bytes: 24, Spans: 1}, {Bytes: 8, Spans: 1}, {Bytes: 16, Spans: 1}},
@@ -236,6 +263,10 @@ func TestFusionBoundaries(t *testing.T) {
 					t.Fatalf("PHV %d (port %d, guard %d): fused left park %x meta %v drop %q,\nstep by step park %x meta %v drop %q",
 						i, a.InPort, b.Meta[moveGuardWord], a.Park, a.Meta, a.DropWhy, b.Park, b.Meta, b.DropWhy)
 				}
+				if x, y := hitVector(fused), hitVector(stepwise); !slices.Equal(x, y) {
+					t.Fatalf("PHV %d (port %d, guard %d, park %d B): fused hits %v, step by step %v",
+						i, a.InPort, a.Meta[moveGuardWord], len(a.Park), x, y)
+				}
 				for k := range fusedRegs {
 					for c := 0; c < fusedRegs[k].cells; c++ {
 						if x, y := fusedRegs[k].cell(c), stepRegs[k].cell(c); !bytes.Equal(x, y) {
@@ -246,6 +277,47 @@ func TestFusionBoundaries(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFusedRunCredits pins what a fused run credits: every rule on a hit; on
+// a park region too short for the run, every rule of a store run, whose
+// guard does not read drop, and only the first of a load run, whose guard
+// requires drop == 0 — the rules step-by-step execution fires.
+func TestFusedRunCredits(t *testing.T) {
+	layout := make([]moveMAT, 6)
+	for k := range layout {
+		layout[k] = payloadMAT(k)
+		layout[k].rules[1].noDrop = true
+	}
+	p, _ := buildMovePipe(t, layout, true)
+	var stores, loads []uint64
+	credited := func() {
+		stores, loads = stores[:0], loads[:0]
+		for _, s := range p.stages {
+			for _, m := range s.mats {
+				stores, loads = append(stores, m.Rules[0].Hits()), append(loads, m.Rules[1].Hits())
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name         string
+		port         PortID
+		guard        uint32
+		park         int
+		stores, load []uint64
+	}{
+		{"store run, no park region", movePortStore, 1, 0, []uint64{1, 1, 1, 1, 1, 1}, []uint64{0, 0, 0, 0, 0, 0}},
+		{"store run, park region", movePortStore, 1, 6 * moveW, []uint64{2, 2, 2, 2, 2, 2}, []uint64{0, 0, 0, 0, 0, 0}},
+		{"load run, no park region", movePortLoad, 2, 0, []uint64{2, 2, 2, 2, 2, 2}, []uint64{1, 0, 0, 0, 0, 0}},
+		{"load run, park region", movePortLoad, 2, 6 * moveW, []uint64{2, 2, 2, 2, 2, 2}, []uint64{2, 1, 1, 1, 1, 1}},
+	} {
+		phv := &PHV{Pkt: &packet.Packet{}, InPort: tc.port, Park: make([]byte, tc.park)}
+		phv.Meta[moveGuardWord] = tc.guard
+		p.Process(phv)
+		if credited(); !slices.Equal(stores, tc.stores) || !slices.Equal(loads, tc.load) {
+			t.Errorf("%s: store hits %v, load hits %v; want %v, %v", tc.name, stores, loads, tc.stores, tc.load)
+		}
 	}
 }
 

@@ -304,6 +304,7 @@ func (p *Pipeline) Process(phv *PHV) {
 		if s.move != nil {
 			s.move.run(phv)
 		} else {
+			s.rule.hits++
 			ctx.reg, ctx.accessed = s.mat.Reg, false
 			s.rule.Action(ctx)
 		}

@@ -312,13 +312,20 @@ func (c *Ctx) RMW(idx int, f func(cell []byte)) {
 // Action runs when every condition holds. Rules are evaluated in order; the
 // first hit fires; at most one rule fires per MAT per pass, as in hardware.
 // A rule whose Move names a direction has no Action: its whole effect is
-// that block move, which the pipe executes itself (move.go).
+// that block move, which the pipe executes itself (move.go). Process counts
+// the rule's fires, a fused run's as step by step (fuseMoves), on the rule,
+// so the count survives a recompile.
 type Rule struct {
 	Name   string
 	Conds  []CondOp
 	Action func(*Ctx)
 	Move   Move
+	hits   uint64
 }
+
+// Hits returns how many times the rule fired. Like MatchCounts, it is not
+// meaningful while a worker is processing the rule's pipe.
+func (r *Rule) Hits() uint64 { return r.hits }
 
 // Resources declares what a MAT consumes of the per-stage hardware budgets.
 // The P4 compiler derives these from the program; here the program author

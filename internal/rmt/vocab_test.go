@@ -137,6 +137,24 @@ func sameOutcome(a, b outcome, skip int) bool {
 		reflect.DeepEqual(a.cells, b.cells) && reflect.DeepEqual(a.counters, b.counters)
 }
 
+// TestActionNamesUnique: every descriptor is looked up under its
+// own name, and no two share one — the name is what a spec compiles against.
+func TestActionNamesUnique(t *testing.T) {
+	seen := map[string]bool{}
+	for _, d := range builtinActions {
+		if seen[d.Name] {
+			t.Errorf("action %q is declared twice", d.Name)
+		}
+		seen[d.Name] = true
+		if got, err := LookupAction(d.Name); err != nil || got != d {
+			t.Errorf("LookupAction(%q) = %p, %v; want its descriptor", d.Name, got, err)
+		}
+	}
+	if names := ActionNames(); len(names) != len(builtinActions) {
+		t.Errorf("the vocabulary lists %d actions, %d are declared", len(names), len(builtinActions))
+	}
+}
+
 func TestDescriptorsHonest(t *testing.T) {
 	var poison [MetaWords]uint32
 	for i := range poison {

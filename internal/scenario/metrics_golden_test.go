@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
 
 	"github.com/payloadpark/payloadpark/internal/nf"
+	"github.com/payloadpark/payloadpark/internal/obs"
 	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/sim"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
@@ -67,13 +69,15 @@ func benchFabric() Scenario {
 }
 
 // TestBenchMetricsGolden pins the metrics snapshot of both workloads byte
-// for byte against testdata/metrics.<workload>.quick.seed1.json.
+// for byte against testdata/metrics.<workload>.quick.seed1.json, after
+// holding its per-entry hit counts to the parking counters (hitsAgree).
 func TestBenchMetricsGolden(t *testing.T) {
 	for name, sc := range map[string]Scenario{"testbed_fig7": benchFig7(), "fabric_16x8": benchFabric()} {
 		rep, err := Run(context.Background(), sc)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		hitsAgree(t, name, rep.Metrics)
 		got, err := json.MarshalIndent(rep.Metrics, "", "  ")
 		if err != nil {
 			t.Fatal(err)
@@ -95,6 +99,49 @@ func TestBenchMetricsGolden(t *testing.T) {
 			}
 			if len(g) != len(w) {
 				t.Errorf("%s: metrics snapshot has %d lines, %s has %d", name, len(g), path, len(w))
+			}
+		}
+	}
+}
+
+// hitsAgree checks, on every PayloadPark program of a snapshot, that the
+// pipe's count of an entry's fires equals what the entry's action counts:
+// two writers, rmt's Process and the action body, that must agree.
+func hitsAgree(t *testing.T, name string, snap *obs.Snapshot) {
+	t.Helper()
+	counters := map[string]uint64{}
+	var programs []string // each program's label set
+	for _, c := range snap.Counters {
+		counters[c.Name] = c.Value
+		if labels, ok := strings.CutPrefix(c.Name, "pp_park_splits_total{"); ok {
+			programs = append(programs, strings.TrimSuffix(labels, "}"))
+		}
+	}
+	if len(programs) == 0 {
+		t.Fatalf("%s: no PayloadPark program in the snapshot", name)
+	}
+	for _, lbl := range programs {
+		for _, eq := range []struct {
+			table, entry string
+			park         []string
+		}{
+			{"pp_split_small", "add_disabled_header_demoted", []string{"demoted_skips"}},
+			{"pp_split_small", "add_disabled_header_small", []string{"small_payload_skips"}},
+			{"pp_merge_disabled", "strip_disabled_header", []string{"split_disabled"}},
+			{"pp_tag_validate", "drop_bad_crc", []string{"bad_tag_drops"}},
+			{"pp_metadata", "split_probe", []string{"splits", "occupied_skips"}},
+			{"pp_metadata", "explicit_drop", []string{"explicit_drops", "stale_explicit_drops"}},
+		} {
+			hits, ok := counters[fmt.Sprintf("pp_rmt_entry_hits_total{%s,table=%q,entry=%q}", lbl, eq.table, eq.entry)]
+			if !ok {
+				t.Errorf("%s {%s}: no hit count for %s/%s", name, lbl, eq.table, eq.entry)
+			}
+			var sum uint64
+			for _, c := range eq.park {
+				sum += counters["pp_park_"+c+"_total{"+lbl+"}"]
+			}
+			if hits != sum {
+				t.Errorf("%s {%s}: %s/%s fired %d times, pp_park %v sum to %d", name, lbl, eq.table, eq.entry, hits, eq.park, sum)
 			}
 		}
 	}

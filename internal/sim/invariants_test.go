@@ -141,7 +141,7 @@ func TestFabricByteConservation(t *testing.T) {
 	if got := comp.Occupied(prog.RoleCompMeta); got != 0 {
 		t.Errorf("%d compression contexts leaked after drain", got)
 	}
-	if c.Splits.Value() == 0 || comp.CounterValue("compressions") == 0 {
+	if c.Splits.Value() == 0 || comp.Counters()["compressions"] == 0 {
 		t.Fatal("policies idle; conservation checked nothing")
 	}
 }

@@ -46,9 +46,9 @@ func (f *Fabric) EnableObs(cfg ObsConfig) {
 
 // registerMetrics publishes the fabric's state into the registry:
 // engine progress, per-link and per-switch forwarding counters, and
-// every program's parking counters. Reads are closures over live state,
-// so snapshots must happen after Run returns (the scenario layer
-// guarantees this).
+// every program's parking counters and per-entry hits. Reads are
+// closures over live state, so snapshots must happen after Run returns
+// (the scenario layer guarantees this).
 func (f *Fabric) registerMetrics(reg *obs.Registry) {
 	e := f.eng
 	reg.Counter("pp_engine_events_total", "events executed by the engine", e.Executed)
@@ -73,6 +73,12 @@ func (f *Fabric) registerMetrics(reg *obs.Registry) {
 			plbl := fmt.Sprintf("switch=%q,program=\"%d\"", n.Name, i)
 			prog.C.RegisterObs(reg, plbl)
 			reg.Gauge(fmt.Sprintf("pp_park_occupancy_slots{%s}", plbl), "payloads currently parked", func() float64 { return float64(prog.Occupancy()) })
+			for _, m := range prog.Instance().Tables() {
+				for i := range m.Rules {
+					reg.Counter(fmt.Sprintf("pp_rmt_entry_hits_total{%s,table=%q,entry=%q}", plbl, m.Name, m.Rules[i].Name),
+						"table entry fires", m.Rules[i].Hits)
+				}
+			}
 		}
 	}
 	for _, s := range f.sinks {

@@ -48,11 +48,11 @@ func programReport(swName string, inst *prog.Instance, snap map[string]uint64) P
 	pc := ProgramCounters{
 		Switch:    swName,
 		Program:   inst.Spec().Name,
-		Counters:  make(map[string]uint64),
+		Counters:  inst.Counters(),
 		Occupancy: inst.Occupied(prog.RoleMeta) + inst.Occupied(prog.RoleCompMeta),
 	}
-	for _, name := range inst.CounterNames() {
-		pc.Counters[name] = inst.CounterValue(name) - snap[name]
+	for name, v := range pc.Counters { //pp:nondeterministic-ok order-insensitive update of a map in place
+		pc.Counters[name] = v - snap[name]
 	}
 	return pc
 }
