@@ -19,8 +19,6 @@ import (
 	"os"
 	"time"
 
-	"github.com/payloadpark/payloadpark/internal/core"
-	"github.com/payloadpark/payloadpark/internal/nf"
 	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/pcap"
 	"github.com/payloadpark/payloadpark/internal/sim"
@@ -78,8 +76,7 @@ func drive(path string, rounds int) error {
 	if err != nil {
 		return err
 	}
-	srv := nf.NewServer(nf.ServerConfig{Chain: nf.NewChain(nf.MACSwap{})})
-	tb, err := sim.NewInProcess(&core.Config{Slots: 8192, MaxExpiry: 1}, srv)
+	tb, err := sim.NewInProcess(sim.Sections{Parking: sim.Parking{Mode: sim.ParkEdge, Slots: 8192, MaxExpiry: 1}})
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,10 @@
 // Command ppnf runs a PayloadPark-unaware NF server as a userspace daemon
-// over UDP sockets. It hosts one of the paper's chains and returns
-// processed frames to the switch; the PayloadPark header riding in the
-// payload region passes through untouched.
+// over UDP sockets: an nf.Server, the framework every NF endpoint of the
+// reproduction hosts, built from the flags. It runs one of the paper's
+// chains and returns processed frames to the switch; the PayloadPark
+// header riding in the payload region passes through untouched. With
+// -explicit-drop the framework turns a dropped packet that parked a
+// payload into the §6.2.4 notification.
 //
 // Like ppswitchd, it reads a datagram of up to wire.DefaultBurst frames
 // as one burst and returns the processed burst through the reused-buffer
@@ -66,11 +69,7 @@ func main() {
 	}
 	d, err := wire.NewNFDaemon(wire.NFConfig{
 		Listen: *listen, SwitchAddr: *swAddr,
-		Handle: func(p *packet.Packet) bool {
-			v, _ := chain.Process(p)
-			return v == nf.Forward
-		},
-		ExplicitDrop: *explicit,
+		Server: nf.NewServer(nf.ServerConfig{Chain: chain, ExplicitDrop: *explicit}),
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ppnf: %v\n", err)

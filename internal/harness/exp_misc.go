@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/payloadpark/payloadpark/internal/core"
-	"github.com/payloadpark/payloadpark/internal/nf"
 	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/pcap"
 	"github.com/payloadpark/payloadpark/internal/rmt"
@@ -280,9 +279,8 @@ func collectEquiv(o Options) (*Result, error) {
 	if o.Quick {
 		n = 1000
 	}
-	capture := func(pp *core.Config) ([]pcap.Record, *core.Program, error) {
-		srv := nf.NewServer(nf.ServerConfig{Chain: nf.NewChain(nf.MACSwap{})})
-		tb, err := sim.NewInProcess(pp, srv)
+	capture := func(p sim.Parking) ([]pcap.Record, *core.Program, error) {
+		tb, err := sim.NewInProcess(sim.Sections{Parking: p})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -300,11 +298,11 @@ func collectEquiv(o Options) (*Result, error) {
 		return out, tb.Prog, nil
 	}
 
-	baseRecs, _, err := capture(nil)
+	baseRecs, _, err := capture(sim.Parking{})
 	if err != nil {
 		return nil, err
 	}
-	ppRecs, progPP, err := capture(&core.Config{Slots: MacroSlots, MaxExpiry: 1})
+	ppRecs, progPP, err := capture(sim.Parking{Mode: sim.ParkEdge, Slots: MacroSlots, MaxExpiry: 1})
 	if err != nil {
 		return nil, err
 	}

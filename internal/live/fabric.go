@@ -4,10 +4,9 @@ import (
 	"fmt"
 
 	"github.com/payloadpark/payloadpark/internal/core"
-	"github.com/payloadpark/payloadpark/internal/packet"
+	"github.com/payloadpark/payloadpark/internal/nf"
 	"github.com/payloadpark/payloadpark/internal/rmt"
 	"github.com/payloadpark/payloadpark/internal/sim"
-	"github.com/payloadpark/payloadpark/internal/wire"
 )
 
 // fabric is one resolved and validated live description: the graph both
@@ -42,6 +41,22 @@ func build(t Topology, s sim.Sections) (*fabric, error) {
 		f.frames = append(f.frames, genFrames(f.g.Flows[i].Traffic, t.Frames))
 	}
 	return f, nil
+}
+
+// newServer is the NF framework at flow fl's NF endpoint, for the socket
+// daemon and the reference replay alike: the simulator's framework rule
+// (sim.Sections.ServerConfig) hosting an optional stateless firewall ahead
+// of the paper's MAC swap. Verdicts depend only on the packet, so live and
+// reference servers agree frame for frame.
+func (f *fabric) newServer(fl *sim.Flow) *nf.Server {
+	s := f.sec
+	s.Chain = func() *nf.Chain {
+		if f.topo.DropFraction == 0 {
+			return nf.NewChain(nf.MACSwap{})
+		}
+		return nf.NewChain(nf.NewFirewall(nf.BlacklistFraction(f.topo.DropFraction)), nf.MACSwap{})
+	}
+	return nf.NewServer(s.ServerConfig(fl))
 }
 
 // add merges one switch's dataplane counters into cs. Callers must have
@@ -88,23 +103,22 @@ func ReferenceRun(t Topology, s sim.Sections) (*Result, error) {
 		return nil, fmt.Errorf("live: %w", err)
 	}
 	w := sim.NewWalker(f.g, sws)
-	// One NF endpoint per flow: the shared handle chain, persistent parse
-	// scratch, and a reused response buffer, as a wire.NFDaemon holds them.
-	handles := make([]func(*packet.Packet) bool, len(f.frames))
-	for j := range handles {
-		handles[j] = newNFHandle(t.DropFraction)
+	// One NF server per flow, as each flow's wire.NFDaemon hosts one, and
+	// a reused response buffer.
+	servers := make([]*nf.Server, len(f.g.Flows))
+	for j := range servers {
+		servers[j] = f.newServer(&f.g.Flows[j])
 	}
-	scratch := make([]wire.NFScratch, len(f.frames))
 	var resp []byte
 	res := &Result{Geometry: t.Geometry, Mode: "reference", Parking: s.Parking.Enabled()}
 	serve := func(ep *sim.Endpoint, frame []byte) []byte {
-		var verdict wire.NFVerdict
-		resp, verdict = wire.NFFrame(&scratch[ep.Flow], handles[ep.Flow], s.Parking.ExplicitDrop, frame, resp[:0])
-		switch verdict {
-		case wire.NFNotified:
+		var nfr nf.Result
+		resp, nfr, _ = servers[ep.Flow].HandleFrame(frame, resp[:0])
+		switch {
+		case nfr.Notification:
 			res.NFNotified++
 			return resp
-		case wire.NFForwarded:
+		case nfr.Out != nil:
 			return resp
 		}
 		res.NFDropped++ // no response: dropped by the chain, or unparseable

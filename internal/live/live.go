@@ -15,12 +15,14 @@
 // datagram per peer (wire.BurstReader, wire.BatchSender).
 //
 // The same graph can be walked in process (ReferenceRun, over sim.Walker)
-// with the identical core.Switch pipelines and NF byte path; comparing the
-// two counter-for-counter is the sim-vs-live parity gate. A controller
-// drives the socket fabric as it drives the simulator: ctrl.Controller
-// calls the one sim.Plant directly, from a wall-clock ticker, and the plant
-// applies each telemetry read and push under the owning node's quiesce
-// barrier — workers park between bursts, the call lands, workers resume.
+// with the identical core.Switch pipelines and, at every NF endpoint, the
+// same nf.Server the socket daemon hosts (its HandleFrame is the one NF
+// byte path); comparing the two counter-for-counter is the sim-vs-live
+// parity gate. A controller drives the socket fabric as it drives the
+// simulator: ctrl.Controller calls the one sim.Plant directly, from a
+// wall-clock ticker, and the plant applies each telemetry read and push
+// under the owning node's quiesce barrier — workers park between bursts,
+// the call lands, workers resume.
 //
 // A run is described by Topology (declared, defaulted and validated
 // here) plus the simulator's own sim.Sections, resolved with the live
@@ -30,15 +32,14 @@ package live
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"time"
 
 	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/ctrl"
-	"github.com/payloadpark/payloadpark/internal/nf"
 	"github.com/payloadpark/payloadpark/internal/obs"
-	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/sim"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
@@ -227,28 +228,6 @@ func genFrames(cfg trafficgen.Config, n int) [][]byte {
 	return frames
 }
 
-// newNFHandle builds the NF chain both the live wire.NFDaemon and the
-// reference replay run: an optional firewall verdict followed by the
-// paper's MAC-swap forwarder. Verdicts depend only on the packet (the
-// firewall is stateless per packet), so live and reference instances
-// agree frame for frame.
-func newNFHandle(dropFrac float64) func(*packet.Packet) bool {
-	var fw *nf.Firewall
-	if dropFrac > 0 {
-		fw = nf.NewFirewall(nf.BlacklistFraction(dropFrac))
-	}
-	swap := nf.MACSwap{}
-	return func(p *packet.Packet) bool {
-		if fw != nil {
-			if v, _ := fw.Process(p); v == nf.Drop {
-				return false
-			}
-		}
-		swap.Process(p)
-		return true
-	}
-}
-
 // CounterSet is the dataplane counter snapshot the parity gate compares:
 // the program counters of §5 plus switch-level packet and drop
 // accounting, merged across the fabric.
@@ -269,26 +248,9 @@ type CounterSet struct {
 	Drops               map[string]uint64 `json:"drops,omitempty"`
 }
 
-// Equal reports counter-for-counter equality, drop reasons included.
-func (a *CounterSet) Equal(b *CounterSet) bool {
-	if a.Rx != b.Rx || a.Tx != b.Tx || a.Splits != b.Splits || a.Merges != b.Merges ||
-		a.Evictions != b.Evictions || a.PrematureEvictions != b.PrematureEvictions ||
-		a.ExplicitDrops != b.ExplicitDrops || a.OccupiedSkips != b.OccupiedSkips ||
-		a.SmallPayloadSkips != b.SmallPayloadSkips || a.DemotedSkips != b.DemotedSkips ||
-		a.SplitDisabledFromNF != b.SplitDisabledFromNF || a.BadTagDrops != b.BadTagDrops ||
-		a.StaleExplicitDrops != b.StaleExplicitDrops {
-		return false
-	}
-	if len(a.Drops) != len(b.Drops) {
-		return false
-	}
-	for k, v := range a.Drops {
-		if b.Drops[k] != v {
-			return false
-		}
-	}
-	return true
-}
+// Equal reports counter-for-counter equality, drop reasons included (add
+// creates Drops with its first reason, so an empty set is always nil).
+func (a *CounterSet) Equal(b *CounterSet) bool { return reflect.DeepEqual(a, b) }
 
 // Result is one run's outcome, shared by live and reference modes.
 type Result struct {

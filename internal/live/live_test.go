@@ -15,7 +15,6 @@ import (
 	"github.com/payloadpark/payloadpark/internal/rmt"
 	"github.com/payloadpark/payloadpark/internal/sim"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
-	"github.com/payloadpark/payloadpark/internal/wire"
 )
 
 // parking is the tests' parking section: a tiny edge table with the
@@ -296,14 +295,14 @@ func TestOnePlantBothHooks(t *testing.T) {
 				// A quarter of the frames die at the NF's firewall, so their
 				// payloads stay parked: occupancy the telemetry must report.
 				w := sim.NewWalker(tc.g, sws)
-				handle := newNFHandle(0.25)
-				var scratch wire.NFScratch
+				f := &fabric{topo: Topology{DropFraction: 0.25}, sec: sec}
 				var resp []byte
 				for i := range tc.g.Flows {
+					srv := f.newServer(&tc.g.Flows[i])
 					for _, frame := range genFrames(tc.g.Flows[i].Traffic, 24) {
 						_, err := w.Send(i, frame, func(_ *sim.Endpoint, frame []byte) []byte {
-							var verdict wire.NFVerdict
-							if resp, verdict = wire.NFFrame(&scratch, handle, false, frame, resp[:0]); verdict != wire.NFForwarded {
+							var res nf.Result
+							if resp, res, _ = srv.HandleFrame(frame, resp[:0]); res.Out == nil {
 								return nil
 							}
 							return resp
@@ -372,5 +371,28 @@ func TestOnePlantBothHooks(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCounterSetEqual: the parity gate's comparison sees every counter and
+// every drop reason.
+func TestCounterSetEqual(t *testing.T) {
+	base := CounterSet{Splits: 3, Drops: map[string]uint64{"premature eviction": 1}}
+	same := base
+	same.Drops = map[string]uint64{"premature eviction": 1}
+	if !base.Equal(&same) {
+		t.Fatal("equal sets compare unequal")
+	}
+	for i := 0; i < reflect.TypeOf(base).NumField(); i++ {
+		other := base
+		other.Drops = map[string]uint64{"premature eviction": 1}
+		if f := reflect.ValueOf(&other).Elem().Field(i); f.Kind() == reflect.Uint64 {
+			f.SetUint(f.Uint() + 1)
+		} else {
+			other.Drops["bad tag crc"] = 1
+		}
+		if base.Equal(&other) {
+			t.Errorf("a change to %s went unseen", reflect.TypeOf(base).Field(i).Name)
+		}
 	}
 }

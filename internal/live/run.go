@@ -87,10 +87,9 @@ func bringUp(ctx context.Context, f *fabric, metrics *obs.Registry) (*liveFabric
 			return nil, err
 		}
 		nfd, err := wire.NewNFDaemon(wire.NFConfig{
-			Listen:       "127.0.0.1:0",
-			SwitchAddr:   lf.nodes[fl.NF.At.Switch].addr(fl.NF.At.Port).String(),
-			Handle:       newNFHandle(f.topo.DropFraction),
-			ExplicitDrop: f.sec.Parking.ExplicitDrop,
+			Listen:     "127.0.0.1:0",
+			SwitchAddr: lf.nodes[fl.NF.At.Switch].addr(fl.NF.At.Port).String(),
+			Server:     f.newServer(fl),
 		})
 		if err != nil {
 			return nil, err

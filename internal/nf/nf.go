@@ -5,6 +5,13 @@
 // a Server that models an OpenNetVM/NetBricks-like framework (including
 // the optional Explicit Drop integration of §6.2.4).
 //
+// Server is the one NF framework: every NF endpoint — the simulator's
+// server stations, the in-process Deployment, the socket daemons, the
+// live reference replay — hosts one. Handle serves a parsed packet and
+// HandleFrame the same packet on the wire, PayloadPark-unaware; both end
+// in the one framework step that forwards, notifies an explicit drop, or
+// consumes.
+//
 // NFs here are *behavioural*: they really parse and rewrite headers. The
 // cycle counts they report feed the timing model in internal/sim; the
 // packet transformations feed the byte-accurate dataplane.
@@ -65,6 +72,14 @@ func (c *Chain) Name() string {
 
 // Len returns the number of NFs in the chain.
 func (c *Chain) Len() int { return len(c.nfs) }
+
+// Last returns the chain's final NF (nil for an empty chain).
+func (c *Chain) Last() NF {
+	if len(c.nfs) == 0 {
+		return nil
+	}
+	return c.nfs[len(c.nfs)-1]
+}
 
 // Process runs the packet through the chain, returning the final verdict
 // and the per-stage costs actually incurred (stages after a Drop are not

@@ -1,6 +1,7 @@
 package nf
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -270,6 +271,86 @@ func TestHandleAllocFree(t *testing.T) {
 		srv.Handle(blocked)
 	}); allocs != 0 {
 		t.Errorf("Handle allocates %.1f per two packets, want 0", allocs)
+	}
+}
+
+// TestHandleFrameNotifiesAtBoundary: on the wire the framework is
+// PayloadPark-unaware — a forwarded frame keeps the header's bytes as
+// payload — and only a drop makes it read the header, behind the visible
+// prefix of the decoupling boundary. A packet that parked a payload comes
+// back as prefix + header with the opcode flipped, addressed to the next
+// hop; one whose header parked nothing, or a frame too short to hold one,
+// is consumed.
+func TestHandleFrameNotifiesAtBoundary(t *testing.T) {
+	tag := packet.Tag{TableIndex: 3, Clock: 9}.Seal()
+	for _, boundary := range []int{0, 32} {
+		split := func(h packet.PPHeader) []byte {
+			p := pktFrom(packet.IPv4Addr{10, 0, 0, 1}, 1, 400)
+			p.SetPP(h)
+			p.PPOffset = boundary
+			return p.Serialize()
+		}
+		frame := split(packet.PPHeader{Enabled: true, Tag: tag})
+		cfg := ServerConfig{ExplicitDrop: true, Boundary: boundary, NFMAC: dstMAC, NextHopMAC: sinkMAC}
+
+		cfg.Chain = NewChain(MACSwap{})
+		out, res, err := NewServer(cfg).HandleFrame(frame, nil)
+		swapped := append(append(frame[6:12:12], frame[:6]...), frame[12:]...)
+		if err != nil || res.Out == nil || res.Notification || !bytes.Equal(out, swapped) {
+			t.Fatalf("boundary %d: forwarded frame = %x, %+v, %v; want the input with its MACs swapped", boundary, out, res, err)
+		}
+
+		cfg.Chain = NewChain(NewFirewall([]FirewallRule{{Bits: 0}}))
+		srv := NewServer(cfg)
+		out, res, err = srv.HandleFrame(frame, nil)
+		if err != nil || !res.Notification {
+			t.Fatalf("boundary %d: dropped frame = %+v, %v; want a notification", boundary, res, err)
+		}
+		n, err := packet.ParseAt(out, boundary)
+		if err != nil || len(out) != packet.HeaderUnitLen+boundary+packet.PPHeaderLen {
+			t.Fatalf("boundary %d: notification %x does not end with the header at the boundary: %v", boundary, out, err)
+		}
+		if n.PP.Op != packet.PPOpExplicitDrop || n.PP.Tag != tag || !bytes.Equal(n.Payload, frame[packet.HeaderUnitLen:][:boundary]) || n.Eth.Dst != sinkMAC {
+			t.Errorf("boundary %d: notification %v with payload %x; want the flipped tag behind the visible prefix, to the next hop", boundary, n, n.Payload)
+		}
+		for _, consumed := range [][]byte{split(packet.PPHeader{}), frame[:packet.HeaderUnitLen+boundary+packet.PPHeaderLen-1]} {
+			if out, res, err := srv.HandleFrame(consumed, nil); err != nil || res.Out != nil || len(out) != 0 {
+				t.Errorf("boundary %d: frame of %d B without a parked payload answered %x", boundary, len(consumed), out)
+			}
+		}
+		if srv.Rx.Value() != 3 || srv.Notifications.Value() != 1 || srv.Dropped.Value() != 2 {
+			t.Errorf("boundary %d: rx=%d notifications=%d dropped=%d", boundary, srv.Rx.Value(), srv.Notifications.Value(), srv.Dropped.Value())
+		}
+	}
+	if _, _, err := NewServer(ServerConfig{Chain: NewChain()}).HandleFrame([]byte{1, 2, 3}, nil); err == nil {
+		t.Error("garbage frame parsed")
+	}
+}
+
+// TestHandleFrameAllocFree: the socket daemon's per-frame work — parse into
+// the server's scratch, run the chain, append the response to a reused
+// buffer — allocates nothing once warm, forwarded or notified.
+func TestHandleFrameAllocFree(t *testing.T) {
+	fw := NewFirewall([]FirewallRule{{Prefix: packet.IPv4Addr{10, 0, 0, 0}, Bits: 9}})
+	srv := NewServer(ServerConfig{Chain: NewChain(fw, MACSwap{}), ExplicitDrop: true})
+	frame := func(src packet.IPv4Addr) []byte {
+		p := pktFrom(src, 5000, 500)
+		p.SetPP(packet.PPHeader{Enabled: true, Tag: packet.Tag{TableIndex: 1, Clock: 2}.Seal()})
+		return p.Serialize()
+	}
+	fwd, blocked := frame(packet.IPv4Addr{10, 200, 0, 1}), frame(packet.IPv4Addr{10, 0, 0, 1})
+	var dst []byte
+	round := func() {
+		if dst, _, _ = srv.HandleFrame(fwd, dst[:0]); len(dst) != len(fwd) {
+			t.Fatal("forwarded frame lost")
+		}
+		if dst, _, _ = srv.HandleFrame(blocked, dst[:0]); len(dst) != packet.HeaderUnitLen+packet.PPHeaderLen {
+			t.Fatal("notification lost")
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("HandleFrame allocates %.1f per two frames, want 0", allocs)
 	}
 }
 

@@ -131,6 +131,7 @@ func PayloadParkSpec(p ParkParams) *Spec {
 						{Field: "pp.valid", Value: Lit(0)},
 					},
 					Action:   "add_disabled_header",
+					Params:   map[string]ParamVal{"park_offset": Ref("boundary_offset")},
 					Counters: map[string]string{"count": CtrDemotedSkips},
 				},
 				{
@@ -141,6 +142,7 @@ func PayloadParkSpec(p ParkParams) *Spec {
 						{Field: "pp.valid", Value: Lit(0)},
 					},
 					Action:   "add_disabled_header",
+					Params:   map[string]ParamVal{"park_offset": Ref("boundary_offset")},
 					Counters: map[string]string{"count": CtrSmallPayloadSkips},
 				},
 			},

@@ -561,10 +561,14 @@ func guardEdgeSpec() *Spec {
 	header := func(name, action string, match ...CondSpec) EntrySpec {
 		return EntrySpec{Name: name, Match: match, Action: action, Counters: map[string]string{"count": name}}
 	}
+	// The compression parser declares no park region: a disabled header
+	// sits right behind L4.
+	absent := header("op_absent", "add_disabled_header", cond("pp.op", "", -1), cond("param.max_expiry", "", 1))
+	absent.Params = map[string]ParamVal{"park_offset": Lit(0)}
 	s.Tables = append(s.Tables,
 		TableSpec{Name: "edge_op", Stage: 4, Resources: res, Entries: []EntrySpec{
 			drop("op_300", "pp.op 300", cond("pp.op", "", 300)),
-			header("op_absent", "add_disabled_header", cond("pp.op", "", -1), cond("param.max_expiry", "", 1)),
+			absent,
 		}},
 		TableSpec{Name: "edge_l4", Stage: 5, Resources: res, Entries: []EntrySpec{{
 			Name: "l4_ne", Action: "recirculate",

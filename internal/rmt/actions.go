@@ -530,12 +530,14 @@ var builtinActions = []*Action{
 	},
 	{
 		Name:     "add_disabled_header",
-		Doc:      "attach an all-zero PP header: the explicit \"nothing was parked\" marker of §5's small-payload and demoted split paths",
+		Doc:      "attach an all-zero PP header at `park_offset`, where the merge port parses it: the explicit \"nothing was parked\" marker of §5's small-payload and demoted split paths",
+		Ints:     []IntParam{{Name: "park_offset", Parser: SameAsParser}},
 		Counters: []string{"count"},
 		Build: func(a Args) func(*Ctx) {
-			count := a.Counter("count")
+			parkOffset, count := int(a.Int("park_offset")), a.Counter("count")
 			return func(c *Ctx) {
 				c.PHV.Pkt.SetPP(packet.PPHeader{}) // hdr.pp = 0; setValid()
+				c.PHV.Pkt.PPOffset = parkOffset
 				count.Inc()
 			}
 		},

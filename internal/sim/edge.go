@@ -93,7 +93,7 @@ func newEdge(f *Fabric, g *Graph, fl *Flow, sec Sections, source trafficgen.Sour
 	returnLink := f.NewLink(fl.NF.ToSwitch, g.LinkBps, simPropNs, simQueueBytes,
 		srv.node.Ingress(fl.NF.At.Port, srv.drop, srv.consume), srv.drop)
 	returnLink.LossRate = g.NFLossRate
-	e.server = NewServerSim(eng, sec.Server, nf.NewServer(sec.serverConfig(fl)), fl.ServerSeed,
+	e.server = NewServerSim(eng, sec.Server, nf.NewServer(sec.ServerConfig(fl)), fl.ServerSeed,
 		returnLink.Send, srv.drop, func(p Parcel) {
 			if p.InWindow {
 				e.nfConsumed++

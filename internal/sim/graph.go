@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/ctrl"
@@ -235,19 +234,27 @@ func (l LeafSpine) Graph(s Sections) *Graph {
 	return g
 }
 
-// serverConfig is the NF framework hosting the sections' chain (nil: the
-// MAC swap) at the far end of flow fl. A chain of MAC-swapping NFs already
-// handles L2 return addressing, so the framework must not rewrite MACs.
-func (s Sections) serverConfig(fl *Flow) nf.ServerConfig {
+// ServerConfig is the NF framework hosting the sections' chain (nil: the
+// MAC swap) at the far end of flow fl, behind the parking program's
+// decoupling boundary. A chain whose last stage swaps MACs — MACSwap, or a
+// Synthetic (a MAC swap with a busy loop) — already sends the packet back
+// toward its source, so the framework must not rewrite MACs. Explicit
+// drops need a parking program to notify.
+func (s Sections) ServerConfig(fl *Flow) nf.ServerConfig {
 	chain := nf.NewChain(nf.MACSwap{})
 	if s.Chain != nil {
 		chain = s.Chain()
 	}
-	swaps := slices.Contains([]string{"MACSwap", "NF-Light", "NF-Medium", "NF-Heavy"}, chain.Name())
+	var swaps bool
+	switch chain.Last().(type) {
+	case nf.MACSwap, *nf.Synthetic:
+		swaps = true
+	}
 	return nf.ServerConfig{
 		Chain: chain, RewriteMACs: !swaps,
 		NFMAC: fl.NF.MAC, NextHopMAC: fl.Sink.MAC,
-		ExplicitDrop: s.Parking.ExplicitDrop,
+		ExplicitDrop: s.Parking.ExplicitDrop && s.Parking.Enabled(),
+		Boundary:     s.Parking.BoundaryOffset,
 	}
 }
 

@@ -21,26 +21,21 @@ type InProcess struct {
 	genPort, nfPort rmt.PortID
 	one             batchOfOne
 	walk            *Walker
-	nfPkt           packet.Packet
 	wire            []byte
 }
 
-// NewInProcess builds the testbed switch around srv; pp parameterizes the
-// PayloadPark program (ports are pinned by the graph), nil runs the
-// baseline.
-func NewInProcess(pp *core.Config, srv *nf.Server) (*InProcess, error) {
-	var s Sections
-	if pp != nil {
-		s.Parking = Parking{Mode: ParkEdge, Slots: pp.Slots, MaxExpiry: pp.MaxExpiry,
-			Recirculate: pp.Recirculate, BoundaryOffset: pp.BoundaryOffset}
-	}
+// NewInProcess builds the testbed graph of the sections: the parking
+// program s.Parking describes (the baseline when it parks nothing; ports
+// are pinned by the graph) and the NF server s.ServerConfig hosts, the
+// event simulator's server.
+func NewInProcess(s Sections) (*InProcess, error) {
 	g := SingleSwitchGraph("inprocess", s, []rmt.PortID{0}, false)
 	sws, err := g.RealiseAll()
 	if err != nil {
 		return nil, err
 	}
 	fl := &g.Flows[0]
-	r := &InProcess{SW: sws[0], Server: srv, genPort: fl.Gen.At.Port, nfPort: fl.NF.At.Port, walk: NewWalker(g, sws)}
+	r := &InProcess{SW: sws[0], Server: nf.NewServer(s.ServerConfig(fl)), genPort: fl.Gen.At.Port, nfPort: fl.NF.At.Port, walk: NewWalker(g, sws)}
 	if progs := sws[0].Programs(); len(progs) > 0 {
 		r.Prog = progs[0]
 	}
@@ -64,20 +59,14 @@ func (r *InProcess) Process(pkt *packet.Packet) *packet.Packet {
 }
 
 // ProcessFrame is Process at the byte level: frame in, the sink's frame
-// out (nil, nil when dropped). The NF side parses the switch's bytes as a
-// PayloadPark-unaware framework would: any PayloadPark header rides inside
-// the payload untouched.
+// out (nil, nil when dropped). The NF side is the server's HandleFrame.
 func (r *InProcess) ProcessFrame(frame []byte) ([]byte, error) {
 	var nfErr error
 	out, err := r.walk.Send(0, frame, func(_ *Endpoint, toNF []byte) []byte {
-		if nfErr = packet.ParseAtInto(&r.nfPkt, toNF, -1); nfErr != nil {
+		var res nf.Result
+		if r.wire, res, nfErr = r.Server.HandleFrame(toNF, r.wire[:0]); res.Out == nil {
 			return nil
 		}
-		res := r.Server.Handle(&r.nfPkt)
-		if res.Out == nil {
-			return nil
-		}
-		r.wire = res.Out.AppendSerialize(r.wire[:0])
 		return r.wire
 	})
 	if err == nil {

@@ -265,7 +265,7 @@ func TestSimEqualsReferenceWalk(t *testing.T) {
 			var sent uint64
 			for i := range g.Flows {
 				fl := &g.Flows[i]
-				gen, srv := trafficgen.New(fl.Traffic), nf.NewServer(s.serverConfig(fl))
+				gen, srv := trafficgen.New(fl.Traffic), nf.NewServer(s.ServerConfig(fl))
 				var nfPkt packet.Packet
 				var resp []byte
 				var delivered, nfDropped uint64

@@ -7,6 +7,7 @@ import (
 
 	"github.com/payloadpark/payloadpark/internal/ctrl"
 	"github.com/payloadpark/payloadpark/internal/nf"
+	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/prog"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
@@ -29,7 +30,7 @@ func TestResolveDefaults(t *testing.T) {
 		t.Helper()
 		// A nil Chain stays nil, so Validate sees what the caller wrote;
 		// the server builds the MAC swap from it.
-		if c := got.serverConfig(&Flow{}).Chain; got.Chain != nil || c.Name() != "MACSwap" {
+		if c := got.ServerConfig(&Flow{}).Chain; got.Chain != nil || c.Name() != "MACSwap" {
 			t.Errorf("%s: default chain is not the MAC swap", name)
 		}
 		if !reflect.DeepEqual(gotTopo, wantTopo) {
@@ -164,5 +165,36 @@ func TestRulesHaveOneOwner(t *testing.T) {
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("%s: err = %v, want %q", tc.topo, err, tc.want)
 		}
+	}
+}
+
+// TestServerConfigRewritesUnlessTheChainSwaps: the framework rewrites L2
+// toward the next hop unless the chain's last stage swaps MACs, whatever
+// the chain is called; the boundary and explicit drops come from the
+// Parking section, and explicit drops only behind a parking program.
+func TestServerConfigRewritesUnlessTheChainSwaps(t *testing.T) {
+	fw := nf.NewFirewall(nil)
+	for _, c := range []struct {
+		chain   *nf.Chain
+		rewrite bool
+	}{
+		{nf.NewChain(fw, nf.MACSwap{}), false},
+		{nf.NewChain(nf.NewSynthetic("S", 10)), false},
+		{nf.NewChain(nf.MACSwap{}, fw), true},
+		{nf.NewChain(fw, nf.NewNAT(packet.IPv4Addr{198, 51, 100, 1})), true},
+		{nf.NewChain(), true},
+	} {
+		s := Sections{Chain: func() *nf.Chain { return c.chain }}
+		if got := s.ServerConfig(&Flow{}).RewriteMACs; got != c.rewrite {
+			t.Errorf("%s: RewriteMACs = %t, want %t", c.chain.Name(), got, c.rewrite)
+		}
+	}
+	s := Sections{Parking: Parking{Mode: ParkEdge, BoundaryOffset: 32, ExplicitDrop: true}}
+	if cfg := s.ServerConfig(&Flow{}); !cfg.ExplicitDrop || cfg.Boundary != 32 {
+		t.Errorf("parking server: explicit drop %t, boundary %d; want true, 32", cfg.ExplicitDrop, cfg.Boundary)
+	}
+	s.Parking.Mode = ParkNone
+	if s.ServerConfig(&Flow{}).ExplicitDrop {
+		t.Error("explicit drops on without a parking program")
 	}
 }

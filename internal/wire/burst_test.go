@@ -226,7 +226,7 @@ func TestSocketPathAllocFree(t *testing.T) {
 // counts neither. The 1500-byte frames take each of the three paths
 // intact.
 func TestOversizedDatagramDropped(t *testing.T) {
-	tb := newUDPTestbed(t, nil, false, macswap)
+	tb := newUDPTestbed(t, nil, macswap())
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sink, err := NewGenerator(ctx, GenConfig{Listen: "127.0.0.1:0", SwitchAddr: tb.swAddr.String()})

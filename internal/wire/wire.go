@@ -14,8 +14,9 @@
 //
 // The package holds the endpoints, not the topology: SwitchLoop drives a
 // switch some caller loaded (sim.Graph.Realise, for cmd/ppswitchd and the
-// live fabric alike), NFDaemon hosts an NF chain and Generator sends and
-// counts. Cabling is static: each logical switch port is bound to one peer
+// live fabric alike), NFDaemon puts an nf.Server — the one NF framework,
+// explicit-drop notification included — on a socket, and Generator sends
+// and counts. Cabling is static: each logical switch port is bound to one peer
 // UDP address, and a frame's ingress port is determined by its source
 // address — the same port-based disambiguation the paper's switch uses
 // (§5). Every socket is bound before its peers are pointed at it.
@@ -31,8 +32,8 @@ import (
 	"time"
 
 	"github.com/payloadpark/payloadpark/internal/core"
+	"github.com/payloadpark/payloadpark/internal/nf"
 	"github.com/payloadpark/payloadpark/internal/obs"
-	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/rmt"
 )
 
@@ -164,22 +165,14 @@ type NFConfig struct {
 	Listen string
 	// SwitchAddr is where processed frames return.
 	SwitchAddr string
-	// Handle processes one parsed packet and reports whether to forward
-	// it (the NF chain behaviour). The packet's PayloadPark header bytes,
-	// if any, ride inside Payload untouched — the NF is PayloadPark-
-	// unaware, exactly like the paper's frameworks. The packet is only
-	// valid for the duration of the call (the daemon reuses it frame to
-	// frame); Clone anything that must outlive it.
-	Handle func(*packet.Packet) bool
-	// ExplicitDrop enables the §6.2.4 modification: dropped packets that
-	// carry an enabled PayloadPark header are truncated, their opcode bit
-	// flipped at its fixed offset in the raw bytes, and returned.
-	ExplicitDrop bool
+	// Server is the NF framework the daemon hosts; its HandleFrame is the
+	// daemon's byte path, and only the daemon's goroutine drives it.
+	Server *nf.Server
 }
 
 // NFDaemon is a userspace NF server.
 type NFDaemon struct {
-	cfg    NFConfig
+	srv    *nf.Server
 	conn   *net.UDPConn
 	swAddr *net.UDPAddr
 
@@ -201,8 +194,8 @@ func (d *NFDaemon) RegisterMetrics(reg *obs.Registry) {
 
 // NewNFDaemon binds the server socket.
 func NewNFDaemon(cfg NFConfig) (*NFDaemon, error) {
-	if cfg.Handle == nil {
-		return nil, errors.New("wire: NF needs a Handle function")
+	if cfg.Server == nil {
+		return nil, errors.New("wire: NF needs a Server")
 	}
 	laddr, err := net.ResolveUDPAddr("udp", cfg.Listen)
 	if err != nil {
@@ -218,71 +211,19 @@ func NewNFDaemon(cfg NFConfig) (*NFDaemon, error) {
 		conn.Close()
 		return nil, fmt.Errorf("wire: switch addr: %w", err)
 	}
-	return &NFDaemon{cfg: cfg, conn: conn, swAddr: swAddr}, nil
+	return &NFDaemon{srv: cfg.Server, conn: conn, swAddr: swAddr}, nil
 }
 
 // Addr returns the bound UDP address.
 func (d *NFDaemon) Addr() string { return d.conn.LocalAddr().String() }
 
-// ppOffset is where the PayloadPark header sits in a split UDP frame.
-const ppOffset = packet.HeaderUnitLen
-
-// NFScratch is the parse scratch NFFrame reuses from frame to frame; the
-// caller holds one per NF endpoint.
-type NFScratch struct {
-	pkt packet.Packet
-	udp packet.UDP
-	tcp packet.TCP
-}
-
-// NFVerdict is what became of one frame at the NF.
-type NFVerdict int
-
-const (
-	// NFUnparseable: the frame is not a packet the NF understands; no
-	// response.
-	NFUnparseable NFVerdict = iota
-	// NFForwarded: the chain passed the packet; the response is its
-	// re-serialization.
-	NFForwarded
-	// NFNotified: the chain dropped a packet carrying an enabled
-	// PayloadPark header and explicit drops are on; the response is the
-	// §6.2.4 notification.
-	NFNotified
-	// NFDropped: the chain dropped the packet silently; no response.
-	NFDropped
-)
-
-// NFFrame is the NF server's byte path for one frame: parse into sc,
-// run handle (NFConfig.Handle's contract), and append the response frame
-// — the forwarded packet or an explicit-drop notification — to dst. The
-// NF parses only the protocol headers it understands; a PayloadPark
-// header rides in the payload region, and the notification is built from
-// the raw bytes, as the real 50-line framework patch does: flip OP,
-// truncate after the PayloadPark header. NFDaemon and the live fabric's
-// in-process reference replay both run exactly this function.
-func NFFrame(sc *NFScratch, handle func(*packet.Packet) bool, explicitDrop bool, frame, dst []byte) ([]byte, NFVerdict) {
-	sc.pkt.UDP, sc.pkt.TCP = &sc.udp, &sc.tcp
-	if err := packet.ParseAtInto(&sc.pkt, frame, -1); err != nil {
-		return dst, NFUnparseable
-	}
-	if handle(&sc.pkt) {
-		return sc.pkt.AppendSerialize(dst), NFForwarded
-	}
-	if explicitDrop && len(frame) >= ppOffset+packet.PPHeaderLen && frame[ppOffset]&0x80 != 0 {
-		dst = append(dst, frame[:ppOffset+packet.PPHeaderLen]...)
-		dst[len(dst)-packet.PPHeaderLen] |= 0x40
-		return dst, NFNotified
-	}
-	return dst, NFDropped
-}
-
 // Run serves until ctx is cancelled. Frames are read a datagram at a time
-// (BurstReader); each runs through NFFrame into the burst's shared send
-// buffer, and the whole burst's responses go back to the switch together
-// (BatchSender), so the framework path allocates only what the hosted NF
-// chain itself allocates. A rejected datagram gets no response and no
-// count.
+// (BurstReader); each runs through the server's HandleFrame into the
+// burst's shared send buffer, and the whole burst's responses go back to
+// the switch together (BatchSender), so the framework path allocates only
+// what the hosted NF chain itself allocates. A rejected datagram gets no
+// response and no count; a frame the framework cannot parse gets no
+// response and counts only as received.
 func (d *NFDaemon) Run(ctx context.Context) error {
 	go func() {
 		<-ctx.Done()
@@ -291,7 +232,6 @@ func (d *NFDaemon) Run(ctx context.Context) error {
 	br := NewBurstReader(d.conn, DefaultBurst)
 	bs := NewBatchSender(d.conn)
 	br.Hist, bs.Hist = d.burstHist, d.batchHist
-	var sc NFScratch
 	for {
 		count, err := br.Read()
 		if err != nil {
@@ -305,17 +245,16 @@ func (d *NFDaemon) Run(ctx context.Context) error {
 			if br.Truncated(i) {
 				continue // no response, like an unparseable frame
 			}
-			switch out, verdict := NFFrame(&sc, d.cfg.Handle, d.cfg.ExplicitDrop, br.Frame(i), bs.Begin()); verdict {
-			case NFForwarded:
-				bs.Commit(out, d.swAddr, &d.Tx)
-			case NFNotified:
+			switch out, res, err := d.srv.HandleFrame(br.Frame(i), bs.Begin()); {
+			case err != nil:
+				// Unparseable: no response, and not Dropped — that counter
+				// is the chain's verdicts.
+			case res.Notification:
 				bs.Commit(out, d.swAddr, &d.Notified)
-			case NFDropped:
+			case res.Out != nil:
+				bs.Commit(out, d.swAddr, &d.Tx)
+			default:
 				d.Dropped.Add(1)
-			case NFUnparseable:
-				// Skipped without counting as Dropped: that counter is the
-				// chain's verdicts (the reference replay, which keeps no
-				// counters of its own, treats both as "no response").
 			}
 		}
 		bs.Flush()

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/payloadpark/payloadpark/internal/core"
+	"github.com/payloadpark/payloadpark/internal/nf"
 	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/rmt"
 )
@@ -25,10 +26,14 @@ var (
 	}
 )
 
-func macswap(p *packet.Packet) bool {
-	p.Eth.Src, p.Eth.Dst = p.Eth.Dst, p.Eth.Src
-	return true
+// server hosts the chain of nfs on the NF framework, explicit drops on or
+// off.
+func server(explicitDrop bool, nfs ...nf.NF) *nf.Server {
+	return nf.NewServer(nf.ServerConfig{Chain: nf.NewChain(nfs...), ExplicitDrop: explicitDrop})
 }
+
+// macswap is the paper's equivalence NF on the framework.
+func macswap() *nf.Server { return server(false, nf.MACSwap{}) }
 
 // udpTestbed is the Fig. 5 testbed on loopback sockets, bound in cabling
 // order: the switch's socket first, then an NF daemon pointed at it, then
@@ -48,7 +53,7 @@ type udpTestbed struct {
 
 // newUDPTestbed loads a switch with pp (nil: a baseline L2 switch; a
 // recirculating program borrows pipe 1) and brings the testbed up.
-func newUDPTestbed(t *testing.T, pp *core.Config, explicitDrop bool, handle func(*packet.Packet) bool) *udpTestbed {
+func newUDPTestbed(t *testing.T, pp *core.Config, srv *nf.Server) *udpTestbed {
 	t.Helper()
 	sw := core.NewSwitch("wire-test")
 	sw.AddL2Route(wNFMAC, 1)
@@ -74,7 +79,7 @@ func newUDPTestbed(t *testing.T, pp *core.Config, explicitDrop bool, handle func
 	var err error
 	tb.nfd, err = NewNFDaemon(NFConfig{
 		Listen: "127.0.0.1:0", SwitchAddr: tb.swAddr.String(),
-		Handle: handle, ExplicitDrop: explicitDrop,
+		Server: srv,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +150,7 @@ func matchAll(got, want [][]byte) int {
 }
 
 func TestUDPDataplaneSplitMergeRoundTrip(t *testing.T) {
-	tb := newUDPTestbed(t, &core.Config{Slots: 256, MaxExpiry: 1, SplitPort: 0, MergePort: 1}, false, macswap)
+	tb := newUDPTestbed(t, &core.Config{Slots: 256, MaxExpiry: 1, SplitPort: 0, MergePort: 1}, macswap())
 	const n = 50
 	var want [][]byte
 	b := packet.NewBuilder(wGenMAC, wNFMAC)
@@ -181,7 +186,7 @@ func TestUDPDataplaneSplitMergeRoundTrip(t *testing.T) {
 
 func TestUDPDataplaneBaselineEquivalence(t *testing.T) {
 	run := func(pp *core.Config) [][]byte {
-		tb := newUDPTestbed(t, pp, false, macswap)
+		tb := newUDPTestbed(t, pp, macswap())
 		defer tb.stop()
 		b := packet.NewBuilder(wGenMAC, wNFMAC)
 		const n = 20
@@ -206,8 +211,8 @@ func TestUDPDataplaneBaselineEquivalence(t *testing.T) {
 }
 
 func TestUDPDataplaneExplicitDrop(t *testing.T) {
-	dropAll := func(p *packet.Packet) bool { return false }
-	tb := newUDPTestbed(t, &core.Config{Slots: 256, MaxExpiry: 1, SplitPort: 0, MergePort: 1}, true, dropAll)
+	dropAll := nf.NewFirewall([]nf.FirewallRule{{Bits: 0}})
+	tb := newUDPTestbed(t, &core.Config{Slots: 256, MaxExpiry: 1, SplitPort: 0, MergePort: 1}, server(true, dropAll))
 	b := packet.NewBuilder(wGenMAC, wNFMAC)
 	const n = 10
 	for i := 0; i < n; i++ {
@@ -233,9 +238,9 @@ func TestUDPDataplaneExplicitDrop(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	if _, err := NewNFDaemon(NFConfig{Listen: "127.0.0.1:0"}); err == nil {
-		t.Error("NF without handler accepted")
+		t.Error("NF without server accepted")
 	}
-	if _, err := NewNFDaemon(NFConfig{Listen: "bad::addr::x", Handle: macswap}); err == nil {
+	if _, err := NewNFDaemon(NFConfig{Listen: "bad::addr::x", Server: macswap()}); err == nil {
 		t.Error("bad NF listen addr accepted")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -248,7 +253,7 @@ func TestConfigValidation(t *testing.T) {
 // TestUnknownPeerIgnored sends from an uncabled socket: the switch must
 // count an error and forward nothing.
 func TestUnknownPeerIgnored(t *testing.T) {
-	tb := newUDPTestbed(t, nil, false, macswap)
+	tb := newUDPTestbed(t, nil, macswap())
 	stranger := listen(t, "127.0.0.1")
 	if _, err := stranger.WriteToUDP(datagram(packet.NewBuilder(wGenMAC, wNFMAC).UDP(wFlow, 100, 1).Serialize()), tb.swAddr); err != nil {
 		t.Fatal(err)
@@ -270,7 +275,7 @@ func TestUnknownPeerIgnored(t *testing.T) {
 // sockets: the switch recirculates split and merge packets through a
 // second pipe.
 func TestUDPDataplaneRecirculation(t *testing.T) {
-	tb := newUDPTestbed(t, &core.Config{Slots: 128, MaxExpiry: 1, SplitPort: 0, MergePort: 1, Recirculate: true}, false, macswap)
+	tb := newUDPTestbed(t, &core.Config{Slots: 128, MaxExpiry: 1, SplitPort: 0, MergePort: 1, Recirculate: true}, macswap())
 	b := packet.NewBuilder(wGenMAC, wNFMAC)
 	const n = 20
 	var want [][]byte

@@ -223,20 +223,18 @@ func New(cfg DeploymentConfig) (*Deployment, error) {
 	if cfg.MaxExpiry == 0 {
 		cfg.MaxExpiry = 1
 	}
-	if cfg.Chain == nil {
-		cfg.Chain = nf.NewChain(nf.MACSwap{})
-	}
-	var pp *core.Config
-	if !cfg.Baseline {
-		pp = &core.Config{
-			Slots: cfg.Slots, MaxExpiry: cfg.MaxExpiry,
-			Recirculate: cfg.Recirculate, BoundaryOffset: cfg.BoundaryOffset,
-		}
-	}
-	tb, err := sim.NewInProcess(pp, nf.NewServer(nf.ServerConfig{
-		Chain:        cfg.Chain,
+	s := sim.Sections{Parking: sim.Parking{
+		Mode: sim.ParkEdge, Slots: cfg.Slots, MaxExpiry: cfg.MaxExpiry,
+		Recirculate: cfg.Recirculate, BoundaryOffset: cfg.BoundaryOffset,
 		ExplicitDrop: cfg.ExplicitDrop,
-	}))
+	}}
+	if cfg.Baseline {
+		s.Parking.Mode = sim.ParkNone
+	}
+	if cfg.Chain != nil {
+		s.Chain = func() *nf.Chain { return cfg.Chain }
+	}
+	tb, err := sim.NewInProcess(s)
 	if err != nil {
 		return nil, fmt.Errorf("payloadpark: %w", err)
 	}

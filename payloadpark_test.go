@@ -3,10 +3,15 @@ package payloadpark
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
+	"maps"
 	"testing"
 	"testing/quick"
 
+	"github.com/payloadpark/payloadpark/internal/nf"
 	"github.com/payloadpark/payloadpark/internal/packet"
+	"github.com/payloadpark/payloadpark/internal/sim"
 )
 
 var testFlow = FiveTuple{
@@ -65,25 +70,132 @@ func TestDeploymentMatchesBaseline(t *testing.T) {
 	}
 }
 
-func TestDeploymentFrameLevel(t *testing.T) {
-	d, err := New(DeploymentConfig{Slots: 128})
-	if err != nil {
-		t.Fatal(err)
+// TestProcessFrameAgreesWithProcess holds the byte path of a Deployment
+// (switch frames, the NF framework's HandleFrame) to its packet path
+// (InjectBatch, Handle) at every size 42..1500: identical delivered bytes,
+// program counters, occupancy and switch drops, for a MAC swap, a chain
+// whose firewall drops about half the flows (10.0.0.0/9), and a NAT that
+// does not swap MACs, with the decoupling boundary at 0 and 32 and
+// explicit drops off and on. The MAC swap's bytes are the input's with the
+// addresses swapped (§6.2.6), and nothing returns to the NF's own MAC.
+//
+// A payload shorter than the boundary has no room for the disabled header
+// at the boundary (it rides behind the whole payload), so the merge port's
+// parse refuses the returning frame as truncated, while Process, which
+// carries the header as a struct, delivers the packet. Those sizes run on
+// a deployment pair of their own and must show exactly that refusal.
+func TestProcessFrameAgreesWithProcess(t *testing.T) {
+	chains := []struct {
+		name  string
+		chain func() *Chain
+	}{
+		{"MACSwap", func() *Chain { return nil }}, // the deployment's default
+		{"FW->NAT->MACSwap", func() *Chain {
+			fw := NewFirewall([]FirewallRule{{Prefix: IPv4Addr{10, 0, 0, 0}, Bits: 9}})
+			return NewChain(fw, NewNAT(IPv4Addr{198, 51, 100, 1}), nf.MACSwap{})
+		}},
+		{"NAT", func() *Chain { return NewChain(NewNAT(IPv4Addr{198, 51, 100, 1})) }},
 	}
-	in := NewUDPPacket(testFlow, 700, 3)
-	want := in.Clone()
-	frame, err := d.ProcessFrame(in.Serialize())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frame == nil {
-		t.Fatal("frame dropped")
-	}
-	// The MAC-swap NF flips L2 addresses; everything else is intact.
-	wantOut := want.Clone()
-	wantOut.Eth.Src, wantOut.Eth.Dst = want.Eth.Dst, want.Eth.Src
-	if !bytes.Equal(frame, wantOut.Serialize()) {
-		t.Error("frame-level round trip mismatch")
+	for _, boundary := range []int{0, 32} {
+		for _, explicit := range []bool{false, true} {
+			for _, c := range chains {
+				t.Run(fmt.Sprintf("%s/boundary=%d/explicit=%t", c.name, boundary, explicit), func(t *testing.T) {
+					pair := func() (pkts, frames *Deployment) {
+						deps := [2]*Deployment{}
+						for i := range deps {
+							d, err := New(DeploymentConfig{Slots: 64, MaxExpiry: 10, BoundaryOffset: boundary,
+								Chain: c.chain(), ExplicitDrop: explicit})
+							if err != nil {
+								t.Fatal(err)
+							}
+							deps[i] = d
+						}
+						return deps[0], deps[1]
+					}
+					pkts, frames := pair()
+					shortPkts, shortFrames := pair()
+					refused := 0
+					for size := packet.HeaderUnitLen; size <= 1500; size++ {
+						flow := FiveTuple{
+							SrcIP: IPv4Addr{10, byte(size * 37), 0, 1}, DstIP: IPv4Addr{10, 1, 0, 9},
+							SrcPort: uint16(size), DstPort: 80, Protocol: 17,
+						}
+						in := NewUDPPacket(flow, size, uint16(size))
+						frame := in.Serialize()
+						if size-packet.HeaderUnitLen < boundary {
+							want := shortPkts.Process(in)
+							got, err := shortFrames.ProcessFrame(frame)
+							if want == nil && (got != nil || err != nil) || want != nil && !errors.Is(err, packet.ErrTruncated) {
+								t.Fatalf("size %d: ProcessFrame = %x, %v; Process delivered %t; want the same drop or a truncated-frame refusal", size, got, err, want != nil)
+							}
+							if want != nil {
+								refused++
+							}
+							continue
+						}
+						want := pkts.Process(in)
+						got, err := frames.ProcessFrame(frame)
+						if err != nil {
+							t.Fatalf("size %d: ProcessFrame: %v", size, err)
+						}
+						if want == nil {
+							if got != nil {
+								t.Fatalf("size %d: Process dropped the packet, ProcessFrame delivered %x", size, got)
+							}
+							continue
+						}
+						if !bytes.Equal(got, want.Serialize()) {
+							t.Fatalf("size %d: ProcessFrame delivered\n%x\nProcess\n%x", size, got, want.Serialize())
+						}
+						if want.Eth.Dst == sim.MACNF {
+							t.Fatalf("size %d: delivered packet addressed to the NF's own MAC", size)
+						}
+						if c.name == "MACSwap" {
+							swapped := append(append(frame[6:12:12], frame[:6]...), frame[12:]...)
+							if !bytes.Equal(got, swapped) {
+								t.Fatalf("size %d: the MAC swap delivered\n%x\nwant the input with its addresses swapped\n%x", size, got, swapped)
+							}
+						}
+					}
+					if *pkts.Counters() != *frames.Counters() {
+						t.Errorf("counters diverge:\n  Process:      %v\n  ProcessFrame: %v", pkts.Counters(), frames.Counters())
+					}
+					if pkts.Occupancy() != frames.Occupancy() {
+						t.Errorf("occupancy %d by Process, %d by ProcessFrame", pkts.Occupancy(), frames.Occupancy())
+					}
+					if got, want := frames.SwitchDrops(), pkts.SwitchDrops(); !maps.Equal(got, want) {
+						t.Errorf("switch drops: ProcessFrame %v, Process %v", got, want)
+					}
+					// A refused frame never reaches the strip of its disabled
+					// header, and is the one drop Process does not see.
+					short := *shortFrames.Counters()
+					short.SplitDisabledFromNF.Add(uint64(refused))
+					if short != *shortPkts.Counters() || shortPkts.Occupancy()+shortFrames.Occupancy() != 0 {
+						t.Errorf("short payloads: counters %v (occupancy %d) by ProcessFrame, %v (%d) by Process; want %d refusals apart",
+							shortFrames.Counters(), shortFrames.Occupancy(), shortPkts.Counters(), shortPkts.Occupancy(), refused)
+					}
+					want := shortPkts.SwitchDrops()
+					if refused > 0 {
+						want["parse error"] += uint64(refused)
+					}
+					if got := shortFrames.SwitchDrops(); !maps.Equal(got, want) {
+						t.Errorf("short payloads: switch drops %v by ProcessFrame, want %v (Process's plus %d refusals)", got, want, refused)
+					}
+
+					// The grid reaches what it claims to.
+					pc := pkts.Counters()
+					if pc.Splits.Value() == 0 || pc.Merges.Value() == 0 || pc.SmallPayloadSkips.Value() == 0 {
+						t.Errorf("counters %v: want parked, merged and small packets", pc)
+					}
+					if dropping := c.name == "FW->NAT->MACSwap"; dropping && explicit != (pc.ExplicitDrops.Value() > 0) {
+						t.Errorf("explicit drops = %d with explicit drops %t", pc.ExplicitDrops.Value(), explicit)
+					}
+					if boundary > 0 && refused == 0 {
+						t.Error("no payload shorter than the boundary came back from the NF")
+					}
+				})
+			}
+		}
 	}
 }
 
@@ -101,13 +213,11 @@ func TestDeploymentWithChain(t *testing.T) {
 	}
 	in := NewUDPPacket(testFlow, 900, 1)
 	origPayload := append([]byte(nil), in.Payload...)
-	// The NAT/LB chain does not swap MACs, so the switch forwards to the
-	// NF MAC again on return; rewrite toward the sink as a framework
-	// would. Here we drive the pieces manually via Process, whose
-	// embedded server handles it; we only check the data path.
+	// The NAT/LB chain does not swap MACs, so the framework rewrites them
+	// toward the sink.
 	out := d.Process(in)
 	if out == nil {
-		t.Skip("chain without MAC handling returns toward NF; covered in sim tests")
+		t.Fatal("packet dropped")
 	}
 	if !bytes.Equal(out.Payload, origPayload) {
 		t.Error("payload corrupted")
