@@ -144,7 +144,7 @@ func benchBatch(b *testing.B, n int) (*core.Switch, []core.BatchPacket) {
 
 func BenchmarkInjectBatch(b *testing.B) {
 	// Split + merge round trips over recycled packets: 0 allocs/op once
-	// warm (pooled PHVs, stash-headroom reassembly, in-place results).
+	// warm (pooled PHVs, reassembly in the packet's buffer, in-place results).
 	const n = 64
 	sw, batch := benchBatch(b, n)
 	results := make([]core.BatchResult, n)

@@ -144,6 +144,41 @@ func TestBoundaryValidation(t *testing.T) {
 	}
 }
 
+// TestBoundaryMergeAllocFree: a split at a §7 boundary moves the tail of
+// the payload down over the parked bytes and leaves them as capacity
+// behind it; the merge grows the payload back into that capacity and moves
+// the tail up, so a round trip of a rebuilt 1,000 B packet allocates
+// nothing and restores its payload.
+func TestBoundaryMergeAllocFree(t *testing.T) {
+	sw, prog := testbed(t, Config{Slots: 64, MaxExpiry: 1, SplitPort: portGen, MergePort: portNF, BoundaryOffset: 32}, -1)
+	b := packet.NewBuilder(genMAC, nfMAC)
+	pkt, id := b.UDP(flow, 1000, 1), uint16(1)
+	batch, res := []BatchPacket{{Pkt: pkt}}, make([]BatchResult, 1)
+	roundTrip := func() {
+		id++
+		b.UDPInto(pkt, flow, 1000, id)
+		batch[0].In = portGen
+		if sw.InjectBatch(batch, res); !res[0].OK || !pkt.PP.Enabled {
+			t.Fatalf("split: ok=%t reason %q", res[0].OK, res[0].Reason)
+		}
+		toSink(pkt)
+		batch[0].In = portNF
+		if sw.InjectBatch(batch, res); !res[0].OK || pkt.PP != nil {
+			t.Fatalf("merge: ok=%t reason %q", res[0].OK, res[0].Reason)
+		}
+	}
+	roundTrip() // the first split creates the register chunk
+	if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
+		t.Errorf("a split and merge at boundary 32 allocate %.1f times, want 0", allocs)
+	}
+	if m := prog.C.Merges.Value(); m != 102 {
+		t.Errorf("%d merges in 102 round trips", m)
+	}
+	if want := b.UDP(flow, 1000, id).Payload; !bytes.Equal(pkt.Payload, want) {
+		t.Error("the merged payload differs from the one built")
+	}
+}
+
 // TestTruncatedMergeIsACountedDrop: under the boundary-offset program
 // (BenchmarkAblationBoundaryOffset's config) a validly tagged packet comes
 // back from the NF with its payload cut shorter than the boundary. It used

@@ -8,19 +8,15 @@ import (
 )
 
 // burstSlot is one frame's scratch state inside a FrameBurst: a reusable
-// parsed packet (header structs included) whose payload is steered into
-// buf at a fixed offset so the headroom in front of it can absorb merged
-// payload blocks in place. One slot per burst index lets a whole burst be
-// parsed before any packet is injected.
+// parsed packet (header structs and payload buffer included) whose payload
+// is parsed with room in front, so a merge reassembles in place. One slot
+// per burst index lets a whole burst be parsed before any packet is
+// injected.
 type burstSlot struct {
 	pkt packet.Packet
 	udp packet.UDP
 	tcp packet.TCP
 	pp  packet.PPHeader
-	// buf backs the payload: [0,head) is merge headroom, payload bytes
-	// start at head.
-	buf  []byte
-	head int
 }
 
 // FrameBurst is the raw-frame entry point: a fixed-capacity set of parse
@@ -79,25 +75,13 @@ func (b *FrameBurst) Add(frame []byte, in rmt.PortID) error {
 		return fmt.Errorf("core: invalid port %d", in) //pp:alloc-ok error path only; invalid ports never reach the steady state
 	}
 	sc := &b.slots[len(b.batch)]
-	if sc.buf == nil || sc.head != b.sw.maxPark {
-		sc.head = b.sw.maxPark
-		sc.buf = make([]byte, sc.head+maxFrameBytes) //pp:alloc-ok one-time slot warm-up; reused for the lifetime of the burst
-	}
 	sc.pkt.UDP = &sc.udp
 	sc.pkt.TCP = &sc.tcp
 	sc.pkt.PP = &sc.pp
-	sc.pkt.Payload = sc.buf[sc.head:sc.head]
-	if err := packet.ParseAtInto(&sc.pkt, frame, b.sw.ppOffset[in]); err != nil {
+	if err := sc.pkt.ParseWithHeadroom(frame, b.sw.ppOffset[in], b.sw.maxPark); err != nil {
 		b.sw.rx[pipeIdx].Inc()
 		b.sw.drop(pipeIdx, dropParseError)
 		return err
-	}
-	// Headroom holds only while the payload still sits at its scratch
-	// position (an oversized frame would have forced a reallocation).
-	if sc.head > 0 && len(sc.pkt.Payload) > 0 && &sc.pkt.Payload[0] == &sc.buf[sc.head] {
-		sc.pkt.StashHeadroom(sc.buf[:sc.head])
-	} else {
-		sc.pkt.StashHeadroom(nil)
 	}
 	b.batch = append(b.batch, BatchPacket{Pkt: &sc.pkt, In: in})
 	return nil

@@ -209,7 +209,7 @@ func TestFrameBurstPerPipeRace(t *testing.T) {
 // TestInjectBatchZeroAllocSteadyState asserts the zero-allocation claim
 // on the packet-API hot path: split + merge round trips over recycled
 // packets allocate nothing once warm (pooled PHVs, inline PP headers,
-// stash-headroom reassembly, emissions filled in place).
+// reassembly in the packet's own buffer, emissions filled in place).
 func TestInjectBatchZeroAllocSteadyState(t *testing.T) {
 	sw := eqSwitch(t, 1)
 	traffic := eqTraffic(1, 8) // one pipe: in-order split+merge round trips

@@ -30,10 +30,6 @@ const (
 	dropParseError  = "parse error"
 )
 
-// maxFrameBytes bounds the frames the scratch parser accepts; generated
-// traffic tops out at 1500 B plus headers.
-const maxFrameBytes = 2048
-
 // invalidShard is the counter shard charged for packets that never reach a
 // pipe (out-of-range port).
 const invalidShard = NumPipes
@@ -323,9 +319,9 @@ func (s *Switch) injectOne(pkt *packet.Packet, in rmt.PortID, em *Emission) stri
 	pipe := s.pipes[pipeIdx]
 	phv := pipe.AcquirePHV()
 	pipe.Parser().FillPHV(phv, pkt, in)
-	// A packet split earlier — or parsed with room in front — stashed the
-	// hole in front of its payload; a merge reassembles into it in place,
-	// and any other hop leaves it for the merging switch further on.
+	// The hole a split cut in front of the payload — or the room a parse
+	// left there — is the packet's own: a merge reassembles into it in
+	// place, and any other hop leaves it for the merging switch further on.
 	phv.Headroom = pkt.Headroom()
 	pipe.Process(phv)
 	passes := 1
@@ -356,12 +352,11 @@ func (s *Switch) deparse(pipeIdx int, phv *rmt.PHV, passes int, em *Emission) st
 		// emits headers + visible prefix + PayloadPark header + the
 		// remaining payload. The blocks were stored during Process, so the
 		// splice happens in place — no scratch buffer needed.
+		// The cut stays in the packet's buffer — in front of the payload
+		// at k == 0, behind it otherwise — for a later merge to refill.
 		park := int(phv.GetMeta(rmt.MetaParkBytes))
 		k := int(phv.GetMeta(rmt.MetaParkOffset))
 		if k == 0 {
-			// The cut prefix is exactly the hole a later merge refills:
-			// stash it so reassembly can happen in place, allocation-free.
-			pkt.StashHeadroom(pkt.Payload[:park])
 			pkt.Payload = pkt.Payload[park:]
 		} else {
 			copy(pkt.Payload[k:], pkt.Payload[k+park:])
@@ -369,13 +364,10 @@ func (s *Switch) deparse(pipeIdx int, phv *rmt.PHV, passes int, em *Emission) st
 		}
 	}
 	if phv.GetMeta(rmt.MetaPPEnabled) == 1 {
-		// Reassemble: the parked blocks return to their boundary offset.
-		// PrepareMergeBlocks placed the park region either in the frame
-		// headroom directly in front of the payload (zero-copy reslice) or
-		// in a single buffer sized for the merged payload.
-		park := int(phv.GetMeta(rmt.MetaParkBytes))
-		k := int(phv.GetMeta(rmt.MetaParkOffset))
-		pkt.Payload = phv.FinishMerge(pkt.Payload, k, park)
+		// Reassemble: PrepareMergeBlocks laid out the merged payload with
+		// the park region at the boundary offset, and the load MATs
+		// filled it.
+		pkt.Payload = phv.FinishMerge()
 	}
 	out, ok := s.fwd.resolve(pkt)
 	if !ok {

@@ -27,9 +27,9 @@ func (b *Builder) UDP(ft FiveTuple, totalSize int, id uint16) *Packet {
 }
 
 // UDPInto is UDP writing into a caller-owned (typically recycled) Packet,
-// reusing its UDP header struct, payload capacity and parse buffer so
-// steady-state generation does not allocate. Every other field is
-// rewritten; no state of the packet's previous life survives.
+// reusing its UDP header struct and payload buffer so steady-state
+// generation does not allocate. Every other field is rewritten; no state
+// of the packet's previous life survives.
 //
 //pp:zeroalloc
 func (b *Builder) UDPInto(p *Packet, ft FiveTuple, totalSize int, id uint16) *Packet {
@@ -41,7 +41,6 @@ func (b *Builder) UDPInto(p *Packet, ft FiveTuple, totalSize int, id uint16) *Pa
 	if udp == nil {
 		udp = &UDP{} //pp:alloc-ok warm-up: a recycled packet keeps its UDP struct
 	}
-	payload := b.payload(p.Payload[:0], payloadLen, ft, id)
 	*p = Packet{
 		Eth: Ethernet{Dst: b.dstMAC, Src: b.srcMAC, EtherType: EtherTypeIPv4},
 		IP: IPv4{
@@ -52,10 +51,10 @@ func (b *Builder) UDPInto(p *Packet, ft FiveTuple, totalSize int, id uint16) *Pa
 			Src:         ft.SrcIP,
 			Dst:         ft.DstIP,
 		},
-		UDP:     udp,
-		Payload: payload,
-		room:    p.room,
+		UDP:  udp,
+		room: p.room,
 	}
+	b.payload(p.setPayload(0, payloadLen), ft, id)
 	*udp = UDP{
 		SrcPort: ft.SrcPort,
 		DstPort: ft.DstPort,
@@ -100,28 +99,21 @@ func fillPayload(seed uint64) []byte {
 	return out
 }
 
-// payload writes the n payload bytes of packet (ft, id) into out's backing
-// array (reusing capacity) and returns the filled slice: a template window
+// payload fills out with the payload of packet (ft, id): a template window
 // — wrapping for payloads longer than one — under an 8-byte stamp of the
 // per-packet seed. Payloads shorter than the stamp keep its low bytes,
 // which hold the id.
 //
 //pp:zeroalloc
-func (b *Builder) payload(out []byte, n int, ft FiveTuple, id uint16) []byte {
-	if cap(out) < n {
-		out = make([]byte, n) //pp:alloc-ok warm-up: a recycled packet keeps its payload capacity
-	} else {
-		out = out[:n]
-	}
+func (b *Builder) payload(out []byte, ft FiveTuple, id uint16) {
 	seed := uint64(ft.SrcPort)<<48 ^ uint64(ft.SrcIP.Uint32())<<16 ^ uint64(id)
 	off := int(seed * 0x9e3779b97f4a7c15 >> (64 - templateOffsetBits))
-	for filled := copy(out, template[off:]); filled < n; {
+	for filled := copy(out, template[off:]); filled < len(out); {
 		filled += copy(out[filled:], template)
 	}
 	var stamp [8]byte
 	binary.LittleEndian.PutUint64(stamp[:], seed)
 	copy(out, stamp[:])
-	return out
 }
 
 // splitmix64 advances the stream and returns the next word.

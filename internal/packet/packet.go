@@ -32,33 +32,57 @@ type Packet struct {
 
 	// ppStore inlines the PayloadPark header storage so SetPP (and the
 	// parsers) can attach one without allocating. PP points here after
-	// SetPP; Clone preserves the aliasing. crStore does the same for the
+	// SetPP, and a clone's at its own. crStore does the same for the
 	// compression header.
 	ppStore PPHeader
 	crStore CRHeader
 
-	// headroom is the scratch region stashed by StashHeadroom; see there.
-	headroom []byte
-	room     []byte // ParseWithHeadroom's buffer from its first byte; copies never share it
+	// room is the packet's payload buffer from its first byte: every
+	// payload the packet builds, parses or clones is written into it (see
+	// setPayload), and what lies in front of Payload there is headroom.
+	room []byte
 }
 
-// StashHeadroom records scratch bytes that sit immediately in front of
-// Payload in its backing array — the hole the switch's Split deparser cuts,
-// or the room ParseWithHeadroom leaves — so a later Merge can reassemble
-// the payload in place instead of allocating; Headroom validates the
-// placement before the stash is trusted.
-func (p *Packet) StashHeadroom(h []byte) { p.headroom = h }
+// BufferClass is the granularity of payload buffers: a packet makes its
+// buffer at the payload's size rounded up to a multiple of BufferClass, so
+// a pool keyed by cap(buffer)/BufferClass hands every payload of a class a
+// buffer that fits it.
+const BufferClass = 64
 
-// Headroom returns the stashed headroom if it still directly precedes the
-// current Payload in its backing array (an NF's new payload or a merge
-// invalidates it) or the payload is empty; otherwise nil. Reading consumes
-// nothing: a hop that neither splits nor merges leaves it to the merging one.
-func (p *Packet) Headroom() []byte {
-	h, n := p.headroom, len(p.headroom)
-	if len(p.Payload) == 0 || cap(h) > n && &h[:n+1][n] == &p.Payload[0] {
-		return h
+// setPayload points Payload at n bytes of the packet's buffer, head bytes
+// in, and returns it. It is the one place a packet makes a payload buffer:
+// only when the one it holds is too small, and then at the payload's class.
+// It is not inlined, so the escape check charges that make to it alone.
+//
+//pp:zeroalloc
+//go:noinline
+func (p *Packet) setPayload(head, n int) []byte {
+	if cap(p.room) < head+n {
+		p.room = make([]byte, (head+n+BufferClass-1)/BufferClass*BufferClass) //pp:alloc-ok warm-up: a recycled packet keeps its buffer, and sources recycle buffers by class
 	}
-	return nil
+	p.Payload = p.room[head : head+n]
+	return p.Payload
+}
+
+// SwapBuffer makes b the packet's payload buffer and returns the one it
+// held, leaving Payload empty. A traffic source keeps retired packets'
+// buffers by class this way and gives each new packet one of its own.
+func (p *Packet) SwapBuffer(b []byte) []byte {
+	old := p.room
+	p.room, p.Payload = b[:cap(b)], nil
+	return old
+}
+
+// Headroom returns the bytes of the packet's buffer in front of Payload —
+// the hole a split cut, or the room ParseWithHeadroom left — which a merge
+// may fill in place; nil when Payload lies elsewhere (an NF replaced it).
+// The buffer's capacity behind Payload is the packet's too.
+func (p *Packet) Headroom() []byte {
+	off := cap(p.room) - cap(p.Payload)
+	if off < 0 || cap(p.Payload) == 0 || &p.room[:off+1][off] != &p.Payload[:1][0] {
+		return nil
+	}
+	return p.room[:off]
 }
 
 // SetPP attaches a PayloadPark header to the packet without allocating,
@@ -97,12 +121,28 @@ func ParseAt(frame []byte, ppOffset int) (*Packet, error) {
 // ParseAtInto is ParseAt parsing into a caller-owned Packet, the
 // allocation-free path for scratch reuse on the switch's frame hot path:
 // non-nil UDP/TCP/PP header structs are reused rather than reallocated,
-// and the payload is appended into Payload's existing backing array
-// (sliced to length zero first). Callers that pre-position Payload inside
-// a larger buffer keep that placement as long as the capacity suffices.
+// and the payload is copied into the packet's buffer from its first byte.
 //
 //pp:zeroalloc
 func ParseAtInto(p *Packet, frame []byte, ppOffset int) error {
+	return p.parseAt(frame, ppOffset, 0)
+}
+
+// ParseWithHeadroom is ParseAtInto leaving head bytes of the packet's
+// buffer in front of the payload, so a merge of up to head parked bytes
+// reassembles in place. Only a frame carrying a PayloadPark header
+// (ppOffset >= 0) can merge; any other frame is parsed without room.
+func (p *Packet) ParseWithHeadroom(frame []byte, ppOffset, head int) error {
+	if ppOffset < 0 {
+		head = 0
+	}
+	return p.parseAt(frame, ppOffset, head)
+}
+
+// parseAt decodes frame into p with the payload head bytes into its buffer.
+//
+//pp:zeroalloc
+func (p *Packet) parseAt(frame []byte, ppOffset, head int) error {
 	if err := p.Eth.Unmarshal(frame); err != nil {
 		return err
 	}
@@ -146,8 +186,6 @@ func ParseAtInto(p *Packet, frame []byte, ppOffset int) error {
 	}
 	// What follows the last header is payload, with an optional PayloadPark
 	// header ppOffset bytes into it.
-	p.headroom = nil
-	payload := p.Payload[:0]
 	if ppOffset >= 0 {
 		if len(frame) < off+ppOffset+PPHeaderLen {
 			return fmt.Errorf("payloadpark header at offset %d: %w", ppOffset, ErrTruncated) //pp:alloc-ok error path only; truncated frames are dropped before the steady state
@@ -160,27 +198,15 @@ func ParseAtInto(p *Packet, frame []byte, ppOffset int) error {
 		}
 		p.PPOffset = ppOffset
 		// Payload excludes the header: visible prefix + remainder.
-		payload = append(payload, frame[off:off+ppOffset]...)
-		p.Payload = append(payload, frame[off+ppOffset+PPHeaderLen:]...) //pp:alloc-ok grows p.Payload's reused backing (payload aliases it); amortized warm-up
+		payload := p.setPayload(head, len(frame)-off-PPHeaderLen)
+		k := copy(payload, frame[off:off+ppOffset])
+		copy(payload[k:], frame[off+ppOffset+PPHeaderLen:])
 		return nil
 	}
 	p.PP = nil
 	p.PPOffset = 0
-	p.Payload = append(payload, frame[off:]...) //pp:alloc-ok grows p.Payload's reused backing (payload aliases it); amortized warm-up
+	copy(p.setPayload(head, len(frame)-off), frame[off:])
 	return nil
-}
-
-// ParseWithHeadroom is ParseAtInto into the packet's reused buffer, head
-// bytes in, stashing those bytes as headroom so a merge of up to head parked
-// bytes reassembles in place.
-func (p *Packet) ParseWithHeadroom(frame []byte, ppOffset, head int) error {
-	if cap(p.room) < head+len(frame) {
-		p.room = make([]byte, 2*(head+len(frame)))
-	}
-	p.Payload = p.room[head:head]
-	err := ParseAtInto(p, frame, ppOffset)
-	p.headroom = p.room[:head]
-	return err
 }
 
 // parseCompressed decodes the compression header of an EtherTypeCR frame
@@ -302,45 +328,16 @@ func (p *Packet) serializeTo(buf []byte) int {
 	return off + len(p.Payload)
 }
 
-// Clone deep-copies the packet.
-func (p *Packet) Clone() *Packet {
-	c := *p
-	if p.UDP != nil {
-		u := *p.UDP
-		c.UDP = &u
-	}
-	if p.TCP != nil {
-		t := *p.TCP
-		c.TCP = &t
-	}
-	if p.PP != nil {
-		if p.PP == &p.ppStore {
-			c.PP = &c.ppStore
-		} else {
-			pp := *p.PP
-			c.PP = &pp
-		}
-	}
-	if p.CR != nil {
-		if p.CR == &p.crStore {
-			c.CR = &c.crStore
-		} else {
-			cr := *p.CR
-			c.CR = &cr
-		}
-	}
-	c.Payload = append([]byte(nil), p.Payload...)
-	c.headroom, c.room = nil, nil // the copy's payload lives in a fresh backing array
-	return &c
-}
+// Clone deep-copies the packet into a fresh one.
+func (p *Packet) Clone() *Packet { return p.CloneInto(&Packet{}) }
 
 // CloneInto deep-copies the packet into dst, reusing dst's header
-// structs and payload backing array — the allocation-free Clone for
+// structs and payload buffer — the allocation-free Clone for
 // pooled packets (pcap replay at scale reuses retired packets this way).
 //
 //pp:zeroalloc
 func (p *Packet) CloneInto(dst *Packet) *Packet {
-	udp, tcp, payload, room := dst.UDP, dst.TCP, dst.Payload, dst.room
+	udp, tcp, room := dst.UDP, dst.TCP, dst.room
 	*dst = *p
 	dst.room = room
 	dst.UDP, dst.TCP = nil, nil
@@ -370,8 +367,7 @@ func (p *Packet) CloneInto(dst *Packet) *Packet {
 	} else {
 		dst.CR = nil
 	}
-	dst.Payload = append(payload[:0], p.Payload...) //pp:alloc-ok grows dst.Payload's reused backing; amortized warm-up
-	dst.headroom = nil
+	copy(dst.setPayload(0, len(p.Payload)), p.Payload)
 	return dst
 }
 

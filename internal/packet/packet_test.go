@@ -385,6 +385,25 @@ func TestUDPIntoAllocFree(t *testing.T) {
 	}
 }
 
+// TestUDPIntoReusesSplitBufferAlloc: a split cuts the parked front off a
+// packet's payload (the deparser's Payload[park:]); rebuilding the packet
+// at its full size refills the buffer the cut left, without making one.
+func TestUDPIntoReusesSplitBufferAlloc(t *testing.T) {
+	b := NewBuilder(testSrcMAC, testDstMAC)
+	p := b.UDP(testFT, 1500, 1)
+	id := uint16(1)
+	if allocs := testing.AllocsPerRun(200, func() {
+		p.Payload = p.Payload[160:]
+		id++
+		b.UDPInto(p, testFT, 1500, id)
+	}); allocs != 0 {
+		t.Errorf("rebuilding a split packet allocates %.1f/packet, want 0", allocs)
+	}
+	if !bytes.Equal(p.Payload, b.UDP(testFT, 1500, id).Payload) {
+		t.Error("the rebuilt payload differs from a fresh one")
+	}
+}
+
 // TestAppendSerializeGrowsGeometricallyAllocs: a batch buffer filled frame
 // by frame from nil — 32 frames of 1500 bytes — grows a handful of times,
 // not once per frame.

@@ -4,10 +4,15 @@
 // checksum maintenance.
 //
 // The design follows the layer model popularized by gopacket: each header
-// is a struct with an explicit wire encoding, and a Packet holds parsed
-// views into a single contiguous frame buffer. Unlike gopacket, the set of
+// is a struct with an explicit wire encoding. Unlike gopacket, the set of
 // protocols is closed (exactly what the paper's testbed carries), which
 // lets parsing be allocation-free on the hot path.
+//
+// A Packet owns one payload buffer. Building, parsing and cloning write
+// the payload into it, and it is made — at the payload's size rounded up
+// to BufferClass bytes — only when the one the packet holds is too small.
+// A split's cut stays in it, so what lies in front of the payload
+// (Headroom) is where a merge reassembles in place.
 package packet
 
 import (

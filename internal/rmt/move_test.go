@@ -480,7 +480,7 @@ func TestPooledProcessZeroAlloc(t *testing.T) {
 			// The deparser cuts the parked prefix; the NF returns the rest.
 			pkt.Payload = tail[:copy(tail, want[160:])]
 			phv = pass(2)
-			if got := phv.FinishMerge(pkt.Payload, 0, 160); !bytes.Equal(got, want) {
+			if got := phv.FinishMerge(); !bytes.Equal(got, want) {
 				t.Fatalf("merge did not restore the payload")
 			}
 			p.ReleasePHV(phv)

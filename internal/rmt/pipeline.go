@@ -349,9 +349,8 @@ func (p *Pipeline) AcquirePHV() *PHV {
 }
 
 // ReleasePHV resets phv and returns it to the pipe's free-list. The caller
-// must not retain references into the PHV; buffers handed out by FinishMerge
-// on the headroom path belong to the caller's frame scratch, not the PHV,
-// and stay valid.
+// must not retain references into the PHV; the merged payload FinishMerge
+// returns lies in the packet's buffer, not the PHV, and stays valid.
 func (p *Pipeline) ReleasePHV(phv *PHV) {
 	phv.Reset()
 	p.phvFree = append(p.phvFree, phv)

@@ -102,7 +102,7 @@ func TestPrepareMergeBlocksHeadroom(t *testing.T) {
 	for i := range region {
 		region[i] = byte(0xA0 + i/8)
 	}
-	merged := phv.FinishMerge(pkt.Payload, 0, 160)
+	merged := phv.FinishMerge()
 	if len(merged) != 160+64 {
 		t.Fatalf("merged len = %d, want %d", len(merged), 160+64)
 	}
@@ -130,7 +130,7 @@ func TestPrepareMergeBlocksFallback(t *testing.T) {
 		region[i] = byte(0xB0 + i/8)
 	}
 	payload := pkt.Payload
-	merged := phv.FinishMerge(payload, 3, 32)
+	merged := phv.FinishMerge()
 	if len(merged) != len(payload)+32 {
 		t.Fatalf("merged len = %d, want %d", len(merged), len(payload)+32)
 	}

@@ -99,61 +99,51 @@ type PHV struct {
 	// register budget.
 	HdrScratch [HdrScratchBytes]byte
 
-	// Headroom is scratch space that sits immediately in front of
-	// Pkt.Payload in the same backing array, provided by frame-level
-	// callers (Switch scratch buffers). When present and large enough, a
-	// merge reassembles the payload in place: the parked blocks are loaded
-	// into the headroom tail and the merged payload is a single reslice.
+	// Headroom is the part of Pkt's payload buffer in front of
+	// Pkt.Payload (nil when the payload lies elsewhere); a merge may write
+	// there and into the buffer's capacity behind the payload.
 	Headroom []byte
 
 	// ctx is the per-packet action context handed to MATs; keeping it in
 	// the (pooled) PHV keeps Pipeline.Process allocation-free.
 	ctx Ctx
-	// merge is the reassembly buffer of the current merge when the
-	// headroom cannot be used (no frame scratch, or a §7 boundary offset).
-	merge          []byte
-	headroomBacked bool
+	// merge is the merged payload PrepareMergeBlocks laid out.
+	merge []byte
 }
 
 // Reset clears the PHV for reuse.
 func (p *PHV) Reset() { *p = PHV{} }
 
-// PrepareMergeBlocks makes the park region n blocks of w bytes for the
-// payload-table load MATs to fill during a merge, reassembled at payload
-// offset k by FinishMerge, and returns it. With k == 0 (the prototype's
-// default boundary) and at least n*w bytes of headroom — the split's hole,
-// passed on by transit hops, or a parser's room — the region is the headroom
-// tail in front of the payload and reassembly is a zero-copy reslice.
-// Otherwise one buffer sized for the final merged payload is allocated.
+// PrepareMergeBlocks lays out the merged payload — prefix, n blocks of w
+// bytes, tail — with the park region at payload offset k, and returns the
+// region for the payload-table load MATs to fill; FinishMerge returns the
+// whole. With k == 0 and at least n*w bytes of headroom — the split's hole,
+// passed on by transit hops, or a parser's room — the region is the
+// headroom's tail and the payload does not move. Otherwise the payload
+// grows by n*w bytes, into the buffer's capacity behind it when there is
+// that much (a split at k > 0 leaves exactly that) and by append's copy
+// when there is not, and its tail moves up behind the region — so the
+// payload of a packet dropped before FinishMerge is no longer whole.
 func (p *PHV) PrepareMergeBlocks(n, w, k int) []byte {
-	park := n * w
-	if k == 0 && len(p.Headroom) >= park && cap(p.Headroom) >= len(p.Headroom)+len(p.Pkt.Payload) {
-		p.Park = p.Headroom[len(p.Headroom)-park:]
-		p.headroomBacked = true
-		p.merge = nil
-	} else {
-		// One allocation holds front prefix + parked region, with capacity
-		// for the payload tail so FinishMerge appends without reallocating.
-		buf := make([]byte, k+park, k+park+len(p.Pkt.Payload)-k)
-		p.Park = buf[k:]
-		p.merge = buf
-		p.headroomBacked = false
+	park, payload, h := n*w, p.Pkt.Payload, len(p.Headroom)
+	switch spare := cap(p.Headroom) - h - len(payload); { // the buffer behind the payload
+	case k == 0 && h >= park && spare >= 0:
+		p.merge = p.Headroom[h-park : h+len(payload)]
+	case spare >= park:
+		p.merge = payload[:len(payload)+park]
+		copy(p.merge[k+park:], payload[k:])
+	default:
+		p.merge = append(payload[:len(payload):len(payload)], make([]byte, park)...)
+		copy(p.merge[k+park:], payload[k:])
 	}
+	p.Park = p.merge[k : k+park]
 	return p.Park
 }
 
-// FinishMerge splices the parked region prepared by PrepareMergeBlocks
-// back into payload at offset k and returns the merged payload. On the
-// headroom path this is a reslice of the frame scratch buffer; otherwise
-// it completes the single buffer PrepareMergeBlocks allocated.
-func (p *PHV) FinishMerge(payload []byte, k, park int) []byte {
-	if p.headroomBacked {
-		h := len(p.Headroom)
-		return p.Headroom[h-park : h+len(payload)]
-	}
-	copy(p.merge[:k], payload[:k])
-	return append(p.merge, payload[k:]...)
-}
+// FinishMerge returns the merged payload PrepareMergeBlocks laid out. It
+// lies in the packet's own buffer unless append had to grow it, so it stays
+// valid after the PHV is released.
+func (p *PHV) FinishMerge() []byte { return p.merge }
 
 // SetMeta stores a metadata word.
 func (p *PHV) SetMeta(i int, v uint32) { p.Meta[i] = v }

@@ -181,9 +181,8 @@ type SwitchNode struct {
 	// what lets cascaded PayloadPark programs treat an upstream program's
 	// header as opaque payload (§7 striping); single-switch topologies
 	// leave it off and pass parsed packets straight through, the fast
-	// path the presets rely on. Re-parsing recycles packet objects and
-	// the serialization scratch per switch, so steady state allocates
-	// nothing.
+	// path the presets rely on. Re-parsing reuses the packet and the
+	// serialization scratch per switch, so steady state allocates nothing.
 	WireParse bool
 
 	out      [core.NumPorts]*Link
@@ -191,11 +190,10 @@ type SwitchNode struct {
 	ingress  [core.NumPorts]func(Parcel)
 	routeFns [core.NumPorts]func(Parcel)
 
-	// one is the batch of one every arrival is injected through; buf and
-	// pool back reparse.
-	one  batchOfOne
-	buf  []byte
-	pool []*packet.Packet
+	// one is the batch of one every arrival is injected through; buf is
+	// reparse's serialization scratch.
+	one batchOfOne
+	buf []byte
 
 	// Flight-recorder state (nil/zero unless the fabric's EnableObs ran
 	// with a trace): the trace's recorder, this node's interned
@@ -296,28 +294,14 @@ func (n *SwitchNode) route(p Parcel, in rmt.PortID) {
 }
 
 // reparse crosses the wire boundary: the parcel's packet is serialized
-// into the node's scratch and re-parsed with this switch's per-port
-// header geometry, so a downstream program sees exactly the bytes an
-// upstream one emitted (its PayloadPark header becomes opaque payload),
+// into the node's scratch and re-parsed in place with this switch's
+// per-port header geometry, so a downstream program sees exactly the bytes
+// an upstream one emitted (its PayloadPark header becomes opaque payload),
 // with room for any park region here in front, so merges reassemble in
-// place. The retired packet object joins the node pool and backs a later
-// re-parse — steady state allocates nothing.
+// the packet's own buffer — steady state allocates nothing.
 func (n *SwitchNode) reparse(p *Parcel, in rmt.PortID) bool {
 	n.buf = p.Pkt.AppendSerialize(n.buf[:0])
-	var np *packet.Packet
-	if k := len(n.pool); k > 0 {
-		np = n.pool[k-1]
-		n.pool = n.pool[:k-1]
-	} else {
-		np = &packet.Packet{}
-	}
-	if err := np.ParseWithHeadroom(n.buf, n.SW.PPOffset(in), n.SW.MaxParkBytes()); err != nil {
-		n.pool = append(n.pool, np)
-		return false
-	}
-	n.pool = append(n.pool, p.Pkt)
-	p.Pkt = np
-	return true
+	return p.Pkt.ParseWithHeadroom(n.buf, n.SW.PPOffset(in), n.SW.MaxParkBytes()) == nil
 }
 
 // SourceNode paces a traffic source at a constant bit rate over frame

@@ -5,6 +5,7 @@ import (
 
 	"github.com/payloadpark/payloadpark/internal/ctrl"
 	"github.com/payloadpark/payloadpark/internal/obs"
+	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
 // ObsConfig carries one run's observability bindings into the presets:
@@ -45,10 +46,11 @@ func (f *Fabric) EnableObs(cfg ObsConfig) {
 }
 
 // registerMetrics publishes the fabric's state into the registry:
-// engine progress, per-link and per-switch forwarding counters, and
-// every program's parking counters and per-entry hits. Reads are
-// closures over live state, so snapshots must happen after Run returns
-// (the scenario layer guarantees this).
+// engine progress, per-link and per-switch forwarding counters, every
+// program's parking counters and per-entry hits, and the payload buffers
+// each traffic generator made. Reads are closures over live state, so
+// snapshots must happen after Run returns (the scenario layer guarantees
+// this).
 func (f *Fabric) registerMetrics(reg *obs.Registry) {
 	e := f.eng
 	reg.Counter("pp_engine_events_total", "events executed by the engine", e.Executed)
@@ -79,6 +81,11 @@ func (f *Fabric) registerMetrics(reg *obs.Registry) {
 						"table entry fires", m.Rules[i].Hits)
 				}
 			}
+		}
+	}
+	for _, s := range f.sources {
+		if g, ok := s.Gen.(*trafficgen.Generator); ok {
+			reg.Counter(fmt.Sprintf("pp_traffic_payload_buffers_total{source=%q}", s.Name), "payload buffers the traffic source made", g.PayloadBuffers)
 		}
 	}
 	for _, s := range f.sinks {

@@ -4,6 +4,11 @@
 // Benson et al., IMC 2010, via the moments the paper states: mean 882
 // bytes, 30% of packets with payloads under the 160-byte parking
 // threshold, bimodal small/large modes).
+//
+// A driver hands retired packets back through Generator.Recycle, which
+// files each payload buffer under its size class; Next gives every draw a
+// free buffer of its own class and makes one only when there is none, so
+// buffers never outgrow their draws and steady state allocates nothing.
 package trafficgen
 
 import (
@@ -125,7 +130,12 @@ type Generator struct {
 	flows   []packet.FiveTuple
 	builder *packet.Builder
 	seq     uint64
-	pool    []*packet.Packet
+	// pool holds retired packets, their payload buffers taken out and
+	// filed in bufs by class (cap / packet.BufferClass); made counts the
+	// buffers made for draws whose class had none free.
+	pool []*packet.Packet
+	bufs [][][]byte
+	made uint64
 	// slab is what is left of the current slab of fresh packets. Slabs
 	// double from minSlab to maxSlab entries: a short run allocates
 	// little, a long warm-up once per maxSlab packets.
@@ -164,8 +174,9 @@ func New(cfg Config) *Generator {
 
 // Next returns the next packet of the stream. Flows are visited uniformly
 // at random; sizes follow the configured distribution. Recycled packets
-// are reused, so a driver that returns retired packets generates traffic
-// without allocating in steady state.
+// are reused and each draw gets a recycled buffer of its payload's class,
+// so a driver that returns retired packets generates traffic without
+// allocating in steady state.
 //
 //pp:zeroalloc
 func (g *Generator) Next() *packet.Packet {
@@ -186,18 +197,39 @@ func (g *Generator) Next() *packet.Packet {
 		p = &f.pkt
 		p.UDP = &f.udp
 	}
+	// A packet from the pool or a slab holds no buffer; without a free one
+	// of its class, UDPInto makes one.
+	c := (max(size, MinPacketSize) - packet.HeaderUnitLen + packet.BufferClass - 1) / packet.BufferClass
+	if c < len(g.bufs) && len(g.bufs[c]) > 0 {
+		n := len(g.bufs[c]) - 1
+		p.SwapBuffer(g.bufs[c][n])
+		g.bufs[c] = g.bufs[c][:n]
+	} else if c > 0 {
+		g.made++
+	}
 	return g.builder.UDPInto(p, ft, size, uint16(g.seq))
 }
 
-// Recycle hands a retired packet back for reuse by Next. The caller must
+// Recycle hands a retired packet back for reuse by Next, filing its
+// payload buffer under the largest class it holds. The caller must
 // guarantee no other reference to the packet (or its payload) remains —
 // the simulator recycles at its terminal points (sink delivery, drops).
 func (g *Generator) Recycle(p *packet.Packet) {
 	if p == nil {
 		return
 	}
+	buf := p.SwapBuffer(nil)
+	if c := cap(buf) / packet.BufferClass; c > 0 {
+		for len(g.bufs) <= c {
+			g.bufs = append(g.bufs, nil)
+		}
+		g.bufs[c] = append(g.bufs[c], buf)
+	}
 	g.pool = append(g.pool, p)
 }
+
+// PayloadBuffers is the number of payload buffers Next has made.
+func (g *Generator) PayloadBuffers() uint64 { return g.made }
 
 // WireOverheadBytes is the per-packet Ethernet overhead on the physical
 // link: 7 B preamble + 1 B SFD + 12 B minimum IFG + 4 B FCS.

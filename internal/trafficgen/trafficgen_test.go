@@ -86,14 +86,14 @@ func TestDatacenterCDFIsBimodal(t *testing.T) {
 // TestNextAllocFree: with every packet recycled, generation allocates
 // nothing — the generator keeps no per-size statistics (Fig. 6 observes
 // the sizes it draws) and payloads are copied from the builder's template
-// into the recycled packet's buffer.
+// into a recycled buffer of the draw's class.
 func TestNextAllocFree(t *testing.T) {
 	g := New(testConfig(Datacenter{}))
 	for i := 0; i < 64; i++ { // warm the pool: 64 packets of differing capacity
 		g.Recycle(g.Next())
 	}
 	for i := 0; i < 2000; i++ {
-		g.Recycle(g.Next()) // grow every pooled payload to the largest size
+		g.Recycle(g.Next()) // file a buffer under every class the mix draws
 	}
 	if allocs := testing.AllocsPerRun(1000, func() { g.Recycle(g.Next()) }); allocs != 0 {
 		t.Errorf("Next allocates %.2f/packet in steady state, want 0", allocs)
@@ -157,9 +157,10 @@ func TestSlabNeighboursShareNothing(t *testing.T) {
 }
 
 // TestRecycledPacketReused: Next hands back the most recently recycled
-// packet — the same Packet, UDP struct and payload buffer — before it
-// touches a slab, and rebuilds it exactly as a fresh packet of the same
-// draw.
+// packet — the same Packet and UDP struct — before it touches a slab, with
+// the most recently recycled buffer of the draw's class (here the packet's
+// own, as every draw is 900 B), and rebuilds it exactly as a fresh packet
+// of the same draw.
 func TestRecycledPacketReused(t *testing.T) {
 	g, ref := New(testConfig(Fixed(900))), New(testConfig(Fixed(900)))
 	p := g.Next()
@@ -175,6 +176,51 @@ func TestRecycledPacketReused(t *testing.T) {
 	}
 	if !bytes.Equal(q.Serialize(), ref.Next().Serialize()) {
 		t.Error("recycled packet differs from the fresh packet of the same draw")
+	}
+}
+
+// wave is a size source that repeats one sequence of sizes.
+type wave struct {
+	sizes []int
+	i     int
+}
+
+func (w *wave) Sample(*rand.Rand) int { w.i++; return w.sizes[(w.i-1)%len(w.sizes)] }
+func (w *wave) Name() string          { return "wave" }
+
+// TestNextRecyclesBySizeClassAlloc: 4,096 packets of the datacenter mix
+// are in flight at once and retire in random order; the next wave draws
+// the same sizes. Every draw finds a free buffer of its own class, so from
+// the second wave on no buffer is made or outgrown — a pool that handed
+// out whatever buffer came back last would re-make hundreds per wave.
+func TestNextRecyclesBySizeClassAlloc(t *testing.T) {
+	const n = 4096
+	rng := rand.New(rand.NewSource(7))
+	w := &wave{sizes: make([]int, n)}
+	for i := range w.sizes {
+		w.sizes[i] = Datacenter{}.Sample(rng)
+	}
+	g := New(testConfig(w))
+	inFlight := make([]*packet.Packet, n)
+	run := func() {
+		for i := range inFlight {
+			inFlight[i] = g.Next()
+		}
+		for i := n - 1; i > 0; i-- {
+			j := rng.Intn(i + 1)
+			inFlight[i], inFlight[j] = inFlight[j], inFlight[i]
+		}
+		for _, p := range inFlight {
+			g.Recycle(p)
+		}
+	}
+	run()
+	made := g.PayloadBuffers()
+	if allocs := testing.AllocsPerRun(1, run); allocs != 0 {
+		t.Errorf("a wave after the first allocates %.0f times, want 0", allocs)
+	}
+	if later := g.PayloadBuffers() - made; later != 0 {
+		t.Errorf("waves after the first made %d payload buffers (the first made %d), want 0", later, made)
 	}
 }
 
