@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -279,5 +280,27 @@ func TestFrameBurstZeroAllocSteadyState(t *testing.T) {
 	copy(want[0:6], sinkMAC[:])
 	if !bytes.Equal(mergeOut, want) {
 		t.Error("merge did not reproduce the original frame bytes")
+	}
+}
+
+// TestFirstSplitRegisterBytesAlloc: the first split on a freshly attached
+// parking program allocates at most 64 KB, at the 16x8 fabric's 8,192 slots
+// and at the Fig. 7 testbed's 24,341 — the register chunks it writes (a
+// payload row's and a metadata cell's) plus the packet path's first-use
+// scratch, not whole tables (1,024-row chunks made it 224 KB and 352 KB).
+func TestFirstSplitRegisterBytesAlloc(t *testing.T) {
+	for _, slots := range []int{8192, 24341} {
+		sw, prog := testbed(t, Config{Slots: slots, MaxExpiry: 1, SplitPort: portGen, MergePort: portNF}, -1)
+		batch, res := []BatchPacket{{Pkt: mkPkt(1500, 1), In: portGen}}, make([]BatchResult, 1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sw.InjectBatch(batch, res)
+		runtime.ReadMemStats(&after)
+		if !res[0].OK || prog.C.Splits.Value() != 1 {
+			t.Fatalf("%d slots: the first packet was not split (ok %t, reason %q)", slots, res[0].OK, res[0].Reason)
+		}
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > 64<<10 {
+			t.Errorf("%d slots: the first split allocates %d KB, want at most 64 KB", slots, grown>>10)
+		}
 	}
 }

@@ -143,7 +143,6 @@ func collectFig12(o Options) (*Result, error) {
 	}
 	fracAxis := scenario.Axis{Name: "drop_frac"}
 	for _, f := range fractions {
-		f := f
 		fracAxis.Points = append(fracAxis.Points, scenario.AxisPoint{
 			Label: fmt.Sprintf("%g", f),
 			Set:   func(s *scenario.Scenario) { s.Chain = ChainFWNATDrop(f) },

@@ -127,7 +127,6 @@ func bringUp(ctx context.Context, f *fabric, metrics *obs.Registry) (*liveFabric
 // reader/sender at start).
 func (lf *liveFabric) registerMetrics(reg *obs.Registry) {
 	for _, n := range lf.nodes {
-		n := n
 		lbl := fmt.Sprintf("{switch=%q}", n.name)
 		reg.Counter("pp_live_rx_frames_total"+lbl, "frames accepted by the node's workers", n.rxFrames.Load)
 		reg.Counter("pp_live_errors_total"+lbl, "rejected datagrams and frames, uncabled emissions and send failures", n.errs.Load)
@@ -138,7 +137,6 @@ func (lf *liveFabric) registerMetrics(reg *obs.Registry) {
 		}
 	}
 	for i, nfd := range lf.nfs {
-		nfd := nfd
 		lbl := fmt.Sprintf(`{nf="%d"}`, i)
 		reg.Counter("pp_live_nf_rx_total"+lbl, "frames received by the NF daemon", nfd.Rx.Load)
 		reg.Counter("pp_live_nf_tx_total"+lbl, "frames forwarded by the NF daemon", nfd.Tx.Load)

@@ -23,7 +23,7 @@ func lazyGeometries() []lazyGeometry {
 		payload.offs, payload.widths = append(payload.offs, 8*k), append(payload.widths, 8)
 	}
 	return []lazyGeometry{
-		payload, // 1,024 rows a chunk: 1024 + 1024 + 452
+		payload, // 128 rows a chunk: 19 full chunks + 68
 		{name: "stand-alone 8 B, 40000 rows", cells: 40_000, stride: 8, offs: []int{0}, widths: []int{8}},
 		{name: "mixed 8+4+16 B, 20000 rows", cells: 20_000, stride: 28, offs: []int{0, 8, 12}, widths: []int{8, 4, 16}, fused: true},
 		// A row wider than bankChunkBytes: every chunk is one row.

@@ -338,7 +338,7 @@ func TestMoveIndexOutOfRangePanics(t *testing.T) {
 // every cell on both sides of a chunk boundary, and banked neighbours do not
 // overlap.
 func TestBankedRegisterMatchesStandAlone(t *testing.T) {
-	const cells = 20_000 // 28 B rows: 8,192 to a chunk
+	const cells, stride = 20_000, 28
 	widths := []int{8, 4, 16}
 	banked, alone := NewPipeline("banked"), NewPipeline("alone")
 	group := make([]BankRegister, len(widths))
@@ -346,8 +346,13 @@ func TestBankedRegisterMatchesStandAlone(t *testing.T) {
 		group[j] = BankRegister{Stage: j, Name: fmt.Sprintf("r%d", j), Width: w}
 	}
 	regs := banked.NewRegisterBank(cells, group)
-	if n := len(regs[0].bank.chunks); n != 3 {
-		t.Fatalf("bank of %d rows x 28 B in %d chunks, want 3", cells, n)
+	// A chunk holds the largest power of two of rows that fits bankChunkBytes.
+	rows := 1
+	for 2*rows*stride <= bankChunkBytes {
+		rows *= 2
+	}
+	if want := (cells + rows - 1) / rows; want < 2 || len(regs[0].bank.chunks) != want {
+		t.Fatalf("bank of %d rows x %d B in %d chunks, want %d (%d rows a chunk), at least 2", cells, stride, len(regs[0].bank.chunks), want, rows)
 	}
 	fill := func(j, c int, cell []byte) {
 		for k := range cell {

@@ -198,9 +198,9 @@ type bank struct {
 	cells  int      // rows in the bank; the last chunk holds only its share
 }
 
-// bankChunkBytes bounds one chunk: 1,024 rows of the prototype's 20 x 8 B
-// payload row, and a stand-alone 8-byte register of up to 32 k cells whole.
-const bankChunkBytes = 256 << 10
+// bankChunkBytes bounds one chunk: 128 rows of the prototype's 20 x 8 B payload
+// row or 4,096 8-byte cells, so a fresh program's first split zeroes ~52 KB.
+const bankChunkBytes = 32 << 10
 
 func newBank(cells, stride int) *bank {
 	rows := 1 << max(bits.Len(uint(bankChunkBytes/stride))-1, 0)

@@ -38,7 +38,6 @@ func AxisOf(name string, points ...AxisPoint) Axis {
 func axisOver[T any](name string, values []T, label func(T) string, set func(*Scenario, T)) Axis {
 	a := Axis{Name: name}
 	for _, v := range values {
-		v := v
 		a.Points = append(a.Points, AxisPoint{Label: label(v), Set: func(s *Scenario) { set(s, v) }})
 	}
 	return a

@@ -334,3 +334,36 @@ func TestEngineRunBoundaryLeavesRecords(t *testing.T) {
 		}
 	})
 }
+
+// engineSink keeps the engines TestNewEngineFootprintAlloc builds alive.
+var engineSink *Engine
+
+// TestNewEngineFootprintAlloc: an engine costs its set-up no more than
+// 256 KB — a 2^14-bucket hot level is 128 KB, where 2^17 buckets zeroed
+// 1 MB per engine before the first event.
+func TestNewEngineFootprintAlloc(t *testing.T) {
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			engineSink = NewEngine()
+		}
+	})
+	if got := r.AllocedBytesPerOp(); got > 256<<10 {
+		t.Errorf("NewEngine allocates %d KB, want at most 256 KB", got>>10)
+	}
+}
+
+// TestEngineWorkCounts: the engine's two work counts move where the work
+// happens — a far-level event is relinked into the hot level once, a push
+// past the far span goes to the overflow heap once (its migration back is
+// no cascade), and a hot event is neither.
+func TestEngineWorkCounts(t *testing.T) {
+	e := NewEngine()
+	for _, at := range []int64{50, 3 * wheelSize, 2 * wheelSpan} {
+		e.ScheduleAt(at, func() {})
+	}
+	e.Run(1 << 40)
+	if c, h := e.queue.cascaded, e.queue.heaped; c != 1 || h != 1 {
+		t.Errorf("hot, far and overflow events counted %d cascaded and %d heap pushes, want 1 and 1", c, h)
+	}
+}

@@ -55,15 +55,15 @@ func (f *Fabric) registerMetrics(reg *obs.Registry) {
 	e := f.eng
 	reg.Counter("pp_engine_events_total", "events executed by the engine", e.Executed)
 	reg.Gauge("pp_engine_pending_events", "events still queued (wheel + heap occupancy)", func() float64 { return float64(e.Pending()) })
+	reg.Counter("pp_engine_cascaded_events_total", "events relinked from the far wheel level into the hot level", func() uint64 { return e.queue.cascaded })
+	reg.Counter("pp_engine_heap_events_total", "events pushed onto the overflow heap", func() uint64 { return e.queue.heaped })
 	for _, l := range f.links {
-		l := l
 		lbl := fmt.Sprintf("{link=%q}", l.Name)
 		reg.Counter("pp_link_tx_packets_total"+lbl, "packets transmitted on the link", func() uint64 { return l.Tx.Value() })
 		reg.Counter("pp_link_tx_bits_total"+lbl, "bits transmitted on the link", func() uint64 { return l.TxBits.Value() })
 		reg.Counter("pp_link_drops_total"+lbl, "packets dropped at the link queue", func() uint64 { return l.Drops.Value() })
 	}
 	for _, n := range f.switches {
-		n := n
 		lbl := fmt.Sprintf("{switch=%q}", n.Name)
 		reg.Counter("pp_switch_rx_packets_total"+lbl, "packets received by the switch", func() uint64 { return n.SW.RxPackets() })
 		reg.Counter("pp_switch_tx_packets_total"+lbl, "packets emitted by the switch", func() uint64 { return n.SW.TxPackets() })
@@ -71,7 +71,6 @@ func (f *Fabric) registerMetrics(reg *obs.Registry) {
 		reg.Counter("pp_rmt_match_steps_total"+lbl, "match-program steps evaluated", func() uint64 { steps, _ := n.SW.MatchCounts(); return steps })
 		reg.Counter("pp_rmt_residual_conds_total"+lbl, "residual match conditions loaded", func() uint64 { _, r := n.SW.MatchCounts(); return r })
 		for i, prog := range n.SW.Programs() {
-			prog := prog
 			plbl := fmt.Sprintf("switch=%q,program=\"%d\"", n.Name, i)
 			prog.C.RegisterObs(reg, plbl)
 			reg.Gauge(fmt.Sprintf("pp_park_occupancy_slots{%s}", plbl), "payloads currently parked", func() float64 { return float64(prog.Occupancy()) })
@@ -89,7 +88,6 @@ func (f *Fabric) registerMetrics(reg *obs.Registry) {
 		}
 	}
 	for _, s := range f.sinks {
-		s := s
 		lbl := fmt.Sprintf("{sink=%q}", s.Name)
 		reg.Counter("pp_sink_delivered_total"+lbl, "in-window deliveries at the sink", func() uint64 { return s.Delivered })
 	}

@@ -3,8 +3,8 @@ package sim
 import "math/bits"
 
 // This file is the engine's event queue: a hierarchical timing wheel —
-// a hot level at 1 ns granularity covering the current 131 µs window, a
-// far level of whole-window buckets covering the next ~134 ms, and the
+// a hot level at 1 ns granularity covering the current ~16 µs window, a
+// far level of whole-window buckets covering the next ~16.8 ms, and the
 // 4-ary heap of engine.go demoted to an overflow level beyond that. It
 // owns the event records: one arena, one record per event, which wheel
 // buckets and the free list chain by index and heap nodes point at by
@@ -15,7 +15,7 @@ import "math/bits"
 // microseconds of now, so insert and extract become O(1) bucket appends
 // and bitmap scans instead of O(log n) heap sifts. The far level absorbs
 // what a loaded fabric schedules beyond the hot window — the drain
-// backlog of saturated queues and server stations runs milliseconds
+// backlog of saturated queues and server stations runs up to milliseconds
 // ahead of the clock at 100G — and cascades each window's bucket into
 // the hot wheel as the clock reaches it. Only events past the far
 // span (measurement-window boundaries, stall timers) overflow into the
@@ -53,12 +53,12 @@ import "math/bits"
 //     it stayed enqueued, degenerating the queue back into a heap under
 //     exactly the loads the wheel exists for.
 const (
-	wheelBits = 17
-	// wheelSize is the hot horizon in nanoseconds (~131 µs) — sized past
-	// every hot event the simulator schedules: link serialization (~1.2 µs
-	// for 1500 B at 10G), server stations, and — the binding constraint —
-	// the drain time of a full 1 MB egress queue at 100G (~84 µs), which
-	// is how far ahead a congested port's tx-done events land.
+	wheelBits = 14
+	// wheelSize is the hot horizon in nanoseconds (~16 µs, 128 KB of
+	// buckets): past link serialization (~1.2 µs for 1500 B at 10G) and
+	// server stations. A congested port's tx-done events (a full 1 MB queue
+	// drains in ~84 µs at 100G) wait in the far level and cascade once;
+	// the engine's cascade and heap counts are what this size trades.
 	wheelSize = 1 << wheelBits
 	wheelMask = wheelSize - 1
 	// wheelWords / sumWords size the hot level's two-level occupancy
@@ -66,7 +66,7 @@ const (
 	wheelWords = wheelSize / 64
 	sumWords   = wheelWords / 64
 	// farCount far buckets, one per wheelSize window, cover wheelSpan
-	// (~134 ms) past the hot horizon; farWords is their occupancy bitmap.
+	// (~16.8 ms) past the hot horizon; farWords is their occupancy bitmap.
 	farBits   = 10
 	farCount  = 1 << farBits
 	farMask   = farCount - 1
@@ -97,9 +97,10 @@ type timeWheel struct {
 	// base is the lower edge of the hot window: the engine clock as of
 	// the last pop or push. Every hot-resident event fires in
 	// [base, base+wheelSize) within base's wheelSize-aligned window.
-	base  int64
-	count int // hot-level population
-	farN  int // far-level population
+	base             int64
+	count            int    // hot-level population
+	farN             int    // far-level population
+	cascaded, heaped uint64 // records cascade relinked into the hot level; overflow-heap pushes
 
 	buckets []wbucket
 	occ     []uint64
@@ -157,6 +158,7 @@ func (w *timeWheel) push(at int64, seq uint64, now int64) *event {
 	}
 	if !w.enabled || (at>>wheelBits)-(w.base>>wheelBits) >= farCount || (len(w.overflow) > 0 && at >= w.overflow[0].at) {
 		w.overflow.push(node{at: at, seq: seq, slot: i})
+		w.heaped++
 	} else {
 		w.place(i, at)
 	}
@@ -188,8 +190,8 @@ func (w *timeWheel) place(i int32, at int64) {
 }
 
 // link appends record ni to hot bucket idx. Emptiness is read off the
-// occupancy bitmap, not the bucket: the bitmap is 16 KB and stays cached,
-// while the 1 MB bucket array is touched at a fresh line per timestamp —
+// occupancy bitmap, not the bucket: the bitmap is 2 KB and stays cached,
+// while the 128 KB bucket array is touched at a fresh line per timestamp —
 // so the common first-event-of-its-nanosecond case only stores to that
 // line and never waits for it.
 func (w *timeWheel) link(idx int, ni int32) {
@@ -219,6 +221,7 @@ func (w *timeWheel) cascade(fi int) {
 		r.next = 0
 		w.link(int(r.at)&wheelMask, ni)
 		w.farN--
+		w.cascaded++
 		ni = next
 	}
 }
