@@ -1,26 +1,22 @@
 // Command ppvet runs the repo's invariant lint suite: static analyzers
 // that enforce at lint time what the test suite otherwise catches at run
-// time — determinism of the pinned packages, zero-alloc hot paths, the
-// snake_case JSON report surface, and table-program liveness — and then
-// cross-checks the zero-alloc marks against the compiler's escape
-// analysis and api/escape_allowlist.txt.
+// time — determinism of the pinned packages, zero-alloc hot paths and the
+// snake_case JSON report surface — and then cross-checks the zero-alloc
+// marks against the compiler's escape analysis and api/escape_allowlist.txt.
 //
 // usage:
 //
 //	ppvet [-json] [-update] [packages]
 //
-// Packages default to ./... resolved from the current directory. When
-// the analyzed set includes internal/prog, the table-program linter also
-// sweeps the built-in specs and every committed spec JSON file under
-// examples/. Exit status is 1 when any finding survives suppression.
+// Packages default to ./... resolved from the current directory. Exit
+// status is 1 when any finding survives suppression.
 // -update rewrites the analysed packages' escape allowlist entries from
 // the current build instead of reporting escape drift.
 //
 // Suppression: a //pp:<directive> comment with a reason, on or
 // immediately above the flagged line, silences exactly one diagnostic
 // (determinism: nondeterministic-ok; zeroalloc: alloc-ok; reportjson:
-// json-ok). Unused or unknown annotations are findings themselves. Spec
-// findings are waived in the spec's lint_allow list instead.
+// json-ok). Unused or unknown annotations are findings themselves.
 package main
 
 import (
@@ -98,33 +94,9 @@ func run(patterns []string, update bool) ([]analysis.Finding, error) {
 		return nil, err
 	}
 
-	// Table-program lint rides along whenever the prog package is in the
-	// analyzed set: the built-in specs, then every committed spec file.
-	for _, pkg := range pkgs {
-		if !strings.HasSuffix(pkg.Path, "/internal/prog") {
-			continue
-		}
-		findings = append(findings, analysis.LintBuiltinSpecs()...)
-		if dir := filepath.Join(root, "examples"); dirExists(dir) {
-			specs, err := analysis.FindSpecFiles(dir)
-			if err != nil {
-				return nil, err
-			}
-			for _, path := range specs {
-				findings = append(findings, analysis.LintSpecFile(path)...)
-			}
-		}
-		break
-	}
-
 	// The escape cross-check runs last, over the packages already loaded.
 	escapes, err := analysis.Escapes(root, pkgs, update)
 	return append(findings, escapes...), err
-}
-
-func dirExists(path string) bool {
-	info, err := os.Stat(path)
-	return err == nil && info.IsDir()
 }
 
 // relativize renders a finding with a cwd-relative path when that is
@@ -143,7 +115,6 @@ func usage() {
 	for _, a := range analyzers {
 		fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, firstLine(a.Doc))
 	}
-	fmt.Fprintf(os.Stderr, "  %-12s %s\n", analysis.ProglintName, firstLine(analysis.ProglintDoc))
 	fmt.Fprintf(os.Stderr, "  %-12s %s\n", analysis.EscapeName, firstLine(analysis.EscapeDoc))
 	fmt.Fprintf(os.Stderr, "\nflags:\n")
 	flag.PrintDefaults()

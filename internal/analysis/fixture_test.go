@@ -88,31 +88,3 @@ func runFixture(t *testing.T, pkgdir string, a *Analyzer) {
 func TestDeterminismFixture(t *testing.T) { runFixture(t, "sim", Determinism) }
 func TestZeroallocFixture(t *testing.T)   { runFixture(t, "hot", Zeroalloc) }
 func TestReportJSONFixture(t *testing.T)  { runFixture(t, "rjson", ReportJSON) }
-
-// The built-in table programs must lint clean through the analysis
-// wrapper too (the prog package pins the same invariant from its side).
-func TestProglintBuiltins(t *testing.T) {
-	for _, f := range LintBuiltinSpecs() {
-		t.Errorf("%s", f)
-	}
-}
-
-// The committed example policy spec must lint clean.
-func TestProglintExampleSpecs(t *testing.T) {
-	root, err := ModuleDir(".")
-	if err != nil {
-		t.Fatalf("module dir: %v", err)
-	}
-	specs, err := FindSpecFiles(filepath.Join(root, "examples"))
-	if err != nil {
-		t.Fatalf("find specs: %v", err)
-	}
-	if len(specs) == 0 {
-		t.Fatal("no committed spec files found under examples/")
-	}
-	for _, path := range specs {
-		for _, f := range LintSpecFile(path) {
-			t.Errorf("%s", f)
-		}
-	}
-}

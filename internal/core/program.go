@@ -30,10 +30,11 @@ const (
 // optionally a recirculation pipe) per Algorithms 1 and 2.
 //
 // Since the declarative-program refactor the tables themselves are data: a
-// prog.PayloadParkSpec compiled onto the pipe by Switch.AttachSpec. Program
-// remains the typed control-plane facade over that instance — its runtime knobs
-// (SetMaxExpiry, SetSplitEnabled) write the spec's named runtime parameters,
-// and its Counters alias the spec's named counters.
+// prog.PayloadParkSpec compiled by CompilePark and installed on the pipe by
+// Switch.AttachSpec. Program remains the typed control-plane facade over
+// that instance — its runtime knobs (SetMaxExpiry, SetSplitEnabled) write
+// the spec's named runtime parameters, and its Counters alias the spec's
+// named counters.
 type Program struct {
 	cfg Config
 	// C exposes the monitoring counters (§5). The installed spec's named

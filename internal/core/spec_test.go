@@ -12,6 +12,16 @@ import (
 	"github.com/payloadpark/payloadpark/internal/rmt"
 )
 
+// attachSpec compiles spec under params and attaches it, as Graph.Realise
+// does in two steps.
+func attachSpec(sw *Switch, spec *prog.Spec, params map[string]int64, recircPipe int) (*prog.Instance, error) {
+	c, err := prog.Compile(spec, params)
+	if err != nil {
+		return nil, err
+	}
+	return sw.AttachSpec(c, nil, recircPipe)
+}
+
 func compressSpec() *prog.Spec {
 	return prog.HeaderCompressSpec(prog.CompressParams{
 		Slots: 64, CompressPort: int(portGen), RestorePort: int(portNF),
@@ -30,7 +40,7 @@ func TestAttachSpecCompression(t *testing.T) {
 	sw := NewSwitch("cr")
 	sw.AddL2Route(nfMAC, portNF)
 	sw.AddL2Route(sinkMAC, portSink)
-	inst, err := sw.AttachSpec(compressSpec(), nil, nil, -1)
+	inst, err := attachSpec(sw, compressSpec(), nil, -1)
 	if err != nil {
 		t.Fatalf("AttachSpec: %v", err)
 	}
@@ -104,7 +114,7 @@ func TestAttachSpecCompression(t *testing.T) {
 func TestAttachSpecCompressionSkipsTCP(t *testing.T) {
 	sw := NewSwitch("cr-tcp")
 	sw.AddL2Route(nfMAC, portNF)
-	inst, err := sw.AttachSpec(compressSpec(), nil, nil, -1)
+	inst, err := attachSpec(sw, compressSpec(), nil, -1)
 	if err != nil {
 		t.Fatalf("AttachSpec: %v", err)
 	}
@@ -133,7 +143,7 @@ func TestAttachSpecParkCompress(t *testing.T) {
 		Slots: 64, MaxExpiry: 1, SplitPort: int(portGen), MergePort: int(portNF),
 		Blocks: BaseBlocks, BaseBlocks: BaseBlocks, BlockBytes: BlockBytes, MaxClock: MaxClock,
 	}, 64)
-	inst, err := sw.AttachSpec(spec, nil, nil, -1)
+	inst, err := attachSpec(sw, spec, nil, -1)
 	if err != nil {
 		t.Fatalf("AttachSpec: %v", err)
 	}
@@ -194,7 +204,7 @@ func TestAttachSpecBesideParkRecompiles(t *testing.T) {
 	if em := inject(sw, mkPkt(512, 1), portGen); em == nil || em.Pkt.CR != nil {
 		t.Fatalf("parking-only split: %+v", em)
 	}
-	comp, err := sw.AttachSpec(compressSpec(), nil, nil, -1)
+	comp, err := attachSpec(sw, compressSpec(), nil, -1)
 	if err != nil {
 		t.Fatalf("AttachSpec: %v", err)
 	}
@@ -221,29 +231,30 @@ func TestAttachSpecBesideParkRecompiles(t *testing.T) {
 
 func TestAttachSpecErrors(t *testing.T) {
 	sw := NewSwitch("err")
-	if _, err := sw.AttachSpec(nil, nil, nil, -1); err == nil {
-		t.Error("nil spec accepted")
+	if _, err := sw.AttachSpec(nil, nil, -1); err == nil {
+		t.Error("nil program accepted")
 	}
-	noSplit := compressSpec()
-	delete(noSplit.Params, "split_port")
-	if _, err := sw.AttachSpec(noSplit, nil, nil, -1); err == nil ||
+	noSplit := &prog.Spec{Name: "nosplit", PHVBits: 100, Tables: []prog.TableSpec{{Name: "t", Entries: []prog.EntrySpec{{
+		Name: "e", Action: "drop", Counters: map[string]string{"count": "drops"}, Reasons: map[string]string{"why": "test"},
+	}}}}}
+	if _, err := attachSpec(sw, noSplit, nil, -1); err == nil ||
 		!strings.Contains(err.Error(), "split_port") {
 		t.Errorf("spec without split_port: err = %v", err)
 	}
 	crossPipe := compressSpec()
 	crossPipe.Params["merge_port"] = 17
-	if _, err := sw.AttachSpec(crossPipe, nil, nil, -1); err == nil ||
+	if _, err := attachSpec(sw, crossPipe, nil, -1); err == nil ||
 		!strings.Contains(err.Error(), "different pipes") {
 		t.Errorf("cross-pipe spec: err = %v", err)
 	}
-	if _, err := sw.AttachSpec(compressSpec(), map[string]int64{"split_port": -1}, nil, -1); err == nil {
+	if _, err := attachSpec(sw, compressSpec(), map[string]int64{"split_port": -1}, -1); err == nil {
 		t.Error("negative split port accepted")
 	}
 	recircSpec := prog.PayloadParkSpec(prog.ParkParams{
 		Slots: 8, MaxExpiry: 1, SplitPort: 0, MergePort: 1, Recirculate: true,
 		Blocks: BaseBlocks + RecircBlocks, BaseBlocks: BaseBlocks, BlockBytes: BlockBytes, MaxClock: MaxClock,
 	})
-	if _, err := sw.AttachSpec(recircSpec, nil, nil, -1); err == nil ||
+	if _, err := attachSpec(sw, recircSpec, nil, -1); err == nil ||
 		!strings.Contains(err.Error(), "recirculation pipe -1") {
 		t.Errorf("recirc spec without a recirculation pipe: err = %v", err)
 	}
@@ -321,11 +332,11 @@ func TestAttachLoadersAgree(t *testing.T) {
 			if _, err := typed.AttachPayloadPark(cfg, rp); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := bySpec.AttachSpec(prog.PayloadParkSpec(prog.ParkParams{
+			if _, err := attachSpec(bySpec, prog.PayloadParkSpec(prog.ParkParams{
 				Slots: cfg.Slots, MaxExpiry: cfg.MaxExpiry, SplitPort: int(cfg.SplitPort), MergePort: int(cfg.MergePort),
 				BoundaryOffset: boundary, Recirculate: recirc,
 				Blocks: cfg.Blocks(), BaseBlocks: BaseBlocks, BlockBytes: BlockBytes, MaxClock: MaxClock,
-			}), nil, nil, rp); err != nil {
+			}), nil, rp); err != nil {
 				t.Fatal(err)
 			}
 			if typed.MaxParkBytes() != cfg.ParkBytes() || typed.PPOffset(portNF) != boundary {
@@ -358,7 +369,7 @@ func TestUnguardedStoreIsACountedDrop(t *testing.T) {
 			}
 		}
 	}
-	inst, err := sw.AttachSpec(spec, nil, nil, -1)
+	inst, err := attachSpec(sw, spec, nil, -1)
 	if err != nil {
 		t.Fatalf("AttachSpec: %v", err)
 	}
@@ -389,7 +400,7 @@ func TestFailedAttachSpecTouchesNoPipe(t *testing.T) {
 		attach     func(*Switch) error
 	}{
 		{"VLIW overflow", "VLIW overflow", func(sw *Switch) error {
-			_, err := sw.AttachSpec(bad, nil, nil, -1)
+			_, err := attachSpec(sw, bad, nil, -1)
 			return err
 		}},
 		{"split port off the switch", "split port 64", func(sw *Switch) error {
@@ -408,11 +419,97 @@ func TestFailedAttachSpecTouchesNoPipe(t *testing.T) {
 			}
 			requireSameSwitch(t, reused, fresh)
 			for _, sw := range []*Switch{reused, fresh} {
-				if _, err := sw.AttachSpec(compressSpec(), nil, nil, -1); err != nil {
+				if _, err := attachSpec(sw, compressSpec(), nil, -1); err != nil {
 					t.Fatal(err)
 				}
 			}
 			requireSameSwitch(t, reused, fresh)
 		})
 	}
+}
+
+// TestCompiledStateStaysPerSwitch: one compiled program installed on two
+// switches gives each its own state. A split on A moves A's counters, entry
+// hits, occupancy and register cells and leaves B's at zero, and a runtime
+// write on A leaves B's value alone.
+func TestCompiledStateStaysPerSwitch(t *testing.T) {
+	c, err := CompilePark(defaultCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := NewSwitch("a"), NewSwitch("b")
+	a.AddL2Route(nfMAC, portNF)
+	var insts [2]*prog.Instance
+	for i, sw := range []*Switch{a, b} {
+		if insts[i], err = sw.AttachSpec(c, nil, -1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if em := inject(a, mkPkt(512, 1), portGen); em == nil || em.Pkt.PP == nil || !em.Pkt.PP.Enabled {
+		t.Fatalf("split on A: %+v", em)
+	}
+	// state sums an instance's counters, entry hits and non-zero register
+	// bytes, and counts its occupied slots.
+	state := func(in *prog.Instance) (counts, hits, regBytes uint64, occupied int) {
+		for _, v := range in.Counters() {
+			counts += v
+		}
+		for _, m := range in.Tables() {
+			for i := range m.Rules {
+				hits += m.Rules[i].Hits()
+			}
+			for cell := 0; m.Reg != nil && cell < m.Reg.Cells(); cell++ {
+				for _, v := range m.Reg.Snapshot(cell) {
+					regBytes += uint64(min(v, 1))
+				}
+			}
+		}
+		return counts, hits, regBytes, in.Occupied(prog.RoleMeta)
+	}
+	if n, h, r, o := state(insts[0]); n == 0 || h == 0 || r == 0 || o != 1 {
+		t.Errorf("A after a split: counters %d, hits %d, register bytes %d, occupied %d; want all moved and 1 occupied", n, h, r, o)
+	}
+	if n, h, r, o := state(insts[1]); n+h+r != 0 || o != 0 {
+		t.Errorf("B after A's split: counters %d, hits %d, register bytes %d, occupied %d; want all zero", n, h, r, o)
+	}
+	was, _ := insts[1].Runtime(prog.RTMaxExpiry)
+	insts[0].SetRuntime(prog.RTMaxExpiry, was+5)
+	if got, _ := insts[0].Runtime(prog.RTMaxExpiry); got != was+5 {
+		t.Errorf("A's max_expiry = %d after writing %d", got, was+5)
+	}
+	if got, _ := insts[1].Runtime(prog.RTMaxExpiry); got != was {
+		t.Errorf("B's max_expiry = %d after a write on A, want %d", got, was)
+	}
+}
+
+// TestRefusedInstallChangesNothing: a compiled program the pipe refuses — a
+// second parking program whose parser geometry conflicts with the one
+// already there, recirculating through pipe 1 — leaves both pipes and the
+// switch's per-port offsets, park region and recirculation routing as they
+// were, and the same Compiled then installs on a fresh switch exactly as a
+// fresh compile does.
+func TestRefusedInstallChangesNothing(t *testing.T) {
+	cfg := Config{Slots: 64, MaxExpiry: 1, SplitPort: 2, MergePort: 3, BoundaryOffset: 32, Recirculate: true}
+	c, err := CompilePark(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, _ := testbed(t, defaultCfg(), -1)
+	want, _ := testbed(t, defaultCfg(), -1)
+	if _, err := sw.AttachPark(c, cfg, 1); err == nil || !strings.Contains(err.Error(), "parser") {
+		t.Fatalf("second parking program on pipe 0: err = %v, want a parser conflict", err)
+	}
+	if n := len(sw.Programs()); n != 1 {
+		t.Errorf("%d programs after a refused install, want 1", n)
+	}
+	requireSameSwitch(t, sw, want)
+
+	fresh, ref := NewSwitch("fresh"), NewSwitch("ref")
+	if _, err := fresh.AttachPark(c, cfg, 1); err != nil {
+		t.Fatalf("the refused program on a fresh switch: %v", err)
+	}
+	if _, err := ref.AttachPayloadPark(cfg, 1); err != nil {
+		t.Fatal(err)
+	}
+	requireSameSwitch(t, fresh, ref)
 }

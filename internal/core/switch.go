@@ -179,29 +179,26 @@ func (s *Switch) MatchCounts() (steps, residual uint64) {
 	return steps, residual
 }
 
-// AttachPayloadPark compiles a PayloadPark program (prog.PayloadParkSpec)
-// through AttachSpec and wraps the instance in a typed Program whose
-// Counters the spec's counters tick. With cfg.Recirculate, recircPipe names
-// the pipe whose stages hold the second-pass payload blocks (§6.2.5);
-// without it recircPipe must be -1.
-func (s *Switch) AttachPayloadPark(cfg Config, recircPipe int) (*Program, error) {
+// CompilePark compiles the PayloadPark program (prog.PayloadParkSpec) cfg
+// describes, once for every switch AttachPark installs it on.
+func CompilePark(cfg Config) (*prog.Compiled, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	spec := prog.PayloadParkSpec(prog.ParkParams{
-		Slots:          cfg.Slots,
-		MaxExpiry:      cfg.MaxExpiry,
-		SplitPort:      int(cfg.SplitPort),
-		MergePort:      int(cfg.MergePort),
-		BoundaryOffset: cfg.BoundaryOffset,
-		Recirculate:    cfg.Recirculate,
-		Blocks:         cfg.Blocks(),
-		BaseBlocks:     BaseBlocks,
-		BlockBytes:     BlockBytes,
-		MaxClock:       MaxClock,
-	})
+	return prog.Compile(prog.PayloadParkSpec(prog.ParkParams{
+		Slots: cfg.Slots, MaxExpiry: cfg.MaxExpiry, SplitPort: int(cfg.SplitPort), MergePort: int(cfg.MergePort),
+		BoundaryOffset: cfg.BoundaryOffset, Recirculate: cfg.Recirculate,
+		Blocks: cfg.Blocks(), BaseBlocks: BaseBlocks, BlockBytes: BlockBytes, MaxClock: MaxClock,
+	}), nil)
+}
+
+// AttachPark installs CompilePark(cfg)'s c through AttachSpec, as a typed
+// Program whose Counters the spec's counters tick. With cfg.Recirculate,
+// recircPipe names the pipe holding the second-pass payload blocks
+// (§6.2.5); without it recircPipe must be -1.
+func (s *Switch) AttachPark(c *prog.Compiled, cfg Config, recircPipe int) (*Program, error) {
 	p := &Program{cfg: cfg}
-	inst, err := s.AttachSpec(spec, nil, p.C.bindings(), recircPipe)
+	inst, err := s.AttachSpec(c, p.C.bindings(), recircPipe)
 	if err != nil {
 		return nil, err
 	}
@@ -210,23 +207,28 @@ func (s *Switch) AttachPayloadPark(cfg Config, recircPipe int) (*Program, error)
 	return p, nil
 }
 
-// AttachSpec is the switch's one loader: it compiles a declarative program
-// spec (built-in or loaded from JSON) onto the pipe serving its split port.
-// params repoint the spec's named parameters (ports, slot counts) at this
-// switch's geometry; counters pre-bind spec counter names to externally
-// owned counters. The spec must declare an in-range "split_port" — that
-// port picks the pipe — and, when it declares a "merge_port", both must live
-// on one pipe (pipes share no stateful memory, §5). recircPipe names the
-// pipe holding the spec's second-pass tables: required exactly when the spec
-// uses one, and never the spec's own pipe. A program the hardware could not
-// hold — a table too large for per-stage SRAM, parser geometry that
-// conflicts with a program already on the pipe — is an error, and a refused
-// spec leaves the switch as it was.
-func (s *Switch) AttachSpec(spec *prog.Spec, params map[string]int64, counters map[string]*stats.Counter, recircPipe int) (*prog.Instance, error) {
-	if spec == nil {
-		return nil, fmt.Errorf("core: nil program spec")
+// AttachPayloadPark is CompilePark followed by AttachPark.
+func (s *Switch) AttachPayloadPark(cfg Config, recircPipe int) (*Program, error) {
+	c, err := CompilePark(cfg)
+	if err != nil {
+		return nil, err
 	}
-	split, ok := spec.ResolveParam("split_port", params)
+	return s.AttachPark(c, cfg, recircPipe)
+}
+
+// AttachSpec is the switch's one loader: it installs a compiled program on
+// the pipe serving its "split_port", which the program must declare in
+// range, with its "merge_port", if declared, on the same pipe (pipes share
+// no stateful memory, §5); counters pre-bind spec counter names. recircPipe
+// holds the second-pass tables: required exactly when the spec uses one,
+// never the program's own pipe. A program the hardware cannot hold is an
+// error, and a refused program leaves the switch as it was.
+func (s *Switch) AttachSpec(c *prog.Compiled, counters map[string]*stats.Counter, recircPipe int) (*prog.Instance, error) {
+	if c == nil {
+		return nil, fmt.Errorf("core: nil program")
+	}
+	spec := c.Spec()
+	split, ok := c.Param("split_port")
 	if !ok {
 		return nil, fmt.Errorf("core: spec %q declares no split_port parameter", spec.Name)
 	}
@@ -234,7 +236,7 @@ func (s *Switch) AttachSpec(spec *prog.Spec, params map[string]int64, counters m
 		return nil, fmt.Errorf("core: spec %q split port %d outside [0,%d)", spec.Name, split, NumPorts)
 	}
 	pipeIdx := PipeOfPort(rmt.PortID(split))
-	if merge, ok := spec.ResolveParam("merge_port", params); ok && PipeOfPort(rmt.PortID(merge)) != pipeIdx {
+	if merge, ok := c.Param("merge_port"); ok && PipeOfPort(rmt.PortID(merge)) != pipeIdx {
 		return nil, fmt.Errorf("core: split port %d and merge port %d are on different pipes; pipes share no stateful memory",
 			split, merge)
 	}
@@ -247,12 +249,7 @@ func (s *Switch) AttachSpec(spec *prog.Spec, params map[string]int64, counters m
 	case recirc:
 		rp = s.pipes[recircPipe]
 	}
-	inst, err := prog.Load(spec, prog.LoadOptions{
-		Pipe:       s.pipes[pipeIdx],
-		RecircPipe: rp,
-		Params:     params,
-		Counters:   counters,
-	})
+	inst, err := c.Install(s.pipes[pipeIdx], rp, counters)
 	if err != nil {
 		return nil, err
 	}

@@ -33,9 +33,8 @@ const (
 	RoleCtxHi    = "cr_ctx_hi"
 )
 
-// ParkParams parameterizes PayloadParkSpec. core.Switch.AttachPayloadPark,
-// the typed wrapper over core.Switch.AttachSpec, fills it from its Config
-// plus the package geometry constants.
+// ParkParams parameterizes PayloadParkSpec. core.CompilePark fills it from
+// its Config plus the package geometry constants.
 type ParkParams struct {
 	Slots          int
 	MaxExpiry      uint32
@@ -497,8 +496,8 @@ func appendCompressParts(s *Spec) {
 // BuiltinSpecs returns representative instances of the three built-in
 // programs, parameterized with the geometry core uses (20 base +
 // 28 recirculation payload blocks of 8 bytes, distinct split/merge
-// ports). Tooling — the spec linter in cmd/ppvet, round-trip tests —
-// iterates these to cover every table the package can emit.
+// ports). The lint, oracle, fuzz and fusion tests iterate these to cover
+// every table the package can emit.
 func BuiltinSpecs() []*Spec {
 	park := ParkParams{
 		Slots: 8192, MaxExpiry: 1, SplitPort: 1, MergePort: 2,

@@ -12,7 +12,7 @@ import (
 )
 
 // decodeStrict is the decode every spec file goes through (ppbench
-// -program, ppvet's proglint): unknown fields are errors.
+// -program, TestLintExampleSpecs): unknown fields are errors.
 func decodeStrict(data []byte) (*Spec, error) {
 	spec := new(Spec)
 	dec := json.NewDecoder(bytes.NewReader(data))

@@ -1,22 +1,22 @@
 // Static liveness and consistency lint for table programs.
 //
-// Load rejects specs the hardware model cannot install or run safely
-// (budget overflow, unknown actions, bindings an action does not declare,
-// a register too small for its table) — but it accepts programs that
-// install fine and then do nothing: a table whose entries can never match
-// because nothing writes the metadata word they probe, an entry shadowed by
-// an earlier catch-all, a declared parameter no table reads. Those are the
-// spec-level analogues of dead code, and like dead code they are almost
-// always a typo in hand-written JSON. Lint reports both kinds from the one
-// resolved form Load installs (resolve.go): the resolve pass's problems as
-// they stand, and the liveness checks below, which read what each action
-// reads, writes and loads from its rmt descriptor.
+// Compile and Install reject specs the hardware model cannot install or
+// run safely (budget overflow, unknown actions, bindings an action does not
+// declare, a register too small for its table) — but they accept programs
+// that install fine and then do nothing: a table whose entries can never
+// match because nothing writes the metadata word they probe, an entry
+// shadowed by an earlier catch-all, a declared parameter no table reads.
+// Those are the spec-level analogues of dead code, and like dead code they
+// are almost always a typo in hand-written JSON. Lint reports both kinds
+// from the one resolved form Compile returns (resolve.go): the resolve
+// pass's problems as they stand, and the liveness checks below, which read
+// what each action reads, writes and loads from its rmt descriptor.
 //
-// cmd/ppvet runs Lint over the built-in specs and every committed spec
-// file; LoadOptions.Lint surfaces the same findings through ppbench
-// -program for user-authored specs. Deliberate exceptions are declared
-// in the spec itself via lint_allow ("code:object" entries), keeping
-// spec and waiver in one reviewable file.
+// The prog tests hold the built-in specs and every committed spec file to
+// a clean Lint; ppbench -program prints the findings for user-authored
+// specs. Deliberate exceptions are declared in the spec itself via
+// lint_allow ("code:object" entries), keeping spec and waiver in one
+// reviewable file.
 package prog
 
 import (
@@ -44,10 +44,10 @@ func (f LintFinding) String() string {
 	return fmt.Sprintf("%s %s: %s", f.Code, f.Object, f.Detail)
 }
 
-// Lint statically checks the spec: everything that would make Load reject
+// Lint statically checks the spec: everything that would make Compile reject
 // it (unbound parameters, unknown actions and condition fields, bindings
 // an action does not declare, registers that do not fit their tables) and
-// the liveness problems Load cannot see — entries that can never fire (no
+// the liveness problems Compile cannot see — entries that can never fire (no
 // visible writer for a matched metadata word, shadowing by an earlier
 // entry, a recirculation match with no recirculating action), registers no
 // table binds, unused parameters, and metadata words two concurrently-live
@@ -60,41 +60,39 @@ var passField, _ = rmt.LookupField("pass")
 
 // lint runs the placement check and the liveness checks over the resolved
 // program and returns them with the resolve pass's problems, less the
-// spec's waivers. The checks report through problemf on a copy, so Load
-// never mistakes an advisory finding for a problem.
-func (p *program) lint() []LintFinding {
-	l := *p
-	l.problems = slices.Clone(p.problems)
-	// The layout Load would place, held to rmt.Fit on fresh pipes.
+// spec's waivers. It reports through problemf, so it runs on a program
+// resolved for Lint alone, never on one Compile returned.
+func (p *Compiled) lint() []LintFinding {
+	// The layout Install would place, held to rmt.Fit on fresh pipes.
 	if len(p.problems) == 0 {
 		ls, _, _ := p.layout(rmt.NewPipeline("ingress"), rmt.NewPipeline("recirc"))
 		for _, lay := range ls {
 			if err := rmt.Fit(lay); err != nil {
-				l.problemf("bad-layout", object{kind: "pipe ", name: lay.Pipe.Name()}, "%v", err)
+				p.problemf("bad-layout", object{kind: "pipe ", name: lay.Pipe.Name()}, "%v", err)
 			}
 		}
 	}
-	l.checkLiveness()
-	l.checkShadowing()
-	l.checkMetaOverlap()
+	p.checkLiveness()
+	p.checkShadowing()
+	p.checkMetaOverlap()
 
 	// Declared-but-unused parameters, runtime knobs, and registers.
-	for _, name := range sortedKeys(l.spec.Params) {
-		if !l.usedParams[name] {
-			l.problemf("unused-param", object{kind: "params/", name: name}, "parameter %q is never referenced by the parser, a register, or a table", name)
+	for _, name := range sortedKeys(p.spec.Params) {
+		if !p.usedParams[name] {
+			p.problemf("unused-param", object{kind: "params/", name: name}, "parameter %q is never referenced by the parser, a register, or a table", name)
 		}
 	}
-	for _, name := range sortedKeys(l.spec.Runtime) {
-		if !l.usedRuntime[name] {
-			l.problemf("unused-runtime", object{kind: "runtime/", name: name}, "runtime parameter %q is never read by a match or an action", name)
+	for _, name := range sortedKeys(p.spec.Runtime) {
+		if !p.usedRuntime[name] {
+			p.problemf("unused-runtime", object{kind: "runtime/", name: name}, "runtime parameter %q is never read by a match or an action", name)
 		}
 	}
-	for i := range l.regs {
-		if r := &l.regs[i]; !r.bound {
-			l.problemf("unused-register", object{kind: "register ", name: r.spec.Name}, "no table binds register role %q", r.role)
+	for i := range p.regs {
+		if r := &p.regs[i]; !r.bound {
+			p.problemf("unused-register", object{kind: "register ", name: r.spec.Name}, "no table binds register role %q", r.role)
 		}
 	}
-	return l.spec.waive(l.problems)
+	return p.spec.waive(p.problems)
 }
 
 // checkLiveness flags entries that can never fire: a match requiring a
@@ -102,7 +100,7 @@ func (p *program) lint() []LintFinding {
 // word no visible table writes, or a recirculation-pass match in a
 // program with no recirculating action. A table all of whose entries are
 // dead is reported once, as dead-table.
-func (p *program) checkLiveness() {
+func (p *Compiled) checkLiveness() {
 	recirculates := false
 	for ti := range p.tables {
 		for _, e := range p.tables[ti].entries {
@@ -161,7 +159,7 @@ func (p *program) checkLiveness() {
 // wordWritten reports whether metadata word is written somewhere visible
 // to reader table rt. The parser provides payload_ok on payload-parking
 // programs.
-func (p *program) wordWritten(word, rt int) bool {
+func (p *Compiled) wordWritten(word, rt int) bool {
 	if word == rmt.MetaPayloadOK && p.scope.Blocks > 0 {
 		return true
 	}
@@ -177,7 +175,7 @@ func (p *program) wordWritten(word, rt int) bool {
 // entry of the same table matches a superset of their packets: rules are
 // first-match-fires, so if every condition of entry i also appears in
 // entry j > i, no packet reaches j.
-func (p *program) checkShadowing() {
+func (p *Compiled) checkShadowing() {
 	for ti := range p.tables {
 		t := &p.tables[ti]
 		for j := 1; j < len(t.entries); j++ {
@@ -210,7 +208,7 @@ func condsSubset(a, b *entry) bool {
 // The built-in specs route around this with meta_out (the compression
 // taggers publish to their own words); forgetting that routing is
 // exactly the bug this check catches.
-func (p *program) checkMetaOverlap() {
+func (p *Compiled) checkMetaOverlap() {
 	for i, a := range p.writes {
 		for _, b := range p.writes[i+1:] {
 			ta, tb := &p.tables[a.table], &p.tables[b.table]

@@ -1,6 +1,10 @@
 package prog
 
 import (
+	"encoding/json"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -202,22 +206,54 @@ func TestLintRecircWithoutRecirculate(t *testing.T) {
 	}
 }
 
-// Load surfaces lint findings through the opt-in callback without
-// rejecting the spec: liveness is advisory.
-func TestLoadLintCallback(t *testing.T) {
-	var got []LintFinding
+// Liveness is advisory: a spec with a dead table still compiles and
+// installs, and Lint still reports the dead table.
+func TestLintFindingsAreAdvisory(t *testing.T) {
 	spec := deadTableSpec()
-	inst, err := Load(spec, LoadOptions{
-		Pipe: rmt.NewPipeline("lintcb"),
-		Lint: func(f LintFinding) { got = append(got, f) },
+	c, err := Compile(spec, nil)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	if _, err := c.Install(rmt.NewPipeline("advisory"), nil, nil); err != nil {
+		t.Fatalf("Install: %v", err)
+	}
+	if fs := spec.Lint(); findLint(fs, "dead-table") == nil {
+		t.Errorf("Lint = %v, want dead-table", lintCodes(fs))
+	}
+}
+
+// Every committed spec file under examples/ — a JSON document declaring
+// "parser" and "phv_bits" — decodes strictly, as ppbench -program decodes
+// it, and lints clean; its own lint_allow list is the only waiver.
+func TestLintExampleSpecs(t *testing.T) {
+	n := 0
+	err := filepath.WalkDir("../../examples", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || filepath.Ext(path) != ".json" {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		var doc map[string]json.RawMessage
+		if json.Unmarshal(data, &doc) != nil || doc["parser"] == nil || doc["phv_bits"] == nil {
+			return nil // not a spec
+		}
+		n++
+		spec, err := decodeStrict(data)
+		if err != nil {
+			t.Errorf("%s: not a valid spec: %v", path, err)
+			return nil
+		}
+		for _, f := range spec.Lint() {
+			t.Errorf("%s: %s", path, f)
+		}
+		return nil
 	})
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatal(err)
 	}
-	if inst == nil {
-		t.Fatal("Load returned nil instance")
-	}
-	if findLint(got, "dead-table") == nil {
-		t.Errorf("callback saw %v, want dead-table", lintCodes(got))
+	if n == 0 {
+		t.Fatal("no committed spec files found under examples/")
 	}
 }

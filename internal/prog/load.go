@@ -9,34 +9,17 @@ import (
 	"github.com/payloadpark/payloadpark/internal/stats"
 )
 
-// LoadOptions carries the environment a Spec compiles against.
+// LoadOptions are Load's arguments to Compile (Params) and Install.
 type LoadOptions struct {
-	// Pipe receives the program's ingress tables. Required.
-	Pipe *rmt.Pipeline
-	// RecircPipe receives tables and registers declared with pipe "recirc".
-	// Required exactly when the spec uses that pipe.
-	RecircPipe *rmt.Pipeline
-	// Params override spec parameters by name (sim uses this to repoint a
-	// serialized spec's ports at a topology's geometry). Overriding a
-	// parameter the spec does not declare is an error: it is always a typo.
-	Params map[string]int64
-	// Counters pre-binds spec counter names to externally owned counters
-	// (core.Program binds its Counters struct this way so ctrl and the sim
-	// read them unchanged). Names not bound here get instance-owned
-	// counters.
-	Counters map[string]*stats.Counter
-	// Lint, when set, receives every lint finding before install, from the
-	// same resolve pass Load installs (no second walk of the spec). Liveness
-	// findings are advisory — a spec with dead tables still loads, since
-	// liveness is a warning about intent, not installability — so the
-	// callback decides whether to print, collect, or fail.
-	Lint func(LintFinding)
+	Pipe, RecircPipe *rmt.Pipeline
+	Params           map[string]int64
+	Counters         map[string]*stats.Counter
 }
 
-// Instance is one loaded program: the resolved form of a Spec and the live
-// runtime parameters, counters and registers it was installed with.
+// Instance is one installed program: the Compiled it came from and the
+// runtime parameters, counters and registers its Install created.
 type Instance struct {
-	prog     *program
+	prog     *Compiled
 	runtime  map[string]*uint32
 	counters map[string]*stats.Counter
 	regs     map[string]*rmt.Register
@@ -101,36 +84,48 @@ func (in *Instance) Occupied(role string) int {
 	return 0
 }
 
-// Load resolves spec, fails on any problem the resolve pass found, builds
-// the program's rules, and places it — parser geometry, PHV bits, registers
-// and tables — through rmt.Place, which checks every placement rule against
-// the pipes before it installs anything: a spec that does not fit leaves
-// both pipes as they were.
-func Load(spec *Spec, opts LoadOptions) (*Instance, error) {
+// Compile resolves spec under params, which override its named parameters
+// (overriding one it does not declare is always a typo), and fails on the
+// first problem the resolve pass found. It touches no pipe.
+func Compile(spec *Spec, params map[string]int64) (*Compiled, error) {
 	switch {
 	case spec == nil:
 		return nil, errors.New("prog: nil spec")
-	case opts.Pipe == nil:
-		return nil, errors.New("prog: nil pipe")
 	case spec.Name == "":
 		return nil, errors.New("prog: spec has no name")
 	case spec.PHVBits <= 0:
 		return nil, fmt.Errorf("prog: spec %q declares no PHV bits", spec.Name)
-	case opts.RecircPipe == nil && spec.UsesRecircPipe():
-		return nil, fmt.Errorf("prog: spec %q uses the recirculation pipe but none was supplied", spec.Name)
 	}
-
-	p := resolve(spec, opts.Params)
-	if opts.Lint != nil {
-		for _, f := range p.lint() {
-			opts.Lint(f)
-		}
-	}
+	p := resolve(spec, params)
 	if len(p.problems) > 0 {
 		f := p.problems[0]
 		return nil, fmt.Errorf("prog: spec %q: %s: %s", spec.Name, f.Object, f.Detail)
 	}
+	return p, nil
+}
 
+// Spec returns the spec p was compiled from.
+func (p *Compiled) Spec() *Spec { return p.spec }
+
+// Param returns a declared parameter's value under Compile's overrides.
+func (p *Compiled) Param(name string) (int64, bool) {
+	v, ok := p.params[name]
+	return v, ok
+}
+
+// Install is the per-switch half of a load: runtime cells, counters (those
+// counters names, else the instance's own), registers, MATs and rules,
+// placed through rmt.Place, which checks every rule before it installs
+// anything. recirc takes the "recirc" tables and registers, and is required
+// exactly when the spec uses that pipe.
+func (p *Compiled) Install(pipe, recirc *rmt.Pipeline, counters map[string]*stats.Counter) (*Instance, error) {
+	spec := p.spec
+	switch {
+	case pipe == nil:
+		return nil, errors.New("prog: nil pipe")
+	case recirc == nil && spec.UsesRecircPipe():
+		return nil, fmt.Errorf("prog: spec %q uses the recirculation pipe but none was supplied", spec.Name)
+	}
 	inst := &Instance{
 		prog:     p,
 		runtime:  make(map[string]*uint32, len(spec.Runtime)),
@@ -145,19 +140,16 @@ func Load(spec *Spec, opts LoadOptions) (*Instance, error) {
 	for ti := range p.tables {
 		for ei := range p.tables[ti].entries {
 			for _, name := range p.tables[ti].entries[ei].binding.CounterNames() {
-				if _, ok := inst.counters[name]; ok {
-					continue
-				}
-				if c := opts.Counters[name]; c != nil {
-					inst.counters[name] = c
-				} else {
-					inst.counters[name] = new(stats.Counter)
+				if inst.counters[name] == nil {
+					if inst.counters[name] = counters[name]; inst.counters[name] == nil {
+						inst.counters[name] = new(stats.Counter)
+					}
 				}
 			}
 		}
 	}
 
-	ls, regs, mats := p.layout(opts.Pipe, opts.RecircPipe)
+	ls, regs, mats := p.layout(pipe, recirc)
 	var err error
 	for ti, mat := range mats {
 		t := &p.tables[ti]
@@ -180,11 +172,20 @@ func Load(spec *Spec, opts LoadOptions) (*Instance, error) {
 	inst.regs, inst.tables = regs, mats
 	// Build the touched pipes' match programs now, so set-up pays for them
 	// and not the first packet.
-	opts.Pipe.Compile()
-	if opts.RecircPipe != nil {
-		opts.RecircPipe.Compile()
+	pipe.Compile()
+	if recirc != nil {
+		recirc.Compile()
 	}
 	return inst, nil
+}
+
+// Load compiles spec under opts.Params and installs it on opts' pipes.
+func Load(spec *Spec, opts LoadOptions) (*Instance, error) {
+	c, err := Compile(spec, opts.Params)
+	if err != nil {
+		return nil, err
+	}
+	return c.Install(opts.Pipe, opts.RecircPipe, opts.Counters)
 }
 
 // layout lays the resolved program out for rmt: its PHV bits and parser
@@ -193,7 +194,7 @@ func Load(spec *Spec, opts LoadOptions) (*Instance, error) {
 // payload table) shares one row-major bank, so that the moves rmt fuses copy
 // one row; every other register stands alone, dense for claim probes and
 // occupancy scans. The MATs, one per table, carry no rules yet.
-func (p *program) layout(pipe, recirc *rmt.Pipeline) (ls []rmt.Layout, regs map[string]*rmt.Register, mats []*rmt.MAT) {
+func (p *Compiled) layout(pipe, recirc *rmt.Pipeline) (ls []rmt.Layout, regs map[string]*rmt.Register, mats []*rmt.MAT) {
 	sc := p.scope
 	ls = []rmt.Layout{{Pipe: pipe, PHVBits: p.spec.PHVBits, Blocks: int(sc.Blocks), BlockBytes: int(sc.BlockBytes), ParkOffset: int(sc.ParkOffset)}}
 	if recirc != nil {

@@ -241,16 +241,22 @@ func TestInstanceKnobs(t *testing.T) {
 	}
 }
 
-func TestResolveParamAndRecircProbe(t *testing.T) {
+func TestCompiledParamAndRecircProbe(t *testing.T) {
 	spec := PayloadParkSpec(parkParams())
-	if v, ok := spec.ResolveParam("split_port", nil); !ok || v != 0 {
-		t.Errorf("split_port = %d,%v", v, ok)
-	}
-	if v, ok := spec.ResolveParam("split_port", map[string]int64{"split_port": 5}); !ok || v != 5 {
-		t.Errorf("overridden split_port = %d,%v", v, ok)
-	}
-	if _, ok := spec.ResolveParam("nope", nil); ok {
-		t.Error("undeclared parameter resolved")
+	for _, tc := range []struct {
+		params map[string]int64
+		want   int64
+	}{{nil, 0}, {map[string]int64{"split_port": 5}, 5}} {
+		c, err := Compile(spec, tc.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := c.Param("split_port"); !ok || v != tc.want {
+			t.Errorf("params %v: split_port = %d,%v; want %d", tc.params, v, ok, tc.want)
+		}
+		if _, ok := c.Param("nope"); ok {
+			t.Error("undeclared parameter resolved")
+		}
 	}
 	if spec.UsesRecircPipe() {
 		t.Error("base spec claims recirc pipe")

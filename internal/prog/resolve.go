@@ -9,14 +9,13 @@ import (
 	"github.com/payloadpark/payloadpark/internal/rmt"
 )
 
-// program is a Spec resolved against its parameters and the rmt vocabulary:
-// names expanded, every ParamVal a number, every condition field and action
-// looked up, every entry bound to its action's descriptor, every register
-// role followed. resolve builds it once; Load installs it and Lint analyses
-// it, so the two cannot disagree about what a spec means. problems lists
-// every reason the spec cannot be installed, in the linter's own finding
-// form — Load fails on the first, Lint reports them all.
-type program struct {
+// Compiled is a Spec resolved against its parameters and the rmt
+// vocabulary: names expanded, every ParamVal a number, every condition field
+// and action looked up, every entry bound to its action's descriptor, every
+// register role followed. Install places it on as many pipes as asked and
+// never writes it; Lint analyses it. problems lists every reason the spec
+// cannot be installed, as lint findings: Compile fails on the first.
+type Compiled struct {
 	spec     *Spec
 	params   map[string]int64 // spec parameters under the overrides
 	scope    rmt.Scope        // parser geometry and declared runtime parameters
@@ -39,7 +38,7 @@ type register struct {
 	body         bool // some binding entry runs an action body on it, not a block move
 }
 
-// banked reports whether only block moves touch the register: Load then
+// banked reports whether only block moves touch the register: Install then
 // carves it from its pipe's bank.
 func (r *register) banked() bool { return r.bound && !r.body }
 
@@ -88,13 +87,13 @@ func pipeName(p string) string {
 	return p
 }
 
-func (p *program) problemf(code string, obj object, format string, args ...any) {
+func (p *Compiled) problemf(code string, obj object, format string, args ...any) {
 	p.problems = append(p.problems, LintFinding{Code: code, Object: obj.String(), Detail: fmt.Sprintf(format, args...)})
 }
 
 // val resolves a ParamVal under the program's parameters, tracking
 // parameter use and reporting a dangling reference from "<what><key>".
-func (p *program) val(pv ParamVal, obj object, what, key string) (int64, bool) {
+func (p *Compiled) val(pv ParamVal, obj object, what, key string) (int64, bool) {
 	v, ok := pv.resolve(p.params)
 	if !ok {
 		p.problemf("unbound-param", obj, "%s%s: reference %q names no declared parameter", what, key, "$"+pv.ref)
@@ -105,7 +104,7 @@ func (p *program) val(pv ParamVal, obj object, what, key string) (int64, bool) {
 }
 
 // name expands the "$param" references inside a register or table name.
-func (p *program) name(s string, obj object) string {
+func (p *Compiled) name(s string, obj object) string {
 	if !strings.ContainsRune(s, '$') {
 		return s
 	}
@@ -136,7 +135,7 @@ func (p *program) name(s string, obj object) string {
 
 // placed checks the pipe a register or table declares; rmt.Fit checks its
 // stage.
-func (p *program) placed(obj object, pipe string) {
+func (p *Compiled) placed(obj object, pipe string) {
 	if pipe != "" && pipe != "ingress" && pipe != "recirc" {
 		p.problemf("bad-layout", obj, "unknown pipe %q (want ingress or recirc)", pipe)
 	}
@@ -147,9 +146,10 @@ func (p *program) placed(obj object, pipe string) {
 // pipe's own PHV budget check still decides whether the program fits.
 const maxParserBytes = rmt.PHVBits / 8
 
-// resolve is the one walk of a Spec: Load and Lint both consume its result.
-func resolve(s *Spec, overrides map[string]int64) *program {
-	p := &program{
+// resolve is the one walk of a Spec: Compile and Lint both consume its
+// result.
+func resolve(s *Spec, overrides map[string]int64) *Compiled {
+	p := &Compiled{
 		spec:        s,
 		params:      make(map[string]int64, len(s.Params)),
 		regs:        make([]register, len(s.Registers)),
@@ -247,7 +247,7 @@ func resolve(s *Spec, overrides map[string]int64) *program {
 
 // resolveEntry resolves one entry's conditions onto the tail of the conds
 // arena, which it returns, and binds the entry to its action.
-func (p *program) resolveEntry(ti, ei int, conds []rmt.Cond) []rmt.Cond {
+func (p *Compiled) resolveEntry(ti, ei int, conds []rmt.Cond) []rmt.Cond {
 	t := &p.tables[ti]
 	e := &t.entries[ei]
 	e.spec = &t.spec.Entries[ei]
@@ -282,7 +282,7 @@ func (p *program) resolveEntry(ti, ei int, conds []rmt.Cond) []rmt.Cond {
 
 // bindEntry binds a resolved entry to its action's descriptor and holds
 // the entry's match and the table's register to what the action declared.
-func (p *program) bindEntry(ti, ei int, obj object) {
+func (p *Compiled) bindEntry(ti, ei int, obj object) {
 	t := &p.tables[ti]
 	e := &t.entries[ei]
 	args := rmt.ActionArgs{Counters: e.spec.Counters, Reasons: e.spec.Reasons}
@@ -339,7 +339,7 @@ func (p *program) bindEntry(ti, ei int, obj object) {
 // table rt on hardware: an earlier stage of the same pipe, or any
 // ingress-pipe stage when the reader is on the recirculation pipe (metadata
 // persists across the recirculation hop).
-func (p *program) reaches(wt, rt int) bool {
+func (p *Compiled) reaches(wt, rt int) bool {
 	w, r := p.tables[wt].spec, p.tables[rt].spec
 	wp, rp := pipeName(w.Pipe), pipeName(r.Pipe)
 	if wp == rp {
@@ -356,7 +356,7 @@ func (p *program) reaches(wt, rt int) bool {
 // model runs a stage's tables in placement order and a recirculated packet
 // re-enters with its metadata, so a panic-free program cannot lean on the
 // hardware's visibility rule.
-func (p *program) checkIndexDomains() {
+func (p *Compiled) checkIndexDomains() {
 	for _, w := range p.writes {
 		if w.below == 0 {
 			continue

@@ -1,10 +1,11 @@
 // Package prog turns switch programs into data. A Spec declares everything
 // core.Program used to hard-code in Go: the parser geometry, the stage-local
 // registers, and the match-action tables whose entries name their match
-// conditions and actions from internal/rmt's registered vocabulary. Load
-// validates a Spec against the same hardware budgets the rmt layer enforces
-// and installs it onto a pipe; the resulting Instance exposes the spec's
-// named runtime parameters and counters to the control plane.
+// conditions and actions from internal/rmt's registered vocabulary. Compile
+// resolves a Spec once; Install places the result on a pipe against the
+// same hardware budgets the rmt layer enforces, as often as there are
+// switches to load; each Instance exposes its own named runtime parameters
+// and counters to the control plane.
 //
 // The payoff is the paper's own thesis applied to this codebase: PayloadPark
 // is *just a P4 program*, so policy variants — ROHC-style header
@@ -104,18 +105,6 @@ type Spec struct {
 	// a reviewed exception travels with the file it excuses; a waiver
 	// that matches no finding is itself reported.
 	LintAllow []string `json:"lint_allow,omitempty"`
-}
-
-// ResolveParam returns the value the named parameter takes under overrides:
-// the override when present, the spec's declared value otherwise. Callers
-// (core.Switch) use it to locate a spec's ports before loading it.
-func (s *Spec) ResolveParam(name string, overrides map[string]int64) (int64, bool) {
-	if v, ok := overrides[name]; ok {
-		_, declared := s.Params[name]
-		return v, declared
-	}
-	v, ok := s.Params[name]
-	return v, ok
 }
 
 // ParksPayload reports whether the program's parser extracts payload

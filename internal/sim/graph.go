@@ -112,8 +112,8 @@ type ECMPGroup struct {
 }
 
 // Graph is one deployment. Parking and Program are what a Park and a Spec
-// placement install. The fields after Groups are read by the event
-// simulator alone (Run), and set by the topologies' Graph methods.
+// placement install. The exported fields after Groups are read by the
+// event simulator alone (Run), and set by the topologies' Graph methods.
 type Graph struct {
 	Parking  Parking
 	Program  Program
@@ -130,6 +130,10 @@ type Graph struct {
 	SamplePCIe          bool
 	Events              []GraphEvent
 	Phases              []int64
+
+	// compiled is compile's: Realise a graph from one goroutine, and leave
+	// its Program section as first realised.
+	compiled map[any]*prog.Compiled
 }
 
 // traffic is flow i's generator configuration: the one place a run's
@@ -378,14 +382,22 @@ func (g *Graph) Realise(i int, sw *core.Switch) ([]*prog.Instance, error) {
 		if g.Parking.Recirculate {
 			recirc = (core.PipeOfPort(pl.Split) + 1) % core.NumPipes
 		}
-		if _, err := sw.AttachPayloadPark(g.Parking.Core(pl.Split, pl.Merge), recirc); err != nil {
+		cfg := g.Parking.Core(pl.Split, pl.Merge)
+		c, err := g.compile(cfg, func() (*prog.Compiled, error) { return core.CompilePark(cfg) })
+		if err == nil {
+			_, err = sw.AttachPark(c, cfg, recirc)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("attach %s: %w", gs.Name, err)
 		}
 	}
 	var insts []*prog.Instance
 	for _, pl := range gs.Spec {
-		spec, params := programSpec(g.Program, pl.Split, pl.Merge)
-		inst, err := sw.AttachSpec(spec, params, nil, -1)
+		c, err := g.compile(pl, func() (*prog.Compiled, error) { return prog.Compile(programSpec(g.Program, pl.Split, pl.Merge)) })
+		var inst *prog.Instance
+		if err == nil {
+			inst, err = sw.AttachSpec(c, nil, -1)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("%s: attach program: %w", gs.Name, err)
 		}
@@ -400,6 +412,24 @@ func (g *Graph) Realise(i int, sw *core.Switch) ([]*prog.Instance, error) {
 		}
 	}
 	return insts, nil
+}
+
+// compile returns the program build compiles for key — a parking Config,
+// or a Placement of the Program section's — calling build on the graph's
+// first use of key alone: however many switches install a program, it is
+// compiled once per graph.
+func (g *Graph) compile(key any, build func() (*prog.Compiled, error)) (*prog.Compiled, error) {
+	if c := g.compiled[key]; c != nil {
+		return c, nil
+	}
+	c, err := build()
+	if err == nil {
+		if g.compiled == nil {
+			g.compiled = make(map[any]*prog.Compiled)
+		}
+		g.compiled[key] = c
+	}
+	return c, err
 }
 
 // RealiseAll builds every switch of the graph, in graph order, dropping

@@ -78,9 +78,13 @@ func TestFabricByteConservation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("attach parking: %v", err)
 	}
-	comp, err := sw.AttachSpec(prog.HeaderCompressSpec(prog.CompressParams{
+	compiled, err := prog.Compile(prog.HeaderCompressSpec(prog.CompressParams{
 		Slots: 512, CompressPort: int(portSplit), RestorePort: int(portNF),
-	}), nil, nil, -1)
+	}), nil)
+	if err != nil {
+		t.Fatalf("compile compression: %v", err)
+	}
+	comp, err := sw.AttachSpec(compiled, nil, -1)
 	if err != nil {
 		t.Fatalf("attach compression: %v", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/payloadpark/payloadpark/internal/packet"
+	"github.com/payloadpark/payloadpark/internal/prog"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
@@ -114,24 +115,59 @@ func TestLeafSpineMergeInPlaceAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkLeafSpineBuild is the set-up of the benchmark's fabric_16x8
-// workload — 16 leaves x 8 spines at 100 GbE, edge parking over 8192 slots,
-// 60 Gbps of the datacenter mix per source — run with a 1 µs warm-up and
-// window, so that building the fabric (24 switches, 16 program loads) and
-// tearing it down is nearly all of it. Its B/op and allocs/op are exact
-// work counts: they repeat from run to run.
-func BenchmarkLeafSpineBuild(b *testing.B) {
+// leafSpineBuild is the set-up of the benchmark's fabric_16x8 workload —
+// 16 leaves x 8 spines at 100 GbE, edge parking over 8192 slots, 60 Gbps of
+// the datacenter mix per source — run with a 1 µs warm-up and window, so
+// that building the fabric (24 switches, 16 parking programs from 8
+// compiles) and tearing it down is nearly all of it.
+func leafSpineBuild(tb testing.TB) {
 	l := LeafSpine{Leaves: 16, Spines: 8, LinkBps: 100e9}
 	sec := Sections{
 		Parking: Parking{Mode: ParkEdge, Slots: 8192, MaxExpiry: 1},
 		Traffic: Traffic{SendBps: 60e9, Dist: trafficgen.Datacenter{}, Flows: 1024},
 		Opts:    RunOptions{Seed: 3, WarmupNs: 1e3, MeasureNs: 1e3},
 	}
+	if _, err := runTopology(&l, &sec, Wiring{}); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkLeafSpineBuild is leafSpineBuild. Its B/op and allocs/op are
+// work counts, steady to a few allocations from run to run (not under
+// -race, whose sync.Pool drops items at random).
+func BenchmarkLeafSpineBuild(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		l, sec := l, sec
-		if _, err := runTopology(&l, &sec, Wiring{}); err != nil {
-			b.Fatal(err)
+		leafSpineBuild(b)
+	}
+}
+
+// TestLeafSpineBuildCompilesOncePerPlacementAlloc: the 16 edge parking
+// programs of the 16x8 fabric sit at 8 distinct (split, merge) pairs —
+// leaf i merges on uplink i mod 8 — so realising it compiles 8 programs,
+// each installed twice, and leafSpineBuild stays within 13,000 allocations
+// (16,589 with one compile per switch).
+func TestLeafSpineBuildCompilesOncePerPlacementAlloc(t *testing.T) {
+	l := LeafSpine{Leaves: 16, Spines: 8, LinkBps: 100e9}
+	sec := Sections{Parking: Parking{Mode: ParkEdge, Slots: 8192, MaxExpiry: 1}}
+	l.Resolve(&sec)
+	sws, err := l.Graph(sec).RealiseAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, specs := 0, make(map[*prog.Spec]bool)
+	for _, sw := range sws {
+		for _, p := range sw.Programs() {
+			n, specs[p.Instance().Spec()] = n+1, true
 		}
+	}
+	if n != 16 || len(specs) != 8 {
+		t.Errorf("%d parking programs from %d compiled specs, want 16 from 8", n, len(specs))
+	}
+	if raceEnabled {
+		return // the allocation pins run without -race
+	}
+	if allocs := testing.AllocsPerRun(3, func() { leafSpineBuild(t) }); allocs > 13000 {
+		t.Errorf("fabric set-up allocates %.0f times, want at most 13,000", allocs)
 	}
 }

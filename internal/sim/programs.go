@@ -34,7 +34,7 @@ func programSpec(p Program, split, merge rmt.PortID) (*prog.Spec, map[string]int
 	params := make(map[string]int64, 2)
 	if spec != nil {
 		for name, port := range map[string]rmt.PortID{"split_port": split, "merge_port": merge} { //pp:nondeterministic-ok order-insensitive copy into a map
-			if _, declared := spec.ResolveParam(name, nil); declared {
+			if _, declared := spec.Params[name]; declared {
 				params[name] = int64(port)
 			}
 		}
