@@ -30,12 +30,13 @@
 // -scenario loads a serialized Scenario (the JSON form payloadpark.Run
 // accepts, with the topology as a {"kind","config"} envelope), runs it,
 // and prints the structured Report — including the control-plane
-// decision timeline when the scenario attaches a controller.
+// decision timeline when the scenario attaches a controller and each
+// table program's counters.
 //
 // -program loads a bare serialized table-program spec (the declarative
-// internal/prog form, e.g. examples/policies/compress-spec.json), runs
-// it as a custom policy on the canonical testbed, and prints the Report
-// with the program's counters — new policies are JSON, not Go.
+// internal/prog form, e.g. examples/policies/compress-spec.json), lints
+// it, runs it as a custom policy on the canonical testbed, and prints the
+// Report the same way — new policies are JSON, not Go.
 //
 // -trace turns on the packet-lifecycle flight recorder for the -scenario
 // run and writes the recording as Chrome trace-event JSON (open it in
@@ -95,19 +96,12 @@ func main() {
 	}()
 	opts := harness.Options{Quick: *quick, Seed: *seed, Ctx: ctx}
 
-	if *scnFile != "" {
-		if err := runScenarioFile(ctx, *scnFile, *jsonOut, *traceOut, *quick, *seed); err != nil {
-			fail(err)
-		}
-		return
-	}
-	if *traceOut != "" {
+	if *traceOut != "" && *scnFile == "" {
 		fmt.Fprintln(os.Stderr, "ppbench: -trace records a -scenario run (e.g. -scenario examples/trace/leafspine-4x2.json)")
 		os.Exit(2)
 	}
-
-	if *progFile != "" {
-		if err := runProgramFile(ctx, *progFile, *jsonOut, *quick, *seed); err != nil {
+	if *scnFile != "" || *progFile != "" {
+		if err := run(ctx, *scnFile, *progFile, *jsonOut, *traceOut, *quick, *seed); err != nil {
 			fail(err)
 		}
 		return
@@ -242,20 +236,49 @@ func flushProfiles() {
 	}
 }
 
-// runScenarioFile loads a serialized Scenario, runs it through the
-// unified entrypoint, and prints the Report (headline summary plus the
-// full JSON; -json additionally writes the Report to a file, -trace
-// turns on the flight recorder and exports the Chrome trace). The
-// -quick and -seed flags act as fallbacks: they apply only when the
-// file's own opts leave them unset.
-func runScenarioFile(ctx context.Context, path, jsonPath, tracePath string, quick bool, seed int64) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
+// run loads a -scenario file (a serialized Scenario) or, without one, a
+// -program file (a bare table-program spec, installed as a custom policy
+// on the canonical testbed with a MAC-swap NF and linted first: a dead
+// table or unbound parameter still installs, so the warning goes where the
+// author looks), runs it through the unified entrypoint and prints the
+// Report: the headline, the control-plane decision timeline, each table
+// program's counters and the full JSON. -json additionally writes the
+// Report to a file; -trace turns on the flight recorder and exports the
+// Chrome trace. The -quick and -seed flags act as fallbacks: they apply
+// only when the scenario's own opts leave them unset.
+func run(ctx context.Context, scnPath, progPath, jsonPath, tracePath string, quick bool, seed int64) error {
 	var s scenario.Scenario
-	if err := json.Unmarshal(data, &s); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
+	var header string
+	if scnPath != "" {
+		data, err := os.ReadFile(scnPath)
+		if err != nil {
+			return err
+		}
+		if err := json.Unmarshal(data, &s); err != nil {
+			return fmt.Errorf("%s: %w", scnPath, err)
+		}
+		header = fmt.Sprintf("scenario %s: %s on %s", scnPath, s.Name, s.Topology.Kind())
+	} else {
+		data, err := os.ReadFile(progPath)
+		if err != nil {
+			return err
+		}
+		var spec prog.Spec
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&spec); err != nil {
+			return fmt.Errorf("%s: %w", progPath, err)
+		}
+		for _, f := range spec.Lint() {
+			fmt.Printf("   lint: %s\n", f)
+		}
+		s = scenario.Scenario{
+			Name:     spec.Name,
+			Topology: scenario.Testbed{},
+			Program:  scenario.Program{Kind: "custom", Spec: &spec},
+			Traffic:  scenario.Traffic{SendBps: 4e9, FixedSize: 512},
+		}
+		header = fmt.Sprintf("program %s: %q on the canonical testbed", progPath, spec.Name)
 	}
 	if s.Opts.Seed == 0 {
 		s.Opts.Seed = seed
@@ -266,7 +289,7 @@ func runScenarioFile(ctx context.Context, path, jsonPath, tracePath string, quic
 	if tracePath != "" {
 		s.Observe.Trace = true
 	}
-	fmt.Printf("== scenario %s: %s on %s\n", path, s.Name, s.Topology.Kind())
+	fmt.Printf("== %s\n", header)
 	start := time.Now()
 	rep, err := scenario.Run(ctx, s)
 	if err != nil {
@@ -286,51 +309,6 @@ func runScenarioFile(ctx context.Context, path, jsonPath, tracePath string, quic
 			fmt.Printf("     %8.3f ms  %-9s %-10s %s\n", float64(d.AtNs)/1e6, d.Kind, d.Target, d.Detail)
 		}
 	}
-	full, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s\n", full)
-	fmt.Printf("   (%.1fs)\n", time.Since(start).Seconds())
-	writeJSON(jsonPath, rep)
-	return nil
-}
-
-// runProgramFile loads a serialized table-program spec (the declarative
-// internal/prog JSON form), installs it as a custom policy on the
-// canonical testbed with a MAC-swap NF, and prints the Report including
-// the program's counters — a new policy runs from JSON with no Go code.
-func runProgramFile(ctx context.Context, path, jsonPath string, quick bool, seed int64) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var spec prog.Spec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	// Lint before running: a dead table or unbound parameter in a
-	// hand-written spec still installs, so warn where the author looks.
-	for _, f := range spec.Lint() {
-		fmt.Printf("   lint: %s\n", f)
-	}
-	s := scenario.Scenario{
-		Name:     spec.Name,
-		Topology: scenario.Testbed{},
-		Program:  scenario.Program{Kind: "custom", Spec: &spec},
-		Traffic:  scenario.Traffic{SendBps: 4e9, FixedSize: 512},
-		Opts:     scenario.RunOptions{Seed: seed, Quick: quick},
-	}
-	fmt.Printf("== program %s: %q on the canonical testbed\n", path, spec.Name)
-	start := time.Now()
-	rep, err := scenario.Run(ctx, s)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("   send=%.3f Gbps goodput=%.3f Gbps lat(avg/max)=%.1f/%.1f us delivered=%d healthy=%t\n",
-		rep.SendGbps, rep.GoodputGbps, rep.AvgLatencyUs, rep.MaxLatencyUs, rep.Delivered, rep.Healthy)
 	for _, pc := range rep.Programs {
 		fmt.Printf("   program %s: occupancy=%d", pc.Program, pc.Occupancy)
 		for _, k := range counterKeys(pc.Counters) {
@@ -338,6 +316,11 @@ func runProgramFile(ctx context.Context, path, jsonPath string, quick bool, seed
 		}
 		fmt.Println()
 	}
+	full, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	fmt.Printf("%s\n", full)
 	fmt.Printf("   (%.1fs)\n", time.Since(start).Seconds())
 	writeJSON(jsonPath, rep)
 	return nil

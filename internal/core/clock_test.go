@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 )
 
@@ -104,5 +105,62 @@ func TestRegisterStateIsolation(t *testing.T) {
 		if string(m.Pkt.Payload) != string(wants[i]) {
 			t.Fatalf("slot %d payload cross-contaminated", i)
 		}
+	}
+}
+
+// TestReissuedTagRejected: when Slots × MaxExpiry is a multiple of the
+// clock's 65535-split period, a slot's re-claim gets the tag of the claim
+// it evicted; Validate refuses exactly those pairs.
+func TestReissuedTagRejected(t *testing.T) {
+	for _, tc := range []struct {
+		slots int
+		exp   uint32
+		bad   bool
+	}{
+		{65535, 1, true}, {13107, 5, true}, {4369, 30, true},
+		{65536, 1, false}, {13107, 4, false}, {24285, 1, false}, {24285, 4368, false},
+	} {
+		cfg := defaultCfg()
+		cfg.Slots, cfg.MaxExpiry = tc.slots, tc.exp
+		if err := cfg.Validate(); errors.Is(err, ErrReissuedTag) != tc.bad {
+			t.Errorf("Slots %d MaxExpiry %d: Validate() = %v, want reissue rejected %t", tc.slots, tc.exp, err, tc.bad)
+		}
+	}
+}
+
+// TestSetMaxExpiryStepsOffReissue: retuned to an Expiry whose re-claim
+// would reissue the evicted claim's tag, the program steps one down, so
+// the evicted packet's late merge is dropped as premature instead of
+// taking the new occupant's payload.
+func TestSetMaxExpiryStepsOffReissue(t *testing.T) {
+	if testing.Short() {
+		t.Skip("drives >50,000 packets")
+	}
+	cfg := defaultCfg()
+	cfg.Slots = 13107 // 65535 / 5
+	sw, prog := testbed(t, cfg, -1)
+	prog.SetMaxExpiry(5)
+	if got := prog.MaxExpiry(); got != 4 {
+		t.Errorf("MaxExpiry() = %d after SetMaxExpiry(5), want 4", got)
+	}
+	old := inject(sw, mkPkt(512, 0), portGen)
+	var fresh *Emission
+	for i := 1; fresh == nil && i <= 6*cfg.Slots; i++ {
+		em := inject(sw, mkPkt(512, uint16(i)), portGen)
+		if em != nil && em.Pkt.PP.Enabled && em.Pkt.PP.Tag.TableIndex == old.Pkt.PP.Tag.TableIndex {
+			fresh = em
+		}
+	}
+	if fresh == nil {
+		t.Fatal("the evicted slot was never re-claimed")
+	}
+	if fresh.Pkt.PP.Tag == old.Pkt.PP.Tag {
+		t.Errorf("re-claim reissued the evicted tag %+v", old.Pkt.PP.Tag)
+	}
+	if m := inject(sw, toSink(old.Pkt), portNF); m != nil {
+		t.Error("the evicted packet merged with the new occupant's payload")
+	}
+	if n := prog.C.PrematureEvictions.Value(); n != 1 {
+		t.Errorf("premature evictions = %d, want 1", n)
 	}
 }

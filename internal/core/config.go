@@ -53,6 +53,15 @@ type Config struct {
 	// MaxExpiry is the Expiry threshold MAX_EXP (§3.3): how many probes of
 	// an occupied slot happen before its payload is evicted. 1 is the
 	// paper's aggressive default; higher is more conservative.
+	//
+	// A claim's tag is its table index and the 16-bit clock, which skips
+	// 0 and so repeats every 65535 splits: a tag comes back after
+	// 65535 / gcd(Slots, 65535) wraps of the table, the horizon past which
+	// a packet held at the NF can meet a later claim of its slot under its
+	// own tag. A slot is re-claimed Slots × MaxExpiry splits after the
+	// claim it evicts; when that is a multiple of 65535 the evicted packet
+	// would always merge with the new occupant's payload, so Validate
+	// rejects the pair and Program.SetMaxExpiry steps off it.
 	MaxExpiry uint32
 	// SplitPort is the switch port whose ingress runs the Split operation
 	// (traffic arriving from the generator side).
@@ -81,6 +90,7 @@ const MaxBoundaryOffset = 128
 var (
 	ErrBadSlots    = errors.New("core: Slots must be in [1, 65536]")
 	ErrBadExpiry   = errors.New("core: MaxExpiry must be >= 1")
+	ErrReissuedTag = errors.New("core: Slots × MaxExpiry must not be a multiple of 65535 (a re-claimed slot would reissue its evicted packet's tag)")
 	ErrSamePort    = errors.New("core: SplitPort and MergePort must differ")
 	ErrBadBoundary = errors.New("core: BoundaryOffset outside [0, MaxBoundaryOffset]")
 )
@@ -93,6 +103,9 @@ func (c Config) Validate() error {
 	if c.MaxExpiry < 1 {
 		return fmt.Errorf("%w (got %d)", ErrBadExpiry, c.MaxExpiry)
 	}
+	if c.reissues(c.MaxExpiry) {
+		return fmt.Errorf("%w (got %d × %d)", ErrReissuedTag, c.Slots, c.MaxExpiry)
+	}
 	if c.SplitPort == c.MergePort {
 		return ErrSamePort
 	}
@@ -100,6 +113,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w (got %d)", ErrBadBoundary, c.BoundaryOffset)
 	}
 	return nil
+}
+
+// reissues reports whether a slot re-claimed after exp probes gets the tag
+// of the claim it evicted (see MaxExpiry).
+func (c Config) reissues(exp uint32) bool {
+	return uint64(c.Slots)*uint64(exp)%(MaxClock-1) == 0
 }
 
 // ParkBytes returns the per-packet payload bytes this configuration parks,

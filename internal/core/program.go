@@ -56,10 +56,13 @@ func (p *Program) MaxExpiry() uint32 {
 
 // SetMaxExpiry retunes the Expiry threshold for future claims (already-
 // claimed slots keep their countdown), the control-plane knob behind the
-// adaptive eviction policy of §7.
+// adaptive eviction policy of §7. It lifts 0 to 1 and steps a value that
+// would reissue evicted tags (Config.MaxExpiry) one down; a valid Config
+// never reissues at 1.
 func (p *Program) SetMaxExpiry(exp uint32) {
-	if exp < 1 {
-		exp = 1
+	exp = max(exp, 1)
+	if p.cfg.reissues(exp) {
+		exp--
 	}
 	p.inst.SetRuntime(prog.RTMaxExpiry, exp)
 }

@@ -38,7 +38,7 @@ func collectCores(o Options) (*Result, error) {
 	// worker pool, then derive the scaling ratios (which reference the
 	// first count's knees) sequentially.
 	knee := make([][2]*scenario.Report, len(counts))
-	if err := forEachCell(len(counts), func(i int) (err error) {
+	if err := scenario.Each(o.ctx(), len(counts), func(i int) (err error) {
 		server := MultiServer10G()
 		server.Cores = counts[i]
 		base := fixedScenario(o, fmt.Sprintf("cores-sat-%d", counts[i]), 384, nil).With(func(s *scenario.Scenario) {
@@ -77,7 +77,7 @@ func collectCores(o Options) (*Result, error) {
 	slots := SlotsForSRAMPct(0.2594, false)
 	send := make([]float64, len(counts))
 	onset := make([]*scenario.Report, len(counts))
-	if err := forEachCell(len(counts), func(i int) (err error) {
+	if err := scenario.Each(o.ctx(), len(counts), func(i int) (err error) {
 		server := MemorySweepServer()
 		server.Cores = counts[i]
 		server.RxFixedNs *= 8

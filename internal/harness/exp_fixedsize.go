@@ -68,7 +68,7 @@ func fig8Sizes(o Options) []int {
 // verdict); cell order is deterministic regardless of worker interleaving.
 func (r *Result) peakCells(o Options, name string, names []string, chains []func() *nf.Chain, sizes []int) ([][2]*scenario.Report, error) {
 	peak := make([][2]*scenario.Report, len(names)*len(sizes))
-	return peak, forEachCell(len(peak), func(i int) (err error) {
+	return peak, scenario.Each(o.ctx(), len(peak), func(i int) (err error) {
 		w, size := i/len(sizes), sizes[i%len(sizes)]
 		base := fixedScenario(o, fmt.Sprintf("%s-%s-%dB", name, names[w], size), size, chains[w])
 		_, peak[i], err = r.peaks(o, base, 2e9, 60e9, 60e9)

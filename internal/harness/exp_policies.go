@@ -72,7 +72,7 @@ func collectPolicies(o Options) (*Result, error) {
 	res := &Result{}
 	sizes, np := policySizes(o), len(policyNames)
 	cells := make([]*scenario.Report, len(sizes)*len(policySends)*np)
-	if err := forEachCell(len(cells), func(i int) (err error) {
+	if err := scenario.Each(o.ctx(), len(cells), func(i int) (err error) {
 		size, send := sizes[i/(len(policySends)*np)], policySends[i/np%len(policySends)]
 		s := fixedScenario(o, policyTestbedName(policyNames[i%np], size, send), size, nil)
 		s.Traffic.SendBps = send * 1e9
@@ -91,7 +91,7 @@ func collectPolicies(o Options) (*Result, error) {
 	// The same four policies fabric-wide: a 4x2 leaf-spine with the
 	// datacenter mix, policies installed at the ingress leaves.
 	fabric := make([]*scenario.Report, np)
-	if err := forEachCell(np, func(i int) (err error) {
+	if err := scenario.Each(o.ctx(), np, func(i int) (err error) {
 		fabric[i], err = res.run(o, withPolicy(scenario.Scenario{
 			Name:     "policies-fabric-" + policyNames[i],
 			Topology: scenario.LeafSpine{Leaves: 4, Spines: 2},

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -392,57 +391,6 @@ func gainPct(base, now float64) float64 {
 		return 0
 	}
 	return 100 * (now - base) / base
-}
-
-// forEachCell runs fn(0..n-1) across a GOMAXPROCS-bounded worker pool
-// and returns the first error. Experiments use it for grids of
-// independent peak searches, which can't be a RunSweep grid (each search
-// is an adaptive probe sequence) but parallelize across cells exactly
-// like sweep points do.
-func forEachCell(n int, fn func(i int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				// After a failure, drain the queue without running the
-				// remaining cells — a failed grid reports promptly
-				// instead of burning the rest of its searches.
-				if failed() {
-					continue
-				}
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return firstErr
 }
 
 // healthy is the standard <0.1% unintended-drop criterion.

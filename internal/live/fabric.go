@@ -112,6 +112,7 @@ func ReferenceRun(t Topology, s sim.Sections) (*Result, error) {
 	var resp []byte
 	res := &Result{Geometry: t.Geometry, Mode: "reference", Parking: s.Parking.Enabled()}
 	serve := func(ep *sim.Endpoint, frame []byte) []byte {
+		res.NFReceived++
 		var nfr nf.Result
 		resp, nfr, _ = servers[ep.Flow].HandleFrame(frame, resp[:0])
 		switch {

@@ -261,6 +261,7 @@ type Result struct {
 
 	Sent           uint64 `json:"sent"`
 	Delivered      uint64 `json:"delivered"`
+	NFReceived     uint64 `json:"nf_received"` // frames the NF daemons received
 	NFDropped      uint64 `json:"nf_dropped"`
 	NFNotified     uint64 `json:"nf_notified"`
 	DeliveredBytes uint64 `json:"delivered_bytes"`

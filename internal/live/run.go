@@ -326,6 +326,7 @@ func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, er
 		res.DeliveredBytes += sink.ReceivedBytes.Load()
 	}
 	for _, nfd := range lf.nfs {
+		res.NFReceived += nfd.Rx.Load()
 		res.NFDropped += nfd.Dropped.Load()
 		res.NFNotified += nfd.Notified.Load()
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"github.com/payloadpark/payloadpark/internal/live"
+	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/sim"
 )
 
@@ -26,12 +27,14 @@ func (l Live) run(ctx context.Context, s *Scenario, w sim.Wiring) (*Report, erro
 	}
 	unaccounted := res.Sent - res.Delivered - res.NFDropped - res.NFNotified
 	rep := &Report{
-		GoodputGbps: res.Gbps,
-		Delivered:   res.Delivered,
-		Premature:   res.Counters.PrematureEvictions,
-		Healthy:     true,
-		Control:     res.Control,
-		Live:        res,
+		Delivered: res.Delivered,
+		Premature: res.Counters.PrematureEvictions,
+		Healthy:   true,
+		Control:   res.Control,
+		Live:      res,
+	}
+	if res.ElapsedNs > 0 { // the header units that reached the NF, as a simulated edge counts them
+		rep.GoodputGbps = packet.HeaderUnitLen * 8 * float64(res.NFReceived) / float64(res.ElapsedNs)
 	}
 	if res.Sent > 0 {
 		rep.UnintendedDropRate = float64(unaccounted) / float64(res.Sent)

@@ -3,12 +3,13 @@ package scenario
 import (
 	"context"
 	"encoding/json"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
-	"math/rand"
-
 	"github.com/payloadpark/payloadpark/internal/live"
+	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/sim"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
@@ -114,5 +115,43 @@ func TestLiveScenarioValidation(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("mutation expecting %q got %v", tc.want, err)
 		}
+	}
+}
+
+// TestLiveGoodputIsHeaderUnits: the live headline's goodput_gbps is the
+// header-unit goodput every simulated topology reports — 42 B per frame
+// the NF daemons received, over the run's elapsed time — not the sink's
+// frame-byte rate.
+func TestLiveGoodputIsHeaderUnits(t *testing.T) {
+	s := Scenario{
+		Topology: Live{Frames: 64, Lockstep: true, DropFraction: 0.25},
+		Parking:  Parking{Mode: sim.ParkEdge, Slots: 8},
+		Traffic:  Traffic{FixedSize: 512},
+		Observe:  Observe{Metrics: true},
+		Opts:     RunOptions{Seed: 3},
+	}
+	rep, err := Run(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rx uint64 // what the daemons' own counters say reached them
+	for _, c := range rep.Metrics.Counters {
+		if strings.HasPrefix(c.Name, "pp_live_nf_rx_total{") {
+			rx += c.Value
+		}
+	}
+	if rx == 0 || rx == rep.Delivered {
+		t.Fatalf("NF daemons received %d frames, delivered %d: want some, and some dropped at the NF", rx, rep.Delivered)
+	}
+	want := float64(packet.HeaderUnitLen*8*rx) / float64(rep.Live.ElapsedNs)
+	if got := rep.GoodputGbps; math.Abs(got-want) > 1e-12*want {
+		t.Errorf("goodput_gbps = %g, want 42 B × 8 × %d frames / %d ns = %g", got, rx, rep.Live.ElapsedNs, want)
+	}
+	ref, err := live.ReferenceRun(live.Topology(s.Topology.(Live)), s.sections())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Live.NFReceived != rx || ref.NFReceived != rx {
+		t.Errorf("NFReceived: live %d, reference %d; the daemons received %d", rep.Live.NFReceived, ref.NFReceived, rx)
 	}
 }

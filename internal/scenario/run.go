@@ -117,9 +117,6 @@ func Run(ctx context.Context, s Scenario) (*Report, error) {
 	rep.Scenario = s.Name
 	rep.Topology = s.Topology.Kind()
 	rep.Mode = s.Parking.Mode.String()
-	if p := s.Opts.Progress; p != nil {
-		p(s.Name)
-	}
 	// Collect a large world now: the pacer would keep it until the heap doubled
 	// its last mid-run mark, so the next run's peak would depend on where that
 	// mark fell. A 16x8 fabric allocates ~70 MB; Fig. 7's ~7 MB is left alone.

@@ -88,26 +88,6 @@ func TestQuickWindows(t *testing.T) {
 	}
 }
 
-// TestProgressCallback fires on completion.
-func TestProgressCallback(t *testing.T) {
-	var got []string
-	sc := Scenario{
-		Name:     "prog",
-		Topology: Testbed{},
-		Traffic:  Traffic{SendBps: 1e9},
-		Opts: RunOptions{
-			Seed: 1, WarmupNs: 1e5, MeasureNs: 1e6,
-			Progress: func(l string) { got = append(got, l) },
-		},
-	}
-	if _, err := Run(context.Background(), sc); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != "prog" {
-		t.Errorf("progress calls: %v", got)
-	}
-}
-
 // TestRunPartitionsDeterminism pins the deprecated RunOptions.Partitions'
 // contract at the scenario layer: a Scenario file that still sets it
 // decodes, and its Report equals the same file's without it, on every
@@ -166,7 +146,8 @@ func TestRunCollectsLargeWorld(t *testing.T) {
 // panic while attaching the program — a zero Slots is the topology's
 // default, and a table in range that still overflows a pipe's SRAM
 // (multiserver puts two per pipe) surfaces the placement failure as an
-// error too.
+// error too. A table whose re-claims reissue evicted tags (65535 slots at
+// the default Expiry 1) is refused naming both fields.
 func TestHostileSlots(t *testing.T) {
 	short := RunOptions{Seed: 1, WarmupNs: 1e5, MeasureNs: 2e5}
 	for _, topo := range []Topology{Testbed{}, MultiServer{Servers: 2}, LeafSpine{}, Live{Lockstep: true, Frames: 4}} {
@@ -179,6 +160,7 @@ func TestHostileSlots(t *testing.T) {
 			{65537, "parking.slots = 65537 outside [1, 65536]"},
 			{100000, "parking.slots = 100000 outside [1, 65536]"},
 			{-1, "parking.slots = -1 outside [1, 65536]"},
+			{65535, "parking.slots × parking.max_expiry = 65535 × 1 is a multiple of 65535: a re-claimed slot would reissue its evicted packet's tag"},
 		} {
 			if topo.Kind() == "multiserver" && tc.slots == 65536 {
 				tc.want = "SRAM overflow"

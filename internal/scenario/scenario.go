@@ -89,8 +89,7 @@ type (
 // front end round-trips it): the Topology sum type is encoded as a
 // {"kind", "config"} envelope; hooks whose loss would change the run's
 // results — Chain, Traffic.Source — are rejected by
-// MarshalJSON rather than silently dropped (the display-only
-// Opts.Progress callback is simply omitted).
+// MarshalJSON rather than silently dropped.
 type Scenario struct {
 	// Name labels the run in reports.
 	Name string `json:"name,omitempty"`

@@ -14,10 +14,7 @@ import (
 // round-trips through JSON and the `ppbench -scenario file.json` front
 // end can run serialized scenarios. Hooks that would change the run's
 // results (Chain, Traffic.Source) have no wire form; MarshalJSON rejects
-// them loudly instead of dropping them. The
-// display-only Opts.Progress callback is the one exception: it is
-// omitted from the wire form, since its absence cannot change what a
-// deserialized scenario simulates. Unknown fields are rejected on
+// them loudly instead of dropping them. Unknown fields are rejected on
 // decode, so a typoed knob fails instead of silently running defaults.
 
 // topologyWire is the tagged topology envelope.
@@ -100,9 +97,7 @@ func (s Scenario) MarshalJSON() ([]byte, error) {
 		w.Observe = &s.Observe
 	}
 	if s.Opts.Seed != 0 || s.Opts.Quick || s.Opts.WarmupNs != 0 || s.Opts.MeasureNs != 0 {
-		o := s.Opts
-		o.Progress = nil
-		w.Opts = &o
+		w.Opts = &s.Opts
 	}
 	return json.Marshal(w)
 }

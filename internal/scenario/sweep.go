@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/payloadpark/payloadpark/internal/sim"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
@@ -62,9 +63,14 @@ func ControlAxis(specs ...Control) Axis {
 	return axisOver("control", specs, Control.Label, func(s *Scenario, c Control) { s.Control = c })
 }
 
-// CoresAxis sweeps the NF server's core count.
+// CoresAxis sweeps the NF server's core count. An unset server starts
+// from sim.DefaultServerModel, which a topology would otherwise put in
+// place of the whole section.
 func CoresAxis(counts ...int) Axis {
 	return axisOver("cores", counts, number[int], func(s *Scenario, c int) {
+		if s.Server.FreqHz == 0 {
+			s.Server = sim.DefaultServerModel()
+		}
 		s.Server.Cores = c
 		if ms, ok := s.Topology.(MultiServer); ok {
 			ms.Cores = c
@@ -127,27 +133,28 @@ func (r *SweepReport) At(idx ...int) *SweepPoint {
 	return &r.Points[flat]
 }
 
-// Expand materializes the grid: one scenario per point, named
-// "base[axis=label ...]", in the same order RunSweep reports them.
-func (sw Sweep) Expand() []Scenario {
+// walk visits the grid in expansion order (first axis outermost, last axis
+// fastest-varying): each point's scenario, named "base[axis=label ...]",
+// its coordinate along each axis and the matching axis-point labels.
+func (sw Sweep) walk(visit func(s Scenario, idx []int, labels []string)) {
 	total := 1
 	for _, a := range sw.Axes {
 		total *= len(a.Points)
 	}
-	out := make([]Scenario, 0, total)
 	idx := make([]int, len(sw.Axes))
 	for n := 0; n < total; n++ {
 		s := sw.Base
-		var parts []string
+		var labels, parts []string
 		for d, a := range sw.Axes {
 			p := a.Points[idx[d]]
 			p.Set(&s)
+			labels = append(labels, p.Label)
 			parts = append(parts, a.Name+"="+p.Label)
 		}
 		if len(parts) > 0 {
 			s.Name = fmt.Sprintf("%s[%s]", s.Name, strings.Join(parts, " "))
 		}
-		out = append(out, s)
+		visit(s, append([]int(nil), idx...), labels)
 		for d := len(idx) - 1; d >= 0; d-- {
 			idx[d]++
 			if idx[d] < len(sw.Axes[d].Points) {
@@ -156,20 +163,61 @@ func (sw Sweep) Expand() []Scenario {
 			idx[d] = 0
 		}
 	}
+}
+
+// Expand materializes the grid: one scenario per point, named
+// "base[axis=label ...]", in the same order RunSweep reports them.
+func (sw Sweep) Expand() []Scenario {
+	var out []Scenario
+	sw.walk(func(s Scenario, _ []int, _ []string) { out = append(out, s) })
 	return out
 }
 
-// RunSweep expands the grid and runs its points in parallel across a
-// pool of min(GOMAXPROCS, points) workers. Point order in the report is
-// deterministic (expansion order) regardless of worker interleaving, and
-// so are the results: every point is an independent, seeded,
-// single-threaded simulation, so points scale across cores.
+// Each calls fn(0), ..., fn(n-1) on one worker per scheduler P, at most
+// n. A worker starts no new index once ctx is done or an fn has failed, so
+// a failed or canceled batch stops promptly. Each returns the first error
+// an fn returned, else ctx.Err(). Sweeps and the harness's grids of
+// independent peak searches share it.
+func Each(ctx context.Context, n int, fn func(i int) error) error {
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		first  error // written once, by the worker that sets failed
+		wg     sync.WaitGroup
+	)
+	for range min(runtime.GOMAXPROCS(0), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() && ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				if err := fn(i); err != nil && failed.CompareAndSwap(false, true) {
+					first = err
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if first != nil {
+		return first
+	}
+	return ctx.Err()
+}
+
+// RunSweep expands the grid and runs its points through Each. Point order
+// in the report is deterministic (expansion order) regardless of worker
+// interleaving, and so are the results: every point is an independent,
+// seeded, single-threaded simulation, so points scale across cores. A
+// point whose scenario fails carries the message in Err and the other
+// points still run.
 //
-// Cancellation is honored mid-simulation: on ctx cancellation the
-// feeder stops, in-flight simulations abort within a few thousand
-// events, every worker exits, and RunSweep returns the partial report
-// alongside ctx.Err(). Points that never ran have neither Report nor
-// Err set.
+// Cancellation is honored mid-simulation: on ctx cancellation no further
+// point starts, in-flight simulations abort within a few thousand
+// events, and RunSweep returns the partial report alongside ctx.Err().
+// Points that never ran have neither Report nor Err set.
 func RunSweep(ctx context.Context, sw Sweep) (*SweepReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -177,88 +225,33 @@ func RunSweep(ctx context.Context, sw Sweep) (*SweepReport, error) {
 	if sw.Base.Topology == nil {
 		return nil, errf("sweep: base scenario has a nil Topology")
 	}
-	for _, a := range sw.Axes {
-		if len(a.Points) == 0 {
-			return nil, errf("sweep: axis %q has no points", a.Name)
-		}
-	}
-	scns := sw.Expand()
-	rep := &SweepReport{Name: sw.Name, Points: make([]SweepPoint, len(scns))}
+	rep := &SweepReport{Name: sw.Name}
 	if rep.Name == "" {
 		rep.Name = sw.Base.Name
 	}
 	for _, a := range sw.Axes {
+		if len(a.Points) == 0 {
+			return nil, errf("sweep: axis %q has no points", a.Name)
+		}
 		rep.Axes = append(rep.Axes, a.Name)
 		rep.Shape = append(rep.Shape, len(a.Points))
 	}
-	// Fill coordinates and labels up front so canceled points still
+	// Coordinates and labels are filled up front, so canceled points still
 	// identify themselves.
-	idx := make([]int, len(sw.Axes))
-	for n := range scns {
-		pt := &rep.Points[n]
-		pt.Index = append([]int(nil), idx...)
-		for d, a := range sw.Axes {
-			pt.Labels = append(pt.Labels, a.Points[idx[d]].Label)
+	var scns []Scenario
+	sw.walk(func(s Scenario, idx []int, labels []string) {
+		scns = append(scns, s)
+		rep.Points = append(rep.Points, SweepPoint{Index: idx, Labels: labels})
+	})
+	err := Each(ctx, len(scns), func(i int) error {
+		r, err := Run(ctx, scns[i])
+		switch {
+		case err == nil:
+			rep.Points[i].Report = r
+		case ctx.Err() == nil: // a canceled point stays unrun
+			rep.Points[i].Err = err.Error()
 		}
-		for d := len(idx) - 1; d >= 0; d-- {
-			idx[d]++
-			if idx[d] < len(sw.Axes[d].Points) {
-				break
-			}
-			idx[d] = 0
-		}
-	}
-
-	// Serialize the progress callback: Run invokes it from worker
-	// goroutines.
-	if prog := sw.Base.Opts.Progress; prog != nil {
-		var mu sync.Mutex
-		total := len(scns)
-		done := 0
-		wrapped := func(label string) {
-			mu.Lock()
-			defer mu.Unlock()
-			done++
-			prog(fmt.Sprintf("[%d/%d] %s", done, total, label))
-		}
-		for i := range scns {
-			scns[i].Opts.Progress = wrapped
-		}
-	}
-
-	workers := max(min(runtime.GOMAXPROCS(0), len(scns)), 1)
-
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				r, err := Run(ctx, scns[i])
-				switch {
-				case err == nil:
-					rep.Points[i].Report = r
-				case ctx.Err() != nil:
-					// Canceled: leave the point unrun and drain quickly.
-				default:
-					rep.Points[i].Err = err.Error()
-				}
-			}
-		}()
-	}
-feed:
-	for i := range scns {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return rep, err
-	}
-	return rep, nil
+		return nil
+	})
+	return rep, err
 }

@@ -2,10 +2,12 @@ package scenario
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -215,6 +217,23 @@ func TestRunDeadlineContext(t *testing.T) {
 	}
 }
 
+// TestCoresAxisTestbed: the core count reaches a topology that resolves
+// an unset server to the default model, one per-core record per core.
+func TestCoresAxisTestbed(t *testing.T) {
+	rep, err := RunSweep(context.Background(), Sweep{Base: sweepBase(), Axes: []Axis{CoresAxis(1, 2)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pt := range rep.Points {
+		if pt.Report == nil {
+			t.Fatalf("point %d: %s", i, pt.Err)
+		}
+		if n := len(pt.Report.Testbed.PerCore); n != i+1 {
+			t.Errorf("cores=%s: %d per-core records, want %d", pt.Labels[0], n, i+1)
+		}
+	}
+}
+
 func TestAxisHelpers(t *testing.T) {
 	s := sweepBase()
 	PacketSizeAxis(512).Points[0].Set(&s)
@@ -233,23 +252,45 @@ func TestAxisHelpers(t *testing.T) {
 	}
 }
 
-func TestSweepProgressSerialized(t *testing.T) {
-	var labels []string
-	base := sweepBase()
-	base.Opts.Progress = func(l string) { labels = append(labels, l) }
-	_, err := RunSweep(context.Background(), Sweep{
-		Base: base,
-		Axes: []Axis{SendGbpsAxis(1, 2, 3)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(labels) != 3 {
-		t.Errorf("progress calls: %v", labels)
-	}
-	for _, l := range labels {
-		if !strings.Contains(l, "/3] grid[") {
-			t.Errorf("progress label %q", l)
+// TestEach pins the one worker pool: every index runs exactly once; after
+// an fn fails no further index starts and Each returns that error (one
+// worker makes the cut exact); a canceled ctx starts nothing and Each
+// returns ctx.Err().
+func TestEach(t *testing.T) {
+	t.Run("every index once", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+		var hits [1000]atomic.Int32
+		if err := Each(context.Background(), len(hits), func(i int) error { hits[i].Add(1); return nil }); err != nil {
+			t.Fatal(err)
 		}
-	}
+		for i := range hits {
+			if n := hits[i].Load(); n != 1 {
+				t.Fatalf("index %d ran %d times", i, n)
+			}
+		}
+	})
+	t.Run("first error stops", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		boom := errors.New("boom")
+		var ran []int
+		err := Each(context.Background(), 10, func(i int) error {
+			ran = append(ran, i)
+			if i == 3 {
+				return boom
+			}
+			return nil
+		})
+		if err != boom || !reflect.DeepEqual(ran, []int{0, 1, 2, 3}) {
+			t.Errorf("err = %v, ran %v; want boom after [0 1 2 3]", err, ran)
+		}
+	})
+	t.Run("canceled", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		var ran atomic.Int32
+		err := Each(ctx, 10, func(int) error { ran.Add(1); return nil })
+		if err != context.Canceled || ran.Load() != 0 {
+			t.Errorf("err = %v after %d calls; want context.Canceled after none", err, ran.Load())
+		}
+	})
 }

@@ -68,6 +68,9 @@ func (p Parking) Validate() error {
 	switch {
 	case errors.Is(err, core.ErrBadSlots):
 		return fmt.Errorf("parking.slots = %d outside [1, %d]", p.Slots, core.MaxSlots)
+	case errors.Is(err, core.ErrReissuedTag):
+		return fmt.Errorf("parking.slots × parking.max_expiry = %d × %d is a multiple of %d: a re-claimed slot would reissue its evicted packet's tag",
+			p.Slots, p.MaxExpiry, core.MaxClock-1)
 	case errors.Is(err, core.ErrBadBoundary):
 		return fmt.Errorf("parking.boundary_offset = %d outside [0, %d]", p.BoundaryOffset, core.MaxBoundaryOffset)
 	case err != nil:
@@ -211,11 +214,6 @@ type RunOptions struct {
 	// timeline. It is still decoded so older Scenario files load, and goes
 	// with the benchmark's two-partition workload (ROADMAP item 0).
 	Partitions int `json:"partitions,omitempty"`
-	// Progress, when non-nil, is called with a short label when the run
-	// completes (and by RunSweep once per completed grid point). It may
-	// be called from multiple goroutines during a sweep; RunSweep
-	// serializes the calls. Not serializable.
-	Progress func(label string) `json:"-"`
 }
 
 // Windows resolves the measurement window.

@@ -119,7 +119,7 @@ type (
 	// Report.Trace (simulated topologies only). Both default off; a dark
 	// scenario pays no instrumentation cost.
 	Observe = scenario.Observe
-	// RunOptions are the execution knobs (seed, quick, window, progress).
+	// RunOptions are the execution knobs (seed, quick, window).
 	RunOptions = scenario.RunOptions
 	// Report is the structured result of one Run, topology-independent
 	// headline metrics plus the embedded per-topology detail.
