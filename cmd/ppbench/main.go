@@ -124,13 +124,9 @@ func main() {
 		fmt.Printf("== %s: %s\n", e.ID, e.Title)
 		fmt.Printf("   paper: %s\n", e.Paper)
 		start := time.Now()
-		res, err := e.Collect(opts)
-		if res != nil {
-			// A failed gate still returns its Result: show and keep it.
+		res, err := e.Run(opts, os.Stdout)
+		if res != nil { // a failed gate still returns its Result: keep it
 			collected[e.ID] = res
-			if rerr := res.Render(os.Stdout); err == nil {
-				err = rerr
-			}
 		}
 		fmt.Printf("   (%.1fs)\n\n", time.Since(start).Seconds())
 		return err

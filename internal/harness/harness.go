@@ -75,15 +75,17 @@ type Experiment struct {
 	Collect func(o Options) (*Result, error)
 }
 
-// Run collects the experiment and writes its text form to w.
-func (e Experiment) Run(o Options, w io.Writer) error {
+// Run collects the experiment, writes its text form to w and returns the
+// Result. A failed gate's Result is still rendered and returned, with the
+// gate's error.
+func (e Experiment) Run(o Options, w io.Writer) (*Result, error) {
 	res, err := e.Collect(o)
 	if res != nil {
 		if rerr := res.Render(w); err == nil {
 			err = rerr
 		}
 	}
-	return err
+	return res, err
 }
 
 // Table is one printed table: an optional title line, an optional header

@@ -73,7 +73,7 @@ func TestCollectStructured(t *testing.T) {
 		t.Errorf("fig6 title = %q", samples)
 	}
 	var buf bytes.Buffer
-	if err := e.Run(Options{Quick: true, Seed: 1}, &buf); err != nil {
+	if _, err := e.Run(Options{Quick: true, Seed: 1}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), samples) || !strings.Contains(buf.String(), back.Tables[0].Rows[10][1]) {
@@ -239,7 +239,7 @@ func TestFastExperimentsRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := e.Run(Options{Quick: true, Seed: 1}, &buf); err != nil {
+		if _, err := e.Run(Options{Quick: true, Seed: 1}, &buf); err != nil {
 			t.Errorf("%s: %v", id, err)
 		}
 		if !bytes.Equal(buf.Bytes(), want) {
@@ -251,7 +251,7 @@ func TestFastExperimentsRun(t *testing.T) {
 func TestTable1Values(t *testing.T) {
 	var buf bytes.Buffer
 	e, _ := ByID("table1")
-	if err := e.Run(Options{Quick: true}, &buf); err != nil {
+	if _, err := e.Run(Options{Quick: true}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -292,21 +292,19 @@ func TestEquivFailsClosed(t *testing.T) {
 	// A gating experiment must return an error (not just print) when its
 	// check fails. We can't easily force a capture mismatch without
 	// breaking the dataplane, so assert the contract on Experiment.Run —
-	// a Result returned beside an error is rendered, then the error is
-	// returned — and that equiv's happy path returns nil and prints
-	// 'identical=true'.
+	// a Result returned beside an error is rendered, then returned with
+	// the error (ppbench keeps it for -json) — and that equiv's happy path
+	// returns nil and prints 'identical=true'.
 	var buf bytes.Buffer
-	gate := Experiment{Collect: func(Options) (*Result, error) {
-		res := &Result{}
-		res.table("", "").note("identical=false")
-		return res, errors.New("gate failed")
-	}}
-	if err := gate.Run(Options{}, &buf); err == nil || buf.String() != "identical=false\n" {
-		t.Errorf("failed gate: err=%v output=%q", err, buf.String())
+	failed := &Result{}
+	failed.table("", "").note("identical=false")
+	gate := Experiment{Collect: func(Options) (*Result, error) { return failed, errors.New("gate failed") }}
+	if res, err := gate.Run(Options{}, &buf); err == nil || res != failed || buf.String() != "identical=false\n" {
+		t.Errorf("failed gate: err=%v result=%p output=%q", err, res, buf.String())
 	}
 	buf.Reset()
 	e, _ := ByID("equiv")
-	if err := e.Run(Options{Quick: true, Seed: 42}, &buf); err != nil {
+	if _, err := e.Run(Options{Quick: true, Seed: 42}, &buf); err != nil {
 		t.Fatalf("equiv: %v", err)
 	}
 	if !strings.Contains(buf.String(), "identical=true") {
@@ -321,7 +319,7 @@ func TestS621Run(t *testing.T) {
 	}
 	e, _ := ByID("s621")
 	var buf bytes.Buffer
-	if err := e.Run(Options{Quick: true, Seed: 1}, &buf); err != nil {
+	if _, err := e.Run(Options{Quick: true, Seed: 1}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

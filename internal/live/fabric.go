@@ -128,6 +128,7 @@ func ReferenceRun(t Topology, s sim.Sections) (*Result, error) {
 	for k := 0; k < t.Frames; k++ {
 		for g := range f.frames {
 			res.Sent++
+			res.SentBytes += uint64(len(f.frames[g][k]))
 			out, err := w.Send(g, f.frames[g][k], serve)
 			if err != nil {
 				return nil, fmt.Errorf("live: %w", err)

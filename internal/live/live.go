@@ -260,6 +260,7 @@ type Result struct {
 	Parking bool   `json:"parking"`
 
 	Sent           uint64 `json:"sent"`
+	SentBytes      uint64 `json:"sent_bytes"` // the generators' frames, Ethernet header to payload end
 	Delivered      uint64 `json:"delivered"`
 	NFReceived     uint64 `json:"nf_received"` // frames the NF daemons received
 	NFDropped      uint64 `json:"nf_dropped"`

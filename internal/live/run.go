@@ -320,6 +320,11 @@ func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, er
 	}
 	res.ElapsedNs = time.Since(begin).Nanoseconds()
 	stopControl()
+	for _, frames := range f.frames { // both modes send every pre-serialized frame
+		for _, fr := range frames {
+			res.SentBytes += uint64(len(fr))
+		}
+	}
 
 	for _, sink := range lf.sinks {
 		res.Delivered += sink.Received.Load()

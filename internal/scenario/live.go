@@ -33,7 +33,9 @@ func (l Live) run(ctx context.Context, s *Scenario, w sim.Wiring) (*Report, erro
 		Control:   res.Control,
 		Live:      res,
 	}
-	if res.ElapsedNs > 0 { // the header units that reached the NF, as a simulated edge counts them
+	if res.ElapsedNs > 0 {
+		rep.SendGbps = 8 * float64(res.SentBytes) / float64(res.ElapsedNs)
+		// the header units that reached the NF, as a simulated edge counts them
 		rep.GoodputGbps = packet.HeaderUnitLen * 8 * float64(res.NFReceived) / float64(res.ElapsedNs)
 	}
 	if res.Sent > 0 {

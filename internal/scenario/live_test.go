@@ -155,3 +155,35 @@ func TestLiveGoodputIsHeaderUnits(t *testing.T) {
 		t.Errorf("NFReceived: live %d, reference %d; the daemons received %d", rep.Live.NFReceived, ref.NFReceived, rx)
 	}
 }
+
+// TestLiveSendGbpsIsFramesSent: the live headline's send_gbps is the bytes
+// of every frame the generators sent over the run's elapsed time — 512 B
+// per frame of a fixed-size workload — and the reference replay sends the
+// same bytes.
+func TestLiveSendGbpsIsFramesSent(t *testing.T) {
+	s := Scenario{
+		Topology: Live{Frames: 64, Lockstep: true},
+		Parking:  Parking{Mode: sim.ParkEdge, Slots: 8},
+		Traffic:  Traffic{FixedSize: 512},
+		Opts:     RunOptions{Seed: 3},
+	}
+	rep, err := Run(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := rep.Live
+	if res.Sent == 0 || res.Sent%64 != 0 || res.SentBytes != 512*res.Sent {
+		t.Fatalf("sent %d frames, %d bytes: want 64 per generator, 512 B each", res.Sent, res.SentBytes)
+	}
+	want := 8 * 512 * float64(res.Sent) / float64(res.ElapsedNs)
+	if got := rep.SendGbps; math.Abs(got-want) > 1e-12*want {
+		t.Errorf("send_gbps = %g, want 8 × 512 B × %d frames / %d ns = %g", got, res.Sent, res.ElapsedNs, want)
+	}
+	ref, err := live.ReferenceRun(live.Topology(s.Topology.(Live)), s.sections())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.SentBytes != res.SentBytes {
+		t.Errorf("reference sent %d bytes, live %d", ref.SentBytes, res.SentBytes)
+	}
+}

@@ -24,8 +24,10 @@ type Report struct {
 
 	// Headline metrics, common to every topology. Goodput is the paper's
 	// header-unit goodput, summed over servers or flows.
-	SendGbps           float64        `json:"send_gbps"`
-	GoodputGbps        float64        `json:"goodput_gbps"`
+	SendGbps    float64 `json:"send_gbps"`
+	GoodputGbps float64 `json:"goodput_gbps"`
+	// Latency is measured by simulated topologies only: a live run leaves
+	// both at 0 until it stamps frames (ROADMAP item 4's RTT histogram).
 	AvgLatencyUs       float64        `json:"avg_latency_us"`
 	MaxLatencyUs       float64        `json:"max_latency_us"`
 	LatencyCDF         []sim.CDFPoint `json:"latency_cdf,omitempty"`
