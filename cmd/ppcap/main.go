@@ -63,6 +63,9 @@ func main() {
 // drive replays a capture through the in-process testbed and reports
 // throughput.
 func drive(path string, rounds int) error {
+	if rounds < 1 {
+		return fmt.Errorf("-rounds = %d, want at least 1", rounds)
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -98,6 +101,9 @@ func drive(path string, rounds int) error {
 }
 
 func generate(n, size int, seed int64, path string) error {
+	if err := (sim.Traffic{FixedSize: size}).Validate(); err != nil {
+		return fmt.Errorf("-size: %w", err)
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -26,6 +26,9 @@ import (
 )
 
 func buildChain(spec string, dropFrac float64) (*nf.Chain, error) {
+	if !(dropFrac >= 0 && dropFrac < 1) { // false for NaN too
+		return nil, fmt.Errorf("-fw-drop = %v outside [0, 1)", dropFrac)
+	}
 	var nfs []nf.NF
 	for _, part := range strings.Split(spec, ",") {
 		switch strings.TrimSpace(strings.ToLower(part)) {
@@ -56,7 +59,7 @@ func main() {
 		listen   = flag.String("listen", "127.0.0.1:7002", "UDP listen address")
 		swAddr   = flag.String("switch", "127.0.0.1:7000", "switch address")
 		chainStr = flag.String("chain", "macswap", "comma-separated chain: macswap,fw,nat,lb")
-		dropFrac = flag.Float64("fw-drop", 0, "firewall blacklist fraction (0..1)")
+		dropFrac = flag.Float64("fw-drop", 0, "firewall blacklist fraction in [0, 1)")
 		explicit = flag.Bool("explicit-drop", false, "send Explicit Drop notifications (§6.2.4)")
 		metrics  = flag.String("metrics", "", "serve Prometheus text exposition at http://ADDR/metrics (e.g. 127.0.0.1:9001)")
 	)

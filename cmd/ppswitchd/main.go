@@ -28,7 +28,6 @@ import (
 	"os/signal"
 	"sync/atomic"
 
-	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/obs"
 	"github.com/payloadpark/payloadpark/internal/rmt"
 	"github.com/payloadpark/payloadpark/internal/sim"
@@ -118,10 +117,7 @@ func main() {
 		fail("%v", err)
 	}
 	fmt.Printf("ppswitchd: rx=%d tx=%d errors=%d\n", rx.Load(), tx.Load(), errs.Load())
-	c := &core.Counters{}
-	if progs := sws[0].Programs(); len(progs) > 0 {
-		c = &progs[0].C
-	}
+	c := sws[0].ParkCounters()
 	fmt.Printf("ppswitchd: %s\n", c.String())
 }
 

@@ -138,6 +138,7 @@ func (c *jsonChecker) visit(named *types.Named, from token.Pos) {
 		name, _, _ := strings.Cut(tag, ",")
 		if f.Exported() && local {
 			switch {
+			case tag == "" && embedsStruct(f): // flattened; checked where declared
 			case tag == "":
 				c.pass.Reportf(f.Pos(), "field %s.%s has no json tag; the report surface is snake_case (add `json:\"%s\"` or exclude with `json:\"-\"`)", named.Obj().Name(), f.Name(), snakeCase(f.Name()))
 			case name == "":
@@ -176,6 +177,17 @@ func (c *jsonChecker) visitType(t types.Type, from token.Pos) {
 			c.visit(t, from)
 		}
 	}
+}
+
+// embedsStruct reports whether f embeds a struct (or a pointer to one),
+// whose keys encoding/json flattens into the parent's when f is untagged.
+func embedsStruct(f *types.Var) bool {
+	t := f.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	_, ok := t.Underlying().(*types.Struct)
+	return f.Embedded() && ok
 }
 
 // hasJSONTag reports whether any exported field carries a json tag.

@@ -50,3 +50,23 @@ func (c Custom) MarshalJSON() ([]byte, error) { return c.Raw, nil }
 type Wrapped struct {
 	C Custom `json:"c"`
 }
+
+// Flat embeds Base and Partial untagged: encoding/json flattens their keys
+// into Flat's, so the embeddings need no tag. Each embedded struct's own
+// fields are checked where it is declared.
+type Flat struct {
+	Base
+	*Partial
+	Total int `json:"total"`
+}
+
+// Base's fields are all tagged: embedding it raises nothing.
+type Base struct {
+	Count int `json:"base_count"`
+}
+
+// Partial has an untagged field, reported at its declaration.
+type Partial struct {
+	Tagged int `json:"tagged"`
+	Bare   int // want `has no json tag`
+}

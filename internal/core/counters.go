@@ -11,41 +11,42 @@ import (
 
 // Counters are the monitoring counters the prototype maintains (§5
 // "We maintain eight counters for monitoring PayloadPark operation",
-// plus the drop bookkeeping the evaluation relies on).
+// plus the drop bookkeeping the evaluation relies on), keyed in JSON by
+// the built-in spec's counter names.
 type Counters struct {
 	// Splits counts successful Split operations (payload parked).
-	Splits stats.Counter
+	Splits stats.Counter `json:"splits"`
 	// Merges counts successful Merge operations (payload reattached).
-	Merges stats.Counter
-	// ExplicitDrops counts Explicit Drop packets that reclaimed a slot (§6.2.4).
-	ExplicitDrops stats.Counter
+	Merges stats.Counter `json:"merges"`
 	// Evictions counts payloads evicted by the expiry mechanism.
-	Evictions stats.Counter
+	Evictions stats.Counter `json:"evictions"`
 	// PrematureEvictions counts Merge attempts whose payload had already
 	// been evicted (generation mismatch); these packets are dropped. Zero
 	// premature evictions is the paper's functional-equivalence
 	// prerequisite (§6.1).
-	PrematureEvictions stats.Counter
-	// SplitDisabledFromNF counts packets received from the NF server with
-	// the ENB bit zero (Split was disabled for them).
-	SplitDisabledFromNF stats.Counter
-	// SmallPayloadSkips counts Split opportunities skipped because the
-	// payload was smaller than the parked size (§5).
-	SmallPayloadSkips stats.Counter
+	PrematureEvictions stats.Counter `json:"premature_evictions"`
+	// ExplicitDrops counts Explicit Drop packets that reclaimed a slot (§6.2.4).
+	ExplicitDrops stats.Counter `json:"explicit_drops"`
 	// OccupiedSkips counts Split opportunities skipped because the probed
 	// slot was occupied and not yet expired.
-	OccupiedSkips stats.Counter
+	OccupiedSkips stats.Counter `json:"occupied_skips"`
+	// SmallPayloadSkips counts Split opportunities skipped because the
+	// payload was smaller than the parked size (§5).
+	SmallPayloadSkips stats.Counter `json:"small_payload_skips"`
 	// DemotedSkips counts Split opportunities skipped because the control
 	// plane demoted the program (SetSplitEnabled(false)): the packet takes
 	// the disabled-header path instead of parking.
-	DemotedSkips stats.Counter
+	DemotedSkips stats.Counter `json:"demoted_skips"`
+	// SplitDisabledFromNF counts packets received from the NF server with
+	// the ENB bit zero (Split was disabled for them).
+	SplitDisabledFromNF stats.Counter `json:"split_disabled_from_nf"`
 
 	// BadTagDrops counts merge-port packets whose tag CRC failed
 	// validation; they are dropped before touching stateful memory (§3.2).
-	BadTagDrops stats.Counter
+	BadTagDrops stats.Counter `json:"bad_tag_drops"`
 	// StaleExplicitDrops counts Explicit Drop packets whose slot had
 	// already been evicted or reused; nothing is reclaimed.
-	StaleExplicitDrops stats.Counter
+	StaleExplicitDrops stats.Counter `json:"stale_explicit_drops"`
 }
 
 // parkCounters names each monitoring counter once: the built-in spec's
@@ -75,6 +76,13 @@ func (c *Counters) bindings() map[string]*stats.Counter {
 		m[pc.spec] = pc.field(c)
 	}
 	return m
+}
+
+// Add adds every counter of o to c.
+func (c *Counters) Add(o Counters) {
+	for _, pc := range parkCounters {
+		pc.field(c).Add(pc.field(&o).Value())
+	}
 }
 
 // String summarizes the counters on one line, by spec counter name.

@@ -125,6 +125,16 @@ func (s *Switch) Pipe(i int) *rmt.Pipeline { return s.pipes[i] }
 // Programs returns the installed PayloadPark programs.
 func (s *Switch) Programs() []*Program { return s.programs }
 
+// ParkCounters sums the monitoring counters of the switch's parking
+// programs: the one place they are summed (zero without a program).
+func (s *Switch) ParkCounters() Counters {
+	var c Counters
+	for _, p := range s.programs {
+		c.Add(p.C)
+	}
+	return c
+}
+
 // AddL2Route maps a destination MAC to an egress port.
 func (s *Switch) AddL2Route(mac packet.MAC, port rmt.PortID) {
 	e := s.fwd.entry(mac)

@@ -96,7 +96,7 @@ func TestAdaptiveKeepsConfiguredExpiry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		quiet(t, got.Control, got.Counters.PrematureEvictions, got.Counters.OccupiedSkips)
+		quiet(t, got.Control, got.Counters.PrematureEvictions.Value(), got.Counters.OccupiedSkips.Value())
 		if err := live.Parity(got, ref); err != nil {
 			t.Fatalf("the controller moved the live programs off Expiry 3: %v", err)
 		}

@@ -65,19 +65,7 @@ func (f *fabric) newServer(fl *sim.Flow) *nf.Server {
 func (cs *CounterSet) add(sw *core.Switch) {
 	cs.Rx += sw.RxPackets()
 	cs.Tx += sw.TxPackets()
-	for _, p := range sw.Programs() {
-		cs.Splits += p.C.Splits.Value()
-		cs.Merges += p.C.Merges.Value()
-		cs.Evictions += p.C.Evictions.Value()
-		cs.PrematureEvictions += p.C.PrematureEvictions.Value()
-		cs.ExplicitDrops += p.C.ExplicitDrops.Value()
-		cs.OccupiedSkips += p.C.OccupiedSkips.Value()
-		cs.SmallPayloadSkips += p.C.SmallPayloadSkips.Value()
-		cs.DemotedSkips += p.C.DemotedSkips.Value()
-		cs.SplitDisabledFromNF += p.C.SplitDisabledFromNF.Value()
-		cs.BadTagDrops += p.C.BadTagDrops.Value()
-		cs.StaleExplicitDrops += p.C.StaleExplicitDrops.Value()
-	}
+	cs.Counters.Add(sw.ParkCounters())
 	for why, n := range sw.Drops() {
 		if cs.Drops == nil {
 			cs.Drops = make(map[string]uint64)

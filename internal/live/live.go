@@ -187,8 +187,8 @@ func (t Topology) Validate(s sim.Sections) error {
 	if err := s.Traffic.Validate(); err != nil {
 		return fmt.Errorf("live: %w", err)
 	}
-	if t.DropFraction < 0 || t.DropFraction >= 1 {
-		return fmt.Errorf("live: drop fraction %v outside [0,1)", t.DropFraction)
+	if !(t.DropFraction >= 0 && t.DropFraction < 1) { // false for NaN too
+		return fmt.Errorf("live: drop_fraction = %v outside [0, 1)", t.DropFraction)
 	}
 	// Every frame is serialized before the first is sent, and a window
 	// nothing can enter never drains: each is bounded here rather than found
@@ -232,20 +232,10 @@ func genFrames(cfg trafficgen.Config, n int) [][]byte {
 // the program counters of §5 plus switch-level packet and drop
 // accounting, merged across the fabric.
 type CounterSet struct {
-	Rx                  uint64            `json:"rx"`
-	Tx                  uint64            `json:"tx"`
-	Splits              uint64            `json:"splits"`
-	Merges              uint64            `json:"merges"`
-	Evictions           uint64            `json:"evictions"`
-	PrematureEvictions  uint64            `json:"premature_evictions"`
-	ExplicitDrops       uint64            `json:"explicit_drops"`
-	OccupiedSkips       uint64            `json:"occupied_skips"`
-	SmallPayloadSkips   uint64            `json:"small_payload_skips"`
-	DemotedSkips        uint64            `json:"demoted_skips"`
-	SplitDisabledFromNF uint64            `json:"split_disabled_from_nf"`
-	BadTagDrops         uint64            `json:"bad_tag_drops"`
-	StaleExplicitDrops  uint64            `json:"stale_explicit_drops"`
-	Drops               map[string]uint64 `json:"drops,omitempty"`
+	Rx uint64 `json:"rx"`
+	Tx uint64 `json:"tx"`
+	core.Counters
+	Drops map[string]uint64 `json:"drops,omitempty"`
 }
 
 // Equal reports counter-for-counter equality, drop reasons included (add

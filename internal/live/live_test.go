@@ -2,6 +2,8 @@ package live
 
 import (
 	"context"
+	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -181,7 +183,8 @@ func TestValidateRejectsBadGeometry(t *testing.T) {
 		{Topology{Geometry: "4x2"}, sim.Parking{ExplicitDrop: true}, "explicit drop"},
 		{Topology{Geometry: "chain", Pipes: 99}, sim.Parking{}, "pipes"},
 		{Topology{Geometry: "chain"}, sim.Parking{Slots: -1}, "slots"},
-		{Topology{Geometry: "chain", DropFraction: 1.5}, sim.Parking{}, "drop fraction"},
+		{Topology{Geometry: "chain", DropFraction: 1.5}, sim.Parking{}, "drop_fraction"},
+		{Topology{Geometry: "chain", DropFraction: math.NaN()}, sim.Parking{}, "drop_fraction"},
 	}
 	for _, tc := range cases {
 		err := validate(tc.topo, sim.Sections{Parking: tc.park})
@@ -374,25 +377,61 @@ func TestOnePlantBothHooks(t *testing.T) {
 	}
 }
 
-// TestCounterSetEqual: the parity gate's comparison sees every counter and
-// every drop reason.
+// TestCounterSetEqual: the parity gate's comparison sees every counter,
+// the embedded park record's included, and every drop reason.
 func TestCounterSetEqual(t *testing.T) {
-	base := CounterSet{Splits: 3, Drops: map[string]uint64{"premature eviction": 1}}
+	base := CounterSet{Counters: core.Counters{Splits: 3}, Drops: map[string]uint64{"premature eviction": 1}}
 	same := base
 	same.Drops = map[string]uint64{"premature eviction": 1}
 	if !base.Equal(&same) {
 		t.Fatal("equal sets compare unequal")
 	}
-	for i := 0; i < reflect.TypeOf(base).NumField(); i++ {
+	// Every counter leaf, the embedded record's fields included, and the drop map.
+	var leaves [][]int
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(base)) {
+		if k := f.Type.Kind(); k == reflect.Uint64 || k == reflect.Map {
+			leaves = append(leaves, f.Index)
+		}
+	}
+	if want := 3 + reflect.TypeOf(core.Counters{}).NumField(); len(leaves) != want {
+		t.Fatalf("walked %d leaves, want %d (rx, tx, drops and the park record)", len(leaves), want)
+	}
+	for _, idx := range leaves {
 		other := base
 		other.Drops = map[string]uint64{"premature eviction": 1}
-		if f := reflect.ValueOf(&other).Elem().Field(i); f.Kind() == reflect.Uint64 {
+		if f := reflect.ValueOf(&other).Elem().FieldByIndex(idx); f.Kind() == reflect.Uint64 {
 			f.SetUint(f.Uint() + 1)
 		} else {
 			other.Drops["bad tag crc"] = 1
 		}
 		if base.Equal(&other) {
-			t.Errorf("a change to %s went unseen", reflect.TypeOf(base).Field(i).Name)
+			t.Errorf("a change to %s went unseen", reflect.TypeOf(base).FieldByIndex(idx).Name)
 		}
+	}
+}
+
+// TestCounterSetJSONGolden pins the parity set's wire form, a distinct
+// value in every key. The bytes were recorded when CounterSet still
+// listed the park counters itself; embedding core.Counters keeps them.
+func TestCounterSetJSONGolden(t *testing.T) {
+	cs := CounterSet{
+		Rx: 1, Tx: 2,
+		Counters: core.Counters{
+			Splits: 3, Merges: 4, Evictions: 5, PrematureEvictions: 6,
+			ExplicitDrops: 7, OccupiedSkips: 8, SmallPayloadSkips: 9, DemotedSkips: 10,
+			SplitDisabledFromNF: 11, BadTagDrops: 12, StaleExplicitDrops: 13,
+		},
+		Drops: map[string]uint64{"premature eviction": 14, "bad tag crc": 15},
+	}
+	b, err := json.Marshal(cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"rx":1,"tx":2,"splits":3,"merges":4,"evictions":5,"premature_evictions":6,` +
+		`"explicit_drops":7,"occupied_skips":8,"small_payload_skips":9,"demoted_skips":10,` +
+		`"split_disabled_from_nf":11,"bad_tag_drops":12,"stale_explicit_drops":13,` +
+		`"drops":{"bad tag crc":15,"premature eviction":14}}`
+	if string(b) != want {
+		t.Errorf("CounterSet JSON drifted:\n got %s\nwant %s", b, want)
 	}
 }

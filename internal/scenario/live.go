@@ -28,7 +28,7 @@ func (l Live) run(ctx context.Context, s *Scenario, w sim.Wiring) (*Report, erro
 	unaccounted := res.Sent - res.Delivered - res.NFDropped - res.NFNotified
 	rep := &Report{
 		Delivered: res.Delivered,
-		Premature: res.Counters.PrematureEvictions,
+		Premature: res.Counters.PrematureEvictions.Value(),
 		Healthy:   true,
 		Control:   res.Control,
 		Live:      res,

@@ -30,7 +30,7 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 		},
 		{
 			Name:     "multiserver",
-			Topology: MultiServer{Servers: 4, Cores: 8},
+			Topology: MultiServer{Servers: 4},
 			Parking:  Parking{Mode: sim.ParkEdge},
 			Server:   sim.ServerModel{FreqHz: 2.4e9, Cores: 8},
 		},
@@ -129,6 +129,8 @@ func TestScenarioJSONRejectsUnserializable(t *testing.T) {
 		// Every socket reader takes up to wire.DefaultBurst frames a read: a
 		// file still setting the old knob is an error, not silently ignored.
 		`{"topology":{"kind":"live","config":{"burst":64}}}`: `scenario: live config: json: unknown field "burst"`,
+		// A multi-server run takes its core count from the server section.
+		`{"topology":{"kind":"multiserver","config":{"cores":8}}}`: `scenario: multiserver config: json: unknown field "cores"`,
 		// Knobs every run takes at one value are gone: links run 500 ns and
 		// 1 MB, traces keep obs.DefaultEventCap events, the controller backs
 		// off on any premature eviction, resumes the switch's own Expiry

@@ -72,10 +72,6 @@ func CoresAxis(counts ...int) Axis {
 			s.Server = sim.DefaultServerModel()
 		}
 		s.Server.Cores = c
-		if ms, ok := s.Topology.(MultiServer); ok {
-			ms.Cores = c
-			s.Topology = ms
-		}
 	})
 }
 

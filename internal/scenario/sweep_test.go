@@ -244,12 +244,6 @@ func TestAxisHelpers(t *testing.T) {
 	if s.Server.Cores != 4 {
 		t.Error("cores axis")
 	}
-	ms := s
-	ms.Topology = MultiServer{}
-	CoresAxis(2).Points[0].Set(&ms)
-	if ms.Topology.(MultiServer).Cores != 2 {
-		t.Error("cores axis on multiserver topology")
-	}
 }
 
 // TestEach pins the one worker pool: every index runs exactly once; after

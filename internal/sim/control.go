@@ -35,8 +35,8 @@ func (p *Plant) ReadTelemetry(t *ctrl.Telemetry) {
 	for i, sw := range p.sws {
 		st := ctrl.SwitchTelem{Name: p.g.Switches[i].Name}
 		p.quiet(i, func() {
+			st.Premature = sw.ParkCounters().PrematureEvictions.Value()
 			for k, prog := range sw.Programs() {
-				st.Premature += prog.C.PrematureEvictions.Value()
 				st.Slots += prog.Config().Slots
 				st.Occupancy += prog.Occupancy()
 				st.Expiry = max(st.Expiry, prog.MaxExpiry())

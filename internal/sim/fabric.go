@@ -129,23 +129,17 @@ type SwitchStats struct {
 func (f *Fabric) SwitchReports() []SwitchStats {
 	out := make([]SwitchStats, 0, len(f.switches))
 	for _, n := range f.switches {
+		pc := n.SW.ParkCounters()
 		st := SwitchStats{
-			Name:  n.Name,
-			Rx:    n.SW.RxPackets(),
-			Tx:    n.SW.TxPackets(),
-			Drops: n.SW.TotalDrops(),
+			Name: n.Name, Rx: n.SW.RxPackets(), Tx: n.SW.TxPackets(), Drops: n.SW.TotalDrops(),
+			Splits: pc.Splits.Value(), Merges: pc.Merges.Value(), Evictions: pc.Evictions.Value(),
+			Premature: pc.PrematureEvictions.Value(), OccupiedSkips: pc.OccupiedSkips.Value(), SmallSkips: pc.SmallPayloadSkips.Value(),
 		}
-		for _, prog := range n.SW.Programs() {
-			st.Splits += prog.C.Splits.Value()
-			st.Merges += prog.C.Merges.Value()
-			st.Evictions += prog.C.Evictions.Value()
-			st.Premature += prog.C.PrematureEvictions.Value()
-			st.OccupiedSkips += prog.C.OccupiedSkips.Value()
-			st.SmallSkips += prog.C.SmallPayloadSkips.Value()
-			st.Occupancy += prog.Occupancy()
-		}
-		if len(n.SW.Programs()) > 0 {
+		if progs := n.SW.Programs(); len(progs) > 0 {
 			st.SRAMAvgPct = n.SW.Pipe(0).Resources().SRAMAvgPct
+			for _, prog := range progs {
+				st.Occupancy += prog.Occupancy()
+			}
 		}
 		out = append(out, st)
 	}
@@ -197,12 +191,10 @@ type SwitchNode struct {
 
 	// Flight-recorder state (nil/zero unless the fabric's EnableObs ran
 	// with a trace): the trace's recorder, this node's interned
-	// track id, the cached program list for counter-delta detection,
-	// and the per-node drop-reason intern cache.
+	// track id, and the per-node drop-reason intern cache.
 	rec       *obs.Recorder
 	trace     *obs.Trace
 	trk       uint16
-	progs     []*core.Program
 	dropNames map[string]uint16
 }
 
@@ -229,11 +221,8 @@ func (n *SwitchNode) Ingress(port rmt.PortID, onDrop func(Parcel, string), onCon
 
 // handle runs one arriving packet through the switch and schedules its
 // emission after the traversal latency. With the flight recorder on
-// (n.rec set) it also records what the dataplane did, stamped with the
-// engine's sim clock: parks, merges and evictions from program-counter
-// deltas around the injection, and a drop or explicit-drop consumption
-// with its reason. A run without a recorder pays only the predictable
-// nil checks; the counters are read only when one is armed.
+// (n.rec set) the injection is tracedInject's, which records what the
+// dataplane did; a run without one pays only the predictable nil checks.
 func (n *SwitchNode) handle(p Parcel, in rmt.PortID) {
 	if n.WireParse && !n.reparse(&p, in) {
 		if n.rec != nil {
@@ -242,24 +231,16 @@ func (n *SwitchNode) handle(p Parcel, in rmt.PortID) {
 		n.hooks[in].onDrop(p, "wire parse error")
 		return
 	}
-	var pre progCounts
+	var r *core.BatchResult
 	if n.rec != nil {
-		pre = n.progCounts()
-	}
-	r := n.one.inject(n.SW, p.Pkt, in)
-	if n.rec != nil {
-		n.emitDeltas(pre, p.Born)
+		r = n.tracedInject(p, in)
+	} else {
+		r = n.one.inject(n.SW, p.Pkt, in)
 	}
 	if !r.OK {
 		if r.Reason != core.DropExplicitDrop {
-			if n.rec != nil {
-				n.emit(obs.KindDrop, r.Reason, p.Born, 0)
-			}
 			n.hooks[in].onDrop(p, r.Reason)
 		} else {
-			if n.rec != nil {
-				n.emit(obs.KindConsume, "", p.Born, 0)
-			}
 			n.hooks[in].onConsumed(p)
 		}
 		return

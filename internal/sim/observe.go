@@ -3,8 +3,10 @@ package sim
 import (
 	"fmt"
 
+	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/ctrl"
 	"github.com/payloadpark/payloadpark/internal/obs"
+	"github.com/payloadpark/payloadpark/internal/rmt"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
@@ -28,7 +30,6 @@ func (f *Fabric) EnableObs(cfg ObsConfig) {
 			n.rec = rec
 			n.trace = tr
 			n.trk = tr.Intern(n.Name)
-			n.progs = n.SW.Programs()
 			n.dropNames = make(map[string]uint16)
 		}
 		for _, s := range f.sources {
@@ -115,27 +116,6 @@ func (f *Fabric) observeController(c *ctrl.Controller) {
 	})
 }
 
-// progCounts is the park-relevant slice of a switch's program counters,
-// summed across its programs; a traced handle diffs it around every
-// injection to learn what the dataplane just did.
-type progCounts struct {
-	splits, merges, evictions uint64
-}
-
-// progCounts stays out of line, like emit, so handle carries none of the
-// recorder's code on its untraced path.
-//
-//go:noinline
-func (n *SwitchNode) progCounts() progCounts {
-	var c progCounts
-	for _, pr := range n.progs {
-		c.splits += pr.C.Splits.Value()
-		c.merges += pr.C.Merges.Value()
-		c.evictions += pr.C.Evictions.Value()
-	}
-	return c
-}
-
 // dropName interns a drop reason through the per-node cache. Reasons
 // are a small closed set (core's Drop* constants), so the map lookup
 // is the steady-state cost; the Intern call happens once per reason.
@@ -160,17 +140,29 @@ func (n *SwitchNode) emit(kind obs.EventKind, reason string, id, arg int64) {
 	n.rec.Emit(obs.Event{At: n.eng.Now(), Track: n.trk, Kind: kind, Name: name, ID: id, Arg: arg})
 }
 
-// emitDeltas records the parks, merges and evictions one injection made:
-// the program counters' growth since pre.
-func (n *SwitchNode) emitDeltas(pre progCounts, id int64) {
-	post := n.progCounts()
-	if d := post.splits - pre.splits; d > 0 {
-		n.emit(obs.KindPark, "", id, int64(d))
+// tracedInject is handle's injection with the flight recorder armed: it
+// records the parks, merges and evictions the injection made (the growth of
+// the switch's park counters), then its drop or consumption. Out of line,
+// like emit, so handle's untraced path reads no counters and holds no record.
+//
+//go:noinline
+func (n *SwitchNode) tracedInject(p Parcel, in rmt.PortID) *core.BatchResult {
+	pre := n.SW.ParkCounters()
+	r := n.one.inject(n.SW, p.Pkt, in)
+	post := n.SW.ParkCounters()
+	if d := post.Splits - pre.Splits; d > 0 {
+		n.emit(obs.KindPark, "", p.Born, int64(d))
 	}
-	if d := post.merges - pre.merges; d > 0 {
-		n.emit(obs.KindMerge, "", id, int64(d))
+	if d := post.Merges - pre.Merges; d > 0 {
+		n.emit(obs.KindMerge, "", p.Born, int64(d))
 	}
-	if d := post.evictions - pre.evictions; d > 0 {
-		n.emit(obs.KindEvict, "", id, int64(d))
+	if d := post.Evictions - pre.Evictions; d > 0 {
+		n.emit(obs.KindEvict, "", p.Born, int64(d))
 	}
+	if !r.OK && r.Reason == core.DropExplicitDrop {
+		n.emit(obs.KindConsume, "", p.Born, 0)
+	} else if !r.OK {
+		n.emit(obs.KindDrop, r.Reason, p.Born, 0)
+	}
+	return r
 }

@@ -378,9 +378,6 @@ type MultiServer struct {
 	Servers int `json:"servers,omitempty"`
 	// LinkBps is each server's link rate (default 10 GbE).
 	LinkBps float64 `json:"link_bps,omitempty"`
-	// Cores, when non-zero, overrides Server.Cores on every server — the
-	// knob the core-count sweeps turn without restating the calibration.
-	Cores int `json:"cores,omitempty"`
 }
 
 // MultiServerFlows is each generator's 5-tuple pool size: large enough
@@ -395,9 +392,6 @@ func (m *MultiServer) Resolve(s *Sections) {
 	def(&m.Servers, 8)
 	def(&m.LinkBps, 10e9)
 	s.Resolve(simSlots, trafficgen.Fixed(384), MultiServerFlows)
-	if m.Cores > 0 {
-		s.Server.Cores = m.Cores
-	}
 }
 
 // Validate reports the first rule a resolved multi-server run breaks: a

@@ -53,12 +53,6 @@ func TestResolveDefaults(t *testing.T) {
 	check("multiserver", ms, MultiServer{Servers: 8, LinkBps: 10e9},
 		s, common(trafficgen.Fixed(384), 2048))
 
-	ms, s = MultiServer{Cores: 3}, Sections{}
-	ms.Resolve(&s)
-	if s.Server.Cores != 3 {
-		t.Errorf("multiserver Cores override: server has %d cores, want 3", s.Server.Cores)
-	}
-
 	var ls LeafSpine
 	s = Sections{}
 	ls.Resolve(&s)

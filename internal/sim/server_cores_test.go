@@ -398,18 +398,18 @@ func TestMultiServerGoodputAccounting(t *testing.T) {
 	}
 }
 
-// TestMultiServerCoresOverride: the Cores knob changes saturation — at an
-// offered load past the single-core knee, 8 cores deliver several times
-// the single-core packet rate.
+// TestMultiServerCoresOverride: the server section's Cores knob changes
+// saturation — at an offered load past the single-core knee, 8 cores
+// deliver several times the single-core packet rate.
 func TestMultiServerCoresOverride(t *testing.T) {
 	mk := func(cores int) multiServerRun {
 		return multiServerRun{
-			MultiServer: MultiServer{Servers: 1, LinkBps: 10e9, Cores: cores},
+			MultiServer: MultiServer{Servers: 1, LinkBps: 10e9},
 			Sections: Sections{
 				Parking: Parking{Slots: 8192, MaxExpiry: 1},
 				Traffic: Traffic{SendBps: 8e9, Dist: trafficgen.Fixed(384)},
 				Server: ServerModel{
-					FreqHz: 2.4e9, RxFixedNs: 1712, RxPerByteNs: 0.6,
+					FreqHz: 2.4e9, Cores: cores, RxFixedNs: 1712, RxPerByteNs: 0.6,
 					NICRing: 1024, StageQueue: 4096,
 					PCIeBps: 31.5e9, PCIeOverheadBytes: 8,
 				},

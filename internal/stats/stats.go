@@ -13,22 +13,21 @@ import (
 	"sort"
 )
 
-// Counter is a monotonically increasing event counter.
+// Counter is a monotonically increasing event counter. It is a plain
+// integer, so a record of counters copies, sums and marshals as a value.
 //
 // The zero value is ready to use. Counter is not safe for concurrent use;
 // the simulator is single-threaded by design (see internal/sim).
-type Counter struct {
-	n uint64
-}
+type Counter uint64
 
 // Inc adds one to the counter.
-func (c *Counter) Inc() { c.n++ }
+func (c *Counter) Inc() { *c++ }
 
 // Add adds delta to the counter.
-func (c *Counter) Add(delta uint64) { c.n += delta }
+func (c *Counter) Add(delta uint64) { *c += Counter(delta) }
 
 // Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
+func (c Counter) Value() uint64 { return uint64(c) }
 
 // Summary accumulates a running mean/min/max over float64 observations;
 // the mean updates incrementally (Welford) for numerical stability.

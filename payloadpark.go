@@ -39,6 +39,7 @@ import (
 	"github.com/payloadpark/payloadpark/internal/nf"
 	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/prog"
+	"github.com/payloadpark/payloadpark/internal/rmt"
 	"github.com/payloadpark/payloadpark/internal/scenario"
 	"github.com/payloadpark/payloadpark/internal/sim"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
@@ -272,21 +273,10 @@ func (d *Deployment) SwitchDrops() map[string]uint64 {
 }
 
 // ResourceReport describes switch resource utilization (paper Table 1).
-type ResourceReport struct {
-	SRAMAvgPct, SRAMPeakPct, TCAMPct, VLIWPct float64
-	ExactXbarPct, TernXbarPct, PHVPct         float64
-}
+type ResourceReport = rmt.Usage
 
 // Resources reports the ingress pipe's utilization.
-func (d *Deployment) Resources() ResourceReport {
-	u := d.tb.SW.Pipe(0).Resources()
-	return ResourceReport{
-		SRAMAvgPct: u.SRAMAvgPct, SRAMPeakPct: u.SRAMPeakPct,
-		TCAMPct: u.TCAMPct, VLIWPct: u.VLIWPct,
-		ExactXbarPct: u.ExactXbarPct, TernXbarPct: u.TernXbarPct,
-		PHVPct: u.PHVPct,
-	}
-}
+func (d *Deployment) Resources() ResourceReport { return d.tb.SW.Pipe(0).Resources() }
 
 // NewUDPPacket builds a well-formed UDP packet addressed to the embedded
 // NF server, with a deterministic payload pattern.
