@@ -30,12 +30,14 @@ func buildChain(spec string, dropFrac float64) (*nf.Chain, error) {
 		return nil, fmt.Errorf("-fw-drop = %v outside [0, 1)", dropFrac)
 	}
 	var nfs []nf.NF
+	firewall := false
 	for _, part := range strings.Split(spec, ",") {
 		switch strings.TrimSpace(strings.ToLower(part)) {
 		case "macswap":
 			nfs = append(nfs, nf.MACSwap{})
 		case "fw", "firewall":
 			nfs = append(nfs, nf.NewFirewall(nf.BlacklistFraction(dropFrac)))
+			firewall = true
 		case "nat":
 			nfs = append(nfs, nf.NewNAT(packet.IPv4Addr{198, 51, 100, 1}))
 		case "lb":
@@ -50,6 +52,9 @@ func buildChain(spec string, dropFrac float64) (*nf.Chain, error) {
 		default:
 			return nil, fmt.Errorf("unknown NF %q (want macswap|fw|nat|lb)", part)
 		}
+	}
+	if dropFrac > 0 && !firewall {
+		return nil, fmt.Errorf("-fw-drop = %v needs a firewall, but -chain %q holds no fw", dropFrac, spec)
 	}
 	return nf.NewChain(nfs...), nil
 }

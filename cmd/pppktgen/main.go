@@ -2,12 +2,12 @@
 // packets (fixed-size or the paper's datacenter mix) through the switch
 // and reports how many came back intact.
 //
-// The paced sender puts one frame in each datagram. -blast replaces it
-// with the open-loop batched path: frames are serialized back-to-back into
-// one reused buffer and flushed wire.DefaultBurst at a time, packed into
-// one datagram (wire.BatchSender, the same send path the live fabric's
-// per-pipe workers use), reporting achieved pps and Gbps instead of
-// pacing to -pps.
+// Each frame is serialized as it is sent, into one reused buffer
+// (trafficgen.Generator.AppendFrame into a wire.BatchSender, the send path
+// the live fabric's sources use). The paced sender flushes one frame per
+// datagram. -blast replaces it with the open-loop batched path: frames are
+// flushed wire.DefaultBurst at a time, packed into one datagram,
+// reporting achieved pps and Gbps instead of pacing to -pps.
 package main
 
 import (
@@ -62,39 +62,32 @@ func main() {
 		fail("%v", err)
 	}
 
-	var sentBytes int
-	var elapsed time.Duration
+	burst, interval := 1, time.Second/time.Duration(max(*pps, 1))
 	if *blast {
+		burst, interval = wire.DefaultBurst, 0
 		fmt.Printf("pppktgen: %s -> %s, %d packets open-loop batched (%s sizes)\n",
 			g.Addr(), *swAddr, *count, dist.Name())
-		bs := g.BatchSender()
-		dst := g.SwitchUDPAddr()
-		start := time.Now()
-		for i := 0; i < *count; i++ {
-			pkt := gen.Next()
-			sentBytes += pkt.Len()
-			bs.Commit(pkt.AppendSerialize(bs.Begin()), dst, &g.Sent)
-			if bs.Pending() >= wire.DefaultBurst {
-				bs.Flush()
-			}
-		}
-		bs.Flush()
-		elapsed = time.Since(start)
 	} else {
 		fmt.Printf("pppktgen: %s -> %s, %d packets at %d pps (%s sizes)\n",
 			g.Addr(), *swAddr, *count, *pps, dist.Name())
-		interval := time.Second / time.Duration(*pps)
-		start := time.Now()
-		for i := 0; i < *count; i++ {
-			pkt := gen.Next()
-			sentBytes += pkt.Len()
-			if err := g.Send(pkt.Serialize()); err != nil {
-				fail("send: %v", err)
-			}
-			time.Sleep(interval)
-		}
-		elapsed = time.Since(start)
 	}
+	bs, dst := g.BatchSender(), g.SwitchUDPAddr()
+	var sentBytes int
+	start := time.Now()
+	for i := 0; i < *count; i++ {
+		out := bs.Begin()
+		frame := gen.AppendFrame(out)
+		sentBytes += len(frame) - len(out)
+		bs.Commit(frame, dst, &g.Sent)
+		if bs.Pending() < burst && i+1 < *count {
+			continue
+		}
+		if bs.Flush() != 0 && !*blast {
+			fail("send of packet %d to %s failed", i, *swAddr)
+		}
+		time.Sleep(interval)
+	}
+	elapsed := time.Since(start)
 	got := g.WaitReceived(uint64(*count), 5*time.Second)
 	fmt.Printf("pppktgen: sent=%d (%.2f Mbit, %.1fs) received=%d loss=%.3f%%\n",
 		g.Sent.Load(), float64(sentBytes)*8/1e6, elapsed.Seconds(),

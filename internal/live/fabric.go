@@ -7,16 +7,17 @@ import (
 	"github.com/payloadpark/payloadpark/internal/nf"
 	"github.com/payloadpark/payloadpark/internal/rmt"
 	"github.com/payloadpark/payloadpark/internal/sim"
+	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
 // fabric is one resolved and validated live description: the graph both
-// the socket fabric and the reference replay realise, and each
-// generator's deterministic frame sequence.
+// the socket fabric and the reference replay realise. Each flow's
+// trafficgen.Config (Graph.Flows[i].Traffic) is its whole workload: a
+// fresh generator per run yields the same frames for the same seed.
 type fabric struct {
-	topo   Topology
-	sec    sim.Sections
-	g      *sim.Graph
-	frames [][][]byte
+	topo Topology
+	sec  sim.Sections
+	g    *sim.Graph
 }
 
 // build resolves and validates the description, then builds its graph:
@@ -36,9 +37,6 @@ func build(t Topology, s sim.Sections) (*fabric, error) {
 			bases[p] = rmt.PortID(p * core.PortsPerPipe)
 		}
 		f.g = sim.SingleSwitchGraph("sw0", s, bases, true)
-	}
-	for i := range f.g.Flows {
-		f.frames = append(f.frames, genFrames(f.g.Flows[i].Traffic, t.Frames))
 	}
 	return f, nil
 }
@@ -91,13 +89,15 @@ func ReferenceRun(t Topology, s sim.Sections) (*Result, error) {
 		return nil, fmt.Errorf("live: %w", err)
 	}
 	w := sim.NewWalker(f.g, sws)
-	// One NF server per flow, as each flow's wire.NFDaemon hosts one, and
-	// a reused response buffer.
+	// One NF server per flow, as each flow's wire.NFDaemon hosts one, a
+	// fresh generator per flow, and reused frame and response buffers.
 	servers := make([]*nf.Server, len(f.g.Flows))
+	gens := make([]*trafficgen.Generator, len(f.g.Flows))
 	for j := range servers {
 		servers[j] = f.newServer(&f.g.Flows[j])
+		gens[j] = trafficgen.New(f.g.Flows[j].Traffic)
 	}
-	var resp []byte
+	var frame, resp []byte
 	res := &Result{Geometry: t.Geometry, Mode: "reference", Parking: s.Parking.Enabled()}
 	serve := func(ep *sim.Endpoint, frame []byte) []byte {
 		res.NFReceived++
@@ -114,10 +114,11 @@ func ReferenceRun(t Topology, s sim.Sections) (*Result, error) {
 		return nil
 	}
 	for k := 0; k < t.Frames; k++ {
-		for g := range f.frames {
+		for g, tg := range gens {
+			frame = tg.AppendFrame(frame[:0])
 			res.Sent++
-			res.SentBytes += uint64(len(f.frames[g][k]))
-			out, err := w.Send(g, f.frames[g][k], serve)
+			res.SentBytes += uint64(len(frame))
+			out, err := w.Send(g, frame, serve)
 			if err != nil {
 				return nil, fmt.Errorf("live: %w", err)
 			}

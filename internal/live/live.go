@@ -68,7 +68,8 @@ type Topology struct {
 	// Ignored by leaf-spine geometries.
 	Pipes int `json:"pipes,omitempty"`
 	// Frames is the per-generator frame budget (defaults: 256 lockstep,
-	// 20000 throughput; with Opts.Quick, 64 and 4000).
+	// 20000 throughput; with Opts.Quick, 64 and 4000). It sets the run's
+	// length, not its memory: each frame is serialized as it is sent.
 	Frames int `json:"frames,omitempty"`
 	// Lockstep runs one frame end to end at a time — the deterministic
 	// replay mode the parity check needs. Off, the run is open-loop
@@ -190,9 +191,8 @@ func (t Topology) Validate(s sim.Sections) error {
 	if !(t.DropFraction >= 0 && t.DropFraction < 1) { // false for NaN too
 		return fmt.Errorf("live: drop_fraction = %v outside [0, 1)", t.DropFraction)
 	}
-	// Every frame is serialized before the first is sent, and a window
-	// nothing can enter never drains: each is bounded here rather than found
-	// out by the allocator or the deadline.
+	// A run too long to finish and a window nothing can enter are bounded
+	// here rather than found out by the deadline.
 	for _, f := range []struct {
 		name       string
 		v, lo, max int
@@ -207,26 +207,15 @@ func (t Topology) Validate(s sim.Sections) error {
 	return nil
 }
 
-// Upper bounds of the resolved topology's counts: a million frames per
-// generator is ~1 GB of pre-serialized workload, and a window beyond 64 Ki
-// frames overruns any loopback socket buffer.
+// Upper bounds of the resolved topology's counts. Frames are serialized
+// as they are sent, so the frame bound is about run length, not memory: a
+// million frames per generator is far past what a lockstep run replays
+// within runTimeout. A window beyond 64 Ki frames overruns any loopback
+// socket buffer.
 const (
 	maxFrames = 1 << 20
 	maxWindow = 1 << 16
 )
-
-// genFrames pre-serializes one generator's deterministic frame sequence;
-// live run and reference replay share the same bytes.
-func genFrames(cfg trafficgen.Config, n int) [][]byte {
-	tg := trafficgen.New(cfg)
-	frames := make([][]byte, n)
-	for k := range frames {
-		p := tg.Next()
-		frames[k] = p.Serialize()
-		tg.Recycle(p)
-	}
-	return frames
-}
 
 // CounterSet is the dataplane counter snapshot the parity gate compares:
 // the program counters of §5 plus switch-level packet and drop

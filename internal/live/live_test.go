@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -144,6 +145,54 @@ func TestThroughputBurstsAreBatched(t *testing.T) {
 	}
 	if bursts == 0 || float64(frames)/float64(bursts) < 2 {
 		t.Fatalf("%d frames in %d receive bursts: the workers read one frame at a time", frames, bursts)
+	}
+}
+
+// TestRunBytesPerFrameAlloc: a live run serializes each frame as it sends
+// it, so its heap grows with its window, not its workload. The heap bytes
+// a run allocates per extra frame — the TotalAlloc difference between an
+// N-frame and a 4N-frame chain run, over the 3N frames between them — stay
+// a few bytes in throughput mode and a few hundred in lockstep, where
+// every frame waits out its own round trip; a workload serialized up
+// front would cost a frame's bytes and more.
+func TestRunBytesPerFrameAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops items, so allocation counts are not the program's")
+	}
+	sec := sim.Sections{Parking: sim.Parking{Mode: sim.ParkEdge, Slots: 1024, MaxExpiry: 1}, Opts: sim.RunOptions{Seed: 3}}
+	for _, tc := range []struct {
+		name string
+		topo Topology
+		max  float64
+	}{
+		{"throughput", Topology{Frames: 2000, Window: 128}, 64},
+		{"lockstep", Topology{Frames: 200, Lockstep: true}, 512},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			heap := func(frames int) uint64 {
+				topo := tc.topo
+				topo.Frames = frames
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				res, err := Run(context.Background(), topo, sec, Wiring{})
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Sent != uint64(frames) {
+					t.Fatalf("sent %d of %d frames", res.Sent, frames)
+				}
+				return after.TotalAlloc - before.TotalAlloc
+			}
+			n := tc.topo.Frames
+			heap(n) // warm the runtime's and the net package's one-time state
+			small, large := heap(n), heap(4*n)
+			per := (float64(large) - float64(small)) / float64(3*n)
+			t.Logf("%s: %d B for %d frames, %d B for %d: %.1f B per extra frame", tc.name, small, n, large, 4*n, per)
+			if per > tc.max {
+				t.Errorf("%s run allocates %.1f B per extra frame, want <= %.0f", tc.name, per, tc.max)
+			}
+		})
 	}
 }
 
@@ -299,10 +348,12 @@ func TestOnePlantBothHooks(t *testing.T) {
 				// payloads stay parked: occupancy the telemetry must report.
 				w := sim.NewWalker(tc.g, sws)
 				f := &fabric{topo: Topology{DropFraction: 0.25}, sec: sec}
-				var resp []byte
+				var frame, resp []byte
 				for i := range tc.g.Flows {
 					srv := f.newServer(&tc.g.Flows[i])
-					for _, frame := range genFrames(tc.g.Flows[i].Traffic, 24) {
+					tg := trafficgen.New(tc.g.Flows[i].Traffic)
+					for range 24 {
+						frame = tg.AppendFrame(frame[:0])
 						_, err := w.Send(i, frame, func(_ *sim.Endpoint, frame []byte) []byte {
 							var res nf.Result
 							if resp, res, _ = srv.HandleFrame(frame, resp[:0]); res.Out == nil {

@@ -2,6 +2,7 @@ package live
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -11,22 +12,41 @@ import (
 	"github.com/payloadpark/payloadpark/internal/ctrl"
 	"github.com/payloadpark/payloadpark/internal/obs"
 	"github.com/payloadpark/payloadpark/internal/sim"
+	"github.com/payloadpark/payloadpark/internal/trafficgen"
 	"github.com/payloadpark/payloadpark/internal/wire"
 )
 
 // liveFabric is the graph realised on sockets: one switchNode per graph
-// switch and, per flow, a generator, a sink (a generator that only
-// receives) and an NF daemon.
+// switch and, per flow, a source, a sink (a generator that only receives)
+// and an NF daemon.
 type liveFabric struct {
 	f     *fabric
 	sws   []*core.Switch
 	nodes []*switchNode
-	gens  []*wire.Generator
+	srcs  []source
 	sinks []*wire.Generator
 	nfs   []*wire.NFDaemon
 	// fwd[i] and ret[i] count the switches flow i's frames cross from the
 	// generator to the NF and from the NF to the sink.
 	fwd, ret []uint64
+}
+
+// source is one flow's sending side: a fresh generator of the flow's
+// workload, each frame serialized as it is sent straight into the batch
+// of the generator socket. One goroutine drives a source.
+type source struct {
+	gen   *wire.Generator
+	tg    *trafficgen.Generator
+	bs    *wire.BatchSender
+	bytes uint64 // frame bytes queued, Ethernet header to payload end
+}
+
+// queue serializes the flow's next frame into the batch; Flush sends it.
+func (s *source) queue() {
+	out := s.bs.Begin()
+	frame := s.tg.AppendFrame(out)
+	s.bytes += uint64(len(frame) - len(out))
+	s.bs.Commit(frame, s.gen.SwitchUDPAddr(), &s.gen.Sent)
 }
 
 // cableEndpoint cables the endpoint bound at addr to its switch port.
@@ -97,7 +117,8 @@ func bringUp(ctx context.Context, f *fabric, metrics *obs.Registry) (*liveFabric
 		if err := lf.cableEndpoint(fl.NF.At, nfd.Addr()); err != nil {
 			return nil, err
 		}
-		lf.gens, lf.sinks, lf.nfs = append(lf.gens, gen), append(lf.sinks, sink), append(lf.nfs, nfd)
+		lf.srcs = append(lf.srcs, source{gen: gen, tg: trafficgen.New(fl.Traffic), bs: gen.BatchSender()})
+		lf.sinks, lf.nfs = append(lf.sinks, sink), append(lf.nfs, nfd)
 		lf.fwd = append(lf.fwd, uint64(f.g.PathLen(fl.Gen.At, fl.NF.MAC)))
 		lf.ret = append(lf.ret, uint64(f.g.PathLen(fl.NF.At, fl.Traffic.SrcMAC)))
 	}
@@ -143,9 +164,9 @@ func (lf *liveFabric) registerMetrics(reg *obs.Registry) {
 		reg.Counter("pp_live_nf_dropped_total"+lbl, "packets dropped by the NF chain", nfd.Dropped.Load)
 		reg.Counter("pp_live_nf_notified_total"+lbl, "explicit-drop notifications returned", nfd.Notified.Load)
 	}
-	for i := range lf.gens {
+	for i := range lf.srcs {
 		lbl := fmt.Sprintf(`{gen="%d"}`, i)
-		reg.Counter("pp_live_gen_sent_total"+lbl, "frames sent by the generator", lf.gens[i].Sent.Load)
+		reg.Counter("pp_live_gen_sent_total"+lbl, "frames sent by the generator", lf.srcs[i].gen.Sent.Load)
 		reg.Counter("pp_live_gen_received_total"+lbl, "frames delivered to the generator's sink", lf.sinks[i].Received.Load)
 	}
 }
@@ -186,21 +207,21 @@ func (lf *liveFabric) switchIngress() uint64 {
 func (lf *liveFabric) expectedIngress() uint64 {
 	var n uint64
 	for i, nfd := range lf.nfs {
-		n += lf.fwd[i]*lf.gens[i].Sent.Load() + lf.ret[i]*nfd.Tx.Load() + nfd.Notified.Load()
+		n += lf.fwd[i]*lf.srcs[i].gen.Sent.Load() + lf.ret[i]*nfd.Tx.Load() + nfd.Notified.Load()
 	}
 	return n
 }
 
-// waitFor polls cond (every 200µs) until it holds or ctx expires.
-func waitFor(ctx context.Context, cond func() bool, what string) error {
+// waitFor polls cond (every 200µs) until it holds, or reports false once
+// ctx expires.
+func waitFor(ctx context.Context, cond func() bool) bool {
 	for !cond() {
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("live: timed out waiting for %s", what)
-		case <-time.After(200 * time.Microsecond):
+		if ctx.Err() != nil {
+			return false
 		}
+		time.Sleep(200 * time.Microsecond)
 	}
-	return nil
+	return true
 }
 
 // minPeriodNs is the shortest controller tick of a live run: every tick
@@ -273,32 +294,29 @@ func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, er
 	begin := time.Now()
 	if t.Lockstep {
 		res.Mode = "lockstep"
-		var sent uint64
 		for k := 0; k < t.Frames; k++ {
-			for g := range lf.gens {
-				if err := lf.gens[g].Send(f.frames[g][k]); err != nil {
-					return nil, fmt.Errorf("live: send: %w", err)
+			for g := range lf.srcs {
+				src := &lf.srcs[g]
+				src.queue()
+				if src.bs.Flush() != 0 {
+					return nil, fmt.Errorf("live: send of frame %d of generator %d failed", k, g)
 				}
-				sent++
-				want := sent
-				if err := waitFor(ctx, func() bool { return lf.accounted() >= want },
-					fmt.Sprintf("frame %d of generator %d to be accounted", k, g)); err != nil {
-					return nil, err
+				res.Sent++
+				if !waitFor(ctx, func() bool { return lf.accounted() >= res.Sent }) {
+					return nil, fmt.Errorf("live: timed out waiting for frame %d of generator %d to be accounted", k, g)
 				}
 			}
 		}
-		res.Sent = sent
 		// Trailing explicit-drop notifications are still in flight when
 		// Notified ticks; wait for the exact switch ingress count.
-		if err := waitFor(ctx, func() bool { return lf.switchIngress() >= lf.expectedIngress() },
-			"fabric quiescence"); err != nil {
-			return nil, err
+		if !waitFor(ctx, func() bool { return lf.switchIngress() >= lf.expectedIngress() }) {
+			return nil, errors.New("live: timed out waiting for fabric quiescence")
 		}
 	} else {
 		res.Mode = "throughput"
 		var wg sync.WaitGroup
-		errCh := make(chan error, len(lf.gens))
-		for g := range lf.gens {
+		errCh := make(chan error, len(lf.srcs))
+		for g := range lf.srcs {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
@@ -306,24 +324,22 @@ func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, er
 			}(g)
 		}
 		wg.Wait()
-		for range lf.gens {
+		for range lf.srcs {
 			if err := <-errCh; err != nil {
 				return nil, err
 			}
 		}
-		for _, gen := range lf.gens {
-			res.Sent += gen.Sent.Load()
+		for i := range lf.srcs {
+			res.Sent += lf.srcs[i].gen.Sent.Load()
 		}
-		if err := lf.settle(ctx, res.Sent); err != nil {
-			return nil, err
+		if !lf.settle(ctx, res.Sent) {
+			return nil, errors.New("live: timed out waiting for the fabric to settle")
 		}
 	}
 	res.ElapsedNs = time.Since(begin).Nanoseconds()
 	stopControl()
-	for _, frames := range f.frames { // both modes send every pre-serialized frame
-		for _, fr := range frames {
-			res.SentBytes += uint64(len(fr))
-		}
+	for i := range lf.srcs {
+		res.SentBytes += lf.srcs[i].bytes
 	}
 
 	for _, sink := range lf.sinks {
@@ -357,11 +373,8 @@ func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, er
 // delivery accounting, with a stall detector that writes off frames the
 // fabric consumed (evictions) so ghosts never wedge the window.
 func (lf *liveFabric) blast(ctx context.Context, g int) error {
-	gen := lf.gens[g]
-	frames := lf.f.frames[g]
-	window := lf.f.topo.Window
-	bs := gen.BatchSender()
-	dst := gen.SwitchUDPAddr()
+	src := &lf.srcs[g]
+	frames, window := lf.f.topo.Frames, lf.f.topo.Window
 	acct := func() uint64 {
 		nfd := lf.nfs[g]
 		return lf.sinks[g].Received.Load() + nfd.Dropped.Load() + nfd.Notified.Load()
@@ -369,9 +382,9 @@ func (lf *liveFabric) blast(ctx context.Context, g int) error {
 	var ghosts uint64
 	lastAcct := uint64(0)
 	lastProgress := time.Now()
-	for sent := 0; sent < len(frames); {
+	for sent := 0; sent < frames; {
 		if ctx.Err() != nil {
-			return fmt.Errorf("live: generator %d timed out at %d/%d frames", g, sent, len(frames))
+			return fmt.Errorf("live: generator %d timed out at %d/%d frames", g, sent, frames)
 		}
 		a := acct()
 		if a != lastAcct {
@@ -390,11 +403,11 @@ func (lf *liveFabric) blast(ctx context.Context, g int) error {
 			time.Sleep(100 * time.Microsecond)
 			continue
 		}
-		n := min(window-int(inflight), wire.DefaultBurst, len(frames)-sent)
+		n := min(window-int(inflight), wire.DefaultBurst, frames-sent)
 		for i := 0; i < n; i++ {
-			bs.Queue(frames[sent+i], dst, &gen.Sent)
+			src.queue()
 		}
-		bs.Flush()
+		src.bs.Flush()
 		sent += n
 	}
 	return nil
@@ -403,8 +416,9 @@ func (lf *liveFabric) blast(ctx context.Context, g int) error {
 // settle waits until the books balance — every sent frame accounted for
 // and the exact switch ingress seen, lockstep's rule — or, when frames died
 // inside the fabric (premature evictions), until the switch ingress and
-// accounting totals hold still across samples 20ms apart.
-func (lf *liveFabric) settle(ctx context.Context, sent uint64) error {
+// accounting totals hold still across samples 20ms apart. It reports false
+// once ctx expires.
+func (lf *liveFabric) settle(ctx context.Context, sent uint64) bool {
 	last := [2]uint64{^uint64(0)} // no counter holds it: the first sample is never "unchanged"
 	return waitFor(ctx, func() bool {
 		cur := [2]uint64{lf.switchIngress(), lf.accounted()}
@@ -417,5 +431,5 @@ func (lf *liveFabric) settle(ctx context.Context, sent uint64) error {
 		}
 		time.Sleep(20 * time.Millisecond)
 		return [2]uint64{lf.switchIngress(), lf.accounted()} == last
-	}, "fabric to settle")
+	})
 }

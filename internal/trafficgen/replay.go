@@ -77,10 +77,11 @@ func (r *Replay) Recycle(p *packet.Packet) {
 // Fig. 6 workload as a capture file.
 func WriteWorkload(w *pcap.Writer, cfg Config, n int) error {
 	g := New(cfg)
+	var frame []byte // WritePacket keeps no reference to Data
 	for i := 0; i < n; i++ {
-		p := g.Next()
+		frame = g.AppendFrame(frame[:0])
 		// Space timestamps 1 µs apart; replay tools re-pace anyway.
-		if err := w.WritePacket(pcap.Record{TimestampNs: int64(i) * 1e3, Data: p.Serialize()}); err != nil {
+		if err := w.WritePacket(pcap.Record{TimestampNs: int64(i) * 1e3, Data: frame}); err != nil {
 			return fmt.Errorf("trafficgen: write workload: %w", err)
 		}
 	}

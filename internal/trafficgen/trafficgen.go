@@ -228,6 +228,20 @@ func (g *Generator) Recycle(p *packet.Packet) {
 	g.pool = append(g.pool, p)
 }
 
+// AppendFrame draws the stream's next packet, appends its wire bytes to
+// dst, takes the packet back and returns the extended slice: the one way
+// a generator becomes wire bytes. A caller that reuses dst (a batch
+// buffer, or one frame's dst[:0]) serializes a stream without allocating
+// in steady state.
+//
+//pp:zeroalloc
+func (g *Generator) AppendFrame(dst []byte) []byte {
+	p := g.Next()
+	dst = p.AppendSerialize(dst)
+	g.Recycle(p)
+	return dst
+}
+
 // PayloadBuffers is the number of payload buffers Next has made.
 func (g *Generator) PayloadBuffers() uint64 { return g.made }
 

@@ -100,6 +100,28 @@ func TestNextAllocFree(t *testing.T) {
 	}
 }
 
+// TestAppendFrameMatchesSerialize: AppendFrame's bytes are a fresh
+// generator's Next().Serialize() sequence, frame for frame, and once the
+// pool and the destination buffer are warm a frame costs no allocation.
+func TestAppendFrameMatchesSerialize(t *testing.T) {
+	for name, sizes := range map[string]SizeDist{"datacenter": Datacenter{}, "fixed64": Fixed(64), "fixed1500": Fixed(1500)} {
+		t.Run(name, func(t *testing.T) {
+			want, got := New(testConfig(sizes)), New(testConfig(sizes))
+			var frame []byte
+			for i := 0; i < 10000; i++ {
+				frame = got.AppendFrame(frame[:0])
+				if w := want.Next().Serialize(); !bytes.Equal(frame, w) {
+					t.Fatalf("frame %d: AppendFrame gave %d bytes % x..., Serialize %d bytes % x...",
+						i, len(frame), frame[:min(len(frame), 16)], len(w), w[:16])
+				}
+			}
+			if allocs := testing.AllocsPerRun(1000, func() { frame = got.AppendFrame(frame[:0]) }); allocs != 0 {
+				t.Errorf("AppendFrame allocates %.2f/frame in steady state, want 0", allocs)
+			}
+		})
+	}
+}
+
 // TestNextFreshAllocs: with nothing recycled, a fresh packet's Packet and
 // UDP structs come from the generator's slabs, so generation costs its
 // payload plus one slab per doubling, not three allocations per packet.

@@ -160,17 +160,6 @@ func (s *BatchSender) Commit(buf []byte, dst *net.UDPAddr, ok *atomic.Uint64) {
 	s.marks = append(s.marks, sendMark{end: len(buf), dst: dst, ok: ok})
 }
 
-// Queue copies an externally built frame into the batch for dst; see
-// Commit for ok.
-//
-//pp:zeroalloc
-func (s *BatchSender) Queue(frame []byte, dst *net.UDPAddr, ok *atomic.Uint64) {
-	if len(frame) == 0 {
-		return
-	}
-	s.Commit(append(s.buf, frame...), dst, ok) //pp:alloc-ok grows s.buf's backing, adopted back by Commit; amortized warm-up
-}
-
 // Pending returns how many frames await Flush.
 func (s *BatchSender) Pending() int { return len(s.marks) }
 

@@ -70,7 +70,7 @@ func TestFlushPacksARunPerPeer(t *testing.T) {
 			var want [2][][]byte
 			for i := 0; i < DefaultBurst; i++ {
 				frame := bytes.Repeat([]byte{byte(i)}, 60+i*40)
-				bs.Queue(frame, dsts[i/16], nil)
+				queue(bs, frame, dsts[i/16])
 				want[i/16] = append(want[i/16], frame)
 			}
 			if errs := bs.Flush(); errs != 0 {
@@ -98,7 +98,7 @@ func TestFlushPacksARunPerPeer(t *testing.T) {
 				{40, 100, DefaultBurst},
 			} {
 				for i := 0; i < c.frames; i++ {
-					bs.Queue(bytes.Repeat([]byte{byte(i)}, c.size), dsts[0], nil)
+					queue(bs, bytes.Repeat([]byte{byte(i)}, c.size), dsts[0])
 				}
 				if errs := bs.Flush(); errs != 0 {
 					t.Fatalf("%d send errors", errs)
@@ -115,9 +115,9 @@ func TestFlushPacksARunPerPeer(t *testing.T) {
 
 			// A frame no UDP datagram holds goes alone and fails; its
 			// neighbours arrive.
-			bs.Queue([]byte("a"), dsts[0], nil)
-			bs.Queue(make([]byte, 1<<16-1), dsts[0], nil)
-			bs.Queue([]byte("b"), dsts[0], nil)
+			queue(bs, []byte("a"), dsts[0])
+			queue(bs, make([]byte, 1<<16-1), dsts[0])
+			queue(bs, []byte("b"), dsts[0])
 			if errs := bs.Flush(); errs != 1 {
 				t.Errorf("flush around an unsendable frame: %d errors, want 1", errs)
 			}
@@ -189,6 +189,11 @@ func TestBurstReaderDeadlineAndClose(t *testing.T) {
 	}
 }
 
+// queue copies a built frame into bs's batch for dst.
+func queue(bs *BatchSender, frame []byte, dst *net.UDPAddr) {
+	bs.Commit(append(bs.Begin(), frame...), dst, nil)
+}
+
 // TestSocketPathAllocFree: a round of eight frames queued and flushed
 // through BatchSender, then drained with BurstReader.Read, allocates
 // nothing once the buffers have grown.
@@ -200,7 +205,7 @@ func TestSocketPathAllocFree(t *testing.T) {
 	frame := benchFrame(1)
 	round := func() {
 		for i := 0; i < 8; i++ {
-			bs.Queue(frame, dst, nil)
+			queue(bs, frame, dst)
 		}
 		if errs := bs.Flush(); errs != 0 {
 			t.Fatalf("%d send errors", errs)

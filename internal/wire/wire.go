@@ -328,17 +328,8 @@ func (g *Generator) recvLoop() {
 // it with SwitchUDPAddr and the Sent counter for wire-rate blasting.
 func (g *Generator) BatchSender() *BatchSender { return NewBatchSender(g.conn) }
 
-// SwitchUDPAddr returns the resolved switch address Send targets.
+// SwitchUDPAddr returns the resolved switch address frames go to.
 func (g *Generator) SwitchUDPAddr() *net.UDPAddr { return g.swAddr }
-
-// Send transmits one frame to the switch, alone in its datagram.
-func (g *Generator) Send(frame []byte) error {
-	_, err := g.conn.WriteToUDP(appendFrame(nil, frame), g.swAddr)
-	if err == nil {
-		g.Sent.Add(1)
-	}
-	return err
-}
 
 // WaitReceived polls until n frames have been received or the timeout
 // elapses, returning the count seen.
