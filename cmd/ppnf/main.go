@@ -75,10 +75,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ppnf: %v\n", err)
 		os.Exit(2)
 	}
-	d, err := wire.NewNFDaemon(wire.NFConfig{
-		Listen: *listen, SwitchAddr: *swAddr,
-		Server: nf.NewServer(nf.ServerConfig{Chain: chain, ExplicitDrop: *explicit}),
-	})
+	d, err := wire.NewNFDaemon(wire.Endpoint{Listen: *listen, SwitchAddr: *swAddr},
+		nf.NewServer(nf.ServerConfig{Chain: chain, ExplicitDrop: *explicit}))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ppnf: %v\n", err)
 		os.Exit(1)
@@ -98,7 +96,8 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if err := d.Run(ctx); err != nil {
+	context.AfterFunc(ctx, d.Close)
+	if err := d.Run(); err != nil {
 		fmt.Fprintf(os.Stderr, "ppnf: %v\n", err)
 		os.Exit(1)
 	}

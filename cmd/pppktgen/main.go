@@ -11,7 +11,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -55,9 +54,7 @@ func main() {
 		Seed: *seed,
 	})
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	g, err := wire.NewGenerator(ctx, wire.GenConfig{Listen: *listen, SwitchAddr: *swAddr})
+	g, err := wire.NewGenerator(wire.Endpoint{Listen: *listen, SwitchAddr: *swAddr})
 	if err != nil {
 		fail("%v", err)
 	}

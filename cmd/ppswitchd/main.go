@@ -61,15 +61,10 @@ func main() {
 		fail("%v", err)
 	}
 
-	laddr, err := net.ResolveUDPAddr("udp", *listen)
+	conn, err := wire.Listen(*listen)
 	if err != nil {
 		fail("-listen: %v", err)
 	}
-	conn, err := net.ListenUDP("udp", laddr)
-	if err != nil {
-		fail("%v", err)
-	}
-	wire.TuneUDP(conn)
 	gen, err := net.ResolveUDPAddr("udp", *genAddr)
 	if err != nil {
 		fail("-gen: %v", err)
@@ -109,11 +104,8 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	go func() {
-		<-ctx.Done()
-		conn.Close()
-	}()
-	if err := loop.Run(ctx); err != nil {
+	context.AfterFunc(ctx, func() { conn.Close() })
+	if err := loop.Run(); err != nil {
 		fail("%v", err)
 	}
 	fmt.Printf("ppswitchd: rx=%d tx=%d errors=%d\n", rx.Load(), tx.Load(), errs.Load())

@@ -42,7 +42,7 @@ func TestLiveControllerTicks(t *testing.T) {
 // stamped on a multiple of it.
 func TestLiveControllerPeriodFloor(t *testing.T) {
 	rep, err := scenario.Run(context.Background(), scenario.Scenario{
-		Topology: scenario.Live{Frames: 4000, Window: 64},
+		Topology: scenario.Live{Frames: 20000},
 		Parking:  scenario.Parking{Mode: sim.ParkEdge, Slots: 16, MaxExpiry: 2},
 		Control:  scenario.Control{Adaptive: true},
 		Opts:     scenario.RunOptions{Seed: 9},

@@ -217,6 +217,95 @@ func TestThroughputSettlesWhenBooksBalance(t *testing.T) {
 	}
 }
 
+// bestOf3 runs topo three times and returns the shortest ElapsedNs: a
+// loaded host can stall a wake-up. The bounds are the program's, so the
+// race detector's slowdown skips the test.
+func bestOf3(t *testing.T, topo Topology) time.Duration {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("the race detector slows every frame several-fold, so wall-clock bounds are not the program's")
+	}
+	best := time.Hour
+	for try := 0; try < 3; try++ {
+		live, err := Run(context.Background(), topo,
+			sim.Sections{Parking: parking(32, false), Opts: sim.RunOptions{Seed: 1}}, Wiring{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if live.Sent != uint64(topo.Frames) {
+			t.Fatalf("sent %d of %d frames", live.Sent, topo.Frames)
+		}
+		best = min(best, time.Duration(live.ElapsedNs))
+	}
+	t.Logf("best of three: %v", best)
+	return best
+}
+
+// TestLockstepWakesOnDelivery: lockstep waits for each frame's round trip
+// on the endpoints' progress, not on a poll, so a 256-frame chain replay
+// takes well under 100 ms (310–340 ms when every check slept 200 µs).
+func TestLockstepWakesOnDelivery(t *testing.T) {
+	if best := bestOf3(t, Topology{Geometry: "chain", Frames: 256, Lockstep: true}); best >= 100*time.Millisecond {
+		t.Fatalf("a 256-frame lockstep chain took %v, want < 100ms", best)
+	}
+}
+
+// TestBlastWakesOnDelivery: a full window waits on its flow's progress, so
+// a window of 8 — a quarter datagram — still moves 2,000 frames in under
+// 120 ms (240–263 ms when a full window slept 100 µs per check).
+func TestBlastWakesOnDelivery(t *testing.T) {
+	if best := bestOf3(t, Topology{Geometry: "chain", Frames: 2000, Window: 8}); best >= 120*time.Millisecond {
+		t.Fatalf("a window-8 2,000-frame run took %v, want < 120ms", best)
+	}
+}
+
+// TestRunLeavesNoGoroutine: once Run returns, every goroutine it started
+// has exited — switch workers, NF daemons, the generators' receive loops
+// and socket watches, the senders and the controller — in both modes and
+// with a controller. A goroutine still on its way out when Run returns
+// shows in some rounds, not all, so each case runs five times. One that is
+// runnable may be past its last step (the WaitGroup.Done Run waited on) and
+// gets a few yields; one still blocked on anything fails at once.
+func TestRunLeavesNoGoroutine(t *testing.T) {
+	sec := sim.Sections{Parking: parking(16, false), Opts: sim.RunOptions{Seed: 2}}
+	ctl := sec
+	ctl.Control = ctrl.Config{Adaptive: true}
+	for _, tc := range []struct {
+		name string
+		topo Topology
+		sec  sim.Sections
+	}{
+		{"lockstep", Topology{Geometry: "4x2", Frames: 8, Lockstep: true}, sec},
+		{"throughput", Topology{Pipes: 2, Frames: 500, Window: 64}, sec},
+		{"controlled", Topology{Frames: 500, Window: 64}, ctl},
+	} {
+		for round := 0; round < 5; round++ {
+			if _, err := Run(context.Background(), tc.topo, tc.sec, Wiring{}); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			for yields := 0; ; yields++ {
+				left := ""
+				buf := make([]byte, 1<<20)
+				for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+					if strings.Contains(g, "payloadpark/internal/") && !strings.Contains(g, "live.TestRunLeavesNoGoroutine") {
+						left = g
+						if !strings.Contains(g, " [runnable]:") {
+							break
+						}
+					}
+				}
+				if left == "" {
+					break
+				}
+				if !strings.Contains(left, " [runnable]:") || yields == 100 {
+					t.Fatalf("%s, round %d: a goroutine outlived Run:\n%s", tc.name, round, left)
+				}
+				runtime.Gosched()
+			}
+		}
+	}
+}
+
 func TestValidateRejectsBadGeometry(t *testing.T) {
 	validate := func(topo Topology, sec sim.Sections) error {
 		topo.Resolve(&sec)
@@ -335,8 +424,6 @@ func TestOnePlantBothHooks(t *testing.T) {
 		{"4x2-everyhop", sim.LeafSpineGraph(4, 2, hop), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
 			var plants [2]*sim.Plant
 			var sides [2][]*core.Switch
 			for side := range plants {
@@ -372,10 +459,10 @@ func TestOnePlantBothHooks(t *testing.T) {
 					peers := tc.g.Peers()
 					nodes := make([]*switchNode, len(sws))
 					for i, sw := range sws {
-						if nodes[i], err = newSwitchNode(tc.g.Switches[i].Name, sw, peers[i]); err != nil {
+						if nodes[i], err = newSwitchNode(tc.g.Switches[i].Name, sw, peers[i], nil); err != nil {
 							t.Fatal(err)
 						}
-						nodes[i].start(ctx)
+						nodes[i].start()
 						defer nodes[i].close()
 					}
 					quiet = func(sw int, fn func()) { nodes[sw].quiesce(fn) }

@@ -1,7 +1,6 @@
 package live
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"net/netip"
@@ -29,8 +28,8 @@ type switchNode struct {
 	// quiesceMu serializes quiesce callers (telemetry vs. final collect)
 	// so two barriers never interleave their per-worker parks.
 	quiesceMu sync.Mutex
-	// rxFrames counts frames accepted across workers; the runner polls
-	// it to detect fabric quiescence.
+	// rxFrames counts frames accepted across workers; the runner reads it
+	// to detect fabric quiescence.
 	rxFrames atomic.Uint64
 	// errs counts the workers' SwitchLoop.Errors: rejected datagrams,
 	// unknown peers, uncabled emissions and send failures.
@@ -38,10 +37,11 @@ type switchNode struct {
 	wg   sync.WaitGroup
 }
 
-// newSwitchNode binds one loopback socket per pipe with a cabled port.
-// Workers are not started until start (peer maps are filled in between,
-// once every socket in the fabric is bound).
-func newSwitchNode(name string, sw *core.Switch, ports [core.NumPorts]sim.Peer) (*switchNode, error) {
+// newSwitchNode binds one loopback socket per pipe with a cabled port,
+// each worker posting wake after every datagram it counts. Workers are not
+// started until start (peer maps are filled in between, once every socket
+// in the fabric is bound).
+func newSwitchNode(name string, sw *core.Switch, ports [core.NumPorts]sim.Peer, wake wire.Wake) (*switchNode, error) {
 	n := &switchNode{name: name}
 	for pipe := 0; pipe < core.NumPipes; pipe++ {
 		inUse := false
@@ -51,12 +51,11 @@ func newSwitchNode(name string, sw *core.Switch, ports [core.NumPorts]sim.Peer) 
 		if !inUse {
 			continue
 		}
-		conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		conn, err := wire.Listen("127.0.0.1:0")
 		if err != nil {
 			n.close()
 			return nil, fmt.Errorf("live: bind %s pipe %d: %w", name, pipe, err)
 		}
-		wire.TuneUDP(conn)
 		n.byPipe[pipe] = &wire.SwitchLoop{
 			Conn:  conn,
 			SW:    sw,
@@ -67,6 +66,7 @@ func newSwitchNode(name string, sw *core.Switch, ports [core.NumPorts]sim.Peer) 
 			Mail:   make(chan func(), 16),
 			Rx:     &n.rxFrames,
 			Errors: &n.errs,
+			Wake:   wake,
 		}
 		n.workers = append(n.workers, n.byPipe[pipe])
 	}
@@ -89,12 +89,12 @@ func (n *switchNode) cable(port rmt.PortID, peerAddr *net.UDPAddr) {
 
 // start launches the pipe workers; they stop when close shuts their
 // sockets.
-func (n *switchNode) start(ctx context.Context) {
+func (n *switchNode) start() {
 	for _, pw := range n.workers {
 		n.wg.Add(1)
 		go func(pw *wire.SwitchLoop) {
 			defer n.wg.Done()
-			pw.Run(ctx) // returns once the socket closes; nothing to report
+			pw.Run() // returns once the socket closes; nothing to report
 		}(pw)
 	}
 }
@@ -110,10 +110,10 @@ func (n *switchNode) quiesce(fn func()) {
 	release.Add(1)
 	for _, pw := range n.workers {
 		parked.Add(1)
-		pw.Mail <- func() {
+		pw.Post(func() {
 			parked.Done()
 			release.Wait()
-		}
+		})
 	}
 	parked.Wait()
 	fn()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -29,6 +30,11 @@ type liveFabric struct {
 	// fwd[i] and ret[i] count the switches flow i's frames cross from the
 	// generator to the NF and from the NF to the sink.
 	fwd, ret []uint64
+	// Every endpoint wakes wait, which the runner's waits block on; flow
+	// i's sink and NF daemon also wake flowWait[i], which its blast blocks on.
+	wait     *wire.Waiter
+	flowWait []*wire.Waiter
+	nfRuns   sync.WaitGroup
 }
 
 // source is one flow's sending side: a fresh generator of the flow's
@@ -49,33 +55,31 @@ func (s *source) queue() {
 	s.bs.Commit(frame, s.gen.SwitchUDPAddr(), &s.gen.Sent)
 }
 
-// cableEndpoint cables the endpoint bound at addr to its switch port.
-func (lf *liveFabric) cableEndpoint(at sim.PortRef, addr string) error {
-	ua, err := net.ResolveUDPAddr("udp", addr)
-	if err == nil {
-		lf.nodes[at.Switch].cable(at.Port, ua)
-	}
-	return err
+// cable cables the endpoint bound at addr, an address the endpoint's
+// socket reported, to its switch port.
+func (lf *liveFabric) cable(at sim.PortRef, addr string) {
+	lf.nodes[at.Switch].cable(at.Port, net.UDPAddrFromAddrPort(netip.MustParseAddrPort(addr)))
 }
 
 // newGenerator binds a generator (or sink) against the pipe socket of the
-// port it hangs off.
-func (lf *liveFabric) newGenerator(ctx context.Context, at sim.PortRef) (*wire.Generator, error) {
-	g, err := wire.NewGenerator(ctx, wire.GenConfig{
+// port it hangs off, and cables it there.
+func (lf *liveFabric) newGenerator(at sim.PortRef, wake wire.Wake) (*wire.Generator, error) {
+	g, err := wire.NewGenerator(wire.Endpoint{
 		Listen:     "127.0.0.1:0",
 		SwitchAddr: lf.nodes[at.Switch].addr(at.Port).String(),
+		Wake:       wake,
 	})
-	if err != nil {
-		return nil, err
+	if err == nil {
+		lf.cable(at, g.Addr())
 	}
-	return g, lf.cableEndpoint(at, g.Addr())
+	return g, err
 }
 
 // bringUp realises the graph: it loads every switch, binds every socket
-// and cables them together. Workers and daemons are started; teardown
-// happens via ctx cancellation plus close().
-func bringUp(ctx context.Context, f *fabric, metrics *obs.Registry) (*liveFabric, error) {
-	lf := &liveFabric{f: f}
+// and cables them together. Workers and daemons are started; close stops
+// them.
+func bringUp(f *fabric, metrics *obs.Registry) (*liveFabric, error) {
+	lf := &liveFabric{f: f, wait: wire.NewWaiter()}
 	ok := false
 	defer func() {
 		if !ok {
@@ -88,7 +92,7 @@ func bringUp(ctx context.Context, f *fabric, metrics *obs.Registry) (*liveFabric
 	}
 	peers := f.g.Peers()
 	for i, sw := range lf.sws {
-		n, err := newSwitchNode(f.g.Switches[i].Name, sw, peers[i])
+		n, err := newSwitchNode(f.g.Switches[i].Name, sw, peers[i], wire.Wake{lf.wait})
 		if err != nil {
 			return nil, err
 		}
@@ -98,27 +102,29 @@ func bringUp(ctx context.Context, f *fabric, metrics *obs.Registry) (*liveFabric
 	// socket its port belongs to.
 	for i := range f.g.Flows {
 		fl := &f.g.Flows[i]
-		gen, err := lf.newGenerator(ctx, fl.Gen.At)
+		lf.flowWait = append(lf.flowWait, wire.NewWaiter())
+		wake := wire.Wake{lf.wait, lf.flowWait[i]}
+		// Each endpoint joins lf as it binds, so close reaches it.
+		gen, err := lf.newGenerator(fl.Gen.At, nil)
 		if err != nil {
-			return nil, err
-		}
-		sink, err := lf.newGenerator(ctx, fl.Sink.At)
-		if err != nil {
-			return nil, err
-		}
-		nfd, err := wire.NewNFDaemon(wire.NFConfig{
-			Listen:     "127.0.0.1:0",
-			SwitchAddr: lf.nodes[fl.NF.At.Switch].addr(fl.NF.At.Port).String(),
-			Server:     f.newServer(fl),
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := lf.cableEndpoint(fl.NF.At, nfd.Addr()); err != nil {
 			return nil, err
 		}
 		lf.srcs = append(lf.srcs, source{gen: gen, tg: trafficgen.New(fl.Traffic), bs: gen.BatchSender()})
-		lf.sinks, lf.nfs = append(lf.sinks, sink), append(lf.nfs, nfd)
+		sink, err := lf.newGenerator(fl.Sink.At, wake)
+		if err != nil {
+			return nil, err
+		}
+		lf.sinks = append(lf.sinks, sink)
+		nfd, err := wire.NewNFDaemon(wire.Endpoint{
+			Listen:     "127.0.0.1:0",
+			SwitchAddr: lf.nodes[fl.NF.At.Switch].addr(fl.NF.At.Port).String(),
+			Wake:       wake,
+		}, f.newServer(fl))
+		if err != nil {
+			return nil, err
+		}
+		lf.nfs = append(lf.nfs, nfd)
+		lf.cable(fl.NF.At, nfd.Addr())
 		lf.fwd = append(lf.fwd, uint64(f.g.PathLen(fl.Gen.At, fl.NF.MAC)))
 		lf.ret = append(lf.ret, uint64(f.g.PathLen(fl.NF.At, fl.Traffic.SrcMAC)))
 	}
@@ -131,11 +137,14 @@ func bringUp(ctx context.Context, f *fabric, metrics *obs.Registry) (*liveFabric
 		lf.registerMetrics(metrics)
 	}
 	for _, n := range lf.nodes {
-		n.start(ctx)
+		n.start()
 	}
 	for _, nfd := range lf.nfs {
-		d := nfd
-		go d.Run(ctx)
+		lf.nfRuns.Add(1)
+		go func() {
+			defer lf.nfRuns.Done()
+			nfd.Run()
+		}()
 	}
 	ok = true
 	return lf, nil
@@ -171,22 +180,36 @@ func (lf *liveFabric) registerMetrics(reg *obs.Registry) {
 	}
 }
 
-// close shuts every socket down.
+// close shuts every socket down and returns once every goroutine of the
+// fabric has exited.
 func (lf *liveFabric) close() {
 	for _, n := range lf.nodes {
 		n.close()
 	}
-}
-
-// accounted returns how many sent frames have finished: delivered, NF
-// dropped, or NF notified.
-func (lf *liveFabric) accounted() uint64 {
-	var n uint64
+	for i := range lf.srcs {
+		lf.srcs[i].gen.Close()
+	}
 	for _, sink := range lf.sinks {
-		n += sink.Received.Load()
+		sink.Close()
 	}
 	for _, nfd := range lf.nfs {
-		n += nfd.Dropped.Load() + nfd.Notified.Load()
+		nfd.Close()
+	}
+	lf.nfRuns.Wait()
+}
+
+// flowAccounted returns how many of flow i's sent frames have finished:
+// delivered, NF dropped, or NF notified.
+func (lf *liveFabric) flowAccounted(i int) uint64 {
+	nfd := lf.nfs[i]
+	return lf.sinks[i].Received.Load() + nfd.Dropped.Load() + nfd.Notified.Load()
+}
+
+// accounted sums flowAccounted over the flows.
+func (lf *liveFabric) accounted() uint64 {
+	var n uint64
+	for i := range lf.nfs {
+		n += lf.flowAccounted(i)
 	}
 	return n
 }
@@ -212,18 +235,6 @@ func (lf *liveFabric) expectedIngress() uint64 {
 	return n
 }
 
-// waitFor polls cond (every 200µs) until it holds, or reports false once
-// ctx expires.
-func waitFor(ctx context.Context, cond func() bool) bool {
-	for !cond() {
-		if ctx.Err() != nil {
-			return false
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	return true
-}
-
 // minPeriodNs is the shortest controller tick of a live run: every tick
 // parks each switch's workers, so faster ticks would starve the dataplane.
 const minPeriodNs = int64(time.Millisecond)
@@ -245,14 +256,11 @@ func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, er
 	t, s = f.topo, f.sec
 	ctx, cancel := context.WithTimeout(ctx, runTimeout)
 	defer cancel()
-	lf, err := bringUp(ctx, f, w.Metrics)
+	lf, err := bringUp(f, w.Metrics)
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		cancel()
-		lf.close()
-	}()
+	defer lf.close()
 
 	res := &Result{Geometry: t.Geometry, Parking: s.Parking.Enabled()}
 
@@ -294,6 +302,7 @@ func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, er
 	begin := time.Now()
 	if t.Lockstep {
 		res.Mode = "lockstep"
+		var sent uint64
 		for k := 0; k < t.Frames; k++ {
 			for g := range lf.srcs {
 				src := &lf.srcs[g]
@@ -301,52 +310,44 @@ func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, er
 				if src.bs.Flush() != 0 {
 					return nil, fmt.Errorf("live: send of frame %d of generator %d failed", k, g)
 				}
-				res.Sent++
-				if !waitFor(ctx, func() bool { return lf.accounted() >= res.Sent }) {
+				sent++
+				if !lf.wait.WaitFor(ctx, 0, func() (bool, bool) { return lf.accounted() >= sent, false }) {
 					return nil, fmt.Errorf("live: timed out waiting for frame %d of generator %d to be accounted", k, g)
 				}
 			}
 		}
 		// Trailing explicit-drop notifications are still in flight when
 		// Notified ticks; wait for the exact switch ingress count.
-		if !waitFor(ctx, func() bool { return lf.switchIngress() >= lf.expectedIngress() }) {
+		if !lf.wait.WaitFor(ctx, 0, func() (bool, bool) { return lf.switchIngress() >= lf.expectedIngress(), false }) {
 			return nil, errors.New("live: timed out waiting for fabric quiescence")
 		}
 	} else {
 		res.Mode = "throughput"
+		errs := make([]error, len(lf.srcs))
 		var wg sync.WaitGroup
-		errCh := make(chan error, len(lf.srcs))
 		for g := range lf.srcs {
 			wg.Add(1)
-			go func(g int) {
+			go func() {
 				defer wg.Done()
-				errCh <- lf.blast(ctx, g)
-			}(g)
+				errs[g] = lf.blast(ctx, g)
+			}()
 		}
 		wg.Wait()
-		for range lf.srcs {
-			if err := <-errCh; err != nil {
-				return nil, err
-			}
+		if err := errors.Join(errs...); err != nil {
+			return nil, err
 		}
-		for i := range lf.srcs {
-			res.Sent += lf.srcs[i].gen.Sent.Load()
-		}
-		if !lf.settle(ctx, res.Sent) {
+		if !lf.settle(ctx) {
 			return nil, errors.New("live: timed out waiting for the fabric to settle")
 		}
 	}
 	res.ElapsedNs = time.Since(begin).Nanoseconds()
 	stopControl()
-	for i := range lf.srcs {
+	for i, sink := range lf.sinks {
+		nfd := lf.nfs[i]
+		res.Sent += lf.srcs[i].gen.Sent.Load()
 		res.SentBytes += lf.srcs[i].bytes
-	}
-
-	for _, sink := range lf.sinks {
 		res.Delivered += sink.Received.Load()
 		res.DeliveredBytes += sink.ReceivedBytes.Load()
-	}
-	for _, nfd := range lf.nfs {
 		res.NFReceived += nfd.Rx.Load()
 		res.NFDropped += nfd.Dropped.Load()
 		res.NFNotified += nfd.Notified.Load()
@@ -370,41 +371,28 @@ func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, er
 }
 
 // blast is one generator's open-loop sender: batched sends windowed by
-// delivery accounting, with a stall detector that writes off frames the
-// fabric consumed (evictions) so ghosts never wedge the window.
+// delivery accounting. A full window waits on its flow's progress; after
+// ghostAfter without any, the missing frames died inside the fabric
+// (evictions) and are written off, so ghosts never wedge the window.
 func (lf *liveFabric) blast(ctx context.Context, g int) error {
-	src := &lf.srcs[g]
+	src, w := &lf.srcs[g], lf.flowWait[g]
 	frames, window := lf.f.topo.Frames, lf.f.topo.Window
-	acct := func() uint64 {
-		nfd := lf.nfs[g]
-		return lf.sinks[g].Received.Load() + nfd.Dropped.Load() + nfd.Notified.Load()
-	}
-	var ghosts uint64
-	lastAcct := uint64(0)
-	lastProgress := time.Now()
+	var acct, ghosts uint64
 	for sent := 0; sent < frames; {
-		if ctx.Err() != nil {
+		if !w.WaitFor(ctx, ghostAfter, func() (done, moved bool) {
+			a := lf.flowAccounted(g)
+			moved, acct = a != acct, a
+			return sent-int(acct+ghosts) < window, moved
+		}) {
 			return fmt.Errorf("live: generator %d timed out at %d/%d frames", g, sent, frames)
 		}
-		a := acct()
-		if a != lastAcct {
-			lastAcct = a
-			lastProgress = time.Now()
-		}
-		inflight := uint64(sent) - a - ghosts
-		if int(inflight) >= window {
-			if time.Since(lastProgress) > 10*time.Millisecond {
-				// The missing frames died inside the fabric; stop counting
-				// them against the window.
-				ghosts += inflight - uint64(window)/2
-				lastProgress = time.Now()
-				continue
-			}
-			time.Sleep(100 * time.Microsecond)
+		inflight := sent - int(acct+ghosts)
+		if inflight >= window {
+			ghosts += uint64(inflight - window/2)
 			continue
 		}
-		n := min(window-int(inflight), wire.DefaultBurst, frames-sent)
-		for i := 0; i < n; i++ {
+		n := min(window-inflight, wire.DefaultBurst, frames-sent)
+		for range n {
 			src.queue()
 		}
 		src.bs.Flush()
@@ -413,23 +401,23 @@ func (lf *liveFabric) blast(ctx context.Context, g int) error {
 	return nil
 }
 
+// The quiet rules: ghostAfter for blast's write-off, settleQuiet for settle.
+const ghostAfter, settleQuiet = 10 * time.Millisecond, 20 * time.Millisecond
+
 // settle waits until the books balance — every sent frame accounted for
 // and the exact switch ingress seen, lockstep's rule — or, when frames died
-// inside the fabric (premature evictions), until the switch ingress and
-// accounting totals hold still across samples 20ms apart. It reports false
-// once ctx expires.
-func (lf *liveFabric) settle(ctx context.Context, sent uint64) bool {
-	last := [2]uint64{^uint64(0)} // no counter holds it: the first sample is never "unchanged"
-	return waitFor(ctx, func() bool {
+// inside the fabric (premature evictions), until neither the switch
+// ingress nor the accounting total has moved for settleQuiet. It reports
+// false once ctx expires.
+func (lf *liveFabric) settle(ctx context.Context) bool {
+	var sent uint64
+	for i := range lf.srcs {
+		sent += lf.srcs[i].gen.Sent.Load()
+	}
+	var last [2]uint64
+	return lf.wait.WaitFor(ctx, settleQuiet, func() (done, moved bool) {
 		cur := [2]uint64{lf.switchIngress(), lf.accounted()}
-		if cur[1] == sent && cur[0] >= lf.expectedIngress() {
-			return true
-		}
-		if cur != last {
-			last = cur
-			return false
-		}
-		time.Sleep(20 * time.Millisecond)
-		return [2]uint64{lf.switchIngress(), lf.accounted()} == last
+		moved, last = cur != last, cur
+		return cur[1] == sent && cur[0] >= lf.expectedIngress(), moved
 	})
 }

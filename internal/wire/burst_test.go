@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"net"
 	"net/netip"
@@ -59,7 +58,7 @@ func TestFlushPacksARunPerPeer(t *testing.T) {
 		t.Run(host, func(t *testing.T) {
 			tx := listen(t, host)
 			rxs := []*net.UDPConn{listen(t, host), listen(t, host)}
-			TuneUDP(rxs[0])
+			rxs[0].SetReadBuffer(1 << 21)
 			brs := []*BurstReader{NewBurstReader(rxs[0], 0), NewBurstReader(rxs[1], 0)}
 			dsts := []*net.UDPAddr{rxs[0].LocalAddr().(*net.UDPAddr), rxs[1].LocalAddr().(*net.UDPAddr)}
 			from := netip.AddrPortFrom(netip.MustParseAddr(host), uint16(tx.LocalAddr().(*net.UDPAddr).Port))
@@ -232,12 +231,11 @@ func TestSocketPathAllocFree(t *testing.T) {
 // intact.
 func TestOversizedDatagramDropped(t *testing.T) {
 	tb := newUDPTestbed(t, nil, macswap())
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	sink, err := NewGenerator(ctx, GenConfig{Listen: "127.0.0.1:0", SwitchAddr: tb.swAddr.String()})
+	sink, err := NewGenerator(Endpoint{Listen: "127.0.0.1:0", SwitchAddr: tb.swAddr.String()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sink.Close()
 	stranger := listen(t, "127.0.0.1")
 	b := packet.NewBuilder(wGenMAC, wNFMAC)
 	good := b.UDP(wFlow, 1500, 1).Serialize()

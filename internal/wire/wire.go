@@ -45,10 +45,67 @@ const MaxFrame = 2048
 // datagram of a BatchSender.Flush packs.
 const DefaultBurst = 32
 
-// mailWake bounds how long a SwitchLoop with a mailbox blocks in an idle
-// read before draining the mailbox: control pushes and telemetry barriers
-// land within this latency even on a quiet pipe.
-const mailWake = 2 * time.Millisecond
+// Wake is the waiters an endpoint hands a token after each datagram it
+// reads, never blocking: a waiter holds one token at most.
+type Wake []*Waiter
+
+func (w Wake) post() {
+	for _, wt := range w {
+		select {
+		case wt.c <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// Waiter blocks one goroutine on endpoint progress. Its waits re-read the
+// counters after each token, so a token posted between a read and the wait
+// is kept and no progress goes unseen; they rearm its one timer.
+type Waiter struct {
+	c     chan struct{}
+	timer *time.Timer
+}
+
+// NewWaiter returns a waiter holding no token, its timer stopped.
+func NewWaiter() *Waiter {
+	w := &Waiter{make(chan struct{}, 1), time.NewTimer(time.Hour)}
+	w.timer.Stop()
+	return w
+}
+
+// WaitFor blocks until check reports done, re-running it after each token.
+// With quiet > 0 it also returns true once check has reported no counter
+// moved for quiet. It reports false once ctx ends.
+func (w *Waiter) WaitFor(ctx context.Context, quiet time.Duration, check func() (done, moved bool)) bool {
+	var tick <-chan time.Time // nil: no quiet rule
+	if quiet > 0 {
+		tick = w.timer.C
+	}
+	for first, fired := true, false; ; first = false {
+		done, moved := check()
+		if done || fired && !moved {
+			return true
+		}
+		if tick != nil && (first || moved) {
+			// go.mod's go 1.22 keeps a stopped timer's unreceived tick: drain it.
+			if !w.timer.Stop() {
+				select {
+				case <-tick:
+				default:
+				}
+			}
+			w.timer.Reset(quiet)
+		}
+		select {
+		case <-ctx.Done():
+			return false
+		case <-w.c:
+			fired = false
+		case <-tick:
+			fired = true
+		}
+	}
+}
 
 // peerKey is the one form of a peer address BurstReader.From reports and
 // SwitchLoop.Peers is keyed by: IPv4-mapped addresses unmapped, no zone.
@@ -70,9 +127,9 @@ type SwitchLoop struct {
 	// Addrs is where emissions for an egress port are sent ("cables").
 	Peers map[netip.AddrPort]rmt.PortID
 	Addrs map[rmt.PortID]*net.UDPAddr
-	// Mail, when non-nil, is a control mailbox drained between bursts —
-	// the only window in which other goroutines may run code against the
-	// pipes this loop owns — and at least every mailWake on an idle loop.
+	// Mail, when non-nil, is the control mailbox Post fills, drained
+	// between bursts: the only window in which other goroutines may run
+	// code against the pipes this loop owns.
 	Mail chan func()
 	// Rx counts accepted frames, Errors rejected datagrams (once each),
 	// frames from unknown peers, oversized or rejected frames, uncabled
@@ -81,6 +138,8 @@ type SwitchLoop struct {
 	Rx, Errors, Tx *atomic.Uint64
 	// BurstHist/BatchHist, when set, observe burst and batch sizes.
 	BurstHist, BatchHist *obs.Histogram
+	// Wake is posted after each datagram whose frames Rx counted.
+	Wake Wake
 }
 
 // Cable registers a peer: frames arriving from addr enter the switch on
@@ -90,33 +149,36 @@ func (l *SwitchLoop) Cable(port rmt.PortID, addr *net.UDPAddr) {
 	l.Addrs[port] = addr
 }
 
-// Run serves until the socket is closed or fails, returning nil when ctx
-// was cancelled first. The steady state allocates nothing.
-func (l *SwitchLoop) Run(ctx context.Context) error {
+// Post hands fn to the loop's next drain, interrupting an idle read so
+// the drain comes at once rather than with the next datagram.
+func (l *SwitchLoop) Post(fn func()) {
+	l.Mail <- fn
+	l.Conn.SetReadDeadline(time.Now())
+}
+
+// Run serves until the socket is closed, then returns nil, or fails. The
+// steady state allocates nothing.
+func (l *SwitchLoop) Run() error {
 	br := NewBurstReader(l.Conn, DefaultBurst)
 	fb := l.SW.NewFrameBurst(DefaultBurst)
 	bs := NewBatchSender(l.Conn)
 	br.Hist, bs.Hist = l.BurstHist, l.BatchHist
 	for {
-		if l.Mail != nil {
-			for drained := false; !drained; {
-				select {
-				case fn := <-l.Mail:
-					fn()
-				default:
-					drained = true
-				}
+		for drained := false; !drained; { // a nil Mail is always drained
+			select {
+			case fn := <-l.Mail:
+				fn()
+			default:
+				drained = true
 			}
-			l.Conn.SetReadDeadline(time.Now().Add(mailWake))
 		}
 		count, err := br.Read()
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil
-			}
-			if ne, ok := err.(net.Error); ok && ne.Timeout() && l.Mail != nil {
-				continue
-			}
+		if ne, ok := err.(net.Error); ok && ne.Timeout() { // Post's interrupt
+			l.Conn.SetReadDeadline(time.Time{})
+			continue
+		} else if errors.Is(err, net.ErrClosed) {
+			return nil
+		} else if err != nil {
 			return err
 		}
 		if count == 0 { // a datagram the decoder rejected
@@ -147,34 +209,60 @@ func (l *SwitchLoop) Run(ctx context.Context) error {
 			bs.Commit(r.Em.Pkt.AppendSerialize(bs.Begin()), dst, l.Tx)
 		}
 		l.Errors.Add(uint64(bs.Flush()))
+		l.Wake.post()
 	}
 }
 
-// TuneUDP widens a socket's kernel buffers to absorb open-loop bursts:
-// the default budget (~208 KiB on Linux) overflows under a few hundred
-// in-flight MTU frames, dropping datagrams on loopback. Errors are
-// ignored — the kernel clamps to its configured maximum.
-func TuneUDP(conn *net.UDPConn) {
+// Listen binds a UDP socket at addr with its kernel buffers widened to
+// absorb open-loop bursts: the default budget (~208 KiB on Linux)
+// overflows under a few hundred in-flight MTU frames, dropping datagrams
+// on loopback. The kernel clamps the widening to its configured maximum.
+func Listen(addr string) (*net.UDPConn, error) {
+	laddr, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("wire: %w", err)
+	}
+	conn, err := net.ListenUDP("udp", laddr)
+	if err != nil {
+		return nil, fmt.Errorf("wire: %w", err)
+	}
 	conn.SetReadBuffer(1 << 21)
 	conn.SetWriteBuffer(1 << 21)
+	return conn, nil
 }
 
-// NFConfig wires an NF server daemon.
-type NFConfig struct {
-	// Listen is the UDP bind address.
-	Listen string
-	// SwitchAddr is where processed frames return.
-	SwitchAddr string
-	// Server is the NF framework the daemon hosts; its HandleFrame is the
-	// daemon's byte path, and only the daemon's goroutine drives it.
-	Server *nf.Server
+// Endpoint wires a generator's or an NF daemon's socket.
+type Endpoint struct {
+	Listen     string // the UDP bind address, where frames from the switch land
+	SwitchAddr string // the switch's socket, where frames go
+	Wake       Wake   // posted after each datagram the endpoint reads
 }
 
-// NFDaemon is a userspace NF server.
-type NFDaemon struct {
-	srv    *nf.Server
+// endpoint is a bound Endpoint.
+type endpoint struct {
 	conn   *net.UDPConn
 	swAddr *net.UDPAddr
+	wake   Wake
+}
+
+// bind resolves the switch address, then binds the socket at Listen.
+func (e Endpoint) bind() (endpoint, error) {
+	swAddr, err := net.ResolveUDPAddr("udp", e.SwitchAddr)
+	if err != nil {
+		return endpoint{}, fmt.Errorf("wire: switch addr: %w", err)
+	}
+	conn, err := Listen(e.Listen)
+	return endpoint{conn, swAddr, e.Wake}, err
+}
+
+// Addr returns the bound UDP address.
+func (e *endpoint) Addr() string { return e.conn.LocalAddr().String() }
+
+// NFDaemon is a userspace NF server. Its Server's HandleFrame is the
+// daemon's byte path, and only the daemon's goroutine drives it.
+type NFDaemon struct {
+	endpoint
+	srv *nf.Server
 
 	Rx, Tx, Dropped, Notified atomic.Uint64
 
@@ -192,50 +280,36 @@ func (d *NFDaemon) RegisterMetrics(reg *obs.Registry) {
 	d.batchHist = reg.Histogram("pp_nf_tx_batch_frames", "frames written per batched send")
 }
 
-// NewNFDaemon binds the server socket.
-func NewNFDaemon(cfg NFConfig) (*NFDaemon, error) {
-	if cfg.Server == nil {
+// NewNFDaemon binds the socket of a daemon hosting srv.
+func NewNFDaemon(cfg Endpoint, srv *nf.Server) (*NFDaemon, error) {
+	if srv == nil {
 		return nil, errors.New("wire: NF needs a Server")
 	}
-	laddr, err := net.ResolveUDPAddr("udp", cfg.Listen)
+	ep, err := cfg.bind()
 	if err != nil {
-		return nil, fmt.Errorf("wire: %w", err)
+		return nil, err
 	}
-	conn, err := net.ListenUDP("udp", laddr)
-	if err != nil {
-		return nil, fmt.Errorf("wire: %w", err)
-	}
-	TuneUDP(conn)
-	swAddr, err := net.ResolveUDPAddr("udp", cfg.SwitchAddr)
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("wire: switch addr: %w", err)
-	}
-	return &NFDaemon{srv: cfg.Server, conn: conn, swAddr: swAddr}, nil
+	return &NFDaemon{endpoint: ep, srv: srv}, nil
 }
 
-// Addr returns the bound UDP address.
-func (d *NFDaemon) Addr() string { return d.conn.LocalAddr().String() }
+// Close shuts the socket, ending Run.
+func (d *NFDaemon) Close() { d.conn.Close() }
 
-// Run serves until ctx is cancelled. Frames are read a datagram at a time
-// (BurstReader); each runs through the server's HandleFrame into the
-// burst's shared send buffer, and the whole burst's responses go back to
-// the switch together (BatchSender), so the framework path allocates only
-// what the hosted NF chain itself allocates. A rejected datagram gets no
+// Run serves until Close, then returns nil. Frames are read a datagram at
+// a time (BurstReader); each runs through the server's HandleFrame into
+// the burst's shared send buffer, and the whole burst's responses go back
+// to the switch together (BatchSender), so the framework path allocates
+// only what the hosted NF chain itself allocates. A rejected datagram gets no
 // response and no count; a frame the framework cannot parse gets no
 // response and counts only as received.
-func (d *NFDaemon) Run(ctx context.Context) error {
-	go func() {
-		<-ctx.Done()
-		d.conn.Close()
-	}()
+func (d *NFDaemon) Run() error {
 	br := NewBurstReader(d.conn, DefaultBurst)
 	bs := NewBatchSender(d.conn)
 	br.Hist, bs.Hist = d.burstHist, d.batchHist
 	for {
 		count, err := br.Read()
 		if err != nil {
-			if ctx.Err() != nil {
+			if errors.Is(err, net.ErrClosed) {
 				return nil
 			}
 			return err
@@ -258,56 +332,43 @@ func (d *NFDaemon) Run(ctx context.Context) error {
 			}
 		}
 		bs.Flush()
+		d.wake.post()
 	}
-}
-
-// GenConfig wires a traffic generator endpoint.
-type GenConfig struct {
-	// Listen is the UDP bind address (frames return here).
-	Listen string
-	// SwitchAddr is the switch's socket.
-	SwitchAddr string
 }
 
 // Generator sends frames to the switch and counts the frames that return.
 type Generator struct {
-	conn   *net.UDPConn
-	swAddr *net.UDPAddr
+	endpoint // its wake posts recv, which WaitReceived waits on, first
+	recv     *Waiter
+	done     chan struct{} // closed when the receive loop exits
 
 	Sent, Received, ReceivedBytes atomic.Uint64
 }
 
-// NewGenerator binds the generator socket and starts its receive loop.
-func NewGenerator(ctx context.Context, cfg GenConfig) (*Generator, error) {
-	laddr, err := net.ResolveUDPAddr("udp", cfg.Listen)
+// NewGenerator binds the generator socket and starts its receive loop,
+// which runs until Close.
+func NewGenerator(cfg Endpoint) (*Generator, error) {
+	ep, err := cfg.bind()
 	if err != nil {
-		return nil, fmt.Errorf("wire: %w", err)
+		return nil, err
 	}
-	conn, err := net.ListenUDP("udp", laddr)
-	if err != nil {
-		return nil, fmt.Errorf("wire: %w", err)
-	}
-	TuneUDP(conn)
-	swAddr, err := net.ResolveUDPAddr("udp", cfg.SwitchAddr)
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("wire: switch addr: %w", err)
-	}
-	g := &Generator{conn: conn, swAddr: swAddr}
-	go func() {
-		<-ctx.Done()
-		conn.Close()
-	}()
+	recv := NewWaiter()
+	ep.wake = append(Wake{recv}, ep.wake...)
+	g := &Generator{endpoint: ep, recv: recv, done: make(chan struct{})}
 	go g.recvLoop()
 	return g, nil
 }
 
-// Addr returns the bound UDP address.
-func (g *Generator) Addr() string { return g.conn.LocalAddr().String() }
+// Close shuts the socket and returns once the receive loop has exited.
+func (g *Generator) Close() {
+	g.conn.Close()
+	<-g.done
+}
 
 // recvLoop counts returned frames and their bytes, a datagram at a time;
 // an oversized frame or a rejected datagram is not counted.
 func (g *Generator) recvLoop() {
+	defer close(g.done)
 	br := NewBurstReader(g.conn, DefaultBurst)
 	for {
 		count, err := br.Read()
@@ -321,6 +382,7 @@ func (g *Generator) recvLoop() {
 			g.ReceivedBytes.Add(uint64(len(br.Frame(i))))
 			g.Received.Add(1)
 		}
+		g.wake.post()
 	}
 }
 
@@ -331,15 +393,12 @@ func (g *Generator) BatchSender() *BatchSender { return NewBatchSender(g.conn) }
 // SwitchUDPAddr returns the resolved switch address frames go to.
 func (g *Generator) SwitchUDPAddr() *net.UDPAddr { return g.swAddr }
 
-// WaitReceived polls until n frames have been received or the timeout
-// elapses, returning the count seen.
+// WaitReceived blocks until n frames have been received or the timeout
+// elapses, re-reading the count after each datagram the receive loop
+// counts, and returns the count seen. Call it from one goroutine at a time.
 func (g *Generator) WaitReceived(n uint64, timeout time.Duration) uint64 {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if g.Received.Load() >= n {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	g.recv.WaitFor(ctx, 0, func() (bool, bool) { return g.Received.Load() >= n, false })
 	return g.Received.Load()
 }

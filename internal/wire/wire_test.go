@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"context"
 	"net"
 	"net/netip"
 	"sync"
@@ -46,7 +45,7 @@ type udpTestbed struct {
 	nfd            *NFDaemon
 	gen            *net.UDPConn
 	swAddr, nfAddr *net.UDPAddr
-	// stop cancels both daemons and waits for them, making counter reads
+	// stop closes both daemons and waits for them, making counter reads
 	// race-free; it runs at cleanup too.
 	stop func()
 }
@@ -73,14 +72,12 @@ func newUDPTestbed(t *testing.T, pp *core.Config, srv *nf.Server) *udpTestbed {
 		Conn: listen(t, "127.0.0.1"), SW: sw,
 		Peers: make(map[netip.AddrPort]rmt.PortID),
 		Addrs: make(map[rmt.PortID]*net.UDPAddr),
+		Mail:  make(chan func(), 1),
 		Rx:    &tb.rx, Tx: &tb.tx, Errors: &tb.errs,
 	}
 	tb.swAddr = tb.loop.Conn.LocalAddr().(*net.UDPAddr)
 	var err error
-	tb.nfd, err = NewNFDaemon(NFConfig{
-		Listen: "127.0.0.1:0", SwitchAddr: tb.swAddr.String(),
-		Server: srv,
-	})
+	tb.nfd, err = NewNFDaemon(Endpoint{Listen: "127.0.0.1:0", SwitchAddr: tb.swAddr.String()}, srv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,14 +86,13 @@ func newUDPTestbed(t *testing.T, pp *core.Config, srv *nf.Server) *udpTestbed {
 	tb.loop.Cable(0, tb.gen.LocalAddr().(*net.UDPAddr))
 	tb.loop.Cable(1, tb.nfAddr)
 
-	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); tb.loop.Run(ctx) }()
-	go func() { defer wg.Done(); tb.nfd.Run(ctx) }()
+	go func() { defer wg.Done(); tb.loop.Run() }()
+	go func() { defer wg.Done(); tb.nfd.Run() }()
 	tb.stop = sync.OnceFunc(func() {
-		cancel()
 		tb.loop.Conn.Close()
+		tb.nfd.Close()
 		wg.Wait()
 	})
 	t.Cleanup(tb.stop)
@@ -237,16 +233,35 @@ func TestUDPDataplaneExplicitDrop(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := NewNFDaemon(NFConfig{Listen: "127.0.0.1:0"}); err == nil {
+	if _, err := NewNFDaemon(Endpoint{Listen: "127.0.0.1:0"}, nil); err == nil {
 		t.Error("NF without server accepted")
 	}
-	if _, err := NewNFDaemon(NFConfig{Listen: "bad::addr::x", Server: macswap()}); err == nil {
+	if _, err := NewNFDaemon(Endpoint{Listen: "bad::addr::x"}, macswap()); err == nil {
 		t.Error("bad NF listen addr accepted")
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if _, err := NewGenerator(ctx, GenConfig{Listen: "nope", SwitchAddr: "127.0.0.1:1"}); err == nil {
+	if _, err := NewGenerator(Endpoint{Listen: "nope", SwitchAddr: "127.0.0.1:1"}); err == nil {
 		t.Error("bad generator addr accepted")
+	}
+}
+
+// TestPostWakesAnIdleLoop: a closure posted to an idle switch loop runs
+// without waiting for a datagram, and the loop goes on serving frames
+// after the interrupted read.
+func TestPostWakesAnIdleLoop(t *testing.T) {
+	tb := newUDPTestbed(t, nil, macswap())
+	b := packet.NewBuilder(wGenMAC, wNFMAC)
+	for i := 0; i < 3; i++ {
+		ran := make(chan struct{})
+		tb.loop.Post(func() { close(ran) })
+		select {
+		case <-ran:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: a closure posted to an idle loop never ran", i)
+		}
+		tb.send(t, datagram(b.UDP(wFlow, 200, uint16(i)).Serialize()))
+		if got := tb.collect(1, 5*time.Second); len(got) != 1 {
+			t.Fatalf("round %d: after a Post the loop returned %d frames, want 1", i, len(got))
+		}
 	}
 }
 
