@@ -75,8 +75,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ppnf: %v\n", err)
 		os.Exit(2)
 	}
-	d, err := wire.NewNFDaemon(wire.Endpoint{Listen: *listen, SwitchAddr: *swAddr},
-		nf.NewServer(nf.ServerConfig{Chain: chain, ExplicitDrop: *explicit}))
+	d, err := wire.NewNFDaemon(*listen, *swAddr, nil, nf.NewServer(nf.ServerConfig{Chain: chain, ExplicitDrop: *explicit}))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ppnf: %v\n", err)
 		os.Exit(1)

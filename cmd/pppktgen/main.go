@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -54,7 +55,8 @@ func main() {
 		Seed: *seed,
 	})
 
-	g, err := wire.NewGenerator(wire.Endpoint{Listen: *listen, SwitchAddr: *swAddr})
+	recv := wire.NewWaiter()
+	g, err := wire.NewGenerator(*listen, *swAddr, wire.Wake{recv})
 	if err != nil {
 		fail("%v", err)
 	}
@@ -85,7 +87,10 @@ func main() {
 		time.Sleep(interval)
 	}
 	elapsed := time.Since(start)
-	got := g.WaitReceived(uint64(*count), 5*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	recv.WaitFor(ctx, 0, func() (bool, bool) { return g.Received.Load() >= uint64(*count), false })
+	got := g.Received.Load()
 	fmt.Printf("pppktgen: sent=%d (%.2f Mbit, %.1fs) received=%d loss=%.3f%%\n",
 		g.Sent.Load(), float64(sentBytes)*8/1e6, elapsed.Seconds(),
 		got, 100*float64(g.Sent.Load()-got)/float64(g.Sent.Load()))

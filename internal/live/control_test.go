@@ -11,20 +11,39 @@ import (
 	"github.com/payloadpark/payloadpark/internal/sim"
 )
 
+// runUntil runs a live scenario, doubling its frame count up to five
+// times until enough holds of the report, and returns the last report.
+// The controller ticks on the wall clock, so what a run of N frames sees
+// depends on how fast the host sends them; growing the run keeps a faster
+// host, or a faster fabric, from ending it before the first tick.
+func runUntil(t *testing.T, sc scenario.Scenario, enough func(*scenario.Report) bool) *scenario.Report {
+	t.Helper()
+	for try := 0; ; try++ {
+		rep, err := scenario.Run(context.Background(), sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if enough(rep) || try == 5 {
+			return rep
+		}
+		l := sc.Topology.(scenario.Live)
+		t.Logf("%d frames were not enough; doubling", l.Frames)
+		l.Frames *= 2
+		sc.Topology = l
+	}
+}
+
 // TestLiveControllerTicks: with Control, the live fabric's controller
 // ticks on the wall clock and its report reaches scenario.Report.Control
 // in the shape the simulated runs give it, the configured period included.
 func TestLiveControllerTicks(t *testing.T) {
 	const period = int64(time.Millisecond)
-	rep, err := scenario.Run(context.Background(), scenario.Scenario{
+	rep := runUntil(t, scenario.Scenario{
 		Topology: scenario.Live{Frames: 1500, Window: 64},
 		Parking:  scenario.Parking{Mode: sim.ParkEdge, Slots: 16, MaxExpiry: 2},
 		Control:  scenario.Control{Adaptive: true, PeriodNs: period},
 		Opts:     scenario.RunOptions{Seed: 9},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, func(rep *scenario.Report) bool { return rep.Control != nil && rep.Control.Ticks > 0 })
 	if rep.Control == nil || rep.Control.Ticks == 0 {
 		t.Fatalf("controller never ticked: %+v", rep.Control)
 	}
@@ -39,17 +58,15 @@ func TestLiveControllerTicks(t *testing.T) {
 // TestLiveControllerPeriodFloor: a live controller ticks at most once a
 // millisecond, and its report and decision stamps say the same: with the
 // default 250 µs period the report reads 1 ms and every decision is
-// stamped on a multiple of it.
+// stamped on a multiple of it. A decision needs premature evictions after
+// the first tick, so the run grows until one is made.
 func TestLiveControllerPeriodFloor(t *testing.T) {
-	rep, err := scenario.Run(context.Background(), scenario.Scenario{
-		Topology: scenario.Live{Frames: 20000},
+	rep := runUntil(t, scenario.Scenario{
+		Topology: scenario.Live{Frames: 4000, Window: 64},
 		Parking:  scenario.Parking{Mode: sim.ParkEdge, Slots: 16, MaxExpiry: 2},
 		Control:  scenario.Control{Adaptive: true},
 		Opts:     scenario.RunOptions{Seed: 9},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, func(rep *scenario.Report) bool { return rep.Control != nil && len(rep.Control.Decisions) > 0 })
 	const period = int64(time.Millisecond)
 	if rep.Control == nil || rep.Control.PeriodNs != period {
 		t.Fatalf("report period %+v, want %d ns", rep.Control, period)

@@ -193,16 +193,11 @@ func (t Topology) Validate(s sim.Sections) error {
 	}
 	// A run too long to finish and a window nothing can enter are bounded
 	// here rather than found out by the deadline.
-	for _, f := range []struct {
-		name       string
-		v, lo, max int
-	}{
-		{"frames", t.Frames, 1, maxFrames},
-		{"window", t.Window, 1, maxWindow},
-	} {
-		if f.v < f.lo || f.v > f.max {
-			return fmt.Errorf("live: %s = %d outside [%d, %d]", f.name, f.v, f.lo, f.max)
-		}
+	if t.Frames < 1 || t.Frames > maxFrames {
+		return fmt.Errorf("live: frames = %d outside [1, %d]", t.Frames, maxFrames)
+	}
+	if t.Window < 1 || t.Window > maxWindow {
+		return fmt.Errorf("live: window = %d outside [1, %d]", t.Window, maxWindow)
 	}
 	return nil
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
-	"net/netip"
 	"sync"
 	"time"
 
@@ -55,22 +53,13 @@ func (s *source) queue() {
 	s.bs.Commit(frame, s.gen.SwitchUDPAddr(), &s.gen.Sent)
 }
 
-// cable cables the endpoint bound at addr, an address the endpoint's
-// socket reported, to its switch port.
-func (lf *liveFabric) cable(at sim.PortRef, addr string) {
-	lf.nodes[at.Switch].cable(at.Port, net.UDPAddrFromAddrPort(netip.MustParseAddrPort(addr)))
-}
-
 // newGenerator binds a generator (or sink) against the pipe socket of the
 // port it hangs off, and cables it there.
 func (lf *liveFabric) newGenerator(at sim.PortRef, wake wire.Wake) (*wire.Generator, error) {
-	g, err := wire.NewGenerator(wire.Endpoint{
-		Listen:     "127.0.0.1:0",
-		SwitchAddr: lf.nodes[at.Switch].addr(at.Port).String(),
-		Wake:       wake,
-	})
+	n := lf.nodes[at.Switch]
+	g, err := wire.NewGenerator("127.0.0.1:0", n.addr(at.Port).String(), wake)
 	if err == nil {
-		lf.cable(at, g.Addr())
+		n.cable(at.Port, g.Addr())
 	}
 	return g, err
 }
@@ -115,16 +104,13 @@ func bringUp(f *fabric, metrics *obs.Registry) (*liveFabric, error) {
 			return nil, err
 		}
 		lf.sinks = append(lf.sinks, sink)
-		nfd, err := wire.NewNFDaemon(wire.Endpoint{
-			Listen:     "127.0.0.1:0",
-			SwitchAddr: lf.nodes[fl.NF.At.Switch].addr(fl.NF.At.Port).String(),
-			Wake:       wake,
-		}, f.newServer(fl))
+		n := lf.nodes[fl.NF.At.Switch]
+		nfd, err := wire.NewNFDaemon("127.0.0.1:0", n.addr(fl.NF.At.Port).String(), wake, f.newServer(fl))
 		if err != nil {
 			return nil, err
 		}
 		lf.nfs = append(lf.nfs, nfd)
-		lf.cable(fl.NF.At, nfd.Addr())
+		n.cable(fl.NF.At.Port, nfd.Addr())
 		lf.fwd = append(lf.fwd, uint64(f.g.PathLen(fl.Gen.At, fl.NF.MAC)))
 		lf.ret = append(lf.ret, uint64(f.g.PathLen(fl.NF.At, fl.Traffic.SrcMAC)))
 	}
@@ -277,23 +263,19 @@ func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, er
 		cc := s.Control
 		cc.PeriodNs = max(cc.PeriodNs, minPeriodNs)
 		controller = ctrl.New(cc, sim.NewPlant(f.g, lf.sws, func(sw int, fn func()) { lf.nodes[sw].quiesce(fn) }, nil), nil)
-		period := cc.PeriodNs
 		ctlDone.Add(1)
 		go func() {
 			defer ctlDone.Done()
-			tick := time.NewTicker(time.Duration(period))
+			tick := time.NewTicker(time.Duration(cc.PeriodNs))
 			defer tick.Stop()
+			// Tick n is stamped n*PeriodNs, the simulator's clock domain, so
+			// live decision timelines line up with sim traces.
 			for n := int64(1); ; n++ {
 				select {
 				case <-ctlCtx.Done():
 					return
 				case <-tick.C:
-					// Decisions are stamped with the tick's nominal time
-					// (tick n fires at n*PeriodNs), the same clock domain
-					// the simulator's attachController uses — so live
-					// decision timelines line up with sim traces instead
-					// of drifting on goroutine-start wall-clock offsets.
-					controller.Tick(n * period)
+					controller.Tick(n * cc.PeriodNs)
 				}
 			}
 		}()

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"net"
 	"net/netip"
@@ -231,7 +232,8 @@ func TestSocketPathAllocFree(t *testing.T) {
 // intact.
 func TestOversizedDatagramDropped(t *testing.T) {
 	tb := newUDPTestbed(t, nil, macswap())
-	sink, err := NewGenerator(Endpoint{Listen: "127.0.0.1:0", SwitchAddr: tb.swAddr.String()})
+	recv := NewWaiter()
+	sink, err := NewGenerator("127.0.0.1:0", tb.swAddr.String(), Wake{recv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,9 +244,9 @@ func TestOversizedDatagramDropped(t *testing.T) {
 	packed := datagram(good, b.UDP(wFlow, 3000, 2).Serialize(), good)
 	malformed := append(datagram(good), 0)
 	for _, dgram := range [][]byte{packed, malformed} {
-		tb.send(t, dgram)                                              // through the switch
-		for _, to := range []string{tb.nfAddr.String(), sink.Addr()} { // straight to the NF, then to a Generator
-			if _, err := stranger.WriteToUDP(dgram, net.UDPAddrFromAddrPort(netip.MustParseAddrPort(to))); err != nil {
+		tb.send(t, dgram)                                           // through the switch
+		for _, to := range []*net.UDPAddr{tb.nfAddr, sink.Addr()} { // straight to the NF, then to a Generator
+			if _, err := stranger.WriteToUDP(dgram, to); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -260,7 +262,10 @@ func TestOversizedDatagramDropped(t *testing.T) {
 			t.Errorf("generator received a %d-byte frame", len(f))
 		}
 	}
-	if n := sink.WaitReceived(2, 5*time.Second); n != 2 || sink.ReceivedBytes.Load() != 3000 {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	recv.WaitFor(ctx, 0, func() (bool, bool) { return sink.Received.Load() >= 2, false })
+	if n := sink.Received.Load(); n != 2 || sink.ReceivedBytes.Load() != 3000 {
 		t.Errorf("Generator counted %d frames of %d bytes, want the two 1500-byte frames", n, sink.ReceivedBytes.Load())
 	}
 	tb.stop()

@@ -231,32 +231,27 @@ func Listen(addr string) (*net.UDPConn, error) {
 	return conn, nil
 }
 
-// Endpoint wires a generator's or an NF daemon's socket.
-type Endpoint struct {
-	Listen     string // the UDP bind address, where frames from the switch land
-	SwitchAddr string // the switch's socket, where frames go
-	Wake       Wake   // posted after each datagram the endpoint reads
-}
-
-// endpoint is a bound Endpoint.
+// endpoint is a generator's or an NF daemon's socket: bound where frames
+// from the switch land, sending to the switch, posting wake after each
+// datagram it reads.
 type endpoint struct {
 	conn   *net.UDPConn
 	swAddr *net.UDPAddr
 	wake   Wake
 }
 
-// bind resolves the switch address, then binds the socket at Listen.
-func (e Endpoint) bind() (endpoint, error) {
-	swAddr, err := net.ResolveUDPAddr("udp", e.SwitchAddr)
+// bind resolves the switch address, then binds the socket at listen.
+func bind(listen, switchAddr string, wake Wake) (endpoint, error) {
+	swAddr, err := net.ResolveUDPAddr("udp", switchAddr)
 	if err != nil {
 		return endpoint{}, fmt.Errorf("wire: switch addr: %w", err)
 	}
-	conn, err := Listen(e.Listen)
-	return endpoint{conn, swAddr, e.Wake}, err
+	conn, err := Listen(listen)
+	return endpoint{conn, swAddr, wake}, err
 }
 
 // Addr returns the bound UDP address.
-func (e *endpoint) Addr() string { return e.conn.LocalAddr().String() }
+func (e *endpoint) Addr() *net.UDPAddr { return e.conn.LocalAddr().(*net.UDPAddr) }
 
 // NFDaemon is a userspace NF server. Its Server's HandleFrame is the
 // daemon's byte path, and only the daemon's goroutine drives it.
@@ -280,12 +275,13 @@ func (d *NFDaemon) RegisterMetrics(reg *obs.Registry) {
 	d.batchHist = reg.Histogram("pp_nf_tx_batch_frames", "frames written per batched send")
 }
 
-// NewNFDaemon binds the socket of a daemon hosting srv.
-func NewNFDaemon(cfg Endpoint, srv *nf.Server) (*NFDaemon, error) {
+// NewNFDaemon binds the socket of a daemon hosting srv at listen; its
+// frames go to switchAddr, and wake is posted after each datagram it reads.
+func NewNFDaemon(listen, switchAddr string, wake Wake, srv *nf.Server) (*NFDaemon, error) {
 	if srv == nil {
 		return nil, errors.New("wire: NF needs a Server")
 	}
-	ep, err := cfg.bind()
+	ep, err := bind(listen, switchAddr, wake)
 	if err != nil {
 		return nil, err
 	}
@@ -308,10 +304,9 @@ func (d *NFDaemon) Run() error {
 	br.Hist, bs.Hist = d.burstHist, d.batchHist
 	for {
 		count, err := br.Read()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
+		if errors.Is(err, net.ErrClosed) {
+			return nil
+		} else if err != nil {
 			return err
 		}
 		for i := 0; i < count; i++ {
@@ -338,23 +333,21 @@ func (d *NFDaemon) Run() error {
 
 // Generator sends frames to the switch and counts the frames that return.
 type Generator struct {
-	endpoint // its wake posts recv, which WaitReceived waits on, first
-	recv     *Waiter
-	done     chan struct{} // closed when the receive loop exits
+	endpoint
+	done chan struct{} // closed when the receive loop exits
 
 	Sent, Received, ReceivedBytes atomic.Uint64
 }
 
-// NewGenerator binds the generator socket and starts its receive loop,
-// which runs until Close.
-func NewGenerator(cfg Endpoint) (*Generator, error) {
-	ep, err := cfg.bind()
+// NewGenerator binds the generator socket at listen and starts its receive
+// loop, which runs until Close and posts wake after each datagram it
+// counts. Frames go to switchAddr.
+func NewGenerator(listen, switchAddr string, wake Wake) (*Generator, error) {
+	ep, err := bind(listen, switchAddr, wake)
 	if err != nil {
 		return nil, err
 	}
-	recv := NewWaiter()
-	ep.wake = append(Wake{recv}, ep.wake...)
-	g := &Generator{endpoint: ep, recv: recv, done: make(chan struct{})}
+	g := &Generator{endpoint: ep, done: make(chan struct{})}
 	go g.recvLoop()
 	return g, nil
 }
@@ -392,13 +385,3 @@ func (g *Generator) BatchSender() *BatchSender { return NewBatchSender(g.conn) }
 
 // SwitchUDPAddr returns the resolved switch address frames go to.
 func (g *Generator) SwitchUDPAddr() *net.UDPAddr { return g.swAddr }
-
-// WaitReceived blocks until n frames have been received or the timeout
-// elapses, re-reading the count after each datagram the receive loop
-// counts, and returns the count seen. Call it from one goroutine at a time.
-func (g *Generator) WaitReceived(n uint64, timeout time.Duration) uint64 {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	g.recv.WaitFor(ctx, 0, func() (bool, bool) { return g.Received.Load() >= n, false })
-	return g.Received.Load()
-}

@@ -77,7 +77,7 @@ func newUDPTestbed(t *testing.T, pp *core.Config, srv *nf.Server) *udpTestbed {
 	}
 	tb.swAddr = tb.loop.Conn.LocalAddr().(*net.UDPAddr)
 	var err error
-	tb.nfd, err = NewNFDaemon(Endpoint{Listen: "127.0.0.1:0", SwitchAddr: tb.swAddr.String()}, srv)
+	tb.nfd, err = NewNFDaemon("127.0.0.1:0", tb.swAddr.String(), nil, srv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,13 +233,13 @@ func TestUDPDataplaneExplicitDrop(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := NewNFDaemon(Endpoint{Listen: "127.0.0.1:0"}, nil); err == nil {
+	if _, err := NewNFDaemon("127.0.0.1:0", "", nil, nil); err == nil {
 		t.Error("NF without server accepted")
 	}
-	if _, err := NewNFDaemon(Endpoint{Listen: "bad::addr::x"}, macswap()); err == nil {
+	if _, err := NewNFDaemon("bad::addr::x", "", nil, macswap()); err == nil {
 		t.Error("bad NF listen addr accepted")
 	}
-	if _, err := NewGenerator(Endpoint{Listen: "nope", SwitchAddr: "127.0.0.1:1"}); err == nil {
+	if _, err := NewGenerator("nope", "127.0.0.1:1", nil); err == nil {
 		t.Error("bad generator addr accepted")
 	}
 }
