@@ -89,7 +89,7 @@ func main() {
 	elapsed := time.Since(start)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	recv.WaitFor(ctx, 0, func() (bool, bool) { return g.Received.Load() >= uint64(*count), false })
+	recv.WaitFor(ctx, func() bool { return g.Received.Load() >= uint64(*count) })
 	got := g.Received.Load()
 	fmt.Printf("pppktgen: sent=%d (%.2f Mbit, %.1fs) received=%d loss=%.3f%%\n",
 		g.Sent.Load(), float64(sentBytes)*8/1e6, elapsed.Seconds(),

@@ -14,6 +14,7 @@ import (
 	"github.com/payloadpark/payloadpark/internal/ctrl"
 	"github.com/payloadpark/payloadpark/internal/nf"
 	"github.com/payloadpark/payloadpark/internal/obs"
+	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/prog"
 	"github.com/payloadpark/payloadpark/internal/rmt"
 	"github.com/payloadpark/payloadpark/internal/sim"
@@ -196,9 +197,9 @@ func TestRunBytesPerFrameAlloc(t *testing.T) {
 	}
 }
 
-// TestThroughputSettlesWhenBooksBalance: a throughput run whose every
-// frame is accounted for returns at once; it waits out no stability
-// window (20ms), so a one-frame run takes less than that.
+// TestThroughputSettlesWhenBooksBalance: a throughput run returns as soon
+// as its books balance, the one rule that ends a live wait, so a one-frame
+// run takes well under 20 ms.
 func TestThroughputSettlesWhenBooksBalance(t *testing.T) {
 	best := time.Hour
 	for try := 0; try < 3; try++ { // best of three: a loaded host can stall a wake-up
@@ -217,23 +218,29 @@ func TestThroughputSettlesWhenBooksBalance(t *testing.T) {
 	}
 }
 
-// bestOf3 runs topo three times and returns the shortest ElapsedNs: a
-// loaded host can stall a wake-up. The bounds are the program's, so the
-// race detector's slowdown skips the test.
-func bestOf3(t *testing.T, topo Topology) time.Duration {
+// bestOf3 runs topo three times, checking each result when check is set,
+// and returns the shortest ElapsedNs: a loaded host can stall a wake-up.
+// sec defaults to a 32-slot edge table, seed 1. The bounds are the
+// program's, so the race detector's slowdown skips the test.
+func bestOf3(t *testing.T, topo Topology, sec *sim.Sections, check func(*Result)) time.Duration {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("the race detector slows every frame several-fold, so wall-clock bounds are not the program's")
 	}
+	if sec == nil {
+		sec = &sim.Sections{Parking: parking(32, false), Opts: sim.RunOptions{Seed: 1}}
+	}
 	best := time.Hour
 	for try := 0; try < 3; try++ {
-		live, err := Run(context.Background(), topo,
-			sim.Sections{Parking: parking(32, false), Opts: sim.RunOptions{Seed: 1}}, Wiring{})
+		live, err := Run(context.Background(), topo, *sec, Wiring{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if live.Sent != uint64(topo.Frames) {
 			t.Fatalf("sent %d of %d frames", live.Sent, topo.Frames)
+		}
+		if check != nil {
+			check(live)
 		}
 		best = min(best, time.Duration(live.ElapsedNs))
 	}
@@ -241,11 +248,29 @@ func bestOf3(t *testing.T, topo Topology) time.Duration {
 	return best
 }
 
+// TestThroughputSettlesWhenFramesDie: frames that die to premature
+// eviction are booked at the switch that dropped them, so a run that
+// loses some still ends once the last frame has its fate. A chain run of
+// 2,000 frames through an 8-slot table takes well under 20 ms (40–46 ms
+// when a write-off timer and a quiet timer waited out the dead frames).
+func TestThroughputSettlesWhenFramesDie(t *testing.T) {
+	sec := sim.Sections{Parking: sim.Parking{Mode: sim.ParkEdge, Slots: 8, MaxExpiry: 1}, Opts: sim.RunOptions{Seed: 1}}
+	best := bestOf3(t, Topology{Geometry: "chain", Frames: 2000, Window: 64}, &sec, func(live *Result) {
+		died := live.Sent - live.Delivered - live.NFDropped - live.NFNotified
+		if evicted := live.Counters.Drops[core.DropPrematureEviction]; died != evicted || died == 0 {
+			t.Fatalf("%d frames unaccounted at the endpoints, %d premature evictions: want equal and above 0", died, evicted)
+		}
+	})
+	if best >= 20*time.Millisecond {
+		t.Fatalf("a 2,000-frame run through an 8-slot table took %v, want < 20ms", best)
+	}
+}
+
 // TestLockstepWakesOnDelivery: lockstep waits for each frame's round trip
 // on the endpoints' progress, not on a poll, so a 256-frame chain replay
 // takes well under 100 ms (310–340 ms when every check slept 200 µs).
 func TestLockstepWakesOnDelivery(t *testing.T) {
-	if best := bestOf3(t, Topology{Geometry: "chain", Frames: 256, Lockstep: true}); best >= 100*time.Millisecond {
+	if best := bestOf3(t, Topology{Geometry: "chain", Frames: 256, Lockstep: true}, nil, nil); best >= 100*time.Millisecond {
 		t.Fatalf("a 256-frame lockstep chain took %v, want < 100ms", best)
 	}
 }
@@ -254,7 +279,7 @@ func TestLockstepWakesOnDelivery(t *testing.T) {
 // a window of 8 — a quarter datagram — still moves 2,000 frames in under
 // 120 ms (240–263 ms when a full window slept 100 µs per check).
 func TestBlastWakesOnDelivery(t *testing.T) {
-	if best := bestOf3(t, Topology{Geometry: "chain", Frames: 2000, Window: 8}); best >= 120*time.Millisecond {
+	if best := bestOf3(t, Topology{Geometry: "chain", Frames: 2000, Window: 8}, nil, nil); best >= 120*time.Millisecond {
 		t.Fatalf("a window-8 2,000-frame run took %v, want < 120ms", best)
 	}
 }
@@ -302,6 +327,32 @@ func TestRunLeavesNoGoroutine(t *testing.T) {
 				}
 				runtime.Gosched()
 			}
+		}
+	}
+}
+
+// TestFlowsOwnTheirMACs: a frame that ends inside a switch is booked on
+// the flow its Ethernet addresses name, so no two flows of any live
+// geometry may share a generator or NF MAC.
+func TestFlowsOwnTheirMACs(t *testing.T) {
+	for _, topo := range []Topology{
+		{Geometry: "chain", Pipes: core.NumPipes}, {Geometry: "4x2"}, {Geometry: "6x3"}, {Geometry: "16x13"},
+	} {
+		f, err := build(topo, sim.Sections{Parking: parking(16, false)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner := make(map[packet.MAC]int)
+		for i, fl := range f.g.Flows {
+			for _, mac := range []packet.MAC{fl.Traffic.SrcMAC, fl.Traffic.DstMAC} {
+				if j, ok := owner[mac]; ok {
+					t.Errorf("%s: flows %d and %d share MAC %v", topo.Geometry, j, i, mac)
+				}
+				owner[mac] = i
+			}
+		}
+		if len(f.g.Flows) < 2 {
+			t.Errorf("%s: %d flows, want several", topo.Geometry, len(f.g.Flows))
 		}
 	}
 }
@@ -459,7 +510,7 @@ func TestOnePlantBothHooks(t *testing.T) {
 					peers := tc.g.Peers()
 					nodes := make([]*switchNode, len(sws))
 					for i, sw := range sws {
-						if nodes[i], err = newSwitchNode(tc.g.Switches[i].Name, sw, peers[i], nil); err != nil {
+						if nodes[i], err = newSwitchNode(tc.g.Switches[i].Name, sw, peers[i], nil, nil); err != nil {
 							t.Fatal(err)
 						}
 						nodes[i].start()

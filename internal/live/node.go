@@ -28,8 +28,7 @@ type switchNode struct {
 	// quiesceMu serializes quiesce callers (telemetry vs. final collect)
 	// so two barriers never interleave their per-worker parks.
 	quiesceMu sync.Mutex
-	// rxFrames counts frames accepted across workers; the runner reads it
-	// to detect fabric quiescence.
+	// rxFrames counts frames accepted across workers.
 	rxFrames atomic.Uint64
 	// errs counts the workers' SwitchLoop.Errors: rejected datagrams,
 	// unknown peers, uncabled emissions and send failures.
@@ -38,10 +37,11 @@ type switchNode struct {
 }
 
 // newSwitchNode binds one loopback socket per pipe with a cabled port,
-// each worker posting wake after every datagram it counts. Workers are not
-// started until start (peer maps are filled in between, once every socket
-// in the fabric is bound).
-func newSwitchNode(name string, sw *core.Switch, ports [core.NumPorts]sim.Peer, wake wire.Wake) (*switchNode, error) {
+// each worker posting wake after every datagram it counts and handing
+// ended every frame that ends inside it. Workers are not started until
+// start (peer maps are filled in between, once every socket in the fabric
+// is bound).
+func newSwitchNode(name string, sw *core.Switch, ports [core.NumPorts]sim.Peer, wake wire.Wake, ended func([]byte, string)) (*switchNode, error) {
 	n := &switchNode{name: name}
 	for pipe := 0; pipe < core.NumPipes; pipe++ {
 		inUse := false
@@ -67,6 +67,7 @@ func newSwitchNode(name string, sw *core.Switch, ports [core.NumPorts]sim.Peer, 
 			Rx:     &n.rxFrames,
 			Errors: &n.errs,
 			Wake:   wake,
+			Ended:  ended,
 		}
 		n.workers = append(n.workers, n.byPipe[pipe])
 	}

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/ctrl"
 	"github.com/payloadpark/payloadpark/internal/obs"
+	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/sim"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 	"github.com/payloadpark/payloadpark/internal/wire"
@@ -25,11 +27,16 @@ type liveFabric struct {
 	srcs  []source
 	sinks []*wire.Generator
 	nfs   []*wire.NFDaemon
-	// fwd[i] and ret[i] count the switches flow i's frames cross from the
-	// generator to the NF and from the NF to the sink.
-	fwd, ret []uint64
+	// ended[i] counts flow i's frames that ended inside a switch; notices
+	// counts the explicit-drop notifications a switch consumed or refused
+	// as stale, each already counted at its NF as Notified. flowOf maps the
+	// generator and NF MACs of each flow's frames to the flow.
+	ended   []atomic.Uint64
+	notices atomic.Uint64
+	flowOf  map[packet.MAC]int
 	// Every endpoint wakes wait, which the runner's waits block on; flow
-	// i's sink and NF daemon also wake flowWait[i], which its blast blocks on.
+	// i's sink and NF daemon, and its frames ending in a switch, also wake
+	// flowWait[i], which its blast blocks on.
 	wait     *wire.Waiter
 	flowWait []*wire.Waiter
 	nfRuns   sync.WaitGroup
@@ -45,12 +52,20 @@ type source struct {
 	bytes uint64 // frame bytes queued, Ethernet header to payload end
 }
 
-// queue serializes the flow's next frame into the batch; Flush sends it.
+// queue serializes the flow's next frame into the batch; flush sends it.
 func (s *source) queue() {
 	out := s.bs.Begin()
 	frame := s.tg.AppendFrame(out)
 	s.bytes += uint64(len(frame) - len(out))
 	s.bs.Commit(frame, s.gen.SwitchUDPAddr(), &s.gen.Sent)
+}
+
+// flush sends the queued frames, the first of them frame k of generator g.
+func (s *source) flush(g, k int) error {
+	if s.bs.Flush() != 0 {
+		return fmt.Errorf("live: send of frame %d of generator %d failed", k, g)
+	}
+	return nil
 }
 
 // newGenerator binds a generator (or sink) against the pipe socket of the
@@ -68,7 +83,7 @@ func (lf *liveFabric) newGenerator(at sim.PortRef, wake wire.Wake) (*wire.Genera
 // and cables them together. Workers and daemons are started; close stops
 // them.
 func bringUp(f *fabric, metrics *obs.Registry) (*liveFabric, error) {
-	lf := &liveFabric{f: f, wait: wire.NewWaiter()}
+	lf := &liveFabric{f: f, wait: wire.NewWaiter(), ended: make([]atomic.Uint64, len(f.g.Flows)), flowOf: make(map[packet.MAC]int)}
 	ok := false
 	defer func() {
 		if !ok {
@@ -81,7 +96,7 @@ func bringUp(f *fabric, metrics *obs.Registry) (*liveFabric, error) {
 	}
 	peers := f.g.Peers()
 	for i, sw := range lf.sws {
-		n, err := newSwitchNode(f.g.Switches[i].Name, sw, peers[i], wire.Wake{lf.wait})
+		n, err := newSwitchNode(f.g.Switches[i].Name, sw, peers[i], wire.Wake{lf.wait}, lf.end)
 		if err != nil {
 			return nil, err
 		}
@@ -92,6 +107,7 @@ func bringUp(f *fabric, metrics *obs.Registry) (*liveFabric, error) {
 	for i := range f.g.Flows {
 		fl := &f.g.Flows[i]
 		lf.flowWait = append(lf.flowWait, wire.NewWaiter())
+		lf.flowOf[fl.Traffic.SrcMAC], lf.flowOf[fl.Traffic.DstMAC] = i, i
 		wake := wire.Wake{lf.wait, lf.flowWait[i]}
 		// Each endpoint joins lf as it binds, so close reaches it.
 		gen, err := lf.newGenerator(fl.Gen.At, nil)
@@ -111,8 +127,6 @@ func bringUp(f *fabric, metrics *obs.Registry) (*liveFabric, error) {
 		}
 		lf.nfs = append(lf.nfs, nfd)
 		n.cable(fl.NF.At.Port, nfd.Addr())
-		lf.fwd = append(lf.fwd, uint64(f.g.PathLen(fl.Gen.At, fl.NF.MAC)))
-		lf.ret = append(lf.ret, uint64(f.g.PathLen(fl.NF.At, fl.Traffic.SrcMAC)))
 	}
 	for _, c := range f.g.Cables {
 		a, b := lf.nodes[c.A.Switch], lf.nodes[c.B.Switch]
@@ -184,41 +198,65 @@ func (lf *liveFabric) close() {
 	lf.nfRuns.Wait()
 }
 
-// flowAccounted returns how many of flow i's sent frames have finished:
-// delivered, NF dropped, or NF notified.
-func (lf *liveFabric) flowAccounted(i int) uint64 {
+// end books a frame that ended inside a switch: a consumed or stale
+// explicit-drop notification on notices, any other frame on the flow its
+// Ethernet addresses name (destination first). A frame naming no flow is
+// booked nowhere, so the run ends at its deadline.
+func (lf *liveFabric) end(frame []byte, reason string) {
+	if reason == core.DropExplicitDrop || reason == core.DropStaleExplicitDrop {
+		lf.notices.Add(1)
+		return
+	}
+	if len(frame) < packet.EthernetHeaderLen {
+		return
+	}
+	i, ok := lf.flowOf[packet.MAC(frame[:6])]
+	if !ok {
+		i, ok = lf.flowOf[packet.MAC(frame[6:12])]
+	}
+	if ok {
+		lf.ended[i].Add(1)
+		lf.flowWait[i].Post()
+	}
+}
+
+// open returns how many of flow i's sent frames have no fate yet: not
+// delivered, not dropped or notified by its NF, not ended in a switch.
+func (lf *liveFabric) open(i int) int64 {
 	nfd := lf.nfs[i]
-	return lf.sinks[i].Received.Load() + nfd.Dropped.Load() + nfd.Notified.Load()
+	fated := lf.sinks[i].Received.Load() + nfd.Dropped.Load() + nfd.Notified.Load() + lf.ended[i].Load()
+	return int64(lf.srcs[i].gen.Sent.Load() - fated)
 }
 
-// accounted sums flowAccounted over the flows.
-func (lf *liveFabric) accounted() uint64 {
-	var n uint64
-	for i := range lf.nfs {
-		n += lf.flowAccounted(i)
-	}
-	return n
-}
-
-// switchIngress sums frames accepted by every switch worker.
-func (lf *liveFabric) switchIngress() uint64 {
-	var n uint64
-	for _, node := range lf.nodes {
-		n += node.rxFrames.Load()
-	}
-	return n
-}
-
-// expectedIngress is the exact frame count the fabric's switches see
-// once quiescent: every generator frame crosses its flow's forward path,
-// every NF-forwarded frame the return path, and each explicit-drop
-// notification enters its merge switch once.
-func (lf *liveFabric) expectedIngress() uint64 {
-	var n uint64
+// books returns the first account still open and by how many frames: a
+// flow, or -1 for the notifications no switch has yet consumed. A zero
+// count means the books balance and nothing is in flight.
+func (lf *liveFabric) books() (flow int, open int64) {
+	var notified uint64
 	for i, nfd := range lf.nfs {
-		n += lf.fwd[i]*lf.srcs[i].gen.Sent.Load() + lf.ret[i]*nfd.Tx.Load() + nfd.Notified.Load()
+		if n := lf.open(i); n != 0 {
+			return i, n
+		}
+		notified += nfd.Notified.Load()
 	}
-	return n
+	return -1, int64(notified - lf.notices.Load())
+}
+
+// balanced reports whether the books balance; every fabric-wide wait
+// blocks on it.
+func (lf *liveFabric) balanced() bool {
+	_, n := lf.books()
+	return n == 0
+}
+
+// timedOut is the error of a wait ctx ended first: it names the first open
+// account and how many frames it is short.
+func (lf *liveFabric) timedOut(what string) error {
+	flow, n := lf.books()
+	if flow < 0 {
+		return fmt.Errorf("live: timed out %s: %d explicit-drop notifications unconsumed", what, n)
+	}
+	return fmt.Errorf("live: timed out %s: flow %d has %d of %d sent frames unaccounted", what, flow, n, lf.srcs[flow].gen.Sent.Load())
 }
 
 // minPeriodNs is the shortest controller tick of a live run: every tick
@@ -284,24 +322,19 @@ func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, er
 	begin := time.Now()
 	if t.Lockstep {
 		res.Mode = "lockstep"
-		var sent uint64
+		// Each frame waits out its fate, its notification's too, so the
+		// fabric is idle when the next one is sent and when the loop ends.
 		for k := 0; k < t.Frames; k++ {
 			for g := range lf.srcs {
 				src := &lf.srcs[g]
 				src.queue()
-				if src.bs.Flush() != 0 {
-					return nil, fmt.Errorf("live: send of frame %d of generator %d failed", k, g)
+				if err := src.flush(g, k); err != nil {
+					return nil, err
 				}
-				sent++
-				if !lf.wait.WaitFor(ctx, 0, func() (bool, bool) { return lf.accounted() >= sent, false }) {
-					return nil, fmt.Errorf("live: timed out waiting for frame %d of generator %d to be accounted", k, g)
+				if !lf.wait.WaitFor(ctx, lf.balanced) {
+					return nil, lf.timedOut(fmt.Sprintf("on frame %d of generator %d", k, g))
 				}
 			}
-		}
-		// Trailing explicit-drop notifications are still in flight when
-		// Notified ticks; wait for the exact switch ingress count.
-		if !lf.wait.WaitFor(ctx, 0, func() (bool, bool) { return lf.switchIngress() >= lf.expectedIngress(), false }) {
-			return nil, errors.New("live: timed out waiting for fabric quiescence")
 		}
 	} else {
 		res.Mode = "throughput"
@@ -318,8 +351,8 @@ func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, er
 		if err := errors.Join(errs...); err != nil {
 			return nil, err
 		}
-		if !lf.settle(ctx) {
-			return nil, errors.New("live: timed out waiting for the fabric to settle")
+		if !lf.wait.WaitFor(ctx, lf.balanced) {
+			return nil, lf.timedOut("settling")
 		}
 	}
 	res.ElapsedNs = time.Since(begin).Nanoseconds()
@@ -352,54 +385,24 @@ func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, er
 	return res, nil
 }
 
-// blast is one generator's open-loop sender: batched sends windowed by
-// delivery accounting. A full window waits on its flow's progress; after
-// ghostAfter without any, the missing frames died inside the fabric
-// (evictions) and are written off, so ghosts never wedge the window.
+// blast is one generator's open-loop sender: batched sends windowed by its
+// flow's books, so a full window waits until frames have their fate.
 func (lf *liveFabric) blast(ctx context.Context, g int) error {
-	src, w := &lf.srcs[g], lf.flowWait[g]
-	frames, window := lf.f.topo.Frames, lf.f.topo.Window
-	var acct, ghosts uint64
+	src := &lf.srcs[g]
+	frames, window := lf.f.topo.Frames, int64(lf.f.topo.Window)
+	var open int64
 	for sent := 0; sent < frames; {
-		if !w.WaitFor(ctx, ghostAfter, func() (done, moved bool) {
-			a := lf.flowAccounted(g)
-			moved, acct = a != acct, a
-			return sent-int(acct+ghosts) < window, moved
-		}) {
-			return fmt.Errorf("live: generator %d timed out at %d/%d frames", g, sent, frames)
+		if !lf.flowWait[g].WaitFor(ctx, func() bool { open = lf.open(g); return open < window }) {
+			return fmt.Errorf("live: generator %d timed out at %d/%d frames with %d unaccounted", g, sent, frames, open)
 		}
-		inflight := sent - int(acct+ghosts)
-		if inflight >= window {
-			ghosts += uint64(inflight - window/2)
-			continue
-		}
-		n := min(window-inflight, wire.DefaultBurst, frames-sent)
+		n := min(int(window-open), wire.DefaultBurst, frames-sent)
 		for range n {
 			src.queue()
 		}
-		src.bs.Flush()
+		if err := src.flush(g, sent); err != nil {
+			return err
+		}
 		sent += n
 	}
 	return nil
-}
-
-// The quiet rules: ghostAfter for blast's write-off, settleQuiet for settle.
-const ghostAfter, settleQuiet = 10 * time.Millisecond, 20 * time.Millisecond
-
-// settle waits until the books balance — every sent frame accounted for
-// and the exact switch ingress seen, lockstep's rule — or, when frames died
-// inside the fabric (premature evictions), until neither the switch
-// ingress nor the accounting total has moved for settleQuiet. It reports
-// false once ctx expires.
-func (lf *liveFabric) settle(ctx context.Context) bool {
-	var sent uint64
-	for i := range lf.srcs {
-		sent += lf.srcs[i].gen.Sent.Load()
-	}
-	var last [2]uint64
-	return lf.wait.WaitFor(ctx, settleQuiet, func() (done, moved bool) {
-		cur := [2]uint64{lf.switchIngress(), lf.accounted()}
-		moved, last = cur != last, cur
-		return cur[1] == sent && cur[0] >= lf.expectedIngress(), moved
-	})
 }

@@ -474,22 +474,6 @@ func (g *Graph) Peers() [][core.NumPorts]Peer {
 // with the NF return) is 7 segments.
 const maxHops = 16
 
-// PathLen counts the switches a frame addressed to dst crosses from the
-// port it enters at until it reaches an endpoint, by the static routes: a
-// geometry's path length is a property of its graph, nobody's constant.
-func (g *Graph) PathLen(from PortRef, dst packet.MAC) int {
-	peers := g.Peers()
-	n := 1
-	for ; n < maxHops; n++ {
-		peer := peers[from.Switch][g.Switches[from.Switch].Routes[dst]]
-		if peer.End != nil {
-			break
-		}
-		from = peer.Far
-	}
-	return n
-}
-
 // Walker is the reference backend: the graph's switches with no clock and
 // no sockets. Send carries one frame at a time from a generator to its
 // fate, depth-first — the operation order the live fabric's lockstep mode

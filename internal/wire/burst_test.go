@@ -264,7 +264,7 @@ func TestOversizedDatagramDropped(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	recv.WaitFor(ctx, 0, func() (bool, bool) { return sink.Received.Load() >= 2, false })
+	recv.WaitFor(ctx, func() bool { return sink.Received.Load() >= 2 })
 	if n := sink.Received.Load(); n != 2 || sink.ReceivedBytes.Load() != 3000 {
 		t.Errorf("Generator counted %d frames of %d bytes, want the two 1500-byte frames", n, sink.ReceivedBytes.Load())
 	}

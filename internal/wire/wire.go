@@ -45,66 +45,43 @@ const MaxFrame = 2048
 // datagram of a BatchSender.Flush packs.
 const DefaultBurst = 32
 
-// Wake is the waiters an endpoint hands a token after each datagram it
-// reads, never blocking: a waiter holds one token at most.
+// Wake is the waiters an endpoint posts after each datagram it reads.
 type Wake []*Waiter
 
 func (w Wake) post() {
 	for _, wt := range w {
-		select {
-		case wt.c <- struct{}{}:
-		default:
-		}
+		wt.Post()
 	}
 }
 
 // Waiter blocks one goroutine on endpoint progress. Its waits re-read the
 // counters after each token, so a token posted between a read and the wait
-// is kept and no progress goes unseen; they rearm its one timer.
-type Waiter struct {
-	c     chan struct{}
-	timer *time.Timer
-}
+// is kept and no progress goes unseen.
+type Waiter struct{ c chan struct{} }
 
-// NewWaiter returns a waiter holding no token, its timer stopped.
-func NewWaiter() *Waiter {
-	w := &Waiter{make(chan struct{}, 1), time.NewTimer(time.Hour)}
-	w.timer.Stop()
-	return w
-}
+// NewWaiter returns a waiter holding no token.
+func NewWaiter() *Waiter { return &Waiter{make(chan struct{}, 1)} }
 
-// WaitFor blocks until check reports done, re-running it after each token.
-// With quiet > 0 it also returns true once check has reported no counter
-// moved for quiet. It reports false once ctx ends.
-func (w *Waiter) WaitFor(ctx context.Context, quiet time.Duration, check func() (done, moved bool)) bool {
-	var tick <-chan time.Time // nil: no quiet rule
-	if quiet > 0 {
-		tick = w.timer.C
+// Post hands w a token, never blocking: a waiter holds one token at most.
+func (w *Waiter) Post() {
+	select {
+	case w.c <- struct{}{}:
+	default:
 	}
-	for first, fired := true, false; ; first = false {
-		done, moved := check()
-		if done || fired && !moved {
-			return true
-		}
-		if tick != nil && (first || moved) {
-			// go.mod's go 1.22 keeps a stopped timer's unreceived tick: drain it.
-			if !w.timer.Stop() {
-				select {
-				case <-tick:
-				default:
-				}
-			}
-			w.timer.Reset(quiet)
-		}
+}
+
+// WaitFor blocks until done reports true, re-running it after each token.
+// It reports false once ctx ends: a deadline is the only way a wait ends
+// without its condition.
+func (w *Waiter) WaitFor(ctx context.Context, done func() bool) bool {
+	for !done() {
 		select {
 		case <-ctx.Done():
 			return false
 		case <-w.c:
-			fired = false
-		case <-tick:
-			fired = true
 		}
 	}
+	return true
 }
 
 // peerKey is the one form of a peer address BurstReader.From reports and
@@ -140,6 +117,18 @@ type SwitchLoop struct {
 	BurstHist, BatchHist *obs.Histogram
 	// Wake is posted after each datagram whose frames Rx counted.
 	Wake Wake
+	// Ended, when set, is handed each frame that ends inside the loop — a
+	// drop by SW (with SW's drop reason), a refusal or an uncabled
+	// emission — as it arrived; frame is valid only during the call.
+	// Forwarded frames never reach it.
+	Ended func(frame []byte, reason string)
+}
+
+// end hands frame to Ended, if set.
+func (l *SwitchLoop) end(frame []byte, reason string) {
+	if l.Ended != nil {
+		l.Ended(frame, reason)
+	}
 }
 
 // Cable registers a peer: frames arriving from addr enter the switch on
@@ -163,6 +152,7 @@ func (l *SwitchLoop) Run() error {
 	fb := l.SW.NewFrameBurst(DefaultBurst)
 	bs := NewBatchSender(l.Conn)
 	br.Hist, bs.Hist = l.BurstHist, l.BatchHist
+	in := make([][]byte, 0, DefaultBurst) // the burst's frames, in Add order
 	for {
 		for drained := false; !drained; { // a nil Mail is always drained
 			select {
@@ -187,23 +177,31 @@ func (l *SwitchLoop) Run() error {
 		}
 		port, known := l.Peers[br.From(0)]
 		fb.Reset()
+		in = in[:0]
 		for i := 0; i < count; i++ {
+			frame := br.Frame(i)
 			if !known || br.Truncated(i) {
 				l.Errors.Add(1)
+				l.end(frame, "unknown peer or oversized frame")
 				continue
 			}
 			l.Rx.Add(1)
-			if err := fb.Add(br.Frame(i), port); err != nil {
+			if err := fb.Add(frame, port); err != nil {
 				l.Errors.Add(1)
+				l.end(frame, err.Error())
+				continue
 			}
+			in = append(in, frame)
 		}
-		for _, r := range fb.Run() {
+		for j, r := range fb.Run() {
 			if !r.OK {
+				l.end(in[j], r.Reason)
 				continue
 			}
 			dst, ok := l.Addrs[r.Em.Port]
 			if !ok {
 				l.Errors.Add(1)
+				l.end(in[j], "uncabled port")
 				continue
 			}
 			bs.Commit(r.Em.Pkt.AppendSerialize(bs.Begin()), dst, l.Tx)

@@ -50,9 +50,16 @@ type udpTestbed struct {
 	stop func()
 }
 
-// newUDPTestbed loads a switch with pp (nil: a baseline L2 switch; a
-// recirculating program borrows pipe 1) and brings the testbed up.
+// newUDPTestbed brings the testbed up over testSwitch(pp), its loop's
+// Ended unset.
 func newUDPTestbed(t *testing.T, pp *core.Config, srv *nf.Server) *udpTestbed {
+	t.Helper()
+	return startUDPTestbed(t, testSwitch(t, pp), srv, nil)
+}
+
+// testSwitch is the testbed's switch loaded with pp (nil: a baseline L2
+// switch; a recirculating program borrows pipe 1).
+func testSwitch(t *testing.T, pp *core.Config) *core.Switch {
 	t.Helper()
 	sw := core.NewSwitch("wire-test")
 	sw.AddL2Route(wNFMAC, 1)
@@ -67,6 +74,13 @@ func newUDPTestbed(t *testing.T, pp *core.Config, srv *nf.Server) *udpTestbed {
 			t.Fatal(err)
 		}
 	}
+	return sw
+}
+
+// startUDPTestbed brings the testbed up over sw, handing ended (nil or
+// not) to the switch loop.
+func startUDPTestbed(t *testing.T, sw *core.Switch, srv *nf.Server, ended func([]byte, string)) *udpTestbed {
+	t.Helper()
 	tb := &udpTestbed{}
 	tb.loop = SwitchLoop{
 		Conn: listen(t, "127.0.0.1"), SW: sw,
@@ -74,6 +88,7 @@ func newUDPTestbed(t *testing.T, pp *core.Config, srv *nf.Server) *udpTestbed {
 		Addrs: make(map[rmt.PortID]*net.UDPAddr),
 		Mail:  make(chan func(), 1),
 		Rx:    &tb.rx, Tx: &tb.tx, Errors: &tb.errs,
+		Ended: ended,
 	}
 	tb.swAddr = tb.loop.Conn.LocalAddr().(*net.UDPAddr)
 	var err error
@@ -311,5 +326,79 @@ func TestUDPDataplaneRecirculation(t *testing.T) {
 	}
 	if c := tb.counters(); c.Splits.Value() != n {
 		t.Errorf("splits = %d", c.Splits.Value())
+	}
+}
+
+// TestSwitchLoopEnded: a frame the switch drops for an unknown destination
+// MAC and an explicit-drop notification it consumes each reach
+// SwitchLoop.Ended with the bytes they arrived with and the switch's drop
+// reason; a frame it forwards does not. With Ended nil the same drop is
+// only counted, and the loop goes on forwarding.
+func TestSwitchLoopEnded(t *testing.T) {
+	pp := &core.Config{Slots: 256, MaxExpiry: 1, SplitPort: 0, MergePort: 1}
+	dropAll := func() *nf.Server { return server(true, nf.NewFirewall([]nf.FirewallRule{{Bits: 0}})) }
+	b := packet.NewBuilder(wGenMAC, wNFMAC)
+	stray := packet.NewBuilder(wGenMAC, packet.MAC{2, 0, 0, 0, 0, 9}).UDP(wFlow, 400, 1).Serialize()
+	home := packet.NewBuilder(wGenMAC, wSinkMAC).UDP(wFlow, 400, 2).Serialize() // routed back out of port 0
+	doomed := b.UDP(wFlow, 500, 3).Serialize()
+
+	// The notification the NF returns for doomed: its split on a twin
+	// switch that has split what the testbed's will have, through a twin
+	// of the NF.
+	fb := testSwitch(t, pp).NewFrameBurst(3)
+	for _, frame := range [][]byte{home, stray, doomed} {
+		if err := fb.Add(frame, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	split := fb.Run()[2]
+	if !split.OK {
+		t.Fatalf("twin switch dropped the frame: %s", split.Reason)
+	}
+	notice, res, err := dropAll().HandleFrame(split.Em.Pkt.Serialize(), nil)
+	if err != nil || !res.Notification {
+		t.Fatalf("twin NF returned no notification: %v", err)
+	}
+
+	type end struct {
+		frame  []byte
+		reason string
+	}
+	var mu sync.Mutex
+	var ends []end
+	tb := startUDPTestbed(t, testSwitch(t, pp), dropAll(), func(frame []byte, reason string) {
+		mu.Lock()
+		defer mu.Unlock()
+		ends = append(ends, end{bytes.Clone(frame), reason})
+	})
+	tb.send(t, datagram(home))
+	if got := tb.collect(1, 5*time.Second); len(got) != 1 {
+		t.Fatalf("the home-bound frame was not forwarded (%d frames back)", len(got))
+	}
+	tb.send(t, datagram(stray))
+	tb.send(t, datagram(doomed))
+	seen := func() int { mu.Lock(); defer mu.Unlock(); return len(ends) }
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline) && seen() < 2; {
+		time.Sleep(time.Millisecond)
+	}
+	if got := tb.collect(1, 20*time.Millisecond); len(got) != 0 {
+		t.Errorf("%d frames came back for the stray and the doomed frame", len(got))
+	}
+	tb.stop()
+	want := []end{{stray, core.DropUnknownMAC}, {notice, core.DropExplicitDrop}}
+	if len(ends) != len(want) {
+		t.Fatalf("Ended saw %d frames, want %d: %q", len(ends), len(want), ends)
+	}
+	for i, w := range want {
+		if ends[i].reason != w.reason || !bytes.Equal(ends[i].frame, w.frame) {
+			t.Errorf("ended frame %d: reason %q, %d bytes; want %q, %d bytes, byte for byte", i, ends[i].reason, len(ends[i].frame), w.reason, len(w.frame))
+		}
+	}
+
+	nilEnded := newUDPTestbed(t, pp, macswap())
+	nilEnded.send(t, datagram(stray))
+	nilEnded.send(t, datagram(doomed))
+	if got := nilEnded.collect(1, 5*time.Second); len(got) != 1 {
+		t.Fatalf("with Ended nil, %d frames came back after a drop, want 1", len(got))
 	}
 }
