@@ -56,7 +56,7 @@ func main() {
 	})
 
 	recv := wire.NewWaiter()
-	g, err := wire.NewGenerator(*listen, *swAddr, wire.Wake{recv})
+	g, err := wire.NewGenerator(*listen, *swAddr, recv)
 	if err != nil {
 		fail("%v", err)
 	}

@@ -514,7 +514,9 @@ func ExampleMultiServerTopology() {
 // no parking, park-at-edge (payload parked at the ingress leaf, slim
 // packets on every fabric hop), and park-at-every-hop (§7 striping:
 // ingress leaf, spine and egress leaf each park a block) — as one RunSweep
-// grid whose points run in parallel. ExampleControl runs a link failure.
+// grid whose points run in parallel, at Opts.Quick's short measurement
+// window (full-length runs show the same ordering). ExampleControl runs a
+// link failure.
 func ExampleLeafSpineTopology() {
 	avgUtil := func(links []payloadpark.LinkStats, pat string) float64 {
 		var sum float64
@@ -539,7 +541,7 @@ func ExampleLeafSpineTopology() {
 			Name:     "fabric",
 			Topology: payloadpark.LeafSpineTopology{Leaves: 4, Spines: 2},
 			Traffic:  payloadpark.Traffic{SendBps: 11e9},
-			Opts:     payloadpark.RunOptions{Seed: 7},
+			Opts:     payloadpark.RunOptions{Seed: 7, Quick: true},
 		},
 		Axes: []payloadpark.Axis{
 			payloadpark.ParkingAxis(
@@ -570,9 +572,9 @@ func ExampleLeafSpineTopology() {
 	// (past the baseline fabric's saturation; within the slim-packet envelope)
 	//
 	// mode       goodput    drop     lat      spine-util  nf-link-util
-	// baseline   1.888 Gbps (+0.0%)  8.64%   850.7us   93.1%   93.1%
-	// edge       2.111 Gbps (+11.8%)  0.00%    14.4us   91.6%   91.6%
-	// everyhop   2.111 Gbps (+11.8%)  0.00%    13.6us   86.6%   72.2%
+	// baseline   1.824 Gbps (+0.0%)  3.91%   666.6us   98.7%   98.7%
+	// edge       2.109 Gbps (+15.6%)  0.00%    14.5us   91.6%   91.6%
+	// everyhop   2.109 Gbps (+15.6%)  0.00%    13.8us   86.7%   72.2%
 	//
 	// edge parking keeps the same offered load healthy: every fabric hop
 	// carries slim packets. striping additionally unloads the NF links and
@@ -699,19 +701,20 @@ func ExampleControl() {
 // The same parking deployment on real UDP loopback sockets instead of the
 // simulator. A LiveTopology scenario brings up an actual packet fabric:
 // one worker socket per RMT pipe in use, a generator and an NF daemon on
-// their own sockets, Ethernet-over-UDP frames on the wire. In lockstep
-// mode the run replays every frame one at a time, so its counters are
-// exact: `ppbench -exp live` holds them to equality with an in-process
-// reference replay. Without Lockstep the generator blasts the fabric
-// open-loop, and Report.Live carries the loopback wire rate
-// (`ppbench -exp live` and the benchmark's live_chain workload measure it).
+// their own sockets, Ethernet-over-UDP frames on the wire. Each flow keeps
+// at most Window frames without a fate in flight; at a Window of at most
+// the table's slots no slot is re-claimed before its header returns, so
+// the counters are exact: `ppbench -exp live` holds them to equality with
+// an in-process reference replay. At the default wider window
+// Report.Live carries the loopback wire rate (`ppbench -exp live` and the
+// benchmark's live_chain workload measure it).
 func ExampleLiveTopology() {
 	// 64 frames through gen -> switch (parking) -> NF -> back, with the NF
 	// dropping a quarter of the slim packets so eviction and expiry paths
 	// run too.
 	rep, err := payloadpark.Run(context.Background(), payloadpark.Scenario{
-		Name:     "live-lockstep",
-		Topology: payloadpark.LiveTopology{Geometry: "chain", Frames: 64, Lockstep: true, DropFraction: 0.25},
+		Name:     "live-parity",
+		Topology: payloadpark.LiveTopology{Geometry: "chain", Frames: 64, Window: 16, DropFraction: 0.25},
 		Parking:  payloadpark.ParkingPolicy{Mode: payloadpark.ParkEdgeMode, Slots: 16, ExplicitDrop: true},
 		Traffic:  payloadpark.Traffic{FixedSize: 512, Flows: 32},
 		Opts:     payloadpark.RunOptions{Seed: 11},
@@ -720,12 +723,12 @@ func ExampleLiveTopology() {
 		log.Fatal(err)
 	}
 	res := rep.Live
-	fmt.Printf("lockstep chain: sent %d, delivered %d, NF dropped %d, drop notices %d\n",
+	fmt.Printf("chain at window 16: sent %d, delivered %d, NF dropped %d, drop notices %d\n",
 		res.Sent, res.Delivered, res.NFDropped, res.NFNotified)
 	fmt.Printf("  switch counters: %d splits, %d merges, %d explicit drops, %d evictions\n",
 		res.Counters.Splits, res.Counters.Merges, res.Counters.ExplicitDrops, res.Counters.Evictions)
 
 	// Output:
-	// lockstep chain: sent 64, delivered 49, NF dropped 0, drop notices 15
+	// chain at window 16: sent 64, delivered 49, NF dropped 0, drop notices 15
 	//   switch counters: 64 splits, 49 merges, 15 explicit drops, 0 evictions
 }

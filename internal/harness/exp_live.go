@@ -18,12 +18,12 @@ func init() {
 	})
 }
 
-// collectLive runs the live experiment family: the lockstep parity
-// replays (each on sockets and again in process, over the one
-// description; runs "live-parity-NAME" and "live-parity-NAME/reference"),
-// then the loopback throughput comparisons through the Scenario front
-// end, like every other topology. A parity mismatch is an error: the
-// Result still renders, with the mismatch in the verdict column.
+// collectLive runs the live experiment family: the parity replays (each
+// on sockets and again in process, over the one description; runs
+// "live-parity-NAME" and "live-parity-NAME/reference"), then the loopback
+// throughput comparisons through the Scenario front end, like every other
+// topology. A parity mismatch is an error: the Result still renders,
+// with the mismatch in the verdict column.
 func collectLive(o Options) (*Result, error) {
 	res := &Result{}
 
@@ -39,13 +39,14 @@ func collectLive(o Options) (*Result, error) {
 	parity := res.table("", "   run\tframes\tdelivered\tsplits\tmerges\tevict\tpremature\texplicit\tverdict")
 	var mismatches []string
 	var err error
-	// replay runs one lockstep description on sockets and in process and
+	// replay runs one description on sockets, windowed at its table's
+	// slots (a baseline's zero keeps the default), and in process, and
 	// prints the comparison; after a failed run the rest are skipped.
 	replay := func(name string, topo live.Topology, parking sim.Parking, seed int64) {
 		if err != nil {
 			return
 		}
-		topo.Lockstep = true
+		topo.Window = parking.Slots
 		sec := sim.Sections{Parking: parking, Opts: sim.RunOptions{Seed: seed}}
 		lr, lerr := live.Run(o.ctx(), topo, sec, live.Wiring{})
 		if lerr != nil {
@@ -79,7 +80,7 @@ func collectLive(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	parity.Title = fmt.Sprintf("   sim-vs-live parity (lockstep replay, exact counter equality): identical=%t", len(mismatches) == 0)
+	parity.Title = fmt.Sprintf("   sim-vs-live parity (windowed at the table's slots, exact counter equality): identical=%t", len(mismatches) == 0)
 
 	frames = 20000
 	if o.Quick {
@@ -112,6 +113,8 @@ func collectLive(o Options) (*Result, error) {
 		rates.row("   %s\t%d\t%d\t%.0f\t%.3f\t%d\t%d\t%d", strings.TrimPrefix(scn.Name, "live-"),
 			r.Sent, r.Delivered, r.PPS/1e3, r.Gbps, r.Counters.Splits, r.Counters.Evictions, ticks)
 	}
+	rates.note("   chain-adaptive is the one row whose window (512) exceeds its table (64): slots are re-claimed before")
+	rates.note("   their headers return, so its delivered count tracks the wall-clock controller's reaction and varies run to run.")
 	if len(mismatches) > 0 {
 		return res, fmt.Errorf("harness: live counters diverged from the in-process reference: %s", strings.Join(mismatches, ", "))
 	}

@@ -86,8 +86,9 @@ func TestLiveControllerPeriodFloor(t *testing.T) {
 // MaxExpiry, live and simulated alike. NF drops orphan payloads, so once
 // the slot index wraps a claim meets an occupied slot: at Expiry 3 it is
 // skipped twice before the eviction (at Expiry 1 it would be evicted at
-// once, never skipped). The live lockstep run must match the reference
-// replay — the same programs with no controller — counter for counter, and
+// once, never skipped). The live run, windowed at the default 512 within
+// its 1,024 slots, must match the reference replay — the same programs
+// with no controller — counter for counter, and
 // the simulated testbed must match its own run without a controller.
 func TestAdaptiveKeepsConfiguredExpiry(t *testing.T) {
 	parking := sim.Parking{Mode: sim.ParkEdge, Slots: 1024, MaxExpiry: 3}
@@ -103,7 +104,7 @@ func TestAdaptiveKeepsConfiguredExpiry(t *testing.T) {
 	}
 
 	t.Run("live", func(t *testing.T) {
-		topo := live.Topology{Frames: 2500, Lockstep: true, DropFraction: 0.25}
+		topo := live.Topology{Frames: 2500, DropFraction: 0.25}
 		sec := sim.Sections{Parking: parking, Control: adaptive, Opts: sim.RunOptions{Seed: 5}}
 		got, err := live.Run(context.Background(), topo, sec, live.Wiring{})
 		if err != nil {

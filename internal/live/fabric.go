@@ -5,6 +5,7 @@ import (
 
 	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/nf"
+	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/rmt"
 	"github.com/payloadpark/payloadpark/internal/sim"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
@@ -18,6 +19,9 @@ type fabric struct {
 	topo Topology
 	sec  sim.Sections
 	g    *sim.Graph
+	// owner maps the generator and NF MACs of each flow's frames to the
+	// flow.
+	owner map[packet.MAC]int
 }
 
 // build resolves and validates the description, then builds its graph:
@@ -38,7 +42,24 @@ func build(t Topology, s sim.Sections) (*fabric, error) {
 		}
 		f.g = sim.SingleSwitchGraph("sw0", s, bases, true)
 	}
+	f.owner = make(map[packet.MAC]int)
+	for i, fl := range f.g.Flows {
+		f.owner[fl.Traffic.SrcMAC], f.owner[fl.Traffic.DstMAC] = i, i
+	}
 	return f, nil
+}
+
+// flowOf returns the flow a frame's Ethernet addresses name, destination
+// first.
+func (f *fabric) flowOf(frame []byte) (int, bool) {
+	if len(frame) < packet.EthernetHeaderLen {
+		return 0, false
+	}
+	i, ok := f.owner[packet.MAC(frame[:6])]
+	if !ok {
+		i, ok = f.owner[packet.MAC(frame[6:12])]
+	}
+	return i, ok
 }
 
 // newServer is the NF framework at flow fl's NF endpoint, for the socket
@@ -75,9 +96,9 @@ func (cs *CounterSet) add(sw *core.Switch) {
 // ReferenceRun replays the description's deterministic workload through
 // the same graph in process — the dataplane the discrete-event simulator
 // drives, stripped of timing (sim.Walker). Frames walk the cables
-// depth-first, one at a time, which is exactly the operation order the
-// live fabric's lockstep mode produces; the returned counters are the
-// parity baseline.
+// depth-first, one at a time; the returned counters are the parity
+// baseline, which a live run matches when its Window is at most its
+// Parking.Slots.
 func ReferenceRun(t Topology, s sim.Sections) (*Result, error) {
 	f, err := build(t, s)
 	if err != nil {
@@ -98,7 +119,7 @@ func ReferenceRun(t Topology, s sim.Sections) (*Result, error) {
 		gens[j] = trafficgen.New(f.g.Flows[j].Traffic)
 	}
 	var frame, resp []byte
-	res := &Result{Geometry: t.Geometry, Mode: "reference", Parking: s.Parking.Enabled()}
+	res := &Result{Geometry: t.Geometry, Parking: s.Parking.Enabled()}
 	serve := func(ep *sim.Endpoint, frame []byte) []byte {
 		res.NFReceived++
 		var nfr nf.Result

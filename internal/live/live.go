@@ -14,15 +14,20 @@
 // core.FrameBurst path, and writing the emissions back out packed into a
 // datagram per peer (wire.BurstReader, wire.BatchSender).
 //
+// Every run has one sender per flow, which keeps at most Window of the
+// flow's frames without a fate in flight and then waits for the flow's
+// books to balance: sent = delivered + dropped by the NF + ended in a
+// switch, a notified frame ending where its notification is consumed.
 // The same graph can be walked in process (ReferenceRun, over sim.Walker)
 // with the identical core.Switch pipelines and, at every NF endpoint, the
 // same nf.Server the socket daemon hosts (its HandleFrame is the one NF
 // byte path); comparing the two counter-for-counter is the sim-vs-live
-// parity gate. A controller drives the socket fabric as it drives the
-// simulator: ctrl.Controller calls the one sim.Plant directly, from a
-// wall-clock ticker, and the plant applies each telemetry read and push
-// under the owning node's quiesce barrier — workers park between bursts,
-// the call lands, workers resume.
+// parity gate, which holds at a Window of at most Parking.Slots. A
+// controller drives the socket fabric as it drives the simulator:
+// ctrl.Controller calls the one sim.Plant directly, from a wall-clock
+// ticker, and the plant applies each telemetry read and push under the
+// owning node's quiesce barrier — workers park between bursts, the call
+// lands, workers resume.
 //
 // A run is described by Topology (declared, defaulted and validated
 // here) plus the simulator's own sim.Sections, resolved with the live
@@ -45,7 +50,7 @@ import (
 )
 
 // Topology is the live section of a run's description: the socket
-// fabric's shape and its replay mode. The scenario package re-exports it
+// fabric's shape and each flow's window. The scenario package re-exports it
 // as scenario.Live; the rest of the description — Parking, Traffic,
 // Control, Opts — arrives as the same sim.Sections the simulated runners
 // take, so one scenario file runs simulated or live by swapping the
@@ -54,11 +59,12 @@ import (
 //
 // Geometry "chain" is the single-switch graph (generator -> switch -> NF
 // -> switch -> sink, one group and one parking program per pipe); "LxS"
-// (e.g. "4x2") is the park-at-edge leaf-spine graph. Lockstep mode replays deterministically — its
-// counters match ReferenceRun exactly — and throughput mode blasts an
-// open-loop window for wire-rate numbers. Parking.ExplicitDrop (the
-// §6.2.4 NF notification path) is chain-only: a notification can only
-// reach the parking switch when the NF hangs off its merge pipe.
+// (e.g. "4x2") is the park-at-edge leaf-spine graph. Every run sends each
+// flow's frames windowed by the flow's books; at a Window of at most
+// Parking.Slots its counters match ReferenceRun exactly, and a wider one
+// measures wire rate. Parking.ExplicitDrop (the §6.2.4 NF notification
+// path) is chain-only: a notification can only reach the parking switch
+// when the NF hangs off its merge pipe.
 type Topology struct {
 	// Geometry is "chain" (default) or an "LxS" leaf-spine such as "4x2"
 	// (L leaves, S spines, park-at-edge).
@@ -67,16 +73,14 @@ type Topology struct {
 	// its own generator/NF pair and worker socket (1..4, default 1).
 	// Ignored by leaf-spine geometries.
 	Pipes int `json:"pipes,omitempty"`
-	// Frames is the per-generator frame budget (defaults: 256 lockstep,
-	// 20000 throughput; with Opts.Quick, 64 and 4000). It sets the run's
-	// length, not its memory: each frame is serialized as it is sent.
+	// Frames is the per-generator frame budget (default 20000; 4000 with
+	// Opts.Quick). It sets the run's length, not its memory: each frame is
+	// serialized as it is sent.
 	Frames int `json:"frames,omitempty"`
-	// Lockstep runs one frame end to end at a time — the deterministic
-	// replay mode the parity check needs. Off, the run is open-loop
-	// windowed at wire rate.
-	Lockstep bool `json:"lockstep,omitempty"`
-	// Window caps open-loop frames in flight per generator (default 512),
-	// keeping the offered load inside kernel socket buffers.
+	// Window caps a generator's frames without a fate yet (default 512),
+	// keeping the offered load inside kernel socket buffers. A window of
+	// at most Parking.Slots re-claims no slot before its header returns,
+	// so the run's counters match ReferenceRun.
 	Window int `json:"window,omitempty"`
 	// DropFraction blacklists roughly this fraction of source IPs at the
 	// NF (a stateless firewall ahead of the MAC swap; 0 disables the
@@ -109,15 +113,9 @@ func (t *Topology) Resolve(s *sim.Sections) {
 		t.Pipes = 1
 	}
 	if t.Frames == 0 {
-		switch {
-		case t.Lockstep && s.Opts.Quick:
-			t.Frames = 64
-		case t.Lockstep:
-			t.Frames = 256
-		case s.Opts.Quick:
+		t.Frames = 20000
+		if s.Opts.Quick {
 			t.Frames = 4000
-		default:
-			t.Frames = 20000
 		}
 	}
 	if t.Window == 0 {
@@ -204,7 +202,7 @@ func (t Topology) Validate(s sim.Sections) error {
 
 // Upper bounds of the resolved topology's counts. Frames are serialized
 // as they are sent, so the frame bound is about run length, not memory: a
-// million frames per generator is far past what a lockstep run replays
+// million frames per generator is far past what a window-1 run replays
 // within runTimeout. A window beyond 64 Ki frames overruns any loopback
 // socket buffer.
 const (
@@ -226,12 +224,10 @@ type CounterSet struct {
 // creates Drops with its first reason, so an empty set is always nil).
 func (a *CounterSet) Equal(b *CounterSet) bool { return reflect.DeepEqual(a, b) }
 
-// Result is one run's outcome, shared by live and reference modes.
+// Result is one run's outcome, on sockets or in the reference replay.
 type Result struct {
 	Geometry string `json:"geometry"`
-	// Mode is "lockstep", "throughput", or "reference".
-	Mode    string `json:"mode"`
-	Parking bool   `json:"parking"`
+	Parking  bool   `json:"parking"`
 
 	Sent           uint64 `json:"sent"`
 	SentBytes      uint64 `json:"sent_bytes"` // the generators' frames, Ethernet header to payload end
@@ -253,7 +249,10 @@ type Result struct {
 }
 
 // Parity compares a live run against its reference replay and returns a
-// descriptive error on the first divergence — the sim-vs-live gate.
+// descriptive error on the first divergence — the sim-vs-live gate. The
+// two agree when the live run's Window is at most its Parking.Slots: no
+// slot is then re-claimed before its header returns, so every
+// interleaving leaves the table as the one-frame-at-a-time walk does.
 func Parity(live, ref *Result) error {
 	if live.Sent != ref.Sent {
 		return fmt.Errorf("live sent %d frames, reference %d", live.Sent, ref.Sent)

@@ -45,9 +45,9 @@ func runPair(t *testing.T, topo Topology, sec sim.Sections) (*Result, *Result) {
 	return live, ref
 }
 
-func TestLockstepParityChain(t *testing.T) {
+func TestParityChain(t *testing.T) {
 	live, _ := runPair(t,
-		Topology{Geometry: "chain", Frames: 96, Lockstep: true, DropFraction: 0.25},
+		Topology{Geometry: "chain", Frames: 96, Window: 8, DropFraction: 0.25},
 		sim.Sections{Parking: parking(8, false), Opts: sim.RunOptions{Seed: 7}})
 	if live.Counters.Splits == 0 || live.Counters.Merges == 0 {
 		t.Fatalf("workload exercised no parking: %+v", live.Counters)
@@ -60,9 +60,9 @@ func TestLockstepParityChain(t *testing.T) {
 	}
 }
 
-func TestLockstepParityChainExplicitDrop(t *testing.T) {
+func TestParityChainExplicitDrop(t *testing.T) {
 	live, _ := runPair(t,
-		Topology{Geometry: "chain", Frames: 96, Lockstep: true, DropFraction: 0.25},
+		Topology{Geometry: "chain", Frames: 96, Window: 8, DropFraction: 0.25},
 		sim.Sections{Parking: parking(8, true), Opts: sim.RunOptions{Seed: 11}})
 	if live.NFNotified == 0 {
 		t.Fatalf("explicit drop produced no notifications: %+v", live)
@@ -72,18 +72,18 @@ func TestLockstepParityChainExplicitDrop(t *testing.T) {
 	}
 }
 
-func TestLockstepParityChainTwoPipes(t *testing.T) {
+func TestParityChainTwoPipes(t *testing.T) {
 	live, _ := runPair(t,
-		Topology{Geometry: "chain", Pipes: 2, Frames: 48, Lockstep: true, DropFraction: 0.2},
+		Topology{Geometry: "chain", Pipes: 2, Frames: 48, Window: 8, DropFraction: 0.2},
 		sim.Sections{Parking: parking(8, false), Opts: sim.RunOptions{Seed: 3}})
 	if live.Counters.Splits == 0 {
 		t.Fatalf("no splits across two pipes: %+v", live.Counters)
 	}
 }
 
-func TestLockstepParityLeafSpine(t *testing.T) {
+func TestParityLeafSpine(t *testing.T) {
 	live, _ := runPair(t,
-		Topology{Geometry: "4x2", Frames: 32, Lockstep: true, DropFraction: 0.2},
+		Topology{Geometry: "4x2", Frames: 32, Window: 8, DropFraction: 0.2},
 		sim.Sections{Parking: parking(8, false), Opts: sim.RunOptions{Seed: 5}})
 	if live.Counters.Splits == 0 || live.Counters.Merges == 0 {
 		t.Fatalf("leaf-spine exercised no parking: %+v", live.Counters)
@@ -93,9 +93,24 @@ func TestLockstepParityLeafSpine(t *testing.T) {
 	}
 }
 
-func TestLockstepBaselineChain(t *testing.T) {
+// TestParityWhileDropsOutrunHeaders: on a leaf-spine a header returns
+// over two more hops after its NF, so a later frame's drop there is known
+// to the sender before the header is back. Were the drop counted at once,
+// the window would let in a frame re-claiming the header's slot — an
+// occupied skip or an eviction the reference walk never makes, in most
+// runs of this size. A drop counts once the responses ahead of it are
+// back, and every seed matches.
+func TestParityWhileDropsOutrunHeaders(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		runPair(t,
+			Topology{Geometry: "6x3", Frames: 200, Window: 8, DropFraction: 0.5},
+			sim.Sections{Parking: parking(8, false), Opts: sim.RunOptions{Seed: seed}})
+	}
+}
+
+func TestParityBaselineChain(t *testing.T) {
 	live, _ := runPair(t,
-		Topology{Geometry: "chain", Frames: 32, Lockstep: true},
+		Topology{Geometry: "chain", Frames: 32, Window: 8},
 		sim.Sections{Opts: sim.RunOptions{Seed: 2}})
 	if live.Counters.Splits != 0 {
 		t.Fatalf("baseline run split packets: %+v", live.Counters)
@@ -114,9 +129,6 @@ func TestThroughputChainDelivers(t *testing.T) {
 		Wiring{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if live.Mode != "throughput" {
-		t.Fatalf("mode = %q", live.Mode)
 	}
 	if live.Sent != 2000 {
 		t.Fatalf("sent %d of 2000", live.Sent)
@@ -153,7 +165,7 @@ func TestThroughputBurstsAreBatched(t *testing.T) {
 // it, so its heap grows with its window, not its workload. The heap bytes
 // a run allocates per extra frame — the TotalAlloc difference between an
 // N-frame and a 4N-frame chain run, over the 3N frames between them — stay
-// a few bytes in throughput mode and a few hundred in lockstep, where
+// a few bytes at a window of 128 and a few hundred at a window of 1, where
 // every frame waits out its own round trip; a workload serialized up
 // front would cost a frame's bytes and more.
 func TestRunBytesPerFrameAlloc(t *testing.T) {
@@ -166,8 +178,8 @@ func TestRunBytesPerFrameAlloc(t *testing.T) {
 		topo Topology
 		max  float64
 	}{
-		{"throughput", Topology{Frames: 2000, Window: 128}, 64},
-		{"lockstep", Topology{Frames: 200, Lockstep: true}, 512},
+		{"window-128", Topology{Frames: 2000, Window: 128}, 64},
+		{"window-1", Topology{Frames: 200, Window: 1}, 512},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			heap := func(frames int) uint64 {
@@ -266,31 +278,31 @@ func TestThroughputSettlesWhenFramesDie(t *testing.T) {
 	}
 }
 
-// TestLockstepWakesOnDelivery: lockstep waits for each frame's round trip
-// on the endpoints' progress, not on a poll, so a 256-frame chain replay
-// takes well under 100 ms (310–340 ms when every check slept 200 µs).
-func TestLockstepWakesOnDelivery(t *testing.T) {
-	if best := bestOf3(t, Topology{Geometry: "chain", Frames: 256, Lockstep: true}, nil, nil); best >= 100*time.Millisecond {
-		t.Fatalf("a 256-frame lockstep chain took %v, want < 100ms", best)
-	}
-}
-
-// TestBlastWakesOnDelivery: a full window waits on its flow's progress, so
-// a window of 8 — a quarter datagram — still moves 2,000 frames in under
-// 120 ms (240–263 ms when a full window slept 100 µs per check).
+// TestBlastWakesOnDelivery: a full window waits on its flow's progress,
+// not on a poll. At a window of 1 every frame waits out its own round
+// trip, and a 256-frame chain still takes well under 100 ms (310–340 ms
+// when every check slept 200 µs); a window of 8 — a quarter datagram —
+// moves 2,000 frames in under 120 ms (240–263 ms when a full window slept
+// 100 µs per check).
 func TestBlastWakesOnDelivery(t *testing.T) {
-	if best := bestOf3(t, Topology{Geometry: "chain", Frames: 2000, Window: 8}, nil, nil); best >= 120*time.Millisecond {
-		t.Fatalf("a window-8 2,000-frame run took %v, want < 120ms", best)
+	for _, tc := range []struct {
+		frames, window int
+		bound          time.Duration
+	}{{256, 1, 100 * time.Millisecond}, {2000, 8, 120 * time.Millisecond}} {
+		if best := bestOf3(t, Topology{Geometry: "chain", Frames: tc.frames, Window: tc.window}, nil, nil); best >= tc.bound {
+			t.Errorf("a window-%d %d-frame run took %v, want < %v", tc.window, tc.frames, best, tc.bound)
+		}
 	}
 }
 
 // TestRunLeavesNoGoroutine: once Run returns, every goroutine it started
 // has exited — switch workers, NF daemons, the generators' receive loops
-// and socket watches, the senders and the controller — in both modes and
-// with a controller. A goroutine still on its way out when Run returns
-// shows in some rounds, not all, so each case runs five times. One that is
-// runnable may be past its last step (the WaitGroup.Done Run waited on) and
-// gets a few yields; one still blocked on anything fails at once.
+// and socket watches, the senders and the controller — at a window of 1
+// and a wide one, and with a controller. A goroutine still on its way out
+// when Run returns shows in some rounds, not all, so each case runs five
+// times. One that is runnable may be past its last step (the
+// WaitGroup.Done Run waited on) and gets a few yields; one still blocked
+// on anything fails at once.
 func TestRunLeavesNoGoroutine(t *testing.T) {
 	sec := sim.Sections{Parking: parking(16, false), Opts: sim.RunOptions{Seed: 2}}
 	ctl := sec
@@ -300,8 +312,8 @@ func TestRunLeavesNoGoroutine(t *testing.T) {
 		topo Topology
 		sec  sim.Sections
 	}{
-		{"lockstep", Topology{Geometry: "4x2", Frames: 8, Lockstep: true}, sec},
-		{"throughput", Topology{Pipes: 2, Frames: 500, Window: 64}, sec},
+		{"window-1", Topology{Geometry: "4x2", Frames: 8, Window: 1}, sec},
+		{"window-64", Topology{Pipes: 2, Frames: 500, Window: 64}, sec},
 		{"controlled", Topology{Frames: 500, Window: 64}, ctl},
 	} {
 		for round := 0; round < 5; round++ {
@@ -333,7 +345,9 @@ func TestRunLeavesNoGoroutine(t *testing.T) {
 
 // TestFlowsOwnTheirMACs: a frame that ends inside a switch is booked on
 // the flow its Ethernet addresses name, so no two flows of any live
-// geometry may share a generator or NF MAC.
+// geometry may share a generator or NF MAC, and the explicit-drop
+// notification each flow's NF server returns — which ends in the switch
+// that consumes it — must name its own flow.
 func TestFlowsOwnTheirMACs(t *testing.T) {
 	for _, topo := range []Topology{
 		{Geometry: "chain", Pipes: core.NumPipes}, {Geometry: "4x2"}, {Geometry: "6x3"}, {Geometry: "16x13"},
@@ -353,6 +367,25 @@ func TestFlowsOwnTheirMACs(t *testing.T) {
 		}
 		if len(f.g.Flows) < 2 {
 			t.Errorf("%s: %d flows, want several", topo.Geometry, len(f.g.Flows))
+		}
+		// Each flow's server, by the rule that builds every NF endpoint,
+		// with explicit drops on and a firewall that drops everything; a
+		// leaf-spine cannot deliver the notification, but its MACs are
+		// checked all the same.
+		sec := f.sec
+		sec.Parking.ExplicitDrop = true
+		sec.Chain = func() *nf.Chain { return nf.NewChain(nf.NewFirewall([]nf.FirewallRule{{Bits: 0}}), nf.MACSwap{}) }
+		for i := range f.g.Flows {
+			fl := &f.g.Flows[i]
+			pkt := trafficgen.New(fl.Traffic).Next()
+			pkt.SetPP(packet.PPHeader{Enabled: true})
+			notice, res, err := nf.NewServer(sec.ServerConfig(fl)).HandleFrame(pkt.Serialize(), nil)
+			if err != nil || !res.Notification {
+				t.Fatalf("%s flow %d: no notification (%v)", topo.Geometry, i, err)
+			}
+			if j, ok := f.flowOf(notice); !ok || j != i {
+				t.Errorf("%s flow %d: its notification is booked on flow %d (found %t)", topo.Geometry, i, j, ok)
+			}
 		}
 	}
 }
@@ -411,7 +444,7 @@ func TestRulesHaveOneOwner(t *testing.T) {
 	} {
 		s := sim.Sections{Parking: parking(16, false)}
 		tc.set(&s)
-		topo := Topology{Lockstep: true, Frames: 4}
+		topo := Topology{Frames: 4}
 		_, runErr := Run(context.Background(), topo, s, Wiring{})
 		_, refErr := ReferenceRun(topo, s)
 		for via, err := range map[string]error{"Run": runErr, "ReferenceRun": refErr} {
@@ -428,15 +461,15 @@ func TestRulesHaveOneOwner(t *testing.T) {
 // 8192 here.
 func TestResolveDefaults(t *testing.T) {
 	for _, tc := range []struct {
-		lockstep, quick bool
-		frames          int
-	}{{true, false, 256}, {false, false, 20000}, {true, true, 64}, {false, true, 4000}} {
-		topo := Topology{Lockstep: tc.lockstep}
+		quick  bool
+		frames int
+	}{{false, 20000}, {true, 4000}} {
+		var topo Topology
 		sec := sim.Sections{Opts: sim.RunOptions{Quick: tc.quick}}
 		topo.Resolve(&sec)
-		want := Topology{Geometry: "chain", Pipes: 1, Frames: tc.frames, Lockstep: tc.lockstep, Window: 512}
+		want := Topology{Geometry: "chain", Pipes: 1, Frames: tc.frames, Window: 512}
 		if topo != want {
-			t.Errorf("lockstep=%t quick=%t: resolved to %+v, want %+v", tc.lockstep, tc.quick, topo, want)
+			t.Errorf("quick=%t: resolved to %+v, want %+v", tc.quick, topo, want)
 		}
 		if sec.Parking.Slots != 64 || sec.Parking.MaxExpiry != 1 || sec.Traffic.Flows != 256 ||
 			sec.Traffic.Dist != (trafficgen.Datacenter{}) {
@@ -510,7 +543,7 @@ func TestOnePlantBothHooks(t *testing.T) {
 					peers := tc.g.Peers()
 					nodes := make([]*switchNode, len(sws))
 					for i, sw := range sws {
-						if nodes[i], err = newSwitchNode(tc.g.Switches[i].Name, sw, peers[i], nil, nil); err != nil {
+						if nodes[i], err = newSwitchNode(tc.g.Switches[i].Name, sw, peers[i], nil); err != nil {
 							t.Fatal(err)
 						}
 						nodes[i].start()

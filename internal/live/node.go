@@ -37,11 +37,10 @@ type switchNode struct {
 }
 
 // newSwitchNode binds one loopback socket per pipe with a cabled port,
-// each worker posting wake after every datagram it counts and handing
-// ended every frame that ends inside it. Workers are not started until
-// start (peer maps are filled in between, once every socket in the fabric
-// is bound).
-func newSwitchNode(name string, sw *core.Switch, ports [core.NumPorts]sim.Peer, wake wire.Wake, ended func([]byte, string)) (*switchNode, error) {
+// each worker handing ended every frame that ends inside it. Workers are
+// not started until start (peer maps are filled in between, once every
+// socket in the fabric is bound).
+func newSwitchNode(name string, sw *core.Switch, ports [core.NumPorts]sim.Peer, ended func([]byte)) (*switchNode, error) {
 	n := &switchNode{name: name}
 	for pipe := 0; pipe < core.NumPipes; pipe++ {
 		inUse := false
@@ -66,7 +65,6 @@ func newSwitchNode(name string, sw *core.Switch, ports [core.NumPorts]sim.Peer, 
 			Mail:   make(chan func(), 16),
 			Rx:     &n.rxFrames,
 			Errors: &n.errs,
-			Wake:   wake,
 			Ended:  ended,
 		}
 		n.workers = append(n.workers, n.byPipe[pipe])
@@ -101,9 +99,9 @@ func (n *switchNode) start() {
 }
 
 // quiesce parks every worker between bursts, runs fn while none is
-// touching the switch, then releases them. This is the only safe window
-// for reading merged counters or rewriting program tables that belong to
-// other pipes.
+// touching the switch, then releases them. While the workers run, this
+// is the only safe window for reading merged counters or rewriting
+// program tables that belong to other pipes.
 func (n *switchNode) quiesce(fn func()) {
 	n.quiesceMu.Lock()
 	defer n.quiesceMu.Unlock()

@@ -11,7 +11,6 @@ import (
 	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/ctrl"
 	"github.com/payloadpark/payloadpark/internal/obs"
-	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/sim"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 	"github.com/payloadpark/payloadpark/internal/wire"
@@ -27,19 +26,13 @@ type liveFabric struct {
 	srcs  []source
 	sinks []*wire.Generator
 	nfs   []*wire.NFDaemon
-	// ended[i] counts flow i's frames that ended inside a switch; notices
-	// counts the explicit-drop notifications a switch consumed or refused
-	// as stale, each already counted at its NF as Notified. flowOf maps the
-	// generator and NF MACs of each flow's frames to the flow.
-	ended   []atomic.Uint64
-	notices atomic.Uint64
-	flowOf  map[packet.MAC]int
-	// Every endpoint wakes wait, which the runner's waits block on; flow
-	// i's sink and NF daemon, and its frames ending in a switch, also wake
-	// flowWait[i], which its blast blocks on.
-	wait     *wire.Waiter
-	flowWait []*wire.Waiter
-	nfRuns   sync.WaitGroup
+	// ended[i] counts flow i's frames that ended inside a switch, its
+	// consumed explicit-drop notifications included.
+	ended []atomic.Uint64
+	// wait[i] is woken by flow i's sink and NF daemon and by its frames
+	// ending in a switch; the flow's sender blocks on it.
+	wait   []*wire.Waiter
+	nfRuns sync.WaitGroup
 }
 
 // source is one flow's sending side: a fresh generator of the flow's
@@ -50,27 +43,15 @@ type source struct {
 	tg    *trafficgen.Generator
 	bs    *wire.BatchSender
 	bytes uint64 // frame bytes queued, Ethernet header to payload end
-}
-
-// queue serializes the flow's next frame into the batch; flush sends it.
-func (s *source) queue() {
-	out := s.bs.Begin()
-	frame := s.tg.AppendFrame(out)
-	s.bytes += uint64(len(frame) - len(out))
-	s.bs.Commit(frame, s.gen.SwitchUDPAddr(), &s.gen.Sent)
-}
-
-// flush sends the queued frames, the first of them frame k of generator g.
-func (s *source) flush(g, k int) error {
-	if s.bs.Flush() != 0 {
-		return fmt.Errorf("live: send of frame %d of generator %d failed", k, g)
-	}
-	return nil
+	// drops is the NF drops open counts. seen, a later reading of the
+	// NF's Dropped, joins it once answered — the responses the NF had
+	// sent by then — are all back, delivered or ended.
+	drops, seen, answered uint64
 }
 
 // newGenerator binds a generator (or sink) against the pipe socket of the
 // port it hangs off, and cables it there.
-func (lf *liveFabric) newGenerator(at sim.PortRef, wake wire.Wake) (*wire.Generator, error) {
+func (lf *liveFabric) newGenerator(at sim.PortRef, wake *wire.Waiter) (*wire.Generator, error) {
 	n := lf.nodes[at.Switch]
 	g, err := wire.NewGenerator("127.0.0.1:0", n.addr(at.Port).String(), wake)
 	if err == nil {
@@ -83,7 +64,7 @@ func (lf *liveFabric) newGenerator(at sim.PortRef, wake wire.Wake) (*wire.Genera
 // and cables them together. Workers and daemons are started; close stops
 // them.
 func bringUp(f *fabric, metrics *obs.Registry) (*liveFabric, error) {
-	lf := &liveFabric{f: f, wait: wire.NewWaiter(), ended: make([]atomic.Uint64, len(f.g.Flows)), flowOf: make(map[packet.MAC]int)}
+	lf := &liveFabric{f: f, ended: make([]atomic.Uint64, len(f.g.Flows))}
 	ok := false
 	defer func() {
 		if !ok {
@@ -96,7 +77,7 @@ func bringUp(f *fabric, metrics *obs.Registry) (*liveFabric, error) {
 	}
 	peers := f.g.Peers()
 	for i, sw := range lf.sws {
-		n, err := newSwitchNode(f.g.Switches[i].Name, sw, peers[i], wire.Wake{lf.wait}, lf.end)
+		n, err := newSwitchNode(f.g.Switches[i].Name, sw, peers[i], lf.end)
 		if err != nil {
 			return nil, err
 		}
@@ -106,9 +87,8 @@ func bringUp(f *fabric, metrics *obs.Registry) (*liveFabric, error) {
 	// socket its port belongs to.
 	for i := range f.g.Flows {
 		fl := &f.g.Flows[i]
-		lf.flowWait = append(lf.flowWait, wire.NewWaiter())
-		lf.flowOf[fl.Traffic.SrcMAC], lf.flowOf[fl.Traffic.DstMAC] = i, i
-		wake := wire.Wake{lf.wait, lf.flowWait[i]}
+		wake := wire.NewWaiter()
+		lf.wait = append(lf.wait, wake)
 		// Each endpoint joins lf as it binds, so close reaches it.
 		gen, err := lf.newGenerator(fl.Gen.At, nil)
 		if err != nil {
@@ -181,7 +161,7 @@ func (lf *liveFabric) registerMetrics(reg *obs.Registry) {
 }
 
 // close shuts every socket down and returns once every goroutine of the
-// fabric has exited.
+// fabric has exited; a second call finds nothing left to stop.
 func (lf *liveFabric) close() {
 	for _, n := range lf.nodes {
 		n.close()
@@ -198,65 +178,37 @@ func (lf *liveFabric) close() {
 	lf.nfRuns.Wait()
 }
 
-// end books a frame that ended inside a switch: a consumed or stale
-// explicit-drop notification on notices, any other frame on the flow its
-// Ethernet addresses name (destination first). A frame naming no flow is
-// booked nowhere, so the run ends at its deadline.
-func (lf *liveFabric) end(frame []byte, reason string) {
-	if reason == core.DropExplicitDrop || reason == core.DropStaleExplicitDrop {
-		lf.notices.Add(1)
-		return
-	}
-	if len(frame) < packet.EthernetHeaderLen {
-		return
-	}
-	i, ok := lf.flowOf[packet.MAC(frame[:6])]
-	if !ok {
-		i, ok = lf.flowOf[packet.MAC(frame[6:12])]
-	}
-	if ok {
+// end books a frame that ended inside a switch on the flow its Ethernet
+// addresses name. A frame naming no flow is booked nowhere, so the run
+// ends at its deadline.
+func (lf *liveFabric) end(frame []byte) {
+	if i, ok := lf.f.flowOf(frame); ok {
 		lf.ended[i].Add(1)
-		lf.flowWait[i].Post()
+		lf.wait[i].Post()
 	}
 }
 
 // open returns how many of flow i's sent frames have no fate yet: not
-// delivered, not dropped or notified by its NF, not ended in a switch.
+// delivered, not ended in a switch (a notified frame ends where its
+// notification is consumed), not dropped by its NF. A drop is counted
+// once every response the NF sent before it is back, delivered or ended:
+// otherwise the drop could let a frame in that re-claims the slot of a
+// header still on its way back, which the reference walk never does.
+// Only flow i's sender calls it.
 func (lf *liveFabric) open(i int) int64 {
-	nfd := lf.nfs[i]
-	fated := lf.sinks[i].Received.Load() + nfd.Dropped.Load() + nfd.Notified.Load() + lf.ended[i].Load()
-	return int64(lf.srcs[i].gen.Sent.Load() - fated)
-}
-
-// books returns the first account still open and by how many frames: a
-// flow, or -1 for the notifications no switch has yet consumed. A zero
-// count means the books balance and nothing is in flight.
-func (lf *liveFabric) books() (flow int, open int64) {
-	var notified uint64
-	for i, nfd := range lf.nfs {
-		if n := lf.open(i); n != 0 {
-			return i, n
+	src, nfd := &lf.srcs[i], lf.nfs[i]
+	back := lf.sinks[i].Received.Load() + lf.ended[i].Load()
+	for back >= src.answered {
+		src.drops = src.seen
+		// The NF counts a burst's drops after sending its responses, so
+		// answered covers every response sent before seen's drops.
+		src.seen = nfd.Dropped.Load()
+		src.answered = nfd.Tx.Load() + nfd.Notified.Load()
+		if src.seen == src.drops {
+			break
 		}
-		notified += nfd.Notified.Load()
 	}
-	return -1, int64(notified - lf.notices.Load())
-}
-
-// balanced reports whether the books balance; every fabric-wide wait
-// blocks on it.
-func (lf *liveFabric) balanced() bool {
-	_, n := lf.books()
-	return n == 0
-}
-
-// timedOut is the error of a wait ctx ended first: it names the first open
-// account and how many frames it is short.
-func (lf *liveFabric) timedOut(what string) error {
-	flow, n := lf.books()
-	if flow < 0 {
-		return fmt.Errorf("live: timed out %s: %d explicit-drop notifications unconsumed", what, n)
-	}
-	return fmt.Errorf("live: timed out %s: flow %d has %d of %d sent frames unaccounted", what, flow, n, lf.srcs[flow].gen.Sent.Load())
+	return int64(src.gen.Sent.Load() - back - src.drops)
 }
 
 // minPeriodNs is the shortest controller tick of a live run: every tick
@@ -265,13 +217,15 @@ const minPeriodNs = int64(time.Millisecond)
 
 // Run resolves and validates the description, brings its fabric up on
 // loopback sockets and drives the workload through it, returning the
-// measured result. Lockstep mode is the deterministic replay (compare
-// against ReferenceRun with Parity); throughput mode measures open-loop
-// wire rate. With s.Control enabled a ctrl.Controller calls the graph's
-// sim.Plant directly, ticking at Control.PeriodNs wall-clock but no faster
-// than every minPeriodNs; the plant applies every telemetry read and push
-// under the owning node's quiesce barrier, and the controller's report
-// lands in Result.Control.
+// measured result. Every flow's sender keeps at most Window frames
+// without a fate in flight, then waits for its books to balance; with
+// Window ≤ Parking.Slots no slot is re-claimed before its header returns,
+// so the counters match ReferenceRun (compare with Parity). With
+// s.Control enabled a ctrl.Controller calls the graph's sim.Plant
+// directly, ticking at Control.PeriodNs wall-clock but no faster than
+// every minPeriodNs; the plant applies every telemetry read and push under
+// the owning node's quiesce barrier, and the controller's report lands in
+// Result.Control.
 func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, error) {
 	f, err := build(t, s)
 	if err != nil {
@@ -320,43 +274,24 @@ func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, er
 	}
 
 	begin := time.Now()
-	if t.Lockstep {
-		res.Mode = "lockstep"
-		// Each frame waits out its fate, its notification's too, so the
-		// fabric is idle when the next one is sent and when the loop ends.
-		for k := 0; k < t.Frames; k++ {
-			for g := range lf.srcs {
-				src := &lf.srcs[g]
-				src.queue()
-				if err := src.flush(g, k); err != nil {
-					return nil, err
-				}
-				if !lf.wait.WaitFor(ctx, lf.balanced) {
-					return nil, lf.timedOut(fmt.Sprintf("on frame %d of generator %d", k, g))
-				}
-			}
-		}
-	} else {
-		res.Mode = "throughput"
-		errs := make([]error, len(lf.srcs))
-		var wg sync.WaitGroup
-		for g := range lf.srcs {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				errs[g] = lf.blast(ctx, g)
-			}()
-		}
-		wg.Wait()
-		if err := errors.Join(errs...); err != nil {
-			return nil, err
-		}
-		if !lf.wait.WaitFor(ctx, lf.balanced) {
-			return nil, lf.timedOut("settling")
-		}
+	errs := make([]error, len(lf.srcs))
+	var wg sync.WaitGroup
+	for g := range lf.srcs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[g] = lf.blast(ctx, g)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 	res.ElapsedNs = time.Since(begin).Nanoseconds()
 	stopControl()
+	// Every frame has its fate; closing the fabric joins every worker and
+	// daemon, so their counters are final and theirs to read here.
+	lf.close()
 	for i, sink := range lf.sinks {
 		nfd := lf.nfs[i]
 		res.Sent += lf.srcs[i].gen.Sent.Load()
@@ -367,6 +302,9 @@ func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, er
 		res.NFDropped += nfd.Dropped.Load()
 		res.NFNotified += nfd.Notified.Load()
 	}
+	for _, sw := range lf.sws {
+		res.Counters.add(sw)
+	}
 	if res.ElapsedNs > 0 {
 		secs := float64(res.ElapsedNs) / 1e9
 		res.PPS = float64(res.Delivered) / secs
@@ -375,34 +313,34 @@ func Run(ctx context.Context, t Topology, s sim.Sections, w Wiring) (*Result, er
 	if controller != nil {
 		res.Control = controller.Snapshot()
 	}
-
-	// Merged counters are only coherent with every worker parked; quiesce
-	// node by node (the fabric is globally idle, so per-node barriers
-	// suffice and also publish the workers' writes to this goroutine).
-	for i, n := range lf.nodes {
-		n.quiesce(func() { res.Counters.add(lf.sws[i]) })
-	}
 	return res, nil
 }
 
-// blast is one generator's open-loop sender: batched sends windowed by its
-// flow's books, so a full window waits until frames have their fate.
+// blast is one generator's sender: batched sends windowed by its flow's
+// books, so a full window waits until frames have their fate, then one
+// wait for the books to balance.
 func (lf *liveFabric) blast(ctx context.Context, g int) error {
 	src := &lf.srcs[g]
 	frames, window := lf.f.topo.Frames, int64(lf.f.topo.Window)
 	var open int64
 	for sent := 0; sent < frames; {
-		if !lf.flowWait[g].WaitFor(ctx, func() bool { open = lf.open(g); return open < window }) {
+		if !lf.wait[g].WaitFor(ctx, func() bool { open = lf.open(g); return open < window }) {
 			return fmt.Errorf("live: generator %d timed out at %d/%d frames with %d unaccounted", g, sent, frames, open)
 		}
 		n := min(int(window-open), wire.DefaultBurst, frames-sent)
 		for range n {
-			src.queue()
+			out := src.bs.Begin()
+			frame := src.tg.AppendFrame(out)
+			src.bytes += uint64(len(frame) - len(out))
+			src.bs.Commit(frame, src.gen.SwitchUDPAddr(), &src.gen.Sent)
 		}
-		if err := src.flush(g, sent); err != nil {
-			return err
+		if src.bs.Flush() != 0 {
+			return fmt.Errorf("live: send of frame %d of generator %d failed", sent, g)
 		}
 		sent += n
+	}
+	if !lf.wait[g].WaitFor(ctx, func() bool { open = lf.open(g); return open == 0 }) {
+		return fmt.Errorf("live: timed out settling: flow %d has %d of %d sent frames unaccounted", g, open, frames)
 	}
 	return nil
 }

@@ -26,7 +26,7 @@ func (oddDist) Name() string              { return "odd" }
 // exact counter parity against the in-process reference.
 func TestLiveScenarioAnyDist(t *testing.T) {
 	s := Scenario{
-		Topology: Live{Frames: 32, Lockstep: true, DropFraction: 0.2},
+		Topology: Live{Frames: 32, Window: 8, DropFraction: 0.2},
 		Parking:  Parking{Mode: sim.ParkEdge, Slots: 8, MaxExpiry: 2},
 		Traffic:  Traffic{Dist: oddDist{}},
 		Opts:     RunOptions{Seed: 9},
@@ -50,7 +50,7 @@ func TestLiveScenarioAnyDist(t *testing.T) {
 func TestLiveScenarioRoundTripAndRun(t *testing.T) {
 	s := Scenario{
 		Name:     "live-smoke",
-		Topology: Live{Geometry: "chain", Frames: 16, Lockstep: true, DropFraction: 0.25},
+		Topology: Live{Geometry: "chain", Frames: 16, Window: 8, DropFraction: 0.25},
 		Parking:  Parking{Mode: sim.ParkEdge, Slots: 8, ExplicitDrop: true},
 		Traffic:  Traffic{FixedSize: 512, Flows: 32},
 		Opts:     RunOptions{Seed: 4},
@@ -74,14 +74,14 @@ func TestLiveScenarioRoundTripAndRun(t *testing.T) {
 	if rep.Topology != "live" || rep.Live == nil {
 		t.Fatalf("report missing live section: %+v", rep)
 	}
-	if rep.Live.Mode != "lockstep" || rep.Live.Sent != 16 {
+	if rep.Live.Sent != 16 {
 		t.Fatalf("unexpected live result: %+v", rep.Live)
 	}
 	if rep.Live.Counters.Splits == 0 {
 		t.Fatalf("parking scenario split nothing: %+v", rep.Live.Counters)
 	}
 	if !rep.Healthy {
-		t.Fatalf("lockstep run unhealthy: %+v", rep)
+		t.Fatalf("live run unhealthy: %+v", rep)
 	}
 }
 
@@ -124,7 +124,7 @@ func TestLiveScenarioValidation(t *testing.T) {
 // frame-byte rate.
 func TestLiveGoodputIsHeaderUnits(t *testing.T) {
 	s := Scenario{
-		Topology: Live{Frames: 64, Lockstep: true, DropFraction: 0.25},
+		Topology: Live{Frames: 64, Window: 8, DropFraction: 0.25},
 		Parking:  Parking{Mode: sim.ParkEdge, Slots: 8},
 		Traffic:  Traffic{FixedSize: 512},
 		Observe:  Observe{Metrics: true},
@@ -162,7 +162,7 @@ func TestLiveGoodputIsHeaderUnits(t *testing.T) {
 // same bytes.
 func TestLiveSendGbpsIsFramesSent(t *testing.T) {
 	s := Scenario{
-		Topology: Live{Frames: 64, Lockstep: true},
+		Topology: Live{Frames: 64, Window: 8},
 		Parking:  Parking{Mode: sim.ParkEdge, Slots: 8},
 		Traffic:  Traffic{FixedSize: 512},
 		Opts:     RunOptions{Seed: 3},

@@ -150,7 +150,7 @@ func TestRunCollectsLargeWorld(t *testing.T) {
 // the default Expiry 1) is refused naming both fields.
 func TestHostileSlots(t *testing.T) {
 	short := RunOptions{Seed: 1, WarmupNs: 1e5, MeasureNs: 2e5}
-	for _, topo := range []Topology{Testbed{}, MultiServer{Servers: 2}, LeafSpine{}, Live{Lockstep: true, Frames: 4}} {
+	for _, topo := range []Topology{Testbed{}, MultiServer{Servers: 2}, LeafSpine{}, Live{Frames: 4}} {
 		for _, tc := range []struct {
 			slots int
 			want  string // "" runs clean
@@ -279,7 +279,7 @@ func TestHostileLive(t *testing.T) {
 		}
 	}
 
-	for _, topo := range []Topology{Testbed{}, MultiServer{Servers: 2}, LeafSpine{}, Live{Lockstep: true, Frames: 4}} {
+	for _, topo := range []Topology{Testbed{}, MultiServer{Servers: 2}, LeafSpine{}, Live{Frames: 4}} {
 		for size, want := range map[int]string{
 			20:   "traffic.fixed_size = 20 outside [42, 1500]",
 			-7:   "traffic.fixed_size = -7 outside [42, 1500]",

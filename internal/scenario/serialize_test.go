@@ -129,6 +129,9 @@ func TestScenarioJSONRejectsUnserializable(t *testing.T) {
 		// Every socket reader takes up to wire.DefaultBurst frames a read: a
 		// file still setting the old knob is an error, not silently ignored.
 		`{"topology":{"kind":"live","config":{"burst":64}}}`: `scenario: live config: json: unknown field "burst"`,
+		// Every live run is windowed by its flows' books, and parity holds at a
+		// window of at most the table's slots: there is no replay mode.
+		`{"topology":{"kind":"live","config":{"lockstep":true}}}`: `scenario: live config: json: unknown field "lockstep"`,
 		// A multi-server run takes its core count from the server section.
 		`{"topology":{"kind":"multiserver","config":{"cores":8}}}`: `scenario: multiserver config: json: unknown field "cores"`,
 		// Knobs every run takes at one value are gone: links run 500 ns and

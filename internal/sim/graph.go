@@ -476,8 +476,9 @@ const maxHops = 16
 
 // Walker is the reference backend: the graph's switches with no clock and
 // no sockets. Send carries one frame at a time from a generator to its
-// fate, depth-first — the operation order the live fabric's lockstep mode
-// and a below-saturation simulation both reduce to.
+// fate, depth-first — the operation order a below-saturation simulation
+// reduces to, and whose counters a live run windowed within its tables'
+// slots reaches in any interleaving.
 type Walker struct {
 	g      *Graph
 	peers  [][core.NumPorts]Peer

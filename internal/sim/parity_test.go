@@ -214,7 +214,7 @@ func TestGoodputUnitAcrossTopologies(t *testing.T) {
 
 // TestSimEqualsReferenceWalk is the sim ≡ reference leg of the three-way
 // parity the shared graph makes possible (live ≡ reference is internal/
-// live's lockstep gate): below saturation, with more slots than packets in
+// live's gate, windowed within the table's slots): below saturation, with more slots than packets in
 // flight, the event engine can reorder nothing a counter sees — so every
 // whole-run count of the simulation must equal what Walker produces when it
 // carries the same generators' first `sent` frames through the same graph

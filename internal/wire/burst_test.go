@@ -233,7 +233,7 @@ func TestSocketPathAllocFree(t *testing.T) {
 func TestOversizedDatagramDropped(t *testing.T) {
 	tb := newUDPTestbed(t, nil, macswap())
 	recv := NewWaiter()
-	sink, err := NewGenerator("127.0.0.1:0", tb.swAddr.String(), Wake{recv})
+	sink, err := NewGenerator("127.0.0.1:0", tb.swAddr.String(), recv)
 	if err != nil {
 		t.Fatal(err)
 	}

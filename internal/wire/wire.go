@@ -45,25 +45,21 @@ const MaxFrame = 2048
 // datagram of a BatchSender.Flush packs.
 const DefaultBurst = 32
 
-// Wake is the waiters an endpoint posts after each datagram it reads.
-type Wake []*Waiter
-
-func (w Wake) post() {
-	for _, wt := range w {
-		wt.Post()
-	}
-}
-
-// Waiter blocks one goroutine on endpoint progress. Its waits re-read the
-// counters after each token, so a token posted between a read and the wait
-// is kept and no progress goes unseen.
+// Waiter blocks one goroutine on endpoint progress: an endpoint posts its
+// waiter after each datagram it reads. Its waits re-read the counters
+// after each token, so a token posted between a read and the wait is kept
+// and no progress goes unseen.
 type Waiter struct{ c chan struct{} }
 
 // NewWaiter returns a waiter holding no token.
 func NewWaiter() *Waiter { return &Waiter{make(chan struct{}, 1)} }
 
 // Post hands w a token, never blocking: a waiter holds one token at most.
+// A nil waiter takes none.
 func (w *Waiter) Post() {
+	if w == nil {
+		return
+	}
 	select {
 	case w.c <- struct{}{}:
 	default:
@@ -115,19 +111,16 @@ type SwitchLoop struct {
 	Rx, Errors, Tx *atomic.Uint64
 	// BurstHist/BatchHist, when set, observe burst and batch sizes.
 	BurstHist, BatchHist *obs.Histogram
-	// Wake is posted after each datagram whose frames Rx counted.
-	Wake Wake
 	// Ended, when set, is handed each frame that ends inside the loop — a
-	// drop by SW (with SW's drop reason), a refusal or an uncabled
-	// emission — as it arrived; frame is valid only during the call.
-	// Forwarded frames never reach it.
-	Ended func(frame []byte, reason string)
+	// drop by SW, a refusal or an uncabled emission — as it arrived; frame
+	// is valid only during the call. Forwarded frames never reach it.
+	Ended func(frame []byte)
 }
 
 // end hands frame to Ended, if set.
-func (l *SwitchLoop) end(frame []byte, reason string) {
+func (l *SwitchLoop) end(frame []byte) {
 	if l.Ended != nil {
-		l.Ended(frame, reason)
+		l.Ended(frame)
 	}
 }
 
@@ -182,32 +175,31 @@ func (l *SwitchLoop) Run() error {
 			frame := br.Frame(i)
 			if !known || br.Truncated(i) {
 				l.Errors.Add(1)
-				l.end(frame, "unknown peer or oversized frame")
+				l.end(frame)
 				continue
 			}
 			l.Rx.Add(1)
 			if err := fb.Add(frame, port); err != nil {
 				l.Errors.Add(1)
-				l.end(frame, err.Error())
+				l.end(frame)
 				continue
 			}
 			in = append(in, frame)
 		}
 		for j, r := range fb.Run() {
 			if !r.OK {
-				l.end(in[j], r.Reason)
+				l.end(in[j])
 				continue
 			}
 			dst, ok := l.Addrs[r.Em.Port]
 			if !ok {
 				l.Errors.Add(1)
-				l.end(in[j], "uncabled port")
+				l.end(in[j])
 				continue
 			}
 			bs.Commit(r.Em.Pkt.AppendSerialize(bs.Begin()), dst, l.Tx)
 		}
 		l.Errors.Add(uint64(bs.Flush()))
-		l.Wake.post()
 	}
 }
 
@@ -235,11 +227,11 @@ func Listen(addr string) (*net.UDPConn, error) {
 type endpoint struct {
 	conn   *net.UDPConn
 	swAddr *net.UDPAddr
-	wake   Wake
+	wake   *Waiter
 }
 
 // bind resolves the switch address, then binds the socket at listen.
-func bind(listen, switchAddr string, wake Wake) (endpoint, error) {
+func bind(listen, switchAddr string, wake *Waiter) (endpoint, error) {
 	swAddr, err := net.ResolveUDPAddr("udp", switchAddr)
 	if err != nil {
 		return endpoint{}, fmt.Errorf("wire: switch addr: %w", err)
@@ -275,7 +267,7 @@ func (d *NFDaemon) RegisterMetrics(reg *obs.Registry) {
 
 // NewNFDaemon binds the socket of a daemon hosting srv at listen; its
 // frames go to switchAddr, and wake is posted after each datagram it reads.
-func NewNFDaemon(listen, switchAddr string, wake Wake, srv *nf.Server) (*NFDaemon, error) {
+func NewNFDaemon(listen, switchAddr string, wake *Waiter, srv *nf.Server) (*NFDaemon, error) {
 	if srv == nil {
 		return nil, errors.New("wire: NF needs a Server")
 	}
@@ -307,6 +299,7 @@ func (d *NFDaemon) Run() error {
 		} else if err != nil {
 			return err
 		}
+		var dropped uint64
 		for i := 0; i < count; i++ {
 			d.Rx.Add(1)
 			if br.Truncated(i) {
@@ -321,11 +314,14 @@ func (d *NFDaemon) Run() error {
 			case res.Out != nil:
 				bs.Commit(out, d.swAddr, &d.Tx)
 			default:
-				d.Dropped.Add(1)
+				dropped++
 			}
 		}
 		bs.Flush()
-		d.wake.post()
+		// Drops count once the burst's responses are sent: a frame dropped
+		// here is never fated ahead of an earlier frame's response.
+		d.Dropped.Add(dropped)
+		d.wake.Post()
 	}
 }
 
@@ -340,7 +336,7 @@ type Generator struct {
 // NewGenerator binds the generator socket at listen and starts its receive
 // loop, which runs until Close and posts wake after each datagram it
 // counts. Frames go to switchAddr.
-func NewGenerator(listen, switchAddr string, wake Wake) (*Generator, error) {
+func NewGenerator(listen, switchAddr string, wake *Waiter) (*Generator, error) {
 	ep, err := bind(listen, switchAddr, wake)
 	if err != nil {
 		return nil, err
@@ -373,7 +369,7 @@ func (g *Generator) recvLoop() {
 			g.ReceivedBytes.Add(uint64(len(br.Frame(i))))
 			g.Received.Add(1)
 		}
-		g.wake.post()
+		g.wake.Post()
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net"
 	"net/netip"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -79,7 +80,7 @@ func testSwitch(t *testing.T, pp *core.Config) *core.Switch {
 
 // startUDPTestbed brings the testbed up over sw, handing ended (nil or
 // not) to the switch loop.
-func startUDPTestbed(t *testing.T, sw *core.Switch, srv *nf.Server, ended func([]byte, string)) *udpTestbed {
+func startUDPTestbed(t *testing.T, sw *core.Switch, srv *nf.Server, ended func([]byte)) *udpTestbed {
 	t.Helper()
 	tb := &udpTestbed{}
 	tb.loop = SwitchLoop{
@@ -247,6 +248,40 @@ func TestUDPDataplaneExplicitDrop(t *testing.T) {
 	}
 }
 
+// TestNFDaemonCountsDropsAfterResponses: a daemon counts a burst's drops
+// once the burst's responses are sent, so whoever reads Dropped also sees
+// Tx for every frame answered ahead of those drops (a live sender lets a
+// drop reopen its window only once those responses are back).
+func TestNFDaemonCountsDropsAfterResponses(t *testing.T) {
+	sw := listen(t, "127.0.0.1")
+	blocked := wFlow
+	blocked.SrcIP = packet.IPv4Addr{10, 0, 0, 2}
+	srv := server(false, nf.NewFirewall([]nf.FirewallRule{{Prefix: blocked.SrcIP, Bits: 32}}), nf.MACSwap{})
+	d, err := NewNFDaemon("127.0.0.1:0", sw.LocalAddr().String(), nil, srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() { defer close(done); d.Run() }()
+	defer func() { d.Close(); <-done }()
+	gen := listen(t, "127.0.0.1")
+	b := packet.NewBuilder(wGenMAC, wNFMAC)
+	for r := uint64(1); r <= 200; r++ {
+		kept, dropped := b.UDP(wFlow, 200, uint16(r)).Serialize(), b.UDP(blocked, 200, uint16(r)).Serialize()
+		if _, err := gen.WriteToUDP(datagram(kept, dropped), d.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); d.Dropped.Load() < r; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: the drop was never counted", r)
+			}
+		}
+		if tx := d.Tx.Load(); tx < r {
+			t.Fatalf("round %d: %d drops counted while %d responses were sent: a drop was counted ahead of the response before it", r, r, tx)
+		}
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	if _, err := NewNFDaemon("127.0.0.1:0", "", nil, nil); err == nil {
 		t.Error("NF without server accepted")
@@ -331,8 +366,8 @@ func TestUDPDataplaneRecirculation(t *testing.T) {
 
 // TestSwitchLoopEnded: a frame the switch drops for an unknown destination
 // MAC and an explicit-drop notification it consumes each reach
-// SwitchLoop.Ended with the bytes they arrived with and the switch's drop
-// reason; a frame it forwards does not. With Ended nil the same drop is
+// SwitchLoop.Ended with the bytes they arrived with; a frame it forwards
+// does not. With Ended nil the same drop is
 // only counted, and the loop goes on forwarding.
 func TestSwitchLoopEnded(t *testing.T) {
 	pp := &core.Config{Slots: 256, MaxExpiry: 1, SplitPort: 0, MergePort: 1}
@@ -360,16 +395,12 @@ func TestSwitchLoopEnded(t *testing.T) {
 		t.Fatalf("twin NF returned no notification: %v", err)
 	}
 
-	type end struct {
-		frame  []byte
-		reason string
-	}
 	var mu sync.Mutex
-	var ends []end
-	tb := startUDPTestbed(t, testSwitch(t, pp), dropAll(), func(frame []byte, reason string) {
+	var ends [][]byte
+	tb := startUDPTestbed(t, testSwitch(t, pp), dropAll(), func(frame []byte) {
 		mu.Lock()
 		defer mu.Unlock()
-		ends = append(ends, end{bytes.Clone(frame), reason})
+		ends = append(ends, bytes.Clone(frame))
 	})
 	tb.send(t, datagram(home))
 	if got := tb.collect(1, 5*time.Second); len(got) != 1 {
@@ -385,14 +416,17 @@ func TestSwitchLoopEnded(t *testing.T) {
 		t.Errorf("%d frames came back for the stray and the doomed frame", len(got))
 	}
 	tb.stop()
-	want := []end{{stray, core.DropUnknownMAC}, {notice, core.DropExplicitDrop}}
+	want := [][]byte{stray, notice}
 	if len(ends) != len(want) {
-		t.Fatalf("Ended saw %d frames, want %d: %q", len(ends), len(want), ends)
+		t.Fatalf("Ended saw %d frames, want %d", len(ends), len(want))
 	}
 	for i, w := range want {
-		if ends[i].reason != w.reason || !bytes.Equal(ends[i].frame, w.frame) {
-			t.Errorf("ended frame %d: reason %q, %d bytes; want %q, %d bytes, byte for byte", i, ends[i].reason, len(ends[i].frame), w.reason, len(w.frame))
+		if !bytes.Equal(ends[i], w) {
+			t.Errorf("ended frame %d: %d bytes; want %d bytes, byte for byte", i, len(ends[i]), len(w))
 		}
+	}
+	if d := tb.loop.SW.Drops(); d[core.DropUnknownMAC] != 1 || d[core.DropExplicitDrop] != 1 {
+		t.Errorf("drops %v: want one unknown MAC and one explicit drop", d)
 	}
 
 	nilEnded := newUDPTestbed(t, pp, macswap())

@@ -16,9 +16,10 @@
 //     and runs the points in parallel, honoring context cancellation
 //     mid-simulation.
 //   - LiveTopology swaps the simulator for real UDP loopback sockets:
-//     the same compiled pipeline behind per-pipe worker sockets, with
-//     deterministic lockstep replays held to exact counter parity
-//     against an in-process reference, or open-loop wire-rate runs.
+//     the same compiled pipeline behind per-pipe worker sockets, each
+//     flow windowed by its own books: a window of at most the parking
+//     table's slots holds exact counter parity against an in-process
+//     reference, a wider one measures wire rate.
 //   - Deployment builds the canonical testbed (traffic generator, RMT
 //     switch running the PayloadPark P4 program, NF server) and lets
 //     applications push packets through it in-process.
@@ -86,9 +87,10 @@ type (
 	// same compiled switch pipeline, a socket NF daemon, and (with
 	// Control) the same controller and plant the simulator runs, each
 	// telemetry read and push applied under a per-switch quiesce barrier.
-	// Lockstep runs replay deterministically and match the in-process
-	// reference counter for counter; the default throughput mode measures
-	// open-loop loopback wire rate.
+	// Each flow keeps at most Window frames without a fate in flight: at
+	// a Window of at most Parking.Slots the run matches the in-process
+	// reference counter for counter, and the default wider window
+	// measures loopback wire rate.
 	LiveTopology = scenario.Live
 	// ParkingPolicy selects where and how payloads park (the zero value
 	// is the baseline).
