@@ -121,15 +121,6 @@ func (c Config) reissues(exp uint32) bool {
 	return uint64(c.Slots)*uint64(exp)%(MaxClock-1) == 0
 }
 
-// ParkBytes returns the per-packet payload bytes this configuration parks,
-// which is also the minimum payload size eligible for Split (§5, §6.3.3).
-func (c Config) ParkBytes() int {
-	if c.Recirculate {
-		return RecircParkBytes
-	}
-	return BaseParkBytes
-}
-
 // Blocks returns the number of payload blocks this configuration stores.
 func (c Config) Blocks() int {
 	if c.Recirculate {

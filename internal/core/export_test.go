@@ -24,3 +24,12 @@ func (s *Switch) ECMPMembers(dst packet.MAC) []string {
 	sort.Strings(names)
 	return names
 }
+
+// ParkBytes returns the per-packet payload bytes this configuration parks,
+// which is also the minimum payload size eligible for Split (§5, §6.3.3).
+func (c Config) ParkBytes() int {
+	if c.Recirculate {
+		return RecircParkBytes
+	}
+	return BaseParkBytes
+}

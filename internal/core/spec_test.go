@@ -19,7 +19,7 @@ func attachSpec(sw *Switch, spec *prog.Spec, params map[string]int64, recircPipe
 	if err != nil {
 		return nil, err
 	}
-	return sw.AttachSpec(c, nil, recircPipe)
+	return sw.AttachSpec(c, c.Ports(), nil, recircPipe)
 }
 
 func compressSpec() *prog.Spec {
@@ -231,7 +231,7 @@ func TestAttachSpecBesideParkRecompiles(t *testing.T) {
 
 func TestAttachSpecErrors(t *testing.T) {
 	sw := NewSwitch("err")
-	if _, err := sw.AttachSpec(nil, nil, -1); err == nil {
+	if _, err := sw.AttachSpec(nil, prog.Ports{}, nil, -1); err == nil {
 		t.Error("nil program accepted")
 	}
 	noSplit := &prog.Spec{Name: "nosplit", PHVBits: 100, Tables: []prog.TableSpec{{Name: "t", Entries: []prog.EntrySpec{{
@@ -429,21 +429,26 @@ func TestFailedAttachSpecTouchesNoPipe(t *testing.T) {
 }
 
 // TestCompiledStateStaysPerSwitch: one compiled program installed on two
-// switches gives each its own state. A split on A moves A's counters, entry
-// hits, occupancy and register cells and leaves B's at zero, and a runtime
-// write on A leaves B's value alone.
+// switches at different ports gives each its own ports and its own state.
+// A split on A moves A's counters, entry hits, occupancy and register cells
+// and leaves B's at zero; B, installed on pipe 1, splits on its own port and
+// not on A's, and expects PayloadPark headers on its own merge port; and a
+// runtime write on A leaves B's value alone.
 func TestCompiledStateStaysPerSwitch(t *testing.T) {
 	c, err := CompilePark(defaultCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, b := NewSwitch("a"), NewSwitch("b")
-	a.AddL2Route(nfMAC, portNF)
+	at := [2]Config{defaultCfg(), {Slots: 64, MaxExpiry: 1, SplitPort: 17, MergePort: 18}}
 	var insts [2]*prog.Instance
 	for i, sw := range []*Switch{a, b} {
-		if insts[i], err = sw.AttachSpec(c, nil, -1); err != nil {
+		sw.AddL2Route(nfMAC, at[i].MergePort)
+		p, err := sw.AttachPark(c, at[i], -1)
+		if err != nil {
 			t.Fatal(err)
 		}
+		insts[i] = p.Instance()
 	}
 	if em := inject(a, mkPkt(512, 1), portGen); em == nil || em.Pkt.PP == nil || !em.Pkt.PP.Enabled {
 		t.Fatalf("split on A: %+v", em)
@@ -472,6 +477,19 @@ func TestCompiledStateStaysPerSwitch(t *testing.T) {
 	if n, h, r, o := state(insts[1]); n+h+r != 0 || o != 0 {
 		t.Errorf("B after A's split: counters %d, hits %d, register bytes %d, occupied %d; want all zero", n, h, r, o)
 	}
+	if em := inject(b, mkPkt(512, 2), portGen); em == nil || em.Pkt.PP != nil {
+		t.Errorf("B on A's split port %d: %+v, want forwarded unsplit", portGen, em)
+	}
+	if em := inject(b, mkPkt(512, 3), 17); em == nil || em.Pkt.PP == nil || !em.Pkt.PP.Enabled {
+		t.Errorf("B on its own split port 17: %+v, want split", em)
+	}
+	if _, _, _, o := state(insts[1]); o != 1 {
+		t.Errorf("B occupies %d slots after its split, want 1", o)
+	}
+	if a.PPOffset(portNF) != 0 || a.PPOffset(18) != -1 || b.PPOffset(18) != 0 || b.PPOffset(portNF) != -1 {
+		t.Errorf("PayloadPark offsets A %d/%d, B %d/%d at ports %d/18: want each switch's own merge port only",
+			a.PPOffset(portNF), a.PPOffset(18), b.PPOffset(portNF), b.PPOffset(18), portNF)
+	}
 	was, _ := insts[1].Runtime(prog.RTMaxExpiry)
 	insts[0].SetRuntime(prog.RTMaxExpiry, was+5)
 	if got, _ := insts[0].Runtime(prog.RTMaxExpiry); got != was+5 {
@@ -482,34 +500,45 @@ func TestCompiledStateStaysPerSwitch(t *testing.T) {
 	}
 }
 
-// TestRefusedInstallChangesNothing: a compiled program the pipe refuses — a
-// second parking program whose parser geometry conflicts with the one
-// already there, recirculating through pipe 1 — leaves both pipes and the
-// switch's per-port offsets, park region and recirculation routing as they
-// were, and the same Compiled then installs on a fresh switch exactly as a
-// fresh compile does.
+// TestRefusedInstallChangesNothing: a compiled program shared by two
+// switches, installed on one, and refused on the other — at ports on two
+// pipes, then as a second parking program whose parser geometry conflicts
+// with the one already there, recirculating through pipe 1 — leaves both
+// switches' pipes, per-port offsets, park region and recirculation routing
+// as they were; and the copy installed before the refusals, and one
+// installed on a new switch after them, are each exactly what a fresh
+// compile installs.
 func TestRefusedInstallChangesNothing(t *testing.T) {
 	cfg := Config{Slots: 64, MaxExpiry: 1, SplitPort: 2, MergePort: 3, BoundaryOffset: 32, Recirculate: true}
 	c, err := CompilePark(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, _ := testbed(t, defaultCfg(), -1)
-	want, _ := testbed(t, defaultCfg(), -1)
-	if _, err := sw.AttachPark(c, cfg, 1); err == nil || !strings.Contains(err.Error(), "parser") {
-		t.Fatalf("second parking program on pipe 0: err = %v, want a parser conflict", err)
-	}
-	if n := len(sw.Programs()); n != 1 {
-		t.Errorf("%d programs after a refused install, want 1", n)
-	}
-	requireSameSwitch(t, sw, want)
-
 	fresh, ref := NewSwitch("fresh"), NewSwitch("ref")
 	if _, err := fresh.AttachPark(c, cfg, 1); err != nil {
-		t.Fatalf("the refused program on a fresh switch: %v", err)
+		t.Fatalf("the program on a fresh switch: %v", err)
 	}
 	if _, err := ref.AttachPayloadPark(cfg, 1); err != nil {
 		t.Fatal(err)
 	}
+	sw, _ := testbed(t, defaultCfg(), -1)
+	want, _ := testbed(t, defaultCfg(), -1)
+	crossPipe := cfg
+	crossPipe.MergePort = 20
+	if _, err := sw.AttachPark(c, crossPipe, 1); err == nil || !strings.Contains(err.Error(), "different pipes") {
+		t.Fatalf("ports on two pipes: err = %v, want refused", err)
+	}
+	if _, err := sw.AttachPark(c, cfg, 1); err == nil || !strings.Contains(err.Error(), "parser") {
+		t.Fatalf("second parking program on pipe 0: err = %v, want a parser conflict", err)
+	}
+	if n := len(sw.Programs()); n != 1 {
+		t.Errorf("%d programs after refused installs, want 1", n)
+	}
+	requireSameSwitch(t, sw, want)
 	requireSameSwitch(t, fresh, ref)
+	after := NewSwitch("after")
+	if _, err := after.AttachPark(c, cfg, 1); err != nil {
+		t.Fatalf("the refused program on a new switch: %v", err)
+	}
+	requireSameSwitch(t, after, ref)
 }

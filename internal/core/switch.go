@@ -190,7 +190,7 @@ func (s *Switch) MatchCounts() (steps, residual uint64) {
 }
 
 // CompilePark compiles the PayloadPark program (prog.PayloadParkSpec) cfg
-// describes, once for every switch AttachPark installs it on.
+// describes, once for every switch and port pair AttachPark installs it at.
 func CompilePark(cfg Config) (*prog.Compiled, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -202,13 +202,13 @@ func CompilePark(cfg Config) (*prog.Compiled, error) {
 	}), nil)
 }
 
-// AttachPark installs CompilePark(cfg)'s c through AttachSpec, as a typed
-// Program whose Counters the spec's counters tick. With cfg.Recirculate,
-// recircPipe names the pipe holding the second-pass payload blocks
-// (§6.2.5); without it recircPipe must be -1.
+// AttachPark installs CompilePark's c at cfg's ports through AttachSpec, as
+// a typed Program whose Counters the spec's counters tick. With
+// cfg.Recirculate, recircPipe names the pipe holding the second-pass payload
+// blocks (§6.2.5); without it recircPipe must be -1.
 func (s *Switch) AttachPark(c *prog.Compiled, cfg Config, recircPipe int) (*Program, error) {
 	p := &Program{cfg: cfg}
-	inst, err := s.AttachSpec(c, p.C.bindings(), recircPipe)
+	inst, err := s.AttachSpec(c, prog.Ports{Split: int64(cfg.SplitPort), Merge: int64(cfg.MergePort)}, p.C.bindings(), recircPipe)
 	if err != nil {
 		return nil, err
 	}
@@ -226,29 +226,29 @@ func (s *Switch) AttachPayloadPark(cfg Config, recircPipe int) (*Program, error)
 	return s.AttachPark(c, cfg, recircPipe)
 }
 
-// AttachSpec is the switch's one loader: it installs a compiled program on
-// the pipe serving its "split_port", which the program must declare in
-// range, with its "merge_port", if declared, on the same pipe (pipes share
-// no stateful memory, §5); counters pre-bind spec counter names. recircPipe
-// holds the second-pass tables: required exactly when the spec uses one,
-// never the program's own pipe. A program the hardware cannot hold is an
-// error, and a refused program leaves the switch as it was.
-func (s *Switch) AttachSpec(c *prog.Compiled, counters map[string]*stats.Counter, recircPipe int) (*prog.Instance, error) {
+// AttachSpec is the switch's one loader: it installs a compiled program at
+// ports, on the pipe serving ports.Split, in range and bound to the
+// "split_port" it must declare, with ports.Merge, if it declares
+// "merge_port", on the same pipe (pipes share no stateful memory, §5);
+// counters pre-bind spec counter names. recircPipe holds the second-pass
+// tables: required exactly when the spec uses one, never the program's own
+// pipe. A program the hardware cannot hold is an error, and a refused
+// program leaves the switch as it was.
+func (s *Switch) AttachSpec(c *prog.Compiled, ports prog.Ports, counters map[string]*stats.Counter, recircPipe int) (*prog.Instance, error) {
 	if c == nil {
 		return nil, fmt.Errorf("core: nil program")
 	}
 	spec := c.Spec()
-	split, ok := c.Param("split_port")
-	if !ok {
+	if _, ok := spec.Params["split_port"]; !ok {
 		return nil, fmt.Errorf("core: spec %q declares no split_port parameter", spec.Name)
 	}
-	if split < 0 || split >= NumPorts {
-		return nil, fmt.Errorf("core: spec %q split port %d outside [0,%d)", spec.Name, split, NumPorts)
+	if ports.Split < 0 || ports.Split >= NumPorts {
+		return nil, fmt.Errorf("core: spec %q split port %d outside [0,%d)", spec.Name, ports.Split, NumPorts)
 	}
-	pipeIdx := PipeOfPort(rmt.PortID(split))
-	if merge, ok := c.Param("merge_port"); ok && PipeOfPort(rmt.PortID(merge)) != pipeIdx {
+	pipeIdx := PipeOfPort(rmt.PortID(ports.Split))
+	if _, ok := spec.Params["merge_port"]; ok && PipeOfPort(rmt.PortID(ports.Merge)) != pipeIdx {
 		return nil, fmt.Errorf("core: split port %d and merge port %d are on different pipes; pipes share no stateful memory",
-			split, merge)
+			ports.Split, ports.Merge)
 	}
 	var rp *rmt.Pipeline
 	switch recirc := spec.UsesRecircPipe(); {
@@ -259,7 +259,7 @@ func (s *Switch) AttachSpec(c *prog.Compiled, counters map[string]*stats.Counter
 	case recirc:
 		rp = s.pipes[recircPipe]
 	}
-	inst, err := c.Install(s.pipes[pipeIdx], rp, counters)
+	inst, err := c.Install(s.pipes[pipeIdx], rp, ports, counters)
 	if err != nil {
 		return nil, err
 	}

@@ -81,9 +81,9 @@ func PayloadParkSpec(p ParkParams) *Spec {
 			RTSplitEnabled: 1,
 		},
 		Registers: []RegisterSpec{
-			{Role: "tbl_idx", Name: "tbl_idx[$split_port]", Stage: 0, Width: Lit(8), Cells: Lit(1)},
-			{Role: "clk", Name: "clk[$split_port]", Stage: 0, Width: Lit(8), Cells: Lit(1)},
-			{Role: RoleMeta, Name: "meta_tbl[$split_port]", Stage: 1, Width: Lit(8), Cells: Ref("slots")},
+			{Role: "tbl_idx", Name: "tbl_idx", Stage: 0, Width: Lit(8), Cells: Lit(1)},
+			{Role: "clk", Name: "clk", Stage: 0, Width: Lit(8), Cells: Lit(1)},
+			{Role: RoleMeta, Name: "meta_tbl", Stage: 1, Width: Lit(8), Cells: Ref("slots")},
 		},
 	}
 
@@ -291,7 +291,7 @@ func PayloadParkSpec(p ParkParams) *Spec {
 func addPayloadBlock(s *Spec, pipe string, stage, block, pass int) {
 	role := fmt.Sprintf("payload_%d", block)
 	s.Registers = append(s.Registers, RegisterSpec{
-		Role: role, Name: fmt.Sprintf("pload_tbl_%d[$split_port]", block), Pipe: pipe,
+		Role: role, Name: fmt.Sprintf("pload_tbl_%d", block), Pipe: pipe,
 		Stage: stage, Width: Ref("block_bytes"), Cells: Ref("slots"),
 	})
 	s.Tables = append(s.Tables, TableSpec{
@@ -491,24 +491,6 @@ func appendCompressParts(s *Spec) {
 			}},
 		},
 	)
-}
-
-// BuiltinSpecs returns representative instances of the three built-in
-// programs, parameterized with the geometry core uses (20 base +
-// 28 recirculation payload blocks of 8 bytes, distinct split/merge
-// ports). The lint, oracle, fuzz and fusion tests iterate these to cover
-// every table the package can emit.
-func BuiltinSpecs() []*Spec {
-	park := ParkParams{
-		Slots: 8192, MaxExpiry: 1, SplitPort: 1, MergePort: 2,
-		BoundaryOffset: 42, Recirculate: true,
-		Blocks: 48, BaseBlocks: 20, BlockBytes: 8, MaxClock: 1 << 16,
-	}
-	return []*Spec{
-		PayloadParkSpec(park),
-		HeaderCompressSpec(CompressParams{CompressPort: 1, RestorePort: 2}),
-		ParkCompressSpec(park, 0),
-	}
 }
 
 // ctxEntries builds the store/load entry pair of one context register

@@ -65,7 +65,7 @@ var passField, _ = rmt.LookupField("pass")
 func (p *Compiled) lint() []LintFinding {
 	// The layout Install would place, held to rmt.Fit on fresh pipes.
 	if len(p.problems) == 0 {
-		ls, _, _ := p.layout(rmt.NewPipeline("ingress"), rmt.NewPipeline("recirc"))
+		ls, _, _ := p.layout(rmt.NewPipeline("ingress"), rmt.NewPipeline("recirc"), p.Ports())
 		for _, lay := range ls {
 			if err := rmt.Fit(lay); err != nil {
 				p.problemf("bad-layout", object{kind: "pipe ", name: lay.Pipe.Name()}, "%v", err)

@@ -214,7 +214,7 @@ func TestLintFindingsAreAdvisory(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	if _, err := c.Install(rmt.NewPipeline("advisory"), nil, nil); err != nil {
+	if _, err := c.Install(rmt.NewPipeline("advisory"), nil, c.Ports(), nil); err != nil {
 		t.Fatalf("Install: %v", err)
 	}
 	if fs := spec.Lint(); findLint(fs, "dead-table") == nil {

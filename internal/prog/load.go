@@ -16,10 +16,11 @@ type LoadOptions struct {
 	Counters         map[string]*stats.Counter
 }
 
-// Instance is one installed program: the Compiled it came from and the
-// runtime parameters, counters and registers its Install created.
+// Instance is one installed program: the Compiled and Ports it came from,
+// and the runtime parameters, counters and registers its Install created.
 type Instance struct {
 	prog     *Compiled
+	ports    Ports
 	runtime  map[string]*uint32
 	counters map[string]*stats.Counter
 	regs     map[string]*rmt.Register
@@ -72,7 +73,13 @@ func (in *Instance) ParkGeometry() (blocks, blockBytes, parkOffset int) {
 
 // PPPorts returns the resolved ports whose inbound frames the program
 // expects to carry a PayloadPark header.
-func (in *Instance) PPPorts() []int { return slices.Clone(in.prog.ppPorts) }
+func (in *Instance) PPPorts() []int {
+	ports := slices.Clone(in.prog.ppPorts)
+	for _, s := range in.prog.ppPorted {
+		ports[s.at] = int(in.ports.of(s.port))
+	}
+	return ports
+}
 
 // Occupied counts occupied cells of the EXP/CLK register under role (cells
 // whose expiry half is non-zero) — the generic form of Program.Occupancy —
@@ -107,18 +114,16 @@ func Compile(spec *Spec, params map[string]int64) (*Compiled, error) {
 // Spec returns the spec p was compiled from.
 func (p *Compiled) Spec() *Spec { return p.spec }
 
-// Param returns a declared parameter's value under Compile's overrides.
-func (p *Compiled) Param(name string) (int64, bool) {
-	v, ok := p.params[name]
-	return v, ok
-}
+// Ports returns the port parameters as Compile resolved them: the ports
+// Load installs at.
+func (p *Compiled) Ports() Ports { return Ports{p.params[portParams[0]], p.params[portParams[1]]} }
 
-// Install is the per-switch half of a load: runtime cells, counters (those
-// counters names, else the instance's own), registers, MATs and rules,
-// placed through rmt.Place, which checks every rule before it installs
-// anything. recirc takes the "recirc" tables and registers, and is required
-// exactly when the spec uses that pipe.
-func (p *Compiled) Install(pipe, recirc *rmt.Pipeline, counters map[string]*stats.Counter) (*Instance, error) {
+// Install is the per-switch half of a load at ports: runtime cells, counters
+// (those counters names, else the instance's own), registers, MATs and rules
+// with the ports folded in, placed through rmt.Place, which checks every rule
+// before it installs anything. recirc takes the "recirc" tables and
+// registers, and is required exactly when the spec uses that pipe.
+func (p *Compiled) Install(pipe, recirc *rmt.Pipeline, ports Ports, counters map[string]*stats.Counter) (*Instance, error) {
 	spec := p.spec
 	switch {
 	case pipe == nil:
@@ -128,6 +133,7 @@ func (p *Compiled) Install(pipe, recirc *rmt.Pipeline, counters map[string]*stat
 	}
 	inst := &Instance{
 		prog:     p,
+		ports:    ports,
 		runtime:  make(map[string]*uint32, len(spec.Runtime)),
 		counters: make(map[string]*stats.Counter),
 	}
@@ -149,16 +155,23 @@ func (p *Compiled) Install(pipe, recirc *rmt.Pipeline, counters map[string]*stat
 		}
 	}
 
-	ls, regs, mats := p.layout(pipe, recirc)
+	// The port sites take this install's ports, and the rules' ops share
+	// one arena, as the rules do.
+	conds := slices.Clone(p.conds)
+	for _, s := range p.ported {
+		conds[s.at].Value = ports.of(s.port)
+	}
+	ops, rules := make([]rmt.CondOp, 0, len(conds)), make([]rmt.Rule, p.entries)
+	ls, regs, mats := p.layout(pipe, recirc, ports)
 	var err error
 	for ti, mat := range mats {
 		t := &p.tables[ti]
-		mat.Rules = make([]rmt.Rule, len(t.entries))
+		mat.Rules, rules = rules[:len(t.entries):len(t.entries)], rules[len(t.entries):]
 		for ei := range t.entries {
-			e := &t.entries[ei]
-			rule := &mat.Rules[ei]
+			e, rule, n := &t.entries[ei], &mat.Rules[ei], len(ops)
 			rule.Name = e.spec.Name
-			if rule.Conds, err = rmt.CompileConds(e.conds, inst.runtime); err == nil {
+			if ops, err = rmt.CompileConds(ops, conds[e.at:e.at+len(e.conds)], inst.runtime); err == nil {
+				rule.Conds = ops[n:len(ops):len(ops)]
 				rule.Action, rule.Move, err = e.binding.Build(inst.runtime, inst.counters)
 			}
 			if err != nil {
@@ -185,16 +198,14 @@ func Load(spec *Spec, opts LoadOptions) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.Install(opts.Pipe, opts.RecircPipe, opts.Counters)
+	return c.Install(opts.Pipe, opts.RecircPipe, c.Ports(), opts.Counters)
 }
 
 // layout lays the resolved program out for rmt: its PHV bits and parser
 // geometry on pipe, and every register and table on the pipe it names
-// (recirc for "recirc"). A run of registers only block moves touch (the
-// payload table) shares one row-major bank, so that the moves rmt fuses copy
-// one row; every other register stands alone, dense for claim probes and
-// occupancy scans. The MATs, one per table, carry no rules yet.
-func (p *Compiled) layout(pipe, recirc *rmt.Pipeline) (ls []rmt.Layout, regs map[string]*rmt.Register, mats []*rmt.MAT) {
+// (recirc for "recirc"), the registers in the banks Compile planned, each
+// named at ports. The MATs, one per table, carry no rules yet.
+func (p *Compiled) layout(pipe, recirc *rmt.Pipeline, ports Ports) (ls []rmt.Layout, regs map[string]*rmt.Register, mats []*rmt.MAT) {
 	sc := p.scope
 	ls = []rmt.Layout{{Pipe: pipe, PHVBits: p.spec.PHVBits, Blocks: int(sc.Blocks), BlockBytes: int(sc.BlockBytes), ParkOffset: int(sc.ParkOffset)}}
 	if recirc != nil {
@@ -206,25 +217,21 @@ func (p *Compiled) layout(pipe, recirc *rmt.Pipeline) (ls []rmt.Layout, regs map
 		}
 		return &ls[0]
 	}
-	regs = make(map[string]*rmt.Register, len(p.regs))
-	for i := 0; i < len(p.regs); {
+	all, regs := make([]*rmt.Register, len(p.regs)), make(map[string]*rmt.Register, len(p.regs))
+	for i := range p.regs {
 		r := &p.regs[i]
-		var bank []*rmt.Register
-		for _, o := range p.regs[i:] {
-			if len(bank) > 0 && !(r.banked() && o.banked() && pipeName(o.spec.Pipe) == pipeName(r.spec.Pipe) && o.cells == r.cells) {
-				break
-			}
-			regs[o.role] = rmt.NewRegister(o.spec.Stage, o.name, int(o.width), int(o.cells))
-			bank = append(bank, regs[o.role])
-		}
-		l := on(r.spec.Pipe)
-		l.Banks = append(l.Banks, bank)
-		i += len(bank)
+		all[i] = rmt.NewRegister(r.spec.Stage, p.name(r.spec.Name, object{}, &ports), int(r.width), int(r.cells))
+		regs[r.role] = all[i]
 	}
-	mats = make([]*rmt.MAT, len(p.tables))
+	for _, b := range p.banks {
+		l := on(p.regs[b[0]].spec.Pipe)
+		l.Banks = append(l.Banks, all[b[0]:b[1]:b[1]])
+	}
+	mats, arena := make([]*rmt.MAT, len(p.tables)), make([]rmt.MAT, len(p.tables))
 	for ti := range p.tables {
 		t := &p.tables[ti]
-		mats[ti] = &rmt.MAT{Name: t.name, Stage: t.spec.Stage, Res: t.spec.Resources}
+		arena[ti] = rmt.MAT{Name: p.name(t.spec.Name, object{}, &ports), Stage: t.spec.Stage, Res: t.spec.Resources}
+		mats[ti] = &arena[ti]
 		if t.reg != nil {
 			mats[ti].Reg = regs[t.reg.role]
 		}

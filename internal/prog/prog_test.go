@@ -3,7 +3,9 @@ package prog
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -162,7 +164,7 @@ func TestLoadRefusesBankBeforeAllocating(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	_, err := Load(spec, LoadOptions{Pipe: rmt.NewPipeline("bank")})
 	runtime.ReadMemStats(&after)
-	if err == nil || !strings.Contains(err.Error(), "SRAM overflow placing register \"pload_tbl_1[0]\"") {
+	if err == nil || !strings.Contains(err.Error(), "SRAM overflow placing register \"pload_tbl_1\"") {
 		t.Fatalf("err = %v, want the second payload register of stage 2 refused", err)
 	}
 	if grown := after.TotalAlloc - before.TotalAlloc; grown > 2<<20 {
@@ -265,6 +267,52 @@ func TestCompiledParamAndRecircProbe(t *testing.T) {
 	p.Recirculate, p.Blocks = true, 48
 	if !PayloadParkSpec(p).UsesRecircPipe() {
 		t.Error("recirc spec denies recirc pipe")
+	}
+}
+
+// TestInstallAtPortsIsCompileAtPorts: a spec compiled once and installed at
+// ports 2/3 lowers every rule's conditions, and names every register and
+// table (the compression spec's names carry $split_port), exactly as a
+// compile at 2/3 does, and parking expects PayloadPark headers on port 3; a
+// port parameter anywhere but a condition, pp_ports or a name is refused,
+// since Install could not bind it there.
+func TestInstallAtPortsIsCompileAtPorts(t *testing.T) {
+	for _, spec := range []*Spec{PayloadParkSpec(parkParams()), HeaderCompressSpec(CompressParams{CompressPort: 0, RestorePort: 1})} {
+		c, err := Compile(spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at, err := c.Install(rmt.NewPipeline("at"), nil, Ports{Split: 2, Merge: 3}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Load(spec, LoadOptions{Pipe: rmt.NewPipeline("want"), Params: map[string]int64{"split_port": 2, "merge_port": 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range at.Tables() {
+			if w := want.Tables()[i].Name; m.Name != w {
+				t.Errorf("%s: table %q, want %q", spec.Name, m.Name, w)
+			}
+			for j := range m.Rules {
+				if got, w := m.Rules[j].Conds, want.Tables()[i].Rules[j].Conds; !reflect.DeepEqual(got, w) {
+					t.Errorf("%s/%s: conditions %+v, want %+v", m.Name, m.Rules[j].Name, got, w)
+				}
+			}
+		}
+		for _, r := range spec.Registers {
+			if got, w := at.Register(r.Role).Name(), want.Register(r.Role).Name(); got != w {
+				t.Errorf("%s: register %q, want %q", spec.Name, got, w)
+			}
+		}
+		if ports := at.PPPorts(); spec.Parser.PPPorts != nil && !slices.Equal(ports, []int{3}) {
+			t.Errorf("pp ports = %v, want [3]", ports)
+		}
+	}
+	bad := PayloadParkSpec(parkParams())
+	bad.Registers[0].Cells = Ref("split_port")
+	if _, err := Compile(bad, nil); err == nil || !strings.Contains(err.Error(), `register tbl_idx: cells: port parameter "$split_port" binds at install`) {
+		t.Errorf("a register sized by a port parameter: err = %v", err)
 	}
 }
 

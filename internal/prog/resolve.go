@@ -12,16 +12,22 @@ import (
 // Compiled is a Spec resolved against its parameters and the rmt
 // vocabulary: names expanded, every ParamVal a number, every condition field
 // and action looked up, every entry bound to its action's descriptor, every
-// register role followed. Install places it on as many pipes as asked and
-// never writes it; Lint analyses it. problems lists every reason the spec
-// cannot be installed, as lint findings: Compile fails on the first.
+// register role followed, the registers grouped into banks. Install places
+// it on as many pipes, at as many ports, as asked and never writes it; Lint
+// analyses it. problems lists every reason the spec cannot be installed, as
+// lint findings: Compile fails on the first.
 type Compiled struct {
 	spec     *Spec
 	params   map[string]int64 // spec parameters under the overrides
 	scope    rmt.Scope        // parser geometry and declared runtime parameters
 	ppPorts  []int
 	regs     []register // parallel to spec.Registers
+	banks    [][2]int   // runs [lo, hi) of regs that share a bank
 	tables   []table    // parallel to spec.Tables
+	conds    []rmt.Cond // every entry's conditions, in entry order
+	entries  int        // entries over all tables
+	ported   []portSite // the values in conds that Install binds to its ports
+	ppPorted []portSite // likewise in ppPorts
 	writes   []metaWrite
 	problems []LintFinding
 
@@ -49,15 +55,30 @@ type table struct {
 	entries []entry
 }
 
-// entry is one resolved entry. conds holds the conditions that resolved
-// (partial marks an entry that lost one to a problem); binding is nil when
-// the action or its bindings did not check out.
+// entry is one resolved entry. conds, from index at of Compiled.conds, holds
+// the conditions that resolved (partial marks an entry that lost one to a
+// problem); binding is nil when the action or its bindings did not check out.
 type entry struct {
 	spec    *EntrySpec
 	conds   []rmt.Cond
+	at      int
 	partial bool
 	binding *rmt.Binding
 }
+
+// Ports are Install's bindings of a spec's port parameters: its
+// "split_port" to Split and its "merge_port" to Merge. Compile fixes every
+// other parameter, so one compiled program installs at any pair of ports.
+type Ports struct{ Split, Merge int64 }
+
+// portParams are the port parameters, in the order portSite.port counts.
+var portParams = [...]string{"split_port", "merge_port"}
+
+func (ps Ports) of(port int) int64 { return [...]int64{ps.Split, ps.Merge}[port] }
+
+// portSite is a resolved value that names a port parameter: Install
+// rewrites the value at index at to its binding of parameter port.
+type portSite struct{ at, port int }
 
 // metaWrite is one (table, entry, word) metadata write site; below is the
 // exclusive bound of the register index it publishes (the value of the
@@ -92,19 +113,30 @@ func (p *Compiled) problemf(code string, obj object, format string, args ...any)
 }
 
 // val resolves a ParamVal under the program's parameters, tracking
-// parameter use and reporting a dangling reference from "<what><key>".
-func (p *Compiled) val(pv ParamVal, obj object, what, key string) (int64, bool) {
+// parameter use and reporting a dangling reference from "<what><key>". Only
+// a value Install rewrites, a condition's or pp_ports', may reference a port
+// parameter (names aside): its index at is appended to sites.
+func (p *Compiled) val(pv ParamVal, obj object, what, key string, sites *[]portSite, at int) (int64, bool) {
 	v, ok := pv.resolve(p.params)
-	if !ok {
+	port := slices.Index(portParams[:], pv.ref)
+	switch {
+	case !ok:
 		p.problemf("unbound-param", obj, "%s%s: reference %q names no declared parameter", what, key, "$"+pv.ref)
-	} else if pv.ref != "" {
+	case port >= 0 && sites == nil:
+		p.problemf("port-param", obj, "%s%s: port parameter %q binds at install: only a condition or pp_ports may reference it", what, key, "$"+pv.ref)
+	case port >= 0:
+		*sites = append(*sites, portSite{at, port})
+	}
+	if ok && pv.ref != "" {
 		p.usedParams[pv.ref] = true
 	}
 	return v, ok
 }
 
-// name expands the "$param" references inside a register or table name.
-func (p *Compiled) name(s string, obj object) string {
+// name expands the "$param" references inside a register or table name:
+// Compile (ports nil) checks them, and Install expands a port parameter to
+// its binding, so a switch's registers and MATs name the ports they serve.
+func (p *Compiled) name(s string, obj object, ports *Ports) string {
 	if !strings.ContainsRune(s, '$') {
 		return s
 	}
@@ -120,8 +152,13 @@ func (p *Compiled) name(s string, obj object) string {
 			j++
 		}
 		ref := s[i+1 : j]
-		if v, ok := p.params[ref]; ok {
+		v, ok := p.params[ref]
+		if port := slices.Index(portParams[:], ref); port >= 0 && ports != nil {
+			v = ports.of(port)
+		} else if ok && ports == nil {
 			p.usedParams[ref] = true
+		}
+		if ok {
 			b.WriteString(strconv.FormatInt(v, 10))
 		} else if ref == "" {
 			p.problemf("unbound-param", obj, "name %q has a bare '$'", s)
@@ -170,9 +207,9 @@ func resolve(s *Spec, overrides map[string]int64) *Compiled {
 
 	p.scope.Runtime = s.Runtime
 	parser := object{name: "parser"}
-	p.scope.Blocks, _ = p.val(s.Parser.Blocks, parser, "blocks", "")
-	p.scope.BlockBytes, _ = p.val(s.Parser.BlockBytes, parser, "block_bytes", "")
-	p.scope.ParkOffset, _ = p.val(s.Parser.ParkOffset, parser, "park_offset", "")
+	p.scope.Blocks, _ = p.val(s.Parser.Blocks, parser, "blocks", "", nil, 0)
+	p.scope.BlockBytes, _ = p.val(s.Parser.BlockBytes, parser, "block_bytes", "", nil, 0)
+	p.scope.ParkOffset, _ = p.val(s.Parser.ParkOffset, parser, "park_offset", "", nil, 0)
 	for _, g := range [...]struct {
 		what string
 		v    int64
@@ -185,7 +222,7 @@ func resolve(s *Spec, overrides map[string]int64) *Compiled {
 		p.problemf("bad-layout", parser, "block_bytes = 0 with %d blocks to extract", p.scope.Blocks)
 	}
 	for i, pv := range s.Parser.PPPorts {
-		if v, ok := p.val(pv, parser, "pp_ports#", strconv.Itoa(i)); ok {
+		if v, ok := p.val(pv, parser, "pp_ports#", strconv.Itoa(i), &p.ppPorted, len(p.ppPorts)); ok {
 			p.ppPorts = append(p.ppPorts, int(v))
 		}
 	}
@@ -195,12 +232,12 @@ func resolve(s *Spec, overrides map[string]int64) *Compiled {
 		spec := &s.Registers[i]
 		obj := object{kind: "register ", name: spec.Name}
 		r := &p.regs[i]
-		*r = register{spec: spec, name: p.name(spec.Name, obj), role: spec.Role}
+		*r = register{spec: spec, name: p.name(spec.Name, obj, nil), role: spec.Role}
 		if r.role == "" {
 			r.role = r.name
 		}
-		width, wok := p.val(spec.Width, obj, "width", "")
-		cells, cok := p.val(spec.Cells, obj, "cells", "")
+		width, wok := p.val(spec.Width, obj, "width", "", nil, 0)
+		cells, cok := p.val(spec.Cells, obj, "cells", "", nil, 0)
 		r.width, r.cells, r.sized = width, cells, wok && cok
 		p.placed(obj, spec.Pipe)
 		if roles[r.role] != nil {
@@ -224,7 +261,7 @@ func resolve(s *Spec, overrides map[string]int64) *Compiled {
 		obj := object{kind: "table ", name: spec.Name}
 		t := &p.tables[ti]
 		n := len(spec.Entries)
-		*t = table{spec: spec, name: p.name(spec.Name, obj), entries: entries[:n:n]}
+		*t = table{spec: spec, name: p.name(spec.Name, obj, nil), entries: entries[:n:n]}
 		entries = entries[n:]
 		p.placed(obj, spec.Pipe)
 		if spec.Register != "" {
@@ -241,7 +278,19 @@ func resolve(s *Spec, overrides map[string]int64) *Compiled {
 			conds = p.resolveEntry(ti, ei, conds)
 		}
 	}
+	p.conds, p.entries = conds, nEntries
 	p.checkIndexDomains()
+	// The layout plan: a run of registers only block moves touch, on one
+	// pipe with one cell count, shares a row-major bank, whose fused moves
+	// copy one row; any other register stands alone, dense for claim probes.
+	for i := 0; i < len(p.regs); {
+		r, j := &p.regs[i], i+1
+		for j < len(p.regs) && r.banked() && p.regs[j].banked() && pipeName(p.regs[j].spec.Pipe) == pipeName(r.spec.Pipe) && p.regs[j].cells == r.cells {
+			j++
+		}
+		p.banks = append(p.banks, [2]int{i, j})
+		i = j
+	}
 	return p
 }
 
@@ -253,7 +302,7 @@ func (p *Compiled) resolveEntry(ti, ei int, conds []rmt.Cond) []rmt.Cond {
 	e.spec = &t.spec.Entries[ei]
 	obj := object{name: t.spec.Name, entry: e.spec.Name}
 
-	start := len(conds)
+	e.at = len(conds)
 	for _, c := range e.spec.Match {
 		field, err := rmt.LookupField(c.Field)
 		if name, isParam := field.RuntimeParam(); err == nil && isParam {
@@ -263,7 +312,7 @@ func (p *Compiled) resolveEntry(ti, ei int, conds []rmt.Cond) []rmt.Cond {
 				err = fmt.Errorf("unknown condition field %q: no such runtime parameter", c.Field)
 			}
 		}
-		v, ok := p.val(c.Value, obj, "condition ", c.Field)
+		v, ok := p.val(c.Value, obj, "condition ", c.Field, &p.ported, len(conds))
 		switch {
 		case err != nil:
 			p.problemf("unknown-field", obj, "%v", err)
@@ -275,7 +324,7 @@ func (p *Compiled) resolveEntry(ti, ei int, conds []rmt.Cond) []rmt.Cond {
 		}
 		e.partial = true
 	}
-	e.conds = conds[start:len(conds):len(conds)]
+	e.conds = conds[e.at:len(conds):len(conds)]
 	p.bindEntry(ti, ei, obj)
 	return conds
 }
@@ -292,7 +341,7 @@ func (p *Compiled) bindEntry(ti, ei int, obj object) {
 		// Sorted so an unresolvable entry always reports the same parameter
 		// first.
 		for _, k := range sortedKeys(e.spec.Params) {
-			v, ok := p.val(e.spec.Params[k], obj, "parameter ", k)
+			v, ok := p.val(e.spec.Params[k], obj, "parameter ", k, nil, 0)
 			args.Params[k], resolved = v, resolved && ok
 		}
 	}

@@ -25,8 +25,8 @@ import (
 
 // ParamVal is an integer field of a Spec that is either a literal or a
 // "$name" reference into the spec's Params map. References keep one scenario
-// knob (port number, slot count) consistent across every table that uses it,
-// and let sim override ports without rewriting the spec.
+// knob (port number, slot count) consistent across every table that uses it;
+// Install binds the port parameters, split_port and merge_port (Ports).
 type ParamVal struct {
 	ref string
 	lit int64
@@ -141,8 +141,8 @@ type ParserSpec struct {
 }
 
 // RegisterSpec declares one stage-local register array. Role is the handle
-// tables bind it by and Instance reports it under; Name may embed "$param"
-// references (register names carry the split port for diagnostics).
+// tables bind it by and Instance reports it under; Name, for diagnostics,
+// may embed "$param" references, expanded at Install's ports.
 type RegisterSpec struct {
 	Role  string   `json:"role,omitempty"`
 	Name  string   `json:"name"`

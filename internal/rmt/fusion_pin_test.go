@@ -23,7 +23,16 @@ func TestBuiltinSpecsFuseTheirPayloadTables(t *testing.T) {
 	}
 	store := func(bytes int) []rmt.MoveShape { return []rmt.MoveShape{{Bytes: bytes, Spans: 1}} }
 	load := func(bytes int) []rmt.MoveShape { return []rmt.MoveShape{{Load: true, Bytes: bytes, Spans: 1}} }
-	specs := prog.BuiltinSpecs()
+	park := prog.ParkParams{
+		Slots: 8192, MaxExpiry: 1, SplitPort: int(split), MergePort: int(merge),
+		BoundaryOffset: 42, Recirculate: true,
+		Blocks: 48, BaseBlocks: 20, BlockBytes: 8, MaxClock: 1 << 16,
+	}
+	specs := []*prog.Spec{
+		prog.PayloadParkSpec(park),
+		prog.HeaderCompressSpec(prog.CompressParams{CompressPort: int(split), RestorePort: int(merge)}),
+		prog.ParkCompressSpec(park, 0),
+	}
 	for _, tc := range []struct {
 		spec *prog.Spec
 		want map[at][]rmt.MoveShape // every (pipe, pass, port) not listed compiles no move

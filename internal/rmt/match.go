@@ -158,23 +158,24 @@ type CondOp struct {
 // static reports whether the op is decided per program, not per packet.
 func (c CondOp) static() bool { return c.kind <= condPass }
 
-// CompileConds binds a conjunction of conditions into ops. Evaluation
-// short-circuits left to right, so cheap guards should come first; in_port
-// and pass conditions are moved to the front, where Compile elides them.
-// runtime holds the storage cells of the program's runtime parameters (nil
-// when no condition names one).
-func CompileConds(conds []Cond, runtime map[string]*uint32) ([]CondOp, error) {
-	ops := make([]CondOp, len(conds))
-	for i, c := range conds {
-		ops[i] = CondOp{kind: c.Field.kind, ne: c.Ne, idx: c.Field.word, val: c.Value}
+// CompileConds appends a conjunction of conditions, bound into ops, to dst.
+// Evaluation short-circuits left to right, so cheap guards should come
+// first; in_port and pass conditions are moved to the front, where Compile
+// elides them. runtime holds the storage cells of the program's runtime
+// parameters (nil when no condition names one).
+func CompileConds(dst []CondOp, conds []Cond, runtime map[string]*uint32) ([]CondOp, error) {
+	n := len(dst)
+	for _, c := range conds {
+		op := CondOp{kind: c.Field.kind, ne: c.Ne, idx: c.Field.word, val: c.Value}
 		if c.Field.kind == condParam {
-			if ops[i].cell = runtime[c.Field.param]; ops[i].cell == nil {
+			if op.cell = runtime[c.Field.param]; op.cell == nil {
 				return nil, fmt.Errorf("rmt: unknown runtime parameter %q", c.Field.param)
 			}
 		}
+		dst = append(dst, op)
 	}
-	slices.SortStableFunc(ops, func(a, b CondOp) int { return int(b2i(b.static()) - b2i(a.static())) })
-	return ops, nil
+	slices.SortStableFunc(dst[n:], func(a, b CondOp) int { return int(b2i(b.static()) - b2i(a.static())) })
+	return dst, nil
 }
 
 func b2i(b bool) int64 {

@@ -24,7 +24,7 @@ func tracePipe(t *testing.T, env cellEnv, log *[]string, mats ...[]traceRule) *P
 	for stage, rules := range mats {
 		m := &MAT{Name: "m"}
 		for _, r := range rules {
-			ops, err := CompileConds(r.conds, env)
+			ops, err := CompileConds(nil, r.conds, env)
 			if err != nil {
 				t.Fatalf("rule %s: %v", r.name, err)
 			}
@@ -194,7 +194,7 @@ func TestRuntimeParamLoadedPerPacket(t *testing.T) {
 	if got := runTrace(t, p, &log, &PHV{}); got != "open" {
 		t.Errorf("gate open: fired %q, want open", got)
 	}
-	if _, err := CompileConds([]Cond{{Field: fld("param.gate")}}, nil); err == nil {
+	if _, err := CompileConds(nil, []Cond{{Field: fld("param.gate")}}, nil); err == nil {
 		t.Error("param condition compiled without its cell")
 	}
 }

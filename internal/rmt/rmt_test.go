@@ -37,7 +37,7 @@ func fld(name string) Field {
 // conds compiles declarative conditions that name no runtime parameter.
 func conds(t testing.TB, cs ...Cond) []CondOp {
 	t.Helper()
-	ops, err := CompileConds(cs, nil)
+	ops, err := CompileConds(nil, cs, nil)
 	if err != nil {
 		t.Fatalf("CompileConds(%v): %v", cs, err)
 	}

@@ -131,9 +131,11 @@ type Graph struct {
 	Events              []GraphEvent
 	Phases              []int64
 
-	// compiled is compile's: Realise a graph from one goroutine, and leave
-	// its Program section as first realised.
-	compiled map[any]*prog.Compiled
+	// park and program are the graph's parking and table programs, each
+	// compiled by the first Realise that installs it and bound to each
+	// placement's ports at install: Realise a graph from one goroutine, and
+	// leave its Parking and Program sections as first realised.
+	park, program *prog.Compiled
 }
 
 // traffic is flow i's generator configuration: the one place a run's
@@ -383,9 +385,12 @@ func (g *Graph) Realise(i int, sw *core.Switch) ([]*prog.Instance, error) {
 			recirc = (core.PipeOfPort(pl.Split) + 1) % core.NumPipes
 		}
 		cfg := g.Parking.Core(pl.Split, pl.Merge)
-		c, err := g.compile(cfg, func() (*prog.Compiled, error) { return core.CompilePark(cfg) })
+		var err error
+		if g.park == nil {
+			g.park, err = core.CompilePark(cfg)
+		}
 		if err == nil {
-			_, err = sw.AttachPark(c, cfg, recirc)
+			_, err = sw.AttachPark(g.park, cfg, recirc)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("attach %s: %w", gs.Name, err)
@@ -393,10 +398,17 @@ func (g *Graph) Realise(i int, sw *core.Switch) ([]*prog.Instance, error) {
 	}
 	var insts []*prog.Instance
 	for _, pl := range gs.Spec {
-		c, err := g.compile(pl, func() (*prog.Compiled, error) { return prog.Compile(programSpec(g.Program, pl.Split, pl.Merge)) })
+		var err error
+		if g.program == nil {
+			spec := g.Program.Spec
+			if g.Program.Kind == "compress" {
+				spec = prog.HeaderCompressSpec(prog.CompressParams{Slots: g.Program.Slots, MaxExpiry: g.Program.MaxExpiry})
+			}
+			g.program, err = prog.Compile(spec, nil)
+		}
 		var inst *prog.Instance
 		if err == nil {
-			inst, err = sw.AttachSpec(c, nil, -1)
+			inst, err = sw.AttachSpec(g.program, prog.Ports{Split: int64(pl.Split), Merge: int64(pl.Merge)}, nil, -1)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("%s: attach program: %w", gs.Name, err)
@@ -412,24 +424,6 @@ func (g *Graph) Realise(i int, sw *core.Switch) ([]*prog.Instance, error) {
 		}
 	}
 	return insts, nil
-}
-
-// compile returns the program build compiles for key — a parking Config,
-// or a Placement of the Program section's — calling build on the graph's
-// first use of key alone: however many switches install a program, it is
-// compiled once per graph.
-func (g *Graph) compile(key any, build func() (*prog.Compiled, error)) (*prog.Compiled, error) {
-	if c := g.compiled[key]; c != nil {
-		return c, nil
-	}
-	c, err := build()
-	if err == nil {
-		if g.compiled == nil {
-			g.compiled = make(map[any]*prog.Compiled)
-		}
-		g.compiled[key] = c
-	}
-	return c, err
 }
 
 // RealiseAll builds every switch of the graph, in graph order, dropping

@@ -84,7 +84,7 @@ func TestFabricByteConservation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile compression: %v", err)
 	}
-	comp, err := sw.AttachSpec(compiled, nil, -1)
+	comp, err := sw.AttachSpec(compiled, compiled.Ports(), nil, -1)
 	if err != nil {
 		t.Fatalf("attach compression: %v", err)
 	}

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"testing"
 
+	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/prog"
+	"github.com/payloadpark/payloadpark/internal/rmt"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
 
@@ -118,8 +120,8 @@ func TestLeafSpineMergeInPlaceAlloc(t *testing.T) {
 // leafSpineBuild is the set-up of the benchmark's fabric_16x8 workload —
 // 16 leaves x 8 spines at 100 GbE, edge parking over 8192 slots, 60 Gbps of
 // the datacenter mix per source — run with a 1 µs warm-up and window, so
-// that building the fabric (24 switches, 16 parking programs from 8
-// compiles) and tearing it down is nearly all of it.
+// that building the fabric (24 switches, 16 parking programs from one
+// compile) and tearing it down is nearly all of it.
 func leafSpineBuild(tb testing.TB) {
 	l := LeafSpine{Leaves: 16, Spines: 8, LinkBps: 100e9}
 	sec := Sections{
@@ -142,32 +144,62 @@ func BenchmarkLeafSpineBuild(b *testing.B) {
 	}
 }
 
-// TestLeafSpineBuildCompilesOncePerPlacementAlloc: the 16 edge parking
-// programs of the 16x8 fabric sit at 8 distinct (split, merge) pairs —
-// leaf i merges on uplink i mod 8 — so realising it compiles 8 programs,
-// each installed twice, and leafSpineBuild stays within 13,000 allocations
-// (16,589 with one compile per switch).
-func TestLeafSpineBuildCompilesOncePerPlacementAlloc(t *testing.T) {
-	l := LeafSpine{Leaves: 16, Spines: 8, LinkBps: 100e9}
-	sec := Sections{Parking: Parking{Mode: ParkEdge, Slots: 8192, MaxExpiry: 1}}
-	l.Resolve(&sec)
-	sws, err := l.Graph(sec).RealiseAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, specs := 0, make(map[*prog.Spec]bool)
-	for _, sw := range sws {
-		for _, p := range sw.Programs() {
-			n, specs[p.Instance().Spec()] = n+1, true
-		}
-	}
-	if n != 16 || len(specs) != 8 {
-		t.Errorf("%d parking programs from %d compiled specs, want 16 from 8", n, len(specs))
+// TestLeafSpineBuildCompilesOncePerGraphAlloc: realising a graph builds
+// prog.PayloadParkSpec and runs prog.Compile once per program. The 16 edge
+// parking programs of the 16x8 fabric sit at 8 distinct (split, merge)
+// pairs — leaf i merges on uplink i mod 8 — and, like the 8 of an 8-server
+// MultiServer, all hold the one spec the first Realise compiled, which no
+// later Realise replaces; the fabric's 16 compress programs hold one spec
+// too. leafSpineBuild stays within 8,000 allocations (≈12,770 with a
+// compile per port pair, 16,589 with one per switch).
+func TestLeafSpineBuildCompilesOncePerGraphAlloc(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		topo              topology
+		program           string
+		programs, mergeAt int
+	}{
+		{"leafspine-16x8", &LeafSpine{Leaves: 16, Spines: 8, LinkBps: 100e9}, "compress", 16, 8},
+		{"multiserver-8", &MultiServer{Servers: 8, LinkBps: 10e9}, "", 8, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sec := Sections{Parking: Parking{Mode: ParkEdge, Slots: 8192, MaxExpiry: 1}, Program: Program{Kind: tc.program}}
+			tc.topo.Resolve(&sec)
+			g := tc.topo.Graph(sec)
+			parks, tables, merges := make(map[*prog.Spec]int), make(map[*prog.Spec]int), make(map[rmt.PortID]bool)
+			var first *prog.Compiled
+			for i := range g.Switches {
+				sw := core.NewSwitch(g.Switches[i].Name)
+				insts, err := g.Realise(i, sw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if first == nil {
+					first = g.park
+				}
+				if g.park != first {
+					t.Fatalf("switch %d recompiled the parking program", i)
+				}
+				for _, p := range sw.Programs() {
+					parks[p.Instance().Spec()]++
+					merges[p.Config().MergePort] = true
+				}
+				for _, inst := range insts {
+					tables[inst.Spec()]++
+				}
+			}
+			if len(parks) != 1 || first == nil || parks[first.Spec()] != tc.programs || len(merges) != tc.mergeAt {
+				t.Errorf("parking programs by spec %v at %d merge ports, want %d of the one compiled spec at %d", parks, len(merges), tc.programs, tc.mergeAt)
+			}
+			if tc.program != "" && (len(tables) != 1 || tables[g.program.Spec()] != tc.programs) {
+				t.Errorf("%s programs by spec %v, want %d of one spec", tc.program, tables, tc.programs)
+			}
+		})
 	}
 	if raceEnabled {
 		return // the allocation pins run without -race
 	}
-	if allocs := testing.AllocsPerRun(3, func() { leafSpineBuild(t) }); allocs > 13000 {
-		t.Errorf("fabric set-up allocates %.0f times, want at most 13,000", allocs)
+	if allocs := testing.AllocsPerRun(3, func() { leafSpineBuild(t) }); allocs > 8000 {
+		t.Errorf("fabric set-up allocates %.0f times, want at most 8,000", allocs)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"github.com/payloadpark/payloadpark/internal/core"
 	"github.com/payloadpark/payloadpark/internal/ctrl"
 	"github.com/payloadpark/payloadpark/internal/packet"
+	"github.com/payloadpark/payloadpark/internal/prog"
 	"github.com/payloadpark/payloadpark/internal/rmt"
 	"github.com/payloadpark/payloadpark/internal/trafficgen"
 )
@@ -168,4 +169,35 @@ func Run(g *Graph, s Sections, w Wiring) (*Outcome, error) {
 		o.Control = ctl.Snapshot()
 	}
 	return o, nil
+}
+
+// ProgramCounters is one attached program's report: the spec name, every
+// named counter's in-window delta, and the end-of-run occupancy of its
+// EXP/CLK state tables (parking slots plus compression contexts).
+type ProgramCounters struct {
+	// Switch names the hosting switch on multi-switch topologies ("" on
+	// the testbed, which has one switch).
+	Switch  string `json:"switch,omitempty"`
+	Program string `json:"program"`
+	// Counters holds the in-window delta of every counter the spec
+	// declares, keyed by the spec's counter names.
+	Counters map[string]uint64 `json:"counters,omitempty"`
+	// Occupancy is the end-of-run occupied-cell count across the
+	// program's meta state tables (orphan detection).
+	Occupancy int `json:"occupancy"`
+}
+
+// programReport diffs one instance against its window-start snapshot.
+// A nil snapshot (window never started) reports the cumulative values.
+func programReport(swName string, inst *prog.Instance, snap map[string]uint64) ProgramCounters {
+	pc := ProgramCounters{
+		Switch:    swName,
+		Program:   inst.Spec().Name,
+		Counters:  inst.Counters(),
+		Occupancy: inst.Occupied(prog.RoleMeta) + inst.Occupied(prog.RoleCompMeta),
+	}
+	for name, v := range pc.Counters { //pp:nondeterministic-ok order-insensitive update of a map in place
+		pc.Counters[name] = v - snap[name]
+	}
+	return pc
 }

@@ -151,7 +151,7 @@ type ServerSim struct {
 	rx       []station
 	stages   []station
 	pcieBusy int64
-	rng      *rand.Rand
+	rng      *rand.Rand // the service-jitter stream; nil without jitter
 
 	// jobs is the free-listed verdict table; job j's cycles at station i are
 	// jobCycles[j*chainLen+i], copied out of nf.Result.Costs (the nf.Server
@@ -206,7 +206,9 @@ func NewServerSim(eng *Engine, model ServerModel, srv *nf.Server, seed int64, ou
 		stages:    make([]station, cores*chainLen),
 		coreStats: make([]CoreStat, cores),
 		coreQueue: make([]int, cores),
-		rng:       rand.New(rand.NewSource(scrambleSeed(seed))),
+	}
+	if model.ServiceJitterPct > 0 { // seeding a source costs ~14 µs: only jitter draws
+		s.rng = rand.New(rand.NewSource(scrambleSeed(seed)))
 	}
 	s.rxDoneFn = s.rxDone
 	s.stageDoneFn = s.stageDone

@@ -162,6 +162,22 @@ func TestJitterSeedDerivedFromExperimentSeed(t *testing.T) {
 	}
 }
 
+// TestJitterSourceOnlyWhenJittered: a server without service jitter seeds
+// no random source (one seeding costs ~14 µs, paid by every server of a
+// set-up), and a jittered one draws the stream it always did: its output
+// times are the ones recorded while every server seeded a source.
+func TestJitterSourceOnlyWhenJittered(t *testing.T) {
+	srv := nf.NewServer(nf.ServerConfig{Chain: nf.NewChain(nf.NewSynthetic("S", 2300))})
+	if s := NewServerSim(NewEngine(), DefaultServerModel(), srv, 1, func(Parcel) {}, nil, nil); s.rng != nil {
+		t.Error("a jitter-free server seeded a random source")
+	}
+	for seed, want := range map[int64][3]int64{1: {1120, 1848, 3172}, 2: {1405, 2287, 3392}, 7: {1254, 1936, 3163}} {
+		if got := jitteredOutTimes(seed); got != want {
+			t.Errorf("seed %d: jittered output times %v, want %v", seed, got, want)
+		}
+	}
+}
+
 // TestDropPathsRecycleAllocFree drives a lossy, overflowing path — link
 // queue overflow, in-flight link loss, NIC ring overflow — with every
 // terminal point recycling into the generator, and asserts the steady

@@ -2,6 +2,7 @@ package trafficgen
 
 import (
 	"bytes"
+	"hash/crc64"
 	"math/rand"
 	"sort"
 	"testing"
@@ -117,6 +118,32 @@ func TestAppendFrameMatchesSerialize(t *testing.T) {
 			}
 			if allocs := testing.AllocsPerRun(1000, func() { frame = got.AppendFrame(frame[:0]) }); allocs != 0 {
 				t.Errorf("AppendFrame allocates %.2f/frame in steady state, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestGeneratedChecksumsHold: 100,000 generated packets under each size
+// distribution carry a valid IPv4 header checksum, and their frames hash to
+// a recorded CRC-64, so a change to how UDPInto builds a packet cannot
+// alter a generated byte unseen.
+func TestGeneratedChecksumsHold(t *testing.T) {
+	want := map[string]uint64{"datacenter": 0x5f42e16971206b7a, "fixed64": 0x7ced8b737aed1b65, "fixed1500": 0x326150da83aa2f06}
+	for name, sizes := range map[string]SizeDist{"datacenter": Datacenter{}, "fixed64": Fixed(64), "fixed1500": Fixed(1500)} {
+		t.Run(name, func(t *testing.T) {
+			g, h := New(testConfig(sizes)), crc64.New(crc64.MakeTable(crc64.ECMA))
+			var frame []byte
+			for i := 0; i < 100_000; i++ {
+				p := g.Next()
+				if !p.IP.ChecksumValid() {
+					t.Fatalf("packet %d: checksum %#04x, want %#04x", i, p.IP.Checksum, p.IP.ComputeChecksum())
+				}
+				frame = p.AppendSerialize(frame[:0])
+				h.Write(frame)
+				g.Recycle(p)
+			}
+			if got := h.Sum64(); got != want[name] {
+				t.Errorf("frames hash to %#x, want %#x", got, want[name])
 			}
 		})
 	}
