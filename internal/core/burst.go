@@ -33,10 +33,13 @@ type burstSlot struct {
 // their recirculation partners. Emissions returned by Run alias the
 // burst's slot scratch and stay valid until the next Reset/Add cycle.
 type FrameBurst struct {
-	sw      *Switch
-	slots   []burstSlot
+	sw    *Switch
+	slots []burstSlot
+	// batch[i] carries slot i's packet from NewFrameBurst on: Add writes
+	// only its port, and the first n entries are the frames added.
 	batch   []BatchPacket
 	results []BatchResult
+	n       int
 }
 
 // NewFrameBurst returns a burst of the given capacity (DefaultBurst-sized
@@ -45,18 +48,17 @@ func (s *Switch) NewFrameBurst(capacity int) *FrameBurst {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &FrameBurst{
-		sw:      s,
-		slots:   make([]burstSlot, capacity),
-		batch:   make([]BatchPacket, 0, capacity),
-		results: make([]BatchResult, capacity),
+	b := &FrameBurst{sw: s, slots: make([]burstSlot, capacity), batch: make([]BatchPacket, capacity), results: make([]BatchResult, capacity)}
+	for i := range b.batch {
+		b.batch[i].Pkt = &b.slots[i].pkt
 	}
+	return b
 }
 
 // Reset empties the burst for the next receive cycle.
 //
 //pp:zeroalloc
-func (b *FrameBurst) Reset() { b.batch = b.batch[:0] }
+func (b *FrameBurst) Reset() { b.n = 0 }
 
 // Add parses frame into the next slot, entering on port in. Parse
 // failures and invalid ports are counted against the switch (rx + drop
@@ -65,7 +67,7 @@ func (b *FrameBurst) Reset() { b.batch = b.batch[:0] }
 //
 //pp:zeroalloc
 func (b *FrameBurst) Add(frame []byte, in rmt.PortID) error {
-	if len(b.batch) >= len(b.slots) {
+	if b.n >= len(b.slots) {
 		return fmt.Errorf("core: frame burst full (%d slots)", len(b.slots)) //pp:alloc-ok error path only; a full burst is a caller bug, off the steady state
 	}
 	pipeIdx := PipeOfPort(in)
@@ -74,7 +76,7 @@ func (b *FrameBurst) Add(frame []byte, in rmt.PortID) error {
 		b.sw.drop(invalidShard, dropInvalidPort)
 		return fmt.Errorf("core: invalid port %d", in) //pp:alloc-ok error path only; invalid ports never reach the steady state
 	}
-	sc := &b.slots[len(b.batch)]
+	sc := &b.slots[b.n]
 	sc.pkt.UDP = &sc.udp
 	sc.pkt.TCP = &sc.tcp
 	sc.pkt.PP = &sc.pp
@@ -83,7 +85,8 @@ func (b *FrameBurst) Add(frame []byte, in rmt.PortID) error {
 		b.sw.drop(pipeIdx, dropParseError)
 		return err
 	}
-	b.batch = append(b.batch, BatchPacket{Pkt: &sc.pkt, In: in})
+	b.batch[b.n].In = in
+	b.n++
 	return nil
 }
 
@@ -94,7 +97,7 @@ func (b *FrameBurst) Add(frame []byte, in rmt.PortID) error {
 //
 //pp:zeroalloc
 func (b *FrameBurst) Run() []BatchResult {
-	results := b.results[:len(b.batch)]
-	b.sw.InjectBatch(b.batch, results)
+	results := b.results[:b.n]
+	b.sw.InjectBatch(b.batch[:b.n], results)
 	return results
 }

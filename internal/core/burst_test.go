@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"github.com/payloadpark/payloadpark/internal/packet"
@@ -102,4 +103,74 @@ func TestFrameBurstMatchesInjectBatch(t *testing.T) {
 	if got, want := bProg.C.String(), refProg.C.String(); got != want {
 		t.Errorf("counters diverge:\n  burst: %s\n  ref:   %s", got, want)
 	}
+}
+
+// TestPooledPHVCarriesNothing runs a sequence through a pipe whose PHV pool
+// holds one PHV — a split that parks a region over a recirculated second
+// pass, a split too small to park, a merge dropped for a bad tag, the
+// first split's merge, a 64 B miss on a port no rule names, and the second
+// split's merge — and holds every packet's emission, drop reason and the
+// switch's counters to a twin switch that gives every packet a fresh PHV.
+func TestPooledPHVCarriesNothing(t *testing.T) {
+	cfg := defaultCfg()
+	cfg.Recirculate = true
+	pooled, _ := testbed(t, cfg, 1)
+	fresh, _ := testbed(t, cfg, 1)
+	pb, fb := pooled.NewFrameBurst(1), fresh.NewFrameBurst(1)
+	var one *rmt.PHV
+	send := func(step string, frame []byte, in rmt.PortID) []byte {
+		t.Helper()
+		fresh.Pipe(0).AcquirePHV() // drain the twin's pool: its next packet gets a new PHV
+		var out [2][]byte
+		var res [2]BatchResult
+		for i, b := range []*FrameBurst{pb, fb} {
+			b.Reset()
+			if err := b.Add(frame, in); err != nil {
+				t.Fatalf("%s: %v", step, err)
+			}
+			if res[i] = b.Run()[0]; res[i].OK {
+				out[i] = res[i].Em.Pkt.Serialize()
+			}
+			res[i].Em.Pkt = nil
+		}
+		if res[0] != res[1] || !bytes.Equal(out[0], out[1]) {
+			t.Errorf("%s: pooled PHV gives %+v %x, a fresh one %+v %x", step, res[0], out[0], res[1], out[1])
+		}
+		pc, fc := pooled.ParkCounters(), fresh.ParkCounters()
+		ps, pr := pooled.MatchCounts()
+		fs, fr := fresh.MatchCounts()
+		if pc.String() != fc.String() || ps != fs || pr != fr || fmt.Sprint(pooled.Drops()) != fmt.Sprint(fresh.Drops()) {
+			t.Errorf("%s: counters diverge:\n  pooled %s, %d steps, %d loads, drops %v\n  fresh  %s, %d steps, %d loads, drops %v",
+				step, pc.String(), ps, pr, pooled.Drops(), fc.String(), fs, fr, fresh.Drops())
+		}
+		phv := pooled.Pipe(0).AcquirePHV()
+		if one != nil && phv != one {
+			t.Fatalf("%s: the pool handed out a second PHV", step)
+		}
+		one = phv
+		pooled.Pipe(0).ReleasePHV(phv)
+		return out[0]
+	}
+	back := func(frame []byte) []byte {
+		frame = bytes.Clone(frame)
+		copy(frame, sinkMAC[:])
+		return frame
+	}
+	a := send("split A", mkPkt(1024, 1).Serialize(), portGen)
+	if len(a) != 1024-RecircParkBytes+packet.PPHeaderLen {
+		t.Fatalf("split A left %d bytes, want %d parked", len(a), RecircParkBytes)
+	}
+	b := send("split B", mkPkt(300, 2).Serialize(), portGen)
+	bad := back(a)
+	bad[packet.HeaderUnitLen+packet.PPHeaderLen-1] ^= 0xff // the tag's CRC
+	if send("bad tag", bad, portNF) != nil {
+		t.Error("a merge with a bad tag was not dropped")
+	}
+	if send("merge A", back(a), portNF) == nil {
+		t.Error("merge A dropped")
+	}
+	miss := mkPkt(64, 3)
+	miss.Eth.Dst = sinkMAC
+	send("64 B miss", miss.Serialize(), 3)
+	send("merge B", back(b), portNF)
 }

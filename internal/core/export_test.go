@@ -13,7 +13,7 @@ func (b *FrameBurst) Cap() int { return len(b.slots) }
 // sorted (nil when no group is installed) — the telemetry view the
 // control plane diffs against its desired membership.
 func (s *Switch) ECMPMembers(dst packet.MAC) []string {
-	g := s.fwd.find(macKey(dst)).group
+	g := s.fwd.find(macKey(&dst)).group
 	if g == nil {
 		return nil
 	}

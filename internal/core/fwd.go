@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+
 	"github.com/payloadpark/payloadpark/internal/packet"
 	"github.com/payloadpark/payloadpark/internal/rmt"
 )
@@ -26,8 +28,8 @@ type fwdEntry struct {
 }
 
 // macKey packs a MAC into a nonzero integer.
-func macKey(m packet.MAC) uint64 {
-	return 1 + (uint64(m[0])<<40 | uint64(m[1])<<32 | uint64(m[2])<<24 | uint64(m[3])<<16 | uint64(m[4])<<8 | uint64(m[5]))
+func macKey(m *packet.MAC) uint64 {
+	return 1 + (uint64(binary.BigEndian.Uint16(m[:2]))<<32 | uint64(binary.BigEndian.Uint32(m[2:])))
 }
 
 // find returns the cell holding key, or the empty cell that ends its
@@ -47,7 +49,7 @@ func (t *fwdTable) find(key uint64) *fwdEntry {
 // entry returns mac's entry for writing, claiming an empty cell — and
 // doubling a table that would pass half full — if it has none.
 func (t *fwdTable) entry(mac packet.MAC) *fwdEntry {
-	key := macKey(mac)
+	key := macKey(&mac)
 	e := t.find(key)
 	if e.key == key {
 		return e
@@ -71,7 +73,7 @@ func (t *fwdTable) entry(mac packet.MAC) *fwdEntry {
 //
 //pp:zeroalloc
 func (t *fwdTable) resolve(pkt *packet.Packet) (rmt.PortID, bool) {
-	e := t.find(macKey(pkt.Eth.Dst))
+	e := t.find(macKey(&pkt.Eth.Dst))
 	if g := e.group; g != nil {
 		return g.ports[g.tbl.Lookup(FlowHash(pkt.FiveTuple()))], true
 	}

@@ -106,9 +106,19 @@ func TestAdaptiveKeepsConfiguredExpiry(t *testing.T) {
 	t.Run("live", func(t *testing.T) {
 		topo := live.Topology{Frames: 2500, DropFraction: 0.25}
 		sec := sim.Sections{Parking: parking, Control: adaptive, Opts: sim.RunOptions{Seed: 5}}
-		got, err := live.Run(context.Background(), topo, sec, live.Wiring{})
-		if err != nil {
-			t.Fatal(err)
+		// The controller ticks on the wall clock, so, as runUntil does, the
+		// run grows until it outlasts the first tick.
+		var got *live.Result
+		for try := 0; ; try++ {
+			var err error
+			if got, err = live.Run(context.Background(), topo, sec, live.Wiring{}); err != nil {
+				t.Fatal(err)
+			}
+			if got.Control == nil || got.Control.Ticks > 0 || try == 5 {
+				break
+			}
+			t.Logf("%d frames ended before the first tick; doubling", topo.Frames)
+			topo.Frames *= 2
 		}
 		ref, err := live.ReferenceRun(topo, sec)
 		if err != nil {

@@ -54,7 +54,8 @@ func (b *Builder) UDPInto(p *Packet, ft FiveTuple, totalSize int, id uint16) *Pa
 		UDP:  udp,
 		room: p.room,
 	}
-	b.payload(p.setPayload(0, payloadLen), ft, id)
+	p.setPayload(0, payloadLen)
+	b.payload(p.Payload, ft, id)
 	*udp = UDP{
 		SrcPort: ft.SrcPort,
 		DstPort: ft.DstPort,

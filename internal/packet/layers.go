@@ -21,24 +21,6 @@ type Ethernet struct {
 	EtherType EtherType
 }
 
-// Unmarshal decodes the header from b.
-func (h *Ethernet) Unmarshal(b []byte) error {
-	if len(b) < EthernetHeaderLen {
-		return fmt.Errorf("ethernet header: %w", ErrTruncated)
-	}
-	copy(h.Dst[:], b[0:6])
-	copy(h.Src[:], b[6:12])
-	h.EtherType = EtherType(binary.BigEndian.Uint16(b[12:14]))
-	return nil
-}
-
-// Marshal encodes the header into b, which must hold EthernetHeaderLen bytes.
-func (h *Ethernet) Marshal(b []byte) {
-	copy(b[0:6], h.Dst[:])
-	copy(b[6:12], h.Src[:])
-	binary.BigEndian.PutUint16(b[12:14], uint16(h.EtherType))
-}
-
 // IPv4 is an IPv4 header without options (IHL=5), as carried by the
 // paper's workloads.
 type IPv4 struct {
@@ -65,34 +47,29 @@ func (h *IPv4) Unmarshal(b []byte) error {
 	if ihl := b[0] & 0x0f; ihl != 5 {
 		return ErrIPv4Options
 	}
-	h.TOS = b[1]
-	h.TotalLength = binary.BigEndian.Uint16(b[2:4])
-	h.ID = binary.BigEndian.Uint16(b[4:6])
-	flagsFrag := binary.BigEndian.Uint16(b[6:8])
-	h.Flags = uint8(flagsFrag >> 13)
-	h.FragOffset = flagsFrag & 0x1fff
-	h.TTL = b[8]
-	h.Protocol = IPProtocol(b[9])
-	h.Checksum = binary.BigEndian.Uint16(b[10:12])
-	copy(h.Src[:], b[12:16])
-	copy(h.Dst[:], b[16:20])
+	h.decode((*[IPv4HeaderLen]byte)(b))
 	return nil
+}
+
+// decode fills h from an option-less header whose version the caller checked.
+func (h *IPv4) decode(b *[IPv4HeaderLen]byte) {
+	h.TOS, h.TotalLength, h.ID = b[1], binary.BigEndian.Uint16(b[2:]), binary.BigEndian.Uint16(b[4:])
+	h.Flags, h.FragOffset, h.TTL, h.Protocol = b[6]>>5, binary.BigEndian.Uint16(b[6:])&0x1fff, b[8], IPProtocol(b[9])
+	h.Checksum = binary.BigEndian.Uint16(b[10:])
+	h.Src = IPv4Addr(b[12:16])
+	h.Dst = IPv4Addr(b[16:20])
 }
 
 // Marshal encodes the header into b, which must hold IPv4HeaderLen bytes.
 // The stored Checksum field is written verbatim; call UpdateChecksum or
 // SetChecksum first if fields changed.
 func (h *IPv4) Marshal(b []byte) {
-	b[0] = 4<<4 | 5
-	b[1] = h.TOS
-	binary.BigEndian.PutUint16(b[2:4], h.TotalLength)
-	binary.BigEndian.PutUint16(b[4:6], h.ID)
-	binary.BigEndian.PutUint16(b[6:8], uint16(h.Flags)<<13|h.FragOffset&0x1fff)
-	b[8] = h.TTL
-	b[9] = uint8(h.Protocol)
-	binary.BigEndian.PutUint16(b[10:12], h.Checksum)
-	copy(b[12:16], h.Src[:])
-	copy(b[16:20], h.Dst[:])
+	a := (*[IPv4HeaderLen]byte)(b)
+	binary.BigEndian.PutUint32(a[0:], (4<<4|5)<<24|uint32(h.TOS)<<16|uint32(h.TotalLength))
+	binary.BigEndian.PutUint64(a[4:], uint64(h.ID)<<48|uint64(uint16(h.Flags)<<13|h.FragOffset&0x1fff)<<32|
+		uint64(h.TTL)<<24|uint64(h.Protocol)<<16|uint64(h.Checksum))
+	*(*IPv4Addr)(a[12:16]) = h.Src
+	*(*IPv4Addr)(a[16:20]) = h.Dst
 }
 
 // ComputeChecksum returns the correct header checksum for the current
@@ -125,19 +102,19 @@ func (h *UDP) Unmarshal(b []byte) error {
 	if len(b) < UDPHeaderLen {
 		return fmt.Errorf("udp header: %w", ErrTruncated)
 	}
-	h.SrcPort = binary.BigEndian.Uint16(b[0:2])
-	h.DstPort = binary.BigEndian.Uint16(b[2:4])
-	h.Length = binary.BigEndian.Uint16(b[4:6])
-	h.Checksum = binary.BigEndian.Uint16(b[6:8])
+	h.decode((*[UDPHeaderLen]byte)(b))
 	return nil
+}
+
+// decode fills h from the header's bytes.
+func (h *UDP) decode(b *[UDPHeaderLen]byte) {
+	h.SrcPort, h.DstPort = binary.BigEndian.Uint16(b[0:]), binary.BigEndian.Uint16(b[2:])
+	h.Length, h.Checksum = binary.BigEndian.Uint16(b[4:]), binary.BigEndian.Uint16(b[6:])
 }
 
 // Marshal encodes the header into b, which must hold UDPHeaderLen bytes.
 func (h *UDP) Marshal(b []byte) {
-	binary.BigEndian.PutUint16(b[0:2], h.SrcPort)
-	binary.BigEndian.PutUint16(b[2:4], h.DstPort)
-	binary.BigEndian.PutUint16(b[4:6], h.Length)
-	binary.BigEndian.PutUint16(b[6:8], h.Checksum)
+	binary.BigEndian.PutUint64(b, uint64(h.SrcPort)<<48|uint64(h.DstPort)<<32|uint64(h.Length)<<16|uint64(h.Checksum))
 }
 
 // TCP is a TCP header without options (data offset 5). The paper's traffic
@@ -154,31 +131,14 @@ type TCP struct {
 	Urgent   uint16
 }
 
-// Unmarshal decodes the header from b.
-func (h *TCP) Unmarshal(b []byte) error {
-	if len(b) < TCPHeaderLen {
-		return fmt.Errorf("tcp header: %w", ErrTruncated)
-	}
-	h.SrcPort = binary.BigEndian.Uint16(b[0:2])
-	h.DstPort = binary.BigEndian.Uint16(b[2:4])
-	h.Seq = binary.BigEndian.Uint32(b[4:8])
-	h.Ack = binary.BigEndian.Uint32(b[8:12])
-	h.Flags = b[13]
-	h.Window = binary.BigEndian.Uint16(b[14:16])
-	h.Checksum = binary.BigEndian.Uint16(b[16:18])
-	h.Urgent = binary.BigEndian.Uint16(b[18:20])
-	return nil
+// decode and encode are the TCP header's codec, on its bytes.
+func (h *TCP) decode(b *[TCPHeaderLen]byte) {
+	h.SrcPort, h.DstPort, h.Seq, h.Ack = binary.BigEndian.Uint16(b[0:]), binary.BigEndian.Uint16(b[2:]), binary.BigEndian.Uint32(b[4:]), binary.BigEndian.Uint32(b[8:])
+	h.Flags, h.Window, h.Checksum, h.Urgent = b[13], binary.BigEndian.Uint16(b[14:]), binary.BigEndian.Uint16(b[16:]), binary.BigEndian.Uint16(b[18:])
 }
 
-// Marshal encodes the header into b, which must hold TCPHeaderLen bytes.
-func (h *TCP) Marshal(b []byte) {
-	binary.BigEndian.PutUint16(b[0:2], h.SrcPort)
-	binary.BigEndian.PutUint16(b[2:4], h.DstPort)
-	binary.BigEndian.PutUint32(b[4:8], h.Seq)
-	binary.BigEndian.PutUint32(b[8:12], h.Ack)
-	b[12] = 5 << 4
-	b[13] = h.Flags
-	binary.BigEndian.PutUint16(b[14:16], h.Window)
-	binary.BigEndian.PutUint16(b[16:18], h.Checksum)
-	binary.BigEndian.PutUint16(b[18:20], h.Urgent)
+func (h *TCP) encode(b *[TCPHeaderLen]byte) {
+	binary.BigEndian.PutUint32(b[0:], uint32(h.SrcPort)<<16|uint32(h.DstPort))
+	binary.BigEndian.PutUint64(b[4:], uint64(h.Seq)<<32|uint64(h.Ack))
+	binary.BigEndian.PutUint64(b[12:], 5<<60|uint64(h.Flags)<<48|uint64(h.Window)<<32|uint64(h.Checksum)<<16|uint64(h.Urgent))
 }

@@ -50,18 +50,24 @@ type Packet struct {
 const BufferClass = 64
 
 // setPayload points Payload at n bytes of the packet's buffer, head bytes
-// in, and returns it. It is the one place a packet makes a payload buffer:
-// only when the one it holds is too small, and then at the payload's class.
-// It is not inlined, so the escape check charges that make to it alone.
+// in. Only when the buffer it holds is too small does growRoom make one.
+//
+//pp:zeroalloc
+func (p *Packet) setPayload(head, n int) {
+	if cap(p.room) < head+n {
+		p.growRoom(head + n)
+	}
+	p.Payload = p.room[head : head+n]
+}
+
+// growRoom is the one place a packet makes a payload buffer, at the class
+// of n bytes. It is not inlined, so the escape check charges that make to
+// it alone.
 //
 //pp:zeroalloc
 //go:noinline
-func (p *Packet) setPayload(head, n int) []byte {
-	if cap(p.room) < head+n {
-		p.room = make([]byte, (head+n+BufferClass-1)/BufferClass*BufferClass) //pp:alloc-ok warm-up: a recycled packet keeps its buffer, and sources recycle buffers by class
-	}
-	p.Payload = p.room[head : head+n]
-	return p.Payload
+func (p *Packet) growRoom(n int) {
+	p.room = make([]byte, (n+BufferClass-1)/BufferClass*BufferClass) //pp:alloc-ok warm-up: a recycled packet keeps its buffer, and sources recycle buffers by class
 }
 
 // SwapBuffer makes b the packet's payload buffer and returns the one it
@@ -139,92 +145,112 @@ func (p *Packet) ParseWithHeadroom(frame []byte, ppOffset, head int) error {
 	return p.parseAt(frame, ppOffset, head)
 }
 
+// ipStackLen is the Ethernet and option-less IPv4 headers in front of
+// every transport header the parser understands.
+const ipStackLen = EthernetHeaderLen + IPv4HeaderLen
+
 // parseAt decodes frame into p with the payload head bytes into its buffer.
+// One length check covers the whole header stack — Ethernet, IPv4, UDP or
+// TCP and, ppOffset bytes behind them, the PayloadPark header (none when
+// ppOffset < 0) — and parseOther takes a frame that fails it.
 //
 //pp:zeroalloc
 func (p *Packet) parseAt(frame []byte, ppOffset, head int) error {
-	if err := p.Eth.Unmarshal(frame); err != nil {
-		return err
+	l4 := 0
+	if len(frame) >= ipStackLen && EtherType(binary.BigEndian.Uint16(frame[12:])) == EtherTypeIPv4 && frame[EthernetHeaderLen] == 4<<4|5 {
+		l4 = int(transportLen[frame[EthernetHeaderLen+9]])
 	}
-	off := EthernetHeaderLen
-	switch p.Eth.EtherType {
-	case EtherTypeCR:
-		if err := p.parseCompressed(frame[off:]); err != nil {
+	off := ipStackLen + l4
+	if l4 == 0 || len(frame) < off || ppOffset >= 0 && len(frame) < off+ppOffset+PPHeaderLen {
+		var err error
+		if off, err = p.parseOther(frame, ppOffset, l4); err != nil {
 			return err
 		}
-		off += CRHeaderLen
-	case EtherTypeIPv4:
-		if err := p.IP.Unmarshal(frame[off:]); err != nil {
-			return err
-		}
-		off += IPv4HeaderLen
-		switch p.IP.Protocol {
-		case IPProtoUDP:
+	} else {
+		hdr := (*[ipStackLen]byte)(frame)
+		p.Eth.Dst = MAC(hdr[0:6])
+		p.Eth.Src = MAC(hdr[6:12])
+		p.Eth.EtherType = EtherTypeIPv4
+		p.IP.decode((*[IPv4HeaderLen]byte)(hdr[EthernetHeaderLen:]))
+		p.CR = nil
+		if l4 == UDPHeaderLen {
 			if p.UDP == nil {
 				p.UDP = &UDP{} //pp:alloc-ok warm-up: a reused packet keeps its UDP struct across parses
 			}
 			p.TCP = nil
-			if err := p.UDP.Unmarshal(frame[off:]); err != nil {
-				return err
-			}
-			off += UDPHeaderLen
-		case IPProtoTCP:
+			p.UDP.decode((*[UDPHeaderLen]byte)(frame[ipStackLen:]))
+		} else {
 			if p.TCP == nil {
 				p.TCP = &TCP{} //pp:alloc-ok warm-up: a reused packet keeps its TCP struct across parses
 			}
 			p.UDP = nil
-			if err := p.TCP.Unmarshal(frame[off:]); err != nil {
-				return err
-			}
-			off += TCPHeaderLen
-		default:
-			return ErrUnknownL4
+			p.TCP.decode((*[TCPHeaderLen]byte)(frame[ipStackLen:]))
 		}
-		p.CR = nil
-	default:
-		return ErrNotIPv4
 	}
 	// What follows the last header is payload, with an optional PayloadPark
 	// header ppOffset bytes into it.
-	if ppOffset >= 0 {
-		if len(frame) < off+ppOffset+PPHeaderLen {
-			return fmt.Errorf("payloadpark header at offset %d: %w", ppOffset, ErrTruncated) //pp:alloc-ok error path only; truncated frames are dropped before the steady state
-		}
-		if p.PP == nil {
-			p.PP = &p.ppStore
-		}
-		if err := p.PP.Unmarshal(frame[off+ppOffset:]); err != nil {
-			return err
-		}
-		p.PPOffset = ppOffset
-		// Payload excludes the header: visible prefix + remainder.
-		payload := p.setPayload(head, len(frame)-off-PPHeaderLen)
-		k := copy(payload, frame[off:off+ppOffset])
-		copy(payload[k:], frame[off+ppOffset+PPHeaderLen:])
+	if ppOffset < 0 {
+		p.PP, p.PPOffset = nil, 0
+		p.setPayload(head, len(frame)-off)
+		copy(p.Payload, frame[off:])
 		return nil
 	}
-	p.PP = nil
-	p.PPOffset = 0
-	copy(p.setPayload(head, len(frame)-off), frame[off:])
+	if p.PP == nil {
+		p.PP = &p.ppStore
+	}
+	if err := p.PP.decode((*[PPHeaderLen]byte)(frame[off+ppOffset:])); err != nil {
+		return err
+	}
+	p.PPOffset = ppOffset
+	// Payload excludes the header: visible prefix + remainder.
+	p.setPayload(head, len(frame)-off-PPHeaderLen)
+	if ppOffset > 0 { // a copy of nothing still costs a call
+		copy(p.Payload, frame[off:off+ppOffset])
+	}
+	copy(p.Payload[ppOffset:], frame[off+ppOffset+PPHeaderLen:])
 	return nil
 }
 
-// parseCompressed decodes the compression header of an EtherTypeCR frame
-// (hdr is what follows Ethernet). The IPv4 and transport headers are
-// parked in a switch context table and cannot be recovered from the
-// bytes, so IP carries only the protocol the compression header records
-// and UDP/TCP are nil until the restore hop reinstates them from the
-// context.
-func (p *Packet) parseCompressed(hdr []byte) error {
-	if p.CR == nil {
-		p.CR = &p.crStore
+// transportLen is the header length of each transport the parser
+// understands, by IP protocol number; 0 for any other.
+var transportLen = [256]uint8{IPProtoUDP: UDPHeaderLen, IPProtoTCP: TCPHeaderLen}
+
+// parseOther parses the headers of a frame parseAt's check refused, given
+// the transport header length l4 it read: a compression frame, or a frame
+// whose first header at fault the error names.
+func (p *Packet) parseOther(frame []byte, ppOffset, l4 int) (int, error) {
+	if len(frame) < EthernetHeaderLen {
+		return 0, fmt.Errorf("ethernet header: %w", ErrTruncated)
 	}
-	if err := p.CR.Unmarshal(hdr); err != nil {
-		return err
+	off := ipStackLen + l4
+	switch et := EtherType(binary.BigEndian.Uint16(frame[12:])); {
+	case et == EtherTypeCR:
+		// The IPv4 and transport headers are parked in a switch context
+		// table, so IP carries only the protocol the compression header
+		// records and UDP/TCP are nil until the restore hop reinstates them.
+		off, p.Eth = EthernetHeaderLen+CRHeaderLen, Ethernet{Dst: MAC(frame[0:6]), Src: MAC(frame[6:12]), EtherType: EtherTypeCR}
+		if p.CR == nil {
+			p.CR = &p.crStore
+		}
+		if err := p.CR.Unmarshal(frame[EthernetHeaderLen:]); err != nil {
+			return 0, err
+		}
+		p.IP, p.UDP, p.TCP = IPv4{Protocol: p.CR.Proto}, nil, nil
+	case et != EtherTypeIPv4:
+		return 0, ErrNotIPv4
+	case len(frame) < ipStackLen || frame[EthernetHeaderLen] != 4<<4|5:
+		return 0, p.IP.Unmarshal(frame[EthernetHeaderLen:]) // the header's own error: truncated, version or options
+	case l4 == 0:
+		return 0, ErrUnknownL4
+	case len(frame) < off && l4 == UDPHeaderLen:
+		return 0, fmt.Errorf("udp header: %w", ErrTruncated)
+	case len(frame) < off:
+		return 0, fmt.Errorf("tcp header: %w", ErrTruncated)
 	}
-	p.IP = IPv4{Protocol: p.CR.Proto}
-	p.UDP, p.TCP = nil, nil
-	return nil
+	if ppOffset >= 0 && len(frame) < off+ppOffset+PPHeaderLen {
+		return 0, fmt.Errorf("payloadpark header at offset %d: %w", ppOffset, ErrTruncated)
+	}
+	return off, nil
 }
 
 // l4Len returns the length of the transport header.
@@ -287,45 +313,43 @@ func (p *Packet) AppendSerialize(buf []byte) []byte {
 }
 
 // serializeTo renders the packet into buf, which must hold Len() bytes,
-// and returns the number of bytes written. A PayloadPark header, when
-// present, is emitted PPOffset bytes into the payload region.
+// and returns the number of bytes written: the header stack, each header
+// encoded whole, then the payload with the PayloadPark header, when
+// present, PPOffset bytes into it.
 func (p *Packet) serializeTo(buf []byte) int {
-	off := 0
-	p.Eth.Marshal(buf[off:])
-	off += EthernetHeaderLen
-	if p.CR != nil {
+	et, off := p.Eth.EtherType, ipStackLen
+	switch {
+	case p.CR != nil:
 		// Compressed wire form: the EtherType announces the compression
 		// header and the IPv4/L4 headers stay parked in the context table.
 		// The header structs are left untouched — they become authoritative
 		// again when the restore hop clears CR.
-		binary.BigEndian.PutUint16(buf[EthernetHeaderLen-2:], uint16(EtherTypeCR))
-		p.CR.Marshal(buf[off:])
-		off += CRHeaderLen
-	} else {
-		p.IP.Marshal(buf[off:])
-		off += IPv4HeaderLen
-		switch {
-		case p.UDP != nil:
-			p.UDP.Marshal(buf[off:])
-			off += UDPHeaderLen
-		case p.TCP != nil:
-			p.TCP.Marshal(buf[off:])
-			off += TCPHeaderLen
-		}
+		et, off = EtherTypeCR, EthernetHeaderLen+CRHeaderLen
+		p.CR.Marshal(buf[EthernetHeaderLen:off])
+	case p.UDP != nil:
+		off += UDPHeaderLen
+		p.UDP.Marshal(buf[ipStackLen:off])
+	case p.TCP != nil:
+		off += TCPHeaderLen
+		p.TCP.encode((*[TCPHeaderLen]byte)(buf[ipStackLen:off]))
+	}
+	h := (*[EthernetHeaderLen]byte)(buf)
+	*(*MAC)(h[0:6]) = p.Eth.Dst
+	*(*MAC)(h[6:12]) = p.Eth.Src
+	binary.BigEndian.PutUint16(h[12:], uint16(et))
+	if p.CR == nil {
+		p.IP.Marshal(buf[EthernetHeaderLen:])
 	}
 	if p.PP != nil {
-		k := p.PPOffset
-		if k > len(p.Payload) {
-			k = len(p.Payload)
+		k := min(p.PPOffset, len(p.Payload))
+		if k > 0 {
+			off += copy(buf[off:], p.Payload[:k])
 		}
-		off += copy(buf[off:], p.Payload[:k])
 		p.PP.Marshal(buf[off:])
 		off += PPHeaderLen
-		off += copy(buf[off:], p.Payload[k:])
-		return off
+		return off + copy(buf[off:], p.Payload[k:])
 	}
-	copy(buf[off:], p.Payload)
-	return off + len(p.Payload)
+	return off + copy(buf[off:], p.Payload)
 }
 
 // Clone deep-copies the packet into a fresh one.
@@ -367,7 +391,8 @@ func (p *Packet) CloneInto(dst *Packet) *Packet {
 	} else {
 		dst.CR = nil
 	}
-	copy(dst.setPayload(0, len(p.Payload)), p.Payload)
+	dst.setPayload(0, len(p.Payload))
+	copy(dst.Payload, p.Payload)
 	return dst
 }
 

@@ -3,6 +3,7 @@ package packet
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -492,5 +493,54 @@ func BenchmarkSerializeUDP(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p.serializeTo(buf)
+	}
+}
+
+// TestTruncationErrorsUnchanged holds the one-check decoder to the
+// per-header decoder it replaced: every truncation, 0..49 bytes, of an
+// Ethernet/IPv4/{UDP,TCP} frame carrying a PayloadPark header at offset 0
+// and at 32 returns the error value and text that decoder returned, as
+// recorded from it in want.
+func TestTruncationErrorsUnchanged(t *testing.T) {
+	const (
+		eth = "ethernet header: packet: truncated"
+		ip  = "ipv4 header: packet: truncated"
+		udp = "udp header: packet: truncated"
+		tcp = "tcp header: packet: truncated"
+	)
+	type span struct {
+		to   int // the last length the error covers
+		text string
+	}
+	want := map[string][]span{
+		"udp/0":  {{13, eth}, {33, ip}, {41, udp}, {48, "payloadpark header at offset 0: packet: truncated"}, {49, ""}},
+		"udp/32": {{13, eth}, {33, ip}, {41, udp}, {49, "payloadpark header at offset 32: packet: truncated"}},
+		"tcp/0":  {{13, eth}, {33, ip}, {49, tcp}},
+		"tcp/32": {{13, eth}, {33, ip}, {49, tcp}},
+	}
+	b := NewBuilder(testSrcMAC, testDstMAC)
+	for _, l4 := range []string{"udp", "tcp"} {
+		for _, k := range []int{0, 32} {
+			p := b.UDP(testFT, 200, 7)
+			if l4 == "tcp" {
+				p = b.TCP(testFT, 200, 1, 7)
+			}
+			p.SetPP(PPHeader{Enabled: true, Tag: Tag{TableIndex: 9, Clock: 9}.Seal()})
+			p.PPOffset = k
+			frame := p.Serialize()
+			spans := want[fmt.Sprintf("%s/%d", l4, k)]
+			for n := 0; n < 50; n++ {
+				for spans[0].to < n {
+					spans = spans[1:]
+				}
+				_, err := ParseAt(frame[:n], k)
+				switch w := spans[0].text; {
+				case w == "" && err != nil:
+					t.Errorf("%s PP at %d, %d bytes: %v, want no error", l4, k, n, err)
+				case w != "" && (err == nil || err.Error() != w || !errors.Is(err, ErrTruncated)):
+					t.Errorf("%s PP at %d, %d bytes: %v, want %q wrapping ErrTruncated", l4, k, n, err, w)
+				}
+			}
+		}
 	}
 }

@@ -85,23 +85,22 @@ func (h *PPHeader) Unmarshal(b []byte) error {
 	if len(b) < PPHeaderLen {
 		return fmt.Errorf("payloadpark header: %w", ErrTruncated)
 	}
+	return h.decode((*[PPHeaderLen]byte)(b))
+}
+
+// decode fills h from the header's bytes, refusing set ALIGN bits.
+func (h *PPHeader) decode(b *[PPHeaderLen]byte) error {
 	if b[0]&0x3f != 0 {
 		return ErrBadPPHeader
 	}
-	h.Enabled = b[0]&ppENBBit != 0
-	if b[0]&ppOPBit != 0 {
-		h.Op = PPOpExplicitDrop
-	} else {
-		h.Op = PPOpMerge
-	}
-	h.Tag.TableIndex = binary.BigEndian.Uint16(b[1:3])
-	h.Tag.Clock = binary.BigEndian.Uint16(b[3:5])
-	h.Tag.CRC = binary.BigEndian.Uint16(b[5:7])
+	h.Enabled, h.Op = b[0]&ppENBBit != 0, PPOp(b[0]&ppOPBit>>6)
+	h.Tag.TableIndex, h.Tag.Clock, h.Tag.CRC = binary.BigEndian.Uint16(b[1:]), binary.BigEndian.Uint16(b[3:]), binary.BigEndian.Uint16(b[5:])
 	return nil
 }
 
 // Marshal encodes the header into b, which must hold PPHeaderLen bytes.
 func (h *PPHeader) Marshal(b []byte) {
+	b = b[:PPHeaderLen]
 	var b0 byte
 	if h.Enabled {
 		b0 |= ppENBBit
@@ -110,7 +109,7 @@ func (h *PPHeader) Marshal(b []byte) {
 		b0 |= ppOPBit
 	}
 	b[0] = b0
-	binary.BigEndian.PutUint16(b[1:3], h.Tag.TableIndex)
-	binary.BigEndian.PutUint16(b[3:5], h.Tag.Clock)
-	binary.BigEndian.PutUint16(b[5:7], h.Tag.CRC)
+	binary.BigEndian.PutUint16(b[1:], h.Tag.TableIndex)
+	binary.BigEndian.PutUint16(b[3:], h.Tag.Clock)
+	binary.BigEndian.PutUint16(b[5:], h.Tag.CRC)
 }

@@ -388,7 +388,7 @@ func stateDiff(compiled *Instance, o *oracle) string {
 
 // samePHV compares everything a table program can read or write.
 func samePHV(a, b *rmt.PHV) bool {
-	return a.InPort == b.InPort && a.Egress == b.Egress && a.Pass == b.Pass &&
+	return a.InPort == b.InPort && a.Pass == b.Pass &&
 		a.Drop == b.Drop && a.DropWhy == b.DropWhy && a.Recirc == b.Recirc &&
 		a.Meta == b.Meta && a.HdrScratch == b.HdrScratch &&
 		bytes.Equal(a.Park, b.Park) && reflect.DeepEqual(a.Pkt, b.Pkt)

@@ -389,22 +389,25 @@ func (p *Pipeline) Compile() {
 	// Flatten the rules in stage order and collect the ports they name.
 	p.ports = p.ports[:0]
 	all := make([]step, 0, p.rules)
-	for _, s := range p.stages {
-		for _, m := range s.mats {
-			for i := range m.Rules {
-				r := &m.Rules[i]
-				n := 0
-				for ; n < len(r.Conds) && r.Conds[n].static(); n++ {
-					op := r.Conds[n]
-					if port := PortID(op.val); op.kind == condInPort && int64(port) == op.val && !slices.Contains(p.ports, port) {
-						p.ports = append(p.ports, port)
-					}
+	for _, m := range p.mats {
+		for i := range m.Rules {
+			r := &m.Rules[i]
+			n := 0
+			for ; n < len(r.Conds) && r.Conds[n].static(); n++ {
+				op := r.Conds[n]
+				if port := PortID(op.val); op.kind == condInPort && int64(port) == op.val && !slices.Contains(p.ports, port) {
+					p.ports = append(p.ports, port)
 				}
-				all = append(all, step{guard: packGuard(r.Conds[n:]), rule: r, mat: m})
 			}
+			all = append(all, step{guard: packGuard(r.Conds[n:]), rule: r, mat: m})
 		}
 	}
 	slices.Sort(p.ports)
+	p.classOf = p.classOf[:0]
+	for i, port := range p.ports {
+		p.classOf = append(p.classOf, make([]int32, int(port)+1-len(p.classOf))...)
+		p.classOf[port] = int32(i + 1)
+	}
 	// One program per (pass, port class), carved from one exactly sized
 	// arena: most rules name a port, so most programs are short.
 	classes := len(p.ports) + 1

@@ -1,6 +1,7 @@
 package rmt
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -108,7 +109,7 @@ func TestAddMATAfterProcessRecompiles(t *testing.T) {
 		t.Errorf("after AddMAT fired %q, want s0,s2", got)
 	}
 	// Hit counts live on the rules, so the recompile keeps s2's first fire.
-	if s0, s2 := late.Rules[0].Hits(), p.stages[2].mats[0].Rules[0].Hits(); s0 != 1 || s2 != 2 {
+	if s0, s2 := late.Rules[0].Hits(), p.mats[len(p.mats)-1].Rules[0].Hits(); s0 != 1 || s2 != 2 {
 		t.Errorf("after the recompile s0 hit %d times and s2 %d, want 1 and 2", s0, s2)
 	}
 }
@@ -206,4 +207,36 @@ func TestProcessRejectsUncompiledPass(t *testing.T) {
 			p.Process(&PHV{Pkt: testPkt(t, 64), Pass: pass})
 		})
 	}
+}
+
+// TestClassTableMatchesPortSearch holds the port → class table Compile
+// builds to the search it replaced: for every PortID (core.NumPorts of them
+// and beyond) and pass, program picks the program a search of the named
+// ports picks, before and after a rule naming a new port recompiles the
+// pipe. Every program holds the unconditional rule, so no two programs
+// share a first step.
+func TestClassTableMatchesPortSearch(t *testing.T) {
+	var log []string
+	p := tracePipe(t, nil, &log,
+		[]traceRule{{name: "p7", conds: []Cond{{Field: fld("in_port"), Value: 7}}}, {name: "p2", conds: []Cond{{Field: fld("in_port"), Value: 2}}}},
+		[]traceRule{{name: "any"}},
+	)
+	check := func(when string, named int) {
+		p.Compile()
+		if len(p.ports) != named {
+			t.Fatalf("%s: %d named ports %v, want %d", when, len(p.ports), p.ports, named)
+		}
+		for pass := 0; pass < maxPasses; pass++ {
+			for port := 0; port < 1<<16; port++ {
+				want := p.progs[pass*(len(p.ports)+1)+slices.Index(p.ports, PortID(port))+1]
+				if got := p.program(pass, PortID(port)); len(got) == 0 || &got[0] != &want[0] || len(got) != len(want) {
+					t.Fatalf("%s: pass %d port %d: the class table picks a %d-step program, the search a %d-step one", when, pass, port, len(got), len(want))
+				}
+			}
+		}
+	}
+	check("first compile", 2)
+	runTrace(t, p, &log, &PHV{InPort: 7})
+	p.AddMAT(3, &MAT{Name: "late", Rules: []Rule{{Name: "p40", Conds: conds(t, Cond{Field: fld("in_port"), Value: 40}), Action: func(*Ctx) {}}}})
+	check("after a rule naming port 40", 3)
 }

@@ -127,11 +127,9 @@ func buildMovePipe(t *testing.T, layout []moveMAT, fused bool) (*Pipeline, []*Re
 // hitVector lists every rule's hits in stage and MAT order.
 func hitVector(p *Pipeline) []uint64 {
 	var out []uint64
-	for _, s := range p.stages {
-		for _, m := range s.mats {
-			for i := range m.Rules {
-				out = append(out, m.Rules[i].Hits())
-			}
+	for _, m := range p.mats {
+		for i := range m.Rules {
+			out = append(out, m.Rules[i].Hits())
 		}
 	}
 	return out
@@ -294,10 +292,8 @@ func TestFusedRunCredits(t *testing.T) {
 	var stores, loads []uint64
 	credited := func() {
 		stores, loads = stores[:0], loads[:0]
-		for _, s := range p.stages {
-			for _, m := range s.mats {
-				stores, loads = append(stores, m.Rules[0].Hits()), append(loads, m.Rules[1].Hits())
-			}
+		for _, m := range p.mats {
+			stores, loads = append(stores, m.Rules[0].Hits()), append(loads, m.Rules[1].Hits())
 		}
 	}
 	for _, tc := range []struct {

@@ -23,8 +23,9 @@ type Parser struct {
 // consume.
 func (p *Parser) phvBits() int { return (p.blocks*p.blockBytes + p.parkOffset) * 8 }
 
-// FillPHV resets phv and populates it from an already-parsed packet
-// arriving on port, without allocating.
+// FillPHV clears phv of its last pass and populates it from an
+// already-parsed packet arriving on port, without allocating. It is the one
+// place a PHV is cleared: a pooled PHV carries nothing from its last pass.
 //
 // Payload-block extraction only succeeds when the payload is large enough
 // to fill every configured block; otherwise the park region stays empty and
@@ -33,9 +34,7 @@ func (p *Parser) phvBits() int { return (p.blocks*p.blockBytes + p.parkOffset) *
 // operation only when the payload length exceeds the number of per-packet
 // bytes that we can store").
 func (p *Parser) FillPHV(phv *PHV, pkt *packet.Packet, port PortID) {
-	phv.Reset()
-	phv.Pkt = pkt
-	phv.InPort = port
+	*phv = PHV{Pkt: pkt, InPort: port}
 	if end := p.parkOffset + p.blocks*p.blockBytes; p.blocks > 0 && len(pkt.Payload) >= end && pkt.PP == nil {
 		phv.Park = pkt.Payload[p.parkOffset:end]
 		phv.SetMeta(MetaPayloadOK, 1)

@@ -43,12 +43,6 @@ const (
 	maxPasses = 2
 )
 
-// Stage is one match-action stage of a pipe.
-type Stage struct {
-	mats []*MAT
-	regs []*Register
-}
-
 // Pipeline is one switch pipe: a parser feeding StageCount match-action
 // stages. Ports are attached to pipes; ports on different pipes share no
 // stateful memory (paper §5).
@@ -59,18 +53,23 @@ type Stage struct {
 // pipes share no state.
 type Pipeline struct {
 	name    string
-	stages  [StageCount]Stage
 	parser  *Parser
 	phvBits int
+	// mats are the placed MATs in stage order, each stage's in placement
+	// order; regs the placed registers, each in its own stage.
+	mats []*MAT
+	regs []*Register
 
 	// progs are the compiled match programs (match.go), indexed by
 	// pass*(len(ports)+1)+class: class i+1 serves ports[i], the sorted ports
-	// that in_port conditions name, and class 0 every other port. Placing a
-	// MAT marks them dirty; Compile rebuilds them.
-	progs [][]step
-	ports []PortID
-	rules int // rules placed, to size a program
-	dirty bool
+	// that in_port conditions name, and class 0 every other port; classOf
+	// maps a port up to the highest named one to its class. Placing a MAT
+	// marks them dirty; Compile rebuilds them.
+	progs   [][]step
+	ports   []PortID
+	classOf []int32
+	rules   int // rules placed, to size a program
+	dirty   bool
 
 	stepsEvaluated, residualLoads uint64 // Process's match work (MatchCounts)
 
@@ -179,11 +178,7 @@ func (l *Layout) fit(earlier []Layout) error {
 		return fmt.Errorf("rmt: PHV overflow: %d bits used, %d available", used, PHVBits)
 	}
 	// What each stage holds, then with what the layout adds.
-	var used [StageCount]Resources
-	var ports [StageCount]int
-	for i, s := range p.stages {
-		used[i], ports[i] = s.used()
-	}
+	used, ports := p.used()
 	for _, bank := range l.Banks {
 		for _, r := range bank {
 			switch {
@@ -255,23 +250,25 @@ func (l *Layout) install() {
 		for _, r := range regs {
 			r.bank, r.off = b, off
 			off += r.width
-			p.stages[r.stage].regs = append(p.stages[r.stage].regs, r)
 		}
+		p.regs = append(p.regs, regs...)
 	}
 	for _, m := range l.MATs {
-		s := &p.stages[m.Stage]
-		s.mats = append(s.mats, m)
 		p.rules += len(m.Rules)
 		p.dirty = true
 	}
+	p.mats = append(p.mats, l.MATs...)
+	slices.SortStableFunc(p.mats, func(a, b *MAT) int { return a.Stage - b.Stage })
 }
 
 // Process runs one pass of the PHV through all stages: the match program
 // compiled for the PHV's pass and ingress port, each step testing its
-// packed key (match.go) on a flags word derived here and again only after a
-// step fires, as only a hit can change it. The caller (switch wrapper)
-// handles parsing, recirculation, and deparsing. A pass the hardware cannot
-// produce panics, like every other violation of the hardware model.
+// packed key (match.go) on a flags word. The word is derived when a step
+// first tests it and again only when a later step tests it after an action
+// fired, as only an action can change it; a block move changes no field of
+// it but drop. The caller (switch wrapper) handles parsing, recirculation,
+// and deparsing. A pass the hardware cannot produce panics, like every
+// other violation of the hardware model.
 //
 //pp:zeroalloc
 func (p *Pipeline) Process(phv *PHV) {
@@ -286,11 +283,14 @@ func (p *Pipeline) Process(phv *PHV) {
 	// escape through the indirect Action call and allocate per MAT hit.
 	ctx := &phv.ctx
 	ctx.PHV = phv
-	flags := flagsOf(phv)
-	evaluated, loads := 0, 0
+	var flags uint32
+	stale, evaluated, loads := true, 0, 0
 	for i := 0; i < len(steps); {
 		s := &steps[i]
 		evaluated++
+		if stale && s.mask != 0 {
+			flags, stale = flagsOf(phv), false
+		}
 		hit := flags&s.mask == s.val && phv.Meta[s.meta[0].word]&s.meta[0].mask == s.meta[0].val &&
 			phv.Meta[s.meta[1].word]&s.meta[1].mask == s.meta[1].val
 		for j := 0; hit && j < len(s.resid); j++ {
@@ -303,12 +303,13 @@ func (p *Pipeline) Process(phv *PHV) {
 		}
 		if s.move != nil {
 			s.move.run(phv)
+			flags |= uint32(b2i(phv.Drop)) * flagDrop // the one field of the word a move can change
 		} else {
 			s.rule.hits++
 			ctx.reg, ctx.accessed = s.mat.Reg, false
 			s.rule.Action(ctx)
+			stale = true
 		}
-		flags = flagsOf(phv)
 		i = int(s.onHit)
 	}
 	p.stepsEvaluated, p.residualLoads = p.stepsEvaluated+uint64(evaluated), p.residualLoads+uint64(loads)
@@ -323,8 +324,11 @@ func (p *Pipeline) MatchCounts() (steps, residual uint64) {
 
 // program returns the match program compiled for pass and ingress port.
 func (p *Pipeline) program(pass int, port PortID) []step {
-	class := slices.Index(p.ports, port) + 1
-	return p.progs[pass*(len(p.ports)+1)+class]
+	class := int32(0)
+	if int(port) < len(p.classOf) {
+		class = p.classOf[port]
+	}
+	return p.progs[pass*(len(p.ports)+1)+int(class)]
 }
 
 // badPass stays out of line so Process carries none of the message's
@@ -335,10 +339,10 @@ func (p *Pipeline) badPass(pass int) {
 	panic(fmt.Sprintf("rmt: pipe %q asked to run pass %d; match programs exist for passes [0,%d)", p.name, pass, maxPasses))
 }
 
-// AcquirePHV returns a reset PHV from the pipe-local free-list, or a new
-// one when the list is empty. Pair with ReleasePHV once the packet has
-// been deparsed; a recycled PHV runs the parse→process→deparse path
-// without allocating.
+// AcquirePHV returns a PHV from the pipe-local free-list, or a new one when
+// the list is empty, for FillPHV to clear and fill. Pair with ReleasePHV
+// once the packet has been deparsed; a recycled PHV runs the
+// parse→process→deparse path without allocating.
 func (p *Pipeline) AcquirePHV() *PHV {
 	if n := len(p.phvFree); n > 0 {
 		phv := p.phvFree[n-1]
@@ -348,25 +352,26 @@ func (p *Pipeline) AcquirePHV() *PHV {
 	return &PHV{}
 }
 
-// ReleasePHV resets phv and returns it to the pipe's free-list. The caller
-// must not retain references into the PHV; the merged payload FinishMerge
-// returns lies in the packet's buffer, not the PHV, and stays valid.
+// ReleasePHV returns phv to the pipe's free-list as it is; the next
+// FillPHV clears it. The caller must not retain references into the PHV;
+// the merged payload FinishMerge returns lies in the packet's buffer, not
+// the PHV, and stays valid.
 func (p *Pipeline) ReleasePHV(phv *PHV) {
-	phv.Reset()
 	p.phvFree = append(p.phvFree, phv)
 }
 
-// used sums what the stage holds — its MATs' resources, with its registers'
-// SRAM in SRAMMatchBytes — and counts the MATs that bind a register.
-func (s *Stage) used() (r Resources, regMATs int) {
-	for _, m := range s.mats {
-		r.add(m.Res)
+// used sums what each stage holds — its MATs' resources, with its
+// registers' SRAM in SRAMMatchBytes — and counts its MATs that bind a
+// register.
+func (p *Pipeline) used() (r [StageCount]Resources, regMATs [StageCount]int) {
+	for _, m := range p.mats {
+		r[m.Stage].add(m.Res)
 		if m.Reg != nil {
-			regMATs++
+			regMATs[m.Stage]++
 		}
 	}
-	for _, reg := range s.regs {
-		r.SRAMMatchBytes += reg.SRAMBytes()
+	for _, reg := range p.regs {
+		r[reg.stage].SRAMMatchBytes += reg.SRAMBytes()
 	}
 	return r, regMATs
 }
@@ -388,8 +393,8 @@ type Usage struct {
 func (p *Pipeline) Resources() Usage {
 	var u Usage
 	var sum Resources
-	for i, s := range p.stages {
-		r, _ := s.used()
+	used, _ := p.used()
+	for i, r := range used {
 		sum.add(r)
 		u.SRAMBytesPerStage[i] = r.SRAMMatchBytes
 		u.SRAMPeakPct = max(u.SRAMPeakPct, 100*float64(r.SRAMMatchBytes)/StageSRAMBytes)

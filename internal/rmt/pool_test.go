@@ -2,6 +2,7 @@ package rmt
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -34,6 +35,9 @@ func buildPoolPipe(t *testing.T) (*Pipeline, *Register) {
 	return p, reg
 }
 
+// TestAcquireReleaseReusesPHV holds the pool to what callers rely on: a
+// released PHV comes back as its last pass left it, and after FillPHV it
+// carries nothing from that pass — it equals a fresh PHV filled alike.
 func TestAcquireReleaseReusesPHV(t *testing.T) {
 	p, _ := buildPoolPipe(t)
 	phv := p.AcquirePHV()
@@ -41,13 +45,23 @@ func TestAcquireReleaseReusesPHV(t *testing.T) {
 	if phv.GetMeta(MetaPayloadOK) != 1 || len(phv.Park) != 160 {
 		t.Fatalf("FillPHV: payloadOK=%d park region=%d B", phv.GetMeta(MetaPayloadOK), len(phv.Park))
 	}
+	p.Process(phv)
+	// Dirty every field a pass can write.
+	phv.Headroom = make([]byte, 160, 512)
+	phv.PrepareMergeBlocks(20, 8, 0)
+	phv.MarkDrop("dirty")
+	phv.Recirc, phv.Pass, phv.HdrScratch[3] = true, 1, 0xff
 	p.ReleasePHV(phv)
 	again := p.AcquirePHV()
 	if again != phv {
-		t.Error("free-list did not return the released PHV")
+		t.Fatal("free-list did not return the released PHV")
 	}
-	if again.Pkt != nil || again.GetMeta(MetaPayloadOK) != 0 || again.Park != nil {
-		t.Errorf("released PHV not reset: %+v", again)
+	pkt := testPkt(t, 100)
+	p.Parser().FillPHV(again, pkt, 5)
+	fresh := &PHV{}
+	p.Parser().FillPHV(fresh, pkt, 5)
+	if !reflect.DeepEqual(again, fresh) {
+		t.Errorf("pooled PHV after FillPHV:\n%+v\nfresh PHV after FillPHV:\n%+v", again, fresh)
 	}
 }
 

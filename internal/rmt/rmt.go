@@ -74,7 +74,6 @@ const (
 type PHV struct {
 	Pkt     *packet.Packet
 	InPort  PortID
-	Egress  PortID
 	Drop    bool
 	DropWhy string
 
@@ -110,9 +109,6 @@ type PHV struct {
 	// merge is the merged payload PrepareMergeBlocks laid out.
 	merge []byte
 }
-
-// Reset clears the PHV for reuse.
-func (p *PHV) Reset() { *p = PHV{} }
 
 // PrepareMergeBlocks lays out the merged payload — prefix, n blocks of w
 // bytes, tail — with the park region at payload offset k, and returns the
